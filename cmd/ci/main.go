@@ -1,7 +1,7 @@
 // Command ci is the repository's verification gate, runnable anywhere Go
 // is installed (no make required):
 //
-//	go run ./cmd/ci                                    # build + vet + gofmt + test + race + bench smoke
+//	go run ./cmd/ci                                    # build + vet + gofmt + test + race + bench smoke + fuzz smoke
 //	go run ./cmd/ci -bench                             # also record BENCH_baseline.json
 //	go run ./cmd/ci -bench -bench-out BENCH_pr.json \
 //	    -bench-compare BENCH_baseline.json             # record and gate against a baseline
@@ -17,7 +17,8 @@
 // goroutines. The bench-smoke step
 // runs every scheduler benchmark for exactly one iteration, so a
 // benchmark that panics or trips its own invariant checks fails the
-// default gate without paying measurement time.
+// default gate without paying measurement time. The fuzz-smoke step
+// mutates the scheduler's order-contract corpus for five seconds.
 //
 // The -bench mode records microbenchmark results plus four timed fig10
 // experiment runs — sequential, sharded (-bench-shards, so the
@@ -90,6 +91,9 @@ func main() {
 		{"race-parallel", []string{"go", "test", "-race", "-run", "Parallel|Mailbox|Shard",
 			"./internal/sim", "./internal/net", "./internal/topo", "./internal/exp"}},
 		{"bench-smoke", []string{"go", "test", "-run", "^$", "-bench", ".", "-benchtime", "1x", "./internal/sim", "./internal/net"}},
+		// Minimizing each new 9 KB corpus entry (60 s by default) would eat
+		// the whole budget; a failing input is kept whole instead.
+		{"fuzz-smoke", []string{"go", "test", "-run", "^$", "-fuzz", "FuzzEngineOrder", "-fuzztime", "5s", "-fuzzminimizetime", "0s", "./internal/sim"}},
 	}
 	failed := 0
 	for _, s := range steps {

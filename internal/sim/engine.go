@@ -38,8 +38,8 @@ type slot struct {
 // same total order as a binary heap, so fixed-seed runs are bit-for-bit
 // reproducible across scheduler implementations. Steady-state scheduling
 // is allocation-free: callbacks bound once (method values, per-object
-// closures) are stored in recycled slots, and queue entries live in pooled
-// buckets.
+// closures) are stored in recycled slots, and queue entries live in the
+// queue's recycled chain nodes and its one epoch buffer.
 type Engine struct {
 	now Time
 	seq uint64
@@ -108,7 +108,7 @@ func (e *Engine) Stats() EngineStats {
 // At schedules fn to run at absolute time t. Scheduling in the past panics:
 // it would silently reorder causality. The hot path is allocation-free when
 // fn is pre-bound (a method value or reused closure): the slot comes from
-// the free list and the queue entry from a pooled bucket.
+// the free list and the queue entry's chain node from the queue's.
 func (e *Engine) At(t Time, fn func()) EventID {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))

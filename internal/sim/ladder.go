@@ -7,7 +7,7 @@ import "math/bits"
 // front. Packet simulations schedule almost every event a short, clustered
 // distance into the future (serialization times, propagation delays, pacing
 // gaps), which a comparison-based heap pays O(log n) per operation to
-// handle. The ladder queue exploits the clustering: an event is appended to
+// handle. The ladder queue exploits the clustering: an event is linked into
 // a coarse time bucket in O(1), and sorting work is deferred until a bucket
 // reaches the front, where it is small (or is subdivided into a finer rung
 // until it is). Each event is therefore touched O(1) amortized times
@@ -17,20 +17,32 @@ import "math/bits"
 // ties broken by scheduling sequence number. Buckets are sorted by exactly
 // that key before being consumed, so the event order is bit-for-bit
 // identical to the previous binary-heap engine, and to any other correct
-// priority queue. The golden experiment tests pin this.
+// priority queue, whatever order entries sit in inside a bucket. The golden
+// experiment tests pin this.
 //
 // Structure invariants:
 //
 //   - cur[curHead:] is sorted ascending by (at, seq) and holds every stored
 //     entry with at < curEnd. New entries below curEnd are insertion-sorted
 //     into it (they are rare and the epoch is kept small; see splitCur).
+//     It is one reused buffer: every promoted bucket is gathered into it.
 //   - ladder holds rungs of buckets. ladder[i+1] subdivides one consumed
 //     bucket interval of ladder[i], so remaining rung coverage, walked from
 //     the deepest rung to rung 0, forms increasing disjoint time intervals
 //     starting at curEnd.
+//   - A bucket is a chain through the one arena nodes: the rung holds a
+//     link to its newest node, each node a link to the next. A link is the
+//     node's index plus one and 0 is nil, so a zeroed head array is a rung
+//     of empty buckets. Released nodes chain LIFO from free, and the arena
+//     grows only when that chain is empty: its length plateaus at the peak
+//     number of bucketed entries.
 //   - over holds entries at or beyond every rung's end, unsorted. When the
 //     ladder is exhausted it is re-bucketed into a fresh rung 0 spanning
-//     [overMin, overMax].
+//     its time range.
+//   - Interval bounds saturate at maxTime instead of wrapping. An entry at
+//     maxTime may then sit under an exclusive bound equal to it; a later
+//     push for that time has a higher seq and lands in over, which is
+//     consumed after the whole ladder, so the order holds.
 //
 // The queue never inspects cancellation state: the engine cancels events by
 // invalidating their slot generation and lazily discards stale entries as
@@ -42,18 +54,17 @@ type ladderQueue struct {
 
 	ladder []rung
 	over   []entry // entries beyond the ladder, unsorted
-	overMin,
-	overMax Time
 
-	pool  [][]entry   // recycled entry slices for bucket reuse
-	bpool [][][]entry // recycled rung bucket arrays
+	nodes []node     // bucket-chain arena
+	free  uint32     // link to the first released node
+	hpool [][]uint32 // recycled rung head arrays
 }
 
 // entry is one scheduled occurrence: the ordering key (at, seq) plus a
 // generation-stamped reference to the engine's event slot. Entries are
-// deliberately pointer-free (24 bytes): the ladder holds millions of them
-// in bucket slices, and keeping them scalar-only means the GC never scans
-// queue memory and sorts move minimal data.
+// deliberately pointer-free (24 bytes): a paper-scale run keeps tens of
+// thousands of them pending, and keeping them scalar-only means the GC
+// never scans queue memory and sorts move minimal data.
 type entry struct {
 	at  Time
 	seq uint64
@@ -61,16 +72,22 @@ type entry struct {
 	gen uint32 // slot generation at scheduling time
 }
 
-// rung is one level of the ladder: count buckets of width picoseconds
+// node is one element of a bucket chain. Like entry it is pointer-free.
+type node struct {
+	entry
+	next uint32 // link: index+1 of the next node, 0 at the end
+}
+
+// rung is one level of the ladder: len(heads) buckets of width picoseconds
 // starting at start. end is the exclusive bound actually covered (it may be
-// less than start+len(buckets)*width when the span does not divide evenly).
+// less than start+len(heads)*width when the span does not divide evenly).
 type rung struct {
-	start   Time
-	width   Time
-	recip   uint64 // ceil(2^64/width): bucketOf divides by multiply (width >= 2)
-	end     Time
-	next    int // next unconsumed bucket
-	buckets [][]entry
+	start Time
+	width Time
+	recip uint64 // ceil(2^64/width): bucketOf divides by multiply (width >= 2)
+	end   Time
+	next  int      // next unconsumed bucket
+	heads []uint32 // link to each bucket's newest node
 }
 
 // bucketOf maps a non-negative offset into the rung to its bucket index:
@@ -198,32 +215,15 @@ func (q *ladderQueue) push(en entry) {
 	for i := len(q.ladder) - 1; i >= 0; i-- {
 		r := &q.ladder[i]
 		if en.at < r.end {
+			// A fresh overflow rung starts at the overflow minimum, which
+			// may sit above curEnd; entries pushed into that gap fold into
+			// bucket 0 and sort out on promotion.
 			j := 0
 			if en.at > r.start {
 				j = r.bucketOf(en.at - r.start)
 			}
-			if j < 0 {
-				// A fresh overflow rung starts at the overflow minimum,
-				// which may sit above curEnd; entries pushed into that gap
-				// fold into bucket 0 and sort out on promotion.
-				j = 0
-			}
-			b := r.buckets[j]
-			if b == nil {
-				b = q.getSlice()
-			}
-			r.buckets[j] = append(b, en)
+			q.link(&r.heads[j], en)
 			return
-		}
-	}
-	if len(q.over) == 0 {
-		q.overMin, q.overMax = en.at, en.at
-	} else {
-		if en.at < q.overMin {
-			q.overMin = en.at
-		}
-		if en.at > q.overMax {
-			q.overMax = en.at
 		}
 	}
 	q.over = append(q.over, en)
@@ -268,10 +268,8 @@ func (q *ladderQueue) insertCur(en entry) {
 func (q *ladderQueue) splitCur() {
 	region := q.cur[q.curHead:]
 	start := region[0].at // region is sorted; this is its minimum
-	r := q.newRung(start, q.curEnd, region)
-	q.ladder = append(q.ladder, r)
-	q.putSlice(q.cur)
-	q.cur = nil
+	q.ladder = append(q.ladder, q.newRung(start, q.curEnd, childBuckets, region))
+	q.cur = q.cur[:0]
 	q.curHead = 0
 	q.curEnd = start
 }
@@ -295,57 +293,43 @@ func (q *ladderQueue) drop() { q.curHead++ }
 // to sort cheaply, popping exhausted rungs, and re-bucketing the overflow
 // once the ladder is empty. It reports false when no entries remain.
 func (q *ladderQueue) refill() bool {
-	if q.cur != nil {
-		q.putSlice(q.cur)
-		q.cur = nil
-	}
+	q.cur = q.cur[:0]
 	q.curHead = 0
 	for {
 		if n := len(q.ladder); n > 0 {
 			r := &q.ladder[n-1]
-			for r.next < len(r.buckets) && len(r.buckets[r.next]) == 0 {
-				if r.buckets[r.next] != nil {
-					q.putSlice(r.buckets[r.next])
-					r.buckets[r.next] = nil
-				}
+			for r.next < len(r.heads) && r.heads[r.next] == 0 {
 				r.next++
 			}
-			if r.next >= len(r.buckets) {
+			if r.next >= len(r.heads) {
 				q.curEnd = r.end
-				q.putBuckets(r.buckets) // every bucket is nil by now
+				q.putHeads(r.heads) // every head is 0 by now
 				q.ladder = q.ladder[:n-1]
 				continue
 			}
-			b := r.buckets[r.next]
 			bStart := r.start + Time(r.next)*r.width
-			bEnd := bStart + r.width
-			if bEnd > r.end {
-				bEnd = r.end
-			}
-			if len(b) > sortMax && r.width > 1 && b[0].at != maxAt(b) {
-				child := q.newRung(bStart, bEnd, b)
-				q.putSlice(b)
-				r.buckets[r.next] = nil
-				r.next++
-				q.ladder = append(q.ladder, child)
+			bEnd := min(satAdd(bStart, r.width), r.end)
+			q.gather(r.heads[r.next])
+			r.heads[r.next] = 0
+			r.next++
+			if len(q.cur) > sortMax && r.width > 1 && !sameAt(q.cur) {
+				q.ladder = append(q.ladder, q.newRung(bStart, bEnd, childBuckets, q.cur))
+				q.cur = q.cur[:0]
 				continue
 			}
-			sortEntries(b)
-			r.buckets[r.next] = nil
-			r.next++
-			q.cur = b
+			sortEntries(q.cur)
 			q.curEnd = bEnd
 			return true
 		}
 		if n := len(q.over); n > 0 {
 			if n <= sortMax {
 				// Small overflow: sort it straight into the epoch instead
-				// of building (and allocating) a one-shot rung. This is the
-				// steady state of lightly loaded simulations — a handful of
-				// timers chaining each other.
+				// of building a one-shot rung. This is the steady state of
+				// lightly loaded simulations — a handful of timers chaining
+				// each other.
 				sortEntries(q.over)
-				q.cur, q.over = q.over, q.getSlice()
-				q.curEnd = q.overMax + 1
+				q.cur, q.over = q.over, q.cur
+				q.curEnd = satAdd(q.cur[n-1].at, 1)
 				return true
 			}
 			q.ladder = append(q.ladder, q.overflowRung())
@@ -355,99 +339,110 @@ func (q *ladderQueue) refill() bool {
 	}
 }
 
-// maxAt scans for the largest timestamp in a bucket (used only to detect
-// the degenerate single-timestamp bucket, which subdivision cannot split).
-func maxAt(b []entry) Time {
-	m := b[0].at
-	for _, en := range b[1:] {
-		if en.at > m {
-			m = en.at
-		}
+// satAdd returns t+d for d >= 0, saturating at maxTime: one event at a
+// "never" time must not wrap an interval bound negative.
+func satAdd(t, d Time) Time {
+	if s := t + d; s >= t {
+		return s
 	}
-	return m
+	return maxTime
 }
 
-// newRung builds a rung of childBuckets-granularity buckets covering
-// [start, end) and distributes the given entries into it. Entries below
-// start (overflow-gap entries folded forward) clamp into bucket 0.
-func (q *ladderQueue) newRung(start, end Time, entries []entry) rung {
-	width := (end-start)/childBuckets + 1
-	count := int((end - start + width - 1) / width)
-	if count < 1 {
-		count = 1
+// sameAt reports whether every entry of b carries one timestamp — the
+// degenerate bucket subdivision cannot split.
+func sameAt(b []entry) bool {
+	for _, en := range b[1:] {
+		if en.at != b[0].at {
+			return false
+		}
 	}
-	r := rung{start: start, width: width, recip: recipOf(width), end: end, buckets: q.getBuckets(count)}
+	return true
+}
+
+// link prepends en to the chain at *head, reusing the most recently
+// released node (the likeliest to be in cache) before growing the arena.
+func (q *ladderQueue) link(head *uint32, en entry) {
+	i := q.free
+	if i != 0 {
+		q.free = q.nodes[i-1].next
+	} else {
+		q.nodes = append(q.nodes, node{})
+		i = uint32(len(q.nodes))
+	}
+	q.nodes[i-1] = node{en, *head}
+	*head = i
+}
+
+// gather moves the non-empty chain at head into cur (newest entry first;
+// the caller sorts) and releases its nodes with one splice onto the free
+// chain.
+func (q *ladderQueue) gather(head uint32) {
+	nodes, cur, tail := q.nodes, q.cur[:0], head
+	for i := head; i != 0; i = nodes[i-1].next {
+		cur = append(cur, nodes[i-1].entry)
+		tail = i
+	}
+	nodes[tail-1].next = q.free
+	q.free = head
+	q.cur = cur
+}
+
+// newRung builds a rung of about nb buckets whose first starts at start and
+// whose last holds end, and distributes the given entries (at <= end) into
+// it. Entries below start (overflow-gap entries folded forward) clamp into
+// bucket 0.
+func (q *ladderQueue) newRung(start, end Time, nb int, entries []entry) rung {
+	width := (end-start)/Time(nb) + 1
+	r := rung{start: start, width: width, recip: recipOf(width), end: end, heads: q.getHeads(int((end-start)/width) + 1)}
 	for _, en := range entries {
 		j := 0
 		if en.at > start {
 			j = r.bucketOf(en.at - start)
 		}
-		b := r.buckets[j]
-		if b == nil {
-			b = q.getSlice()
-		}
-		r.buckets[j] = append(b, en)
+		q.link(&r.heads[j], en)
 	}
 	return r
 }
 
 // overflowRung re-buckets the overflow into a fresh rung 0 spanning its
-// observed time range, with a bucket count scaled to the entry count.
+// observed time range, with a bucket count scaled to the entry count. The
+// rung covers its last bucket whole, so pushes just past the range bucket too.
 func (q *ladderQueue) overflowRung() rung {
-	lo, hi := q.overMin, q.overMax
 	nb := minOverBuckets
 	for nb < len(q.over) && nb < maxOverBuckets {
 		nb <<= 1
 	}
-	width := (hi-lo)/Time(nb) + 1
-	count := int((hi-lo)/width) + 1
-	r := rung{start: lo, width: width, recip: recipOf(width), end: lo + Time(count)*width, buckets: q.getBuckets(count)}
-	for _, en := range q.over {
-		j := r.bucketOf(en.at - lo)
-		b := r.buckets[j]
-		if b == nil {
-			b = q.getSlice()
+	lo, hi := q.over[0].at, q.over[0].at
+	for _, en := range q.over[1:] {
+		if en.at < lo {
+			lo = en.at
+		} else if en.at > hi {
+			hi = en.at
 		}
-		r.buckets[j] = append(b, en)
 	}
+	r := q.newRung(lo, hi, nb, q.over)
+	r.end = satAdd(r.start+Time(len(r.heads)-1)*r.width, r.width)
 	q.over = q.over[:0]
 	return r
 }
 
-// getSlice and putSlice recycle entry-slice backing arrays between buckets
-// and epochs, keeping steady-state scheduling allocation-free.
-func (q *ladderQueue) getSlice() []entry {
-	if n := len(q.pool); n > 0 {
-		s := q.pool[n-1]
-		q.pool = q.pool[:n-1]
-		return s
-	}
-	return make([]entry, 0, 64)
-}
-
-func (q *ladderQueue) putSlice(s []entry) {
-	if cap(s) >= 8 && cap(s) <= 1<<16 && len(q.pool) < 4096 {
-		q.pool = append(q.pool, s[:0])
-	}
-}
-
-// getBuckets and putBuckets recycle whole rung bucket arrays. A rung is
-// only retired once every bucket has been consumed (and nil'd), so a
-// recycled array needs no clearing.
-func (q *ladderQueue) getBuckets(count int) [][]entry {
-	for i := len(q.bpool) - 1; i >= 0; i-- {
-		if cap(q.bpool[i]) >= count {
-			b := q.bpool[i][:count]
-			q.bpool[i] = q.bpool[len(q.bpool)-1]
-			q.bpool = q.bpool[:len(q.bpool)-1]
-			return b
+// getHeads and putHeads recycle rung head arrays. A rung is only retired
+// once every bucket has been consumed (and its head zeroed), so a recycled
+// array needs no clearing.
+func (q *ladderQueue) getHeads(count int) []uint32 {
+	for i := len(q.hpool) - 1; i >= 0; i-- {
+		if cap(q.hpool[i]) >= count {
+			h := q.hpool[i][:count]
+			q.hpool[i] = q.hpool[len(q.hpool)-1]
+			q.hpool = q.hpool[:len(q.hpool)-1]
+			return h
 		}
 	}
-	return make([][]entry, count)
+	return make([]uint32, count)
 }
 
-func (q *ladderQueue) putBuckets(b [][]entry) {
-	if cap(b) > 0 && len(q.bpool) < 32 {
-		q.bpool = append(q.bpool, b[:0])
+func (q *ladderQueue) putHeads(h []uint32) {
+	if len(q.hpool) < 32 {
+		q.hpool = append(q.hpool, h[:0])
 	}
 }

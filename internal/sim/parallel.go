@@ -513,11 +513,7 @@ func (p *Parallel) computeHorizons() {
 			if dist == maxTime {
 				continue
 			}
-			t := p.next[src] + dist
-			if t < p.next[src] { // overflow
-				t = maxTime
-			}
-			if t < h {
+			if t := satAdd(p.next[src], dist); t < h {
 				h = t
 			}
 		}
