@@ -1,41 +1,29 @@
 # Convenience wrappers around the Go-native CI gate (cmd/ci), so the same
 # checks run with or without make installed.
 
-.PHONY: verify test bench bench-baseline bench-compare profile
+.PHONY: verify test bench bench-compare loc profile
 
-# The verification gate every PR must keep green: build, vet, gofmt,
-# race-enabled tests of the concurrency-bearing packages, and a 1-iteration
-# smoke run of the scheduler benchmarks.
+# The verification gate every PR must keep green: build, vet, gofmt, tests,
+# race-enabled tests, a 1-iteration smoke run of the scheduler benchmarks,
+# and a 5 s fuzz smoke. It verifies; it does not measure.
 verify:
 	go run ./cmd/ci
 
 test:
 	go build ./... && go test ./...
 
-# Run the scheduler microbenchmarks and the end-to-end simulation benches.
+# The repository's one benchmark (BENCHMARK.json, bench/README.md): all
+# four workloads, results with their run-to-run spread into bench/out/.
 bench:
-	go test -run '^$$' -bench 'BenchmarkEngine|BenchmarkIncastSmall|BenchmarkFabric|BenchmarkSteadyState|BenchmarkMailbox|BenchmarkEpochBarrier' -benchmem ./internal/sim ./internal/net .
+	go run ./bench
 
-# Record a benchmark baseline (BENCH_baseline.json): microbenches plus
-# best-of-3 timed fig10-medium experiment runs — sequential, sharded,
-# ACK-coalesced, and macro-event.
-bench-baseline:
-	go run ./cmd/ci -bench
-
-# Re-measure and gate against the committed baseline; non-zero exit when
-# events/sec regresses (or allocs/op grows) by more than 5%. Keys where
-# either side is a single sample are advisory warnings only.
-# Gate note: the repo's reference throughput for fig10-medium sequential is
-# the PR-4 high-water 9.17M ev/s — but absolute numbers only mean anything
-# within one recording window on this shared container. During the PR-10
-# recording, interleaved A/B runs of the untouched PR-9 build measured
-# 6.5-7.9M ev/s against its recorded 9.13M (pure machine drift), and the
-# PR-10 build measured 6.3-8.3M in the same windows. Judge regressions by
-# the 5% gate against BENCH_pr10.json (recorded in one window), never by
-# cross-PR absolutes; see EXPERIMENTS.md "Run manifests and performance
-# baselines".
+# Judge two result files of `make bench`: make bench-compare A=old.json B=new.json
 bench-compare:
-	go run ./cmd/ci -bench -bench-out BENCH_current.json -bench-compare BENCH_pr10.json
+	go run ./bench -compare $(A) $(B)
+
+# The tracked size number (ROADMAP aim 2): non-test Go lines, bench/ excluded.
+loc:
+	@find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' | xargs cat | wc -l
 
 # Profile the reference workload (fig10-medium): cpu.pprof + heap.pprof into
 # results/profiles/, the pair the PGO build and the perf notes come from.

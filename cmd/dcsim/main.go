@@ -41,13 +41,34 @@ func main() {
 		oversub      = flag.Float64("oversub", 0, "ToR-layer oversubscription ratio, e.g. 4 for 4:1 (0 = the paper's 1:1 fabric)")
 		k16          = flag.Bool("k16", false, "use the 4096-host k=16-style Clos instead of -pods/-tors/-hosts")
 		coalesce     = flag.Bool("ack-coalesce", false, "enable receiver-side ACK coalescing (diverges from the paper's per-packet ACK model)")
-		macro        = flag.Bool("macro-events", false, "fuse back-to-back same-flow pacing wakeups into port drains (bit-identical results, fewer scheduler events)")
 	)
 	flag.Parse()
 
 	ftCfg := faircc.DefaultFatTree().Scaled(*pods, *tors, *hosts)
 	if *k16 {
 		ftCfg = faircc.K16FatTree()
+	}
+	// Reject what would otherwise hang traffic generation (a zero arrival
+	// rate never reaches the duration; one host has no destination) or
+	// silently run something other than what was asked for.
+	var bad error
+	switch err := ftCfg.Validate(); {
+	case err != nil:
+		bad = err
+	case ftCfg.NumHosts() < 2:
+		bad = fmt.Errorf("need at least 2 hosts, have %d", ftCfg.NumHosts())
+	case !(*load > 0):
+		bad = fmt.Errorf("-load must be positive, got %v", *load)
+	case *ms <= 0:
+		bad = fmt.Errorf("-ms must be positive, got %d", *ms)
+	case *shards < 0:
+		bad = fmt.Errorf("-shards must not be negative, got %d", *shards)
+	case !(*oversub >= 0):
+		bad = fmt.Errorf("-oversub must not be negative, got %v", *oversub)
+	}
+	if bad != nil {
+		fmt.Fprintln(os.Stderr, "dcsim:", bad)
+		os.Exit(2)
 	}
 	if *oversub > 0 {
 		ftCfg = ftCfg.Oversubscribed(*oversub)
@@ -74,7 +95,7 @@ func main() {
 		if vaisf {
 			label += " VAI SF"
 		}
-		recs, rs, err := run(*protocol, vaisf, ftCfg, specs, *seed, *shards, *coalesce, *macro)
+		recs, rs, err := run(*protocol, vaisf, ftCfg, specs, *seed, *shards, *coalesce)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "dcsim:", err)
 			os.Exit(1)
@@ -139,11 +160,10 @@ type runOut struct {
 	run faircc.RunStats
 }
 
-func run(protocol string, vaisf bool, ftCfg faircc.FatTreeConfig, specs []faircc.FlowSpec, seed int64, shards int, coalesce, macro bool) ([]faircc.FlowRecord, runOut, error) {
+func run(protocol string, vaisf bool, ftCfg faircc.FatTreeConfig, specs []faircc.FlowSpec, seed int64, shards int, coalesce bool) ([]faircc.FlowRecord, runOut, error) {
 	eng := faircc.NewEngine()
 	nw := faircc.NewNetwork(eng, seed)
 	nw.AckCoalesce = coalesce
-	nw.MacroEvents = macro
 	ft := faircc.NewFatTree(nw, ftCfg)
 	if shards > 1 {
 		assign, k := ft.ShardMap(shards)
@@ -183,6 +203,12 @@ func run(protocol string, vaisf bool, ftCfg faircc.FatTreeConfig, specs []faircc
 		rs = faircc.CollectRunStats(eng, nw)
 	}
 	rs.Finish(time.Since(start))
+	if !nw.AllFinished() {
+		return nil, runOut{}, fmt.Errorf("flows did not finish")
+	}
+	if err := nw.CheckConservation(); err != nil {
+		return nil, runOut{}, err
+	}
 	return faircc.CollectFinishedFlows(nw), runOut{net: nw.Stats(), run: rs}, nil
 }
 

@@ -51,7 +51,6 @@ func run() int {
 		verify = flag.Bool("verify", false, "check the paper's claims against fresh runs and exit")
 
 		coalesce = flag.Bool("ack-coalesce", false, "enable receiver-side ACK coalescing in every simulation (diverges from the paper's per-packet ACK model; see the ack-coalesce experiment)")
-		macro    = flag.Bool("macro-events", false, "fuse back-to-back same-flow pacing wakeups into port drains in every simulation (bit-identical results, fewer scheduler events; see the macro-events experiment)")
 
 		bufBytes = flag.Int64("buffer-bytes", 0, "lossy experiments: per-egress switch buffer in bytes (0 = experiment default)")
 		dropData = flag.Float64("drop-data", 0, "lossy experiments: random data-packet wire-loss probability (0 = experiment default)")
@@ -69,7 +68,7 @@ func run() int {
 
 	cfg := exp.Config{
 		Seed: *seed, Workers: *work, Scale: *scale, Shards: *shards,
-		AckCoalesce: *coalesce, MacroEvents: *macro,
+		AckCoalesce: *coalesce,
 		BufferBytes: *bufBytes, DropDataProb: *dropData, DropAckProb: *dropAck,
 		RTTSlowDelay: sim.Time(rttSlowDelay.Nanoseconds()) * sim.Nanosecond,
 		RTTSenders:   *rttSenders,

@@ -70,7 +70,6 @@ func runDC(cfg Config, v variant, ftCfg topo.FatTreeConfig, specs []net.FlowSpec
 	eng := sim.NewEngine()
 	nw := net.New(eng, cfg.Seed)
 	nw.AckCoalesce = cfg.AckCoalesce
-	nw.MacroEvents = cfg.MacroEvents
 	ft := topo.NewFatTree(nw, ftCfg)
 	if cfg.Shards > 1 {
 		assign, k := ft.ShardMap(cfg.Shards)
@@ -201,8 +200,8 @@ func init() {
 		},
 	})
 
-	register(dcFigure("fig10", "99.9%% FCT slowdown vs flow size, Hadoop traffic", "hadoop", 99.9))
-	register(dcFigure("fig11", "99.9%% FCT slowdown vs flow size, WebSearch+Storage traffic", "mix", 99.9))
+	register(dcFigure("fig10", "99.9% FCT slowdown vs flow size, Hadoop traffic", "hadoop", 99.9))
+	register(dcFigure("fig11", "99.9% FCT slowdown vs flow size, WebSearch+Storage traffic", "mix", 99.9))
 	register(dcFigure("fig12", "Median FCT slowdown vs flow size, Hadoop traffic", "hadoop", 50))
 	register(dcFigure("fig13", "Median FCT slowdown vs flow size, WebSearch+Storage traffic", "mix", 50))
 }

@@ -62,14 +62,6 @@ type Config struct {
 	// the ack-coalesce experiment measures the divergence explicitly.
 	AckCoalesce bool
 
-	// MacroEvents enables macro-event packet trains in every simulation
-	// the experiment runs (net.Network.MacroEvents): line-rate pacing
-	// wakeups are fused into port drain events. Results are bit-identical
-	// either way — the fusion preserves execution order exactly — so this
-	// only changes engine event counts and wall time; the macro-events
-	// experiment checks the identity and measures the elision.
-	MacroEvents bool
-
 	// RTT-heterogeneity knobs for the rtt-unfairness experiments (zero =
 	// each scenario's preset; other experiments ignore them).
 	// RTTSlowDelay overrides the slow group's access-link propagation
@@ -84,6 +76,43 @@ type Config struct {
 
 // DefaultConfig returns a medium-scale configuration with seed 1.
 func DefaultConfig() Config { return Config{Seed: 1, Scale: "medium"} }
+
+// validate rejects a configuration before any experiment builds a
+// simulation from it: an unknown scale (which star experiments would
+// otherwise ignore), a negative count or size, or a drop probability
+// outside [0,1) — at 1 and above no packet is ever delivered and the run
+// never ends, and a negative value would silently select the default.
+func (cfg Config) validate() error {
+	if _, _, err := dcScale(cfg); err != nil { // the one list of scale names
+		return err
+	}
+	for _, c := range []struct {
+		name string
+		v    int64
+	}{
+		{"Shards", int64(cfg.Shards)},
+		{"Workers", int64(cfg.Workers)},
+		{"BufferBytes", cfg.BufferBytes},
+		{"RTTSenders", int64(cfg.RTTSenders)},
+		{"RTTSlowDelay", int64(cfg.RTTSlowDelay)},
+	} {
+		if c.v < 0 {
+			return fmt.Errorf("exp: %s must not be negative, got %d", c.name, c.v)
+		}
+	}
+	for _, c := range []struct {
+		name string
+		p    float64
+	}{
+		{"DropDataProb", cfg.DropDataProb},
+		{"DropAckProb", cfg.DropAckProb},
+	} {
+		if !(c.p >= 0 && c.p < 1) { // also rejects NaN
+			return fmt.Errorf("exp: %s must be in [0,1), got %v", c.name, c.p)
+		}
+	}
+	return nil
+}
 
 // Series is one curve: paired X/Y samples with a legend label.
 type Series struct {
@@ -196,10 +225,13 @@ func Names() []string {
 	return names
 }
 
-// Run looks up and runs an experiment.
+// Run looks up and runs an experiment, after validating cfg.
 func Run(name string, cfg Config) (*Result, error) {
 	e, err := Get(name)
 	if err != nil {
+		return nil, err
+	}
+	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
 	return e.Run(cfg)

@@ -1,9 +1,12 @@
 package exp
 
 import (
+	"math"
 	"strconv"
 	"strings"
 	"testing"
+
+	"faircc/internal/sim"
 )
 
 func TestRegistryComplete(t *testing.T) {
@@ -209,6 +212,46 @@ func TestDCScaleValidation(t *testing.T) {
 		if _, _, err := dcScale(Config{Scale: s}); err != nil {
 			t.Fatalf("scale %q rejected: %v", s, err)
 		}
+	}
+}
+
+// TestConfigValidation: Run and RunWithStats reject a hostile Config on
+// every experiment before building anything — including experiments that
+// never read the offending field, which used to run (or spin) regardless.
+func TestConfigValidation(t *testing.T) {
+	bad := []struct {
+		name string
+		cfg  Config
+	}{
+		{"unknown scale", Config{Scale: "bogus"}},
+		{"negative shards", Config{Shards: -1}},
+		{"negative workers", Config{Workers: -1}},
+		{"negative buffer", Config{BufferBytes: -1}},
+		{"negative rtt senders", Config{RTTSenders: -1}},
+		{"negative rtt slow delay", Config{RTTSlowDelay: -sim.Microsecond}},
+		{"data drop prob 2", Config{DropDataProb: 2}},
+		{"data drop prob 1", Config{DropDataProb: 1}},
+		{"data drop prob negative", Config{DropDataProb: -0.5}},
+		{"ack drop prob 2", Config{DropAckProb: 2}},
+		{"ack drop prob NaN", Config{DropAckProb: math.NaN()}},
+	}
+	for _, c := range bad {
+		for _, name := range Names() {
+			if _, err := Run(name, c.cfg); err == nil {
+				t.Errorf("%s: Run(%s) accepted %+v", c.name, name, c.cfg)
+			}
+		}
+		if _, _, err := RunWithStats("fig1a", c.cfg); err == nil {
+			t.Errorf("%s: RunWithStats accepted %+v", c.name, c.cfg)
+		}
+	}
+	ok := Config{Seed: 1, Scale: "small", Shards: 2, Workers: 1, BufferBytes: 150_000,
+		DropDataProb: 0.01, DropAckProb: 0, RTTSenders: 2, RTTSlowDelay: sim.Microsecond}
+	if err := ok.validate(); err != nil {
+		t.Errorf("valid config rejected: %v", err)
+	}
+	if err := (Config{}).validate(); err != nil {
+		t.Errorf("zero config rejected: %v", err)
 	}
 }
 

@@ -1,7 +1,10 @@
 package exp
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"math"
+	"sort"
 	"testing"
 )
 
@@ -47,6 +50,61 @@ func TestGoldenIncastSeed1(t *testing.T) {
 			t.Errorf("%s: got (converge=%v, maxQ=%v, last=%v), golden (%v, %v, %v)",
 				v.label, out.convergeUs, out.maxQueueKB, last,
 				w.convergeUs, w.maxQueueKB, w.lastFinish)
+		}
+	}
+}
+
+// Golden regression values for the seed-1 fat-tree run: fig10's Hadoop
+// traffic at scale "small" under the four datacenter variants. Event
+// counts pin the engine's schedule exactly (one extra, missing or fused
+// event moves them); the hash covers every flow's finish time in flow-ID
+// order. Update them deliberately, as for TestGoldenIncastSeed1.
+func TestGoldenFatTreeSeed1(t *testing.T) {
+	want := []struct {
+		label              string
+		events, scheduled  uint64
+		dataSent, acksSent int64
+		finishedAtHash     uint64
+	}{
+		{"HPCC", 1334850, 1334873, 63980, 63980, 0xf929698bf3caaf76},
+		{"HPCC VAI SF", 1335749, 1335755, 63980, 63980, 0x27b40a049c9cbc5d},
+		{"Swift", 1300649, 1300756, 63980, 63980, 0x8740b9afe83d21c3},
+		{"Swift VAI SF", 1303541, 1304077, 63980, 63980, 0x7b5ce3ba3be42ae9},
+	}
+	cfg := Config{Seed: 1, Scale: "small"}
+	ftCfg, duration, err := dcScale(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	specs, err := dcTraffic(cfg, ftCfg, duration, "hadoop")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, v := range dcVariants(dcParams(dcMinBDP(ftCfg), ftCfg.HostBps)) {
+		w := want[i]
+		if v.label != w.label {
+			t.Fatalf("variant order changed: %s vs %s", v.label, w.label)
+		}
+		run := cfg
+		run.obs = &runObserver{}
+		records, _, err := runDC(run, v, ftCfg, specs)
+		if err != nil {
+			t.Fatalf("%s: %v", v.label, err)
+		}
+		st := run.obs.finish(0)
+		sort.Slice(records, func(a, b int) bool { return records[a].ID < records[b].ID })
+		h := fnv.New64a()
+		var buf [16]byte
+		for _, r := range records {
+			binary.LittleEndian.PutUint64(buf[:8], uint64(r.ID))
+			binary.LittleEndian.PutUint64(buf[8:], uint64(r.Start+r.FCT))
+			h.Write(buf[:])
+		}
+		if st.Events != w.events || st.EventsScheduled != w.scheduled ||
+			st.DataSent != w.dataSent || st.AcksSent != w.acksSent || h.Sum64() != w.finishedAtHash {
+			t.Errorf("%s: got (events=%d, scheduled=%d, data=%d, acks=%d, finishedAt=%#x), golden (%d, %d, %d, %d, %#x)",
+				v.label, st.Events, st.EventsScheduled, st.DataSent, st.AcksSent, h.Sum64(),
+				w.events, w.scheduled, w.dataSent, w.acksSent, w.finishedAtHash)
 		}
 	}
 }

@@ -63,7 +63,6 @@ func runIncast(cfg Config, v variant, senders int, setup func(*net.Network, *top
 	eng := sim.NewEngine()
 	nw := net.New(eng, cfg.Seed)
 	nw.AckCoalesce = cfg.AckCoalesce
-	nw.MacroEvents = cfg.MacroEvents
 	st := topo.NewStar(nw, senders+1, hostRate, linkDelay)
 	dst := st.Hosts[senders].NodeID()
 

@@ -11,10 +11,11 @@ import (
 	"time"
 
 	"faircc/internal/metrics"
+	"faircc/internal/sim"
 )
 
 // Manifest is the provenance record emitted next to an experiment's CSV:
-// everything needed to reproduce the run (name, scale, seed, code
+// everything needed to reproduce the run (name, scale, seed, knobs, code
 // version) and to compare its performance against other runs (RunStats).
 type Manifest struct {
 	Experiment string `json:"experiment"`
@@ -23,6 +24,15 @@ type Manifest struct {
 	Seed       int64  `json:"seed"`
 	Workers    int    `json:"workers"`
 	Shards     int    `json:"shards,omitempty"`
+
+	// Result-changing knobs, omitted at their zero values so manifests
+	// of default-config runs keep their exact key set.
+	AckCoalesce  bool     `json:"ack_coalesce,omitempty"`
+	BufferBytes  int64    `json:"buffer_bytes,omitempty"`
+	DropDataProb float64  `json:"drop_data_prob,omitempty"`
+	DropAckProb  float64  `json:"drop_ack_prob,omitempty"`
+	RTTSlowDelay sim.Time `json:"rtt_slow_delay_ps,omitempty"`
+	RTTSenders   int      `json:"rtt_senders,omitempty"`
 
 	GitDescribe string `json:"git_describe,omitempty"`
 	GoVersion   string `json:"go_version"`
@@ -41,11 +51,19 @@ type Manifest struct {
 func BuildManifest(name string, cfg Config, res *Result, stats *metrics.RunStats,
 	started time.Time, wall time.Duration) Manifest {
 	m := Manifest{
-		Experiment:  name,
-		Scale:       cfg.Scale,
-		Seed:        cfg.Seed,
-		Workers:     cfg.Workers,
-		Shards:      cfg.Shards,
+		Experiment: name,
+		Scale:      cfg.Scale,
+		Seed:       cfg.Seed,
+		Workers:    cfg.Workers,
+		Shards:     cfg.Shards,
+
+		AckCoalesce:  cfg.AckCoalesce,
+		BufferBytes:  cfg.BufferBytes,
+		DropDataProb: cfg.DropDataProb,
+		DropAckProb:  cfg.DropAckProb,
+		RTTSlowDelay: cfg.RTTSlowDelay,
+		RTTSenders:   cfg.RTTSenders,
+
 		GitDescribe: GitDescribe(),
 		GoVersion:   runtime.Version(),
 		GOOS:        runtime.GOOS,

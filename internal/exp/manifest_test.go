@@ -1,12 +1,14 @@
 package exp
 
 import (
+	"bytes"
 	"encoding/json"
 	"os"
 	"testing"
 	"time"
 
 	"faircc/internal/metrics"
+	"faircc/internal/sim"
 )
 
 func TestManifestRoundTrip(t *testing.T) {
@@ -62,6 +64,41 @@ func TestManifestRoundTrip(t *testing.T) {
 			t.Errorf("manifest JSON missing key %q", k)
 		}
 	}
+	// The result-changing knobs round-trip when set and are absent at
+	// their defaults (so committed default-config manifests are unchanged).
+	knobKeys := []string{"ack_coalesce", "buffer_bytes", "drop_data_prob",
+		"drop_ack_prob", "rtt_slow_delay_ps", "rtt_senders"}
+	for _, k := range knobKeys {
+		if _, ok := keys[k]; ok {
+			t.Errorf("default-config manifest carries key %q", k)
+		}
+	}
+	knobs := cfg
+	knobs.AckCoalesce = true
+	knobs.BufferBytes = 150_000
+	knobs.DropDataProb = 5e-4
+	knobs.DropAckProb = 2.5e-4
+	knobs.RTTSlowDelay = 100 * sim.Microsecond
+	knobs.RTTSenders = 8
+	var buf bytes.Buffer
+	if err := BuildManifest("fig1a", knobs, nil, nil, start, 0).WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var kb Manifest
+	if err := json.Unmarshal(buf.Bytes(), &kb); err != nil {
+		t.Fatal(err)
+	}
+	if kb.AckCoalesce != knobs.AckCoalesce || kb.BufferBytes != knobs.BufferBytes ||
+		kb.DropDataProb != knobs.DropDataProb || kb.DropAckProb != knobs.DropAckProb ||
+		kb.RTTSlowDelay != knobs.RTTSlowDelay || kb.RTTSenders != knobs.RTTSenders {
+		t.Errorf("knob round trip: got %+v, want the knobs of %+v", kb, knobs)
+	}
+	for _, k := range knobKeys {
+		if !bytes.Contains(buf.Bytes(), []byte(`"`+k+`"`)) {
+			t.Errorf("manifest with knobs set lacks key %q", k)
+		}
+	}
+
 	rs, ok := keys["run_stats"].(map[string]any)
 	if !ok {
 		t.Fatal("run_stats is not an object")

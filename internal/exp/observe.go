@@ -226,6 +226,9 @@ func RunWithStats(name string, cfg Config) (*Result, *metrics.RunStats, error) {
 	if err != nil {
 		return nil, nil, err
 	}
+	if err := cfg.validate(); err != nil {
+		return nil, nil, err
+	}
 	obs := &runObserver{}
 	cfg.obs = obs
 	start := time.Now()

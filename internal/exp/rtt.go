@@ -113,7 +113,6 @@ func runRTT(cfg Config, v variant, s rttSetup) (*rttOut, error) {
 	eng := sim.NewEngine()
 	nw := net.New(eng, cfg.Seed)
 	nw.AckCoalesce = cfg.AckCoalesce
-	nw.MacroEvents = cfg.MacroEvents
 	d := topo.NewDumbbell(nw, s.dc)
 
 	// Host node id -> RTT class, for classing flows by their sender.

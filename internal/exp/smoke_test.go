@@ -61,6 +61,10 @@ func TestExperimentTitlesUnique(t *testing.T) {
 		if e.Title == "" {
 			t.Errorf("%s has no title", name)
 		}
+		// Titles are printed verbatim, never used as a format string.
+		if strings.Contains(e.Title, "%%") {
+			t.Errorf("%s: title %q carries a printf escape", name, e.Title)
+		}
 		if prev, dup := seen[e.Title]; dup {
 			t.Errorf("title %q shared by %s and %s", e.Title, prev, name)
 		}

@@ -40,13 +40,7 @@ type RunStats struct {
 	// ACK by receiver-side coalescing (Network.AckCoalesce). Omitted when
 	// zero so manifests of historical (and default-config) runs keep their
 	// exact key set. AcksSent + AcksCoalesced == DataDelivered + DataOutOfSeq.
-	AcksCoalesced int64 `json:"acks_coalesced,omitempty"`
-	// EventsElided counts pacing wakeups fused into the port drain that
-	// precedes them by macro-event trains (Network.MacroEvents). Each one is
-	// a scheduler round trip that never happened; simulation results are
-	// bit-identical either way. Omitted when zero so manifests of historical
-	// (and default-config) runs keep their exact key set.
-	EventsElided  int64   `json:"events_elided,omitempty"`
+	AcksCoalesced int64   `json:"acks_coalesced,omitempty"`
 	ECNMarks      int64   `json:"ecn_marks"`
 	PFCPauses     int64   `json:"pfc_pauses"`
 	PoolGets      int64   `json:"pool_gets"`
@@ -86,9 +80,9 @@ type RunStats struct {
 	// PeakFCTRecords is the high-water count of retained per-flow FCT
 	// samples across the experiment's runs (max over runs): len(records)
 	// on the classic collect-at-end path, ClassCollector.PeakRetained on
-	// the streaming path. It is the memory gauge the CI bench gate tracks
-	// — the streaming refactor's bounded-retention claim rots silently if
-	// this grows with flow count again. Omitted when no collector reported
+	// the streaming path. It is the memory gauge of the streaming
+	// refactor's bounded-retention claim, which rots silently if this
+	// grows with flow count again. Omitted when no collector reported
 	// (e.g. the fluid model), keeping those manifests' key sets unchanged.
 	PeakFCTRecords int `json:"peak_fct_records,omitempty"`
 
@@ -152,7 +146,6 @@ func (s *RunStats) fillNetwork(ns net.NetworkStats) {
 	s.DataDelivered = ns.DataDelivered
 	s.AcksSent = ns.AcksSent
 	s.AcksCoalesced = ns.AcksCoalesced
-	s.EventsElided = ns.EventsElided
 	s.ECNMarks = ns.ECNMarks
 	s.PFCPauses = ns.PFCPauses
 	s.PoolGets = ns.PoolGets
@@ -197,7 +190,6 @@ func (s *RunStats) Add(o RunStats) {
 	s.RTOFires += o.RTOFires
 	s.DupAcks += o.DupAcks
 	s.DataOutOfSeq += o.DataOutOfSeq
-	s.EventsElided += o.EventsElided
 	s.QueueShrinks += o.QueueShrinks
 	if o.QueueCapPeak > s.QueueCapPeak {
 		s.QueueCapPeak = o.QueueCapPeak
@@ -254,9 +246,6 @@ func (s RunStats) String() string {
 	}
 	if s.AcksCoalesced > 0 {
 		out += fmt.Sprintf(", %d acks coalesced", s.AcksCoalesced)
-	}
-	if s.EventsElided > 0 {
-		out += fmt.Sprintf(", %d events elided", s.EventsElided)
 	}
 	if s.Shards > 1 {
 		out += fmt.Sprintf(", %d shards, %d epochs", s.Shards, s.Epochs)

@@ -67,8 +67,8 @@ func benchFabric(tb testing.TB, flowBytes int64) (*sim.Engine, *Network) {
 	return eng, nw
 }
 
-// BenchmarkFabricForwarding is the net-layer throughput key tracked by
-// `cmd/ci -bench-compare`: events/sec through the full per-packet pipeline
+// BenchmarkFabricForwarding is the net-layer throughput microbenchmark:
+// events/sec through the full per-packet pipeline
 // (flat-path switching, port serialization, host ACK turnaround) on a
 // leaf-spine fabric. allocs/op catches any hot-path allocation creep.
 func BenchmarkFabricForwarding(b *testing.B) {

@@ -44,14 +44,6 @@ type Flow struct {
 	pending   sim.EventID
 	pendingAt sim.Time
 	wake      func() // onWake bound once: the pacing-wakeup event body
-	// trainArmed/trainAt track an elided pacing wakeup (Network.
-	// MacroEvents): instead of an engine event, the uplink's drain event
-	// runs onWake when it fires at trainAt. Invariant: trainArmed iff
-	// host.port.trainFlow == f. At most one flow per port can be armed —
-	// arming requires the flow's own packet to be the one in the
-	// transmitter.
-	trainArmed bool
-	trainAt    sim.Time
 
 	// Loss recovery (armed only when Network.LossRecovery is set). The
 	// timer is lazy: progress just pushes rtoDeadline forward, and the
@@ -277,39 +269,11 @@ func (f *Flow) trySend() {
 		return
 	}
 	now := f.eng.Now()
-	// justSent tracks the packet the previous loop iteration transmitted,
-	// the anchor for macro-event train arming (compared by pointer only:
-	// a tail-dropped packet is back in the pool and must not be followed).
-	var justSent *Packet
 	for f.sent < f.Spec.Size {
 		if float64(f.inflight) >= f.ctl.WindowBytes {
 			return // window closed; an ACK will reopen it
 		}
 		if now < f.nextSend {
-			if f.trainArmed {
-				if f.trainAt == f.nextSend {
-					return // the armed drain already doubles as this wakeup
-				}
-				// The pacing horizon moved under an armed train (an RTO
-				// rewind advanced nextSend): fall back to a real wakeup,
-				// exactly where the unfused path would cancel-and-reschedule.
-				f.disarmTrain()
-			} else if f.net.MacroEvents && justSent != nil {
-				if pt := f.host.port; pt.txPkt == justSent &&
-					f.nextSend == now+pt.serialize(int(justSent.Wire)) {
-					// Line-rate train: the packet we just cut-through-sent
-					// finishes serializing exactly at the pacing horizon, and
-					// its drain was the last event scheduled — the wakeup
-					// would sit at the same timestamp on the adjacent
-					// tie-break sequence, so the drain can run it instead of
-					// the engine (see Port.drain). No event is scheduled.
-					pt.trainFlow = f
-					f.trainArmed = true
-					f.trainAt = f.nextSend
-					f.sh.wakesElided++
-					return
-				}
-			}
 			f.schedule(f.nextSend)
 			return
 		}
@@ -353,16 +317,7 @@ func (f *Flow) trySend() {
 			f.armRTO()
 		}
 		f.host.port.send(p)
-		justSent = p
 	}
-}
-
-// disarmTrain dissolves an armed macro-event train back to ordinary
-// scheduling. Safe only while trainArmed (the invariant guarantees the
-// uplink's trainFlow is this flow).
-func (f *Flow) disarmTrain() {
-	f.trainArmed = false
-	f.host.port.trainFlow = nil
 }
 
 // paceGap returns TransmitTime(wire, f.ctl.RateBps) through the flow's
@@ -500,12 +455,6 @@ func (f *Flow) finish(now sim.Time) {
 	if f.pending.Valid() {
 		f.eng.Cancel(f.pending)
 		f.pending = sim.EventID{}
-	}
-	if f.trainArmed {
-		// A final ACK can land while the previous packet is still
-		// serializing with a train armed; the unfused path would cancel
-		// the wakeup here, so the drain must not run it either.
-		f.disarmTrain()
 	}
 	if f.net.OnFlowFinish != nil {
 		f.net.OnFlowFinish(f)

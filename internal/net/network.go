@@ -53,23 +53,6 @@ type Network struct {
 	// and keep recorded goldens bit-identical.
 	AckCoalesce bool
 
-	// MacroEvents coarsens the per-packet event cadence on uncontended
-	// sender uplinks: when a flow pacing at exactly line rate has just
-	// cut-through-transmitted a packet and its next send lands precisely
-	// when that packet finishes serializing, the pacing wakeup is not
-	// scheduled as its own engine event — the port's drain event runs the
-	// wakeup body instead (see Port.trainFlow). A back-to-back packet
-	// train then rides a single chain of drain events with zero pacing
-	// events, dissolving back to real wakeups the moment the aggregate
-	// assumption breaks (competing traffic, PFC pause, a tail drop, an
-	// RTO rewind, flow completion). The elision is exact — the elided
-	// wakeup would have been the very next event in the ladder (same
-	// timestamp, adjacent tie-break sequence), so execution order and all
-	// results are bit-identical with the flag off; only engine event
-	// counts differ (see DESIGN.md, "Macro events"). Off by default so
-	// recorded manifests keep their historical event counts.
-	MacroEvents bool
-
 	// BufferBytes, when positive, caps every egress queue: a packet whose
 	// wire bytes would push the queue past the limit is tail-dropped
 	// (PFC control frames are exempt — dropping them would deadlock the

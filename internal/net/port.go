@@ -82,15 +82,6 @@ type Port struct {
 	txPkt  *Packet
 	txDone func()
 
-	// trainFlow, when non-nil, is a flow whose next pacing wakeup was
-	// elided under Network.MacroEvents: it falls due exactly when the
-	// current transmission drains, so drain runs the wakeup body right
-	// after finishTx instead of the engine dispatching a separate event.
-	// Set only while the flow's own packet is in the transmitter (which
-	// makes the owner unique); cleared by drain, by Flow.disarmTrain when
-	// the pacing horizon moves, and by Flow.finish.
-	trainFlow *Flow
-
 	// pausesSent counts PFC Pause frames emitted by this ingress (a
 	// head-of-line-blocking indicator).
 	pausesSent int64
@@ -290,19 +281,8 @@ func (pt *Port) serialize(wire int) sim.Time {
 }
 
 // drain is the serialization-done event body; it runs via the pre-bound
-// txDone method value (see the txPkt/txDone invariant above). When a
-// macro-event train is armed it also runs the elided pacing wakeup: in
-// the unfused execution that wakeup is the very next event — same
-// timestamp, adjacent tie-break sequence, so nothing can order between
-// the two — which is what makes the fusion bit-identical.
-func (pt *Port) drain() {
-	pt.finishTx(pt.txPkt)
-	if tf := pt.trainFlow; tf != nil {
-		pt.trainFlow = nil
-		tf.trainArmed = false
-		tf.onWake()
-	}
-}
+// txDone method value (see the txPkt/txDone invariant above).
+func (pt *Port) drain() { pt.finishTx(pt.txPkt) }
 
 // finishTx completes serialization: stamps telemetry, releases PFC ingress
 // accounting, schedules arrival at the peer, and starts the next packet.

@@ -40,7 +40,6 @@ type shard struct {
 	dataDelivered int64
 	acksSent      int64
 	acksCoalesced int64 // acknowledgements folded into a queued ACK (AckCoalesce)
-	wakesElided   int64 // pacing wakeups fused into port drains (MacroEvents)
 	ecnMarks      int64
 	poolGets      int64
 	poolAllocs    int64
