@@ -9,6 +9,8 @@
 //	fairsim -exp fig10 -progress -manifest [-pprof profiles]
 //	fairsim -exp incast-lossy -buffer-bytes 150000 -drop-data 5e-4 -drop-ack 5e-4
 //	fairsim -exp rtt-unfairness -rtt-slow-delay 100us -rtt-senders 8 -manifest
+//	fairsim -exp dc -workload mix -protocol swift -pods 2 -tors 2 -hosts 8 -ms 2 -oversub 4
+//	fairsim -exp incast -algo hpcc-vaisf -senders 96 -size 1048576 -out series
 //
 // Each experiment regenerates one figure of "Fast Convergence to Fairness
 // for Reduced Long Flow Tail Latency in Datacenter Networks" (Snyder &
@@ -59,6 +61,22 @@ func run() int {
 		rttSlowDelay = flag.Duration("rtt-slow-delay", 0, "rtt-unfairness experiments: slow group's access-link propagation delay (0 = scenario preset)")
 		rttSenders   = flag.Int("rtt-senders", 0, "rtt-unfairness experiments: senders per RTT class (0 = scenario preset)")
 
+		workload = flag.String("workload", "", "dc: hadoop, websearch, storage, mix, or a flow-size distribution file in the HPCC-artifact format (default hadoop)")
+		protocol = flag.String("protocol", "", "dc: hpcc or swift, run with and without VAI SF (default hpcc)")
+		pods     = flag.Int("pods", 0, "dc: fat-tree pods (default: the -scale preset)")
+		tors     = flag.Int("tors", 0, "dc: ToR (and Agg) switches per pod (default: the -scale preset)")
+		hosts    = flag.Int("hosts", 0, "dc: hosts per ToR (default: the -scale preset)")
+		k16      = flag.Bool("k16", false, "dc: start from the 4096-host k=16-style Clos instead of the -scale preset")
+		oversub  = flag.Float64("oversub", 0, "dc: ToR-layer oversubscription ratio, e.g. 4 for 4:1 (0 = the paper's 1:1 fabric)")
+		ms       = flag.Int("ms", 0, "dc: traffic duration in milliseconds (default: the -scale preset)")
+		load     = flag.Float64("load", 0, "dc: offered load as a fraction of host line rate (default: the paper's 0.5)")
+
+		algo    = flag.String("algo", "", "incast: hpcc, hpcc-1g, hpcc-prob, hpcc-vaisf, swift, swift-1g, swift-prob, swift-vaisf, dcqcn, timely or timely-vaisf (default hpcc)")
+		senders = flag.Int("senders", 0, "incast: incast degree (default 16)")
+		size    = flag.Int64("size", 0, "incast: bytes per flow (default 1000000)")
+		group   = flag.Int("group", 0, "incast: flows starting together (default 2)")
+		everyUs = flag.Int("every", 0, "incast: microseconds between start groups (default 20)")
+
 		progress = flag.Bool("progress", false, "print periodic sim-time/events-per-sec lines for each run (stderr)")
 		every    = flag.Duration("progress-every", time.Second, "target interval between progress lines")
 		manifest = flag.Bool("manifest", false, "write <exp>.manifest.json (params, git-describe, RunStats) next to the CSV")
@@ -72,6 +90,27 @@ func run() int {
 		BufferBytes: *bufBytes, DropDataProb: *dropData, DropAckProb: *dropAck,
 		RTTSlowDelay: sim.Time(rttSlowDelay.Nanoseconds()) * sim.Nanosecond,
 		RTTSenders:   *rttSenders,
+
+		DCWorkload: *workload, DCProtocol: *protocol,
+		DCPods: *pods, DCToRs: *tors, DCHostsPerToR: *hosts, DCK16: *k16, DCOversub: *oversub,
+		DCDuration: sim.Time(*ms) * sim.Millisecond, DCLoad: *load,
+
+		IncastAlgo: *algo, IncastSenders: *senders, IncastFlowBytes: *size,
+		IncastGroup: *group, IncastEvery: sim.Time(*everyUs) * sim.Microsecond,
+	}
+	// Exit 2, before anything is built, on a configuration no experiment
+	// can run. In Config a zero parameter means "the preset", so a zero
+	// given explicitly for one would silently run something other than
+	// what was asked for: that is rejected here, where "given" is known.
+	err := cfg.Validate()
+	flag.Visit(func(f *flag.Flag) {
+		if zeroIsPreset[f.Name] && f.Value.String() == "0" {
+			err = fmt.Errorf("-%s 0 would select the preset; omit the flag or give a positive value", f.Name)
+		}
+	})
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "fairsim:", err)
+		return 2
 	}
 	if *progress {
 		cfg.Progress = printProgress
@@ -170,6 +209,14 @@ func run() int {
 		}
 	}
 	return 0
+}
+
+// zeroIsPreset names the dc and incast flags whose zero value selects the
+// experiment's preset rather than meaning zero (-oversub 0 does mean the
+// 1:1 fabric).
+var zeroIsPreset = map[string]bool{
+	"pods": true, "tors": true, "hosts": true, "ms": true, "load": true,
+	"senders": true, "size": true, "group": true, "every": true,
 }
 
 // printProgress renders one ProgressUpdate as a stderr line. It may be

@@ -1,0 +1,78 @@
+package main
+
+import (
+	"context"
+	"errors"
+	"os/exec"
+	"path/filepath"
+	"strings"
+	"testing"
+	"time"
+)
+
+// TestRejectsUnrunnableFlags drives the built binary: configurations that
+// hang traffic generation forever (zero arrival rate, a single host),
+// crash the incast with a goroutine trace, or would be silently ignored
+// must exit 2 with a message, and a sane small run must still exit 0. The
+// timeout is what catches a regression to the hang.
+func TestRejectsUnrunnableFlags(t *testing.T) {
+	bin := filepath.Join(t.TempDir(), "fairsim")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	dc := func(args ...string) []string { return append([]string{"-exp", "dc"}, args...) }
+	incast := func(args ...string) []string { return append([]string{"-exp", "incast"}, args...) }
+	small := []string{"-pods", "1", "-tors", "2", "-hosts", "2", "-ms", "1"}
+	cases := []struct {
+		name string
+		args []string
+		exit int
+		msg  string // required substring of stderr
+	}{
+		{"ok", dc(small...), 0, ""},
+		{"zero load", dc(append([]string{"-load", "0"}, small...)...), 2, "-load"},
+		{"negative load", dc(append([]string{"-load", "-0.5"}, small...)...), 2, "DCLoad"},
+		{"one host", dc("-pods", "1", "-tors", "1", "-hosts", "1"), 2, "2 hosts"},
+		{"zero pods", dc("-pods", "0"), 2, "-pods"},
+		{"negative pods", dc("-pods", "-1"), 2, "DCPods"},
+		{"zero ms", dc("-pods", "1", "-tors", "2", "-hosts", "2", "-ms", "0"), 2, "-ms"},
+		{"negative shards", dc(append([]string{"-shards", "-1"}, small...)...), 2, "Shards"},
+		{"negative oversub", dc(append([]string{"-oversub", "-4"}, small...)...), 2, "DCOversub"},
+		{"unknown protocol", dc(append([]string{"-protocol", "reno"}, small...)...), 2, "reno"},
+		{"unknown workload", dc(append([]string{"-workload", "no-such-file"}, small...)...), 2, "no-such-file"},
+
+		{"incast ok", incast("-senders", "4", "-size", "100000"), 0, ""},
+		{"negative senders", incast("-senders", "-1"), 2, "IncastSenders"},
+		{"zero senders", incast("-senders", "0"), 2, "-senders"},
+		{"zero group", incast("-group", "0"), 2, "-group"},
+		{"zero size", incast("-size", "0"), 2, "-size"},
+		{"negative every", incast("-every", "-5"), 2, "IncastEvery"},
+		{"unknown algo", incast("-algo", "reno"), 2, "reno"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+			defer cancel()
+			cmd := exec.CommandContext(ctx, bin, c.args...)
+			var stderr strings.Builder
+			cmd.Stderr = &stderr
+			err := cmd.Run()
+			if ctx.Err() != nil {
+				t.Fatalf("fairsim %v did not exit within the timeout", c.args)
+			}
+			exit := 0
+			var ee *exec.ExitError
+			if errors.As(err, &ee) {
+				exit = ee.ExitCode()
+			} else if err != nil {
+				t.Fatal(err)
+			}
+			if exit != c.exit {
+				t.Fatalf("fairsim %v: exit %d, want %d (stderr: %s)", c.args, exit, c.exit, stderr.String())
+			}
+			if !strings.Contains(stderr.String(), c.msg) {
+				t.Errorf("fairsim %v: stderr %q lacks %q", c.args, stderr.String(), c.msg)
+			}
+		})
+	}
+}

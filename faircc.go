@@ -291,17 +291,11 @@ func RunExperimentWithStats(name string, cfg ExperimentConfig) (*ExperimentResul
 
 // CollectRunStats snapshots a finished simulation's engine and network
 // counters as a single-run RunStats; call Finish on the result to derive
-// wall-clock rates.
-func CollectRunStats(eng *Engine, nw *Network) RunStats {
-	return metrics.CollectRun(eng, nw)
-}
-
-// CollectShardedRunStats is CollectRunStats for a sharded parallel run:
-// engine counters are summed over the network's shard engines and the
-// per-shard event split plus the epoch count are recorded. Pass
-// Parallel.Epochs() as epochs.
-func CollectShardedRunStats(nw *Network, epochs uint64) RunStats {
-	return metrics.CollectSharded(nw, epochs)
+// wall-clock rates. It serves sequential and sharded runs alike (engine
+// counters are summed over the network's shard engines); epochs is
+// Parallel.Epochs() after a sharded run and 0 after a sequential one.
+func CollectRunStats(nw *Network, epochs uint64) RunStats {
+	return metrics.CollectRun(nw, epochs)
 }
 
 // CollectFinishedFlows returns completion records for every finished flow

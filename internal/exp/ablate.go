@@ -34,11 +34,7 @@ func sweepExperiment(name, title string, senders int, values []float64,
 			minBDP := starMinBDP(senders)
 			outs, err := par.MapErr(len(values), cfg.Workers, func(i int) (*incastOut, error) {
 				v := variant{label: fmt.Sprintf("%s=%g", name, values[i]), make: build(minBDP, values[i])}
-				o := runIncast(cfg, v, senders, nil)
-				if o.err != nil {
-					return nil, fmt.Errorf("%s: %w", o.label, o.err)
-				}
-				return o, nil
+				return runIncast(cfg, v, paperIncast(senders), nil)
 			})
 			if err != nil {
 				return nil, err
@@ -104,51 +100,41 @@ func init() {
 func runNewFlowAblation(cfg Config) (*Result, error) {
 	minBDP := starMinBDP(3)
 	join := 500 * sim.Microsecond
-	run := func(v variant) (*incastOut, float64) {
-		eng := sim.NewEngine()
-		nw := net.New(eng, cfg.Seed)
-		st := topo.NewStar(nw, 4, hostRate, linkDelay)
-		dst := st.Hosts[3].NodeID()
-		rec := &metrics.FCTRecorder{}
-		rec.Attach(nw)
-		const size = 8_000_000
-		for _, spec := range []net.FlowSpec{
-			{ID: 1, Src: st.Hosts[0].NodeID(), Dst: dst, Size: size, Start: 0},
-			{ID: 2, Src: st.Hosts[1].NodeID(), Dst: dst, Size: size, Start: 0},
-			{ID: 3, Src: st.Hosts[2].NodeID(), Dst: dst, Size: size / 2, Start: join},
-		} {
-			nw.AddFlow(spec, v.make())
-		}
-		jain := metrics.SampleJain(nw, v.label, 2*sim.Microsecond, 0, horizon)
-		runSim(cfg, v.label, eng, nw)
-		cfg.notePeakFCT(len(rec.Records))
-		out := &incastOut{label: v.label, allFinished: nw.AllFinished()}
-		for _, p := range jain.Points {
-			out.jain.Add(p.T.Microseconds(), p.V)
-		}
-		out.jain.Label = v.label
-		// Convergence measured after the join only.
-		var post Series
-		for _, p := range jain.Points {
-			if p.T >= join {
-				post.Add(p.T.Microseconds(), p.V)
-			}
-		}
-		return out, smoothedReach(post, 5, 0.9)
-	}
-
-	hp := variant{"HPCC", hpccBaselines()[0].make}
+	hp := hpccBaselines()[0]
 	vai := hpccVAISF(starParams(minBDP, hostRate))
 	res := &Result{Name: "ablate-newflow", Title: "New flow vs high-dampener incumbents",
 		XLabel: "time (us)", YLabel: "Jain fairness index"}
 	for _, v := range []variant{hp, vai} {
-		out, settle := run(v)
-		if !out.allFinished {
-			res.Notef("%s: flows did not all finish", v.label)
-			continue
+		rec := &metrics.FCTRecorder{}
+		var jain *metrics.Series
+		_, err := simulate(cfg, v.label, func(nw *net.Network) {
+			st := topo.NewStar(nw, 4, hostRate, linkDelay)
+			dst := st.Hosts[3].NodeID()
+			rec.Attach(nw)
+			const size = 8_000_000
+			for _, spec := range []net.FlowSpec{
+				{ID: 1, Src: st.Hosts[0].NodeID(), Dst: dst, Size: size, Start: 0},
+				{ID: 2, Src: st.Hosts[1].NodeID(), Dst: dst, Size: size, Start: 0},
+				{ID: 3, Src: st.Hosts[2].NodeID(), Dst: dst, Size: size / 2, Start: join},
+			} {
+				nw.AddFlow(spec, v.make())
+			}
+			jain = metrics.SampleJain(nw, v.label, 2*sim.Microsecond, 0, horizon)
+		})
+		if err != nil {
+			return nil, err
 		}
-		res.Series = append(res.Series, out.jain)
-		if settle >= 0 {
+		cfg.notePeakFCT(len(rec.Records))
+		// Convergence measured after the join only.
+		all, post := Series{Label: v.label}, Series{}
+		for _, p := range jain.Points {
+			all.Add(p.T.Microseconds(), p.V)
+			if p.T >= join {
+				post.Add(p.T.Microseconds(), p.V)
+			}
+		}
+		res.Series = append(res.Series, all)
+		if settle := smoothedReach(post, 5, 0.9); settle >= 0 {
 			res.Notef("%s: post-join smoothed Jain reaches 0.9 at %.0f us", v.label, settle)
 		} else {
 			res.Notef("%s: smoothed Jain never reached 0.9 after the join", v.label)

@@ -46,7 +46,7 @@ func runAckCoalesce(cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	specs, err := dcTraffic(cfg, ftCfg, duration, "hadoop")
+	specs, err := dcTraffic(cfg, ftCfg, duration, "hadoop", dcLoad)
 	if err != nil {
 		return nil, err
 	}
@@ -78,11 +78,7 @@ func runAckCoalesce(cfg Config) (*Result, error) {
 
 	for i, o := range outs {
 		label := fmt.Sprintf("%s (%s)", vs[i%len(vs)].label, coalesceModeLabel(i >= len(vs)))
-		s := Series{Label: label}
-		for _, b := range metrics.BucketBySize(o.records, 100, 99.9) {
-			s.Add(float64(b.MaxSize), b.Slowdown)
-		}
-		res.Series = append(res.Series, s)
+		res.Series = append(res.Series, slowdownSeries(label, o.records, 100, 99.9))
 		note := label + ":"
 		for _, pct := range []float64{50, 99, 99.9} {
 			if sd, err := metrics.SlowdownAbove(o.records, 0, pct); err == nil {

@@ -3,6 +3,9 @@ package exp
 import (
 	"strings"
 	"testing"
+
+	"faircc/internal/net"
+	"faircc/internal/topo"
 )
 
 // TestAckCoalesceExperiment runs the divergence experiment at small scale:
@@ -59,7 +62,7 @@ func TestAckCoalesceConfigPlumbing(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := Config{Seed: 1, Scale: "small"}
-	specs, err := dcTraffic(cfg, ftCfg, duration, "hadoop")
+	specs, err := dcTraffic(cfg, ftCfg, duration, "hadoop", dcLoad)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,5 +90,25 @@ func TestAckCoalesceConfigPlumbing(t *testing.T) {
 	}
 	if st.AcksSent >= off.AcksSent {
 		t.Fatalf("coalescing did not reduce wire ACKs: %d -> %d", off.AcksSent, st.AcksSent)
+	}
+
+	// One more case, on a topology no experiment shares: the knob is applied
+	// where every simulation is made, so an experiment that builds its own
+	// network cannot miss it the way ablate-newflow used to (it ran
+	// per-packet ACKs whatever its Config and manifest said). An incast
+	// cannot show that — a receiver's uplink carries nothing but ACKs and
+	// never queues one — so two hosts send to each other, and data shares
+	// each uplink with the reverse flow's ACKs.
+	nw, err := simulate(on, v.label, func(nw *net.Network) {
+		star := topo.NewStar(nw, 2, hostRate, linkDelay)
+		a, b := star.Hosts[0].NodeID(), star.Hosts[1].NodeID()
+		nw.AddFlow(net.FlowSpec{ID: 1, Src: a, Dst: b, Size: 1_000_000}, v.make())
+		nw.AddFlow(net.FlowSpec{ID: 2, Src: b, Dst: a, Size: 1_000_000}, v.make())
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c := nw.Stats().Counters; c.AcksCoalesced == 0 {
+		t.Fatalf("Config.AckCoalesce did not reach a network built outside runDC: %+v", c)
 	}
 }

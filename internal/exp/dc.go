@@ -1,13 +1,16 @@
 package exp
 
 import (
+	"cmp"
 	"fmt"
+	"math"
 
 	"faircc/internal/fluid"
 	"faircc/internal/metrics"
 	"faircc/internal/net"
 	"faircc/internal/par"
 	"faircc/internal/sim"
+	"faircc/internal/stats"
 	"faircc/internal/topo"
 	"faircc/internal/workload"
 )
@@ -31,30 +34,75 @@ func dcScale(cfg Config) (topo.FatTreeConfig, sim.Time, error) {
 	return topo.FatTreeConfig{}, 0, fmt.Errorf("exp: unknown scale %q", cfg.Scale)
 }
 
+// dcSetup resolves the dc experiment's fabric and traffic window: the
+// Scale preset with Config's DC* overrides folded in. It is also where a
+// fabric nothing can run on is rejected — a count FatTreeConfig.Validate
+// refuses, or fewer than two hosts (traffic generation needs a source and
+// a different destination).
+func dcSetup(cfg Config) (topo.FatTreeConfig, sim.Time, error) {
+	ftCfg, duration, err := dcScale(cfg)
+	if err != nil {
+		return ftCfg, 0, err
+	}
+	if cfg.DCK16 {
+		ftCfg = topo.K16FatTree()
+	}
+	ftCfg = ftCfg.Scaled(cmp.Or(cfg.DCPods, ftCfg.Pods), cmp.Or(cfg.DCToRs, ftCfg.ToRsPerPod),
+		cmp.Or(cfg.DCHostsPerToR, ftCfg.HostsPerToR))
+	if err := ftCfg.Validate(); err != nil {
+		return ftCfg, 0, err
+	}
+	if ftCfg.NumHosts() < 2 {
+		return ftCfg, 0, fmt.Errorf("exp: need at least 2 hosts, have %d", ftCfg.NumHosts())
+	}
+	if cfg.DCOversub > 0 {
+		ftCfg = ftCfg.Oversubscribed(cfg.DCOversub)
+	}
+	return ftCfg, cmp.Or(cfg.DCDuration, duration), nil
+}
+
+// dcLoad is the paper's offered load, as a fraction of host line rate.
 const dcLoad = 0.5
 
-// dcTraffic generates the flow set for a workload name ("hadoop" or
-// "mix"), identical across protocol variants so comparisons are paired.
-func dcTraffic(cfg Config, ftCfg topo.FatTreeConfig, duration sim.Time, name string) ([]net.FlowSpec, error) {
+// dcSizes resolves a workload name to its flow-size distributions: one of
+// the three built-in CDFs, "mix" (WebSearch and Storage sharing the
+// cluster), or else the path of a distribution file (workload.ParseCDF).
+func dcSizes(name string) ([]*stats.CDF, error) {
+	if name == "mix" {
+		return []*stats.CDF{workload.WebSearch(), workload.Storage()}, nil
+	}
+	cdf, err := workload.ByName(name)
+	if err != nil {
+		if cdf, err = workload.LoadCDF(name); err != nil {
+			return nil, fmt.Errorf("exp: unknown workload or unreadable distribution %q: %w", name, err)
+		}
+	}
+	return []*stats.CDF{cdf}, nil
+}
+
+// dcTraffic generates the flow set for a workload name at the given load,
+// identical across protocol variants so comparisons are paired.
+func dcTraffic(cfg Config, ftCfg topo.FatTreeConfig, duration sim.Time, name string, load float64) ([]net.FlowSpec, error) {
+	sizes, err := dcSizes(name)
+	if err != nil {
+		return nil, err
+	}
 	hosts := make([]int, ftCfg.NumHosts())
 	for i := range hosts {
 		hosts[i] = i
 	}
 	pc := workload.PoissonConfig{
 		Hosts:    hosts,
-		Load:     dcLoad,
+		Sizes:    sizes[0],
+		Load:     load,
 		LinkBps:  ftCfg.HostBps,
 		Duration: duration,
 		Seed:     cfg.Seed,
 	}
-	switch name {
-	case "hadoop":
-		pc.Sizes = workload.Hadoop()
-		return workload.Poisson(pc), nil
-	case "mix":
-		return workload.Mixed(pc, workload.WebSearch(), workload.Storage()), nil
+	if len(sizes) == 2 {
+		return workload.Mixed(pc, sizes[0], sizes[1]), nil
 	}
-	return nil, fmt.Errorf("exp: unknown workload %q", name)
+	return workload.Poisson(pc), nil
 }
 
 // runDC runs one datacenter simulation: the given traffic on the fat-tree
@@ -67,29 +115,17 @@ func dcTraffic(cfg Config, ftCfg topo.FatTreeConfig, duration sim.Time, name str
 // fire on worker goroutines. Every derived output sorts, so the record
 // order difference is invisible (goldens are bit-identical).
 func runDC(cfg Config, v variant, ftCfg topo.FatTreeConfig, specs []net.FlowSpec) ([]metrics.FlowRecord, net.NetworkStats, error) {
-	eng := sim.NewEngine()
-	nw := net.New(eng, cfg.Seed)
-	nw.AckCoalesce = cfg.AckCoalesce
-	ft := topo.NewFatTree(nw, ftCfg)
-	if cfg.Shards > 1 {
-		assign, k := ft.ShardMap(cfg.Shards)
-		nw.Shard(assign, k)
-	}
-	for _, spec := range specs {
-		nw.AddFlow(spec, v.make())
-	}
-	if nw.Shards() > 1 {
-		if err := runSimSharded(cfg, v.label, nw); err != nil {
-			return nil, net.NetworkStats{}, fmt.Errorf("%s: %w", v.label, err)
+	nw, err := simulate(cfg, v.label, func(nw *net.Network) {
+		ft := topo.NewFatTree(nw, ftCfg)
+		if cfg.Shards > 1 {
+			nw.Shard(ft.ShardMap(cfg.Shards))
 		}
-	} else {
-		runSim(cfg, v.label, eng, nw)
-	}
-	if !nw.AllFinished() {
-		return nil, net.NetworkStats{}, fmt.Errorf("%s: flows did not finish", v.label)
-	}
-	if err := nw.CheckConservation(); err != nil {
-		return nil, net.NetworkStats{}, fmt.Errorf("%s: %w", v.label, err)
+		for _, spec := range specs {
+			nw.AddFlow(spec, v.make())
+		}
+	})
+	if err != nil {
+		return nil, net.NetworkStats{}, err
 	}
 	records := metrics.CollectFinished(nw)
 	cfg.notePeakFCT(len(records))
@@ -110,12 +146,22 @@ func dcMinBDP(ftCfg topo.FatTreeConfig) float64 {
 	return 0.8 * ftCfg.HostBps / 8 * baseRTT.Seconds()
 }
 
+// slowdownSeries is one curve of a slowdown-versus-flow-size figure: the
+// pct-percentile slowdown in each of nBuckets equal-count size buckets.
+func slowdownSeries(label string, records []metrics.FlowRecord, nBuckets int, pct float64) Series {
+	s := Series{Label: label}
+	for _, b := range metrics.BucketBySize(records, nBuckets, pct) {
+		s.Add(float64(b.MaxSize), b.Slowdown)
+	}
+	return s
+}
+
 // dcVariants returns the four protocols Figs. 10-13 compare.
 func dcVariants(p pathParams) []variant {
 	return []variant{
 		hpccBaselines()[0],
 		hpccVAISF(p),
-		{"Swift", swiftBaselines(p)[0].make},
+		swiftBaselines(p)[0],
 		swiftVAISF(p),
 	}
 }
@@ -131,7 +177,7 @@ func dcFigure(name, title, workloadName string, pct float64) *Experiment {
 			if err != nil {
 				return nil, err
 			}
-			specs, err := dcTraffic(cfg, ftCfg, duration, workloadName)
+			specs, err := dcTraffic(cfg, ftCfg, duration, workloadName, dcLoad)
 			if err != nil {
 				return nil, err
 			}
@@ -153,11 +199,7 @@ func dcFigure(name, title, workloadName string, pct float64) *Experiment {
 				cfg.Scale, ftCfg.NumHosts(), duration, dcLoad*100, len(specs))
 			long := map[string]float64{}
 			for i, records := range outs {
-				s := Series{Label: vs[i].label}
-				for _, b := range metrics.BucketBySize(records, 100, pct) {
-					s.Add(float64(b.MaxSize), b.Slowdown)
-				}
-				res.Series = append(res.Series, s)
+				res.Series = append(res.Series, slowdownSeries(vs[i].label, records, 100, pct))
 				if sd, err := metrics.SlowdownAbove(records, 1_000_000, pct); err == nil {
 					long[vs[i].label] = sd
 					res.Notef("%s: p%v slowdown of >1MB flows = %.1fx", vs[i].label, pct, sd)
@@ -173,6 +215,86 @@ func dcFigure(name, title, workloadName string, pct float64) *Experiment {
 			return res, nil
 		},
 	}
+}
+
+// dcPlan is what the dc experiment runs, resolved from Config's DC*
+// fields (at their zero values: fig10's fabric and traffic under HPCC).
+type dcPlan struct {
+	ftCfg    topo.FatTreeConfig
+	duration sim.Time
+	workload string
+	load     float64
+	specs    []net.FlowSpec
+	vs       []variant // the protocol without and with VAI SF
+}
+
+func planDC(cfg Config) (dcPlan, error) {
+	p := dcPlan{workload: cmp.Or(cfg.DCWorkload, "hadoop"), load: cmp.Or(cfg.DCLoad, dcLoad)}
+	var err error
+	if p.ftCfg, p.duration, err = dcSetup(cfg); err != nil {
+		return p, err
+	}
+	if p.specs, err = dcTraffic(cfg, p.ftCfg, p.duration, p.workload, p.load); err != nil {
+		return p, err
+	}
+	byKey := variantsByKey(dcParams(dcMinBDP(p.ftCfg), p.ftCfg.HostBps))
+	proto := cmp.Or(cfg.DCProtocol, "hpcc")
+	p.vs = []variant{byKey[proto], byKey[proto+"-vaisf"]}
+	return p, nil
+}
+
+// runDCCustom is the dc experiment: one protocol with and without VAI SF
+// on a fat-tree and a traffic mix of the caller's choosing. Besides the
+// fig10-style tail curve it reports the slowdown percentiles per
+// flow-size class and how hard the fabric was driven.
+func runDCCustom(cfg Config) (*Result, error) {
+	p, err := planDC(cfg)
+	if err != nil {
+		return nil, err
+	}
+	type dcOut struct {
+		records []metrics.FlowRecord
+		stats   net.NetworkStats
+	}
+	outs, err := par.MapErr(len(p.vs), cfg.Workers, func(i int) (dcOut, error) {
+		records, st, err := runDC(cfg, p.vs[i], p.ftCfg, p.specs)
+		return dcOut{records, st}, err
+	})
+	if err != nil {
+		return nil, err
+	}
+
+	res := &Result{Name: "dc", Title: "FCT slowdown vs flow size on a configurable fat-tree",
+		XLabel: "flow size (bytes)", YLabel: "p99.9 FCT slowdown"}
+	res.Notef("hosts=%d oversubscription=%.3g:1 workload=%s load=%.0f%% duration=%v flows=%d",
+		p.ftCfg.NumHosts(), p.ftCfg.OversubscriptionRatio(), p.workload, p.load*100, p.duration, len(p.specs))
+	classes := []struct {
+		name     string
+		min, max int64
+	}{
+		{"<10KB", 0, 10_000},
+		{"10KB-100KB", 10_000, 100_000},
+		{"100KB-1MB", 100_000, 1_000_000},
+		{">1MB", 1_000_000, math.MaxInt64},
+	}
+	for i, o := range outs {
+		res.Series = append(res.Series, slowdownSeries(p.vs[i].label, o.records, 100, 99.9))
+		for _, c := range classes {
+			var xs []float64
+			for _, r := range o.records {
+				if r.Size >= c.min && r.Size < c.max {
+					xs = append(xs, r.Slowdown)
+				}
+			}
+			if len(xs) > 0 {
+				res.Notef("%s %s: %d flows, slowdown p50=%.1fx p99=%.1fx p99.9=%.1fx", p.vs[i].label, c.name,
+					len(xs), stats.Percentile(xs, 50), stats.Percentile(xs, 99), stats.Percentile(xs, 99.9))
+			}
+		}
+		res.Notef("%s: %.2f GB switched, deepest queue %d KB", p.vs[i].label,
+			float64(o.stats.FabricTxBytes)/1e9, o.stats.MaxQueuePeak/1000)
+	}
+	return res, nil
 }
 
 func init() {
@@ -200,6 +322,11 @@ func init() {
 		},
 	})
 
+	register(&Experiment{
+		Name:  "dc",
+		Title: "One protocol with and without VAI SF on a configurable fat-tree and workload",
+		Run:   runDCCustom,
+	})
 	register(dcFigure("fig10", "99.9% FCT slowdown vs flow size, Hadoop traffic", "hadoop", 99.9))
 	register(dcFigure("fig11", "99.9% FCT slowdown vs flow size, WebSearch+Storage traffic", "mix", 99.9))
 	register(dcFigure("fig12", "Median FCT slowdown vs flow size, Hadoop traffic", "hadoop", 50))

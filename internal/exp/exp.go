@@ -7,8 +7,10 @@
 package exp
 
 import (
+	"cmp"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"strings"
 	"sync"
@@ -17,14 +19,18 @@ import (
 	"faircc/internal/sim"
 )
 
-// Config controls experiment scale and reproducibility.
+// Config controls experiment scale and reproducibility. The JSON tags are
+// the run manifest's: Manifest embeds the Config it ran, so every
+// parameter that changes a result is recorded there by construction. The
+// parameters are omitted at their zero values, which keeps the key set of
+// a default-config manifest fixed as parameters are added.
 type Config struct {
 	// Seed drives all randomness (traffic generation, probabilistic
 	// feedback, RED). Two runs with equal Seed and scale are identical.
-	Seed int64
+	Seed int64 `json:"seed"`
 	// Workers bounds the parallelism across protocol variants and sweeps
 	// (0 = GOMAXPROCS). It never changes results.
-	Workers int
+	Workers int `json:"workers"`
 	// Shards partitions each datacenter fat-tree simulation into this
 	// many execution shards driven in parallel by sim.Parallel (see
 	// Network.Shard). 0 or 1 keeps the sequential engine. A fixed shard
@@ -32,42 +38,71 @@ type Config struct {
 	// yield statistically equivalent — not identical — results, so the
 	// recorded figures use the sequential engine. Experiments without a
 	// fat-tree (incast star, fluid model) ignore the setting.
-	Shards int
+	Shards int `json:"shards,omitempty"`
 	// Scale picks the experiment size: "small" for tests and benches,
 	// "medium" for the recorded results in EXPERIMENTS.md, "full" for the
 	// paper-scale setup (320 hosts, 50 ms datacenter runs).
-	Scale string
+	Scale string `json:"scale"`
 
 	// Progress, when non-nil, receives periodic updates from every
 	// simulation the experiment runs (roughly once per ProgressEvery of
 	// wall time per run, plus a final Done update). It may be called
 	// concurrently from parallel variant runs and must be safe for that.
 	// Observation never changes results.
-	Progress func(ProgressUpdate)
+	Progress func(ProgressUpdate) `json:"-"`
 	// ProgressEvery is the target wall-time interval between updates
 	// (default 1s).
-	ProgressEvery time.Duration
+	ProgressEvery time.Duration `json:"-"`
 
 	// Lossy-mode knobs for the incast-lossy / incast-pfc-vs-lossy
 	// experiments (zero = each experiment's defaults; other experiments
 	// ignore them). BufferBytes caps every switch egress queue;
 	// DropDataProb / DropAckProb inject random per-packet wire loss.
-	BufferBytes  int64
-	DropDataProb float64
-	DropAckProb  float64
+	BufferBytes  int64   `json:"buffer_bytes,omitempty"`
+	DropDataProb float64 `json:"drop_data_prob,omitempty"`
+	DropAckProb  float64 `json:"drop_ack_prob,omitempty"`
 
 	// AckCoalesce enables receiver-side ACK coalescing in every simulation
 	// the experiment runs (net.Network.AckCoalesce). Off by default: the
 	// recorded figures use the paper-faithful per-packet ACK model, and
 	// the ack-coalesce experiment measures the divergence explicitly.
-	AckCoalesce bool
+	AckCoalesce bool `json:"ack_coalesce,omitempty"`
 
 	// RTT-heterogeneity knobs for the rtt-unfairness experiments (zero =
 	// each scenario's preset; other experiments ignore them).
 	// RTTSlowDelay overrides the slow group's access-link propagation
 	// delay; RTTSenders overrides the per-group sender count.
-	RTTSlowDelay sim.Time
-	RTTSenders   int
+	RTTSlowDelay sim.Time `json:"rtt_slow_delay_ps,omitempty"`
+	RTTSenders   int      `json:"rtt_senders,omitempty"`
+
+	// Parameters of the dc experiment (zero = the Scale preset's fabric
+	// and window, Hadoop traffic at 50% load, HPCC; other experiments
+	// ignore them). DCWorkload is hadoop, websearch, storage, mix, or the
+	// path of a distribution file; DCProtocol, hpcc or swift, is compared
+	// with and without VAI SF. DCPods, DCToRs (ToR and Agg switches per
+	// pod) and DCHostsPerToR resize the fat-tree, DCK16 starts from the
+	// 4096-host k=16-style Clos instead of the preset, and DCOversub thins
+	// the ToR uplinks to an N:1 host-to-fabric ratio (zero = the paper's
+	// 1:1). DCDuration is the traffic window, DCLoad the offered load as a
+	// fraction of host line rate.
+	DCWorkload    string   `json:"dc_workload,omitempty"`
+	DCProtocol    string   `json:"dc_protocol,omitempty"`
+	DCPods        int      `json:"dc_pods,omitempty"`
+	DCToRs        int      `json:"dc_tors,omitempty"`
+	DCHostsPerToR int      `json:"dc_hosts_per_tor,omitempty"`
+	DCK16         bool     `json:"dc_k16,omitempty"`
+	DCOversub     float64  `json:"dc_oversub,omitempty"`
+	DCDuration    sim.Time `json:"dc_duration_ps,omitempty"`
+	DCLoad        float64  `json:"dc_load,omitempty"`
+
+	// Parameters of the incast experiment (zero = the paper's 16-1
+	// pattern under HPCC: 1 MB flows, two starting every 20 us; other
+	// experiments ignore them). IncastAlgo is a variantsByKey name.
+	IncastAlgo      string   `json:"incast_algo,omitempty"`
+	IncastSenders   int      `json:"incast_senders,omitempty"`
+	IncastFlowBytes int64    `json:"incast_flow_bytes,omitempty"`
+	IncastGroup     int      `json:"incast_group,omitempty"`
+	IncastEvery     sim.Time `json:"incast_every_ps,omitempty"`
 
 	// obs accumulates RunStats across the experiment's simulations; set by
 	// RunWithStats.
@@ -77,15 +112,16 @@ type Config struct {
 // DefaultConfig returns a medium-scale configuration with seed 1.
 func DefaultConfig() Config { return Config{Seed: 1, Scale: "medium"} }
 
-// validate rejects a configuration before any experiment builds a
-// simulation from it: an unknown scale (which star experiments would
-// otherwise ignore), a negative count or size, or a drop probability
-// outside [0,1) — at 1 and above no packet is ever delivered and the run
-// never ends, and a negative value would silently select the default.
-func (cfg Config) validate() error {
-	if _, _, err := dcScale(cfg); err != nil { // the one list of scale names
-		return err
-	}
+// Validate rejects a configuration before any experiment builds a
+// simulation from it, whichever experiment it is meant for: an unknown
+// scale (which star experiments would otherwise ignore), workload,
+// protocol or algorithm; a negative count, size or time; a fat-tree
+// nothing can run on; a load or ratio that is negative, NaN or infinite
+// (an infinite arrival rate never reaches the end of the traffic window);
+// or a drop probability outside [0,1) — at 1 and above no packet is ever
+// delivered and the run never ends. Zero always means "the preset", so a
+// negative value must not silently select it either.
+func (cfg Config) Validate() error {
 	for _, c := range []struct {
 		name string
 		v    int64
@@ -95,6 +131,14 @@ func (cfg Config) validate() error {
 		{"BufferBytes", cfg.BufferBytes},
 		{"RTTSenders", int64(cfg.RTTSenders)},
 		{"RTTSlowDelay", int64(cfg.RTTSlowDelay)},
+		{"DCPods", int64(cfg.DCPods)},
+		{"DCToRs", int64(cfg.DCToRs)},
+		{"DCHostsPerToR", int64(cfg.DCHostsPerToR)},
+		{"DCDuration", int64(cfg.DCDuration)},
+		{"IncastSenders", int64(cfg.IncastSenders)},
+		{"IncastFlowBytes", cfg.IncastFlowBytes},
+		{"IncastGroup", int64(cfg.IncastGroup)},
+		{"IncastEvery", int64(cfg.IncastEvery)},
 	} {
 		if c.v < 0 {
 			return fmt.Errorf("exp: %s must not be negative, got %d", c.name, c.v)
@@ -102,14 +146,31 @@ func (cfg Config) validate() error {
 	}
 	for _, c := range []struct {
 		name string
-		p    float64
+		v    float64
+		max  float64 // exclusive
 	}{
-		{"DropDataProb", cfg.DropDataProb},
-		{"DropAckProb", cfg.DropAckProb},
+		{"DropDataProb", cfg.DropDataProb, 1},
+		{"DropAckProb", cfg.DropAckProb, 1},
+		{"DCLoad", cfg.DCLoad, math.Inf(1)},
+		{"DCOversub", cfg.DCOversub, math.Inf(1)},
 	} {
-		if !(c.p >= 0 && c.p < 1) { // also rejects NaN
-			return fmt.Errorf("exp: %s must be in [0,1), got %v", c.name, c.p)
+		if !(c.v >= 0 && c.v < c.max) { // also rejects NaN
+			return fmt.Errorf("exp: %s must be in [0,%v), got %v", c.name, c.max, c.v)
 		}
+	}
+	if _, _, err := dcSetup(cfg); err != nil { // dcScale's is the one list of scale names
+		return err
+	}
+	if cfg.DCWorkload != "" {
+		if _, err := dcSizes(cfg.DCWorkload); err != nil {
+			return err
+		}
+	}
+	if p := cfg.DCProtocol; p != "" && p != "hpcc" && p != "swift" {
+		return fmt.Errorf("exp: unknown protocol %q (hpcc or swift)", p)
+	}
+	if _, ok := variantsByKey(pathParams{})[cmp.Or(cfg.IncastAlgo, "hpcc")]; !ok {
+		return fmt.Errorf("exp: unknown algorithm %q", cfg.IncastAlgo)
 	}
 	return nil
 }
@@ -231,7 +292,7 @@ func Run(name string, cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := cfg.validate(); err != nil {
+	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	return e.Run(cfg)

@@ -19,6 +19,7 @@ func TestRegistryComplete(t *testing.T) {
 		"ablate-aicap", "ablate-sf", "ablate-dampener", "ablate-newflow",
 		"incast-dcqcn", "incast-pfc", "incast-lossy", "incast-pfc-vs-lossy",
 		"rtt-unfairness", "rtt-unfairness-wan",
+		"dc", "incast", // what cmd/dcsim and cmd/incast offered
 	}
 	names := Names()
 	have := map[string]bool{}
@@ -234,6 +235,25 @@ func TestConfigValidation(t *testing.T) {
 		{"data drop prob negative", Config{DropDataProb: -0.5}},
 		{"ack drop prob 2", Config{DropAckProb: 2}},
 		{"ack drop prob NaN", Config{DropAckProb: math.NaN()}},
+		// The dc parameters: what dcsim rejected, plus names it only
+		// noticed after building the fat-tree.
+		{"negative pods", Config{DCPods: -1}},
+		{"one host", Config{DCPods: 1, DCToRs: 1, DCHostsPerToR: 1}},
+		{"negative duration", Config{DCDuration: -sim.Millisecond}},
+		{"negative load", Config{DCLoad: -0.5}},
+		{"load NaN", Config{DCLoad: math.NaN()}},
+		{"load infinite", Config{DCLoad: math.Inf(1)}},
+		{"negative oversub", Config{DCOversub: -4}},
+		{"oversub NaN", Config{DCOversub: math.NaN()}},
+		{"unknown protocol", Config{DCProtocol: "timely"}},
+		{"unknown workload", Config{DCWorkload: "no-such-workload-or-file"}},
+		// The incast parameters: each of these crashed cmd/incast with a
+		// goroutine trace.
+		{"negative senders", Config{IncastSenders: -1}},
+		{"negative flow size", Config{IncastFlowBytes: -1}},
+		{"negative group", Config{IncastGroup: -1}},
+		{"negative start interval", Config{IncastEvery: -5 * sim.Microsecond}},
+		{"unknown algorithm", Config{IncastAlgo: "reno"}},
 	}
 	for _, c := range bad {
 		for _, name := range Names() {
@@ -246,11 +266,14 @@ func TestConfigValidation(t *testing.T) {
 		}
 	}
 	ok := Config{Seed: 1, Scale: "small", Shards: 2, Workers: 1, BufferBytes: 150_000,
-		DropDataProb: 0.01, DropAckProb: 0, RTTSenders: 2, RTTSlowDelay: sim.Microsecond}
-	if err := ok.validate(); err != nil {
+		DropDataProb: 0.01, DropAckProb: 0, RTTSenders: 2, RTTSlowDelay: sim.Microsecond,
+		DCWorkload: "mix", DCProtocol: "swift", DCPods: 1, DCToRs: 2, DCHostsPerToR: 2, DCK16: true,
+		DCOversub: 4, DCDuration: sim.Millisecond, DCLoad: 0.3,
+		IncastAlgo: "dcqcn", IncastSenders: 1, IncastFlowBytes: 1, IncastGroup: 1, IncastEvery: 1}
+	if err := ok.Validate(); err != nil {
 		t.Errorf("valid config rejected: %v", err)
 	}
-	if err := (Config{}).validate(); err != nil {
+	if err := (Config{}).Validate(); err != nil {
 		t.Errorf("zero config rejected: %v", err)
 	}
 }

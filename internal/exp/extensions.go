@@ -20,7 +20,7 @@ func init() {
 			"(mechanism generality beyond HPCC/Swift)",
 		Run: func(cfg Config) (*Result, error) {
 			p := starParams(starMinBDP(16), hostRate)
-			outs, err := runIncastSet(cfg, timelyVariants(p), 16)
+			outs, err := runIncastSet(cfg, timelyVariants(p), paperIncast(16))
 			if err != nil {
 				return nil, err
 			}
@@ -45,12 +45,9 @@ func init() {
 					p.SetRED(dctcp.MarkingAt(k))
 				}
 			}
-			out := runIncast(cfg, dctcpVariant(), 16, setup)
-			if out.err != nil {
-				return nil, out.err
-			}
-			if !out.allFinished {
-				return nil, errNotFinished("DCTCP")
+			out, err := runIncast(cfg, dctcpVariant(), paperIncast(16), setup)
+			if err != nil {
+				return nil, err
 			}
 			res := &Result{Name: "incast-dctcp", Title: "DCTCP 16-1 incast",
 				XLabel: "time (us)", YLabel: "Jain fairness index"}
@@ -69,10 +66,6 @@ func init() {
 	})
 }
 
-type errNotFinished string
-
-func (e errNotFinished) Error() string { return string(e) + ": flows did not finish" }
-
 // runSwiftHAI compares default Swift against Swift with hyper-AI on the
 // small-scale Hadoop datacenter workload, reporting median slowdowns by
 // size class. The paper attributes Swift's poor Hadoop median to its
@@ -84,15 +77,12 @@ func runSwiftHAI(cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	specs, err := dcTraffic(small, ftCfg, duration, "hadoop")
+	specs, err := dcTraffic(small, ftCfg, duration, "hadoop", dcLoad)
 	if err != nil {
 		return nil, err
 	}
 	p := dcParams(dcMinBDP(ftCfg), ftCfg.HostBps)
-	vs := []variant{
-		{"Swift", swiftBaselines(p)[0].make},
-		swiftHAIVariant(p),
-	}
+	vs := []variant{swiftBaselines(p)[0], swiftHAIVariant(p)}
 	outs, err := par.MapErr(len(vs), cfg.Workers, func(i int) ([]metrics.FlowRecord, error) {
 		records, _, err := runDC(small, vs[i], ftCfg, specs)
 		return records, err
@@ -103,11 +93,7 @@ func runSwiftHAI(cfg Config) (*Result, error) {
 	res := &Result{Name: "ablate-swift-hai", Title: "Swift hyper-AI ablation",
 		XLabel: "flow size (bytes)", YLabel: "median FCT slowdown"}
 	for i, records := range outs {
-		s := Series{Label: vs[i].label}
-		for _, b := range metrics.BucketBySize(records, 50, 50) {
-			s.Add(float64(b.MaxSize), b.Slowdown)
-		}
-		res.Series = append(res.Series, s)
+		res.Series = append(res.Series, slowdownSeries(vs[i].label, records, 50, 50))
 		if sd, err := metrics.SlowdownAbove(records, 100_000, 50); err == nil {
 			res.Notef("%s: median slowdown of >100KB flows = %.2fx", vs[i].label, sd)
 		}

@@ -4,8 +4,12 @@ import (
 	"encoding/binary"
 	"hash/fnv"
 	"math"
+	"slices"
 	"sort"
 	"testing"
+
+	"faircc/internal/net"
+	"faircc/internal/topo"
 )
 
 // Golden regression values for the seed-1 16-1 incast. The simulator is
@@ -29,27 +33,42 @@ func TestGoldenIncastSeed1(t *testing.T) {
 		hpccBaselines()[0], hpccVAISF(p),
 		swiftBaselines(p)[0], swiftVAISF(p),
 	}
+	// The incast experiment at the same shape must be the same run, not a
+	// similar one: its Result carries the same three numbers.
+	keys := []string{"hpcc", "hpcc-vaisf", "swift", "swift-vaisf"}
 	for i, v := range variants {
-		out := runIncast(Config{Seed: 1}, v, 16, nil)
-		if out.err != nil {
-			t.Fatalf("%s: %v", v.label, out.err)
+		out, err := runIncast(Config{Seed: 1}, v, paperIncast(16), nil)
+		if err != nil {
+			t.Fatalf("%s: %v", v.label, err)
 		}
-		last := 0.0
-		for _, y := range out.startFinish.Y {
-			if y > last {
-				last = y
+		res, err := Run("incast", Config{Seed: 1, IncastAlgo: keys[i], IncastSenders: 16, IncastFlowBytes: 1_000_000})
+		if err != nil {
+			t.Fatalf("incast -algo %s: %v", keys[i], err)
+		}
+		var post Series // the Jain series from the last join on, as runIncast cuts it
+		for j, x := range res.Series[0].X {
+			if x >= paperIncast(16).lastStart().Microseconds() {
+				post.Add(x, res.Series[0].Y[j])
 			}
 		}
 		w := want[i]
 		if v.label != w.label {
 			t.Fatalf("variant order changed: %s vs %s", v.label, w.label)
 		}
-		if math.Abs(out.convergeUs-w.convergeUs) > 1e-6 ||
-			math.Abs(out.maxQueueKB-w.maxQueueKB) > 1e-6 ||
-			math.Abs(last-w.lastFinish) > 1e-6 {
-			t.Errorf("%s: got (converge=%v, maxQ=%v, last=%v), golden (%v, %v, %v)",
-				v.label, out.convergeUs, out.maxQueueKB, last,
-				w.convergeUs, w.maxQueueKB, w.lastFinish)
+		for _, got := range []struct {
+			path                   string
+			converge, maxQ, finish float64
+		}{
+			{"runIncast", out.convergeUs, out.maxQueueKB, slices.Max(out.startFinish.Y)},
+			{"incast experiment", smoothedReach(post, 5, 0.9), slices.Max(res.Series[1].Y), slices.Max(res.Series[2].Y)},
+		} {
+			if math.Abs(got.converge-w.convergeUs) > 1e-6 ||
+				math.Abs(got.maxQ-w.maxQueueKB) > 1e-6 ||
+				math.Abs(got.finish-w.lastFinish) > 1e-6 {
+				t.Errorf("%s via %s: got (converge=%v, maxQ=%v, last=%v), golden (%v, %v, %v)",
+					v.label, got.path, got.converge, got.maxQ, got.finish,
+					w.convergeUs, w.maxQueueKB, w.lastFinish)
+			}
 		}
 	}
 }
@@ -76,15 +95,20 @@ func TestGoldenFatTreeSeed1(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	specs, err := dcTraffic(cfg, ftCfg, duration, "hadoop")
+	specs, err := dcTraffic(cfg, ftCfg, duration, "hadoop", dcLoad)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, v := range dcVariants(dcParams(dcMinBDP(ftCfg), ftCfg.HostBps)) {
-		w := want[i]
-		if v.label != w.label {
-			t.Fatalf("variant order changed: %s vs %s", v.label, w.label)
+	check := func(v variant, ftCfg topo.FatTreeConfig, specs []net.FlowSpec) {
+		t.Helper()
+		i := 0
+		for i < len(want) && want[i].label != v.label {
+			i++
 		}
+		if i == len(want) {
+			t.Fatalf("no golden for variant %q", v.label)
+		}
+		w := want[i]
 		run := cfg
 		run.obs = &runObserver{}
 		records, _, err := runDC(run, v, ftCfg, specs)
@@ -105,6 +129,25 @@ func TestGoldenFatTreeSeed1(t *testing.T) {
 			t.Errorf("%s: got (events=%d, scheduled=%d, data=%d, acks=%d, finishedAt=%#x), golden (%d, %d, %d, %d, %#x)",
 				v.label, st.Events, st.EventsScheduled, st.DataSent, st.AcksSent, h.Sum64(),
 				w.events, w.scheduled, w.dataSent, w.acksSent, w.finishedAtHash)
+		}
+	}
+	for i, v := range dcVariants(dcParams(dcMinBDP(ftCfg), ftCfg.HostBps)) {
+		if v.label != want[i].label {
+			t.Fatalf("variant order changed: %s vs %s", v.label, want[i].label)
+		}
+		check(v, ftCfg, specs)
+	}
+	// What the dc experiment resolves from the same Config must be the same
+	// runs, not similar ones: same fabric, traffic and variant sizing.
+	for _, proto := range []string{"hpcc", "swift"} {
+		c := cfg
+		c.DCWorkload, c.DCProtocol = "hadoop", proto
+		p, err := planDC(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, v := range p.vs {
+			check(v, p.ftCfg, p.specs)
 		}
 	}
 }

@@ -1,7 +1,7 @@
 package exp
 
 import (
-	"fmt"
+	"cmp"
 
 	"faircc/internal/metrics"
 	"faircc/internal/net"
@@ -12,12 +12,27 @@ import (
 )
 
 const (
-	hostRate     = 100e9
-	linkDelay    = 1 * sim.Microsecond
-	incastFlowSz = 1_000_000 // 1 MB per flow
-	incastGroup  = 2         // two flows start together
-	incastEvery  = 20 * sim.Microsecond
+	hostRate  = 100e9
+	linkDelay = 1 * sim.Microsecond
 )
+
+// incastShape is one staggered n-to-1 incast: senders flows of size bytes
+// to one receiver, group of them starting together every interval.
+type incastShape struct {
+	senders int
+	size    int64
+	group   int
+	every   sim.Time
+}
+
+// paperIncast is the paper's pattern (Sec. III-D) at the given degree:
+// 1 MB flows, two starting every 20 us.
+func paperIncast(senders int) incastShape {
+	return incastShape{senders: senders, size: 1_000_000, group: 2, every: 20 * sim.Microsecond}
+}
+
+// lastStart is when the last group of flows joins.
+func (in incastShape) lastStart() sim.Time { return sim.Time((in.senders-1)/in.group) * in.every }
 
 // incastOut is everything one incast run produces.
 type incastOut struct {
@@ -27,12 +42,9 @@ type incastOut struct {
 	startFinish Series
 	convergeUs  float64 // time for smoothed Jain to reach 0.9 (-1 if never)
 	maxQueueKB  float64
-	pfcPauses   int64
 	lastFinish  sim.Time
 	stats       net.NetworkStats
-	allFinished bool
 	records     []metrics.FlowRecord // per-flow completions (finish order)
-	err         error
 }
 
 // starMinBDP computes the paper's VAI token threshold for the star
@@ -57,53 +69,45 @@ func starMinBDP(senders int) float64 {
 // runIncast runs one staggered n-to-1 incast under the given variant and
 // collects the figure measurements. setup, when non-nil, configures the
 // network before flows are added (ECN marking for the DCQCN and DCTCP
-// baselines).
-func runIncast(cfg Config, v variant, senders int, setup func(*net.Network, *topo.Star)) *incastOut {
-	out := &incastOut{label: v.label}
-	eng := sim.NewEngine()
-	nw := net.New(eng, cfg.Seed)
-	nw.AckCoalesce = cfg.AckCoalesce
-	st := topo.NewStar(nw, senders+1, hostRate, linkDelay)
-	dst := st.Hosts[senders].NodeID()
-
-	if setup != nil {
-		setup(nw, st)
-	}
-
+// baselines, finite buffers and loss for the lossy experiments).
+func runIncast(cfg Config, v variant, in incastShape, setup func(*net.Network, *topo.Star)) (*incastOut, error) {
 	rec := &metrics.FCTRecorder{}
-	rec.Attach(nw)
-	srcs := make([]int, senders)
-	for i := range srcs {
-		srcs[i] = st.Hosts[i].NodeID()
-	}
-	for _, spec := range workload.StaggeredIncast(srcs, dst, incastFlowSz, incastGroup, incastEvery, 0) {
-		nw.AddFlow(spec, v.make())
+	var jain, queue *metrics.Series
+	nw, err := simulate(cfg, v.label, func(nw *net.Network) {
+		st := topo.NewStar(nw, in.senders+1, hostRate, linkDelay)
+		if setup != nil {
+			setup(nw, st)
+		}
+		rec.Attach(nw)
+		srcs := make([]int, in.senders)
+		for i := range srcs {
+			srcs[i] = st.Hosts[i].NodeID()
+		}
+		dst := st.Hosts[in.senders].NodeID()
+		for _, spec := range workload.StaggeredIncast(srcs, dst, in.size, in.group, in.every, 0) {
+			nw.AddFlow(spec, v.make())
+		}
+
+		// Size the goodput-sampling interval so a fair share delivers ~10
+		// packets per interval; shorter intervals quantize goodput to so few
+		// packets that the index is dominated by sampling noise.
+		jainEvery := sim.Time(float64(in.senders) * float64(nw.MTU+nw.HeaderBytes) * 8 * 10 / hostRate * 1e12)
+		if jainEvery < 5*sim.Microsecond {
+			jainEvery = 5 * sim.Microsecond
+		}
+		jain = metrics.SampleJain(nw, v.label, jainEvery, 0, horizon)
+		queue = metrics.SampleQueue(nw.Eng, st.HostPorts[in.senders], v.label, sim.Microsecond, 0, horizon)
+	})
+	if err != nil {
+		return nil, err
 	}
 
-	// Size the goodput-sampling interval so a fair share delivers ~10
-	// packets per interval; shorter intervals quantize goodput to so few
-	// packets that the index is dominated by sampling noise.
-	jainEvery := sim.Time(float64(senders) * float64(nw.MTU+nw.HeaderBytes) * 8 * 10 / hostRate * 1e12)
-	if jainEvery < 5*sim.Microsecond {
-		jainEvery = 5 * sim.Microsecond
-	}
-	jain := metrics.SampleJain(nw, v.label, jainEvery, 0, horizon)
-	queue := metrics.SampleQueue(eng, st.HostPorts[senders], v.label, sim.Microsecond, 0, horizon)
-
-	runSim(cfg, v.label, eng, nw)
-	out.allFinished = nw.AllFinished()
-	out.stats = nw.Stats()
-	out.pfcPauses = out.stats.PFCPauses
+	out := &incastOut{label: v.label, stats: nw.Stats(), records: rec.Records}
 	for _, f := range nw.Flows() {
-		if f.Finished() && f.FinishedAt > out.lastFinish {
+		if f.FinishedAt > out.lastFinish {
 			out.lastFinish = f.FinishedAt
 		}
 	}
-	if err := nw.CheckConservation(); err != nil {
-		out.err = err
-		return out
-	}
-
 	for _, p := range jain.Points {
 		out.jain.Add(p.T.Microseconds(), p.V)
 	}
@@ -116,7 +120,6 @@ func runIncast(cfg Config, v variant, senders int, setup func(*net.Network, *top
 	}
 	out.queue.Label = v.label
 	out.startFinish.Label = v.label
-	out.records = rec.Records
 	cfg.notePeakFCT(len(rec.Records))
 	for _, p := range metrics.StartFinish(rec.Records) {
 		out.startFinish.Add(p.T.Microseconds(), p.V)
@@ -124,21 +127,20 @@ func runIncast(cfg Config, v variant, senders int, setup func(*net.Network, *top
 	// Convergence is measured from the moment the last flow joins: before
 	// that, the earliest (still equal) flows make the index trivially
 	// high.
-	lastStart := sim.Time((senders-1)/incastGroup) * incastEvery
 	var post Series
 	for i, x := range out.jain.X {
-		if x >= lastStart.Microseconds() {
+		if x >= in.lastStart().Microseconds() {
 			post.Add(x, out.jain.Y[i])
 		}
 	}
 	out.convergeUs = smoothedReach(post, 5, 0.9)
-	return out
+	return out, nil
 }
 
 // steadyQueueKB averages the queue series from 100 us after the last flow
 // joined (past the unavoidable line-rate join transients) to the end.
-func steadyQueueKB(queue Series, senders int) float64 {
-	from := (sim.Time((senders-1)/incastGroup)*incastEvery + 100*sim.Microsecond).Microseconds()
+func steadyQueueKB(queue Series, in incastShape) float64 {
+	from := (in.lastStart() + 100*sim.Microsecond).Microseconds()
 	sum, n := 0.0, 0
 	for i, x := range queue.X {
 		if x >= from {
@@ -184,20 +186,13 @@ func dcqcnSetup(nw *net.Network, st *topo.Star) {
 
 // runIncastSet runs all variants in parallel; the first failing variant
 // cancels the rest of the sweep.
-func runIncastSet(cfg Config, vs []variant, senders int) ([]*incastOut, error) {
+func runIncastSet(cfg Config, vs []variant, in incastShape) ([]*incastOut, error) {
 	return par.MapErr(len(vs), cfg.Workers, func(i int) (*incastOut, error) {
 		var setup func(*net.Network, *topo.Star)
 		if vs[i].label == "DCQCN" {
 			setup = dcqcnSetup
 		}
-		o := runIncast(cfg, vs[i], senders, setup)
-		if o.err != nil {
-			return nil, fmt.Errorf("%s: %w", o.label, o.err)
-		}
-		if !o.allFinished {
-			return nil, errNotFinished(o.label)
-		}
-		return o, nil
+		return runIncast(cfg, vs[i], in, setup)
 	})
 }
 
@@ -221,7 +216,7 @@ func incastFigure(name, title string, protocol string, withVAISF bool, senders i
 					vs = append(vs, swiftVAISF(p))
 				}
 			}
-			outs, err := runIncastSet(cfg, vs, senders)
+			outs, err := runIncastSet(cfg, vs, paperIncast(senders))
 			if err != nil {
 				return nil, err
 			}
@@ -236,7 +231,7 @@ func incastFigure(name, title string, protocol string, withVAISF bool, senders i
 					res.YLabel = "queue depth (KB)"
 					res.Series = append(res.Series, o.queue)
 					res.Notef("%s: max queue %.0f KB, steady-state mean %.1f KB",
-						o.label, o.maxQueueKB, steadyQueueKB(o.queue, senders))
+						o.label, o.maxQueueKB, steadyQueueKB(o.queue, paperIncast(senders)))
 				}
 			}
 			return res, nil
@@ -265,7 +260,7 @@ func startFinishFigure(name, title, protocol string, variantLabels []string, sen
 					}
 				}
 			}
-			outs, err := runIncastSet(cfg, vs, senders)
+			outs, err := runIncastSet(cfg, vs, paperIncast(senders))
 			if err != nil {
 				return nil, err
 			}
@@ -282,7 +277,41 @@ func startFinishFigure(name, title, protocol string, variantLabels []string, sen
 	}
 }
 
+// runIncastCustom is the incast experiment: one variant on an incast of
+// the caller's shape (Config's Incast* fields), reporting all three views
+// the figures take of such a run — fairness and bottleneck queue over
+// time, and each flow's finish time against its start time.
+func runIncastCustom(cfg Config) (*Result, error) {
+	in := paperIncast(cmp.Or(cfg.IncastSenders, 16))
+	in.size = cmp.Or(cfg.IncastFlowBytes, in.size)
+	in.group = cmp.Or(cfg.IncastGroup, in.group)
+	in.every = cmp.Or(cfg.IncastEvery, in.every)
+	v := variantsByKey(starParams(starMinBDP(in.senders), hostRate))[cmp.Or(cfg.IncastAlgo, "hpcc")]
+	outs, err := runIncastSet(cfg, []variant{v}, in)
+	if err != nil {
+		return nil, err
+	}
+	o := outs[0]
+	res := &Result{Name: "incast", Title: "Configurable n-to-1 incast",
+		XLabel: "time (us)", YLabel: "metric"}
+	o.jain.Label = "Jain fairness index"
+	o.queue.Label = "queue depth (KB)"
+	o.startFinish.Label = "finish time (us) by start time"
+	res.Series = append(res.Series, o.jain, o.queue, o.startFinish)
+	res.Notef("%d-1 incast, %d B/flow, %d starting every %v", in.senders, in.size, in.group, in.every)
+	res.Notef("%s: smoothed Jain reaches 0.9 at %.0f us (-1 = never); max queue %.0f KB, steady-state mean %.1f KB",
+		o.label, o.convergeUs, o.maxQueueKB, steadyQueueKB(o.queue, in))
+	res.Notef("%s: first-started finishes at %.0f us, last-started at %.0f us, last finish %.0f us", o.label,
+		o.startFinish.Y[0], o.startFinish.Y[len(o.startFinish.Y)-1], o.lastFinish.Microseconds())
+	return res, nil
+}
+
 func init() {
+	register(&Experiment{
+		Name:  "incast",
+		Title: "One protocol variant on a configurable n-to-1 staggered incast",
+		Run:   runIncastCustom,
+	})
 	register(incastFigure("fig1a", "16-1 incast Jain index, HPCC baselines", "hpcc", false, 16, "jain"))
 	register(incastFigure("fig1b", "16-1 incast queue depth, HPCC baselines", "hpcc", false, 16, "queue"))
 	register(incastFigure("fig1c", "16-1 incast Jain index, Swift baselines", "swift", false, 16, "jain"))
@@ -311,7 +340,7 @@ func init() {
 		Name:  "incast-dcqcn",
 		Title: "16-1 incast under DCQCN (Sec. II probabilistic-feedback reference)",
 		Run: func(cfg Config) (*Result, error) {
-			outs, err := runIncastSet(cfg, []variant{dcqcnVariant()}, 16)
+			outs, err := runIncastSet(cfg, []variant{dcqcnVariant()}, paperIncast(16))
 			if err != nil {
 				return nil, err
 			}

@@ -67,22 +67,13 @@ func runLossyIncast(cfg Config) (*Result, error) {
 			sp.SetBuffer(buf)
 		}
 	}
-	vs := []variant{
-		hpccBaselines()[0],
-		hpccVAISF(p),
-		{"Swift", swiftBaselines(p)[0].make},
-		swiftVAISF(p),
-	}
+	vs := dcVariants(p)
 	res := &Result{Name: "incast-lossy", Title: "Incast on a lossy fabric",
 		XLabel: "time (us)", YLabel: "bottleneck queue (KB)"}
 	for _, v := range vs {
-		out := runIncast(cfg, v, 16, lossy)
-		if out.err != nil {
-			return nil, out.err
-		}
-		if !out.allFinished {
-			return nil, fmt.Errorf("%s: flows wedged on the lossy fabric (drops=%d retransmits=%d rtos=%d)",
-				v.label, out.stats.Drops(), out.stats.Retransmits, out.stats.RTOFires)
+		out, err := runIncast(cfg, v, paperIncast(16), lossy)
+		if err != nil {
+			return nil, err
 		}
 		res.Series = append(res.Series, out.queue)
 		res.Notef("%s: %d drops (%d buffer, %d wire), %d retransmits, %d RTOs, %d dup ACKs; "+
@@ -124,20 +115,14 @@ func runPFCVsLossy(cfg Config) (*Result, error) {
 			}
 		}},
 	}
-	vs := []variant{
-		{"Swift", swiftBaselines(p)[0].make},
-		swiftVAISF(p),
-	}
+	vs := []variant{swiftBaselines(p)[0], swiftVAISF(p)}
 	res := &Result{Name: "incast-pfc-vs-lossy", Title: "PFC vs lossy fabric",
 		XLabel: "time (us)", YLabel: "bottleneck queue (KB)"}
 	for _, mode := range modes {
 		for _, v := range vs {
-			out := runIncast(cfg, v, 16, mode.setup)
-			if out.err != nil {
-				return nil, fmt.Errorf("%s/%s: %w", mode.name, v.label, out.err)
-			}
-			if !out.allFinished {
-				return nil, fmt.Errorf("%s/%s: flows did not finish", mode.name, v.label)
+			out, err := runIncast(cfg, v, paperIncast(16), mode.setup)
+			if err != nil {
+				return nil, fmt.Errorf("%s/%w", mode.name, err)
 			}
 			if mode.name == "PFC" && out.stats.Drops() > 0 {
 				return nil, fmt.Errorf("%s/%s: losslessness violated: %d drops with PFC engaged",
@@ -147,7 +132,7 @@ func runPFCVsLossy(cfg Config) (*Result, error) {
 			s.Label = mode.name + " " + v.label
 			res.Series = append(res.Series, s)
 			res.Notef("%s %s: %d drops, %d PFC pauses, %d retransmits; max queue %.0f KB, last finish %.0f us",
-				mode.name, v.label, out.stats.Drops(), out.pfcPauses,
+				mode.name, v.label, out.stats.Drops(), out.stats.PFCPauses,
 				out.stats.Retransmits, out.maxQueueKB, out.lastFinish.Microseconds())
 		}
 	}

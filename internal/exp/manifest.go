@@ -11,28 +11,16 @@ import (
 	"time"
 
 	"faircc/internal/metrics"
-	"faircc/internal/sim"
 )
 
 // Manifest is the provenance record emitted next to an experiment's CSV:
-// everything needed to reproduce the run (name, scale, seed, knobs, code
-// version) and to compare its performance against other runs (RunStats).
+// everything needed to reproduce the run (name, the Config it ran — scale,
+// seed and every parameter — and the code version) and to compare its
+// performance against other runs (RunStats).
 type Manifest struct {
 	Experiment string `json:"experiment"`
 	Title      string `json:"title"`
-	Scale      string `json:"scale"`
-	Seed       int64  `json:"seed"`
-	Workers    int    `json:"workers"`
-	Shards     int    `json:"shards,omitempty"`
-
-	// Result-changing knobs, omitted at their zero values so manifests
-	// of default-config runs keep their exact key set.
-	AckCoalesce  bool     `json:"ack_coalesce,omitempty"`
-	BufferBytes  int64    `json:"buffer_bytes,omitempty"`
-	DropDataProb float64  `json:"drop_data_prob,omitempty"`
-	DropAckProb  float64  `json:"drop_ack_prob,omitempty"`
-	RTTSlowDelay sim.Time `json:"rtt_slow_delay_ps,omitempty"`
-	RTTSenders   int      `json:"rtt_senders,omitempty"`
+	Config
 
 	GitDescribe string `json:"git_describe,omitempty"`
 	GoVersion   string `json:"go_version"`
@@ -51,19 +39,8 @@ type Manifest struct {
 func BuildManifest(name string, cfg Config, res *Result, stats *metrics.RunStats,
 	started time.Time, wall time.Duration) Manifest {
 	m := Manifest{
-		Experiment: name,
-		Scale:      cfg.Scale,
-		Seed:       cfg.Seed,
-		Workers:    cfg.Workers,
-		Shards:     cfg.Shards,
-
-		AckCoalesce:  cfg.AckCoalesce,
-		BufferBytes:  cfg.BufferBytes,
-		DropDataProb: cfg.DropDataProb,
-		DropAckProb:  cfg.DropAckProb,
-		RTTSlowDelay: cfg.RTTSlowDelay,
-		RTTSenders:   cfg.RTTSenders,
-
+		Experiment:  name,
+		Config:      cfg,
 		GitDescribe: GitDescribe(),
 		GoVersion:   runtime.Version(),
 		GOOS:        runtime.GOOS,

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"faircc/internal/metrics"
+	"faircc/internal/net"
 	"faircc/internal/sim"
 )
 
@@ -112,8 +113,9 @@ func TestManifestRoundTrip(t *testing.T) {
 
 func TestRunStatsMetricsInvariants(t *testing.T) {
 	var s metrics.RunStats
-	s.Add(metrics.RunStats{Runs: 1, Events: 100, PeakPending: 10, PoolGets: 100, PoolAllocs: 25})
-	s.Add(metrics.RunStats{Runs: 1, Events: 50, PeakPending: 40, PoolGets: 100, PoolAllocs: 25})
+	pool := net.Counters{PoolGets: 100, PoolAllocs: 25}
+	s.Add(metrics.RunStats{Runs: 1, Events: 100, PeakPending: 10, Counters: pool})
+	s.Add(metrics.RunStats{Runs: 1, Events: 50, PeakPending: 40, Counters: pool})
 	if s.Runs != 2 || s.Events != 150 {
 		t.Fatalf("Add summed wrong: %+v", s)
 	}

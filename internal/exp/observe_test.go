@@ -14,9 +14,9 @@ func TestObservabilityDoesNotPerturbResults(t *testing.T) {
 	p := starParams(starMinBDP(16), hostRate)
 	v := hpccVAISF(p)
 
-	bare := runIncast(Config{Seed: 1}, v, 16, nil)
-	if bare.err != nil {
-		t.Fatal(bare.err)
+	bare, err := runIncast(Config{Seed: 1}, v, paperIncast(16), nil)
+	if err != nil {
+		t.Fatal(err)
 	}
 
 	var (
@@ -34,9 +34,9 @@ func TestObservabilityDoesNotPerturbResults(t *testing.T) {
 		},
 		obs: obs,
 	}
-	observed := runIncast(cfg, v, 16, nil)
-	if observed.err != nil {
-		t.Fatal(observed.err)
+	observed, err := runIncast(cfg, v, paperIncast(16), nil)
+	if err != nil {
+		t.Fatal(err)
 	}
 
 	if observed.convergeUs != bare.convergeUs {

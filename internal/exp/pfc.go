@@ -32,29 +32,21 @@ func runPFCIncast(cfg Config) (*Result, error) {
 		nw.PFCPauseBytes = 512_000
 		nw.PFCResumeBytes = 256_000
 	}
-	vs := []variant{
-		hpccBaselines()[0],
-		hpccVAISF(p),
-		{"Swift", swiftBaselines(p)[0].make},
-		swiftVAISF(p),
-	}
+	vs := dcVariants(p)
 	res := &Result{Name: "incast-pfc", Title: "Incast under PFC",
 		XLabel: "time (us)", YLabel: "bottleneck queue (KB)"}
 	for _, v := range vs {
-		out := runIncast(cfg, v, 16, pfc)
-		if out.err != nil {
-			return nil, out.err
-		}
-		if !out.allFinished {
-			return nil, errNotFinished(v.label)
+		out, err := runIncast(cfg, v, paperIncast(16), pfc)
+		if err != nil {
+			return nil, err
 		}
 		res.Series = append(res.Series, out.queue)
 		regime := "below"
-		if out.pfcPauses > 0 {
+		if out.stats.PFCPauses > 0 {
 			regime = "REACHED"
 		}
 		res.Notef("%s: max queue %.0f KB, %d PFC pauses (%s the 512 KB pause threshold); converge %.0f us",
-			v.label, out.maxQueueKB, out.pfcPauses, regime, out.convergeUs)
+			v.label, out.maxQueueKB, out.stats.PFCPauses, regime, out.convergeUs)
 	}
 	return res, nil
 }

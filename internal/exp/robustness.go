@@ -33,7 +33,7 @@ func runRobustness(cfg Config) (*Result, error) {
 	outs, err := par.MapErr(nSeeds, cfg.Workers, func(i int) (map[string]float64, error) {
 		seedCfg := cfg
 		seedCfg.Seed = cfg.Seed + int64(i)
-		specs, err := dcTraffic(seedCfg, ftCfg, duration, "hadoop")
+		specs, err := dcTraffic(seedCfg, ftCfg, duration, "hadoop", dcLoad)
 		if err != nil {
 			return nil, err
 		}

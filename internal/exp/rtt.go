@@ -110,61 +110,57 @@ type rttOut struct {
 // folded into bounded per-class accumulators as flows finish, never
 // retained — exercising the streaming-metrics path end to end.
 func runRTT(cfg Config, v variant, s rttSetup) (*rttOut, error) {
-	eng := sim.NewEngine()
-	nw := net.New(eng, cfg.Seed)
-	nw.AckCoalesce = cfg.AckCoalesce
-	d := topo.NewDumbbell(nw, s.dc)
+	var col *metrics.ClassCollector
+	var jain *metrics.JainClassSeries
+	_, err := simulate(cfg, v.label, func(nw *net.Network) {
+		d := topo.NewDumbbell(nw, s.dc)
 
-	// Host node id -> RTT class, for classing flows by their sender.
-	classOfHost := make(map[int]int, len(d.Senders))
-	for i, h := range d.Senders {
-		classOfHost[h.NodeID()] = d.Class[i]
-	}
-	classOf := func(f *net.Flow) int { return classOfHost[f.Spec.Src] }
-	labels := make([]string, len(s.dc.Groups))
-	for i, g := range s.dc.Groups {
-		labels[i] = g.Name
-	}
-
-	col := metrics.NewClassCollector(labels, classOf, 0)
-	col.Attach(nw)
-
-	id := 0
-	for r := 0; r < s.rounds; r++ {
-		for i, snd := range d.Senders {
-			id++
-			nw.AddFlow(net.FlowSpec{
-				ID:    id,
-				Src:   snd.NodeID(),
-				Dst:   d.Receivers[i].NodeID(),
-				Size:  s.flowSize,
-				Start: sim.Time(r) * s.gap,
-			}, v.make())
+		// Host node id -> RTT class, for classing flows by their sender.
+		classOfHost := make(map[int]int, len(d.Senders))
+		for i, h := range d.Senders {
+			classOfHost[h.NodeID()] = d.Class[i]
 		}
-	}
+		classOf := func(f *net.Flow) int { return classOfHost[f.Spec.Src] }
+		labels := make([]string, len(s.dc.Groups))
+		for i, g := range s.dc.Groups {
+			labels[i] = g.Name
+		}
 
-	// Goodput sampling interval: a fair bottleneck share should deliver
-	// ~10 packets per interval (the incast figures' rule), and at least
-	// one slow-class RTT so the long-delay class is not quantized to its
-	// burst arrivals.
-	rtts := d.ClassBaseRTT(nw)
-	slowRTT := rtts[len(rtts)-1]
-	every := sim.Time(float64(len(d.Senders)) * float64(nw.MTU+nw.HeaderBytes) * 8 * 10 /
-		s.dc.BottleneckBps * 1e12)
-	if every < slowRTT {
-		every = slowRTT
-	}
-	if every < 5*sim.Microsecond {
-		every = 5 * sim.Microsecond
-	}
-	jain := metrics.SampleJainClasses(nw, labels, classOf, every, 0, horizon)
+		col = metrics.NewClassCollector(labels, classOf, 0)
+		col.Attach(nw)
 
-	runSim(cfg, v.label, eng, nw)
-	if !nw.AllFinished() {
-		return nil, fmt.Errorf("%s: flows did not finish", v.label)
-	}
-	if err := nw.CheckConservation(); err != nil {
-		return nil, fmt.Errorf("%s: %w", v.label, err)
+		id := 0
+		for r := 0; r < s.rounds; r++ {
+			for i, snd := range d.Senders {
+				id++
+				nw.AddFlow(net.FlowSpec{
+					ID:    id,
+					Src:   snd.NodeID(),
+					Dst:   d.Receivers[i].NodeID(),
+					Size:  s.flowSize,
+					Start: sim.Time(r) * s.gap,
+				}, v.make())
+			}
+		}
+
+		// Goodput sampling interval: a fair bottleneck share should deliver
+		// ~10 packets per interval (the incast figures' rule), and at least
+		// one slow-class RTT so the long-delay class is not quantized to its
+		// burst arrivals.
+		rtts := d.ClassBaseRTT(nw)
+		slowRTT := rtts[len(rtts)-1]
+		every := sim.Time(float64(len(d.Senders)) * float64(nw.MTU+nw.HeaderBytes) * 8 * 10 /
+			s.dc.BottleneckBps * 1e12)
+		if every < slowRTT {
+			every = slowRTT
+		}
+		if every < 5*sim.Microsecond {
+			every = 5 * sim.Microsecond
+		}
+		jain = metrics.SampleJainClasses(nw, labels, classOf, every, 0, horizon)
+	})
+	if err != nil {
+		return nil, err
 	}
 	cfg.notePeakFCT(col.PeakRetained())
 	return &rttOut{jain: jain, classes: col.Classes(), peak: col.PeakRetained()}, nil

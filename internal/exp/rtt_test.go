@@ -99,9 +99,9 @@ func TestStreamedPercentilesMatchRetainedOnGoldenRuns(t *testing.T) {
 
 	// fig9's scenario: the 16-1 incast (startFinish figure source).
 	p := starParams(starMinBDP(16), hostRate)
-	out := runIncast(cfg, hpccVAISF(p), 16, nil)
-	if out.err != nil {
-		t.Fatal(out.err)
+	out, err := runIncast(cfg, hpccVAISF(p), paperIncast(16), nil)
+	if err != nil {
+		t.Fatal(err)
 	}
 	cases = append(cases, struct {
 		name string
@@ -113,7 +113,7 @@ func TestStreamedPercentilesMatchRetainedOnGoldenRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	specs, err := dcTraffic(cfg, ftCfg, duration, "hadoop")
+	specs, err := dcTraffic(cfg, ftCfg, duration, "hadoop", dcLoad)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,0 +1,167 @@
+package exp
+
+import (
+	"fmt"
+	"sync"
+	"time"
+
+	"faircc/internal/metrics"
+	"faircc/internal/net"
+	"faircc/internal/sim"
+)
+
+// simulate is the one path from a Config to a checked, counted run; every
+// simulation of every experiment goes through it. It makes the engine and
+// the network from cfg.Seed, applies the network-level Config knobs, hands
+// the network to build — topology, an optional Network.Shard, flows,
+// samplers and collectors, in the caller's order — and drives it: the
+// parallel runner if build sharded the network, the sequential step loop
+// otherwise. Whichever engine ran, the RunStats go to the observer once,
+// and a run that left a flow unfinished or broke a conservation invariant
+// is an error, so no experiment can report numbers from such a run.
+func simulate(cfg Config, label string, build func(*net.Network)) (*net.Network, error) {
+	eng := sim.NewEngine()
+	nw := net.New(eng, cfg.Seed)
+	nw.AckCoalesce = cfg.AckCoalesce
+	build(nw)
+
+	var epochs uint64
+	if nw.Shards() > 1 {
+		pr := nw.NewParallel()
+		if err := runSharded(cfg, label, nw, pr); err != nil {
+			return nil, fmt.Errorf("%s: %w", label, err)
+		}
+		epochs = pr.Epochs()
+	} else {
+		runSequential(cfg, label, eng, nw)
+	}
+	if cfg.obs != nil {
+		cfg.obs.add(metrics.CollectRun(nw, epochs))
+	}
+	if !nw.AllFinished() {
+		st := nw.Stats()
+		return nil, fmt.Errorf("%s: %d of %d flows did not finish (%d drops, %d retransmits, %d RTO fires)",
+			label, st.FlowsTotal-st.FlowsFinished, st.FlowsTotal, st.Drops(), st.Retransmits, st.RTOFires)
+	}
+	if err := nw.CheckConservation(); err != nil {
+		return nil, fmt.Errorf("%s: %w", label, err)
+	}
+	return nw, nil
+}
+
+// progress turns (events, sim time) readings of one run into
+// ProgressUpdates: the rate over the interval since the last report while
+// the run is going, the whole run's rate in the final one.
+type progress struct {
+	emit            func(ProgressUpdate)
+	every           time.Duration
+	label           string
+	start, lastWall time.Time
+	lastEvents      uint64
+}
+
+func newProgress(cfg Config, label string) *progress {
+	every := cfg.ProgressEvery
+	if every <= 0 {
+		every = time.Second
+	}
+	now := time.Now()
+	return &progress{emit: cfg.Progress, every: every, label: label, start: now, lastWall: now}
+}
+
+func (p *progress) report(now time.Time, events uint64, simNow sim.Time, done bool) {
+	since, n := now.Sub(p.lastWall), events-p.lastEvents
+	if done {
+		since, n = now.Sub(p.start), events
+	}
+	rate := 0.0
+	if s := since.Seconds(); s > 0 {
+		rate = float64(n) / s
+	}
+	p.emit(ProgressUpdate{Label: p.label, SimTime: simNow, Events: events,
+		Wall: now.Sub(p.start), EventsPerSec: rate, Done: done})
+	p.lastWall, p.lastEvents = now, events
+}
+
+// progressCheckMask amortizes the wall-clock read: time.Now is consulted
+// once per (mask+1) events, which at the engine's typical multi-M ev/s
+// rate is a sub-millisecond reporting resolution at negligible cost.
+const progressCheckMask = 1<<14 - 1
+
+// runSequential is the sequential drive — step until every flow has
+// finished or the queue drains — with periodic ProgressUpdates if Config
+// asks for them. The stepping sequence is identical with and without them
+// (AllFinished is checked before every Step), so observability can never
+// perturb simulation results. Progress is reported from the stepping
+// goroutine itself, which is what makes reading eng.Steps mid-run safe.
+func runSequential(cfg Config, label string, eng *sim.Engine, nw *net.Network) {
+	if cfg.Progress == nil {
+		for !nw.AllFinished() && eng.Step() {
+		}
+		return
+	}
+	p := newProgress(cfg, label)
+	next := p.start.Add(p.every)
+	var n uint64
+	for !nw.AllFinished() && eng.Step() {
+		n++
+		if n&progressCheckMask != 0 {
+			continue
+		}
+		if now := time.Now(); !now.Before(next) {
+			p.report(now, eng.Steps(), eng.Now(), false)
+			next = now.Add(p.every)
+		}
+	}
+	p.report(time.Now(), eng.Steps(), eng.Now(), true)
+}
+
+// runSharded is the sharded drive: it runs the epochs of pr and, when
+// Config.Progress is set, watches them from a separate observer goroutine.
+// The observer reads only the runner's atomically published counters
+// (sim.Parallel.Progress: event batches mid-epoch, exact totals and sim
+// time at each barrier) — never EngineStats or NetworkStats of live
+// shards — so progress reporting is race-clean at any shard count, moves
+// even while a long epoch is still running, and cannot perturb the
+// workers.
+func runSharded(cfg Config, label string, nw *net.Network, pr *sim.Parallel) error {
+	if cfg.Progress == nil {
+		return pr.Run()
+	}
+	p := newProgress(cfg, label)
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		ticker := time.NewTicker(p.every)
+		defer ticker.Stop()
+		for {
+			select {
+			case <-stop:
+				return
+			case <-ticker.C:
+				events, simNow, _ := pr.Progress()
+				p.report(time.Now(), events, simNow, false)
+			}
+		}
+	}()
+	err := pr.Run()
+	close(stop)
+	wg.Wait()
+	if err != nil {
+		return err
+	}
+	// Run has returned, so reading the shard engines directly is safe (the
+	// workers' exits happen-before Run's return).
+	var events uint64
+	var simNow sim.Time
+	for _, eng := range nw.ShardEngines() {
+		events += eng.Steps()
+		if t := eng.Now(); t > simNow {
+			simNow = t
+		}
+	}
+	p.report(time.Now(), events, simNow, true)
+	return nil
+}

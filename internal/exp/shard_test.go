@@ -79,7 +79,7 @@ func TestShardDifferential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	specs, err := dcTraffic(cfg, ftCfg, duration, "hadoop")
+	specs, err := dcTraffic(cfg, ftCfg, duration, "hadoop", dcLoad)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +163,7 @@ func TestShardPartitionerDifferential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	specs, err := dcTraffic(cfg, ftCfg, duration, "hadoop")
+	specs, err := dcTraffic(cfg, ftCfg, duration, "hadoop", dcLoad)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -96,6 +96,18 @@ func swiftVAISF(p pathParams) variant {
 	}}
 }
 
+// variantsByKey indexes every single-protocol variant by the name the
+// dc and incast experiments take in Config (fairsim -protocol / -algo),
+// sized for the topology by p like the figures' own variants.
+func variantsByKey(p pathParams) map[string]variant {
+	hp, sw, tm := hpccBaselines(), swiftBaselines(p), timelyVariants(p)
+	return map[string]variant{
+		"hpcc": hp[0], "hpcc-1g": hp[1], "hpcc-prob": hp[2], "hpcc-vaisf": hpccVAISF(p),
+		"swift": sw[0], "swift-1g": sw[1], "swift-prob": sw[2], "swift-vaisf": swiftVAISF(p),
+		"dcqcn": dcqcnVariant(), "timely": tm[0], "timely-vaisf": tm[1],
+	}
+}
+
 // dcqcnVariant returns the DCQCN baseline (Sec. II's probabilistic-
 // feedback protocol). Runs using it must configure RED marking on switch
 // ports and a CNP interval on the network.

@@ -32,40 +32,10 @@ type RunStats struct {
 	// Simulated time covered, summed across runs.
 	SimSeconds float64 `json:"sim_seconds"`
 
-	// Network counters (summed across runs).
-	DataSent      int64 `json:"data_pkts_sent"`
-	DataDelivered int64 `json:"data_pkts_delivered"`
-	AcksSent      int64 `json:"acks_sent"`
-	// AcksCoalesced counts acknowledgements folded into an already-queued
-	// ACK by receiver-side coalescing (Network.AckCoalesce). Omitted when
-	// zero so manifests of historical (and default-config) runs keep their
-	// exact key set. AcksSent + AcksCoalesced == DataDelivered + DataOutOfSeq.
-	AcksCoalesced int64   `json:"acks_coalesced,omitempty"`
-	ECNMarks      int64   `json:"ecn_marks"`
-	PFCPauses     int64   `json:"pfc_pauses"`
-	PoolGets      int64   `json:"pool_gets"`
-	PoolAllocs    int64   `json:"pool_allocs"`
+	// Network counters (net.Counters.Add across runs), and the packet-pool
+	// reuse rate Finish derives from them.
+	net.Counters
 	PoolReuseRate float64 `json:"pool_reuse_rate"`
-
-	// Loss and recovery counters (summed across runs; all zero on
-	// lossless runs, so manifests of historical experiments are unchanged
-	// apart from the new always-present keys).
-	DataDrops    int64 `json:"data_drops"`
-	AckDrops     int64 `json:"ack_drops"`
-	BufferDrops  int64 `json:"buffer_drops"`
-	WireDrops    int64 `json:"wire_drops"`
-	Retransmits  int64 `json:"retransmits"`
-	RTOFires     int64 `json:"rto_fires"`
-	DupAcks      int64 `json:"dup_acks"`
-	DataOutOfSeq int64 `json:"data_out_of_seq"`
-
-	// Egress-queue capacity management (net.NetworkStats.QueueCapPeak /
-	// QueueShrinks): the largest ring capacity any egress queue reached (max
-	// across runs) and the halvings the underuse policy performed (summed).
-	// Omitted when zero — runs too small to grow past the initial capacity
-	// keep their historical key set.
-	QueueCapPeak int64 `json:"queue_cap_peak,omitempty"`
-	QueueShrinks int64 `json:"queue_shrinks,omitempty"`
 
 	// Parallel-execution figures (omitted from JSON on sequential runs,
 	// so historical manifests keep their exact key set). Shards is the
@@ -99,35 +69,28 @@ type RunStats struct {
 	NumGC           uint32 `json:"num_gc"`
 }
 
-// CollectRun snapshots one finished simulation's engine and network
-// counters as a single-run RunStats.
-func CollectRun(eng *sim.Engine, nw *net.Network) RunStats {
-	s := RunStats{Runs: 1}
-	s.addEngine(eng.Stats())
-	s.SimSeconds = eng.Now().Seconds()
-	s.fillNetwork(nw.Stats())
-	return s
-}
-
-// CollectSharded snapshots one finished parallel simulation: engine
-// counters summed over the network's shard engines, the per-shard event
-// split, and the epoch (barrier window) count from sim.Parallel.Epochs.
-// Simulated time is the max over shards — they cover the same interval,
-// each clock stopping at its shard's last event.
-func CollectSharded(nw *net.Network, epochs uint64) RunStats {
-	s := RunStats{Runs: 1}
+// CollectRun snapshots one finished simulation as a single-run RunStats:
+// engine counters summed over the network's engines (one on a sequential
+// run, one per shard on a sharded one) and the network's counters. A
+// sharded run also records its shard count, the per-shard event split and
+// epochs, the barrier window count from sim.Parallel.Epochs (0 on a
+// sequential run). Simulated time is the max over engines — shards cover
+// the same interval, each clock stopping at its shard's last event.
+func CollectRun(nw *net.Network, epochs uint64) RunStats {
+	s := RunStats{Runs: 1, Counters: nw.Stats().Counters}
 	engines := nw.ShardEngines()
-	s.Shards = len(engines)
-	s.ShardEvents = make([]uint64, len(engines))
-	for i, eng := range engines {
+	for _, eng := range engines {
 		s.addEngine(eng.Stats())
-		s.ShardEvents[i] = eng.Steps()
 		if t := eng.Now().Seconds(); t > s.SimSeconds {
 			s.SimSeconds = t
 		}
+		if len(engines) > 1 {
+			s.ShardEvents = append(s.ShardEvents, eng.Steps())
+		}
 	}
-	s.Epochs = epochs
-	s.fillNetwork(nw.Stats())
+	if len(engines) > 1 {
+		s.Shards, s.Epochs = len(engines), epochs
+	}
 	return s
 }
 
@@ -139,27 +102,6 @@ func (s *RunStats) addEngine(es sim.EngineStats) {
 		s.PeakPending = es.PeakPending
 	}
 	s.EventSlotAllocs += es.EventAllocs
-}
-
-func (s *RunStats) fillNetwork(ns net.NetworkStats) {
-	s.DataSent = ns.DataSent
-	s.DataDelivered = ns.DataDelivered
-	s.AcksSent = ns.AcksSent
-	s.AcksCoalesced = ns.AcksCoalesced
-	s.ECNMarks = ns.ECNMarks
-	s.PFCPauses = ns.PFCPauses
-	s.PoolGets = ns.PoolGets
-	s.PoolAllocs = ns.PoolAllocs
-	s.DataDrops = ns.DataDrops
-	s.AckDrops = ns.AckDrops
-	s.BufferDrops = ns.BufferDrops
-	s.WireDrops = ns.WireDrops
-	s.Retransmits = ns.Retransmits
-	s.RTOFires = ns.RTOFires
-	s.DupAcks = ns.DupAcks
-	s.DataOutOfSeq = ns.DataOutOfSeq
-	s.QueueCapPeak = ns.QueueCapPeak
-	s.QueueShrinks = ns.QueueShrinks
 }
 
 // Add merges another snapshot into s (summing counters, taking the max of
@@ -174,26 +116,7 @@ func (s *RunStats) Add(o RunStats) {
 	}
 	s.EventSlotAllocs += o.EventSlotAllocs
 	s.SimSeconds += o.SimSeconds
-	s.DataSent += o.DataSent
-	s.DataDelivered += o.DataDelivered
-	s.AcksSent += o.AcksSent
-	s.AcksCoalesced += o.AcksCoalesced
-	s.ECNMarks += o.ECNMarks
-	s.PFCPauses += o.PFCPauses
-	s.PoolGets += o.PoolGets
-	s.PoolAllocs += o.PoolAllocs
-	s.DataDrops += o.DataDrops
-	s.AckDrops += o.AckDrops
-	s.BufferDrops += o.BufferDrops
-	s.WireDrops += o.WireDrops
-	s.Retransmits += o.Retransmits
-	s.RTOFires += o.RTOFires
-	s.DupAcks += o.DupAcks
-	s.DataOutOfSeq += o.DataOutOfSeq
-	s.QueueShrinks += o.QueueShrinks
-	if o.QueueCapPeak > s.QueueCapPeak {
-		s.QueueCapPeak = o.QueueCapPeak
-	}
+	s.Counters.Add(o.Counters)
 	if o.PeakFCTRecords > s.PeakFCTRecords {
 		s.PeakFCTRecords = o.PeakFCTRecords
 	}
@@ -240,7 +163,7 @@ func (s RunStats) String() string {
 		s.Runs, s.Events, s.WallSeconds, s.EventsPerSec/1e6,
 		s.DataSent, s.AcksSent, s.ECNMarks, s.PFCPauses,
 		100*s.PoolReuseRate, s.EventSlotAllocs, float64(s.PeakHeapBytes)/1e6)
-	if drops := s.DataDrops + s.AckDrops; drops > 0 || s.Retransmits > 0 {
+	if drops := s.Drops(); drops > 0 || s.Retransmits > 0 {
 		out += fmt.Sprintf(", %d drops (%d buffer, %d wire), %d retransmits, %d RTOs",
 			drops, s.BufferDrops, s.WireDrops, s.Retransmits, s.RTOFires)
 	}

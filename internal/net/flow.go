@@ -295,14 +295,14 @@ func (f *Flow) trySend() {
 		p.path, p.pathEpoch = f.fwdPath, f.pathEpoch
 		if p.Seq < f.maxSent {
 			f.Retransmits++
-			f.sh.retransmits++
+			f.sh.Retransmits++
 		}
 		f.sent += payload
 		if f.sent > f.maxSent {
 			f.maxSent = f.sent
 		}
 		f.inflight += payload
-		f.sh.dataSent++
+		f.sh.DataSent++
 		if h := f.net.Hooks.OnSend; h != nil {
 			h(f, p.Seq, int(payload))
 		}
@@ -357,7 +357,7 @@ func (f *Flow) onRTO() {
 		return
 	}
 	f.Timeouts++
-	f.sh.rtoFires++
+	f.sh.RTOFires++
 	// Exponential backoff with a hard ceiling. The ceiling applies even
 	// with RTOMax unset: unbounded doubling overflows sim.Time after ~50
 	// consecutive timeouts (picoseconds in an int64), turning the next
@@ -405,7 +405,7 @@ func (f *Flow) schedule(at sim.Time) {
 func (f *Flow) onAck(p *Packet) {
 	newly := p.side.AckSeq - f.acked
 	if newly <= 0 {
-		f.sh.dupAcks++
+		f.sh.DupAcks++
 		return // duplicate or stale cumulative ACK; RTO drives recovery
 	}
 	f.acked = p.side.AckSeq

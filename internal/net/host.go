@@ -46,7 +46,7 @@ func (h *Host) receiveData(p *Packet) {
 	}
 	if p.Seq == f.delivered {
 		f.delivered += int64(p.side.Payload)
-		h.sh.dataDelivered++
+		h.sh.DataDelivered++
 		if f.delivered >= f.Spec.Size {
 			f.DeliveredAt = h.sh.eng.Now()
 		}
@@ -60,7 +60,7 @@ func (h *Host) receiveData(p *Packet) {
 		// cumulative position, which the sender treats as a dup. On
 		// lossless paths delivery is FIFO, so this branch never runs and
 		// lossless behavior is unchanged.
-		h.sh.dataOutOfSeq++
+		h.sh.DataOutOfSeq++
 	}
 
 	if h.net.AckCoalesce {
@@ -85,7 +85,7 @@ func (h *Host) receiveData(p *Packet) {
 				}
 			}
 			h.sh.putPacket(p)
-			h.sh.acksCoalesced++
+			h.sh.AcksCoalesced++
 			return
 		}
 	}
@@ -117,7 +117,7 @@ func (h *Host) receiveData(p *Packet) {
 		}
 	}
 	h.sh.putPacket(p)
-	h.sh.acksSent++
+	h.sh.AcksSent++
 	if h.port.send(ack) && h.net.AckCoalesce {
 		// The ACK is waiting in the uplink queue: remember it so later
 		// arrivals coalesce into it instead of queuing behind it. (A

@@ -81,15 +81,7 @@ type Port struct {
 	// Flow.wake — so steady-state scheduling never allocates.
 	txPkt  *Packet
 	txDone func()
-
-	// pausesSent counts PFC Pause frames emitted by this ingress (a
-	// head-of-line-blocking indicator).
-	pausesSent int64
 }
-
-// PausesSent returns how many PFC Pause frames this port has sent
-// upstream.
-func (pt *Port) PausesSent() int64 { return pt.pausesSent }
 
 // REDConfig is instantaneous-queue RED/ECN marking: packets are marked
 // with probability PMax * (q-KMin)/(KMax-KMin) between the thresholds
@@ -243,7 +235,7 @@ func (pt *Port) markECN(p *Packet) {
 	}
 	if pt.sh.rand.Float64() < prob {
 		p.ECN = true
-		pt.sh.ecnMarks++
+		pt.sh.ECNMarks++
 	}
 }
 
@@ -370,7 +362,7 @@ func (pt *Port) chargeIngress(bytes int64) {
 	pt.ingressBytes += bytes
 	if th := pt.net.PFCPauseBytes; th > 0 && !pt.pauseSent && pt.ingressBytes >= th {
 		pt.pauseSent = true
-		pt.pausesSent++
+		pt.sh.PFCPauses++
 		pt.sendPFC(Pause)
 	}
 }

@@ -33,24 +33,8 @@ type shard struct {
 
 	pool []*Packet
 
-	// Lifetime counters (summed across shards by Network.Stats). Pure
-	// accounting: no code path branches on them, so they cannot perturb
-	// simulation results.
-	dataSent      int64
-	dataDelivered int64
-	acksSent      int64
-	acksCoalesced int64 // acknowledgements folded into a queued ACK (AckCoalesce)
-	ecnMarks      int64
-	poolGets      int64
-	poolAllocs    int64
-	dropsData     int64
-	dropsAck      int64
-	dropsBuffer   int64
-	dropsWire     int64
-	retransmits   int64
-	rtoFires      int64
-	dupAcks       int64
-	dataOutOfSeq  int64
+	// Lifetime counters, summed across shards by Network.Stats.
+	Counters
 }
 
 // shardSeedStride separates per-shard PRNG streams: shard i seeds with
@@ -88,7 +72,7 @@ const packetSlab = 64
 // the packet (it is either in a queue, in flight on that shard's engine,
 // or in a mailbox between barrier phases).
 func (sh *shard) getPacket() *Packet {
-	sh.poolGets++
+	sh.PoolGets++
 	if m := len(sh.pool); m > 0 {
 		p := sh.pool[m-1]
 		sh.pool = sh.pool[:m-1]
@@ -96,7 +80,7 @@ func (sh *shard) getPacket() *Packet {
 	}
 	// Pool miss: carve a fresh slab. poolAllocs still counts misses (the
 	// steady-state health signal), not packets.
-	sh.poolAllocs++
+	sh.PoolAllocs++
 	pkts := make([]Packet, packetSlab)
 	sides := make([]packetSide, packetSlab)
 	for i := range pkts {
@@ -163,14 +147,14 @@ func (sh *shard) drop(p *Packet, cause DropCause) {
 	}
 	switch p.Kind {
 	case Data:
-		sh.dropsData++
+		sh.DataDrops++
 	case Ack:
-		sh.dropsAck++
+		sh.AckDrops++
 	}
 	if cause == DropTail {
-		sh.dropsBuffer++
+		sh.BufferDrops++
 	} else {
-		sh.dropsWire++
+		sh.WireDrops++
 	}
 	if h := sh.net.Hooks.OnDrop; h != nil {
 		seq := p.Seq
