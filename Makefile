@@ -26,9 +26,13 @@ loc:
 	@find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' | xargs cat | wc -l
 
 # Profile the reference workload (fig10-medium): cpu.pprof + heap.pprof into
-# results/profiles/, the pair the PGO build and the perf notes come from.
-# Inspect with `go tool pprof results/profiles/cpu.pprof`.
+# results/profiles/, the pair the perf notes come from, and the CPU profile
+# again as cmd/fairsim/default.pgo, which `go build ./cmd/fairsim` optimizes
+# from; commit them together so the PGO input follows the hot path. (`go run
+# ./bench` is its own main package and builds without PGO.) Inspect with
+# `go tool pprof results/profiles/cpu.pprof`.
 profile:
 	go build -o /tmp/fairsim-profile ./cmd/fairsim
 	/tmp/fairsim-profile -exp fig10 -scale medium -seed 1 -pprof results/profiles -out /tmp/fairsim-profile-out
+	cp results/profiles/cpu.pprof cmd/fairsim/default.pgo
 	rm -rf /tmp/fairsim-profile /tmp/fairsim-profile-out

@@ -104,7 +104,7 @@ func TestManifestRoundTrip(t *testing.T) {
 	if !ok {
 		t.Fatal("run_stats is not an object")
 	}
-	for _, k := range []string{"runs", "events", "events_per_sec", "data_pkts_sent", "pool_reuse_rate"} {
+	for _, k := range []string{"runs", "events", "events_laned", "events_per_sec", "data_pkts_sent", "pool_reuse_rate"} {
 		if _, ok := rs[k]; !ok {
 			t.Errorf("run_stats JSON missing key %q", k)
 		}
@@ -114,9 +114,9 @@ func TestManifestRoundTrip(t *testing.T) {
 func TestRunStatsMetricsInvariants(t *testing.T) {
 	var s metrics.RunStats
 	pool := net.Counters{PoolGets: 100, PoolAllocs: 25}
-	s.Add(metrics.RunStats{Runs: 1, Events: 100, PeakPending: 10, Counters: pool})
-	s.Add(metrics.RunStats{Runs: 1, Events: 50, PeakPending: 40, Counters: pool})
-	if s.Runs != 2 || s.Events != 150 {
+	s.Add(metrics.RunStats{Runs: 1, Events: 100, EventsLaned: 40, PeakPending: 10, Counters: pool})
+	s.Add(metrics.RunStats{Runs: 1, Events: 50, EventsLaned: 20, PeakPending: 40, Counters: pool})
+	if s.Runs != 2 || s.Events != 150 || s.EventsLaned != 60 {
 		t.Fatalf("Add summed wrong: %+v", s)
 	}
 	if s.PeakPending != 40 {

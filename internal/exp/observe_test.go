@@ -88,6 +88,11 @@ func TestObservabilityDoesNotPerturbResults(t *testing.T) {
 	if stats.DataDelivered > stats.DataSent {
 		t.Errorf("delivered %d > sent %d", stats.DataDelivered, stats.DataSent)
 	}
+	// Every packet crosses the star's two links, and each crossing is one
+	// laned arrival: the lane count is exactly that, not an estimate.
+	if want := uint64(2 * (stats.DataSent + stats.AcksSent)); stats.EventsLaned != want {
+		t.Errorf("events_laned = %d, want %d (two link arrivals per packet)", stats.EventsLaned, want)
+	}
 }
 
 // RunWithStats must aggregate every simulation an experiment executes, and

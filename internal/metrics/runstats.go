@@ -28,6 +28,10 @@ type RunStats struct {
 	// a steady workload it should track peak pending, not event count —
 	// a higher value means the scheduling hot path is allocating.
 	EventSlotAllocs uint64 `json:"event_slot_allocs"`
+	// EventsLaned is how many of Events came off the engines' delay lanes
+	// (sim.Lane: intra-shard link arrivals) and never entered the ladder
+	// queue, summed across runs; Events - EventsLaned is the queue's load.
+	EventsLaned uint64 `json:"events_laned"`
 
 	// Simulated time covered, summed across runs.
 	SimSeconds float64 `json:"sim_seconds"`
@@ -102,6 +106,7 @@ func (s *RunStats) addEngine(es sim.EngineStats) {
 		s.PeakPending = es.PeakPending
 	}
 	s.EventSlotAllocs += es.EventAllocs
+	s.EventsLaned += es.Laned
 }
 
 // Add merges another snapshot into s (summing counters, taking the max of
@@ -115,6 +120,7 @@ func (s *RunStats) Add(o RunStats) {
 		s.PeakPending = o.PeakPending
 	}
 	s.EventSlotAllocs += o.EventSlotAllocs
+	s.EventsLaned += o.EventsLaned
 	s.SimSeconds += o.SimSeconds
 	s.Counters.Add(o.Counters)
 	if o.PeakFCTRecords > s.PeakFCTRecords {
@@ -157,10 +163,10 @@ func (s *RunStats) Finish(wall time.Duration) {
 // anything, so lossless output is unchanged.
 func (s RunStats) String() string {
 	out := fmt.Sprintf(
-		"%d run(s): %d events in %.2fs (%.2fM ev/s), %d data pkts, %d acks, "+
+		"%d run(s): %d events (%d laned) in %.2fs (%.2fM ev/s), %d data pkts, %d acks, "+
 			"%d ECN marks, %d PFC pauses, pool reuse %.1f%%, "+
 			"%d event slot allocs, peak heap %.1f MB",
-		s.Runs, s.Events, s.WallSeconds, s.EventsPerSec/1e6,
+		s.Runs, s.Events, s.EventsLaned, s.WallSeconds, s.EventsPerSec/1e6,
 		s.DataSent, s.AcksSent, s.ECNMarks, s.PFCPauses,
 		100*s.PoolReuseRate, s.EventSlotAllocs, float64(s.PeakHeapBytes)/1e6)
 	if drops := s.Drops(); drops > 0 || s.Retransmits > 0 {

@@ -222,8 +222,9 @@ func (n *Network) Flows() []*Flow { return n.flows }
 func (n *Network) Connect(a, b Node, bps float64, delay sim.Time) (*Port, *Port) {
 	// All nodes live on shard 0 at construction time; Shard rebinds.
 	sh := n.shards[0]
-	pa := &Port{net: n, sh: sh, eng: sh.eng, owner: a, bw: bps, delay: delay}
-	pb := &Port{net: n, sh: sh, eng: sh.eng, owner: b, bw: bps, delay: delay}
+	lane := sh.eng.Lane(delay)
+	pa := &Port{net: n, sh: sh, eng: sh.eng, lane: lane, owner: a, bw: bps, delay: delay}
+	pb := &Port{net: n, sh: sh, eng: sh.eng, lane: lane, owner: b, bw: bps, delay: delay}
 	pa.peer, pb.peer = pb, pa
 	pa.txDone = pa.drain
 	pb.txDone = pb.drain

@@ -29,10 +29,13 @@ type Port struct {
 	// shard's engine (always shard 0 until Network.Shard rebinds). Every
 	// event the port schedules — serialization completion, local
 	// propagation arrival — goes to eng; pool, PRNG and counter traffic
-	// goes to sh. xmail, nil for intra-shard links, is the mailbox this
-	// port hands packets into when its peer lives on a different shard.
+	// goes to sh. lane is eng's delay lane for this link's propagation
+	// delay, the path of every intra-shard arrival. xmail, nil for
+	// intra-shard links, is the mailbox this port hands packets into when
+	// its peer lives on a different shard.
 	sh    *shard
 	eng   *sim.Engine
+	lane  *sim.Lane
 	xmail *sim.Outbox
 
 	// Concrete views of owner, exactly one non-nil. Packet arrival is the
@@ -309,7 +312,7 @@ func (pt *Port) finishTx(p *Packet) {
 	}
 	p.dest = pt.peer
 	if pt.xmail == nil {
-		pt.eng.After(pt.delay, p.arrive)
+		pt.lane.After(p.arrive)
 	} else {
 		pt.xmail.Send(pt.eng.Now()+pt.delay, p.arrive)
 	}

@@ -217,6 +217,7 @@ func (n *Network) Shard(assignment []int, k int) {
 		for _, pt := range ports {
 			pt.sh = sh
 			pt.eng = sh.eng
+			pt.lane = sh.eng.Lane(pt.delay)
 		}
 	}
 	for _, h := range n.hosts {

@@ -10,8 +10,10 @@ import (
 // (time, scheduling sequence), lazy-cancel-is-no-op-after-execution —
 // through a byte-encoded stream of schedule / cancel / Step / StepBefore /
 // RunUntil operations, including events that schedule children from inside
-// their callbacks. Execution order, the clock, and every Stats counter
-// must match, and the clock must never run backwards.
+// their callbacks. Every schedule may go through a delay lane instead of
+// the ladder; to the model a lane event is just an event at now + d that
+// nobody holds a handle to. Execution order, the clock, NextEventTime and
+// every Stats counter must match, and the clock must never run backwards.
 
 // refModel is the reference scheduler: an unsorted slice scanned for the
 // (at, seq) minimum on every execution. Obviously correct, O(n) per event.
@@ -66,9 +68,18 @@ func (m *refModel) run(i int) {
 	m.now = ev.at
 	m.executed++
 	m.order = append(m.order, ev.id)
-	if d, child, ok := spawnChild(ev.id); ok {
+	if d, child, _, ok := spawnChild(ev.id); ok {
 		m.schedule(satAdd(m.now, d), child)
 	}
+}
+
+// nextTime is the model's NextEventTime.
+func (m *refModel) nextTime() (Time, bool) {
+	i := m.minIdx()
+	if i < 0 {
+		return 0, false
+	}
+	return m.evs[i].at, true
 }
 
 // exec runs the minimum event and reports whether there was one.
@@ -108,19 +119,32 @@ func (m *refModel) runUntil(t Time) {
 // scheduled events stay below it.
 const childIDStride = 1_000_000_000
 
+// laneDelays are the delays the op stream schedules lane events at: more
+// of them than maxLanes, so the later ones exercise the fall-back to After,
+// with the zero delay first (a lane event at the current time) and 1000
+// and 2500 chosen to tie with opNear events.
+var laneDelays = [...]Time{0, 1000, 7, 2500, 40_000, 3, 1_000_000}
+
 // spawnChild decides — purely from the parent id — whether an executing
 // event schedules a child and how far ahead, so the engine callbacks and
 // the model apply identical in-event scheduling. About a third of events
-// spawn, chains end at depth four.
-func spawnChild(parent int) (Time, int, bool) {
+// spawn, chains end at depth four. A quarter of the children go on the
+// delay lane whose index is returned (-1: through At), the way a port
+// schedules an arrival from inside its serialization event.
+func spawnChild(parent int) (d Time, child, lane int, ok bool) {
 	if parent >= 4*childIDStride {
-		return 0, 0, false
+		return 0, 0, 0, false
 	}
 	h := uint32(parent)*2654435761 + 12345
 	if h%3 != 0 {
-		return 0, 0, false
+		return 0, 0, 0, false
 	}
-	return Time(h%500 + 1), parent + childIDStride, true
+	d, lane = Time(h%500+1), -1
+	if h>>4%4 == 0 {
+		lane = int(h >> 8 % uint32(len(laneDelays)))
+		d = laneDelays[lane]
+	}
+	return d, parent + childIDStride, lane, true
 }
 
 // Operations of the fuzz stream. Each is three bytes: the opcode (mod
@@ -134,6 +158,8 @@ const (
 	opStep              // Step
 	opRunUntil          // RunUntil(now + v%5000)
 	opStepBefore        // StepBefore(now + v%5000)
+	opLane              // schedule 1 + v>>8%4 events on lane v%len(laneDelays)
+	opLaneFlood         // schedule laneRingMin/2 + v>>8 events on lane v%len(laneDelays): the ring grows
 	numOps
 )
 
@@ -153,26 +179,52 @@ func checkOrder(t *testing.T, data []byte) {
 	var handles []EventID // indexed by id; only directly scheduled events
 	last := Time(0)
 
-	var engSchedule func(at Time, id int) EventID
-	engSchedule = func(at Time, id int) EventID {
-		return e.At(at, func() {
+	var laned uint64 // events scheduled on a lane that has a ring
+	var lanes [len(laneDelays)]*Lane
+	for i, d := range laneDelays {
+		lanes[i] = e.Lane(d)
+	}
+	// engSchedule schedules event id through At (lane < 0) or on a lane.
+	var engSchedule func(at Time, id, lane int) EventID
+	engSchedule = func(at Time, id, lane int) EventID {
+		fn := func() {
 			if e.Now() < last {
 				t.Fatalf("clock ran backwards: event %d at %v after %v", id, e.Now(), last)
 			}
+			if e.Now() != at {
+				t.Fatalf("event %d scheduled for %v ran at %v", id, at, e.Now())
+			}
 			last = e.Now()
 			engOrder = append(engOrder, id)
-			if d, child, ok := spawnChild(id); ok {
-				engSchedule(satAdd(e.Now(), d), child)
+			if d, child, lane, ok := spawnChild(id); ok {
+				engSchedule(satAdd(e.Now(), d), child, lane)
 			}
-		})
+		}
+		if lane < 0 || e.Now()+laneDelays[lane] < e.Now() {
+			// No lane, or the lane's delay overflows the clock (it has
+			// reached a never event): the lane would panic, as After
+			// does, so the event goes to the saturated time through At.
+			return e.At(at, fn)
+		}
+		lanes[lane].After(fn)
+		if lanes[lane].ring != nil {
+			laned++ // cannot be cancelled, so it will run from its ring
+		}
+		return EventID{} // lane events have no handle; cancelling this is a no-op
 	}
-	schedule := func(at Time) {
+	scheduleOn := func(at Time, lane int) {
 		if len(handles) >= maxFuzzEvents {
 			return
 		}
 		id := len(handles)
-		handles = append(handles, engSchedule(at, id))
+		handles = append(handles, engSchedule(at, id, lane))
 		m.schedule(at, id)
+	}
+	schedule := func(at Time) { scheduleOn(at, -1) }
+	scheduleLane := func(lane, n int) {
+		for ; n > 0; n-- {
+			scheduleOn(satAdd(e.Now(), laneDelays[lane]), lane)
+		}
 	}
 
 	if len(data) > 3*maxFuzzOps {
@@ -196,7 +248,9 @@ func checkOrder(t *testing.T, data []byte) {
 			if len(handles) > 0 {
 				id := v % len(handles)
 				e.Cancel(handles[id])
-				m.cancel(id)
+				if handles[id].Valid() {
+					m.cancel(id)
+				}
 			}
 		case opStep:
 			if e.Step() != m.exec() {
@@ -211,9 +265,17 @@ func checkOrder(t *testing.T, data []byte) {
 			if e.StepBefore(h) != m.execBefore(h) {
 				t.Fatalf("op %d: StepBefore(%v) disagrees with the model on whether an event ran", op, h)
 			}
+		case opLane:
+			scheduleLane(v%len(laneDelays), 1+v>>8%4)
+		case opLaneFlood:
+			scheduleLane(v%len(laneDelays), laneRingMin/2+v>>8)
 		}
 		if e.Now() != m.now {
 			t.Fatalf("op %d: clock %v, model %v", op, e.Now(), m.now)
+		}
+		at, ok := e.NextEventTime()
+		if mat, mok := m.nextTime(); ok != mok || at != mat {
+			t.Fatalf("op %d: NextEventTime (%v, %v), model (%v, %v)", op, at, ok, mat, mok)
 		}
 	}
 	e.Run()
@@ -236,6 +298,9 @@ func checkOrder(t *testing.T, data []byte) {
 	}
 	if st.Pending != len(m.evs) || st.Pending != 0 {
 		t.Fatalf("pending %d, model %d, want both 0 after Run", st.Pending, len(m.evs))
+	}
+	if st.Laned != laned {
+		t.Fatalf("Stats reports %d events laned, %d were scheduled on lanes with a ring", st.Laned, laned)
 	}
 }
 
@@ -278,6 +343,19 @@ func FuzzEngineOrder(f *testing.F) {
 		{opFlood, 0x7f, 0x02, opNever, 0, 0, opFlood, 0x01, 0x00},
 		{opStepBefore, 0x10, 0x00, opStepBefore, 0xff, 0x0f, opFlood, 0x40, 0x00, opStepBefore, 0x88, 0x13},
 		{opFar, 0x34, 0x12, opFlood, 0x3f, 0x19, opFlood, 0x3f, 0x19, opFlood, 0x3f, 0x19, opStep, 0, 0, opNear, 5, 0, opNear, 3, 0},
+		// Lanes. Every lane including the fall-backs, with ties: lane 0 is
+		// the current time, as opNear 0 is; lane 1 is opNear 1000 (0x3e8).
+		{opLane, 0, 3, opNear, 0, 0, opLane, 0, 0, opNear, 0xe8, 0x03, opLane, 1, 1, opNear, 0xe8, 0x03,
+			opLane, 2, 0, opLane, 3, 2, opLane, 4, 0, opLane, 5, 3, opLane, 6, 0, opStep, 0, 0, opStep, 0, 0},
+		// A lane head exactly at the boundary: StepBefore(now+1000) must
+		// leave it, RunUntil(now+1000) must run it; then the same for the
+		// fall-back lane 5 at now+3 behind a cancelled ladder front.
+		{opLane, 1, 0, opStepBefore, 0xe8, 0x03, opRunUntil, 0xe8, 0x03,
+			opNear, 1, 0, opLane, 5, 0, opCancel, 0, 0, opStepBefore, 3, 0, opRunUntil, 3, 0},
+		// Ring growth across a wrap: the head is moved off zero first, then
+		// one lane takes more than its ring holds, twice over.
+		{opLane, 2, 3, opStep, 0, 0, opStep, 0, 0, opStep, 0, 0, opLaneFlood, 2, 0x40, opStep, 0, 0,
+			opLaneFlood, 2, 0xff, opLaneFlood, 0, 0x80, opCancel, 7, 0, opRunUntil, 7, 0},
 	} {
 		in := append(append([]byte{}, ops...), base...)
 		f.Add(append(in, ops...))

@@ -39,11 +39,15 @@ type slot struct {
 // reproducible across scheduler implementations. Steady-state scheduling
 // is allocation-free: callbacks bound once (method values, per-object
 // closures) are stored in recycled slots, and queue entries live in the
-// queue's recycled chain nodes and its one epoch buffer.
+// queue's recycled chain nodes and its one epoch buffer. Constant-delay
+// events can bypass the queue altogether: see Lane.
 type Engine struct {
 	now Time
 	seq uint64
 	q   ladderQueue
+
+	lanes  [maxLanes]Lane // delay lanes, the first nLanes registered
+	nLanes int
 
 	slots []slot   // event arena; index = EventID.idx-1
 	free  []uint32 // recycled slot indexes
@@ -90,11 +94,18 @@ type EngineStats struct {
 	// concurrent event count — a rising value on a stable workload means
 	// the scheduling hot path is allocating.
 	EventAllocs uint64 `json:"event_slot_allocs"`
+	// Laned counts the executed events that came off a delay lane and so
+	// never entered the ladder queue (see Lane); Steps includes them.
+	Laned uint64 `json:"events_laned"`
 }
 
 // Stats snapshots the engine counters. Reading them never perturbs the
 // simulation.
 func (e *Engine) Stats() EngineStats {
+	var laned uint64
+	for i := range e.lanes[:e.nLanes] {
+		laned += e.lanes[i].head
+	}
 	return EngineStats{
 		Steps:       e.steps,
 		Scheduled:   e.seq,
@@ -102,6 +113,7 @@ func (e *Engine) Stats() EngineStats {
 		Pending:     e.live,
 		PeakPending: e.peakLive,
 		EventAllocs: e.slotAllocs,
+		Laned:       laned,
 	}
 }
 
@@ -138,6 +150,93 @@ func (e *Engine) After(d Time, fn func()) EventID {
 	return e.At(e.now+d, fn)
 }
 
+// Lane is the engine's FIFO of pending events that were all scheduled a
+// constant delay d ahead — the way to schedule what a link's propagation
+// delay schedules, about half of a packet simulation's events. The clock
+// never runs backwards and seq only counts up, so the keys (now+d, seq) one
+// lane hands out are already in execution order: a lane is a ring appended
+// at the tail and consumed at the head, and the engine merges the lane
+// heads with the ladder front by (at, seq) wherever it dequeues (see next).
+// The total order is exactly what After(d, fn) gives; only the push, bucket
+// link, gather, sort and slot recycle are gone. Lane events cannot be
+// cancelled, so they need no slot, generation or EventID.
+type Lane struct {
+	e *Engine
+	d Time
+	// ring has power-of-two length; entries [head, tail) are pending at
+	// index mod len(ring). Both only count up, so head is also the number
+	// of events the lane has executed. A nil ring is a delay past maxLanes:
+	// After then schedules on the ladder.
+	ring       []laneEntry
+	head, tail uint64
+}
+
+// laneEntry is one pending lane event. Unlike a ladder entry it carries its
+// callback, a pointer the collector scans; that is affordable here because
+// a lane entry is written once and read once, in address order, and never
+// moved or sorted, and there is one ring per distinct delay, not per link.
+type laneEntry struct {
+	at  Time
+	seq uint64
+	fn  func()
+}
+
+// maxLanes bounds the lanes of one engine, because every dequeue compares
+// every lane head: a fabric has a handful of distinct link delays (the
+// paper's fat-tree one, the dumbbells two or three), and a topology with
+// hundreds must cost what it would without lanes, not O(delays) per event.
+// laneRingMin is a ring's initial length; it doubles when full.
+const (
+	maxLanes    = 4
+	laneRingMin = 64
+)
+
+// Lane returns the engine's lane for delay d, registering it on first use.
+// Past maxLanes distinct delays it returns a lane that schedules through
+// After: same order, no saving. A negative delay panics.
+func (e *Engine) Lane(d Time) *Lane {
+	if d < 0 {
+		panic(fmt.Sprintf("sim: lane with negative delay %v", d))
+	}
+	for i := range e.lanes[:e.nLanes] {
+		if e.lanes[i].d == d {
+			return &e.lanes[i]
+		}
+	}
+	if e.nLanes == maxLanes {
+		return &Lane{e: e, d: d}
+	}
+	l := &e.lanes[e.nLanes]
+	e.nLanes++
+	*l = Lane{e: e, d: d, ring: make([]laneEntry, laneRingMin)}
+	return l
+}
+
+// After schedules fn to run the lane's delay after the current time. It
+// panics, as Engine.After does, when that time overflows.
+func (l *Lane) After(fn func()) {
+	e := l.e
+	at := e.now + l.d
+	if at < e.now || l.ring == nil {
+		e.At(at, fn)
+		return
+	}
+	if l.tail-l.head == uint64(len(l.ring)) {
+		old := l.ring
+		l.ring = make([]laneEntry, 2*len(old))
+		for i := l.head; i != l.tail; i++ {
+			l.ring[i&uint64(len(l.ring)-1)] = old[i&uint64(len(old)-1)]
+		}
+	}
+	l.ring[l.tail&uint64(len(l.ring)-1)] = laneEntry{at: at, seq: e.seq, fn: fn}
+	l.tail++
+	e.seq++
+	e.live++
+	if e.live > e.peakLive {
+		e.peakLive = e.live
+	}
+}
+
 // Cancel prevents a scheduled event from running. The slot (and its
 // callback reference) is released immediately; the 24-byte queue entry is
 // discarded lazily when it surfaces at the queue front. Cancelling an
@@ -163,113 +262,103 @@ func (e *Engine) Cancel(id EventID) {
 	e.cancelled++
 }
 
-// peekLive returns the next runnable entry, discarding cancelled corpses
-// as they surface. It reports false when no live events remain.
-func (e *Engine) peekLive() (entry, bool) {
-	for {
-		en, ok := e.q.peek()
-		if !ok {
-			return entry{}, false
+// next is the one place events are dequeued. The next event is the smaller
+// (at, seq) of the ladder front — cancelled corpses are discarded as they
+// surface — and the lane heads; if there is one and its time is at most
+// limit, next reports that time and, when run is set, consumes the event
+// and runs its callback. Otherwise it reports false and leaves the clock
+// alone.
+//
+// Step, StepBefore, RunUntil and NextEventTime are all this function: a
+// dequeue site with its own copy of the merge that forgot the lanes would
+// reorder events, or stall the sharded epoch loop, silently. The body is
+// fused rather than layered (peek, then pop) because at tens of millions
+// of events per run a second call and a second load of the slot are
+// measurable.
+func (e *Engine) next(limit Time, run bool) (Time, bool) {
+	at, seq := maxTime, ^uint64(0) // above every real key: seq never gets there
+	var ln *Lane
+	var lh *laneEntry // ln's head entry
+	for i := range e.lanes[:e.nLanes] {
+		l := &e.lanes[i]
+		if l.head == l.tail {
+			continue
 		}
-		if e.slots[en.idx].gen == en.gen {
-			return en, true
+		if h := &l.ring[l.head&uint64(len(l.ring)-1)]; h.at < at || h.at == at && h.seq < seq {
+			at, seq, ln, lh = h.at, h.seq, l, h
 		}
-		e.q.drop() // cancelled corpse
 	}
-}
-
-// exec consumes an already-peeked entry and runs its callback.
-func (e *Engine) exec(en entry) {
-	e.q.drop()
-	e.now = en.at
+	q := &e.q
+	var s *slot
+	var idx uint32
+	for {
+		if q.curHead >= len(q.cur) {
+			// Every entry still in the ladder is at or past curEnd, so a
+			// lane head below it is next without promoting a bucket early.
+			if ln != nil && at < q.curEnd || !q.refill() {
+				break
+			}
+			continue
+		}
+		en := q.cur[q.curHead]
+		sl := &e.slots[en.idx]
+		if sl.gen != en.gen {
+			q.curHead++ // cancelled corpse
+			continue
+		}
+		if en.at < at || en.at == at && en.seq < seq {
+			at, ln, s, idx = en.at, nil, sl, en.idx
+		}
+		break
+	}
+	if ln == nil && s == nil || at > limit {
+		return 0, false
+	}
+	if !run {
+		return at, true
+	}
+	e.now = at
 	e.live--
 	e.steps++
-	s := &e.slots[en.idx]
-	fn := s.fn
-	s.fn = nil
-	s.gen++
-	e.free = append(e.free, en.idx)
+	var fn func()
+	if ln != nil {
+		fn, lh.fn = lh.fn, nil
+		ln.head++
+	} else {
+		q.curHead++
+		fn, s.fn = s.fn, nil
+		s.gen++
+		e.free = append(e.free, idx)
+	}
 	fn()
+	return at, true
 }
 
 // Step executes the next event. It reports whether an event was executed;
-// false means the queue is empty.
-//
-// The body fuses peekLive and exec: the slot is addressed once for both
-// the liveness check and the callback fetch. At tens of millions of events
-// per run the saved call layer and duplicate slot load are measurable.
+// false means no events are pending.
 func (e *Engine) Step() bool {
-	q := &e.q
-	for {
-		// Manually inlined q.peek()+q.drop(): the per-event call overhead
-		// is visible at this frequency, and the compiler won't inline peek
-		// past its refill loop.
-		for q.curHead >= len(q.cur) {
-			if !q.refill() {
-				return false
-			}
-		}
-		en := q.cur[q.curHead]
-		s := &e.slots[en.idx]
-		if s.gen != en.gen {
-			q.curHead++ // cancelled corpse
-			continue
-		}
-		q.curHead++
-		e.now = en.at
-		e.live--
-		e.steps++
-		fn := s.fn
-		s.fn = nil
-		s.gen++
-		e.free = append(e.free, en.idx)
-		fn()
-		return true
-	}
+	_, ok := e.next(maxTime, true)
+	return ok
 }
 
 // StepBefore executes the next event if its time is strictly below end.
-// It reports whether an event was executed; false means the queue is empty
+// It reports whether an event was executed; false means nothing is pending
 // or the next live event is at or past end (the clock is left untouched in
 // both cases). This is the epoch primitive of the parallel runner: a shard
-// repeatedly calls StepBefore(horizon) and then parks at the barrier. The
-// body mirrors the fused Step for the same hot-path reasons.
+// repeatedly calls StepBefore(horizon) and then parks at the barrier.
 func (e *Engine) StepBefore(end Time) bool {
-	q := &e.q
-	for {
-		for q.curHead >= len(q.cur) {
-			if !q.refill() {
-				return false
-			}
-		}
-		en := q.cur[q.curHead]
-		s := &e.slots[en.idx]
-		if s.gen != en.gen {
-			q.curHead++ // cancelled corpse
-			continue
-		}
-		if en.at >= end {
-			return false
-		}
-		q.curHead++
-		e.now = en.at
-		e.live--
-		e.steps++
-		fn := s.fn
-		s.fn = nil
-		s.gen++
-		e.free = append(e.free, en.idx)
-		fn()
-		return true
+	if end <= 0 {
+		return false // no event is scheduled before time zero
 	}
+	_, ok := e.next(end-1, true)
+	return ok
 }
 
-// NextEventTime returns the time of the next live event, or false when the
-// queue is empty. It does not advance the clock (cancelled corpses at the
+// NextEventTime returns the time of the next live event, or false when
+// none is pending. It does not advance the clock (cancelled corpses at the
 // queue front are discarded as a side effect).
 func (e *Engine) NextEventTime() (Time, bool) {
-	en, ok := e.peekLive()
-	return en.at, ok
+	return e.next(maxTime, false)
 }
 
 // Stop makes Run and RunUntil return after the current event completes.
@@ -287,11 +376,9 @@ func (e *Engine) Run() {
 func (e *Engine) RunUntil(t Time) {
 	e.stopped = false
 	for !e.stopped {
-		en, ok := e.peekLive()
-		if !ok || en.at > t {
+		if _, ok := e.next(t, true); !ok {
 			break
 		}
-		e.exec(en)
 	}
 	if e.now < t {
 		e.now = t

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -25,6 +26,7 @@ func TestTimeString(t *testing.T) {
 		{3 * Millisecond, "3ms"},
 		{2 * Second, "2s"},
 		{-80 * Nanosecond, "-80ns"},
+		{math.MinInt64, "-9.223e+06s"}, // has no negation; it used to recurse until the stack ran out
 	}
 	for _, c := range cases {
 		if got := c.t.String(); got != c.want {
@@ -254,5 +256,34 @@ func TestEngineMonotonicProperty(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// The epoch buffer must not grow with the number of events that passed
+// through it. One far timer keeps the epoch bound far ahead, so every push
+// of a self-rescheduling near timer lands below it and the epoch never
+// empties — the state delay lanes make common, since the events left on
+// the ladder are the short ones. Before insertCur reclaimed the consumed
+// prefix this left len(cur) = 200 001 with one event pending.
+func TestEpochBufferStaysBounded(t *testing.T) {
+	e := NewEngine()
+	e.At(Second, func() {})
+	n := 0
+	var tick func()
+	tick = func() {
+		if n++; n < 200_000 {
+			e.After(Nanosecond, tick)
+		}
+	}
+	e.At(0, tick)
+	for e.Pending() > 1 {
+		e.Step()
+	}
+	if n != 200_000 {
+		t.Fatalf("ticked %d times", n)
+	}
+	if peak := e.Stats().PeakPending; cap(e.q.cur) > 8*peak+64 {
+		t.Fatalf("epoch buffer holds %d entries (len %d) after a run that never had more than %d pending",
+			cap(e.q.cur), len(e.q.cur), peak)
 	}
 }

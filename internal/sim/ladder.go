@@ -46,7 +46,7 @@ import "math/bits"
 //
 // The queue never inspects cancellation state: the engine cancels events by
 // invalidating their slot generation and lazily discards stale entries as
-// they surface at the front (see Engine.peekLive).
+// they surface at the front (see Engine.next).
 type ladderQueue struct {
 	cur     []entry // current epoch, sorted; consumed from curHead
 	curHead int
@@ -242,6 +242,15 @@ func (q *ladderQueue) insertCur(en entry) {
 		q.push(en)
 		return
 	}
+	// refill drops the consumed prefix, but an epoch kept alive by pushes
+	// below curEnd never refills. Reclaim the prefix here once the buffer
+	// is full and more than half consumed — the copy is paid for by the
+	// slots it frees — so cap(cur) stays within a small multiple of the
+	// epoch's peak population instead of growing with every event.
+	if len(q.cur) == cap(q.cur) && q.curHead > len(q.cur)/2 {
+		q.cur = q.cur[:copy(q.cur, q.cur[q.curHead:])]
+		q.curHead = 0
+	}
 	// Appending at the end is the common case (pushes arrive roughly in
 	// time order); it skips the search and never memmoves.
 	if n := len(q.cur); n == q.curHead || entryLess(q.cur[n-1], en) {
@@ -273,20 +282,6 @@ func (q *ladderQueue) splitCur() {
 	q.curHead = 0
 	q.curEnd = start
 }
-
-// peek returns the front entry without consuming it. It reports false when
-// the queue is empty.
-func (q *ladderQueue) peek() (entry, bool) {
-	for q.curHead >= len(q.cur) {
-		if !q.refill() {
-			return entry{}, false
-		}
-	}
-	return q.cur[q.curHead], true
-}
-
-// drop consumes the entry peek returned.
-func (q *ladderQueue) drop() { q.curHead++ }
 
 // refill replenishes the consumed epoch from the ladder: it promotes the
 // next non-empty bucket of the deepest rung, subdividing buckets too large

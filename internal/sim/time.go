@@ -37,6 +37,9 @@ func (t Time) Microseconds() float64 { return float64(t) / float64(Microsecond) 
 func (t Time) String() string {
 	switch {
 	case t < 0:
+		if -t < 0 { // the minimum has no negation: a wrapped sum in a panic message must still print
+			return fmt.Sprintf("%.4gs", t.Seconds())
+		}
 		return "-" + (-t).String()
 	case t < Nanosecond:
 		return fmt.Sprintf("%dps", int64(t))
