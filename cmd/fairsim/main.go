@@ -52,8 +52,6 @@ func run() int {
 		plot   = flag.Bool("plot", false, "render an ASCII chart of each result")
 		verify = flag.Bool("verify", false, "check the paper's claims against fresh runs and exit")
 
-		coalesce = flag.Bool("ack-coalesce", false, "enable receiver-side ACK coalescing in every simulation (diverges from the paper's per-packet ACK model; see the ack-coalesce experiment)")
-
 		bufBytes = flag.Int64("buffer-bytes", 0, "lossy experiments: per-egress switch buffer in bytes (0 = experiment default)")
 		dropData = flag.Float64("drop-data", 0, "lossy experiments: random data-packet wire-loss probability (0 = experiment default)")
 		dropAck  = flag.Float64("drop-ack", 0, "lossy experiments: random ACK wire-loss probability (0 = experiment default)")
@@ -86,7 +84,6 @@ func run() int {
 
 	cfg := exp.Config{
 		Seed: *seed, Workers: *work, Scale: *scale, Shards: *shards,
-		AckCoalesce: *coalesce,
 		BufferBytes: *bufBytes, DropDataProb: *dropData, DropAckProb: *dropAck,
 		RTTSlowDelay: sim.Time(rttSlowDelay.Nanoseconds()) * sim.Nanosecond,
 		RTTSenders:   *rttSenders,

@@ -48,6 +48,9 @@ func TestRejectsUnrunnableFlags(t *testing.T) {
 		{"zero size", incast("-size", "0"), 2, "-size"},
 		{"negative every", incast("-every", "-5"), 2, "IncastEvery"},
 		{"unknown algo", incast("-algo", "reno"), 2, "reno"},
+
+		// Deleted in PR 16; a removed flag fails loudly, it is not ignored.
+		{"removed ack-coalesce", incast("-ack-coalesce"), 2, "flag provided but not defined: -ack-coalesce"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -1,71 +1,81 @@
 package faircc_test
 
 import (
+	"fmt"
+	"slices"
+	"strings"
 	"testing"
 
 	"faircc"
 )
 
-// TestFacadeSimulation drives the public API end to end the way the
-// README's quick start does.
-func TestFacadeSimulation(t *testing.T) {
-	eng := faircc.NewEngine()
-	nw := faircc.NewNetwork(eng, 1)
-	star := faircc.NewStar(nw, 5, 100e9, faircc.Microsecond)
+// ExampleRunExperiment is README's library quick start, compiled and run:
+// `fairsim -exp incast -algo hpcc-vaisf -senders 2 -size 1048576` as a
+// library call. A nil error already means every flow finished and the
+// run conserved bytes and ACKs; the finish-time series has one point per
+// flow.
+func ExampleRunExperiment() {
+	cfg := faircc.DefaultExperimentConfig()
+	cfg.IncastAlgo = "hpcc-vaisf"
+	cfg.IncastSenders = 2
+	cfg.IncastFlowBytes = 1 << 20
+	res, err := faircc.RunExperiment("incast", cfg)
+	if err != nil {
+		fmt.Println(err)
+		return
+	}
+	for _, s := range res.Series {
+		fmt.Println(s.Label)
+	}
+	fmt.Printf("%d of %d flows finished\n", len(res.Series[2].X), cfg.IncastSenders)
+	// Output:
+	// Jain fairness index
+	// queue depth (KB)
+	// finish time (us) by start time
+	// 2 of 2 flows finished
+}
 
-	srcs := make([]int, 4)
-	for i := range srcs {
-		srcs[i] = star.Hosts[i].NodeID()
-	}
-	rec := &faircc.FCTRecorder{}
-	rec.Attach(nw)
-	for _, spec := range faircc.StaggeredIncast(srcs, star.Hosts[4].NodeID(),
-		200_000, 2, 20*faircc.Microsecond, 0) {
-		nw.AddFlow(spec, faircc.NewHPCCVAISF(42_000))
-	}
-	eng.Run()
-
-	if len(rec.Records) != 4 {
-		t.Fatalf("records = %d, want 4", len(rec.Records))
-	}
-	for _, r := range rec.Records {
-		if r.Slowdown < 1 {
-			t.Fatalf("slowdown %v below 1", r.Slowdown)
+// TestRunExperimentRejectsBeforeBuilding: an unknown name or an invalid
+// Config is an error from both entry points, and no simulation was started
+// to find that out (a started one reports progress at least once, Done).
+func TestRunExperimentRejectsBeforeBuilding(t *testing.T) {
+	started := false
+	bad := faircc.DefaultExperimentConfig()
+	bad.IncastSenders = -1
+	bad.Progress = func(faircc.ProgressUpdate) { started = true }
+	ok := faircc.DefaultExperimentConfig()
+	ok.Progress = bad.Progress
+	for _, c := range []struct {
+		name string
+		cfg  faircc.Config
+		msg  string
+	}{
+		{"no-such-figure", ok, "unknown experiment"},
+		{"incast", bad, "IncastSenders"},
+	} {
+		_, err := faircc.RunExperiment(c.name, c.cfg)
+		if err == nil || !strings.Contains(err.Error(), c.msg) {
+			t.Errorf("RunExperiment(%q): error %v, want one naming %q", c.name, err, c.msg)
+		}
+		res, stats, err := faircc.RunExperimentWithStats(c.name, c.cfg)
+		if err == nil || res != nil || stats != nil {
+			t.Errorf("RunExperimentWithStats(%q) = %v, %v, %v; want only an error", c.name, res, stats, err)
 		}
 	}
-	if err := nw.CheckConservation(); err != nil {
-		t.Fatal(err)
+	if started {
+		t.Error("a rejected run started a simulation")
 	}
 }
 
-// TestFacadeAlgorithms instantiates every protocol constructor against a
-// live flow.
-func TestFacadeAlgorithms(t *testing.T) {
-	algos := map[string]func() faircc.Algorithm{
-		"hpcc":        faircc.NewHPCC,
-		"hpcc-vaisf":  func() faircc.Algorithm { return faircc.NewHPCCVAISF(42_000) },
-		"swift":       func() faircc.Algorithm { return faircc.NewSwift(50) },
-		"swift-vaisf": func() faircc.Algorithm { return faircc.NewSwiftVAISF(4 * faircc.Microsecond) },
-		"dcqcn":       faircc.NewDCQCN,
+// TestExperimentNames: the registry is listed sorted, and the deleted ACK
+// model's experiment is not in it.
+func TestExperimentNames(t *testing.T) {
+	names := faircc.ExperimentNames()
+	if !slices.IsSorted(names) {
+		t.Errorf("ExperimentNames() = %v: not sorted", names)
 	}
-	for name, mk := range algos {
-		t.Run(name, func(t *testing.T) {
-			eng := faircc.NewEngine()
-			nw := faircc.NewNetwork(eng, 1)
-			star := faircc.NewStar(nw, 2, 100e9, faircc.Microsecond)
-			if name == "dcqcn" {
-				for _, p := range star.Switch.Ports() {
-					p.SetRED(faircc.REDConfig{KMinBytes: 100_000, KMaxBytes: 400_000, PMax: 0.2})
-				}
-				nw.CNPInterval = 50 * faircc.Microsecond
-			}
-			f := nw.AddFlow(faircc.FlowSpec{ID: 1, Src: star.Hosts[0].NodeID(),
-				Dst: star.Hosts[1].NodeID(), Size: 300_000}, mk())
-			eng.Run()
-			if !f.Finished() {
-				t.Fatalf("%s flow did not finish", name)
-			}
-		})
+	if slices.Contains(names, "ack-coalesce") {
+		t.Error("ack-coalesce is still registered")
 	}
 }
 
@@ -85,64 +95,22 @@ func TestFacadeExperiments(t *testing.T) {
 	}
 }
 
-// TestFacadeFatTree builds the paper's full 320-host topology through the
-// facade and routes a flow across pods.
-func TestFacadeFatTree(t *testing.T) {
-	eng := faircc.NewEngine()
-	nw := faircc.NewNetwork(eng, 1)
-	ft := faircc.NewFatTree(nw, faircc.DefaultFatTree())
-	f := nw.AddFlow(faircc.FlowSpec{ID: 1, Src: ft.Hosts[0].NodeID(),
-		Dst: ft.Hosts[319].NodeID(), Size: 100_000}, faircc.NewSwift(100))
-	eng.Run()
-	if !f.Finished() || f.Hops() != 5 {
-		t.Fatalf("cross-pod flow: finished=%v hops=%d", f.Finished(), f.Hops())
-	}
-}
-
-func TestFacadeCDFs(t *testing.T) {
-	if faircc.HadoopCDF().Max() != 10_000_000 {
-		t.Error("Hadoop CDF max wrong")
-	}
-	if faircc.WebSearchCDF().FracAbove(1_000_000) < 0.25 {
-		t.Error("WebSearch CDF not long-flow heavy")
-	}
-	if faircc.StorageCDF().Max() > 2_000_000 {
-		t.Error("Storage CDF exceeds 2MB")
-	}
-	if faircc.Jain([]float64{1, 1, 1}) != 1 {
-		t.Error("Jain facade broken")
-	}
-	if !faircc.DefaultFluid().ConvergesFaster() {
-		t.Error("fluid facade broken")
-	}
-}
-
-// TestFacadeTraceAndNewProtocols exercises tracing and the Timely/DCTCP
-// constructors through the facade.
-func TestFacadeTraceAndNewProtocols(t *testing.T) {
-	eng := faircc.NewEngine()
-	nw := faircc.NewNetwork(eng, 1)
-	star := faircc.NewStar(nw, 3, 100e9, faircc.Microsecond)
-	rec := faircc.AttachTrace(nw, faircc.TraceAll)
-	for _, p := range star.Switch.Ports() {
-		p.SetRED(faircc.DCTCPMarkingAt(15_000))
-	}
-	f1 := nw.AddFlow(faircc.FlowSpec{ID: 1, Src: star.Hosts[0].NodeID(),
-		Dst: star.Hosts[2].NodeID(), Size: 100_000}, faircc.NewTimely())
-	f2 := nw.AddFlow(faircc.FlowSpec{ID: 2, Src: star.Hosts[1].NodeID(),
-		Dst: star.Hosts[2].NodeID(), Size: 100_000}, faircc.NewDCTCP())
-	eng.Run()
-	if !f1.Finished() || !f2.Finished() {
-		t.Fatal("flows did not finish")
-	}
-	counts := rec.CountByKind()
-	if counts[faircc.TraceSend] != 200 || counts[faircc.TraceFinish] != 2 {
-		t.Fatalf("trace counts wrong: %v", counts)
-	}
-	if pts := rec.FlowGoodput(1, 10*faircc.Microsecond); len(pts) == 0 {
-		t.Fatal("no goodput timeline")
-	}
-	if faircc.NewTimelyVAISF(4*faircc.Microsecond).Name() != "Timely VAI SF" {
-		t.Fatal("Timely VAI SF constructor broken")
+// TestFacadeAlgorithms runs every protocol Config.IncastAlgo names through
+// the facade: two flows into one receiver, to completion (an unfinished
+// flow is an error), with the run's own counters to show for it.
+func TestFacadeAlgorithms(t *testing.T) {
+	for _, algo := range []string{"hpcc", "hpcc-1g", "hpcc-prob", "hpcc-vaisf",
+		"swift", "swift-1g", "swift-prob", "swift-vaisf", "dcqcn", "timely", "timely-vaisf"} {
+		t.Run(algo, func(t *testing.T) {
+			cfg := faircc.DefaultExperimentConfig()
+			cfg.IncastAlgo, cfg.IncastSenders, cfg.IncastFlowBytes = algo, 2, 300_000
+			_, stats, err := faircc.RunExperimentWithStats("incast", cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if stats.Runs != 1 || stats.DataDelivered == 0 || stats.DataDelivered != stats.AcksSent {
+				t.Fatalf("%s: %v", algo, stats)
+			}
+		})
 	}
 }

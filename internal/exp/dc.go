@@ -107,8 +107,8 @@ func dcTraffic(cfg Config, ftCfg topo.FatTreeConfig, duration sim.Time, name str
 
 // runDC runs one datacenter simulation: the given traffic on the fat-tree
 // under one protocol variant, returning per-flow completion records and
-// the network's counter snapshot (the ack-coalesce experiment reads the
-// ACK counters; figure assembly ignores it).
+// the network's counter snapshot (the dc experiment reports switched
+// bytes and the deepest queue from it; figure assembly ignores it).
 // Completion records are collected after the run (CollectFinished) rather
 // than via an OnFlowFinish recorder, so the same code path serves
 // sequential and sharded runs — on a sharded network finish callbacks

@@ -62,12 +62,6 @@ type Config struct {
 	DropDataProb float64 `json:"drop_data_prob,omitempty"`
 	DropAckProb  float64 `json:"drop_ack_prob,omitempty"`
 
-	// AckCoalesce enables receiver-side ACK coalescing in every simulation
-	// the experiment runs (net.Network.AckCoalesce). Off by default: the
-	// recorded figures use the paper-faithful per-packet ACK model, and
-	// the ack-coalesce experiment measures the divergence explicitly.
-	AckCoalesce bool `json:"ack_coalesce,omitempty"`
-
 	// RTT-heterogeneity knobs for the rtt-unfairness experiments (zero =
 	// each scenario's preset; other experiments ignore them).
 	// RTTSlowDelay overrides the slow group's access-link propagation

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -67,7 +69,7 @@ func TestManifestRoundTrip(t *testing.T) {
 	}
 	// The result-changing knobs round-trip when set and are absent at
 	// their defaults (so committed default-config manifests are unchanged).
-	knobKeys := []string{"ack_coalesce", "buffer_bytes", "drop_data_prob",
+	knobKeys := []string{"buffer_bytes", "drop_data_prob",
 		"drop_ack_prob", "rtt_slow_delay_ps", "rtt_senders"}
 	for _, k := range knobKeys {
 		if _, ok := keys[k]; ok {
@@ -75,7 +77,6 @@ func TestManifestRoundTrip(t *testing.T) {
 		}
 	}
 	knobs := cfg
-	knobs.AckCoalesce = true
 	knobs.BufferBytes = 150_000
 	knobs.DropDataProb = 5e-4
 	knobs.DropAckProb = 2.5e-4
@@ -89,7 +90,7 @@ func TestManifestRoundTrip(t *testing.T) {
 	if err := json.Unmarshal(buf.Bytes(), &kb); err != nil {
 		t.Fatal(err)
 	}
-	if kb.AckCoalesce != knobs.AckCoalesce || kb.BufferBytes != knobs.BufferBytes ||
+	if kb.BufferBytes != knobs.BufferBytes ||
 		kb.DropDataProb != knobs.DropDataProb || kb.DropAckProb != knobs.DropAckProb ||
 		kb.RTTSlowDelay != knobs.RTTSlowDelay || kb.RTTSenders != knobs.RTTSenders {
 		t.Errorf("knob round trip: got %+v, want the knobs of %+v", kb, knobs)
@@ -131,5 +132,28 @@ func TestRunStatsMetricsInvariants(t *testing.T) {
 	}
 	if s.PeakHeapBytes == 0 {
 		t.Fatal("Finish did not capture process memory")
+	}
+}
+
+// TestResultsNameRegisteredExperiments: every recorded results/<name>.csv
+// and results/<name>.manifest.json belongs to a registered experiment, so
+// an experiment cannot leave the registry while its recorded output stays.
+func TestResultsNameRegisteredExperiments(t *testing.T) {
+	var files []string
+	for _, pat := range []string{"*.csv", "*.manifest.json"} {
+		m, err := filepath.Glob(filepath.Join("..", "..", "results", pat))
+		if err != nil {
+			t.Fatal(err)
+		}
+		files = append(files, m...)
+	}
+	if len(files) == 0 {
+		t.Fatal("no recorded results found")
+	}
+	for _, f := range files {
+		name, _, _ := strings.Cut(filepath.Base(f), ".")
+		if _, err := Get(name); err != nil {
+			t.Errorf("%s: %v", f, err)
+		}
 	}
 }

@@ -12,17 +12,16 @@ import (
 
 // simulate is the one path from a Config to a checked, counted run; every
 // simulation of every experiment goes through it. It makes the engine and
-// the network from cfg.Seed, applies the network-level Config knobs, hands
-// the network to build — topology, an optional Network.Shard, flows,
-// samplers and collectors, in the caller's order — and drives it: the
-// parallel runner if build sharded the network, the sequential step loop
-// otherwise. Whichever engine ran, the RunStats go to the observer once,
-// and a run that left a flow unfinished or broke a conservation invariant
-// is an error, so no experiment can report numbers from such a run.
+// the network from cfg.Seed, hands the network to build — topology, an
+// optional Network.Shard, flows, samplers and collectors, in the caller's
+// order — and drives it: the parallel runner if build sharded the network,
+// the sequential step loop otherwise. Whichever engine ran, the RunStats go
+// to the observer once, and a run that left a flow unfinished or broke a
+// conservation invariant is an error, so no experiment can report numbers
+// from such a run.
 func simulate(cfg Config, label string, build func(*net.Network)) (*net.Network, error) {
 	eng := sim.NewEngine()
 	nw := net.New(eng, cfg.Seed)
-	nw.AckCoalesce = cfg.AckCoalesce
 	build(nw)
 
 	var epochs uint64

@@ -173,9 +173,6 @@ func (s RunStats) String() string {
 		out += fmt.Sprintf(", %d drops (%d buffer, %d wire), %d retransmits, %d RTOs",
 			drops, s.BufferDrops, s.WireDrops, s.Retransmits, s.RTOFires)
 	}
-	if s.AcksCoalesced > 0 {
-		out += fmt.Sprintf(", %d acks coalesced", s.AcksCoalesced)
-	}
 	if s.Shards > 1 {
 		out += fmt.Sprintf(", %d shards, %d epochs", s.Shards, s.Epochs)
 	}

@@ -99,15 +99,6 @@ type Flow struct {
 	// Receiver side.
 	delivered int64
 	lastCNP   sim.Time
-	// pendingAck is the flow's ACK still waiting in the destination
-	// host's uplink queue, when Network.AckCoalesce is on and one exists.
-	// While the handle is set Host.receiveData folds new acknowledgements
-	// into that packet in place instead of enqueuing another; Port.kick
-	// clears it the moment the ACK is popped for serialization, after
-	// which the packet is on the wire and must not be touched. Like
-	// delivered/lastCNP this field is only accessed on the destination
-	// host's shard.
-	pendingAck *Packet
 
 	// deliveredMark supports goodput sampling (metrics take deltas).
 	deliveredMark int64
@@ -303,9 +294,6 @@ func (f *Flow) trySend() {
 		}
 		f.inflight += payload
 		f.sh.DataSent++
-		if h := f.net.Hooks.OnSend; h != nil {
-			h(f, p.Seq, int(payload))
-		}
 		// Pace the full wire size at the controlled rate.
 		gap := f.paceGap(int(p.Wire))
 		if f.nextSend < now {
@@ -442,9 +430,6 @@ func (f *Flow) onAck(p *Packet) {
 		ECE:        p.ECE,
 		Hops:       p.side.Hops,
 	})
-	if h := f.net.Hooks.OnControl; h != nil {
-		h(f, f.ctl)
-	}
 	f.trySend()
 }
 

@@ -50,9 +50,6 @@ func (h *Host) receiveData(p *Packet) {
 		if f.delivered >= f.Spec.Size {
 			f.DeliveredAt = h.sh.eng.Now()
 		}
-		if hook := h.net.Hooks.OnDeliver; hook != nil {
-			hook(f, p.Seq, int(p.side.Payload))
-		}
 	} else {
 		// Out of sequence: a gap means a drop upstream (go-back-N will
 		// refill it), below the cursor is a retransmit overlap. Discard
@@ -61,33 +58,6 @@ func (h *Host) receiveData(p *Packet) {
 		// lossless paths delivery is FIFO, so this branch never runs and
 		// lossless behavior is unchanged.
 		h.sh.DataOutOfSeq++
-	}
-
-	if h.net.AckCoalesce {
-		if pa := f.pendingAck; pa != nil {
-			// An earlier ACK for this flow is still waiting in our uplink
-			// queue (Port.kick clears the handle the instant it leaves for
-			// the wire). Fold this acknowledgement into it in place:
-			// advance the cumulative position, replace the echoed
-			// telemetry and timestamp with the newest sample, and OR in
-			// the congestion echo under the same CNP policy the
-			// per-packet path applies. No new control event exists —
-			// the merged ACK's serialization, per-hop forwarding, and
-			// sender processing all disappear from the run.
-			pa.side.AckSeq = f.delivered
-			pa.side.SentAt = p.side.SentAt
-			pa.side.Hops = append(pa.side.Hops[:0], p.side.Hops...)
-			if p.ECN {
-				now := h.sh.eng.Now()
-				if h.net.CNPInterval == 0 || now-f.lastCNP >= h.net.CNPInterval {
-					pa.ECE = true
-					f.lastCNP = now
-				}
-			}
-			h.sh.putPacket(p)
-			h.sh.AcksCoalesced++
-			return
-		}
 	}
 
 	ack := h.sh.getPacket()
@@ -118,11 +88,5 @@ func (h *Host) receiveData(p *Packet) {
 	}
 	h.sh.putPacket(p)
 	h.sh.AcksSent++
-	if h.port.send(ack) && h.net.AckCoalesce {
-		// The ACK is waiting in the uplink queue: remember it so later
-		// arrivals coalesce into it instead of queuing behind it. (A
-		// cut-through or tail-dropped ACK returns false and is already out
-		// of reach.)
-		f.pendingAck = ack
-	}
+	h.port.send(ack)
 }

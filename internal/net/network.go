@@ -39,20 +39,6 @@ type Network struct {
 	// (DCQCN's CNP timer). Zero echoes every ECN-marked packet.
 	CNPInterval sim.Time
 
-	// AckCoalesce enables receiver-side ACK coalescing: when a data packet
-	// arrives while an earlier ACK for the same flow is still sitting
-	// un-serialized in the destination host's uplink queue, the receiver
-	// updates that queued ACK in place — advancing its cumulative AckSeq,
-	// replacing the echoed telemetry and timestamp with the newest sample,
-	// and OR-ing in the ECE bit under the CNP policy — instead of
-	// generating another control packet. This removes the serialization,
-	// per-hop forwarding, and sender-processing events of every merged ACK
-	// at the cost of coarser per-ACK feedback for the congestion-control
-	// algorithms (see DESIGN.md, "Receiver ACK coalescing"). Off by
-	// default: per-packet ACKs are the paper's (ns-3/HPCC-artifact) model
-	// and keep recorded goldens bit-identical.
-	AckCoalesce bool
-
 	// BufferBytes, when positive, caps every egress queue: a packet whose
 	// wire bytes would push the queue past the limit is tail-dropped
 	// (PFC control frames are exempt — dropping them would deadlock the
@@ -91,9 +77,8 @@ type Network struct {
 	// (experiment harnesses collect flow records after the run instead).
 	OnFlowFinish func(*Flow)
 
-	// Hooks are optional per-event observers (all nil by default; a nil
-	// hook costs one branch on the hot path). internal/trace attaches
-	// recorders here. The same sharding caveat as OnFlowFinish applies.
+	// Hooks are optional observers (nil by default). The same sharding
+	// caveat as OnFlowFinish applies.
 	Hooks Hooks
 
 	hosts      []*Host
@@ -153,14 +138,8 @@ func (c DropCause) String() string {
 	return "unknown"
 }
 
-// Hooks are optional observation points for tracing and debugging.
+// Hooks are optional observation points for tests and debugging.
 type Hooks struct {
-	// OnSend fires when a data packet leaves a sender (before queueing).
-	OnSend func(f *Flow, seq int64, payload int)
-	// OnDeliver fires when a data packet's payload reaches the receiver.
-	OnDeliver func(f *Flow, seq int64, payload int)
-	// OnControl fires after congestion control updates a flow's control.
-	OnControl func(f *Flow, ctl cc.Control)
 	// OnDrop fires when a packet is lost (tail drop, wire fault, or link
 	// down). f is nil for PFC control frames; seq is Seq for data and
 	// AckSeq for ACKs.

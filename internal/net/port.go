@@ -149,16 +149,11 @@ func (pt *Port) bufferLimit() int64 {
 // it when a finite egress buffer is full. PFC control frames are exempt
 // from the cap: they are 64 bytes, jump the queue anyway, and dropping
 // one would wedge the pause protocol.
-//
-// It reports whether the packet ended up waiting in the egress queue:
-// false when it was tail-dropped or went straight to the transmitter
-// (cut-through). Only a true return leaves the packet reachable for
-// in-place mutation (receiver ACK coalescing keys on this).
-func (pt *Port) send(p *Packet) bool {
+func (pt *Port) send(p *Packet) {
 	if lim := pt.bufferLimit(); lim > 0 && p.Kind != Pause && p.Kind != Resume &&
 		pt.q.Bytes()+int64(p.Wire) > lim {
 		pt.sh.drop(p, DropTail)
-		return false
+		return
 	}
 	if pt.red != nil && p.Kind == Data {
 		pt.markECN(p)
@@ -173,15 +168,10 @@ func (pt *Port) send(p *Packet) bool {
 		pt.busy = true
 		pt.txPkt = p
 		pt.eng.After(pt.serialize(int(p.Wire)), pt.txDone)
-		return false
+		return
 	}
 	pt.q.Push(p)
 	pt.kick()
-	// The packet is still queued: kick either found the transmitter busy,
-	// found the port paused with a data/ACK head, or popped an *earlier*
-	// packet (the only way kick would transmit p itself — idle, unpaused,
-	// p alone in the queue — is exactly the cut-through case above).
-	return true
 }
 
 // sendControl enqueues a PFC control frame ahead of any queued data,
@@ -255,11 +245,6 @@ func (pt *Port) kick() {
 		}
 	}
 	p := pt.q.Pop()
-	if p.Kind == Ack && p.Flow != nil && p.Flow.pendingAck == p {
-		// The ACK is leaving the queue for the wire: from here on the
-		// receiver must not mutate it in place (see Host.receiveData).
-		p.Flow.pendingAck = nil
-	}
 	pt.busy = true
 	pt.txPkt = p
 	pt.eng.After(pt.serialize(int(p.Wire)), pt.txDone)
