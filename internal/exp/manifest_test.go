@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -105,7 +106,7 @@ func TestManifestRoundTrip(t *testing.T) {
 	if !ok {
 		t.Fatal("run_stats is not an object")
 	}
-	for _, k := range []string{"runs", "events", "events_laned", "events_per_sec", "data_pkts_sent", "pool_reuse_rate"} {
+	for _, k := range []string{"runs", "events", "events_laned", "lanes", "events_per_sec", "data_pkts_sent", "pool_reuse_rate"} {
 		if _, ok := rs[k]; !ok {
 			t.Errorf("run_stats JSON missing key %q", k)
 		}
@@ -115,10 +116,16 @@ func TestManifestRoundTrip(t *testing.T) {
 func TestRunStatsMetricsInvariants(t *testing.T) {
 	var s metrics.RunStats
 	pool := net.Counters{PoolGets: 100, PoolAllocs: 25}
-	s.Add(metrics.RunStats{Runs: 1, Events: 100, EventsLaned: 40, PeakPending: 10, Counters: pool})
-	s.Add(metrics.RunStats{Runs: 1, Events: 50, EventsLaned: 20, PeakPending: 40, Counters: pool})
+	s.Add(metrics.RunStats{Runs: 1, Events: 100, EventsLaned: 40, PeakPending: 10, Counters: pool,
+		Lanes: []sim.LaneStats{{Delay: 1000, Events: 30}, {Delay: 5, Events: 10}}})
+	s.Add(metrics.RunStats{Runs: 1, Events: 50, EventsLaned: 20, PeakPending: 40, Counters: pool,
+		Lanes: []sim.LaneStats{{Delay: 84, Events: 4}, {Delay: 1000, Events: 16}}})
 	if s.Runs != 2 || s.Events != 150 || s.EventsLaned != 60 {
 		t.Fatalf("Add summed wrong: %+v", s)
+	}
+	// One row per delay, ascending, whatever order the engines registered them in.
+	if want := []sim.LaneStats{{Delay: 5, Events: 10}, {Delay: 84, Events: 4}, {Delay: 1000, Events: 46}}; !slices.Equal(s.Lanes, want) {
+		t.Fatalf("Add merged lanes into %+v, want %+v", s.Lanes, want)
 	}
 	if s.PeakPending != 40 {
 		t.Fatalf("PeakPending = %d, want max 40", s.PeakPending)

@@ -1,9 +1,12 @@
 package exp
 
 import (
+	"slices"
 	"sync"
 	"testing"
 	"time"
+
+	"faircc/internal/sim"
 )
 
 // Observability must be a pure read: enabling progress reporting and
@@ -89,9 +92,22 @@ func TestObservabilityDoesNotPerturbResults(t *testing.T) {
 		t.Errorf("delivered %d > sent %d", stats.DataDelivered, stats.DataSent)
 	}
 	// Every packet crosses the star's two links, and each crossing is one
-	// laned arrival: the lane count is exactly that, not an estimate.
-	if want := uint64(2 * (stats.DataSent + stats.AcksSent)); stats.EventsLaned != want {
-		t.Errorf("events_laned = %d, want %d (two link arrivals per packet)", stats.EventsLaned, want)
+	// laned serialization end and one laned arrival (every packet here is a
+	// standard size, and PFC is off): the lane count is exactly that, not
+	// an estimate, and so is its split over the star's three constant
+	// delays — an ACK's and a full data packet's time on a 100 Gb/s link,
+	// and the link delay.
+	data, acks := uint64(stats.DataSent), uint64(stats.AcksSent)
+	if want := 4 * (data + acks); stats.EventsLaned != want {
+		t.Errorf("events_laned = %d, want %d (two serialization ends and two link arrivals per packet)", stats.EventsLaned, want)
+	}
+	wantLanes := []sim.LaneStats{
+		{Delay: 5120 * sim.Picosecond, Events: 2 * acks},
+		{Delay: 83840 * sim.Picosecond, Events: 2 * data},
+		{Delay: sim.Microsecond, Events: 2 * (data + acks)},
+	}
+	if !slices.Equal(stats.Lanes, wantLanes) {
+		t.Errorf("lanes = %+v, want %+v", stats.Lanes, wantLanes)
 	}
 }
 

@@ -3,6 +3,7 @@ package metrics
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"time"
 
 	"faircc/internal/net"
@@ -29,9 +30,12 @@ type RunStats struct {
 	// a higher value means the scheduling hot path is allocating.
 	EventSlotAllocs uint64 `json:"event_slot_allocs"`
 	// EventsLaned is how many of Events came off the engines' delay lanes
-	// (sim.Lane: intra-shard link arrivals) and never entered the ladder
-	// queue, summed across runs; Events - EventsLaned is the queue's load.
-	EventsLaned uint64 `json:"events_laned"`
+	// (sim.Lane: intra-shard link arrivals and standard-size serialization
+	// ends) and never entered the ladder queue, summed across runs; Events
+	// - EventsLaned is the queue's load. Lanes splits it by delay, summed
+	// over engines and runs, in ascending delay order.
+	EventsLaned uint64          `json:"events_laned"`
+	Lanes       []sim.LaneStats `json:"lanes,omitempty"`
 
 	// Simulated time covered, summed across runs.
 	SimSeconds float64 `json:"sim_seconds"`
@@ -107,6 +111,21 @@ func (s *RunStats) addEngine(es sim.EngineStats) {
 	}
 	s.EventSlotAllocs += es.EventAllocs
 	s.EventsLaned += es.Laned
+	s.addLanes(es.Lanes)
+}
+
+// addLanes folds per-lane counts into s.Lanes, one row per delay, sorted.
+func (s *RunStats) addLanes(lanes []sim.LaneStats) {
+	for _, l := range lanes {
+		i := 0
+		for i < len(s.Lanes) && s.Lanes[i].Delay < l.Delay {
+			i++
+		}
+		if i == len(s.Lanes) || s.Lanes[i].Delay != l.Delay {
+			s.Lanes = slices.Insert(s.Lanes, i, sim.LaneStats{Delay: l.Delay})
+		}
+		s.Lanes[i].Events += l.Events
+	}
 }
 
 // Add merges another snapshot into s (summing counters, taking the max of
@@ -121,6 +140,7 @@ func (s *RunStats) Add(o RunStats) {
 	}
 	s.EventSlotAllocs += o.EventSlotAllocs
 	s.EventsLaned += o.EventsLaned
+	s.addLanes(o.Lanes)
 	s.SimSeconds += o.SimSeconds
 	s.Counters.Add(o.Counters)
 	if o.PeakFCTRecords > s.PeakFCTRecords {
@@ -163,10 +183,10 @@ func (s *RunStats) Finish(wall time.Duration) {
 // anything, so lossless output is unchanged.
 func (s RunStats) String() string {
 	out := fmt.Sprintf(
-		"%d run(s): %d events (%d laned) in %.2fs (%.2fM ev/s), %d data pkts, %d acks, "+
+		"%d run(s): %d events (%d laned, %d on the ladder) in %.2fs (%.2fM ev/s), %d data pkts, %d acks, "+
 			"%d ECN marks, %d PFC pauses, pool reuse %.1f%%, "+
 			"%d event slot allocs, peak heap %.1f MB",
-		s.Runs, s.Events, s.EventsLaned, s.WallSeconds, s.EventsPerSec/1e6,
+		s.Runs, s.Events, s.EventsLaned, s.Events-s.EventsLaned, s.WallSeconds, s.EventsPerSec/1e6,
 		s.DataSent, s.AcksSent, s.ECNMarks, s.PFCPauses,
 		100*s.PoolReuseRate, s.EventSlotAllocs, float64(s.PeakHeapBytes)/1e6)
 	if drops := s.Drops(); drops > 0 || s.Retransmits > 0 {

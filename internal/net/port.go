@@ -30,9 +30,10 @@ type Port struct {
 	// event the port schedules — serialization completion, local
 	// propagation arrival — goes to eng; pool, PRNG and counter traffic
 	// goes to sh. lane is eng's delay lane for this link's propagation
-	// delay, the path of every intra-shard arrival. xmail, nil for
-	// intra-shard links, is the mailbox this port hands packets into when
-	// its peer lives on a different shard.
+	// delay, the path of every intra-shard arrival (ser holds the lanes of
+	// its serialization delays). xmail, nil for intra-shard links, is the
+	// mailbox this port hands packets into when its peer lives on a
+	// different shard.
 	sh    *shard
 	eng   *sim.Engine
 	lane  *sim.Lane
@@ -66,13 +67,17 @@ type Port struct {
 	ingressBytes int64
 	pauseSent    bool
 
-	// serWire/serTime memoize TransmitTime for the last wire size sent:
-	// a port sees essentially one size (full data packets one way, ACKs
-	// the other), so this trades the float conversion chain for an
-	// integer compare on nearly every transmission. Wire sizes are never
-	// zero, so the zero value can't alias a real entry.
-	serWire int
-	serTime sim.Time
+	// ser memoizes how the port transmits the two standard wire sizes, a
+	// full data packet in ser[0] and an ACK-sized frame in ser[1]: the
+	// serialization time of a given size on this link is a constant, so
+	// the entry holds eng's delay lane for it, bound the first time the
+	// size is sent (see startTx). The two have an entry each because in an
+	// all-to-all fabric every egress carries both: a single last-size
+	// entry missed on 43.5% of fig10-medium's transmissions (16 322 628
+	// of 37 559 472), all but 121 071 of those on a standard-size packet.
+	// Wire sizes are never zero, so the zero value can't alias a real
+	// entry.
+	ser [2]txMemo
 
 	// txPkt and txDone implement allocation-free serialization events.
 	// Invariant: the port transmits one packet at a time (kick sets busy
@@ -84,6 +89,13 @@ type Port struct {
 	// Flow.wake — so steady-state scheduling never allocates.
 	txPkt  *Packet
 	txDone func()
+}
+
+// txMemo is one entry of Port.ser: a wire size and the lane of its
+// serialization time on the port's link.
+type txMemo struct {
+	wire int32
+	lane *sim.Lane
 }
 
 // REDConfig is instantaneous-queue RED/ECN marking: packets are marked
@@ -165,9 +177,7 @@ func (pt *Port) send(p *Packet) {
 	// and ACKs (control frames go through sendControl), so a PFC-paused
 	// port always takes the queueing path.
 	if !pt.busy && !pt.pausedBy && pt.q.Len() == 0 {
-		pt.busy = true
-		pt.txPkt = p
-		pt.eng.After(pt.serialize(int(p.Wire)), pt.txDone)
+		pt.startTx(p)
 		return
 	}
 	pt.q.Push(p)
@@ -244,20 +254,36 @@ func (pt *Port) kick() {
 			return
 		}
 	}
-	p := pt.q.Pop()
-	pt.busy = true
-	pt.txPkt = p
-	pt.eng.After(pt.serialize(int(p.Wire)), pt.txDone)
+	pt.startTx(pt.q.Pop())
 }
 
-// serialize returns TransmitTime(wire, pt.bw) through the one-entry memo.
-func (pt *Port) serialize(wire int) sim.Time {
-	if wire == pt.serWire {
-		return pt.serTime
+// startTx puts p on the wire: the transmitter is busy until txDone runs one
+// serialization time from now. A standard-size packet — a full data packet
+// or an ACK-sized frame, all but a fraction of a percent of transmissions —
+// finds that time's delay lane in ser, bound on the size's first use; the
+// engine registers a ring for the delay if it has one left and otherwise
+// hands out a lane that schedules on the ladder (propagation delays took
+// theirs in Network.Connect, before any packet moved). Any other size is a
+// flow's odd-sized tail, one per flow and hundreds of sizes per run: it
+// goes to the ladder and leaves the memo alone, so it can neither claim a
+// ring nor evict a standard size. txDone is never cancelled, so it needs no
+// EventID.
+func (pt *Port) startTx(p *Packet) {
+	pt.busy = true
+	pt.txPkt = p
+	m := &pt.ser[0]
+	if p.Kind != Data {
+		m = &pt.ser[1]
 	}
-	d := sim.TransmitTime(wire, pt.bw)
-	pt.serWire, pt.serTime = wire, d
-	return d
+	if p.Wire != m.wire {
+		d := sim.TransmitTime(int(p.Wire), pt.bw)
+		if w := int(p.Wire); w != pt.net.MTU+pt.net.HeaderBytes && w != pt.net.AckBytes {
+			pt.eng.After(d, pt.txDone)
+			return
+		}
+		*m = txMemo{wire: p.Wire, lane: pt.eng.Lane(d)}
+	}
+	m.lane.After(pt.txDone)
 }
 
 // drain is the serialization-done event body; it runs via the pre-bound

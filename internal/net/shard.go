@@ -218,6 +218,7 @@ func (n *Network) Shard(assignment []int, k int) {
 			pt.sh = sh
 			pt.eng = sh.eng
 			pt.lane = sh.eng.Lane(pt.delay)
+			pt.ser = [2]txMemo{} // bound to the engine the port is leaving
 		}
 	}
 	for _, h := range n.hosts {

@@ -223,3 +223,23 @@ func TestShardValidation(t *testing.T) {
 		t.Fatalf("k=1 Shard left %d shards", nw.Shards())
 	}
 }
+
+// TestShardRebindForgetsSerializationLanes: a port that has already
+// transmitted holds, in its wire-size memo, delay lanes of the engine it
+// was built on. Network.Shard must drop them with the propagation lane, or
+// the port's next serialization end is scheduled on the engine it left and
+// runs on the wrong shard's clock.
+func TestShardRebindForgetsSerializationLanes(t *testing.T) {
+	eng, nw, _ := chain(t, []float64{gbps100, gbps100}) // h0=0, h1=1, one switch=2
+	pt := nw.Hosts()[1].Port()
+	pt.sendPFC(Resume) // a standard-size frame: binds a lane of eng
+	eng.Run()
+	if pt.ser[1].lane == nil {
+		t.Fatal("a standard-size transmission bound no serialization lane")
+	}
+	nw.Shard([]int{0, 1, 0}, 2)
+	pt.sendPFC(Resume)
+	if old, moved := eng.Pending(), nw.ShardEngines()[1].Pending(); old != 0 || moved != 1 {
+		t.Fatalf("after Shard the port's transmission left %d event(s) pending on its old engine and %d on its new one, want 0 and 1", old, moved)
+	}
+}

@@ -120,10 +120,12 @@ func (m *refModel) runUntil(t Time) {
 const childIDStride = 1_000_000_000
 
 // laneDelays are the delays the op stream schedules lane events at: more
-// of them than maxLanes, so the later ones exercise the fall-back to After,
-// with the zero delay first (a lane event at the current time) and 1000
-// and 2500 chosen to tie with opNear events.
-var laneDelays = [...]Time{0, 1000, 7, 2500, 40_000, 3, 1_000_000}
+// of them than maxLanes (checkOrder fails if that stops being so), so the
+// later ones exercise the fall-back to After, with the zero delay first (a
+// lane event at the current time), 1000 and 2500 chosen to tie with opNear
+// events, and 1000, 84, 7 and 5 close enough that RunUntil can line their
+// lanes' heads up on one time.
+var laneDelays = [...]Time{0, 1000, 7, 2500, 40_000, 5, 1_000_000, 84, 12_345, 3, 500}
 
 // spawnChild decides — purely from the parent id — whether an executing
 // event schedules a child and how far ahead, so the engine callbacks and
@@ -183,6 +185,9 @@ func checkOrder(t *testing.T, data []byte) {
 	var lanes [len(laneDelays)]*Lane
 	for i, d := range laneDelays {
 		lanes[i] = e.Lane(d)
+	}
+	if lanes[len(lanes)-1].ring != nil {
+		t.Fatalf("all %d lane delays got a ring: the fall-back to At is no longer fuzzed", len(lanes))
 	}
 	// engSchedule schedules event id through At (lane < 0) or on a lane.
 	var engSchedule func(at Time, id, lane int) EventID
@@ -343,15 +348,18 @@ func FuzzEngineOrder(f *testing.F) {
 		{opFlood, 0x7f, 0x02, opNever, 0, 0, opFlood, 0x01, 0x00},
 		{opStepBefore, 0x10, 0x00, opStepBefore, 0xff, 0x0f, opFlood, 0x40, 0x00, opStepBefore, 0x88, 0x13},
 		{opFar, 0x34, 0x12, opFlood, 0x3f, 0x19, opFlood, 0x3f, 0x19, opFlood, 0x3f, 0x19, opStep, 0, 0, opNear, 5, 0, opNear, 3, 0},
-		// Lanes. Every lane including the fall-backs, with ties: lane 0 is
-		// the current time, as opNear 0 is; lane 1 is opNear 1000 (0x3e8).
+		// Lanes. Every lane including the fall-backs (8 to 10), with ties:
+		// lane 0 is the current time, as opNear 0 is; lane 1 is opNear 1000
+		// (0x3e8). An operand's high byte adds events, and picks some other
+		// lane.
 		{opLane, 0, 3, opNear, 0, 0, opLane, 0, 0, opNear, 0xe8, 0x03, opLane, 1, 1, opNear, 0xe8, 0x03,
-			opLane, 2, 0, opLane, 3, 2, opLane, 4, 0, opLane, 5, 3, opLane, 6, 0, opStep, 0, 0, opStep, 0, 0},
+			opLane, 2, 0, opLane, 3, 2, opLane, 4, 0, opLane, 5, 3, opLane, 6, 0, opLane, 7, 0,
+			opLane, 8, 0, opLane, 9, 0, opLane, 10, 0, opStep, 0, 0, opStep, 0, 0},
 		// A lane head exactly at the boundary: StepBefore(now+1000) must
 		// leave it, RunUntil(now+1000) must run it; then the same for the
-		// fall-back lane 5 at now+3 behind a cancelled ladder front.
+		// fall-back lane 9 at now+3 behind a cancelled ladder front.
 		{opLane, 1, 0, opStepBefore, 0xe8, 0x03, opRunUntil, 0xe8, 0x03,
-			opNear, 1, 0, opLane, 5, 0, opCancel, 0, 0, opStepBefore, 3, 0, opRunUntil, 3, 0},
+			opNear, 1, 0, opLane, 9, 0, opCancel, 0, 0, opStepBefore, 3, 0, opRunUntil, 3, 0},
 		// Ring growth across a wrap: the head is moved off zero first, then
 		// one lane takes more than its ring holds, twice over.
 		{opLane, 2, 3, opStep, 0, 0, opStep, 0, 0, opStep, 0, 0, opLaneFlood, 2, 0x40, opStep, 0, 0,
@@ -359,6 +367,31 @@ func FuzzEngineOrder(f *testing.F) {
 	} {
 		in := append(append([]byte{}, ops...), base...)
 		f.Add(append(in, ops...))
+	}
+	// What the merge's head-time cache (Engine.laneAt, laneLive) can get
+	// wrong; NextEventTime is checked after every op. These run as written,
+	// from time zero.
+	for _, ops := range [][]byte{
+		// The last representable time is a key like any other: the clock
+		// reaches it, then zero-delay lane events and ladder events all at
+		// math.MaxInt64 interleave by seq. No time can mean "empty lane".
+		{opNever, 0, 0, opStep, 0, 0, opLane, 0, 0, opNever, 0, 0, opLane, 0, 0, opNever, 0, 0,
+			opStep, 0, 0, opStep, 0, 0, opLane, 0, 0, opStep, 0, 0, opStep, 0, 0, opStep, 0, 0, opStep, 0, 0},
+		// A lane emptied and refilled between two peeks: its cached head
+		// time (1000) is stale while it is empty and must be replaced, not
+		// kept, by the refill at 2000 — which a ladder event at 1500 and
+		// then another lane's head at 1507 precede.
+		{opLane, 1, 0, opStep, 0, 0, opNear, 0xf4, 0x01, opLane, 1, 0, opStep, 0, 0, opLane, 2, 0,
+			opStep, 0, 0, opLane, 1, 0, opStep, 0, 0, opStep, 0, 0},
+		// Equal head times on four lanes, decided by seq: lanes 1, 7, 2
+		// and 5 (delays 1000, 84, 7, 5) are appended at 0, 916, 993 and
+		// 995, so every head is at 1000 and seq order is not index order;
+		// a ladder event at 1000 and a second round on lanes 5 and 1 follow.
+		{opLane, 1, 0, opRunUntil, 0x94, 0x03, opLane, 7, 0, opRunUntil, 77, 0, opLane, 2, 0,
+			opRunUntil, 2, 0, opLane, 5, 0, opNear, 5, 0, opLane, 5, 0, opLane, 1, 0,
+			opStep, 0, 0, opStep, 0, 0, opStep, 0, 0, opStep, 0, 0, opStep, 0, 0, opStep, 0, 0},
+	} {
+		f.Add(ops)
 	}
 	f.Fuzz(checkOrder)
 }

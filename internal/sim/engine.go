@@ -1,6 +1,9 @@
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // EventID is a generation-stamped handle to a scheduled event. The zero
 // EventID is invalid (Valid reports false) and is safe to Cancel.
@@ -46,8 +49,13 @@ type Engine struct {
 	seq uint64
 	q   ladderQueue
 
-	lanes  [maxLanes]Lane // delay lanes, the first nLanes registered
-	nLanes int
+	// Delay lanes, the first nLanes registered. laneLive has bit i set while
+	// lanes[i] holds an event and laneAt[i] is then its head's time: the
+	// merge in next reads these two words-and-a-line, not eight rings.
+	laneLive uint32
+	nLanes   int
+	laneAt   [maxLanes]Time
+	lanes    [maxLanes]Lane
 
 	slots []slot   // event arena; index = EventID.idx-1
 	free  []uint32 // recycled slot indexes
@@ -95,16 +103,28 @@ type EngineStats struct {
 	// the scheduling hot path is allocating.
 	EventAllocs uint64 `json:"event_slot_allocs"`
 	// Laned counts the executed events that came off a delay lane and so
-	// never entered the ladder queue (see Lane); Steps includes them.
-	Laned uint64 `json:"events_laned"`
+	// never entered the ladder queue (see Lane); Steps includes them, and
+	// Steps - Laned is what the ladder carried. Lanes splits it by lane, in
+	// registration order.
+	Laned uint64      `json:"events_laned"`
+	Lanes []LaneStats `json:"lanes,omitempty"`
+}
+
+// LaneStats is one delay lane's share of EngineStats.Laned.
+type LaneStats struct {
+	Delay  Time   `json:"delay_ps"`
+	Events uint64 `json:"events"`
 }
 
 // Stats snapshots the engine counters. Reading them never perturbs the
 // simulation.
 func (e *Engine) Stats() EngineStats {
 	var laned uint64
+	var lanes []LaneStats
 	for i := range e.lanes[:e.nLanes] {
-		laned += e.lanes[i].head
+		l := &e.lanes[i]
+		laned += l.head
+		lanes = append(lanes, LaneStats{Delay: l.d, Events: l.head})
 	}
 	return EngineStats{
 		Steps:       e.steps,
@@ -114,6 +134,7 @@ func (e *Engine) Stats() EngineStats {
 		PeakPending: e.peakLive,
 		EventAllocs: e.slotAllocs,
 		Laned:       laned,
+		Lanes:       lanes,
 	}
 }
 
@@ -152,13 +173,14 @@ func (e *Engine) After(d Time, fn func()) EventID {
 
 // Lane is the engine's FIFO of pending events that were all scheduled a
 // constant delay d ahead — the way to schedule what a link's propagation
-// delay schedules, about half of a packet simulation's events. The clock
-// never runs backwards and seq only counts up, so the keys (now+d, seq) one
-// lane hands out are already in execution order: a lane is a ring appended
-// at the tail and consumed at the head, and the engine merges the lane
-// heads with the ladder front by (at, seq) wherever it dequeues (see next).
-// The total order is exactly what After(d, fn) gives; only the push, bucket
-// link, gather, sort and slot recycle are gone. Lane events cannot be
+// delay schedules, and what a port's serialization of a standard-size packet
+// schedules: between them nearly all of a packet simulation's events. The
+// clock never runs backwards and seq only counts up, so the keys (now+d, seq)
+// one lane hands out are already in execution order: a lane is a ring
+// appended at the tail and consumed at the head, and the engine merges the
+// lane heads with the ladder front by (at, seq) wherever it dequeues (see
+// next). The total order is exactly what After(d, fn) gives; only the push,
+// bucket link, gather, sort and slot recycle are gone. Lane events cannot be
 // cancelled, so they need no slot, generation or EventID.
 type Lane struct {
 	e *Engine
@@ -169,6 +191,7 @@ type Lane struct {
 	// After then schedules on the ladder.
 	ring       []laneEntry
 	head, tail uint64
+	i          int // index in e.lanes, e.laneAt and e.laneLive
 }
 
 // laneEntry is one pending lane event. Unlike a ladder entry it carries its
@@ -182,12 +205,14 @@ type laneEntry struct {
 }
 
 // maxLanes bounds the lanes of one engine, because every dequeue compares
-// every lane head: a fabric has a handful of distinct link delays (the
-// paper's fat-tree one, the dumbbells two or three), and a topology with
-// hundreds must cost what it would without lanes, not O(delays) per event.
-// laneRingMin is a ring's initial length; it doubles when full.
+// every live lane head. The paper's 100G/400G fat-tree has five constant
+// delays — one link delay, and a full data packet and an ACK at each rate —
+// and the dumbbells a few more; a topology with hundreds must cost what it
+// would without lanes, not O(delays) per event. Eight head times are one
+// cache line of laneAt. laneRingMin is a ring's initial length; it doubles
+// when full.
 const (
-	maxLanes    = 4
+	maxLanes    = 8
 	laneRingMin = 64
 )
 
@@ -207,8 +232,8 @@ func (e *Engine) Lane(d Time) *Lane {
 		return &Lane{e: e, d: d}
 	}
 	l := &e.lanes[e.nLanes]
+	*l = Lane{e: e, d: d, ring: make([]laneEntry, laneRingMin), i: e.nLanes}
 	e.nLanes++
-	*l = Lane{e: e, d: d, ring: make([]laneEntry, laneRingMin)}
 	return l
 }
 
@@ -228,6 +253,10 @@ func (l *Lane) After(fn func()) {
 			l.ring[i&uint64(len(l.ring)-1)] = old[i&uint64(len(old)-1)]
 		}
 	}
+	if l.head == l.tail {
+		e.laneAt[l.i] = at
+		e.laneLive |= 1 << l.i
+	}
 	l.ring[l.tail&uint64(len(l.ring)-1)] = laneEntry{at: at, seq: e.seq, fn: fn}
 	l.tail++
 	e.seq++
@@ -236,6 +265,9 @@ func (l *Lane) After(fn func()) {
 		e.peakLive = e.live
 	}
 }
+
+// front is the lane's head entry; the lane must hold one.
+func (l *Lane) front() *laneEntry { return &l.ring[l.head&uint64(len(l.ring)-1)] }
 
 // Cancel prevents a scheduled event from running. The slot (and its
 // callback reference) is released immediately; the 24-byte queue entry is
@@ -275,17 +307,18 @@ func (e *Engine) Cancel(id EventID) {
 // fused rather than layered (peek, then pop) because at tens of millions
 // of events per run a second call and a second load of the slot are
 // measurable.
+//
+// The lane scan compares head times out of laneAt, one cache line, and goes
+// to a ring — a line of its own per lane — only for seq on an exact time tie
+// and for the winner. Which lanes hold an event comes from laneLive, not
+// from a sentinel time: every Time, the last one included, is a real key.
 func (e *Engine) next(limit Time, run bool) (Time, bool) {
-	at, seq := maxTime, ^uint64(0) // above every real key: seq never gets there
-	var ln *Lane
-	var lh *laneEntry // ln's head entry
-	for i := range e.lanes[:e.nLanes] {
-		l := &e.lanes[i]
-		if l.head == l.tail {
-			continue
-		}
-		if h := &l.ring[l.head&uint64(len(l.ring)-1)]; h.at < at || h.at == at && h.seq < seq {
-			at, seq, ln, lh = h.at, h.seq, l, h
+	var at Time
+	var ln *Lane // the lane whose head is the smallest, at at
+	for m := e.laneLive; m != 0; m &= m - 1 {
+		i := bits.TrailingZeros32(m)
+		if t := e.laneAt[i]; ln == nil || t < at || t == at && e.lanes[i].front().seq < ln.front().seq {
+			at, ln = t, &e.lanes[i]
 		}
 	}
 	q := &e.q
@@ -306,7 +339,7 @@ func (e *Engine) next(limit Time, run bool) (Time, bool) {
 			q.curHead++ // cancelled corpse
 			continue
 		}
-		if en.at < at || en.at == at && en.seq < seq {
+		if ln == nil || en.at < at || en.at == at && en.seq < ln.front().seq {
 			at, ln, s, idx = en.at, nil, sl, en.idx
 		}
 		break
@@ -322,8 +355,14 @@ func (e *Engine) next(limit Time, run bool) (Time, bool) {
 	e.steps++
 	var fn func()
 	if ln != nil {
-		fn, lh.fn = lh.fn, nil
+		h := ln.front()
+		fn, h.fn = h.fn, nil
 		ln.head++
+		if ln.head == ln.tail {
+			e.laneLive &^= 1 << ln.i
+		} else {
+			e.laneAt[ln.i] = ln.front().at
+		}
 	} else {
 		q.curHead++
 		fn, s.fn = s.fn, nil
