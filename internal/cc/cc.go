@@ -15,12 +15,12 @@ import (
 )
 
 // Telemetry is one hop's In-band Network Telemetry (INT) record, stamped by
-// a switch when a packet departs an egress port. HPCC consumes all four
-// fields; delay- and ECN-based protocols ignore them.
+// a switch when a packet's serialization on an egress port ends. HPCC
+// consumes all four fields; delay- and ECN-based protocols ignore them.
 type Telemetry struct {
-	QueueBytes int64    // egress queue occupancy at dequeue
-	TxBytes    int64    // cumulative bytes transmitted on the link
-	TS         sim.Time // dequeue timestamp
+	QueueBytes int64    // egress queue occupancy when the packet's serialization ends, the packet excluded
+	TxBytes    int64    // cumulative bytes transmitted on the link, the packet included
+	TS         sim.Time // when the packet's serialization ended
 	RateBps    float64  // link bandwidth
 }
 

@@ -76,3 +76,61 @@ func TestFatTreeRunIsAllocationFlat(t *testing.T) {
 			grew, arena(), peakGrew, end.PeakPending)
 	}
 }
+
+// TestShardedFatTreeRunIsAllocationFlat is the fabric and traffic above, for
+// 1 ms, through the 2-shard parallel engine, where a packet crossing the pod
+// boundary is handed to the other shard's engine through a mailbox instead
+// of a lane. The hand-off carries the packet itself as the event; wrapping
+// it per packet — a method value, a closure — would be an allocation for
+// every crossing. The whole run, warm-up included (a sharded run cannot be
+// stopped and resumed), must make fewer allocations than a quarter of the
+// hand-offs it performs.
+func TestShardedFatTreeRunIsAllocationFlat(t *testing.T) {
+	ftCfg := topo.DefaultFatTree().Scaled(2, 2, 2)
+	hosts := make([]int, ftCfg.NumHosts())
+	for i := range hosts {
+		hosts[i] = i
+	}
+	specs := workload.Poisson(workload.PoissonConfig{
+		Hosts:    hosts,
+		Sizes:    workload.Hadoop(),
+		Load:     0.5,
+		LinkBps:  ftCfg.HostBps,
+		Duration: sim.Millisecond,
+		Seed:     1,
+	})
+	nw := net.New(sim.NewEngine(), 1)
+	ft := topo.NewFatTree(nw, ftCfg)
+	assign, k := ft.ShardMap(2)
+	if k != 2 {
+		t.Fatalf("ShardMap(2) used %d shards", k)
+	}
+	nw.Shard(assign, k)
+	// Every data packet of a flow between the shards crosses at least once,
+	// and so does its ACK.
+	var handOffs uint64
+	for _, spec := range specs {
+		nw.AddFlow(spec, hpcc.New(hpcc.DefaultConfig()))
+		if assign[spec.Src] != assign[spec.Dst] {
+			handOffs += 2 * uint64((spec.Size+int64(nw.MTU)-1)/int64(nw.MTU))
+		}
+	}
+	if handOffs < 10_000 {
+		t.Fatalf("run too small to pin anything: %d cross-shard hand-offs", handOffs)
+	}
+	par := nw.NewParallel()
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if err := par.Run(); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if !nw.AllFinished() {
+		t.Fatal("flows did not finish")
+	}
+	if mallocs := after.Mallocs - before.Mallocs; 4*mallocs > handOffs {
+		t.Fatalf("sharded run made %d allocations for at least %d cross-shard hand-offs, want under one per four",
+			mallocs, handOffs)
+	}
+}

@@ -169,10 +169,9 @@ func (f *Flow) TakeDeliveredDelta() int64 {
 func (f *Flow) start() {
 	f.started = true
 	f.StartedAt = f.eng.Now()
-	// Bind the pacing-wakeup callback once (the same pattern as the
-	// packet arrive closure and the port txDone callback): every pacing
-	// timer the flow ever schedules reuses this one func value, so
-	// steady-state scheduling never allocates.
+	// Bind the pacing-wakeup callback once: every pacing timer the flow
+	// ever schedules reuses this one func value, so steady-state
+	// scheduling never allocates.
 	f.wake = f.onWake
 	f.rtoWake = f.onRTO
 	f.ctl = f.algo.Init(f.env())
@@ -278,9 +277,9 @@ func (f *Flow) trySend() {
 		p.Src = int32(f.Spec.Src)
 		p.Dst = int32(f.Spec.Dst)
 		p.Seq = f.sent
-		p.side.Payload = int32(payload)
+		p.Payload = int32(payload)
 		p.Wire = int32(int(payload) + f.net.HeaderBytes)
-		p.side.SentAt = now
+		p.SentAt = now
 		// Stamp the flat path while the Flow is hot in cache; switch hops
 		// then forward without touching it (see Packet.path).
 		p.path, p.pathEpoch = f.fwdPath, f.pathEpoch
@@ -391,12 +390,12 @@ func (f *Flow) schedule(at sim.Time) {
 // data sent before a go-back-N rewind can land after it, so stale and
 // duplicate ACKs are normal here rather than impossible.
 func (f *Flow) onAck(p *Packet) {
-	newly := p.side.AckSeq - f.acked
+	newly := p.AckSeq - f.acked
 	if newly <= 0 {
 		f.sh.DupAcks++
 		return // duplicate or stale cumulative ACK; RTO drives recovery
 	}
-	f.acked = p.side.AckSeq
+	f.acked = p.AckSeq
 	f.inflight -= newly
 	if f.inflight < 0 {
 		// An ACK covering data resent after a spurious timeout: the
@@ -422,13 +421,13 @@ func (f *Flow) onAck(p *Packet) {
 	}
 	f.ctl = f.algo.OnAck(cc.Feedback{
 		Now:        now,
-		RTT:        now - p.side.SentAt,
-		SentAt:     p.side.SentAt,
+		RTT:        now - p.SentAt,
+		SentAt:     p.SentAt,
 		AckedBytes: f.acked,
 		SentBytes:  f.sent,
 		NewlyAcked: int(newly),
 		ECE:        p.ECE,
-		Hops:       p.side.Hops,
+		Hops:       p.hops,
 	})
 	f.trySend()
 }

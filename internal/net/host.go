@@ -45,7 +45,7 @@ func (h *Host) receiveData(p *Packet) {
 		panic("net: data packet delivered to wrong host")
 	}
 	if p.Seq == f.delivered {
-		f.delivered += int64(p.side.Payload)
+		f.delivered += int64(p.Payload)
 		h.sh.DataDelivered++
 		if f.delivered >= f.Spec.Size {
 			f.DeliveredAt = h.sh.eng.Now()
@@ -66,8 +66,8 @@ func (h *Host) receiveData(p *Packet) {
 	ack.Src = int32(h.id)
 	ack.Dst = p.Src
 	ack.Wire = int32(h.net.AckBytes)
-	ack.side.AckSeq = f.delivered
-	ack.side.SentAt = p.side.SentAt
+	ack.AckSeq = f.delivered
+	ack.SentAt = p.SentAt
 	// Stamp the reverse flat path while the Flow is hot in cache; switch
 	// hops then forward without touching it (see Packet.path).
 	ack.path, ack.pathEpoch = f.revPath, f.pathEpoch
@@ -75,10 +75,10 @@ func (h *Host) receiveData(p *Packet) {
 	// array. The old backing-array swap traded slices between the data
 	// packet and the ACK, which permanently demoted the data packet to the
 	// ACK's (typically nil) backing — so every later reuse of that pooled
-	// packet re-grew a Hops array from scratch, a steady-state allocation
+	// packet re-grew a hops array from scratch, a steady-state allocation
 	// per forwarding. A copy of at most a few Telemetry records lets both
 	// packets keep their grown backing forever.
-	ack.side.Hops = append(ack.side.Hops[:0], p.side.Hops...)
+	ack.hops = append(ack.hops[:0], p.hops...)
 	if p.ECN {
 		now := h.sh.eng.Now()
 		if h.net.CNPInterval == 0 || now-f.lastCNP >= h.net.CNPInterval {

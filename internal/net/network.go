@@ -205,8 +205,6 @@ func (n *Network) Connect(a, b Node, bps float64, delay sim.Time) (*Port, *Port)
 	pa := &Port{net: n, sh: sh, eng: sh.eng, lane: lane, owner: a, bw: bps, delay: delay}
 	pb := &Port{net: n, sh: sh, eng: sh.eng, lane: lane, owner: b, bw: bps, delay: delay}
 	pa.peer, pb.peer = pb, pa
-	pa.txDone = pa.drain
-	pb.txDone = pb.drain
 	if sw, ok := a.(*Switch); ok {
 		pa.stampINT = true
 		pa.ownSw = sw

@@ -45,74 +45,69 @@ func (k Kind) String() string {
 	return "unknown"
 }
 
-// Packet is a simulated packet's hot core: the fixed-size state the
-// forwarding path (switch dispatch, egress queues, transmitters,
-// propagation) touches per hop, packed into 96 bytes — two cache lines —
-// so a hop never pulls endpoint-only state into cache. Everything the
-// endpoints (and INT stamping) need beyond that lives in the packet's
-// side table (see packetSide); the two are co-allocated slab-by-slab and
-// paired for the packet's whole pooled lifetime. Packets are pooled by
-// the Network; user code must not retain them after handing them off.
+// Packet is a simulated packet: 128 bytes, two cache lines, with nothing a
+// hop needs hanging off them. Packets are carved from page-aligned slabs
+// (see shard.getPacket), so each is exactly its own two lines. The first
+// holds what a switch hop reads and writes — arrival dispatch, forwarding,
+// queueing, transmission; the second the INT stack's slice header, which
+// egress stamping appends through, and what only the endpoints use. A packet
+// is also its own arrival event (see Fire). Packets are pooled by the
+// Network; user code must not retain them after handing them off.
 type Packet struct {
 	Kind Kind
 	// hop counts the switches this packet has traversed; it is the cursor
 	// into path. Pool-reset to zero before every send.
 	hop uint8
 	ECN bool // congestion-experienced mark set by RED
-	ECE bool // ack: congestion echo (CNP); rides in hot padding for free
+	ECE bool // ack: congestion echo (CNP)
 	// Wire is the total on-wire bytes (payload + header). int32: wire
-	// sizes are bounded by MTU + header, and the narrower field keeps the
-	// hot core inside two cache lines.
+	// sizes are bounded by MTU + header.
 	Wire int32
+
+	// dest is the port the packet is propagating toward, set before each
+	// hop: the argument of the arrival event. A packet is in flight on at
+	// most one link at a time, so the one field serves every hop.
+	dest *Port
 
 	// path and pathEpoch are the flow's pre-resolved flat path (forward
 	// for data, reverse for ACKs), stamped onto the packet at send time —
 	// where the Flow struct is already in cache — so switch hops forward
 	// with a single indexed load and never touch the Flow. The epoch
-	// snapshot means a packet launched before a route change completes its
-	// journey on the path it started with, exactly like a real switch
-	// draining in-flight traffic; packets sent after the change fall back
-	// to per-hop lookups (see Switch.Receive).
+	// snapshot dates the path: once a route changes anywhere, every switch
+	// resolves the packet by per-hop lookup instead, whether it was sent
+	// before the change or after (see Switch.Receive).
 	path      []*Port
 	pathEpoch uint64
 
-	// dest and arrive implement allocation-free arrival events: arrive is
-	// a closure over the packet built once per pooled Packet; dest is set
-	// before each propagation hop. Invariant: a packet is in flight on at
-	// most one link at a time, so the single closure (plus the dest field
-	// as its argument slot) serves every hop — the same pre-bound-callback
-	// pattern as Port.txDone and Flow.wake, which keeps the engine's
-	// scheduling hot path allocation-free.
-	dest   *Port
-	arrive func()
-
-	Flow *Flow
-	Src  int32 // source host id (for routing)
-	Dst  int32 // destination host id (for routing)
-	Seq  int64
-
 	ingress *Port // switch-internal: arrival port for PFC accounting
+	Flow    *Flow
 
-	// side is the packet's cold half, bound at slab allocation and kept
-	// across pool recycling.
-	side *packetSide
-}
-
-// packetSide is the cold half of a packet: state only the endpoints read
-// or write (plus INT stamping at switch egress), split out of the hot
-// core so per-hop forwarding, queueing, and transmission never touch it.
-type packetSide struct {
+	// The second line. hops is the INT stack collected on the forward path
+	// (data) or echoed back (ack); its backing array survives recycling.
+	hops    []cc.Telemetry
+	Src     int32    // source host id (for routing)
+	Dst     int32    // destination host id (for routing)
+	Seq     int64    // data: offset of the first payload byte
 	SentAt  sim.Time // data: when it left the sender; ack: echo of the same
 	AckSeq  int64    // ack: cumulative payload bytes received
 	Payload int32    // payload bytes (0 for control)
-	Hops    []cc.Telemetry
 }
 
-// reset clears a pooled packet for reuse, keeping the side-table binding
-// (with its grown Hops backing array) and the bound arrival closure.
-func (p *Packet) reset() {
-	s := p.side
-	*s = packetSide{Hops: s.Hops[:0]}
-	arrive := p.arrive
-	*p = Packet{arrive: arrive, side: s}
+// Fire is the packet's arrival at dest, the event a port schedules when the
+// packet leaves its transmitter: the packet is its own sim.Handler, so the
+// lane ring holds its address and nothing stands between engine and packet.
+// Arrival is the hottest call in the simulator; dispatching on the port's
+// concrete owner views makes it a direct call guarded by one nil check.
+func (p *Packet) Fire() {
+	if d := p.dest; d.ownSw != nil {
+		d.ownSw.Receive(p, d)
+	} else if d.ownHost != nil {
+		d.ownHost.Receive(p, d)
+	} else {
+		d.owner.Receive(p, d)
+	}
 }
+
+// reset clears a pooled packet for reuse, keeping the grown INT backing
+// array.
+func (p *Packet) reset() { *p = Packet{hops: p.hops[:0]} }

@@ -39,10 +39,8 @@ type Port struct {
 	lane  *sim.Lane
 	xmail *sim.Outbox
 
-	// Concrete views of owner, exactly one non-nil. Packet arrival is the
-	// single hottest call in the simulator; dispatching through these
-	// instead of the Node interface turns it into a direct (inlinable)
-	// call guarded by one nil check.
+	// Concrete views of owner, at most one non-nil: Packet.Fire dispatches
+	// arrivals through these instead of the Node interface.
 	ownHost *Host
 	ownSw   *Switch
 	bw      float64  // link bandwidth, bps
@@ -58,7 +56,7 @@ type Port struct {
 	// only when the last open window closes, not when the first one ends.
 	downDepth int
 	txBytes   int64
-	stampINT  bool       // owner is a switch: stamp telemetry on data dequeue
+	stampINT  bool       // owner is a switch: stamp telemetry on data packets (see finishTx)
 	red       *REDConfig // ECN marking at enqueue when set
 	bufBytes  int64      // egress buffer override; 0 falls back to Network.BufferBytes
 
@@ -79,16 +77,10 @@ type Port struct {
 	// entry.
 	ser [2]txMemo
 
-	// txPkt and txDone implement allocation-free serialization events.
-	// Invariant: the port transmits one packet at a time (kick sets busy
-	// before scheduling, drain clears it after), so the single method
-	// value bound in Network.Connect serves every transmission and the
-	// in-flight packet rides in txPkt rather than in a per-event closure.
-	// Every high-frequency timer site follows this pattern — port drain
-	// here, propagation arrival via Packet.arrive, pacing wakeups via
-	// Flow.wake — so steady-state scheduling never allocates.
-	txPkt  *Packet
-	txDone func()
+	// txPkt is the packet on the wire. The port transmits one packet at a
+	// time (startTx sets busy, finishTx clears it), so the port is its own
+	// serialization-end event (see Fire) and the packet rides here.
+	txPkt *Packet
 }
 
 // txMemo is one entry of Port.ser: a wire size and the lane of its
@@ -257,8 +249,8 @@ func (pt *Port) kick() {
 	pt.startTx(pt.q.Pop())
 }
 
-// startTx puts p on the wire: the transmitter is busy until txDone runs one
-// serialization time from now. A standard-size packet — a full data packet
+// startTx puts p on the wire: the transmitter is busy until the port fires
+// one serialization time from now. A standard-size packet — a full data packet
 // or an ACK-sized frame, all but a fraction of a percent of transmissions —
 // finds that time's delay lane in ser, bound on the size's first use; the
 // engine registers a ring for the delay if it has one left and otherwise
@@ -266,8 +258,8 @@ func (pt *Port) kick() {
 // theirs in Network.Connect, before any packet moved). Any other size is a
 // flow's odd-sized tail, one per flow and hundreds of sizes per run: it
 // goes to the ladder and leaves the memo alone, so it can neither claim a
-// ring nor evict a standard size. txDone is never cancelled, so it needs no
-// EventID.
+// ring nor evict a standard size. The event is never cancelled, so it needs
+// no EventID.
 func (pt *Port) startTx(p *Packet) {
 	pt.busy = true
 	pt.txPkt = p
@@ -278,20 +270,22 @@ func (pt *Port) startTx(p *Packet) {
 	if p.Wire != m.wire {
 		d := sim.TransmitTime(int(p.Wire), pt.bw)
 		if w := int(p.Wire); w != pt.net.MTU+pt.net.HeaderBytes && w != pt.net.AckBytes {
-			pt.eng.After(d, pt.txDone)
+			pt.eng.Schedule(pt.eng.Now()+d, pt)
 			return
 		}
 		*m = txMemo{wire: p.Wire, lane: pt.eng.Lane(d)}
 	}
-	m.lane.After(pt.txDone)
+	m.lane.After(pt)
 }
 
-// drain is the serialization-done event body; it runs via the pre-bound
-// txDone method value (see the txPkt/txDone invariant above).
-func (pt *Port) drain() { pt.finishTx(pt.txPkt) }
+// Fire is the end of txPkt's serialization: the port is the sim.Handler
+// startTx schedules.
+func (pt *Port) Fire() { pt.finishTx(pt.txPkt) }
 
-// finishTx completes serialization: stamps telemetry, releases PFC ingress
-// accounting, schedules arrival at the peer, and starts the next packet.
+// finishTx completes serialization: stamps telemetry — at this instant, the
+// end of serialization, with the queue as it stands now that p has left it —
+// releases PFC ingress accounting, schedules arrival at the peer, and starts
+// the next packet.
 // When the peer lives on another shard the arrival goes through the
 // mailbox instead of the local engine: it executes on the peer's shard
 // after the epoch barrier, at the exact same simulated time — propagation
@@ -300,7 +294,7 @@ func (pt *Port) finishTx(p *Packet) {
 	pt.txPkt = nil
 	pt.txBytes += int64(p.Wire)
 	if p.Kind == Data && pt.stampINT {
-		p.side.Hops = append(p.side.Hops, cc.Telemetry{
+		p.hops = append(p.hops, cc.Telemetry{
 			QueueBytes: pt.q.Bytes(),
 			TxBytes:    pt.txBytes,
 			TS:         pt.eng.Now(),
@@ -323,9 +317,9 @@ func (pt *Port) finishTx(p *Packet) {
 	}
 	p.dest = pt.peer
 	if pt.xmail == nil {
-		pt.lane.After(p.arrive)
+		pt.lane.After(p)
 	} else {
-		pt.xmail.Send(pt.eng.Now()+pt.delay, p.arrive)
+		pt.xmail.Send(pt.eng.Now()+pt.delay, p)
 	}
 	pt.busy = false
 	pt.kick()

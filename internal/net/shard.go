@@ -31,7 +31,8 @@ type shard struct {
 	faultRand *rand.Rand // fault-injection draws; isolated from rand
 	nowFn     func() sim.Time
 
-	pool []*Packet
+	pool  []*Packet
+	chunk []Packet // allocated, not yet carved into the pool (see getPacket)
 
 	// Lifetime counters, summed across shards by Network.Stats.
 	Counters
@@ -56,21 +57,24 @@ func newShard(n *Network, id int, eng *sim.Engine) *shard {
 	}
 }
 
-// packetSlab is how many packets a pool miss allocates at once. Slab
-// allocation lays the hot cores out contiguously (and the side tables in
-// a parallel slab), so a burst that grows the pool leaves its packets
-// cache-dense instead of scattered across the heap, and the allocator
-// runs once per slab rather than once per packet. Packets still migrate
-// between shard pools individually — the side binding is a pointer, so a
-// packet recycled into another shard keeps its own side table.
-const packetSlab = 64
+// packetSlab is how many packets a pool miss carves at once, and
+// packetChunk how many the allocator is asked for when the carved-from chunk
+// runs out. Slabs keep a burst's packets cache-dense instead of scattered
+// across the heap. The chunk is 32 KB because that is the smallest size the
+// Go allocator places on a page boundary whatever the element type: an 8 KB
+// make([]Packet, 64) starts 8 bytes past a cache line, behind the header
+// pointerful objects under 32 KB carry, and every 128-byte packet then
+// straddles three lines instead of two (TestPacketLayout).
+const (
+	packetSlab  = 64
+	packetChunk = 4 * packetSlab
+)
 
-// getPacket returns a pooled packet with its arrival closure bound.
-// Packets migrate between shards with the traffic: a packet obtained from
-// one shard's pool is recycled into the pool of whatever shard it finishes
-// on. Ownership is unambiguous at every instant — exactly one shard holds
-// the packet (it is either in a queue, in flight on that shard's engine,
-// or in a mailbox between barrier phases).
+// getPacket returns a pooled packet. Packets migrate between shards with
+// the traffic: a packet obtained from one shard's pool is recycled into the
+// pool of whatever shard it finishes on. Ownership is unambiguous at every
+// instant — exactly one shard holds the packet (it is either in a queue, in
+// flight on that shard's engine, or in a mailbox between barrier phases).
 func (sh *shard) getPacket() *Packet {
 	sh.PoolGets++
 	if m := len(sh.pool); m > 0 {
@@ -81,23 +85,13 @@ func (sh *shard) getPacket() *Packet {
 	// Pool miss: carve a fresh slab. poolAllocs still counts misses (the
 	// steady-state health signal), not packets.
 	sh.PoolAllocs++
-	pkts := make([]Packet, packetSlab)
-	sides := make([]packetSide, packetSlab)
-	for i := range pkts {
-		p := &pkts[i]
-		p.side = &sides[i]
-		p.arrive = func() {
-			if d := p.dest; d.ownSw != nil {
-				d.ownSw.Receive(p, d)
-			} else if d.ownHost != nil {
-				d.ownHost.Receive(p, d)
-			} else {
-				d.owner.Receive(p, d)
-			}
-		}
-		if i > 0 {
-			sh.pool = append(sh.pool, p)
-		}
+	if len(sh.chunk) == 0 {
+		sh.chunk = make([]Packet, packetChunk)
+	}
+	pkts := sh.chunk[:packetSlab]
+	sh.chunk = sh.chunk[packetSlab:]
+	for i := 1; i < packetSlab; i++ {
+		sh.pool = append(sh.pool, &pkts[i])
 	}
 	return &pkts[0]
 }
@@ -129,7 +123,7 @@ func (sh *shard) dropInTransit(p *Packet) bool {
 		if n.DropAckProb > 0 && sh.faultRand.Float64() < n.DropAckProb {
 			return true
 		}
-		if n.DropFilter != nil && n.DropFilter(Ack, p.Flow.Spec.ID, p.side.AckSeq) {
+		if n.DropFilter != nil && n.DropFilter(Ack, p.Flow.Spec.ID, p.AckSeq) {
 			return true
 		}
 	}
@@ -159,7 +153,7 @@ func (sh *shard) drop(p *Packet, cause DropCause) {
 	if h := sh.net.Hooks.OnDrop; h != nil {
 		seq := p.Seq
 		if p.Kind == Ack {
-			seq = p.side.AckSeq
+			seq = p.AckSeq
 		}
 		h(p.Flow, p.Kind, seq, cause)
 	}

@@ -42,7 +42,7 @@ func BenchmarkEngineSteadyState(b *testing.B) {
 	const timers = 1024
 	executed := 0
 	// Pre-bound callbacks: one closure per timer for its whole lifetime,
-	// mirroring Packet.arrive / Port.drain / Flow.onWake.
+	// as Flow.wake is.
 	cbs := make([]func(), timers)
 	for i := 0; i < timers; i++ {
 		period := Time(900 + i) // coprime-ish periods keep the queue mixed

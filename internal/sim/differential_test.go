@@ -12,7 +12,9 @@ import (
 // RunUntil operations, including events that schedule children from inside
 // their callbacks. Every schedule may go through a delay lane instead of
 // the ladder; to the model a lane event is just an event at now + d that
-// nobody holds a handle to. Execution order, the clock, NextEventTime and
+// nobody holds a handle to. Even ids are scheduled as an object that is its
+// own Handler, odd ids as a func(): both kinds meet on the ladder, on every
+// lane and on the fall-back lanes. Execution order, the clock, NextEventTime and
 // every Stats counter must match, and the clock must never run backwards.
 
 // refModel is the reference scheduler: an unsorted slice scanned for the
@@ -172,6 +174,12 @@ const (
 	maxFuzzEvents = 1 << 11
 )
 
+// objEvent is an event scheduled by address, as the network schedules
+// packets and ports.
+type objEvent struct{ run func() }
+
+func (o *objEvent) Fire() { o.run() }
+
 // checkOrder replays an op stream on the engine and the reference model.
 func checkOrder(t *testing.T, data []byte) {
 	e := NewEngine()
@@ -189,7 +197,7 @@ func checkOrder(t *testing.T, data []byte) {
 	if lanes[len(lanes)-1].ring != nil {
 		t.Fatalf("all %d lane delays got a ring: the fall-back to At is no longer fuzzed", len(lanes))
 	}
-	// engSchedule schedules event id through At (lane < 0) or on a lane.
+	// engSchedule schedules event id on the ladder (lane < 0) or on a lane.
 	var engSchedule func(at Time, id, lane int) EventID
 	engSchedule = func(at Time, id, lane int) EventID {
 		fn := func() {
@@ -205,13 +213,20 @@ func checkOrder(t *testing.T, data []byte) {
 				engSchedule(satAdd(e.Now(), d), child, lane)
 			}
 		}
+		var h Handler = Func(fn)
+		if id%2 == 0 {
+			h = &objEvent{run: fn}
+		}
 		if lane < 0 || e.Now()+laneDelays[lane] < e.Now() {
 			// No lane, or the lane's delay overflows the clock (it has
 			// reached a never event): the lane would panic, as After
-			// does, so the event goes to the saturated time through At.
+			// does, so the event goes to the saturated time on the ladder.
+			if id%2 == 0 {
+				return e.Schedule(at, h)
+			}
 			return e.At(at, fn)
 		}
-		lanes[lane].After(fn)
+		lanes[lane].After(h)
 		if lanes[lane].ring != nil {
 			laned++ // cannot be cancelled, so it will run from its ring
 		}

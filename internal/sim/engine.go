@@ -24,11 +24,26 @@ type EventID struct {
 // be stale; Cancel checks that).
 func (id EventID) Valid() bool { return id.idx != 0 }
 
-// slot holds a scheduled event's callback. Slots are recycled through a
+// Handler is a scheduled event: the engine calls Fire once, at the event's
+// time. It is the one representation the engine stores. An object that is
+// its own event — a packet arriving, a port finishing a transmission — is
+// scheduled by address, so dispatch loads nothing that hangs off the object
+// (the itab word is shared by every event of its type); everything else
+// schedules a func() through Func.
+type Handler interface{ Fire() }
+
+// Func adapts a func() to Handler. A func value is pointer-shaped, so the
+// conversion to the interface stores it directly and does not allocate.
+type Func func()
+
+// Fire calls f.
+func (f Func) Fire() { f() }
+
+// slot holds a scheduled event's handler. Slots are recycled through a
 // free list; gen counts recycles so stale EventIDs and stale queue entries
 // are detectable.
 type slot struct {
-	fn  func()
+	h   Handler
 	gen uint32
 }
 
@@ -40,9 +55,10 @@ type slot struct {
 // produces, with execution order exactly (time, scheduling order) — the
 // same total order as a binary heap, so fixed-seed runs are bit-for-bit
 // reproducible across scheduler implementations. Steady-state scheduling
-// is allocation-free: callbacks bound once (method values, per-object
-// closures) are stored in recycled slots, and queue entries live in the
-// queue's recycled chain nodes and its one epoch buffer. Constant-delay
+// is allocation-free: handlers that exist before the event does (objects
+// scheduled by address, method values bound once) are stored in recycled
+// slots, and queue entries live in the queue's recycled chain nodes and its
+// one epoch buffer. Constant-delay
 // events can bypass the queue altogether: see Lane.
 type Engine struct {
 	now Time
@@ -138,11 +154,18 @@ func (e *Engine) Stats() EngineStats {
 	}
 }
 
-// At schedules fn to run at absolute time t. Scheduling in the past panics:
-// it would silently reorder causality. The hot path is allocation-free when
-// fn is pre-bound (a method value or reused closure): the slot comes from
-// the free list and the queue entry's chain node from the queue's.
-func (e *Engine) At(t Time, fn func()) EventID {
+// At schedules fn to run at absolute time t: Schedule for a func(). It is
+// allocation-free when fn is pre-bound (a method value or reused closure).
+func (e *Engine) At(t Time, fn func()) EventID { return e.Schedule(t, Func(fn)) }
+
+// After schedules fn to run d after the current time.
+func (e *Engine) After(d Time, fn func()) EventID { return e.Schedule(e.now+d, Func(fn)) }
+
+// Schedule schedules h to fire at absolute time t. Scheduling in the past
+// panics: it would silently reorder causality. The hot path does not
+// allocate: the slot comes from the free list and the queue entry's chain
+// node from the queue's.
+func (e *Engine) Schedule(t Time, h Handler) EventID {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
 	}
@@ -156,7 +179,7 @@ func (e *Engine) At(t Time, fn func()) EventID {
 		e.slotAllocs++
 	}
 	s := &e.slots[idx]
-	s.fn = fn
+	s.h = h
 	e.q.push(entry{at: t, seq: e.seq, idx: idx, gen: s.gen})
 	e.seq++
 	e.live++
@@ -164,11 +187,6 @@ func (e *Engine) At(t Time, fn func()) EventID {
 		e.peakLive = e.live
 	}
 	return EventID{idx: idx + 1, gen: s.gen}
-}
-
-// After schedules fn to run d after the current time.
-func (e *Engine) After(d Time, fn func()) EventID {
-	return e.At(e.now+d, fn)
 }
 
 // Lane is the engine's FIFO of pending events that were all scheduled a
@@ -195,13 +213,13 @@ type Lane struct {
 }
 
 // laneEntry is one pending lane event. Unlike a ladder entry it carries its
-// callback, a pointer the collector scans; that is affordable here because
+// handler, two words the collector scans; that is affordable here because
 // a lane entry is written once and read once, in address order, and never
 // moved or sorted, and there is one ring per distinct delay, not per link.
 type laneEntry struct {
 	at  Time
 	seq uint64
-	fn  func()
+	h   Handler
 }
 
 // maxLanes bounds the lanes of one engine, because every dequeue compares
@@ -218,7 +236,7 @@ const (
 
 // Lane returns the engine's lane for delay d, registering it on first use.
 // Past maxLanes distinct delays it returns a lane that schedules through
-// After: same order, no saving. A negative delay panics.
+// Schedule: same order, no saving. A negative delay panics.
 func (e *Engine) Lane(d Time) *Lane {
 	if d < 0 {
 		panic(fmt.Sprintf("sim: lane with negative delay %v", d))
@@ -237,13 +255,13 @@ func (e *Engine) Lane(d Time) *Lane {
 	return l
 }
 
-// After schedules fn to run the lane's delay after the current time. It
+// After schedules h to fire the lane's delay after the current time. It
 // panics, as Engine.After does, when that time overflows.
-func (l *Lane) After(fn func()) {
+func (l *Lane) After(h Handler) {
 	e := l.e
 	at := e.now + l.d
 	if at < e.now || l.ring == nil {
-		e.At(at, fn)
+		e.Schedule(at, h)
 		return
 	}
 	if l.tail-l.head == uint64(len(l.ring)) {
@@ -257,7 +275,7 @@ func (l *Lane) After(fn func()) {
 		e.laneAt[l.i] = at
 		e.laneLive |= 1 << l.i
 	}
-	l.ring[l.tail&uint64(len(l.ring)-1)] = laneEntry{at: at, seq: e.seq, fn: fn}
+	l.ring[l.tail&uint64(len(l.ring)-1)] = laneEntry{at: at, seq: e.seq, h: h}
 	l.tail++
 	e.seq++
 	e.live++
@@ -270,7 +288,7 @@ func (l *Lane) After(fn func()) {
 func (l *Lane) front() *laneEntry { return &l.ring[l.head&uint64(len(l.ring)-1)] }
 
 // Cancel prevents a scheduled event from running. The slot (and its
-// callback reference) is released immediately; the 24-byte queue entry is
+// handler reference) is released immediately; the 24-byte queue entry is
 // discarded lazily when it surfaces at the queue front. Cancelling an
 // already-executed, already-cancelled, stale, or zero handle is a no-op —
 // the generation stamp guarantees a retained handle can never cancel an
@@ -284,10 +302,10 @@ func (e *Engine) Cancel(id EventID) {
 		return
 	}
 	s := &e.slots[idx]
-	if s.gen != id.gen || s.fn == nil {
+	if s.gen != id.gen || s.h == nil {
 		return
 	}
-	s.fn = nil
+	s.h = nil
 	s.gen++
 	e.free = append(e.free, idx)
 	e.live--
@@ -298,7 +316,7 @@ func (e *Engine) Cancel(id EventID) {
 // (at, seq) of the ladder front — cancelled corpses are discarded as they
 // surface — and the lane heads; if there is one and its time is at most
 // limit, next reports that time and, when run is set, consumes the event
-// and runs its callback. Otherwise it reports false and leaves the clock
+// and fires its handler. Otherwise it reports false and leaves the clock
 // alone.
 //
 // Step, StepBefore, RunUntil and NextEventTime are all this function: a
@@ -353,10 +371,10 @@ func (e *Engine) next(limit Time, run bool) (Time, bool) {
 	e.now = at
 	e.live--
 	e.steps++
-	var fn func()
+	var h Handler
 	if ln != nil {
-		h := ln.front()
-		fn, h.fn = h.fn, nil
+		f := ln.front()
+		h, f.h = f.h, nil
 		ln.head++
 		if ln.head == ln.tail {
 			e.laneLive &^= 1 << ln.i
@@ -365,11 +383,11 @@ func (e *Engine) next(limit Time, run bool) (Time, bool) {
 		}
 	} else {
 		q.curHead++
-		fn, s.fn = s.fn, nil
+		h, s.h = s.h, nil
 		s.gen++
 		e.free = append(e.free, idx)
 	}
-	fn()
+	h.Fire()
 	return at, true
 }
 

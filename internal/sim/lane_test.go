@@ -12,7 +12,7 @@ func TestLaneMergesByTimeThenSeq(t *testing.T) {
 	e := NewEngine()
 	ln := e.Lane(10)
 	var got []int
-	note := func(i int) func() { return func() { got = append(got, i) } }
+	note := func(i int) Func { return func() { got = append(got, i) } }
 	e.At(10, note(0))
 	ln.After(note(1)) // at 10, after event 0
 	e.At(10, note(2))
@@ -44,7 +44,7 @@ func TestLaneHeadAtTheBoundary(t *testing.T) {
 	e := NewEngine()
 	ran := 0
 	far := e.At(900, func() { t.Fatal("the cancelled ladder front ran") })
-	e.Lane(1000).After(func() { ran++ })
+	e.Lane(1000).After(Func(func() { ran++ }))
 	e.Cancel(far)
 	if e.StepBefore(1000) {
 		t.Fatal("StepBefore(1000) ran the lane event at 1000")
@@ -78,7 +78,7 @@ func TestLaneCapFallsBackToTheLadder(t *testing.T) {
 	e := NewEngine()
 	var got []Time
 	for d := Time(maxLanes + 3); d > 0; d-- { // longest delay first: run order is the reverse
-		e.Lane(d).After(func() { got = append(got, e.Now()) })
+		e.Lane(d).After(Func(func() { got = append(got, e.Now()) }))
 	}
 	if e.nLanes != maxLanes {
 		t.Fatalf("%d lanes registered, cap %d", e.nLanes, maxLanes)
@@ -106,7 +106,7 @@ func TestLaneRingGrowsAcrossAWrap(t *testing.T) {
 	e := NewEngine()
 	ln := e.Lane(100)
 	next := 0
-	fn := func(i int) func() {
+	fn := func(i int) Func {
 		return func() {
 			if i != next {
 				t.Fatalf("ran event %d, want %d", i, next)
@@ -133,7 +133,7 @@ func TestLaneRingGrowsAcrossAWrap(t *testing.T) {
 	}
 	for round := 0; round < 10; round++ {
 		for i := 0; i < laneRingMin; i++ {
-			ln.After(func() {})
+			ln.After(Func(func() {}))
 		}
 		e.Run()
 	}
@@ -159,13 +159,42 @@ func TestLaneRejectsWhatAfterRejects(t *testing.T) {
 	mustPanic("Lane(-1)", func() { e.Lane(-1) })
 	mustPanic("After(-1)", func() { e.After(-1, func() {}) })
 	e.RunUntil(2)
-	mustPanic("lane After past maxTime", func() { e.Lane(maxTime - 1).After(func() {}) })
+	mustPanic("lane After past maxTime", func() { e.Lane(maxTime - 1).After(Func(func() {})) })
 	for d := Time(1); d <= maxLanes; d++ {
 		e.Lane(d)
 	}
-	mustPanic("fall-back lane After past maxTime", func() { e.Lane(maxTime).After(func() {}) })
+	mustPanic("fall-back lane After past maxTime", func() { e.Lane(maxTime).After(Func(func() {})) })
 	mustPanic("After past maxTime", func() { e.After(maxTime, func() {}) })
 	if e.Pending() != 0 {
 		t.Fatalf("%d events pending after rejected schedules", e.Pending())
+	}
+}
+
+// Past the cap a lane schedules the Handler it was given, not a wrapper
+// built around it: an object and a pre-bound func() both go through the
+// ladder, and come back out, without an allocation.
+func TestLaneFallBackDoesNotAllocate(t *testing.T) {
+	e := NewEngine()
+	for d := Time(1); d <= maxLanes; d++ {
+		e.Lane(d)
+	}
+	ln := e.Lane(maxLanes + 1)
+	if ln.ring != nil {
+		t.Fatal("a delay past the cap got a ring")
+	}
+	ran := 0
+	fn := func() { ran++ }
+	obj := &objEvent{run: fn}
+	round := func() {
+		ln.After(obj)
+		ln.After(Func(fn))
+		e.Run()
+	}
+	round() // slots, the epoch buffer
+	if n := testing.AllocsPerRun(1000, round); n != 0 {
+		t.Fatalf("%v allocations per round of two fall-back lane events, want 0", n)
+	}
+	if ran != 2*1002 || e.Stats().Laned != 0 {
+		t.Fatalf("ran %d events, %d of them laned; want %d and 0", ran, e.Stats().Laned, 2*1002)
 	}
 }

@@ -102,12 +102,12 @@ func phaseName(ph uint32) string {
 
 // xev is one cross-shard event: the absolute time it must execute at on
 // the receiving shard, the deterministic merge key (src shard id plus the
-// sender's per-shard send sequence), and the callback.
+// sender's per-shard send sequence), and the handler.
 type xev struct {
 	at  Time
 	seq uint64
 	src int32
-	fn  func()
+	h   Handler
 }
 
 // Box shrink policy: a box whose drained length stays under a quarter of
@@ -133,12 +133,12 @@ type xbox struct {
 	under  uint32 // consecutive underused drains, for the shrink policy
 }
 
-// settle resets the box after (or in place of) a drain: callbacks are
+// settle resets the box after (or in place of) a drain: handlers are
 // released, the merge cursor rewinds, and the shrink policy runs.
 func (b *xbox) settle() {
 	used := len(b.evs)
 	if used > 0 {
-		clear(b.evs) // don't retain callbacks past this epoch
+		clear(b.evs) // don't retain handlers past this epoch
 		b.evs = b.evs[:0]
 	}
 	b.head = 0
@@ -237,14 +237,14 @@ type Outbox struct {
 	dst  int32
 }
 
-// Send enqueues fn to execute at absolute time at on the destination
-// shard. The (time, srcShard, localSeq) stamp fixes the merge order at
+// Send enqueues h to fire at absolute time at on the destination shard,
+// where the drain schedules the same Handler it was handed. The (time, srcShard, localSeq) stamp fixes the merge order at
 // the receiving side. Send panics when called outside the sender's run
 // phase (from a drain, or after the run stopped): such a send would race
 // the receiver's merge, so the phase assertion turns a silent corruption
 // into an immediate failure naming the shard pair. The check is one
 // atomic load — cheap enough to stay on in every build.
-func (o *Outbox) Send(at Time, fn func()) {
+func (o *Outbox) Send(at Time, h Handler) {
 	if ph := o.mail.phase.Load(); ph != phaseRun {
 		panic(fmt.Sprintf("sim: outbox %d->%d: Send during the %s phase (cross-shard sends are only legal from the sender's run phase)",
 			o.src, o.dst, phaseName(ph)))
@@ -254,7 +254,7 @@ func (o *Outbox) Send(at Time, fn func()) {
 		b.sorted = false
 	}
 	b.lastAt = at
-	b.evs = append(b.evs, xev{at: at, seq: *o.seq, src: o.src, fn: fn})
+	b.evs = append(b.evs, xev{at: at, seq: *o.seq, src: o.src, h: h})
 	*o.seq++
 }
 
@@ -700,7 +700,7 @@ func (p *Parallel) drainPhase(w int) {
 		case 1:
 			evs := runs[0].evs
 			for i := range evs {
-				eng.At(evs[i].at, evs[i].fn)
+				eng.Schedule(evs[i].at, evs[i].h)
 			}
 		default:
 			for len(runs) > 1 {
@@ -711,17 +711,17 @@ func (p *Parallel) drainPhase(w int) {
 					}
 				}
 				b := runs[best]
-				eng.At(bt, b.evs[b.head].fn)
+				eng.Schedule(bt, b.evs[b.head].h)
 				if b.head++; b.head == len(b.evs) {
 					runs = append(runs[:best], runs[best+1:]...)
 				}
 			}
 			last := runs[0]
 			for _, ev := range last.evs[last.head:] {
-				eng.At(ev.at, ev.fn)
+				eng.Schedule(ev.at, ev.h)
 			}
 		}
-		// Settle every inbox — drained ones release their callbacks, and
+		// Settle every inbox — drained ones release their handlers, and
 		// the shrink policy sees quiet boxes too, so a one-off burst does
 		// not pin peak capacity forever.
 		for src := 0; src < m.k; src++ {

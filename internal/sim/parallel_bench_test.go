@@ -14,7 +14,7 @@ func BenchmarkMailboxSendDrain(b *testing.B) {
 	mail := NewMailboxes(2)
 	p := NewParallel(engines, mail, ParallelConfig{Window: 1})
 	out := mail.Outbox(0, 1)
-	nop := func() {}
+	nop := Func(func() {})
 	const batch = 256 // events exchanged per epoch in a busy run
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -17,7 +17,7 @@ func TestMailboxOrdering(t *testing.T) {
 	p := NewParallel(engines, mail, ParallelConfig{Window: 1})
 
 	var got []string
-	rec := func(tag string) func() {
+	rec := func(tag string) Func {
 		return func() { got = append(got, tag) }
 	}
 	// Shard 2 sends before shard 0, with timestamp ties across sources and
@@ -91,7 +91,7 @@ func toyRing(k int, w Time, hops, workers int) (*Parallel, [][]string) {
 			if next == shard {
 				eng.At(at, hop(next, id+1, left-1))
 			} else {
-				mail.Outbox(shard, next).Send(at, hop(next, id+1, left-1))
+				mail.Outbox(shard, next).Send(at, Func(hop(next, id+1, left-1)))
 			}
 		}
 	}
@@ -312,13 +312,13 @@ func TestParallelPerPairLookahead(t *testing.T) {
 	for i := 0; i < n; i++ {
 		at := Time(i)
 		engines[0].At(at, func() {
-			out.Send(at+1, func() {
+			out.Send(at+1, Func(func() {
 				if now := engines[1].Now(); now < last {
 					t.Errorf("receiver time went backwards: %v after %v", now, last)
 				}
 				last = engines[1].Now()
 				received++
-			})
+			}))
 		})
 	}
 	if err := p.Run(); err != nil {
@@ -354,9 +354,9 @@ func TestParallelSelfEchoBound(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		at := Time(i)
 		engines[0].At(at, func() {
-			to1.Send(engines[0].Now()+w, func() { // ping
-				to0.Send(engines[1].Now()+w, func() { replies++ }) // echo
-			})
+			to1.Send(engines[0].Now()+w, Func(func() { // ping
+				to0.Send(engines[1].Now()+w, Func(func() { replies++ })) // echo
+			}))
 		})
 	}
 	if err := p.Run(); err != nil {
@@ -435,7 +435,7 @@ func TestMailboxShrink(t *testing.T) {
 	mail := NewMailboxes(2)
 	p := NewParallel(engines, mail, ParallelConfig{Window: 1})
 	out := mail.Outbox(0, 1)
-	nop := func() {}
+	nop := Func(func() {})
 	box := &mail.boxes[0*2+1]
 
 	clock := Time(0)
@@ -501,7 +501,7 @@ func TestOutboxSendPhase(t *testing.T) {
 	mail := NewMailboxes(2)
 	mail.phase.Store(phaseDrain)
 	mustPanicWith("send during drain", "drain", func() {
-		mail.Outbox(0, 1).Send(1, func() {})
+		mail.Outbox(0, 1).Send(1, Func(func() {}))
 	})
 
 	// After the run stopped: the runner parks the exchange in the stopped
@@ -510,12 +510,12 @@ func TestOutboxSendPhase(t *testing.T) {
 	mail = NewMailboxes(2)
 	p := NewParallel(engines, mail, ParallelConfig{Window: 1})
 	out := mail.Outbox(0, 1)
-	engines[0].At(0, func() { out.Send(1, func() {}) })
+	engines[0].At(0, func() { out.Send(1, Func(func() {})) })
 	if err := p.Run(); err != nil {
 		t.Fatal(err)
 	}
 	mustPanicWith("send after stop", "stopped", func() {
-		out.Send(100, func() {})
+		out.Send(100, Func(func() {}))
 	})
 }
 
@@ -554,5 +554,33 @@ func TestParallelProgressMonotonic(t *testing.T) {
 	ev, _, ep := p.Progress()
 	if ev == 0 || ep == 0 {
 		t.Fatalf("final progress empty: events=%d epochs=%d", ev, ep)
+	}
+}
+
+// The drain schedules the Handler a sender handed over, as it is: once the
+// box and the receiving engine have grown, a cross-shard event costs no
+// allocation.
+func TestMailboxHandOffDoesNotAllocate(t *testing.T) {
+	engines := []*Engine{NewEngine(), NewEngine()}
+	mail := NewMailboxes(2)
+	p := NewParallel(engines, mail, ParallelConfig{Window: 1})
+	out := mail.Outbox(0, 1)
+	ran := 0
+	obj := &objEvent{run: func() { ran++ }}
+	at := Time(0)
+	round := func() {
+		for i := 0; i < boxShrinkMinCap; i++ {
+			at++
+			out.Send(at, obj)
+		}
+		p.drainPhase(1)
+		engines[1].Run()
+	}
+	round()
+	if n := testing.AllocsPerRun(100, round); n != 0 {
+		t.Fatalf("%v allocations per round of %d hand-offs, want 0", n, boxShrinkMinCap)
+	}
+	if want := 102 * boxShrinkMinCap; ran != want {
+		t.Fatalf("ran %d handed-off events, want %d", ran, want)
 	}
 }
