@@ -14,7 +14,7 @@ import (
 // Golden regression values for a dumbbell on which every link has its own
 // propagation delay: 18 sender access links, 18 receiver access links and
 // the bottleneck, 37 distinct delays in all — more than the engine keeps
-// delay lanes for, so arrivals take both the lane and the ladder path in
+// delay lanes for, so arrivals take both the lane and the heap path in
 // one run, and with Shards=2 the receiver side's ports are rebound to a
 // second engine that registers its own. Recorded on the commit before
 // delay lanes existed; the engine must reproduce that order exactly. Update

@@ -17,7 +17,7 @@ import (
 // sender side, on top of two propagation delays — more constant delays
 // than an engine keeps lanes for. Propagation claims its lanes when the
 // links are connected; the serialization delays met first take what is
-// left and the rest fall back to the ladder, and every flow ends in one
+// left and the rest fall back to the heap, and every flow ends in one
 // odd-sized packet that never claims a lane. With Shards=2 the receiver
 // side runs on a second engine with four delays of its own. Recorded on
 // the commit before serialization used lanes; the engine must reproduce

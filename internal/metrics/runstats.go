@@ -31,8 +31,8 @@ type RunStats struct {
 	EventSlotAllocs uint64 `json:"event_slot_allocs"`
 	// EventsLaned is how many of Events came off the engines' delay lanes
 	// (sim.Lane: intra-shard link arrivals and standard-size serialization
-	// ends) and never entered the ladder queue, summed across runs; Events
-	// - EventsLaned is the queue's load. Lanes splits it by delay, summed
+	// ends) and never entered the engines' heaps, summed across runs; Events
+	// - EventsLaned is the heaps' load. Lanes splits it by delay, summed
 	// over engines and runs, in ascending delay order.
 	EventsLaned uint64          `json:"events_laned"`
 	Lanes       []sim.LaneStats `json:"lanes,omitempty"`
@@ -183,7 +183,7 @@ func (s *RunStats) Finish(wall time.Duration) {
 // anything, so lossless output is unchanged.
 func (s RunStats) String() string {
 	out := fmt.Sprintf(
-		"%d run(s): %d events (%d laned, %d on the ladder) in %.2fs (%.2fM ev/s), %d data pkts, %d acks, "+
+		"%d run(s): %d events (%d laned, %d queued) in %.2fs (%.2fM ev/s), %d data pkts, %d acks, "+
 			"%d ECN marks, %d PFC pauses, pool reuse %.1f%%, "+
 			"%d event slot allocs, peak heap %.1f MB",
 		s.Runs, s.Events, s.EventsLaned, s.Events-s.EventsLaned, s.WallSeconds, s.EventsPerSec/1e6,

@@ -12,16 +12,23 @@ import (
 	"faircc/internal/workload"
 )
 
+// heapCap is the capacity of an engine's event heap. The heap is internal
+// to the scheduler and has no counter of its own; a renamed field panics
+// here rather than passing silently.
+func heapCap(eng *sim.Engine) int {
+	return reflect.ValueOf(eng).Elem().FieldByName("q").FieldByName("h").Cap()
+}
+
 // TestFatTreeRunIsAllocationFlat is TestSteadyStateStepDoesNotAllocate on
 // the event-time distribution of the recorded figures: an 8-host fat-tree
 // under 0.2 ms of Hadoop traffic at 50% load (fig10 at its smallest). The
-// fixed-window fabric of that test keeps every ladder bucket warm, which
-// is how bucket storage that allocated 76 B per event on the 320-host
-// fabric passed it. Here, once the first 20 000 events have warmed pools
-// and queues, the rest of the run — arrivals, flow completions, the drain
-// of the long flows — must allocate under 2 B per event (slice-per-bucket
-// storage took 4 B on this run), and the scheduler's node arena must not
-// outgrow the peak number of pending events.
+// fixed-window fabric of that test never changes its number of pending
+// events, which is how scheduler storage that allocated 76 B per event on
+// the 320-host fabric passed it. Here, once the first 20 000 events have
+// warmed pools and queues, the rest of the run — arrivals, flow
+// completions, the drain of the long flows — must allocate under 2 B per
+// event, and the scheduler's heap may grow only as far as append's doubling
+// takes it past the peak number of pending events.
 func TestFatTreeRunIsAllocationFlat(t *testing.T) {
 	ftCfg := topo.DefaultFatTree().Scaled(2, 2, 2)
 	hosts := make([]int, ftCfg.NumHosts())
@@ -42,18 +49,12 @@ func TestFatTreeRunIsAllocationFlat(t *testing.T) {
 	for _, spec := range specs {
 		nw.AddFlow(spec, hpcc.New(hpcc.DefaultConfig()))
 	}
-	// The arena is internal to the scheduler and has no counter of its own;
-	// a renamed field panics here rather than passing silently.
-	arena := func() int {
-		return reflect.ValueOf(eng).Elem().FieldByName("q").FieldByName("nodes").Len()
-	}
-
 	for i := 0; i < 20_000; i++ {
 		if !eng.Step() {
 			t.Fatal("simulation drained during warmup")
 		}
 	}
-	warm, warmArena := eng.Stats(), arena()
+	warm, warmCap := eng.Stats(), heapCap(eng)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for !nw.AllFinished() && eng.Step() {
@@ -71,9 +72,9 @@ func TestFatTreeRunIsAllocationFlat(t *testing.T) {
 	if perEvent := float64(after.TotalAlloc-before.TotalAlloc) / float64(events); perEvent >= 2 {
 		t.Fatalf("run phase allocated %.2f B per event over %d events, want < 2", perEvent, events)
 	}
-	if grew, peakGrew := arena()-warmArena, end.PeakPending-warm.PeakPending; grew > peakGrew {
-		t.Fatalf("node arena grew by %d (to %d) while peak pending grew by %d (to %d)",
-			grew, arena(), peakGrew, end.PeakPending)
+	if c := heapCap(eng); c > warmCap && c > 2*end.PeakPending {
+		t.Fatalf("scheduler heap grew from %d to %d entries while peak pending grew from %d to %d",
+			warmCap, c, warm.PeakPending, end.PeakPending)
 	}
 }
 
@@ -84,7 +85,9 @@ func TestFatTreeRunIsAllocationFlat(t *testing.T) {
 // it per packet — a method value, a closure — would be an allocation for
 // every crossing. The whole run, warm-up included (a sharded run cannot be
 // stopped and resumed), must make fewer allocations than a quarter of the
-// hand-offs it performs.
+// hand-offs it performs, and each shard's scheduler heap — every hand-off
+// passes through it — must end within append's doubling of that shard's peak
+// number of pending events.
 func TestShardedFatTreeRunIsAllocationFlat(t *testing.T) {
 	ftCfg := topo.DefaultFatTree().Scaled(2, 2, 2)
 	hosts := make([]int, ftCfg.NumHosts())
@@ -132,5 +135,10 @@ func TestShardedFatTreeRunIsAllocationFlat(t *testing.T) {
 	if mallocs := after.Mallocs - before.Mallocs; 4*mallocs > handOffs {
 		t.Fatalf("sharded run made %d allocations for at least %d cross-shard hand-offs, want under one per four",
 			mallocs, handOffs)
+	}
+	for i, eng := range nw.ShardEngines() {
+		if c, peak := heapCap(eng), eng.Stats().PeakPending; c > 2*peak+64 {
+			t.Fatalf("shard %d's scheduler heap holds %d entries after a run that never had more than %d pending", i, c, peak)
+		}
 	}
 }

@@ -254,10 +254,10 @@ func (pt *Port) kick() {
 // or an ACK-sized frame, all but a fraction of a percent of transmissions —
 // finds that time's delay lane in ser, bound on the size's first use; the
 // engine registers a ring for the delay if it has one left and otherwise
-// hands out a lane that schedules on the ladder (propagation delays took
+// hands out a lane that schedules on the heap (propagation delays took
 // theirs in Network.Connect, before any packet moved). Any other size is a
 // flow's odd-sized tail, one per flow and hundreds of sizes per run: it
-// goes to the ladder and leaves the memo alone, so it can neither claim a
+// goes to the heap and leaves the memo alone, so it can neither claim a
 // ring nor evict a standard size. The event is never cancelled, so it needs
 // no EventID.
 func (pt *Port) startTx(p *Packet) {

@@ -66,8 +66,9 @@ func BenchmarkEngineSteadyState(b *testing.B) {
 }
 
 // BenchmarkEngineScheduleMixed measures raw schedule+execute throughput
-// with a monotonically advancing, randomly jittered timestamp stream — the
-// distribution the ladder queue sees from packet transmissions.
+// with a monotonically advancing, randomly jittered timestamp stream: what
+// a fabric with more distinct delays than lanes sends to the heap, pushes
+// landing anywhere among a few thousand pending entries.
 func BenchmarkEngineScheduleMixed(b *testing.B) {
 	e := NewEngine()
 	r := rand.New(rand.NewSource(1))
@@ -82,4 +83,37 @@ func BenchmarkEngineScheduleMixed(b *testing.B) {
 	}
 	b.StopTimer()
 	e.Run()
+}
+
+// BenchmarkEngineHoldFarPending is a long traffic window on the paper's
+// fabric: every flow start is scheduled before the run begins, so 100 000
+// far-future entries sit in the heap while a few hundred near timers
+// (pacing gaps, retransmission timers) reschedule themselves. Every push
+// starts nine levels down and every pop sifts a far entry back there.
+func BenchmarkEngineHoldFarPending(b *testing.B) {
+	e := NewEngine()
+	r := rand.New(rand.NewSource(1))
+	const far, timers = 100_000, 256
+	for i := 0; i < far; i++ {
+		e.At(Second+Time(r.Int63n(int64(Second))), func() {})
+	}
+	executed := 0
+	cbs := make([]func(), timers)
+	for i := range cbs {
+		period := Time(900 + i)
+		cbs[i] = func() {
+			executed++
+			e.After(period, cbs[i])
+		}
+		e.At(Time(i), cbs[i])
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for executed < b.N {
+		e.Step()
+	}
+	b.StopTimer()
+	if e.Now() >= Second {
+		b.Fatalf("the near timers reached the far entries at %v: the heap is no longer deep", e.Now())
+	}
 }

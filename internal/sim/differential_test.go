@@ -5,15 +5,15 @@ import (
 	"testing"
 )
 
-// Differential fuzz test: the ladder-queue engine is exercised against a
+// Differential fuzz test: the engine is exercised against a
 // naive reference model with the exact same semantics — total order by
 // (time, scheduling sequence), lazy-cancel-is-no-op-after-execution —
 // through a byte-encoded stream of schedule / cancel / Step / StepBefore /
 // RunUntil operations, including events that schedule children from inside
 // their callbacks. Every schedule may go through a delay lane instead of
-// the ladder; to the model a lane event is just an event at now + d that
+// the heap; to the model a lane event is just an event at now + d that
 // nobody holds a handle to. Even ids are scheduled as an object that is its
-// own Handler, odd ids as a func(): both kinds meet on the ladder, on every
+// own Handler, odd ids as a func(): both kinds meet on the heap, on every
 // lane and on the fall-back lanes. Execution order, the clock, NextEventTime and
 // every Stats counter must match, and the clock must never run backwards.
 
@@ -157,7 +157,7 @@ const (
 	opNear       = iota // schedule at now + v%10000
 	opFar               // schedule at now + v<<(v%47): up to 2^62 ps ahead
 	opNever             // schedule at maxTime, the "never" sentinel
-	opFlood             // schedule sortMax+1+v%64 events at the one time now + v>>6
+	opFlood             // schedule floodMin+v%64 events at the one time now + v>>6
 	opCancel            // cancel event v%len(all): live, executed or already cancelled
 	opStep              // Step
 	opRunUntil          // RunUntil(now + v%5000)
@@ -166,6 +166,10 @@ const (
 	opLaneFlood         // schedule laneRingMin/2 + v>>8 events on lane v%len(laneDelays): the ring grows
 	numOps
 )
+
+// floodMin is the least opFlood schedules: equal times on four heap levels,
+// ordered by seq alone.
+const floodMin = 65
 
 // The reference model is quadratic, so one input is bounded: operations
 // past maxFuzzOps and direct schedules past maxFuzzEvents are ignored.
@@ -197,7 +201,7 @@ func checkOrder(t *testing.T, data []byte) {
 	if lanes[len(lanes)-1].ring != nil {
 		t.Fatalf("all %d lane delays got a ring: the fall-back to At is no longer fuzzed", len(lanes))
 	}
-	// engSchedule schedules event id on the ladder (lane < 0) or on a lane.
+	// engSchedule schedules event id on the heap (lane < 0) or on a lane.
 	var engSchedule func(at Time, id, lane int) EventID
 	engSchedule = func(at Time, id, lane int) EventID {
 		fn := func() {
@@ -220,7 +224,7 @@ func checkOrder(t *testing.T, data []byte) {
 		if lane < 0 || e.Now()+laneDelays[lane] < e.Now() {
 			// No lane, or the lane's delay overflows the clock (it has
 			// reached a never event): the lane would panic, as After
-			// does, so the event goes to the saturated time on the ladder.
+			// does, so the event goes to the saturated time on the heap.
 			if id%2 == 0 {
 				return e.Schedule(at, h)
 			}
@@ -261,7 +265,7 @@ func checkOrder(t *testing.T, data []byte) {
 			schedule(maxTime)
 		case opFlood:
 			at := satAdd(e.Now(), Time(v>>6))
-			for i := sortMax + 1 + v%64; i > 0; i-- {
+			for i := floodMin + v%64; i > 0; i-- {
 				schedule(at)
 			}
 		case opCancel:
@@ -354,9 +358,8 @@ func FuzzEngineOrder(f *testing.F) {
 		f.Add(legacyTrial(1000 + trial))
 	}
 	// One input per operation the old table lacked, each before and after
-	// enough near events to build rungs: far and never-firing timers,
-	// same-timestamp floods (the last one big enough that two later pushes
-	// under curEnd split the epoch), StepBefore.
+	// enough near events that the heap is several levels deep: far and
+	// never-firing timers, same-timestamp floods, StepBefore.
 	base := legacyTrial(7)[:3*400]
 	for _, ops := range [][]byte{
 		{opNever, 0, 0, opFar, 0x34, 0x12, opFar, 0xff, 0xff},
@@ -372,7 +375,7 @@ func FuzzEngineOrder(f *testing.F) {
 			opLane, 8, 0, opLane, 9, 0, opLane, 10, 0, opStep, 0, 0, opStep, 0, 0},
 		// A lane head exactly at the boundary: StepBefore(now+1000) must
 		// leave it, RunUntil(now+1000) must run it; then the same for the
-		// fall-back lane 9 at now+3 behind a cancelled ladder front.
+		// fall-back lane 9 at now+3 behind a cancelled heap root.
 		{opLane, 1, 0, opStepBefore, 0xe8, 0x03, opRunUntil, 0xe8, 0x03,
 			opNear, 1, 0, opLane, 9, 0, opCancel, 0, 0, opStepBefore, 3, 0, opRunUntil, 3, 0},
 		// Ring growth across a wrap: the head is moved off zero first, then
@@ -388,23 +391,40 @@ func FuzzEngineOrder(f *testing.F) {
 	// from time zero.
 	for _, ops := range [][]byte{
 		// The last representable time is a key like any other: the clock
-		// reaches it, then zero-delay lane events and ladder events all at
+		// reaches it, then zero-delay lane events and heap events all at
 		// math.MaxInt64 interleave by seq. No time can mean "empty lane".
 		{opNever, 0, 0, opStep, 0, 0, opLane, 0, 0, opNever, 0, 0, opLane, 0, 0, opNever, 0, 0,
 			opStep, 0, 0, opStep, 0, 0, opLane, 0, 0, opStep, 0, 0, opStep, 0, 0, opStep, 0, 0, opStep, 0, 0},
 		// A lane emptied and refilled between two peeks: its cached head
 		// time (1000) is stale while it is empty and must be replaced, not
-		// kept, by the refill at 2000 — which a ladder event at 1500 and
+		// kept, by the refill at 2000 — which a heap event at 1500 and
 		// then another lane's head at 1507 precede.
 		{opLane, 1, 0, opStep, 0, 0, opNear, 0xf4, 0x01, opLane, 1, 0, opStep, 0, 0, opLane, 2, 0,
 			opStep, 0, 0, opLane, 1, 0, opStep, 0, 0, opStep, 0, 0},
 		// Equal head times on four lanes, decided by seq: lanes 1, 7, 2
 		// and 5 (delays 1000, 84, 7, 5) are appended at 0, 916, 993 and
 		// 995, so every head is at 1000 and seq order is not index order;
-		// a ladder event at 1000 and a second round on lanes 5 and 1 follow.
+		// a heap event at 1000 and a second round on lanes 5 and 1 follow.
 		{opLane, 1, 0, opRunUntil, 0x94, 0x03, opLane, 7, 0, opRunUntil, 77, 0, opLane, 2, 0,
 			opRunUntil, 2, 0, opLane, 5, 0, opNear, 5, 0, opLane, 5, 0, opLane, 1, 0,
 			opStep, 0, 0, opStep, 0, 0, opStep, 0, 0, opStep, 0, 0, opStep, 0, 0, opStep, 0, 0},
+		// What the heap's two sifts can get wrong; these too run as written.
+		// The root is cancelled, the peek after the cancel pops the corpse
+		// (the last leaf, 300, goes down from the root), and a smaller key
+		// than anything pending is pushed and must come up past all of it.
+		{opNear, 100, 0, opNear, 200, 0, opNear, 0x2c, 0x01, opNear, 250, 0, opNear, 150, 0, opNear, 120, 0,
+			opCancel, 0, 0, opNear, 50, 0, opStep, 0, 0, opCancel, 5, 0, opNear, 60, 0, opStep, 0, 0, opStep, 0, 0},
+		// The heap drained to empty between two peeks, then refilled in
+		// descending time, twice: every push replaces the root.
+		{opNear, 10, 0, opStep, 0, 0, opNear, 5, 0, opNear, 3, 0, opNear, 1, 0, opStep, 0, 0, opStep, 0, 0,
+			opStep, 0, 0, opStep, 0, 0, opNear, 2, 0, opNear, 0, 0, opStep, 0, 0, opStep, 0, 0},
+		// Equal times on two heap levels, decided by seq: three later events
+		// take the first level, eight at time 7 follow them in, four run (the
+		// clock is then 7), and three more at 7 land among the survivors.
+		{opNear, 9, 0, opNear, 9, 0, opNear, 9, 0,
+			opNear, 7, 0, opNear, 7, 0, opNear, 7, 0, opNear, 7, 0, opNear, 7, 0, opNear, 7, 0, opNear, 7, 0, opNear, 7, 0,
+			opStep, 0, 0, opStep, 0, 0, opStep, 0, 0, opStep, 0, 0, opNear, 0, 0, opNear, 0, 0, opNear, 0, 0,
+			opStep, 0, 0, opStep, 0, 0, opStep, 0, 0, opStep, 0, 0, opStep, 0, 0, opStep, 0, 0, opStep, 0, 0},
 	} {
 		f.Add(ops)
 	}
@@ -412,10 +432,9 @@ func FuzzEngineOrder(f *testing.F) {
 }
 
 // TestEngineFarFutureKeepsOrder: one event at the largest representable
-// time among enough pending entries to build an overflow rung used to wrap
-// the rung's end negative, after which every push fell through to the
-// overflow list and a short self-rescheduling chain ran ahead of earlier
-// events — the clock went backwards.
+// time, pending among two hundred spread-out events and a short
+// self-rescheduling chain, must not disturb their order — no arithmetic on
+// a key may wrap — and must itself never run.
 func TestEngineFarFutureKeepsOrder(t *testing.T) {
 	e := NewEngine()
 	last := Time(0)

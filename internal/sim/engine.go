@@ -50,20 +50,18 @@ type slot struct {
 // Engine is a discrete-event simulation scheduler. The zero value is not
 // ready to use; create one with NewEngine.
 //
-// The timer core is a ladder queue (see ladder.go): O(1) amortized
-// schedule and dequeue for the clustered timestamps a packet simulation
-// produces, with execution order exactly (time, scheduling order) — the
-// same total order as a binary heap, so fixed-seed runs are bit-for-bit
-// reproducible across scheduler implementations. Steady-state scheduling
-// is allocation-free: handlers that exist before the event does (objects
-// scheduled by address, method values bound once) are stored in recycled
-// slots, and queue entries live in the queue's recycled chain nodes and its
-// one epoch buffer. Constant-delay
-// events can bypass the queue altogether: see Lane.
+// The timer core is a 4-ary heap (see heap.go) and execution order is
+// exactly (time, scheduling order): a strict total order, so fixed-seed
+// runs are bit-for-bit reproducible across scheduler implementations.
+// Steady-state scheduling is allocation-free: handlers that exist before
+// the event does (objects scheduled by address, method values bound once)
+// are stored in recycled slots, and queue entries live in the heap's one
+// backing array. Constant-delay events — nearly all of a packet
+// simulation's — bypass the heap altogether: see Lane.
 type Engine struct {
 	now Time
 	seq uint64
-	q   ladderQueue
+	q   eventHeap
 
 	// Delay lanes, the first nLanes registered. laneLive has bit i set while
 	// lanes[i] holds an event and laneAt[i] is then its head's time: the
@@ -111,7 +109,7 @@ type EngineStats struct {
 	Cancelled uint64 `json:"events_cancelled"`
 	Pending   int    `json:"events_pending"`
 	// PeakPending is the high-water mark of simultaneously scheduled
-	// events (the value the old engine reported as its peak heap size).
+	// events, on the heap and on the lanes together.
 	PeakPending int `json:"peak_events_pending"`
 	// EventAllocs counts fresh event-slot allocations: arena growth, as
 	// opposed to free-list reuse. In steady state it plateaus at the peak
@@ -119,8 +117,8 @@ type EngineStats struct {
 	// the scheduling hot path is allocating.
 	EventAllocs uint64 `json:"event_slot_allocs"`
 	// Laned counts the executed events that came off a delay lane and so
-	// never entered the ladder queue (see Lane); Steps includes them, and
-	// Steps - Laned is what the ladder carried. Lanes splits it by lane, in
+	// never entered the heap (see Lane); Steps includes them, and Steps -
+	// Laned is what the heap carried. Lanes splits it by lane, in
 	// registration order.
 	Laned uint64      `json:"events_laned"`
 	Lanes []LaneStats `json:"lanes,omitempty"`
@@ -163,8 +161,8 @@ func (e *Engine) After(d Time, fn func()) EventID { return e.Schedule(e.now+d, F
 
 // Schedule schedules h to fire at absolute time t. Scheduling in the past
 // panics: it would silently reorder causality. The hot path does not
-// allocate: the slot comes from the free list and the queue entry's chain
-// node from the queue's.
+// allocate: the slot comes from the free list and the queue entry goes into
+// the heap's backing array.
 func (e *Engine) Schedule(t Time, h Handler) EventID {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
@@ -196,23 +194,23 @@ func (e *Engine) Schedule(t Time, h Handler) EventID {
 // clock never runs backwards and seq only counts up, so the keys (now+d, seq)
 // one lane hands out are already in execution order: a lane is a ring
 // appended at the tail and consumed at the head, and the engine merges the
-// lane heads with the ladder front by (at, seq) wherever it dequeues (see
-// next). The total order is exactly what After(d, fn) gives; only the push,
-// bucket link, gather, sort and slot recycle are gone. Lane events cannot be
-// cancelled, so they need no slot, generation or EventID.
+// lane heads with the heap root by (at, seq) wherever it dequeues (see
+// next). The total order is exactly what After(d, fn) gives; only the two
+// sifts and the slot recycle are gone. Lane events cannot be cancelled, so
+// they need no slot, generation or EventID.
 type Lane struct {
 	e *Engine
 	d Time
 	// ring has power-of-two length; entries [head, tail) are pending at
 	// index mod len(ring). Both only count up, so head is also the number
 	// of events the lane has executed. A nil ring is a delay past maxLanes:
-	// After then schedules on the ladder.
+	// After then schedules on the heap.
 	ring       []laneEntry
 	head, tail uint64
 	i          int // index in e.lanes, e.laneAt and e.laneLive
 }
 
-// laneEntry is one pending lane event. Unlike a ladder entry it carries its
+// laneEntry is one pending lane event. Unlike a heap entry it carries its
 // handler, two words the collector scans; that is affordable here because
 // a lane entry is written once and read once, in address order, and never
 // moved or sorted, and there is one ring per distinct delay, not per link.
@@ -289,7 +287,7 @@ func (l *Lane) front() *laneEntry { return &l.ring[l.head&uint64(len(l.ring)-1)]
 
 // Cancel prevents a scheduled event from running. The slot (and its
 // handler reference) is released immediately; the 24-byte queue entry is
-// discarded lazily when it surfaces at the queue front. Cancelling an
+// discarded lazily when it surfaces at the heap root. Cancelling an
 // already-executed, already-cancelled, stale, or zero handle is a no-op —
 // the generation stamp guarantees a retained handle can never cancel an
 // unrelated event that reused the slot.
@@ -313,7 +311,7 @@ func (e *Engine) Cancel(id EventID) {
 }
 
 // next is the one place events are dequeued. The next event is the smaller
-// (at, seq) of the ladder front — cancelled corpses are discarded as they
+// (at, seq) of the heap root — cancelled corpses are popped as they
 // surface — and the lane heads; if there is one and its time is at most
 // limit, next reports that time and, when run is set, consumes the event
 // and fires its handler. Otherwise it reports false and leaves the clock
@@ -342,19 +340,11 @@ func (e *Engine) next(limit Time, run bool) (Time, bool) {
 	q := &e.q
 	var s *slot
 	var idx uint32
-	for {
-		if q.curHead >= len(q.cur) {
-			// Every entry still in the ladder is at or past curEnd, so a
-			// lane head below it is next without promoting a bucket early.
-			if ln != nil && at < q.curEnd || !q.refill() {
-				break
-			}
-			continue
-		}
-		en := q.cur[q.curHead]
+	for len(q.h) > 0 {
+		en := q.h[0]
 		sl := &e.slots[en.idx]
 		if sl.gen != en.gen {
-			q.curHead++ // cancelled corpse
+			q.pop() // cancelled corpse
 			continue
 		}
 		if ln == nil || en.at < at || en.at == at && en.seq < ln.front().seq {
@@ -382,7 +372,7 @@ func (e *Engine) next(limit Time, run bool) (Time, bool) {
 			e.laneAt[ln.i] = ln.front().at
 		}
 	} else {
-		q.curHead++
+		q.pop()
 		h, s.h = s.h, nil
 		s.gen++
 		e.free = append(e.free, idx)
@@ -413,7 +403,7 @@ func (e *Engine) StepBefore(end Time) bool {
 
 // NextEventTime returns the time of the next live event, or false when
 // none is pending. It does not advance the clock (cancelled corpses at the
-// queue front are discarded as a side effect).
+// heap root are discarded as a side effect).
 func (e *Engine) NextEventTime() (Time, bool) {
 	return e.next(maxTime, false)
 }
@@ -429,15 +419,17 @@ func (e *Engine) Run() {
 }
 
 // RunUntil executes events with time <= t, then advances the clock to t.
-// Events scheduled exactly at t are executed.
+// Events scheduled exactly at t are executed. When Stop ends it early the
+// clock stays at the last executed event: events before t may still be
+// pending, and the clock must not pass them.
 func (e *Engine) RunUntil(t Time) {
 	e.stopped = false
 	for !e.stopped {
 		if _, ok := e.next(t, true); !ok {
-			break
+			if e.now < t {
+				e.now = t
+			}
+			return
 		}
-	}
-	if e.now < t {
-		e.now = t
 	}
 }

@@ -190,6 +190,19 @@ func TestEngineRunUntil(t *testing.T) {
 	if len(ran) != 4 || e.Now() != 100 {
 		t.Fatalf("final ran=%v now=%v", ran, e.Now())
 	}
+
+	// Stopped early, RunUntil must leave the clock at the event that stopped
+	// it: one before the bound is still pending and the clock may not pass it.
+	e.At(110, e.Stop)
+	e.At(120, func() { ran = append(ran, 120) })
+	e.RunUntil(200)
+	if e.Now() != 110 || e.Pending() != 1 {
+		t.Fatalf("RunUntil(200) stopped at 110: now=%v pending=%d, want 110 and 1", e.Now(), e.Pending())
+	}
+	e.RunUntil(200) // resume
+	if len(ran) != 5 || e.Now() != 200 {
+		t.Fatalf("resumed RunUntil(200): ran=%v now=%v", ran, e.Now())
+	}
 }
 
 func TestEnginePending(t *testing.T) {
@@ -259,13 +272,11 @@ func TestEngineMonotonicProperty(t *testing.T) {
 	}
 }
 
-// The epoch buffer must not grow with the number of events that passed
-// through it. One far timer keeps the epoch bound far ahead, so every push
-// of a self-rescheduling near timer lands below it and the epoch never
-// empties — the state delay lanes make common, since the events left on
-// the ladder are the short ones. Before insertCur reclaimed the consumed
-// prefix this left len(cur) = 200 001 with one event pending.
-func TestEpochBufferStaysBounded(t *testing.T) {
+// The heap's backing array must not grow with the number of events that
+// passed through it. One far timer stays pending while a near timer
+// reschedules itself 200 000 times — the state delay lanes make common,
+// since the events left on the heap are the short ones.
+func TestHeapStaysBounded(t *testing.T) {
 	e := NewEngine()
 	e.At(Second, func() {})
 	n := 0
@@ -282,8 +293,8 @@ func TestEpochBufferStaysBounded(t *testing.T) {
 	if n != 200_000 {
 		t.Fatalf("ticked %d times", n)
 	}
-	if peak := e.Stats().PeakPending; cap(e.q.cur) > 8*peak+64 {
-		t.Fatalf("epoch buffer holds %d entries (len %d) after a run that never had more than %d pending",
-			cap(e.q.cur), len(e.q.cur), peak)
+	if peak := e.Stats().PeakPending; cap(e.q.h) > 8*peak+64 {
+		t.Fatalf("heap holds %d entries (len %d) after a run that never had more than %d pending",
+			cap(e.q.h), len(e.q.h), peak)
 	}
 }

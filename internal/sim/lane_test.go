@@ -5,7 +5,7 @@ import (
 	"testing"
 )
 
-// A lane event and a ladder event at one time run in scheduling order,
+// A lane event and a heap event at one time run in scheduling order,
 // whichever side was scheduled first, and lane events count as scheduled,
 // pending and executed like any other — but take no event slot.
 func TestLaneMergesByTimeThenSeq(t *testing.T) {
@@ -43,7 +43,7 @@ func TestLaneMergesByTimeThenSeq(t *testing.T) {
 func TestLaneHeadAtTheBoundary(t *testing.T) {
 	e := NewEngine()
 	ran := 0
-	far := e.At(900, func() { t.Fatal("the cancelled ladder front ran") })
+	far := e.At(900, func() { t.Fatal("the cancelled heap root ran") })
 	e.Lane(1000).After(Func(func() { ran++ }))
 	e.Cancel(far)
 	if e.StepBefore(1000) {
@@ -72,9 +72,9 @@ func TestLaneHeadAtTheBoundary(t *testing.T) {
 }
 
 // Past maxLanes distinct delays Lane hands out lanes that go through the
-// ladder: same order, nothing laned, and asking again for a registered
+// heap: same order, nothing laned, and asking again for a registered
 // delay still finds its lane.
-func TestLaneCapFallsBackToTheLadder(t *testing.T) {
+func TestLaneCapFallsBackToTheHeap(t *testing.T) {
 	e := NewEngine()
 	var got []Time
 	for d := Time(maxLanes + 3); d > 0; d-- { // longest delay first: run order is the reverse
@@ -172,7 +172,7 @@ func TestLaneRejectsWhatAfterRejects(t *testing.T) {
 
 // Past the cap a lane schedules the Handler it was given, not a wrapper
 // built around it: an object and a pre-bound func() both go through the
-// ladder, and come back out, without an allocation.
+// heap, and come back out, without an allocation.
 func TestLaneFallBackDoesNotAllocate(t *testing.T) {
 	e := NewEngine()
 	for d := Time(1); d <= maxLanes; d++ {
@@ -190,7 +190,7 @@ func TestLaneFallBackDoesNotAllocate(t *testing.T) {
 		ln.After(Func(fn))
 		e.Run()
 	}
-	round() // slots, the epoch buffer
+	round() // slots, the heap's array
 	if n := testing.AllocsPerRun(1000, round); n != 0 {
 		t.Fatalf("%v allocations per round of two fall-back lane events, want 0", n)
 	}

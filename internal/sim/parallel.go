@@ -74,6 +74,15 @@ import (
 // horizon when no busy peer bounds a shard.
 const maxTime = Time(math.MaxInt64)
 
+// satAdd returns t+d for d >= 0, saturating at maxTime: a horizon derived
+// from a "never" time must not wrap negative.
+func satAdd(t, d Time) Time {
+	if s := t + d; s >= t {
+		return s
+	}
+	return maxTime
+}
+
 // phaseEventCap is the per-shard event budget of one run phase. It only
 // matters when a shard's horizon is unbounded (or very wide): the shard
 // returns to the barrier after this many events so Stop/Done latency stays
@@ -668,9 +677,9 @@ func (p *Parallel) runPhase(w int, end Time) {
 // sender's clock only moves forward; Send tracks the exception), so the
 // merge is a typed k-way merge over at most k-1 run heads — no reflection,
 // no full-buffer sort, no intermediate copy. Ties pick the lowest source
-// shard because runs are visited in ascending src order. Events are
-// scheduled in ascending time, which is the engine queue's O(1) append
-// path.
+// shard because runs are visited in ascending src order. The order events
+// are scheduled in is the order of their seq in w's engine, which decides
+// between equal times there.
 func (p *Parallel) drainPhase(w int) {
 	defer func() {
 		if r := recover(); r != nil {
