@@ -21,9 +21,10 @@ bench:
 bench-compare:
 	go run ./bench -compare $(A) $(B)
 
-# The tracked size number (ROADMAP aim 2): non-test Go lines, bench/ excluded.
+# The tracked size number (ROADMAP aim 2): non-test Go lines and assembly,
+# bench/ excluded.
 loc:
-	@find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' | xargs cat | wc -l
+	@find . \( -name '*.go' -not -name '*_test.go' -o -name '*.s' \) -not -path './bench/*' | xargs cat | wc -l
 
 # Profile the reference workload (fig10-medium): cpu.pprof + heap.pprof into
 # results/profiles/, the pair the perf notes come from, and the CPU profile

@@ -1,7 +1,7 @@
 // Command ci is the repository's verification gate, runnable anywhere Go
 // is installed (no make required):
 //
-//	go run ./cmd/ci    # build + vet + gofmt + test + race + bench smoke + fuzz smoke
+//	go run ./cmd/ci    # build + vet + cross + gofmt + test + race + bench smoke + fuzz smoke
 //
 // The test step is the repository's tier-1 gate (`go test ./...`), so a
 // PR cannot pass ci with a broken unit or experiment test. The race step
@@ -16,6 +16,10 @@
 // benchmark that panics or trips its own invariant checks fails the
 // gate without paying measurement time. The fuzz-smoke step
 // mutates the scheduler's order-contract corpus for five seconds.
+//
+// The cross steps build the tree for GOARCH=arm64 (offline, from GOROOT) and
+// vet the packages around its one assembly file there, so the non-amd64
+// fallback of sim.Prefetch cannot rot on a box that only runs amd64.
 //
 // ci verifies; it does not measure. Performance is measured in one place,
 // `go run ./bench` (BENCHMARK.json), which reports run-to-run spread.
@@ -35,27 +39,32 @@ func main() {
 	steps := []struct {
 		name string
 		args []string
+		env  []string // added to the environment
 	}{
-		{"build", []string{"go", "build", "./..."}},
-		{"vet", []string{"go", "vet", "./..."}},
-		{"gofmt", []string{"gofmt", "-l", "."}},
-		{"test", []string{"go", "test", "./..."}},
-		{"race", []string{"go", "test", "-race", "-short", "./..."}},
+		{name: "build", args: []string{"go", "build", "./..."}},
+		{name: "vet", args: []string{"go", "vet", "./..."}},
+		{name: "cross", args: []string{"go", "build", "./..."}, env: []string{"GOARCH=arm64"}},
+		{name: "cross-vet", args: []string{"go", "vet", "./internal/sim", "./internal/net"}, env: []string{"GOARCH=arm64"}},
+		{name: "gofmt", args: []string{"gofmt", "-l", "."}},
+		{name: "test", args: []string{"go", "test", "./..."}},
+		{name: "race", args: []string{"go", "test", "-race", "-short", "./..."}},
 		// The parallel-engine tests are the one place -short would hide real
 		// concurrency: cross-shard mailboxes, epoch barriers, and the worker
 		// goroutines only run at shards > 1. Re-run them un-shortened under
 		// the race detector.
-		{"race-parallel", []string{"go", "test", "-race", "-run", "Parallel|Mailbox|Shard",
+		{name: "race-parallel", args: []string{"go", "test", "-race", "-run", "Parallel|Mailbox|Shard",
 			"./internal/sim", "./internal/net", "./internal/topo", "./internal/exp"}},
-		{"bench-smoke", []string{"go", "test", "-run", "^$", "-bench", ".", "-benchtime", "1x", "./internal/sim", "./internal/net"}},
+		{name: "bench-smoke", args: []string{"go", "test", "-run", "^$", "-bench", ".", "-benchtime", "1x", "./internal/sim", "./internal/net"}},
 		// Minimizing each new 9 KB corpus entry (60 s by default) would eat
 		// the whole budget; a failing input is kept whole instead.
-		{"fuzz-smoke", []string{"go", "test", "-run", "^$", "-fuzz", "FuzzEngineOrder", "-fuzztime", "5s", "-fuzzminimizetime", "0s", "./internal/sim"}},
+		{name: "fuzz-smoke", args: []string{"go", "test", "-run", "^$", "-fuzz", "FuzzEngineOrder", "-fuzztime", "5s", "-fuzzminimizetime", "0s", "./internal/sim"}},
 	}
 	failed := 0
 	for _, s := range steps {
-		fmt.Printf("== %s: %s\n", s.name, strings.Join(s.args, " "))
-		out, err := exec.Command(s.args[0], s.args[1:]...).CombinedOutput()
+		fmt.Printf("== %s: %s\n", s.name, strings.Join(append(s.env, s.args...), " "))
+		cmd := exec.Command(s.args[0], s.args[1:]...)
+		cmd.Env = append(os.Environ(), s.env...)
+		out, err := cmd.CombinedOutput()
 		text := strings.TrimSpace(string(out))
 		// gofmt -l exits 0 even when files need formatting; any output is
 		// a failure.

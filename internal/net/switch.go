@@ -1,6 +1,11 @@
 package net
 
-import "fmt"
+import (
+	"fmt"
+	"unsafe"
+
+	"faircc/internal/sim"
+)
 
 // Switch is an output-queued switch: an arriving packet is routed by
 // destination host id to an egress port (ECMP-hashed when several are
@@ -101,6 +106,12 @@ func (s *Switch) Receive(p *Packet, in *Port) {
 		s.sh.putPacket(p)
 		in.kick()
 		return
+	}
+	// The egress port stamps the packet's next INT slot one serialization
+	// time — thousands of events at fabric scale — from now, in an array last
+	// written a hop ago: start that line on its way (no spare slot, no fetch).
+	if n := len(p.hops); p.Kind == Data && n < cap(p.hops) {
+		sim.Prefetch(unsafe.Pointer(&p.hops[:n+1][n]))
 	}
 	// Flat-path fast path: the flow resolved its ECMP choices once at
 	// AddFlow and the sender stamped them onto the packet, so as long as

@@ -117,3 +117,44 @@ func BenchmarkEngineHoldFarPending(b *testing.B) {
 		b.Fatalf("the near timers reached the far entries at %v: the heap is no longer deep", e.Now())
 	}
 }
+
+// coldHandler is a packet-sized event object: two cache lines, the first
+// touched by its own Fire, which puts it back on its lane.
+type coldHandler struct {
+	ln    *Lane
+	fired uint64
+	_     [112]byte
+}
+
+func (c *coldHandler) Fire() {
+	c.fired++
+	c.ln.After(c)
+}
+
+// BenchmarkLaneColdHandlers is the paper-scale fabric's regime without the
+// fabric: 64 Ki 128-byte handler objects — 8 MB, twice the reference box's
+// L2 — cycling through two lanes in an order unrelated to their addresses,
+// so every Fire's first touch has left the near caches since the object was
+// last written. What it times is what the lanes' lookahead prefetch hides.
+func BenchmarkLaneColdHandlers(b *testing.B) {
+	e := NewEngine()
+	const n = 64 << 10
+	lanes := [2]*Lane{e.Lane(n), e.Lane(n + n/2)}
+	objs := make([]coldHandler, n)
+	for t, i := range rand.New(rand.NewSource(1)).Perm(n) {
+		objs[i].ln = lanes[t&1]
+		e.Schedule(Time(t), &objs[i])
+	}
+	for i := 0; i < 2*n; i++ { // off the heap, rings grown, every object fired once
+		e.Step()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.Step()
+	}
+	b.StopTimer()
+	if st := e.Stats(); st.Pending != n || st.Steps-st.Laned != n {
+		b.Fatalf("%d pending, %d events off the heap; want %d objects, each on the heap once", st.Pending, st.Steps-st.Laned, n)
+	}
+}

@@ -1,9 +1,11 @@
 package sim
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -55,6 +57,46 @@ func TestTransmitTimePanicsOnZeroBandwidth(t *testing.T) {
 		}
 	}()
 	TransmitTime(1000, 0)
+}
+
+// A rate that yields no representable delay must panic, naming size and
+// rate: Time(NaN) and Time(anything >= 2^63 ps) are math.MinInt64 on amd64,
+// and a flow whose pacing gap is that sends unpaced.
+func TestTransmitTimeRejectsUnrepresentableDelays(t *testing.T) {
+	panics := func(size int, bps float64) (msg string) {
+		defer func() {
+			if r := recover(); r != nil {
+				msg = fmt.Sprint(r)
+			}
+		}()
+		TransmitTime(size, bps)
+		return ""
+	}
+	if msg := panics(1500, math.NaN()); !strings.Contains(msg, "1500 bytes") || !strings.Contains(msg, "NaN") {
+		t.Errorf("TransmitTime(1500, NaN) panicked with %q, want size and rate named", msg)
+	}
+	if msg := panics(1500, 1e-3); !strings.Contains(msg, "1500 bytes") || !strings.Contains(msg, "0.001") {
+		t.Errorf("TransmitTime(1500, 1e-3) panicked with %q, want size and rate named", msg)
+	}
+	if msg := panics(1500, -1); msg == "" {
+		t.Error("TransmitTime(1500, -1) did not panic")
+	}
+	if got := TransmitTime(1500, math.Inf(1)); got != 0 {
+		t.Errorf("TransmitTime(1500, +Inf) = %v, want 0", got)
+	}
+	// Walk the rates upward across the boundary 1500*8e12/2^63 b/s: every
+	// one below the first representable delay panics, and that delay is the
+	// top of the range, within a few float64 steps of 2^63 ps, not a wrapped one.
+	rate := 1500 * 8e12 / (1 << 63) * (1 - 1e-12)
+	for steps := 0; panics(1500, rate) != ""; steps++ {
+		if steps > 1<<20 {
+			t.Fatal("no representable delay within 2^20 ulps of the boundary")
+		}
+		rate = math.Nextafter(rate, math.Inf(1))
+	}
+	if got := TransmitTime(1500, rate); got <= 0 || got < math.MaxInt64-1<<13 {
+		t.Errorf("first representable delay, at %g b/s, is %d ps, want just under 2^63", rate, int64(got))
+	}
 }
 
 func TestBytesOver(t *testing.T) {

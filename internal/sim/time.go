@@ -56,12 +56,14 @@ func (t Time) String() string {
 
 // TransmitTime returns the serialization delay of size bytes on a link of
 // the given bandwidth in bits per second. The result is rounded to the
-// nearest picosecond.
+// nearest picosecond. A rate that is NaN, not positive, or too low for the
+// delay to fit a Time panics: converted, it is the most negative Time.
 func TransmitTime(sizeBytes int, bps float64) Time {
-	if bps <= 0 {
-		panic("sim: TransmitTime with non-positive bandwidth")
+	ps := float64(sizeBytes)*8*1e12/bps + 0.5
+	if !(bps > 0) || ps >= 1<<63 {
+		panic(fmt.Sprintf("sim: TransmitTime of %d bytes at %g b/s is not a representable delay", sizeBytes, bps))
 	}
-	return Time(float64(sizeBytes)*8*1e12/bps + 0.5)
+	return Time(ps)
 }
 
 // BytesOver returns how many bytes a rate of bps transfers in d.
