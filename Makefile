@@ -26,14 +26,16 @@ bench-compare:
 loc:
 	@find . \( -name '*.go' -not -name '*_test.go' -o -name '*.s' \) -not -path './bench/*' | xargs cat | wc -l
 
-# Profile the reference workload (fig10-medium): cpu.pprof + heap.pprof into
-# results/profiles/, the pair the perf notes come from, and the CPU profile
-# again as cmd/fairsim/default.pgo, which `go build ./cmd/fairsim` optimizes
-# from; commit them together so the PGO input follows the hot path. (`go run
+# Profile the reference workload (fig10-medium) and install the result: the
+# CPU profile as cmd/fairsim/default.pgo — its one committed copy, which
+# `go build ./cmd/fairsim` optimizes from, so the PGO input follows the hot
+# path — and the heap profile as results/profiles/heap.pprof; commit both or
+# neither. Builds and runs in a temporary directory it removes. (`go run
 # ./bench` is its own main package and builds without PGO.) Inspect with
-# `go tool pprof results/profiles/cpu.pprof`.
+# `go tool pprof cmd/fairsim/default.pgo`.
 profile:
-	go build -o /tmp/fairsim-profile ./cmd/fairsim
-	/tmp/fairsim-profile -exp fig10 -scale medium -seed 1 -pprof results/profiles -out /tmp/fairsim-profile-out
-	cp results/profiles/cpu.pprof cmd/fairsim/default.pgo
-	rm -rf /tmp/fairsim-profile /tmp/fairsim-profile-out
+	set -e; dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; \
+	go build -o "$$dir/fairsim" ./cmd/fairsim; \
+	"$$dir/fairsim" -exp fig10 -scale medium -seed 1 -pprof "$$dir" -out "$$dir/out"; \
+	cp "$$dir/cpu.pprof" cmd/fairsim/default.pgo; \
+	cp "$$dir/heap.pprof" results/profiles/heap.pprof

@@ -12,9 +12,11 @@
 //	fairsim -exp dc -workload mix -protocol swift -pods 2 -tors 2 -hosts 8 -ms 2 -oversub 4
 //	fairsim -exp incast -algo hpcc-vaisf -senders 96 -size 1048576 -out series
 //
-// Each experiment regenerates one figure of "Fast Convergence to Fairness
-// for Reduced Long Flow Tail Latency in Datacenter Networks" (Snyder &
-// Lebeck, IPDPS 2022); see DESIGN.md for the index.
+// Each name is one figure of "Fast Convergence to Fairness for Reduced
+// Long Flow Tail Latency in Datacenter Networks" (Snyder & Lebeck, IPDPS
+// 2022). Figures that plot the same simulations are views of one run:
+// -exp with any of them executes the run once and prints and writes all
+// of them (-exp fig10 yields fig10 and fig12). See DESIGN.md for the index.
 //
 // Observability: -progress prints a periodic sim-time / wall-time /
 // events-per-second line per running variant (essential for paper-scale
@@ -138,19 +140,23 @@ func run() int {
 	}
 
 	if *list {
-		for _, n := range exp.Names() {
-			e, _ := exp.Get(n)
-			fmt.Printf("%-18s %s\n", n, e.Title)
+		for _, f := range exp.Figures() {
+			fmt.Printf("%-18s %s\n", f.Name, f.Title)
 		}
 		return 0
 	}
 
-	var names []string
+	var exps []*exp.Experiment
 	switch {
 	case *all:
-		names = exp.Names()
+		exps = exp.Experiments()
 	case *name != "":
-		names = []string{*name}
+		e, err := exp.Get(*name)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "fairsim: %v\n", err)
+			return 1
+		}
+		exps = []*exp.Experiment{e}
 	default:
 		fmt.Fprintln(os.Stderr, "fairsim: need -exp NAME, -all, or -list")
 		flag.Usage()
@@ -166,43 +172,49 @@ func run() int {
 		defer stop()
 	}
 
-	for _, n := range names {
+	// An experiment's simulations run once; every figure read off them is
+	// printed and written (each manifest carrying the run's RunStats), then
+	// the run's wall time and RunStats, once.
+	for _, e := range exps {
 		start := time.Now()
-		res, stats, err := exp.RunWithStats(n, cfg)
+		results, stats, err := e.RunWithStats(cfg)
 		wall := time.Since(start)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "fairsim: %s: %v\n", n, err)
+			fmt.Fprintf(os.Stderr, "fairsim: %s: %v\n", e.Figures[0].Name, err)
 			return 1
 		}
-		fmt.Printf("%s(%s elapsed)\n", res.Summary(), wall.Round(time.Millisecond))
+		for _, res := range results {
+			fmt.Print(res.Summary())
+			if *plot {
+				series := make([]viz.Series, 0, len(res.Series))
+				for _, s := range res.Series {
+					series = append(series, viz.Series{Label: s.Label, X: s.X, Y: s.Y})
+				}
+				opts := viz.Options{Title: res.Title, XLabel: res.XLabel, YLabel: res.YLabel}
+				if err := viz.Plot(os.Stdout, opts, series...); err != nil {
+					fmt.Fprintf(os.Stderr, "fairsim: plot: %v\n", err)
+					return 1
+				}
+			}
+			if *out != "" {
+				if err := writeCSV(*out, res); err != nil {
+					fmt.Fprintf(os.Stderr, "fairsim: %v\n", err)
+					return 1
+				}
+			}
+			if *manifest {
+				m := exp.BuildManifest(res.Name, cfg, res, stats, start, wall)
+				path, err := exp.WriteManifest(*out, m)
+				if err != nil {
+					fmt.Fprintf(os.Stderr, "fairsim: manifest: %v\n", err)
+					return 1
+				}
+				fmt.Printf("  wrote %s\n", path)
+			}
+		}
+		fmt.Printf("(%s elapsed)\n", wall.Round(time.Millisecond))
 		if stats.Runs > 0 {
 			fmt.Printf("  runstats: %s\n", stats)
-		}
-		if *plot {
-			series := make([]viz.Series, 0, len(res.Series))
-			for _, s := range res.Series {
-				series = append(series, viz.Series{Label: s.Label, X: s.X, Y: s.Y})
-			}
-			opts := viz.Options{Title: res.Title, XLabel: res.XLabel, YLabel: res.YLabel}
-			if err := viz.Plot(os.Stdout, opts, series...); err != nil {
-				fmt.Fprintf(os.Stderr, "fairsim: plot: %v\n", err)
-				return 1
-			}
-		}
-		if *out != "" {
-			if err := writeCSV(*out, n, res); err != nil {
-				fmt.Fprintf(os.Stderr, "fairsim: %v\n", err)
-				return 1
-			}
-		}
-		if *manifest {
-			m := exp.BuildManifest(n, cfg, res, stats, start, wall)
-			path, err := exp.WriteManifest(*out, m)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "fairsim: manifest: %v\n", err)
-				return 1
-			}
-			fmt.Printf("  wrote %s\n", path)
 		}
 	}
 	return 0
@@ -261,11 +273,11 @@ func startProfiles(dir string) (func(), error) {
 	}, nil
 }
 
-func writeCSV(dir, name string, res *exp.Result) error {
+func writeCSV(dir string, res *exp.Result) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	path := filepath.Join(dir, name+".csv")
+	path := filepath.Join(dir, res.Name+".csv")
 	f, err := os.Create(path)
 	if err != nil {
 		return err

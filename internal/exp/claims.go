@@ -1,13 +1,11 @@
 package exp
 
-import (
-	"fmt"
-	"strings"
-)
+import "fmt"
 
 // Claim is one falsifiable statement from the paper, checked against a
 // fresh simulation run — the artifact-evaluation self-check behind
-// `fairsim -verify`.
+// `fairsim -verify`. A check calls the run it needs and reads the run's
+// typed output, never a figure's human-readable notes.
 type Claim struct {
 	Name  string
 	Text  string // the paper's claim, paraphrased
@@ -21,56 +19,39 @@ func Claims() []Claim {
 			Name: "incast-inversion",
 			Text: "Sec. III-E: under default HPCC, incast flows that begin last finish first",
 			Check: func(cfg Config) (bool, string, error) {
-				res, err := Run("fig2", cfg)
+				outs, err := runPaperIncast(cfg, "hpcc", 16)
 				if err != nil {
 					return false, "", err
 				}
-				for _, s := range res.Series {
-					if s.Label != "HPCC" {
-						continue
-					}
-					first, last := s.Y[0], s.Y[len(s.Y)-1]
-					return last < first,
-						fmt.Sprintf("first-started finishes %.0f us, last-started %.0f us", first, last), nil
-				}
-				return false, "HPCC series missing", nil
+				finish := outs[defaultVariant].startFinish.Y // in start order
+				first, last := finish[0], finish[len(finish)-1]
+				return last < first,
+					fmt.Sprintf("first-started finishes %.0f us, last-started %.0f us", first, last), nil
 			},
 		},
 		{
 			Name: "vaisf-convergence-hpcc",
 			Text: "Sec. VI-B: HPCC VAI SF converges to fairness much faster than default",
 			Check: func(cfg Config) (bool, string, error) {
-				return convergenceClaim(cfg, "fig5a", "HPCC", 2)
+				return convergenceClaim(cfg, "hpcc", 2)
 			},
 		},
 		{
 			Name: "vaisf-convergence-swift",
 			Text: "Sec. VI-B: Swift VAI SF converges to fairness faster than default",
 			Check: func(cfg Config) (bool, string, error) {
-				return convergenceClaim(cfg, "fig6a", "Swift", 1.5)
+				return convergenceClaim(cfg, "swift", 1.5)
 			},
 		},
 		{
 			Name: "near-zero-queues",
 			Text: "Sec. VI-B: HPCC with VAI SF still maintains near-zero steady queues",
 			Check: func(cfg Config) (bool, string, error) {
-				res, err := Run("fig5b", cfg)
+				outs, err := runPaperIncast(cfg, "hpcc", 16)
 				if err != nil {
 					return false, "", err
 				}
-				var def, vai float64 = -1, -1
-				for _, n := range res.Notes {
-					var v float64
-					if _, err := fmt.Sscanf(n, "HPCC: max queue %f", &v); err == nil && strings.Contains(n, "steady-state") {
-						def = steadyFromNote(n)
-					}
-					if strings.HasPrefix(n, "HPCC VAI SF:") {
-						vai = steadyFromNote(n)
-					}
-				}
-				if def < 0 || vai < 0 {
-					return false, fmt.Sprintf("notes unparsed: %v", res.Notes), nil
-				}
+				def, vai := outs[defaultVariant].steadyQueueKB, outs[vaisfVariant].steadyQueueKB
 				// "Near zero": within 5 KB of the default's steady queue.
 				return vai < def+5,
 					fmt.Sprintf("steady queue: default %.1f KB, VAI SF %.1f KB", def, vai), nil
@@ -80,12 +61,11 @@ func Claims() []Claim {
 			Name: "tail-fct-halved",
 			Text: "Abstract: the mechanisms reduce 99.9% tail FCT of long flows by ~2x",
 			Check: func(cfg Config) (bool, string, error) {
-				res, err := Run("fig11", cfg)
+				out, err := runFatTree(cfg, "mix")
 				if err != nil {
 					return false, "", err
 				}
-				imp := improvementsFromResult(res)
-				h, s := imp["HPCC"], imp["Swift"]
+				h, s := out.improvement(dcHPCC, 99.9), out.improvement(dcSwift, 99.9)
 				// At small scale the tail is noisy; require a clear
 				// improvement for at least one protocol and no
 				// regression for the other.
@@ -97,17 +77,14 @@ func Claims() []Claim {
 			Name: "median-unaffected",
 			Text: "Sec. VI-B: VAI and SF have no significant repercussions on median FCT (HPCC)",
 			Check: func(cfg Config) (bool, string, error) {
-				res, err := Run("fig12", cfg)
+				out, err := runFatTree(cfg, "hadoop")
 				if err != nil {
 					return false, "", err
 				}
-				var def, vai float64 = -1, -1
-				for _, n := range res.Notes {
-					fmt.Sscanf(n, "HPCC: p50 slowdown of >1MB flows = %f", &def)
-					fmt.Sscanf(n, "HPCC VAI SF: p50 slowdown of >1MB flows = %f", &vai)
-				}
-				if def <= 0 || vai <= 0 {
-					return false, "median notes missing", nil
+				def, errDef := out.longSlowdown(dcHPCC, 50)
+				vai, errVAI := out.longSlowdown(dcHPCC+1, 50)
+				if errDef != nil || errVAI != nil {
+					return false, "no >1MB flows", nil
 				}
 				return vai < def*1.5,
 					fmt.Sprintf("median >1MB slowdown: default %.1fx, VAI SF %.1fx", def, vai), nil
@@ -136,22 +113,13 @@ func Claims() []Claim {
 			Name: "newflow-corner-case",
 			Text: "Sec. V-A: VAI still improves fairness when a new flow meets high-dampener incumbents",
 			Check: func(cfg Config) (bool, string, error) {
-				res, err := Run("ablate-newflow", cfg)
+				outs, err := runNewFlow(cfg)
 				if err != nil {
 					return false, "", err
 				}
-				conv := map[string]float64{}
-				for _, n := range res.Notes {
-					const marker = ": post-join smoothed Jain reaches 0.9 at "
-					if idx := strings.Index(n, marker); idx >= 0 {
-						var v float64
-						fmt.Sscanf(n[idx+len(marker):], "%f", &v)
-						conv[n[:idx]] = v
-					}
-				}
-				d, v := conv["HPCC"], conv["HPCC VAI SF"]
-				if d == 0 || v == 0 {
-					return false, fmt.Sprintf("notes unparsed: %v", res.Notes), nil
+				d, v := outs[0].settleUs, outs[1].settleUs
+				if d < 0 || v < 0 {
+					return false, fmt.Sprintf("no post-join convergence: default %.0f us, VAI SF %.0f us (-1 = never)", d, v), nil
 				}
 				return v < d, fmt.Sprintf("post-join convergence: default %.0f us, VAI SF %.0f us", d, v), nil
 			},
@@ -159,48 +127,15 @@ func Claims() []Claim {
 	}
 }
 
-func convergenceClaim(cfg Config, fig, proto string, factor float64) (bool, string, error) {
-	res, err := Run(fig, cfg)
+func convergenceClaim(cfg Config, protocol string, factor float64) (bool, string, error) {
+	outs, err := runPaperIncast(cfg, protocol, 16)
 	if err != nil {
 		return false, "", err
 	}
-	conv := map[string]float64{}
-	const marker = ": smoothed Jain reaches 0.9 at "
-	for _, n := range res.Notes {
-		if idx := strings.Index(n, marker); idx >= 0 {
-			var v float64
-			fmt.Sscanf(n[idx+len(marker):], "%f", &v)
-			conv[n[:idx]] = v
-		}
-	}
-	d, v := conv[proto], conv[proto+" VAI SF"]
+	d, v := outs[defaultVariant].convergeUs, outs[vaisfVariant].convergeUs
 	detail := fmt.Sprintf("convergence: default %.0f us, VAI SF %.0f us", d, v)
 	if d <= 0 || v <= 0 {
 		return false, detail, nil
 	}
 	return v*factor <= d, detail, nil
-}
-
-func steadyFromNote(n string) float64 {
-	const marker = "steady-state mean "
-	idx := strings.Index(n, marker)
-	if idx < 0 {
-		return -1
-	}
-	var v float64
-	fmt.Sscanf(n[idx+len(marker):], "%f", &v)
-	return v
-}
-
-func improvementsFromResult(res *Result) map[string]float64 {
-	const marker = " long-flow tail improvement: "
-	out := map[string]float64{}
-	for _, n := range res.Notes {
-		if idx := strings.Index(n, marker); idx >= 0 {
-			var v float64
-			fmt.Sscanf(n[idx+len(marker):], "%f", &v)
-			out[n[:idx]] = v
-		}
-	}
-	return out
 }

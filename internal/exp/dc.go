@@ -156,6 +156,13 @@ func slowdownSeries(label string, records []metrics.FlowRecord, nBuckets int, pc
 	return s
 }
 
+// The positions of the two protocols' default variants in dcVariants; each
+// is followed by its VAI SF variant.
+const (
+	dcHPCC  = 0
+	dcSwift = 2
+)
+
 // dcVariants returns the four protocols Figs. 10-13 compare.
 func dcVariants(p pathParams) []variant {
 	return []variant{
@@ -166,53 +173,107 @@ func dcVariants(p pathParams) []variant {
 	}
 }
 
-// dcFigure assembles a slowdown-versus-flow-size figure: pct = 99.9 for
-// the tail figures (10, 11), 50 for the median figures (12, 13).
-func dcFigure(name, title, workloadName string, pct float64) *Experiment {
+// dcOut is what one datacenter simulation produces.
+type dcOut struct {
+	records []metrics.FlowRecord
+	stats   net.NetworkStats
+}
+
+// runDCSet runs the same traffic under every variant in parallel; the
+// first failing variant cancels the rest.
+func runDCSet(cfg Config, vs []variant, ftCfg topo.FatTreeConfig, specs []net.FlowSpec) ([]dcOut, error) {
+	return par.MapErr(len(vs), cfg.Workers, func(i int) (dcOut, error) {
+		records, st, err := runDC(cfg, vs[i], ftCfg, specs)
+		return dcOut{records, st}, err
+	})
+}
+
+// fatTreeOut is what one of the paper's datacenter runs produces: the
+// completion records of the same flows under each of dcVariants' four
+// protocols. Figs. 10-13 are percentiles of two such runs.
+type fatTreeOut struct {
+	ftCfg    topo.FatTreeConfig
+	duration sim.Time
+	labels   []string               // dcVariants order
+	records  [][]metrics.FlowRecord // per variant
+}
+
+// runFatTree runs the named workload at the paper's load on the Scale
+// preset's fat-tree under the four dcVariants.
+func runFatTree(cfg Config, workloadName string) (*fatTreeOut, error) {
+	ftCfg, duration, err := dcScale(cfg)
+	if err != nil {
+		return nil, err
+	}
+	specs, err := dcTraffic(cfg, ftCfg, duration, workloadName, dcLoad)
+	if err != nil {
+		return nil, err
+	}
+	vs := dcVariants(dcParams(dcMinBDP(ftCfg), ftCfg.HostBps))
+	outs, err := runDCSet(cfg, vs, ftCfg, specs)
+	if err != nil {
+		return nil, err
+	}
+	out := &fatTreeOut{ftCfg: ftCfg, duration: duration}
+	for i, o := range outs {
+		out.labels = append(out.labels, vs[i].label)
+		out.records = append(out.records, o.records)
+	}
+	return out, nil
+}
+
+// longSlowdown is the pct-percentile slowdown of the >1 MB flows under
+// variant i: the long-flow tail (pct 99.9) the paper's headline reports.
+func (o *fatTreeOut) longSlowdown(i int, pct float64) (float64, error) {
+	return metrics.SlowdownAbove(o.records[i], 1_000_000, pct)
+}
+
+// improvement is the factor by which VAI SF cuts the protocol's long-flow
+// slowdown: variant base (dcHPCC or dcSwift) over the VAI SF variant that
+// follows it. It is 0 when a run had no >1 MB flow.
+func (o *fatTreeOut) improvement(base int, pct float64) float64 {
+	def, errDef := o.longSlowdown(base, pct)
+	vai, errVAI := o.longSlowdown(base+1, pct)
+	if errDef != nil || errVAI != nil {
+		return 0
+	}
+	return def / vai
+}
+
+// slowdownView is the slowdown-versus-flow-size figure of a fat-tree run
+// at one percentile: 99.9 for the tail figures (10, 11), 50 for the median
+// figures (12, 13).
+func slowdownView(f Figure, cfg Config, out *fatTreeOut, pct float64) *Result {
+	res := &Result{Name: f.Name, Title: f.Title,
+		XLabel: "flow size (bytes)",
+		YLabel: fmt.Sprintf("p%v FCT slowdown", pct)}
+	res.Notef("scale=%s hosts=%d duration=%v load=%.0f%% flows=%d",
+		cfg.Scale, out.ftCfg.NumHosts(), out.duration, dcLoad*100, len(out.records[0]))
+	for i, records := range out.records {
+		res.Series = append(res.Series, slowdownSeries(out.labels[i], records, 100, pct))
+		if sd, err := out.longSlowdown(i, pct); err == nil {
+			res.Notef("%s: p%v slowdown of >1MB flows = %.1fx", out.labels[i], pct, sd)
+		}
+	}
+	for _, base := range []int{dcHPCC, dcSwift} {
+		if imp := out.improvement(base, pct); imp > 0 {
+			res.Notef("%s long-flow tail improvement: %.2fx", out.labels[base], imp)
+		}
+	}
+	return res
+}
+
+// fatTreeExperiment is the paper's datacenter run on one workload with its
+// tail and median figures.
+func fatTreeExperiment(workloadName string, tail, median Figure) *Experiment {
 	return &Experiment{
-		Name:  name,
-		Title: title,
-		Run: func(cfg Config) (*Result, error) {
-			ftCfg, duration, err := dcScale(cfg)
+		Figures: []Figure{tail, median},
+		run: func(cfg Config) ([]*Result, error) {
+			out, err := runFatTree(cfg, workloadName)
 			if err != nil {
 				return nil, err
 			}
-			specs, err := dcTraffic(cfg, ftCfg, duration, workloadName, dcLoad)
-			if err != nil {
-				return nil, err
-			}
-			p := dcParams(dcMinBDP(ftCfg), ftCfg.HostBps)
-			vs := dcVariants(p)
-
-			outs, err := par.MapErr(len(vs), cfg.Workers, func(i int) ([]metrics.FlowRecord, error) {
-				records, _, err := runDC(cfg, vs[i], ftCfg, specs)
-				return records, err
-			})
-			if err != nil {
-				return nil, err
-			}
-
-			res := &Result{Name: name, Title: title,
-				XLabel: "flow size (bytes)",
-				YLabel: fmt.Sprintf("p%v FCT slowdown", pct)}
-			res.Notef("scale=%s hosts=%d duration=%v load=%.0f%% flows=%d",
-				cfg.Scale, ftCfg.NumHosts(), duration, dcLoad*100, len(specs))
-			long := map[string]float64{}
-			for i, records := range outs {
-				res.Series = append(res.Series, slowdownSeries(vs[i].label, records, 100, pct))
-				if sd, err := metrics.SlowdownAbove(records, 1_000_000, pct); err == nil {
-					long[vs[i].label] = sd
-					res.Notef("%s: p%v slowdown of >1MB flows = %.1fx", vs[i].label, pct, sd)
-				}
-			}
-			for _, base := range []string{"HPCC", "Swift"} {
-				if b, ok := long[base]; ok {
-					if v, ok := long[base+" VAI SF"]; ok && v > 0 {
-						res.Notef("%s long-flow tail improvement: %.2fx", base, b/v)
-					}
-				}
-			}
-			return res, nil
+			return []*Result{slowdownView(tail, cfg, out, 99.9), slowdownView(median, cfg, out, 50)}, nil
 		},
 	}
 }
@@ -252,14 +313,7 @@ func runDCCustom(cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	type dcOut struct {
-		records []metrics.FlowRecord
-		stats   net.NetworkStats
-	}
-	outs, err := par.MapErr(len(p.vs), cfg.Workers, func(i int) (dcOut, error) {
-		records, st, err := runDC(cfg, p.vs[i], p.ftCfg, p.specs)
-		return dcOut{records, st}, err
-	})
+	outs, err := runDCSet(cfg, p.vs, p.ftCfg, p.specs)
 	if err != nil {
 		return nil, err
 	}
@@ -298,10 +352,8 @@ func runDCCustom(cfg Config) (*Result, error) {
 }
 
 func init() {
-	register(&Experiment{
-		Name:  "fig4",
-		Title: "Fluid model: fairness gap of per-RTT vs Sampling Frequency decreases",
-		Run: func(cfg Config) (*Result, error) {
+	register(single("fig4", "Fluid model: fairness gap of per-RTT vs Sampling Frequency decreases",
+		func(cfg Config) (*Result, error) {
 			c := fluid.DefaultConfig()
 			pts := fluid.Integrate(c, 500, 3e6)
 			res := &Result{Name: "fig4", Title: "Fluid-model fairness difference",
@@ -319,16 +371,13 @@ func init() {
 			res.Notef("gap peaks at %.3f bytes/ns and diminishes to %.4f",
 				peak, pts[len(pts)-1].Gap)
 			return res, nil
-		},
-	})
+		}))
 
-	register(&Experiment{
-		Name:  "dc",
-		Title: "One protocol with and without VAI SF on a configurable fat-tree and workload",
-		Run:   runDCCustom,
-	})
-	register(dcFigure("fig10", "99.9% FCT slowdown vs flow size, Hadoop traffic", "hadoop", 99.9))
-	register(dcFigure("fig11", "99.9% FCT slowdown vs flow size, WebSearch+Storage traffic", "mix", 99.9))
-	register(dcFigure("fig12", "Median FCT slowdown vs flow size, Hadoop traffic", "hadoop", 50))
-	register(dcFigure("fig13", "Median FCT slowdown vs flow size, WebSearch+Storage traffic", "mix", 50))
+	register(single("dc", "One protocol with and without VAI SF on a configurable fat-tree and workload", runDCCustom))
+	register(fatTreeExperiment("hadoop",
+		Figure{"fig10", "99.9% FCT slowdown vs flow size, Hadoop traffic"},
+		Figure{"fig12", "Median FCT slowdown vs flow size, Hadoop traffic"}))
+	register(fatTreeExperiment("mix",
+		Figure{"fig11", "99.9% FCT slowdown vs flow size, WebSearch+Storage traffic"},
+		Figure{"fig13", "Median FCT slowdown vs flow size, WebSearch+Storage traffic"}))
 }

@@ -1,9 +1,9 @@
-// Package exp contains the experiment registry: one named, runnable
-// experiment per figure of the paper (Figs. 1-6 and 8-13; Fig. 7 is the
-// topology diagram, realized by internal/topo), plus ablations of the
-// mechanisms' parameters. Each experiment builds its simulations, runs the
-// protocol variants in parallel, and returns labeled data series that
-// regenerate the figure.
+// Package exp contains the experiment registry: every figure of the paper
+// by name (Figs. 1-6 and 8-13; Fig. 7 is the topology diagram, realized by
+// internal/topo), plus ablations of the mechanisms' parameters. An
+// experiment builds its simulations, runs the protocol variants in
+// parallel, and returns the labeled data series of each figure read off
+// them.
 package exp
 
 import (
@@ -11,9 +11,8 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
+	"slices"
 	"strings"
-	"sync"
 	"time"
 
 	"faircc/internal/sim"
@@ -234,62 +233,93 @@ func csvEscape(s string) string {
 	return s
 }
 
-// Experiment is a named, runnable reproduction of one figure.
-type Experiment struct {
+// Figure names one registered output: a figure of the paper or an
+// extension experiment.
+type Figure struct {
 	Name  string
 	Title string
-	Run   func(Config) (*Result, error)
 }
 
-var (
-	mu       sync.Mutex
-	registry = map[string]*Experiment{}
-)
+// Experiment is the registry's unit: one set of simulations plus the
+// figures read off it. Several of the paper's figures are different plots
+// of the same simulations (Figs. 10 and 12 are the tail and the median of
+// one traffic run), so a figure is a view of a run, and asking for any of
+// a run's figures executes its simulations once.
+type Experiment struct {
+	// Figures declares, in order, the Results run returns.
+	Figures []Figure
+	run     func(Config) ([]*Result, error)
+}
 
-// register adds an experiment at init time; duplicate names are
+// single is the Experiment of a run that only one figure reads.
+func single(name, title string, run func(Config) (*Result, error)) *Experiment {
+	return &Experiment{
+		Figures: []Figure{{name, title}},
+		run: func(cfg Config) ([]*Result, error) {
+			res, err := run(cfg)
+			return []*Result{res}, err
+		},
+	}
+}
+
+// registry is filled by register at init time and only read afterwards.
+var registry []*Experiment
+
+// register adds an experiment at init time; duplicate figure names are
 // programming errors.
 func register(e *Experiment) {
-	mu.Lock()
-	defer mu.Unlock()
-	if _, dup := registry[e.Name]; dup {
-		panic("exp: duplicate experiment " + e.Name)
+	for _, f := range e.Figures {
+		if _, err := Get(f.Name); err == nil {
+			panic("exp: duplicate experiment " + f.Name)
+		}
 	}
-	registry[e.Name] = e
+	registry = append(registry, e)
 }
 
-// Get looks up an experiment by name.
+// Get looks up the experiment that produces the named figure.
 func Get(name string) (*Experiment, error) {
-	mu.Lock()
-	defer mu.Unlock()
-	e, ok := registry[name]
-	if !ok {
-		return nil, fmt.Errorf("exp: unknown experiment %q (see Names())", name)
+	for _, e := range registry {
+		for _, f := range e.Figures {
+			if f.Name == name {
+				return e, nil
+			}
+		}
 	}
-	return e, nil
+	return nil, fmt.Errorf("exp: unknown experiment %q (see Names())", name)
 }
 
-// Names returns all registered experiment names, sorted.
-func Names() []string {
-	mu.Lock()
-	defer mu.Unlock()
-	names := make([]string, 0, len(registry))
-	for n := range registry {
-		names = append(names, n)
+// Experiments returns every registered experiment once, ordered by the
+// name of its first figure.
+func Experiments() []*Experiment {
+	es := slices.Clone(registry)
+	slices.SortFunc(es, func(a, b *Experiment) int { return cmp.Compare(a.Figures[0].Name, b.Figures[0].Name) })
+	return es
+}
+
+// Figures returns all registered figures, sorted by name.
+func Figures() []Figure {
+	var fs []Figure
+	for _, e := range registry {
+		fs = append(fs, e.Figures...)
 	}
-	sort.Strings(names)
+	slices.SortFunc(fs, func(a, b Figure) int { return cmp.Compare(a.Name, b.Name) })
+	return fs
+}
+
+// Names returns all registered figure names, sorted.
+func Names() []string {
+	var names []string
+	for _, f := range Figures() {
+		names = append(names, f.Name)
+	}
 	return names
 }
 
-// Run looks up and runs an experiment, after validating cfg.
+// Run runs the experiment that owns the named figure, after validating
+// cfg, and returns that figure.
 func Run(name string, cfg Config) (*Result, error) {
-	e, err := Get(name)
-	if err != nil {
-		return nil, err
-	}
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	return e.Run(cfg)
+	res, _, err := RunWithStats(name, cfg)
+	return res, err
 }
 
 // horizon bounds sampler scheduling; simulations stop as soon as all flows

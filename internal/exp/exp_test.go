@@ -2,6 +2,7 @@ package exp
 
 import (
 	"math"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -166,6 +167,52 @@ func TestFig10SmallScale(t *testing.T) {
 		if v <= 1.2 {
 			t.Errorf("%s long-flow tail improvement = %.2fx, want > 1.2x", proto, v)
 		}
+	}
+}
+
+// TestFig10AndFig12AreOneRun: asking for either figure executes the
+// Hadoop run's four simulations once, the experiment yields both, and each
+// is what asking for it by name returns.
+func TestFig10AndFig12AreOneRun(t *testing.T) {
+	if testing.Short() {
+		t.Skip("datacenter run in -short mode")
+	}
+	cfg := DefaultConfig()
+	cfg.Scale = "small"
+	fig10, stats, err := RunWithStats("fig10", cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Runs != 4 {
+		t.Errorf("fig10 executed %d simulations, want 4 (one per variant)", stats.Runs)
+	}
+	fig12, err := Run("fig12", cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := Get("fig12")
+	if err != nil {
+		t.Fatal(err)
+	}
+	both, bothStats, err := e.RunWithStats(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bothStats.Runs != 4 || bothStats.Events != stats.Events {
+		t.Errorf("the experiment executed %d simulations / %d events, fig10 alone %d / %d",
+			bothStats.Runs, bothStats.Events, stats.Runs, stats.Events)
+	}
+	if len(both) != 2 {
+		t.Fatalf("experiment returned %d figures, want fig10 and fig12", len(both))
+	}
+	for i, want := range []*Result{fig10, fig12} {
+		if !reflect.DeepEqual(both[i], want) {
+			t.Errorf("figure %d of the run differs from Run(%q)", i, want.Name)
+		}
+	}
+	if fig10.YLabel != "p99.9 FCT slowdown" || fig12.YLabel != "p50 FCT slowdown" ||
+		reflect.DeepEqual(fig10.Series, fig12.Series) {
+		t.Errorf("fig10 (%s) and fig12 (%s) are not the tail and the median of the run", fig10.YLabel, fig12.YLabel)
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"faircc/internal/cc/dctcp"
 	"faircc/internal/metrics"
 	"faircc/internal/net"
-	"faircc/internal/par"
 	"faircc/internal/topo"
 )
 
@@ -14,11 +13,9 @@ import (
 // extension the paper suggests for its Hadoop median-slowdown artifact.
 
 func init() {
-	register(&Experiment{
-		Name: "incast-timely",
-		Title: "16-1 incast under TIMELY with and without VAI SF " +
-			"(mechanism generality beyond HPCC/Swift)",
-		Run: func(cfg Config) (*Result, error) {
+	register(single("incast-timely", "16-1 incast under TIMELY with and without VAI SF "+
+		"(mechanism generality beyond HPCC/Swift)",
+		func(cfg Config) (*Result, error) {
 			p := starParams(starMinBDP(16), hostRate)
 			outs, err := runIncastSet(cfg, timelyVariants(p), paperIncast(16))
 			if err != nil {
@@ -32,13 +29,10 @@ func init() {
 					o.label, o.convergeUs, o.maxQueueKB)
 			}
 			return res, nil
-		},
-	})
+		}))
 
-	register(&Experiment{
-		Name:  "incast-dctcp",
-		Title: "16-1 incast under DCTCP (congestion-extent-scaled decreases, Sec. III-A)",
-		Run: func(cfg Config) (*Result, error) {
+	register(single("incast-dctcp", "16-1 incast under DCTCP (congestion-extent-scaled decreases, Sec. III-A)",
+		func(cfg Config) (*Result, error) {
 			setup := func(nw *net.Network, st *topo.Star) {
 				k := dctcp.RecommendedK(hostRate, 5*1000*1000) // ~5us RTT in ps
 				for _, p := range st.Switch.Ports() {
@@ -55,15 +49,10 @@ func init() {
 			res.Notef("DCTCP: smoothed Jain reaches 0.9 at %.0f us; max queue %.0f KB",
 				out.convergeUs, out.maxQueueKB)
 			return res, nil
-		},
-	})
+		}))
 
-	register(&Experiment{
-		Name: "ablate-swift-hai",
-		Title: "Swift hyper additive increase (Sec. VI-B suggestion): " +
-			"median FCT on Hadoop traffic, small fat-tree",
-		Run: runSwiftHAI,
-	})
+	register(single("ablate-swift-hai", "Swift hyper additive increase (Sec. VI-B suggestion): "+
+		"median FCT on Hadoop traffic, small fat-tree", runSwiftHAI))
 }
 
 // runSwiftHAI compares default Swift against Swift with hyper-AI on the
@@ -83,18 +72,15 @@ func runSwiftHAI(cfg Config) (*Result, error) {
 	}
 	p := dcParams(dcMinBDP(ftCfg), ftCfg.HostBps)
 	vs := []variant{swiftBaselines(p)[0], swiftHAIVariant(p)}
-	outs, err := par.MapErr(len(vs), cfg.Workers, func(i int) ([]metrics.FlowRecord, error) {
-		records, _, err := runDC(small, vs[i], ftCfg, specs)
-		return records, err
-	})
+	outs, err := runDCSet(small, vs, ftCfg, specs)
 	if err != nil {
 		return nil, err
 	}
 	res := &Result{Name: "ablate-swift-hai", Title: "Swift hyper-AI ablation",
 		XLabel: "flow size (bytes)", YLabel: "median FCT slowdown"}
-	for i, records := range outs {
-		res.Series = append(res.Series, slowdownSeries(vs[i].label, records, 50, 50))
-		if sd, err := metrics.SlowdownAbove(records, 100_000, 50); err == nil {
+	for i, o := range outs {
+		res.Series = append(res.Series, slowdownSeries(vs[i].label, o.records, 50, 50))
+		if sd, err := metrics.SlowdownAbove(o.records, 100_000, 50); err == nil {
 			res.Notef("%s: median slowdown of >100KB flows = %.2fx", vs[i].label, sd)
 		}
 	}

@@ -42,9 +42,12 @@ type incastOut struct {
 	startFinish Series
 	convergeUs  float64 // time for smoothed Jain to reach 0.9 (-1 if never)
 	maxQueueKB  float64
-	lastFinish  sim.Time
-	stats       net.NetworkStats
-	records     []metrics.FlowRecord // per-flow completions (finish order)
+	// steadyQueueKB is the mean queue from 100 us after the last flow joined
+	// (past the unavoidable line-rate join transients) to the end.
+	steadyQueueKB float64
+	lastFinish    sim.Time
+	stats         net.NetworkStats
+	records       []metrics.FlowRecord // per-flow completions (AddFlow order)
 }
 
 // starMinBDP computes the paper's VAI token threshold for the star
@@ -71,14 +74,12 @@ func starMinBDP(senders int) float64 {
 // network before flows are added (ECN marking for the DCQCN and DCTCP
 // baselines, finite buffers and loss for the lossy experiments).
 func runIncast(cfg Config, v variant, in incastShape, setup func(*net.Network, *topo.Star)) (*incastOut, error) {
-	rec := &metrics.FCTRecorder{}
 	var jain, queue *metrics.Series
 	nw, err := simulate(cfg, v.label, func(nw *net.Network) {
 		st := topo.NewStar(nw, in.senders+1, hostRate, linkDelay)
 		if setup != nil {
 			setup(nw, st)
 		}
-		rec.Attach(nw)
 		srcs := make([]int, in.senders)
 		for i := range srcs {
 			srcs[i] = st.Hosts[i].NodeID()
@@ -102,7 +103,7 @@ func runIncast(cfg Config, v variant, in incastShape, setup func(*net.Network, *
 		return nil, err
 	}
 
-	out := &incastOut{label: v.label, stats: nw.Stats(), records: rec.Records}
+	out := &incastOut{label: v.label, stats: nw.Stats(), records: metrics.CollectFinished(nw)}
 	for _, f := range nw.Flows() {
 		if f.FinishedAt > out.lastFinish {
 			out.lastFinish = f.FinishedAt
@@ -119,9 +120,10 @@ func runIncast(cfg Config, v variant, in incastShape, setup func(*net.Network, *
 		}
 	}
 	out.queue.Label = v.label
+	out.steadyQueueKB = meanFrom(out.queue, (in.lastStart() + 100*sim.Microsecond).Microseconds())
 	out.startFinish.Label = v.label
-	cfg.notePeakFCT(len(rec.Records))
-	for _, p := range metrics.StartFinish(rec.Records) {
+	cfg.notePeakFCT(len(out.records))
+	for _, p := range metrics.StartFinish(out.records) {
 		out.startFinish.Add(p.T.Microseconds(), p.V)
 	}
 	// Convergence is measured from the moment the last flow joins: before
@@ -137,14 +139,12 @@ func runIncast(cfg Config, v variant, in incastShape, setup func(*net.Network, *
 	return out, nil
 }
 
-// steadyQueueKB averages the queue series from 100 us after the last flow
-// joined (past the unavoidable line-rate join transients) to the end.
-func steadyQueueKB(queue Series, in incastShape) float64 {
-	from := (in.lastStart() + 100*sim.Microsecond).Microseconds()
+// meanFrom averages the samples of s at X >= from (0 if there are none).
+func meanFrom(s Series, from float64) float64 {
 	sum, n := 0.0, 0
-	for i, x := range queue.X {
+	for i, x := range s.X {
 		if x >= from {
-			sum += queue.Y[i]
+			sum += s.Y[i]
 			n++
 		}
 	}
@@ -196,85 +196,94 @@ func runIncastSet(cfg Config, vs []variant, in incastShape) ([]*incastOut, error
 	})
 }
 
-// incastFigure assembles a Jain-index or queue-depth figure over the given
-// variants.
-func incastFigure(name, title string, protocol string, withVAISF bool, senders int, metric string) *Experiment {
-	return &Experiment{
-		Name:  name,
-		Title: title,
-		Run: func(cfg Config) (*Result, error) {
-			p := starParams(starMinBDP(senders), hostRate)
-			var vs []variant
-			if protocol == "hpcc" {
-				vs = hpccBaselines()
-				if withVAISF {
-					vs = append(vs, hpccVAISF(p))
-				}
-			} else {
-				vs = swiftBaselines(p)
-				if withVAISF {
-					vs = append(vs, swiftVAISF(p))
-				}
-			}
-			outs, err := runIncastSet(cfg, vs, paperIncast(senders))
-			if err != nil {
-				return nil, err
-			}
-			res := &Result{Name: name, Title: title, XLabel: "time (us)"}
-			for _, o := range outs {
-				switch metric {
-				case "jain":
-					res.YLabel = "Jain fairness index"
-					res.Series = append(res.Series, o.jain)
-					res.Notef("%s: smoothed Jain reaches 0.9 at %.0f us (-1 = never)", o.label, o.convergeUs)
-				case "queue":
-					res.YLabel = "queue depth (KB)"
-					res.Series = append(res.Series, o.queue)
-					res.Notef("%s: max queue %.0f KB, steady-state mean %.1f KB",
-						o.label, o.maxQueueKB, steadyQueueKB(o.queue, paperIncast(senders)))
-				}
-			}
-			return res, nil
-		},
+// The variants of a paper incast run, in runPaperIncast's order. A figure
+// selects some of them: the Sec. III figures (1-3) the three baselines,
+// Figs. 5 and 6 all four, Figs. 8 and 9 the default against VAI SF.
+const (
+	defaultVariant = 0
+	vaisfVariant   = 3
+)
+
+var (
+	baselines       = []int{defaultVariant, 1, 2}
+	allVariants     = []int{defaultVariant, 1, 2, vaisfVariant}
+	defaultAndVAISF = []int{defaultVariant, vaisfVariant}
+)
+
+// runPaperIncast runs the paper's staggered incast at the given degree
+// under one protocol's four variants: default, 1 Gb/s AI, probabilistic
+// feedback and VAI SF. Every Jain, queue and start-finish figure of that
+// protocol and degree is a view of these four simulations.
+func runPaperIncast(cfg Config, protocol string, senders int) ([]*incastOut, error) {
+	p := starParams(starMinBDP(senders), hostRate)
+	vs := append(hpccBaselines(), hpccVAISF(p))
+	if protocol == "swift" {
+		vs = append(swiftBaselines(p), swiftVAISF(p))
 	}
+	return runIncastSet(cfg, vs, paperIncast(senders))
 }
 
-// startFinishFigure assembles a start-time-versus-finish-time figure.
-func startFinishFigure(name, title, protocol string, variantLabels []string, senders int) *Experiment {
-	return &Experiment{
-		Name:  name,
-		Title: title,
-		Run: func(cfg Config) (*Result, error) {
-			p := starParams(starMinBDP(senders), hostRate)
-			var all []variant
-			if protocol == "hpcc" {
-				all = append(hpccBaselines(), hpccVAISF(p))
-			} else {
-				all = append(swiftBaselines(p), swiftVAISF(p))
-			}
-			var vs []variant
-			for _, v := range all {
-				for _, want := range variantLabels {
-					if v.label == want {
-						vs = append(vs, v)
-					}
-				}
-			}
-			outs, err := runIncastSet(cfg, vs, paperIncast(senders))
-			if err != nil {
-				return nil, err
-			}
-			res := &Result{Name: name, Title: title,
-				XLabel: "start time (us)", YLabel: "finish time (us)"}
-			for _, o := range outs {
-				res.Series = append(res.Series, o.startFinish)
-				first, last := o.startFinish.Y[0], o.startFinish.Y[len(o.startFinish.Y)-1]
-				res.Notef("%s: first-started finishes at %.0f us, last-started at %.0f us",
-					o.label, first, last)
-			}
-			return res, nil
-		},
+// An incastFigure is one view of a paper incast run: the variants it
+// shows and the measurement it plots of each.
+type incastFigure struct {
+	name, title string
+	variants    []int
+	view        func(Figure, []*incastOut) *Result
+}
+
+// incastExperiment is a paper incast run with the figures read off it.
+func incastExperiment(protocol string, senders int, figs []incastFigure) *Experiment {
+	e := &Experiment{}
+	for _, f := range figs {
+		e.Figures = append(e.Figures, Figure{f.name, f.title})
 	}
+	e.run = func(cfg Config) ([]*Result, error) {
+		outs, err := runPaperIncast(cfg, protocol, senders)
+		if err != nil {
+			return nil, err
+		}
+		var results []*Result
+		for i, f := range figs {
+			shown := make([]*incastOut, len(f.variants))
+			for j, v := range f.variants {
+				shown[j] = outs[v]
+			}
+			results = append(results, f.view(e.Figures[i], shown))
+		}
+		return results, nil
+	}
+	return e
+}
+
+// jainView plots the Jain fairness index over time.
+func jainView(f Figure, outs []*incastOut) *Result {
+	res := &Result{Name: f.Name, Title: f.Title, XLabel: "time (us)", YLabel: "Jain fairness index"}
+	for _, o := range outs {
+		res.Series = append(res.Series, o.jain)
+		res.Notef("%s: smoothed Jain reaches 0.9 at %.0f us (-1 = never)", o.label, o.convergeUs)
+	}
+	return res
+}
+
+// queueView plots the bottleneck queue depth over time.
+func queueView(f Figure, outs []*incastOut) *Result {
+	res := &Result{Name: f.Name, Title: f.Title, XLabel: "time (us)", YLabel: "queue depth (KB)"}
+	for _, o := range outs {
+		res.Series = append(res.Series, o.queue)
+		res.Notef("%s: max queue %.0f KB, steady-state mean %.1f KB", o.label, o.maxQueueKB, o.steadyQueueKB)
+	}
+	return res
+}
+
+// startFinishView plots each flow's finish time against its start time.
+func startFinishView(f Figure, outs []*incastOut) *Result {
+	res := &Result{Name: f.Name, Title: f.Title, XLabel: "start time (us)", YLabel: "finish time (us)"}
+	for _, o := range outs {
+		res.Series = append(res.Series, o.startFinish)
+		first, last := o.startFinish.Y[0], o.startFinish.Y[len(o.startFinish.Y)-1]
+		res.Notef("%s: first-started finishes at %.0f us, last-started at %.0f us", o.label, first, last)
+	}
+	return res
 }
 
 // runIncastCustom is the incast experiment: one variant on an incast of
@@ -300,46 +309,38 @@ func runIncastCustom(cfg Config) (*Result, error) {
 	res.Series = append(res.Series, o.jain, o.queue, o.startFinish)
 	res.Notef("%d-1 incast, %d B/flow, %d starting every %v", in.senders, in.size, in.group, in.every)
 	res.Notef("%s: smoothed Jain reaches 0.9 at %.0f us (-1 = never); max queue %.0f KB, steady-state mean %.1f KB",
-		o.label, o.convergeUs, o.maxQueueKB, steadyQueueKB(o.queue, in))
+		o.label, o.convergeUs, o.maxQueueKB, o.steadyQueueKB)
 	res.Notef("%s: first-started finishes at %.0f us, last-started at %.0f us, last finish %.0f us", o.label,
 		o.startFinish.Y[0], o.startFinish.Y[len(o.startFinish.Y)-1], o.lastFinish.Microseconds())
 	return res, nil
 }
 
 func init() {
-	register(&Experiment{
-		Name:  "incast",
-		Title: "One protocol variant on a configurable n-to-1 staggered incast",
-		Run:   runIncastCustom,
-	})
-	register(incastFigure("fig1a", "16-1 incast Jain index, HPCC baselines", "hpcc", false, 16, "jain"))
-	register(incastFigure("fig1b", "16-1 incast queue depth, HPCC baselines", "hpcc", false, 16, "queue"))
-	register(incastFigure("fig1c", "16-1 incast Jain index, Swift baselines", "swift", false, 16, "jain"))
-	register(incastFigure("fig1d", "16-1 incast queue depth, Swift baselines", "swift", false, 16, "queue"))
+	register(single("incast", "One protocol variant on a configurable n-to-1 staggered incast", runIncastCustom))
 
-	register(startFinishFigure("fig2", "16-1 staggered incast start vs finish, HPCC baselines",
-		"hpcc", []string{"HPCC", "HPCC 1Gbps", "HPCC Probabilistic"}, 16))
-	register(startFinishFigure("fig3", "16-1 staggered incast start vs finish, Swift baselines",
-		"swift", []string{"Swift", "Swift 1Gbps", "Swift Probabilistic"}, 16))
+	register(incastExperiment("hpcc", 16, []incastFigure{
+		{"fig1a", "16-1 incast Jain index, HPCC baselines", baselines, jainView},
+		{"fig1b", "16-1 incast queue depth, HPCC baselines", baselines, queueView},
+		{"fig2", "16-1 staggered incast start vs finish, HPCC baselines", baselines, startFinishView},
+		{"fig5a", "16-1 incast Jain index, HPCC with VAI SF", allVariants, jainView},
+		{"fig5b", "16-1 incast queue depth, HPCC with VAI SF", allVariants, queueView},
+		{"fig8", "16-1 incast start vs finish, HPCC default vs VAI SF", defaultAndVAISF, startFinishView}}))
+	register(incastExperiment("swift", 16, []incastFigure{
+		{"fig1c", "16-1 incast Jain index, Swift baselines", baselines, jainView},
+		{"fig1d", "16-1 incast queue depth, Swift baselines", baselines, queueView},
+		{"fig3", "16-1 staggered incast start vs finish, Swift baselines", baselines, startFinishView},
+		{"fig6a", "16-1 incast Jain index, Swift with VAI SF", allVariants, jainView},
+		{"fig6b", "16-1 incast queue depth, Swift with VAI SF", allVariants, queueView},
+		{"fig9", "16-1 incast start vs finish, Swift default vs VAI SF", defaultAndVAISF, startFinishView}}))
+	register(incastExperiment("hpcc", 96, []incastFigure{
+		{"fig5c", "96-1 incast Jain index, HPCC with VAI SF", allVariants, jainView},
+		{"fig5d", "96-1 incast queue depth, HPCC with VAI SF", allVariants, queueView}}))
+	register(incastExperiment("swift", 96, []incastFigure{
+		{"fig6c", "96-1 incast Jain index, Swift with VAI SF", allVariants, jainView},
+		{"fig6d", "96-1 incast queue depth, Swift with VAI SF", allVariants, queueView}}))
 
-	register(incastFigure("fig5a", "16-1 incast Jain index, HPCC with VAI SF", "hpcc", true, 16, "jain"))
-	register(incastFigure("fig5b", "16-1 incast queue depth, HPCC with VAI SF", "hpcc", true, 16, "queue"))
-	register(incastFigure("fig5c", "96-1 incast Jain index, HPCC with VAI SF", "hpcc", true, 96, "jain"))
-	register(incastFigure("fig5d", "96-1 incast queue depth, HPCC with VAI SF", "hpcc", true, 96, "queue"))
-	register(incastFigure("fig6a", "16-1 incast Jain index, Swift with VAI SF", "swift", true, 16, "jain"))
-	register(incastFigure("fig6b", "16-1 incast queue depth, Swift with VAI SF", "swift", true, 16, "queue"))
-	register(incastFigure("fig6c", "96-1 incast Jain index, Swift with VAI SF", "swift", true, 96, "jain"))
-	register(incastFigure("fig6d", "96-1 incast queue depth, Swift with VAI SF", "swift", true, 96, "queue"))
-
-	register(startFinishFigure("fig8", "16-1 incast start vs finish, HPCC default vs VAI SF",
-		"hpcc", []string{"HPCC", "HPCC VAI SF"}, 16))
-	register(startFinishFigure("fig9", "16-1 incast start vs finish, Swift default vs VAI SF",
-		"swift", []string{"Swift", "Swift VAI SF"}, 16))
-
-	register(&Experiment{
-		Name:  "incast-dcqcn",
-		Title: "16-1 incast under DCQCN (Sec. II probabilistic-feedback reference)",
-		Run: func(cfg Config) (*Result, error) {
+	register(single("incast-dcqcn", "16-1 incast under DCQCN (Sec. II probabilistic-feedback reference)",
+		func(cfg Config) (*Result, error) {
 			outs, err := runIncastSet(cfg, []variant{dcqcnVariant()}, paperIncast(16))
 			if err != nil {
 				return nil, err
@@ -351,6 +352,5 @@ func init() {
 			res.Notef("DCQCN: smoothed Jain reaches 0.9 at %.0f us; max queue %.0f KB",
 				o.convergeUs, o.maxQueueKB)
 			return res, nil
-		},
-	})
+		}))
 }

@@ -42,18 +42,10 @@ func lossyKnobs(cfg Config) (buf int64, pData, pAck float64) {
 }
 
 func init() {
-	register(&Experiment{
-		Name: "incast-lossy",
-		Title: "16-1 incast on a lossy fabric: finite buffers, random " +
-			"wire loss, RTO/go-back-N recovery",
-		Run: runLossyIncast,
-	})
-	register(&Experiment{
-		Name: "incast-pfc-vs-lossy",
-		Title: "16-1 incast, lossless (PFC) vs lossy (tail drop + RTO) " +
-			"fabric, Swift variants",
-		Run: runPFCVsLossy,
-	})
+	register(single("incast-lossy", "16-1 incast on a lossy fabric: finite buffers, random "+
+		"wire loss, RTO/go-back-N recovery", runLossyIncast))
+	register(single("incast-pfc-vs-lossy", "16-1 incast, lossless (PFC) vs lossy (tail drop + RTO) "+
+		"fabric, Swift variants", runPFCVsLossy))
 }
 
 func runLossyIncast(cfg Config) (*Result, error) {

@@ -142,25 +142,78 @@ func TestRunStatsMetricsInvariants(t *testing.T) {
 	}
 }
 
-// TestResultsNameRegisteredExperiments: every recorded results/<name>.csv
-// and results/<name>.manifest.json belongs to a registered experiment, so
-// an experiment cannot leave the registry while its recorded output stays.
+// TestResultsNameRegisteredExperiments: every recorded <name>.csv and
+// <name>.manifest.json under results/ and results/full/ belongs to a
+// registered experiment, so an experiment cannot leave the registry while
+// its recorded output stays.
 func TestResultsNameRegisteredExperiments(t *testing.T) {
-	var files []string
-	for _, pat := range []string{"*.csv", "*.manifest.json"} {
-		m, err := filepath.Glob(filepath.Join("..", "..", "results", pat))
-		if err != nil {
+	for _, dir := range []string{"results", filepath.Join("results", "full")} {
+		var files []string
+		for _, pat := range []string{"*.csv", "*.manifest.json"} {
+			m, err := filepath.Glob(filepath.Join("..", "..", dir, pat))
+			if err != nil {
+				t.Fatal(err)
+			}
+			files = append(files, m...)
+		}
+		if len(files) == 0 {
+			t.Fatalf("no recorded results found in %s", dir)
+		}
+		for _, f := range files {
+			name, _, _ := strings.Cut(filepath.Base(f), ".")
+			if _, err := Get(name); err != nil {
+				t.Errorf("%s: %v", f, err)
+			}
+		}
+	}
+}
+
+// TestRecordedResultsReproduce regenerates, at the recorded -scale medium
+// -seed 1, every results/<name>.csv except the five that simulate the
+// medium fat-tree (a minute of tier-1 time; those are regenerated by hand
+// when a PR could move them) and compares bytes, so a recorded result
+// cannot go stale behind a behaviour change — incast-dcqcn and
+// incast-dctcp did for nineteen PRs.
+func TestRecordedResultsReproduce(t *testing.T) {
+	if testing.Short() {
+		t.Skip("regenerates the recorded results in -short mode")
+	}
+	byHand := map[string]bool{"fig10": true, "fig11": true, "fig12": true, "fig13": true, "robustness": true}
+	recorded := func(name string) ([]byte, bool) {
+		if byHand[name] {
+			return nil, false
+		}
+		want, err := os.ReadFile(filepath.Join("..", "..", "results", name+".csv"))
+		if err != nil && !os.IsNotExist(err) {
 			t.Fatal(err)
 		}
-		files = append(files, m...)
+		return want, err == nil
 	}
-	if len(files) == 0 {
-		t.Fatal("no recorded results found")
-	}
-	for _, f := range files {
-		name, _, _ := strings.Cut(filepath.Base(f), ".")
-		if _, err := Get(name); err != nil {
-			t.Errorf("%s: %v", f, err)
+	checked := 0
+	for _, e := range Experiments() {
+		var results []*Result // of e's one execution, on its first recorded figure
+		for i, f := range e.Figures {
+			want, ok := recorded(f.Name)
+			if !ok {
+				continue
+			}
+			if results == nil {
+				var err error
+				if results, _, err = e.RunWithStats(DefaultConfig()); err != nil {
+					t.Fatal(err)
+				}
+			}
+			var got bytes.Buffer
+			if err := results[i].WriteCSV(&got); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got.Bytes(), want) {
+				t.Errorf("results/%s.csv is not what `fairsim -exp %s -scale medium -seed 1` writes", f.Name, f.Name)
+			}
+			checked++
 		}
+	}
+	if checked < 26 {
+		t.Errorf("compared %d recorded CSVs, want at least 26", checked)
 	}
 }

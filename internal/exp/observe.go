@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"slices"
 	"sync"
 	"time"
 
@@ -60,26 +61,39 @@ func (o *runObserver) finish(wall time.Duration) metrics.RunStats {
 	return s
 }
 
-// RunWithStats runs an experiment like Run and additionally returns the
-// aggregated RunStats of every simulation the experiment executed —
-// events, events/sec, packet and pool counters, wall time, and process
-// memory. Experiments that run no packet simulation (the fluid model)
-// return a zero-run snapshot.
-func RunWithStats(name string, cfg Config) (*Result, *metrics.RunStats, error) {
-	e, err := Get(name)
-	if err != nil {
-		return nil, nil, err
-	}
+// RunWithStats runs the experiment's simulations once, after validating
+// cfg, and returns every figure read off them (in Figures order) with the
+// aggregated RunStats of those simulations — events, events/sec, packet
+// and pool counters, wall time, and process memory. Experiments that run
+// no packet simulation (the fluid model) return a zero-run snapshot.
+func (e *Experiment) RunWithStats(cfg Config) ([]*Result, *metrics.RunStats, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, nil, err
 	}
 	obs := &runObserver{}
 	cfg.obs = obs
 	start := time.Now()
-	res, err := e.Run(cfg)
+	results, err := e.run(cfg)
 	if err != nil {
 		return nil, nil, err
 	}
 	stats := obs.finish(time.Since(start))
-	return res, &stats, nil
+	return results, &stats, nil
+}
+
+// RunWithStats runs an experiment like Run and additionally returns the
+// RunStats of the run the named figure was read off.
+func RunWithStats(name string, cfg Config) (*Result, *metrics.RunStats, error) {
+	e, err := Get(name)
+	if err != nil {
+		return nil, nil, err
+	}
+	results, stats, err := e.RunWithStats(cfg)
+	if err != nil {
+		return nil, nil, err
+	}
+	// Get found name among e.Figures, and run returns one Result per
+	// declared figure, in that order (TestRunsReturnDeclaredFigures).
+	i := slices.IndexFunc(e.Figures, func(f Figure) bool { return f.Name == name })
+	return results[i], stats, nil
 }

@@ -142,9 +142,10 @@ func TestRunWithStatsMatchesRun(t *testing.T) {
 		}
 	}
 
-	// fig1a runs one simulation per HPCC baseline variant.
-	if stats.Runs != len(res.Series) {
-		t.Errorf("stats.Runs = %d, want %d (one per variant)", stats.Runs, len(res.Series))
+	// fig1a shows the three HPCC baselines of a run that also simulates
+	// HPCC VAI SF (for fig5a, fig5b and fig8): the stats are the run's.
+	if len(res.Series) != 3 || stats.Runs != 4 {
+		t.Errorf("%d series from %d simulations, want 3 from 4", len(res.Series), stats.Runs)
 	}
 	if stats.Events == 0 || stats.EventsScheduled < stats.Events {
 		t.Errorf("implausible event counts: executed=%d scheduled=%d",

@@ -15,12 +15,8 @@ import (
 // infinite-buffer runs.
 
 func init() {
-	register(&Experiment{
-		Name: "incast-pfc",
-		Title: "16-1 incast with finite buffers and PFC: congestion " +
-			"control must avoid the pause regime",
-		Run: runPFCIncast,
-	})
+	register(single("incast-pfc", "16-1 incast with finite buffers and PFC: congestion "+
+		"control must avoid the pause regime", runPFCIncast))
 }
 
 func runPFCIncast(cfg Config) (*Result, error) {

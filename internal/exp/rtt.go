@@ -183,67 +183,63 @@ func meanTail(s *metrics.Series) float64 {
 // scenario builder: per-variant aggregate and per-class Jain curves, with
 // per-class FCT percentiles in the notes.
 func rttFigure(name, title string, scale func(Config) (rttSetup, error)) *Experiment {
-	return &Experiment{
-		Name:  name,
-		Title: title,
-		Run: func(cfg Config) (*Result, error) {
-			s, err := scale(cfg)
-			if err != nil {
-				return nil, err
-			}
-			p := rttParams(s.dc)
-			vs := dcVariants(p)
+	return single(name, title, func(cfg Config) (*Result, error) {
+		s, err := scale(cfg)
+		if err != nil {
+			return nil, err
+		}
+		p := rttParams(s.dc)
+		vs := dcVariants(p)
 
-			outs, err := par.MapErr(len(vs), cfg.Workers, func(i int) (*rttOut, error) {
-				return runRTT(cfg, vs[i], s)
-			})
-			if err != nil {
-				return nil, err
-			}
+		outs, err := par.MapErr(len(vs), cfg.Workers, func(i int) (*rttOut, error) {
+			return runRTT(cfg, vs[i], s)
+		})
+		if err != nil {
+			return nil, err
+		}
 
-			res := &Result{Name: name, Title: title,
-				XLabel: "time (us)", YLabel: "Jain fairness index"}
-			nw := net.New(sim.NewEngine(), 0)
-			rtts := topo.NewDumbbell(nw, s.dc).ClassBaseRTT(nw)
-			for i, g := range s.dc.Groups {
-				res.Notef("class %s: %d senders, access %v, base RTT %v",
-					g.Name, g.Count, g.AccessDelay, rtts[i])
-			}
-			res.Notef("scale=%s flows/sender=%d size=%d bottleneck=%.0fGbps",
-				cfg.Scale, s.rounds, s.flowSize, s.dc.BottleneckBps/1e9)
+		res := &Result{Name: name, Title: title,
+			XLabel: "time (us)", YLabel: "Jain fairness index"}
+		nw := net.New(sim.NewEngine(), 0)
+		rtts := topo.NewDumbbell(nw, s.dc).ClassBaseRTT(nw)
+		for i, g := range s.dc.Groups {
+			res.Notef("class %s: %d senders, access %v, base RTT %v",
+				g.Name, g.Count, g.AccessDelay, rtts[i])
+		}
+		res.Notef("scale=%s flows/sender=%d size=%d bottleneck=%.0fGbps",
+			cfg.Scale, s.rounds, s.flowSize, s.dc.BottleneckBps/1e9)
 
-			for i, out := range outs {
-				v := vs[i]
-				all := Series{Label: v.label}
-				for _, pt := range out.jain.All.Points {
-					all.Add(pt.T.Microseconds(), pt.V)
-				}
-				res.Series = append(res.Series, all)
-				for _, cs := range out.jain.ByClass {
-					sc := Series{Label: v.label + " " + cs.Label}
-					for _, pt := range cs.Points {
-						sc.Add(pt.T.Microseconds(), pt.V)
-					}
-					res.Series = append(res.Series, sc)
-				}
-				res.Notef("%s: steady-state Jain all=%.3f %s=%.3f %s=%.3f",
-					v.label, meanTail(out.jain.All),
-					out.jain.ByClass[0].Label, meanTail(out.jain.ByClass[0]),
-					out.jain.ByClass[1].Label, meanTail(out.jain.ByClass[1]))
-				for _, cd := range out.classes {
-					if cd.Flows == 0 {
-						continue
-					}
-					res.Notef("%s %s: %d flows, FCT p50=%.1fus p99=%.1fus, slowdown p50=%.2fx p99=%.2fx",
-						v.label, cd.Label, cd.Flows,
-						cd.FCTUsec.Percentile(50), cd.FCTUsec.Percentile(99),
-						cd.Slowdown.Percentile(50), cd.Slowdown.Percentile(99))
-				}
-				res.Notef("%s: peak retained FCT samples %d", v.label, out.peak)
+		for i, out := range outs {
+			v := vs[i]
+			all := Series{Label: v.label}
+			for _, pt := range out.jain.All.Points {
+				all.Add(pt.T.Microseconds(), pt.V)
 			}
-			return res, nil
-		},
-	}
+			res.Series = append(res.Series, all)
+			for _, cs := range out.jain.ByClass {
+				sc := Series{Label: v.label + " " + cs.Label}
+				for _, pt := range cs.Points {
+					sc.Add(pt.T.Microseconds(), pt.V)
+				}
+				res.Series = append(res.Series, sc)
+			}
+			res.Notef("%s: steady-state Jain all=%.3f %s=%.3f %s=%.3f",
+				v.label, meanTail(out.jain.All),
+				out.jain.ByClass[0].Label, meanTail(out.jain.ByClass[0]),
+				out.jain.ByClass[1].Label, meanTail(out.jain.ByClass[1]))
+			for _, cd := range out.classes {
+				if cd.Flows == 0 {
+					continue
+				}
+				res.Notef("%s %s: %d flows, FCT p50=%.1fus p99=%.1fus, slowdown p50=%.2fx p99=%.2fx",
+					v.label, cd.Label, cd.Flows,
+					cd.FCTUsec.Percentile(50), cd.FCTUsec.Percentile(99),
+					cd.Slowdown.Percentile(50), cd.Slowdown.Percentile(99))
+			}
+			res.Notef("%s: peak retained FCT samples %d", v.label, out.peak)
+		}
+		return res, nil
+	})
 }
 
 func init() {

@@ -2,12 +2,15 @@ package exp
 
 import (
 	"strings"
+	"sync"
 	"testing"
 )
 
 // TestEveryExperimentRuns executes the full registry at small scale: every
-// registered experiment must complete, produce at least one non-empty
-// series, and pass the network conservation checks its runner performs.
+// registered experiment must complete, return exactly the figures it
+// declares, each with at least one non-empty series, and pass the network
+// conservation checks its runner performs. There is one subtest per
+// figure, but figures that share an experiment share its one execution.
 // This is the repository's broadest integration test.
 func TestEveryExperimentRuns(t *testing.T) {
 	if testing.Short() {
@@ -15,37 +18,75 @@ func TestEveryExperimentRuns(t *testing.T) {
 	}
 	cfg := DefaultConfig()
 	cfg.Scale = "small"
-	for _, name := range Names() {
-		name := name
-		t.Run(name, func(t *testing.T) {
-			t.Parallel()
-			res, err := Run(name, cfg)
-			if err != nil {
-				t.Fatalf("%s failed: %v", name, err)
-			}
-			if len(res.Series) == 0 {
-				t.Fatalf("%s produced no series", name)
-			}
-			for _, s := range res.Series {
-				if len(s.X) == 0 {
-					t.Fatalf("%s series %q is empty", name, s.Label)
+	type outcome struct {
+		once    sync.Once
+		results []*Result
+		err     error
+	}
+	for _, e := range Experiments() {
+		e, o := e, &outcome{}
+		for i, f := range e.Figures {
+			i, name := i, f.Name
+			t.Run(name, func(t *testing.T) {
+				t.Parallel()
+				o.once.Do(func() { o.results, _, o.err = e.RunWithStats(cfg) })
+				if o.err != nil {
+					t.Fatalf("%s failed: %v", name, o.err)
 				}
-				if len(s.X) != len(s.Y) {
-					t.Fatalf("%s series %q has mismatched X/Y", name, s.Label)
+				if len(o.results) != len(e.Figures) {
+					t.Fatalf("%d results for %d declared figures", len(o.results), len(e.Figures))
 				}
+				res := o.results[i]
+				if res.Name != name {
+					t.Fatalf("result %d is named %q, declared %q", i, res.Name, name)
+				}
+				if len(res.Series) == 0 {
+					t.Fatalf("%s produced no series", name)
+				}
+				for _, s := range res.Series {
+					if len(s.X) == 0 {
+						t.Fatalf("%s series %q is empty", name, s.Label)
+					}
+					if len(s.X) != len(s.Y) {
+						t.Fatalf("%s series %q has mismatched X/Y", name, s.Label)
+					}
+				}
+				// Every figure must also round-trip through CSV.
+				var b strings.Builder
+				if err := res.WriteCSV(&b); err != nil {
+					t.Fatalf("%s CSV: %v", name, err)
+				}
+				if !strings.HasPrefix(b.String(), "series,") {
+					t.Fatalf("%s CSV missing header", name)
+				}
+			})
+		}
+	}
+}
+
+// TestEveryFigureHasOneExperiment: the registry's figure names are unique,
+// each is reachable through Get, and the experiments partition them.
+func TestEveryFigureHasOneExperiment(t *testing.T) {
+	owners := map[string]int{}
+	for _, e := range Experiments() {
+		for _, f := range e.Figures {
+			owners[f.Name]++
+			if got, err := Get(f.Name); err != nil || got != e {
+				t.Errorf("Get(%q) = %p, %v; want the experiment declaring it", f.Name, got, err)
 			}
-			if res.Name != name {
-				t.Fatalf("result name %q != experiment %q", res.Name, name)
-			}
-			// Every experiment must also round-trip through CSV.
-			var b strings.Builder
-			if err := res.WriteCSV(&b); err != nil {
-				t.Fatalf("%s CSV: %v", name, err)
-			}
-			if !strings.HasPrefix(b.String(), "series,") {
-				t.Fatalf("%s CSV missing header", name)
-			}
-		})
+		}
+	}
+	names := Names()
+	if len(names) != 37 {
+		t.Errorf("%d figure names registered, want 37", len(names))
+	}
+	for _, n := range names {
+		if owners[n] != 1 {
+			t.Errorf("%s is declared by %d experiments, want 1", n, owners[n])
+		}
+	}
+	if len(owners) != len(names) {
+		t.Errorf("experiments declare %d figures, Names() has %d", len(owners), len(names))
 	}
 }
 
@@ -53,29 +94,39 @@ func TestEveryExperimentRuns(t *testing.T) {
 // mistakes.
 func TestExperimentTitlesUnique(t *testing.T) {
 	seen := map[string]string{}
-	for _, name := range Names() {
-		e, err := Get(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if e.Title == "" {
+	for _, f := range Figures() {
+		name := f.Name
+		if f.Title == "" {
 			t.Errorf("%s has no title", name)
 		}
 		// Titles are printed verbatim, never used as a format string.
-		if strings.Contains(e.Title, "%%") {
-			t.Errorf("%s: title %q carries a printf escape", name, e.Title)
+		if strings.Contains(f.Title, "%%") {
+			t.Errorf("%s: title %q carries a printf escape", name, f.Title)
 		}
-		if prev, dup := seen[e.Title]; dup {
-			t.Errorf("title %q shared by %s and %s", e.Title, prev, name)
+		if prev, dup := seen[f.Title]; dup {
+			t.Errorf("title %q shared by %s and %s", f.Title, prev, name)
 		}
-		seen[e.Title] = name
+		seen[f.Title] = name
 	}
 }
 
-// TestClaims runs the artifact-evaluation self-check at small scale.
+// TestClaims runs the artifact-evaluation self-check at small scale, with
+// every figure's notes dropped: a claim reads the typed output of the run
+// it calls, so no rewording (or absence) of a note can turn it into a FAIL.
 func TestClaims(t *testing.T) {
 	if testing.Short() {
 		t.Skip("claims sweep in -short mode")
+	}
+	for _, e := range registry {
+		e, run := e, e.run
+		e.run = func(cfg Config) ([]*Result, error) {
+			results, err := run(cfg)
+			for _, res := range results {
+				res.Notes = nil
+			}
+			return results, err
+		}
+		t.Cleanup(func() { e.run = run }) // after the parallel subtests
 	}
 	cfg := DefaultConfig()
 	cfg.Scale = "small"

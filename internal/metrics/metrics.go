@@ -5,7 +5,9 @@
 package metrics
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"faircc/internal/net"
@@ -125,36 +127,11 @@ type FlowRecord struct {
 	Slowdown float64
 }
 
-// FCTRecorder collects completion records via Network.OnFlowFinish.
-type FCTRecorder struct {
-	Records []FlowRecord
-}
-
-// Attach registers the recorder on the network, chaining any existing
-// OnFlowFinish callback.
-func (r *FCTRecorder) Attach(nw *net.Network) {
-	prev := nw.OnFlowFinish
-	nw.OnFlowFinish = func(f *net.Flow) {
-		if prev != nil {
-			prev(f)
-		}
-		r.Records = append(r.Records, FlowRecord{
-			ID:       f.Spec.ID,
-			Size:     f.Spec.Size,
-			Start:    f.Spec.Start,
-			FCT:      f.FCT(),
-			Slowdown: f.Slowdown(),
-		})
-	}
-}
-
 // CollectFinished returns completion records for every finished flow, in
-// AddFlow order. Unlike FCTRecorder it runs after the simulation instead
-// of inside Network.OnFlowFinish, so it is safe for sharded runs (where
-// finish callbacks fire on worker goroutines). Downstream consumers
-// (BucketBySize, SlowdownAbove) sort, so the record-order difference from
-// FCTRecorder — AddFlow order here, finish order there — is invisible in
-// every derived output.
+// AddFlow order. It runs after the simulation instead of inside
+// Network.OnFlowFinish, so it is safe for sharded runs (where finish
+// callbacks fire on worker goroutines). Every consumer (BucketBySize,
+// SlowdownAbove, StartFinish) orders the records itself.
 func CollectFinished(nw *net.Network) []FlowRecord {
 	records := make([]FlowRecord, 0, len(nw.Flows()))
 	for _, f := range nw.Flows() {
@@ -245,12 +222,18 @@ func SlowdownAbove(records []FlowRecord, minSize int64, pct float64) (float64, e
 }
 
 // StartFinish extracts (start, finish) pairs for the staggered-incast
-// figures (start time vs finish time, Figs. 2, 3, 8, 9).
+// figures (start time vs finish time, Figs. 2, 3, 8, 9), ordered by start
+// time and, among flows starting together (the paper's incast starts two
+// per instant), by flow ID — so which flow is "first-started" does not
+// depend on the order of records.
 func StartFinish(records []FlowRecord) []Point {
-	pts := make([]Point, 0, len(records))
-	for _, r := range records {
-		pts = append(pts, Point{T: r.Start, V: (r.Start + r.FCT).Microseconds()})
+	sorted := slices.Clone(records)
+	slices.SortFunc(sorted, func(a, b FlowRecord) int {
+		return cmp.Or(cmp.Compare(a.Start, b.Start), cmp.Compare(a.ID, b.ID))
+	})
+	pts := make([]Point, len(sorted))
+	for i, r := range sorted {
+		pts[i] = Point{T: r.Start, V: (r.Start + r.FCT).Microseconds()}
 	}
-	sort.Slice(pts, func(i, j int) bool { return pts[i].T < pts[j].T })
 	return pts
 }

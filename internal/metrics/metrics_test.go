@@ -112,35 +112,24 @@ func TestSampleQueue(t *testing.T) {
 	}
 }
 
-func TestFCTRecorderAndSlowdown(t *testing.T) {
+func TestCollectFinishedAndSlowdown(t *testing.T) {
 	eng, nw, _ := buildStar(2)
-	rec := &FCTRecorder{}
-	rec.Attach(nw)
 	nw.AddFlow(net.FlowSpec{ID: 1, Src: 0, Dst: 1, Size: 1_000_000}, rateAlgo(100e9))
-	eng.Run()
-	if len(rec.Records) != 1 {
-		t.Fatalf("records = %d, want 1", len(rec.Records))
+	if got := CollectFinished(nw); len(got) != 0 {
+		t.Fatalf("%d records before the flow ran, want 0", len(got))
 	}
-	r := rec.Records[0]
+	eng.Run()
+	records := CollectFinished(nw)
+	if len(records) != 1 {
+		t.Fatalf("records = %d, want 1", len(records))
+	}
+	r := records[0]
 	// Uncontended line-rate flow: slowdown must be very close to 1.
 	if r.Slowdown < 1 || r.Slowdown > 1.1 {
 		t.Fatalf("uncontended slowdown = %v, want ~1", r.Slowdown)
 	}
 	if r.Size != 1_000_000 || r.FCT <= 0 {
 		t.Fatalf("bad record: %+v", r)
-	}
-}
-
-func TestFCTRecorderChainsCallback(t *testing.T) {
-	eng, nw, _ := buildStar(2)
-	called := 0
-	nw.OnFlowFinish = func(*net.Flow) { called++ }
-	rec := &FCTRecorder{}
-	rec.Attach(nw)
-	nw.AddFlow(net.FlowSpec{ID: 1, Src: 0, Dst: 1, Size: 10_000}, rateAlgo(100e9))
-	eng.Run()
-	if called != 1 || len(rec.Records) != 1 {
-		t.Fatalf("chained callback called=%d records=%d, want 1 and 1", called, len(rec.Records))
 	}
 }
 
@@ -204,15 +193,20 @@ func TestSlowdownAbove(t *testing.T) {
 
 func TestStartFinish(t *testing.T) {
 	recs := []FlowRecord{
-		{Start: 20 * sim.Microsecond, FCT: 100 * sim.Microsecond},
-		{Start: 0, FCT: 150 * sim.Microsecond},
+		{ID: 3, Start: 20 * sim.Microsecond, FCT: 100 * sim.Microsecond},
+		{ID: 2, Start: 0, FCT: 150 * sim.Microsecond},
+		{ID: 1, Start: 0, FCT: 90 * sim.Microsecond},
 	}
-	pts := StartFinish(recs)
-	if len(pts) != 2 || pts[0].T != 0 || pts[1].T != 20*sim.Microsecond {
-		t.Fatalf("points not start-ordered: %+v", pts)
-	}
-	if pts[0].V != 150 || pts[1].V != 120 {
-		t.Fatalf("finish times wrong: %+v", pts)
+	// Flows starting together are ordered by ID, whatever order the records
+	// come in (finish order and AddFlow order differ inside such a pair).
+	for _, in := range [][]FlowRecord{recs, {recs[2], recs[1], recs[0]}, {recs[1], recs[0], recs[2]}} {
+		pts := StartFinish(in)
+		if len(pts) != 3 || pts[0].T != 0 || pts[1].T != 0 || pts[2].T != 20*sim.Microsecond {
+			t.Fatalf("points not start-ordered: %+v", pts)
+		}
+		if pts[0].V != 90 || pts[1].V != 150 || pts[2].V != 120 {
+			t.Fatalf("finish times wrong or ties not in ID order: %+v", pts)
+		}
 	}
 }
 

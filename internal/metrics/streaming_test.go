@@ -103,8 +103,6 @@ func TestClassCollectorStreams(t *testing.T) {
 	classOf := func(f *net.Flow) int { return f.Spec.ID % 2 }
 	col := NewClassCollector([]string{"even", "odd"}, classOf, 0)
 	col.Attach(nw)
-	rec := &FCTRecorder{}
-	rec.Attach(nw)
 	hosts := nw.Hosts()
 	for i := 0; i < 4; i++ {
 		nw.AddFlow(net.FlowSpec{ID: i + 1, Src: hosts[i].NodeID(),
@@ -123,7 +121,7 @@ func TestClassCollectorStreams(t *testing.T) {
 	for c := 0; c < 2; c++ {
 		var fcts, slows []float64
 		var bytes int64
-		for _, r := range rec.Records {
+		for _, r := range CollectFinished(nw) {
 			if r.ID%2 != c {
 				continue
 			}
@@ -146,6 +144,21 @@ func TestClassCollectorStreams(t *testing.T) {
 	// 4 flows x 2 accumulators of exact samples.
 	if col.PeakRetained() != 8 {
 		t.Fatalf("peak retained = %d, want 8", col.PeakRetained())
+	}
+}
+
+// TestClassCollectorChainsCallback: Attach keeps an OnFlowFinish callback
+// that was already installed.
+func TestClassCollectorChainsCallback(t *testing.T) {
+	eng, nw, _ := buildStar(2)
+	called := 0
+	nw.OnFlowFinish = func(*net.Flow) { called++ }
+	col := NewClassCollector([]string{"only"}, func(*net.Flow) int { return 0 }, 0)
+	col.Attach(nw)
+	nw.AddFlow(net.FlowSpec{ID: 1, Src: 0, Dst: 1, Size: 10_000}, rateAlgo(100e9))
+	eng.Run()
+	if flows := col.Classes()[0].Flows; called != 1 || flows != 1 {
+		t.Fatalf("chained callback called=%d collected=%d, want 1 and 1", called, flows)
 	}
 }
 
