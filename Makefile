@@ -22,9 +22,10 @@ bench-compare:
 	go run ./bench -compare $(A) $(B)
 
 # The tracked size number (ROADMAP aim 2): non-test Go lines and assembly,
-# bench/ excluded.
+# bench/ excluded. cmd/ci holds its one definition and prints it as the
+# gate's last line.
 loc:
-	@find . \( -name '*.go' -not -name '*_test.go' -o -name '*.s' \) -not -path './bench/*' | xargs cat | wc -l
+	@go run ./cmd/ci -loc
 
 # Profile the reference workload (fig10-medium) and install the result: the
 # CPU profile as cmd/fairsim/default.pgo — its one committed copy, which

@@ -23,18 +23,59 @@
 //
 // ci verifies; it does not measure. Performance is measured in one place,
 // `go run ./bench` (BENCHMARK.json), which reports run-to-run spread.
+//
+// Its last line is the tracked size number (ROADMAP aim 2), the figure a
+// PR's CHANGES.md entry quotes; `go run ./cmd/ci -loc` (`make loc`) prints
+// that number alone.
 package main
 
 import (
+	"bytes"
 	"flag"
 	"fmt"
+	"io/fs"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"strings"
 )
 
+// loc is the tracked size number: the lines of every non-test Go file and
+// assembly file under the current directory, bench/ excluded.
+func loc() (int, error) {
+	n := 0
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path == "bench" || path == ".git" {
+				return fs.SkipDir
+			}
+			return nil
+		}
+		if strings.HasSuffix(path, ".s") || strings.HasSuffix(path, ".go") && !strings.HasSuffix(path, "_test.go") {
+			src, err := os.ReadFile(path)
+			n += bytes.Count(src, []byte("\n"))
+			return err
+		}
+		return nil
+	})
+	return n, err
+}
+
 func main() {
+	locOnly := flag.Bool("loc", false, "print the tracked size number and exit")
 	flag.Parse()
+	size, err := loc()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "ci: loc:", err)
+		os.Exit(1)
+	}
+	if *locOnly {
+		fmt.Println(size)
+		return
+	}
 
 	steps := []struct {
 		name string
@@ -78,9 +119,12 @@ func main() {
 		}
 		fmt.Printf("ok   %s\n", s.name)
 	}
+	verdict := "all checks passed"
 	if failed > 0 {
-		fmt.Printf("\n%d step(s) failed\n", failed)
+		verdict = fmt.Sprintf("%d step(s) failed", failed)
+	}
+	fmt.Printf("\n%s\nloc %d (non-test Go and assembly lines, bench/ excluded)\n", verdict, size)
+	if failed > 0 {
 		os.Exit(1)
 	}
-	fmt.Println("\nall checks passed")
 }

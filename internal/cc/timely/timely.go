@@ -174,19 +174,19 @@ func (t *Timely) OnAck(fb cc.Feedback) cc.Control {
 	case rtt < t.tLow:
 		t.negCount = 0
 		if increaseAllowed {
-			t.spend(rttPassed)
+			t.spend()
 			t.rate += delta
 		}
 	case rtt > t.tHigh:
 		t.negCount = 0
 		if decreaseAllowed {
-			t.spend(rttPassed)
+			t.spend()
 			t.rate *= 1 - t.cfg.Beta*(1-float64(t.tHigh)/float64(rtt))
 		}
 	case gradient <= 0:
 		t.negCount++
 		if increaseAllowed {
-			t.spend(rttPassed)
+			t.spend()
 			n := 1.0
 			if t.negCount >= t.cfg.HAIAfter {
 				n = t.cfg.HAIMult
@@ -196,7 +196,7 @@ func (t *Timely) OnAck(fb cc.Feedback) cc.Control {
 	default:
 		t.negCount = 0
 		if decreaseAllowed {
-			t.spend(rttPassed)
+			t.spend()
 			t.rate *= 1 - t.cfg.Beta*math.Min(gradient, 1)
 		}
 	}
@@ -207,11 +207,10 @@ func (t *Timely) OnAck(fb cc.Feedback) cc.Control {
 }
 
 // spend draws the VAI multiplier once per rate-update period.
-func (t *Timely) spend(rttPassed bool) {
+func (t *Timely) spend() {
 	if t.vai != nil {
 		t.vai.Spend()
 	}
-	_ = rttPassed
 }
 
 // noteCongestion maintains Algorithm 1's per-RTT bookkeeping.

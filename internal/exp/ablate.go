@@ -100,7 +100,7 @@ func runNewFlow(cfg Config) ([]newFlowOut, error) {
 	outs := make([]newFlowOut, len(vs))
 	for i, v := range vs {
 		var jain *metrics.Series
-		_, err := simulate(cfg, v.label, func(nw *net.Network) {
+		_, err := simulateSampled(cfg, v.label, 1, func(nw *net.Network) {
 			st := topo.NewStar(nw, 4, hostRate, linkDelay)
 			dst := st.Hosts[3].NodeID()
 			const size = 8_000_000
@@ -111,7 +111,7 @@ func runNewFlow(cfg Config) ([]newFlowOut, error) {
 			} {
 				nw.AddFlow(spec, v.make())
 			}
-			jain = metrics.SampleJain(nw, v.label, 2*sim.Microsecond, 0, horizon)
+			jain = metrics.SampleJain(nw, v.label, 2*sim.Microsecond, 0, forever)
 		})
 		if err != nil {
 			return nil, err

@@ -109,11 +109,8 @@ func dcTraffic(cfg Config, ftCfg topo.FatTreeConfig, duration sim.Time, name str
 // under one protocol variant, returning per-flow completion records and
 // the network's counter snapshot (the dc experiment reports switched
 // bytes and the deepest queue from it; figure assembly ignores it).
-// Completion records are collected after the run (CollectFinished) rather
-// than via an OnFlowFinish recorder, so the same code path serves
-// sequential and sharded runs — on a sharded network finish callbacks
-// fire on worker goroutines. Every derived output sorts, so the record
-// order difference is invisible (goldens are bit-identical).
+// Completion records are collected after the run (CollectFinished), so the
+// same code path serves sequential and sharded runs.
 func runDC(cfg Config, v variant, ftCfg topo.FatTreeConfig, specs []net.FlowSpec) ([]metrics.FlowRecord, net.NetworkStats, error) {
 	nw, err := simulate(cfg, v.label, func(nw *net.Network) {
 		ft := topo.NewFatTree(nw, ftCfg)
@@ -127,9 +124,7 @@ func runDC(cfg Config, v variant, ftCfg topo.FatTreeConfig, specs []net.FlowSpec
 	if err != nil {
 		return nil, net.NetworkStats{}, err
 	}
-	records := metrics.CollectFinished(nw)
-	cfg.notePeakFCT(len(records))
-	return records, nw.Stats(), nil
+	return metrics.CollectFinished(nw), nw.Stats(), nil
 }
 
 // dcMinBDP probes the fat-tree's minimum BDP (the shortest, same-ToR

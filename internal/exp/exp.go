@@ -322,6 +322,6 @@ func Run(name string, cfg Config) (*Result, error) {
 	return res, err
 }
 
-// horizon bounds sampler scheduling; simulations stop as soon as all flows
-// finish, so a generous horizon costs nothing.
-const horizon = 200 * sim.Millisecond
+// forever is the until of every sampler an experiment starts: a series ends
+// when its run does (see simulateSampled), however long that takes.
+const forever = sim.Time(math.MaxInt64)

@@ -1,11 +1,6 @@
 package exp
 
-import (
-	"faircc/internal/cc/dctcp"
-	"faircc/internal/metrics"
-	"faircc/internal/net"
-	"faircc/internal/topo"
-)
+import "faircc/internal/metrics"
 
 // Extension experiments beyond the paper's figures: the TIMELY transfer
 // of VAI+SF (the paper claims the mechanisms apply to "a multitude" of
@@ -17,7 +12,7 @@ func init() {
 		"(mechanism generality beyond HPCC/Swift)",
 		func(cfg Config) (*Result, error) {
 			p := starParams(starMinBDP(16), hostRate)
-			outs, err := runIncastSet(cfg, timelyVariants(p), paperIncast(16))
+			outs, err := runIncastSet(cfg, timelyVariants(p), paperIncast(16), nil)
 			if err != nil {
 				return nil, err
 			}
@@ -33,21 +28,15 @@ func init() {
 
 	register(single("incast-dctcp", "16-1 incast under DCTCP (congestion-extent-scaled decreases, Sec. III-A)",
 		func(cfg Config) (*Result, error) {
-			setup := func(nw *net.Network, st *topo.Star) {
-				k := dctcp.RecommendedK(hostRate, 5*1000*1000) // ~5us RTT in ps
-				for _, p := range st.Switch.Ports() {
-					p.SetRED(dctcp.MarkingAt(k))
-				}
-			}
-			out, err := runIncast(cfg, dctcpVariant(), paperIncast(16), setup)
+			outs, err := runIncastSet(cfg, []variant{dctcpVariant()}, paperIncast(16), nil)
 			if err != nil {
 				return nil, err
 			}
 			res := &Result{Name: "incast-dctcp", Title: "DCTCP 16-1 incast",
 				XLabel: "time (us)", YLabel: "Jain fairness index"}
-			res.Series = append(res.Series, out.jain)
+			res.Series = append(res.Series, outs[0].jain)
 			res.Notef("DCTCP: smoothed Jain reaches 0.9 at %.0f us; max queue %.0f KB",
-				out.convergeUs, out.maxQueueKB)
+				outs[0].convergeUs, outs[0].maxQueueKB)
 			return res, nil
 		}))
 

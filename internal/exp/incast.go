@@ -70,13 +70,17 @@ func starMinBDP(senders int) float64 {
 }
 
 // runIncast runs one staggered n-to-1 incast under the given variant and
-// collects the figure measurements. setup, when non-nil, configures the
-// network before flows are added (ECN marking for the DCQCN and DCTCP
-// baselines, finite buffers and loss for the lossy experiments).
+// collects the figure measurements. The variant's own setup (ECN marking
+// for the DCQCN and DCTCP baselines) and then setup, each when non-nil,
+// configure the network before flows are added (setup: finite buffers,
+// loss or PFC for the experiments on such fabrics).
 func runIncast(cfg Config, v variant, in incastShape, setup func(*net.Network, *topo.Star)) (*incastOut, error) {
 	var jain, queue *metrics.Series
-	nw, err := simulate(cfg, v.label, func(nw *net.Network) {
+	nw, err := simulateSampled(cfg, v.label, 2, func(nw *net.Network) {
 		st := topo.NewStar(nw, in.senders+1, hostRate, linkDelay)
+		if v.setup != nil {
+			v.setup(nw)
+		}
 		if setup != nil {
 			setup(nw, st)
 		}
@@ -96,8 +100,8 @@ func runIncast(cfg Config, v variant, in incastShape, setup func(*net.Network, *
 		if jainEvery < 5*sim.Microsecond {
 			jainEvery = 5 * sim.Microsecond
 		}
-		jain = metrics.SampleJain(nw, v.label, jainEvery, 0, horizon)
-		queue = metrics.SampleQueue(nw.Eng, st.HostPorts[in.senders], v.label, sim.Microsecond, 0, horizon)
+		jain = metrics.SampleJain(nw, v.label, jainEvery, 0, forever)
+		queue = metrics.SampleQueue(nw.Eng, st.HostPorts[in.senders], v.label, sim.Microsecond, 0, forever)
 	})
 	if err != nil {
 		return nil, err
@@ -122,7 +126,6 @@ func runIncast(cfg Config, v variant, in incastShape, setup func(*net.Network, *
 	out.queue.Label = v.label
 	out.steadyQueueKB = meanFrom(out.queue, (in.lastStart() + 100*sim.Microsecond).Microseconds())
 	out.startFinish.Label = v.label
-	cfg.notePeakFCT(len(out.records))
 	for _, p := range metrics.StartFinish(out.records) {
 		out.startFinish.Add(p.T.Microseconds(), p.V)
 	}
@@ -176,22 +179,10 @@ func smoothedReach(s Series, window int, threshold float64) float64 {
 	return -1
 }
 
-// dcqcnSetup configures RED marking and the CNP interval DCQCN needs.
-func dcqcnSetup(nw *net.Network, st *topo.Star) {
-	for _, p := range st.Switch.Ports() {
-		p.SetRED(net.REDConfig{KMinBytes: 100_000, KMaxBytes: 400_000, PMax: 0.2})
-	}
-	nw.CNPInterval = 50 * sim.Microsecond
-}
-
-// runIncastSet runs all variants in parallel; the first failing variant
-// cancels the rest of the sweep.
-func runIncastSet(cfg Config, vs []variant, in incastShape) ([]*incastOut, error) {
+// runIncastSet runs all variants in parallel on the same fabric setup (see
+// runIncast); the first failing variant cancels the rest of the sweep.
+func runIncastSet(cfg Config, vs []variant, in incastShape, setup func(*net.Network, *topo.Star)) ([]*incastOut, error) {
 	return par.MapErr(len(vs), cfg.Workers, func(i int) (*incastOut, error) {
-		var setup func(*net.Network, *topo.Star)
-		if vs[i].label == "DCQCN" {
-			setup = dcqcnSetup
-		}
 		return runIncast(cfg, vs[i], in, setup)
 	})
 }
@@ -220,7 +211,7 @@ func runPaperIncast(cfg Config, protocol string, senders int) ([]*incastOut, err
 	if protocol == "swift" {
 		vs = append(swiftBaselines(p), swiftVAISF(p))
 	}
-	return runIncastSet(cfg, vs, paperIncast(senders))
+	return runIncastSet(cfg, vs, paperIncast(senders), nil)
 }
 
 // An incastFigure is one view of a paper incast run: the variants it
@@ -296,7 +287,7 @@ func runIncastCustom(cfg Config) (*Result, error) {
 	in.group = cmp.Or(cfg.IncastGroup, in.group)
 	in.every = cmp.Or(cfg.IncastEvery, in.every)
 	v := variantsByKey(starParams(starMinBDP(in.senders), hostRate))[cmp.Or(cfg.IncastAlgo, "hpcc")]
-	outs, err := runIncastSet(cfg, []variant{v}, in)
+	outs, err := runIncastSet(cfg, []variant{v}, in, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -341,7 +332,7 @@ func init() {
 
 	register(single("incast-dcqcn", "16-1 incast under DCQCN (Sec. II probabilistic-feedback reference)",
 		func(cfg Config) (*Result, error) {
-			outs, err := runIncastSet(cfg, []variant{dcqcnVariant()}, paperIncast(16))
+			outs, err := runIncastSet(cfg, []variant{dcqcnVariant()}, paperIncast(16), nil)
 			if err != nil {
 				return nil, err
 			}

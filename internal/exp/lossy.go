@@ -59,18 +59,17 @@ func runLossyIncast(cfg Config) (*Result, error) {
 			sp.SetBuffer(buf)
 		}
 	}
-	vs := dcVariants(p)
+	outs, err := runIncastSet(cfg, dcVariants(p), paperIncast(16), lossy)
+	if err != nil {
+		return nil, err
+	}
 	res := &Result{Name: "incast-lossy", Title: "Incast on a lossy fabric",
 		XLabel: "time (us)", YLabel: "bottleneck queue (KB)"}
-	for _, v := range vs {
-		out, err := runIncast(cfg, v, paperIncast(16), lossy)
-		if err != nil {
-			return nil, err
-		}
+	for _, out := range outs {
 		res.Series = append(res.Series, out.queue)
 		res.Notef("%s: %d drops (%d buffer, %d wire), %d retransmits, %d RTOs, %d dup ACKs; "+
 			"max queue %.0f KB, last finish %.0f us",
-			v.label, out.stats.Drops(), out.stats.BufferDrops, out.stats.WireDrops,
+			out.label, out.stats.Drops(), out.stats.BufferDrops, out.stats.WireDrops,
 			out.stats.Retransmits, out.stats.RTOFires, out.stats.DupAcks,
 			out.maxQueueKB, out.lastFinish.Microseconds())
 	}
@@ -111,20 +110,20 @@ func runPFCVsLossy(cfg Config) (*Result, error) {
 	res := &Result{Name: "incast-pfc-vs-lossy", Title: "PFC vs lossy fabric",
 		XLabel: "time (us)", YLabel: "bottleneck queue (KB)"}
 	for _, mode := range modes {
-		for _, v := range vs {
-			out, err := runIncast(cfg, v, paperIncast(16), mode.setup)
-			if err != nil {
-				return nil, fmt.Errorf("%s/%w", mode.name, err)
-			}
+		outs, err := runIncastSet(cfg, vs, paperIncast(16), mode.setup)
+		if err != nil {
+			return nil, fmt.Errorf("%s/%w", mode.name, err)
+		}
+		for _, out := range outs {
 			if mode.name == "PFC" && out.stats.Drops() > 0 {
 				return nil, fmt.Errorf("%s/%s: losslessness violated: %d drops with PFC engaged",
-					mode.name, v.label, out.stats.Drops())
+					mode.name, out.label, out.stats.Drops())
 			}
 			s := out.queue
-			s.Label = mode.name + " " + v.label
+			s.Label = mode.name + " " + out.label
 			res.Series = append(res.Series, s)
 			res.Notef("%s %s: %d drops, %d PFC pauses, %d retransmits; max queue %.0f KB, last finish %.0f us",
-				mode.name, v.label, out.stats.Drops(), out.stats.PFCPauses,
+				mode.name, out.label, out.stats.Drops(), out.stats.PFCPauses,
 				out.stats.Retransmits, out.maxQueueKB, out.lastFinish.Microseconds())
 		}
 	}

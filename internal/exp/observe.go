@@ -35,24 +35,6 @@ func (o *runObserver) add(s metrics.RunStats) {
 	o.mu.Unlock()
 }
 
-// notePeakFCT records a per-flow-record high-water mark: len(records) on
-// the collect-at-end path, ClassCollector.PeakRetained on the streaming
-// path. RunStats keeps the max across an experiment's runs.
-func (o *runObserver) notePeakFCT(n int) {
-	o.mu.Lock()
-	if n > o.stats.PeakFCTRecords {
-		o.stats.PeakFCTRecords = n
-	}
-	o.mu.Unlock()
-}
-
-// notePeakFCT is the Config-level wrapper (no-op without an observer).
-func (cfg Config) notePeakFCT(n int) {
-	if cfg.obs != nil {
-		cfg.obs.notePeakFCT(n)
-	}
-}
-
 func (o *runObserver) finish(wall time.Duration) metrics.RunStats {
 	o.mu.Lock()
 	defer o.mu.Unlock()

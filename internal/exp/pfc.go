@@ -28,21 +28,20 @@ func runPFCIncast(cfg Config) (*Result, error) {
 		nw.PFCPauseBytes = 512_000
 		nw.PFCResumeBytes = 256_000
 	}
-	vs := dcVariants(p)
+	outs, err := runIncastSet(cfg, dcVariants(p), paperIncast(16), pfc)
+	if err != nil {
+		return nil, err
+	}
 	res := &Result{Name: "incast-pfc", Title: "Incast under PFC",
 		XLabel: "time (us)", YLabel: "bottleneck queue (KB)"}
-	for _, v := range vs {
-		out, err := runIncast(cfg, v, paperIncast(16), pfc)
-		if err != nil {
-			return nil, err
-		}
+	for _, out := range outs {
 		res.Series = append(res.Series, out.queue)
 		regime := "below"
 		if out.stats.PFCPauses > 0 {
 			regime = "REACHED"
 		}
 		res.Notef("%s: max queue %.0f KB, %d PFC pauses (%s the 512 KB pause threshold); converge %.0f us",
-			v.label, out.maxQueueKB, out.stats.PFCPauses, regime, out.convergeUs)
+			out.label, out.maxQueueKB, out.stats.PFCPauses, regime, out.convergeUs)
 	}
 	return res, nil
 }

@@ -7,6 +7,7 @@ import (
 	"faircc/internal/net"
 	"faircc/internal/par"
 	"faircc/internal/sim"
+	"faircc/internal/stats"
 	"faircc/internal/topo"
 )
 
@@ -97,8 +98,7 @@ func rttParams(dc topo.DumbbellConfig) pathParams {
 // rttOut is one variant's measurements.
 type rttOut struct {
 	jain    *metrics.JainClassSeries
-	classes []metrics.ClassDist
-	peak    int
+	records [][]metrics.FlowRecord // finished flows per RTT class, in Groups order
 }
 
 // runRTT runs one dumbbell scenario under one protocol variant. It always
@@ -106,33 +106,21 @@ type rttOut struct {
 // receiver-side delivery marks every tick, which on a sharded network
 // would race with the receiver shard (the same reason the incast figures
 // are sequential; Dumbbell.ShardMap exists for record-only workloads).
-// FCT statistics stream through a ClassCollector — per-flow records are
-// folded into bounded per-class accumulators as flows finish, never
-// retained — exercising the streaming-metrics path end to end.
 func runRTT(cfg Config, v variant, s rttSetup) (*rttOut, error) {
-	var col *metrics.ClassCollector
 	var jain *metrics.JainClassSeries
-	_, err := simulate(cfg, v.label, func(nw *net.Network) {
+	var flowClass []int // flow ID - 1 -> its sender's RTT class
+	nw, err := simulateSampled(cfg, v.label, 1, func(nw *net.Network) {
 		d := topo.NewDumbbell(nw, s.dc)
-
-		// Host node id -> RTT class, for classing flows by their sender.
-		classOfHost := make(map[int]int, len(d.Senders))
-		for i, h := range d.Senders {
-			classOfHost[h.NodeID()] = d.Class[i]
-		}
-		classOf := func(f *net.Flow) int { return classOfHost[f.Spec.Src] }
 		labels := make([]string, len(s.dc.Groups))
 		for i, g := range s.dc.Groups {
 			labels[i] = g.Name
 		}
 
-		col = metrics.NewClassCollector(labels, classOf, 0)
-		col.Attach(nw)
-
 		id := 0
 		for r := 0; r < s.rounds; r++ {
 			for i, snd := range d.Senders {
 				id++
+				flowClass = append(flowClass, d.Class[i])
 				nw.AddFlow(net.FlowSpec{
 					ID:    id,
 					Src:   snd.NodeID(),
@@ -157,13 +145,29 @@ func runRTT(cfg Config, v variant, s rttSetup) (*rttOut, error) {
 		if every < 5*sim.Microsecond {
 			every = 5 * sim.Microsecond
 		}
-		jain = metrics.SampleJainClasses(nw, labels, classOf, every, 0, horizon)
+		classOf := func(f *net.Flow) int { return flowClass[f.Spec.ID-1] }
+		jain = metrics.SampleJainClasses(nw, labels, classOf, every, 0, forever)
 	})
 	if err != nil {
 		return nil, err
 	}
-	cfg.notePeakFCT(col.PeakRetained())
-	return &rttOut{jain: jain, classes: col.Classes(), peak: col.PeakRetained()}, nil
+	out := &rttOut{jain: jain, records: make([][]metrics.FlowRecord, len(s.dc.Groups))}
+	for _, r := range metrics.CollectFinished(nw) {
+		c := flowClass[r.ID-1]
+		out.records[c] = append(out.records[c], r)
+	}
+	return out, nil
+}
+
+// fctPercentiles returns the p50 and p99 of the records' completion times
+// (microseconds) and of their slowdowns.
+func fctPercentiles(records []metrics.FlowRecord) (fct50, fct99, slow50, slow99 float64) {
+	fct, slow := make([]float64, len(records)), make([]float64, len(records))
+	for i, r := range records {
+		fct[i], slow[i] = r.FCT.Microseconds(), r.Slowdown
+	}
+	return stats.Percentile(fct, 50), stats.Percentile(fct, 99),
+		stats.Percentile(slow, 50), stats.Percentile(slow, 99)
 }
 
 // meanTail averages the last half of a series (steady-state fairness).
@@ -227,16 +231,14 @@ func rttFigure(name, title string, scale func(Config) (rttSetup, error)) *Experi
 				v.label, meanTail(out.jain.All),
 				out.jain.ByClass[0].Label, meanTail(out.jain.ByClass[0]),
 				out.jain.ByClass[1].Label, meanTail(out.jain.ByClass[1]))
-			for _, cd := range out.classes {
-				if cd.Flows == 0 {
+			for c, records := range out.records {
+				if len(records) == 0 {
 					continue
 				}
+				fct50, fct99, slow50, slow99 := fctPercentiles(records)
 				res.Notef("%s %s: %d flows, FCT p50=%.1fus p99=%.1fus, slowdown p50=%.2fx p99=%.2fx",
-					v.label, cd.Label, cd.Flows,
-					cd.FCTUsec.Percentile(50), cd.FCTUsec.Percentile(99),
-					cd.Slowdown.Percentile(50), cd.Slowdown.Percentile(99))
+					v.label, s.dc.Groups[c].Name, len(records), fct50, fct99, slow50, slow99)
 			}
-			res.Notef("%s: peak retained FCT samples %d", v.label, out.peak)
 		}
 		return res, nil
 	})

@@ -20,6 +20,16 @@ import (
 // conservation invariant is an error, so no experiment can report numbers
 // from such a run.
 func simulate(cfg Config, label string, build func(*net.Network)) (*net.Network, error) {
+	return simulateSampled(cfg, label, 0, build)
+}
+
+// simulateSampled is simulate for a build that starts that many samplers of
+// package metrics, each with forever as its until. Such a sampler re-arms
+// its next tick for as long as the run lasts, so that its series ends with
+// the run and not at a horizon the run may outlast; its one pending tick
+// must then not count as work left, and the run is over — any flow still
+// unfinished being the error — once nothing else is pending.
+func simulateSampled(cfg Config, label string, samplers int, build func(*net.Network)) (*net.Network, error) {
 	eng := sim.NewEngine()
 	nw := net.New(eng, cfg.Seed)
 	build(nw)
@@ -32,7 +42,7 @@ func simulate(cfg Config, label string, build func(*net.Network)) (*net.Network,
 		}
 		epochs = pr.Epochs()
 	} else {
-		runSequential(cfg, label, eng, nw)
+		runSequential(cfg, label, eng, nw, samplers)
 	}
 	if cfg.obs != nil {
 		cfg.obs.add(metrics.CollectRun(nw, epochs))
@@ -88,21 +98,23 @@ func (p *progress) report(now time.Time, events uint64, simNow sim.Time, done bo
 const progressCheckMask = 1<<14 - 1
 
 // runSequential is the sequential drive — step until every flow has
-// finished or the queue drains — with periodic ProgressUpdates if Config
-// asks for them. The stepping sequence is identical with and without them
-// (AllFinished is checked before every Step), so observability can never
-// perturb simulation results. Progress is reported from the stepping
-// goroutine itself, which is what makes reading eng.Steps mid-run safe.
-func runSequential(cfg Config, label string, eng *sim.Engine, nw *net.Network) {
+// finished or nothing but the samplers' next ticks (one pending event per
+// sampler, always) is left in the queue — with periodic ProgressUpdates if
+// Config asks for them. The stepping sequence is identical with and without
+// them (the same condition is checked before every Step), so observability
+// can never perturb simulation results. Progress is reported from the
+// stepping goroutine itself, which is what makes reading eng.Steps mid-run
+// safe.
+func runSequential(cfg Config, label string, eng *sim.Engine, nw *net.Network, samplers int) {
 	if cfg.Progress == nil {
-		for !nw.AllFinished() && eng.Step() {
+		for !nw.AllFinished() && eng.Pending() > samplers && eng.Step() {
 		}
 		return
 	}
 	p := newProgress(cfg, label)
 	next := p.start.Add(p.every)
 	var n uint64
-	for !nw.AllFinished() && eng.Step() {
+	for !nw.AllFinished() && eng.Pending() > samplers && eng.Step() {
 		n++
 		if n&progressCheckMask != 0 {
 			continue

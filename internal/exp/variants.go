@@ -7,16 +7,20 @@ import (
 	"faircc/internal/cc/hpcc"
 	"faircc/internal/cc/swift"
 	"faircc/internal/cc/timely"
+	"faircc/internal/net"
 	"faircc/internal/sim"
 )
 
 // algoMaker builds a fresh per-flow congestion-control instance.
 type algoMaker func() cc.Algorithm
 
-// variant pairs a legend label with its maker.
+// variant pairs a legend label with its maker and, for a protocol that
+// needs something of the fabric (ECN marking, a CNP interval), the setup
+// that provides it: runIncast applies it to the network it builds.
 type variant struct {
 	label string
 	make  algoMaker
+	setup func(*net.Network)
 }
 
 // pathParams captures the topology constants protocol variants are sized
@@ -50,13 +54,13 @@ func dcParams(minBDPBytes float64, lineRate float64) pathParams {
 // 1 Gb/s AI, and probabilistic feedback.
 func hpccBaselines() []variant {
 	return []variant{
-		{"HPCC", func() cc.Algorithm { return hpcc.New(hpcc.DefaultConfig()) }},
-		{"HPCC 1Gbps", func() cc.Algorithm {
+		{label: "HPCC", make: func() cc.Algorithm { return hpcc.New(hpcc.DefaultConfig()) }},
+		{label: "HPCC 1Gbps", make: func() cc.Algorithm {
 			c := hpcc.DefaultConfig()
 			c.AIBps = 1e9
 			return hpcc.New(c)
 		}},
-		{"HPCC Probabilistic", func() cc.Algorithm {
+		{label: "HPCC Probabilistic", make: func() cc.Algorithm {
 			c := hpcc.DefaultConfig()
 			c.Probabilistic = true
 			return hpcc.New(c)
@@ -67,7 +71,7 @@ func hpccBaselines() []variant {
 // hpccVAISF returns the paper's HPCC VAI SF variant sized for the
 // topology.
 func hpccVAISF(p pathParams) variant {
-	return variant{"HPCC VAI SF", func() cc.Algorithm {
+	return variant{label: "HPCC VAI SF", make: func() cc.Algorithm {
 		return hpcc.New(hpcc.VAISFConfig(p.minBDPBytes))
 	}}
 }
@@ -75,13 +79,13 @@ func hpccVAISF(p pathParams) variant {
 // swiftBaselines returns the Swift variants of Sec. III.
 func swiftBaselines(p pathParams) []variant {
 	return []variant{
-		{"Swift", func() cc.Algorithm { return swift.New(swift.DefaultConfig(p.maxScalePkts)) }},
-		{"Swift 1Gbps", func() cc.Algorithm {
+		{label: "Swift", make: func() cc.Algorithm { return swift.New(swift.DefaultConfig(p.maxScalePkts)) }},
+		{label: "Swift 1Gbps", make: func() cc.Algorithm {
 			c := swift.DefaultConfig(p.maxScalePkts)
 			c.AIBps = 1e9
 			return swift.New(c)
 		}},
-		{"Swift Probabilistic", func() cc.Algorithm {
+		{label: "Swift Probabilistic", make: func() cc.Algorithm {
 			c := swift.DefaultConfig(p.maxScalePkts)
 			c.Probabilistic = true
 			return swift.New(c)
@@ -91,7 +95,7 @@ func swiftBaselines(p pathParams) []variant {
 
 // swiftVAISF returns Swift VAI SF (no FBS, Sec. VI-B).
 func swiftVAISF(p pathParams) variant {
-	return variant{"Swift VAI SF", func() cc.Algorithm {
+	return variant{label: "Swift VAI SF", make: func() cc.Algorithm {
 		return swift.New(swift.VAISFConfig(p.minBDPDelay))
 	}}
 }
@@ -108,26 +112,47 @@ func variantsByKey(p pathParams) map[string]variant {
 	}
 }
 
+// markEverySwitchPort configures ECN marking on every switch egress port.
+func markEverySwitchPort(nw *net.Network, red net.REDConfig) {
+	for _, sw := range nw.Switches() {
+		for _, p := range sw.Ports() {
+			p.SetRED(red)
+		}
+	}
+}
+
 // dcqcnVariant returns the DCQCN baseline (Sec. II's probabilistic-
-// feedback protocol). Runs using it must configure RED marking on switch
-// ports and a CNP interval on the network.
+// feedback protocol) with the RED marking and CNP interval it needs.
 func dcqcnVariant() variant {
-	return variant{"DCQCN", func() cc.Algorithm { return dcqcn.New(dcqcn.DefaultConfig()) }}
+	return variant{
+		label: "DCQCN",
+		make:  func() cc.Algorithm { return dcqcn.New(dcqcn.DefaultConfig()) },
+		setup: func(nw *net.Network) {
+			markEverySwitchPort(nw, net.REDConfig{KMinBytes: 100_000, KMaxBytes: 400_000, PMax: 0.2})
+			nw.CNPInterval = 50 * sim.Microsecond
+		},
+	}
 }
 
 // dctcpVariant returns the DCTCP baseline (the origin of congestion-
-// extent-scaled decreases, Sec. III-A). Runs using it must configure step
-// marking on switch ports.
+// extent-scaled decreases, Sec. III-A) with the step marking it needs, at
+// the threshold DCTCP recommends for a line-rate, ~5 us RTT path.
 func dctcpVariant() variant {
-	return variant{"DCTCP", func() cc.Algorithm { return dctcp.New(dctcp.DefaultConfig()) }}
+	return variant{
+		label: "DCTCP",
+		make:  func() cc.Algorithm { return dctcp.New(dctcp.DefaultConfig()) },
+		setup: func(nw *net.Network) {
+			markEverySwitchPort(nw, dctcp.MarkingAt(dctcp.RecommendedK(hostRate, 5*sim.Microsecond)))
+		},
+	}
 }
 
 // timelyVariants returns TIMELY with and without the paper's mechanisms,
 // demonstrating their applicability beyond HPCC and Swift.
 func timelyVariants(p pathParams) []variant {
 	return []variant{
-		{"Timely", func() cc.Algorithm { return timely.New(timely.DefaultConfig()) }},
-		{"Timely VAI SF", func() cc.Algorithm {
+		{label: "Timely", make: func() cc.Algorithm { return timely.New(timely.DefaultConfig()) }},
+		{label: "Timely VAI SF", make: func() cc.Algorithm {
 			return timely.New(timely.VAISFConfig(p.minBDPDelay))
 		}},
 	}
@@ -136,7 +161,7 @@ func timelyVariants(p pathParams) []variant {
 // swiftHAIVariant returns Swift with the hyper-AI extension the paper
 // suggests in Sec. VI-B.
 func swiftHAIVariant(p pathParams) variant {
-	return variant{"Swift HAI", func() cc.Algorithm {
+	return variant{label: "Swift HAI", make: func() cc.Algorithm {
 		c := swift.DefaultConfig(p.maxScalePkts)
 		c.HAIAfter = 5
 		c.HAIMult = 10

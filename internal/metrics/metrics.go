@@ -27,31 +27,6 @@ type Series struct {
 	Points []Point
 }
 
-// Last returns the final sample value, or 0 for an empty series.
-func (s *Series) Last() float64 {
-	if len(s.Points) == 0 {
-		return 0
-	}
-	return s.Points[len(s.Points)-1].V
-}
-
-// TimeToReach returns the first sample time at which the series reaches v
-// and never drops below it again (convergence time), or -1 if it never
-// settles above v.
-func (s *Series) TimeToReach(v float64) sim.Time {
-	settled := sim.Time(-1)
-	for _, p := range s.Points {
-		if p.V >= v {
-			if settled < 0 {
-				settled = p.T
-			}
-		} else {
-			settled = -1
-		}
-	}
-	return settled
-}
-
 // SampleJain periodically computes the Jain fairness index of the active
 // flows' goodput (delivered bytes per interval) from start until until.
 // Samples are recorded only while at least two flows are active, matching
@@ -81,26 +56,64 @@ func SampleJain(nw *net.Network, label string, every, start, until sim.Time) *Se
 	return s
 }
 
-// SampleUtilization periodically records a port's link utilization (the
-// fraction of capacity transmitted during each interval).
-func SampleUtilization(eng *sim.Engine, port *net.Port, label string, every, start, until sim.Time) *Series {
-	s := &Series{Label: label}
-	capacity := sim.BytesOver(port.Bandwidth(), every)
-	var lastTx int64 = -1
+// JainClassSeries is SampleJainClasses' result: the aggregate fairness
+// series over all active flows plus one series per class.
+type JainClassSeries struct {
+	All     *Series
+	ByClass []*Series
+}
+
+// SampleJainClasses periodically computes Jain fairness of active flows'
+// goodput, both aggregate and within each class, from start until until.
+// It must be the only goodput sampler on the network: the per-interval
+// deltas come from Flow.TakeDeliveredDelta, which consumes the mark, so
+// a second concurrent sampler would see half-intervals. That is why the
+// per-class and aggregate indices come from one tick chain rather than
+// one SampleJain per class. Aggregate samples are recorded while at least
+// two flows are active (SampleJain's convention); a class's series gains
+// a point only when that class has at least two active flows.
+func SampleJainClasses(nw *net.Network, labels []string, classOf func(*net.Flow) int,
+	every, start, until sim.Time) *JainClassSeries {
+	out := &JainClassSeries{All: &Series{Label: "all"}}
+	for _, l := range labels {
+		out.ByClass = append(out.ByClass, &Series{Label: l})
+	}
+	n := len(labels)
+	rates := make([]float64, 0, 64)
+	classes := make([]int, 0, 64)
+	counts := make([]int, n)
 	var tick func()
 	tick = func() {
-		now := eng.Now()
-		tx := port.TxBytes()
-		if lastTx >= 0 {
-			s.Points = append(s.Points, Point{T: now, V: float64(tx-lastTx) / capacity})
+		now := nw.Eng.Now()
+		rates, classes = rates[:0], classes[:0]
+		for i := range counts {
+			counts[i] = 0
 		}
-		lastTx = tx
+		for _, f := range nw.Flows() {
+			if f.Active() {
+				rates = append(rates, float64(f.TakeDeliveredDelta()))
+				cl := classOf(f)
+				classes = append(classes, cl)
+				counts[cl]++
+			} else if f.Started() {
+				f.TakeDeliveredDelta() // keep marks current across finishes
+			}
+		}
+		if len(rates) >= 2 {
+			out.All.Points = append(out.All.Points, Point{T: now, V: stats.Jain(rates)})
+			byClass := stats.JainByClass(rates, classes, n)
+			for c, s := range out.ByClass {
+				if counts[c] >= 2 {
+					s.Points = append(s.Points, Point{T: now, V: byClass[c]})
+				}
+			}
+		}
 		if now+every <= until {
-			eng.After(every, tick)
+			nw.Eng.After(every, tick)
 		}
 	}
-	eng.At(start, tick)
-	return s
+	nw.Eng.At(start, tick)
+	return out
 }
 
 // SampleQueue periodically records a port's egress queue depth in bytes.
@@ -128,10 +141,10 @@ type FlowRecord struct {
 }
 
 // CollectFinished returns completion records for every finished flow, in
-// AddFlow order. It runs after the simulation instead of inside
-// Network.OnFlowFinish, so it is safe for sharded runs (where finish
-// callbacks fire on worker goroutines). Every consumer (BucketBySize,
-// SlowdownAbove, StartFinish) orders the records itself.
+// AddFlow order: the one source of per-flow results. It reads the flows
+// after the simulation, on the caller's goroutine, so it serves sequential
+// and sharded runs alike. Every consumer (BucketBySize, SlowdownAbove,
+// StartFinish) orders the records itself.
 func CollectFinished(nw *net.Network) []FlowRecord {
 	records := make([]FlowRecord, 0, len(nw.Flows()))
 	for _, f := range nw.Flows() {

@@ -55,15 +55,6 @@ type RunStats struct {
 	ShardEvents []uint64 `json:"shard_events,omitempty"`
 	Epochs      uint64   `json:"epochs,omitempty"`
 
-	// PeakFCTRecords is the high-water count of retained per-flow FCT
-	// samples across the experiment's runs (max over runs): len(records)
-	// on the classic collect-at-end path, ClassCollector.PeakRetained on
-	// the streaming path. It is the memory gauge of the streaming
-	// refactor's bounded-retention claim, which rots silently if this
-	// grows with flow count again. Omitted when no collector reported
-	// (e.g. the fluid model), keeping those manifests' key sets unchanged.
-	PeakFCTRecords int `json:"peak_fct_records,omitempty"`
-
 	// Wall-clock figures, filled in by Finish.
 	WallSeconds  float64 `json:"wall_seconds"`
 	EventsPerSec float64 `json:"events_per_sec"`
@@ -143,9 +134,6 @@ func (s *RunStats) Add(o RunStats) {
 	s.addLanes(o.Lanes)
 	s.SimSeconds += o.SimSeconds
 	s.Counters.Add(o.Counters)
-	if o.PeakFCTRecords > s.PeakFCTRecords {
-		s.PeakFCTRecords = o.PeakFCTRecords
-	}
 	if o.Shards > s.Shards {
 		s.Shards = o.Shards
 	}

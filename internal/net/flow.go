@@ -440,7 +440,4 @@ func (f *Flow) finish(now sim.Time) {
 		f.eng.Cancel(f.pending)
 		f.pending = sim.EventID{}
 	}
-	if f.net.OnFlowFinish != nil {
-		f.net.OnFlowFinish(f)
-	}
 }

@@ -422,10 +422,6 @@ func TestQueuePeak(t *testing.T) {
 	if q.Peak() != 200 {
 		t.Fatalf("peak = %d, want 200", q.Peak())
 	}
-	q.PeakReset()
-	if q.Peak() != 100 {
-		t.Fatalf("peak after reset = %d, want current 100", q.Peak())
-	}
 }
 
 func TestAddFlowValidation(t *testing.T) {

@@ -43,12 +43,6 @@ func TestNetworkStats(t *testing.T) {
 		t.Fatalf("queued bytes after drain = %d, want 0", st.QueuedBytes)
 	}
 
-	// Peak resets give a fresh window.
-	nw.ResetQueuePeaks()
-	if got := nw.Stats().MaxQueuePeak; got != 0 {
-		t.Fatalf("peak after reset = %d, want 0", got)
-	}
-
 	ss := sw.Stats()
 	if ss.Ports != 3 || ss.TxBytes != st.FabricTxBytes {
 		t.Fatalf("switch stats inconsistent: %+v vs network %+v", ss, st)

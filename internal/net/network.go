@@ -71,14 +71,9 @@ type Network struct {
 	// Deterministic targeted-loss tests use it to kill exact packets.
 	DropFilter func(kind Kind, flowID int, seq int64) bool
 
-	// OnFlowFinish, when set, is invoked as each flow completes. On a
-	// sharded network it fires on the finishing flow's worker goroutine,
-	// so callbacks used with Shard(k > 1) must be concurrency-safe
-	// (experiment harnesses collect flow records after the run instead).
-	OnFlowFinish func(*Flow)
-
-	// Hooks are optional observers (nil by default). The same sharding
-	// caveat as OnFlowFinish applies.
+	// Hooks are optional observers (nil by default). On a sharded network
+	// each fires on the worker goroutine of the shard that owns the node,
+	// so hooks used with Shard(k > 1) must be concurrency-safe.
 	Hooks Hooks
 
 	hosts      []*Host

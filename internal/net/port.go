@@ -113,12 +113,8 @@ func (pt *Port) Bandwidth() float64 { return pt.bw }
 // QueueBytes returns the egress queue occupancy in bytes.
 func (pt *Port) QueueBytes() int64 { return pt.q.Bytes() }
 
-// QueuePeak returns the egress queue's byte high-water mark since the last
-// ResetQueuePeak.
+// QueuePeak returns the egress queue's byte high-water mark.
 func (pt *Port) QueuePeak() int64 { return pt.q.Peak() }
-
-// ResetQueuePeak resets the high-water mark to the current occupancy.
-func (pt *Port) ResetQueuePeak() { pt.q.PeakReset() }
 
 // TxBytes returns cumulative bytes transmitted on the port.
 func (pt *Port) TxBytes() int64 { return pt.txBytes }

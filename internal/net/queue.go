@@ -29,8 +29,7 @@ type queue struct {
 	head  int
 	n     int
 	bytes int64
-	// peak tracks the maximum byte occupancy since the last PeakReset,
-	// used by queue-depth samplers.
+	// peak tracks the maximum byte occupancy so far.
 	peak int64
 	// popTick counts Pops toward the next shrink decision and winPeak the
 	// packet-occupancy peak inside that window; capPeak and shrinks feed
@@ -47,11 +46,8 @@ func (q *queue) Len() int { return q.n }
 // Bytes returns the queued bytes (wire sizes).
 func (q *queue) Bytes() int64 { return q.bytes }
 
-// Peak returns the maximum byte occupancy since the last PeakReset.
+// Peak returns the maximum byte occupancy so far.
 func (q *queue) Peak() int64 { return q.peak }
-
-// PeakReset resets the occupancy high-water mark to the current depth.
-func (q *queue) PeakReset() { q.peak = q.bytes }
 
 // Push appends a packet.
 func (q *queue) Push(p *Packet) {

@@ -80,20 +80,6 @@ func (s *Switch) AddRoute(dstHost int, ports ...*Port) {
 	s.net.routeEpoch++
 }
 
-// RouteCandidates returns the ECMP candidate ports toward dst in install
-// order (a single-element slice for single-port routes, nil when the
-// switch has no route). The slice is the switch's own state; callers must
-// not modify it.
-func (s *Switch) RouteCandidates(dst int) []*Port {
-	if dst < 0 || dst >= len(s.fwd) {
-		return nil
-	}
-	if p := s.fwd[dst]; p != nil {
-		return []*Port{p}
-	}
-	return s.groups[dst]
-}
-
 // Receive implements Node.
 func (s *Switch) Receive(p *Packet, in *Port) {
 	switch p.Kind {

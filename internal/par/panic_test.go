@@ -9,51 +9,45 @@ import (
 	"time"
 )
 
-// A worker panic must surface as exactly one re-panic from the caller's
-// goroutine — annotated with the failing index and stack — after every
+// A worker panic must surface as exactly one *PanicError returned to the
+// caller — annotated with the failing index and stack — after every
 // in-flight run has drained (no deadlock, no leaked goroutines, no bare
-// goroutine traceback killing the process).
+// goroutine traceback killing the process), on the serial path as on the
+// worker pool.
 func TestForEachPanicSurfaces(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		workers := workers
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			finished := make(chan struct{})
+			finished := make(chan error, 1)
 			go func() {
-				defer close(finished)
-				defer func() {
-					r := recover()
-					if r == nil {
-						t.Error("panic did not propagate to the caller")
-						return
-					}
-					pe, ok := r.(*PanicError)
-					if !ok {
-						t.Errorf("recovered %T, want *PanicError", r)
-						return
-					}
-					if pe.Index != 13 {
-						t.Errorf("PanicError.Index = %d, want 13", pe.Index)
-					}
-					if pe.Value != "boom" {
-						t.Errorf("PanicError.Value = %v, want boom", pe.Value)
-					}
-					if !strings.Contains(pe.Error(), "run 13 panicked") {
-						t.Errorf("error message %q missing run index", pe.Error())
-					}
-					if len(pe.Stack) == 0 {
-						t.Error("PanicError.Stack is empty")
-					}
-				}()
-				ForEach(50, workers, func(i int) {
+				finished <- ForEachErr(50, workers, func(i int) error {
 					if i == 13 {
 						panic("boom")
 					}
+					return nil
 				})
 			}()
+			var err error
 			select {
-			case <-finished:
+			case err = <-finished:
 			case <-time.After(30 * time.Second):
-				t.Fatal("ForEach deadlocked after a worker panic")
+				t.Fatal("ForEachErr deadlocked after a worker panic")
+			}
+			var pe *PanicError
+			if !errors.As(err, &pe) {
+				t.Fatalf("err = %v (%T), want *PanicError", err, err)
+			}
+			if pe.Index != 13 {
+				t.Errorf("PanicError.Index = %d, want 13", pe.Index)
+			}
+			if pe.Value != "boom" {
+				t.Errorf("PanicError.Value = %v, want boom", pe.Value)
+			}
+			if !strings.Contains(pe.Error(), "run 13 panicked") {
+				t.Errorf("error message %q missing run index", pe.Error())
+			}
+			if len(pe.Stack) == 0 {
+				t.Error("PanicError.Stack is empty")
 			}
 		})
 	}

@@ -12,16 +12,15 @@
 package par
 
 import (
-	"errors"
 	"fmt"
 	"runtime"
 	"runtime/debug"
 	"sync"
 )
 
-// PanicError is a worker panic recovered by ForEachErr/MapErr (and
-// re-panicked by ForEach/Map): the run index that failed, the original
-// panic value, and the worker's stack at the point of the panic.
+// PanicError is a worker panic recovered by ForEachErr/MapErr: the run
+// index that failed, the original panic value, and the worker's stack at
+// the point of the panic.
 type PanicError struct {
 	Index int
 	Value any
@@ -30,26 +29,6 @@ type PanicError struct {
 
 func (p *PanicError) Error() string {
 	return fmt.Sprintf("par: run %d panicked: %v\n%s", p.Index, p.Value, p.Stack)
-}
-
-// ForEach runs fn(i) for i in [0, n) on up to workers goroutines
-// (workers <= 0 means GOMAXPROCS). It returns when all calls finish. If a
-// call panics, ForEach stops dispatching further indices, waits for
-// in-flight calls, and re-panics exactly once — from the caller's
-// goroutine, with a *PanicError carrying the failing index and the
-// original stack.
-func ForEach(n, workers int, fn func(i int)) {
-	err := ForEachErr(n, workers, func(i int) error {
-		fn(i)
-		return nil
-	})
-	if err != nil {
-		var pe *PanicError
-		if errors.As(err, &pe) {
-			panic(pe)
-		}
-		panic(err) // unreachable: the wrapped fn never returns an error
-	}
 }
 
 // ForEachErr runs fn(i) for i in [0, n) on up to workers goroutines
@@ -123,15 +102,6 @@ dispatch:
 	close(next)
 	wg.Wait()
 	return first
-}
-
-// Map applies fn to each index in parallel and collects the results in
-// order. A panicking fn re-panics once from the caller's goroutine, as
-// with ForEach.
-func Map[T any](n, workers int, fn func(i int) T) []T {
-	out := make([]T, n)
-	ForEach(n, workers, func(i int) { out[i] = fn(i) })
-	return out
 }
 
 // MapErr applies fn to each index in parallel, collecting results in

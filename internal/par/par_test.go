@@ -9,10 +9,14 @@ func TestForEachRunsAll(t *testing.T) {
 	for _, workers := range []int{0, 1, 3, 64} {
 		var count int64
 		seen := make([]int64, 100)
-		ForEach(100, workers, func(i int) {
+		err := ForEachErr(100, workers, func(i int) error {
 			atomic.AddInt64(&count, 1)
 			atomic.AddInt64(&seen[i], 1)
+			return nil
 		})
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
 		if count != 100 {
 			t.Fatalf("workers=%d ran %d, want 100", workers, count)
 		}
@@ -26,17 +30,8 @@ func TestForEachRunsAll(t *testing.T) {
 
 func TestForEachEmpty(t *testing.T) {
 	ran := false
-	ForEach(0, 4, func(int) { ran = true })
-	if ran {
-		t.Fatal("fn ran for n=0")
-	}
-}
-
-func TestMapOrder(t *testing.T) {
-	got := Map(50, 8, func(i int) int { return i * i })
-	for i, v := range got {
-		if v != i*i {
-			t.Fatalf("index %d = %d, want %d", i, v, i*i)
-		}
+	err := ForEachErr(0, 4, func(int) error { ran = true; return nil })
+	if ran || err != nil {
+		t.Fatalf("n=0: fn ran = %v, err = %v", ran, err)
 	}
 }

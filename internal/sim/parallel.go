@@ -581,16 +581,6 @@ func (p *Parallel) Progress() (events uint64, now Time, epochs uint64) {
 // Epochs returns the number of barrier-synchronized windows completed.
 func (p *Parallel) Epochs() uint64 { return p.progEpochs.Load() }
 
-// ShardSteps returns each shard engine's executed-event count. Call it
-// after Run returns.
-func (p *Parallel) ShardSteps() []uint64 {
-	steps := make([]uint64, len(p.engines))
-	for i, e := range p.engines {
-		steps[i] = e.Steps()
-	}
-	return steps
-}
-
 func (p *Parallel) worker() {
 	k := int32(len(p.engines))
 	var sense uint32
