@@ -50,7 +50,7 @@ func run() int {
 		seed   = flag.Int64("seed", 1, "simulation seed")
 		out    = flag.String("out", "", "directory for CSV output (default: stdout summary only)")
 		work   = flag.Int("workers", 0, "parallel variant runners (0 = GOMAXPROCS)")
-		shards = flag.Int("shards", 0, "partition each fat-tree simulation into N parallel shards (0/1 = sequential engine; results are deterministic per shard count but differ across counts)")
+		shards = flag.Int("shards", 0, "partition each fat-tree simulation into N parallel shards, at most min(pods, Aggs per pod) (0/1 = sequential engine; results are deterministic per shard count but differ across counts)")
 		plot   = flag.Bool("plot", false, "render an ASCII chart of each result")
 		verify = flag.Bool("verify", false, "check the paper's claims against fresh runs and exit")
 

@@ -32,11 +32,14 @@ type Config struct {
 	Workers int `json:"workers"`
 	// Shards partitions each datacenter fat-tree simulation into this
 	// many execution shards driven in parallel by sim.Parallel (see
-	// Network.Shard). 0 or 1 keeps the sequential engine. A fixed shard
-	// count is deterministic across repetitions, but different counts
-	// yield statistically equivalent — not identical — results, so the
-	// recorded figures use the sequential engine. Experiments without a
-	// fat-tree (incast star, fluid model) ignore the setting.
+	// Network.Shard), clamped to min(pods, Aggs per pod) — the most shards
+	// that each own a pod and a spine group (FatTree.ShardMap): 2 at scale
+	// small and medium, 4 on the paper's fabric, 8 on -k16. 0 or 1 keeps
+	// the sequential engine. A fixed shard count is deterministic across
+	// repetitions, but different counts yield statistically equivalent —
+	// not identical — results, so the recorded figures use the sequential
+	// engine. Experiments without a fat-tree (incast star, fluid model)
+	// ignore the setting.
 	Shards int `json:"shards,omitempty"`
 	// Scale picks the experiment size: "small" for tests and benches,
 	// "medium" for the recorded results in EXPERIMENTS.md, "full" for the

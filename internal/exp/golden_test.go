@@ -8,6 +8,7 @@ import (
 	"sort"
 	"testing"
 
+	"faircc/internal/metrics"
 	"faircc/internal/net"
 	"faircc/internal/topo"
 )
@@ -73,6 +74,21 @@ func TestGoldenIncastSeed1(t *testing.T) {
 	}
 }
 
+// finishedAtHash is the FNV-64a hash of every (flow ID, finish time) in
+// flow-ID order: one number that moves if any flow finishes a picosecond
+// earlier or later. It sorts records in place.
+func finishedAtHash(records []metrics.FlowRecord) uint64 {
+	sort.Slice(records, func(a, b int) bool { return records[a].ID < records[b].ID })
+	h := fnv.New64a()
+	var buf [16]byte
+	for _, r := range records {
+		binary.LittleEndian.PutUint64(buf[:8], uint64(r.ID))
+		binary.LittleEndian.PutUint64(buf[8:], uint64(r.Start+r.FCT))
+		h.Write(buf[:])
+	}
+	return h.Sum64()
+}
+
 // Golden regression values for the seed-1 fat-tree run: fig10's Hadoop
 // traffic at scale "small" under the four datacenter variants. Event
 // counts pin the engine's schedule exactly (one extra, missing or fused
@@ -116,18 +132,11 @@ func TestGoldenFatTreeSeed1(t *testing.T) {
 			t.Fatalf("%s: %v", v.label, err)
 		}
 		st := run.obs.finish(0)
-		sort.Slice(records, func(a, b int) bool { return records[a].ID < records[b].ID })
-		h := fnv.New64a()
-		var buf [16]byte
-		for _, r := range records {
-			binary.LittleEndian.PutUint64(buf[:8], uint64(r.ID))
-			binary.LittleEndian.PutUint64(buf[8:], uint64(r.Start+r.FCT))
-			h.Write(buf[:])
-		}
+		h := finishedAtHash(records)
 		if st.Events != w.events || st.EventsScheduled != w.scheduled ||
-			st.DataSent != w.dataSent || st.AcksSent != w.acksSent || h.Sum64() != w.finishedAtHash {
+			st.DataSent != w.dataSent || st.AcksSent != w.acksSent || h != w.finishedAtHash {
 			t.Errorf("%s: got (events=%d, scheduled=%d, data=%d, acks=%d, finishedAt=%#x), golden (%d, %d, %d, %d, %#x)",
-				v.label, st.Events, st.EventsScheduled, st.DataSent, st.AcksSent, h.Sum64(),
+				v.label, st.Events, st.EventsScheduled, st.DataSent, st.AcksSent, h,
 				w.events, w.scheduled, w.dataSent, w.acksSent, w.finishedAtHash)
 		}
 	}

@@ -1,7 +1,6 @@
 package exp
 
 import (
-	"reflect"
 	"strings"
 	"testing"
 
@@ -24,6 +23,14 @@ func runToCSV(t *testing.T, name string, cfg Config) string {
 	return b.String()
 }
 
+// fourPods is the dc experiment on a 4-pod, 4-Agg fat-tree (32 hosts at
+// scale small): the smallest fabric ShardMap cuts into 4 shards.
+func fourPods(shards int) Config {
+	cfg := DefaultConfig()
+	cfg.Scale, cfg.DCPods, cfg.DCToRs, cfg.Shards = "small", 4, 4, shards
+	return cfg
+}
+
 // TestParallelShardsCSVDeterminism is the fixed-shard-count half of the
 // determinism contract, end to end: the same seed and -shards value must
 // produce byte-identical experiment CSVs on every repetition, regardless
@@ -32,15 +39,9 @@ func TestParallelShardsCSVDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("datacenter runs in -short mode")
 	}
-	for _, shards := range []int{4, 8} {
-		cfg := DefaultConfig()
-		cfg.Scale = "small"
-		cfg.Shards = shards
-		a := runToCSV(t, "fig10", cfg)
-		b := runToCSV(t, "fig10", cfg)
-		if a != b {
-			t.Fatalf("same seed, -shards %d: CSVs differ between repetitions", shards)
-		}
+	cfg := fourPods(4)
+	if a, b := runToCSV(t, "dc", cfg), runToCSV(t, "dc", cfg); a != b {
+		t.Fatal("same seed, -shards 4: CSVs differ between repetitions")
 	}
 }
 
@@ -64,31 +65,25 @@ func TestParallelShardsOneMatchesSequential(t *testing.T) {
 
 // TestShardDifferential cross-checks the parallel engine against the
 // sequential one on a randomized multihop workload (Poisson Hadoop
-// traffic on the small fat-tree). The two runs are not bit-identical —
-// sharding re-partitions PRNG streams and boundary tie order — but every
-// conservation invariant must agree exactly: each data packet is sent
-// once, delivered once, and acknowledged, with nothing dropped, and every
-// flow finishes.
+// traffic on the 4-pod fat-tree, cut into 4 shards). The two runs are not
+// bit-identical — sharding re-partitions PRNG streams and boundary tie
+// order — but every conservation invariant must agree exactly: each data
+// packet is sent once, delivered once, and acknowledged, with nothing
+// dropped, and every flow finishes.
 func TestShardDifferential(t *testing.T) {
 	if testing.Short() {
 		t.Skip("datacenter runs in -short mode")
 	}
-	cfg := DefaultConfig()
-	cfg.Scale = "small"
-	ftCfg, duration, err := dcScale(cfg)
+	p, err := planDC(fourPods(0))
 	if err != nil {
 		t.Fatal(err)
 	}
-	specs, err := dcTraffic(cfg, ftCfg, duration, "hadoop", dcLoad)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v := hpccVAISF(dcParams(dcMinBDP(ftCfg), ftCfg.HostBps))
+	ftCfg, specs, v := p.ftCfg, p.specs, p.vs[1]
 
 	run := func(shards int) net.NetworkStats {
 		t.Helper()
 		eng := sim.NewEngine()
-		nw := net.New(eng, cfg.Seed)
+		nw := net.New(eng, DefaultConfig().Seed)
 		ft := topo.NewFatTree(nw, ftCfg)
 		if shards > 1 {
 			assign, k := ft.ShardMap(shards)
@@ -119,7 +114,7 @@ func TestShardDifferential(t *testing.T) {
 	}
 
 	seq := run(0)
-	par := run(3)
+	par := run(4)
 	checkConservationPair(t, seq, par)
 }
 
@@ -144,71 +139,4 @@ func checkConservationPair(t *testing.T, seq, par net.NetworkStats) {
 	if seq.DataSent != seq.DataDelivered {
 		t.Fatalf("lossless run lost packets: sent %d, delivered %d", seq.DataSent, seq.DataDelivered)
 	}
-}
-
-// TestShardPartitionerDifferential pins the partition half of the
-// determinism contract across partitioners: the spine-split ShardMap and
-// the retained PR-5 ShardMapPodSpine reference each give bit-identical
-// per-flow completion times on repeated runs, and the two partitions
-// agree on every conservation invariant (they re-split PRNG streams and
-// boundary tie order, so completion times may legitimately differ
-// *between* partitioners — only *within* one must they be exact).
-func TestShardPartitionerDifferential(t *testing.T) {
-	if testing.Short() {
-		t.Skip("datacenter runs in -short mode")
-	}
-	cfg := DefaultConfig()
-	cfg.Scale = "small"
-	ftCfg, duration, err := dcScale(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	specs, err := dcTraffic(cfg, ftCfg, duration, "hadoop", dcLoad)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v := hpccVAISF(dcParams(dcMinBDP(ftCfg), ftCfg.HostBps))
-
-	run := func(split func(*topo.FatTree) ([]int, int)) ([]sim.Time, net.NetworkStats) {
-		t.Helper()
-		eng := sim.NewEngine()
-		nw := net.New(eng, cfg.Seed)
-		ft := topo.NewFatTree(nw, ftCfg)
-		assign, k := split(ft)
-		nw.Shard(assign, k)
-		flows := make([]*net.Flow, 0, len(specs))
-		for _, spec := range specs {
-			flows = append(flows, nw.AddFlow(spec, v.make()))
-		}
-		if err := nw.NewParallel().Run(); err != nil {
-			t.Fatal(err)
-		}
-		if !nw.AllFinished() {
-			t.Fatal("flows did not finish")
-		}
-		if err := nw.CheckConservation(); err != nil {
-			t.Fatal(err)
-		}
-		fcts := make([]sim.Time, len(flows))
-		for i, f := range flows {
-			fcts[i] = f.FinishedAt
-		}
-		return fcts, nw.Stats()
-	}
-
-	const shards = 4
-	splitNew := func(ft *topo.FatTree) ([]int, int) { return ft.ShardMap(shards) }
-	splitOld := func(ft *topo.FatTree) ([]int, int) { return ft.ShardMapPodSpine(shards) }
-
-	newA, newStats := run(splitNew)
-	newB, _ := run(splitNew)
-	if !reflect.DeepEqual(newA, newB) {
-		t.Fatal("spine-split partition: per-flow completion times differ between repetitions")
-	}
-	oldA, oldStats := run(splitOld)
-	oldB, _ := run(splitOld)
-	if !reflect.DeepEqual(oldA, oldB) {
-		t.Fatal("legacy pod-spine partition: per-flow completion times differ between repetitions")
-	}
-	checkConservationPair(t, newStats, oldStats)
 }

@@ -89,14 +89,11 @@ type Network struct {
 
 	// Execution shards: shards[0] always exists and wraps Eng (the
 	// sequential simulator is the one-shard special case); Shard(k > 1)
-	// appends the rest, builds mail, and derives the parallel lookahead:
-	// window is the global minimum cross-shard link delay, winPair the
-	// per-(src,dst) minimum (flat k*k, the matrix sim.Parallel widens
-	// per-shard horizons with).
-	shards  []*shard
-	mail    *sim.Mailboxes
-	window  sim.Time
-	winPair []sim.Time
+	// appends the rest, builds mail, and derives the parallel lookahead
+	// window: the minimum cross-shard link delay.
+	shards []*shard
+	mail   *sim.Mailboxes
+	window sim.Time
 
 	// routeEpoch versions the forwarding state: AddRoute bumps it, and a
 	// flow's pre-resolved flat path is honored only while its pathEpoch

@@ -110,6 +110,9 @@ func (pt *Port) Peer() *Port { return pt.peer }
 // Bandwidth returns the link bandwidth in bits per second.
 func (pt *Port) Bandwidth() float64 { return pt.bw }
 
+// Delay returns the link's propagation delay.
+func (pt *Port) Delay() sim.Time { return pt.delay }
+
 // QueueBytes returns the egress queue occupancy in bytes.
 func (pt *Port) QueueBytes() int64 { return pt.q.Bytes() }
 

@@ -5,11 +5,10 @@ package net
 // allocate. The buffer length is always a power of two (grow doubles from
 // 16, shrink halves), so ring indexing is a mask rather than a modulo.
 //
-// Shrink policy (the egress-queue counterpart of the PR-8 mailbox policy):
-// every max(queueShrinkAfter, capacity) Pops the queue checks the
-// occupancy peak over that window, and if the window never reached a
-// quarter of the capacity the buffer is reallocated at half, down to
-// queueMinCap — so one incast burst does not pin peak queue capacity for
+// Shrink policy: every max(queueShrinkAfter, capacity) Pops the queue
+// checks the occupancy peak over that window, and if the window never
+// reached a quarter of the capacity the buffer is reallocated at half, down
+// to queueMinCap — so one incast burst does not pin peak queue capacity for
 // the rest of a long run. Two details keep the policy from thrashing on
 // cyclic traffic: the decision uses the windowed peak rather than
 // instantaneous occupancy (a queue oscillating just under its grow

@@ -165,7 +165,10 @@ func (sh *shard) drop(p *Packet, cause DropCause) {
 // shard gets its own engine, packet pool and PRNG streams; ports whose
 // peer lives on a different shard hand packets over through mailboxes
 // instead of scheduling the arrival locally. The lookahead window is the
-// minimum propagation delay over all cross-shard links.
+// minimum propagation delay over all cross-shard links. Any assignment is
+// safe, because that window bounds every relay between shards; it is exact
+// when the shards form a complete graph of equal-delay links, which is
+// how topo's FatTree.ShardMap cuts.
 //
 // Shard must be called after the topology is built (nodes, links, routes)
 // and before any flow is added or event scheduled — it rebinds execution
@@ -205,7 +208,6 @@ func (n *Network) Shard(assignment []int, k int) {
 		n.shards = append(n.shards, newShard(n, i, sim.NewEngine()))
 	}
 	n.mail = sim.NewMailboxes(k)
-	n.winPair = make([]sim.Time, k*k)
 	rebind := func(node Node, ports []*Port) {
 		sh := n.shards[assignment[node.NodeID()]]
 		for _, pt := range ports {
@@ -239,10 +241,7 @@ func (n *Network) Shard(assignment []int, k int) {
 }
 
 // bindCrossShard points pt at its mailbox when its peer lives on another
-// shard, and folds the link delay into the lookahead: both the global
-// minimum (Window, kept for observability) and the per-(src,dst) pair
-// matrix that sim.Parallel uses to widen each shard's horizon when the
-// binding pair is idle.
+// shard, and folds the link delay into the lookahead window.
 func (n *Network) bindCrossShard(pt *Port) {
 	src, dst := pt.sh.id, pt.peer.sh.id
 	if src == dst {
@@ -256,30 +255,11 @@ func (n *Network) bindCrossShard(pt *Port) {
 	if n.window == 0 || pt.delay < n.window {
 		n.window = pt.delay
 	}
-	if w := &n.winPair[src*len(n.shards)+dst]; *w == 0 || pt.delay < *w {
-		*w = pt.delay
-	}
 }
 
 // Shards returns the number of execution shards (1 unless Shard was
 // called with k > 1).
 func (n *Network) Shards() int { return len(n.shards) }
-
-// Window returns the global parallel lookahead: the minimum propagation
-// delay of any cross-shard link (0 when unsharded or when no link crosses
-// shards). The runner itself uses the finer per-pair matrix, PairWindow.
-func (n *Network) Window() sim.Time { return n.window }
-
-// PairWindow returns the per-pair lookahead: the minimum propagation delay
-// of any src->dst cross-shard link, or 0 when no link connects the pair
-// directly (the pair then never bounds each other's horizon within one
-// epoch; multi-hop influence is bounded hop by hop at the barriers).
-func (n *Network) PairWindow(src, dst int) sim.Time {
-	if n.winPair == nil {
-		return 0
-	}
-	return n.winPair[src*len(n.shards)+dst]
-}
 
 // ShardEngines returns the per-shard engines in shard-id order. For an
 // unsharded network this is just [Eng].
@@ -297,8 +277,7 @@ func (n *Network) ShardEngines() []*sim.Engine {
 // Engine.Step loop is faster there.
 func (n *Network) NewParallel() *sim.Parallel {
 	return sim.NewParallel(n.ShardEngines(), n.mail, sim.ParallelConfig{
-		Window:  n.window,
-		Windows: n.winPair,
-		Done:    n.AllFinished,
+		Window: n.window,
+		Done:   n.AllFinished,
 	})
 }

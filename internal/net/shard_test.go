@@ -88,66 +88,18 @@ func TestShardWindowLookahead(t *testing.T) {
 	p1, _ := nw.Connect(s1, h1, gbps100, 100*sim.Nanosecond) // intra-shard
 	s1.AddRoute(h1.NodeID(), p1)
 
-	if nw.Window() != 0 {
-		t.Fatalf("unsharded window = %v, want 0", nw.Window())
+	if nw.window != 0 {
+		t.Fatalf("unsharded window = %v, want 0", nw.window)
 	}
 	nw.Shard([]int{0, 1, 0, 1}, 2)
 	if nw.Shards() != 2 {
 		t.Fatalf("Shards() = %d, want 2", nw.Shards())
 	}
-	if nw.Window() != 3*usec {
-		t.Fatalf("window = %v, want %v (the cross-shard link delay)", nw.Window(), 3*usec)
+	if nw.window != 3*usec {
+		t.Fatalf("window = %v, want %v (the cross-shard link delay)", nw.window, 3*usec)
 	}
 	if got := len(nw.ShardEngines()); got != 2 {
 		t.Fatalf("ShardEngines() has %d engines, want 2", got)
-	}
-	// Per-pair lookahead: the one cross-shard link bounds both directions.
-	for _, dir := range [][2]int{{0, 1}, {1, 0}} {
-		if got := nw.PairWindow(dir[0], dir[1]); got != 3*usec {
-			t.Fatalf("PairWindow(%d,%d) = %v, want %v", dir[0], dir[1], got, 3*usec)
-		}
-	}
-	for s := 0; s < 2; s++ {
-		if got := nw.PairWindow(s, s); got != 0 {
-			t.Fatalf("PairWindow(%d,%d) = %v, want 0 (no self link)", s, s, got)
-		}
-	}
-}
-
-// TestShardPairWindows checks the per-pair lookahead matrix on an
-// asymmetric 3-shard chain: each pair reports its own direct-link delay,
-// and unconnected pairs report zero (sim.Parallel derives their relay
-// bound itself).
-func TestShardPairWindows(t *testing.T) {
-	eng := sim.NewEngine()
-	nw := New(eng, 1)
-	h0, h1 := nw.AddHost(), nw.AddHost()
-	s0, s1, s2 := nw.AddSwitch(), nw.AddSwitch(), nw.AddSwitch()
-	p0, _ := nw.Connect(s0, h0, gbps100, 100*sim.Nanosecond)
-	s0.AddRoute(h0.NodeID(), p0)
-	up01, down01 := nw.Connect(s0, s1, gbps100, 2*usec) // shard 0 <-> 1
-	up12, down12 := nw.Connect(s1, s2, gbps100, 5*usec) // shard 1 <-> 2
-	s0.AddRoute(h1.NodeID(), up01)
-	s1.AddRoute(h1.NodeID(), up12)
-	s1.AddRoute(h0.NodeID(), down01)
-	s2.AddRoute(h0.NodeID(), down12)
-	p1, _ := nw.Connect(s2, h1, gbps100, 100*sim.Nanosecond)
-	s2.AddRoute(h1.NodeID(), p1)
-
-	//            h0 h1 s0 s1 s2
-	nw.Shard([]int{0, 2, 0, 1, 2}, 3)
-	want := map[[2]int]sim.Time{
-		{0, 1}: 2 * usec, {1, 0}: 2 * usec,
-		{1, 2}: 5 * usec, {2, 1}: 5 * usec,
-		{0, 2}: 0, {2, 0}: 0, // no direct link
-	}
-	for pair, w := range want {
-		if got := nw.PairWindow(pair[0], pair[1]); got != w {
-			t.Fatalf("PairWindow(%d,%d) = %v, want %v", pair[0], pair[1], got, w)
-		}
-	}
-	if nw.Window() != 2*usec {
-		t.Fatalf("global window = %v, want %v", nw.Window(), 2*usec)
 	}
 }
 

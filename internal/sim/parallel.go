@@ -2,36 +2,29 @@
 // (one per topology shard) advance through per-shard time windows,
 // exchanging cross-shard events through mailboxes at window boundaries.
 //
-// The synchronization protocol is the classic YAWNS window scheme with
-// per-pair lookahead. Every direct src->dst shard interaction carries a
-// minimum latency W[src][dst] (in this simulator, the smallest propagation
-// delay of any link from a node on src to a node on dst). Influence can
-// also relay — src affects mid which affects dst, or loops back to src
-// itself — but each hop costs at least that pair's W in simulated time, so
-// the earliest any event pending on src can make something land on d is
-// next-event(src) + dist(src, d), where dist is the all-pairs shortest
-// path over W including self-cycles (dist[d][d] = the cheapest loop that
-// leaves d and comes back: d's own traffic echoing off a peer). The runner
-// precomputes dist once (Floyd-Warshall over at most a few dozen shards)
-// and each epoch sets, for every shard d,
+// The synchronization protocol is the classic YAWNS window scheme with one
+// lookahead number W: every cross-shard interaction takes at least W of
+// simulated time (in this simulator, the smallest propagation delay of any
+// link between nodes on different shards). Influence can relay — src
+// affects mid which affects dst — but every hop costs at least W, so an
+// event pending on another shard s lands on d no earlier than next(s)+W,
+// and d's own pending work can come back to it, echoed off a peer, no
+// earlier than next(d)+2W. Each epoch therefore sets, for every shard d,
 //
-//	horizon(d) = min over shards src with pending events
-//	             of next-event(src) + dist(src, d)
+//	horizon(d) = min(next(d) + 2W, min over other busy shards s of next(s) + W)
 //
-// and every shard executes its events with time strictly below its own
-// horizon, independently and without locks. This is safe because events
-// cross shards only at barriers: a delivery to d at time T belongs to a
-// causal chain whose origin event is pending on some shard src right now
-// (mailboxes are empty at the decision point, and nothing is spontaneous),
-// so T >= next(src) + dist(src, d) >= horizon(d) — it can never land in
-// the past of a receiver that raced ahead inside the same window. Horizons
-// are also monotone across epochs: a shard that turns busy by receiving a
-// delivery inherits, by the triangle inequality, at least the bound its
-// origin already imposed. Idle or loosely-coupled peers therefore stop
-// binding the window: a shard whose only busy neighbors are far away (in
-// delay terms) gets a wide horizon, and when every shard is idle until
-// some future time the horizon jumps straight there (skip-ahead), so quiet
-// phases cost one barrier rather than thousands.
+// (saturating; a shard that is not busy contributes nothing), and every
+// shard executes its events with time strictly below its own horizon,
+// independently and without locks. This is safe because events cross
+// shards only at barriers: a delivery to d at time T belongs to a causal
+// chain whose origin event is pending on some shard right now (mailboxes
+// are empty at the decision point, and nothing is spontaneous), so T is at
+// least the bound above — it can never land in the past of a receiver that
+// raced ahead inside the same window. On a complete shard graph whose every
+// cross link has delay W (a fat-tree cut by topo's ShardMap) the bound is
+// exact, not merely safe. When every shard is idle until some future time
+// the horizon jumps straight there (skip-ahead), so quiet phases cost one
+// barrier rather than thousands.
 //
 // As a liveness backstop each run phase is additionally cut after a fixed
 // event budget (phaseEventCap): a shard with an unbounded horizon — no
@@ -54,9 +47,9 @@
 // evaluated only at barriers, where every shard's state is a pure function
 // of the simulation inputs. A run with a fixed shard count is
 // bit-identical across repetitions (and across worker scheduling or pool
-// size); runs with different shard counts, window matrices, or runner
-// versions are each internally deterministic but may differ from one
-// another, because those choices re-partition the PRNG streams, the epoch
+// size); runs with different shard counts, windows, or runner versions
+// are each internally deterministic but may differ from one another,
+// because those choices re-partition the PRNG streams, the epoch
 // boundaries, and the same-timestamp tie order at shard boundaries.
 package sim
 
@@ -119,47 +112,26 @@ type xev struct {
 	h   Handler
 }
 
-// Box shrink policy: a box whose drained length stays under a quarter of
-// its capacity for boxShrinkAfter consecutive drains is reallocated at
-// half the capacity (down to boxShrinkMinCap), so one incast burst does
-// not pin peak slice capacity for the rest of a multi-hour run. Halving
-// with hysteresis converges to the working set in a few hundred epochs
-// without thrashing on bursty traffic.
-const (
-	boxShrinkMinCap = 64
-	boxShrinkAfter  = 32
-)
-
 // xbox is one (src, dst) mailbox. Send appends and tracks whether the box
 // is still sorted by time (it almost always is: a sender's clock only
 // moves forward, and all links of one shard pair usually share one delay,
 // so per-box runs come out presorted and the drain-side sort is skipped).
+// A box keeps the capacity of its busiest epoch; there are at most k² of
+// them.
 type xbox struct {
 	evs    []xev
-	lastAt Time   // time of the most recent Send
-	head   int    // merge cursor, used only inside drainPhase
-	sorted bool   // evs is nondecreasing in at (=> sorted by (at, seq))
-	under  uint32 // consecutive underused drains, for the shrink policy
+	lastAt Time // time of the most recent Send
+	head   int  // merge cursor, used only inside drainPhase
+	sorted bool // evs is nondecreasing in at (=> sorted by (at, seq))
 }
 
-// settle resets the box after (or in place of) a drain: handlers are
-// released, the merge cursor rewinds, and the shrink policy runs.
+// settle resets the box after a drain: handlers are released and the merge
+// cursor rewinds.
 func (b *xbox) settle() {
-	used := len(b.evs)
-	if used > 0 {
-		clear(b.evs) // don't retain handlers past this epoch
-		b.evs = b.evs[:0]
-	}
+	clear(b.evs) // don't retain handlers past this epoch
+	b.evs = b.evs[:0]
 	b.head = 0
 	b.sorted = true
-	if c := cap(b.evs); c > boxShrinkMinCap && used < c/4 {
-		if b.under++; b.under >= boxShrinkAfter {
-			b.evs = make([]xev, 0, c/2)
-			b.under = 0
-		}
-	} else {
-		b.under = 0
-	}
 }
 
 // sortRun orders one box by (at, seq). src is constant within a box, so
@@ -222,9 +194,6 @@ func NewMailboxes(k int) *Mailboxes {
 	}
 	return m
 }
-
-// Shards returns the shard count the exchange was built for.
-func (m *Mailboxes) Shards() int { return m.k }
 
 // Outbox returns the sending handle for the (src, dst) pair. Handles are
 // pre-built, so callers (ports, typically) can hold one pointer and send
@@ -339,21 +308,11 @@ func (b *barrier) wait(sense *uint32, action func()) {
 
 // ParallelConfig parameterizes a Parallel runner.
 type ParallelConfig struct {
-	// Window is the uniform lookahead W: the minimum latency of any
-	// cross-shard interaction. Zero means the shards cannot interact at
-	// all, and each epoch runs to queue exhaustion (or phaseEventCap).
-	// Ignored when Windows is set.
+	// Window is the lookahead W: the minimum latency of any cross-shard
+	// interaction (Network.Shard derives it from the cross-shard link
+	// delays). Zero means the shards cannot interact at all, and each
+	// epoch runs to queue exhaustion (or phaseEventCap).
 	Window Time
-	// Windows, when non-nil, is the per-pair direct-hop lookahead matrix,
-	// flat row-major with stride k = len(engines): Windows[src*k+dst] is
-	// the minimum latency of any direct src->dst interaction, and zero
-	// means src cannot send to dst directly. The runner derives the
-	// transitive closure (shortest relay path per pair, self-echo cycles
-	// included) itself, so callers only describe the links they have.
-	// Per-pair lookahead widens the horizon of shards whose binding peers
-	// are idle or far away; Network.Shard derives the matrix from the
-	// cross-shard link delays.
-	Windows []Time
 	// Done, when non-nil, is evaluated at every epoch barrier (by exactly
 	// one goroutine, with all shard work quiesced); returning true stops
 	// the run. Experiments pass Network.AllFinished here.
@@ -376,7 +335,7 @@ type ParallelConfig struct {
 type Parallel struct {
 	engines []*Engine
 	mail    *Mailboxes
-	dists   []Time // flat k*k shortest cross-shard delay; maxTime = unreachable
+	window  Time // lookahead W; 0 when no shard can reach another
 	doneFn  func() bool
 	workers int
 
@@ -427,8 +386,9 @@ func NewParallel(engines []*Engine, mail *Mailboxes, cfg ParallelConfig) *Parall
 		panic("sim: multiple engines require mailboxes")
 	}
 	k := len(engines)
-	if cfg.Windows != nil && len(cfg.Windows) != k*k {
-		panic(fmt.Sprintf("sim: window matrix has %d entries, want %d*%d", len(cfg.Windows), k, k))
+	window := cfg.Window
+	if k == 1 {
+		window = 0 // no peer to hear from or echo off
 	}
 	workers := cfg.Workers
 	if workers <= 0 {
@@ -440,7 +400,7 @@ func NewParallel(engines []*Engine, mail *Mailboxes, cfg ParallelConfig) *Parall
 	p := &Parallel{
 		engines: engines,
 		mail:    mail,
-		dists:   buildDists(k, cfg.Window, cfg.Windows),
+		window:  window,
 		doneFn:  cfg.Done,
 		workers: workers,
 		bar:     newBarrier(workers),
@@ -455,76 +415,24 @@ func NewParallel(engines []*Engine, mail *Mailboxes, cfg ParallelConfig) *Parall
 	return p
 }
 
-// buildDists turns the direct-hop lookahead (a uniform window or a
-// per-pair matrix) into the all-pairs shortest cross-shard delay,
-// including self-cycles (the cheapest way a shard's own traffic can echo
-// back to it). Entries of maxTime mean no causal path exists at all.
-func buildDists(k int, window Time, windows []Time) []Time {
-	d := make([]Time, k*k)
-	for i := range d {
-		d[i] = maxTime
-	}
-	switch {
-	case windows != nil:
-		for s := 0; s < k; s++ {
-			for t := 0; t < k; t++ {
-				if s != t && windows[s*k+t] > 0 {
-					d[s*k+t] = windows[s*k+t]
-				}
-			}
-		}
-	case window > 0:
-		for s := 0; s < k; s++ {
-			for t := 0; t < k; t++ {
-				if s != t {
-					d[s*k+t] = window
-				}
-			}
-		}
-	default:
-		return d // shards cannot interact at all
-	}
-	// Floyd-Warshall with an infinite diagonal: d[s][s] converges to the
-	// shortest cycle through at least one other shard, which is exactly
-	// the self-echo bound (a shard's local queue needs no lookahead).
-	for mid := 0; mid < k; mid++ {
-		for s := 0; s < k; s++ {
-			dm := d[s*k+mid]
-			if dm == maxTime {
-				continue
-			}
-			for t := 0; t < k; t++ {
-				if d2 := d[mid*k+t]; d2 != maxTime {
-					if sum := dm + d2; sum >= dm && sum < d[s*k+t] {
-						d[s*k+t] = sum
-					}
-				}
-			}
-		}
-	}
-	return d
-}
-
 // computeHorizons sets every shard's run-phase horizon from the quiesced
-// per-shard next-event times: shard d may run strictly below the earliest
-// time any shard's pending work could make an event land on it — its own
-// included, via the self-echo cycle. Saturates at maxTime when nothing
-// bounds the shard.
+// per-shard next-event times: shard d may run strictly below
+// min(next(d)+2W, min over other busy shards s of next(s)+W) — the
+// earliest time pending work anywhere, its own echoed off a peer included,
+// could make an event land on it. Saturates at maxTime when nothing bounds
+// the shard (W = 0: no shard can reach another).
 func (p *Parallel) computeHorizons() {
-	k := len(p.engines)
-	for d := 0; d < k; d++ {
+	for d := range p.curEnds {
 		h := maxTime
-		for src := 0; src < k; src++ {
-			if !p.has[src] {
+		for s, busy := range p.has {
+			if !busy || p.window == 0 {
 				continue
 			}
-			dist := p.dists[src*k+d]
-			if dist == maxTime {
-				continue
+			t := satAdd(p.next[s], p.window)
+			if s == d {
+				t = satAdd(t, p.window)
 			}
-			if t := satAdd(p.next[src], dist); t < h {
-				h = t
-			}
+			h = min(h, t)
 		}
 		p.curEnds[d] = h
 	}
@@ -720,9 +628,6 @@ func (p *Parallel) drainPhase(w int) {
 				eng.Schedule(ev.at, ev.h)
 			}
 		}
-		// Settle every inbox — drained ones release their handlers, and
-		// the shrink policy sees quiet boxes too, so a one-off burst does
-		// not pin peak capacity forever.
 		for src := 0; src < m.k; src++ {
 			if src != w {
 				m.boxes[src*m.k+w].settle()

@@ -255,100 +255,55 @@ func TestParallelDoneStops(t *testing.T) {
 	}
 }
 
-// TestBuildDists pins the transitive-closure lookahead: a directed ring
-// with distinct hop delays, where every pair's bound is the path around
-// the ring and every diagonal entry is the full cycle (the self-echo
-// bound).
-func TestBuildDists(t *testing.T) {
-	// 0 -> 1 costs 1, 1 -> 2 costs 2, 2 -> 0 costs 4.
-	w := []Time{
-		0, 1, 0,
-		0, 0, 2,
-		4, 0, 0,
-	}
-	d := buildDists(3, 0, w)
-	want := []Time{
-		7, 1, 3,
-		6, 7, 2,
-		4, 5, 7,
-	}
-	for i, v := range want {
-		if d[i] != v {
-			t.Fatalf("dist[%d][%d] = %v, want %v (full matrix %v)", i/3, i%3, d[i], v, d)
+// TestParallelHorizonClosedForm pins the one-number lookahead: shard d
+// runs below min(next(d)+2W, min over other busy shards s of next(s)+W),
+// saturating, and unbounded when W = 0 or there is one shard.
+func TestParallelHorizonClosedForm(t *testing.T) {
+	const w = 5
+	never := maxTime
+	for _, c := range []struct {
+		name   string
+		window Time
+		next   []Time // -1: the shard is idle
+		want   []Time
+	}{
+		{"all busy", w, []Time{10, 12, 30}, []Time{17, 15, 15}},
+		{"own echo binds", w, []Time{10, 100, -1}, []Time{20, 15, 15}},
+		{"one busy shard", w, []Time{-1, 40, -1}, []Time{45, 50, 45}},
+		{"nothing pending", w, []Time{-1, -1, -1}, []Time{never, never, never}},
+		{"saturates", w, []Time{never - 1, -1, -1}, []Time{never, never, never}},
+		{"no interaction", 0, []Time{10, 12, 30}, []Time{never, never, never}},
+		{"one shard", w, []Time{10}, []Time{never}},
+	} {
+		engines := make([]*Engine, len(c.next))
+		for i := range engines {
+			engines[i] = NewEngine()
 		}
-	}
-	// A uniform window is the complete graph: off-diagonal W, diagonal 2W.
-	d = buildDists(2, 5, nil)
-	want = []Time{10, 5, 5, 10}
-	for i, v := range want {
-		if d[i] != v {
-			t.Fatalf("uniform dist[%d] = %v, want %v", i, d[i], v)
+		var mail *Mailboxes
+		if len(engines) > 1 {
+			mail = NewMailboxes(len(engines))
 		}
-	}
-	// No interaction at all: every bound saturates.
-	for _, v := range buildDists(2, 0, nil) {
-		if v != maxTime {
-			t.Fatal("zero window must leave all pairs unreachable")
+		p := NewParallel(engines, mail, ParallelConfig{Window: c.window})
+		for s, at := range c.next {
+			p.next[s], p.has[s] = at, at >= 0
+		}
+		p.computeHorizons()
+		if !reflect.DeepEqual(p.curEnds, c.want) {
+			t.Errorf("%s: horizons %v, want %v", c.name, p.curEnds, c.want)
 		}
 	}
 }
 
-// TestParallelPerPairLookahead checks an idle downstream shard stops
-// binding the window: on a one-way 2-shard chain the producer runs its
-// whole queue in one epoch (nothing can ever echo back to it), instead of
-// one epoch per lookahead window.
-func TestParallelPerPairLookahead(t *testing.T) {
-	engines := []*Engine{NewEngine(), NewEngine()}
-	mail := NewMailboxes(2)
-	windows := []Time{
-		0, 1, // 0 -> 1 has a 1-tick link
-		0, 0, // nothing flows 1 -> 0
-	}
-	p := NewParallel(engines, mail, ParallelConfig{Windows: windows})
-	const n = 100
-	received := 0
-	out := mail.Outbox(0, 1)
-	var last Time = -1
-	for i := 0; i < n; i++ {
-		at := Time(i)
-		engines[0].At(at, func() {
-			out.Send(at+1, Func(func() {
-				if now := engines[1].Now(); now < last {
-					t.Errorf("receiver time went backwards: %v after %v", now, last)
-				}
-				last = engines[1].Now()
-				received++
-			}))
-		})
-	}
-	if err := p.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if received != n {
-		t.Fatalf("received %d events, want %d", received, n)
-	}
-	// Epoch 1: the producer drains its whole queue (no path back to it);
-	// epoch 2: the consumer drains all deliveries. A uniform-window runner
-	// would need ~n epochs.
-	if p.Epochs() > 4 {
-		t.Fatalf("epochs = %d, want the one-way chain to run in ~2", p.Epochs())
-	}
-}
-
-// TestParallelSelfEchoBound is the regression test for the transitive
-// lookahead: a shard's own traffic can echo off a peer and come back, so
-// its horizon must stay within the round-trip bound even while the peer
-// is idle. A one-hop-only horizon lets the sender race ahead and the
+// TestParallelSelfEchoBound is the regression test for the echo term of
+// the lookahead: a shard's own traffic can echo off a peer and come back,
+// so its horizon must stay within the round-trip bound even while the
+// peer is idle. A one-hop-only horizon lets the sender race ahead and the
 // echo then schedules into its past (Engine.At panics).
 func TestParallelSelfEchoBound(t *testing.T) {
 	engines := []*Engine{NewEngine(), NewEngine()}
 	mail := NewMailboxes(2)
 	const w = 5
-	windows := []Time{
-		0, w,
-		w, 0,
-	}
-	p := NewParallel(engines, mail, ParallelConfig{Windows: windows})
+	p := NewParallel(engines, mail, ParallelConfig{Window: w})
 	replies := 0
 	to1, to0 := mail.Outbox(0, 1), mail.Outbox(1, 0)
 	for i := 0; i < 50; i++ {
@@ -423,57 +378,6 @@ func TestParallelProgressMidEpoch(t *testing.T) {
 	<-done
 	if ev, _, _ := p.Progress(); ev != n {
 		t.Fatalf("final progress = %d events, want %d", ev, n)
-	}
-}
-
-// TestMailboxShrink pins the steady-state capacity of a mailbox after a
-// burst: one incast spike must not pin peak slice capacity for the rest
-// of the run — the shrink policy halves an underused box back down to its
-// floor within a bounded number of epochs.
-func TestMailboxShrink(t *testing.T) {
-	engines := []*Engine{NewEngine(), NewEngine()}
-	mail := NewMailboxes(2)
-	p := NewParallel(engines, mail, ParallelConfig{Window: 1})
-	out := mail.Outbox(0, 1)
-	nop := Func(func() {})
-	box := &mail.boxes[0*2+1]
-
-	clock := Time(0)
-	for i := 0; i < 10_000; i++ {
-		out.Send(clock, nop)
-		clock++
-	}
-	p.drainPhase(1)
-	for engines[1].Step() {
-	}
-	burstCap := cap(box.evs)
-	if burstCap < 10_000 {
-		t.Fatalf("burst capacity = %d, want >= 10000", burstCap)
-	}
-	// Steady trickle: one event per epoch. The box must shrink back to the
-	// floor (halving every boxShrinkAfter underused drains).
-	for i := 0; i < 400; i++ {
-		out.Send(clock, nop)
-		clock++
-		p.drainPhase(1)
-		for engines[1].Step() {
-		}
-	}
-	if got := cap(box.evs); got > boxShrinkMinCap {
-		t.Fatalf("retained capacity = %d after steady trickle, want <= %d", got, boxShrinkMinCap)
-	}
-	// A box that stays busy must not shrink below its working set.
-	for i := 0; i < 400; i++ {
-		for j := 0; j < 100; j++ {
-			out.Send(clock, nop)
-			clock++
-		}
-		p.drainPhase(1)
-		for engines[1].Step() {
-		}
-	}
-	if got := cap(box.evs); got < 100 {
-		t.Fatalf("busy box shrank to %d, below its 100-event working set", got)
 	}
 }
 
@@ -568,8 +472,9 @@ func TestMailboxHandOffDoesNotAllocate(t *testing.T) {
 	ran := 0
 	obj := &objEvent{run: func() { ran++ }}
 	at := Time(0)
+	const perRound = 64
 	round := func() {
-		for i := 0; i < boxShrinkMinCap; i++ {
+		for i := 0; i < perRound; i++ {
 			at++
 			out.Send(at, obj)
 		}
@@ -578,9 +483,9 @@ func TestMailboxHandOffDoesNotAllocate(t *testing.T) {
 	}
 	round()
 	if n := testing.AllocsPerRun(100, round); n != 0 {
-		t.Fatalf("%v allocations per round of %d hand-offs, want 0", n, boxShrinkMinCap)
+		t.Fatalf("%v allocations per round of %d hand-offs, want 0", n, perRound)
 	}
-	if want := 102 * boxShrinkMinCap; ran != want {
+	if want := 102 * perRound; ran != want {
 		t.Fatalf("ran %d handed-off events, want %d", ran, want)
 	}
 }

@@ -147,14 +147,20 @@ type CDF struct {
 	pts []CDFPoint
 }
 
-// NewCDF validates and builds a CDF. Points must be strictly increasing in
-// Value, nondecreasing in Frac, start at Frac >= 0 and end at Frac == 1.
+// NewCDF validates and builds a CDF. Points must be finite, strictly
+// increasing in Value, nondecreasing in Frac, start at Frac >= 0 and end at
+// Frac == 1. (A NaN passes every comparison below by failing it, and one
+// NaN or infinite knot makes Mean NaN or infinite.)
 func NewCDF(points []CDFPoint) (*CDF, error) {
 	if len(points) < 2 {
 		return nil, fmt.Errorf("stats: CDF needs at least 2 points")
 	}
 	for i, p := range points {
-		if p.Frac < 0 || p.Frac > 1 {
+		if math.IsNaN(p.Value) || math.IsInf(p.Value, 0) {
+			return nil, fmt.Errorf("stats: CDF value %v not finite at %d", p.Value, i)
+		}
+		if !(p.Frac >= 0 && p.Frac <= 1) { // also rejects NaN
+
 			return nil, fmt.Errorf("stats: CDF frac %v out of [0,1] at %d", p.Frac, i)
 		}
 		if i > 0 {

@@ -118,11 +118,15 @@ func TestSummarize(t *testing.T) {
 
 func TestCDFValidation(t *testing.T) {
 	bad := [][]CDFPoint{
-		{{1, 1}},             // too few
-		{{1, 0.5}, {2, 0.4}}, // decreasing frac
-		{{1, 0.5}, {1, 1}},   // non-increasing value
-		{{1, 0.5}, {2, 0.9}}, // doesn't reach 1
-		{{1, -0.1}, {2, 1}},  // frac below 0
+		{{1, 1}},                              // too few
+		{{1, 0.5}, {2, 0.4}},                  // decreasing frac
+		{{1, 0.5}, {1, 1}},                    // non-increasing value
+		{{1, 0.5}, {2, 0.9}},                  // doesn't reach 1
+		{{1, -0.1}, {2, 1}},                   // frac below 0
+		{{1, 0.5}, {math.NaN(), 0.7}, {3, 1}}, // NaN value
+		{{1, 0.5}, {math.Inf(1), 1}},          // infinite value
+		{{1, 0.5}, {2, math.NaN()}, {3, 1}},   // NaN frac
+		{{math.Inf(-1), 0}, {1, 0.5}, {2, 1}}, // -Inf value
 	}
 	for i, pts := range bad {
 		if _, err := NewCDF(pts); err == nil {

@@ -1,175 +1,38 @@
 package topo
 
-import "sort"
-
 // ShardMap partitions the fat-tree for parallel execution, returning a
 // node-id -> shard assignment (suitable for Network.Shard) and the shard
-// count actually used (never more than k, and never more than the number
-// of partition cells available).
+// count actually used: k clamped to [1, min(Pods, AggsPerPod)].
 //
-// For k up to Pods+AggsPerPod the partition keeps pods intact (the
-// pod-local invariant: every host-ToR and ToR-Agg link stays shard-local)
-// and splits the spine layer by spine group — the AggsPerPod natural
-// groups, where group g holds the spines that attach to agg index g of
-// every pod. A spine group never talks to another spine group, so the
-// split costs no extra cross-shard links; it removes the monolithic spine
-// shard that serialized all fabric traffic in the earlier pod+spine
-// partition. Pods round-robin over the first min(k, Pods) shards; spine
-// groups go to dedicated trailing shards when k > Pods, and otherwise
-// round-robin over the same shards as the pods (co-residence beats one
-// hot spine shard: spine work spreads over all k). Every cross-shard link
-// remains an Agg-Spine link, so the parallel lookahead is the full fabric
-// LinkDelay.
-//
-// For larger k the pods are split into finer cells — one per ToR subtree
-// (the ToR and its hosts), one per Agg, one per Spine — and the cells are
-// packed onto shards by weighted greedy (heaviest cell first onto the
-// lightest shard). Cross-shard links are still switch-to-switch fabric
-// links with the same LinkDelay, so any cell packing is causally valid;
-// finer cells just trade lookahead-irrelevant locality for balance.
+// Pods stay whole (every host-ToR and ToR-Agg link is shard-local) and go
+// round-robin over the k shards. The spine layer splits by spine group —
+// group g holds the spines that attach to Agg index g of every pod — and
+// group g goes to shard g mod k. With k clamped so, every shard owns a pod
+// and a spine group: each shard's Aggs link to every other shard's spines,
+// so the shard graph is complete and every cross-shard link is an
+// Agg-Spine link of delay LinkDelay. That is what makes sim.Parallel's
+// one-number lookahead exact rather than merely safe; a larger k would
+// need a shard without a pod or without a spine group, and there it is not.
 //
 // The assignment is a pure function of (cfg, k): deterministic, so a
 // sharded run's partition never varies between repetitions.
 func (ft *FatTree) ShardMap(k int) ([]int, int) {
 	cfg := ft.Config
-	nNodes := len(ft.Hosts) + len(ft.ToRs) + len(ft.Aggs) + len(ft.Spines)
-	assign := make([]int, nNodes)
-	if k <= 1 {
-		return assign, 1
-	}
-
-	groups := cfg.AggsPerPod // spine group g = spines attached to agg index g
-	if k <= cfg.Pods+groups {
-		podShards := k
-		if podShards > cfg.Pods {
-			podShards = cfg.Pods
-		}
-		podShard := func(p int) int { return p % podShards }
-		spineShard := func(g int) int {
-			if k <= cfg.Pods {
-				return g % k // co-resident with the pods
-			}
-			return cfg.Pods + g%(k-cfg.Pods) // dedicated spine shards
-		}
-		for i, h := range ft.Hosts {
-			assign[h.NodeID()] = podShard(i / (cfg.ToRsPerPod * cfg.HostsPerToR))
-		}
-		for i, t := range ft.ToRs {
-			assign[t.NodeID()] = podShard(i / cfg.ToRsPerPod)
-		}
-		for i, a := range ft.Aggs {
-			assign[a.NodeID()] = podShard(i / cfg.AggsPerPod)
-		}
-		for i, s := range ft.Spines {
-			// Spine i attaches to agg index i/(Spines/AggsPerPod) in every
-			// pod (see Build), so its group is that agg index.
-			assign[s.NodeID()] = spineShard(i / (cfg.Spines / groups))
-		}
-		return assign, k
-	}
-
-	// Fine cells: ToR subtrees (ToR + its hosts), individual Aggs,
-	// individual Spines. Weight approximates event volume: one unit per
-	// node in the cell.
-	type cell struct {
-		nodes  []int
-		weight int
-	}
-	var cells []cell
-	for i, t := range ft.ToRs {
-		c := cell{nodes: []int{t.NodeID()}, weight: 1 + cfg.HostsPerToR}
-		for h := i * cfg.HostsPerToR; h < (i+1)*cfg.HostsPerToR; h++ {
-			c.nodes = append(c.nodes, ft.Hosts[h].NodeID())
-		}
-		cells = append(cells, c)
-	}
-	for _, a := range ft.Aggs {
-		cells = append(cells, cell{nodes: []int{a.NodeID()}, weight: 1})
-	}
-	for _, s := range ft.Spines {
-		cells = append(cells, cell{nodes: []int{s.NodeID()}, weight: 1})
-	}
-	if k > len(cells) {
-		k = len(cells)
-	}
-	// Heaviest-first greedy onto the lightest shard; stable order (by
-	// original index on weight ties, lowest shard id on load ties) keeps
-	// the packing deterministic.
-	order := make([]int, len(cells))
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool {
-		return cells[order[a]].weight > cells[order[b]].weight
-	})
-	load := make([]int, k)
-	for _, ci := range order {
-		best := 0
-		for s := 1; s < k; s++ {
-			if load[s] < load[best] {
-				best = s
-			}
-		}
-		for _, id := range cells[ci].nodes {
-			assign[id] = best
-		}
-		load[best] += cells[ci].weight
-	}
-	return assign, k
-}
-
-// ShardMapPodSpine is the earlier coarse partition — one shard per pod
-// plus a single monolithic shard holding the whole spine layer — retained
-// as a differential-testing reference for ShardMap's spine split (both
-// partitions must yield internally deterministic runs; see the
-// determinism contract in sim.Parallel). k is clamped to Pods+1, the most
-// shards this partition can use.
-func (ft *FatTree) ShardMapPodSpine(k int) ([]int, int) {
-	cfg := ft.Config
-	nNodes := len(ft.Hosts) + len(ft.ToRs) + len(ft.Aggs) + len(ft.Spines)
-	assign := make([]int, nNodes)
-	if k <= 1 {
-		return assign, 1
-	}
-	if k > cfg.Pods+1 {
-		k = cfg.Pods + 1
-	}
-	podShard := func(p int) int { return p % (k - 1) }
+	k = max(1, min(k, cfg.Pods, cfg.AggsPerPod))
+	assign := make([]int, len(ft.Hosts)+len(ft.ToRs)+len(ft.Aggs)+len(ft.Spines))
 	for i, h := range ft.Hosts {
-		assign[h.NodeID()] = podShard(i / (cfg.ToRsPerPod * cfg.HostsPerToR))
+		assign[h.NodeID()] = i / (cfg.ToRsPerPod * cfg.HostsPerToR) % k
 	}
 	for i, t := range ft.ToRs {
-		assign[t.NodeID()] = podShard(i / cfg.ToRsPerPod)
+		assign[t.NodeID()] = i / cfg.ToRsPerPod % k
 	}
 	for i, a := range ft.Aggs {
-		assign[a.NodeID()] = podShard(i / cfg.AggsPerPod)
+		assign[a.NodeID()] = i / cfg.AggsPerPod % k
 	}
-	for _, s := range ft.Spines {
-		assign[s.NodeID()] = k - 1
+	for i, s := range ft.Spines {
+		// Spine i attaches to Agg index i/(Spines/AggsPerPod) in every pod
+		// (see Build), so its group is that Agg index.
+		assign[s.NodeID()] = i / (cfg.Spines / cfg.AggsPerPod) % k
 	}
-	return assign, k
-}
-
-// ShardMap partitions the incast star: the switch and the receiver-side
-// congestion live on shard 0, and the remaining hosts spread round-robin
-// over the other shards (every host-switch link has the same delay, so
-// any split is causally valid). Shard counts above the host count are
-// clamped.
-func (s *Star) ShardMap(k int) ([]int, int) {
-	nNodes := len(s.Hosts) + 1
-	assign := make([]int, nNodes)
-	if k <= 1 {
-		return assign, 1
-	}
-	if k > len(s.Hosts) {
-		k = len(s.Hosts)
-	}
-	if k <= 1 {
-		return assign, 1
-	}
-	for i, h := range s.Hosts {
-		assign[h.NodeID()] = 1 + i%(k-1)
-	}
-	assign[s.Switch.NodeID()] = 0
 	return assign, k
 }

@@ -2,6 +2,7 @@ package topo
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
 	"faircc/internal/net"
@@ -43,175 +44,125 @@ func checkPodLocal(t *testing.T, ft *FatTree, assign []int, k int) {
 	}
 }
 
-// TestShardMapFatTreePods checks the coarse partition (k up to
-// Pods+AggsPerPod): pods stay intact, every spine group stays intact, the
-// spine layer is split across shards instead of serialized on one, and
-// every shard is used.
-func TestShardMapFatTreePods(t *testing.T) {
-	_, ft := buildFT(t, 4, 2, 2)
-	cfg := ft.Config
-	groups := cfg.AggsPerPod
-	spinesPerGroup := cfg.Spines / groups
-	for k := 2; k <= cfg.Pods+groups; k++ {
-		assign, got := ft.ShardMap(k)
-		if got != k {
-			t.Fatalf("k=%d: ShardMap used %d shards", k, got)
-		}
-		checkPodLocal(t, ft, assign, k)
-		// Spine groups stay intact, and the layer splits over the expected
-		// number of shards: min(groups, k) when co-resident with pods,
-		// k-Pods dedicated shards otherwise — never one monolithic shard
-		// unless that's all the partition has room for.
-		spineShards := map[int]bool{}
-		for g := 0; g < groups; g++ {
-			want := assign[ft.Spines[g*spinesPerGroup].NodeID()]
-			spineShards[want] = true
-			for i := 0; i < spinesPerGroup; i++ {
-				s := ft.Spines[g*spinesPerGroup+i]
-				if assign[s.NodeID()] != want {
-					t.Fatalf("k=%d: spine group %d split across shards", k, g)
-				}
-			}
-		}
-		wantSpineShards := k
-		if wantSpineShards > cfg.Pods {
-			wantSpineShards = k - cfg.Pods
-		}
-		if wantSpineShards > groups {
-			wantSpineShards = groups
-		}
-		if len(spineShards) != wantSpineShards {
-			t.Fatalf("k=%d: spine layer on %d shards, want %d", k, len(spineShards), wantSpineShards)
-		}
-		if k > cfg.Pods {
-			// Dedicated spine shards: disjoint from every pod shard.
-			for p := 0; p < cfg.Pods; p++ {
-				if spineShards[assign[ft.ToRs[p*cfg.ToRsPerPod].NodeID()]] {
-					t.Fatalf("k=%d: pod %d shares a shard with a spine group despite spare shards", k, p)
-				}
-			}
-		}
-		used := map[int]bool{}
-		for _, s := range assign {
-			used[s] = true
-		}
-		if len(used) != k {
-			t.Fatalf("k=%d: only %d shards used", k, len(used))
+// shardMaps calls f with FatTree.ShardMap(k) for k = 0..Pods+3 on every
+// fabric the repo runs: small, medium, DefaultFatTree and K16FatTree.
+func shardMaps(t *testing.T, f func(name string, nw *net.Network, ft *FatTree, k int, assign []int, got int)) {
+	t.Helper()
+	for name, cfg := range map[string]FatTreeConfig{
+		"small":   DefaultFatTree().Scaled(2, 2, 2),
+		"medium":  DefaultFatTree().Scaled(2, 2, 8),
+		"default": DefaultFatTree(),
+		"k16":     K16FatTree(),
+	} {
+		nw := net.New(sim.NewEngine(), 1)
+		ft := NewFatTree(nw, cfg)
+		for k := 0; k <= cfg.Pods+3; k++ {
+			assign, got := ft.ShardMap(k)
+			f(name, nw, ft, k, assign, got)
 		}
 	}
 }
 
-// TestShardMapFatTreeBalance pins the coarse partition's load spread: the
-// per-shard node counts may differ by at most one pod's worth of nodes
-// plus one spine group (pods and groups round-robin independently).
+// TestShardMapFatTreeClamps checks the shard count is
+// min(max(k,1), Pods, AggsPerPod), that k <= 1 is the identity partition,
+// and that every assignment lies in [0, count).
+func TestShardMapFatTreeClamps(t *testing.T) {
+	shardMaps(t, func(name string, _ *net.Network, ft *FatTree, k int, assign []int, got int) {
+		if want := min(max(k, 1), ft.Config.Pods, ft.Config.AggsPerPod); got != want {
+			t.Fatalf("%s k=%d: ShardMap used %d shards, want %d", name, k, got, want)
+		}
+		for _, s := range assign {
+			if s < 0 || s >= got || k <= 1 && s != 0 {
+				t.Fatalf("%s k=%d: assignment %d out of range [0,%d)", name, k, s, got)
+			}
+		}
+	})
+}
+
+// TestShardMapFatTreePods checks pods stay whole and go round-robin over
+// the shards, spine group g (the spines on Agg index g of every pod) stays
+// whole on shard g mod k, and so every shard holds a pod and a spine group.
+func TestShardMapFatTreePods(t *testing.T) {
+	shardMaps(t, func(name string, _ *net.Network, ft *FatTree, k int, assign []int, got int) {
+		cfg := ft.Config
+		checkPodLocal(t, ft, assign, k)
+		hasPod, hasGroup := make([]bool, got), make([]bool, got)
+		for p := 0; p < cfg.Pods; p++ {
+			s := assign[ft.ToRs[p*cfg.ToRsPerPod].NodeID()]
+			if s != p%got {
+				t.Fatalf("%s k=%d: pod %d on shard %d, want %d", name, k, p, s, p%got)
+			}
+			hasPod[s] = true
+		}
+		perGroup := cfg.Spines / cfg.AggsPerPod
+		for i, sp := range ft.Spines {
+			g := i / perGroup
+			if s := assign[sp.NodeID()]; s != g%got {
+				t.Fatalf("%s k=%d: spine %d of group %d on shard %d, want %d", name, k, i, g, s, g%got)
+			}
+			hasGroup[g%got] = true
+		}
+		if slices.Contains(hasPod, false) || slices.Contains(hasGroup, false) {
+			t.Fatalf("%s k=%d: a shard lacks a pod (%v) or a spine group (%v)", name, k, hasPod, hasGroup)
+		}
+	})
+}
+
+// TestShardMapFatTreeBalance pins the load spread: no shard is empty and
+// per-shard node counts differ by at most one pod's worth of nodes plus
+// one spine group (pods and groups round-robin independently).
 func TestShardMapFatTreeBalance(t *testing.T) {
-	_, ft := buildFT(t, 4, 2, 2)
-	cfg := ft.Config
-	podNodes := cfg.ToRsPerPod*cfg.HostsPerToR + cfg.ToRsPerPod + cfg.AggsPerPod
-	groupNodes := cfg.Spines / cfg.AggsPerPod
-	for k := 2; k <= cfg.Pods+cfg.AggsPerPod; k++ {
-		assign, got := ft.ShardMap(k)
+	shardMaps(t, func(name string, _ *net.Network, ft *FatTree, k int, assign []int, got int) {
+		cfg := ft.Config
+		podNodes := cfg.ToRsPerPod*cfg.HostsPerToR + cfg.ToRsPerPod + cfg.AggsPerPod
+		groupNodes := cfg.Spines / cfg.AggsPerPod
 		load := make([]int, got)
 		for _, s := range assign {
 			load[s]++
 		}
-		min, max := load[0], load[0]
-		for _, l := range load[1:] {
-			if l < min {
-				min = l
-			}
-			if l > max {
-				max = l
-			}
+		if lo, hi := slices.Min(load), slices.Max(load); lo == 0 || hi-lo > podNodes+groupNodes {
+			t.Fatalf("%s k=%d: unbalanced partition: loads %v", name, k, load)
 		}
-		if min == 0 || max-min > podNodes+groupNodes {
-			t.Fatalf("k=%d: unbalanced coarse partition: loads %v", k, load)
-		}
-	}
+	})
 }
 
-// TestShardMapPodSpineLegacy checks the retained PR-5 reference partition:
-// pod-local, all spines on the last shard, k clamped to Pods+1.
-func TestShardMapPodSpineLegacy(t *testing.T) {
-	_, ft := buildFT(t, 4, 2, 2)
-	cfg := ft.Config
-	for k := 2; k <= cfg.Pods+1; k++ {
-		assign, got := ft.ShardMapPodSpine(k)
-		if got != k {
-			t.Fatalf("k=%d: ShardMapPodSpine used %d shards", k, got)
-		}
-		checkPodLocal(t, ft, assign, k)
-		for _, s := range ft.Spines {
-			if assign[s.NodeID()] != k-1 {
-				t.Fatalf("k=%d: spine on shard %d, want %d", k, assign[s.NodeID()], k-1)
-			}
-		}
-	}
-	if _, got := ft.ShardMapPodSpine(cfg.Pods + 3); got != cfg.Pods+1 {
-		t.Fatalf("oversized k used %d shards, want clamp to %d", got, cfg.Pods+1)
-	}
-}
-
-// TestShardMapFatTreeFine checks the fine-cell packing used when k
-// exceeds Pods+1: ToR subtrees stay intact (a host always shards with its
-// ToR — the host-ToR link has the only sub-fabric delay) and the load
-// spread is balanced.
+// TestShardMapFatTreeFine checks the cut at every k, including the k above
+// min(Pods, AggsPerPod) that once got finer cells and now clamps: only
+// Agg-Spine links cross shards, all with delay LinkDelay (so a host never
+// leaves its ToR), and every ordered pair of shards is joined by a link.
+// Those facts make sim.Parallel's one-number lookahead exact. The walk
+// goes over the built network's Ports / Peer / Owner.
 func TestShardMapFatTreeFine(t *testing.T) {
-	_, ft := buildFT(t, 2, 2, 8)
-	cfg := ft.Config
-	k := cfg.Pods + 4
-	assign, got := ft.ShardMap(k)
-	if got != k {
-		t.Fatalf("ShardMap used %d shards, want %d", got, k)
-	}
-	for i, tor := range ft.ToRs {
-		want := assign[tor.NodeID()]
-		for h := i * cfg.HostsPerToR; h < (i+1)*cfg.HostsPerToR; h++ {
-			if assign[ft.Hosts[h].NodeID()] != want {
-				t.Fatalf("host %d split from its ToR %d", h, i)
+	shardMaps(t, func(name string, nw *net.Network, ft *FatTree, k int, assign []int, got int) {
+		aggs, spines := map[int]bool{}, map[int]bool{}
+		for _, a := range ft.Aggs {
+			aggs[a.NodeID()] = true
+		}
+		for _, s := range ft.Spines {
+			spines[s.NodeID()] = true
+		}
+		joined := make([]bool, got*got)
+		for _, sw := range nw.Switches() {
+			for _, pt := range sw.Ports() {
+				a, b := pt.Owner().NodeID(), pt.Peer().Owner().NodeID()
+				if assign[a] == assign[b] {
+					continue
+				}
+				if !(aggs[a] && spines[b] || spines[a] && aggs[b]) || pt.Delay() != ft.Config.LinkDelay {
+					t.Fatalf("%s k=%d: link %d-%d (delay %v) crosses shards; only Agg-Spine links of delay %v may",
+						name, k, a, b, pt.Delay(), ft.Config.LinkDelay)
+				}
+				joined[assign[a]*got+assign[b]] = true
 			}
 		}
-	}
-	load := make([]int, k)
-	for _, s := range assign {
-		if s < 0 || s >= k {
-			t.Fatalf("assignment out of range: %d", s)
-		}
-		load[s]++
-	}
-	min, max := load[0], load[0]
-	for _, l := range load[1:] {
-		if l < min {
-			min = l
-		}
-		if l > max {
-			max = l
-		}
-	}
-	// Heaviest cell is a ToR subtree (1+8 nodes); greedy packing keeps the
-	// spread within one such cell.
-	if min == 0 || max-min > 1+cfg.HostsPerToR {
-		t.Fatalf("unbalanced packing: loads %v", load)
-	}
-}
-
-// TestShardMapFatTreeClamps checks degenerate shard counts: k <= 1 is the
-// identity partition and k beyond the cell count is clamped.
-func TestShardMapFatTreeClamps(t *testing.T) {
-	_, ft := buildFT(t, 2, 2, 2)
-	if assign, k := ft.ShardMap(1); k != 1 {
-		t.Fatalf("k=1 used %d shards", k)
-	} else {
-		for _, s := range assign {
-			if s != 0 {
-				t.Fatal("k=1 assignment not all-zero")
+		for src := 0; src < got; src++ {
+			for dst := 0; dst < got; dst++ {
+				if src != dst && !joined[src*got+dst] {
+					t.Fatalf("%s k=%d: no link from shard %d to shard %d", name, k, src, dst)
+				}
 			}
 		}
-	}
-	cells := len(ft.ToRs) + len(ft.Aggs) + len(ft.Spines)
-	if _, k := ft.ShardMap(1000); k != cells {
-		t.Fatalf("k=1000 clamped to %d, want the cell count %d", k, cells)
-	}
+	})
 }
 
 // TestShardMapDeterministic checks the assignment is a pure function of
@@ -225,44 +176,5 @@ func TestShardMapDeterministic(t *testing.T) {
 		if k1 != k2 || !reflect.DeepEqual(a1, a2) {
 			t.Fatalf("k=%d: assignment differs between identical topologies", k)
 		}
-	}
-}
-
-// TestShardMapStar checks the incast partition: switch (and the shared
-// bottleneck) on shard 0, senders spread over the rest, oversized k
-// clamped to the host count.
-func TestShardMapStar(t *testing.T) {
-	nw := net.New(sim.NewEngine(), 1)
-	st := NewStar(nw, 5, 100e9, sim.Microsecond)
-	assign, k := st.ShardMap(3)
-	if k != 3 {
-		t.Fatalf("ShardMap used %d shards, want 3", k)
-	}
-	if assign[st.Switch.NodeID()] != 0 {
-		t.Fatalf("switch on shard %d, want 0", assign[st.Switch.NodeID()])
-	}
-	seen := map[int]int{}
-	for _, h := range st.Hosts {
-		s := assign[h.NodeID()]
-		if s < 1 || s >= k {
-			t.Fatalf("host on shard %d, want [1,%d)", s, k)
-		}
-		seen[s]++
-	}
-	if len(seen) != k-1 {
-		t.Fatalf("hosts use %d shards, want %d", len(seen), k-1)
-	}
-	if _, k := st.ShardMap(100); k != 5 {
-		t.Fatalf("oversized k clamped to %d, want 5", k)
-	}
-	if _, k := st.ShardMap(1); k != 1 {
-		t.Fatalf("k=1 used %d shards", k)
-	}
-	// A 1-host star clamps every k to sequential rather than dividing by
-	// zero in the round-robin.
-	nw2 := net.New(sim.NewEngine(), 1)
-	st2 := NewStar(nw2, 1, 100e9, sim.Microsecond)
-	if _, k := st2.ShardMap(4); k != 1 {
-		t.Fatalf("1-host star used %d shards, want 1", k)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -30,15 +31,18 @@ func ParseCDF(r io.Reader) (*stats.CDF, error) {
 		if len(fields) != 2 {
 			return nil, fmt.Errorf("workload: line %d: want \"size percent\", got %q", lineNo, line)
 		}
-		size, err := strconv.ParseFloat(fields[0], 64)
-		if err != nil {
-			return nil, fmt.Errorf("workload: line %d: bad size: %w", lineNo, err)
+		var v [2]float64
+		for i, name := range []string{"size", "percent"} {
+			x, err := strconv.ParseFloat(fields[i], 64)
+			if err == nil && (math.IsNaN(x) || math.IsInf(x, 0)) { // ParseFloat takes "nan" and "inf"
+				err = fmt.Errorf("%q is not finite", fields[i])
+			}
+			if err != nil {
+				return nil, fmt.Errorf("workload: line %d: bad %s: %w", lineNo, name, err)
+			}
+			v[i] = x
 		}
-		pct, err := strconv.ParseFloat(fields[1], 64)
-		if err != nil {
-			return nil, fmt.Errorf("workload: line %d: bad percent: %w", lineNo, err)
-		}
-		pts = append(pts, stats.CDFPoint{Value: size, Frac: pct / 100})
+		pts = append(pts, stats.CDFPoint{Value: v[0], Frac: v[1] / 100})
 	}
 	if err := sc.Err(); err != nil {
 		return nil, fmt.Errorf("workload: %w", err)

@@ -38,6 +38,11 @@ func TestParseCDFErrors(t *testing.T) {
 		"doesn't reach 100":  "100 50\n200 90\n",
 		"decreasing percent": "100 60\n200 40\n300 100\n",
 		"empty":              "# only comments\n",
+		// strconv.ParseFloat accepts these; a NaN or infinite knot made
+		// Poisson's mean gap NaN or zero and generation never ended.
+		"nan size":    "100 50\nnan 70\n300 100\n",
+		"inf size":    "100 50\ninf 100\n",
+		"nan percent": "100 50\n200 nan\n300 100\n",
 	}
 	for name, src := range cases {
 		if _, err := ParseCDF(strings.NewReader(src)); err == nil {

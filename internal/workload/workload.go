@@ -141,11 +141,15 @@ func Poisson(cfg PoissonConfig) []net.FlowSpec {
 	var specs []net.FlowSpec
 	t := sim.Time(0)
 	for {
-		gap := sim.Time(r.ExpFloat64() * meanGapSec * float64(sim.Second))
-		t += gap
-		if t >= cfg.Duration {
+		// Compared as a float before it becomes a sim.Time: a gap beyond
+		// int64 (a tiny load) would convert to math.MinInt64 and wrap t
+		// backwards forever. For integer n, trunc(g) >= n iff g >= n, so
+		// every gap that converts does so exactly as before.
+		gap := r.ExpFloat64() * meanGapSec * float64(sim.Second)
+		if gap >= float64(cfg.Duration-t) {
 			return specs
 		}
+		t += sim.Time(gap)
 		src := cfg.Hosts[r.Intn(len(cfg.Hosts))]
 		dst := src
 		for dst == src {

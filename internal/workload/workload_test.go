@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+	"time"
 
 	"faircc/internal/sim"
 )
@@ -150,6 +151,26 @@ func TestPoissonDeterministicPerSeed(t *testing.T) {
 	}
 	if same {
 		t.Fatal("different seeds produced identical traffic")
+	}
+}
+
+// A load so small that the first gap exceeds int64 picoseconds ends
+// generation with no flows. The gap used to convert to math.MinInt64, so
+// the clock wrapped backwards and Poisson appended specs until the OOM
+// killer stopped it.
+func TestPoissonTinyLoadTerminates(t *testing.T) {
+	flows := make(chan int, 1)
+	go func() {
+		flows <- len(Poisson(PoissonConfig{Hosts: []int{0, 1}, Sizes: Hadoop(), Load: 1e-30,
+			LinkBps: 100e9, Duration: sim.Millisecond, Seed: 1}))
+	}()
+	select {
+	case n := <-flows:
+		if n != 0 {
+			t.Fatalf("load 1e-30 over 1 ms generated %d flows, want 0", n)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("Poisson at load 1e-30 did not return within 1 s")
 	}
 }
 
