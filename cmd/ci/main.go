@@ -26,7 +26,7 @@
 //
 // Its last line is the tracked size number (ROADMAP aim 2), the figure a
 // PR's CHANGES.md entry quotes; `go run ./cmd/ci -loc` (`make loc`) prints
-// that number alone.
+// that number on its first line and then the same count per directory.
 package main
 
 import (
@@ -37,14 +37,16 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"sort"
 	"strings"
 )
 
 // loc is the tracked size number: the lines of every non-test Go file and
-// assembly file under the current directory, bench/ excluded.
-func loc() (int, error) {
-	n := 0
-	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+// assembly file under the current directory, bench/ excluded. byDir splits
+// it by the directory holding each file.
+func loc() (n int, byDir map[string]int, err error) {
+	byDir = map[string]int{}
+	err = filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
 		}
@@ -56,24 +58,34 @@ func loc() (int, error) {
 		}
 		if strings.HasSuffix(path, ".s") || strings.HasSuffix(path, ".go") && !strings.HasSuffix(path, "_test.go") {
 			src, err := os.ReadFile(path)
-			n += bytes.Count(src, []byte("\n"))
+			lines := bytes.Count(src, []byte("\n"))
+			n += lines
+			byDir[filepath.Dir(path)] += lines
 			return err
 		}
 		return nil
 	})
-	return n, err
+	return n, byDir, err
 }
 
 func main() {
-	locOnly := flag.Bool("loc", false, "print the tracked size number and exit")
+	locOnly := flag.Bool("loc", false, "print the tracked size number, then one line per directory, and exit")
 	flag.Parse()
-	size, err := loc()
+	size, byDir, err := loc()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "ci: loc:", err)
 		os.Exit(1)
 	}
 	if *locOnly {
 		fmt.Println(size)
+		dirs := make([]string, 0, len(byDir))
+		for dir := range byDir {
+			dirs = append(dirs, dir)
+		}
+		sort.Strings(dirs)
+		for _, dir := range dirs {
+			fmt.Printf("%6d %s\n", byDir[dir], dir)
+		}
 		return
 	}
 

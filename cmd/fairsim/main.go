@@ -28,6 +28,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -84,24 +85,29 @@ func run() int {
 	)
 	flag.Parse()
 
+	// Exit 2, before anything is built, on a configuration no experiment
+	// can run: a duration beyond the picosecond clock (see picos), or one
+	// Validate rejects. In Config a zero parameter means "the preset", so a
+	// zero given explicitly for one would silently run something other
+	// than what was asked for: that is rejected here, where "given" is
+	// known.
+	var err error
 	cfg := exp.Config{
 		Seed: *seed, Workers: *work, Scale: *scale, Shards: *shards,
 		BufferBytes: *bufBytes, DropDataProb: *dropData, DropAckProb: *dropAck,
-		RTTSlowDelay: sim.Time(rttSlowDelay.Nanoseconds()) * sim.Nanosecond,
+		RTTSlowDelay: picos("rtt-slow-delay", rttSlowDelay.Nanoseconds(), sim.Nanosecond, &err),
 		RTTSenders:   *rttSenders,
 
 		DCWorkload: *workload, DCProtocol: *protocol,
 		DCPods: *pods, DCToRs: *tors, DCHostsPerToR: *hosts, DCK16: *k16, DCOversub: *oversub,
-		DCDuration: sim.Time(*ms) * sim.Millisecond, DCLoad: *load,
+		DCDuration: picos("ms", int64(*ms), sim.Millisecond, &err), DCLoad: *load,
 
 		IncastAlgo: *algo, IncastSenders: *senders, IncastFlowBytes: *size,
-		IncastGroup: *group, IncastEvery: sim.Time(*everyUs) * sim.Microsecond,
+		IncastGroup: *group, IncastEvery: picos("every", int64(*everyUs), sim.Microsecond, &err),
 	}
-	// Exit 2, before anything is built, on a configuration no experiment
-	// can run. In Config a zero parameter means "the preset", so a zero
-	// given explicitly for one would silently run something other than
-	// what was asked for: that is rejected here, where "given" is known.
-	err := cfg.Validate()
+	if err == nil {
+		err = cfg.Validate()
+	}
 	flag.Visit(func(f *flag.Flag) {
 		if zeroIsPreset[f.Name] && f.Value.String() == "0" {
 			err = fmt.Errorf("-%s 0 would select the preset; omit the flag or give a positive value", f.Name)
@@ -226,6 +232,17 @@ func run() int {
 var zeroIsPreset = map[string]bool{
 	"pods": true, "tors": true, "hosts": true, "ms": true, "load": true,
 	"senders": true, "size": true, "group": true, "every": true,
+}
+
+// picos returns n units as a sim.Time. A value of flag -name whose
+// picosecond count does not fit a sim.Time sets *err instead of wrapping
+// silently into a different run.
+func picos(name string, n int64, unit sim.Time, err *error) sim.Time {
+	if n > math.MaxInt64/int64(unit) || n < math.MinInt64/int64(unit) {
+		*err = fmt.Errorf("-%s %v is beyond the simulator's picosecond clock (at most %v)",
+			name, flag.Lookup(name).Value, sim.Time(math.MaxInt64))
+	}
+	return sim.Time(n) * unit
 }
 
 // printProgress renders one ProgressUpdate as a stderr line. It may be

@@ -49,6 +49,12 @@ func TestRejectsUnrunnableFlags(t *testing.T) {
 		{"negative every", incast("-every", "-5"), 2, "IncastEvery"},
 		{"unknown algo", incast("-algo", "reno"), 2, "reno"},
 
+		// Durations whose picosecond value does not fit a sim.Time must not
+		// wrap into a different run (18446744074 ms wraps to 290 us).
+		{"ms overflow", dc("-pods", "1", "-tors", "2", "-hosts", "2", "-ms", "18446744074"), 2, "-ms"},
+		{"every overflow", incast("-every", "18446744073710"), 2, "-every"},
+		{"rtt-slow-delay overflow", []string{"-exp", "rtt-unfairness", "-rtt-slow-delay", "5124h"}, 2, "-rtt-slow-delay"},
+
 		// Deleted in PR 16; a removed flag fails loudly, it is not ignored.
 		{"removed ack-coalesce", incast("-ack-coalesce"), 2, "flag provided but not defined: -ack-coalesce"},
 	}

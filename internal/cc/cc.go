@@ -67,8 +67,6 @@ type Env struct {
 // Algorithm is a sender-side congestion-control protocol. Implementations
 // must be deterministic given Env.Rand.
 type Algorithm interface {
-	// Name identifies the algorithm variant (used in experiment labels).
-	Name() string
 	// Init is called once when the flow starts and returns the initial
 	// control. RDMA congestion control starts flows at line rate
 	// (Sec. III-D of the paper).

@@ -63,9 +63,7 @@ type DCQCN struct {
 	timerCnt   int   // rate-timer expirations since last CNP
 	byteCnt    int   // byte-counter expirations since last CNP
 	bytesAccum int64 // bytes toward the next byte-counter expiration
-	lastAcked  int64
-	lastCNP    sim.Time
-	cnpSeen    bool // CNP since the last alpha-timer expiration
+	cnpSeen    bool  // CNP since the last alpha-timer expiration
 
 	// alphaTick and rateTick are the timer bodies bound once in Init:
 	// passing a fresh method value (d.alphaTimer) to Schedule on every
@@ -76,9 +74,6 @@ type DCQCN struct {
 
 // New returns a DCQCN instance.
 func New(cfg Config) *DCQCN { return &DCQCN{cfg: cfg} }
-
-// Name implements cc.Algorithm.
-func (d *DCQCN) Name() string { return "DCQCN" }
 
 // Rate returns the current rate in bps (for tests).
 func (d *DCQCN) Rate() float64 { return d.rc }
@@ -92,7 +87,6 @@ func (d *DCQCN) Init(env cc.Env) cc.Control {
 	d.rc = env.LineRateBps
 	d.rt = env.LineRateBps
 	d.alpha = 1
-	d.lastCNP = -sim.Second
 	if env.Schedule != nil {
 		d.alphaTick = d.alphaTimer
 		d.rateTick = d.rateTimer
@@ -151,12 +145,12 @@ func (d *DCQCN) OnAck(fb cc.Feedback) cc.Control {
 		d.increase()
 	}
 	if fb.ECE {
-		d.cutRate(fb.Now)
+		d.cutRate()
 	}
 	return d.control()
 }
 
-func (d *DCQCN) cutRate(now sim.Time) {
+func (d *DCQCN) cutRate() {
 	d.rt = d.rc
 	d.rc *= 1 - d.alpha/2
 	d.alpha = (1-d.cfg.G)*d.alpha + d.cfg.G
@@ -164,5 +158,4 @@ func (d *DCQCN) cutRate(now sim.Time) {
 	d.byteCnt = 0
 	d.bytesAccum = 0
 	d.cnpSeen = true
-	d.lastCNP = now
 }

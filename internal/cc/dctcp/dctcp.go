@@ -22,6 +22,7 @@ import (
 	"math"
 
 	"faircc/internal/cc"
+	"faircc/internal/core"
 	"faircc/internal/net"
 	"faircc/internal/sim"
 )
@@ -62,15 +63,12 @@ type DCTCP struct {
 	// Per-window marking accounting.
 	ackedBytes  int64
 	markedBytes int64
-	windowEnd   int64 // acked-bytes mark closing the current window
-	canCut      bool  // one cut per window
+	window      core.RTTMarker // closes the current observation window
+	canCut      bool           // one cut per window
 }
 
 // New returns a DCTCP instance.
 func New(cfg Config) *DCTCP { return &DCTCP{cfg: cfg} }
-
-// Name implements cc.Algorithm.
-func (d *DCTCP) Name() string { return "DCTCP" }
 
 // Alpha returns the congestion estimate (for tests).
 func (d *DCTCP) Alpha() float64 { return d.alpha }
@@ -107,13 +105,13 @@ func (d *DCTCP) OnAck(fb cc.Feedback) cc.Control {
 	}
 
 	// Close the observation window once a window of data is acked.
-	if fb.AckedBytes > d.windowEnd {
+	if d.window.Passed(fb.AckedBytes) {
 		if d.ackedBytes > 0 {
 			f := float64(d.markedBytes) / float64(d.ackedBytes)
 			d.alpha = (1-d.cfg.G)*d.alpha + d.cfg.G*f
 		}
 		d.ackedBytes, d.markedBytes = 0, 0
-		d.windowEnd = fb.SentBytes
+		d.window.Reset(fb.SentBytes)
 		d.canCut = true
 	}
 

@@ -34,12 +34,10 @@ type Config struct {
 	MaxStage int     // additive-probe stages per MI round, 5 in the paper
 	AIBps    float64 // base additive increase, 50 Mb/s in the paper
 
-	// VAI enables Variable Additive Increase when non-nil.
-	VAI *core.VAIConfig
-	// SFEvery enables Sampling Frequency: multiplicative-decrease
-	// reference updates every SFEvery ACKs instead of once per RTT.
-	// Zero keeps the default once-per-RTT behaviour.
-	SFEvery int
+	// Mechanisms attaches VAI and SF; measured congestion is the deepest
+	// INT queue of a round trip, in bytes, and an ACK is congested when
+	// U >= Eta.
+	core.Mechanisms
 	// Probabilistic ignores a would-be reference-updating multiplicative
 	// decrease with probability 1 - Wc/maxW (Sec. III-D: feedback is
 	// disregarded when "Current Window < rand() % Max Window").
@@ -52,26 +50,20 @@ func DefaultConfig() Config {
 }
 
 // VAISFConfig returns the paper's "HPCC VAI SF" parameters (Sec. VI-A):
-// tokens minted above a minBDP-bytes queue threshold at 1 token/KB, bank
-// cap 1000, spend cap 100, dampener constant 8, decreases every 30 ACKs.
+// tokens minted above a minBDP-bytes queue threshold at one token per KB
+// of queue depth, with the paper's bank, spend and dampener constants and
+// decreases every 30 ACKs.
 func VAISFConfig(minBDPBytes float64) Config {
 	c := DefaultConfig()
-	c.VAI = &core.VAIConfig{
-		TokenThresh:   minBDPBytes,
-		AIDiv:         1000, // one token per KB of queue depth
-		BankCap:       1000,
-		AICap:         100,
-		DampenerConst: 8,
-	}
-	c.SFEvery = 30
+	c.Mechanisms = core.PaperVAISF(minBDPBytes, 1000)
 	return c
 }
 
 // HPCC is the per-flow sender state. Create one per flow with New.
 type HPCC struct {
-	cfg  Config
-	env  cc.Env
-	name string
+	cfg Config
+	env cc.Env
+	att core.Attachment
 
 	maxW float64 // line-rate window (B*T)
 	wAI  float64 // base additive increase in bytes (AIBps * T / 8)
@@ -80,41 +72,13 @@ type HPCC struct {
 	u    float64 // EWMA utilization estimate
 	inc  int     // incStage
 
-	marker   core.RTTMarker
 	prevHops []cc.Telemetry
 	havePrev bool
 	lastProb int64 // acked bytes at the last accepted probabilistic MD
-
-	// VAI + SF state.
-	vai     *core.VAI
-	sampler core.Sampler
-	maxQlen float64 // max queue depth seen this RTT (measured congestion)
-	sawCong bool    // any U >= eta this RTT (max C >= 1)
 }
 
-// New returns an HPCC instance with the given configuration and a
-// descriptive variant name used in experiment labels.
-func New(cfg Config) *HPCC {
-	h := &HPCC{cfg: cfg}
-	switch {
-	case cfg.VAI != nil && cfg.SFEvery > 0:
-		h.name = "HPCC VAI SF"
-	case cfg.VAI != nil:
-		h.name = "HPCC VAI"
-	case cfg.SFEvery > 0:
-		h.name = "HPCC SF"
-	case cfg.Probabilistic:
-		h.name = "HPCC Probabilistic"
-	case cfg.AIBps >= 1e9:
-		h.name = "HPCC 1Gbps"
-	default:
-		h.name = "HPCC"
-	}
-	return h
-}
-
-// Name implements cc.Algorithm.
-func (h *HPCC) Name() string { return h.name }
+// New returns an HPCC instance with the given configuration.
+func New(cfg Config) *HPCC { return &HPCC{cfg: cfg} }
 
 // Window returns the current window in bytes (exposed for tests).
 func (h *HPCC) Window() float64 { return h.w }
@@ -134,11 +98,7 @@ func (h *HPCC) Init(env cc.Env) cc.Control {
 	h.wc = h.maxW
 	h.w = h.maxW
 	h.u = 1 // assume full utilization until telemetry arrives
-	if h.cfg.VAI != nil {
-		h.vai = core.NewVAI(*h.cfg.VAI)
-	}
-	h.sampler = core.Sampler{Every: h.cfg.SFEvery}
-	h.marker.Reset(0)
+	h.att = h.cfg.Attach(0)
 	return h.control()
 }
 
@@ -152,13 +112,13 @@ func (h *HPCC) control() cc.Control {
 }
 
 // measureInflight updates the EWMA utilization U from the ACK's INT stack
-// (MeasureInflight in the HPCC paper) and returns it. It also records the
-// per-RTT congestion bookkeeping VAI needs.
-func (h *HPCC) measureInflight(fb cc.Feedback) float64 {
+// (MeasureInflight in the HPCC paper) and returns it, with the deepest
+// queue among the hops it measured: VAI's congestion measure.
+func (h *HPCC) measureInflight(fb cc.Feedback) (util, deepest float64) {
 	if !h.havePrev {
 		h.prevHops = append(h.prevHops[:0], fb.Hops...)
 		h.havePrev = true
-		return h.u
+		return h.u, 0
 	}
 	T := h.env.BaseRTT.Seconds()
 	u := 0.0
@@ -180,8 +140,8 @@ func (h *HPCC) measureInflight(fb cc.Feedback) float64 {
 			u = ui
 			tau = dt
 		}
-		if q := float64(cur.QueueBytes); q > h.maxQlen {
-			h.maxQlen = q
+		if q := float64(cur.QueueBytes); q > deepest {
+			deepest = q
 		}
 	}
 	if tau > T {
@@ -189,83 +149,52 @@ func (h *HPCC) measureInflight(fb cc.Feedback) float64 {
 	}
 	h.u = (1-tau/T)*h.u + (tau/T)*u
 	h.prevHops = append(h.prevHops[:0], fb.Hops...)
-	return h.u
+	return h.u, deepest
 }
 
 // OnAck implements cc.Algorithm (NewAck in the HPCC paper, extended with
 // the paper's VAI, SF and probabilistic-feedback hooks).
 func (h *HPCC) OnAck(fb cc.Feedback) cc.Control {
-	util := h.measureInflight(fb)
-	rttPassed := h.marker.Passed(fb.AckedBytes)
-	sfFired := h.sampler.Tick()
+	util, deepest := h.measureInflight(fb)
+	ended, update := h.att.Ack(fb.AckedBytes, fb.SentBytes, deepest, util >= h.cfg.Eta)
 
 	decrease := util >= h.cfg.Eta || h.inc >= h.cfg.MaxStage
-	if util >= h.cfg.Eta {
-		h.sawCong = true
-	}
-
-	if rttPassed && h.vai != nil {
-		// Algorithm 1 runs on RTT boundaries regardless of branch.
-		h.vai.OnRTTEnd(h.maxQlen, !h.sawCong)
-		h.maxQlen = 0
-		h.sawCong = false
-	}
-
-	wAI := h.wAI
-	if h.vai != nil {
-		wAI *= h.vai.Multiplier()
-	}
-
+	base := h.wc // additive probe: W = Wc + W_AI, Wc moving once per RTT
 	if decrease {
-		// Reference updates once per RTT by default; with SF, every
+		// The reference updates once per RTT by default; with SF, every
 		// SFEvery ACKs (the decrease period). A flow whose window holds
 		// fewer than SFEvery packets therefore reacts *less* often than
 		// once per RTT — that asymmetry against flows with more ACKs is
-		// the fairness mechanism (Sec. III-B), not an accident. With
-		// probabilistic
-		// feedback, on any ACK whose feedback is accepted — the
-		// acceptance probability is linear in the window, so flows
-		// holding more bandwidth react more often, which is the fairness
-		// effect Sec. III-D borrows from RED marking.
-		update := rttPassed
-		if h.cfg.SFEvery > 0 {
-			update = sfFired
-		}
+		// the fairness mechanism (Sec. III-B), not an accident.
+		base = h.wc / (util / h.cfg.Eta)
 		if h.cfg.Probabilistic {
-			// The first accepted ACK per window of data triggers the
-			// reaction; flows with larger windows see more ACKs and so
-			// react more often, but never twice to the same congestion
-			// event (mirroring DCQCN's CNP rate limit).
+			// With probabilistic feedback the first accepted ACK per
+			// window of data triggers the reaction. Acceptance is linear
+			// in the window, so flows holding more bandwidth react more
+			// often (the fairness effect Sec. III-D borrows from RED
+			// marking), but never twice to the same congestion event
+			// (mirroring DCQCN's CNP rate limit).
 			update = false
 			if fb.AckedBytes-h.lastProb >= int64(h.wc) && h.useFeedback() {
 				update = true
 				h.lastProb = fb.AckedBytes
 			}
 		}
-		w := h.wc/(util/h.cfg.Eta) + wAI
-		if update {
-			if h.vai != nil {
-				wAI = h.wAI * h.vai.Spend()
-				w = h.wc/(util/h.cfg.Eta) + wAI
-			}
-			h.inc = 0
-			h.wc = clamp(w, float64(h.env.MTU), h.maxW)
-		}
-		h.w = w
 	} else {
-		w := h.wc + wAI
-		if rttPassed {
-			if h.vai != nil {
-				wAI = h.wAI * h.vai.Spend()
-				w = h.wc + wAI
-			}
-			h.inc++
-			h.wc = clamp(w, float64(h.env.MTU), h.maxW)
-		}
-		h.w = w
+		update = ended
 	}
-	if rttPassed {
-		h.marker.Reset(fb.SentBytes)
+	mult := h.att.Multiplier()
+	if update {
+		mult = h.att.Spend()
+	}
+	h.w = base + h.wAI*mult
+	if update {
+		if decrease {
+			h.inc = 0
+		} else {
+			h.inc++
+		}
+		h.wc = clamp(h.w, float64(h.env.MTU), h.maxW)
 	}
 	return h.control()
 }

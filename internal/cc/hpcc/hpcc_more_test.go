@@ -144,17 +144,22 @@ func TestProbabilisticRateLimit(t *testing.T) {
 	}
 }
 
-// TestVAIOnlyVariantName and config plumbing.
+// TestVariantPlumbing: the embedded Mechanisms select VAI and SF
+// independently of each other.
 func TestVariantPlumbing(t *testing.T) {
 	c := VAISFConfig(50_000)
 	c.SFEvery = 0
-	if New(c).Name() != "HPCC VAI" {
-		t.Fatal("VAI-only name wrong")
+	h := New(c)
+	h.Init(env())
+	if h.att.VAI() == nil {
+		t.Fatal("VAI-only config attached no VAI")
 	}
 	c = DefaultConfig()
 	c.SFEvery = 30
-	if New(c).Name() != "HPCC SF" {
-		t.Fatal("SF-only name wrong")
+	h = New(c)
+	h.Init(env())
+	if h.att.VAI() != nil {
+		t.Fatal("SF-only config attached VAI")
 	}
 }
 

@@ -44,24 +44,6 @@ func TestInitStartsAtLineRate(t *testing.T) {
 	}
 }
 
-func TestNames(t *testing.T) {
-	cases := []struct {
-		cfg  Config
-		want string
-	}{
-		{DefaultConfig(), "HPCC"},
-		{Config{Eta: 0.95, MaxStage: 5, AIBps: 1e9}, "HPCC 1Gbps"},
-		{Config{Eta: 0.95, MaxStage: 5, AIBps: 50e6, Probabilistic: true}, "HPCC Probabilistic"},
-		{VAISFConfig(50_000), "HPCC VAI SF"},
-		{Config{Eta: 0.95, MaxStage: 5, AIBps: 50e6, SFEvery: 30}, "HPCC SF"},
-	}
-	for _, c := range cases {
-		if got := New(c.cfg).Name(); got != c.want {
-			t.Errorf("Name() = %q, want %q", got, c.want)
-		}
-	}
-}
-
 // feed one ACK with synthetic telemetry advancing tx at the given
 // utilization fraction of line rate and a fixed queue.
 func feed(h *HPCC, acked, sent *int64, tx *int64, ts *sim.Time, qlen int64, frac float64) cc.Control {
@@ -225,14 +207,15 @@ func TestVAITokensExhaust(t *testing.T) {
 	for i := 0; i < 5000; i++ {
 		feed(h, &acked, &sent, &tx, &ts, 0, 0.2)
 	}
-	if h.vai.Multiplier() != 1 {
-		t.Fatalf("multiplier = %v after long idle, want 1", h.vai.Multiplier())
+	vai := h.att.VAI()
+	if vai.Multiplier() != 1 {
+		t.Fatalf("multiplier = %v after long idle, want 1", vai.Multiplier())
 	}
-	if h.vai.Bank() != 0 {
-		t.Fatalf("bank = %v after long idle, want 0", h.vai.Bank())
+	if vai.Bank() != 0 {
+		t.Fatalf("bank = %v after long idle, want 0", vai.Bank())
 	}
-	if h.vai.Dampener() != 0 {
-		t.Fatalf("dampener = %v after long idle, want 0", h.vai.Dampener())
+	if vai.Dampener() != 0 {
+		t.Fatalf("dampener = %v after long idle, want 0", vai.Dampener())
 	}
 }
 

@@ -43,12 +43,12 @@ type Config struct {
 	// FBS enables flow-based scaling when non-nil. The paper's VAI SF
 	// variant runs without FBS (Sec. VI-B).
 	FBS *FBSConfig
-	// VAI enables Variable Additive Increase when non-nil.
-	VAI *core.VAIConfig
-	// SFEvery enables Sampling Frequency (decreases every SFEvery ACKs)
-	// and with it the HPCC-style reference window and always-on AI of
-	// Sec. V-B. Zero keeps classic once-per-RTT Swift.
-	SFEvery int
+	// Mechanisms attaches VAI and SF; measured congestion is a round
+	// trip's maximum delay and an ACK is congested above the target. SF
+	// (decreases every SFEvery ACKs) brings with it the HPCC-style
+	// reference window and always-on AI of Sec. V-B; zero keeps classic
+	// once-per-RTT Swift.
+	core.Mechanisms
 	// Probabilistic ignores a would-be reference-updating decrease with
 	// probability 1 - cwnd/maxCwnd (Sec. III-D).
 	Probabilistic bool
@@ -84,29 +84,22 @@ func DefaultConfig(maxScalePkts float64) Config {
 
 // VAISFConfig returns the paper's "Swift VAI SF" parameters (Sec. VI-A):
 // no FBS, token threshold of target delay plus the min-BDP queueing delay
-// (4us at 100 Gb/s for 50 KB), one token per 30 ns of delay, bank cap
-// 1000, spend cap 100, dampener constant 8, decreases every 30 ACKs.
-// The threshold depends on the flow's hop count, so it is finalized in
-// Init; pass the extra min-BDP delay here.
+// (4us at 100 Gb/s for 50 KB), one token per 30 ns of delay, with the
+// paper's bank, spend and dampener constants and decreases every 30 ACKs.
+// Init adds the flow's target delay, which depends on its hop count, to
+// the threshold; pass the min-BDP delay here.
 func VAISFConfig(minBDPDelay sim.Time) Config {
 	c := DefaultConfig(0)
 	c.FBS = nil
-	c.VAI = &core.VAIConfig{
-		TokenThresh:   float64(minBDPDelay), // completed with target delay in Init
-		AIDiv:         float64(30 * sim.Nanosecond),
-		BankCap:       1000,
-		AICap:         100,
-		DampenerConst: 8,
-	}
-	c.SFEvery = 30
+	c.Mechanisms = core.PaperVAISF(float64(minBDPDelay), float64(30*sim.Nanosecond))
 	return c
 }
 
 // Swift is the per-flow sender state. Create one per flow with New.
 type Swift struct {
-	cfg  Config
-	env  cc.Env
-	name string
+	cfg Config
+	env cc.Env
+	att core.Attachment
 
 	maxCwnd float64 // line-rate window, packets
 	minCwnd float64
@@ -115,14 +108,7 @@ type Swift struct {
 	ref     float64 // reference window, packets (SF mode)
 
 	lastDecrease sim.Time
-	marker       core.RTTMarker
-
-	vai     *core.VAI
-	sampler core.Sampler
-	// per-RTT congestion bookkeeping for VAI and hyper-AI.
-	maxDelay  sim.Time
-	sawCong   bool
-	cleanRTTs int // consecutive RTTs with no delay above target
+	cleanRTTs    int // consecutive RTTs with no delay above target (hyper-AI)
 
 	// FBS precomputed coefficients.
 	fsAlpha float64
@@ -130,27 +116,7 @@ type Swift struct {
 }
 
 // New returns a Swift instance for the given configuration.
-func New(cfg Config) *Swift {
-	s := &Swift{cfg: cfg}
-	switch {
-	case cfg.VAI != nil && cfg.SFEvery > 0:
-		s.name = "Swift VAI SF"
-	case cfg.VAI != nil:
-		s.name = "Swift VAI"
-	case cfg.SFEvery > 0:
-		s.name = "Swift SF"
-	case cfg.Probabilistic:
-		s.name = "Swift Probabilistic"
-	case cfg.AIBps >= 1e9:
-		s.name = "Swift 1Gbps"
-	default:
-		s.name = "Swift"
-	}
-	return s
-}
-
-// Name implements cc.Algorithm.
-func (s *Swift) Name() string { return s.name }
+func New(cfg Config) *Swift { return &Swift{cfg: cfg} }
 
 // Cwnd returns the current congestion window in packets (for tests).
 func (s *Swift) Cwnd() float64 { return s.cwnd }
@@ -164,15 +130,9 @@ func (s *Swift) Init(env cc.Env) cc.Control {
 	s.cwnd = s.maxCwnd
 	s.ref = s.maxCwnd
 	s.lastDecrease = -env.BaseRTT
-	if s.cfg.VAI != nil {
-		v := *s.cfg.VAI
-		// Token_Thresh = target delay + min-BDP delay (Sec. V-A). The
-		// config carries the min-BDP part; add this flow's target.
-		v.TokenThresh += float64(s.targetDelay(s.maxCwnd))
-		s.vai = core.NewVAI(v)
-	}
-	s.sampler = core.Sampler{Every: s.cfg.SFEvery}
-	s.marker.Reset(0)
+	// Token_Thresh = target delay + min-BDP delay (Sec. V-A). The config
+	// carries the min-BDP part; add this flow's target.
+	s.att = s.cfg.Attach(float64(s.targetDelay(s.maxCwnd)))
 	return s.control()
 }
 
@@ -187,20 +147,10 @@ func (s *Swift) targetDelay(cwndPkts float64) sim.Time {
 			s.fsBeta = -s.fsAlpha / math.Sqrt(fs.MaxCwndPkts)
 		}
 		extra := s.fsAlpha/math.Sqrt(cwndPkts) + s.fsBeta
-		if extra < 0 {
-			extra = 0
-		}
-		if extra > float64(fs.Range) {
-			extra = float64(fs.Range)
-		}
-		t += sim.Time(extra)
+		t += sim.Time(clamp(extra, 0, float64(fs.Range)))
 	}
 	return t
 }
-
-// Target exposes the current target delay for the live window (for tests
-// and metrics).
-func (s *Swift) Target() sim.Time { return s.targetDelay(s.cwnd) }
 
 func (s *Swift) control() cc.Control {
 	s.cwnd = clamp(s.cwnd, s.minCwnd, s.maxCwnd)
@@ -235,13 +185,9 @@ func (s *Swift) OnAck(fb cc.Feedback) cc.Control {
 func (s *Swift) onAckClassic(fb cc.Feedback) cc.Control {
 	delay := fb.RTT
 	target := s.targetDelay(s.cwnd)
-	rttPassed := s.marker.Passed(fb.AckedBytes)
-	s.noteCongestion(delay, target, rttPassed)
-
-	ai := s.aiPkts * s.hyperAI()
-	if s.vai != nil {
-		ai *= s.vai.Multiplier()
-	}
+	ended, _ := s.att.Ack(fb.AckedBytes, fb.SentBytes, float64(delay), delay > target)
+	s.countClean(ended)
+	ai := s.aiPkts * s.hyperAI() * s.att.Multiplier()
 
 	if delay < target {
 		ackedPkts := float64(fb.NewlyAcked) / float64(s.env.MTU)
@@ -263,11 +209,8 @@ func (s *Swift) onAckClassic(fb cc.Feedback) cc.Control {
 			s.lastDecrease = fb.Now
 		}
 	}
-	if rttPassed {
-		if s.vai != nil {
-			s.vai.Spend()
-		}
-		s.marker.Reset(fb.SentBytes)
+	if ended {
+		s.att.Spend()
 	}
 	return s.control()
 }
@@ -280,20 +223,14 @@ func (s *Swift) onAckClassic(fb cc.Feedback) cc.Control {
 func (s *Swift) onAckSF(fb cc.Feedback) cc.Control {
 	delay := fb.RTT
 	target := s.targetDelay(s.ref)
-	rttPassed := s.marker.Passed(fb.AckedBytes)
-	sfFired := s.sampler.Tick()
-	s.noteCongestion(delay, target, rttPassed)
-
-	ai := s.aiPkts * s.hyperAI()
-	if s.vai != nil {
-		ai *= s.vai.Multiplier()
-	}
+	ended, sfUpdate := s.att.Ack(fb.AckedBytes, fb.SentBytes, float64(delay), delay > target)
+	s.countClean(ended)
+	ai := s.aiPkts * s.hyperAI() * s.att.Multiplier()
 	m := s.mdf(delay, target)
 	w := s.ref*m + ai // per-ACK window from the unchanged reference
 
-	decreasing := m < 1
-	update := rttPassed
-	if decreasing {
+	update := ended
+	if m < 1 {
 		// Decreases fire every SFEvery ACKs: flows holding more
 		// bandwidth see more ACKs and shed it faster, while flows whose
 		// windows hold fewer than SFEvery packets react less often than
@@ -302,46 +239,27 @@ func (s *Swift) onAckSF(fb cc.Feedback) cc.Control {
 		// transiently exceed what stock Swift would allow, which the
 		// per-ACK window (ref*mdf, never above half the reference in
 		// deep congestion) bounds.
-		update = sfFired
-		if update && s.cfg.Probabilistic && !s.useFeedback() {
-			update = false
-		}
+		update = sfUpdate && (!s.cfg.Probabilistic || s.useFeedback())
 	}
 	if update {
-		if s.vai != nil {
-			ai = s.aiPkts * s.vai.Spend()
-			w = s.ref*m + ai
+		if s.cfg.VAI != nil {
+			// The VAI multiplier replaces the hyper-AI term here.
+			w = s.ref*m + s.aiPkts*s.att.Spend()
 		}
 		s.ref = clamp(w, s.minCwnd, s.maxCwnd)
-	}
-	if rttPassed {
-		s.marker.Reset(fb.SentBytes)
 	}
 	s.cwnd = w
 	return s.control()
 }
 
-// noteCongestion maintains the per-RTT congestion bookkeeping Algorithm 1
-// and hyper-AI consume: the maximum observed delay and whether any packet
-// exceeded the target during the RTT.
-func (s *Swift) noteCongestion(delay, target sim.Time, rttPassed bool) {
-	if delay > s.maxDelay {
-		s.maxDelay = delay
-	}
-	if delay > target {
-		s.sawCong = true
-	}
-	if rttPassed {
-		if s.vai != nil {
-			s.vai.OnRTTEnd(float64(s.maxDelay), !s.sawCong)
-		}
-		if s.sawCong {
-			s.cleanRTTs = 0
-		} else {
+// countClean keeps the hyper-AI count of congestion-free round trips.
+func (s *Swift) countClean(ended bool) {
+	if ended {
+		if s.att.Clean() {
 			s.cleanRTTs++
+		} else {
+			s.cleanRTTs = 0
 		}
-		s.maxDelay = 0
-		s.sawCong = false
 	}
 }
 

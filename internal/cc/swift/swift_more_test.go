@@ -94,18 +94,19 @@ func TestVAISpendsOnIncreaseRTTs(t *testing.T) {
 		s.OnAck(cc.Feedback{Now: now, RTT: 60 * sim.Microsecond, AckedBytes: acked,
 			SentBytes: acked + 5*mtu, NewlyAcked: mtu})
 	}
-	if s.vai.Bank() == 0 {
+	vai := s.att.VAI()
+	if vai.Bank() == 0 {
 		t.Fatal("bank empty after heavy congestion; cannot test draining")
 	}
 	// Congestion-free RTTs: the bank must drain via increase-side spends.
-	for i := 0; i < 20_000 && s.vai.Bank() > 0; i++ {
+	for i := 0; i < 20_000 && vai.Bank() > 0; i++ {
 		acked += mtu
 		now += sim.Microsecond
 		s.OnAck(cc.Feedback{Now: now, RTT: baseRTT, AckedBytes: acked,
 			SentBytes: acked + 5*mtu, NewlyAcked: mtu})
 	}
-	if s.vai.Bank() != 0 {
-		t.Fatalf("bank = %v after long congestion-free period, want 0", s.vai.Bank())
+	if vai.Bank() != 0 {
+		t.Fatalf("bank = %v after long congestion-free period, want 0", vai.Bank())
 	}
 }
 

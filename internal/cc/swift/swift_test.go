@@ -26,27 +26,6 @@ func env() cc.Env {
 	}
 }
 
-func TestNames(t *testing.T) {
-	hi := DefaultConfig(50)
-	hi.AIBps = 1e9
-	prob := DefaultConfig(50)
-	prob.Probabilistic = true
-	cases := []struct {
-		cfg  Config
-		want string
-	}{
-		{DefaultConfig(50), "Swift"},
-		{hi, "Swift 1Gbps"},
-		{prob, "Swift Probabilistic"},
-		{VAISFConfig(4 * sim.Microsecond), "Swift VAI SF"},
-	}
-	for _, c := range cases {
-		if got := New(c.cfg).Name(); got != c.want {
-			t.Errorf("Name() = %q, want %q", got, c.want)
-		}
-	}
-}
-
 func TestInitStartsAtLineRate(t *testing.T) {
 	s := New(DefaultConfig(50))
 	ctl := s.Init(env())
@@ -261,12 +240,13 @@ func TestVAISFTokenThreshIncludesTarget(t *testing.T) {
 	want := float64(4*sim.Microsecond + 7*sim.Microsecond)
 	// Probe via OnRTTEnd behaviour: a delay just below the threshold must
 	// mint no tokens; just above must mint.
-	s.vai.OnRTTEnd(want-1, false)
-	if s.vai.Bank() != 0 {
-		t.Fatalf("bank = %v, want 0 below threshold", s.vai.Bank())
+	vai := s.att.VAI()
+	vai.OnRTTEnd(want-1, false)
+	if vai.Bank() != 0 {
+		t.Fatalf("bank = %v, want 0 below threshold", vai.Bank())
 	}
-	s.vai.OnRTTEnd(want+float64(30*sim.Nanosecond), false)
-	if s.vai.Bank() == 0 {
+	vai.OnRTTEnd(want+float64(30*sim.Nanosecond), false)
+	if vai.Bank() == 0 {
 		t.Fatal("bank empty above threshold")
 	}
 }

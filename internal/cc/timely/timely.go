@@ -37,10 +37,10 @@ type Config struct {
 	HAIAfter int      // consecutive non-positive gradients to enter HAI (5)
 	HAIMult  float64  // delta multiplier in HAI mode (5)
 
-	// VAI and SFEvery attach the paper's mechanisms, as for Swift:
-	// measured congestion is the flow's maximum RTT over a round trip.
-	VAI     *core.VAIConfig
-	SFEvery int
+	// Mechanisms attaches VAI and SF as for Swift: measured congestion is
+	// the flow's maximum RTT over a round trip, and an ACK is congested
+	// above TLow.
+	core.Mechanisms
 }
 
 // DefaultConfig returns TIMELY parameters for a 100 Gb/s fabric. TLow and
@@ -62,56 +62,27 @@ func DefaultConfig() Config {
 // which is TLow plus the min-BDP delay.
 func VAISFConfig(minBDPDelay sim.Time) Config {
 	c := DefaultConfig()
-	c.VAI = &core.VAIConfig{
-		TokenThresh:   float64(minBDPDelay), // completed with TLow in Init
-		AIDiv:         float64(30 * sim.Nanosecond),
-		BankCap:       1000,
-		AICap:         100,
-		DampenerConst: 8,
-	}
-	c.SFEvery = 30
+	c.Mechanisms = core.PaperVAISF(float64(minBDPDelay), float64(30*sim.Nanosecond))
 	return c
 }
 
 // Timely is the per-flow sender state.
 type Timely struct {
-	cfg  Config
-	env  cc.Env
-	name string
+	cfg Config
+	env cc.Env
+	att core.Attachment
 
 	rate     float64 // pacing rate, bps
+	minRate  float64
 	tLow     sim.Time
 	tHigh    sim.Time
 	prevRTT  sim.Time
 	rttDiff  float64 // EWMA of RTT differences, ps
 	negCount int     // consecutive non-positive gradients
-
-	marker  core.RTTMarker
-	sampler core.Sampler
-	vai     *core.VAI
-	maxRTT  sim.Time
-	sawCong bool
-	minRate float64
 }
 
 // New returns a TIMELY instance.
-func New(cfg Config) *Timely {
-	t := &Timely{cfg: cfg}
-	switch {
-	case cfg.VAI != nil && cfg.SFEvery > 0:
-		t.name = "Timely VAI SF"
-	case cfg.VAI != nil:
-		t.name = "Timely VAI"
-	case cfg.SFEvery > 0:
-		t.name = "Timely SF"
-	default:
-		t.name = "Timely"
-	}
-	return t
-}
-
-// Name implements cc.Algorithm.
-func (t *Timely) Name() string { return t.name }
+func New(cfg Config) *Timely { return &Timely{cfg: cfg} }
 
 // Rate returns the current pacing rate in bps (for tests).
 func (t *Timely) Rate() float64 { return t.rate }
@@ -124,13 +95,7 @@ func (t *Timely) Init(env cc.Env) cc.Control {
 	t.tLow = env.BaseRTT + t.cfg.TLow
 	t.tHigh = env.BaseRTT + t.cfg.THigh
 	t.prevRTT = env.BaseRTT
-	if t.cfg.VAI != nil {
-		v := *t.cfg.VAI
-		v.TokenThresh += float64(t.tLow)
-		t.vai = core.NewVAI(v)
-	}
-	t.sampler = core.Sampler{Every: t.cfg.SFEvery}
-	t.marker.Reset(0)
+	t.att = t.cfg.Attach(float64(t.tLow))
 	return t.control()
 }
 
@@ -152,41 +117,30 @@ func (t *Timely) OnAck(fb cc.Feedback) cc.Control {
 	t.rttDiff = (1-t.cfg.Alpha)*t.rttDiff + t.cfg.Alpha*newDiff
 	gradient := t.rttDiff / float64(t.env.BaseRTT)
 
-	rttPassed := t.marker.Passed(fb.AckedBytes)
-	sfFired := t.sampler.Tick()
-	t.noteCongestion(rtt, rttPassed)
-
-	delta := t.cfg.DeltaBps
-	if t.vai != nil {
-		delta *= t.vai.Multiplier()
-	}
-
 	// Decreases obey the Sampling Frequency cadence when configured;
 	// increases remain once per RTT (Sec. IV-B: using SF on increases
-	// would favor large flows).
-	decreaseAllowed := rttPassed
-	if t.cfg.SFEvery > 0 {
-		decreaseAllowed = sfFired
-	}
-	increaseAllowed := rttPassed
+	// would favor large flows). Each rate update spends VAI tokens, which
+	// raise delta from the next ACK on.
+	increase, decrease := t.att.Ack(fb.AckedBytes, fb.SentBytes, float64(rtt), rtt > t.tLow)
+	delta := t.cfg.DeltaBps * t.att.Multiplier()
 
 	switch {
 	case rtt < t.tLow:
 		t.negCount = 0
-		if increaseAllowed {
-			t.spend()
+		if increase {
+			t.att.Spend()
 			t.rate += delta
 		}
 	case rtt > t.tHigh:
 		t.negCount = 0
-		if decreaseAllowed {
-			t.spend()
+		if decrease {
+			t.att.Spend()
 			t.rate *= 1 - t.cfg.Beta*(1-float64(t.tHigh)/float64(rtt))
 		}
 	case gradient <= 0:
 		t.negCount++
-		if increaseAllowed {
-			t.spend()
+		if increase {
+			t.att.Spend()
 			n := 1.0
 			if t.negCount >= t.cfg.HAIAfter {
 				n = t.cfg.HAIMult
@@ -195,35 +149,10 @@ func (t *Timely) OnAck(fb cc.Feedback) cc.Control {
 		}
 	default:
 		t.negCount = 0
-		if decreaseAllowed {
-			t.spend()
+		if decrease {
+			t.att.Spend()
 			t.rate *= 1 - t.cfg.Beta*math.Min(gradient, 1)
 		}
 	}
-	if rttPassed {
-		t.marker.Reset(fb.SentBytes)
-	}
 	return t.control()
-}
-
-// spend draws the VAI multiplier once per rate-update period.
-func (t *Timely) spend() {
-	if t.vai != nil {
-		t.vai.Spend()
-	}
-}
-
-// noteCongestion maintains Algorithm 1's per-RTT bookkeeping.
-func (t *Timely) noteCongestion(rtt sim.Time, rttPassed bool) {
-	if rtt > t.maxRTT {
-		t.maxRTT = rtt
-	}
-	if rtt > t.tLow {
-		t.sawCong = true
-	}
-	if rttPassed && t.vai != nil {
-		t.vai.OnRTTEnd(float64(t.maxRTT), !t.sawCong)
-		t.maxRTT = 0
-		t.sawCong = false
-	}
 }

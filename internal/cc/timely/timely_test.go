@@ -52,15 +52,6 @@ func ackRTT(tl *Timely, acked *int64, rtt sim.Time) cc.Control {
 	return ctl
 }
 
-func TestNames(t *testing.T) {
-	if New(DefaultConfig()).Name() != "Timely" {
-		t.Error("default name wrong")
-	}
-	if New(VAISFConfig(4*sim.Microsecond)).Name() != "Timely VAI SF" {
-		t.Error("VAI SF name wrong")
-	}
-}
-
 func TestInitLineRate(t *testing.T) {
 	tl := New(DefaultConfig())
 	ctl := tl.Init(env())
@@ -185,7 +176,7 @@ func TestVAITokensOnBigCongestion(t *testing.T) {
 	var acked int64
 	// RTT far above tLow + 4us threshold mints tokens.
 	ackRTT(tl, &acked, baseRTT+50*sim.Microsecond)
-	if tl.vai.Bank() == 0 && tl.vai.Multiplier() == 1 {
+	if vai := tl.att.VAI(); vai.Bank() == 0 && vai.Multiplier() == 1 {
 		t.Fatal("no tokens minted under heavy congestion")
 	}
 }

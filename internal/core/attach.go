@@ -1,0 +1,109 @@
+package core
+
+// Mechanisms selects which of the paper's mechanisms a protocol runs with.
+// Each protocol's Config embeds it, so c.VAI and c.SFEvery select them;
+// the zero value attaches neither.
+type Mechanisms struct {
+	// VAI enables Variable Additive Increase when non-nil.
+	VAI *VAIConfig
+	// SFEvery enables Sampling Frequency: decrease-side reference updates
+	// every SFEvery ACKs instead of once per RTT. Zero keeps the default
+	// once-per-RTT behaviour.
+	SFEvery int
+}
+
+// PaperVAISF returns both mechanisms with the constants of Sec. VI-A: bank
+// cap 1000, spend cap 100, dampener constant 8, decreases every 30 ACKs.
+// tokenThresh and aiDiv are in the protocol's congestion unit.
+func PaperVAISF(tokenThresh, aiDiv float64) Mechanisms {
+	return Mechanisms{
+		VAI: &VAIConfig{
+			TokenThresh:   tokenThresh,
+			AIDiv:         aiDiv,
+			BankCap:       1000,
+			AICap:         100,
+			DampenerConst: 8,
+		},
+		SFEvery: 30,
+	}
+}
+
+// Attachment is one flow's state of the mechanisms: the VAI bank, the SF
+// sampler, the round-trip marker, and the per-RTT congestion bookkeeping
+// Algorithm 1 consumes. A protocol supplies only its congestion measure
+// and its congested predicate, through Ack, and reads the additive-
+// increase multiplier through Multiplier and Spend.
+type Attachment struct {
+	vai       *VAI // nil when VAI is off
+	sampler   Sampler
+	marker    RTTMarker
+	maxCong   float64 // maximum congestion measured this round trip
+	congested bool    // any congested ACK this round trip
+	clean     bool    // the last ended round trip had no congested ACK
+}
+
+// Attach returns a flow's attachment of m. thresholdOffset is added to
+// VAI's token threshold: the congestion level the protocol itself treats
+// as none (its target delay for Swift, TLow for TIMELY, 0 for HPCC). It
+// panics on an invalid VAI configuration, like NewVAI.
+func (m Mechanisms) Attach(thresholdOffset float64) Attachment {
+	a := Attachment{sampler: Sampler{Every: m.SFEvery}}
+	if m.VAI != nil {
+		v := *m.VAI
+		v.TokenThresh += thresholdOffset
+		a.vai = NewVAI(v)
+	}
+	return a
+}
+
+// Ack records one acknowledgement: congestion is the protocol's measure
+// (deepest INT queue for HPCC, delay for Swift and TIMELY) and congested
+// its predicate. ended reports that the ACK closed a round trip; update
+// that a decrease may move the protocol's reference now — every SFEvery
+// ACKs with SF, at round-trip ends without. At each end Algorithm 1 runs
+// on the round trip's maximum congestion and the marker restarts from
+// sentBytes.
+func (a *Attachment) Ack(ackedBytes, sentBytes int64, congestion float64, congested bool) (ended, update bool) {
+	if congestion > a.maxCong {
+		a.maxCong = congestion
+	}
+	a.congested = a.congested || congested
+	ended = a.marker.Passed(ackedBytes)
+	update = ended
+	if a.sampler.Every > 0 {
+		update = a.sampler.Tick()
+	}
+	if ended {
+		if a.vai != nil {
+			a.vai.OnRTTEnd(a.maxCong, !a.congested)
+		}
+		a.clean = !a.congested
+		a.maxCong, a.congested = 0, false
+		a.marker.Reset(sentBytes)
+	}
+	return ended, update
+}
+
+// Clean reports whether the last ended round trip was congestion-free.
+func (a *Attachment) Clean() bool { return a.clean }
+
+// Multiplier returns the additive-increase multiplier of the last Spend,
+// 1 when VAI is off.
+func (a *Attachment) Multiplier() float64 {
+	if a.vai == nil {
+		return 1
+	}
+	return a.vai.Multiplier()
+}
+
+// Spend runs Algorithm 2 once per rate-update period and returns the new
+// multiplier, 1 when VAI is off.
+func (a *Attachment) Spend() float64 {
+	if a.vai == nil {
+		return 1
+	}
+	return a.vai.Spend()
+}
+
+// VAI returns the flow's VAI state, nil when VAI is off (for tests).
+func (a *Attachment) VAI() *VAI { return a.vai }

@@ -15,17 +15,19 @@
 //     reaction removes. Increases remain once per RTT (reacting to every
 //     ACK on increases would favor large flows and fight fairness).
 //
-// Both mechanisms are protocol-agnostic; internal/cc/hpcc and
-// internal/cc/swift wire them into HPCC and Swift exactly as Sec. V of the
-// paper describes.
+// Both mechanisms are protocol-agnostic and attach one way: a protocol's
+// Config embeds Mechanisms and each flow holds an Attachment, fed one call
+// per ACK. internal/cc/hpcc and internal/cc/swift attach them to HPCC and
+// Swift as Sec. V of the paper describes; internal/cc/timely attaches them
+// to TIMELY the same way.
 package core
 
 import "math"
 
 // VAIConfig parameterizes Variable Additive Increase. "Congestion units"
 // are protocol-specific: bytes of switch queue for HPCC, picoseconds of
-// packet delay for Swift. TokenThresh and AIDiv must use the same unit the
-// caller passes to OnRTTEnd.
+// packet delay for Swift and TIMELY. TokenThresh and AIDiv must use the
+// same unit the caller passes to OnRTTEnd.
 type VAIConfig struct {
 	// TokenThresh is the measured-congestion level above which tokens are
 	// minted. The paper sets it to the minimum bandwidth-delay product of
@@ -147,9 +149,6 @@ func (s *Sampler) Tick() bool {
 	}
 	return false
 }
-
-// Reset clears the tick count (used when a flow restarts).
-func (s *Sampler) Reset() { s.count = 0 }
 
 // RTTMarker detects round-trip boundaries the way HPCC does: an RTT has
 // passed once the cumulative acknowledged bytes exceed the bytes that had

@@ -239,19 +239,6 @@ func TestSamplerEveryOne(t *testing.T) {
 	}
 }
 
-func TestSamplerReset(t *testing.T) {
-	s := Sampler{Every: 3}
-	s.Tick()
-	s.Tick()
-	s.Reset()
-	if s.Tick() || s.Tick() {
-		t.Fatal("fired too early after Reset")
-	}
-	if !s.Tick() {
-		t.Fatal("did not fire 3 ticks after Reset")
-	}
-}
-
 func TestRTTMarker(t *testing.T) {
 	var m RTTMarker
 	m.Reset(10_000) // 10 KB in flight when marked

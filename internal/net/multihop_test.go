@@ -220,7 +220,6 @@ func TestWindowShrinkMidFlight(t *testing.T) {
 
 type shrinkAlgo struct{ acks int }
 
-func (a *shrinkAlgo) Name() string { return "shrink" }
 func (a *shrinkAlgo) Init(cc.Env) cc.Control {
 	return cc.Control{WindowBytes: 100_000, RateBps: gbps100}
 }

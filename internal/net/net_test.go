@@ -16,7 +16,6 @@ type fixedAlgo struct {
 	last     cc.Feedback
 }
 
-func (a *fixedAlgo) Name() string           { return "fixed" }
 func (a *fixedAlgo) Init(cc.Env) cc.Control { return a.ctl }
 func (a *fixedAlgo) OnAck(fb cc.Feedback) cc.Control {
 	a.acks++

@@ -10,7 +10,6 @@ import (
 
 type fixedAlgo struct{ ctl cc.Control }
 
-func (a *fixedAlgo) Name() string                 { return "fixed" }
 func (a *fixedAlgo) Init(cc.Env) cc.Control       { return a.ctl }
 func (a *fixedAlgo) OnAck(cc.Feedback) cc.Control { return a.ctl }
 
