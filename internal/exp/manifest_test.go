@@ -213,7 +213,7 @@ func TestRecordedResultsReproduce(t *testing.T) {
 			checked++
 		}
 	}
-	if checked < 26 {
-		t.Errorf("compared %d recorded CSVs, want at least 26", checked)
+	if checked < 31 {
+		t.Errorf("compared %d recorded CSVs, want at least 31", checked)
 	}
 }
