@@ -3,6 +3,7 @@ package exp
 import (
 	"cmp"
 
+	"faircc/internal/cc/hpcc"
 	"faircc/internal/metrics"
 	"faircc/internal/net"
 	"faircc/internal/par"
@@ -29,6 +30,22 @@ type incastShape struct {
 // 1 MB flows, two starting every 20 us.
 func paperIncast(senders int) incastShape {
 	return incastShape{senders: senders, size: 1_000_000, group: 2, every: 20 * sim.Microsecond}
+}
+
+// paperShape is the shape of a row that runs the paper's pattern at a
+// fixed degree, whatever Config says.
+func paperShape(senders int) func(Config) incastShape {
+	return func(Config) incastShape { return paperIncast(senders) }
+}
+
+// customShape is the incast experiment's shape: the paper's 16-1 pattern
+// with Config's Incast* fields folded in.
+func customShape(cfg Config) incastShape {
+	in := paperIncast(cmp.Or(cfg.IncastSenders, 16))
+	in.size = cmp.Or(cfg.IncastFlowBytes, in.size)
+	in.group = cmp.Or(cfg.IncastGroup, in.group)
+	in.every = cmp.Or(cfg.IncastEvery, in.every)
+	return in
 }
 
 // lastStart is when the last group of flows joins.
@@ -179,15 +196,120 @@ func smoothedReach(s Series, window int, threshold float64) float64 {
 	return -1
 }
 
-// runIncastSet runs all variants in parallel on the same fabric setup (see
-// runIncast); the first failing variant cancels the rest of the sweep.
-func runIncastSet(cfg Config, vs []variant, in incastShape, setup func(*net.Network, *topo.Star)) ([]*incastOut, error) {
-	return par.MapErr(len(vs), cfg.Workers, func(i int) (*incastOut, error) {
-		return runIncast(cfg, vs[i], in, setup)
-	})
+// A fabric is a star switch other than the default lossless, unbounded
+// one: setup configures the network before flows are added, and a non-empty
+// name prefixes the labels of the variants run on it.
+type fabric struct {
+	name  string
+	setup func(Config, *net.Network, *topo.Star)
 }
 
-// The variants of a paper incast run, in runPaperIncast's order. A figure
+// pfcFabric enables PFC at the given per-ingress pause and resume
+// thresholds and caps every switch egress at buf bytes (0 = unbounded).
+// simulateSampled rejects any run on it that tail-drops.
+func pfcFabric(name string, pause, resume, buf int64) fabric {
+	return fabric{name, func(_ Config, nw *net.Network, st *topo.Star) {
+		nw.PFCPauseBytes, nw.PFCResumeBytes = pause, resume
+		for _, sp := range st.Switch.Ports() {
+			sp.SetBuffer(buf)
+		}
+	}}
+}
+
+// lossyFabric is the lossy, PFC-free fabric Swift targets: finite switch
+// buffers with tail drop, random wire loss on data and ACKs, and the
+// sender-side RTO / go-back-N recovery path. Config's BufferBytes,
+// DropDataProb and DropAckProb override its defaults: 150 KB buffers, below
+// the ~240 KB the unbounded 16-1 incast peaks at, so the buffer binds; and
+// a 5e-4 loss probability, a handful of losses per 16 MB incast wave.
+func lossyFabric(name string) fabric {
+	return fabric{name, func(cfg Config, nw *net.Network, st *topo.Star) {
+		nw.LossRecovery = true
+		nw.DropDataProb = cmp.Or(cfg.DropDataProb, 5e-4)
+		nw.DropAckProb = cmp.Or(cfg.DropAckProb, 5e-4)
+		for _, sp := range st.Switch.Ports() {
+			sp.SetBuffer(cmp.Or(cfg.BufferBytes, 150_000))
+		}
+	}}
+}
+
+// An incastFigure is one view of a star run: the outputs it shows (nil =
+// all of them) and the measurement it plots of each.
+type incastFigure struct {
+	name, title string
+	outputs     []int
+	view        func(Figure, Config, []*incastOut) *Result
+}
+
+// starRun is one star experiment as data: an incast shape, the protocol
+// variants run on it, the fabrics they run on (none: the lossless,
+// unbounded star), and the figures read off the outputs — fabric by fabric,
+// each in variant order.
+type starRun struct {
+	shape    func(Config) incastShape
+	variants func(Config, pathParams) []variant
+	fabrics  []fabric
+	figs     []incastFigure
+}
+
+// run runs every variant on every fabric, each fabric's variants in
+// parallel; the first failing variant cancels the rest of the experiment.
+func (r starRun) run(cfg Config) ([]*incastOut, error) {
+	in := r.shape(cfg)
+	vs := r.variants(cfg, starParams(starMinBDP(in.senders), hostRate))
+	fabrics := r.fabrics
+	if len(fabrics) == 0 {
+		fabrics = []fabric{{}}
+	}
+	var all []*incastOut
+	for _, fb := range fabrics {
+		var setup func(*net.Network, *topo.Star)
+		if fb.setup != nil {
+			setup = func(nw *net.Network, st *topo.Star) { fb.setup(cfg, nw, st) }
+		}
+		outs, err := par.MapErr(len(vs), cfg.Workers, func(i int) (*incastOut, error) {
+			v := vs[i]
+			if fb.name != "" {
+				v.label = fb.name + " " + v.label
+			}
+			return runIncast(cfg, v, in, setup)
+		})
+		if err != nil {
+			return nil, err
+		}
+		all = append(all, outs...)
+	}
+	return all, nil
+}
+
+// starExperiment registers a star run with the figures read off it.
+func starExperiment(r starRun) *Experiment {
+	e := &Experiment{}
+	for _, f := range r.figs {
+		e.Figures = append(e.Figures, Figure{f.name, f.title})
+	}
+	e.run = func(cfg Config) ([]*Result, error) {
+		outs, err := r.run(cfg)
+		if err != nil {
+			return nil, err
+		}
+		results := make([]*Result, len(r.figs))
+		for i, f := range r.figs {
+			shown := outs
+			if f.outputs != nil {
+				shown = make([]*incastOut, len(f.outputs))
+				for j, k := range f.outputs {
+					shown[j] = outs[k]
+				}
+			}
+			results[i] = f.view(e.Figures[i], cfg, shown)
+		}
+		return results, nil
+	}
+	return e
+}
+
+// The variants of a paper incast run, in paperRun's order. A figure
 // selects some of them: the Sec. III figures (1-3) the three baselines,
 // Figs. 5 and 6 all four, Figs. 8 and 9 the default against VAI SF.
 const (
@@ -197,67 +319,41 @@ const (
 
 var (
 	baselines       = []int{defaultVariant, 1, 2}
-	allVariants     = []int{defaultVariant, 1, 2, vaisfVariant}
 	defaultAndVAISF = []int{defaultVariant, vaisfVariant}
 )
 
-// runPaperIncast runs the paper's staggered incast at the given degree
-// under one protocol's four variants: default, 1 Gb/s AI, probabilistic
-// feedback and VAI SF. Every Jain, queue and start-finish figure of that
-// protocol and degree is a view of these four simulations.
-func runPaperIncast(cfg Config, protocol string, senders int) ([]*incastOut, error) {
-	p := starParams(starMinBDP(senders), hostRate)
-	vs := append(hpccBaselines(), hpccVAISF(p))
-	if protocol == "swift" {
-		vs = append(swiftBaselines(p), swiftVAISF(p))
-	}
-	return runIncastSet(cfg, vs, paperIncast(senders), nil)
-}
-
-// An incastFigure is one view of a paper incast run: the variants it
-// shows and the measurement it plots of each.
-type incastFigure struct {
-	name, title string
-	variants    []int
-	view        func(Figure, []*incastOut) *Result
-}
-
-// incastExperiment is a paper incast run with the figures read off it.
-func incastExperiment(protocol string, senders int, figs []incastFigure) *Experiment {
-	e := &Experiment{}
-	for _, f := range figs {
-		e.Figures = append(e.Figures, Figure{f.name, f.title})
-	}
-	e.run = func(cfg Config) ([]*Result, error) {
-		outs, err := runPaperIncast(cfg, protocol, senders)
-		if err != nil {
-			return nil, err
-		}
-		var results []*Result
-		for i, f := range figs {
-			shown := make([]*incastOut, len(f.variants))
-			for j, v := range f.variants {
-				shown[j] = outs[v]
+// paperRun is the paper's staggered incast at the given degree under one
+// protocol's four variants: default, 1 Gb/s AI, probabilistic feedback and
+// VAI SF. Every Jain, queue and start-finish figure of that protocol and
+// degree is a view of these four simulations.
+func paperRun(protocol string, senders int, figs ...incastFigure) starRun {
+	return starRun{shape: paperShape(senders), figs: figs,
+		variants: func(_ Config, p pathParams) []variant {
+			if protocol == "swift" {
+				return append(swiftBaselines(p), swiftVAISF(p))
 			}
-			results = append(results, f.view(e.Figures[i], shown))
-		}
-		return results, nil
-	}
-	return e
+			return append(hpccBaselines(), hpccVAISF(p))
+		}}
+}
+
+// runPaperIncast runs paperRun's simulations for the claims.
+func runPaperIncast(cfg Config, protocol string, senders int) ([]*incastOut, error) {
+	return paperRun(protocol, senders).run(cfg)
 }
 
 // jainView plots the Jain fairness index over time.
-func jainView(f Figure, outs []*incastOut) *Result {
+func jainView(f Figure, _ Config, outs []*incastOut) *Result {
 	res := &Result{Name: f.Name, Title: f.Title, XLabel: "time (us)", YLabel: "Jain fairness index"}
 	for _, o := range outs {
 		res.Series = append(res.Series, o.jain)
-		res.Notef("%s: smoothed Jain reaches 0.9 at %.0f us (-1 = never)", o.label, o.convergeUs)
+		res.Notef("%s: smoothed Jain reaches 0.9 at %.0f us (-1 = never); max queue %.0f KB",
+			o.label, o.convergeUs, o.maxQueueKB)
 	}
 	return res
 }
 
 // queueView plots the bottleneck queue depth over time.
-func queueView(f Figure, outs []*incastOut) *Result {
+func queueView(f Figure, _ Config, outs []*incastOut) *Result {
 	res := &Result{Name: f.Name, Title: f.Title, XLabel: "time (us)", YLabel: "queue depth (KB)"}
 	for _, o := range outs {
 		res.Series = append(res.Series, o.queue)
@@ -267,7 +363,7 @@ func queueView(f Figure, outs []*incastOut) *Result {
 }
 
 // startFinishView plots each flow's finish time against its start time.
-func startFinishView(f Figure, outs []*incastOut) *Result {
+func startFinishView(f Figure, _ Config, outs []*incastOut) *Result {
 	res := &Result{Name: f.Name, Title: f.Title, XLabel: "start time (us)", YLabel: "finish time (us)"}
 	for _, o := range outs {
 		res.Series = append(res.Series, o.startFinish)
@@ -277,71 +373,110 @@ func startFinishView(f Figure, outs []*incastOut) *Result {
 	return res
 }
 
-// runIncastCustom is the incast experiment: one variant on an incast of
-// the caller's shape (Config's Incast* fields), reporting all three views
-// the figures take of such a run — fairness and bottleneck queue over
-// time, and each flow's finish time against its start time.
-func runIncastCustom(cfg Config) (*Result, error) {
-	in := paperIncast(cmp.Or(cfg.IncastSenders, 16))
-	in.size = cmp.Or(cfg.IncastFlowBytes, in.size)
-	in.group = cmp.Or(cfg.IncastGroup, in.group)
-	in.every = cmp.Or(cfg.IncastEvery, in.every)
-	v := variantsByKey(starParams(starMinBDP(in.senders), hostRate))[cmp.Or(cfg.IncastAlgo, "hpcc")]
-	outs, err := runIncastSet(cfg, []variant{v}, in, nil)
-	if err != nil {
-		return nil, err
-	}
-	o := outs[0]
-	res := &Result{Name: "incast", Title: "Configurable n-to-1 incast",
-		XLabel: "time (us)", YLabel: "metric"}
-	o.jain.Label = "Jain fairness index"
-	o.queue.Label = "queue depth (KB)"
-	o.startFinish.Label = "finish time (us) by start time"
-	res.Series = append(res.Series, o.jain, o.queue, o.startFinish)
+// customView is the incast experiment's one figure: all three views the
+// figures take of a run — fairness and bottleneck queue over time, and each
+// flow's finish time against its start time — as the curves of one plot.
+func customView(f Figure, cfg Config, outs []*incastOut) *Result {
+	in, o := customShape(cfg), outs[0]
+	res := &Result{Name: f.Name, Title: f.Title, XLabel: "time (us)", YLabel: "metric"}
+	jain, queue, sf := o.jain, o.queue, o.startFinish
+	jain.Label, queue.Label, sf.Label = "Jain fairness index", "queue depth (KB)", "finish time (us) by start time"
+	res.Series = append(res.Series, jain, queue, sf)
 	res.Notef("%d-1 incast, %d B/flow, %d starting every %v", in.senders, in.size, in.group, in.every)
 	res.Notef("%s: smoothed Jain reaches 0.9 at %.0f us (-1 = never); max queue %.0f KB, steady-state mean %.1f KB",
 		o.label, o.convergeUs, o.maxQueueKB, o.steadyQueueKB)
 	res.Notef("%s: first-started finishes at %.0f us, last-started at %.0f us, last finish %.0f us", o.label,
-		o.startFinish.Y[0], o.startFinish.Y[len(o.startFinish.Y)-1], o.lastFinish.Microseconds())
-	return res, nil
+		sf.Y[0], sf.Y[len(sf.Y)-1], o.lastFinish.Microseconds())
+	return res
 }
 
+// fabricView plots the bottleneck queue of runs on finite or lossy
+// fabrics, noting how each fabric coped: drops by cause, recovery, PFC.
+func fabricView(f Figure, _ Config, outs []*incastOut) *Result {
+	res := &Result{Name: f.Name, Title: f.Title, XLabel: "time (us)", YLabel: "bottleneck queue (KB)"}
+	for _, o := range outs {
+		res.Series = append(res.Series, o.queue)
+		st := o.stats
+		res.Notef("%s: %d drops (%d buffer, %d wire), %d retransmits, %d RTOs, %d dup ACKs, %d PFC pauses; "+
+			"max queue %.0f KB, converge %.0f us, last finish %.0f us",
+			o.label, st.Drops(), st.BufferDrops, st.WireDrops, st.Retransmits, st.RTOFires, st.DupAcks,
+			st.PFCPauses, o.maxQueueKB, o.convergeUs, o.lastFinish.Microseconds())
+	}
+	return res
+}
+
+// only is the variants of a row that runs the same variants on any shape.
+func only(vs ...variant) func(Config, pathParams) []variant {
+	return func(Config, pathParams) []variant { return vs }
+}
+
+// Every star experiment is a row of this table.
 func init() {
-	register(single("incast", "One protocol variant on a configurable n-to-1 staggered incast", runIncastCustom))
+	for _, r := range []starRun{
+		paperRun("hpcc", 16,
+			incastFigure{"fig1a", "16-1 incast Jain index, HPCC baselines", baselines, jainView},
+			incastFigure{"fig1b", "16-1 incast queue depth, HPCC baselines", baselines, queueView},
+			incastFigure{"fig2", "16-1 staggered incast start vs finish, HPCC baselines", baselines, startFinishView},
+			incastFigure{"fig5a", "16-1 incast Jain index, HPCC with VAI SF", nil, jainView},
+			incastFigure{"fig5b", "16-1 incast queue depth, HPCC with VAI SF", nil, queueView},
+			incastFigure{"fig8", "16-1 incast start vs finish, HPCC default vs VAI SF", defaultAndVAISF, startFinishView}),
+		paperRun("swift", 16,
+			incastFigure{"fig1c", "16-1 incast Jain index, Swift baselines", baselines, jainView},
+			incastFigure{"fig1d", "16-1 incast queue depth, Swift baselines", baselines, queueView},
+			incastFigure{"fig3", "16-1 staggered incast start vs finish, Swift baselines", baselines, startFinishView},
+			incastFigure{"fig6a", "16-1 incast Jain index, Swift with VAI SF", nil, jainView},
+			incastFigure{"fig6b", "16-1 incast queue depth, Swift with VAI SF", nil, queueView},
+			incastFigure{"fig9", "16-1 incast start vs finish, Swift default vs VAI SF", defaultAndVAISF, startFinishView}),
+		paperRun("hpcc", 96,
+			incastFigure{"fig5c", "96-1 incast Jain index, HPCC with VAI SF", nil, jainView},
+			incastFigure{"fig5d", "96-1 incast queue depth, HPCC with VAI SF", nil, queueView}),
+		paperRun("swift", 96,
+			incastFigure{"fig6c", "96-1 incast Jain index, Swift with VAI SF", nil, jainView},
+			incastFigure{"fig6d", "96-1 incast queue depth, Swift with VAI SF", nil, queueView}),
 
-	register(incastExperiment("hpcc", 16, []incastFigure{
-		{"fig1a", "16-1 incast Jain index, HPCC baselines", baselines, jainView},
-		{"fig1b", "16-1 incast queue depth, HPCC baselines", baselines, queueView},
-		{"fig2", "16-1 staggered incast start vs finish, HPCC baselines", baselines, startFinishView},
-		{"fig5a", "16-1 incast Jain index, HPCC with VAI SF", allVariants, jainView},
-		{"fig5b", "16-1 incast queue depth, HPCC with VAI SF", allVariants, queueView},
-		{"fig8", "16-1 incast start vs finish, HPCC default vs VAI SF", defaultAndVAISF, startFinishView}}))
-	register(incastExperiment("swift", 16, []incastFigure{
-		{"fig1c", "16-1 incast Jain index, Swift baselines", baselines, jainView},
-		{"fig1d", "16-1 incast queue depth, Swift baselines", baselines, queueView},
-		{"fig3", "16-1 staggered incast start vs finish, Swift baselines", baselines, startFinishView},
-		{"fig6a", "16-1 incast Jain index, Swift with VAI SF", allVariants, jainView},
-		{"fig6b", "16-1 incast queue depth, Swift with VAI SF", allVariants, queueView},
-		{"fig9", "16-1 incast start vs finish, Swift default vs VAI SF", defaultAndVAISF, startFinishView}}))
-	register(incastExperiment("hpcc", 96, []incastFigure{
-		{"fig5c", "96-1 incast Jain index, HPCC with VAI SF", allVariants, jainView},
-		{"fig5d", "96-1 incast queue depth, HPCC with VAI SF", allVariants, queueView}}))
-	register(incastExperiment("swift", 96, []incastFigure{
-		{"fig6c", "96-1 incast Jain index, Swift with VAI SF", allVariants, jainView},
-		{"fig6d", "96-1 incast queue depth, Swift with VAI SF", allVariants, queueView}}))
+		{shape: customShape, figs: []incastFigure{{"incast",
+			"One protocol variant on a configurable n-to-1 staggered incast", nil, customView}},
+			variants: func(cfg Config, p pathParams) []variant {
+				return []variant{variantsByKey(p)[cmp.Or(cfg.IncastAlgo, "hpcc")]}
+			}},
+		{shape: paperShape(16), variants: only(dcqcnVariant()), figs: []incastFigure{{"incast-dcqcn",
+			"16-1 incast under DCQCN (Sec. II probabilistic-feedback reference)", nil, jainView}}},
+		{shape: paperShape(16), variants: only(dctcpVariant()), figs: []incastFigure{{"incast-dctcp",
+			"16-1 incast under DCTCP (congestion-extent-scaled decreases, Sec. III-A)", nil, jainView}}},
+		// TIMELY with and without VAI SF: the paper claims the mechanisms
+		// apply to "a multitude" of sender-side protocols.
+		{shape: paperShape(16), variants: func(_ Config, p pathParams) []variant { return timelyVariants(p) },
+			figs: []incastFigure{{"incast-timely", "16-1 incast under TIMELY with and without VAI SF " +
+				"(mechanism generality beyond HPCC/Swift)", nil, jainView}}},
 
-	register(single("incast-dcqcn", "16-1 incast under DCQCN (Sec. II probabilistic-feedback reference)",
-		func(cfg Config) (*Result, error) {
-			outs, err := runIncastSet(cfg, []variant{dcqcnVariant()}, paperIncast(16), nil)
-			if err != nil {
-				return nil, err
-			}
-			res := &Result{Name: "incast-dcqcn", Title: "DCQCN 16-1 incast",
-				XLabel: "time (us)", YLabel: "Jain fairness index"}
-			o := outs[0]
-			res.Series = append(res.Series, o.jain)
-			res.Notef("DCQCN: smoothed Jain reaches 0.9 at %.0f us; max queue %.0f KB",
-				o.convergeUs, o.maxQueueKB)
-			return res, nil
-		}))
+		// The lossless-Ethernet setting of the paper's introduction, where
+		// PFC prevents drops but blocks the head of the line once buffers
+		// fill: at a realistic 512 KB per-ingress pause threshold, HPCC- and
+		// Swift-family control should keep the queue out of the pause regime.
+		{shape: paperShape(16), variants: func(_ Config, p pathParams) []variant { return dcVariants(p) },
+			fabrics: []fabric{pfcFabric("", 512_000, 256_000, 0)},
+			figs: []incastFigure{{"incast-pfc", "16-1 incast with finite buffers and PFC: congestion " +
+				"control must avoid the pause regime", nil, fabricView}}},
+		{shape: paperShape(16), variants: func(_ Config, p pathParams) []variant { return dcVariants(p) },
+			fabrics: []fabric{lossyFabric("")},
+			figs: []incastFigure{{"incast-lossy", "16-1 incast on a lossy fabric: finite buffers, random " +
+				"wire loss, RTO/go-back-N recovery", nil, fabricView}}},
+		// The two ways a fabric survives congestion: PFC backpressure, with
+		// pause thresholds low enough that a 1 MB buffer cannot drop, versus
+		// tail drop with end-to-end recovery.
+		{shape: paperShape(16), variants: func(_ Config, p pathParams) []variant {
+			return []variant{swiftBaselines(p)[0], swiftVAISF(p)}
+		}, fabrics: []fabric{pfcFabric("PFC", 24_000, 12_000, 1_000_000), lossyFabric("lossy")},
+			figs: []incastFigure{{"incast-pfc-vs-lossy", "16-1 incast, lossless (PFC) vs lossy (tail drop + RTO) " +
+				"fabric, Swift variants", nil, fabricView}}},
+
+		sweep("ablate-aicap", "AI_Cap sweep on 16-1 incast (HPCC VAI SF): latency vs fairness",
+			16, []float64{10, 50, 100, 200, 500}, func(c *hpcc.Config, v float64) { c.VAI.AICap = v }),
+		sweep("ablate-sf", "Sampling Frequency sweep on 16-1 incast (HPCC VAI SF): bandwidth vs fairness",
+			16, []float64{5, 15, 30, 60, 120}, func(c *hpcc.Config, v float64) { c.SFEvery = int(v) }),
+		sweep("ablate-dampener", "Dampener constant sweep on 96-1 incast (HPCC VAI SF): feedback protection",
+			96, []float64{1, 4, 8, 32, 128}, func(c *hpcc.Config, v float64) { c.VAI.DampenerConst = v }),
+	} {
+		register(starExperiment(r))
+	}
 }

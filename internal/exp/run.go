@@ -16,9 +16,9 @@ import (
 // optional Network.Shard, flows, samplers and collectors, in the caller's
 // order — and drives it: the parallel runner if build sharded the network,
 // the sequential step loop otherwise. Whichever engine ran, the RunStats go
-// to the observer once, and a run that left a flow unfinished or broke a
-// conservation invariant is an error, so no experiment can report numbers
-// from such a run.
+// to the observer once, and a run that left a flow unfinished, broke a
+// conservation invariant, or tail-dropped with PFC engaged is an error, so
+// no experiment can report numbers from such a run.
 func simulate(cfg Config, label string, build func(*net.Network)) (*net.Network, error) {
 	return simulateSampled(cfg, label, 0, build)
 }
@@ -54,6 +54,11 @@ func simulateSampled(cfg Config, label string, samplers int, build func(*net.Net
 	}
 	if err := nw.CheckConservation(); err != nil {
 		return nil, fmt.Errorf("%s: %w", label, err)
+	}
+	if nw.PFCPauseBytes > 0 {
+		if d := nw.Stats().BufferDrops; d > 0 {
+			return nil, fmt.Errorf("%s: losslessness violated: %d tail drops with PFC engaged", label, d)
+		}
 	}
 	return nw, nil
 }
