@@ -191,7 +191,10 @@ func TestMarkECNCountsArrivingPacket(t *testing.T) {
 // loss recovery.
 func TestTailDropAtFiniteBuffer(t *testing.T) {
 	eng, nw, sw := star(t, 3, 1)
-	nw.BufferBytes = 20_000
+	const buf = 20_000
+	for _, p := range sw.Ports() {
+		p.SetBuffer(buf)
+	}
 	nw.LossRecovery = true
 	a1 := &fixedAlgo{ctl: cc.Control{WindowBytes: 1e9, RateBps: gbps100}}
 	a2 := &fixedAlgo{ctl: cc.Control{WindowBytes: 1e9, RateBps: gbps100}}
@@ -212,8 +215,8 @@ func TestTailDropAtFiniteBuffer(t *testing.T) {
 		t.Fatalf("recovery counters: retransmits=%d rtoFires=%d, want both > 0",
 			st.Retransmits, st.RTOFires)
 	}
-	if peak := sw.Ports()[0].QueuePeak(); peak > nw.BufferBytes {
-		t.Fatalf("queue peaked at %d bytes past the %d buffer", peak, nw.BufferBytes)
+	if peak := sw.Ports()[0].QueuePeak(); peak > buf {
+		t.Fatalf("queue peaked at %d bytes past the %d buffer", peak, buf)
 	}
 	if st.DataDrops+st.AckDrops != st.BufferDrops+st.WireDrops {
 		t.Fatalf("drop breakdowns disagree: %+v", st)

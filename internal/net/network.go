@@ -39,13 +39,6 @@ type Network struct {
 	// (DCQCN's CNP timer). Zero echoes every ECN-marked packet.
 	CNPInterval sim.Time
 
-	// BufferBytes, when positive, caps every egress queue: a packet whose
-	// wire bytes would push the queue past the limit is tail-dropped
-	// (PFC control frames are exempt — dropping them would deadlock the
-	// fabric). Zero keeps the historical unbounded-queue behavior.
-	// Per-port overrides via Port.SetBuffer take precedence.
-	BufferBytes int64
-
 	// LossRecovery arms the sender-side recovery path: per-flow RTO with
 	// exponential backoff and go-back-N resend from the last cumulative
 	// ACK. It must be on for any run that can drop packets (finite

@@ -58,7 +58,7 @@ type Port struct {
 	txBytes   int64
 	stampINT  bool       // owner is a switch: stamp telemetry on data packets (see finishTx)
 	red       *REDConfig // ECN marking at enqueue when set
-	bufBytes  int64      // egress buffer override; 0 falls back to Network.BufferBytes
+	bufBytes  int64      // egress buffer cap in wire bytes; 0 = unbounded
 
 	// PFC ingress-side accounting (switch owners only): bytes currently
 	// buffered in this node that arrived through this port.
@@ -136,25 +136,18 @@ func (pt *Port) SetRED(cfg REDConfig) {
 	pt.red = &cfg
 }
 
-// SetBuffer caps this egress queue at the given wire bytes, overriding
-// Network.BufferBytes. Zero restores the network-wide setting.
+// SetBuffer caps this egress queue at the given wire bytes: a packet that
+// would push the queue past the cap is tail-dropped (PFC control frames are
+// exempt). Zero, the default, leaves the queue unbounded.
 func (pt *Port) SetBuffer(bytes int64) { pt.bufBytes = bytes }
-
-// bufferLimit returns the effective egress buffer cap (0 = unbounded).
-func (pt *Port) bufferLimit() int64 {
-	if pt.bufBytes > 0 {
-		return pt.bufBytes
-	}
-	return pt.net.BufferBytes
-}
 
 // send enqueues a packet for transmission toward the peer, tail-dropping
 // it when a finite egress buffer is full. PFC control frames are exempt
 // from the cap: they are 64 bytes, jump the queue anyway, and dropping
 // one would wedge the pause protocol.
 func (pt *Port) send(p *Packet) {
-	if lim := pt.bufferLimit(); lim > 0 && p.Kind != Pause && p.Kind != Resume &&
-		pt.q.Bytes()+int64(p.Wire) > lim {
+	if pt.bufBytes > 0 && p.Kind != Pause && p.Kind != Resume &&
+		pt.q.Bytes()+int64(p.Wire) > pt.bufBytes {
 		pt.sh.drop(p, DropTail)
 		return
 	}
