@@ -109,6 +109,11 @@ func TestObservabilityDoesNotPerturbResults(t *testing.T) {
 	if !slices.Equal(stats.Lanes, wantLanes) {
 		t.Errorf("lanes = %+v, want %+v", stats.Lanes, wantLanes)
 	}
+	// The incast's flows are added in start order, so every start comes off
+	// the posted lane and none is queued on the heap.
+	if flows := uint64(len(observed.records)); stats.EventsPosted != flows {
+		t.Errorf("events_posted = %d, want one per flow, %d", stats.EventsPosted, flows)
+	}
 }
 
 // RunWithStats must aggregate every simulation an experiment executes, and

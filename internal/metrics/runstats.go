@@ -31,11 +31,14 @@ type RunStats struct {
 	EventSlotAllocs uint64 `json:"event_slot_allocs"`
 	// EventsLaned is how many of Events came off the engines' delay lanes
 	// (sim.Lane: intra-shard link arrivals and standard-size serialization
-	// ends) and never entered the engines' heaps, summed across runs; Events
-	// - EventsLaned is the heaps' load. Lanes splits it by delay, summed
-	// over engines and runs, in ascending delay order.
-	EventsLaned uint64          `json:"events_laned"`
-	Lanes       []sim.LaneStats `json:"lanes,omitempty"`
+	// ends) and never entered the engines' heaps, summed across runs. Lanes
+	// splits it by delay, summed over engines and runs, in ascending delay
+	// order. EventsPosted is how many came off the engines' posted lanes
+	// (sim.Engine.Post: flow starts in start order). Events - EventsLaned -
+	// EventsPosted is the heaps' load.
+	EventsLaned  uint64          `json:"events_laned"`
+	Lanes        []sim.LaneStats `json:"lanes,omitempty"`
+	EventsPosted uint64          `json:"events_posted"`
 
 	// Simulated time covered, summed across runs.
 	SimSeconds float64 `json:"sim_seconds"`
@@ -103,6 +106,7 @@ func (s *RunStats) addEngine(es sim.EngineStats) {
 	s.EventSlotAllocs += es.EventAllocs
 	s.EventsLaned += es.Laned
 	s.addLanes(es.Lanes)
+	s.EventsPosted += es.Posted
 }
 
 // addLanes folds per-lane counts into s.Lanes, one row per delay, sorted.
@@ -132,6 +136,7 @@ func (s *RunStats) Add(o RunStats) {
 	s.EventSlotAllocs += o.EventSlotAllocs
 	s.EventsLaned += o.EventsLaned
 	s.addLanes(o.Lanes)
+	s.EventsPosted += o.EventsPosted
 	s.SimSeconds += o.SimSeconds
 	s.Counters.Add(o.Counters)
 	if o.Shards > s.Shards {
@@ -171,10 +176,11 @@ func (s *RunStats) Finish(wall time.Duration) {
 // anything, so lossless output is unchanged.
 func (s RunStats) String() string {
 	out := fmt.Sprintf(
-		"%d run(s): %d events (%d laned, %d queued) in %.2fs (%.2fM ev/s), %d data pkts, %d acks, "+
+		"%d run(s): %d events (%d laned, %d posted, %d queued) in %.2fs (%.2fM ev/s), %d data pkts, %d acks, "+
 			"%d ECN marks, %d PFC pauses, pool reuse %.1f%%, "+
 			"%d event slot allocs, peak heap %.1f MB",
-		s.Runs, s.Events, s.EventsLaned, s.Events-s.EventsLaned, s.WallSeconds, s.EventsPerSec/1e6,
+		s.Runs, s.Events, s.EventsLaned, s.EventsPosted, s.Events-s.EventsLaned-s.EventsPosted,
+		s.WallSeconds, s.EventsPerSec/1e6,
 		s.DataSent, s.AcksSent, s.ECNMarks, s.PFCPauses,
 		100*s.PoolReuseRate, s.EventSlotAllocs, float64(s.PeakHeapBytes)/1e6)
 	if drops := s.Drops(); drops > 0 || s.Retransmits > 0 {

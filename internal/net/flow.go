@@ -17,7 +17,8 @@ type FlowSpec struct {
 
 // Flow is the runtime state of one flow: the sender side (pacing, window,
 // congestion control) and the receiver side (delivery accounting, CNP
-// policy). Flows are created with Network.AddFlow.
+// policy). Flows are created with Network.AddFlow, which carves them from
+// the network's flow slab.
 type Flow struct {
 	Spec FlowSpec
 
@@ -77,9 +78,10 @@ type Flow struct {
 
 	// Flat forwarding path, pre-resolved by Network.pathInfo: the egress
 	// port each switch hop would pick for this flow's data (fwdPath) and
-	// ACKs (revPath). Honored by Switch.Receive only while pathEpoch
-	// matches Network.routeEpoch — any AddRoute after the flow was created
-	// silently reverts it to per-hop route lookups.
+	// ACKs (revPath). Both are carved from the network's path slab with
+	// len == cap (see carvePath). Honored by Switch.Receive only while
+	// pathEpoch matches Network.routeEpoch — any AddRoute after the flow was
+	// created silently reverts it to per-hop route lookups.
 	fwdPath   []*Port
 	revPath   []*Port
 	pathEpoch uint64
@@ -165,8 +167,10 @@ func (f *Flow) TakeDeliveredDelta() int64 {
 	return d
 }
 
-// start initializes congestion control and begins sending.
-func (f *Flow) start() {
+// Fire is the flow's start event, posted by AddFlow: it initializes
+// congestion control and begins sending. A flow is its own start handler,
+// so starting one needs no func value of its own.
+func (f *Flow) Fire() {
 	f.started = true
 	f.StartedAt = f.eng.Now()
 	// Bind the pacing-wakeup callback once: every pacing timer the flow

@@ -1,7 +1,9 @@
 package net
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"faircc/internal/cc"
@@ -431,4 +433,26 @@ func TestAddFlowValidation(t *testing.T) {
 		}
 	}()
 	nw.AddFlow(FlowSpec{ID: 1, Src: 0, Dst: 1, Size: 0}, &fixedAlgo{})
+}
+
+// A route is to a host. A switch's id, a negative id, and one far past every
+// node (which a table grown to fit it would take the process's memory for)
+// panic with the id named, and leave the table as it was.
+func TestAddRouteRejectsNonHosts(t *testing.T) {
+	_, _, sw := star(t, 2, 1)
+	port := sw.Ports()[0]
+	for _, id := range []int{sw.NodeID(), -1, 1 << 40} {
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if want := fmt.Sprint(id); !strings.Contains(msg, want) {
+					t.Errorf("AddRoute(%d) panicked with %q, want a message naming %s", id, msg, want)
+				}
+			}()
+			sw.AddRoute(id, port)
+		}()
+	}
+	if len(sw.fwd) != 2 {
+		t.Fatalf("route table has %d entries after rejected routes, want 2", len(sw.fwd))
+	}
 }

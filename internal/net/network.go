@@ -97,7 +97,23 @@ type Network struct {
 	// probeFlow is reused by ProbePath so probing allocates nothing and
 	// never touches the packet pool.
 	probeFlow Flow
+
+	// fwdWalk/revWalk are the paths pathInfo walks into, kept across walks;
+	// AddFlow copies a flow's out into pathChunk. flowChunk and pathChunk
+	// are allocated, not yet carved (see flowSlab).
+	fwdWalk, revWalk []*Port
+	flowChunk        []Flow
+	pathChunk        []*Port
 }
+
+// flowSlab is how many flows one allocation holds, and pathSlab how many
+// path ports: a flow costs a slot in each, not an allocation of its own.
+// 64 flows are 27 KB; 1024 ports are the paths of about a hundred flows on
+// a fat-tree.
+const (
+	flowSlab = 64
+	pathSlab = 1024
+)
 
 // DropCause says why a packet was dropped.
 type DropCause uint8
@@ -217,19 +233,26 @@ func (n *Network) Connect(a, b Node, bps float64, delay sim.Time) (*Port, *Port)
 	return pa, pb
 }
 
-// AddFlow registers a flow and schedules its start. The algorithm instance
-// must be exclusive to this flow.
+// AddFlow registers a flow and posts its start: the flow is its own start
+// event (see Flow.Fire), so flows added in start order never touch the
+// engine's heap. The algorithm instance must be exclusive to this flow.
 func (n *Network) AddFlow(spec FlowSpec, algo cc.Algorithm) *Flow {
 	if spec.Size <= 0 {
 		panic("net: flow size must be positive")
 	}
 	src := n.hostByID(spec.Src)
+	if len(n.flowChunk) == 0 {
+		n.flowChunk = make([]Flow, flowSlab)
+	}
+	f := &n.flowChunk[0]
+	n.flowChunk = n.flowChunk[1:]
 	// The flow's sender side executes on the source host's shard: its
 	// start event, pacing timers, RTO and ACK processing all run there.
-	f := &Flow{Spec: spec, net: n, sh: src.sh, eng: src.sh.eng, host: src, algo: algo}
+	*f = Flow{Spec: spec, net: n, sh: src.sh, eng: src.sh.eng, host: src, algo: algo}
 	if err := n.pathInfo(f); err != nil {
 		panic("net: " + err.Error())
 	}
+	f.fwdPath, f.revPath = n.carvePath(f.fwdPath), n.carvePath(f.revPath)
 	f.rtoBase = 4 * f.baseRTT
 	if f.rtoBase < n.RTOMin {
 		f.rtoBase = n.RTOMin
@@ -244,8 +267,21 @@ func (n *Network) AddFlow(spec FlowSpec, algo cc.Algorithm) *Flow {
 	f.rto = f.rtoBase
 	n.flows = append(n.flows, f)
 	n.unfinished.Add(1)
-	f.eng.At(spec.Start, f.start)
+	f.eng.Post(spec.Start, f)
 	return f
+}
+
+// carvePath copies a walked path into the path slab. The copy is clipped to
+// len == cap, so an append to one flow's path reallocates instead of writing
+// over the next flow's.
+func (n *Network) carvePath(walk []*Port) []*Port {
+	if len(n.pathChunk) < len(walk) {
+		n.pathChunk = make([]*Port, max(pathSlab, len(walk)))
+	}
+	p := n.pathChunk[:len(walk):len(walk)]
+	n.pathChunk = n.pathChunk[len(walk):]
+	copy(p, walk)
+	return p
 }
 
 // hostByID returns the host with the given node id in O(1); unknown ids
@@ -273,9 +309,12 @@ func (n *Network) findHost(id int) *Host {
 // pre-resolves the flat forwarding path — the egress port route() would
 // pick at each switch, forward for data and reverse for ACKs — which
 // Switch.Receive uses instead of per-hop lookups while no route changes.
-// The walk resolves routes by (dst, flow id) directly, so it allocates
-// nothing and never touches the packet pool.
+// The walk resolves routes by (dst, flow id) directly and leaves the paths
+// in the network's walk scratch, so it allocates nothing and never touches
+// the packet pool.
 func (n *Network) pathInfo(f *Flow) error {
+	f.fwdPath, f.revPath = n.fwdWalk[:0], n.revWalk[:0]
+	defer func() { n.fwdWalk, n.revWalk = f.fwdPath, f.revPath }()
 	if f.host == nil {
 		return fmt.Errorf("no host with id %d", f.Spec.Src)
 	}
@@ -284,7 +323,6 @@ func (n *Network) pathInfo(f *Flow) error {
 	}
 	port := f.host.port
 	f.minBw = port.bw
-	f.fwdPath = f.fwdPath[:0]
 	var dst *Host
 	for steps := 0; dst == nil; steps++ {
 		if steps > 64 {
@@ -320,7 +358,6 @@ func (n *Network) pathInfo(f *Flow) error {
 	if dst.port == nil {
 		return nil
 	}
-	f.revPath = f.revPath[:0]
 	for port, steps := dst.port, 0; ; steps++ {
 		if steps > 64 {
 			return nil
@@ -351,8 +388,7 @@ func (n *Network) pathInfo(f *Flow) error {
 // network-owned probe flow so probing allocates nothing.
 func (n *Network) ProbePath(spec FlowSpec) (hops int, baseRTT sim.Time, minBw float64, err error) {
 	f := &n.probeFlow
-	fwd, rev := f.fwdPath, f.revPath // keep the walk scratch across probes
-	*f = Flow{Spec: spec, net: n, host: n.findHost(spec.Src), fwdPath: fwd, revPath: rev}
+	*f = Flow{Spec: spec, net: n, host: n.findHost(spec.Src)}
 	if err := n.pathInfo(f); err != nil {
 		return 0, 0, 0, fmt.Errorf("net: probe %w", err)
 	}

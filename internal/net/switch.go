@@ -39,7 +39,7 @@ func (s *Switch) Ports() []*Port { return s.ports }
 // AddRoute registers egress ports for a destination host. Multiple ports
 // (across one or several calls) form an ECMP group selected by flow hash,
 // so every flow keeps a single path and in-order delivery. Candidate order
-// is the order ports were added.
+// is the order ports were added. A dstHost that is not a host's id panics.
 //
 // Adding a route invalidates the pre-resolved flat paths of flows that
 // already exist (they fall back to per-hop lookups); install routes before
@@ -53,12 +53,15 @@ func (s *Switch) AddRoute(dstHost int, ports ...*Port) {
 			panic("net: AddRoute with a port not owned by this switch")
 		}
 	}
-	if dstHost < 0 {
-		panic(fmt.Sprintf("net: AddRoute with negative host id %d", dstHost))
+	if s.net.findHost(dstHost) == nil {
+		panic(fmt.Sprintf("net: AddRoute to %d, which is not a host", dstHost))
 	}
-	for len(s.fwd) <= dstHost {
-		s.fwd = append(s.fwd, nil)
-		s.groups = append(s.groups, nil)
+	if len(s.fwd) <= dstHost {
+		// Sized to every host there is: once, when the hosts exist before
+		// the routes, as every topology builder adds them.
+		m := len(s.net.hostByNode)
+		s.fwd = append(s.fwd, make([]*Port, m-len(s.fwd))...)
+		s.groups = append(s.groups, make([][]*Port, m-len(s.groups))...)
 	}
 	switch {
 	case s.fwd[dstHost] == nil && s.groups[dstHost] == nil && len(ports) == 1:

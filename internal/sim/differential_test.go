@@ -12,10 +12,12 @@ import (
 // RunUntil operations, including events that schedule children from inside
 // their callbacks. Every schedule may go through a delay lane instead of
 // the heap; to the model a lane event is just an event at now + d that
-// nobody holds a handle to. Even ids are scheduled as an object that is its
-// own Handler, odd ids as a func(): both kinds meet on the heap, on every
-// lane and on the fall-back lanes. Execution order, the clock, NextEventTime and
-// every Stats counter must match, and the clock must never run backwards.
+// nobody holds a handle to, and a posted event (Engine.Post) one at its time
+// that nobody holds a handle to. Even ids are scheduled as an object that is
+// its own Handler, odd ids as a func(): both kinds meet on the heap, on every
+// lane, on the fall-back lanes and on the posted lane. Execution order, the
+// clock, NextEventTime and every Stats counter must match, and the clock
+// must never run backwards.
 
 // refModel is the reference scheduler: an unsorted slice scanned for the
 // (at, seq) minimum on every execution. Obviously correct, O(n) per event.
@@ -125,8 +127,10 @@ const childIDStride = 1_000_000_000
 // of them than maxLanes (checkOrder fails if that stops being so), so the
 // later ones exercise the fall-back to After, with the zero delay first (a
 // lane event at the current time), 1000 and 2500 chosen to tie with opNear
-// events, and 1000, 84, 7 and 5 close enough that RunUntil can line their
-// lanes' heads up on one time.
+// and opPost events, and 1000, 84, 7 and 5 close enough that RunUntil can
+// line their lanes' heads up on one time. The first maxLanes-1 are
+// registered before the first op; the last slot goes to whichever comes
+// first, a lane of one of the other delays or the first post.
 var laneDelays = [...]Time{0, 1000, 7, 2500, 40_000, 5, 1_000_000, 84, 12_345, 3, 500}
 
 // spawnChild decides — purely from the parent id — whether an executing
@@ -164,8 +168,12 @@ const (
 	opStepBefore        // StepBefore(now + v%5000)
 	opLane              // schedule 1 + v>>8%4 events on lane v%len(laneDelays)
 	opLaneFlood         // schedule laneRingMin/2 + v>>8 events on lane v%len(laneDelays): the ring grows
+	opPost              // Post at now + v%10000
 	numOps
 )
+
+// viaPost is engSchedule's lane argument for an event that is posted.
+const viaPost = -2
 
 // floodMin is the least opFlood schedules: equal times on four heap levels,
 // ordered by seq alone.
@@ -195,21 +203,43 @@ func checkOrder(t *testing.T, data []byte) {
 
 	var laned uint64 // events scheduled on a lane that has a ring
 	var lanes [len(laneDelays)]*Lane
-	for i, d := range laneDelays {
-		lanes[i] = e.Lane(d)
+	if len(lanes) <= maxLanes {
+		t.Fatalf("%d lane delays, %d lane slots: the fall-back to At is no longer fuzzed", len(lanes), maxLanes)
 	}
-	if lanes[len(lanes)-1].ring != nil {
-		t.Fatalf("all %d lane delays got a ring: the fall-back to At is no longer fuzzed", len(lanes))
+	registered := 0 // distinct delays asked for
+	laneFor := func(i int) *Lane {
+		if lanes[i] == nil {
+			lanes[i] = e.Lane(laneDelays[i])
+			registered++
+		}
+		return lanes[i]
 	}
-	// engSchedule schedules event id on the heap (lane < 0) or on a lane.
+	for i := range maxLanes - 1 {
+		laneFor(i)
+	}
+	// What the posted lane must do, predicted from Post's contract: whether
+	// the first post found a slot free, the time at the lane's tail, how
+	// many of its events are pending, and how many posts it has taken.
+	var (
+		postTried, postSlot bool
+		postTail            Time
+		postLive            int
+		posted              uint64
+	)
+	// engSchedule schedules event id on the heap (lane -1), on a lane, or
+	// through Post (viaPost).
 	var engSchedule func(at Time, id, lane int) EventID
 	engSchedule = func(at Time, id, lane int) EventID {
+		onPostLane := false
 		fn := func() {
 			if e.Now() < last {
 				t.Fatalf("clock ran backwards: event %d at %v after %v", id, e.Now(), last)
 			}
 			if e.Now() != at {
 				t.Fatalf("event %d scheduled for %v ran at %v", id, at, e.Now())
+			}
+			if onPostLane {
+				postLive--
 			}
 			last = e.Now()
 			engOrder = append(engOrder, id)
@@ -221,6 +251,18 @@ func checkOrder(t *testing.T, data []byte) {
 		if id%2 == 0 {
 			h = &objEvent{run: fn}
 		}
+		if lane == viaPost {
+			if !postTried {
+				postTried, postSlot = true, registered < maxLanes
+			}
+			if postSlot && (postLive == 0 || at >= postTail) {
+				onPostLane, postTail = true, at
+				postLive++
+				posted++
+			}
+			e.Post(at, h)
+			return EventID{} // posted events have no handle; cancelling this is a no-op
+		}
 		if lane < 0 || e.Now()+laneDelays[lane] < e.Now() {
 			// No lane, or the lane's delay overflows the clock (it has
 			// reached a never event): the lane would panic, as After
@@ -230,8 +272,9 @@ func checkOrder(t *testing.T, data []byte) {
 			}
 			return e.At(at, fn)
 		}
-		lanes[lane].After(h)
-		if lanes[lane].ring != nil {
+		ln := laneFor(lane)
+		ln.After(h)
+		if ln.ring != nil {
 			laned++ // cannot be cancelled, so it will run from its ring
 		}
 		return EventID{} // lane events have no handle; cancelling this is a no-op
@@ -293,6 +336,8 @@ func checkOrder(t *testing.T, data []byte) {
 			scheduleLane(v%len(laneDelays), 1+v>>8%4)
 		case opLaneFlood:
 			scheduleLane(v%len(laneDelays), laneRingMin/2+v>>8)
+		case opPost:
+			scheduleOn(satAdd(e.Now(), Time(v%10_000)), viaPost)
 		}
 		if e.Now() != m.now {
 			t.Fatalf("op %d: clock %v, model %v", op, e.Now(), m.now)
@@ -325,6 +370,9 @@ func checkOrder(t *testing.T, data []byte) {
 	}
 	if st.Laned != laned {
 		t.Fatalf("Stats reports %d events laned, %d were scheduled on lanes with a ring", st.Laned, laned)
+	}
+	if st.Posted != posted {
+		t.Fatalf("Stats reports %d events posted, Post's contract puts %d on the posted lane", st.Posted, posted)
 	}
 }
 
@@ -366,10 +414,11 @@ func FuzzEngineOrder(f *testing.F) {
 		{opFlood, 0x7f, 0x02, opNever, 0, 0, opFlood, 0x01, 0x00},
 		{opStepBefore, 0x10, 0x00, opStepBefore, 0xff, 0x0f, opFlood, 0x40, 0x00, opStepBefore, 0x88, 0x13},
 		{opFar, 0x34, 0x12, opFlood, 0x3f, 0x19, opFlood, 0x3f, 0x19, opFlood, 0x3f, 0x19, opStep, 0, 0, opNear, 5, 0, opNear, 3, 0},
-		// Lanes. Every lane including the fall-backs (8 to 10), with ties:
-		// lane 0 is the current time, as opNear 0 is; lane 1 is opNear 1000
-		// (0x3e8). An operand's high byte adds events, and picks some other
-		// lane.
+		// Lanes. Every lane including the fall-backs, with ties: lane 0 is
+		// the current time, as opNear 0 is; lane 1 is opNear 1000 (0x3e8).
+		// An operand's high byte adds events, and picks some other lane: the
+		// first op's is lane 9, which takes the last slot, so 7, 8 and 10
+		// fall back.
 		{opLane, 0, 3, opNear, 0, 0, opLane, 0, 0, opNear, 0xe8, 0x03, opLane, 1, 1, opNear, 0xe8, 0x03,
 			opLane, 2, 0, opLane, 3, 2, opLane, 4, 0, opLane, 5, 3, opLane, 6, 0, opLane, 7, 0,
 			opLane, 8, 0, opLane, 9, 0, opLane, 10, 0, opStep, 0, 0, opStep, 0, 0},
@@ -382,6 +431,11 @@ func FuzzEngineOrder(f *testing.F) {
 		// one lane takes more than its ring holds, twice over.
 		{opLane, 2, 3, opStep, 0, 0, opStep, 0, 0, opStep, 0, 0, opLaneFlood, 2, 0x40, opStep, 0, 0,
 			opLaneFlood, 2, 0xff, opLaneFlood, 0, 0x80, opCancel, 7, 0, opRunUntil, 7, 0},
+		// Posts among the base's heap and lane events: ties at 1000 with a
+		// heap event and lane 1, then one at 100, behind the tail, and, when
+		// the ops repeat after the base, posts at a clock long past the
+		// lane's tail.
+		{opPost, 0xe8, 0x03, opLane, 1, 0, opNear, 0xe8, 0x03, opPost, 0xe8, 0x03, opPost, 100, 0, opStep, 0, 0},
 	} {
 		in := append(append([]byte{}, ops...), base...)
 		f.Add(append(in, ops...))
@@ -425,6 +479,19 @@ func FuzzEngineOrder(f *testing.F) {
 			opNear, 7, 0, opNear, 7, 0, opNear, 7, 0, opNear, 7, 0, opNear, 7, 0, opNear, 7, 0, opNear, 7, 0, opNear, 7, 0,
 			opStep, 0, 0, opStep, 0, 0, opStep, 0, 0, opStep, 0, 0, opNear, 0, 0, opNear, 0, 0, opNear, 0, 0,
 			opStep, 0, 0, opStep, 0, 0, opStep, 0, 0, opStep, 0, 0, opStep, 0, 0, opStep, 0, 0, opStep, 0, 0},
+		// What the posted lane can get wrong. Posts in order, a tie with the
+		// tail included; one at 150, before the tail, which the heap takes;
+		// then, once RunUntil has drained the lane, posts at the clock and
+		// after it, which the lane takes again.
+		{opPost, 100, 0, opPost, 200, 0, opPost, 200, 0, opPost, 150, 0, opPost, 0x2c, 0x01, opStep, 0, 0, opStep, 0, 0,
+			opRunUntil, 0xf4, 0x01, opPost, 0, 0, opPost, 5, 0, opStep, 0, 0, opStep, 0, 0},
+		// Ties at 1000 between posts, heap events and lane 1 (delay 1000),
+		// interleaved so that only seq decides.
+		{opNear, 0xe8, 0x03, opPost, 0xe8, 0x03, opLane, 1, 0, opPost, 0xe8, 0x03, opNear, 0xe8, 0x03, opLane, 1, 0,
+			opPost, 0xe8, 0x03, opStep, 0, 0, opStep, 0, 0, opStep, 0, 0, opStep, 0, 0, opStep, 0, 0, opStep, 0, 0, opStep, 0, 0},
+		// Every lane slot taken before the first post: lane 7 takes the last,
+		// and the posts, in order or not, all go through the heap.
+		{opLane, 7, 0, opPost, 10, 0, opPost, 20, 0, opPost, 5, 0, opStep, 0, 0, opStep, 0, 0, opStep, 0, 0, opStep, 0, 0},
 	} {
 		f.Add(ops)
 	}

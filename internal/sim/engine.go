@@ -58,7 +58,8 @@ type slot struct {
 // the event does (objects scheduled by address, method values bound once)
 // are stored in recycled slots, and queue entries live in the heap's one
 // backing array. Constant-delay events — nearly all of a packet
-// simulation's — bypass the heap altogether: see Lane.
+// simulation's — bypass the heap altogether (see Lane), and so do
+// uncancellable events posted in time order (see Post).
 type Engine struct {
 	now Time
 	seq uint64
@@ -71,6 +72,9 @@ type Engine struct {
 	nLanes   int
 	laneAt   [maxLanes]Time
 	lanes    [maxLanes]Lane
+	// posted is the lane Post appends to, one of lanes once the first Post
+	// registers it; Lane never hands it out.
+	posted *Lane
 
 	slots []slot   // event arena; index = EventID.idx-1
 	free  []uint32 // recycled slot indexes
@@ -118,11 +122,13 @@ type EngineStats struct {
 	// the scheduling hot path is allocating.
 	EventAllocs uint64 `json:"event_slot_allocs"`
 	// Laned counts the executed events that came off a delay lane and so
-	// never entered the heap (see Lane); Steps includes them, and Steps -
-	// Laned is what the heap carried. Lanes splits it by lane, in
-	// registration order.
-	Laned uint64      `json:"events_laned"`
-	Lanes []LaneStats `json:"lanes,omitempty"`
+	// never entered the heap (see Lane); Lanes splits it by lane, in
+	// registration order. Posted counts those that came off the posted lane
+	// (see Post). Steps includes both, and Steps - Laned - Posted is what
+	// the heap carried.
+	Laned  uint64      `json:"events_laned"`
+	Lanes  []LaneStats `json:"lanes,omitempty"`
+	Posted uint64      `json:"events_posted"`
 }
 
 // LaneStats is one delay lane's share of EngineStats.Laned.
@@ -134,10 +140,14 @@ type LaneStats struct {
 // Stats snapshots the engine counters. Reading them never perturbs the
 // simulation.
 func (e *Engine) Stats() EngineStats {
-	var laned uint64
+	var laned, posted uint64
 	var lanes []LaneStats
 	for i := range e.lanes[:e.nLanes] {
 		l := &e.lanes[i]
+		if l == e.posted {
+			posted = l.head
+			continue
+		}
 		laned += l.head
 		lanes = append(lanes, LaneStats{Delay: l.d, Events: l.head})
 	}
@@ -150,6 +160,7 @@ func (e *Engine) Stats() EngineStats {
 		EventAllocs: e.slotAllocs,
 		Laned:       laned,
 		Lanes:       lanes,
+		Posted:      posted,
 	}
 }
 
@@ -205,7 +216,8 @@ type Lane struct {
 	// ring has power-of-two length; entries [head, tail) are pending at
 	// index mod len(ring). Both only count up, so head is also the number
 	// of events the lane has executed. A nil ring is a delay past maxLanes:
-	// After then schedules on the heap.
+	// After then schedules on the heap. The engine's posted lane (see Post)
+	// is a Lane too, with d unused.
 	ring       []laneEntry
 	head, tail uint64
 	i          int // index in e.lanes, e.laneAt and e.laneLive
@@ -243,13 +255,18 @@ func (e *Engine) Lane(d Time) *Lane {
 		panic(fmt.Sprintf("sim: lane with negative delay %v", d))
 	}
 	for i := range e.lanes[:e.nLanes] {
-		if e.lanes[i].d == d {
-			return &e.lanes[i]
+		if l := &e.lanes[i]; l != e.posted && l.d == d {
+			return l
 		}
 	}
 	if e.nLanes == maxLanes {
 		return &Lane{e: e, d: d}
 	}
+	return e.addLane(d)
+}
+
+// addLane registers the next lane slot, which must be free.
+func (e *Engine) addLane(d Time) *Lane {
 	l := &e.lanes[e.nLanes]
 	*l = Lane{e: e, d: d, ring: make([]laneEntry, laneRingMin), i: e.nLanes}
 	e.nLanes++
@@ -265,6 +282,34 @@ func (l *Lane) After(h Handler) {
 		e.Schedule(at, h)
 		return
 	}
+	l.push(at, h)
+}
+
+// Post schedules h to fire at absolute time t, as Schedule does, but hands
+// back no EventID: the event cannot be cancelled, and so needs no slot.
+// Posts in nondecreasing time — flow starts in arrival order — go on the
+// posted lane, a Lane whose entries carry their own times instead of now+d
+// and which takes one of the maxLanes slots at the first Post. A post before
+// the lane's tail, or one made when every slot is taken, goes through
+// Schedule. Both paths hand out the same seq, so the order is (t, seq)
+// either way.
+func (e *Engine) Post(t Time, h Handler) {
+	p := e.posted
+	if p == nil && e.nLanes < maxLanes {
+		p = e.addLane(0)
+		e.posted = p
+	}
+	if p == nil || t < e.now || p.head != p.tail && t < p.ring[(p.tail-1)&uint64(len(p.ring)-1)].at {
+		e.Schedule(t, h)
+		return
+	}
+	p.push(t, h)
+}
+
+// push appends h at time at, which no pending entry of the lane may follow,
+// growing the ring when it is full.
+func (l *Lane) push(at Time, h Handler) {
+	e := l.e
 	if l.tail-l.head == uint64(len(l.ring)) {
 		old := l.ring
 		l.ring = make([]laneEntry, 2*len(old))
