@@ -72,7 +72,7 @@ type newFlowOut struct {
 // accumulate dampener, then a third joins with a fresh (zero) dampener.
 func runNewFlow(cfg Config) ([]newFlowOut, error) {
 	join := 500 * sim.Microsecond
-	vs := []variant{hpccBaselines()[0], hpccVAISF(starParams(starMinBDP(3), hostRate))}
+	vs := []variant{hpccBaselines()[0], hpccVAISF(starParams(3))}
 	outs := make([]newFlowOut, len(vs))
 	for i, v := range vs {
 		var jain *metrics.Series
@@ -141,7 +141,7 @@ func runSwiftHAI(cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := dcParams(dcMinBDP(ftCfg), ftCfg.HostBps)
+	p := dcParams(ftCfg)
 	vs := []variant{swiftBaselines(p)[0], swiftHAIVariant(p)}
 	outs, err := runDCSet(small, vs, ftCfg, specs)
 	if err != nil {

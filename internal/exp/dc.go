@@ -127,20 +127,6 @@ func runDC(cfg Config, v variant, ftCfg topo.FatTreeConfig, specs []net.FlowSpec
 	return metrics.CollectFinished(nw), nw.Stats(), nil
 }
 
-// dcMinBDP probes the fat-tree's minimum BDP (the shortest, same-ToR
-// path), the paper's VAI token threshold, with the same 0.8x
-// round-down margin as starMinBDP (see that function's comment).
-func dcMinBDP(ftCfg topo.FatTreeConfig) float64 {
-	nw := net.New(sim.NewEngine(), 0)
-	ft := topo.NewFatTree(nw, ftCfg)
-	_, baseRTT, _, err := nw.ProbePath(net.FlowSpec{
-		ID: 1, Src: ft.Hosts[0].NodeID(), Dst: ft.Hosts[1].NodeID(), Size: 1})
-	if err != nil {
-		panic(err) // the fat-tree we just built is always probeable
-	}
-	return 0.8 * ftCfg.HostBps / 8 * baseRTT.Seconds()
-}
-
 // slowdownSeries is one curve of a slowdown-versus-flow-size figure: the
 // pct-percentile slowdown in each of nBuckets equal-count size buckets.
 func slowdownSeries(label string, records []metrics.FlowRecord, nBuckets int, pct float64) Series {
@@ -204,7 +190,7 @@ func runFatTree(cfg Config, workloadName string) (*fatTreeOut, error) {
 	if err != nil {
 		return nil, err
 	}
-	vs := dcVariants(dcParams(dcMinBDP(ftCfg), ftCfg.HostBps))
+	vs := dcVariants(dcParams(ftCfg))
 	outs, err := runDCSet(cfg, vs, ftCfg, specs)
 	if err != nil {
 		return nil, err
@@ -293,7 +279,7 @@ func planDC(cfg Config) (dcPlan, error) {
 	if p.specs, err = dcTraffic(cfg, p.ftCfg, p.duration, p.workload, p.load); err != nil {
 		return p, err
 	}
-	byKey := variantsByKey(dcParams(dcMinBDP(p.ftCfg), p.ftCfg.HostBps))
+	byKey := variantsByKey(dcParams(p.ftCfg))
 	proto := cmp.Or(cfg.DCProtocol, "hpcc")
 	p.vs = []variant{byKey[proto], byKey[proto+"-vaisf"]}
 	return p, nil

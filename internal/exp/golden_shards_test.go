@@ -33,7 +33,7 @@ func TestGoldenFatTreeShardsSeed1(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v := hpccVAISF(dcParams(dcMinBDP(ftCfg), ftCfg.HostBps))
+	v := hpccVAISF(dcParams(ftCfg))
 	for _, w := range want {
 		run := cfg
 		run.Shards = w.shards

@@ -29,7 +29,7 @@ func TestGoldenIncastSeed1(t *testing.T) {
 		{"Swift", 831.6928, 237.896, 1426.39424},
 		{"Swift VAI SF", 254.8736, 216.936, 1424.3008},
 	}
-	p := starParams(starMinBDP(16), hostRate)
+	p := starParams(16)
 	variants := []variant{
 		hpccBaselines()[0], hpccVAISF(p),
 		swiftBaselines(p)[0], swiftVAISF(p),
@@ -140,7 +140,7 @@ func TestGoldenFatTreeSeed1(t *testing.T) {
 				w.events, w.scheduled, w.dataSent, w.acksSent, w.finishedAtHash)
 		}
 	}
-	for i, v := range dcVariants(dcParams(dcMinBDP(ftCfg), ftCfg.HostBps)) {
+	for i, v := range dcVariants(dcParams(ftCfg)) {
 		if v.label != want[i].label {
 			t.Fatalf("variant order changed: %s vs %s", v.label, want[i].label)
 		}

@@ -67,25 +67,6 @@ type incastOut struct {
 	records       []metrics.FlowRecord // per-flow completions (AddFlow order)
 }
 
-// starMinBDP computes the paper's VAI token threshold for the star
-// topology. The paper sets Token_Thresh to "the minimum BDP of the
-// network, which is about 50KB" — a value rounded *down* from the exact
-// 62.5 KB BDP of its 5 us, 100 Gb/s network. The margin matters: a
-// joining flow dumps roughly one BDP of queue, and a threshold at or
-// above that level mints tokens only for incumbent flows (whose packets
-// queue on top of the dump and see more backlog), which is asymmetric and
-// self-reinforcing. We apply the same 0.8x margin to the probed BDP.
-func starMinBDP(senders int) float64 {
-	nw := net.New(sim.NewEngine(), 0)
-	st := topo.NewStar(nw, senders+1, hostRate, linkDelay)
-	_, baseRTT, _, err := nw.ProbePath(net.FlowSpec{
-		ID: 1, Src: st.Hosts[0].NodeID(), Dst: st.Hosts[senders].NodeID(), Size: 1})
-	if err != nil {
-		panic(err) // the star we just built is always probeable
-	}
-	return 0.8 * hostRate / 8 * baseRTT.Seconds()
-}
-
 // runIncast runs one staggered n-to-1 incast under the given variant and
 // collects the figure measurements. The variant's own setup (ECN marking
 // for the DCQCN and DCTCP baselines) and then setup, each when non-nil,
@@ -256,7 +237,7 @@ type starRun struct {
 // parallel; the first failing variant cancels the rest of the experiment.
 func (r starRun) run(cfg Config) ([]*incastOut, error) {
 	in := r.shape(cfg)
-	vs := r.variants(cfg, starParams(starMinBDP(in.senders), hostRate))
+	vs := r.variants(cfg, starParams(in.senders))
 	fabrics := r.fabrics
 	if len(fabrics) == 0 {
 		fabrics = []fabric{{}}

@@ -169,18 +169,16 @@ func TestResultsNameRegisteredExperiments(t *testing.T) {
 }
 
 // TestRecordedResultsReproduce regenerates, at the recorded -scale medium
-// -seed 1, every results/<name>.csv except the five that simulate the
-// medium fat-tree (a minute of tier-1 time; those are regenerated by hand
-// when a PR could move them) and compares bytes, so a recorded result
-// cannot go stale behind a behaviour change — incast-dcqcn and
-// incast-dctcp did for nineteen PRs.
+// -seed 1, every results/<name>.csv except robustness (a five-seed sweep of
+// the medium fat-tree, regenerated by hand when a change could move it) and
+// compares bytes, so a recorded result cannot go stale behind a behaviour
+// change — incast-dcqcn and incast-dctcp did for nineteen PRs.
 func TestRecordedResultsReproduce(t *testing.T) {
 	if testing.Short() {
 		t.Skip("regenerates the recorded results in -short mode")
 	}
-	byHand := map[string]bool{"fig10": true, "fig11": true, "fig12": true, "fig13": true, "robustness": true}
 	recorded := func(name string) ([]byte, bool) {
-		if byHand[name] {
+		if name == "robustness" {
 			return nil, false
 		}
 		want, err := os.ReadFile(filepath.Join("..", "..", "results", name+".csv"))
@@ -213,7 +211,7 @@ func TestRecordedResultsReproduce(t *testing.T) {
 			checked++
 		}
 	}
-	if checked < 31 {
-		t.Errorf("compared %d recorded CSVs, want at least 31", checked)
+	if checked < 35 {
+		t.Errorf("compared %d recorded CSVs, want at least 35", checked)
 	}
 }

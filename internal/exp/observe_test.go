@@ -14,7 +14,7 @@ import (
 // golden incast values are exact, so even a single extra or reordered event
 // would fail this.
 func TestObservabilityDoesNotPerturbResults(t *testing.T) {
-	p := starParams(starMinBDP(16), hostRate)
+	p := starParams(16)
 	v := hpccVAISF(p)
 
 	bare, err := runIncast(Config{Seed: 1}, v, paperIncast(16), nil)
@@ -113,6 +113,18 @@ func TestObservabilityDoesNotPerturbResults(t *testing.T) {
 	// the posted lane and none is queued on the heap.
 	if flows := uint64(len(observed.records)); stats.EventsPosted != flows {
 		t.Errorf("events_posted = %d, want one per flow, %d", stats.EventsPosted, flows)
+	}
+	// So are a mix workload's, whose two Poisson streams Mixed merges.
+	mix := Config{Seed: 1, Scale: "small", DCWorkload: "mix", obs: &runObserver{}}
+	plan, err := planDC(mix)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := runDC(mix, plan.vs[0], plan.ftCfg, plan.specs); err != nil {
+		t.Fatal(err)
+	}
+	if posted, flows := mix.obs.finish(time.Second).EventsPosted, uint64(len(plan.specs)); posted != flows {
+		t.Errorf("mix: events_posted = %d, want one per flow, %d", posted, flows)
 	}
 }
 

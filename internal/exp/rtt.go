@@ -81,18 +81,13 @@ func applyRTTKnobs(cfg Config, s *rttSetup) error {
 	return s.dc.Validate()
 }
 
-// rttParams sizes the protocol variants from the fast-class path — the
-// network's minimum BDP, which is the paper's VAI token threshold (dcMinBDP
-// makes the same shortest-path choice on the fat-tree).
+// rttParams sizes the protocol variants from the fast-class path, the
+// dumbbell's shortest (FBS window 50, as on the star).
 func rttParams(dc topo.DumbbellConfig) pathParams {
-	nw := net.New(sim.NewEngine(), 0)
-	d := topo.NewDumbbell(nw, dc)
-	_, baseRTT, minBw, err := nw.ProbePath(net.FlowSpec{
-		ID: 1, Src: d.Senders[0].NodeID(), Dst: d.Receivers[0].NodeID(), Size: 1})
-	if err != nil {
-		panic(err) // the dumbbell we just built is always probeable
-	}
-	return starParams(0.8*minBw/8*baseRTT.Seconds(), minBw)
+	return probeParams(50, func(nw *net.Network) (src, dst *net.Host) {
+		d := topo.NewDumbbell(nw, dc)
+		return d.Senders[0], d.Receivers[0]
+	})
 }
 
 // rttOut is one variant's measurements.

@@ -9,6 +9,7 @@ import (
 	"faircc/internal/cc/timely"
 	"faircc/internal/net"
 	"faircc/internal/sim"
+	"faircc/internal/topo"
 )
 
 // algoMaker builds a fresh per-flow congestion-control instance.
@@ -32,22 +33,48 @@ type pathParams struct {
 	maxScalePkts float64  // Swift FBS max target-scaling window
 }
 
-// starParams sizes parameters for the single-switch incast topology:
-// max FBS scaling window 50 packets (the paper lowers it from 100 because
-// windows are smaller there).
-func starParams(minBDPBytes float64, lineRate float64) pathParams {
+// probeParams sizes the variants for the topology build makes, from the
+// path between the two hosts it returns: the network's shortest, whose BDP
+// is the paper's VAI token threshold, "the minimum BDP of the network,
+// which is about 50KB" — a value rounded *down* from the exact 62.5 KB BDP
+// of its 5 us, 100 Gb/s network. The margin matters: a joining flow dumps
+// roughly one BDP of queue, and a threshold at or above that level mints
+// tokens only for incumbent flows (whose packets queue on top of the dump
+// and see more backlog), which is asymmetric and self-reinforcing. We apply
+// the same 0.8x margin to the probed BDP. fbsPkts is Swift FBS's max
+// target-scaling window.
+func probeParams(fbsPkts float64, build func(*net.Network) (src, dst *net.Host)) pathParams {
+	nw := net.New(sim.NewEngine(), 0)
+	src, dst := build(nw)
+	_, baseRTT, minBw, err := nw.ProbePath(net.FlowSpec{ID: 1, Src: src.NodeID(), Dst: dst.NodeID(), Size: 1})
+	if err != nil {
+		panic(err) // the topology we just built is always probeable
+	}
+	minBDP := 0.8 * minBw / 8 * baseRTT.Seconds()
 	return pathParams{
-		minBDPBytes:  minBDPBytes,
-		minBDPDelay:  sim.Time(minBDPBytes * 8 * 1e12 / lineRate),
-		maxScalePkts: 50,
+		minBDPBytes:  minBDP,
+		minBDPDelay:  sim.Time(minBDP * 8 * 1e12 / minBw),
+		maxScalePkts: fbsPkts,
 	}
 }
 
-// dcParams sizes parameters for the fat-tree topology (FBS window 100).
-func dcParams(minBDPBytes float64, lineRate float64) pathParams {
-	p := starParams(minBDPBytes, lineRate)
-	p.maxScalePkts = 100
-	return p
+// starParams sizes the variants for the senders-to-1 star: max FBS scaling
+// window 50 packets (the paper lowers it from 100 because windows are
+// smaller there).
+func starParams(senders int) pathParams {
+	return probeParams(50, func(nw *net.Network) (src, dst *net.Host) {
+		st := topo.NewStar(nw, senders+1, hostRate, linkDelay)
+		return st.Hosts[0], st.Hosts[senders]
+	})
+}
+
+// dcParams sizes the variants for the fat-tree (FBS window 100) from its
+// shortest, same-ToR path.
+func dcParams(ftCfg topo.FatTreeConfig) pathParams {
+	return probeParams(100, func(nw *net.Network) (src, dst *net.Host) {
+		ft := topo.NewFatTree(nw, ftCfg)
+		return ft.Hosts[0], ft.Hosts[1]
+	})
 }
 
 // hpccBaselines returns the paper's Sec. III HPCC variants: default,

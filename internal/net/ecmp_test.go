@@ -1,6 +1,8 @@
 package net
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"faircc/internal/cc"
@@ -135,10 +137,10 @@ func walkRoute(t *testing.T, from *Host, dst, flowID int) []*Port {
 	}
 }
 
-// TestFlatPathMatchesRoute is the regression tying the two forwarding
-// implementations together: the path pre-resolved at AddFlow (and stamped
-// onto every packet) must be bit-identical to what the per-hop reference
-// lookup would choose, for data and for ACKs, across many flow ids.
+// TestFlatPathMatchesRoute ties forwarding to the routes: the path
+// resolved at AddFlow (and stamped onto every packet) must be bit-identical
+// to what the per-hop reference lookup would choose, for data and for ACKs,
+// across many flow ids.
 func TestFlatPathMatchesRoute(t *testing.T) {
 	eng, nw, hosts, _, _ := leafSpine(t, 4, 4, 4)
 	algo := &fixedAlgo{ctl: cc.Control{WindowBytes: 1e9, RateBps: gbps100}}
@@ -154,10 +156,6 @@ func TestFlatPathMatchesRoute(t *testing.T) {
 		}, algo))
 	}
 	for _, f := range flows {
-		if f.pathEpoch != nw.routeEpoch {
-			t.Fatalf("flow %d: pathEpoch %d != routeEpoch %d (flat path not armed)",
-				f.Spec.ID, f.pathEpoch, nw.routeEpoch)
-		}
 		src, dst := nw.hostByID(f.Spec.Src), nw.hostByID(f.Spec.Dst)
 		wantFwd := walkRoute(t, src, f.Spec.Dst, f.Spec.ID)
 		wantRev := walkRoute(t, dst, f.Spec.Src, f.Spec.ID)
@@ -190,24 +188,41 @@ func TestFlatPathMatchesRoute(t *testing.T) {
 	}
 }
 
-// TestFlatPathStaleEpochFallsBack: a route installed after AddFlow bumps
-// the epoch, so stamped paths go stale and forwarding must fall back to
-// per-hop lookups rather than trusting a pre-change path.
-func TestFlatPathStaleEpochFallsBack(t *testing.T) {
-	eng, nw, hosts, tors, _ := leafSpine(t, 2, 2, 2)
+// TestAddRouteAfterAddFlowPanics: routes are fixed at the first flow,
+// because every flow forwards by the path resolved when it was added.
+func TestAddRouteAfterAddFlowPanics(t *testing.T) {
+	_, nw, hosts, tors, _ := leafSpine(t, 2, 2, 2)
 	algo := &fixedAlgo{ctl: cc.Control{WindowBytes: 1e9, RateBps: gbps100}}
-	f := nw.AddFlow(FlowSpec{
-		ID: 1, Src: hosts[0].NodeID(), Dst: hosts[2].NodeID(), Size: 20_000,
-	}, algo)
-	// Re-install an existing route: contents identical, epoch bumped.
+	nw.AddFlow(FlowSpec{ID: 1, Src: hosts[0].NodeID(), Dst: hosts[2].NodeID(), Size: 20_000}, algo)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("AddRoute after AddFlow did not panic")
+		}
+	}()
 	tors[0].AddRoute(hosts[0].NodeID(), hosts[0].port.peer)
-	if f.pathEpoch == nw.routeEpoch {
-		t.Fatal("epoch bump not visible to the flow")
+}
+
+// TestAddFlowRejectsMissingAckRoute: a flow whose ACKs have no route back
+// is refused when it is added, not at its first ACK.
+func TestAddFlowRejectsMissingAckRoute(t *testing.T) {
+	nw := New(sim.NewEngine(), 1)
+	h0, h1 := nw.AddHost(), nw.AddHost()
+	sw := nw.AddSwitch()
+	nw.Connect(h0, sw, gbps100, usec)
+	_, toH1 := nw.Connect(h1, sw, gbps100, usec)
+	sw.AddRoute(h1.NodeID(), toH1) // and none back to h0
+	spec := FlowSpec{ID: 1, Src: h0.NodeID(), Dst: h1.NodeID(), Size: 1000}
+
+	want := fmt.Sprintf("switch %d has no route to host %d", sw.NodeID(), h0.NodeID())
+	if _, _, _, err := nw.ProbePath(spec); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("ProbePath error = %v, want one containing %q", err, want)
 	}
-	eng.Run()
-	if !f.Finished() {
-		t.Fatal("flow with stale path epoch did not finish")
-	}
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), want) {
+			t.Fatalf("AddFlow panic = %v, want one containing %q", r, want)
+		}
+	}()
+	nw.AddFlow(spec, &fixedAlgo{ctl: cc.Control{WindowBytes: 1e9, RateBps: gbps100}})
 }
 
 func TestHostByID(t *testing.T) {

@@ -76,15 +76,12 @@ type Flow struct {
 	invBwSum float64  // sum over forward links of 1/bandwidth (s/bit)
 	minBw    float64  // bottleneck link bandwidth on the path
 
-	// Flat forwarding path, pre-resolved by Network.pathInfo: the egress
-	// port each switch hop would pick for this flow's data (fwdPath) and
-	// ACKs (revPath). Both are carved from the network's path slab with
-	// len == cap (see carvePath). Honored by Switch.Receive only while
-	// pathEpoch matches Network.routeEpoch — any AddRoute after the flow was
-	// created silently reverts it to per-hop route lookups.
-	fwdPath   []*Port
-	revPath   []*Port
-	pathEpoch uint64
+	// Flat forwarding path, resolved by Network.pathInfo: the egress port
+	// each switch hop picks for this flow's data (fwdPath) and ACKs
+	// (revPath). Both are carved from the network's path slab with
+	// len == cap (see carvePath).
+	fwdPath []*Port
+	revPath []*Port
 
 	// gateFree recycles the liveness gates scheduleCC wraps around
 	// algorithm timers, so periodic timers (DCQCN's alpha/rate) stop
@@ -286,7 +283,7 @@ func (f *Flow) trySend() {
 		p.SentAt = now
 		// Stamp the flat path while the Flow is hot in cache; switch hops
 		// then forward without touching it (see Packet.path).
-		p.path, p.pathEpoch = f.fwdPath, f.pathEpoch
+		p.path = f.fwdPath
 		if p.Seq < f.maxSent {
 			f.Retransmits++
 			f.sh.Retransmits++

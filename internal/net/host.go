@@ -70,7 +70,7 @@ func (h *Host) receiveData(p *Packet) {
 	ack.SentAt = p.SentAt
 	// Stamp the reverse flat path while the Flow is hot in cache; switch
 	// hops then forward without touching it (see Packet.path).
-	ack.path, ack.pathEpoch = f.revPath, f.pathEpoch
+	ack.path = f.revPath
 	// Echo the collected telemetry by copying into the ACK's own backing
 	// array. The old backing-array swap traded slices between the data
 	// packet and the ACK, which permanently demoted the data packet to the

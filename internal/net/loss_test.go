@@ -377,19 +377,16 @@ func TestOverlappingFlapsKeepLinkDown(t *testing.T) {
 	probe(70*usec, true) // flap A ended: B's window must still hold
 	probe(105*usec, false)
 
-	var lateDrops int
-	nw.Hooks.OnDrop = func(f *Flow, kind Kind, seq int64, cause DropCause) {
-		if cause == DropLinkDown && eng.Now() >= 60*usec {
-			lateDrops++
-		}
-	}
+	// No fault injection here, so every wire drop is a link-down drop.
+	var dropsAt60 int64
+	eng.At(60*usec, func() { dropsAt60 = nw.Stats().WireDrops })
 	algo := &fixedAlgo{ctl: cc.Control{WindowBytes: 100_000, RateBps: gbps100}}
 	f := nw.AddFlow(FlowSpec{ID: 1, Src: 0, Dst: 1, Size: 500_000, Start: 0}, algo)
 	eng.Run()
 	if !f.Finished() {
 		t.Fatal("flow did not survive the overlapping down windows")
 	}
-	if lateDrops == 0 {
+	if nw.Stats().WireDrops == dropsAt60 {
 		t.Fatal("no link-down drops after flap A's end: flap B's window was clipped")
 	}
 	if err := nw.CheckConservation(); err != nil {

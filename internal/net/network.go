@@ -11,7 +11,8 @@ import (
 
 // Network assembles hosts, switches, links and flows over a sim.Engine.
 // Construction order: create nodes, Connect them, add switch routes,
-// optionally Shard for parallel execution, then AddFlow. The network is
+// optionally Shard for parallel execution, then AddFlow; routes are fixed
+// at the first flow (Switch.AddRoute panics after it). The network is
 // deterministic for a fixed (seed, shard count): unsharded it is
 // single-threaded; sharded it runs one goroutine per shard under
 // sim.Parallel with all mutable execution state partitioned (see shard).
@@ -64,11 +65,6 @@ type Network struct {
 	// Deterministic targeted-loss tests use it to kill exact packets.
 	DropFilter func(kind Kind, flowID int, seq int64) bool
 
-	// Hooks are optional observers (nil by default). On a sharded network
-	// each fires on the worker goroutine of the shard that owns the node,
-	// so hooks used with Shard(k > 1) must be concurrency-safe.
-	Hooks Hooks
-
 	hosts      []*Host
 	hostByNode []*Host // node id -> host (nil for switch ids); O(1) hostByID
 	switches   []*Switch
@@ -87,12 +83,6 @@ type Network struct {
 	shards []*shard
 	mail   *sim.Mailboxes
 	window sim.Time
-
-	// routeEpoch versions the forwarding state: AddRoute bumps it, and a
-	// flow's pre-resolved flat path is honored only while its pathEpoch
-	// matches (see Switch.Receive). It starts at 1 so the zero Flow never
-	// accidentally matches.
-	routeEpoch uint64
 
 	// probeFlow is reused by ProbePath so probing allocates nothing and
 	// never touches the packet pool.
@@ -115,38 +105,6 @@ const (
 	pathSlab = 1024
 )
 
-// DropCause says why a packet was dropped.
-type DropCause uint8
-
-const (
-	// DropTail is a tail drop at a full finite egress buffer.
-	DropTail DropCause = iota
-	// DropWire is random in-transit loss from fault injection.
-	DropWire
-	// DropLinkDown is loss on a link that is administratively down.
-	DropLinkDown
-)
-
-func (c DropCause) String() string {
-	switch c {
-	case DropTail:
-		return "tail"
-	case DropWire:
-		return "wire"
-	case DropLinkDown:
-		return "linkdown"
-	}
-	return "unknown"
-}
-
-// Hooks are optional observation points for tests and debugging.
-type Hooks struct {
-	// OnDrop fires when a packet is lost (tail drop, wire fault, or link
-	// down). f is nil for PFC control frames; seq is Seq for data and
-	// AckSeq for ACKs.
-	OnDrop func(f *Flow, kind Kind, seq int64, cause DropCause)
-}
-
 // New returns an empty network over eng with the given PRNG seed.
 func New(eng *sim.Engine, seed int64) *Network {
 	n := &Network{
@@ -157,7 +115,6 @@ func New(eng *sim.Engine, seed int64) *Network {
 		AckBytes:    64,
 		RTOMin:      100 * sim.Microsecond,
 		RTOMax:      10 * sim.Millisecond,
-		routeEpoch:  1,
 	}
 	n.shards = []*shard{newShard(n, 0, eng)}
 	return n
@@ -301,18 +258,16 @@ func (n *Network) findHost(id int) *Host {
 	return n.hostByNode[id]
 }
 
-// pathInfo walks the route the flow's data packets will take (using the
-// same ECMP choices) and fills in the flow's path-derived constants: the
-// switch hop count; the unloaded RTT (per-link propagation plus MTU-packet
-// serialization forward, propagation plus ACK serialization back); the
-// one-way pipeline-fill delay; and the bottleneck bandwidth. It also
-// pre-resolves the flat forwarding path — the egress port route() would
-// pick at each switch, forward for data and reverse for ACKs — which
-// Switch.Receive uses instead of per-hop lookups while no route changes.
-// The walk resolves routes by (dst, flow id) directly and leaves the paths
-// in the network's walk scratch, so it allocates nothing and never touches
-// the packet pool.
-func (n *Network) pathInfo(f *Flow) error {
+// pathInfo resolves the flow's flat forwarding path — the egress port each
+// switch picks for its data (fwdPath) and for its ACKs (revPath), the only
+// forwarding Switch.Receive does — and fills in the constants of the
+// forward links: the switch hop count; the unloaded RTT (per-link
+// propagation plus MTU-packet serialization forward, propagation plus ACK
+// serialization back); the one-way pipeline-fill delay; and the bottleneck
+// bandwidth. A missing route in either direction is an error. The walks
+// leave the paths in the network's walk scratch, so pathInfo allocates
+// nothing and never touches the packet pool.
+func (n *Network) pathInfo(f *Flow) (err error) {
 	f.fwdPath, f.revPath = n.fwdWalk[:0], n.revWalk[:0]
 	defer func() { n.fwdWalk, n.revWalk = f.fwdPath, f.revPath }()
 	if f.host == nil {
@@ -321,63 +276,53 @@ func (n *Network) pathInfo(f *Flow) error {
 	if f.host.port == nil {
 		return fmt.Errorf("host %d is not connected", f.Spec.Src)
 	}
-	port := f.host.port
-	f.minBw = port.bw
-	var dst *Host
-	for steps := 0; dst == nil; steps++ {
-		if steps > 64 {
-			return fmt.Errorf("routing loop from host %d toward host %d", f.Spec.Src, f.Spec.Dst)
-		}
-		if port.bw < f.minBw {
-			f.minBw = port.bw
-		}
-		f.propSum += port.delay
-		f.invBwSum += 1 / port.bw
-		fwd := port.delay + sim.TransmitTime(n.MTU+n.HeaderBytes, port.bw)
-		f.baseRTT += fwd + port.delay + sim.TransmitTime(n.AckBytes, port.bw)
-		switch node := port.peer.owner.(type) {
-		case *Host:
-			if node.id != f.Spec.Dst {
-				return fmt.Errorf("route for flow %d reached host %d, want %d",
-					f.Spec.ID, node.id, f.Spec.Dst)
-			}
-			dst = node
-		case *Switch:
-			f.hops++
-			out := node.lookupRoute(f.Spec.Dst, f.Spec.ID)
-			if out == nil {
-				return fmt.Errorf("switch %d has no route to host %d", node.id, f.Spec.Dst)
-			}
-			f.fwdPath = append(f.fwdPath, out)
-			port = out
-		}
+	if f.fwdPath, err = resolvePath(f.host.port, f.Spec.Dst, f.Spec.ID, f.fwdPath); err != nil {
+		return err
 	}
-	// Reverse walk for the ACK path. Failure here is not an error: a
-	// topology can legally route ACKs through state installed later, so the
-	// flow just keeps pathEpoch 0 and forwards via per-hop lookups.
-	if dst.port == nil {
-		return nil
+	// The forward walk ended at the destination host, so it exists and is
+	// connected.
+	if f.revPath, err = resolvePath(n.findHost(f.Spec.Dst).port, f.Spec.Src, f.Spec.ID, f.revPath); err != nil {
+		return fmt.Errorf("ack %w", err)
 	}
-	for port, steps := dst.port, 0; ; steps++ {
+	f.hops, f.minBw = len(f.fwdPath), f.host.port.bw
+	f.addLink(f.host.port)
+	for _, port := range f.fwdPath {
+		f.addLink(port)
+	}
+	return nil
+}
+
+// resolvePath follows the routes from a host's uplink to host dst, choosing
+// among ECMP members by flowID, and appends the egress port taken at every
+// switch to path. It returns path even on error, so the caller keeps the
+// grown scratch.
+func resolvePath(from *Port, dst, flowID int, path []*Port) ([]*Port, error) {
+	for port, steps := from, 0; ; steps++ {
 		if steps > 64 {
-			return nil
+			return path, fmt.Errorf("routing loop toward host %d", dst)
 		}
 		switch node := port.peer.owner.(type) {
 		case *Host:
-			if node != f.host {
-				return nil
+			if node.id != dst {
+				return path, fmt.Errorf("route for flow %d reached host %d, want %d", flowID, node.id, dst)
 			}
-			f.pathEpoch = n.routeEpoch
-			return nil
+			return path, nil
 		case *Switch:
-			out := node.lookupRoute(f.Spec.Src, f.Spec.ID)
-			if out == nil {
-				return nil
+			if port = node.lookupRoute(dst, flowID); port == nil {
+				return path, fmt.Errorf("switch %d has no route to host %d", node.id, dst)
 			}
-			f.revPath = append(f.revPath, out)
-			port = out
+			path = append(path, port)
 		}
 	}
+}
+
+// addLink folds one forward link into the flow's path constants.
+func (f *Flow) addLink(port *Port) {
+	f.minBw = min(f.minBw, port.bw)
+	f.propSum += port.delay
+	f.invBwSum += 1 / port.bw
+	fwd := port.delay + sim.TransmitTime(f.net.MTU+f.net.HeaderBytes, port.bw)
+	f.baseRTT += fwd + port.delay + sim.TransmitTime(f.net.AckBytes, port.bw)
 }
 
 // ProbePath computes path constants (switch hops, unloaded RTT, bottleneck

@@ -69,18 +69,15 @@ type Packet struct {
 	// most one link at a time, so the one field serves every hop.
 	dest *Port
 
-	// path and pathEpoch are the flow's pre-resolved flat path (forward
-	// for data, reverse for ACKs), stamped onto the packet at send time —
-	// where the Flow struct is already in cache — so switch hops forward
-	// with a single indexed load and never touch the Flow. The epoch
-	// snapshot dates the path: once a route changes anywhere, every switch
-	// resolves the packet by per-hop lookup instead, whether it was sent
-	// before the change or after (see Switch.Receive).
-	path      []*Port
-	pathEpoch uint64
+	// path is the flow's pre-resolved flat path (forward for data, reverse
+	// for ACKs), stamped onto the packet at send time — where the Flow
+	// struct is already in cache — so switch hops forward with a single
+	// indexed load and never touch the Flow (see Switch.Receive).
+	path []*Port
 
 	ingress *Port // switch-internal: arrival port for PFC accounting
 	Flow    *Flow
+	_       [8]byte // fills the first line, so the second starts at hops
 
 	// The second line. hops is the INT stack collected on the forward path
 	// (data) or echoed back (ack); its backing array survives recycling.

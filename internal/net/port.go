@@ -148,7 +148,7 @@ func (pt *Port) SetBuffer(bytes int64) { pt.bufBytes = bytes }
 func (pt *Port) send(p *Packet) {
 	if pt.bufBytes > 0 && p.Kind != Pause && p.Kind != Resume &&
 		pt.q.Bytes()+int64(p.Wire) > pt.bufBytes {
-		pt.sh.drop(p, DropTail)
+		pt.sh.drop(p, true)
 		return
 	}
 	if pt.red != nil && p.Kind == Data {
@@ -298,11 +298,7 @@ func (pt *Port) finishTx(p *Packet) {
 		p.ingress = nil
 	}
 	if pt.downDepth > 0 || pt.sh.dropInTransit(p) {
-		cause := DropWire
-		if pt.downDepth > 0 {
-			cause = DropLinkDown
-		}
-		pt.sh.drop(p, cause)
+		pt.sh.drop(p, false)
 		pt.busy = false
 		pt.kick()
 		return

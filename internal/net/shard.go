@@ -21,7 +21,7 @@ import (
 // receiver state on the receiver's; the only cross-shard interaction is
 // packet handoff through sim.Outbox at link-propagation boundaries.
 // Network-level config fields (MTU, PFC thresholds, drop probabilities,
-// routeEpoch, ...) are read-only during a run and safely shared.
+// ...) and the routes are read-only during a run and safely shared.
 type shard struct {
 	net *Network
 	id  int
@@ -130,11 +130,12 @@ func (sh *shard) dropInTransit(p *Packet) bool {
 	return false
 }
 
-// drop accounts for a lost packet and recycles it. Any PFC ingress bytes
-// the packet still holds are credited back, so a drop can never wedge the
-// pause accounting (the ingress port is always on this shard: a packet
-// only carries ingress attribution while inside one node).
-func (sh *shard) drop(p *Packet, cause DropCause) {
+// drop accounts for a lost packet — a tail drop at a full egress buffer, or
+// else a wire drop (fault injection or a downed link) — and recycles it.
+// Any PFC ingress bytes the packet still holds are credited back, so a drop
+// can never wedge the pause accounting (the ingress port is always on this
+// shard: a packet only carries ingress attribution while inside one node).
+func (sh *shard) drop(p *Packet, tail bool) {
 	if p.ingress != nil {
 		p.ingress.creditIngress(int64(p.Wire))
 		p.ingress = nil
@@ -145,17 +146,10 @@ func (sh *shard) drop(p *Packet, cause DropCause) {
 	case Ack:
 		sh.AckDrops++
 	}
-	if cause == DropTail {
+	if tail {
 		sh.BufferDrops++
 	} else {
 		sh.WireDrops++
-	}
-	if h := sh.net.Hooks.OnDrop; h != nil {
-		seq := p.Seq
-		if p.Kind == Ack {
-			seq = p.AckSeq
-		}
-		h(p.Flow, p.Kind, seq, cause)
 	}
 	sh.putPacket(p)
 }

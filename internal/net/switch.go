@@ -13,10 +13,9 @@ import (
 // telemetry when they depart an egress port.
 //
 // Forwarding state is a dense array indexed by destination host id rather
-// than a map: a route lookup on the per-packet hot path is one bounds
-// check and one load. Most packets do not even take that path — flows
-// whose route set has not changed since AddFlow carry a pre-resolved port
-// sequence (see Flow.fwdPath) that Receive indexes by hop count.
+// than a map. Packets never look it up: routes are fixed at the first flow,
+// so AddFlow resolves every flow's port sequence once (see Flow.fwdPath)
+// and Receive indexes it by hop count.
 type Switch struct {
 	net   *Network
 	sh    *shard // execution shard (shard 0 until Network.Shard rebinds)
@@ -39,12 +38,13 @@ func (s *Switch) Ports() []*Port { return s.ports }
 // AddRoute registers egress ports for a destination host. Multiple ports
 // (across one or several calls) form an ECMP group selected by flow hash,
 // so every flow keeps a single path and in-order delivery. Candidate order
-// is the order ports were added. A dstHost that is not a host's id panics.
-//
-// Adding a route invalidates the pre-resolved flat paths of flows that
-// already exist (they fall back to per-hop lookups); install routes before
-// adding flows, as the Network construction order requires.
+// is the order ports were added. A dstHost that is not a host's id panics,
+// and so does any call once the network has a flow: flows forward by the
+// paths resolved when they were added, so routes are fixed from then on.
 func (s *Switch) AddRoute(dstHost int, ports ...*Port) {
+	if len(s.net.flows) > 0 {
+		panic("net: AddRoute after AddFlow")
+	}
 	if len(ports) == 0 {
 		return
 	}
@@ -80,7 +80,6 @@ func (s *Switch) AddRoute(dstHost int, ports ...*Port) {
 		}
 		s.groups[dstHost] = append(g, ports...)
 	}
-	s.net.routeEpoch++
 }
 
 // Receive implements Node.
@@ -102,22 +101,11 @@ func (s *Switch) Receive(p *Packet, in *Port) {
 	if n := len(p.hops); p.Kind == Data && n < cap(p.hops) {
 		sim.Prefetch(unsafe.Pointer(&p.hops[:n+1][n]))
 	}
-	// Flat-path fast path: the flow resolved its ECMP choices once at
-	// AddFlow and the sender stamped them onto the packet, so as long as
-	// no route changed since the packet left its sender (routeEpoch
-	// matches) forwarding is a single indexed load that touches nothing
-	// but the packet's first cache line. The pre-computed sequence is
-	// exactly what route() would return at every hop.
-	var out *Port
-	if p.pathEpoch == s.net.routeEpoch {
-		if h := int(p.hop); h < len(p.path) {
-			out = p.path[h]
-			p.hop++
-		}
-	}
-	if out == nil {
-		out = s.route(p)
-	}
+	// The flow resolved its ECMP choices once at AddFlow and the sender
+	// stamped them onto the packet, so forwarding is one indexed load that
+	// touches nothing but the packet's first cache line.
+	out := p.path[p.hop]
+	p.hop++
 	if s.net.PFCPauseBytes > 0 {
 		p.ingress = in
 		in.chargeIngress(int64(p.Wire))
@@ -125,19 +113,9 @@ func (s *Switch) Receive(p *Packet, in *Port) {
 	out.send(p)
 }
 
-// route resolves a packet's egress port from the dense forwarding table:
+// lookupRoute resolves flow flowID's egress port toward dst from the dense
+// forwarding table, returning nil when the switch has no route to dst:
 // single-port destinations are one load; ECMP groups hash the flow id.
-func (s *Switch) route(p *Packet) *Port {
-	out := s.lookupRoute(int(p.Dst), p.Flow.Spec.ID)
-	if out == nil {
-		panic(fmt.Sprintf("net: switch %d has no route to host %d", s.id, p.Dst))
-	}
-	return out
-}
-
-// lookupRoute is route by (dst, flowID), returning nil when the switch has
-// no route to dst (path probing turns that into an error; the packet hot
-// path panics).
 func (s *Switch) lookupRoute(dst, flowID int) *Port {
 	if dst < 0 || dst >= len(s.fwd) {
 		return nil

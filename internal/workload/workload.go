@@ -16,9 +16,11 @@
 package workload
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 
 	"faircc/internal/net"
 	"faircc/internal/sim"
@@ -165,7 +167,9 @@ func Poisson(cfg PoissonConfig) []net.FlowSpec {
 
 // Mixed interleaves two Poisson workloads (e.g. WebSearch and Storage
 // sharing a cluster, Sec. VI-A), splitting the load equally between them
-// and renumbering flow ids to stay unique.
+// and renumbering flow ids to stay unique. The flows come back in start
+// order, a's before b's on a tie, so AddFlow posts every start on the
+// engine's lane.
 func Mixed(cfg PoissonConfig, a, b *stats.CDF) []net.FlowSpec {
 	half := cfg
 	half.Load = cfg.Load / 2
@@ -179,7 +183,9 @@ func Mixed(cfg PoissonConfig, a, b *stats.CDF) []net.FlowSpec {
 	half.FirstID = len(specsA) + 1
 	specsB := Poisson(half)
 
-	return append(specsA, specsB...)
+	specs := append(specsA, specsB...)
+	slices.SortStableFunc(specs, func(x, y net.FlowSpec) int { return cmp.Compare(x.Start, y.Start) })
+	return specs
 }
 
 // OfferedLoad computes the aggregate offered load of specs as a fraction

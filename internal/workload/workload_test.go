@@ -210,6 +210,45 @@ func TestMixedSplitsLoad(t *testing.T) {
 	}
 }
 
+// Mixed returns its two streams merged in start order, with unique ids and
+// stream a's flow first on a tie, so a run adds the flows in the order they
+// start.
+func TestMixedInStartOrder(t *testing.T) {
+	// At this line rate arrivals are under a picosecond apart, so starts tie
+	// within and across the streams.
+	cfg := PoissonConfig{Hosts: []int{0, 1}, Load: 0.5, LinkBps: 1e18, Duration: 1000 * sim.Picosecond, Seed: 3}
+	half := cfg
+	half.Load, half.Sizes = cfg.Load/2, Storage()
+	lastA := len(Poisson(half)) // stream a holds ids 1..lastA
+	specs := Mixed(cfg, Storage(), Storage())
+	seen := map[int]bool{}
+	crossTies := 0
+	for i, s := range specs {
+		if seen[s.ID] {
+			t.Fatalf("duplicate id %d", s.ID)
+		}
+		seen[s.ID] = true
+		if i == 0 {
+			continue
+		}
+		prev := specs[i-1]
+		if s.Start < prev.Start {
+			t.Fatalf("flow %d starts at %v, before flow %d's %v ahead of it", s.ID, s.Start, prev.ID, prev.Start)
+		}
+		if s.Start == prev.Start {
+			if prev.ID > s.ID {
+				t.Fatalf("flows %d and %d tie at %v in id order %d, %d", s.ID, prev.ID, s.Start, prev.ID, s.ID)
+			}
+			if prev.ID <= lastA && s.ID > lastA {
+				crossTies++
+			}
+		}
+	}
+	if crossTies == 0 {
+		t.Fatal("no start tied across the streams: the tie order went unchecked")
+	}
+}
+
 func TestSampleSizesWithinSupport(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
 	for _, c := range []struct {
