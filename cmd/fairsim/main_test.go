@@ -38,6 +38,9 @@ func TestRejectsUnrunnableFlags(t *testing.T) {
 		{"zero ms", dc("-pods", "1", "-tors", "2", "-hosts", "2", "-ms", "0"), 2, "-ms"},
 		{"negative shards", dc(append([]string{"-shards", "-1"}, small...)...), 2, "Shards"},
 		{"negative oversub", dc(append([]string{"-oversub", "-4"}, small...)...), 2, "DCOversub"},
+		{"oversub 1e300", dc("-scale", "small", "-oversub", "1e300"), 2, "ToR uplink"},
+		{"oversub 1e-300", dc("-scale", "small", "-oversub", "1e-300"), 2, "ToR uplink"},
+		{"oversub 4", dc(append([]string{"-oversub", "4"}, small...)...), 0, ""},
 		{"unknown protocol", dc(append([]string{"-protocol", "reno"}, small...)...), 2, "reno"},
 		{"unknown workload", dc(append([]string{"-workload", "no-such-file"}, small...)...), 2, "no-such-file"},
 
@@ -48,6 +51,12 @@ func TestRejectsUnrunnableFlags(t *testing.T) {
 		{"zero size", incast("-size", "0"), 2, "-size"},
 		{"negative every", incast("-every", "-5"), 2, "IncastEvery"},
 		{"unknown algo", incast("-algo", "reno"), 2, "reno"},
+
+		// A switch buffer no data packet fits tail-drops every one of them
+		// and go-back-N retransmits forever.
+		{"buffer 1", []string{"-exp", "incast-lossy", "-buffer-bytes", "1"}, 2, "BufferBytes"},
+		{"buffer 1000", []string{"-exp", "incast-lossy", "-buffer-bytes", "1000"}, 2, "BufferBytes"},
+		{"buffer 1047", []string{"-exp", "incast-lossy", "-buffer-bytes", "1047"}, 2, "BufferBytes"},
 
 		// Durations whose picosecond value does not fit a sim.Time must not
 		// wrap into a different run (18446744074 ms wraps to 290 us).

@@ -76,7 +76,7 @@ func runNewFlow(cfg Config) ([]newFlowOut, error) {
 	outs := make([]newFlowOut, len(vs))
 	for i, v := range vs {
 		var jain *metrics.Series
-		_, err := simulateSampled(cfg, v.label, 1, func(nw *net.Network) {
+		_, err := simulate(cfg, v.label, func(nw *net.Network) {
 			st := topo.NewStar(nw, 4, hostRate, linkDelay)
 			dst := st.Hosts[3].NodeID()
 			const size = 8_000_000

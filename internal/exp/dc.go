@@ -36,9 +36,10 @@ func dcScale(cfg Config) (topo.FatTreeConfig, sim.Time, error) {
 
 // dcSetup resolves the dc experiment's fabric and traffic window: the
 // Scale preset with Config's DC* overrides folded in. It is also where a
-// fabric nothing can run on is rejected — a count FatTreeConfig.Validate
-// refuses, or fewer than two hosts (traffic generation needs a source and
-// a different destination).
+// fabric nothing can run on is rejected — a count or, after DCOversub has
+// thinned the ToR uplinks, a link rate FatTreeConfig.Validate refuses, or
+// fewer than two hosts (traffic generation needs a source and a different
+// destination).
 func dcSetup(cfg Config) (topo.FatTreeConfig, sim.Time, error) {
 	ftCfg, duration, err := dcScale(cfg)
 	if err != nil {
@@ -49,14 +50,14 @@ func dcSetup(cfg Config) (topo.FatTreeConfig, sim.Time, error) {
 	}
 	ftCfg = ftCfg.Scaled(cmp.Or(cfg.DCPods, ftCfg.Pods), cmp.Or(cfg.DCToRs, ftCfg.ToRsPerPod),
 		cmp.Or(cfg.DCHostsPerToR, ftCfg.HostsPerToR))
+	if cfg.DCOversub > 0 {
+		ftCfg = ftCfg.Oversubscribed(cfg.DCOversub)
+	}
 	if err := ftCfg.Validate(); err != nil {
 		return ftCfg, 0, err
 	}
 	if ftCfg.NumHosts() < 2 {
 		return ftCfg, 0, fmt.Errorf("exp: need at least 2 hosts, have %d", ftCfg.NumHosts())
-	}
-	if cfg.DCOversub > 0 {
-		ftCfg = ftCfg.Oversubscribed(cfg.DCOversub)
 	}
 	return ftCfg, cmp.Or(cfg.DCDuration, duration), nil
 }

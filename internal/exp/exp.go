@@ -15,6 +15,7 @@ import (
 	"strings"
 	"time"
 
+	"faircc/internal/net"
 	"faircc/internal/sim"
 )
 
@@ -114,9 +115,10 @@ func DefaultConfig() Config { return Config{Seed: 1, Scale: "medium"} }
 // protocol or algorithm; a negative count, size or time; a fat-tree
 // nothing can run on; a load or ratio that is negative, NaN or infinite
 // (an infinite arrival rate never reaches the end of the traffic window);
-// or a drop probability outside [0,1) — at 1 and above no packet is ever
-// delivered and the run never ends. Zero always means "the preset", so a
-// negative value must not silently select it either.
+// a switch buffer smaller than one data packet; or a drop probability
+// outside [0,1) — at 1 and above no packet is ever delivered and the run
+// never ends. Zero always means "the preset", so a negative value must not
+// silently select it either.
 func (cfg Config) Validate() error {
 	for _, c := range []struct {
 		name string
@@ -153,6 +155,12 @@ func (cfg Config) Validate() error {
 		if !(c.v >= 0 && c.v < c.max) { // also rejects NaN
 			return fmt.Errorf("exp: %s must be in [0,%v), got %v", c.name, c.max, c.v)
 		}
+	}
+	// A switch buffer that cannot hold one data packet tail-drops every one
+	// of them, even into an empty queue, and go-back-N retries forever.
+	nw := net.New(sim.NewEngine(), 0)
+	if pkt := int64(nw.MTU + nw.HeaderBytes); cfg.BufferBytes > 0 && cfg.BufferBytes < pkt {
+		return fmt.Errorf("exp: BufferBytes must be 0 or hold one %d-byte data packet, got %d", pkt, cfg.BufferBytes)
 	}
 	if _, _, err := dcSetup(cfg); err != nil { // dcScale's is the one list of scale names
 		return err
@@ -326,5 +334,5 @@ func Run(name string, cfg Config) (*Result, error) {
 }
 
 // forever is the until of every sampler an experiment starts: a series ends
-// when its run does (see simulateSampled), however long that takes.
+// when its run does (see runSequential), however long that takes.
 const forever = sim.Time(math.MaxInt64)

@@ -292,6 +292,14 @@ func TestConfigValidation(t *testing.T) {
 		{"load infinite", Config{DCLoad: math.Inf(1)}},
 		{"negative oversub", Config{DCOversub: -4}},
 		{"oversub NaN", Config{DCOversub: math.NaN()}},
+		// Ratios whose thinned ToR uplinks are below 1 b/s or infinite.
+		{"oversub 1e300", Config{DCOversub: 1e300}},
+		{"oversub 1e-300", Config{DCOversub: 1e-300}},
+		// Switch buffers that no 1048-byte data packet fits: go-back-N
+		// retransmitted into them forever.
+		{"buffer 1", Config{BufferBytes: 1}},
+		{"buffer 1000", Config{BufferBytes: 1000}},
+		{"buffer 1047", Config{BufferBytes: 1047}},
 		{"unknown protocol", Config{DCProtocol: "timely"}},
 		{"unknown workload", Config{DCWorkload: "no-such-workload-or-file"}},
 		// The incast parameters: each of these crashed cmd/incast with a

@@ -74,7 +74,7 @@ type incastOut struct {
 // loss or PFC for the experiments on such fabrics).
 func runIncast(cfg Config, v variant, in incastShape, setup func(*net.Network, *topo.Star)) (*incastOut, error) {
 	var jain, queue *metrics.Series
-	nw, err := simulateSampled(cfg, v.label, 2, func(nw *net.Network) {
+	nw, err := simulate(cfg, v.label, func(nw *net.Network) {
 		st := topo.NewStar(nw, in.senders+1, hostRate, linkDelay)
 		if v.setup != nil {
 			v.setup(nw)
@@ -187,7 +187,7 @@ type fabric struct {
 
 // pfcFabric enables PFC at the given per-ingress pause and resume
 // thresholds and caps every switch egress at buf bytes (0 = unbounded).
-// simulateSampled rejects any run on it that tail-drops.
+// simulate rejects any run on it that tail-drops.
 func pfcFabric(name string, pause, resume, buf int64) fabric {
 	return fabric{name, func(_ Config, nw *net.Network, st *topo.Star) {
 		nw.PFCPauseBytes, nw.PFCResumeBytes = pause, resume

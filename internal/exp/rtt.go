@@ -104,7 +104,7 @@ type rttOut struct {
 func runRTT(cfg Config, v variant, s rttSetup) (*rttOut, error) {
 	var jain *metrics.JainClassSeries
 	var flowClass []int // flow ID - 1 -> its sender's RTT class
-	nw, err := simulateSampled(cfg, v.label, 1, func(nw *net.Network) {
+	nw, err := simulate(cfg, v.label, func(nw *net.Network) {
 		d := topo.NewDumbbell(nw, s.dc)
 		labels := make([]string, len(s.dc.Groups))
 		for i, g := range s.dc.Groups {

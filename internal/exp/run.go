@@ -20,16 +20,6 @@ import (
 // conservation invariant, or tail-dropped with PFC engaged is an error, so
 // no experiment can report numbers from such a run.
 func simulate(cfg Config, label string, build func(*net.Network)) (*net.Network, error) {
-	return simulateSampled(cfg, label, 0, build)
-}
-
-// simulateSampled is simulate for a build that starts that many samplers of
-// package metrics, each with forever as its until. Such a sampler re-arms
-// its next tick for as long as the run lasts, so that its series ends with
-// the run and not at a horizon the run may outlast; its one pending tick
-// must then not count as work left, and the run is over — any flow still
-// unfinished being the error — once nothing else is pending.
-func simulateSampled(cfg Config, label string, samplers int, build func(*net.Network)) (*net.Network, error) {
 	eng := sim.NewEngine()
 	nw := net.New(eng, cfg.Seed)
 	build(nw)
@@ -42,7 +32,7 @@ func simulateSampled(cfg Config, label string, samplers int, build func(*net.Net
 		}
 		epochs = pr.Epochs()
 	} else {
-		runSequential(cfg, label, eng, nw, samplers)
+		runSequential(cfg, label, eng, nw)
 	}
 	if cfg.obs != nil {
 		cfg.obs.add(metrics.CollectRun(nw, epochs))
@@ -102,26 +92,25 @@ func (p *progress) report(now time.Time, events uint64, simNow sim.Time, done bo
 // rate is a sub-millisecond reporting resolution at negligible cost.
 const progressCheckMask = 1<<14 - 1
 
-// runSequential is the sequential drive — step until every flow has
-// finished or nothing but the samplers' next ticks (one pending event per
-// sampler, always) is left in the queue — with periodic ProgressUpdates if
-// Config asks for them. The stepping sequence is identical with and without
-// them (the same condition is checked before every Step), so observability
-// can never perturb simulation results. Progress is reported from the
-// stepping goroutine itself, which is what makes reading eng.Steps mid-run
-// safe.
-func runSequential(cfg Config, label string, eng *sim.Engine, nw *net.Network, samplers int) {
-	if cfg.Progress == nil {
-		for !nw.AllFinished() && eng.Pending() > samplers && eng.Step() {
-		}
-		return
+// runSequential is the sequential drive: step until every flow has finished
+// or nothing is pending but the next ticks of the samplers' Every chains
+// (sim.Engine.Periodic), which re-arm for as long as the run lasts so that a
+// series ends with its run. ProgressUpdates go out if Config asks for them.
+// The stepping sequence is identical with and without them (the same
+// condition is checked before every Step), so observability can never
+// perturb simulation results. Progress is reported from the stepping
+// goroutine itself, which is what makes reading eng.Steps mid-run safe.
+func runSequential(cfg Config, label string, eng *sim.Engine, nw *net.Network) {
+	var p *progress
+	var next time.Time
+	if cfg.Progress != nil {
+		p = newProgress(cfg, label)
+		next = p.start.Add(p.every)
 	}
-	p := newProgress(cfg, label)
-	next := p.start.Add(p.every)
 	var n uint64
-	for !nw.AllFinished() && eng.Pending() > samplers && eng.Step() {
+	for !nw.AllFinished() && eng.Pending() > eng.Periodic() && eng.Step() {
 		n++
-		if n&progressCheckMask != 0 {
+		if p == nil || n&progressCheckMask != 0 {
 			continue
 		}
 		if now := time.Now(); !now.Before(next) {
@@ -129,7 +118,9 @@ func runSequential(cfg Config, label string, eng *sim.Engine, nw *net.Network, s
 			next = now.Add(p.every)
 		}
 	}
-	p.report(time.Now(), eng.Steps(), eng.Now(), true)
+	if p != nil {
+		p.report(time.Now(), eng.Steps(), eng.Now(), true)
+	}
 }
 
 // runSharded is the sharded drive: it runs the epochs of pr and, when

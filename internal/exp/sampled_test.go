@@ -3,9 +3,13 @@ package exp
 import (
 	"strings"
 	"testing"
+	"time"
 
+	"faircc/internal/metrics"
 	"faircc/internal/net"
+	"faircc/internal/sim"
 	"faircc/internal/topo"
+	"faircc/internal/workload"
 )
 
 // A run's sampled series last as long as the run, however long that is: a
@@ -47,5 +51,46 @@ func TestStuckRunEndsWithUnfinishedFlows(t *testing.T) {
 	_, err := runIncast(Config{Seed: 1}, hpccBaselines()[0], paperIncast(4), dropAcks)
 	if err == nil || !strings.Contains(err.Error(), "4 of 4 flows did not finish") {
 		t.Fatalf("err = %v, want the flows-did-not-finish error", err)
+	}
+}
+
+// The same holds whatever samplers the build started, because the engine
+// counts their Every chains and no caller declares them: here a queue
+// sampler and a Jain sampler that tick for as long as the run lasts, and a
+// queue sampler whose chain ends mid-run. A run that never ends reaches the
+// deadline in simulated time and fails there, before its series outgrow
+// memory.
+func TestStuckRunEndsWhateverItsSamplers(t *testing.T) {
+	type pastDeadline struct{}
+	cfg := Config{Seed: 1, ProgressEvery: time.Nanosecond, Progress: func(u ProgressUpdate) {
+		if u.SimTime > 100*sim.Millisecond {
+			panic(pastDeadline{})
+		}
+	}}
+	defer func() {
+		if r := recover(); r == (pastDeadline{}) {
+			t.Fatal("the run was still going at 100 ms of simulated time: only sampler ticks kept it alive")
+		} else if r != nil {
+			panic(r)
+		}
+	}()
+	in := paperIncast(4)
+	var early *metrics.Series
+	_, err := simulate(cfg, "stuck", func(nw *net.Network) {
+		st := topo.NewStar(nw, in.senders+1, hostRate, linkDelay)
+		nw.DropFilter = func(kind net.Kind, _ int, _ int64) bool { return kind == net.Ack }
+		srcs := []int{0, 1, 2, 3} // hosts are numbered in creation order; host 4 receives
+		for _, spec := range workload.StaggeredIncast(srcs, in.senders, in.size, in.group, in.every, 0) {
+			nw.AddFlow(spec, hpccBaselines()[0].make())
+		}
+		metrics.SampleQueue(nw.Eng, st.HostPorts[in.senders], "queue", sim.Microsecond, 0, forever)
+		metrics.SampleJain(nw, "jain", 5*sim.Microsecond, 0, forever)
+		early = metrics.SampleQueue(nw.Eng, st.HostPorts[0], "early", sim.Microsecond, 0, 10*sim.Microsecond)
+	})
+	if err == nil || !strings.Contains(err.Error(), "4 of 4 flows did not finish") {
+		t.Fatalf("err = %v, want the flows-did-not-finish error", err)
+	}
+	if n := len(early.Points); n != 11 {
+		t.Errorf("the chain ending at 10 us ticked %d times, want 11", n)
 	}
 }

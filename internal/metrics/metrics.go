@@ -28,31 +28,11 @@ type Series struct {
 }
 
 // SampleJain periodically computes the Jain fairness index of the active
-// flows' goodput (delivered bytes per interval) from start until until.
-// Samples are recorded only while at least two flows are active, matching
-// how the paper plots fairness during incast.
+// flows' goodput (delivered bytes per interval) from start until until:
+// SampleJainClasses with no classes, under the given label.
 func SampleJain(nw *net.Network, label string, every, start, until sim.Time) *Series {
-	s := &Series{Label: label}
-	rates := make([]float64, 0, 64)
-	var tick func()
-	tick = func() {
-		now := nw.Eng.Now()
-		rates = rates[:0]
-		for _, f := range nw.Flows() {
-			if f.Active() {
-				rates = append(rates, float64(f.TakeDeliveredDelta()))
-			} else if f.Started() {
-				f.TakeDeliveredDelta() // keep marks current across finishes
-			}
-		}
-		if len(rates) >= 2 {
-			s.Points = append(s.Points, Point{T: now, V: stats.Jain(rates)})
-		}
-		if now+every <= until {
-			nw.Eng.After(every, tick)
-		}
-	}
-	nw.Eng.At(start, tick)
+	s := SampleJainClasses(nw, nil, nil, every, start, until).All
+	s.Label = label
 	return s
 }
 
@@ -68,10 +48,11 @@ type JainClassSeries struct {
 // It must be the only goodput sampler on the network: the per-interval
 // deltas come from Flow.TakeDeliveredDelta, which consumes the mark, so
 // a second concurrent sampler would see half-intervals. That is why the
-// per-class and aggregate indices come from one tick chain rather than
-// one SampleJain per class. Aggregate samples are recorded while at least
-// two flows are active (SampleJain's convention); a class's series gains
-// a point only when that class has at least two active flows.
+// per-class and aggregate indices come from one tick chain. Aggregate
+// samples are recorded while at least two flows are active, matching how
+// the paper plots fairness during incast; a class's series gains a point
+// only when that class has at least two active flows. With no labels,
+// classOf is never called and only All is sampled.
 func SampleJainClasses(nw *net.Network, labels []string, classOf func(*net.Flow) int,
 	every, start, until sim.Time) *JainClassSeries {
 	out := &JainClassSeries{All: &Series{Label: "all"}}
@@ -82,52 +63,45 @@ func SampleJainClasses(nw *net.Network, labels []string, classOf func(*net.Flow)
 	rates := make([]float64, 0, 64)
 	classes := make([]int, 0, 64)
 	counts := make([]int, n)
-	var tick func()
-	tick = func() {
-		now := nw.Eng.Now()
+	nw.Eng.Every(start, every, until, func() {
 		rates, classes = rates[:0], classes[:0]
-		for i := range counts {
-			counts[i] = 0
-		}
+		clear(counts)
 		for _, f := range nw.Flows() {
 			if f.Active() {
 				rates = append(rates, float64(f.TakeDeliveredDelta()))
-				cl := classOf(f)
-				classes = append(classes, cl)
-				counts[cl]++
+				if n > 0 {
+					cl := classOf(f)
+					classes = append(classes, cl)
+					counts[cl]++
+				}
 			} else if f.Started() {
 				f.TakeDeliveredDelta() // keep marks current across finishes
 			}
 		}
-		if len(rates) >= 2 {
-			out.All.Points = append(out.All.Points, Point{T: now, V: stats.Jain(rates)})
-			byClass := stats.JainByClass(rates, classes, n)
-			for c, s := range out.ByClass {
-				if counts[c] >= 2 {
-					s.Points = append(s.Points, Point{T: now, V: byClass[c]})
-				}
+		if len(rates) < 2 {
+			return
+		}
+		now := nw.Eng.Now()
+		out.All.Points = append(out.All.Points, Point{T: now, V: stats.Jain(rates)})
+		if n == 0 {
+			return
+		}
+		byClass := stats.JainByClass(rates, classes, n)
+		for c, s := range out.ByClass {
+			if counts[c] >= 2 {
+				s.Points = append(s.Points, Point{T: now, V: byClass[c]})
 			}
 		}
-		if now+every <= until {
-			nw.Eng.After(every, tick)
-		}
-	}
-	nw.Eng.At(start, tick)
+	})
 	return out
 }
 
 // SampleQueue periodically records a port's egress queue depth in bytes.
 func SampleQueue(eng *sim.Engine, port *net.Port, label string, every, start, until sim.Time) *Series {
 	s := &Series{Label: label}
-	var tick func()
-	tick = func() {
-		now := eng.Now()
-		s.Points = append(s.Points, Point{T: now, V: float64(port.QueueBytes())})
-		if now+every <= until {
-			eng.After(every, tick)
-		}
-	}
-	eng.At(start, tick)
+	eng.Every(start, every, until, func() {
+		s.Points = append(s.Points, Point{T: eng.Now(), V: float64(port.QueueBytes())})
+	})
 	return s
 }
 

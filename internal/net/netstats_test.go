@@ -7,23 +7,20 @@ import (
 )
 
 func TestNetworkStats(t *testing.T) {
-	eng, nw, sw := star(t, 3, 1)
+	eng, nw, _ := star(t, 3, 1)
 	a1 := &fixedAlgo{ctl: cc.Control{WindowBytes: 1e9, RateBps: gbps100}}
 	a2 := &fixedAlgo{ctl: cc.Control{WindowBytes: 1e9, RateBps: gbps100}}
 	nw.AddFlow(FlowSpec{ID: 1, Src: 1, Dst: 0, Size: 100_000}, a1)
 	nw.AddFlow(FlowSpec{ID: 2, Src: 2, Dst: 0, Size: 100_000}, a2)
 
 	st := nw.Stats()
-	if st.Hosts != 3 || st.Switches != 1 || st.FlowsTotal != 2 {
+	if st.FlowsTotal != 2 || st.FlowsFinished != 0 {
 		t.Fatalf("initial stats wrong: %+v", st)
-	}
-	if st.FlowsActive != 0 || st.FlowsFinished != 0 {
-		t.Fatalf("flows counted before start: %+v", st)
 	}
 
 	eng.Run()
 	st = nw.Stats()
-	if st.FlowsFinished != 2 || st.FlowsActive != 0 {
+	if st.FlowsFinished != 2 {
 		t.Fatalf("final flow counts wrong: %+v", st)
 	}
 	if st.PayloadSent != 200_000 || st.PayloadAcked != 200_000 {
@@ -38,21 +35,6 @@ func TestNetworkStats(t *testing.T) {
 	// Two line-rate senders into one port must have left a queue peak.
 	if st.MaxQueuePeak < 50_000 {
 		t.Fatalf("max queue peak = %d, want a substantial incast peak", st.MaxQueuePeak)
-	}
-	if st.QueuedBytes != 0 {
-		t.Fatalf("queued bytes after drain = %d, want 0", st.QueuedBytes)
-	}
-
-	ss := sw.Stats()
-	if ss.Ports != 3 || ss.TxBytes != st.FabricTxBytes {
-		t.Fatalf("switch stats inconsistent: %+v vs network %+v", ss, st)
-	}
-	if ss.BusiestPortTx < wire {
-		t.Fatalf("busiest port tx = %d, want >= %d (the incast port)", ss.BusiestPortTx, wire)
-	}
-	ps := sw.Ports()[0].Stats()
-	if ps.Bandwidth != gbps100 || ps.TxBytes == 0 {
-		t.Fatalf("port stats wrong: %+v", ps)
 	}
 }
 
@@ -81,13 +63,10 @@ func TestPacketCounters(t *testing.T) {
 	if st.PoolGets < st.DataSent {
 		t.Fatalf("pool gets %d < data packets %d; sends bypassed the pool", st.PoolGets, st.DataSent)
 	}
-	if st.PoolAllocs > st.PoolGets {
-		t.Fatalf("pool allocs %d > gets %d", st.PoolAllocs, st.PoolGets)
-	}
 	// 200 KB in 1000-byte packets cycles far more packets than can be live
 	// at once, so the pool must have reused some.
-	if r := st.PoolReuseRate(); r <= 0 || r >= 1 {
-		t.Fatalf("pool reuse rate = %v, want in (0,1)", r)
+	if st.PoolAllocs <= 0 || st.PoolAllocs >= st.PoolGets {
+		t.Fatalf("pool allocs %d of %d gets, want some gets served by reuse", st.PoolAllocs, st.PoolGets)
 	}
 	if st.ECNMarks != 0 {
 		t.Fatalf("ECN marks = %d with no RED config", st.ECNMarks)

@@ -12,12 +12,14 @@ import (
 // RunUntil operations, including events that schedule children from inside
 // their callbacks. Every schedule may go through a delay lane instead of
 // the heap; to the model a lane event is just an event at now + d that
-// nobody holds a handle to, and a posted event (Engine.Post) one at its time
-// that nobody holds a handle to. Even ids are scheduled as an object that is
-// its own Handler, odd ids as a func(): both kinds meet on the heap, on every
-// lane, on the fall-back lanes and on the posted lane. Execution order, the
-// clock, NextEventTime and every Stats counter must match, and the clock
-// must never run backwards.
+// nobody holds a handle to, a posted event (Engine.Post) one at its time
+// that nobody holds a handle to, and an Every chain a run of such events,
+// each scheduling the next while that falls by the chain's end. Even ids are
+// scheduled as an object that is its own Handler, odd ids as a func(): both
+// kinds meet on the heap, on every lane, on the fall-back lanes and on the
+// posted lane. Execution order, the clock, NextEventTime and every Stats
+// counter must match, the clock must never run backwards, and Periodic must
+// count the model's live chains.
 
 // refModel is the reference scheduler: an unsorted slice scanned for the
 // (at, seq) minimum on every execution. Obviously correct, O(n) per event.
@@ -27,7 +29,12 @@ type refModel struct {
 	evs                            []refEv
 	scheduled, executed, cancelled uint64
 	order                          []int
+	chains                         map[int]refChain // by the id every tick of the chain carries
+	periodic                       int              // chains whose next tick is pending
 }
+
+// refChain is an Every chain: its ticks are period apart and end at until.
+type refChain struct{ period, until Time }
 
 type refEv struct {
 	at  Time
@@ -39,6 +46,18 @@ func (m *refModel) schedule(at Time, id int) {
 	m.evs = append(m.evs, refEv{at: at, seq: m.seq, id: id})
 	m.seq++
 	m.scheduled++
+}
+
+// every starts a chain whose ticks all carry id: the first at start, each
+// next one period after the last while that is representable and no later
+// than until.
+func (m *refModel) every(start, period, until Time, id int) {
+	if m.chains == nil {
+		m.chains = map[int]refChain{}
+	}
+	m.chains[id] = refChain{period, until}
+	m.periodic++
+	m.schedule(start, id)
 }
 
 func (m *refModel) cancel(id int) {
@@ -72,6 +91,14 @@ func (m *refModel) run(i int) {
 	m.now = ev.at
 	m.executed++
 	m.order = append(m.order, ev.id)
+	if c, ok := m.chains[ev.id]; ok {
+		if next := m.now + c.period; next > m.now && next <= c.until {
+			m.schedule(next, ev.id)
+		} else {
+			m.periodic--
+		}
+		return
+	}
 	if d, child, _, ok := spawnChild(ev.id); ok {
 		m.schedule(satAdd(m.now, d), child)
 	}
@@ -169,6 +196,7 @@ const (
 	opLane              // schedule 1 + v>>8%4 events on lane v%len(laneDelays)
 	opLaneFlood         // schedule laneRingMin/2 + v>>8 events on lane v%len(laneDelays): the ring grows
 	opPost              // Post at now + v%10000
+	opEvery             // Every from now + v%4096, period 250 * (1 + v>>12%4), 1 + v>>14 ticks
 	numOps
 )
 
@@ -226,23 +254,27 @@ func checkOrder(t *testing.T, data []byte) {
 		postLive            int
 		posted              uint64
 	)
+	// ran records that event id, scheduled for at, is running.
+	ran := func(id int, at Time) {
+		if e.Now() < last {
+			t.Fatalf("clock ran backwards: event %d at %v after %v", id, e.Now(), last)
+		}
+		if e.Now() != at {
+			t.Fatalf("event %d scheduled for %v ran at %v", id, at, e.Now())
+		}
+		last = e.Now()
+		engOrder = append(engOrder, id)
+	}
 	// engSchedule schedules event id on the heap (lane -1), on a lane, or
 	// through Post (viaPost).
 	var engSchedule func(at Time, id, lane int) EventID
 	engSchedule = func(at Time, id, lane int) EventID {
 		onPostLane := false
 		fn := func() {
-			if e.Now() < last {
-				t.Fatalf("clock ran backwards: event %d at %v after %v", id, e.Now(), last)
-			}
-			if e.Now() != at {
-				t.Fatalf("event %d scheduled for %v ran at %v", id, at, e.Now())
-			}
+			ran(id, at)
 			if onPostLane {
 				postLive--
 			}
-			last = e.Now()
-			engOrder = append(engOrder, id)
 			if d, child, lane, ok := spawnChild(id); ok {
 				engSchedule(satAdd(e.Now(), d), child, lane)
 			}
@@ -338,6 +370,19 @@ func checkOrder(t *testing.T, data []byte) {
 			scheduleLane(v%len(laneDelays), laneRingMin/2+v>>8)
 		case opPost:
 			scheduleOn(satAdd(e.Now(), Time(v%10_000)), viaPost)
+		case opEvery:
+			if len(handles) >= maxFuzzEvents {
+				break
+			}
+			start, period := satAdd(e.Now(), Time(v%4096)), Time(250*(1+v>>12%4))
+			until := satAdd(start, Time(v>>14)*period)
+			id, at := len(handles), start
+			handles = append(handles, EventID{}) // a chain has no handle; cancelling it is a no-op
+			e.Every(start, period, until, func() {
+				ran(id, at)
+				at += period
+			})
+			m.every(start, period, until, id)
 		}
 		if e.Now() != m.now {
 			t.Fatalf("op %d: clock %v, model %v", op, e.Now(), m.now)
@@ -345,6 +390,9 @@ func checkOrder(t *testing.T, data []byte) {
 		at, ok := e.NextEventTime()
 		if mat, mok := m.nextTime(); ok != mok || at != mat {
 			t.Fatalf("op %d: NextEventTime (%v, %v), model (%v, %v)", op, at, ok, mat, mok)
+		}
+		if e.Periodic() != m.periodic {
+			t.Fatalf("op %d: Periodic %d, model %d", op, e.Periodic(), m.periodic)
 		}
 	}
 	e.Run()
@@ -365,8 +413,9 @@ func checkOrder(t *testing.T, data []byte) {
 		t.Fatalf("counters diverge: engine {sched %d exec %d cancel %d}, model {%d %d %d}",
 			st.Scheduled, st.Steps, st.Cancelled, m.scheduled, m.executed, m.cancelled)
 	}
-	if st.Pending != len(m.evs) || st.Pending != 0 {
-		t.Fatalf("pending %d, model %d, want both 0 after Run", st.Pending, len(m.evs))
+	if st.Pending != len(m.evs) || st.Pending != 0 || e.Periodic() != 0 || m.periodic != 0 {
+		t.Fatalf("pending %d, model %d, periodic %d, model %d, want all 0 after Run",
+			st.Pending, len(m.evs), e.Periodic(), m.periodic)
 	}
 	if st.Laned != laned {
 		t.Fatalf("Stats reports %d events laned, %d were scheduled on lanes with a ring", st.Laned, laned)
@@ -492,6 +541,12 @@ func FuzzEngineOrder(f *testing.F) {
 		// Every lane slot taken before the first post: lane 7 takes the last,
 		// and the posts, in order or not, all go through the heap.
 		{opLane, 7, 0, opPost, 10, 0, opPost, 20, 0, opPost, 5, 0, opStep, 0, 0, opStep, 0, 0, opStep, 0, 0, opStep, 0, 0},
+		// A chain's ticks tie lane 1 (delay 1000), a post and a heap event:
+		// the first tick at 1000 is scheduled by Every itself, the second at
+		// 2000 from inside the first, before the lane event and post that
+		// meet it there. Periodic drops to 0 once the second tick has run.
+		{opLane, 1, 0, opEvery, 0xe8, 0x73, opPost, 0xe8, 0x03, opNear, 0xe8, 0x03, opRunUntil, 0xe8, 0x03,
+			opLane, 1, 0, opPost, 0xe8, 0x03, opStep, 0, 0, opStep, 0, 0, opStep, 0, 0, opStep, 0, 0},
 	} {
 		f.Add(ops)
 	}

@@ -85,6 +85,7 @@ type Engine struct {
 	cancelled  uint64 // events cancelled over the engine's lifetime
 	peakLive   int    // high-water mark of live
 	slotAllocs uint64 // fresh slot allocations (arena growth)
+	periodic   int    // Every chains still re-arming
 }
 
 // NewEngine returns an engine with the clock at time zero.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -258,6 +259,49 @@ func TestEnginePending(t *testing.T) {
 	if e.Pending() != 1 {
 		t.Fatalf("pending after cancel = %d, want 1", e.Pending())
 	}
+}
+
+// An Every chain ticks at start and every period up to and including until,
+// counts in Periodic while it re-arms, and drops out after its last tick; a
+// chain with no end counts for as long as the engine runs.
+func TestEngineEvery(t *testing.T) {
+	e := NewEngine()
+	var ticks []Time
+	e.Every(10, 5, 30, func() { ticks = append(ticks, e.Now()) })
+	forever := 0
+	e.Every(0, 7, maxTime, func() { forever++ })
+	if e.Periodic() != 2 || e.Pending() != 2 {
+		t.Fatalf("two live chains: periodic %d, pending %d, want 2 and 2", e.Periodic(), e.Pending())
+	}
+	e.RunUntil(29)
+	if e.Periodic() != 2 {
+		t.Fatalf("periodic = %d before the last tick at 30, want 2", e.Periodic())
+	}
+	e.RunUntil(100)
+	if want := []Time{10, 15, 20, 25, 30}; !slices.Equal(ticks, want) {
+		t.Fatalf("finite chain ticked at %v, want %v", ticks, want)
+	}
+	if e.Periodic() != 1 || e.Pending() != 1 || forever != 100/7+1 {
+		t.Fatalf("after the finite chain ended: periodic %d, pending %d, %d endless ticks; want 1, 1, %d",
+			e.Periodic(), e.Pending(), forever, 100/7+1)
+	}
+
+	// The same alone: the count returns to 0 once the chain has ended.
+	e = NewEngine()
+	e.Every(0, 1, 3, func() {})
+	e.Run()
+	if e.Periodic() != 0 || e.Steps() != 4 {
+		t.Fatalf("periodic %d after %d ticks, want 0 after 4", e.Periodic(), e.Steps())
+	}
+}
+
+func TestEngineEveryZeroPeriodPanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Every with a zero period did not panic")
+		}
+	}()
+	NewEngine().Every(0, 0, 10, func() {})
 }
 
 func TestEngineEventRecycling(t *testing.T) {

@@ -70,3 +70,31 @@ func TransmitTime(sizeBytes int, bps float64) Time {
 func BytesOver(bps float64, d Time) float64 {
 	return bps / 8 * d.Seconds()
 }
+
+// Every calls fn at start and then every period for as long as the next
+// call would come at or before until: a sampler's tick chain. Each tick is
+// an At event, and its successor is scheduled after fn returns, so a chain
+// takes its place in the (time, seq) order exactly as a hand-rolled
+// re-arming callback would. A non-positive period panics: a zero period
+// would re-arm at the same instant forever.
+func (e *Engine) Every(start, period, until Time, fn func()) {
+	if period <= 0 {
+		panic(fmt.Sprintf("sim: Every with non-positive period %v", period))
+	}
+	e.periodic++
+	var tick func()
+	tick = func() {
+		fn()
+		if until-e.now >= period {
+			e.After(period, tick)
+		} else {
+			e.periodic--
+		}
+	}
+	e.At(start, tick)
+}
+
+// Periodic returns how many Every chains are still re-arming. Each holds
+// exactly one pending event, so a run whose Pending is no more than
+// Periodic has nothing left to do but sample.
+func (e *Engine) Periodic() int { return e.periodic }

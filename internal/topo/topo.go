@@ -6,6 +6,7 @@ package topo
 
 import (
 	"fmt"
+	"math"
 
 	"faircc/internal/net"
 	"faircc/internal/sim"
@@ -92,17 +93,22 @@ func (c FatTreeConfig) Validate() error {
 	case c.Spines%c.AggsPerPod != 0:
 		return fmt.Errorf("topo: spines (%d) must be a multiple of aggs per pod (%d)",
 			c.Spines, c.AggsPerPod)
-	case c.HostBps <= 0 || c.FabricBps <= 0:
-		return fmt.Errorf("topo: link rates must be positive")
-	case c.ToRUplinkBps < 0:
-		return fmt.Errorf("topo: ToR uplink rate must be non-negative (zero means FabricBps)")
+	}
+	// At 1 b/s and above, every packet's serialization time fits a sim.Time.
+	for _, r := range []struct {
+		name string
+		bps  float64
+	}{{"host link", c.HostBps}, {"fabric link", c.FabricBps}, {"ToR uplink", c.torUplinkBps()}} {
+		if !(r.bps >= 1 && r.bps <= math.MaxFloat64) { // also rejects NaN
+			return fmt.Errorf("topo: %s rate must be finite and at least 1 b/s, got %g", r.name, r.bps)
+		}
 	}
 	return nil
 }
 
 // torUplinkBps is the effective ToR<->Agg link rate.
 func (c FatTreeConfig) torUplinkBps() float64 {
-	if c.ToRUplinkBps > 0 {
+	if c.ToRUplinkBps != 0 {
 		return c.ToRUplinkBps
 	}
 	return c.FabricBps

@@ -1,6 +1,8 @@
 package topo
 
 import (
+	"math"
+	"strings"
 	"testing"
 
 	"faircc/internal/cc"
@@ -195,6 +197,15 @@ func TestFatTreeValidate(t *testing.T) {
 	if err := bad.Validate(); err == nil {
 		t.Fatal("expected validation error for negative ToR uplink rate")
 	}
+	// A ToR uplink rate nothing can serialize on: below 1 b/s a packet's
+	// transmit time overflows sim.Time, and at +Inf it is zero.
+	for _, bps := range []float64{1e-289, math.Inf(1)} {
+		bad = DefaultFatTree()
+		bad.ToRUplinkBps = bps
+		if err := bad.Validate(); err == nil || !strings.Contains(err.Error(), "ToR uplink") {
+			t.Fatalf("ToR uplink rate %g: err = %v, want the rate named", bps, err)
+		}
+	}
 	if err := DefaultFatTree().Validate(); err != nil {
 		t.Fatalf("default config invalid: %v", err)
 	}
@@ -347,8 +358,11 @@ func TestFatTreeECMPBalanceAcrossAggs(t *testing.T) {
 	eng.Run()
 	used := 0
 	for a := 0; a < 4; a++ { // pod 0 aggs
-		if ft.Aggs[a].Stats().TxBytes > 0 {
-			used++
+		for _, p := range ft.Aggs[a].Ports() {
+			if p.TxBytes() > 0 {
+				used++
+				break
+			}
 		}
 	}
 	if used < 3 {
