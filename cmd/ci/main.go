@@ -14,7 +14,9 @@
 // goroutines. The bench-smoke step
 // runs every scheduler benchmark for exactly one iteration, so a
 // benchmark that panics or trips its own invariant checks fails the
-// gate without paying measurement time. The fuzz-smoke step
+// gate without paying measurement time; with -benchmem every log prints
+// each benchmark's B/op and allocs/op, BenchmarkAddFlows' bytes per flow
+// set among them. The fuzz-smoke step
 // mutates the scheduler's order-contract corpus for five seconds.
 //
 // The cross steps build the tree for GOARCH=arm64 (offline, from GOROOT) and
@@ -93,6 +95,7 @@ func main() {
 		name string
 		args []string
 		env  []string // added to the environment
+		show bool     // print the output on success too
 	}{
 		{name: "build", args: []string{"go", "build", "./..."}},
 		{name: "vet", args: []string{"go", "vet", "./..."}},
@@ -107,7 +110,7 @@ func main() {
 		// the race detector.
 		{name: "race-parallel", args: []string{"go", "test", "-race", "-run", "Parallel|Mailbox|Shard",
 			"./internal/sim", "./internal/net", "./internal/topo", "./internal/exp"}},
-		{name: "bench-smoke", args: []string{"go", "test", "-run", "^$", "-bench", ".", "-benchtime", "1x", "./internal/sim", "./internal/net"}},
+		{name: "bench-smoke", args: []string{"go", "test", "-run", "^$", "-bench", ".", "-benchtime", "1x", "-benchmem", "./internal/sim", "./internal/net"}, show: true},
 		// Minimizing each new 9 KB corpus entry (60 s by default) would eat
 		// the whole budget; a failing input is kept whole instead.
 		{name: "fuzz-smoke", args: []string{"go", "test", "-run", "^$", "-fuzz", "FuzzEngineOrder", "-fuzztime", "5s", "-fuzzminimizetime", "0s", "./internal/sim"}},
@@ -130,6 +133,9 @@ func main() {
 			continue
 		}
 		fmt.Printf("ok   %s\n", s.name)
+		if s.show {
+			fmt.Println(text)
+		}
 	}
 	verdict := "all checks passed"
 	if failed > 0 {

@@ -46,22 +46,29 @@ type Control struct {
 }
 
 // Env gives an algorithm access to its environment: flow constants, a
-// deterministic PRNG, and a scheduler for timer-driven protocols (DCQCN).
+// deterministic PRNG, and the flow's timer hooks for timer-driven protocols
+// (DCQCN). An algorithm keeps its Env for the flow's life, so Env holds one
+// interface value for the hooks rather than a func value per hook: the
+// simulator's flow implements Timers itself, and starting a flow binds
+// nothing.
 type Env struct {
 	LineRateBps float64
 	BaseRTT     sim.Time // propagation + serialization RTT of the flow's path
 	MTU         int      // payload bytes per packet
 	Hops        int      // switch hops on the forward path
 	Rand        *rand.Rand
+	// Timers schedules timer-driven updates. Pure ACK-clocked algorithms
+	// never use it; it may be nil where no timers run.
+	Timers Timers
+}
 
-	// Now returns the current simulated time.
-	Now func() sim.Time
-	// Schedule runs fn after d. Timer-driven algorithms (DCQCN) use it;
-	// pure ACK-clocked ones need not.
-	Schedule func(d sim.Time, fn func())
+// Timers is the flow side of a timer-driven algorithm.
+type Timers interface {
+	// Schedule runs fn after d, unless the flow has finished by then.
+	Schedule(d sim.Time, fn func())
 	// SetControl pushes a control change outside of an OnAck return, for
 	// timer-driven rate updates.
-	SetControl func(Control)
+	SetControl(Control)
 }
 
 // Algorithm is a sender-side congestion-control protocol. Implementations

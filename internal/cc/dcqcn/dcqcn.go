@@ -87,11 +87,11 @@ func (d *DCQCN) Init(env cc.Env) cc.Control {
 	d.rc = env.LineRateBps
 	d.rt = env.LineRateBps
 	d.alpha = 1
-	if env.Schedule != nil {
+	if env.Timers != nil {
 		d.alphaTick = d.alphaTimer
 		d.rateTick = d.rateTimer
-		env.Schedule(d.cfg.AlphaTimer, d.alphaTick)
-		env.Schedule(d.cfg.RateTimer, d.rateTick)
+		env.Timers.Schedule(d.cfg.AlphaTimer, d.alphaTick)
+		env.Timers.Schedule(d.cfg.RateTimer, d.rateTick)
 	}
 	return d.control()
 }
@@ -112,14 +112,14 @@ func (d *DCQCN) alphaTimer() {
 		d.alpha = (1 - d.cfg.G) * d.alpha
 	}
 	d.cnpSeen = false
-	d.env.Schedule(d.cfg.AlphaTimer, d.alphaTick)
+	d.env.Timers.Schedule(d.cfg.AlphaTimer, d.alphaTick)
 }
 
 func (d *DCQCN) rateTimer() {
 	d.timerCnt++
 	d.increase()
-	d.env.Schedule(d.cfg.RateTimer, d.rateTick)
-	d.env.SetControl(d.control())
+	d.env.Timers.Schedule(d.cfg.RateTimer, d.rateTick)
+	d.env.Timers.SetControl(d.control())
 }
 
 // increase performs one rate-increase event: hyper increase once both

@@ -35,13 +35,17 @@ func (f *fakeClock) env() cc.Env {
 		MTU:         mtu,
 		Hops:        1,
 		Rand:        rand.New(rand.NewSource(1)),
-		Now:         func() sim.Time { return f.now },
-		Schedule: func(d sim.Time, fn func()) {
-			f.events = append(f.events, fakeEvent{f.now + d, fn})
-		},
-		SetControl: func(c cc.Control) { f.ctl = c },
+		Timers:      f,
 	}
 }
+
+// Schedule implements cc.Timers.
+func (f *fakeClock) Schedule(d sim.Time, fn func()) {
+	f.events = append(f.events, fakeEvent{f.now + d, fn})
+}
+
+// SetControl implements cc.Timers.
+func (f *fakeClock) SetControl(c cc.Control) { f.ctl = c }
 
 // advance runs timers up to t in order.
 func (f *fakeClock) advance(t sim.Time) {

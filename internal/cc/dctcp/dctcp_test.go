@@ -22,7 +22,6 @@ func env() cc.Env {
 		MTU:         mtu,
 		Hops:        1,
 		Rand:        rand.New(rand.NewSource(2)),
-		Now:         func() sim.Time { return 0 },
 	}
 }
 

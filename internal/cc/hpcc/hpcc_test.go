@@ -23,7 +23,6 @@ func env() cc.Env {
 		MTU:         mtu,
 		Hops:        1,
 		Rand:        rand.New(rand.NewSource(42)),
-		Now:         func() sim.Time { return 0 },
 	}
 }
 
@@ -281,7 +280,7 @@ func TestVAISFConfigMatchesPaper(t *testing.T) {
 	v := c.VAI
 	if v.TokenThresh != 50_000 || v.AIDiv != 1000 || v.BankCap != 1000 ||
 		v.AICap != 100 || v.DampenerConst != 8 {
-		t.Fatalf("VAI params %+v do not match Sec. VI-A", *v)
+		t.Fatalf("VAI params %+v do not match Sec. VI-A", v)
 	}
 	if c.SFEvery != 30 {
 		t.Fatalf("SFEvery = %d, want 30", c.SFEvery)
@@ -314,7 +313,8 @@ func TestDeterminism(t *testing.T) {
 
 func TestVAIConfigRejected(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.VAI = &core.VAIConfig{} // invalid
+	// Invalid but not zero: a zero VAIConfig is VAI off.
+	cfg.VAI = core.VAIConfig{TokenThresh: 50_000}
 	h := New(cfg)
 	defer func() {
 		if recover() == nil {

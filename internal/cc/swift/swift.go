@@ -26,6 +26,7 @@ import (
 // FBSConfig parameterizes flow-based scaling of the target delay:
 // target += clamp(alpha/sqrt(cwnd_pkts) + beta_fs, 0, Range) where alpha
 // and beta_fs derive from the min/max scaling windows as in Kumar et al.
+// The zero FBSConfig is no FBS.
 type FBSConfig struct {
 	Range       sim.Time // fs_range: maximum extra target delay
 	MinCwndPkts float64  // below this window the full Range applies (0.1)
@@ -40,9 +41,9 @@ type Config struct {
 	MaxMdf     float64  // 0.5 (the largest decrease is a halving)
 	AIBps      float64  // base additive increase, 50 Mb/s
 
-	// FBS enables flow-based scaling when non-nil. The paper's VAI SF
-	// variant runs without FBS (Sec. VI-B).
-	FBS *FBSConfig
+	// FBS enables flow-based scaling unless it is the zero FBSConfig. The
+	// paper's VAI SF variant runs without FBS (Sec. VI-B).
+	FBS FBSConfig
 	// Mechanisms attaches VAI and SF; measured congestion is a round
 	// trip's maximum delay and an ACK is congested above the target. SF
 	// (decreases every SFEvery ACKs) brings with it the HPCC-style
@@ -74,7 +75,7 @@ func DefaultConfig(maxScalePkts float64) Config {
 		Beta:       0.8,
 		MaxMdf:     0.5,
 		AIBps:      50e6,
-		FBS: &FBSConfig{
+		FBS: FBSConfig{
 			Range:       4 * sim.Microsecond,
 			MinCwndPkts: 0.1,
 			MaxCwndPkts: maxScalePkts,
@@ -90,7 +91,7 @@ func DefaultConfig(maxScalePkts float64) Config {
 // the threshold; pass the min-BDP delay here.
 func VAISFConfig(minBDPDelay sim.Time) Config {
 	c := DefaultConfig(0)
-	c.FBS = nil
+	c.FBS = FBSConfig{}
 	c.Mechanisms = core.PaperVAISF(float64(minBDPDelay), float64(30*sim.Nanosecond))
 	return c
 }
@@ -140,7 +141,7 @@ func (s *Swift) Init(env cc.Env) cc.Control {
 // and, when enabled, flow-based scaling for the given window.
 func (s *Swift) targetDelay(cwndPkts float64) sim.Time {
 	t := s.cfg.BaseTarget + sim.Time(s.env.Hops)*s.cfg.PerHop
-	if fs := s.cfg.FBS; fs != nil {
+	if fs := &s.cfg.FBS; *fs != (FBSConfig{}) {
 		if s.fsAlpha == 0 {
 			den := 1/math.Sqrt(fs.MinCwndPkts) - 1/math.Sqrt(fs.MaxCwndPkts)
 			s.fsAlpha = float64(fs.Range) / den
@@ -242,7 +243,7 @@ func (s *Swift) onAckSF(fb cc.Feedback) cc.Control {
 		update = sfUpdate && (!s.cfg.Probabilistic || s.useFeedback())
 	}
 	if update {
-		if s.cfg.VAI != nil {
+		if !s.cfg.VAI.IsZero() {
 			// The VAI multiplier replaces the hyper-AI term here.
 			w = s.ref*m + s.aiPkts*s.att.Spend()
 		}

@@ -114,7 +114,7 @@ func TestVAISpendsOnIncreaseRTTs(t *testing.T) {
 // the reference window, not the transient per-ACK window.
 func TestTargetUsesReferenceInSFMode(t *testing.T) {
 	cfg := VAISFConfig(4 * sim.Microsecond)
-	cfg.FBS = &FBSConfig{Range: 4 * sim.Microsecond, MinCwndPkts: 0.1, MaxCwndPkts: 50}
+	cfg.FBS = FBSConfig{Range: 4 * sim.Microsecond, MinCwndPkts: 0.1, MaxCwndPkts: 50}
 	s := New(cfg)
 	s.Init(env())
 	s.ref = 25

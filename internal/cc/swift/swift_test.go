@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"faircc/internal/cc"
+	"faircc/internal/core"
 	"faircc/internal/sim"
 )
 
@@ -22,7 +23,6 @@ func env() cc.Env {
 		MTU:         mtu,
 		Hops:        1,
 		Rand:        rand.New(rand.NewSource(7)),
-		Now:         func() sim.Time { return 0 },
 	}
 }
 
@@ -63,7 +63,7 @@ func TestMdfEquation(t *testing.T) {
 
 func TestTargetDelayTopologyScaling(t *testing.T) {
 	cfg := DefaultConfig(50)
-	cfg.FBS = nil
+	cfg.FBS = FBSConfig{}
 	s := New(cfg)
 	e := env()
 	e.Hops = 5 // max fat-tree path
@@ -71,6 +71,23 @@ func TestTargetDelayTopologyScaling(t *testing.T) {
 	want := 5*sim.Microsecond + 5*2*sim.Microsecond
 	if got := s.targetDelay(100); got != want {
 		t.Fatalf("target at 5 hops = %v, want %v", got, want)
+	}
+}
+
+// TestZeroFBSIsOff: a zero FBSConfig is no FBS, so the target is the
+// topology-scaled base whatever the window; VAISFConfig runs that way.
+func TestZeroFBSIsOff(t *testing.T) {
+	cfg := VAISFConfig(4 * sim.Microsecond)
+	if cfg.FBS != (FBSConfig{}) {
+		t.Fatalf("VAISFConfig FBS = %+v, want the zero FBSConfig", cfg.FBS)
+	}
+	s := New(cfg)
+	s.Init(env())
+	want := cfg.BaseTarget + cfg.PerHop
+	for _, w := range []float64{0.1, 4, 50} {
+		if got := s.targetDelay(w); got != want {
+			t.Fatalf("target at window %v = %v, want %v with FBS off", w, got, want)
+		}
 	}
 }
 
@@ -182,7 +199,7 @@ func TestCwndBounds(t *testing.T) {
 
 func TestSFDecreasesEveryNAcks(t *testing.T) {
 	cfg := VAISFConfig(4 * sim.Microsecond)
-	cfg.VAI = nil // isolate SF
+	cfg.VAI = core.VAIConfig{} // isolate SF
 	cfg.SFEvery = 10
 	s := New(cfg)
 	s.Init(env())
@@ -217,7 +234,7 @@ func TestSFAlwaysAppliesAI(t *testing.T) {
 	// Sec. V-B: with SF, AI applies even while decreasing, so the window
 	// after a decrease is ref*mdf + AI, not ref*mdf.
 	cfg := VAISFConfig(4 * sim.Microsecond)
-	cfg.VAI = nil
+	cfg.VAI = core.VAIConfig{}
 	cfg.SFEvery = 1 // every ACK updates the reference
 	s := New(cfg)
 	s.Init(env())
@@ -300,7 +317,7 @@ func TestVAISFConvergesFasterFromUnfairStart(t *testing.T) {
 	// target asymmetry dominates); the packet-level integration tests
 	// compare against full default Swift.
 	baseCfg := DefaultConfig(50)
-	baseCfg.FBS = nil
+	baseCfg.FBS = FBSConfig{}
 	base := run(baseCfg)
 	vaisf := run(VAISFConfig(4 * sim.Microsecond))
 	if vaisf >= base {
@@ -356,7 +373,7 @@ func TestDeterminism(t *testing.T) {
 
 func TestHyperAIEngagesAfterCleanRTTs(t *testing.T) {
 	cfg := DefaultConfig(50)
-	cfg.FBS = nil
+	cfg.FBS = FBSConfig{}
 	cfg.HAIAfter = 3
 	cfg.HAIMult = 10
 	s := New(cfg)

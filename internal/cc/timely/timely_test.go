@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"faircc/internal/cc"
+	"faircc/internal/core"
 	"faircc/internal/sim"
 )
 
@@ -22,7 +23,6 @@ func env() cc.Env {
 		MTU:         mtu,
 		Hops:        1,
 		Rand:        rand.New(rand.NewSource(5)),
-		Now:         func() sim.Time { return 0 },
 	}
 }
 
@@ -143,7 +143,7 @@ func TestSFDecreasesMoreOftenForMoreAcks(t *testing.T) {
 	// RTT decreases twice as often as one receiving 30, for equal RTTs.
 	count := func(acksPerRTT int) int {
 		cfg := VAISFConfig(4 * sim.Microsecond)
-		cfg.VAI = nil
+		cfg.VAI = core.VAIConfig{}
 		tl := New(cfg)
 		tl.Init(env())
 		var acked int64

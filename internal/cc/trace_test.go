@@ -91,12 +91,21 @@ func TestControlTraces(t *testing.T) {
 	}
 }
 
-// timer is one pending Env.Schedule callback of the trace driver.
+// timer is one pending Timers.Schedule callback of controlTrace.
 type timer struct {
 	at  sim.Time
 	seq int
 	fn  func()
 }
+
+// traceTimers is controlTrace's cc.Timers.
+type traceTimers struct {
+	schedule func(d sim.Time, fn func())
+	set      func(cc.Control)
+}
+
+func (t traceTimers) Schedule(d sim.Time, fn func()) { t.schedule(d, fn) }
+func (t traceTimers) SetControl(c cc.Control)        { t.set(c) }
 
 // controlTrace drives algo through traceACKs ACKs of feedback drawn from
 // seed and returns the FNV-64a hash of every Control it produced. Timers
@@ -124,12 +133,13 @@ func controlTrace(algo cc.Algorithm, seed int64) uint64 {
 		MTU:         traceMTU,
 		Hops:        traceHops,
 		Rand:        rand.New(rand.NewSource(seed + 1000)),
-		Now:         func() sim.Time { return now },
-		Schedule: func(d sim.Time, fn func()) {
-			seq++
-			timers = append(timers, timer{at: now + d, seq: seq, fn: fn})
+		Timers: traceTimers{
+			schedule: func(d sim.Time, fn func()) {
+				seq++
+				timers = append(timers, timer{at: now + d, seq: seq, fn: fn})
+			},
+			set: record,
 		},
-		SetControl: record,
 	}
 	record(algo.Init(env))
 

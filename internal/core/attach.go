@@ -1,11 +1,14 @@
 package core
 
 // Mechanisms selects which of the paper's mechanisms a protocol runs with.
-// Each protocol's Config embeds it, so c.VAI and c.SFEvery select them;
-// the zero value attaches neither.
+// Each protocol's Config embeds it, so c.VAI and c.SFEvery select them. Both
+// are values whose zero means off, so the zero Mechanisms attaches neither,
+// and a config that carries them copies like any value and costs no
+// allocation to build.
 type Mechanisms struct {
-	// VAI enables Variable Additive Increase when non-nil.
-	VAI *VAIConfig
+	// VAI enables Variable Additive Increase unless it is the zero
+	// VAIConfig.
+	VAI VAIConfig
 	// SFEvery enables Sampling Frequency: decrease-side reference updates
 	// every SFEvery ACKs instead of once per RTT. Zero keeps the default
 	// once-per-RTT behaviour.
@@ -17,7 +20,7 @@ type Mechanisms struct {
 // tokenThresh and aiDiv are in the protocol's congestion unit.
 func PaperVAISF(tokenThresh, aiDiv float64) Mechanisms {
 	return Mechanisms{
-		VAI: &VAIConfig{
+		VAI: VAIConfig{
 			TokenThresh:   tokenThresh,
 			AIDiv:         aiDiv,
 			BankCap:       1000,
@@ -32,9 +35,11 @@ func PaperVAISF(tokenThresh, aiDiv float64) Mechanisms {
 // sampler, the round-trip marker, and the per-RTT congestion bookkeeping
 // Algorithm 1 consumes. A protocol supplies only its congestion measure
 // and its congested predicate, through Ack, and reads the additive-
-// increase multiplier through Multiplier and Spend.
+// increase multiplier through Multiplier and Spend. The VAI state is inline
+// and reads its constants from the Mechanisms it was attached from, so an
+// attachment allocates nothing.
 type Attachment struct {
-	vai       *VAI // nil when VAI is off
+	vai       VAI // vai.cfg is nil when VAI is off
 	sampler   Sampler
 	marker    RTTMarker
 	maxCong   float64 // maximum congestion measured this round trip
@@ -44,14 +49,14 @@ type Attachment struct {
 
 // Attach returns a flow's attachment of m. thresholdOffset is added to
 // VAI's token threshold: the congestion level the protocol itself treats
-// as none (its target delay for Swift, TLow for TIMELY, 0 for HPCC). It
-// panics on an invalid VAI configuration, like NewVAI.
-func (m Mechanisms) Attach(thresholdOffset float64) Attachment {
+// as none (its target delay for Swift, TLow for TIMELY, 0 for HPCC). The
+// attachment reads VAI's constants through m, so m must outlive it and stay
+// put: the protocol's per-flow Config, which holds both. It panics on an
+// invalid non-zero VAI configuration, like NewVAI.
+func (m *Mechanisms) Attach(thresholdOffset float64) Attachment {
 	a := Attachment{sampler: Sampler{Every: m.SFEvery}}
-	if m.VAI != nil {
-		v := *m.VAI
-		v.TokenThresh += thresholdOffset
-		a.vai = NewVAI(v)
+	if !m.VAI.IsZero() {
+		a.vai = newVAI(&m.VAI, thresholdOffset)
 	}
 	return a
 }
@@ -74,7 +79,7 @@ func (a *Attachment) Ack(ackedBytes, sentBytes int64, congestion float64, conges
 		update = a.sampler.Tick()
 	}
 	if ended {
-		if a.vai != nil {
+		if a.vai.cfg != nil {
 			a.vai.OnRTTEnd(a.maxCong, !a.congested)
 		}
 		a.clean = !a.congested
@@ -90,7 +95,7 @@ func (a *Attachment) Clean() bool { return a.clean }
 // Multiplier returns the additive-increase multiplier of the last Spend,
 // 1 when VAI is off.
 func (a *Attachment) Multiplier() float64 {
-	if a.vai == nil {
+	if a.vai.cfg == nil {
 		return 1
 	}
 	return a.vai.Multiplier()
@@ -99,11 +104,16 @@ func (a *Attachment) Multiplier() float64 {
 // Spend runs Algorithm 2 once per rate-update period and returns the new
 // multiplier, 1 when VAI is off.
 func (a *Attachment) Spend() float64 {
-	if a.vai == nil {
+	if a.vai.cfg == nil {
 		return 1
 	}
 	return a.vai.Spend()
 }
 
-// VAI returns the flow's VAI state, nil when VAI is off (for tests).
-func (a *Attachment) VAI() *VAI { return a.vai }
+// VAI returns the flow's VAI state, nil when VAI is off.
+func (a *Attachment) VAI() *VAI {
+	if a.vai.cfg == nil {
+		return nil
+	}
+	return &a.vai
+}

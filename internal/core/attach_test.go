@@ -5,16 +5,27 @@ import "testing"
 func TestPaperVAISF(t *testing.T) {
 	m := PaperVAISF(50_000, 1000)
 	want := VAIConfig{TokenThresh: 50_000, AIDiv: 1000, BankCap: 1000, AICap: 100, DampenerConst: 8}
-	if *m.VAI != want || m.SFEvery != 30 {
-		t.Fatalf("PaperVAISF = %+v SFEvery %d, want Sec. VI-A's %+v and 30", *m.VAI, m.SFEvery, want)
+	if m.VAI != want || m.SFEvery != 30 {
+		t.Fatalf("PaperVAISF = %+v SFEvery %d, want Sec. VI-A's %+v and 30", m.VAI, m.SFEvery, want)
 	}
-	if PaperVAISF(1, 1).VAI == PaperVAISF(1, 1).VAI {
-		t.Fatal("PaperVAISF must return a fresh VAIConfig each call")
+	// The ablation sweeps edit one result in place, point by point; the
+	// next result must not see the edit.
+	m.VAI.AICap, m.VAI.DampenerConst = 7, 9
+	if next := PaperVAISF(50_000, 1000); next.VAI != want {
+		t.Fatalf("after editing one result, PaperVAISF = %+v, want %+v", next.VAI, want)
 	}
 }
 
+// TestAttachmentOff: the zero Mechanisms attaches nothing, and a zero
+// VAIConfig is VAI off even beside SF.
 func TestAttachmentOff(t *testing.T) {
-	a := Mechanisms{}.Attach(123)
+	sfOnly := PaperVAISF(50_000, 1000)
+	sfOnly.VAI = VAIConfig{}
+	if a := sfOnly.Attach(0); a.VAI() != nil || a.sampler.Every != 30 {
+		t.Fatalf("a zero VAIConfig beside SF attached VAI %v, SF every %d", a.VAI(), a.sampler.Every)
+	}
+	var m Mechanisms
+	a := m.Attach(123)
 	if a.VAI() != nil {
 		t.Fatal("zero Mechanisms attached VAI")
 	}
@@ -30,7 +41,8 @@ func TestAttachmentOff(t *testing.T) {
 }
 
 func TestAttachmentSFCadence(t *testing.T) {
-	a := Mechanisms{SFEvery: 5}.Attach(0)
+	m := Mechanisms{SFEvery: 5}
+	a := m.Attach(0)
 	for i := int64(1); i <= 20; i++ {
 		// sentBytes far ahead: no round trip ends in these 20 ACKs but
 		// the first, and SF must not care.
@@ -45,7 +57,8 @@ func TestAttachmentSFCadence(t *testing.T) {
 // sent bytes of the last end, and Algorithm 1 then runs once on the round
 // trip's maximum congestion against the offset threshold.
 func TestAttachmentRoundTrips(t *testing.T) {
-	a := PaperVAISF(50_000, 1000).Attach(10_000) // threshold 60 KB
+	m := PaperVAISF(50_000, 1000)
+	a := m.Attach(10_000) // threshold 60 KB
 	ack := func(acked, sent int64, cong float64, congested bool) bool {
 		ended, _ := a.Ack(acked, sent, cong, congested)
 		return ended

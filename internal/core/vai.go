@@ -54,11 +54,18 @@ func (c VAIConfig) Valid() bool {
 		c.AICap > 0 && c.DampenerConst > 0
 }
 
+// IsZero reports whether c is the zero VAIConfig, which Mechanisms reads as
+// VAI off.
+func (c VAIConfig) IsZero() bool { return c == VAIConfig{} }
+
 // VAI holds the token bank and dampener state of Algorithm 1 and computes
-// the additive-increase multiplier of Algorithm 2. The zero value is not
-// ready; use NewVAI.
+// the additive-increase multiplier of Algorithm 2. It reads its constants
+// through cfg, so an Attachment keeps one inline without a copy of the
+// protocol's config; thresh is cfg's TokenThresh plus the protocol's offset.
+// The zero value is not ready; use NewVAI.
 type VAI struct {
-	cfg        VAIConfig
+	cfg        *VAIConfig
+	thresh     float64
 	bank       float64
 	dampener   float64
 	multiplier float64
@@ -68,10 +75,17 @@ type VAI struct {
 // base AI applies until congestion mints tokens). It panics on an invalid
 // configuration, which is always a programming error.
 func NewVAI(cfg VAIConfig) *VAI {
+	v := newVAI(&cfg, 0)
+	return &v
+}
+
+// newVAI is NewVAI reading cfg in place, with offset added to its token
+// threshold.
+func newVAI(cfg *VAIConfig, offset float64) VAI {
 	if !cfg.Valid() {
 		panic("core: invalid VAIConfig")
 	}
-	return &VAI{cfg: cfg, multiplier: 1}
+	return VAI{cfg: cfg, thresh: cfg.TokenThresh + offset, multiplier: 1}
 }
 
 // Bank returns the current token-bank level.
@@ -101,13 +115,13 @@ func (v *VAI) Multiplier() float64 { return v.multiplier }
 // Algorithm 1 line 6.
 func (v *VAI) OnRTTEnd(measured float64, noCongestion bool) {
 	switch {
-	case measured > v.cfg.TokenThresh:
-		v.bank = math.Min((measured-v.cfg.TokenThresh)/v.cfg.AIDiv+v.bank, v.cfg.BankCap)
-		v.dampener += measured / v.cfg.TokenThresh
+	case measured > v.thresh:
+		v.bank = math.Min((measured-v.thresh)/v.cfg.AIDiv+v.bank, v.cfg.BankCap)
+		v.dampener += measured / v.thresh
 	case v.bank == 0:
 		if noCongestion {
 			v.dampener = 0
-		} else if measured < v.cfg.TokenThresh {
+		} else if measured < v.thresh {
 			v.dampener = math.Max(v.dampener-1, 0)
 		}
 	}

@@ -14,9 +14,9 @@ import (
 )
 
 // TestAddFlowAllocatesInChunks: a flow costs a slot in the network's flow
-// slab and its two exact paths a slice of the path slab; its start is posted
-// on the engine's posted lane, not queued through a func value and an event
-// slot. Adding 4096 flows, in start order, to a built 32-host fat-tree may
+// slab and its exact forward and reverse paths one slice of the path slab;
+// its start is posted on the engine's posted lane, not queued through a func
+// value and an event slot. Adding 4096 flows, in start order, to a built 32-host fat-tree may
 // make at most one allocation per 16 flows — growing AddFlow's slabs, the
 // flow list and the posted lane. Every carved path has len == cap, so an
 // append to one cannot write into its neighbour's.
@@ -49,12 +49,10 @@ func TestAddFlowAllocatesInChunks(t *testing.T) {
 		if f.Hops() == 0 {
 			t.Fatalf("flow %d crosses no switch: its paths are not under test", f.Spec.ID)
 		}
-		for _, name := range []string{"fwdPath", "revPath"} {
-			p := reflect.ValueOf(f).Elem().FieldByName(name)
-			if p.Len() == 0 || p.Len() != p.Cap() {
-				t.Fatalf("flow %d: %s has len %d, cap %d; want a non-empty path with len == cap",
-					f.Spec.ID, name, p.Len(), p.Cap())
-			}
+		p := reflect.ValueOf(f).Elem().FieldByName("path")
+		if p.Len() <= f.Hops() || p.Len() != p.Cap() {
+			t.Fatalf("flow %d: path has len %d, cap %d; want %d forward hops, a reverse path, and len == cap",
+				f.Spec.ID, p.Len(), p.Cap(), f.Hops())
 		}
 	}
 }

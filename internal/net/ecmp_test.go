@@ -159,20 +159,21 @@ func TestFlatPathMatchesRoute(t *testing.T) {
 		src, dst := nw.hostByID(f.Spec.Src), nw.hostByID(f.Spec.Dst)
 		wantFwd := walkRoute(t, src, f.Spec.Dst, f.Spec.ID)
 		wantRev := walkRoute(t, dst, f.Spec.Src, f.Spec.ID)
-		if len(f.fwdPath) != len(wantFwd) {
-			t.Fatalf("flow %d: fwdPath len %d, want %d", f.Spec.ID, len(f.fwdPath), len(wantFwd))
+		fwd, rev := f.path[:f.hops], f.path[f.hops:]
+		if len(fwd) != len(wantFwd) {
+			t.Fatalf("flow %d: forward path len %d, want %d", f.Spec.ID, len(fwd), len(wantFwd))
 		}
 		for i := range wantFwd {
-			if f.fwdPath[i] != wantFwd[i] {
-				t.Fatalf("flow %d: fwdPath[%d] differs from reference route()", f.Spec.ID, i)
+			if fwd[i] != wantFwd[i] {
+				t.Fatalf("flow %d: forward path[%d] differs from reference route()", f.Spec.ID, i)
 			}
 		}
-		if len(f.revPath) != len(wantRev) {
-			t.Fatalf("flow %d: revPath len %d, want %d", f.Spec.ID, len(f.revPath), len(wantRev))
+		if len(rev) != len(wantRev) {
+			t.Fatalf("flow %d: reverse path len %d, want %d", f.Spec.ID, len(rev), len(wantRev))
 		}
 		for i := range wantRev {
-			if f.revPath[i] != wantRev[i] {
-				t.Fatalf("flow %d: revPath[%d] differs from reference route()", f.Spec.ID, i)
+			if rev[i] != wantRev[i] {
+				t.Fatalf("flow %d: reverse path[%d] differs from reference route()", f.Spec.ID, i)
 			}
 		}
 	}

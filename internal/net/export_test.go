@@ -1,0 +1,30 @@
+package net
+
+// PooledStackCaps returns the INT stack capacity of every packet in the
+// network's packet pools, shard by shard.
+func PooledStackCaps(n *Network) []int {
+	var caps []int
+	for _, sh := range n.shards {
+		for _, p := range sh.pool {
+			caps = append(caps, cap(p.hops))
+		}
+	}
+	return caps
+}
+
+// QueueRings returns the ring length of every egress queue, host uplinks
+// first, then switch ports.
+func QueueRings(n *Network) []int {
+	var rings []int
+	for _, h := range n.hosts {
+		if h.port != nil {
+			rings = append(rings, len(h.port.q.buf))
+		}
+	}
+	for _, s := range n.switches {
+		for _, pt := range s.ports {
+			rings = append(rings, len(pt.q.buf))
+		}
+	}
+	return rings
+}

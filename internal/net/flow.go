@@ -40,21 +40,19 @@ type Flow struct {
 	inflight int64
 	maxSent  int64 // high-water mark of sent; go-back-N rewinds sent below it
 	nextSend sim.Time
-	// pending/pendingAt track the outstanding pacing wakeup. The handle is
-	// generation-stamped, so cancelling it after it fired is harmless.
+	// pending/pendingAt track the outstanding pacing wakeup (see
+	// paceTimer). The handle is generation-stamped, so cancelling it after
+	// it fired is harmless.
 	pending   sim.EventID
 	pendingAt sim.Time
-	wake      func() // onWake bound once: the pacing-wakeup event body
 
 	// Loss recovery (armed only when Network.LossRecovery is set). The
-	// timer is lazy: progress just pushes rtoDeadline forward, and the
-	// scheduled event re-arms itself when it fires early, so ACK
-	// processing never cancels engine events.
+	// timer (see rtoTimer) is lazy: progress just pushes rtoDeadline
+	// forward, and the scheduled event re-arms itself when it fires early,
+	// so ACK processing never cancels engine events.
 	rtoBase     sim.Time // initial timeout: max(RTOMin, 4*baseRTT)
 	rto         sim.Time // current timeout (doubles on fire; capped at RTOMax when set, always at rtoBackoffCeiling)
 	rtoDeadline sim.Time
-	rtoArmed    bool
-	rtoWake     func() // onRTO bound once: the timeout event body
 
 	// Retransmits counts data packets this flow re-sent; Timeouts counts
 	// RTO fires that triggered go-back-N recovery.
@@ -63,10 +61,10 @@ type Flow struct {
 
 	started  bool
 	finished bool
-	// StartedAt and FinishedAt are valid once started/finished;
-	// DeliveredAt is when the last payload byte reached the receiver
-	// (FinishedAt additionally waits for the final ACK).
-	StartedAt   sim.Time
+	rtoArmed bool // a timeout event is outstanding
+	// FinishedAt is valid once finished; DeliveredAt is when the last
+	// payload byte reached the receiver (FinishedAt additionally waits for
+	// the final ACK).
 	FinishedAt  sim.Time
 	DeliveredAt sim.Time
 
@@ -76,17 +74,16 @@ type Flow struct {
 	invBwSum float64  // sum over forward links of 1/bandwidth (s/bit)
 	minBw    float64  // bottleneck link bandwidth on the path
 
-	// Flat forwarding path, resolved by Network.pathInfo: the egress port
-	// each switch hop picks for this flow's data (fwdPath) and ACKs
-	// (revPath). Both are carved from the network's path slab with
-	// len == cap (see carvePath).
-	fwdPath []*Port
-	revPath []*Port
+	// path is the flat forwarding path, resolved by Network.pathInfo: the
+	// egress port each switch picks for this flow's data, path[:hops], then
+	// for its ACKs, path[hops:]. It is carved from the network's path slab
+	// with len == cap (see carvePath).
+	path []*Port
 
-	// gateFree recycles the liveness gates scheduleCC wraps around
+	// gates is the free list of the liveness gates Schedule wraps around
 	// algorithm timers, so periodic timers (DCQCN's alpha/rate) stop
 	// allocating once each chain owns a gate.
-	gateFree []*ccGate
+	gates *ccGate
 
 	// gapWire/gapRate/gapDur memoize the pacing gap: the controlled rate
 	// only changes on ACKs and nearly every packet is full-MTU, so whole
@@ -103,9 +100,6 @@ type Flow struct {
 	deliveredMark int64
 }
 
-// Algorithm returns the flow's congestion-control instance.
-func (f *Flow) Algorithm() cc.Algorithm { return f.algo }
-
 // Finished reports whether all payload bytes have been acknowledged.
 func (f *Flow) Finished() bool { return f.finished }
 
@@ -120,9 +114,6 @@ func (f *Flow) Delivered() int64 { return f.delivered }
 
 // Acked returns payload bytes acknowledged at the sender.
 func (f *Flow) Acked() int64 { return f.acked }
-
-// Control returns the current congestion-control output.
-func (f *Flow) Control() cc.Control { return f.ctl }
 
 // BaseRTT returns the flow's unloaded round-trip time (propagation plus
 // MTU serialization on the forward path and ACK serialization back).
@@ -166,28 +157,34 @@ func (f *Flow) TakeDeliveredDelta() int64 {
 
 // Fire is the flow's start event, posted by AddFlow: it initializes
 // congestion control and begins sending. A flow is its own start handler,
-// so starting one needs no func value of its own.
+// and its timers are the flow too (see paceTimer and rtoTimer), so starting
+// one allocates nothing.
 func (f *Flow) Fire() {
 	f.started = true
-	f.StartedAt = f.eng.Now()
-	// Bind the pacing-wakeup callback once: every pacing timer the flow
-	// ever schedules reuses this one func value, so steady-state
-	// scheduling never allocates.
-	f.wake = f.onWake
-	f.rtoWake = f.onRTO
 	f.ctl = f.algo.Init(f.env())
 	f.trySend()
 }
 
-// onWake is the pacing-timer event body. It runs via the pre-bound f.wake.
-func (f *Flow) onWake() {
+// paceTimer and rtoTimer are a flow as its pacing wakeup and as its
+// retransmission timeout: converting the *Flow makes a sim.Handler with a
+// Fire of its own, so scheduling either timer binds no func value.
+type (
+	paceTimer Flow
+	rtoTimer  Flow
+)
+
+// Fire is the pacing wakeup.
+func (t *paceTimer) Fire() {
+	f := (*Flow)(t)
 	f.pending = sim.EventID{}
 	f.trySend()
 }
 
-// env builds the cc.Env for this flow's algorithm. The callbacks are
-// method values and the shard's shared Now binding — per-flow one-time
-// cost, with no per-call closure construction afterwards.
+// Fire is the retransmission timeout.
+func (t *rtoTimer) Fire() { (*Flow)(t).onRTO() }
+
+// env builds the cc.Env for this flow's algorithm; the flow is the Env's
+// Timers.
 func (f *Flow) env() cc.Env {
 	return cc.Env{
 		LineRateBps: f.host.port.bw,
@@ -195,60 +192,53 @@ func (f *Flow) env() cc.Env {
 		MTU:         f.net.MTU,
 		Hops:        f.hops,
 		Rand:        f.sh.rand,
-		Now:         f.sh.nowFn,
-		Schedule:    f.scheduleCC,
-		SetControl:  f.setControl,
+		Timers:      f,
 	}
 }
 
-// setControl is the cc.Env.SetControl body: timer-driven rate updates
-// land here (pre-bound once in env).
-func (f *Flow) setControl(c cc.Control) {
+// SetControl implements cc.Timers: timer-driven rate updates land here.
+func (f *Flow) SetControl(c cc.Control) {
 	if !f.finished {
 		f.ctl = c
 		f.trySend()
 	}
 }
 
-// ccGate gates one scheduled algorithm timer on flow liveness. Gates are
-// recycled through Flow.gateFree the moment they fire — before fn runs,
-// so a timer that immediately re-schedules itself (DCQCN's alpha and rate
-// chains) reuses the same gate forever. run is pre-bound into bound at
-// construction; after warm-up a timer tick schedules with zero
-// allocations, where the old per-call double closure allocated two
-// funcvals per tick.
+// ccGate gates one scheduled algorithm timer on flow liveness; it is the
+// timer's event. Gates return to the flow's free list the moment they fire
+// — before fn runs, so a timer that immediately re-schedules itself
+// (DCQCN's alpha and rate chains) reuses the same gate forever, and after
+// warm-up a timer tick schedules with zero allocations.
 type ccGate struct {
-	f     *Flow
-	fn    func()
-	bound func() // run, bound once
+	f    *Flow
+	fn   func()
+	next *ccGate // free-list link
 }
 
-func (g *ccGate) run() {
+func (g *ccGate) Fire() {
 	f, fn := g.f, g.fn
 	g.fn = nil
-	f.gateFree = append(f.gateFree, g)
+	g.next, f.gates = f.gates, g
 	if !f.finished {
 		fn()
 	}
 }
 
-// scheduleCC is the cc.Env.Schedule body: it runs fn after d unless the
-// flow has finished by then. Timers scheduled after the flow finished are
-// dropped outright.
-func (f *Flow) scheduleCC(d sim.Time, fn func()) {
+// Schedule implements cc.Timers: it runs fn after d unless the flow has
+// finished by then. Timers scheduled after the flow finished are dropped
+// outright.
+func (f *Flow) Schedule(d sim.Time, fn func()) {
 	if f.finished {
 		return
 	}
-	var g *ccGate
-	if m := len(f.gateFree); m > 0 {
-		g = f.gateFree[m-1]
-		f.gateFree = f.gateFree[:m-1]
+	g := f.gates
+	if g != nil {
+		f.gates = g.next
 	} else {
 		g = &ccGate{f: f}
-		g.bound = g.run
 	}
 	g.fn = fn
-	f.eng.After(d, g.bound)
+	f.eng.Schedule(f.eng.Now()+d, g)
 }
 
 // trySend releases as many packets as the window and pacer currently
@@ -283,7 +273,7 @@ func (f *Flow) trySend() {
 		p.SentAt = now
 		// Stamp the flat path while the Flow is hot in cache; switch hops
 		// then forward without touching it (see Packet.path).
-		p.path = f.fwdPath
+		p.path = f.path
 		if p.Seq < f.maxSent {
 			f.Retransmits++
 			f.sh.Retransmits++
@@ -327,10 +317,10 @@ func (f *Flow) armRTO() {
 		return
 	}
 	f.rtoArmed = true
-	f.eng.At(f.rtoDeadline, f.rtoWake)
+	f.eng.Schedule(f.rtoDeadline, (*rtoTimer)(f))
 }
 
-// onRTO is the retransmission-timeout event body (pre-bound in f.rtoWake).
+// onRTO is the retransmission-timeout event body.
 // If progress moved the deadline since this event was scheduled, it
 // re-arms at the new deadline; otherwise the outstanding window is
 // declared lost and go-back-N resends from the last cumulative ACK.
@@ -381,7 +371,7 @@ func (f *Flow) schedule(at sim.Time) {
 		}
 		f.eng.Cancel(f.pending)
 	}
-	f.pending = f.eng.At(at, f.wake)
+	f.pending = f.eng.Schedule(at, (*paceTimer)(f))
 	f.pendingAt = at
 }
 

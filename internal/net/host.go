@@ -70,15 +70,14 @@ func (h *Host) receiveData(p *Packet) {
 	ack.SentAt = p.SentAt
 	// Stamp the reverse flat path while the Flow is hot in cache; switch
 	// hops then forward without touching it (see Packet.path).
-	ack.path = f.revPath
-	// Echo the collected telemetry by copying into the ACK's own backing
-	// array. The old backing-array swap traded slices between the data
-	// packet and the ACK, which permanently demoted the data packet to the
-	// ACK's (typically nil) backing — so every later reuse of that pooled
-	// packet re-grew a hops array from scratch, a steady-state allocation
-	// per forwarding. A copy of at most a few Telemetry records lets both
-	// packets keep their grown backing forever.
-	ack.hops = append(ack.hops[:0], p.hops...)
+	ack.path = f.path[f.hops:]
+	// Echo the collected telemetry by trading INT stacks: the ACK takes the
+	// data packet's and the data packet, about to be recycled, the ACK's
+	// empty one. The trade is safe because no packet ever holds a nil or
+	// short stack: every packet is carved with one as deep as the longest
+	// flow path (see shard.getPacket), so whichever stack a packet holds
+	// next, stamping a path never grows it.
+	ack.hops, p.hops = p.hops, ack.hops
 	if p.ECN {
 		now := h.sh.eng.Now()
 		if h.net.CNPInterval == 0 || now-f.lastCNP >= h.net.CNPInterval {

@@ -2,8 +2,8 @@ package net
 
 import (
 	"fmt"
-	"math/rand"
 	"sync/atomic"
+	"unsafe"
 
 	"faircc/internal/cc"
 	"faircc/internal/sim"
@@ -94,14 +94,18 @@ type Network struct {
 	fwdWalk, revWalk []*Port
 	flowChunk        []Flow
 	pathChunk        []*Port
+	// maxHops is the longest forward path of any flow added: the depth of
+	// the INT stack every packet is carved with (see shard.getPacket).
+	maxHops int
 }
 
 // flowSlab is how many flows one allocation holds, and pathSlab how many
 // path ports: a flow costs a slot in each, not an allocation of its own.
-// 64 flows are 27 KB; 1024 ports are the paths of about a hundred flows on
-// a fat-tree.
+// A flow slab fills 32 KB, the allocator's largest small size class, so
+// size-class rounding wastes less than one flow per slab; 1024 ports are
+// the paths of about a hundred flows on a fat-tree.
 const (
-	flowSlab = 64
+	flowSlab = int(32 << 10 / unsafe.Sizeof(Flow{}))
 	pathSlab = 1024
 )
 
@@ -119,10 +123,6 @@ func New(eng *sim.Engine, seed int64) *Network {
 	n.shards = []*shard{newShard(n, 0, eng)}
 	return n
 }
-
-// Rand returns the network's deterministic PRNG (shard 0's stream, the
-// only one on an unsharded network).
-func (n *Network) Rand() *rand.Rand { return n.shards[0].rand }
 
 // AddHost creates a host. Host ids are assigned in creation order and are
 // the ids used in FlowSpec and routing.
@@ -209,7 +209,8 @@ func (n *Network) AddFlow(spec FlowSpec, algo cc.Algorithm) *Flow {
 	if err := n.pathInfo(f); err != nil {
 		panic("net: " + err.Error())
 	}
-	f.fwdPath, f.revPath = n.carvePath(f.fwdPath), n.carvePath(f.revPath)
+	f.path = n.carvePath(n.fwdWalk, n.revWalk)
+	n.maxHops = max(n.maxHops, f.hops)
 	f.rtoBase = 4 * f.baseRTT
 	if f.rtoBase < n.RTOMin {
 		f.rtoBase = n.RTOMin
@@ -228,16 +229,18 @@ func (n *Network) AddFlow(spec FlowSpec, algo cc.Algorithm) *Flow {
 	return f
 }
 
-// carvePath copies a walked path into the path slab. The copy is clipped to
-// len == cap, so an append to one flow's path reallocates instead of writing
-// over the next flow's.
-func (n *Network) carvePath(walk []*Port) []*Port {
-	if len(n.pathChunk) < len(walk) {
-		n.pathChunk = make([]*Port, max(pathSlab, len(walk)))
+// carvePath copies a flow's walked forward and reverse paths, in that order,
+// into one slice of the path slab. The copy is clipped to len == cap, so an
+// append to one flow's path reallocates instead of writing over the next
+// flow's.
+func (n *Network) carvePath(fwd, rev []*Port) []*Port {
+	k := len(fwd) + len(rev)
+	if len(n.pathChunk) < k {
+		n.pathChunk = make([]*Port, max(pathSlab, k))
 	}
-	p := n.pathChunk[:len(walk):len(walk)]
-	n.pathChunk = n.pathChunk[len(walk):]
-	copy(p, walk)
+	p := n.pathChunk[:k:k]
+	n.pathChunk = n.pathChunk[k:]
+	copy(p[copy(p, fwd):], rev)
 	return p
 }
 
@@ -259,34 +262,32 @@ func (n *Network) findHost(id int) *Host {
 }
 
 // pathInfo resolves the flow's flat forwarding path — the egress port each
-// switch picks for its data (fwdPath) and for its ACKs (revPath), the only
-// forwarding Switch.Receive does — and fills in the constants of the
-// forward links: the switch hop count; the unloaded RTT (per-link
-// propagation plus MTU-packet serialization forward, propagation plus ACK
-// serialization back); the one-way pipeline-fill delay; and the bottleneck
-// bandwidth. A missing route in either direction is an error. The walks
-// leave the paths in the network's walk scratch, so pathInfo allocates
+// switch picks for its data (into n.fwdWalk) and for its ACKs (into
+// n.revWalk), the only forwarding Switch.Receive does — and fills in the
+// constants of the forward links: the switch hop count; the unloaded RTT
+// (per-link propagation plus MTU-packet serialization forward, propagation
+// plus ACK serialization back); the one-way pipeline-fill delay; and the
+// bottleneck bandwidth. A missing route in either direction is an error.
+// The walks go into the network's walk scratch, so pathInfo allocates
 // nothing and never touches the packet pool.
 func (n *Network) pathInfo(f *Flow) (err error) {
-	f.fwdPath, f.revPath = n.fwdWalk[:0], n.revWalk[:0]
-	defer func() { n.fwdWalk, n.revWalk = f.fwdPath, f.revPath }()
 	if f.host == nil {
 		return fmt.Errorf("no host with id %d", f.Spec.Src)
 	}
 	if f.host.port == nil {
 		return fmt.Errorf("host %d is not connected", f.Spec.Src)
 	}
-	if f.fwdPath, err = resolvePath(f.host.port, f.Spec.Dst, f.Spec.ID, f.fwdPath); err != nil {
+	if n.fwdWalk, err = resolvePath(f.host.port, f.Spec.Dst, f.Spec.ID, n.fwdWalk[:0]); err != nil {
 		return err
 	}
 	// The forward walk ended at the destination host, so it exists and is
 	// connected.
-	if f.revPath, err = resolvePath(n.findHost(f.Spec.Dst).port, f.Spec.Src, f.Spec.ID, f.revPath); err != nil {
+	if n.revWalk, err = resolvePath(n.findHost(f.Spec.Dst).port, f.Spec.Src, f.Spec.ID, n.revWalk[:0]); err != nil {
 		return fmt.Errorf("ack %w", err)
 	}
-	f.hops, f.minBw = len(f.fwdPath), f.host.port.bw
+	f.hops, f.minBw = len(n.fwdWalk), f.host.port.bw
 	f.addLink(f.host.port)
-	for _, port := range f.fwdPath {
+	for _, port := range n.fwdWalk {
 		f.addLink(port)
 	}
 	return nil

@@ -49,10 +49,11 @@ func (k Kind) String() string {
 // hop needs hanging off them. Packets are carved from page-aligned slabs
 // (see shard.getPacket), so each is exactly its own two lines. The first
 // holds what a switch hop reads and writes — arrival dispatch, forwarding,
-// queueing, transmission; the second the INT stack's slice header, which
-// egress stamping appends through, and what only the endpoints use. A packet
-// is also its own arrival event (see Fire). Packets are pooled by the
-// Network; user code must not retain them after handing them off.
+// queueing, transmission; the second the header of the INT stack carved with
+// the packet, which egress stamping appends into, and what only the
+// endpoints use. A packet is also its own arrival event (see Fire). Packets
+// are pooled by the Network; user code must not retain them after handing
+// them off.
 type Packet struct {
 	Kind Kind
 	// hop counts the switches this packet has traversed; it is the cursor
@@ -80,7 +81,8 @@ type Packet struct {
 	_       [8]byte // fills the first line, so the second starts at hops
 
 	// The second line. hops is the INT stack collected on the forward path
-	// (data) or echoed back (ack); its backing array survives recycling.
+	// (data) or echoed back (ack): carved with the packet, as deep as the
+	// longest flow path, and kept across recycling.
 	hops    []cc.Telemetry
 	Src     int32    // source host id (for routing)
 	Dst     int32    // destination host id (for routing)
@@ -105,6 +107,5 @@ func (p *Packet) Fire() {
 	}
 }
 
-// reset clears a pooled packet for reuse, keeping the grown INT backing
-// array.
+// reset clears a pooled packet for reuse, keeping its INT stack.
 func (p *Packet) reset() { *p = Packet{hops: p.hops[:0]} }

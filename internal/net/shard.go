@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 
+	"faircc/internal/cc"
 	"faircc/internal/sim"
 )
 
@@ -29,7 +30,6 @@ type shard struct {
 
 	rand      *rand.Rand
 	faultRand *rand.Rand // fault-injection draws; isolated from rand
-	nowFn     func() sim.Time
 
 	pool  []*Packet
 	chunk []Packet // allocated, not yet carved into the pool (see getPacket)
@@ -53,7 +53,6 @@ func newShard(n *Network, id int, eng *sim.Engine) *shard {
 		eng:       eng,
 		rand:      rand.New(rand.NewSource(seed)),
 		faultRand: rand.New(rand.NewSource(seed ^ 0x5dee_c0de)),
-		nowFn:     eng.Now,
 	}
 }
 
@@ -90,6 +89,16 @@ func (sh *shard) getPacket() *Packet {
 	}
 	pkts := sh.chunk[:packetSlab]
 	sh.chunk = sh.chunk[packetSlab:]
+	// The slab's INT stacks are one allocation too, each as deep as the
+	// longest flow path and clipped to it: a data packet stamps its whole
+	// path without growing its stack, and a longer path than AddFlow has
+	// seen reallocates instead of writing into the neighbour's.
+	if h := sh.net.maxHops; h > 0 {
+		stacks := make([]cc.Telemetry, packetSlab*h)
+		for i := range pkts {
+			pkts[i].hops = stacks[i*h : i*h : (i+1)*h]
+		}
+	}
 	for i := 1; i < packetSlab; i++ {
 		sh.pool = append(sh.pool, &pkts[i])
 	}

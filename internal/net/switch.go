@@ -14,7 +14,7 @@ import (
 //
 // Forwarding state is a dense array indexed by destination host id rather
 // than a map. Packets never look it up: routes are fixed at the first flow,
-// so AddFlow resolves every flow's port sequence once (see Flow.fwdPath)
+// so AddFlow resolves every flow's port sequence once (see Flow.path)
 // and Receive indexes it by hop count.
 type Switch struct {
 	net   *Network
