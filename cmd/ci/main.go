@@ -1,7 +1,7 @@
 // Command ci is the repository's verification gate, runnable anywhere Go
 // is installed (no make required):
 //
-//	go run ./cmd/ci    # build + vet + cross + gofmt + test + race + bench smoke + fuzz smoke
+//	go run ./cmd/ci    # build + vet + cross + gofmt + test + race + bench smoke + 2 fuzz smokes
 //
 // The test step is the repository's tier-1 gate (`go test ./...`), so a
 // PR cannot pass ci with a broken unit or experiment test. The race step
@@ -16,8 +16,8 @@
 // benchmark that panics or trips its own invariant checks fails the
 // gate without paying measurement time; with -benchmem every log prints
 // each benchmark's B/op and allocs/op, BenchmarkAddFlows' bytes per flow
-// set among them. The fuzz-smoke step
-// mutates the scheduler's order-contract corpus for five seconds.
+// set among them. The fuzz-smoke steps mutate the scheduler's
+// order-contract corpus and distribution files for five seconds each.
 //
 // The cross steps build the tree for GOARCH=arm64 (offline, from GOROOT) and
 // vet the packages around its one assembly file there, so the non-amd64
@@ -114,6 +114,7 @@ func main() {
 		// Minimizing each new 9 KB corpus entry (60 s by default) would eat
 		// the whole budget; a failing input is kept whole instead.
 		{name: "fuzz-smoke", args: []string{"go", "test", "-run", "^$", "-fuzz", "FuzzEngineOrder", "-fuzztime", "5s", "-fuzzminimizetime", "0s", "./internal/sim"}},
+		{name: "fuzz-smoke", args: []string{"go", "test", "-run", "^$", "-fuzz", "FuzzArrivals", "-fuzztime", "5s", "-fuzzminimizetime", "0s", "./internal/workload"}},
 	}
 	failed := 0
 	for _, s := range steps {

@@ -3,6 +3,7 @@ package main
 import (
 	"context"
 	"errors"
+	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
@@ -19,6 +20,16 @@ func TestRejectsUnrunnableFlags(t *testing.T) {
 	bin := filepath.Join(t.TempDir(), "fairsim")
 	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
 		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	// Distribution files whose mean is negative or zero: every Poisson gap
+	// was negative or zero, so generation never reached the end of the
+	// traffic window.
+	dists := t.TempDir()
+	negative, zeroMean := filepath.Join(dists, "negative.txt"), filepath.Join(dists, "zero-mean.txt")
+	for path, src := range map[string]string{negative: "-1000 50\n-1 100\n", zeroMean: "0 100\n5 100\n"} {
+		if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
 	dc := func(args ...string) []string { return append([]string{"-exp", "dc"}, args...) }
 	incast := func(args ...string) []string { return append([]string{"-exp", "incast"}, args...) }
@@ -43,6 +54,8 @@ func TestRejectsUnrunnableFlags(t *testing.T) {
 		{"oversub 4", dc(append([]string{"-oversub", "4"}, small...)...), 0, ""},
 		{"unknown protocol", dc(append([]string{"-protocol", "reno"}, small...)...), 2, "reno"},
 		{"unknown workload", dc(append([]string{"-workload", "no-such-file"}, small...)...), 2, "no-such-file"},
+		{"negative sizes", dc(append([]string{"-workload", negative}, small...)...), 2, "not a byte count"},
+		{"zero mean size", dc(append([]string{"-workload", zeroMean}, small...)...), 2, "below 1 B"},
 
 		{"incast ok", incast("-senders", "4", "-size", "100000"), 0, ""},
 		{"negative senders", incast("-senders", "-1"), 2, "IncastSenders"},

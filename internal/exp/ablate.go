@@ -133,26 +133,18 @@ func runNewFlowAblation(cfg Config) (*Result, error) {
 func runSwiftHAI(cfg Config) (*Result, error) {
 	small := cfg
 	small.Scale = "small"
-	ftCfg, duration, err := dcScale(small)
-	if err != nil {
-		return nil, err
-	}
-	specs, err := dcTraffic(small, ftCfg, duration, "hadoop", dcLoad)
-	if err != nil {
-		return nil, err
-	}
-	p := dcParams(ftCfg)
-	vs := []variant{swiftBaselines(p)[0], swiftHAIVariant(p)}
-	outs, err := runDCSet(small, vs, ftCfg, specs)
+	out, err := runFatTree(small, "hadoop", func(p pathParams) []variant {
+		return []variant{swiftBaselines(p)[0], swiftHAIVariant(p)}
+	})
 	if err != nil {
 		return nil, err
 	}
 	res := &Result{Name: "ablate-swift-hai", Title: "Swift hyper-AI ablation",
 		XLabel: "flow size (bytes)", YLabel: "median FCT slowdown"}
-	for i, o := range outs {
-		res.Series = append(res.Series, slowdownSeries(vs[i].label, o.records, 50, 50))
-		if sd, err := metrics.SlowdownAbove(o.records, 100_000, 50); err == nil {
-			res.Notef("%s: median slowdown of >100KB flows = %.2fx", vs[i].label, sd)
+	for i, records := range out.records {
+		res.Series = append(res.Series, slowdownSeries(out.vs[i].label, records, 50, 50))
+		if sd, err := metrics.SlowdownAbove(records, 100_000, 50); err == nil {
+			res.Notef("%s: median slowdown of >100KB flows = %.2fx", out.vs[i].label, sd)
 		}
 	}
 	return res, nil

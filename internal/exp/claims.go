@@ -61,7 +61,7 @@ func Claims() []Claim {
 			Name: "tail-fct-halved",
 			Text: "Abstract: the mechanisms reduce 99.9% tail FCT of long flows by ~2x",
 			Check: func(cfg Config) (bool, string, error) {
-				out, err := runFatTree(cfg, "mix")
+				out, err := runFatTree(cfg, "mix", dcVariants)
 				if err != nil {
 					return false, "", err
 				}
@@ -77,7 +77,7 @@ func Claims() []Claim {
 			Name: "median-unaffected",
 			Text: "Sec. VI-B: VAI and SF have no significant repercussions on median FCT (HPCC)",
 			Check: func(cfg Config) (bool, string, error) {
-				out, err := runFatTree(cfg, "hadoop")
+				out, err := runFatTree(cfg, "hadoop", dcVariants)
 				if err != nil {
 					return false, "", err
 				}

@@ -67,23 +67,28 @@ const dcLoad = 0.5
 
 // dcSizes resolves a workload name to its flow-size distributions: one of
 // the three built-in CDFs, "mix" (WebSearch and Storage sharing the
-// cluster), or else the path of a distribution file (workload.ParseCDF).
+// cluster), or else the path of a distribution file (workload.ParseCDF)
+// that workload.CheckSizes accepts.
 func dcSizes(name string) ([]*stats.CDF, error) {
 	if name == "mix" {
 		return []*stats.CDF{workload.WebSearch(), workload.Storage()}, nil
 	}
 	cdf, err := workload.ByName(name)
 	if err != nil {
-		if cdf, err = workload.LoadCDF(name); err != nil {
-			return nil, fmt.Errorf("exp: unknown workload or unreadable distribution %q: %w", name, err)
+		if cdf, err = workload.LoadCDF(name); err == nil {
+			err = workload.CheckSizes(cdf)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("exp: unknown workload or unusable distribution %q: %w", name, err)
 		}
 	}
 	return []*stats.CDF{cdf}, nil
 }
 
-// dcTraffic generates the flow set for a workload name at the given load,
-// identical across protocol variants so comparisons are paired.
-func dcTraffic(cfg Config, ftCfg topo.FatTreeConfig, duration sim.Time, name string, load float64) ([]net.FlowSpec, error) {
+// dcTraffic resolves a workload name at the given load to its arrival
+// stream's constructor: each variant pulls the same flows from a stream of
+// its own, so comparisons are paired and no run holds the flow set.
+func dcTraffic(cfg Config, ftCfg topo.FatTreeConfig, duration sim.Time, name string, load float64) (func() *workload.Arrivals, error) {
 	sizes, err := dcSizes(name)
 	if err != nil {
 		return nil, err
@@ -92,33 +97,23 @@ func dcTraffic(cfg Config, ftCfg topo.FatTreeConfig, duration sim.Time, name str
 	for i := range hosts {
 		hosts[i] = i
 	}
-	pc := workload.PoissonConfig{
-		Hosts:    hosts,
-		Sizes:    sizes[0],
-		Load:     load,
-		LinkBps:  ftCfg.HostBps,
-		Duration: duration,
-		Seed:     cfg.Seed,
-	}
-	if len(sizes) == 2 {
-		return workload.Mixed(pc, sizes[0], sizes[1]), nil
-	}
-	return workload.Poisson(pc), nil
+	pc := workload.PoissonConfig{Hosts: hosts, Load: load, LinkBps: ftCfg.HostBps, Duration: duration, Seed: cfg.Seed}
+	return func() *workload.Arrivals { return workload.NewArrivals(pc, sizes...) }, nil
 }
 
-// runDC runs one datacenter simulation: the given traffic on the fat-tree
-// under one protocol variant, returning per-flow completion records and
-// the network's counter snapshot (the dc experiment reports switched
-// bytes and the deepest queue from it; figure assembly ignores it).
-// Completion records are collected after the run (CollectFinished), so the
-// same code path serves sequential and sharded runs.
-func runDC(cfg Config, v variant, ftCfg topo.FatTreeConfig, specs []net.FlowSpec) ([]metrics.FlowRecord, net.NetworkStats, error) {
+// runDC runs one datacenter simulation: the traffic on the fat-tree under
+// one protocol variant, flows added as they are pulled, returning per-flow
+// completion records and the network's counter snapshot. Completion
+// records are collected after the run (CollectFinished), so the same code
+// path serves sequential and sharded runs.
+func runDC(cfg Config, v variant, ftCfg topo.FatTreeConfig, traffic func() *workload.Arrivals) ([]metrics.FlowRecord, net.NetworkStats, error) {
 	nw, err := simulate(cfg, v.label, func(nw *net.Network) {
 		ft := topo.NewFatTree(nw, ftCfg)
 		if cfg.Shards > 1 {
 			nw.Shard(ft.ShardMap(cfg.Shards))
 		}
-		for _, spec := range specs {
+		src := traffic()
+		for spec, ok := src.Next(); ok; spec, ok = src.Next() {
 			nw.AddFlow(spec, v.make())
 		}
 	})
@@ -147,73 +142,68 @@ const (
 
 // dcVariants returns the four protocols Figs. 10-13 compare.
 func dcVariants(p pathParams) []variant {
-	return []variant{
-		hpccBaselines()[0],
-		hpccVAISF(p),
-		swiftBaselines(p)[0],
-		swiftVAISF(p),
-	}
+	return []variant{hpccBaselines()[0], hpccVAISF(p), swiftBaselines(p)[0], swiftVAISF(p)}
 }
 
-// dcOut is what one datacenter simulation produces.
-type dcOut struct {
-	records []metrics.FlowRecord
-	stats   net.NetworkStats
-}
-
-// runDCSet runs the same traffic under every variant in parallel; the
-// first failing variant cancels the rest.
-func runDCSet(cfg Config, vs []variant, ftCfg topo.FatTreeConfig, specs []net.FlowSpec) ([]dcOut, error) {
-	return par.MapErr(len(vs), cfg.Workers, func(i int) (dcOut, error) {
-		records, st, err := runDC(cfg, vs[i], ftCfg, specs)
-		return dcOut{records, st}, err
-	})
-}
-
-// fatTreeOut is what one of the paper's datacenter runs produces: the
-// completion records of the same flows under each of dcVariants' four
-// protocols. Figs. 10-13 are percentiles of two such runs.
-type fatTreeOut struct {
+// dcPlan is one datacenter run: a workload's traffic at a load on a
+// fat-tree, the same flows under each of vs.
+type dcPlan struct {
 	ftCfg    topo.FatTreeConfig
 	duration sim.Time
-	labels   []string               // dcVariants order
-	records  [][]metrics.FlowRecord // per variant
+	workload string
+	load     float64
+	vs       []variant
 }
 
-// runFatTree runs the named workload at the paper's load on the Scale
-// preset's fat-tree under the four dcVariants.
-func runFatTree(cfg Config, workloadName string) (*fatTreeOut, error) {
-	ftCfg, duration, err := dcScale(cfg)
+// dcOut is what a dcPlan's run produces, per variant in vs order: the
+// completion records and the network's counter snapshot (the dc experiment
+// reports switched bytes and the deepest queue from it).
+type dcOut struct {
+	dcPlan
+	records [][]metrics.FlowRecord
+	stats   []net.NetworkStats
+}
+
+// run runs the plan's traffic under every variant in parallel; the first
+// failing variant cancels the rest. Figs. 10-13, robustness, dc and the
+// Swift hyper-AI ablation are all such runs.
+func (p dcPlan) run(cfg Config) (*dcOut, error) {
+	traffic, err := dcTraffic(cfg, p.ftCfg, p.duration, p.workload, p.load)
 	if err != nil {
 		return nil, err
 	}
-	specs, err := dcTraffic(cfg, ftCfg, duration, workloadName, dcLoad)
+	out := &dcOut{dcPlan: p, records: make([][]metrics.FlowRecord, len(p.vs)), stats: make([]net.NetworkStats, len(p.vs))}
+	err = par.ForEachErr(len(p.vs), cfg.Workers, func(i int) (err error) {
+		out.records[i], out.stats[i], err = runDC(cfg, p.vs[i], p.ftCfg, traffic)
+		return err
+	})
 	if err != nil {
 		return nil, err
-	}
-	vs := dcVariants(dcParams(ftCfg))
-	outs, err := runDCSet(cfg, vs, ftCfg, specs)
-	if err != nil {
-		return nil, err
-	}
-	out := &fatTreeOut{ftCfg: ftCfg, duration: duration}
-	for i, o := range outs {
-		out.labels = append(out.labels, vs[i].label)
-		out.records = append(out.records, o.records)
 	}
 	return out, nil
 }
 
+// runFatTree runs the named workload at the paper's load on the Scale
+// preset's fat-tree under the variants vs sizes to that fabric. With
+// dcVariants it is one of the paper's runs; Figs. 10-13 read two of them.
+func runFatTree(cfg Config, workloadName string, vs func(pathParams) []variant) (*dcOut, error) {
+	ftCfg, duration, err := dcScale(cfg)
+	if err != nil {
+		return nil, err
+	}
+	return dcPlan{ftCfg, duration, workloadName, dcLoad, vs(dcParams(ftCfg))}.run(cfg)
+}
+
 // longSlowdown is the pct-percentile slowdown of the >1 MB flows under
 // variant i: the long-flow tail (pct 99.9) the paper's headline reports.
-func (o *fatTreeOut) longSlowdown(i int, pct float64) (float64, error) {
+func (o *dcOut) longSlowdown(i int, pct float64) (float64, error) {
 	return metrics.SlowdownAbove(o.records[i], 1_000_000, pct)
 }
 
 // improvement is the factor by which VAI SF cuts the protocol's long-flow
 // slowdown: variant base (dcHPCC or dcSwift) over the VAI SF variant that
 // follows it. It is 0 when a run had no >1 MB flow.
-func (o *fatTreeOut) improvement(base int, pct float64) float64 {
+func (o *dcOut) improvement(base int, pct float64) float64 {
 	def, errDef := o.longSlowdown(base, pct)
 	vai, errVAI := o.longSlowdown(base+1, pct)
 	if errDef != nil || errVAI != nil {
@@ -225,21 +215,21 @@ func (o *fatTreeOut) improvement(base int, pct float64) float64 {
 // slowdownView is the slowdown-versus-flow-size figure of a fat-tree run
 // at one percentile: 99.9 for the tail figures (10, 11), 50 for the median
 // figures (12, 13).
-func slowdownView(f Figure, cfg Config, out *fatTreeOut, pct float64) *Result {
+func slowdownView(f Figure, cfg Config, out *dcOut, pct float64) *Result {
 	res := &Result{Name: f.Name, Title: f.Title,
 		XLabel: "flow size (bytes)",
 		YLabel: fmt.Sprintf("p%v FCT slowdown", pct)}
 	res.Notef("scale=%s hosts=%d duration=%v load=%.0f%% flows=%d",
 		cfg.Scale, out.ftCfg.NumHosts(), out.duration, dcLoad*100, len(out.records[0]))
 	for i, records := range out.records {
-		res.Series = append(res.Series, slowdownSeries(out.labels[i], records, 100, pct))
+		res.Series = append(res.Series, slowdownSeries(out.vs[i].label, records, 100, pct))
 		if sd, err := out.longSlowdown(i, pct); err == nil {
-			res.Notef("%s: p%v slowdown of >1MB flows = %.1fx", out.labels[i], pct, sd)
+			res.Notef("%s: p%v slowdown of >1MB flows = %.1fx", out.vs[i].label, pct, sd)
 		}
 	}
 	for _, base := range []int{dcHPCC, dcSwift} {
 		if imp := out.improvement(base, pct); imp > 0 {
-			res.Notef("%s long-flow tail improvement: %.2fx", out.labels[base], imp)
+			res.Notef("%s long-flow tail improvement: %.2fx", out.vs[base].label, imp)
 		}
 	}
 	return res
@@ -251,7 +241,7 @@ func fatTreeExperiment(workloadName string, tail, median Figure) *Experiment {
 	return &Experiment{
 		Figures: []Figure{tail, median},
 		run: func(cfg Config) ([]*Result, error) {
-			out, err := runFatTree(cfg, workloadName)
+			out, err := runFatTree(cfg, workloadName, dcVariants)
 			if err != nil {
 				return nil, err
 			}
@@ -260,30 +250,18 @@ func fatTreeExperiment(workloadName string, tail, median Figure) *Experiment {
 	}
 }
 
-// dcPlan is what the dc experiment runs, resolved from Config's DC*
-// fields (at their zero values: fig10's fabric and traffic under HPCC).
-type dcPlan struct {
-	ftCfg    topo.FatTreeConfig
-	duration sim.Time
-	workload string
-	load     float64
-	specs    []net.FlowSpec
-	vs       []variant // the protocol without and with VAI SF
-}
-
+// planDC is what the dc experiment runs, resolved from Config's DC*
+// fields (at their zero values: fig10's fabric and traffic under HPCC):
+// the protocol without and with VAI SF.
 func planDC(cfg Config) (dcPlan, error) {
-	p := dcPlan{workload: cmp.Or(cfg.DCWorkload, "hadoop"), load: cmp.Or(cfg.DCLoad, dcLoad)}
-	var err error
-	if p.ftCfg, p.duration, err = dcSetup(cfg); err != nil {
-		return p, err
+	ftCfg, duration, err := dcSetup(cfg)
+	if err != nil {
+		return dcPlan{}, err
 	}
-	if p.specs, err = dcTraffic(cfg, p.ftCfg, p.duration, p.workload, p.load); err != nil {
-		return p, err
-	}
-	byKey := variantsByKey(dcParams(p.ftCfg))
+	byKey := variantsByKey(dcParams(ftCfg))
 	proto := cmp.Or(cfg.DCProtocol, "hpcc")
-	p.vs = []variant{byKey[proto], byKey[proto+"-vaisf"]}
-	return p, nil
+	return dcPlan{ftCfg, duration, cmp.Or(cfg.DCWorkload, "hadoop"), cmp.Or(cfg.DCLoad, dcLoad),
+		[]variant{byKey[proto], byKey[proto+"-vaisf"]}}, nil
 }
 
 // runDCCustom is the dc experiment: one protocol with and without VAI SF
@@ -295,7 +273,7 @@ func runDCCustom(cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	outs, err := runDCSet(cfg, p.vs, p.ftCfg, p.specs)
+	out, err := p.run(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -303,7 +281,7 @@ func runDCCustom(cfg Config) (*Result, error) {
 	res := &Result{Name: "dc", Title: "FCT slowdown vs flow size on a configurable fat-tree",
 		XLabel: "flow size (bytes)", YLabel: "p99.9 FCT slowdown"}
 	res.Notef("hosts=%d oversubscription=%.3g:1 workload=%s load=%.0f%% duration=%v flows=%d",
-		p.ftCfg.NumHosts(), p.ftCfg.OversubscriptionRatio(), p.workload, p.load*100, p.duration, len(p.specs))
+		p.ftCfg.NumHosts(), p.ftCfg.OversubscriptionRatio(), p.workload, p.load*100, p.duration, len(out.records[0]))
 	classes := []struct {
 		name     string
 		min, max int64
@@ -313,11 +291,11 @@ func runDCCustom(cfg Config) (*Result, error) {
 		{"100KB-1MB", 100_000, 1_000_000},
 		{">1MB", 1_000_000, math.MaxInt64},
 	}
-	for i, o := range outs {
-		res.Series = append(res.Series, slowdownSeries(p.vs[i].label, o.records, 100, 99.9))
+	for i, records := range out.records {
+		res.Series = append(res.Series, slowdownSeries(p.vs[i].label, records, 100, 99.9))
 		for _, c := range classes {
 			var xs []float64
-			for _, r := range o.records {
+			for _, r := range records {
 				if r.Size >= c.min && r.Size < c.max {
 					xs = append(xs, r.Slowdown)
 				}
@@ -328,7 +306,7 @@ func runDCCustom(cfg Config) (*Result, error) {
 			}
 		}
 		res.Notef("%s: %.2f GB switched, deepest queue %d KB", p.vs[i].label,
-			float64(o.stats.FabricTxBytes)/1e9, o.stats.MaxQueuePeak/1000)
+			float64(out.stats[i].FabricTxBytes)/1e9, out.stats[i].MaxQueuePeak/1000)
 	}
 	return res, nil
 }

@@ -165,10 +165,8 @@ func (cfg Config) Validate() error {
 	if _, _, err := dcSetup(cfg); err != nil { // dcScale's is the one list of scale names
 		return err
 	}
-	if cfg.DCWorkload != "" {
-		if _, err := dcSizes(cfg.DCWorkload); err != nil {
-			return err
-		}
+	if _, err := dcSizes(cmp.Or(cfg.DCWorkload, "hadoop")); err != nil {
+		return err
 	}
 	if p := cfg.DCProtocol; p != "" && p != "hpcc" && p != "swift" {
 		return fmt.Errorf("exp: unknown protocol %q (hpcc or swift)", p)

@@ -29,7 +29,7 @@ func TestGoldenFatTreeShardsSeed1(t *testing.T) {
 	}
 	ftCfg := topo.DefaultFatTree().Scaled(4, 4, 2)
 	cfg := Config{Seed: 1}
-	specs, err := dcTraffic(cfg, ftCfg, 1*sim.Millisecond, "hadoop", dcLoad)
+	traffic, err := dcTraffic(cfg, ftCfg, 1*sim.Millisecond, "hadoop", dcLoad)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +38,7 @@ func TestGoldenFatTreeShardsSeed1(t *testing.T) {
 		run := cfg
 		run.Shards = w.shards
 		run.obs = &runObserver{}
-		records, _, err := runDC(run, v, ftCfg, specs)
+		records, _, err := runDC(run, v, ftCfg, traffic)
 		if err != nil {
 			t.Fatalf("shards=%d: %v", w.shards, err)
 		}

@@ -9,8 +9,8 @@ import (
 	"testing"
 
 	"faircc/internal/metrics"
-	"faircc/internal/net"
 	"faircc/internal/topo"
+	"faircc/internal/workload"
 )
 
 // Golden regression values for the seed-1 16-1 incast. The simulator is
@@ -111,11 +111,11 @@ func TestGoldenFatTreeSeed1(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	specs, err := dcTraffic(cfg, ftCfg, duration, "hadoop", dcLoad)
+	traffic, err := dcTraffic(cfg, ftCfg, duration, "hadoop", dcLoad)
 	if err != nil {
 		t.Fatal(err)
 	}
-	check := func(v variant, ftCfg topo.FatTreeConfig, specs []net.FlowSpec) {
+	check := func(v variant, ftCfg topo.FatTreeConfig, traffic func() *workload.Arrivals) {
 		t.Helper()
 		i := 0
 		for i < len(want) && want[i].label != v.label {
@@ -127,7 +127,7 @@ func TestGoldenFatTreeSeed1(t *testing.T) {
 		w := want[i]
 		run := cfg
 		run.obs = &runObserver{}
-		records, _, err := runDC(run, v, ftCfg, specs)
+		records, _, err := runDC(run, v, ftCfg, traffic)
 		if err != nil {
 			t.Fatalf("%s: %v", v.label, err)
 		}
@@ -144,7 +144,7 @@ func TestGoldenFatTreeSeed1(t *testing.T) {
 		if v.label != want[i].label {
 			t.Fatalf("variant order changed: %s vs %s", v.label, want[i].label)
 		}
-		check(v, ftCfg, specs)
+		check(v, ftCfg, traffic)
 	}
 	// What the dc experiment resolves from the same Config must be the same
 	// runs, not similar ones: same fabric, traffic and variant sizing.
@@ -155,8 +155,12 @@ func TestGoldenFatTreeSeed1(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		traffic, err := dcTraffic(c, p.ftCfg, p.duration, p.workload, p.load)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for _, v := range p.vs {
-			check(v, p.ftCfg, p.specs)
+			check(v, p.ftCfg, traffic)
 		}
 	}
 }

@@ -114,16 +114,23 @@ func TestObservabilityDoesNotPerturbResults(t *testing.T) {
 	if flows := uint64(len(observed.records)); stats.EventsPosted != flows {
 		t.Errorf("events_posted = %d, want one per flow, %d", stats.EventsPosted, flows)
 	}
-	// So are a mix workload's, whose two Poisson streams Mixed merges.
+	// So are a mix workload's, whose two Poisson streams workload.Arrivals
+	// merges, on the run path every datacenter experiment shares. Every
+	// flow finished (simulate errs otherwise), so the records count them.
 	mix := Config{Seed: 1, Scale: "small", DCWorkload: "mix", obs: &runObserver{}}
 	plan, err := planDC(mix)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := runDC(mix, plan.vs[0], plan.ftCfg, plan.specs); err != nil {
+	out, err := plan.run(mix)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if posted, flows := mix.obs.finish(time.Second).EventsPosted, uint64(len(plan.specs)); posted != flows {
+	var flows uint64
+	for _, records := range out.records {
+		flows += uint64(len(records))
+	}
+	if posted := mix.obs.finish(time.Second).EventsPosted; posted != flows {
 		t.Errorf("mix: events_posted = %d, want one per flow, %d", posted, flows)
 	}
 }

@@ -32,17 +32,17 @@ func runRobustness(cfg Config) (*Result, error) {
 	for i := 0; i < nSeeds; i++ {
 		seedCfg := cfg
 		seedCfg.Seed = cfg.Seed + int64(i)
-		out, err := runFatTree(seedCfg, "hadoop") // fig10's run at this seed
+		out, err := runFatTree(seedCfg, "hadoop", dcVariants) // fig10's run at this seed
 		if err != nil {
 			return nil, err
 		}
-		tails := make([]string, len(out.labels))
-		for j, label := range out.labels {
+		tails := make([]string, len(out.vs))
+		for j, v := range out.vs {
 			sd, err := out.longSlowdown(j, 99.9)
 			if err != nil {
-				return nil, fmt.Errorf("%s seed %d: %w", label, seedCfg.Seed, err)
+				return nil, fmt.Errorf("%s seed %d: %w", v.label, seedCfg.Seed, err)
 			}
-			tails[j] = fmt.Sprintf("%s %.1fx", label, sd)
+			tails[j] = fmt.Sprintf("%s %.1fx", v.label, sd)
 		}
 		res.Notef("seed %d: p99.9 slowdown of >1MB flows: %s", seedCfg.Seed, strings.Join(tails, ", "))
 		for k, base := range []int{dcHPCC, dcSwift} {

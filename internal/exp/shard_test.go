@@ -74,22 +74,28 @@ func TestShardDifferential(t *testing.T) {
 	if testing.Short() {
 		t.Skip("datacenter runs in -short mode")
 	}
-	p, err := planDC(fourPods(0))
+	cfg := fourPods(0)
+	p, err := planDC(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ftCfg, specs, v := p.ftCfg, p.specs, p.vs[1]
+	traffic, err := dcTraffic(cfg, p.ftCfg, p.duration, p.workload, p.load)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ftCfg, v := p.ftCfg, p.vs[1]
 
 	run := func(shards int) net.NetworkStats {
 		t.Helper()
 		eng := sim.NewEngine()
-		nw := net.New(eng, DefaultConfig().Seed)
+		nw := net.New(eng, cfg.Seed)
 		ft := topo.NewFatTree(nw, ftCfg)
 		if shards > 1 {
 			assign, k := ft.ShardMap(shards)
 			nw.Shard(assign, k)
 		}
-		for _, spec := range specs {
+		src := traffic()
+		for spec, ok := src.Next(); ok; spec, ok = src.Next() {
 			nw.AddFlow(spec, v.make())
 		}
 		if nw.Shards() > 1 {

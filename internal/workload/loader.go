@@ -13,10 +13,11 @@ import (
 )
 
 // ParseCDF reads a flow-size distribution in the HPCC-artifact text
-// format: one "<size_bytes> <cumulative_percent>" pair per line, percents
-// in [0,100] ending at 100. Blank lines and lines starting with '#' are
-// ignored. This lets users who have the original WebSearch / FbHdp /
-// AliStorage trace files drop them in instead of the synthetic CDFs.
+// format: one "<size_bytes> <cumulative_percent>" pair per line, sizes in
+// [0, 2^63) bytes, percents in [0,100] ending at 100. Blank lines and lines
+// starting with '#' are ignored. This lets users who have the original
+// WebSearch / FbHdp / AliStorage trace files drop them in instead of the
+// synthetic CDFs.
 func ParseCDF(r io.Reader) (*stats.CDF, error) {
 	var pts []stats.CDFPoint
 	sc := bufio.NewScanner(r)
@@ -34,8 +35,10 @@ func ParseCDF(r io.Reader) (*stats.CDF, error) {
 		var v [2]float64
 		for i, name := range []string{"size", "percent"} {
 			x, err := strconv.ParseFloat(fields[i], 64)
-			if err == nil && (math.IsNaN(x) || math.IsInf(x, 0)) { // ParseFloat takes "nan" and "inf"
-				err = fmt.Errorf("%q is not finite", fields[i])
+			// ParseFloat takes "nan" and "inf"; NewCDF refuses them as a
+			// percent, and float64(MaxInt64) is 2^63.
+			if err == nil && i == 0 && !(x >= 0 && x < math.MaxInt64) {
+				err = fmt.Errorf("%q is not a byte count", fields[i])
 			}
 			if err != nil {
 				return nil, fmt.Errorf("workload: line %d: bad %s: %w", lineNo, name, err)

@@ -20,7 +20,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"slices"
 
 	"faircc/internal/net"
 	"faircc/internal/sim"
@@ -121,79 +120,108 @@ type PoissonConfig struct {
 	FirstID  int // first flow id to assign (default 1)
 }
 
-// Poisson generates flows with exponential inter-arrival times so that the
-// expected offered load equals Load * LinkBps * len(Hosts) in aggregate,
-// sources drawn uniformly, destinations uniform among the other hosts —
-// the standard datacenter-simulation traffic model used by the HPCC
-// artifact.
+// Poisson is NewArrivals(cfg, cfg.Sizes) drained into a slice.
 func Poisson(cfg PoissonConfig) []net.FlowSpec {
-	if cfg.Load <= 0 || cfg.LinkBps <= 0 || len(cfg.Hosts) < 2 {
-		panic("workload: Poisson requires positive load, rate, and >= 2 hosts")
-	}
-	r := rand.New(rand.NewSource(cfg.Seed))
-	meanSize := cfg.Sizes.Mean()
-	// Aggregate arrival rate (flows/sec) to hit the offered load.
-	lambda := cfg.Load * cfg.LinkBps * float64(len(cfg.Hosts)) / (8 * meanSize)
-	meanGapSec := 1 / lambda
-
-	id := cfg.FirstID
-	if id == 0 {
-		id = 1
-	}
 	var specs []net.FlowSpec
-	t := sim.Time(0)
-	for {
-		// Compared as a float before it becomes a sim.Time: a gap beyond
-		// int64 (a tiny load) would convert to math.MinInt64 and wrap t
-		// backwards forever. For integer n, trunc(g) >= n iff g >= n, so
-		// every gap that converts does so exactly as before.
-		gap := r.ExpFloat64() * meanGapSec * float64(sim.Second)
-		if gap >= float64(cfg.Duration-t) {
-			return specs
-		}
-		t += sim.Time(gap)
-		src := cfg.Hosts[r.Intn(len(cfg.Hosts))]
-		dst := src
-		for dst == src {
-			dst = cfg.Hosts[r.Intn(len(cfg.Hosts))]
-		}
-		size := int64(math.Max(1, cfg.Sizes.Sample(r)))
-		specs = append(specs, net.FlowSpec{
-			ID: id, Src: src, Dst: dst, Size: size, Start: t,
-		})
-		id++
+	a := NewArrivals(cfg, cfg.Sizes)
+	for spec, ok := a.Next(); ok; spec, ok = a.Next() {
+		specs = append(specs, spec)
 	}
-}
-
-// Mixed interleaves two Poisson workloads (e.g. WebSearch and Storage
-// sharing a cluster, Sec. VI-A), splitting the load equally between them
-// and renumbering flow ids to stay unique. The flows come back in start
-// order, a's before b's on a tie, so AddFlow posts every start on the
-// engine's lane.
-func Mixed(cfg PoissonConfig, a, b *stats.CDF) []net.FlowSpec {
-	half := cfg
-	half.Load = cfg.Load / 2
-
-	half.Sizes = a
-	half.Seed = cfg.Seed
-	specsA := Poisson(half)
-
-	half.Sizes = b
-	half.Seed = cfg.Seed + 1
-	half.FirstID = len(specsA) + 1
-	specsB := Poisson(half)
-
-	specs := append(specsA, specsB...)
-	slices.SortStableFunc(specs, func(x, y net.FlowSpec) int { return cmp.Compare(x.Start, y.Start) })
 	return specs
 }
 
-// OfferedLoad computes the aggregate offered load of specs as a fraction
-// of hosts*linkBps over the duration (for validating generators).
-func OfferedLoad(specs []net.FlowSpec, hosts int, linkBps float64, duration sim.Time) float64 {
-	var bytes int64
-	for _, s := range specs {
-		bytes += s.Size
+// CheckSizes rejects a flow-size distribution whose mean is below one byte:
+// sizes are clamped to at least 1 B, and at a mean of 0 or below every
+// Poisson gap is 0 or negative, so the clock never leaves the window.
+func CheckSizes(sizes *stats.CDF) error {
+	if m := sizes.Mean(); !(m >= 1) {
+		return fmt.Errorf("workload: mean flow size %v B is below 1 B", m)
 	}
-	return float64(bytes) * 8 / (linkBps * float64(hosts) * duration.Seconds())
+	return nil
+}
+
+// Arrivals is a pull source of datacenter traffic: one Poisson stream per
+// flow-size distribution, each drawn as it is pulled, merged in start order
+// with the lower stream first on a tie.
+type Arrivals struct{ streams []stream }
+
+// stream is one Poisson process; head is the flow it yields next, while live.
+type stream struct {
+	cfg        PoissonConfig
+	r          *rand.Rand
+	meanGapSec float64
+	head       net.FlowSpec
+	live       bool
+}
+
+// NewArrivals draws flows with exponential inter-arrival times, so that the
+// expected offered load is cfg.Load * LinkBps * len(Hosts), sources uniform
+// and destinations uniform among the other hosts (the HPCC artifact's
+// model). Distribution i of sizes (cfg.Sizes is ignored) is a stream with an
+// equal share of the load, seed cfg.Seed+i, and ids after the earlier
+// streams', from cfg.FirstID (default 1): a counting pass over each earlier
+// stream's RNG, O(n) draws and no memory, finds where they end. It panics on
+// a load, rate or host count nothing can run, or on sizes CheckSizes rejects.
+func NewArrivals(cfg PoissonConfig, sizes ...*stats.CDF) *Arrivals {
+	if !(cfg.Load > 0) || cfg.LinkBps <= 0 || len(cfg.Hosts) < 2 || len(sizes) == 0 {
+		panic("workload: arrivals require positive load, rate, >= 2 hosts and a size distribution")
+	}
+	a := &Arrivals{streams: make([]stream, len(sizes))}
+	id := cmp.Or(cfg.FirstID, 1)
+	for i, c := range sizes {
+		if err := CheckSizes(c); err != nil {
+			panic(err)
+		}
+		sc := cfg
+		sc.Sizes, sc.Load, sc.Seed = c, cfg.Load/float64(len(sizes)), cfg.Seed+int64(i)
+		a.streams[i] = newStream(sc, id)
+		if i < len(sizes)-1 {
+			for s := newStream(sc, id); s.live; s.advance() {
+				id++
+			}
+		}
+	}
+	return a
+}
+
+func newStream(cfg PoissonConfig, firstID int) stream {
+	// Aggregate arrival rate (flows/sec) to hit the offered load.
+	lambda := cfg.Load * cfg.LinkBps * float64(len(cfg.Hosts)) / (8 * cfg.Sizes.Mean())
+	s := stream{cfg: cfg, r: rand.New(rand.NewSource(cfg.Seed)), meanGapSec: 1 / lambda, head: net.FlowSpec{ID: firstID - 1}}
+	s.advance()
+	return s
+}
+
+// advance draws the stream's next flow into head, or ends the stream at the
+// first gap that leaves the arrival window.
+func (s *stream) advance() {
+	// Compared as a float before it becomes a sim.Time: a gap beyond int64
+	// (a tiny load) would convert to math.MinInt64 and wrap the clock back.
+	gap := s.r.ExpFloat64() * s.meanGapSec * float64(sim.Second)
+	if s.live = gap < float64(s.cfg.Duration-s.head.Start); !s.live {
+		return
+	}
+	src := s.cfg.Hosts[s.r.Intn(len(s.cfg.Hosts))]
+	dst := src
+	for dst == src {
+		dst = s.cfg.Hosts[s.r.Intn(len(s.cfg.Hosts))]
+	}
+	size := int64(math.Max(1, s.cfg.Sizes.Sample(s.r)))
+	s.head = net.FlowSpec{ID: s.head.ID + 1, Src: src, Dst: dst, Size: size, Start: s.head.Start + sim.Time(gap)}
+}
+
+// Next yields the flow that starts first among the streams' heads, or false
+// once every stream has left the window.
+func (a *Arrivals) Next() (spec net.FlowSpec, ok bool) {
+	var first *stream
+	for i := range a.streams {
+		if s := &a.streams[i]; s.live && (first == nil || s.head.Start < first.head.Start) {
+			first = s
+		}
+	}
+	if ok = first != nil; ok {
+		spec = first.head
+		first.advance()
+	}
+	return spec, ok
 }

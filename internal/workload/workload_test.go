@@ -1,12 +1,16 @@
 package workload
 
 import (
+	"cmp"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
+	"faircc/internal/net"
 	"faircc/internal/sim"
+	"faircc/internal/stats"
 )
 
 // The distributions must match the aggregate properties the paper states.
@@ -85,10 +89,7 @@ func TestStaggeredIncast16(t *testing.T) {
 }
 
 func TestPoissonLoadTargeting(t *testing.T) {
-	hosts := make([]int, 16)
-	for i := range hosts {
-		hosts[i] = i
-	}
+	hosts := hostRange(16)
 	cfg := PoissonConfig{
 		Hosts:    hosts,
 		Sizes:    Hadoop(),
@@ -101,7 +102,7 @@ func TestPoissonLoadTargeting(t *testing.T) {
 	if len(specs) == 0 {
 		t.Fatal("no flows generated")
 	}
-	load := OfferedLoad(specs, len(hosts), 100e9, cfg.Duration)
+	load := OfferedLoad(NewArrivals(cfg, cfg.Sizes), len(hosts), 100e9, cfg.Duration)
 	if math.Abs(load-0.5) > 0.1 {
 		t.Fatalf("offered load = %v, want ~0.5", load)
 	}
@@ -175,14 +176,10 @@ func TestPoissonTinyLoadTerminates(t *testing.T) {
 }
 
 func TestMixedSplitsLoad(t *testing.T) {
-	hosts := make([]int, 32)
-	for i := range hosts {
-		hosts[i] = i
-	}
-	cfg := PoissonConfig{Hosts: hosts, Sizes: nil, Load: 0.5,
+	cfg := PoissonConfig{Hosts: hostRange(32), Sizes: nil, Load: 0.5,
 		LinkBps: 100e9, Duration: 20 * sim.Millisecond, Seed: 7}
-	specs := Mixed(cfg, WebSearch(), Storage())
-	load := OfferedLoad(specs, len(hosts), 100e9, cfg.Duration)
+	specs := NewArrivals(cfg, WebSearch(), Storage()).drain()
+	load := OfferedLoad(NewArrivals(cfg, WebSearch(), Storage()), len(cfg.Hosts), 100e9, cfg.Duration)
 	if math.Abs(load-0.5) > 0.12 {
 		t.Fatalf("mixed offered load = %v, want ~0.5", load)
 	}
@@ -210,17 +207,28 @@ func TestMixedSplitsLoad(t *testing.T) {
 	}
 }
 
-// Mixed returns its two streams merged in start order, with unique ids and
-// stream a's flow first on a tie, so a run adds the flows in the order they
-// start.
+// hostRange returns host ids 0..n-1.
+func hostRange(n int) []int {
+	hosts := make([]int, n)
+	for i := range hosts {
+		hosts[i] = i
+	}
+	return hosts
+}
+
+// tiedStarts is a two-stream config at a line rate where arrivals are under
+// a picosecond apart, so starts tie within and across the streams.
+var tiedStarts = PoissonConfig{Hosts: []int{0, 1}, Load: 0.5, LinkBps: 1e18, Duration: 1000 * sim.Picosecond, Seed: 3}
+
+// NewArrivals yields its two streams merged in start order, with unique ids
+// and the first stream's flow first on a tie, so a run adds the flows in
+// the order they start.
 func TestMixedInStartOrder(t *testing.T) {
-	// At this line rate arrivals are under a picosecond apart, so starts tie
-	// within and across the streams.
-	cfg := PoissonConfig{Hosts: []int{0, 1}, Load: 0.5, LinkBps: 1e18, Duration: 1000 * sim.Picosecond, Seed: 3}
+	cfg := tiedStarts
 	half := cfg
 	half.Load, half.Sizes = cfg.Load/2, Storage()
 	lastA := len(Poisson(half)) // stream a holds ids 1..lastA
-	specs := Mixed(cfg, Storage(), Storage())
+	specs := NewArrivals(cfg, Storage(), Storage()).drain()
 	seen := map[int]bool{}
 	crossTies := 0
 	for i, s := range specs {
@@ -249,6 +257,61 @@ func TestMixedInStartOrder(t *testing.T) {
 	}
 }
 
+// sortedStreams is how two distributions sharing a cluster used to be
+// generated, kept as the reference NewArrivals must reproduce: each
+// stream's flows at half the load, the second seeded Seed+1 with ids after
+// the first's, concatenated and stably sorted by start.
+func sortedStreams(cfg PoissonConfig, a, b *stats.CDF) []net.FlowSpec {
+	half := cfg
+	half.Load = cfg.Load / 2
+	half.Sizes, half.Seed = a, cfg.Seed
+	specsA := Poisson(half)
+	half.Sizes, half.Seed, half.FirstID = b, cfg.Seed+1, len(specsA)+1
+	specs := append(specsA, Poisson(half)...)
+	slices.SortStableFunc(specs, func(x, y net.FlowSpec) int { return cmp.Compare(x.Start, y.Start) })
+	return specs
+}
+
+func TestArrivalsMatchSortedStreams(t *testing.T) {
+	for name, c := range map[string]struct {
+		cfg  PoissonConfig
+		a, b *stats.CDF
+	}{
+		"cross ties":                {tiedStarts, Storage(), Storage()},
+		"websearch+storage 32x20ms": {PoissonConfig{Hosts: hostRange(32), Load: 0.5, LinkBps: 100e9, Duration: 20 * sim.Millisecond, Seed: 1}, WebSearch(), Storage()},
+	} {
+		want := sortedStreams(c.cfg, c.a, c.b)
+		got := NewArrivals(c.cfg, c.a, c.b).drain()
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d flows, reference %d", name, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%s: flow %d is %+v, reference %+v", name, i, got[i], want[i])
+			}
+		}
+	}
+}
+
+// Every stream numbers its flows from FirstID on, after the streams before
+// it: the ids are exactly FirstID..FirstID+n-1, each once.
+func TestArrivalsFirstID(t *testing.T) {
+	cfg := PoissonConfig{Hosts: hostRange(32), Load: 0.5, LinkBps: 100e9, Duration: 2 * sim.Millisecond, Seed: 7, FirstID: 100}
+	var ids []int
+	for _, s := range NewArrivals(cfg, WebSearch(), Storage()).drain() {
+		ids = append(ids, s.ID)
+	}
+	slices.Sort(ids)
+	for i, id := range ids {
+		if id != 100+i {
+			t.Fatalf("sorted id %d of %d is %d, want %d", i, len(ids), id, 100+i)
+		}
+	}
+	if len(ids) == 0 {
+		t.Fatal("no flows generated")
+	}
+}
+
 func TestSampleSizesWithinSupport(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
 	for _, c := range []struct {
@@ -263,4 +326,23 @@ func TestSampleSizesWithinSupport(t *testing.T) {
 			}
 		}
 	}
+}
+
+// drain pulls every flow that is left.
+func (a *Arrivals) drain() []net.FlowSpec {
+	var specs []net.FlowSpec
+	for spec, ok := a.Next(); ok; spec, ok = a.Next() {
+		specs = append(specs, spec)
+	}
+	return specs
+}
+
+// OfferedLoad drains src and computes the aggregate offered load of its
+// flows as a fraction of hosts*linkBps over the duration.
+func OfferedLoad(src *Arrivals, hosts int, linkBps float64, duration sim.Time) float64 {
+	var bytes int64
+	for spec, ok := src.Next(); ok; spec, ok = src.Next() {
+		bytes += spec.Size
+	}
+	return float64(bytes) * 8 / (linkBps * float64(hosts) * duration.Seconds())
 }
