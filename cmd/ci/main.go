@@ -28,13 +28,17 @@
 //
 // Its last line is the tracked size number (ROADMAP aim 2), the figure a
 // PR's CHANGES.md entry quotes; `go run ./cmd/ci -loc` (`make loc`) prints
-// that number on its first line and then the same count per directory.
+// that number on its first line, then the same count per directory, then
+// the number of flags fairsim declares, the other tracked knob count.
 package main
 
 import (
 	"bytes"
 	"flag"
 	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"io/fs"
 	"os"
 	"os/exec"
@@ -70,8 +74,34 @@ func loc() (n int, byDir map[string]int, err error) {
 	return n, byDir, err
 }
 
+// fairsimFlags counts the flags cmd/fairsim declares: the calls in its
+// main.go to the flag package's defining functions (Int, StringVar, Func,
+// Var, ...).
+func fairsimFlags() (int, error) {
+	f, err := parser.ParseFile(token.NewFileSet(), filepath.Join("cmd", "fairsim", "main.go"), nil, 0)
+	if err != nil {
+		return 0, err
+	}
+	defines := map[string]bool{"Bool": true, "Duration": true, "Float64": true, "Int": true, "Int64": true,
+		"String": true, "Uint": true, "Uint64": true, "Text": true, "": true}
+	n := 0
+	ast.Inspect(f, func(node ast.Node) bool {
+		if call, ok := node.(*ast.CallExpr); ok {
+			if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
+				name := sel.Sel.Name
+				if pkg, ok := sel.X.(*ast.Ident); ok && pkg.Name == "flag" &&
+					(defines[strings.TrimSuffix(name, "Var")] || name == "Func" || name == "BoolFunc") {
+					n++
+				}
+			}
+		}
+		return true
+	})
+	return n, nil
+}
+
 func main() {
-	locOnly := flag.Bool("loc", false, "print the tracked size number, then one line per directory, and exit")
+	locOnly := flag.Bool("loc", false, "print the tracked size number, one line per directory and fairsim's flag count, and exit")
 	flag.Parse()
 	size, byDir, err := loc()
 	if err != nil {
@@ -88,6 +118,12 @@ func main() {
 		for _, dir := range dirs {
 			fmt.Printf("%6d %s\n", byDir[dir], dir)
 		}
+		flags, err := fairsimFlags()
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "ci: flags:", err)
+			os.Exit(1)
+		}
+		fmt.Printf("%6d fairsim flags\n", flags)
 		return
 	}
 

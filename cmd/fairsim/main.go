@@ -51,7 +51,6 @@ func run() int {
 		seed   = flag.Int64("seed", 1, "simulation seed")
 		out    = flag.String("out", "", "directory for CSV output (default: stdout summary only)")
 		work   = flag.Int("workers", 0, "parallel variant runners (0 = GOMAXPROCS)")
-		shards = flag.Int("shards", 0, "partition each fat-tree simulation into N parallel shards, at most min(pods, Aggs per pod) (0/1 = sequential engine; results are deterministic per shard count but differ across counts)")
 		plot   = flag.Bool("plot", false, "render an ASCII chart of each result")
 		verify = flag.Bool("verify", false, "check the paper's claims against fresh runs and exit")
 
@@ -67,7 +66,6 @@ func run() int {
 		pods     = flag.Int("pods", 0, "dc: fat-tree pods (default: the -scale preset)")
 		tors     = flag.Int("tors", 0, "dc: ToR (and Agg) switches per pod (default: the -scale preset)")
 		hosts    = flag.Int("hosts", 0, "dc: hosts per ToR (default: the -scale preset)")
-		k16      = flag.Bool("k16", false, "dc: start from the 4096-host k=16-style Clos instead of the -scale preset")
 		oversub  = flag.Float64("oversub", 0, "dc: ToR-layer oversubscription ratio, e.g. 4 for 4:1 (0 = the paper's 1:1 fabric)")
 		ms       = flag.Int("ms", 0, "dc: traffic duration in milliseconds (default: the -scale preset)")
 		load     = flag.Float64("load", 0, "dc: offered load as a fraction of host line rate (default: the paper's 0.5)")
@@ -93,13 +91,13 @@ func run() int {
 	// known.
 	var err error
 	cfg := exp.Config{
-		Seed: *seed, Workers: *work, Scale: *scale, Shards: *shards,
+		Seed: *seed, Workers: *work, Scale: *scale,
 		BufferBytes: *bufBytes, DropDataProb: *dropData, DropAckProb: *dropAck,
 		RTTSlowDelay: picos("rtt-slow-delay", rttSlowDelay.Nanoseconds(), sim.Nanosecond, &err),
 		RTTSenders:   *rttSenders,
 
 		DCWorkload: *workload, DCProtocol: *protocol,
-		DCPods: *pods, DCToRs: *tors, DCHostsPerToR: *hosts, DCK16: *k16, DCOversub: *oversub,
+		DCPods: *pods, DCToRs: *tors, DCHostsPerToR: *hosts, DCOversub: *oversub,
 		DCDuration: picos("ms", int64(*ms), sim.Millisecond, &err), DCLoad: *load,
 
 		IncastAlgo: *algo, IncastSenders: *senders, IncastFlowBytes: *size,

@@ -47,7 +47,6 @@ func TestRejectsUnrunnableFlags(t *testing.T) {
 		{"zero pods", dc("-pods", "0"), 2, "-pods"},
 		{"negative pods", dc("-pods", "-1"), 2, "DCPods"},
 		{"zero ms", dc("-pods", "1", "-tors", "2", "-hosts", "2", "-ms", "0"), 2, "-ms"},
-		{"negative shards", dc(append([]string{"-shards", "-1"}, small...)...), 2, "Shards"},
 		{"negative oversub", dc(append([]string{"-oversub", "-4"}, small...)...), 2, "DCOversub"},
 		{"oversub 1e300", dc("-scale", "small", "-oversub", "1e300"), 2, "ToR uplink"},
 		{"oversub 1e-300", dc("-scale", "small", "-oversub", "1e-300"), 2, "ToR uplink"},
@@ -64,6 +63,9 @@ func TestRejectsUnrunnableFlags(t *testing.T) {
 		{"zero size", incast("-size", "0"), 2, "-size"},
 		{"negative every", incast("-every", "-5"), 2, "IncastEvery"},
 		{"unknown algo", incast("-algo", "reno"), 2, "reno"},
+		// Each -every fits the clock, but the last of three start groups
+		// does not: it wrapped into the past and panicked the engine.
+		{"every overflows last start", incast("-senders", "5", "-every", "9000000000000"), 2, "IncastEvery"},
 
 		// A switch buffer no data packet fits tail-drops every one of them
 		// and go-back-N retransmits forever.
@@ -77,8 +79,10 @@ func TestRejectsUnrunnableFlags(t *testing.T) {
 		{"every overflow", incast("-every", "18446744073710"), 2, "-every"},
 		{"rtt-slow-delay overflow", []string{"-exp", "rtt-unfairness", "-rtt-slow-delay", "5124h"}, 2, "-rtt-slow-delay"},
 
-		// Deleted in PR 16; a removed flag fails loudly, it is not ignored.
+		// A removed flag fails loudly, it is not ignored.
 		{"removed ack-coalesce", incast("-ack-coalesce"), 2, "flag provided but not defined: -ack-coalesce"},
+		{"removed shards", dc(append([]string{"-shards", "2"}, small...)...), 2, "flag provided but not defined: -shards"},
+		{"removed k16", dc(append([]string{"-k16"}, small...)...), 2, "flag provided but not defined: -k16"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -45,9 +45,6 @@ func dcSetup(cfg Config) (topo.FatTreeConfig, sim.Time, error) {
 	if err != nil {
 		return ftCfg, 0, err
 	}
-	if cfg.DCK16 {
-		ftCfg = topo.K16FatTree()
-	}
 	ftCfg = ftCfg.Scaled(cmp.Or(cfg.DCPods, ftCfg.Pods), cmp.Or(cfg.DCToRs, ftCfg.ToRsPerPod),
 		cmp.Or(cfg.DCHostsPerToR, ftCfg.HostsPerToR))
 	if cfg.DCOversub > 0 {
@@ -103,15 +100,10 @@ func dcTraffic(cfg Config, ftCfg topo.FatTreeConfig, duration sim.Time, name str
 
 // runDC runs one datacenter simulation: the traffic on the fat-tree under
 // one protocol variant, flows added as they are pulled, returning per-flow
-// completion records and the network's counter snapshot. Completion
-// records are collected after the run (CollectFinished), so the same code
-// path serves sequential and sharded runs.
+// completion records and the network's counter snapshot.
 func runDC(cfg Config, v variant, ftCfg topo.FatTreeConfig, traffic func() *workload.Arrivals) ([]metrics.FlowRecord, net.NetworkStats, error) {
 	nw, err := simulate(cfg, v.label, func(nw *net.Network) {
-		ft := topo.NewFatTree(nw, ftCfg)
-		if cfg.Shards > 1 {
-			nw.Shard(ft.ShardMap(cfg.Shards))
-		}
+		topo.NewFatTree(nw, ftCfg)
 		src := traffic()
 		for spec, ok := src.Next(); ok; spec, ok = src.Next() {
 			nw.AddFlow(spec, v.make())

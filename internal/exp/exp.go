@@ -31,17 +31,6 @@ type Config struct {
 	// Workers bounds the parallelism across protocol variants and sweeps
 	// (0 = GOMAXPROCS). It never changes results.
 	Workers int `json:"workers"`
-	// Shards partitions each datacenter fat-tree simulation into this
-	// many execution shards driven in parallel by sim.Parallel (see
-	// Network.Shard), clamped to min(pods, Aggs per pod) — the most shards
-	// that each own a pod and a spine group (FatTree.ShardMap): 2 at scale
-	// small and medium, 4 on the paper's fabric, 8 on -k16. 0 or 1 keeps
-	// the sequential engine. A fixed shard count is deterministic across
-	// repetitions, but different counts yield statistically equivalent —
-	// not identical — results, so the recorded figures use the sequential
-	// engine. Experiments without a fat-tree (incast star, fluid model)
-	// ignore the setting.
-	Shards int `json:"shards,omitempty"`
 	// Scale picks the experiment size: "small" for tests and benches,
 	// "medium" for the recorded results in EXPERIMENTS.md, "full" for the
 	// paper-scale setup (320 hosts, 50 ms datacenter runs).
@@ -77,8 +66,7 @@ type Config struct {
 	// ignore them). DCWorkload is hadoop, websearch, storage, mix, or the
 	// path of a distribution file; DCProtocol, hpcc or swift, is compared
 	// with and without VAI SF. DCPods, DCToRs (ToR and Agg switches per
-	// pod) and DCHostsPerToR resize the fat-tree, DCK16 starts from the
-	// 4096-host k=16-style Clos instead of the preset, and DCOversub thins
+	// pod) and DCHostsPerToR resize the fat-tree, and DCOversub thins
 	// the ToR uplinks to an N:1 host-to-fabric ratio (zero = the paper's
 	// 1:1). DCDuration is the traffic window, DCLoad the offered load as a
 	// fraction of host line rate.
@@ -87,7 +75,6 @@ type Config struct {
 	DCPods        int      `json:"dc_pods,omitempty"`
 	DCToRs        int      `json:"dc_tors,omitempty"`
 	DCHostsPerToR int      `json:"dc_hosts_per_tor,omitempty"`
-	DCK16         bool     `json:"dc_k16,omitempty"`
 	DCOversub     float64  `json:"dc_oversub,omitempty"`
 	DCDuration    sim.Time `json:"dc_duration_ps,omitempty"`
 	DCLoad        float64  `json:"dc_load,omitempty"`
@@ -112,9 +99,10 @@ func DefaultConfig() Config { return Config{Seed: 1, Scale: "medium"} }
 // Validate rejects a configuration before any experiment builds a
 // simulation from it, whichever experiment it is meant for: an unknown
 // scale (which star experiments would otherwise ignore), workload,
-// protocol or algorithm; a negative count, size or time; a fat-tree
-// nothing can run on; a load or ratio that is negative, NaN or infinite
-// (an infinite arrival rate never reaches the end of the traffic window);
+// protocol or algorithm; a negative count, size or time; an incast whose
+// last flows would start beyond the clock; a fat-tree nothing can run on;
+// a load or ratio that is negative, NaN or infinite (an infinite arrival
+// rate never reaches the end of the traffic window);
 // a switch buffer smaller than one data packet; or a drop probability
 // outside [0,1) — at 1 and above no packet is ever delivered and the run
 // never ends. Zero always means "the preset", so a negative value must not
@@ -124,7 +112,6 @@ func (cfg Config) Validate() error {
 		name string
 		v    int64
 	}{
-		{"Shards", int64(cfg.Shards)},
 		{"Workers", int64(cfg.Workers)},
 		{"BufferBytes", cfg.BufferBytes},
 		{"RTTSenders", int64(cfg.RTTSenders)},
@@ -155,6 +142,12 @@ func (cfg Config) Validate() error {
 		if !(c.v >= 0 && c.v < c.max) { // also rejects NaN
 			return fmt.Errorf("exp: %s must be in [0,%v), got %v", c.name, c.max, c.v)
 		}
+	}
+	// A last start group beyond the picosecond clock wraps into the past,
+	// where the engine refuses to schedule it.
+	if in := customShape(cfg); sim.Time((in.senders-1)/in.group) > sim.Time(math.MaxInt64)/in.every {
+		return fmt.Errorf("exp: IncastEvery %v puts the last of %d start groups beyond the simulator's clock (at most %v)",
+			in.every, (in.senders-1)/in.group+1, sim.Time(math.MaxInt64))
 	}
 	// A switch buffer that cannot hold one data packet tail-drops every one
 	// of them, even into an empty queue, and go-back-N retries forever.

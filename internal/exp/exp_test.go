@@ -272,7 +272,6 @@ func TestConfigValidation(t *testing.T) {
 		cfg  Config
 	}{
 		{"unknown scale", Config{Scale: "bogus"}},
-		{"negative shards", Config{Shards: -1}},
 		{"negative workers", Config{Workers: -1}},
 		{"negative buffer", Config{BufferBytes: -1}},
 		{"negative rtt senders", Config{RTTSenders: -1}},
@@ -308,6 +307,9 @@ func TestConfigValidation(t *testing.T) {
 		{"negative flow size", Config{IncastFlowBytes: -1}},
 		{"negative group", Config{IncastGroup: -1}},
 		{"negative start interval", Config{IncastEvery: -5 * sim.Microsecond}},
+		// The last start group, the fifth sender's, starts at 2 x 9e18 ps,
+		// which wrapped into the past and panicked the engine.
+		{"last start beyond the clock", Config{IncastSenders: 5, IncastEvery: 9_000_000 * sim.Second}},
 		{"unknown algorithm", Config{IncastAlgo: "reno"}},
 	}
 	for _, c := range bad {
@@ -320,9 +322,9 @@ func TestConfigValidation(t *testing.T) {
 			t.Errorf("%s: RunWithStats accepted %+v", c.name, c.cfg)
 		}
 	}
-	ok := Config{Seed: 1, Scale: "small", Shards: 2, Workers: 1, BufferBytes: 150_000,
+	ok := Config{Seed: 1, Scale: "small", Workers: 1, BufferBytes: 150_000,
 		DropDataProb: 0.01, DropAckProb: 0, RTTSenders: 2, RTTSlowDelay: sim.Microsecond,
-		DCWorkload: "mix", DCProtocol: "swift", DCPods: 1, DCToRs: 2, DCHostsPerToR: 2, DCK16: true,
+		DCWorkload: "mix", DCProtocol: "swift", DCPods: 1, DCToRs: 2, DCHostsPerToR: 2,
 		DCOversub: 4, DCDuration: sim.Millisecond, DCLoad: 0.3,
 		IncastAlgo: "dcqcn", IncastSenders: 1, IncastFlowBytes: 1, IncastGroup: 1, IncastEvery: 1}
 	if err := ok.Validate(); err != nil {
@@ -330,6 +332,10 @@ func TestConfigValidation(t *testing.T) {
 	}
 	if err := (Config{}).Validate(); err != nil {
 		t.Errorf("zero config rejected: %v", err)
+	}
+	// Three senders in pairs: the last group starts at the clock's end.
+	if err := (Config{IncastSenders: 3, IncastEvery: math.MaxInt64}).Validate(); err != nil {
+		t.Errorf("last start at the clock's end rejected: %v", err)
 	}
 }
 

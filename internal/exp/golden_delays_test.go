@@ -68,15 +68,7 @@ func TestGoldenManyDelaysSeed1(t *testing.T) {
 	variants := map[string]variant{"HPCC": hpccBaselines()[0], "Swift VAI SF": swiftVAISF(p)}
 	for _, w := range want {
 		v := variants[w.label]
-		cfg := Config{Seed: 1, obs: &runObserver{}}
-		nw, err := simulate(cfg, v.label, func(nw *net.Network) { build(nw, w.shards, v) })
-		if err != nil {
-			t.Fatalf("%s shards=%d: %v", w.label, w.shards, err)
-		}
-		st := cfg.obs.finish(0)
-		if w.shards > 1 && st.Shards != w.shards {
-			t.Fatalf("%s: ran on %d shards, want %d", w.label, st.Shards, w.shards)
-		}
+		nw, st := runAtShards(t, v.label, w.shards, func(nw *net.Network) { build(nw, w.shards, v) })
 		if st.EventsLaned == 0 || st.EventsLaned >= uint64(3*(st.DataSent+st.AcksSent)) {
 			t.Errorf("%s shards=%d: %d events laned; with 37 delays some of the three link arrivals per packet must be laned and some not",
 				w.label, w.shards, st.EventsLaned)

@@ -64,15 +64,7 @@ func TestGoldenManyRatesSeed1(t *testing.T) {
 	variants := map[string]variant{"HPCC": hpccBaselines()[0], "Swift VAI SF": swiftVAISF(p)}
 	for _, w := range want {
 		v := variants[w.label]
-		cfg := Config{Seed: 1, obs: &runObserver{}}
-		nw, err := simulate(cfg, v.label, func(nw *net.Network) { build(nw, w.shards, v) })
-		if err != nil {
-			t.Fatalf("%s shards=%d: %v", w.label, w.shards, err)
-		}
-		st := cfg.obs.finish(0)
-		if w.shards > 1 && st.Shards != w.shards {
-			t.Fatalf("%s: ran on %d shards, want %d", w.label, st.Shards, w.shards)
-		}
+		nw, st := runAtShards(t, v.label, w.shards, func(nw *net.Network) { build(nw, w.shards, v) })
 		// Sequentially all three arrivals per packet are laned (two
 		// propagation delays), cut in two one of them crosses shards; of
 		// the three serialization ends some found a ring and some did not.

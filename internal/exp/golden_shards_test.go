@@ -3,14 +3,15 @@ package exp
 import (
 	"testing"
 
+	"faircc/internal/metrics"
 	"faircc/internal/sim"
 	"faircc/internal/topo"
 )
 
 // Golden regression values for the sharded engine: HPCC VAI SF on a 4-pod,
 // 4-Agg fat-tree (32 hosts, 1 ms of Hadoop at 50% load, seed 1) at 2 and 4
-// shards, through simulate. A sharded run is exact at a fixed shard count,
-// so these pin the partition, every epoch horizon (Epochs) and the
+// shards, through runParallel. A sharded run is exact at a fixed shard
+// count, so these pin the partition, every epoch horizon (Epochs) and the
 // cross-shard tie order (the event counts and the finish-time hash).
 // Update them deliberately, as for TestGoldenIncastSeed1.
 func TestGoldenFatTreeShardsSeed1(t *testing.T) {
@@ -35,22 +36,12 @@ func TestGoldenFatTreeShardsSeed1(t *testing.T) {
 	}
 	v := hpccVAISF(dcParams(ftCfg))
 	for _, w := range want {
-		run := cfg
-		run.Shards = w.shards
-		run.obs = &runObserver{}
-		records, _, err := runDC(run, v, ftCfg, traffic)
-		if err != nil {
-			t.Fatalf("shards=%d: %v", w.shards, err)
-		}
-		st := run.obs.finish(0)
-		if st.Shards != w.shards {
-			t.Fatalf("shards=%d: ran on %d shards", w.shards, st.Shards)
-		}
-		h := finishedAtHash(records)
-		if st.Events != w.events || st.EventsScheduled != w.scheduled || st.Epochs != w.epochs ||
+		nw, st, epochs := runParallel(t, cfg.Seed, w.shards, shardedFatTree(ftCfg, w.shards, traffic, v))
+		h := finishedAtHash(metrics.CollectFinished(nw))
+		if st.Events != w.events || st.EventsScheduled != w.scheduled || epochs != w.epochs ||
 			st.DataSent != w.dataSent || st.AcksSent != w.acksSent || h != w.finishedAtHash {
 			t.Errorf("shards=%d: got (events=%d, scheduled=%d, epochs=%d, data=%d, acks=%d, finishedAt=%#x), golden (%d, %d, %d, %d, %d, %#x)",
-				w.shards, st.Events, st.EventsScheduled, st.Epochs, st.DataSent, st.AcksSent, h,
+				w.shards, st.Events, st.EventsScheduled, epochs, st.DataSent, st.AcksSent, h,
 				w.events, w.scheduled, w.epochs, w.dataSent, w.acksSent, w.finishedAtHash)
 		}
 	}

@@ -96,11 +96,7 @@ type rttOut struct {
 	records [][]metrics.FlowRecord // finished flows per RTT class, in Groups order
 }
 
-// runRTT runs one dumbbell scenario under one protocol variant. It always
-// uses the sequential engine: the per-class goodput sampler reads
-// receiver-side delivery marks every tick, which on a sharded network
-// would race with the receiver shard (the same reason the incast figures
-// are sequential; Dumbbell.ShardMap exists for record-only workloads).
+// runRTT runs one dumbbell scenario under one protocol variant.
 func runRTT(cfg Config, v variant, s rttSetup) (*rttOut, error) {
 	var jain *metrics.JainClassSeries
 	var flowClass []int // flow ID - 1 -> its sender's RTT class

@@ -2,7 +2,6 @@ package exp
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"faircc/internal/metrics"
@@ -12,30 +11,19 @@ import (
 
 // simulate is the one path from a Config to a checked, counted run; every
 // simulation of every experiment goes through it. It makes the engine and
-// the network from cfg.Seed, hands the network to build — topology, an
-// optional Network.Shard, flows, samplers and collectors, in the caller's
-// order — and drives it: the parallel runner if build sharded the network,
-// the sequential step loop otherwise. Whichever engine ran, the RunStats go
-// to the observer once, and a run that left a flow unfinished, broke a
-// conservation invariant, or tail-dropped with PFC engaged is an error, so
-// no experiment can report numbers from such a run.
+// the network from cfg.Seed, hands the network to build — topology, flows,
+// samplers and collectors, in the caller's order — and drives it with the
+// sequential step loop. The RunStats go to the observer once, and a run
+// that left a flow unfinished, broke a conservation invariant, or
+// tail-dropped with PFC engaged is an error, so no experiment can report
+// numbers from such a run.
 func simulate(cfg Config, label string, build func(*net.Network)) (*net.Network, error) {
 	eng := sim.NewEngine()
 	nw := net.New(eng, cfg.Seed)
 	build(nw)
-
-	var epochs uint64
-	if nw.Shards() > 1 {
-		pr := nw.NewParallel()
-		if err := runSharded(cfg, label, nw, pr); err != nil {
-			return nil, fmt.Errorf("%s: %w", label, err)
-		}
-		epochs = pr.Epochs()
-	} else {
-		runSequential(cfg, label, eng, nw)
-	}
+	runSequential(cfg, label, eng, nw)
 	if cfg.obs != nil {
-		cfg.obs.add(metrics.CollectRun(nw, epochs))
+		cfg.obs.add(metrics.CollectRun(nw))
 	}
 	if !nw.AllFinished() {
 		st := nw.Stats()
@@ -62,15 +50,6 @@ type progress struct {
 	label           string
 	start, lastWall time.Time
 	lastEvents      uint64
-}
-
-func newProgress(cfg Config, label string) *progress {
-	every := cfg.ProgressEvery
-	if every <= 0 {
-		every = time.Second
-	}
-	now := time.Now()
-	return &progress{emit: cfg.Progress, every: every, label: label, start: now, lastWall: now}
 }
 
 func (p *progress) report(now time.Time, events uint64, simNow sim.Time, done bool) {
@@ -104,8 +83,13 @@ func runSequential(cfg Config, label string, eng *sim.Engine, nw *net.Network) {
 	var p *progress
 	var next time.Time
 	if cfg.Progress != nil {
-		p = newProgress(cfg, label)
-		next = p.start.Add(p.every)
+		every := cfg.ProgressEvery
+		if every <= 0 {
+			every = time.Second
+		}
+		now := time.Now()
+		p = &progress{emit: cfg.Progress, every: every, label: label, start: now, lastWall: now}
+		next = now.Add(every)
 	}
 	var n uint64
 	for !nw.AllFinished() && eng.Pending() > eng.Periodic() && eng.Step() {
@@ -121,54 +105,4 @@ func runSequential(cfg Config, label string, eng *sim.Engine, nw *net.Network) {
 	if p != nil {
 		p.report(time.Now(), eng.Steps(), eng.Now(), true)
 	}
-}
-
-// runSharded is the sharded drive: it runs the epochs of pr and, when
-// Config.Progress is set, watches them from a separate observer goroutine.
-// The observer reads only the runner's atomically published counters
-// (sim.Parallel.Progress: event batches mid-epoch, exact totals and sim
-// time at each barrier) — never EngineStats or NetworkStats of live
-// shards — so progress reporting is race-clean at any shard count, moves
-// even while a long epoch is still running, and cannot perturb the
-// workers.
-func runSharded(cfg Config, label string, nw *net.Network, pr *sim.Parallel) error {
-	if cfg.Progress == nil {
-		return pr.Run()
-	}
-	p := newProgress(cfg, label)
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		ticker := time.NewTicker(p.every)
-		defer ticker.Stop()
-		for {
-			select {
-			case <-stop:
-				return
-			case <-ticker.C:
-				events, simNow, _ := pr.Progress()
-				p.report(time.Now(), events, simNow, false)
-			}
-		}
-	}()
-	err := pr.Run()
-	close(stop)
-	wg.Wait()
-	if err != nil {
-		return err
-	}
-	// Run has returned, so reading the shard engines directly is safe (the
-	// workers' exits happen-before Run's return).
-	var events uint64
-	var simNow sim.Time
-	for _, eng := range nw.ShardEngines() {
-		events += eng.Steps()
-		if t := eng.Now(); t > simNow {
-			simNow = t
-		}
-	}
-	p.report(time.Now(), events, simNow, true)
-	return nil
 }

@@ -4,9 +4,11 @@ import (
 	"strings"
 	"testing"
 
+	"faircc/internal/metrics"
 	"faircc/internal/net"
 	"faircc/internal/sim"
 	"faircc/internal/topo"
+	"faircc/internal/workload"
 )
 
 // runToCSV runs one experiment and returns its CSV bytes.
@@ -23,58 +25,82 @@ func runToCSV(t *testing.T, name string, cfg Config) string {
 	return b.String()
 }
 
-// fourPods is the dc experiment on a 4-pod, 4-Agg fat-tree (32 hosts at
-// scale small): the smallest fabric ShardMap cuts into 4 shards.
-func fourPods(shards int) Config {
-	cfg := DefaultConfig()
-	cfg.Scale, cfg.DCPods, cfg.DCToRs, cfg.Shards = "small", 4, 4, shards
-	return cfg
+// runParallel builds a network with build, which must cut it into the
+// given number of shards, and drives it through the parallel engine with
+// the checks simulate applies to a sequential run: every flow finishes and
+// conservation holds. It returns the network, its counters with the engine
+// counts summed over the shards, and the number of epochs.
+func runParallel(t *testing.T, seed int64, shards int, build func(*net.Network)) (*net.Network, metrics.RunStats, uint64) {
+	t.Helper()
+	nw := net.New(sim.NewEngine(), seed)
+	build(nw)
+	if got := nw.Shards(); got != shards {
+		t.Fatalf("build cut the network into %d shards, want %d", got, shards)
+	}
+	pr := nw.NewParallel()
+	if err := pr.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if !nw.AllFinished() {
+		st := nw.Stats()
+		t.Fatalf("shards=%d: %d of %d flows did not finish", shards, st.FlowsTotal-st.FlowsFinished, st.FlowsTotal)
+	}
+	if err := nw.CheckConservation(); err != nil {
+		t.Fatalf("shards=%d: %v", shards, err)
+	}
+	st := metrics.RunStats{Counters: nw.Stats().Counters}
+	for _, eng := range nw.ShardEngines() {
+		es := eng.Stats()
+		st.Events += es.Steps
+		st.EventsScheduled += es.Scheduled
+		st.EventsLaned += es.Laned
+	}
+	return nw, st, pr.Epochs()
 }
 
-// TestParallelShardsCSVDeterminism is the fixed-shard-count half of the
-// determinism contract, end to end: the same seed and -shards value must
-// produce byte-identical experiment CSVs on every repetition, regardless
-// of worker goroutine scheduling.
-func TestParallelShardsCSVDeterminism(t *testing.T) {
-	if testing.Short() {
-		t.Skip("datacenter runs in -short mode")
+// runAtShards runs build at seed 1: through simulate when it leaves the
+// network whole (shards 1), through runParallel when it cuts it into
+// shards. It returns the network and its RunStats.
+func runAtShards(t *testing.T, label string, shards int, build func(*net.Network)) (*net.Network, metrics.RunStats) {
+	t.Helper()
+	if shards > 1 {
+		nw, st, _ := runParallel(t, 1, shards, build)
+		return nw, st
 	}
-	cfg := fourPods(4)
-	if a, b := runToCSV(t, "dc", cfg), runToCSV(t, "dc", cfg); a != b {
-		t.Fatal("same seed, -shards 4: CSVs differ between repetitions")
+	cfg := Config{Seed: 1, obs: &runObserver{}}
+	nw, err := simulate(cfg, label, build)
+	if err != nil {
+		t.Fatalf("%s: %v", label, err)
 	}
+	return nw, cfg.obs.finish(0)
 }
 
-// TestParallelShardsOneMatchesSequential pins -shards 1 to the sequential
-// engine bit-for-bit: shard 0 wraps the same engine with the same seeds,
-// so the golden CSVs must not move.
-func TestParallelShardsOneMatchesSequential(t *testing.T) {
-	if testing.Short() {
-		t.Skip("datacenter runs in -short mode")
-	}
-	seq := DefaultConfig()
-	seq.Scale = "small"
-	one := seq
-	one.Shards = 1
-	a := runToCSV(t, "fig10", seq)
-	b := runToCSV(t, "fig10", one)
-	if a != b {
-		t.Fatal("-shards 1 CSV differs from the sequential engine's")
+// shardedFatTree is a build for runParallel: the fat-tree cut by ShardMap
+// into shards, then the traffic's flows under v.
+func shardedFatTree(ftCfg topo.FatTreeConfig, shards int, traffic func() *workload.Arrivals, v variant) func(*net.Network) {
+	return func(nw *net.Network) {
+		ft := topo.NewFatTree(nw, ftCfg)
+		nw.Shard(ft.ShardMap(shards))
+		src := traffic()
+		for spec, ok := src.Next(); ok; spec, ok = src.Next() {
+			nw.AddFlow(spec, v.make())
+		}
 	}
 }
 
 // TestShardDifferential cross-checks the parallel engine against the
 // sequential one on a randomized multihop workload (Poisson Hadoop
-// traffic on the 4-pod fat-tree, cut into 4 shards). The two runs are not
-// bit-identical — sharding re-partitions PRNG streams and boundary tie
-// order — but every conservation invariant must agree exactly: each data
-// packet is sent once, delivered once, and acknowledged, with nothing
-// dropped, and every flow finishes.
+// traffic on a 4-pod, 4-Agg fat-tree, 32 hosts at scale small, cut into 4
+// shards). The two runs are not bit-identical — sharding re-partitions
+// PRNG streams and boundary tie order — but every conservation invariant
+// must agree exactly: each data packet is sent once, delivered once, and
+// acknowledged, with nothing dropped, and every flow finishes.
 func TestShardDifferential(t *testing.T) {
 	if testing.Short() {
 		t.Skip("datacenter runs in -short mode")
 	}
-	cfg := fourPods(0)
+	cfg := DefaultConfig()
+	cfg.Scale, cfg.DCPods, cfg.DCToRs = "small", 4, 4
 	p, err := planDC(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -83,45 +109,16 @@ func TestShardDifferential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ftCfg, v := p.ftCfg, p.vs[1]
-
-	run := func(shards int) net.NetworkStats {
-		t.Helper()
-		eng := sim.NewEngine()
-		nw := net.New(eng, cfg.Seed)
-		ft := topo.NewFatTree(nw, ftCfg)
-		if shards > 1 {
-			assign, k := ft.ShardMap(shards)
-			nw.Shard(assign, k)
-		}
-		src := traffic()
-		for spec, ok := src.Next(); ok; spec, ok = src.Next() {
-			nw.AddFlow(spec, v.make())
-		}
-		if nw.Shards() > 1 {
-			pr := nw.NewParallel()
-			if err := pr.Run(); err != nil {
-				t.Fatal(err)
-			}
-			if pr.Epochs() == 0 {
-				t.Fatal("parallel run completed without epochs")
-			}
-		} else {
-			for !nw.AllFinished() && eng.Step() {
-			}
-		}
-		if !nw.AllFinished() {
-			t.Fatalf("shards=%d: flows did not finish", shards)
-		}
-		if err := nw.CheckConservation(); err != nil {
-			t.Fatalf("shards=%d: %v", shards, err)
-		}
-		return nw.Stats()
+	v := p.vs[1]
+	_, seq, err := runDC(cfg, v, p.ftCfg, traffic)
+	if err != nil {
+		t.Fatal(err)
 	}
-
-	seq := run(0)
-	par := run(4)
-	checkConservationPair(t, seq, par)
+	par, _, epochs := runParallel(t, cfg.Seed, 4, shardedFatTree(p.ftCfg, 4, traffic, v))
+	if epochs == 0 {
+		t.Fatal("parallel run completed without epochs")
+	}
+	checkConservationPair(t, seq, par.Stats())
 }
 
 // checkConservationPair requires two runs of the same workload to agree

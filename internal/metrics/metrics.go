@@ -116,9 +116,8 @@ type FlowRecord struct {
 
 // CollectFinished returns completion records for every finished flow, in
 // AddFlow order: the one source of per-flow results. It reads the flows
-// after the simulation, on the caller's goroutine, so it serves sequential
-// and sharded runs alike. Every consumer (BucketBySize, SlowdownAbove,
-// StartFinish) orders the records itself.
+// after the simulation, on the caller's goroutine. Every consumer
+// (BucketBySize, SlowdownAbove, StartFinish) orders the records itself.
 func CollectFinished(nw *net.Network) []FlowRecord {
 	records := make([]FlowRecord, 0, len(nw.Flows()))
 	for _, f := range nw.Flows() {

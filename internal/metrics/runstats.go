@@ -30,12 +30,12 @@ type RunStats struct {
 	// a higher value means the scheduling hot path is allocating.
 	EventSlotAllocs uint64 `json:"event_slot_allocs"`
 	// EventsLaned is how many of Events came off the engines' delay lanes
-	// (sim.Lane: intra-shard link arrivals and standard-size serialization
-	// ends) and never entered the engines' heaps, summed across runs. Lanes
-	// splits it by delay, summed over engines and runs, in ascending delay
-	// order. EventsPosted is how many came off the engines' posted lanes
-	// (sim.Engine.Post: flow starts in start order). Events - EventsLaned -
-	// EventsPosted is the heaps' load.
+	// (sim.Lane: link arrivals and standard-size serialization ends) and
+	// never entered the engines' heaps, summed across runs. Lanes splits it
+	// by delay, summed over runs, in ascending delay order. EventsPosted is
+	// how many came off the engines' posted lanes (sim.Engine.Post: flow
+	// starts in start order). Events - EventsLaned - EventsPosted is the
+	// heaps' load.
 	EventsLaned  uint64          `json:"events_laned"`
 	Lanes        []sim.LaneStats `json:"lanes,omitempty"`
 	EventsPosted uint64          `json:"events_posted"`
@@ -47,16 +47,6 @@ type RunStats struct {
 	// reuse rate Finish derives from them.
 	net.Counters
 	PoolReuseRate float64 `json:"pool_reuse_rate"`
-
-	// Parallel-execution figures (omitted from JSON on sequential runs,
-	// so historical manifests keep their exact key set). Shards is the
-	// shard count (max across runs when aggregating); ShardEvents is the
-	// per-shard executed-event split (elementwise sum across runs of the
-	// same shape — the load-balance record for the scaling curve); Epochs
-	// counts barrier-synchronized windows (summed across runs).
-	Shards      int      `json:"shards,omitempty"`
-	ShardEvents []uint64 `json:"shard_events,omitempty"`
-	Epochs      uint64   `json:"epochs,omitempty"`
 
 	// Wall-clock figures, filled in by Finish.
 	WallSeconds  float64 `json:"wall_seconds"`
@@ -72,27 +62,11 @@ type RunStats struct {
 }
 
 // CollectRun snapshots one finished simulation as a single-run RunStats:
-// engine counters summed over the network's engines (one on a sequential
-// run, one per shard on a sharded one) and the network's counters. A
-// sharded run also records its shard count, the per-shard event split and
-// epochs, the barrier window count from sim.Parallel.Epochs (0 on a
-// sequential run). Simulated time is the max over engines — shards cover
-// the same interval, each clock stopping at its shard's last event.
-func CollectRun(nw *net.Network, epochs uint64) RunStats {
-	s := RunStats{Runs: 1, Counters: nw.Stats().Counters}
-	engines := nw.ShardEngines()
-	for _, eng := range engines {
-		s.addEngine(eng.Stats())
-		if t := eng.Now().Seconds(); t > s.SimSeconds {
-			s.SimSeconds = t
-		}
-		if len(engines) > 1 {
-			s.ShardEvents = append(s.ShardEvents, eng.Steps())
-		}
-	}
-	if len(engines) > 1 {
-		s.Shards, s.Epochs = len(engines), epochs
-	}
+// the counters of the network and of its engine, and the simulated time
+// the engine's clock reached.
+func CollectRun(nw *net.Network) RunStats {
+	s := RunStats{Runs: 1, Counters: nw.Stats().Counters, SimSeconds: nw.Eng.Now().Seconds()}
+	s.addEngine(nw.Eng.Stats())
 	return s
 }
 
@@ -139,18 +113,6 @@ func (s *RunStats) Add(o RunStats) {
 	s.EventsPosted += o.EventsPosted
 	s.SimSeconds += o.SimSeconds
 	s.Counters.Add(o.Counters)
-	if o.Shards > s.Shards {
-		s.Shards = o.Shards
-	}
-	s.Epochs += o.Epochs
-	if len(o.ShardEvents) > 0 {
-		if len(s.ShardEvents) < len(o.ShardEvents) {
-			s.ShardEvents = append(s.ShardEvents, make([]uint64, len(o.ShardEvents)-len(s.ShardEvents))...)
-		}
-		for i, v := range o.ShardEvents {
-			s.ShardEvents[i] += v
-		}
-	}
 }
 
 // Finish records the wall-clock duration the runs took, derives the rates,
@@ -186,9 +148,6 @@ func (s RunStats) String() string {
 	if drops := s.Drops(); drops > 0 || s.Retransmits > 0 {
 		out += fmt.Sprintf(", %d drops (%d buffer, %d wire), %d retransmits, %d RTOs",
 			drops, s.BufferDrops, s.WireDrops, s.Retransmits, s.RTOFires)
-	}
-	if s.Shards > 1 {
-		out += fmt.Sprintf(", %d shards, %d epochs", s.Shards, s.Epochs)
 	}
 	return out
 }

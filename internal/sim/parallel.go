@@ -29,9 +29,9 @@
 // As a liveness backstop each run phase is additionally cut after a fixed
 // event budget (phaseEventCap): a shard with an unbounded horizon — no
 // busy peers can reach it — still returns to the barrier periodically so
-// Done and Stop are evaluated with bounded latency. The cut is a pure
-// function of the shard's executed-event count, so it never breaks
-// repetition determinism.
+// Done is evaluated with bounded latency. The cut is a pure function of
+// the shard's executed-event count, so it never breaks repetition
+// determinism.
 //
 // Shards are decoupled from goroutines: each phase, a pool of at most
 // min(shards, GOMAXPROCS) workers claims shard indices from an atomic
@@ -78,7 +78,7 @@ func satAdd(t, d Time) Time {
 
 // phaseEventCap is the per-shard event budget of one run phase. It only
 // matters when a shard's horizon is unbounded (or very wide): the shard
-// returns to the barrier after this many events so Stop/Done latency stays
+// returns to the barrier after this many events so Done latency stays
 // bounded even if its queue self-replenishes forever. The cut depends only
 // on the deterministic event sequence, never on wall time.
 const phaseEventCap = 8192
@@ -330,8 +330,8 @@ type ParallelConfig struct {
 
 // Parallel drives k engines through barrier-synchronized time windows on
 // a pool of worker goroutines (at most one per schedulable core — see
-// ParallelConfig.Workers). Construct with NewParallel, start with Run;
-// Stop cancels from any goroutine. A Parallel is single-use.
+// ParallelConfig.Workers). Construct with NewParallel, start with Run.
+// A Parallel is single-use.
 type Parallel struct {
 	engines []*Engine
 	mail    *Mailboxes
@@ -357,16 +357,9 @@ type Parallel struct {
 	runs    [][]*xbox // per-shard drain scratch: the non-empty inbox runs
 	epochs  uint64
 
+	// stopReq is set by a panicking worker (fail) so its siblings wind down
+	// at the next barrier.
 	stopReq atomic.Bool
-
-	// Progress counters. progEvents advances mid-epoch (runPhase adds its
-	// 1024-event batches as they complete) and is reconciled to the exact
-	// total at each barrier; progNow/progEpochs advance at barriers only.
-	// An observer goroutine can watch a run without synchronizing with
-	// (or perturbing) the workers.
-	progEvents atomic.Uint64
-	progEpochs atomic.Uint64
-	progNow    atomic.Int64
 
 	errMu sync.Mutex
 	err   error
@@ -438,25 +431,20 @@ func (p *Parallel) computeHorizons() {
 	}
 }
 
-// Run executes epochs until every queue drains, Done reports true, Stop
-// is called, or a shard panics (the panic is recovered and returned as an
-// error rather than crashing sibling shards mid-epoch). It blocks until
-// all workers have parked at a barrier and exited.
+// Run executes epochs until every queue drains, Done reports true, or a
+// shard panics (the panic is recovered and returned as an error rather
+// than crashing sibling shards mid-epoch). It blocks until all workers
+// have parked at a barrier and exited.
 func (p *Parallel) Run() error {
 	any := false
-	minNext := maxTime
 	for w, e := range p.engines {
-		t, ok := e.NextEventTime()
-		p.next[w], p.has[w] = t, ok
-		if ok && t < minNext {
-			minNext, any = t, true
-		}
+		p.next[w], p.has[w] = e.NextEventTime()
+		any = any || p.has[w]
 	}
 	if !any || (p.doneFn != nil && p.doneFn()) {
 		return nil
 	}
 	p.computeHorizons()
-	p.progNow.Store(int64(minNext))
 	var wg sync.WaitGroup
 	for i := 0; i < p.workers; i++ {
 		wg.Add(1)
@@ -471,23 +459,9 @@ func (p *Parallel) Run() error {
 	return p.err
 }
 
-// Stop requests cancellation. Workers notice within ~1024 events even
-// mid-epoch; the run then winds down at the next barrier. Safe to call
-// from any goroutine, including Done and signal handlers.
-func (p *Parallel) Stop() { p.stopReq.Store(true) }
-
-// Progress returns the run's observable counters: total events executed
-// across all shards (live to within 1024 events per shard, so a long or
-// skip-ahead epoch still shows motion), the simulated-time floor every
-// shard had reached at the most recent barrier, and epochs completed.
-// Safe to call concurrently with Run; reading it never perturbs the
-// simulation.
-func (p *Parallel) Progress() (events uint64, now Time, epochs uint64) {
-	return p.progEvents.Load(), Time(p.progNow.Load()), p.progEpochs.Load()
-}
-
-// Epochs returns the number of barrier-synchronized windows completed.
-func (p *Parallel) Epochs() uint64 { return p.progEpochs.Load() }
+// Epochs returns the number of barrier-synchronized windows completed. Read
+// it after Run has returned.
+func (p *Parallel) Epochs() uint64 { return p.epochs }
 
 func (p *Parallel) worker() {
 	k := int32(len(p.engines))
@@ -542,9 +516,9 @@ func (p *Parallel) fail(w int, r any) {
 }
 
 // runPhase executes shard w's events with time strictly below end. Every
-// 1024 events it publishes the batch to the progress counter and checks
-// for cancellation (so a Stop mid-epoch does not have to wait for a long
-// window to drain) and for the deterministic phaseEventCap cut.
+// 1024 events it checks for the deterministic phaseEventCap cut and for a
+// sibling's panic (so a failed run does not wait for a long window to
+// drain).
 func (p *Parallel) runPhase(w int, end Time) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -554,14 +528,8 @@ func (p *Parallel) runPhase(w int, end Time) {
 	eng := p.engines[w]
 	n := 0
 	for eng.StepBefore(end) {
-		if n++; n&1023 == 0 {
-			p.progEvents.Add(1024)
-			if n >= phaseEventCap {
-				return
-			}
-			if p.stopReq.Load() {
-				return
-			}
+		if n++; n&1023 == 0 && (n >= phaseEventCap || p.stopReq.Load()) {
+			return
 		}
 	}
 }
@@ -639,26 +607,13 @@ func (p *Parallel) drainPhase(w int) {
 }
 
 // advance is the epoch-barrier action: executed by exactly one goroutine
-// while every other worker is parked, it publishes progress and computes
-// the next windows (or the stop decision) from globally quiesced state —
-// the only place such decisions are made, which is what keeps fixed-shard
-// runs bit-identical across repetitions.
+// while every other worker is parked, it computes the next windows (or the
+// stop decision) from globally quiesced state — the only place such
+// decisions are made, which is what keeps fixed-shard runs bit-identical
+// across repetitions.
 func (p *Parallel) advance() {
 	p.epochs++
-	minNext, any := Time(0), false
-	var events uint64
-	for w, e := range p.engines {
-		events += e.Steps()
-		if p.has[w] && (!any || p.next[w] < minNext) {
-			minNext, any = p.next[w], true
-		}
-	}
-	// Reconcile the mid-epoch estimate to the exact total. The estimate
-	// only ever lags (runPhase publishes completed 1024-event batches), so
-	// Progress stays monotone.
-	p.progEvents.Store(events)
-	p.progEpochs.Store(p.epochs)
-	stop := p.stopReq.Load() || !any
+	stop := p.stopReq.Load() || !slices.Contains(p.has, true)
 	if !stop && p.doneFn != nil && p.doneFn() {
 		stop = true
 	}
@@ -669,7 +624,6 @@ func (p *Parallel) advance() {
 		}
 		return
 	}
-	p.progNow.Store(int64(minNext))
 	p.computeHorizons()
 	p.runIdx.Store(0)
 	if p.mail != nil {

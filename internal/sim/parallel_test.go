@@ -3,7 +3,6 @@ package sim
 import (
 	"fmt"
 	"reflect"
-	"runtime"
 	"strings"
 	"testing"
 )
@@ -185,28 +184,6 @@ func TestParallelSkipAhead(t *testing.T) {
 	}
 }
 
-// TestParallelStopDuringEpoch checks Stop cancels promptly from inside a
-// long epoch rather than waiting for the queue to drain.
-func TestParallelStopDuringEpoch(t *testing.T) {
-	engines := []*Engine{NewEngine(), NewEngine()}
-	mail := NewMailboxes(2)
-	p := NewParallel(engines, mail, ParallelConfig{Window: 1})
-	ran := 0
-	for i := 0; i < 100_000; i++ {
-		engines[0].At(Time(i), func() {
-			if ran++; ran == 2000 {
-				p.Stop()
-			}
-		})
-	}
-	if err := p.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if ran >= 100_000 {
-		t.Fatalf("Stop did not interrupt the epoch: all %d events ran", ran)
-	}
-}
-
 // TestParallelPanicPropagates checks a worker panic surfaces as Run's
 // error (with the shard identified) instead of crashing the process or
 // deadlocking the sibling shards at a barrier.
@@ -322,65 +299,6 @@ func TestParallelSelfEchoBound(t *testing.T) {
 	}
 }
 
-// TestParallelProgressMidEpoch checks the first satellite bugfix: event
-// counts move mid-epoch (published in 1024-event batches from runPhase),
-// not only at barriers — a long or skip-ahead window no longer freezes
-// -progress. The exact in-callback assertion is deterministic; the
-// concurrent observer makes -race prove the publication is safe.
-func TestParallelProgressMidEpoch(t *testing.T) {
-	engines := []*Engine{NewEngine(), NewEngine()}
-	mail := NewMailboxes(2)
-	// Window 0: no cross-shard interaction, so the whole queue would run
-	// as one epoch (up to the phaseEventCap cut) — the worst case for
-	// barrier-only progress. Workers pinned so the publication is exercised
-	// from concurrent goroutines even on one core.
-	p := NewParallel(engines, mail, ParallelConfig{Window: 0, Workers: 2})
-	const n = 6000
-	for i := 0; i < n; i++ {
-		if i == 5000 {
-			engines[0].At(Time(i), func() {
-				ev, _, ep := p.Progress()
-				if ep != 0 {
-					t.Errorf("epoch barrier ran before event 5000 (epochs=%d)", ep)
-				}
-				if ev != 4096 {
-					t.Errorf("mid-epoch progress = %d events, want 4096 (four published batches)", ev)
-				}
-			})
-			continue
-		}
-		engines[0].At(Time(i), func() {})
-	}
-	stop := make(chan struct{})
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		var lastEv uint64
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			ev, _, _ := p.Progress()
-			if ev < lastEv {
-				t.Errorf("events went backwards: %d after %d", ev, lastEv)
-				return
-			}
-			lastEv = ev
-			runtime.Gosched()
-		}
-	}()
-	if err := p.Run(); err != nil {
-		t.Fatal(err)
-	}
-	close(stop)
-	<-done
-	if ev, _, _ := p.Progress(); ev != n {
-		t.Fatalf("final progress = %d events, want %d", ev, n)
-	}
-}
-
 // TestOutboxSendPhase checks the phase contract: a Send from the drain
 // phase or after the run stopped panics with the shard pair named,
 // instead of silently corrupting the next epoch's merge.
@@ -421,44 +339,6 @@ func TestOutboxSendPhase(t *testing.T) {
 	mustPanicWith("send after stop", "stopped", func() {
 		out.Send(100, Func(func() {}))
 	})
-}
-
-// TestParallelProgressMonotonic hammers Progress from a second goroutine
-// while a run executes; under -race this is the proof the observer path
-// is synchronization-free and safe.
-func TestParallelProgressMonotonic(t *testing.T) {
-	p, _ := toyRing(3, 2, 5_000, 3)
-	stop := make(chan struct{})
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		var lastEv, lastEp uint64
-		var lastNow Time
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-				runtime.Gosched() // don't starve the workers on 1 CPU
-			}
-			ev, now, ep := p.Progress()
-			if ev < lastEv || ep < lastEp || now < lastNow {
-				t.Errorf("progress went backwards: (%d,%d,%d) after (%d,%d,%d)",
-					ev, now, ep, lastEv, lastNow, lastEp)
-				return
-			}
-			lastEv, lastNow, lastEp = ev, now, ep
-		}
-	}()
-	if err := p.Run(); err != nil {
-		t.Fatal(err)
-	}
-	close(stop)
-	<-done
-	ev, _, ep := p.Progress()
-	if ev == 0 || ep == 0 {
-		t.Fatalf("final progress empty: events=%d epochs=%d", ev, ep)
-	}
 }
 
 // The drain schedules the Handler a sender handed over, as it is: once the

@@ -45,14 +45,15 @@ func checkPodLocal(t *testing.T, ft *FatTree, assign []int, k int) {
 }
 
 // shardMaps calls f with FatTree.ShardMap(k) for k = 0..Pods+3 on every
-// fabric the repo runs: small, medium, DefaultFatTree and K16FatTree.
+// fabric the repo runs: small, medium, DefaultFatTree and the
+// 4096-host k=16-style Clos.
 func shardMaps(t *testing.T, f func(name string, nw *net.Network, ft *FatTree, k int, assign []int, got int)) {
 	t.Helper()
 	for name, cfg := range map[string]FatTreeConfig{
 		"small":   DefaultFatTree().Scaled(2, 2, 2),
 		"medium":  DefaultFatTree().Scaled(2, 2, 8),
 		"default": DefaultFatTree(),
-		"k16":     K16FatTree(),
+		"k16":     DefaultFatTree().Scaled(16, 8, 32),
 	} {
 		nw := net.New(sim.NewEngine(), 1)
 		ft := NewFatTree(nw, cfg)

@@ -132,24 +132,6 @@ func (c FatTreeConfig) OversubscriptionRatio() float64 {
 		(float64(c.AggsPerPod) * c.torUplinkBps())
 }
 
-// K16FatTree returns a k=16-style two-tier-pod Clos: 16 pods of 8 ToRs
-// and 8 Aggs, 64 spines, 32 hosts per ToR — 4096 hosts, an order of
-// magnitude beyond the paper's 320. At FabricBps 400G it is 1:1;
-// compose with Oversubscribed to economize the ToR layer, e.g.
-// K16FatTree().Oversubscribed(4).
-func K16FatTree() FatTreeConfig {
-	return FatTreeConfig{
-		Pods:        16,
-		ToRsPerPod:  8,
-		AggsPerPod:  8,
-		Spines:      64,
-		HostsPerToR: 32,
-		HostBps:     100e9,
-		FabricBps:   400e9,
-		LinkDelay:   1 * sim.Microsecond,
-	}
-}
-
 // FatTree is a built fat-tree: hosts in pod-major order plus the switch
 // layers. Host i's position: pod i/(ToRsPerPod*HostsPerToR), ToR within
 // pod (i/HostsPerToR)%ToRsPerPod.

@@ -256,8 +256,14 @@ func TestFatTreeOversubscribed(t *testing.T) {
 	}
 }
 
+// TestK16FatTree checks the k=16-style two-tier-pod Clos that -pods 16
+// -tors 8 -hosts 32 scales the paper's fabric to: 16 pods of 8 ToRs and 8
+// Aggs, 64 spines, 4096 hosts.
 func TestK16FatTree(t *testing.T) {
-	cfg := K16FatTree()
+	cfg := DefaultFatTree().Scaled(16, 8, 32)
+	if cfg.Spines != 64 {
+		t.Fatalf("spines = %d, want 64", cfg.Spines)
+	}
 	if err := cfg.Validate(); err != nil {
 		t.Fatal(err)
 	}
