@@ -3,9 +3,12 @@
 
 .PHONY: verify test bench bench-compare loc profile
 
-# The verification gate every PR must keep green: build, vet, gofmt, tests,
-# race-enabled tests, a 1-iteration smoke run of the scheduler benchmarks,
-# and a 5 s fuzz smoke. It verifies; it does not measure.
+# The verification gate every PR must keep green, in cmd/ci's order: build,
+# vet, an arm64 cross build and an arm64 vet of internal/sim and
+# internal/net, gofmt, tests, race-enabled short tests, race-enabled
+# parallel-engine tests, a 1-iteration smoke run of the sim and net
+# benchmarks, and two 5 s fuzz smokes (FuzzEngineOrder, FuzzArrivals). It
+# verifies; it does not measure.
 verify:
 	go run ./cmd/ci
 

@@ -14,8 +14,9 @@ import (
 // TestRejectsUnrunnableFlags drives the built binary: configurations that
 // hang traffic generation forever (zero arrival rate, a single host),
 // crash the incast with a goroutine trace, or would be silently ignored
-// must exit 2 with a message, and a sane small run must still exit 0. The
-// timeout is what catches a regression to the hang.
+// must exit 2 with a message, a run that stalls must exit 1 with one, and
+// a sane small run must still exit 0. The timeout is what catches a
+// regression to the hang.
 func TestRejectsUnrunnableFlags(t *testing.T) {
 	bin := filepath.Join(t.TempDir(), "fairsim")
 	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
@@ -72,6 +73,10 @@ func TestRejectsUnrunnableFlags(t *testing.T) {
 		{"buffer 1", []string{"-exp", "incast-lossy", "-buffer-bytes", "1"}, 2, "BufferBytes"},
 		{"buffer 1000", []string{"-exp", "incast-lossy", "-buffer-bytes", "1000"}, 2, "BufferBytes"},
 		{"buffer 1047", []string{"-exp", "incast-lossy", "-buffer-bytes", "1047"}, 2, "BufferBytes"},
+
+		// Every ACK lost: the flows time out and go back N forever without
+		// a byte acknowledged, and the watchdog ends the run as stalled.
+		{"every ack lost", []string{"-exp", "incast-lossy", "-drop-ack", "0.9999999999"}, 1, "stalled: no byte acknowledged"},
 
 		// Durations whose picosecond value does not fit a sim.Time must not
 		// wrap into a different run (18446744074 ms wraps to 290 us).

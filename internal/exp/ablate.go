@@ -8,6 +8,7 @@ import (
 	"faircc/internal/cc/hpcc"
 	"faircc/internal/metrics"
 	"faircc/internal/net"
+	"faircc/internal/par"
 	"faircc/internal/sim"
 	"faircc/internal/topo"
 )
@@ -68,13 +69,14 @@ type newFlowOut struct {
 }
 
 // runNewFlow reproduces the Sec. V-A scenario under default HPCC and HPCC
-// VAI SF, in that order: two incumbent flows congest a link long enough to
-// accumulate dampener, then a third joins with a fresh (zero) dampener.
+// VAI SF in parallel, results in that order: two incumbent flows congest a
+// link long enough to accumulate dampener, then a third joins with a fresh
+// (zero) dampener.
 func runNewFlow(cfg Config) ([]newFlowOut, error) {
 	join := 500 * sim.Microsecond
 	vs := []variant{hpccBaselines()[0], hpccVAISF(starParams(3))}
-	outs := make([]newFlowOut, len(vs))
-	for i, v := range vs {
+	return par.MapErr(len(vs), cfg.Workers, func(i int) (newFlowOut, error) {
+		v := vs[i]
 		var jain *metrics.Series
 		_, err := simulate(cfg, v.label, func(nw *net.Network) {
 			st := topo.NewStar(nw, 4, hostRate, linkDelay)
@@ -90,7 +92,7 @@ func runNewFlow(cfg Config) ([]newFlowOut, error) {
 			jain = metrics.SampleJain(nw, v.label, 2*sim.Microsecond, 0, forever)
 		})
 		if err != nil {
-			return nil, err
+			return newFlowOut{}, err
 		}
 		// Convergence measured after the join only.
 		all, post := Series{Label: v.label}, Series{}
@@ -100,9 +102,8 @@ func runNewFlow(cfg Config) ([]newFlowOut, error) {
 				post.Add(p.T.Microseconds(), p.V)
 			}
 		}
-		outs[i] = newFlowOut{jain: all, settleUs: smoothedReach(post, 5, 0.9)}
-	}
-	return outs, nil
+		return newFlowOut{jain: all, settleUs: smoothedReach(post, 5, 0.9)}, nil
+	})
 }
 
 // runNewFlowAblation plots the scenario's fairness over time. The paper
@@ -141,9 +142,9 @@ func runSwiftHAI(cfg Config) (*Result, error) {
 	}
 	res := &Result{Name: "ablate-swift-hai", Title: "Swift hyper-AI ablation",
 		XLabel: "flow size (bytes)", YLabel: "median FCT slowdown"}
-	for i, records := range out.records {
-		res.Series = append(res.Series, slowdownSeries(out.vs[i].label, records, 50, 50))
-		if sd, err := metrics.SlowdownAbove(records, 100_000, 50); err == nil {
+	for i, run := range out.runs {
+		res.Series = append(res.Series, slowdownSeries(out.vs[i].label, run.records, 50, 50))
+		if sd, err := metrics.SlowdownAbove(run.records, 100_000, 50); err == nil {
 			res.Notef("%s: median slowdown of >100KB flows = %.2fx", out.vs[i].label, sd)
 		}
 	}

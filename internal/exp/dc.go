@@ -147,13 +147,17 @@ type dcPlan struct {
 	vs       []variant
 }
 
-// dcOut is what a dcPlan's run produces, per variant in vs order: the
-// completion records and the network's counter snapshot (the dc experiment
-// reports switched bytes and the deepest queue from it).
+// dcOut is what a dcPlan's run produces, one dcRun per variant in vs order.
 type dcOut struct {
 	dcPlan
-	records [][]metrics.FlowRecord
-	stats   []net.NetworkStats
+	runs []dcRun
+}
+
+// dcRun is one variant's completion records and network counter snapshot
+// (the dc experiment reports switched bytes and the deepest queue from it).
+type dcRun struct {
+	records []metrics.FlowRecord
+	stats   net.NetworkStats
 }
 
 // run runs the plan's traffic under every variant in parallel; the first
@@ -164,15 +168,14 @@ func (p dcPlan) run(cfg Config) (*dcOut, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := &dcOut{dcPlan: p, records: make([][]metrics.FlowRecord, len(p.vs)), stats: make([]net.NetworkStats, len(p.vs))}
-	err = par.ForEachErr(len(p.vs), cfg.Workers, func(i int) (err error) {
-		out.records[i], out.stats[i], err = runDC(cfg, p.vs[i], p.ftCfg, traffic)
-		return err
+	runs, err := par.MapErr(len(p.vs), cfg.Workers, func(i int) (dcRun, error) {
+		records, stats, err := runDC(cfg, p.vs[i], p.ftCfg, traffic)
+		return dcRun{records, stats}, err
 	})
 	if err != nil {
 		return nil, err
 	}
-	return out, nil
+	return &dcOut{p, runs}, nil
 }
 
 // runFatTree runs the named workload at the paper's load on the Scale
@@ -189,7 +192,7 @@ func runFatTree(cfg Config, workloadName string, vs func(pathParams) []variant) 
 // longSlowdown is the pct-percentile slowdown of the >1 MB flows under
 // variant i: the long-flow tail (pct 99.9) the paper's headline reports.
 func (o *dcOut) longSlowdown(i int, pct float64) (float64, error) {
-	return metrics.SlowdownAbove(o.records[i], 1_000_000, pct)
+	return metrics.SlowdownAbove(o.runs[i].records, 1_000_000, pct)
 }
 
 // improvement is the factor by which VAI SF cuts the protocol's long-flow
@@ -212,9 +215,9 @@ func slowdownView(f Figure, cfg Config, out *dcOut, pct float64) *Result {
 		XLabel: "flow size (bytes)",
 		YLabel: fmt.Sprintf("p%v FCT slowdown", pct)}
 	res.Notef("scale=%s hosts=%d duration=%v load=%.0f%% flows=%d",
-		cfg.Scale, out.ftCfg.NumHosts(), out.duration, dcLoad*100, len(out.records[0]))
-	for i, records := range out.records {
-		res.Series = append(res.Series, slowdownSeries(out.vs[i].label, records, 100, pct))
+		cfg.Scale, out.ftCfg.NumHosts(), out.duration, dcLoad*100, len(out.runs[0].records))
+	for i, run := range out.runs {
+		res.Series = append(res.Series, slowdownSeries(out.vs[i].label, run.records, 100, pct))
 		if sd, err := out.longSlowdown(i, pct); err == nil {
 			res.Notef("%s: p%v slowdown of >1MB flows = %.1fx", out.vs[i].label, pct, sd)
 		}
@@ -273,7 +276,7 @@ func runDCCustom(cfg Config) (*Result, error) {
 	res := &Result{Name: "dc", Title: "FCT slowdown vs flow size on a configurable fat-tree",
 		XLabel: "flow size (bytes)", YLabel: "p99.9 FCT slowdown"}
 	res.Notef("hosts=%d oversubscription=%.3g:1 workload=%s load=%.0f%% duration=%v flows=%d",
-		p.ftCfg.NumHosts(), p.ftCfg.OversubscriptionRatio(), p.workload, p.load*100, p.duration, len(out.records[0]))
+		p.ftCfg.NumHosts(), p.ftCfg.OversubscriptionRatio(), p.workload, p.load*100, p.duration, len(out.runs[0].records))
 	classes := []struct {
 		name     string
 		min, max int64
@@ -283,11 +286,11 @@ func runDCCustom(cfg Config) (*Result, error) {
 		{"100KB-1MB", 100_000, 1_000_000},
 		{">1MB", 1_000_000, math.MaxInt64},
 	}
-	for i, records := range out.records {
-		res.Series = append(res.Series, slowdownSeries(p.vs[i].label, records, 100, 99.9))
+	for i, run := range out.runs {
+		res.Series = append(res.Series, slowdownSeries(p.vs[i].label, run.records, 100, 99.9))
 		for _, c := range classes {
 			var xs []float64
-			for _, r := range records {
+			for _, r := range run.records {
 				if r.Size >= c.min && r.Size < c.max {
 					xs = append(xs, r.Slowdown)
 				}
@@ -298,7 +301,7 @@ func runDCCustom(cfg Config) (*Result, error) {
 			}
 		}
 		res.Notef("%s: %.2f GB switched, deepest queue %d KB", p.vs[i].label,
-			float64(out.stats[i].FabricTxBytes)/1e9, out.stats[i].MaxQueuePeak/1000)
+			float64(run.stats.FabricTxBytes)/1e9, run.stats.MaxQueuePeak/1000)
 	}
 	return res, nil
 }

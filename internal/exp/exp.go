@@ -105,7 +105,7 @@ func DefaultConfig() Config { return Config{Seed: 1, Scale: "medium"} }
 // rate never reaches the end of the traffic window);
 // a switch buffer smaller than one data packet; or a drop probability
 // outside [0,1) — at 1 and above no packet is ever delivered and the run
-// never ends. Zero always means "the preset", so a negative value must not
+// can only stall. Zero always means "the preset", so a negative value must not
 // silently select it either.
 func (cfg Config) Validate() error {
 	for _, c := range []struct {
@@ -150,7 +150,8 @@ func (cfg Config) Validate() error {
 			in.every, (in.senders-1)/in.group+1, sim.Time(math.MaxInt64))
 	}
 	// A switch buffer that cannot hold one data packet tail-drops every one
-	// of them, even into an empty queue, and go-back-N retries forever.
+	// of them, even into an empty queue, and go-back-N retries until the
+	// run stalls.
 	nw := net.New(sim.NewEngine(), 0)
 	if pkt := int64(nw.MTU + nw.HeaderBytes); cfg.BufferBytes > 0 && cfg.BufferBytes < pkt {
 		return fmt.Errorf("exp: BufferBytes must be 0 or hold one %d-byte data packet, got %d", pkt, cfg.BufferBytes)

@@ -127,8 +127,8 @@ func TestObservabilityDoesNotPerturbResults(t *testing.T) {
 		t.Fatal(err)
 	}
 	var flows uint64
-	for _, records := range out.records {
-		flows += uint64(len(records))
+	for _, run := range out.runs {
+		flows += uint64(len(run.records))
 	}
 	if posted := mix.obs.finish(time.Second).EventsPosted; posted != flows {
 		t.Errorf("mix: events_posted = %d, want one per flow, %d", posted, flows)

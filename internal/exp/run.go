@@ -2,6 +2,7 @@ package exp
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"faircc/internal/metrics"
@@ -14,21 +15,20 @@ import (
 // the network from cfg.Seed, hands the network to build — topology, flows,
 // samplers and collectors, in the caller's order — and drives it with the
 // sequential step loop. The RunStats go to the observer once, and a run
-// that left a flow unfinished, broke a conservation invariant, or
-// tail-dropped with PFC engaged is an error, so no experiment can report
-// numbers from such a run.
+// that left a flow unfinished (stalled or not), broke a conservation
+// invariant, or tail-dropped with PFC engaged is an error, so no experiment
+// can report numbers from such a run.
 func simulate(cfg Config, label string, build func(*net.Network)) (*net.Network, error) {
-	eng := sim.NewEngine()
-	nw := net.New(eng, cfg.Seed)
+	nw := net.New(sim.NewEngine(), cfg.Seed)
 	build(nw)
-	runSequential(cfg, label, eng, nw)
+	stalled := runSequential(cfg, label, nw)
 	if cfg.obs != nil {
 		cfg.obs.add(metrics.CollectRun(nw))
 	}
 	if !nw.AllFinished() {
 		st := nw.Stats()
-		return nil, fmt.Errorf("%s: %d of %d flows did not finish (%d drops, %d retransmits, %d RTO fires)",
-			label, st.FlowsTotal-st.FlowsFinished, st.FlowsTotal, st.Drops(), st.Retransmits, st.RTOFires)
+		return nil, fmt.Errorf("%s: %d of %d flows did not finish (%d drops, %d retransmits, %d RTO fires)%s",
+			label, st.FlowsTotal-st.FlowsFinished, st.FlowsTotal, st.Drops(), st.Retransmits, st.RTOFires, stalled)
 	}
 	if err := nw.CheckConservation(); err != nil {
 		return nil, fmt.Errorf("%s: %w", label, err)
@@ -66,22 +66,26 @@ func (p *progress) report(now time.Time, events uint64, simNow sim.Time, done bo
 	p.lastWall, p.lastEvents = now, events
 }
 
-// progressCheckMask amortizes the wall-clock read: time.Now is consulted
-// once per (mask+1) events, which at the engine's typical multi-M ev/s
+// progressCheckMask amortizes the wall-clock read and the stall check: both
+// run once per (mask+1) events, which at the engine's typical multi-M ev/s
 // rate is a sub-millisecond reporting resolution at negligible cost.
 const progressCheckMask = 1<<14 - 1
 
-// runSequential is the sequential drive: step until every flow has finished
-// or nothing is pending but the next ticks of the samplers' Every chains
-// (sim.Engine.Periodic), which re-arm for as long as the run lasts so that a
-// series ends with its run. ProgressUpdates go out if Config asks for them.
-// The stepping sequence is identical with and without them (the same
-// condition is checked before every Step), so observability can never
-// perturb simulation results. Progress is reported from the stepping
-// goroutine itself, which is what makes reading eng.Steps mid-run safe.
-func runSequential(cfg Config, label string, eng *sim.Engine, nw *net.Network) {
+// runSequential is the sequential drive: step until every flow has
+// finished, nothing is pending, or the run has stalled — some flow was
+// active at the previous check and no byte has been acknowledged in the
+// window W since. It returns what stalled the run (the window and the first
+// active flows) as a suffix for simulate's error, or "". W comes from the
+// network: max(1 ms, 1000 x the largest base RTT), plus RTOMax under
+// LossRecovery (DESIGN.md, "What ends a run"); it saturates rather than
+// wrap on an hours-long RTT. ProgressUpdates go out if Config asks for
+// them. The stepping sequence is identical with and without them, so
+// observability can never perturb simulation results. Progress is
+// reported from the stepping goroutine itself, which is what makes reading
+// eng.Steps mid-run safe.
+func runSequential(cfg Config, label string, nw *net.Network) (stalled string) {
+	eng := nw.Eng
 	var p *progress
-	var next time.Time
 	if cfg.Progress != nil {
 		every := cfg.ProgressEvery
 		if every <= 0 {
@@ -89,20 +93,40 @@ func runSequential(cfg Config, label string, eng *sim.Engine, nw *net.Network) {
 		}
 		now := time.Now()
 		p = &progress{emit: cfg.Progress, every: every, label: label, start: now, lastWall: now}
-		next = now.Add(every)
 	}
-	var n uint64
-	for !nw.AllFinished() && eng.Pending() > eng.Periodic() && eng.Step() {
-		n++
-		if p == nil || n&progressCheckMask != 0 {
+	var acked int64         // bytes acknowledged over all flows at the last check
+	var active bool         // some flow was active at the last check
+	var checked, w sim.Time // when the last check ran, and W as of it
+	for n := uint64(1); !nw.AllFinished() && eng.Step(); n++ {
+		if n&progressCheckMask != 0 {
 			continue
 		}
-		if now := time.Now(); !now.Before(next) {
-			p.report(now, eng.Steps(), eng.Now(), false)
-			next = now.Add(p.every)
+		if now := eng.Now(); now-checked >= w {
+			sum, rtt := int64(0), sim.Time(0)
+			var ids []int // the first few active flows
+			for _, f := range nw.Flows() {
+				sum += f.Acked()
+				rtt = max(rtt, f.BaseRTT())
+				if f.Active() && len(ids) < 5 {
+					ids = append(ids, f.Spec.ID)
+				}
+			}
+			if active && sum == acked {
+				stalled = fmt.Sprintf("; stalled: no byte acknowledged in a %v window, flows %v still active", w, ids)
+				break
+			}
+			acked, active, checked = sum, len(ids) > 0, now
+			w = max(sim.Millisecond, 1000*min(rtt, math.MaxInt64/2000))
+			if nw.LossRecovery {
+				w += nw.RTOMax
+			}
+		}
+		if p != nil && time.Since(p.lastWall) >= p.every {
+			p.report(time.Now(), eng.Steps(), eng.Now(), false)
 		}
 	}
 	if p != nil {
 		p.report(time.Now(), eng.Steps(), eng.Now(), true)
 	}
+	return stalled
 }

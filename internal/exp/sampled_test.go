@@ -41,9 +41,10 @@ func TestSampledSeriesCoverTheWholeRun(t *testing.T) {
 }
 
 // A run that can make no progress — every ACK is lost and nothing
-// retransmits — ends as soon as only sampler ticks are left to execute, with
-// the unfinished flows as its error: samplers that tick for as long as a run
-// lasts must not keep a dead run alive.
+// retransmits — ends with the unfinished flows as its error: the samplers
+// that tick for as long as a run lasts must not keep a dead run alive. The
+// watchdog ends it once a stall window passes with a flow active and no
+// byte acknowledged.
 func TestStuckRunEndsWithUnfinishedFlows(t *testing.T) {
 	dropAcks := func(nw *net.Network, _ *topo.Star) {
 		nw.DropFilter = func(kind net.Kind, _ int, _ int64) bool { return kind == net.Ack }
@@ -54,12 +55,40 @@ func TestStuckRunEndsWithUnfinishedFlows(t *testing.T) {
 	}
 }
 
-// The same holds whatever samplers the build started, because the engine
-// counts their Every chains and no caller declares them: here a queue
-// sampler and a Jain sampler that tick for as long as the run lasts, and a
-// queue sampler whose chain ends mid-run. A run that never ends reaches the
-// deadline in simulated time and fails there, before its series outgrow
-// memory.
+// Whatever re-arms itself in a stalled run, the watchdog ends it: DCQCN's
+// alpha and rate timers while a flow is unfinished, and a go-back-N
+// timeout chain under LossRecovery, each with every ACK lost. Each run
+// fails as stalled, naming its window and its active flows, within a
+// second of wall time.
+func TestStalledRunEnds(t *testing.T) {
+	lossRecovery := hpccBaselines()[0]
+	lossRecovery.label += " LossRecovery"
+	lossRecovery.setup = func(nw *net.Network) { nw.LossRecovery = true }
+	for _, v := range []variant{dcqcnVariant(), lossRecovery} {
+		t.Run(v.label, func(t *testing.T) {
+			dropAcks := func(nw *net.Network, _ *topo.Star) {
+				nw.DropFilter = func(kind net.Kind, _ int, _ int64) bool { return kind == net.Ack }
+			}
+			start := time.Now()
+			_, err := runIncast(Config{Seed: 1}, v, paperIncast(4), dropAcks)
+			if wall := time.Since(start); wall > time.Second {
+				t.Errorf("the stalled run took %v of wall time to end, want under 1s", wall)
+			}
+			if err == nil || !strings.Contains(err.Error(), "4 of 4 flows did not finish") ||
+				!strings.Contains(err.Error(), "stalled: no byte acknowledged in a") ||
+				!strings.Contains(err.Error(), "flows [1 2 3 4] still active") {
+				t.Fatalf("err = %v, want the stalled-flows error", err)
+			}
+		})
+	}
+}
+
+// The same holds whatever samplers the build started, because the watchdog
+// reads the flows, not the pending events, and no caller declares its
+// samplers: here a queue sampler and a Jain sampler that tick for as long as
+// the run lasts, and a queue sampler whose chain ends mid-run. A run that
+// never ends reaches the deadline in simulated time and fails there, before
+// its series outgrow memory.
 func TestStuckRunEndsWhateverItsSamplers(t *testing.T) {
 	type pastDeadline struct{}
 	cfg := Config{Seed: 1, ProgressEvery: time.Nanosecond, Progress: func(u ProgressUpdate) {

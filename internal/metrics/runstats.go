@@ -63,24 +63,15 @@ type RunStats struct {
 
 // CollectRun snapshots one finished simulation as a single-run RunStats:
 // the counters of the network and of its engine, and the simulated time
-// the engine's clock reached.
+// the engine's clock reached. It merges them into an empty snapshot with
+// Add, so one run's lanes are sorted by the same rule as many runs'.
 func CollectRun(nw *net.Network) RunStats {
-	s := RunStats{Runs: 1, Counters: nw.Stats().Counters, SimSeconds: nw.Eng.Now().Seconds()}
-	s.addEngine(nw.Eng.Stats())
+	es := nw.Eng.Stats()
+	var s RunStats
+	s.Add(RunStats{Runs: 1, Events: es.Steps, EventsScheduled: es.Scheduled, EventsCancelled: es.Cancelled,
+		PeakPending: es.PeakPending, EventSlotAllocs: es.EventAllocs, EventsLaned: es.Laned, Lanes: es.Lanes,
+		EventsPosted: es.Posted, SimSeconds: nw.Eng.Now().Seconds(), Counters: nw.Stats().Counters})
 	return s
-}
-
-func (s *RunStats) addEngine(es sim.EngineStats) {
-	s.Events += es.Steps
-	s.EventsScheduled += es.Scheduled
-	s.EventsCancelled += es.Cancelled
-	if es.PeakPending > s.PeakPending {
-		s.PeakPending = es.PeakPending
-	}
-	s.EventSlotAllocs += es.EventAllocs
-	s.EventsLaned += es.Laned
-	s.addLanes(es.Lanes)
-	s.EventsPosted += es.Posted
 }
 
 // addLanes folds per-lane counts into s.Lanes, one row per delay, sorted.

@@ -20,7 +20,7 @@ func TestForEachPanicSurfaces(t *testing.T) {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			finished := make(chan error, 1)
 			go func() {
-				finished <- ForEachErr(50, workers, func(i int) error {
+				finished <- forEachErr(50, workers, func(i int) error {
 					if i == 13 {
 						panic("boom")
 					}
@@ -31,7 +31,7 @@ func TestForEachPanicSurfaces(t *testing.T) {
 			select {
 			case err = <-finished:
 			case <-time.After(30 * time.Second):
-				t.Fatal("ForEachErr deadlocked after a worker panic")
+				t.Fatal("forEachErr deadlocked after a worker panic")
 			}
 			var pe *PanicError
 			if !errors.As(err, &pe) {
@@ -55,7 +55,7 @@ func TestForEachPanicSurfaces(t *testing.T) {
 
 func TestForEachErrAnnotatesError(t *testing.T) {
 	sentinel := errors.New("sim exploded")
-	err := ForEachErr(20, 4, func(i int) error {
+	err := forEachErr(20, 4, func(i int) error {
 		if i == 7 {
 			return sentinel
 		}
@@ -73,7 +73,7 @@ func TestForEachErrAnnotatesError(t *testing.T) {
 }
 
 func TestForEachErrRecoversPanicAsError(t *testing.T) {
-	err := ForEachErr(20, 4, func(i int) error {
+	err := forEachErr(20, 4, func(i int) error {
 		if i == 3 {
 			panic("kaboom")
 		}
@@ -93,7 +93,7 @@ func TestForEachErrRecoversPanicAsError(t *testing.T) {
 func TestForEachErrCancelsDispatch(t *testing.T) {
 	// Serial case is exact: the error at index 0 means exactly one run.
 	var serial int64
-	err := ForEachErr(10000, 1, func(i int) error {
+	err := forEachErr(10000, 1, func(i int) error {
 		atomic.AddInt64(&serial, 1)
 		return errors.New("stop")
 	})
@@ -108,7 +108,7 @@ func TestForEachErrCancelsDispatch(t *testing.T) {
 	// runs takes a dispatch that ignores the failure, not a descheduled worker.
 	const n = 1_000_000
 	var parallel int64
-	err = ForEachErr(n, 4, func(i int) error {
+	err = forEachErr(n, 4, func(i int) error {
 		atomic.AddInt64(&parallel, 1)
 		return errors.New("stop")
 	})
@@ -163,7 +163,7 @@ func TestMapErrSuccess(t *testing.T) {
 // error and a clean shutdown (exercised heavily under -race).
 func TestForEachErrManyConcurrentFailures(t *testing.T) {
 	for trial := 0; trial < 50; trial++ {
-		err := ForEachErr(64, 8, func(i int) error {
+		err := forEachErr(64, 8, func(i int) error {
 			return fmt.Errorf("fail %d", i)
 		})
 		if err == nil {

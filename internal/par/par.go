@@ -18,9 +18,9 @@ import (
 	"sync"
 )
 
-// PanicError is a worker panic recovered by ForEachErr/MapErr: the run
-// index that failed, the original panic value, and the worker's stack at
-// the point of the panic.
+// PanicError is a worker panic recovered by MapErr: the run index that
+// failed, the original panic value, and the worker's stack at the point of
+// the panic.
 type PanicError struct {
 	Index int
 	Value any
@@ -31,14 +31,14 @@ func (p *PanicError) Error() string {
 	return fmt.Sprintf("par: run %d panicked: %v\n%s", p.Index, p.Value, p.Stack)
 }
 
-// ForEachErr runs fn(i) for i in [0, n) on up to workers goroutines
+// forEachErr runs fn(i) for i in [0, n) on up to workers goroutines
 // (workers <= 0 means GOMAXPROCS) and returns the first failure observed,
 // or nil. Errors returned by fn are wrapped with the run index; panics are
 // recovered into *PanicError. The first failure cancels dispatch of
 // remaining indices (runs already started complete normally), and
-// ForEachErr always waits for every started run before returning — a
+// forEachErr always waits for every started run before returning — a
 // failing sweep can never deadlock or leak workers.
-func ForEachErr(n, workers int, fn func(i int) error) error {
+func forEachErr(n, workers int, fn func(i int) error) error {
 	if n <= 0 {
 		return nil
 	}
@@ -105,13 +105,13 @@ dispatch:
 }
 
 // MapErr applies fn to each index in parallel, collecting results in
-// order, with ForEachErr's failure semantics: the first error (or
+// order, with forEachErr's failure semantics: the first error (or
 // recovered panic) is returned, annotated with its run index, and cancels
 // the dispatch of remaining indices. On error the returned slice holds the
 // results of the runs that completed; unfinished slots are zero values.
 func MapErr[T any](n, workers int, fn func(i int) (T, error)) ([]T, error) {
 	out := make([]T, n)
-	err := ForEachErr(n, workers, func(i int) error {
+	err := forEachErr(n, workers, func(i int) error {
 		v, err := fn(i)
 		if err != nil {
 			return err

@@ -9,7 +9,7 @@ func TestForEachRunsAll(t *testing.T) {
 	for _, workers := range []int{0, 1, 3, 64} {
 		var count int64
 		seen := make([]int64, 100)
-		err := ForEachErr(100, workers, func(i int) error {
+		err := forEachErr(100, workers, func(i int) error {
 			atomic.AddInt64(&count, 1)
 			atomic.AddInt64(&seen[i], 1)
 			return nil
@@ -30,7 +30,7 @@ func TestForEachRunsAll(t *testing.T) {
 
 func TestForEachEmpty(t *testing.T) {
 	ran := false
-	err := ForEachErr(0, 4, func(int) error { ran = true; return nil })
+	err := forEachErr(0, 4, func(int) error { ran = true; return nil })
 	if ran || err != nil {
 		t.Fatalf("n=0: fn ran = %v, err = %v", ran, err)
 	}

@@ -18,8 +18,7 @@ import (
 // scheduled as an object that is its own Handler, odd ids as a func(): both
 // kinds meet on the heap, on every lane, on the fall-back lanes and on the
 // posted lane. Execution order, the clock, NextEventTime and every Stats
-// counter must match, the clock must never run backwards, and Periodic must
-// count the model's live chains.
+// counter must match, and the clock must never run backwards.
 
 // refModel is the reference scheduler: an unsorted slice scanned for the
 // (at, seq) minimum on every execution. Obviously correct, O(n) per event.
@@ -30,7 +29,6 @@ type refModel struct {
 	scheduled, executed, cancelled uint64
 	order                          []int
 	chains                         map[int]refChain // by the id every tick of the chain carries
-	periodic                       int              // chains whose next tick is pending
 }
 
 // refChain is an Every chain: its ticks are period apart and end at until.
@@ -56,7 +54,6 @@ func (m *refModel) every(start, period, until Time, id int) {
 		m.chains = map[int]refChain{}
 	}
 	m.chains[id] = refChain{period, until}
-	m.periodic++
 	m.schedule(start, id)
 }
 
@@ -94,8 +91,6 @@ func (m *refModel) run(i int) {
 	if c, ok := m.chains[ev.id]; ok {
 		if next := m.now + c.period; next > m.now && next <= c.until {
 			m.schedule(next, ev.id)
-		} else {
-			m.periodic--
 		}
 		return
 	}
@@ -391,9 +386,6 @@ func checkOrder(t *testing.T, data []byte) {
 		if mat, mok := m.nextTime(); ok != mok || at != mat {
 			t.Fatalf("op %d: NextEventTime (%v, %v), model (%v, %v)", op, at, ok, mat, mok)
 		}
-		if e.Periodic() != m.periodic {
-			t.Fatalf("op %d: Periodic %d, model %d", op, e.Periodic(), m.periodic)
-		}
 	}
 	e.Run()
 	for m.exec() {
@@ -413,9 +405,8 @@ func checkOrder(t *testing.T, data []byte) {
 		t.Fatalf("counters diverge: engine {sched %d exec %d cancel %d}, model {%d %d %d}",
 			st.Scheduled, st.Steps, st.Cancelled, m.scheduled, m.executed, m.cancelled)
 	}
-	if st.Pending != len(m.evs) || st.Pending != 0 || e.Periodic() != 0 || m.periodic != 0 {
-		t.Fatalf("pending %d, model %d, periodic %d, model %d, want all 0 after Run",
-			st.Pending, len(m.evs), e.Periodic(), m.periodic)
+	if st.Pending != len(m.evs) || st.Pending != 0 {
+		t.Fatalf("pending %d, model %d, want both 0 after Run", st.Pending, len(m.evs))
 	}
 	if st.Laned != laned {
 		t.Fatalf("Stats reports %d events laned, %d were scheduled on lanes with a ring", st.Laned, laned)

@@ -79,13 +79,11 @@ type Engine struct {
 	slots []slot   // event arena; index = EventID.idx-1
 	free  []uint32 // recycled slot indexes
 
-	stopped    bool
 	steps      uint64
 	live       int    // scheduled, not yet executed or cancelled
 	cancelled  uint64 // events cancelled over the engine's lifetime
 	peakLive   int    // high-water mark of live
 	slotAllocs uint64 // fresh slot allocations (arena growth)
-	periodic   int    // Every chains still re-arming
 }
 
 // NewEngine returns an engine with the clock at time zero.
@@ -466,28 +464,16 @@ func (e *Engine) NextEventTime() (Time, bool) {
 	return e.next(maxTime, false)
 }
 
-// Stop makes Run and RunUntil return after the current event completes.
-func (e *Engine) Stop() { e.stopped = true }
-
-// Run executes events until the queue is empty or Stop is called.
+// Run executes events until the queue is empty.
 func (e *Engine) Run() {
-	e.stopped = false
-	for !e.stopped && e.Step() {
+	for e.Step() {
 	}
 }
 
 // RunUntil executes events with time <= t, then advances the clock to t.
-// Events scheduled exactly at t are executed. When Stop ends it early the
-// clock stays at the last executed event: events before t may still be
-// pending, and the clock must not pass them.
+// Events scheduled exactly at t are executed.
 func (e *Engine) RunUntil(t Time) {
-	e.stopped = false
-	for !e.stopped {
-		if _, ok := e.next(t, true); !ok {
-			if e.now < t {
-				e.now = t
-			}
-			return
-		}
+	for _, ok := e.next(t, true); ok; _, ok = e.next(t, true) {
 	}
+	e.now = max(e.now, t)
 }

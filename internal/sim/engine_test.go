@@ -190,27 +190,6 @@ func TestEngineCancelFromEvent(t *testing.T) {
 	}
 }
 
-func TestEngineStop(t *testing.T) {
-	e := NewEngine()
-	count := 0
-	for i := 0; i < 10; i++ {
-		e.At(Time(i), func() {
-			count++
-			if count == 3 {
-				e.Stop()
-			}
-		})
-	}
-	e.Run()
-	if count != 3 {
-		t.Fatalf("ran %d events after Stop, want 3", count)
-	}
-	e.Run() // resume
-	if count != 10 {
-		t.Fatalf("resume ran to %d, want 10", count)
-	}
-}
-
 func TestEngineRunUntil(t *testing.T) {
 	e := NewEngine()
 	var ran []Time
@@ -233,19 +212,6 @@ func TestEngineRunUntil(t *testing.T) {
 	if len(ran) != 4 || e.Now() != 100 {
 		t.Fatalf("final ran=%v now=%v", ran, e.Now())
 	}
-
-	// Stopped early, RunUntil must leave the clock at the event that stopped
-	// it: one before the bound is still pending and the clock may not pass it.
-	e.At(110, e.Stop)
-	e.At(120, func() { ran = append(ran, 120) })
-	e.RunUntil(200)
-	if e.Now() != 110 || e.Pending() != 1 {
-		t.Fatalf("RunUntil(200) stopped at 110: now=%v pending=%d, want 110 and 1", e.Now(), e.Pending())
-	}
-	e.RunUntil(200) // resume
-	if len(ran) != 5 || e.Now() != 200 {
-		t.Fatalf("resumed RunUntil(200): ran=%v now=%v", ran, e.Now())
-	}
 }
 
 func TestEnginePending(t *testing.T) {
@@ -262,36 +228,32 @@ func TestEnginePending(t *testing.T) {
 }
 
 // An Every chain ticks at start and every period up to and including until,
-// counts in Periodic while it re-arms, and drops out after its last tick; a
-// chain with no end counts for as long as the engine runs.
+// holds one pending event while it re-arms, and drops out after its last
+// tick; a chain with no end re-arms for as long as the engine runs.
 func TestEngineEvery(t *testing.T) {
 	e := NewEngine()
 	var ticks []Time
 	e.Every(10, 5, 30, func() { ticks = append(ticks, e.Now()) })
 	forever := 0
 	e.Every(0, 7, maxTime, func() { forever++ })
-	if e.Periodic() != 2 || e.Pending() != 2 {
-		t.Fatalf("two live chains: periodic %d, pending %d, want 2 and 2", e.Periodic(), e.Pending())
-	}
-	e.RunUntil(29)
-	if e.Periodic() != 2 {
-		t.Fatalf("periodic = %d before the last tick at 30, want 2", e.Periodic())
+	if e.Pending() != 2 {
+		t.Fatalf("two live chains: pending %d, want 2", e.Pending())
 	}
 	e.RunUntil(100)
 	if want := []Time{10, 15, 20, 25, 30}; !slices.Equal(ticks, want) {
 		t.Fatalf("finite chain ticked at %v, want %v", ticks, want)
 	}
-	if e.Periodic() != 1 || e.Pending() != 1 || forever != 100/7+1 {
-		t.Fatalf("after the finite chain ended: periodic %d, pending %d, %d endless ticks; want 1, 1, %d",
-			e.Periodic(), e.Pending(), forever, 100/7+1)
+	if e.Pending() != 1 || forever != 100/7+1 {
+		t.Fatalf("after the finite chain ended: pending %d, %d endless ticks; want 1, %d",
+			e.Pending(), forever, 100/7+1)
 	}
 
-	// The same alone: the count returns to 0 once the chain has ended.
+	// The same alone: nothing is pending once the chain has ended.
 	e = NewEngine()
 	e.Every(0, 1, 3, func() {})
 	e.Run()
-	if e.Periodic() != 0 || e.Steps() != 4 {
-		t.Fatalf("periodic %d after %d ticks, want 0 after 4", e.Periodic(), e.Steps())
+	if e.Pending() != 0 || e.Steps() != 4 {
+		t.Fatalf("pending %d after %d ticks, want 0 after 4", e.Pending(), e.Steps())
 	}
 }
 

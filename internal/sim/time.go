@@ -81,20 +81,12 @@ func (e *Engine) Every(start, period, until Time, fn func()) {
 	if period <= 0 {
 		panic(fmt.Sprintf("sim: Every with non-positive period %v", period))
 	}
-	e.periodic++
 	var tick func()
 	tick = func() {
 		fn()
 		if until-e.now >= period {
 			e.After(period, tick)
-		} else {
-			e.periodic--
 		}
 	}
 	e.At(start, tick)
 }
-
-// Periodic returns how many Every chains are still re-arming. Each holds
-// exactly one pending event, so a run whose Pending is no more than
-// Periodic has nothing left to do but sample.
-func (e *Engine) Periodic() int { return e.periodic }
