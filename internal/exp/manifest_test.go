@@ -106,7 +106,7 @@ func TestManifestRoundTrip(t *testing.T) {
 	if !ok {
 		t.Fatal("run_stats is not an object")
 	}
-	for _, k := range []string{"runs", "events", "events_laned", "lanes", "events_per_sec", "data_pkts_sent", "pool_reuse_rate"} {
+	for _, k := range []string{"runs", "events", "events_laned", "lanes", "events_per_sec", "data_pkts_sent", "pool_reuse_rate", "flow_runs"} {
 		if _, ok := rs[k]; !ok {
 			t.Errorf("run_stats JSON missing key %q", k)
 		}

@@ -1,7 +1,6 @@
 package net_test
 
 import (
-	"reflect"
 	"runtime"
 	"testing"
 
@@ -14,12 +13,11 @@ import (
 )
 
 // TestAddFlowAllocatesInChunks: a flow costs a slot in the network's flow
-// slab and its exact forward and reverse paths one slice of the path slab;
-// its start is posted on the engine's posted lane, not queued through a func
-// value and an event slot. Adding 4096 flows, in start order, to a built 32-host fat-tree may
-// make at most one allocation per 16 flows — growing AddFlow's slabs, the
-// flow list and the posted lane. Every carved path has len == cap, so an
-// append to one cannot write into its neighbour's.
+// slab and no path — the start walks it — and its start is posted on the
+// engine's posted lane, not queued through a func value and an event slot.
+// Adding 4096 flows, in start order, to a built 32-host fat-tree may make at
+// most one allocation per 16 flows — growing the flow slab, the flow list
+// and the posted lane.
 func TestAddFlowAllocatesInChunks(t *testing.T) {
 	const flows = 4096
 	ftCfg := topo.DefaultFatTree().Scaled(2, 2, 8)
@@ -43,17 +41,6 @@ func TestAddFlowAllocatesInChunks(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	if mallocs := after.Mallocs - before.Mallocs; 16*mallocs > flows {
 		t.Errorf("adding %d flows made %d allocations, want at most one per 16 flows", flows, mallocs)
-	}
-
-	for _, f := range nw.Flows() {
-		if f.Hops() == 0 {
-			t.Fatalf("flow %d crosses no switch: its paths are not under test", f.Spec.ID)
-		}
-		p := reflect.ValueOf(f).Elem().FieldByName("path")
-		if p.Len() <= f.Hops() || p.Len() != p.Cap() {
-			t.Fatalf("flow %d: path has len %d, cap %d; want %d forward hops, a reverse path, and len == cap",
-				f.Spec.ID, p.Len(), p.Cap(), f.Hops())
-		}
 	}
 }
 

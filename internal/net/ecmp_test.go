@@ -137,8 +137,8 @@ func walkRoute(t *testing.T, from *Host, dst, flowID int) []*Port {
 	}
 }
 
-// TestFlatPathMatchesRoute ties forwarding to the routes: the path
-// resolved at AddFlow (and stamped onto every packet) must be bit-identical
+// TestFlatPathMatchesRoute ties forwarding to the routes: the path a
+// flow's start walks (and stamps onto every packet) must be bit-identical
 // to what the per-hop reference lookup would choose, for data and for ACKs,
 // across many flow ids.
 func TestFlatPathMatchesRoute(t *testing.T) {
@@ -159,7 +159,11 @@ func TestFlatPathMatchesRoute(t *testing.T) {
 		src, dst := nw.hostByID(f.Spec.Src), nw.hostByID(f.Spec.Dst)
 		wantFwd := walkRoute(t, src, f.Spec.Dst, f.Spec.ID)
 		wantRev := walkRoute(t, dst, f.Spec.Src, f.Spec.ID)
-		fwd, rev := f.path[:f.hops], f.path[f.hops:]
+		path, hops, err := nw.walkPath(src, f.Spec, nil)
+		if err != nil || hops != f.Hops() {
+			t.Fatalf("flow %d: the start's walk found %d hops (%v), AddFlow %d", f.Spec.ID, hops, err, f.Hops())
+		}
+		fwd, rev := path[:hops], path[hops:]
 		if len(fwd) != len(wantFwd) {
 			t.Fatalf("flow %d: forward path len %d, want %d", f.Spec.ID, len(fwd), len(wantFwd))
 		}

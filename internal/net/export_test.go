@@ -28,3 +28,7 @@ func QueueRings(n *Network) []int {
 	}
 	return rings
 }
+
+// RetireRuns makes n retire every finished flow's run slot instead of
+// reusing it: the no-reuse reference a reusing run must reproduce.
+func RetireRuns(n *Network) { n.retireRuns = true }

@@ -94,7 +94,7 @@ func TestPacketPoolReuse(t *testing.T) {
 	// the INT backing array they grew there.
 	grown := 0
 	for _, p := range nw.shards[0].pool {
-		if p.Flow != nil || p.Payload != 0 || p.ECN || len(p.hops) != 0 {
+		if p.run != nil || p.Payload != 0 || p.ECN || len(p.hops) != 0 {
 			t.Fatalf("dirty packet in pool: %+v", p)
 		}
 		if cap(p.hops) > 0 {

@@ -15,58 +15,21 @@ type FlowSpec struct {
 	Start sim.Time
 }
 
-// Flow is the runtime state of one flow: the sender side (pacing, window,
-// congestion control) and the receiver side (delivery accounting, CNP
-// policy). Flows are created with Network.AddFlow, which carves them from
-// the network's flow slab.
+// Flow is the handle of one flow: what AddFlow returns, valid for the
+// network's life. It holds the spec, the path constants, and the results;
+// everything the flow needs only while it runs — window, pacing, RTO,
+// algorithm, path, receiver state — lives in a flowRun that the start takes
+// from its shard's free list and that goes back there once nothing can
+// reach it (see flowRun.release). Handles are carved from the network's flow
+// slab.
 type Flow struct {
 	Spec FlowSpec
 
 	net *Network
-	// sh/eng are the source host's execution shard and its engine: the
-	// whole sender side (start, pacing, congestion control, RTO, ACK
-	// processing) runs there. The receiver-side fields below are touched
-	// only on the destination host's shard; sender and receiver fields
-	// never share an 8-byte word, so sharded runs are race-free without
-	// any per-field synchronization.
-	sh   *shard
-	eng  *sim.Engine
-	host *Host // source host
+	// algo is the flow's algorithm from AddFlow until the start hands it to
+	// the run; run is the run state from the start until the finish.
 	algo cc.Algorithm
-	ctl  cc.Control
-
-	sent     int64 // payload bytes sent (next sequence to transmit)
-	acked    int64 // payload bytes acknowledged
-	inflight int64
-	maxSent  int64 // high-water mark of sent; go-back-N rewinds sent below it
-	nextSend sim.Time
-	// pending/pendingAt track the outstanding pacing wakeup (see
-	// paceTimer). The handle is generation-stamped, so cancelling it after
-	// it fired is harmless.
-	pending   sim.EventID
-	pendingAt sim.Time
-
-	// Loss recovery (armed only when Network.LossRecovery is set). The
-	// timer (see rtoTimer) is lazy: progress just pushes rtoDeadline
-	// forward, and the scheduled event re-arms itself when it fires early,
-	// so ACK processing never cancels engine events.
-	rtoBase     sim.Time // initial timeout: max(RTOMin, 4*baseRTT)
-	rto         sim.Time // current timeout (doubles on fire; capped at RTOMax when set, always at rtoBackoffCeiling)
-	rtoDeadline sim.Time
-
-	// Retransmits counts data packets this flow re-sent; Timeouts counts
-	// RTO fires that triggered go-back-N recovery.
-	Retransmits int64
-	Timeouts    int64
-
-	started  bool
-	finished bool
-	rtoArmed bool // a timeout event is outstanding
-	// FinishedAt is valid once finished; DeliveredAt is when the last
-	// payload byte reached the receiver (FinishedAt additionally waits for
-	// the final ACK).
-	FinishedAt  sim.Time
-	DeliveredAt sim.Time
+	run  *flowRun
 
 	hops     int
 	baseRTT  sim.Time
@@ -74,30 +37,26 @@ type Flow struct {
 	invBwSum float64  // sum over forward links of 1/bandwidth (s/bit)
 	minBw    float64  // bottleneck link bandwidth on the path
 
-	// path is the flat forwarding path, resolved by Network.pathInfo: the
-	// egress port each switch picks for this flow's data, path[:hops], then
-	// for its ACKs, path[hops:]. It is carved from the network's path slab
-	// with len == cap (see carvePath).
-	path []*Port
+	// Retransmits counts data packets this flow re-sent; Timeouts counts
+	// RTO fires that triggered go-back-N recovery.
+	Retransmits int64
+	Timeouts    int64
 
-	// gates is the free list of the liveness gates Schedule wraps around
-	// algorithm timers, so periodic timers (DCQCN's alpha/rate) stop
-	// allocating once each chain owns a gate.
-	gates *ccGate
+	// FinishedAt is valid once finished; DeliveredAt is when the last
+	// payload byte reached the receiver (FinishedAt additionally waits for
+	// the final ACK). DeliveredAt is the one field the receiver's shard
+	// writes.
+	FinishedAt  sim.Time
+	DeliveredAt sim.Time
 
-	// gapWire/gapRate/gapDur memoize the pacing gap: the controlled rate
-	// only changes on ACKs and nearly every packet is full-MTU, so whole
-	// windows reuse one TransmitTime result.
-	gapWire int
-	gapRate float64
-	gapDur  sim.Time
-
-	// Receiver side.
+	// delivered and acked are the run's counts, copied at the finish.
 	delivered int64
-	lastCNP   sim.Time
-
+	acked     int64
 	// deliveredMark supports goodput sampling (metrics take deltas).
 	deliveredMark int64
+
+	started  bool
+	finished bool
 }
 
 // Finished reports whether all payload bytes have been acknowledged.
@@ -110,10 +69,20 @@ func (f *Flow) Started() bool { return f.started }
 func (f *Flow) Active() bool { return f.started && !f.finished }
 
 // Delivered returns payload bytes received at the destination.
-func (f *Flow) Delivered() int64 { return f.delivered }
+func (f *Flow) Delivered() int64 {
+	if f.run != nil {
+		return f.run.delivered
+	}
+	return f.delivered
+}
 
 // Acked returns payload bytes acknowledged at the sender.
-func (f *Flow) Acked() int64 { return f.acked }
+func (f *Flow) Acked() int64 {
+	if f.run != nil {
+		return f.run.acked
+	}
+	return f.acked
+}
 
 // BaseRTT returns the flow's unloaded round-trip time (propagation plus
 // MTU serialization on the forward path and ACK serialization back).
@@ -150,213 +119,313 @@ func (f *Flow) Slowdown() float64 {
 // TakeDeliveredDelta returns payload bytes delivered since the previous
 // call (used by goodput/fairness samplers).
 func (f *Flow) TakeDeliveredDelta() int64 {
-	d := f.delivered - f.deliveredMark
-	f.deliveredMark = f.delivered
+	d := f.Delivered() - f.deliveredMark
+	f.deliveredMark += d
 	return d
 }
 
-// Fire is the flow's start event, posted by AddFlow: it initializes
-// congestion control and begins sending. A flow is its own start handler,
-// and its timers are the flow too (see paceTimer and rtoTimer), so starting
-// one allocates nothing.
+// Fire is the flow's start event, posted by AddFlow: it takes a run slot
+// from the source host's shard, re-walks the path into the slot's buffer —
+// routes are fixed at the first flow, so the walk repeats AddFlow's —
+// initializes congestion control and begins sending. A reused slot keeps
+// its path buffer and gates, and the run is its own timers (see paceTimer
+// and rtoTimer), so starting a flow allocates nothing once the shard has
+// carved as many slots as flows run at once.
 func (f *Flow) Fire() {
-	f.started = true
-	f.ctl = f.algo.Init(f.env())
-	f.trySend()
+	n := f.net
+	host := n.hostByNode[f.Spec.Src]
+	sh := host.sh
+	r := sh.takeRun()
+	path, _, err := n.walkPath(host, f.Spec, r.path[:0])
+	if err != nil {
+		panic("net: " + err.Error())
+	}
+	*r = flowRun{flow: f, net: n, sh: sh, eng: sh.eng, host: host, algo: f.algo,
+		size: f.Spec.Size, src: int32(f.Spec.Src), dst: int32(f.Spec.Dst),
+		hops: f.hops, baseRTT: f.baseRTT, rtoBase: n.initialRTO(f.baseRTT),
+		path: path, gates: r.gates}
+	r.rto = r.rtoBase
+	f.algo, f.run, f.started = nil, r, true
+	r.ctl = r.algo.Init(r.env())
+	r.trySend()
 }
 
-// paceTimer and rtoTimer are a flow as its pacing wakeup and as its
-// retransmission timeout: converting the *Flow makes a sim.Handler with a
-// Fire of its own, so scheduling either timer binds no func value.
+// flowRun is a flow's run state: the sender side (pacing, window,
+// congestion control, RTO) and the receiver side (delivery accounting, CNP
+// policy). Packets, timers and gates point at it, never at the handle.
+//
+// The sender side executes on the source host's shard, where the run slot
+// is taken and returned; the receiver-side fields are touched only on the
+// destination host's shard. Sender and receiver fields never share an
+// 8-byte word, so sharded runs are race-free without any per-field
+// synchronization.
+//
+// A slot is five whole cache lines, so slab-carved slots start on a line
+// (TestPacketLayout). What trySend and onAck touch on every packet comes
+// first, on three lines; the path, which both ends read, and the
+// receiver's fields come last.
+type flowRun struct {
+	eng      *sim.Engine
+	sh       *shard
+	host     *Host // source host
+	net      *Network
+	size     int64 // Spec.Size
+	sent     int64 // payload bytes sent (next sequence to transmit)
+	inflight int64
+	nextSend sim.Time
+	ctl      cc.Control
+	maxSent  int64 // high-water mark of sent; go-back-N rewinds sent below it
+	// gapWire/gapRate/gapDur memoize the pacing gap: the controlled rate
+	// only changes on ACKs and nearly every packet is full-MTU, so whole
+	// windows reuse one TransmitTime result.
+	gapWire  int
+	gapRate  float64
+	gapDur   sim.Time
+	finished bool
+	rtoArmed bool  // a timeout event is outstanding
+	gatesOut int32 // gates scheduled and not yet fired
+	acked    int64 // payload bytes acknowledged
+	algo     cc.Algorithm
+	src, dst int32 // Spec.Src and Spec.Dst
+
+	// pending/pendingAt track the outstanding pacing wakeup (see
+	// paceTimer). The handle is generation-stamped, so cancelling it after
+	// it fired is harmless.
+	pending   sim.EventID
+	pendingAt sim.Time
+
+	// Loss recovery (armed only when Network.LossRecovery is set). The
+	// timer (see rtoTimer) is lazy: progress just pushes rtoDeadline
+	// forward, and the scheduled event re-arms itself when it fires early,
+	// so ACK processing never cancels engine events.
+	rtoBase     sim.Time // initial timeout: see Network.initialRTO
+	rto         sim.Time // current timeout (doubles on fire; capped at RTOMax when set, always at rtoBackoffCeiling)
+	rtoDeadline sim.Time
+
+	baseRTT sim.Time
+	// gates is the free list of the liveness gates Schedule wraps around
+	// algorithm timers, so periodic timers (DCQCN's alpha/rate) stop
+	// allocating once each chain owns a gate. It is kept across reuse.
+	gates *ccGate
+	next  *flowRun // shard free-list link
+	flow  *Flow    // the handle, which the finish fills in
+
+	// path is the flat forwarding path walked at the start: the egress
+	// port each switch picks for this flow's data, path[:hops], then for
+	// its ACKs, path[hops:]. Its buffer is carved with the slot (see
+	// shard.takeRun) and kept across reuse.
+	hops int
+	path []*Port
+
+	// Receiver side.
+	delivered int64
+	lastCNP   sim.Time
+	_         [48]byte // to five cache lines
+}
+
+// paceTimer and rtoTimer are a run as its pacing wakeup and as its
+// retransmission timeout: converting the *flowRun makes a sim.Handler with
+// a Fire of its own, so scheduling either timer binds no func value.
 type (
-	paceTimer Flow
-	rtoTimer  Flow
+	paceTimer flowRun
+	rtoTimer  flowRun
 )
 
 // Fire is the pacing wakeup.
 func (t *paceTimer) Fire() {
-	f := (*Flow)(t)
-	f.pending = sim.EventID{}
-	f.trySend()
+	r := (*flowRun)(t)
+	r.pending = sim.EventID{}
+	r.trySend()
 }
 
 // Fire is the retransmission timeout.
-func (t *rtoTimer) Fire() { (*Flow)(t).onRTO() }
+func (t *rtoTimer) Fire() { (*flowRun)(t).onRTO() }
 
-// env builds the cc.Env for this flow's algorithm; the flow is the Env's
+// env builds the cc.Env for this flow's algorithm; the run is the Env's
 // Timers.
-func (f *Flow) env() cc.Env {
+func (r *flowRun) env() cc.Env {
 	return cc.Env{
-		LineRateBps: f.host.port.bw,
-		BaseRTT:     f.baseRTT,
-		MTU:         f.net.MTU,
-		Hops:        f.hops,
-		Rand:        f.sh.rand,
-		Timers:      f,
+		LineRateBps: r.host.port.bw,
+		BaseRTT:     r.baseRTT,
+		MTU:         r.net.MTU,
+		Hops:        r.hops,
+		Rand:        r.sh.rand,
+		Timers:      r,
 	}
 }
 
 // SetControl implements cc.Timers: timer-driven rate updates land here.
-func (f *Flow) SetControl(c cc.Control) {
-	if !f.finished {
-		f.ctl = c
-		f.trySend()
+func (r *flowRun) SetControl(c cc.Control) {
+	if !r.finished {
+		r.ctl = c
+		r.trySend()
 	}
 }
 
 // ccGate gates one scheduled algorithm timer on flow liveness; it is the
-// timer's event. Gates return to the flow's free list the moment they fire
+// timer's event. Gates return to the run's free list the moment they fire
 // — before fn runs, so a timer that immediately re-schedules itself
 // (DCQCN's alpha and rate chains) reuses the same gate forever, and after
-// warm-up a timer tick schedules with zero allocations.
+// warm-up a timer tick schedules with zero allocations. A gate that fires
+// after the finish may be the last reference to its run, so it offers the
+// run back to the shard.
 type ccGate struct {
-	f    *Flow
+	r    *flowRun
 	fn   func()
 	next *ccGate // free-list link
 }
 
 func (g *ccGate) Fire() {
-	f, fn := g.f, g.fn
+	r, fn := g.r, g.fn
 	g.fn = nil
-	g.next, f.gates = f.gates, g
-	if !f.finished {
-		fn()
+	g.next, r.gates = r.gates, g
+	r.gatesOut--
+	if r.finished {
+		r.release()
+		return
 	}
+	fn()
 }
 
 // Schedule implements cc.Timers: it runs fn after d unless the flow has
 // finished by then. Timers scheduled after the flow finished are dropped
 // outright.
-func (f *Flow) Schedule(d sim.Time, fn func()) {
-	if f.finished {
+func (r *flowRun) Schedule(d sim.Time, fn func()) {
+	if r.finished {
 		return
 	}
-	g := f.gates
+	g := r.gates
 	if g != nil {
-		f.gates = g.next
+		r.gates = g.next
 	} else {
-		g = &ccGate{f: f}
+		g = &ccGate{r: r}
 	}
 	g.fn = fn
-	f.eng.Schedule(f.eng.Now()+d, g)
+	r.gatesOut++
+	r.eng.Schedule(r.eng.Now()+d, g)
 }
 
 // trySend releases as many packets as the window and pacer currently
 // allow, then schedules a wakeup at the pacing horizon if more payload
 // remains and the window is open. It is idempotent: redundant calls are
 // harmless.
-func (f *Flow) trySend() {
-	if f.finished {
+func (r *flowRun) trySend() {
+	if r.finished {
 		return
 	}
-	now := f.eng.Now()
-	for f.sent < f.Spec.Size {
-		if float64(f.inflight) >= f.ctl.WindowBytes {
+	now := r.eng.Now()
+	for r.sent < r.size {
+		if float64(r.inflight) >= r.ctl.WindowBytes {
 			return // window closed; an ACK will reopen it
 		}
-		if now < f.nextSend {
-			f.schedule(f.nextSend)
+		if now < r.nextSend {
+			r.schedule(r.nextSend)
 			return
 		}
-		payload := f.Spec.Size - f.sent
-		if payload > int64(f.net.MTU) {
-			payload = int64(f.net.MTU)
+		payload := r.size - r.sent
+		if payload > int64(r.net.MTU) {
+			payload = int64(r.net.MTU)
 		}
-		p := f.sh.getPacket()
+		p := r.sh.getPacket()
 		p.Kind = Data
-		p.Flow = f
-		p.Src = int32(f.Spec.Src)
-		p.Dst = int32(f.Spec.Dst)
-		p.Seq = f.sent
+		p.run = r
+		p.Src = r.src
+		p.Dst = r.dst
+		p.Seq = r.sent
 		p.Payload = int32(payload)
-		p.Wire = int32(int(payload) + f.net.HeaderBytes)
+		p.Wire = int32(int(payload) + r.net.HeaderBytes)
 		p.SentAt = now
-		// Stamp the flat path while the Flow is hot in cache; switch hops
+		// Stamp the flat path while the run is hot in cache; switch hops
 		// then forward without touching it (see Packet.path).
-		p.path = f.path
-		if p.Seq < f.maxSent {
-			f.Retransmits++
-			f.sh.Retransmits++
+		p.path = r.path
+		if p.Seq < r.maxSent {
+			r.flow.Retransmits++
+			r.sh.Retransmits++
 		}
-		f.sent += payload
-		if f.sent > f.maxSent {
-			f.maxSent = f.sent
+		r.sent += payload
+		if r.sent > r.maxSent {
+			r.maxSent = r.sent
 		}
-		f.inflight += payload
-		f.sh.DataSent++
+		r.inflight += payload
+		r.sh.DataSent++
 		// Pace the full wire size at the controlled rate.
-		gap := f.paceGap(int(p.Wire))
-		if f.nextSend < now {
-			f.nextSend = now
+		gap := r.paceGap(int(p.Wire))
+		if r.nextSend < now {
+			r.nextSend = now
 		}
-		f.nextSend += gap
-		if f.net.LossRecovery {
-			f.rtoDeadline = now + f.rto
-			f.armRTO()
+		r.nextSend += gap
+		if r.net.LossRecovery {
+			r.rtoDeadline = now + r.rto
+			r.armRTO()
 		}
-		f.host.port.send(p)
+		r.host.port.send(p)
 	}
 }
 
-// paceGap returns TransmitTime(wire, f.ctl.RateBps) through the flow's
+// paceGap returns TransmitTime(wire, r.ctl.RateBps) through the run's
 // one-entry memo. Wire sizes are never zero, so the zero value cannot
 // alias a real entry.
-func (f *Flow) paceGap(wire int) sim.Time {
-	if wire == f.gapWire && f.ctl.RateBps == f.gapRate {
-		return f.gapDur
+func (r *flowRun) paceGap(wire int) sim.Time {
+	if wire == r.gapWire && r.ctl.RateBps == r.gapRate {
+		return r.gapDur
 	}
-	d := sim.TransmitTime(wire, f.ctl.RateBps)
-	f.gapWire, f.gapRate, f.gapDur = wire, f.ctl.RateBps, d
+	d := sim.TransmitTime(wire, r.ctl.RateBps)
+	r.gapWire, r.gapRate, r.gapDur = wire, r.ctl.RateBps, d
 	return d
 }
 
 // armRTO ensures a timeout event is scheduled. It is a no-op when one is
 // already outstanding: the lazy timer re-checks rtoDeadline when it fires.
-func (f *Flow) armRTO() {
-	if f.rtoArmed || f.finished {
+func (r *flowRun) armRTO() {
+	if r.rtoArmed || r.finished {
 		return
 	}
-	f.rtoArmed = true
-	f.eng.Schedule(f.rtoDeadline, (*rtoTimer)(f))
+	r.rtoArmed = true
+	r.eng.Schedule(r.rtoDeadline, (*rtoTimer)(r))
 }
 
 // onRTO is the retransmission-timeout event body.
 // If progress moved the deadline since this event was scheduled, it
 // re-arms at the new deadline; otherwise the outstanding window is
-// declared lost and go-back-N resends from the last cumulative ACK.
-func (f *Flow) onRTO() {
-	f.rtoArmed = false
-	if f.finished || f.inflight <= 0 {
+// declared lost and go-back-N resends from the last cumulative ACK. A
+// timeout that outlived its flow offers the run back to the shard.
+func (r *flowRun) onRTO() {
+	r.rtoArmed = false
+	if r.finished {
+		r.release()
 		return
 	}
-	now := f.eng.Now()
-	if now < f.rtoDeadline {
-		f.armRTO()
+	if r.inflight <= 0 {
 		return
 	}
-	f.Timeouts++
-	f.sh.RTOFires++
+	now := r.eng.Now()
+	if now < r.rtoDeadline {
+		r.armRTO()
+		return
+	}
+	r.flow.Timeouts++
+	r.sh.RTOFires++
 	// Exponential backoff with a hard ceiling. The ceiling applies even
 	// with RTOMax unset: unbounded doubling overflows sim.Time after ~50
 	// consecutive timeouts (picoseconds in an int64), turning the next
 	// deadline negative — an event scheduled in the past. Check the
 	// overflow wrap (<= 0) before comparing against the ceiling: a
 	// wrapped-negative rto would pass a plain "> ceiling" test.
-	f.rto *= 2
-	if f.rto <= 0 || f.rto > rtoBackoffCeiling {
-		f.rto = rtoBackoffCeiling
+	r.rto *= 2
+	if r.rto <= 0 || r.rto > rtoBackoffCeiling {
+		r.rto = rtoBackoffCeiling
 	}
-	if max := f.net.RTOMax; max > 0 && f.rto > max {
-		f.rto = max
+	if max := r.net.RTOMax; max > 0 && r.rto > max {
+		r.rto = max
 	}
 	// Everything past the last cumulative ACK is presumed lost: rewind
 	// the send cursor and clear the pacing backlog so recovery starts
 	// immediately rather than at the stale pacing horizon.
-	f.sent = f.acked
-	f.inflight = 0
-	f.nextSend = now
-	f.rtoDeadline = now + f.rto
-	f.trySend()
+	r.sent = r.acked
+	r.inflight = 0
+	r.nextSend = now
+	r.rtoDeadline = now + r.rto
+	r.trySend()
 }
 
 // rtoBackoffCeiling bounds exponential RTO backoff when Network.RTOMax is
@@ -364,15 +433,15 @@ func (f *Flow) onRTO() {
 // leaves ~17 more doublings before sim.Time (picoseconds, int64) overflows.
 const rtoBackoffCeiling = 60 * sim.Second
 
-func (f *Flow) schedule(at sim.Time) {
-	if f.pending.Valid() {
-		if f.pendingAt == at {
+func (r *flowRun) schedule(at sim.Time) {
+	if r.pending.Valid() {
+		if r.pendingAt == at {
 			return
 		}
-		f.eng.Cancel(f.pending)
+		r.eng.Cancel(r.pending)
 	}
-	f.pending = f.eng.Schedule(at, (*paceTimer)(f))
-	f.pendingAt = at
+	r.pending = r.eng.Schedule(at, (*paceTimer)(r))
+	r.pendingAt = at
 }
 
 // onAck processes a cumulative acknowledgement at the sender. Under loss
@@ -380,55 +449,78 @@ func (f *Flow) schedule(at sim.Time) {
 // its cumulative position for every out-of-sequence arrival, and ACKs for
 // data sent before a go-back-N rewind can land after it, so stale and
 // duplicate ACKs are normal here rather than impossible.
-func (f *Flow) onAck(p *Packet) {
-	newly := p.AckSeq - f.acked
+func (r *flowRun) onAck(p *Packet) {
+	newly := p.AckSeq - r.acked
 	if newly <= 0 {
-		f.sh.DupAcks++
+		r.sh.DupAcks++
 		return // duplicate or stale cumulative ACK; RTO drives recovery
 	}
-	f.acked = p.AckSeq
-	f.inflight -= newly
-	if f.inflight < 0 {
+	r.acked = p.AckSeq
+	r.inflight -= newly
+	if r.inflight < 0 {
 		// An ACK covering data resent after a spurious timeout: the
 		// original and the retransmit were both counted as sent once but
 		// the rewind zeroed inflight in between.
-		f.inflight = 0
+		r.inflight = 0
 	}
-	if f.acked > f.sent {
+	if r.acked > r.sent {
 		// The rewind presumed data lost that was in fact in flight; skip
 		// the send cursor past what the receiver now confirms.
-		f.sent = f.acked
+		r.sent = r.acked
 	}
-	now := f.eng.Now()
-	if f.acked >= f.Spec.Size {
-		f.finish(now)
+	now := r.eng.Now()
+	if r.acked >= r.size {
+		r.finish(now)
 		return
 	}
-	if f.net.LossRecovery {
+	if r.net.LossRecovery {
 		// Forward progress: reset backoff and push the timeout out.
-		f.rto = f.rtoBase
-		f.rtoDeadline = now + f.rto
-		f.armRTO()
+		r.rto = r.rtoBase
+		r.rtoDeadline = now + r.rto
+		r.armRTO()
 	}
-	f.ctl = f.algo.OnAck(cc.Feedback{
+	r.ctl = r.algo.OnAck(cc.Feedback{
 		Now:        now,
 		RTT:        now - p.SentAt,
 		SentAt:     p.SentAt,
-		AckedBytes: f.acked,
-		SentBytes:  f.sent,
+		AckedBytes: r.acked,
+		SentBytes:  r.sent,
 		NewlyAcked: int(newly),
 		ECE:        p.ECE,
 		Hops:       p.hops,
 	})
-	f.trySend()
+	r.trySend()
 }
 
-func (f *Flow) finish(now sim.Time) {
-	f.finished = true
-	f.FinishedAt = now
-	f.net.unfinished.Add(-1)
-	if f.pending.Valid() {
-		f.eng.Cancel(f.pending)
-		f.pending = sim.EventID{}
+// finish copies the results into the handle, drops the algorithm and
+// offers the run back to the shard. It runs while the final ACK is being
+// processed, which is recycled straight after.
+func (r *flowRun) finish(now sim.Time) {
+	r.finished = true
+	f := r.flow
+	f.finished, f.FinishedAt = true, now
+	f.delivered, f.acked = r.delivered, r.acked
+	f.run = nil
+	r.algo = nil
+	r.net.unfinished.Add(-1)
+	if r.pending.Valid() {
+		r.eng.Cancel(r.pending)
+		r.pending = sim.EventID{}
 	}
+	r.release()
+}
+
+// release returns a finished run to its shard's free list once nothing
+// can reach it any more; finish, the last gate and the last timeout each
+// offer it. A gate still pending (DCQCN's timers) or an armed timeout
+// holds the run until it fires. Packets need no count: a flow that never
+// timed out sent every byte once, in order, over one FIFO path, so its
+// final ACK is the last packet that names it. A flow that did time out may
+// have duplicates and their ACKs anywhere in the fabric, so its slot is
+// retired and never reused.
+func (r *flowRun) release() {
+	if r.gatesOut > 0 || r.rtoArmed || r.flow.Timeouts > 0 || r.net.retireRuns {
+		return
+	}
+	r.next, r.sh.runs = r.sh.runs, r
 }

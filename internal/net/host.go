@@ -33,22 +33,21 @@ func (h *Host) Receive(p *Packet, in *Port) {
 	case Data:
 		h.receiveData(p)
 	case Ack:
-		f := p.Flow
-		f.onAck(p)
+		p.run.onAck(p)
 		h.sh.putPacket(p)
 	}
 }
 
 func (h *Host) receiveData(p *Packet) {
-	f := p.Flow
+	r := p.run
 	if int(p.Dst) != h.id {
 		panic("net: data packet delivered to wrong host")
 	}
-	if p.Seq == f.delivered {
-		f.delivered += int64(p.Payload)
+	if p.Seq == r.delivered {
+		r.delivered += int64(p.Payload)
 		h.sh.DataDelivered++
-		if f.delivered >= f.Spec.Size {
-			f.DeliveredAt = h.sh.eng.Now()
+		if r.delivered >= r.size {
+			r.flow.DeliveredAt = h.sh.eng.Now()
 		}
 	} else {
 		// Out of sequence: a gap means a drop upstream (go-back-N will
@@ -62,15 +61,15 @@ func (h *Host) receiveData(p *Packet) {
 
 	ack := h.sh.getPacket()
 	ack.Kind = Ack
-	ack.Flow = f
+	ack.run = r
 	ack.Src = int32(h.id)
 	ack.Dst = p.Src
 	ack.Wire = int32(h.net.AckBytes)
-	ack.AckSeq = f.delivered
+	ack.AckSeq = r.delivered
 	ack.SentAt = p.SentAt
-	// Stamp the reverse flat path while the Flow is hot in cache; switch
+	// Stamp the reverse flat path while the run is hot in cache; switch
 	// hops then forward without touching it (see Packet.path).
-	ack.path = f.path[f.hops:]
+	ack.path = r.path[r.hops:]
 	// Echo the collected telemetry by trading INT stacks: the ACK takes the
 	// data packet's and the data packet, about to be recycled, the ACK's
 	// empty one. The trade is safe because no packet ever holds a nil or
@@ -80,9 +79,9 @@ func (h *Host) receiveData(p *Packet) {
 	ack.hops, p.hops = p.hops, ack.hops
 	if p.ECN {
 		now := h.sh.eng.Now()
-		if h.net.CNPInterval == 0 || now-f.lastCNP >= h.net.CNPInterval {
+		if h.net.CNPInterval == 0 || now-r.lastCNP >= h.net.CNPInterval {
 			ack.ECE = true
-			f.lastCNP = now
+			r.lastCNP = now
 		}
 	}
 	h.sh.putPacket(p)

@@ -82,7 +82,7 @@ func TestPFCResumeCannotOvertakePause(t *testing.T) {
 	eng.At(0, func() {
 		filler := nw.shards[0].getPacket()
 		filler.Kind = Ack
-		filler.Flow = f
+		filler.run = &flowRun{flow: f, sh: nw.shards[0]}
 		filler.Src = int32(h1.NodeID())
 		filler.Dst = int32(h0.NodeID())
 		filler.Wire = 100_000

@@ -113,8 +113,8 @@ func TestWindowLimitsInflight(t *testing.T) {
 	maxInflight := int64(0)
 	var watch func()
 	watch = func() {
-		if f.inflight > maxInflight {
-			maxInflight = f.inflight
+		if f.run != nil && f.run.inflight > maxInflight {
+			maxInflight = f.run.inflight
 		}
 		if !f.finished {
 			eng.After(100*sim.Nanosecond, watch)

@@ -88,24 +88,29 @@ type Network struct {
 	// never touches the packet pool.
 	probeFlow Flow
 
-	// fwdWalk/revWalk are the paths pathInfo walks into, kept across walks;
-	// AddFlow copies a flow's out into pathChunk. flowChunk and pathChunk
-	// are allocated, not yet carved (see flowSlab).
-	fwdWalk, revWalk []*Port
-	flowChunk        []Flow
-	pathChunk        []*Port
+	// walk is the path pathInfo walks into, kept across walks. flowChunk is
+	// allocated, not yet carved (see flowSlab).
+	walk      []*Port
+	flowChunk []Flow
 	// maxHops is the longest forward path of any flow added: the depth of
 	// the INT stack every packet is carved with (see shard.getPacket).
-	maxHops int
+	// maxPath is the longest forward plus reverse path: the capacity every
+	// run slot's path buffer is carved with (see shard.takeRun).
+	maxHops, maxPath int
+	// retireRuns retires every finished flow's run slot instead of reusing
+	// it: the no-reuse reference of the tests.
+	retireRuns bool
 }
 
-// flowSlab is how many flows one allocation holds, and pathSlab how many
-// path ports: a flow costs a slot in each, not an allocation of its own.
-// A flow slab fills 32 KB, the allocator's largest small size class, so
-// size-class rounding wastes less than one flow per slab; 1024 ports are
-// the paths of about a hundred flows on a fat-tree.
+// flowSlab is how many flow handles one allocation holds, runSlab how many
+// run slots, and pathSlab how many path ports the run slots' path buffers
+// are carved from: a flow costs a slot, not an allocation of its own. Flow
+// and run slabs fill 32 KB, the allocator's largest small size class, so
+// size-class rounding wastes less than one slot per slab; 1024 ports are
+// the paths of about a hundred runs on a fat-tree.
 const (
 	flowSlab = int(32 << 10 / unsafe.Sizeof(Flow{}))
+	runSlab  = int(32 << 10 / unsafe.Sizeof(flowRun{}))
 	pathSlab = 1024
 )
 
@@ -192,7 +197,9 @@ func (n *Network) Connect(a, b Node, bps float64, delay sim.Time) (*Port, *Port)
 
 // AddFlow registers a flow and posts its start: the flow is its own start
 // event (see Flow.Fire), so flows added in start order never touch the
-// engine's heap. The algorithm instance must be exclusive to this flow.
+// engine's heap. AddFlow checks the routes both ways and derives the path
+// constants, but keeps no path: the start walks it again. The algorithm
+// instance must be exclusive to this flow.
 func (n *Network) AddFlow(spec FlowSpec, algo cc.Algorithm) *Flow {
 	if spec.Size <= 0 {
 		panic("net: flow size must be positive")
@@ -203,45 +210,32 @@ func (n *Network) AddFlow(spec FlowSpec, algo cc.Algorithm) *Flow {
 	}
 	f := &n.flowChunk[0]
 	n.flowChunk = n.flowChunk[1:]
-	// The flow's sender side executes on the source host's shard: its
-	// start event, pacing timers, RTO and ACK processing all run there.
-	*f = Flow{Spec: spec, net: n, sh: src.sh, eng: src.sh.eng, host: src, algo: algo}
-	if err := n.pathInfo(f); err != nil {
+	*f = Flow{Spec: spec, net: n, algo: algo}
+	if err := n.pathInfo(f, src); err != nil {
 		panic("net: " + err.Error())
 	}
-	f.path = n.carvePath(n.fwdWalk, n.revWalk)
 	n.maxHops = max(n.maxHops, f.hops)
-	f.rtoBase = 4 * f.baseRTT
-	if f.rtoBase < n.RTOMin {
-		f.rtoBase = n.RTOMin
-	}
-	if n.RTOMax > 0 && f.rtoBase > n.RTOMax {
+	n.maxPath = max(n.maxPath, len(n.walk))
+	n.flows = append(n.flows, f)
+	n.unfinished.Add(1)
+	// The flow's sender side executes on the source host's shard: its
+	// start event, pacing timers, RTO and ACK processing all run there.
+	src.sh.eng.Post(spec.Start, f)
+	return f
+}
+
+// initialRTO is a flow's first retransmission timeout: 4*baseRTT clamped
+// into [RTOMin, RTOMax].
+func (n *Network) initialRTO(baseRTT sim.Time) sim.Time {
+	rto := max(4*baseRTT, n.RTOMin)
+	if n.RTOMax > 0 && rto > n.RTOMax {
 		// On long-delay paths (a 10 ms WAN-edge hop makes 4*baseRTT ~80 ms)
 		// the initial timeout must respect the same ceiling the backoff
 		// doubling does, or first-loss recovery waits 8x longer than any
 		// later one.
-		f.rtoBase = n.RTOMax
+		rto = n.RTOMax
 	}
-	f.rto = f.rtoBase
-	n.flows = append(n.flows, f)
-	n.unfinished.Add(1)
-	f.eng.Post(spec.Start, f)
-	return f
-}
-
-// carvePath copies a flow's walked forward and reverse paths, in that order,
-// into one slice of the path slab. The copy is clipped to len == cap, so an
-// append to one flow's path reallocates instead of writing over the next
-// flow's.
-func (n *Network) carvePath(fwd, rev []*Port) []*Port {
-	k := len(fwd) + len(rev)
-	if len(n.pathChunk) < k {
-		n.pathChunk = make([]*Port, max(pathSlab, k))
-	}
-	p := n.pathChunk[:k:k]
-	n.pathChunk = n.pathChunk[k:]
-	copy(p[copy(p, fwd):], rev)
-	return p
+	return rto
 }
 
 // hostByID returns the host with the given node id in O(1); unknown ids
@@ -261,36 +255,45 @@ func (n *Network) findHost(id int) *Host {
 	return n.hostByNode[id]
 }
 
-// pathInfo resolves the flow's flat forwarding path — the egress port each
-// switch picks for its data (into n.fwdWalk) and for its ACKs (into
-// n.revWalk), the only forwarding Switch.Receive does — and fills in the
-// constants of the forward links: the switch hop count; the unloaded RTT
-// (per-link propagation plus MTU-packet serialization forward, propagation
-// plus ACK serialization back); the one-way pipeline-fill delay; and the
-// bottleneck bandwidth. A missing route in either direction is an error.
-// The walks go into the network's walk scratch, so pathInfo allocates
-// nothing and never touches the packet pool.
-func (n *Network) pathInfo(f *Flow) (err error) {
-	if f.host == nil {
+// pathInfo walks the flow's path from src into the network's walk scratch
+// and fills in the constants of the forward links: the switch hop count;
+// the unloaded RTT (per-link propagation plus MTU-packet serialization
+// forward, propagation plus ACK serialization back); the one-way
+// pipeline-fill delay; and the bottleneck bandwidth. A missing route in
+// either direction is an error. pathInfo allocates nothing once the scratch
+// has grown, and never touches the packet pool.
+func (n *Network) pathInfo(f *Flow, src *Host) (err error) {
+	if src == nil {
 		return fmt.Errorf("no host with id %d", f.Spec.Src)
 	}
-	if f.host.port == nil {
+	if src.port == nil {
 		return fmt.Errorf("host %d is not connected", f.Spec.Src)
 	}
-	if n.fwdWalk, err = resolvePath(f.host.port, f.Spec.Dst, f.Spec.ID, n.fwdWalk[:0]); err != nil {
+	if n.walk, f.hops, err = n.walkPath(src, f.Spec, n.walk[:0]); err != nil {
 		return err
 	}
-	// The forward walk ended at the destination host, so it exists and is
-	// connected.
-	if n.revWalk, err = resolvePath(n.findHost(f.Spec.Dst).port, f.Spec.Src, f.Spec.ID, n.revWalk[:0]); err != nil {
-		return fmt.Errorf("ack %w", err)
-	}
-	f.hops, f.minBw = len(n.fwdWalk), f.host.port.bw
-	f.addLink(f.host.port)
-	for _, port := range n.fwdWalk {
+	f.minBw = src.port.bw
+	f.addLink(src.port)
+	for _, port := range n.walk[:f.hops] {
 		f.addLink(port)
 	}
 	return nil
+}
+
+// walkPath appends a flow's flat path to buf: the egress port each switch
+// picks for its data, then for its ACKs. It also returns the length of the
+// forward part, the flow's switch hops, and the grown buf even on error.
+func (n *Network) walkPath(src *Host, spec FlowSpec, buf []*Port) (path []*Port, hops int, err error) {
+	if path, err = resolvePath(src.port, spec.Dst, spec.ID, buf); err != nil {
+		return path, 0, err
+	}
+	hops = len(path) - len(buf)
+	// The forward walk ended at the destination host, so it exists and is
+	// connected.
+	if path, err = resolvePath(n.findHost(spec.Dst).port, spec.Src, spec.ID, path); err != nil {
+		return path, hops, fmt.Errorf("ack %w", err)
+	}
+	return path, hops, nil
 }
 
 // resolvePath follows the routes from a host's uplink to host dst, choosing
@@ -334,8 +337,8 @@ func (f *Flow) addLink(port *Port) {
 // network-owned probe flow so probing allocates nothing.
 func (n *Network) ProbePath(spec FlowSpec) (hops int, baseRTT sim.Time, minBw float64, err error) {
 	f := &n.probeFlow
-	*f = Flow{Spec: spec, net: n, host: n.findHost(spec.Src)}
-	if err := n.pathInfo(f); err != nil {
+	*f = Flow{Spec: spec, net: n}
+	if err := n.pathInfo(f, n.findHost(spec.Src)); err != nil {
 		return 0, 0, 0, fmt.Errorf("net: probe %w", err)
 	}
 	return f.hops, f.baseRTT, f.minBw, nil
@@ -357,16 +360,17 @@ func (n *Network) AllFinished() bool { return n.unfinished.Load() == 0 }
 // describing the first violation.
 func (n *Network) CheckConservation() error {
 	for _, f := range n.flows {
-		if f.inflight < 0 {
-			return fmt.Errorf("flow %d: negative inflight %d", f.Spec.ID, f.inflight)
+		if r := f.run; r != nil && r.inflight < 0 {
+			return fmt.Errorf("flow %d: negative inflight %d", f.Spec.ID, r.inflight)
 		}
-		if f.finished && (f.delivered != f.Spec.Size || f.acked < f.Spec.Size) {
+		delivered := f.Delivered()
+		if f.finished && (delivered != f.Spec.Size || f.acked < f.Spec.Size) {
 			return fmt.Errorf("flow %d: finished with delivered=%d acked=%d size=%d",
-				f.Spec.ID, f.delivered, f.acked, f.Spec.Size)
+				f.Spec.ID, delivered, f.acked, f.Spec.Size)
 		}
-		if f.delivered > f.Spec.Size {
+		if delivered > f.Spec.Size {
 			return fmt.Errorf("flow %d: delivered %d exceeds size %d",
-				f.Spec.ID, f.delivered, f.Spec.Size)
+				f.Spec.ID, delivered, f.Spec.Size)
 		}
 	}
 	return nil

@@ -71,14 +71,14 @@ type Packet struct {
 	dest *Port
 
 	// path is the flow's pre-resolved flat path (forward for data, reverse
-	// for ACKs), stamped onto the packet at send time — where the Flow
-	// struct is already in cache — so switch hops forward with a single
-	// indexed load and never touch the Flow (see Switch.Receive).
+	// for ACKs), stamped onto the packet at send time — where the run is
+	// already in cache — so switch hops forward with a single indexed load
+	// and never touch the run (see Switch.Receive).
 	path []*Port
 
-	ingress *Port // switch-internal: arrival port for PFC accounting
-	Flow    *Flow
-	_       [8]byte // fills the first line, so the second starts at hops
+	ingress *Port    // switch-internal: arrival port for PFC accounting
+	run     *flowRun // the run of the flow the packet belongs to
+	_       [8]byte  // fills the first line, so the second starts at hops
 
 	// The second line. hops is the INT stack collected on the forward path
 	// (data) or echoed back (ack): carved with the packet, as deep as the

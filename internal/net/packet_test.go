@@ -8,8 +8,9 @@ import (
 )
 
 // TestPacketLayout pins what the per-hop cost rests on: a packet is 128
-// bytes with everything a switch hop reads in its first 64, and the pool
-// hands out packets that each sit on exactly two cache lines.
+// bytes with everything a switch hop reads in its first 64, the pool hands
+// out packets that each sit on exactly two cache lines, and a flow's run
+// slot is whole cache lines.
 func TestPacketLayout(t *testing.T) {
 	if unsafe.Sizeof(uintptr(0)) != 8 {
 		t.Skip("the layout is for 64-bit words")
@@ -28,6 +29,12 @@ func TestPacketLayout(t *testing.T) {
 		if off >= 64 {
 			t.Errorf("%s is at offset %d, outside the packet's first cache line", name, off)
 		}
+	}
+
+	// A run slot is whole cache lines too, so its hot fields stay on the
+	// lines flowRun's order puts them on.
+	if s := unsafe.Sizeof(flowRun{}); s%64 != 0 {
+		t.Errorf("flowRun is %d bytes, want a multiple of 64", s)
 	}
 
 	// Two chunks' worth of fresh packets: every one on a line boundary,

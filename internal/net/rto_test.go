@@ -31,9 +31,10 @@ func TestInitialRTOClamped(t *testing.T) {
 			algo := &fixedAlgo{ctl: cc.Control{WindowBytes: 1e9, RateBps: gbps100}}
 			f := nw.AddFlow(FlowSpec{ID: 1, Src: h0.NodeID(), Dst: h1.NodeID(),
 				Size: 1000}, algo)
-			if want := tc.want(nw, f); f.rtoBase != want || f.rto != want {
+			eng.Step() // the start
+			if want := tc.want(nw, f); f.run.rtoBase != want || f.run.rto != want {
 				t.Fatalf("delay %v: rtoBase=%v rto=%v, want %v (baseRTT=%v RTOMin=%v RTOMax=%v)",
-					tc.delay, f.rtoBase, f.rto, want, f.baseRTT, nw.RTOMin, nw.RTOMax)
+					tc.delay, f.run.rtoBase, f.run.rto, want, f.baseRTT, nw.RTOMin, nw.RTOMax)
 			}
 		})
 	}
@@ -78,7 +79,7 @@ func TestRTORecoveryOnHighDelayPath(t *testing.T) {
 	for eng.Step() && eng.Now() < deadline {
 	}
 	if !f.finished {
-		t.Fatalf("flow not finished by %v after one drop (rto=%v)", deadline, f.rto)
+		t.Fatalf("flow not finished by %v after one drop (rto=%v)", deadline, f.run.rto)
 	}
 	if !dropped {
 		t.Fatal("drop filter never matched; test exercised nothing")
@@ -115,28 +116,28 @@ func TestRTOBackoffNoOverflow(t *testing.T) {
 	const wantTimeouts = 80 // well past the ~37 that used to overflow
 	prevDeadline := sim.Time(0)
 	for eng.Step() && f.Timeouts < wantTimeouts {
-		if f.rto <= 0 {
-			t.Fatalf("rto wrapped to %v after %d timeouts", f.rto, f.Timeouts)
+		if f.run.rto <= 0 {
+			t.Fatalf("rto wrapped to %v after %d timeouts", f.run.rto, f.Timeouts)
 		}
-		if f.rto > rtoBackoffCeiling {
-			t.Fatalf("rto %v exceeds ceiling %v", f.rto, sim.Time(rtoBackoffCeiling))
+		if f.run.rto > rtoBackoffCeiling {
+			t.Fatalf("rto %v exceeds ceiling %v", f.run.rto, sim.Time(rtoBackoffCeiling))
 		}
-		if f.rtoDeadline < prevDeadline {
+		if f.run.rtoDeadline < prevDeadline {
 			t.Fatalf("rto deadline moved backwards: %v -> %v after %d timeouts",
-				prevDeadline, f.rtoDeadline, f.Timeouts)
+				prevDeadline, f.run.rtoDeadline, f.Timeouts)
 		}
-		prevDeadline = f.rtoDeadline
-		if f.rtoDeadline < eng.Now() {
+		prevDeadline = f.run.rtoDeadline
+		if f.run.rtoDeadline < eng.Now() {
 			t.Fatalf("rto deadline %v in the past (now %v) after %d timeouts",
-				f.rtoDeadline, eng.Now(), f.Timeouts)
+				f.run.rtoDeadline, eng.Now(), f.Timeouts)
 		}
 	}
 	if f.Timeouts < wantTimeouts {
 		t.Fatalf("engine drained after %d timeouts, want %d (RTO chain broke)",
 			f.Timeouts, wantTimeouts)
 	}
-	if f.rto != rtoBackoffCeiling {
+	if f.run.rto != rtoBackoffCeiling {
 		t.Fatalf("rto = %v after %d timeouts, want plateau at ceiling %v",
-			f.rto, f.Timeouts, sim.Time(rtoBackoffCeiling))
+			f.run.rto, f.Timeouts, sim.Time(rtoBackoffCeiling))
 	}
 }

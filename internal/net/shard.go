@@ -34,6 +34,13 @@ type shard struct {
 	pool  []*Packet
 	chunk []Packet // allocated, not yet carved into the pool (see getPacket)
 
+	// runs is the free list of run slots of flows whose source host is on
+	// this shard; runChunk and pathChunk are allocated, not yet carved (see
+	// takeRun).
+	runs      *flowRun
+	runChunk  []flowRun
+	pathChunk []*Port
+
 	// Lifetime counters, summed across shards by Network.Stats.
 	Counters
 }
@@ -105,6 +112,30 @@ func (sh *shard) getPacket() *Packet {
 	return &pkts[0]
 }
 
+// takeRun returns a run slot from the free list, or carves one on a miss
+// with a path buffer as long as the longest path AddFlow has seen, clipped
+// to it: a longer path appends into fresh memory instead of the
+// neighbour's buffer.
+func (sh *shard) takeRun() *flowRun {
+	if r := sh.runs; r != nil {
+		sh.runs = r.next
+		return r
+	}
+	sh.FlowRuns++
+	if len(sh.runChunk) == 0 {
+		sh.runChunk = make([]flowRun, runSlab)
+	}
+	r := &sh.runChunk[0]
+	sh.runChunk = sh.runChunk[1:]
+	k := sh.net.maxPath
+	if len(sh.pathChunk) < k {
+		sh.pathChunk = make([]*Port, max(pathSlab, k))
+	}
+	r.path = sh.pathChunk[:0:k]
+	sh.pathChunk = sh.pathChunk[k:]
+	return r
+}
+
 // putPacket recycles a packet into this shard's pool. The pool is
 // uncapped: its length is bounded by the peak number of simultaneously
 // live packets (every pooled packet was allocated for a moment when that
@@ -125,14 +156,14 @@ func (sh *shard) dropInTransit(p *Packet) bool {
 		if n.DropDataProb > 0 && sh.faultRand.Float64() < n.DropDataProb {
 			return true
 		}
-		if n.DropFilter != nil && n.DropFilter(Data, p.Flow.Spec.ID, p.Seq) {
+		if n.DropFilter != nil && n.DropFilter(Data, p.run.flow.Spec.ID, p.Seq) {
 			return true
 		}
 	case Ack:
 		if n.DropAckProb > 0 && sh.faultRand.Float64() < n.DropAckProb {
 			return true
 		}
-		if n.DropFilter != nil && n.DropFilter(Ack, p.Flow.Spec.ID, p.AckSeq) {
+		if n.DropFilter != nil && n.DropFilter(Ack, p.run.flow.Spec.ID, p.AckSeq) {
 			return true
 		}
 	}

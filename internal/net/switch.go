@@ -14,8 +14,8 @@ import (
 //
 // Forwarding state is a dense array indexed by destination host id rather
 // than a map. Packets never look it up: routes are fixed at the first flow,
-// so AddFlow resolves every flow's port sequence once (see Flow.path)
-// and Receive indexes it by hop count.
+// so a flow's start walks its port sequence once (see flowRun.path) and
+// Receive indexes it by hop count.
 type Switch struct {
 	net   *Network
 	sh    *shard // execution shard (shard 0 until Network.Shard rebinds)
@@ -101,7 +101,7 @@ func (s *Switch) Receive(p *Packet, in *Port) {
 	if n := len(p.hops); p.Kind == Data && n < cap(p.hops) {
 		sim.Prefetch(unsafe.Pointer(&p.hops[:n+1][n]))
 	}
-	// The flow resolved its ECMP choices once at AddFlow and the sender
+	// The flow resolved its ECMP choices once at its start and the sender
 	// stamped them onto the packet, so forwarding is one indexed load that
 	// touches nothing but the packet's first cache line.
 	out := p.path[p.hop]
