@@ -77,32 +77,64 @@ func TestDeliveredAtPrecedesFinishedAt(t *testing.T) {
 	}
 }
 
+// TestPacketPoolReuse: the pool bounds live packets to the in-flight set,
+// and a recycled packet comes back clean. The lossy row drops data at
+// finishTx, in the middle of a serialization-end event, and runs the flow
+// to the end on the dropped packets' reuse: each must then arrive as a
+// fresh packet, not as what it was when it died.
 func TestPacketPoolReuse(t *testing.T) {
-	eng, nw, _ := star(t, 2, 1)
-	nw.AddFlow(FlowSpec{ID: 1, Src: 0, Dst: 1, Size: 1_000_000},
-		&fixedAlgo{ctl: cc.Control{WindowBytes: 1e9, RateBps: gbps100}})
-	eng.Run()
-	// 1000 data + 1000 acks flowed, but the pool bounds live packets to
-	// the in-flight set; after the run everything is recycled.
-	if len(nw.shards[0].pool) == 0 {
-		t.Fatal("packet pool empty after run; recycling broken")
-	}
-	if len(nw.shards[0].pool) > 200 {
-		t.Fatalf("pool grew to %d packets; expected bounded by in-flight window", len(nw.shards[0].pool))
-	}
-	// Recycled packets must be clean, and those that crossed the switch keep
-	// the INT backing array they grew there.
-	grown := 0
-	for _, p := range nw.shards[0].pool {
-		if p.run != nil || p.Payload != 0 || p.ECN || len(p.hops) != 0 {
-			t.Fatalf("dirty packet in pool: %+v", p)
-		}
-		if cap(p.hops) > 0 {
-			grown++
-		}
-	}
-	if grown == 0 {
-		t.Fatal("no pooled packet kept its INT backing array across the recycle")
+	for _, tc := range []struct {
+		name string
+		// lossy opens a link-down window on the switch's egress to the
+		// receiver, so data dies at that port's finishTx.
+		lossy bool
+	}{
+		{name: "clean"},
+		{name: "dropped at finishTx", lossy: true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			eng, nw, sw := star(t, 2, 1)
+			if tc.lossy {
+				nw.LossRecovery = true
+				sw.Ports()[1].ScheduleFlap(10*usec, 20*usec)
+			}
+			f := nw.AddFlow(FlowSpec{ID: 1, Src: 0, Dst: 1, Size: 1_000_000},
+				&fixedAlgo{ctl: cc.Control{WindowBytes: 1e9, RateBps: gbps100}})
+			eng.Run()
+			if !f.Finished() {
+				t.Fatal("flow did not finish")
+			}
+			if err := nw.CheckConservation(); err != nil {
+				t.Fatal(err)
+			}
+			if drops := nw.Stats().WireDrops; tc.lossy != (drops > 0) {
+				t.Fatalf("lossy=%v but %d wire drops", tc.lossy, drops)
+			}
+			// 1000 data + 1000 acks flowed, but the pool bounds live
+			// packets to the in-flight set; after the run everything is
+			// recycled.
+			pool := nw.shards[0].pool
+			if len(pool) == 0 {
+				t.Fatal("packet pool empty after run; recycling broken")
+			}
+			if len(pool) > 200 {
+				t.Fatalf("pool grew to %d packets; expected bounded by in-flight window", len(pool))
+			}
+			// Recycled packets must be clean, and those that crossed the
+			// switch keep the INT backing array they grew there.
+			grown := 0
+			for _, p := range pool {
+				if p.run != nil || p.Payload != 0 || p.ECN || len(p.hops) != 0 {
+					t.Fatalf("dirty packet in pool: %+v", p)
+				}
+				if cap(p.hops) > 0 {
+					grown++
+				}
+			}
+			if grown == 0 {
+				t.Fatal("no pooled packet kept its INT backing array across the recycle")
+			}
+		})
 	}
 }
 

@@ -4,4 +4,5 @@
 TEXT ·Prefetch(SB), NOSPLIT, $0-8
 	MOVQ p+0(FP), AX
 	PREFETCHT0 (AX)
+	PREFETCHT0 64(AX)
 	RET

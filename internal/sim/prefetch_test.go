@@ -27,6 +27,7 @@ func TestHandlerDataIsTheObjectAddress(t *testing.T) {
 	}
 }
 
-// A prefetch is a hint: it faults on no address. (The guard-page case,
-// where a load would, is in prefetch_unix_test.go.)
+// A prefetch is a hint: it faults on no address — nil here, and address
+// 64, where its second line lies. (The guard-page case, where a load would,
+// is in prefetch_unix_test.go.)
 func TestPrefetchNeverFaults(t *testing.T) { Prefetch(nil) }
