@@ -5,7 +5,8 @@
 
 # The verification gate every PR must keep green, in cmd/ci's order: build,
 # vet, an arm64 cross build and an arm64 vet of internal/sim and
-# internal/net, gofmt, tests, race-enabled short tests, race-enabled
+# internal/net, a 386 cross build and vet of the same two (4-byte
+# pointers), gofmt, tests, race-enabled short tests, race-enabled
 # parallel-engine tests, a 1-iteration smoke run of the sim and net
 # benchmarks, and two 5 s fuzz smokes (FuzzEngineOrder, FuzzArrivals). It
 # verifies; it does not measure.

@@ -1,7 +1,7 @@
 // Command ci is the repository's verification gate, runnable anywhere Go
 // is installed (no make required):
 //
-//	go run ./cmd/ci    # build + vet + cross + gofmt + test + race + bench smoke + 2 fuzz smokes
+//	go run ./cmd/ci    # build + vet + 2 cross + gofmt + test + race + bench smoke + 2 fuzz smokes
 //
 // The test step is the repository's tier-1 gate (`go test ./...`), so a
 // PR cannot pass ci with a broken unit or experiment test. The race step
@@ -21,7 +21,9 @@
 //
 // The cross steps build the tree for GOARCH=arm64 (offline, from GOROOT) and
 // vet the packages around its one assembly file there, so the non-amd64
-// fallback of sim.Prefetch cannot rot on a box that only runs amd64.
+// fallback of sim.Prefetch cannot rot on a box that only runs amd64; then
+// build and vet the same two packages for GOARCH=386, so the packed packet
+// and its unsafe indexing also compile where a pointer is 4 bytes.
 //
 // ci verifies; it does not measure. Performance is measured in one place,
 // `go run ./bench` (BENCHMARK.json), which reports run-to-run spread.
@@ -137,6 +139,8 @@ func main() {
 		{name: "vet", args: []string{"go", "vet", "./..."}},
 		{name: "cross", args: []string{"go", "build", "./..."}, env: []string{"GOARCH=arm64"}},
 		{name: "cross-vet", args: []string{"go", "vet", "./internal/sim", "./internal/net"}, env: []string{"GOARCH=arm64"}},
+		{name: "cross-386", args: []string{"go", "build", "./internal/sim", "./internal/net"}, env: []string{"GOARCH=386"}},
+		{name: "cross-386-vet", args: []string{"go", "vet", "./internal/sim", "./internal/net"}, env: []string{"GOARCH=386"}},
 		{name: "gofmt", args: []string{"gofmt", "-l", "."}},
 		{name: "test", args: []string{"go", "test", "./..."}},
 		{name: "race", args: []string{"go", "test", "-race", "-short", "./..."}},

@@ -15,25 +15,29 @@ import (
 )
 
 // Telemetry is one hop's In-band Network Telemetry (INT) record, stamped by
-// a switch when a packet's serialization on an egress port ends. HPCC
-// consumes all four fields; delay- and ECN-based protocols ignore them.
+// a switch when a packet's serialization on an egress port ends: 24 bytes.
+// The hop's link rate, INT's fourth field, is a constant of the flow's fixed
+// path and comes once, in Env.HopBps. HPCC consumes the fields; delay- and
+// ECN-based protocols ignore them.
 type Telemetry struct {
 	QueueBytes int64    // egress queue occupancy when the packet's serialization ends, the packet excluded
 	TxBytes    int64    // cumulative bytes transmitted on the link, the packet included
 	TS         sim.Time // when the packet's serialization ended
-	RateBps    float64  // link bandwidth
 }
 
 // Feedback is delivered to an Algorithm once per received acknowledgement.
 type Feedback struct {
-	Now        sim.Time    // current simulated time
-	RTT        sim.Time    // end-to-end RTT measured for the acked packet
-	SentAt     sim.Time    // when the acked data packet left the sender
-	AckedBytes int64       // cumulative payload bytes acknowledged
-	SentBytes  int64       // cumulative payload bytes sent so far (snd_nxt)
-	NewlyAcked int         // payload bytes acknowledged by this ACK
-	ECE        bool        // congestion-experienced echo (ECN/CNP)
-	Hops       []Telemetry // INT stack collected on the forward path; nil if absent
+	Now        sim.Time // current simulated time
+	RTT        sim.Time // end-to-end RTT measured for the acked packet
+	AckedBytes int64    // cumulative payload bytes acknowledged
+	SentBytes  int64    // cumulative payload bytes sent so far (snd_nxt)
+	NewlyAcked int      // payload bytes acknowledged by this ACK
+	ECE        bool     // congestion-experienced echo (ECN/CNP)
+	// Hops is the INT stack collected on the forward path, one record per
+	// switch, as long as Env.HopBps; nil if absent. It is valid only during
+	// OnAck: the stack is recycled with the ACK right after, so an algorithm
+	// that keeps records copies them.
+	Hops []Telemetry
 }
 
 // Control is the sender state an algorithm manipulates: the pacing rate and
@@ -55,8 +59,12 @@ type Env struct {
 	LineRateBps float64
 	BaseRTT     sim.Time // propagation + serialization RTT of the flow's path
 	MTU         int      // payload bytes per packet
-	Hops        int      // switch hops on the forward path
-	Rand        *rand.Rand
+	// HopBps[i] is the link rate of the egress port that stamps Hops[i] of
+	// every Feedback: the i-th switch's port on the flow's fixed forward
+	// path, so the rate INT would carry is the same on every ACK. Its
+	// length is the path's switch hops. Valid while the flow runs.
+	HopBps []float64
+	Rand   *rand.Rand
 	// Timers schedules timer-driven updates. Pure ACK-clocked algorithms
 	// never use it; it may be nil where no timers run.
 	Timers Timers

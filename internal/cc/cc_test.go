@@ -29,7 +29,7 @@ func TestTelemetryZeroValueUsable(t *testing.T) {
 	// Packets carry empty INT stacks before any switch stamps them; the
 	// zero Telemetry must be inert.
 	var tel Telemetry
-	if tel.QueueBytes != 0 || tel.TxBytes != 0 || tel.TS != 0 || tel.RateBps != 0 {
+	if tel.QueueBytes != 0 || tel.TxBytes != 0 || tel.TS != 0 {
 		t.Fatal("zero Telemetry not zero")
 	}
 }

@@ -33,7 +33,7 @@ func (f *fakeClock) env() cc.Env {
 		LineRateBps: lineRate,
 		BaseRTT:     baseRTT,
 		MTU:         mtu,
-		Hops:        1,
+		HopBps:      []float64{lineRate},
 		Rand:        rand.New(rand.NewSource(1)),
 		Timers:      f,
 	}

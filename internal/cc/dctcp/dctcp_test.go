@@ -20,7 +20,7 @@ func env() cc.Env {
 		LineRateBps: lineRate,
 		BaseRTT:     baseRTT,
 		MTU:         mtu,
-		Hops:        1,
+		HopBps:      []float64{lineRate},
 		Rand:        rand.New(rand.NewSource(2)),
 	}
 }

@@ -72,9 +72,17 @@ type HPCC struct {
 	u    float64 // EWMA utilization estimate
 	inc  int     // incStage
 
-	prevHops []cc.Telemetry
+	prev     []hopRecord // the previous ACK's INT stack
 	havePrev bool
 	lastProb int64 // acked bytes at the last accepted probabilistic MD
+}
+
+// hopRecord is one hop's previous INT record with the hop's link rate B_i
+// beside it (from Env.HopBps: a constant of the flow's path), so the
+// utilization loop reads both from one place.
+type hopRecord struct {
+	cc.Telemetry
+	bps float64
 }
 
 // New returns an HPCC instance with the given configuration.
@@ -116,7 +124,7 @@ func (h *HPCC) control() cc.Control {
 // queue among the hops it measured: VAI's congestion measure.
 func (h *HPCC) measureInflight(fb cc.Feedback) (util, deepest float64) {
 	if !h.havePrev {
-		h.prevHops = append(h.prevHops[:0], fb.Hops...)
+		h.remember(fb.Hops)
 		h.havePrev = true
 		return h.u, 0
 	}
@@ -124,18 +132,18 @@ func (h *HPCC) measureInflight(fb cc.Feedback) (util, deepest float64) {
 	u := 0.0
 	tau := T
 	n := len(fb.Hops)
-	if len(h.prevHops) < n {
-		n = len(h.prevHops)
+	if len(h.prev) < n {
+		n = len(h.prev)
 	}
 	for i := 0; i < n; i++ {
-		cur, prev := fb.Hops[i], h.prevHops[i]
+		cur, prev := fb.Hops[i], &h.prev[i]
 		dt := (cur.TS - prev.TS).Seconds()
 		if dt <= 0 {
 			continue
 		}
 		txRate := float64(cur.TxBytes-prev.TxBytes) * 8 / dt
 		qlen := math.Min(float64(cur.QueueBytes), float64(prev.QueueBytes))
-		ui := qlen*8/(cur.RateBps*T) + txRate/cur.RateBps
+		ui := qlen*8/(prev.bps*T) + txRate/prev.bps
 		if ui > u {
 			u = ui
 			tau = dt
@@ -148,8 +156,25 @@ func (h *HPCC) measureInflight(fb cc.Feedback) (util, deepest float64) {
 		tau = T
 	}
 	h.u = (1-tau/T)*h.u + (tau/T)*u
-	h.prevHops = append(h.prevHops[:0], fb.Hops...)
+	h.remember(fb.Hops)
 	return h.u, deepest
+}
+
+// remember keeps hops as the previous INT stack, each record beside its
+// hop's rate. A stack of a new depth takes the rates afresh.
+func (h *HPCC) remember(hops []cc.Telemetry) {
+	if len(h.prev) != len(hops) {
+		if cap(h.prev) < len(hops) {
+			h.prev = make([]hopRecord, len(hops))
+		}
+		h.prev = h.prev[:len(hops)]
+		for i := range h.prev {
+			h.prev[i].bps = h.env.HopBps[i]
+		}
+	}
+	for i, t := range hops {
+		h.prev[i].Telemetry = t
+	}
 }
 
 // OnAck implements cc.Algorithm (NewAck in the HPCC paper, extended with

@@ -93,11 +93,13 @@ func TestEWMATauClamped(t *testing.T) {
 // TestMaxHopDominates: utilization comes from the most congested hop.
 func TestMaxHopDominates(t *testing.T) {
 	h := New(DefaultConfig())
-	h.Init(env())
+	e := env()
+	e.HopBps = []float64{lineRate, lineRate}
+	h.Init(e)
 	twoHops := func(q1, tx1, q2, tx2 int64, ts sim.Time) []cc.Telemetry {
 		return []cc.Telemetry{
-			{QueueBytes: q1, TxBytes: tx1, TS: ts, RateBps: lineRate},
-			{QueueBytes: q2, TxBytes: tx2, TS: ts, RateBps: lineRate},
+			{QueueBytes: q1, TxBytes: tx1, TS: ts},
+			{QueueBytes: q2, TxBytes: tx2, TS: ts},
 		}
 	}
 	h.OnAck(cc.Feedback{AckedBytes: mtu, SentBytes: 100 * mtu, NewlyAcked: mtu,
@@ -113,6 +115,33 @@ func TestMaxHopDominates(t *testing.T) {
 	// The EWMA took the saturated hop: U ≈ qlen/(B*T) + 1 > 1.
 	if h.Util() <= 1 {
 		t.Fatalf("U = %v, want > 1 from the congested second hop", h.Util())
+	}
+}
+
+// TestHopRatesFromEnv: each hop's utilization divides by its own rate from
+// Env.HopBps, B_0 = 100G and B_1 = 400G, worked by hand. Both hops hold
+// their queues across the two ACKs, one base RTT apart, so the EWMA takes
+// the new sample whole (tau = T):
+//
+//	u_0 = 20 000*8/(100G*5us) + (31 250*8/5us)/100G = 0.32 + 0.5  = 0.82
+//	u_1 = 100 000*8/(400G*5us) + (62 500*8/5us)/400G = 0.4 + 0.25 = 0.65
+//
+// and U = max = 0.82. Swapped rates read 2.6; either rate for both hops,
+// 2.6 or 0.65.
+func TestHopRatesFromEnv(t *testing.T) {
+	h := New(DefaultConfig())
+	e := env()
+	e.HopBps = []float64{100e9, 400e9}
+	h.Init(e)
+	h.OnAck(cc.Feedback{AckedBytes: mtu, SentBytes: 100 * mtu, NewlyAcked: mtu,
+		Hops: []cc.Telemetry{{QueueBytes: 20_000}, {QueueBytes: 100_000}}})
+	h.OnAck(cc.Feedback{AckedBytes: 2 * mtu, SentBytes: 101 * mtu, NewlyAcked: mtu,
+		Hops: []cc.Telemetry{
+			{QueueBytes: 20_000, TxBytes: 31_250, TS: baseRTT},
+			{QueueBytes: 100_000, TxBytes: 62_500, TS: baseRTT},
+		}})
+	if got := h.Util(); math.Abs(got-0.82) > 1e-12 {
+		t.Fatalf("U = %v, want 0.82 from hop 0 at 100G (hop 1 at 400G reads 0.65)", got)
 	}
 }
 

@@ -21,14 +21,14 @@ func env() cc.Env {
 		LineRateBps: lineRate,
 		BaseRTT:     baseRTT,
 		MTU:         mtu,
-		Hops:        1,
+		HopBps:      []float64{lineRate},
 		Rand:        rand.New(rand.NewSource(42)),
 	}
 }
 
 // hop builds a single-hop INT stack.
 func hop(qlen, txBytes int64, ts sim.Time) []cc.Telemetry {
-	return []cc.Telemetry{{QueueBytes: qlen, TxBytes: txBytes, TS: ts, RateBps: lineRate}}
+	return []cc.Telemetry{{QueueBytes: qlen, TxBytes: txBytes, TS: ts}}
 }
 
 func TestInitStartsAtLineRate(t *testing.T) {

@@ -96,6 +96,10 @@ func VAISFConfig(minBDPDelay sim.Time) Config {
 	return c
 }
 
+// minCwnd is the window floor, packets: below one packet, pacing spaces
+// the sends.
+const minCwnd = 0.01
+
 // Swift is the per-flow sender state. Create one per flow with New.
 type Swift struct {
 	cfg Config
@@ -103,7 +107,6 @@ type Swift struct {
 	att core.Attachment
 
 	maxCwnd float64 // line-rate window, packets
-	minCwnd float64
 	aiPkts  float64 // base additive increase, packets per RTT
 	cwnd    float64 // packets (classic mode: the live window)
 	ref     float64 // reference window, packets (SF mode)
@@ -126,7 +129,6 @@ func (s *Swift) Cwnd() float64 { return s.cwnd }
 func (s *Swift) Init(env cc.Env) cc.Control {
 	s.env = env
 	s.maxCwnd = cc.BDPBytes(env.LineRateBps, env.BaseRTT) / float64(env.MTU)
-	s.minCwnd = 0.01
 	s.aiPkts = cc.BDPBytes(s.cfg.AIBps, env.BaseRTT) / float64(env.MTU)
 	s.cwnd = s.maxCwnd
 	s.ref = s.maxCwnd
@@ -140,7 +142,7 @@ func (s *Swift) Init(env cc.Env) cc.Control {
 // targetDelay computes the flow's target delay with topology-based scaling
 // and, when enabled, flow-based scaling for the given window.
 func (s *Swift) targetDelay(cwndPkts float64) sim.Time {
-	t := s.cfg.BaseTarget + sim.Time(s.env.Hops)*s.cfg.PerHop
+	t := s.cfg.BaseTarget + sim.Time(len(s.env.HopBps))*s.cfg.PerHop
 	if fs := &s.cfg.FBS; *fs != (FBSConfig{}) {
 		if s.fsAlpha == 0 {
 			den := 1/math.Sqrt(fs.MinCwndPkts) - 1/math.Sqrt(fs.MaxCwndPkts)
@@ -154,7 +156,7 @@ func (s *Swift) targetDelay(cwndPkts float64) sim.Time {
 }
 
 func (s *Swift) control() cc.Control {
-	s.cwnd = clamp(s.cwnd, s.minCwnd, s.maxCwnd)
+	s.cwnd = clamp(s.cwnd, minCwnd, s.maxCwnd)
 	w := s.cwnd * float64(s.env.MTU)
 	rate := s.env.LineRateBps
 	if s.cwnd < 1 {
@@ -247,7 +249,7 @@ func (s *Swift) onAckSF(fb cc.Feedback) cc.Control {
 			// The VAI multiplier replaces the hyper-AI term here.
 			w = s.ref*m + s.aiPkts*s.att.Spend()
 		}
-		s.ref = clamp(w, s.minCwnd, s.maxCwnd)
+		s.ref = clamp(w, minCwnd, s.maxCwnd)
 	}
 	s.cwnd = w
 	return s.control()

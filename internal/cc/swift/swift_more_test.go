@@ -15,7 +15,7 @@ func TestFBSCoefficients(t *testing.T) {
 	s := New(DefaultConfig(50))
 	s.Init(env())
 	fs := s.cfg.FBS
-	base := s.cfg.BaseTarget + sim.Time(s.env.Hops)*s.cfg.PerHop
+	base := s.cfg.BaseTarget + sim.Time(len(s.env.HopBps))*s.cfg.PerHop
 	atMin := s.targetDelay(fs.MinCwndPkts)
 	atMax := s.targetDelay(fs.MaxCwndPkts)
 	if atMin-base != fs.Range {
@@ -72,8 +72,8 @@ func TestSFReferenceNotBelowMin(t *testing.T) {
 		acked += mtu
 		s.OnAck(cc.Feedback{Now: sim.Time(i) * sim.Microsecond, RTT: sim.Second,
 			AckedBytes: acked, SentBytes: acked + mtu, NewlyAcked: mtu})
-		if s.ref < s.minCwnd {
-			t.Fatalf("reference %v below floor %v", s.ref, s.minCwnd)
+		if s.ref < minCwnd {
+			t.Fatalf("reference %v below floor %v", s.ref, minCwnd)
 		}
 	}
 }

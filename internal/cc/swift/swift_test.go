@@ -21,7 +21,7 @@ func env() cc.Env {
 		LineRateBps: lineRate,
 		BaseRTT:     baseRTT,
 		MTU:         mtu,
-		Hops:        1,
+		HopBps:      []float64{lineRate},
 		Rand:        rand.New(rand.NewSource(7)),
 	}
 }
@@ -66,7 +66,7 @@ func TestTargetDelayTopologyScaling(t *testing.T) {
 	cfg.FBS = FBSConfig{}
 	s := New(cfg)
 	e := env()
-	e.Hops = 5 // max fat-tree path
+	e.HopBps = make([]float64, 5) // max fat-tree path
 	s.Init(e)
 	want := 5*sim.Microsecond + 5*2*sim.Microsecond
 	if got := s.targetDelay(100); got != want {
@@ -181,8 +181,8 @@ func TestCwndBounds(t *testing.T) {
 		rtt := 500 * sim.Microsecond // brutal congestion
 		s.OnAck(cc.Feedback{Now: now, RTT: rtt, AckedBytes: acked,
 			SentBytes: acked + mtu, NewlyAcked: mtu})
-		if s.Cwnd() < s.minCwnd-1e-12 || s.Cwnd() > s.maxCwnd+1e-12 {
-			t.Fatalf("cwnd %v out of [%v, %v]", s.Cwnd(), s.minCwnd, s.maxCwnd)
+		if s.Cwnd() < minCwnd-1e-12 || s.Cwnd() > s.maxCwnd+1e-12 {
+			t.Fatalf("cwnd %v out of [%v, %v]", s.Cwnd(), minCwnd, s.maxCwnd)
 		}
 	}
 	// Idle link: grow, but never past line rate.
@@ -250,9 +250,7 @@ func TestSFAlwaysAppliesAI(t *testing.T) {
 func TestVAISFTokenThreshIncludesTarget(t *testing.T) {
 	cfg := VAISFConfig(4 * sim.Microsecond)
 	s := New(cfg)
-	e := env()
-	e.Hops = 1
-	s.Init(e)
+	s.Init(env())
 	// Threshold = 4us min-BDP delay + (5us base + 1 hop * 2us) target.
 	want := float64(4*sim.Microsecond + 7*sim.Microsecond)
 	// Probe via OnRTTEnd behaviour: a delay just below the threshold must

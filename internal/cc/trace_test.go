@@ -131,7 +131,7 @@ func controlTrace(algo cc.Algorithm, seed int64) uint64 {
 		LineRateBps: traceLineRate,
 		BaseRTT:     traceBaseRTT,
 		MTU:         traceMTU,
-		Hops:        traceHops,
+		HopBps:      []float64{traceLineRate, traceLineRate, traceLineRate},
 		Rand:        rand.New(rand.NewSource(seed + 1000)),
 		Timers: traceTimers{
 			schedule: func(d sim.Time, fn func()) {
@@ -205,7 +205,7 @@ func controlTrace(algo cc.Algorithm, seed int64) uint64 {
 			queued += q
 			tx[i] += int64(frac * sim.BytesOver(traceLineRate, dt))
 			hops[i] = cc.Telemetry{QueueBytes: q, TxBytes: tx[i],
-				TS: now - sim.Time(traceHops-i)*sim.Nanosecond, RateBps: traceLineRate}
+				TS: now - sim.Time(traceHops-i)*sim.Nanosecond}
 		}
 		rtt := traceBaseRTT + sim.TransmitTime(int(queued), traceLineRate) +
 			sim.Time(rng.Int63n(int64(200*sim.Nanosecond)))
@@ -214,7 +214,7 @@ func controlTrace(algo cc.Algorithm, seed int64) uint64 {
 		inflight := int64(ctl.WindowBytes) / traceMTU * traceMTU
 		sent = max(sent, acked+max(inflight, traceMTU))
 		record(algo.OnAck(cc.Feedback{
-			Now: now, RTT: rtt, SentAt: now - rtt,
+			Now: now, RTT: rtt,
 			AckedBytes: acked, SentBytes: sent, NewlyAcked: newly,
 			ECE: ece, Hops: hops,
 		}))

@@ -28,8 +28,8 @@ func heapCap(eng *sim.Engine) int {
 // warmed pools and queues, the rest of the run — arrivals, flow
 // completions, the drain of the long flows — may allocate only for what it
 // adds: one allocation per flow yet to see its first ACK (HPCC's copy of
-// the INT stack it measures against), two per packet-slab miss (the slab's
-// INT stacks, its share of a packet chunk and the pool's growth), and one
+// the INT stack it measures against), two per packet-slab miss (its share
+// of a packet chunk and of an INT-record chunk, and the pool's growth), and one
 // per resize of an egress queue's ring. Starting a flow, pacing, stamping
 // and echoing INT must allocate nothing. The scheduler's heap may grow only
 // as far as append's doubling takes it past the peak number of pending

@@ -6,7 +6,7 @@ func PooledStackCaps(n *Network) []int {
 	var caps []int
 	for _, sh := range n.shards {
 		for _, p := range sh.pool {
-			caps = append(caps, cap(p.hops))
+			caps = append(caps, int(p.intCap))
 		}
 	}
 	return caps

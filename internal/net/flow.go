@@ -1,6 +1,8 @@
 package net
 
 import (
+	"unsafe"
+
 	"faircc/internal/cc"
 	"faircc/internal/sim"
 )
@@ -126,9 +128,10 @@ func (f *Flow) TakeDeliveredDelta() int64 {
 
 // Fire is the flow's start event, posted by AddFlow: it takes a run slot
 // from the source host's shard, re-walks the path into the slot's buffer —
-// routes are fixed at the first flow, so the walk repeats AddFlow's —
-// initializes congestion control and begins sending. A reused slot keeps
-// its path buffer and gates, and the run is its own timers (see paceTimer
+// routes are fixed at the first flow, so the walk repeats AddFlow's — and
+// the forward ports' rates into the slot's rate buffer, initializes
+// congestion control and begins sending. A reused slot keeps its buffers
+// and gates, and the run is its own timers (see paceTimer
 // and rtoTimer), so starting a flow allocates nothing once the shard has
 // carved as many slots as flows run at once.
 func (f *Flow) Fire() {
@@ -140,10 +143,14 @@ func (f *Flow) Fire() {
 	if err != nil {
 		panic("net: " + err.Error())
 	}
+	bps := r.hopBps[:0]
+	for _, pt := range path[:f.hops] {
+		bps = append(bps, pt.bw)
+	}
 	*r = flowRun{flow: f, net: n, sh: sh, eng: sh.eng, host: host, algo: f.algo,
 		size: f.Spec.Size, src: int32(f.Spec.Src), dst: int32(f.Spec.Dst),
 		hops: f.hops, baseRTT: f.baseRTT, rtoBase: n.initialRTO(f.baseRTT),
-		path: path, gates: r.gates}
+		path: path, hopBps: bps, gates: r.gates}
 	r.rto = r.rtoBase
 	f.algo, f.run, f.started = nil, r, true
 	r.ctl = r.algo.Init(r.env())
@@ -212,15 +219,17 @@ type flowRun struct {
 
 	// path is the flat forwarding path walked at the start: the egress
 	// port each switch picks for this flow's data, path[:hops], then for
-	// its ACKs, path[hops:]. Its buffer is carved with the slot (see
+	// its ACKs, path[hops:]. hopBps is the rate of each forward port, the
+	// algorithm's Env.HopBps. Both buffers are carved with the slot (see
 	// shard.takeRun) and kept across reuse.
-	hops int
-	path []*Port
+	hops   int
+	path   []*Port
+	hopBps []float64
 
 	// Receiver side.
 	delivered int64
 	lastCNP   sim.Time
-	_         [48]byte // to five cache lines
+	_         [24]byte // to five cache lines
 }
 
 // paceTimer and rtoTimer are a run as its pacing wakeup and as its
@@ -248,7 +257,7 @@ func (r *flowRun) env() cc.Env {
 		LineRateBps: r.host.port.bw,
 		BaseRTT:     r.baseRTT,
 		MTU:         r.net.MTU,
-		Hops:        r.hops,
+		HopBps:      r.hopBps,
 		Rand:        r.sh.rand,
 		Timers:      r,
 	}
@@ -329,15 +338,17 @@ func (r *flowRun) trySend() {
 		p := r.sh.getPacket()
 		p.Kind = Data
 		p.run = r
-		p.Src = r.src
-		p.Dst = r.dst
 		p.Seq = r.sent
-		p.Payload = int32(payload)
 		p.Wire = int32(int(payload) + r.net.HeaderBytes)
 		p.SentAt = now
 		// Stamp the flat path while the run is hot in cache; switch hops
 		// then forward without touching it (see Packet.path).
-		p.path = r.path
+		p.path = unsafe.SliceData(r.path)
+		if int(p.intCap) < r.hops {
+			// A stack carved before AddFlow saw a path this long: a fresh,
+			// deeper one, never the neighbour's records.
+			p.setStack(make([]cc.Telemetry, r.net.maxHops))
+		}
 		if p.Seq < r.maxSent {
 			r.flow.Retransmits++
 			r.sh.Retransmits++
@@ -450,12 +461,12 @@ func (r *flowRun) schedule(at sim.Time) {
 // data sent before a go-back-N rewind can land after it, so stale and
 // duplicate ACKs are normal here rather than impossible.
 func (r *flowRun) onAck(p *Packet) {
-	newly := p.AckSeq - r.acked
+	newly := p.Seq - r.acked
 	if newly <= 0 {
 		r.sh.DupAcks++
 		return // duplicate or stale cumulative ACK; RTO drives recovery
 	}
-	r.acked = p.AckSeq
+	r.acked = p.Seq
 	r.inflight -= newly
 	if r.inflight < 0 {
 		// An ACK covering data resent after a spurious timeout: the
@@ -482,12 +493,11 @@ func (r *flowRun) onAck(p *Packet) {
 	r.ctl = r.algo.OnAck(cc.Feedback{
 		Now:        now,
 		RTT:        now - p.SentAt,
-		SentAt:     p.SentAt,
 		AckedBytes: r.acked,
 		SentBytes:  r.sent,
 		NewlyAcked: int(newly),
-		ECE:        p.ECE,
-		Hops:       p.hops,
+		ECE:        p.Mark,
+		Hops:       p.stack()[:r.hops],
 	})
 	r.trySend()
 }

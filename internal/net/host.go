@@ -1,5 +1,7 @@
 package net
 
+import "unsafe"
+
 // Host is an end host with a single network uplink. It sources flows
 // (paced and windowed by their congestion-control algorithm) and, as a
 // receiver, acknowledges every arriving data packet, echoing INT telemetry
@@ -40,11 +42,11 @@ func (h *Host) Receive(p *Packet, in *Port) {
 
 func (h *Host) receiveData(p *Packet) {
 	r := p.run
-	if int(p.Dst) != h.id {
+	if int(r.dst) != h.id {
 		panic("net: data packet delivered to wrong host")
 	}
 	if p.Seq == r.delivered {
-		r.delivered += int64(p.Payload)
+		r.delivered += int64(int(p.Wire) - h.net.HeaderBytes)
 		h.sh.DataDelivered++
 		if r.delivered >= r.size {
 			r.flow.DeliveredAt = h.sh.eng.Now()
@@ -62,25 +64,22 @@ func (h *Host) receiveData(p *Packet) {
 	ack := h.sh.getPacket()
 	ack.Kind = Ack
 	ack.run = r
-	ack.Src = int32(h.id)
-	ack.Dst = p.Src
 	ack.Wire = int32(h.net.AckBytes)
-	ack.AckSeq = r.delivered
+	ack.Seq = r.delivered
 	ack.SentAt = p.SentAt
 	// Stamp the reverse flat path while the run is hot in cache; switch
 	// hops then forward without touching it (see Packet.path).
-	ack.path = r.path[r.hops:]
+	ack.path = unsafe.SliceData(r.path[r.hops:])
 	// Echo the collected telemetry by trading INT stacks: the ACK takes the
-	// data packet's and the data packet, about to be recycled, the ACK's
-	// empty one. The trade is safe because no packet ever holds a nil or
-	// short stack: every packet is carved with one as deep as the longest
-	// flow path (see shard.getPacket), so whichever stack a packet holds
-	// next, stamping a path never grows it.
-	ack.hops, p.hops = p.hops, ack.hops
-	if p.ECN {
+	// data packet's and the data packet, about to be recycled, the ACK's.
+	// Whichever stack a packet holds next, the sender makes sure it is as
+	// deep as the path before the packet leaves (see flowRun.trySend).
+	ack.ints, p.ints = p.ints, ack.ints
+	ack.intCap, p.intCap = p.intCap, ack.intCap
+	if p.Mark {
 		now := h.sh.eng.Now()
 		if h.net.CNPInterval == 0 || now-r.lastCNP >= h.net.CNPInterval {
-			ack.ECE = true
+			ack.Mark = true
 			r.lastCNP = now
 		}
 	}

@@ -83,8 +83,6 @@ func TestPFCResumeCannotOvertakePause(t *testing.T) {
 		filler := nw.shards[0].getPacket()
 		filler.Kind = Ack
 		filler.run = &flowRun{flow: f, sh: nw.shards[0]}
-		filler.Src = int32(h1.NodeID())
-		filler.Dst = int32(h0.NodeID())
 		filler.Wire = 100_000
 		sp0.send(filler)
 	})

@@ -11,14 +11,20 @@ import (
 )
 
 // fixedAlgo is a congestion-control stub holding rate and window constant.
+// It keeps a copy of its last Env's hop rates and the last ACK's feedback.
 type fixedAlgo struct {
 	ctl      cc.Control
 	acks     int
 	eceCount int
+	hopBps   []float64
 	last     cc.Feedback
 }
 
-func (a *fixedAlgo) Init(cc.Env) cc.Control { return a.ctl }
+func (a *fixedAlgo) Init(env cc.Env) cc.Control {
+	a.hopBps = append(a.hopBps[:0], env.HopBps...)
+	return a.ctl
+}
+
 func (a *fixedAlgo) OnAck(fb cc.Feedback) cc.Control {
 	a.acks++
 	if fb.ECE {
@@ -185,8 +191,8 @@ func TestINTTelemetryStamped(t *testing.T) {
 		t.Fatalf("INT stack depth = %d, want 1 (single switch)", len(fb.Hops))
 	}
 	h := fb.Hops[0]
-	if h.RateBps != gbps100 {
-		t.Fatalf("INT rate = %v, want 100G", h.RateBps)
+	if len(algo.hopBps) != 1 || algo.hopBps[0] != gbps100 {
+		t.Fatalf("hop rates = %v, want [100G]", algo.hopBps)
 	}
 	if h.TxBytes == 0 || h.TS == 0 {
 		t.Fatalf("INT counters not stamped: %+v", h)
@@ -441,7 +447,7 @@ func TestAddFlowValidation(t *testing.T) {
 func TestAddRouteRejectsNonHosts(t *testing.T) {
 	_, _, sw := star(t, 2, 1)
 	port := sw.Ports()[0]
-	for _, id := range []int{sw.NodeID(), -1, 1 << 40} {
+	for _, id := range []int{sw.NodeID(), -1, math.MaxInt32} {
 		func() {
 			defer func() {
 				msg, _ := recover().(string)

@@ -61,7 +61,8 @@ type Network struct {
 	DropDataProb float64
 	DropAckProb  float64
 	// DropFilter, when set, is consulted per packet after the random
-	// draws (data/ACK only; seq is Seq for data, AckSeq for ACKs).
+	// draws (data/ACK only; seq is the data offset for data, the
+	// cumulative ACK for ACKs).
 	// Deterministic targeted-loss tests use it to kill exact packets.
 	DropFilter func(kind Kind, flowID int, seq int64) bool
 

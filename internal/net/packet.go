@@ -12,6 +12,8 @@
 package net
 
 import (
+	"unsafe"
+
 	"faircc/internal/cc"
 	"faircc/internal/sim"
 )
@@ -23,7 +25,7 @@ const (
 	// Data carries flow payload and collects INT telemetry hop by hop.
 	Data Kind = iota
 	// Ack acknowledges one data packet, echoing its telemetry, send
-	// timestamp, and (when the receiver's CNP policy fires) an ECE mark.
+	// timestamp, and (when the receiver's CNP policy fires) its mark.
 	Ack
 	// Pause and Resume are PFC control frames; they preempt data and are
 	// never queued behind it.
@@ -45,22 +47,30 @@ func (k Kind) String() string {
 	return "unknown"
 }
 
-// Packet is a simulated packet: 128 bytes, two cache lines, with nothing a
-// hop needs hanging off them. Packets are carved from page-aligned slabs
-// (see shard.getPacket), so each is exactly its own two lines. The first
-// holds what a switch hop reads and writes — arrival dispatch, forwarding,
-// queueing, transmission; the second the header of the INT stack carved with
-// the packet, which egress stamping appends into, and what only the
-// endpoints use. A packet is also its own arrival event (see Fire). Packets
+// Packet is a simulated packet: 64 bytes, one cache line, with nothing a hop
+// needs hanging off it but the flow's path, which all its packets share, and
+// the INT slot egress stamping writes. Packets are
+// carved from page-aligned chunks (see shard.getPacket), so each is exactly
+// its own line. A packet is also its own arrival event (see Fire). Packets
 // are pooled by the Network; user code must not retain them after handing
 // them off.
+//
+// What a packet would otherwise carry comes from a line its reader already
+// holds: the endpoints and the payload size from the flow's run, which both
+// ends read, the payload as Wire less the network's header; the path and
+// the INT stack are a pointer each, their lengths the run's hop count.
 type Packet struct {
 	Kind Kind
 	// hop counts the switches this packet has traversed; it is the cursor
 	// into path. Pool-reset to zero before every send.
 	hop uint8
-	ECN bool // congestion-experienced mark set by RED
-	ECE bool // ack: congestion echo (CNP)
+	// Mark is the congestion mark: on data, set by RED at an egress queue
+	// (congestion experienced); on an ACK, the echo (ECE) the receiver's
+	// CNP policy answers a marked packet with. Only data is marked and only
+	// an ACK echoes, so the one bit serves both.
+	Mark bool
+	// intCap is the depth of the INT stack at ints.
+	intCap uint8
 	// Wire is the total on-wire bytes (payload + header). int32: wire
 	// sizes are bounded by MTU + header.
 	Wire int32
@@ -70,26 +80,27 @@ type Packet struct {
 	// most one link at a time, so the one field serves every hop.
 	dest *Port
 
-	// path is the flow's pre-resolved flat path (forward for data, reverse
-	// for ACKs), stamped onto the packet at send time — where the run is
-	// already in cache — so switch hops forward with a single indexed load
-	// and never touch the run (see Switch.Receive).
-	path []*Port
+	// path is the first port of the flow's pre-resolved flat path for the
+	// packet's direction (forward for data, reverse for ACKs), stamped onto
+	// the packet at send time — where the run is already in cache — so
+	// switch hops forward with a single indexed load and never touch the
+	// run (see Switch.Receive). The hop cursor indexes it.
+	path **Port
 
 	ingress *Port    // switch-internal: arrival port for PFC accounting
 	run     *flowRun // the run of the flow the packet belongs to
-	_       [8]byte  // fills the first line, so the second starts at hops
 
-	// The second line. hops is the INT stack collected on the forward path
-	// (data) or echoed back (ack): carved with the packet, as deep as the
-	// longest flow path, and kept across recycling.
-	hops    []cc.Telemetry
-	Src     int32    // source host id (for routing)
-	Dst     int32    // destination host id (for routing)
-	Seq     int64    // data: offset of the first payload byte
-	SentAt  sim.Time // data: when it left the sender; ack: echo of the same
-	AckSeq  int64    // ack: cumulative payload bytes received
-	Payload int32    // payload bytes (0 for control)
+	// ints is the INT stack, intCap records deep: carved with the packet,
+	// as deep as the longest flow path, and kept across recycling. A data
+	// packet fills it on the forward path — the egress port of its k-th
+	// switch stamps record k-1 — and its ACK carries the run's hops records
+	// back.
+	ints *cc.Telemetry
+
+	// Seq is, on data, the offset of the first payload byte and, on an ACK,
+	// the cumulative payload bytes received.
+	Seq    int64
+	SentAt sim.Time // data: when it left the sender; ack: echo of the same
 }
 
 // Fire is the packet's arrival at dest, the event a port schedules when the
@@ -107,5 +118,16 @@ func (p *Packet) Fire() {
 	}
 }
 
+// next returns the egress port of the packet's next switch: path[hop].
+func (p *Packet) next() *Port {
+	return *(**Port)(unsafe.Add(unsafe.Pointer(p.path), uintptr(p.hop)*unsafe.Sizeof(p.path)))
+}
+
+// stack returns the packet's INT stack, all intCap records of it.
+func (p *Packet) stack() []cc.Telemetry { return unsafe.Slice(p.ints, p.intCap) }
+
+// setStack gives the packet the INT stack s.
+func (p *Packet) setStack(s []cc.Telemetry) { p.ints, p.intCap = unsafe.SliceData(s), uint8(len(s)) }
+
 // reset clears a pooled packet for reuse, keeping its INT stack.
-func (p *Packet) reset() { *p = Packet{hops: p.hops[:0]} }
+func (p *Packet) reset() { *p = Packet{ints: p.ints, intCap: p.intCap} }

@@ -221,7 +221,7 @@ func (pt *Port) markECN(p *Packet) {
 		prob = r.PMax * float64(q-r.KMinBytes) / float64(r.KMaxBytes-r.KMinBytes)
 	}
 	if pt.sh.rand.Float64() < prob {
-		p.ECN = true
+		p.Mark = true
 		pt.sh.ECNMarks++
 	}
 }
@@ -286,12 +286,13 @@ func (pt *Port) finishTx(p *Packet) {
 	pt.txPkt = nil
 	pt.txBytes += int64(p.Wire)
 	if p.Kind == Data && pt.stampINT {
-		p.hops = append(p.hops, cc.Telemetry{
+		// The packet's hop-th switch is this port's owner; the sender gave
+		// it a stack as deep as its path (see flowRun.trySend).
+		p.stack()[p.hop-1] = cc.Telemetry{
 			QueueBytes: pt.q.Bytes(),
 			TxBytes:    pt.txBytes,
 			TS:         pt.eng.Now(),
-			RateBps:    pt.bw,
-		})
+		}
 	}
 	if p.ingress != nil {
 		p.ingress.creditIngress(int64(p.Wire))

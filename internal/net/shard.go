@@ -3,6 +3,7 @@ package net
 import (
 	"fmt"
 	"math/rand"
+	"unsafe"
 
 	"faircc/internal/cc"
 	"faircc/internal/sim"
@@ -33,13 +34,17 @@ type shard struct {
 
 	pool  []*Packet
 	chunk []Packet // allocated, not yet carved into the pool (see getPacket)
+	// intChunk is allocated INT records, not yet carved into stacks (see
+	// getPacket).
+	intChunk []cc.Telemetry
 
 	// runs is the free list of run slots of flows whose source host is on
-	// this shard; runChunk and pathChunk are allocated, not yet carved (see
-	// takeRun).
+	// this shard; runChunk, pathChunk and bpsChunk are allocated, not yet
+	// carved (see takeRun).
 	runs      *flowRun
 	runChunk  []flowRun
 	pathChunk []*Port
+	bpsChunk  []float64
 
 	// Lifetime counters, summed across shards by Network.Stats.
 	Counters
@@ -63,17 +68,19 @@ func newShard(n *Network, id int, eng *sim.Engine) *shard {
 	}
 }
 
-// packetSlab is how many packets a pool miss carves at once, and
-// packetChunk how many the allocator is asked for when the carved-from chunk
-// runs out. Slabs keep a burst's packets cache-dense instead of scattered
-// across the heap. The chunk is 32 KB because that is the smallest size the
-// Go allocator places on a page boundary whatever the element type: an 8 KB
+// packetSlab is how many packets a pool miss carves at once, packetChunk
+// how many the allocator is asked for when the carved-from chunk runs out,
+// and intRecords how many INT records fill one 32 KB chunk of them. Slabs
+// keep a burst's packets cache-dense instead of scattered across the heap.
+// The chunk is 32 KB because that is the smallest size the Go allocator
+// places on a page boundary whatever the element type: a 4 KB
 // make([]Packet, 64) starts 8 bytes past a cache line, behind the header
-// pointerful objects under 32 KB carry, and every 128-byte packet then
-// straddles three lines instead of two (TestPacketLayout).
+// pointerful objects under 32 KB carry, and every 64-byte packet then
+// straddles two lines instead of sitting on one (TestPacketLayout).
 const (
 	packetSlab  = 64
-	packetChunk = 4 * packetSlab
+	packetChunk = 8 * packetSlab
+	intRecords  = int(32 << 10 / unsafe.Sizeof(cc.Telemetry{}))
 )
 
 // getPacket returns a pooled packet. Packets migrate between shards with
@@ -96,14 +103,19 @@ func (sh *shard) getPacket() *Packet {
 	}
 	pkts := sh.chunk[:packetSlab]
 	sh.chunk = sh.chunk[packetSlab:]
-	// The slab's INT stacks are one allocation too, each as deep as the
-	// longest flow path and clipped to it: a data packet stamps its whole
-	// path without growing its stack, and a longer path than AddFlow has
-	// seen reallocates instead of writing into the neighbour's.
+	// Each packet's INT stack is as deep as the longest flow path: a data
+	// packet stamps its whole path into its own stack, and a longer path
+	// than AddFlow has seen gets a fresh stack (see flowRun.trySend) instead
+	// of writing into the neighbour's. Stacks are carved back to back from
+	// 32 KB chunks, so a 120-byte stack costs 120 bytes, not a share of a
+	// size class it does not fill.
 	if h := sh.net.maxHops; h > 0 {
-		stacks := make([]cc.Telemetry, packetSlab*h)
 		for i := range pkts {
-			pkts[i].hops = stacks[i*h : i*h : (i+1)*h]
+			if len(sh.intChunk) < h {
+				sh.intChunk = make([]cc.Telemetry, max(intRecords, h))
+			}
+			pkts[i].setStack(sh.intChunk[:h:h])
+			sh.intChunk = sh.intChunk[h:]
 		}
 	}
 	for i := 1; i < packetSlab; i++ {
@@ -113,9 +125,9 @@ func (sh *shard) getPacket() *Packet {
 }
 
 // takeRun returns a run slot from the free list, or carves one on a miss
-// with a path buffer as long as the longest path AddFlow has seen, clipped
-// to it: a longer path appends into fresh memory instead of the
-// neighbour's buffer.
+// with a path buffer as long as the longest path AddFlow has seen and a
+// rate buffer as long as the longest forward path, each clipped to it: a
+// longer path appends into fresh memory instead of the neighbour's buffer.
 func (sh *shard) takeRun() *flowRun {
 	if r := sh.runs; r != nil {
 		sh.runs = r.next
@@ -133,6 +145,12 @@ func (sh *shard) takeRun() *flowRun {
 	}
 	r.path = sh.pathChunk[:0:k]
 	sh.pathChunk = sh.pathChunk[k:]
+	h := sh.net.maxHops
+	if len(sh.bpsChunk) < h {
+		sh.bpsChunk = make([]float64, max(pathSlab, h))
+	}
+	r.hopBps = sh.bpsChunk[:0:h]
+	sh.bpsChunk = sh.bpsChunk[h:]
 	return r
 }
 
@@ -163,7 +181,7 @@ func (sh *shard) dropInTransit(p *Packet) bool {
 		if n.DropAckProb > 0 && sh.faultRand.Float64() < n.DropAckProb {
 			return true
 		}
-		if n.DropFilter != nil && n.DropFilter(Ack, p.run.flow.Spec.ID, p.AckSeq) {
+		if n.DropFilter != nil && n.DropFilter(Ack, p.run.flow.Spec.ID, p.Seq) {
 			return true
 		}
 	}

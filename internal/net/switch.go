@@ -95,16 +95,17 @@ func (s *Switch) Receive(p *Packet, in *Port) {
 		in.kick()
 		return
 	}
-	// The egress port stamps the packet's next INT slot one serialization
-	// time — thousands of events at fabric scale — from now, in an array last
-	// written a hop ago: start that line on its way (no spare slot, no fetch).
-	if n := len(p.hops); p.Kind == Data && n < cap(p.hops) {
-		sim.Prefetch(unsafe.Pointer(&p.hops[:n+1][n]))
+	// The egress port stamps the packet's next INT slot, record hop, one
+	// serialization time — thousands of events at fabric scale — from now,
+	// in an array last written a hop ago: start that line on its way (no
+	// spare slot, no fetch).
+	if p.Kind == Data && p.hop < p.intCap {
+		sim.Prefetch(unsafe.Add(unsafe.Pointer(p.ints), uintptr(p.hop)*unsafe.Sizeof(*p.ints)))
 	}
 	// The flow resolved its ECMP choices once at its start and the sender
 	// stamped them onto the packet, so forwarding is one indexed load that
-	// touches nothing but the packet's first cache line.
-	out := p.path[p.hop]
+	// touches nothing but the packet's line and the path.
+	out := p.next()
 	p.hop++
 	if s.net.PFCPauseBytes > 0 {
 		p.ingress = in

@@ -162,7 +162,7 @@ var laneDelays = [...]Time{0, 1000, 7, 2500, 40_000, 5, 1_000_000, 84, 12_345, 3
 // delay lane whose index is returned (-1: through At), the way a port
 // schedules an arrival from inside its serialization event.
 func spawnChild(parent int) (d Time, child, lane int, ok bool) {
-	if parent >= 4*childIDStride {
+	if parent/childIDStride >= 4 {
 		return 0, 0, 0, false
 	}
 	h := uint32(parent)*2654435761 + 12345
