@@ -37,7 +37,6 @@ import (
 
 	"faircc/internal/exp"
 	"faircc/internal/sim"
-	"faircc/internal/viz"
 )
 
 func main() { os.Exit(run()) }
@@ -51,7 +50,6 @@ func run() int {
 		seed   = flag.Int64("seed", 1, "simulation seed")
 		out    = flag.String("out", "", "directory for CSV output (default: stdout summary only)")
 		work   = flag.Int("workers", 0, "parallel variant runners (0 = GOMAXPROCS)")
-		plot   = flag.Bool("plot", false, "render an ASCII chart of each result")
 		verify = flag.Bool("verify", false, "check the paper's claims against fresh runs and exit")
 
 		bufBytes = flag.Int64("buffer-bytes", 0, "lossy experiments: per-egress switch buffer in bytes (0 = experiment default)")
@@ -189,17 +187,6 @@ func run() int {
 		}
 		for _, res := range results {
 			fmt.Print(res.Summary())
-			if *plot {
-				series := make([]viz.Series, 0, len(res.Series))
-				for _, s := range res.Series {
-					series = append(series, viz.Series{Label: s.Label, X: s.X, Y: s.Y})
-				}
-				opts := viz.Options{Title: res.Title, XLabel: res.XLabel, YLabel: res.YLabel}
-				if err := viz.Plot(os.Stdout, opts, series...); err != nil {
-					fmt.Fprintf(os.Stderr, "fairsim: plot: %v\n", err)
-					return 1
-				}
-			}
 			if *out != "" {
 				if err := writeCSV(*out, res); err != nil {
 					fmt.Fprintf(os.Stderr, "fairsim: %v\n", err)

@@ -3,6 +3,9 @@ package main
 import (
 	"context"
 	"errors"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -56,6 +59,9 @@ func TestRejectsUnrunnableFlags(t *testing.T) {
 		{"unknown workload", dc(append([]string{"-workload", "no-such-file"}, small...)...), 2, "no-such-file"},
 		{"negative sizes", dc(append([]string{"-workload", negative}, small...)...), 2, "not a byte count"},
 		{"zero mean size", dc(append([]string{"-workload", zeroMean}, small...)...), 2, "below 1 B"},
+		// The first arrival falls past the window: the run started no flow
+		// and wrote a header-only CSV.
+		{"no flow in the window", dc(append([]string{"-load", "0.001"}, small...)...), 2, "no flow in the window"},
 
 		{"incast ok", incast("-senders", "4", "-size", "100000"), 0, ""},
 		{"negative senders", incast("-senders", "-1"), 2, "IncastSenders"},
@@ -88,6 +94,7 @@ func TestRejectsUnrunnableFlags(t *testing.T) {
 		{"removed ack-coalesce", incast("-ack-coalesce"), 2, "flag provided but not defined: -ack-coalesce"},
 		{"removed shards", dc(append([]string{"-shards", "2"}, small...)...), 2, "flag provided but not defined: -shards"},
 		{"removed k16", dc(append([]string{"-k16"}, small...)...), 2, "flag provided but not defined: -k16"},
+		{"removed plot", incast("-plot"), 2, "flag provided but not defined: -plot"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -115,4 +122,74 @@ func TestRejectsUnrunnableFlags(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestDocumentedCommandsUseDeclaredFlags holds the docs to the CLI: every
+// `go run ./cmd/fairsim` line in README.md, DESIGN.md and EXPERIMENTS.md
+// may use only flags main.go declares, so a removed flag cannot linger in
+// an example.
+func TestDocumentedCommandsUseDeclaredFlags(t *testing.T) {
+	declared := declaredFlags(t)
+	const cmd = "go run ./cmd/fairsim"
+	lines := 0
+	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md"} {
+		src, err := os.ReadFile(filepath.Join("..", "..", doc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, line := range strings.Split(string(src), "\n") {
+			_, args, ok := strings.Cut(line, cmd)
+			if !ok {
+				continue
+			}
+			lines++
+			// The command ends at an inline-code backtick or a shell comment.
+			args, _, _ = strings.Cut(args, "`")
+			args, _, _ = strings.Cut(args, " #")
+			for _, tok := range strings.Fields(args) {
+				name, isFlag := strings.CutPrefix(tok, "-")
+				name, _, _ = strings.Cut(name, "=")
+				if !isFlag || name == "" || name[0] < 'a' || name[0] > 'z' {
+					continue // a value, such as a negative number
+				}
+				if !declared[name] {
+					t.Errorf("%s:%d: fairsim declares no flag -%s: %s", doc, i+1, name, strings.TrimSpace(line))
+				}
+			}
+		}
+	}
+	if lines == 0 {
+		t.Fatalf("no %q line found in the docs", cmd)
+	}
+}
+
+// declaredFlags returns the names of the flags main.go declares: the first
+// argument of every flag.Bool, flag.String, ... call.
+func declaredFlags(t *testing.T) map[string]bool {
+	f, err := parser.ParseFile(token.NewFileSet(), "main.go", nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := map[string]bool{}
+	ast.Inspect(f, func(n ast.Node) bool {
+		call, ok := n.(*ast.CallExpr)
+		if !ok || len(call.Args) == 0 {
+			return true
+		}
+		sel, ok := call.Fun.(*ast.SelectorExpr)
+		if !ok {
+			return true
+		}
+		if pkg, ok := sel.X.(*ast.Ident); !ok || pkg.Name != "flag" {
+			return true
+		}
+		if lit, ok := call.Args[0].(*ast.BasicLit); ok && lit.Kind == token.STRING {
+			names[strings.Trim(lit.Value, `"`)] = true
+		}
+		return true
+	})
+	if len(names) == 0 {
+		t.Fatal("no flag declaration found in main.go")
+	}
+	return names
 }

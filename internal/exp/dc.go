@@ -84,7 +84,9 @@ func dcSizes(name string) ([]*stats.CDF, error) {
 
 // dcTraffic resolves a workload name at the given load to its arrival
 // stream's constructor: each variant pulls the same flows from a stream of
-// its own, so comparisons are paired and no run holds the flow set.
+// its own, so comparisons are paired and no run holds the flow set. A
+// window no flow arrives in is an error: its run would write a header-only
+// CSV.
 func dcTraffic(cfg Config, ftCfg topo.FatTreeConfig, duration sim.Time, name string, load float64) (func() *workload.Arrivals, error) {
 	sizes, err := dcSizes(name)
 	if err != nil {
@@ -95,7 +97,11 @@ func dcTraffic(cfg Config, ftCfg topo.FatTreeConfig, duration sim.Time, name str
 		hosts[i] = i
 	}
 	pc := workload.PoissonConfig{Hosts: hosts, Load: load, LinkBps: ftCfg.HostBps, Duration: duration, Seed: cfg.Seed}
-	return func() *workload.Arrivals { return workload.NewArrivals(pc, sizes...) }, nil
+	traffic := func() *workload.Arrivals { return workload.NewArrivals(pc, sizes...) }
+	if _, ok := traffic().Next(); !ok {
+		return nil, fmt.Errorf("exp: no flow in the window: load %v on %d hosts starts none within %v", load, len(hosts), duration)
+	}
+	return traffic, nil
 }
 
 // runDC runs one datacenter simulation: the traffic on the fat-tree under

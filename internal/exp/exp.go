@@ -103,10 +103,10 @@ func DefaultConfig() Config { return Config{Seed: 1, Scale: "medium"} }
 // last flows would start beyond the clock; a fat-tree nothing can run on;
 // a load or ratio that is negative, NaN or infinite (an infinite arrival
 // rate never reaches the end of the traffic window);
-// a switch buffer smaller than one data packet; or a drop probability
+// a switch buffer smaller than one data packet; a drop probability
 // outside [0,1) — at 1 and above no packet is ever delivered and the run
-// can only stall. Zero always means "the preset", so a negative value must not
-// silently select it either.
+// can only stall; or a dc traffic window no flow arrives in. Zero always
+// means "the preset", so a negative value must not silently select it either.
 func (cfg Config) Validate() error {
 	for _, c := range []struct {
 		name string
@@ -156,10 +156,11 @@ func (cfg Config) Validate() error {
 	if pkt := int64(nw.MTU + nw.HeaderBytes); cfg.BufferBytes > 0 && cfg.BufferBytes < pkt {
 		return fmt.Errorf("exp: BufferBytes must be 0 or hold one %d-byte data packet, got %d", pkt, cfg.BufferBytes)
 	}
-	if _, _, err := dcSetup(cfg); err != nil { // dcScale's is the one list of scale names
+	ftCfg, duration, err := dcSetup(cfg) // dcScale's is the one list of scale names
+	if err != nil {
 		return err
 	}
-	if _, err := dcSizes(cmp.Or(cfg.DCWorkload, "hadoop")); err != nil {
+	if _, err := dcTraffic(cfg, ftCfg, duration, cmp.Or(cfg.DCWorkload, "hadoop"), cmp.Or(cfg.DCLoad, dcLoad)); err != nil {
 		return err
 	}
 	if p := cfg.DCProtocol; p != "" && p != "hpcc" && p != "swift" {

@@ -301,6 +301,9 @@ func TestConfigValidation(t *testing.T) {
 		{"buffer 1047", Config{BufferBytes: 1047}},
 		{"unknown protocol", Config{DCProtocol: "timely"}},
 		{"unknown workload", Config{DCWorkload: "no-such-workload-or-file"}},
+		// The first arrival falls past the 1 ms window: the run started no
+		// flow and wrote a header-only CSV.
+		{"no flow in the window", Config{Scale: "small", DCLoad: 1e-9}},
 		// The incast parameters: each of these crashed cmd/incast with a
 		// goroutine trace.
 		{"negative senders", Config{IncastSenders: -1}},

@@ -75,31 +75,7 @@ type incastOut struct {
 func runIncast(cfg Config, v variant, in incastShape, setup func(*net.Network, *topo.Star)) (*incastOut, error) {
 	var jain, queue *metrics.Series
 	nw, err := simulate(cfg, v.label, func(nw *net.Network) {
-		st := topo.NewStar(nw, in.senders+1, hostRate, linkDelay)
-		if v.setup != nil {
-			v.setup(nw)
-		}
-		if setup != nil {
-			setup(nw, st)
-		}
-		srcs := make([]int, in.senders)
-		for i := range srcs {
-			srcs[i] = st.Hosts[i].NodeID()
-		}
-		dst := st.Hosts[in.senders].NodeID()
-		for _, spec := range workload.StaggeredIncast(srcs, dst, in.size, in.group, in.every, 0) {
-			nw.AddFlow(spec, v.make())
-		}
-
-		// Size the goodput-sampling interval so a fair share delivers ~10
-		// packets per interval; shorter intervals quantize goodput to so few
-		// packets that the index is dominated by sampling noise.
-		jainEvery := sim.Time(float64(in.senders) * float64(nw.MTU+nw.HeaderBytes) * 8 * 10 / hostRate * 1e12)
-		if jainEvery < 5*sim.Microsecond {
-			jainEvery = 5 * sim.Microsecond
-		}
-		jain = metrics.SampleJain(nw, v.label, jainEvery, 0, forever)
-		queue = metrics.SampleQueue(nw.Eng, st.HostPorts[in.senders], v.label, sim.Microsecond, 0, forever)
+		jain, queue = buildIncast(nw, v, in, setup, in.senders)
 	})
 	if err != nil {
 		return nil, err
@@ -107,9 +83,7 @@ func runIncast(cfg Config, v variant, in incastShape, setup func(*net.Network, *
 
 	out := &incastOut{label: v.label, stats: nw.Stats(), records: metrics.CollectFinished(nw)}
 	for _, f := range nw.Flows() {
-		if f.FinishedAt > out.lastFinish {
-			out.lastFinish = f.FinishedAt
-		}
+		out.lastFinish = max(out.lastFinish, f.FinishedAt)
 	}
 	for _, p := range jain.Points {
 		out.jain.Add(p.T.Microseconds(), p.V)
@@ -117,9 +91,7 @@ func runIncast(cfg Config, v variant, in incastShape, setup func(*net.Network, *
 	out.jain.Label = v.label
 	for _, p := range queue.Points {
 		out.queue.Add(p.T.Microseconds(), p.V/1000) // KB, as the paper plots
-		if kb := p.V / 1000; kb > out.maxQueueKB {
-			out.maxQueueKB = kb
-		}
+		out.maxQueueKB = max(out.maxQueueKB, p.V/1000)
 	}
 	out.queue.Label = v.label
 	out.steadyQueueKB = meanFrom(out.queue, (in.lastStart() + 100*sim.Microsecond).Microseconds())
@@ -138,6 +110,37 @@ func runIncast(cfg Config, v variant, in incastShape, setup func(*net.Network, *
 	}
 	out.convergeUs = smoothedReach(post, 5, 0.9)
 	return out, nil
+}
+
+// buildIncast builds the incast on a star of in.senders+1 hosts with the
+// receiver at host recv (runIncast's is the last) and the senders at the
+// others, in host order. It returns the Jain and the receiver-port queue
+// samplers.
+func buildIncast(nw *net.Network, v variant, in incastShape, setup func(*net.Network, *topo.Star), recv int) (jain, queue *metrics.Series) {
+	st := topo.NewStar(nw, in.senders+1, hostRate, linkDelay)
+	if v.setup != nil {
+		v.setup(nw)
+	}
+	if setup != nil {
+		setup(nw, st)
+	}
+	var srcs []int
+	for i, h := range st.Hosts {
+		if i != recv {
+			srcs = append(srcs, h.NodeID())
+		}
+	}
+	dst := st.Hosts[recv].NodeID()
+	for _, spec := range workload.StaggeredIncast(srcs, dst, in.size, in.group, in.every, 0) {
+		nw.AddFlow(spec, v.make())
+	}
+	// Size the goodput-sampling interval so a fair share delivers ~10
+	// packets per interval; shorter intervals quantize goodput to so few
+	// packets that the index is dominated by sampling noise.
+	jainEvery := max(sim.Time(float64(in.senders)*float64(nw.MTU+nw.HeaderBytes)*8*10/hostRate*1e12), 5*sim.Microsecond)
+	jain = metrics.SampleJain(nw, v.label, jainEvery, 0, forever)
+	queue = metrics.SampleQueue(nw.Eng, st.HostPorts[recv], v.label, sim.Microsecond, 0, forever)
+	return jain, queue
 }
 
 // meanFrom averages the samples of s at X >= from (0 if there are none).
