@@ -89,6 +89,9 @@ func TestRejectsUnrunnableFlags(t *testing.T) {
 		{"ms overflow", dc("-pods", "1", "-tors", "2", "-hosts", "2", "-ms", "18446744074"), 2, "-ms"},
 		{"every overflow", incast("-every", "18446744073710"), 2, "-every"},
 		{"rtt-slow-delay overflow", []string{"-exp", "rtt-unfairness", "-rtt-slow-delay", "5124h"}, 2, "-rtt-slow-delay"},
+		// A delay that fits the clock, but the slow group's round trip does
+		// not: it wrapped negative and panicked the first serialization.
+		{"rtt slow delay beyond the clock", []string{"-exp", "rtt-unfairness", "-scale", "small", "-rtt-slow-delay", "1290h"}, 2, "RTTSlowDelay"},
 
 		// A removed flag fails loudly, it is not ignored.
 		{"removed ack-coalesce", incast("-ack-coalesce"), 2, "flag provided but not defined: -ack-coalesce"},

@@ -51,10 +51,11 @@ type Control struct {
 
 // Env gives an algorithm access to its environment: flow constants, a
 // deterministic PRNG, and the flow's timer hooks for timer-driven protocols
-// (DCQCN). An algorithm keeps its Env for the flow's life, so Env holds one
-// interface value for the hooks rather than a func value per hook: the
-// simulator's flow implements Timers itself, and starting a flow binds
-// nothing.
+// (DCQCN). The simulator keeps a flow's Env in the flow's run state and
+// hands Init a pointer to it, valid from Init until the flow finishes; an
+// algorithm keeps the pointer, not a copy. Env holds one interface value for
+// the hooks rather than a func value per hook: the simulator's flow
+// implements Timers itself, and starting a flow binds nothing.
 type Env struct {
 	LineRateBps float64
 	BaseRTT     sim.Time // propagation + serialization RTT of the flow's path
@@ -84,8 +85,9 @@ type Timers interface {
 type Algorithm interface {
 	// Init is called once when the flow starts and returns the initial
 	// control. RDMA congestion control starts flows at line rate
-	// (Sec. III-D of the paper).
-	Init(env Env) Control
+	// (Sec. III-D of the paper). env stays valid, and unchanged, until the
+	// flow finishes.
+	Init(env *Env) Control
 	// OnAck processes one acknowledgement and returns the updated control.
 	OnAck(fb Feedback) Control
 }

@@ -56,7 +56,7 @@ func DefaultConfig() Config {
 // DCQCN is the per-flow sender state.
 type DCQCN struct {
 	cfg Config
-	env cc.Env
+	env *cc.Env
 
 	rc, rt     float64 // current and target rate, bps
 	alpha      float64
@@ -82,7 +82,7 @@ func (d *DCQCN) Rate() float64 { return d.rc }
 func (d *DCQCN) Alpha() float64 { return d.alpha }
 
 // Init implements cc.Algorithm: flows start at line rate with alpha = 1.
-func (d *DCQCN) Init(env cc.Env) cc.Control {
+func (d *DCQCN) Init(env *cc.Env) cc.Control {
 	d.env = env
 	d.rc = env.LineRateBps
 	d.rt = env.LineRateBps

@@ -28,8 +28,8 @@ type fakeEvent struct {
 	fn func()
 }
 
-func (f *fakeClock) env() cc.Env {
-	return cc.Env{
+func (f *fakeClock) env() *cc.Env {
+	return &cc.Env{
 		LineRateBps: lineRate,
 		BaseRTT:     baseRTT,
 		MTU:         mtu,

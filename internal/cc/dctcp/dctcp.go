@@ -54,7 +54,7 @@ func RecommendedK(linkBps float64, rtt sim.Time) int64 {
 // DCTCP is the per-flow sender state.
 type DCTCP struct {
 	cfg Config
-	env cc.Env
+	env *cc.Env
 
 	cwnd    float64 // packets
 	maxCwnd float64
@@ -78,7 +78,7 @@ func (d *DCTCP) Cwnd() float64 { return d.cwnd }
 
 // Init implements cc.Algorithm: flows start at line rate like the other
 // RDMA protocols in this simulator.
-func (d *DCTCP) Init(env cc.Env) cc.Control {
+func (d *DCTCP) Init(env *cc.Env) cc.Control {
 	d.env = env
 	d.maxCwnd = cc.BDPBytes(env.LineRateBps, env.BaseRTT) / float64(env.MTU)
 	d.cwnd = d.maxCwnd

@@ -62,7 +62,7 @@ func VAISFConfig(minBDPBytes float64) Config {
 // HPCC is the per-flow sender state. Create one per flow with New.
 type HPCC struct {
 	cfg Config
-	env cc.Env
+	env *cc.Env
 	att core.Attachment
 
 	maxW float64 // line-rate window (B*T)
@@ -99,7 +99,7 @@ func (h *HPCC) Util() float64 { return h.u }
 
 // Init implements cc.Algorithm: flows start at line rate with a one-BDP
 // window.
-func (h *HPCC) Init(env cc.Env) cc.Control {
+func (h *HPCC) Init(env *cc.Env) cc.Control {
 	h.env = env
 	h.maxW = cc.BDPBytes(env.LineRateBps, env.BaseRTT)
 	h.wAI = cc.BDPBytes(h.cfg.AIBps, env.BaseRTT)

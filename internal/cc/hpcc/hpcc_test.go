@@ -16,8 +16,8 @@ const (
 	mtu      = 1000
 )
 
-func env() cc.Env {
-	return cc.Env{
+func env() *cc.Env {
+	return &cc.Env{
 		LineRateBps: lineRate,
 		BaseRTT:     baseRTT,
 		MTU:         mtu,

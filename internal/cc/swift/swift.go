@@ -103,7 +103,7 @@ const minCwnd = 0.01
 // Swift is the per-flow sender state. Create one per flow with New.
 type Swift struct {
 	cfg Config
-	env cc.Env
+	env *cc.Env
 	att core.Attachment
 
 	maxCwnd float64 // line-rate window, packets
@@ -126,7 +126,7 @@ func New(cfg Config) *Swift { return &Swift{cfg: cfg} }
 func (s *Swift) Cwnd() float64 { return s.cwnd }
 
 // Init implements cc.Algorithm: flows start at line rate.
-func (s *Swift) Init(env cc.Env) cc.Control {
+func (s *Swift) Init(env *cc.Env) cc.Control {
 	s.env = env
 	s.maxCwnd = cc.BDPBytes(env.LineRateBps, env.BaseRTT) / float64(env.MTU)
 	s.aiPkts = cc.BDPBytes(s.cfg.AIBps, env.BaseRTT) / float64(env.MTU)

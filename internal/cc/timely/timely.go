@@ -69,7 +69,7 @@ func VAISFConfig(minBDPDelay sim.Time) Config {
 // Timely is the per-flow sender state.
 type Timely struct {
 	cfg Config
-	env cc.Env
+	env *cc.Env
 	att core.Attachment
 
 	rate     float64 // pacing rate, bps
@@ -88,7 +88,7 @@ func New(cfg Config) *Timely { return &Timely{cfg: cfg} }
 func (t *Timely) Rate() float64 { return t.rate }
 
 // Init implements cc.Algorithm: flows start at line rate.
-func (t *Timely) Init(env cc.Env) cc.Control {
+func (t *Timely) Init(env *cc.Env) cc.Control {
 	t.env = env
 	t.rate = env.LineRateBps
 	t.minRate = 10e6

@@ -141,7 +141,7 @@ func controlTrace(algo cc.Algorithm, seed int64) uint64 {
 			set: record,
 		},
 	}
-	record(algo.Init(env))
+	record(algo.Init(&env))
 
 	var (
 		acked, sent int64

@@ -105,7 +105,8 @@ func DefaultConfig() Config { return Config{Seed: 1, Scale: "medium"} }
 // rate never reaches the end of the traffic window);
 // a switch buffer smaller than one data packet; a drop probability
 // outside [0,1) — at 1 and above no packet is ever delivered and the run
-// can only stall; or a dc traffic window no flow arrives in. Zero always
+// can only stall; a dc traffic window no flow arrives in; or an RTT
+// dumbbell whose slow group's round trip does not fit the clock. Zero always
 // means "the preset", so a negative value must not silently select it either.
 func (cfg Config) Validate() error {
 	for _, c := range []struct {
@@ -162,6 +163,11 @@ func (cfg Config) Validate() error {
 	}
 	if _, err := dcTraffic(cfg, ftCfg, duration, cmp.Or(cfg.DCWorkload, "hadoop"), cmp.Or(cfg.DCLoad, dcLoad)); err != nil {
 		return err
+	}
+	for _, rtt := range []func(Config) (rttSetup, error){rttScale, rttScaleWAN} {
+		if _, err := rtt(cfg); err != nil {
+			return err
+		}
 	}
 	if p := cfg.DCProtocol; p != "" && p != "hpcc" && p != "swift" {
 		return fmt.Errorf("exp: unknown protocol %q (hpcc or swift)", p)

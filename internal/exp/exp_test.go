@@ -276,6 +276,7 @@ func TestConfigValidation(t *testing.T) {
 		{"negative buffer", Config{BufferBytes: -1}},
 		{"negative rtt senders", Config{RTTSenders: -1}},
 		{"negative rtt slow delay", Config{RTTSlowDelay: -sim.Microsecond}},
+		{"rtt slow delay beyond the clock", Config{RTTSlowDelay: 1290 * 3600 * sim.Second}},
 		{"data drop prob 2", Config{DropDataProb: 2}},
 		{"data drop prob 1", Config{DropDataProb: 1}},
 		{"data drop prob negative", Config{DropDataProb: -0.5}},

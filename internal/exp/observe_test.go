@@ -6,7 +6,9 @@ import (
 	"testing"
 	"time"
 
+	"faircc/internal/net"
 	"faircc/internal/sim"
+	"faircc/internal/topo"
 )
 
 // Observability must be a pure read: enabling progress reporting and
@@ -109,29 +111,33 @@ func TestObservabilityDoesNotPerturbResults(t *testing.T) {
 	if !slices.Equal(stats.Lanes, wantLanes) {
 		t.Errorf("lanes = %+v, want %+v", stats.Lanes, wantLanes)
 	}
-	// The incast's flows are added in start order, so every start comes off
-	// the posted lane and none is queued on the heap.
-	if flows := uint64(len(observed.records)); stats.EventsPosted != flows {
-		t.Errorf("events_posted = %d, want one per flow, %d", stats.EventsPosted, flows)
+	// The incast's flows are added in start order, so once they are set up
+	// one start is pending, beside the two samplers' first ticks: the
+	// network's one start event for the first flow, not one per flow.
+	star := net.New(sim.NewEngine(), 1)
+	buildIncast(star, v, paperIncast(16), nil, 16)
+	if got := star.Eng.Pending(); got != 3 {
+		t.Errorf("incast: %d events pending after set-up, want 3 (one start, two sampler ticks)", got)
 	}
 	// So are a mix workload's, whose two Poisson streams workload.Arrivals
-	// merges, on the run path every datacenter experiment shares. Every
-	// flow finished (simulate errs otherwise), so the records count them.
-	mix := Config{Seed: 1, Scale: "small", DCWorkload: "mix", obs: &runObserver{}}
+	// merges, on the run path every datacenter experiment shares.
+	mix := Config{Seed: 1, Scale: "small", DCWorkload: "mix"}
 	plan, err := planDC(mix)
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := plan.run(mix)
+	traffic, err := dcTraffic(mix, plan.ftCfg, plan.duration, plan.workload, plan.load)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var flows uint64
-	for _, run := range out.runs {
-		flows += uint64(len(run.records))
+	dc := net.New(sim.NewEngine(), 1)
+	topo.NewFatTree(dc, plan.ftCfg)
+	src := traffic()
+	for spec, ok := src.Next(); ok; spec, ok = src.Next() {
+		dc.AddFlow(spec, plan.vs[0].make())
 	}
-	if posted := mix.obs.finish(time.Second).EventsPosted; posted != flows {
-		t.Errorf("mix: events_posted = %d, want one per flow, %d", posted, flows)
+	if got := dc.Eng.Pending(); got != 1 || len(dc.Flows()) < 2 {
+		t.Errorf("mix: %d events pending after adding %d flows, want 1", got, len(dc.Flows()))
 	}
 }
 

@@ -78,7 +78,21 @@ func applyRTTKnobs(cfg Config, s *rttSetup) error {
 			s.dc.Groups[i].Count = cfg.RTTSenders
 		}
 	}
-	return s.dc.Validate()
+	if err := s.dc.Validate(); err != nil {
+		return err
+	}
+	if cfg.RTTSlowDelay > 0 {
+		// The slow group's round trip must fit the clock, or its flows'
+		// base RTT wraps negative.
+		nw := net.New(sim.NewEngine(), 0)
+		d := topo.NewDumbbell(nw, s.dc)
+		last := len(d.Senders) - 1 // a sender of the last group
+		if _, _, _, err := nw.ProbePath(net.FlowSpec{ID: -1, Src: d.Senders[last].NodeID(),
+			Dst: d.Receivers[last].NodeID(), Size: 1}); err != nil {
+			return fmt.Errorf("exp: RTTSlowDelay %v puts the slow group's round trip beyond the simulator's clock", cfg.RTTSlowDelay)
+		}
+	}
+	return nil
 }
 
 // rttParams sizes the protocol variants from the fast-class path, the

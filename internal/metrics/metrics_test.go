@@ -14,7 +14,7 @@ import (
 
 type fixedAlgo struct{ ctl cc.Control }
 
-func (a *fixedAlgo) Init(cc.Env) cc.Control       { return a.ctl }
+func (a *fixedAlgo) Init(*cc.Env) cc.Control      { return a.ctl }
 func (a *fixedAlgo) OnAck(cc.Feedback) cc.Control { return a.ctl }
 
 func rateAlgo(bps float64) cc.Algorithm {

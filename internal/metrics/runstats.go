@@ -32,13 +32,10 @@ type RunStats struct {
 	// EventsLaned is how many of Events came off the engines' delay lanes
 	// (sim.Lane: link arrivals and standard-size serialization ends) and
 	// never entered the engines' heaps, summed across runs. Lanes splits it
-	// by delay, summed over runs, in ascending delay order. EventsPosted is
-	// how many came off the engines' posted lanes (sim.Engine.Post: flow
-	// starts in start order). Events - EventsLaned - EventsPosted is the
-	// heaps' load.
-	EventsLaned  uint64          `json:"events_laned"`
-	Lanes        []sim.LaneStats `json:"lanes,omitempty"`
-	EventsPosted uint64          `json:"events_posted"`
+	// by delay, summed over runs, in ascending delay order. Events -
+	// EventsLaned is the heaps' load.
+	EventsLaned uint64          `json:"events_laned"`
+	Lanes       []sim.LaneStats `json:"lanes,omitempty"`
 
 	// Simulated time covered, summed across runs.
 	SimSeconds float64 `json:"sim_seconds"`
@@ -70,7 +67,7 @@ func CollectRun(nw *net.Network) RunStats {
 	var s RunStats
 	s.Add(RunStats{Runs: 1, Events: es.Steps, EventsScheduled: es.Scheduled, EventsCancelled: es.Cancelled,
 		PeakPending: es.PeakPending, EventSlotAllocs: es.EventAllocs, EventsLaned: es.Laned, Lanes: es.Lanes,
-		EventsPosted: es.Posted, SimSeconds: nw.Eng.Now().Seconds(), Counters: nw.Stats().Counters})
+		SimSeconds: nw.Eng.Now().Seconds(), Counters: nw.Stats().Counters})
 	return s
 }
 
@@ -101,7 +98,6 @@ func (s *RunStats) Add(o RunStats) {
 	s.EventSlotAllocs += o.EventSlotAllocs
 	s.EventsLaned += o.EventsLaned
 	s.addLanes(o.Lanes)
-	s.EventsPosted += o.EventsPosted
 	s.SimSeconds += o.SimSeconds
 	s.Counters.Add(o.Counters)
 }
@@ -129,10 +125,10 @@ func (s *RunStats) Finish(wall time.Duration) {
 // anything, so lossless output is unchanged.
 func (s RunStats) String() string {
 	out := fmt.Sprintf(
-		"%d run(s): %d events (%d laned, %d posted, %d queued) in %.2fs (%.2fM ev/s), %d data pkts, %d acks, "+
+		"%d run(s): %d events (%d laned, %d queued) in %.2fs (%.2fM ev/s), %d data pkts, %d acks, "+
 			"%d ECN marks, %d PFC pauses, pool reuse %.1f%%, "+
 			"%d event slot allocs, peak heap %.1f MB",
-		s.Runs, s.Events, s.EventsLaned, s.EventsPosted, s.Events-s.EventsLaned-s.EventsPosted,
+		s.Runs, s.Events, s.EventsLaned, s.Events-s.EventsLaned,
 		s.WallSeconds, s.EventsPerSec/1e6,
 		s.DataSent, s.AcksSent, s.ECNMarks, s.PFCPauses,
 		100*s.PoolReuseRate, s.EventSlotAllocs, float64(s.PeakHeapBytes)/1e6)

@@ -1,6 +1,7 @@
 package net_test
 
 import (
+	"fmt"
 	"runtime"
 	"testing"
 
@@ -13,11 +14,11 @@ import (
 )
 
 // TestAddFlowAllocatesInChunks: a flow costs a slot in the network's flow
-// slab and no path — the start walks it — and its start is posted on the
-// engine's posted lane, not queued through a func value and an event slot.
-// Adding 4096 flows, in start order, to a built 32-host fat-tree may make at
-// most one allocation per 16 flows — growing the flow slab, the flow list
-// and the posted lane.
+// slab and no path — the start walks it — and its start waits in its
+// shard's start queue, linked through the handle, not in an event slot or a
+// queue entry of its own. Adding 4096 flows, in start order, to a built
+// 32-host fat-tree may make at most one allocation per 16 flows — growing
+// the flow slab and the flow list.
 func TestAddFlowAllocatesInChunks(t *testing.T) {
 	const flows = 4096
 	ftCfg := topo.DefaultFatTree().Scaled(2, 2, 8)
@@ -41,6 +42,56 @@ func TestAddFlowAllocatesInChunks(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	if mallocs := after.Mallocs - before.Mallocs; 16*mallocs > flows {
 		t.Errorf("adding %d flows made %d allocations, want at most one per 16 flows", flows, mallocs)
+	}
+}
+
+// TestOneStartPendingPerShard: flows added in start order hold no event of
+// their own until they start. After 10 000 AddFlows spread over 1 ms, each
+// shard engine has one event pending, its start event, whether the fat-tree
+// runs whole or cut into two shards; and over the run the pending peak stays
+// below the flow count, which an event per start would have put it above.
+func TestOneStartPendingPerShard(t *testing.T) {
+	for _, shards := range []int{1, 2} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			const flows = 10_000
+			ftCfg := topo.DefaultFatTree().Scaled(2, 2, 8)
+			nw := net.New(sim.NewEngine(), 1)
+			ft := topo.NewFatTree(nw, ftCfg)
+			if shards > 1 {
+				nw.Shard(ft.ShardMap(shards))
+			}
+			hosts := ftCfg.NumHosts()
+			for i := range flows {
+				src := i % hosts
+				nw.AddFlow(net.FlowSpec{ID: i + 1, Src: src, Dst: (src + 1 + i/hosts%(hosts-1)) % hosts,
+					Size: 1_000, Start: sim.Time(i) * sim.Millisecond / flows}, hpcc.New(hpcc.DefaultConfig()))
+			}
+			engines := nw.ShardEngines()
+			if len(engines) != shards {
+				t.Fatalf("%d shard engines, want %d", len(engines), shards)
+			}
+			for i, eng := range engines {
+				if got := eng.Pending(); got != 1 {
+					t.Errorf("shard %d: %d events pending after %d AddFlows, want 1", i, got, flows)
+				}
+			}
+			if shards > 1 {
+				if err := nw.NewParallel().Run(); err != nil {
+					t.Fatal(err)
+				}
+			} else {
+				for !nw.AllFinished() && nw.Eng.Step() {
+				}
+			}
+			if !nw.AllFinished() {
+				t.Fatal("flows did not finish")
+			}
+			for i, eng := range engines {
+				if peak := eng.Stats().PeakPending; peak >= flows {
+					t.Errorf("shard %d: %d events pending at the peak, want fewer than the %d flows", i, peak, flows)
+				}
+			}
+		})
 	}
 }
 

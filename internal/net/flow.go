@@ -18,12 +18,12 @@ type FlowSpec struct {
 }
 
 // Flow is the handle of one flow: what AddFlow returns, valid for the
-// network's life. It holds the spec, the path constants, and the results;
-// everything the flow needs only while it runs — window, pacing, RTO,
-// algorithm, path, receiver state — lives in a flowRun that the start takes
-// from its shard's free list and that goes back there once nothing can
-// reach it (see flowRun.release). Handles are carved from the network's flow
-// slab.
+// network's life. It holds the spec, the path constants, its place in the
+// start order, and the results; everything the flow needs only while it
+// runs — window, pacing, RTO, algorithm and its cc.Env, path, receiver
+// state — lives in a flowRun that the start takes from its shard's free
+// list and that goes back there once nothing can reach it (see
+// flowRun.release). Handles are carved from the network's flow slab.
 type Flow struct {
 	Spec FlowSpec
 
@@ -32,6 +32,12 @@ type Flow struct {
 	// the run; run is the run state from the start until the finish.
 	algo cc.Algorithm
 	run  *flowRun
+
+	// start is the start's place in the engine's order, reserved by
+	// AddFlow; nextStart links the flows queued behind it on the shard's
+	// start event (see shard.queueStart).
+	start     sim.Reservation
+	nextStart *Flow
 
 	hops     int
 	baseRTT  sim.Time
@@ -126,14 +132,15 @@ func (f *Flow) TakeDeliveredDelta() int64 {
 	return d
 }
 
-// Fire is the flow's start event, posted by AddFlow: it takes a run slot
-// from the source host's shard, re-walks the path into the slot's buffer —
-// routes are fixed at the first flow, so the walk repeats AddFlow's — and
-// the forward ports' rates into the slot's rate buffer, initializes
-// congestion control and begins sending. A reused slot keeps its buffers
-// and gates, and the run is its own timers (see paceTimer
-// and rtoTimer), so starting a flow allocates nothing once the shard has
-// carved as many slots as flows run at once.
+// Fire is the flow's start, run by its shard's start event or, for a flow
+// added out of start order, as an event of its own (see shard.queueStart):
+// it takes a run slot from the source host's shard, re-walks the path into
+// the slot's buffer — routes are fixed at the first flow, so the walk
+// repeats AddFlow's — and the forward ports' rates into the slot's rate
+// buffer, fills in the slot's cc.Env, initializes congestion control and
+// begins sending. A reused slot keeps its buffers and gates, and the run is
+// its own timers (see paceTimer and rtoTimer), so starting a flow allocates
+// nothing once the shard has carved as many slots as flows run at once.
 func (f *Flow) Fire() {
 	n := f.net
 	host := n.hostByNode[f.Spec.Src]
@@ -143,23 +150,24 @@ func (f *Flow) Fire() {
 	if err != nil {
 		panic("net: " + err.Error())
 	}
-	bps := r.hopBps[:0]
+	bps := r.env.HopBps[:0]
 	for _, pt := range path[:f.hops] {
 		bps = append(bps, pt.bw)
 	}
 	*r = flowRun{flow: f, net: n, sh: sh, eng: sh.eng, host: host, algo: f.algo,
-		size: f.Spec.Size, src: int32(f.Spec.Src), dst: int32(f.Spec.Dst),
-		hops: f.hops, baseRTT: f.baseRTT, rtoBase: n.initialRTO(f.baseRTT),
-		path: path, hopBps: bps, gates: r.gates}
+		size: f.Spec.Size, dst: f.Spec.Dst, hops: f.hops, rtoBase: n.initialRTO(f.baseRTT),
+		path: path, gates: r.gates,
+		env: cc.Env{LineRateBps: host.port.bw, BaseRTT: f.baseRTT, MTU: n.MTU, HopBps: bps, Rand: sh.rand, Timers: r}}
 	r.rto = r.rtoBase
 	f.algo, f.run, f.started = nil, r, true
-	r.ctl = r.algo.Init(r.env())
+	r.ctl = r.algo.Init(&r.env)
 	r.trySend()
 }
 
 // flowRun is a flow's run state: the sender side (pacing, window,
-// congestion control, RTO) and the receiver side (delivery accounting, CNP
-// policy). Packets, timers and gates point at it, never at the handle.
+// congestion control, RTO), the algorithm's cc.Env, and the receiver side
+// (delivery accounting, CNP policy). Packets, timers and gates point at it,
+// never at the handle.
 //
 // The sender side executes on the source host's shard, where the run slot
 // is taken and returned; the receiver-side fields are touched only on the
@@ -167,10 +175,11 @@ func (f *Flow) Fire() {
 // 8-byte word, so sharded runs are race-free without any per-field
 // synchronization.
 //
-// A slot is five whole cache lines, so slab-carved slots start on a line
+// A slot is six whole cache lines, so slab-carved slots start on a line
 // (TestPacketLayout). What trySend and onAck touch on every packet comes
-// first, on three lines; the path, which both ends read, and the
-// receiver's fields come last.
+// first, on three lines; then the Env, which the start fills in and the
+// algorithm only reads, and the path, which both ends read, on two more;
+// the receiver's fields last, on a line of their own.
 type flowRun struct {
 	eng      *sim.Engine
 	sh       *shard
@@ -193,7 +202,7 @@ type flowRun struct {
 	gatesOut int32 // gates scheduled and not yet fired
 	acked    int64 // payload bytes acknowledged
 	algo     cc.Algorithm
-	src, dst int32 // Spec.Src and Spec.Dst
+	dst      int // Spec.Dst, which the receiver checks
 
 	// pending/pendingAt track the outstanding pacing wakeup (see
 	// paceTimer). The handle is generation-stamped, so cancelling it after
@@ -209,27 +218,28 @@ type flowRun struct {
 	rto         sim.Time // current timeout (doubles on fire; capped at RTOMax when set, always at rtoBackoffCeiling)
 	rtoDeadline sim.Time
 
-	baseRTT sim.Time
+	// env is the algorithm's cc.Env: filled in at the start, read through
+	// the pointer Init was given until the finish. Env.Timers is the run;
+	// Env.HopBps is the rate of each forward port, a buffer carved with the
+	// slot (see shard.takeRun) and kept across reuse.
+	env cc.Env
 	// gates is the free list of the liveness gates Schedule wraps around
 	// algorithm timers, so periodic timers (DCQCN's alpha/rate) stop
 	// allocating once each chain owns a gate. It is kept across reuse.
 	gates *ccGate
 	next  *flowRun // shard free-list link
 	flow  *Flow    // the handle, which the finish fills in
-
 	// path is the flat forwarding path walked at the start: the egress
 	// port each switch picks for this flow's data, path[:hops], then for
-	// its ACKs, path[hops:]. hopBps is the rate of each forward port, the
-	// algorithm's Env.HopBps. Both buffers are carved with the slot (see
-	// shard.takeRun) and kept across reuse.
-	hops   int
-	path   []*Port
-	hopBps []float64
+	// its ACKs, path[hops:]. It is carved with the slot and kept across
+	// reuse; hops is len(env.HopBps).
+	hops int
+	path []*Port
 
 	// Receiver side.
 	delivered int64
 	lastCNP   sim.Time
-	_         [24]byte // to five cache lines
+	_         [48]byte // to six cache lines
 }
 
 // paceTimer and rtoTimer are a run as its pacing wakeup and as its
@@ -249,19 +259,6 @@ func (t *paceTimer) Fire() {
 
 // Fire is the retransmission timeout.
 func (t *rtoTimer) Fire() { (*flowRun)(t).onRTO() }
-
-// env builds the cc.Env for this flow's algorithm; the run is the Env's
-// Timers.
-func (r *flowRun) env() cc.Env {
-	return cc.Env{
-		LineRateBps: r.host.port.bw,
-		BaseRTT:     r.baseRTT,
-		MTU:         r.net.MTU,
-		HopBps:      r.hopBps,
-		Rand:        r.sh.rand,
-		Timers:      r,
-	}
-}
 
 // SetControl implements cc.Timers: timer-driven rate updates land here.
 func (r *flowRun) SetControl(c cc.Control) {

@@ -42,7 +42,7 @@ func (h *Host) Receive(p *Packet, in *Port) {
 
 func (h *Host) receiveData(p *Packet) {
 	r := p.run
-	if int(r.dst) != h.id {
+	if r.dst != h.id {
 		panic("net: data packet delivered to wrong host")
 	}
 	if p.Seq == r.delivered {

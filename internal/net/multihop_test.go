@@ -221,7 +221,7 @@ func TestWindowShrinkMidFlight(t *testing.T) {
 
 type shrinkAlgo struct{ acks int }
 
-func (a *shrinkAlgo) Init(cc.Env) cc.Control {
+func (a *shrinkAlgo) Init(*cc.Env) cc.Control {
 	return cc.Control{WindowBytes: 100_000, RateBps: gbps100}
 }
 func (a *shrinkAlgo) OnAck(cc.Feedback) cc.Control {

@@ -20,7 +20,7 @@ type fixedAlgo struct {
 	last     cc.Feedback
 }
 
-func (a *fixedAlgo) Init(env cc.Env) cc.Control {
+func (a *fixedAlgo) Init(env *cc.Env) cc.Control {
 	a.hopBps = append(a.hopBps[:0], env.HopBps...)
 	return a.ctl
 }

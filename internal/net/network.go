@@ -2,6 +2,7 @@ package net
 
 import (
 	"fmt"
+	"math"
 	"sync/atomic"
 	"unsafe"
 
@@ -196,11 +197,12 @@ func (n *Network) Connect(a, b Node, bps float64, delay sim.Time) (*Port, *Port)
 	return pa, pb
 }
 
-// AddFlow registers a flow and posts its start: the flow is its own start
-// event (see Flow.Fire), so flows added in start order never touch the
-// engine's heap. AddFlow checks the routes both ways and derives the path
-// constants, but keeps no path: the start walks it again. The algorithm
-// instance must be exclusive to this flow.
+// AddFlow registers a flow and reserves its start's place in the engine's
+// order: flows added in start order wait in their source shard's start
+// queue, and only the first of them is pending (see shard.queueStart).
+// AddFlow checks the routes both ways and derives the path constants, but
+// keeps no path: the start walks it again. The algorithm instance must be
+// exclusive to this flow.
 func (n *Network) AddFlow(spec FlowSpec, algo cc.Algorithm) *Flow {
 	if spec.Size <= 0 {
 		panic("net: flow size must be positive")
@@ -209,9 +211,9 @@ func (n *Network) AddFlow(spec FlowSpec, algo cc.Algorithm) *Flow {
 	if len(n.flowChunk) == 0 {
 		n.flowChunk = make([]Flow, flowSlab)
 	}
-	f := &n.flowChunk[0]
+	f := &n.flowChunk[0] // zeroed by make, and never reused
 	n.flowChunk = n.flowChunk[1:]
-	*f = Flow{Spec: spec, net: n, algo: algo}
+	f.Spec, f.net, f.algo = spec, n, algo
 	if err := n.pathInfo(f, src); err != nil {
 		panic("net: " + err.Error())
 	}
@@ -220,15 +222,16 @@ func (n *Network) AddFlow(spec FlowSpec, algo cc.Algorithm) *Flow {
 	n.flows = append(n.flows, f)
 	n.unfinished.Add(1)
 	// The flow's sender side executes on the source host's shard: its
-	// start event, pacing timers, RTO and ACK processing all run there.
-	src.sh.eng.Post(spec.Start, f)
+	// start, pacing timers, RTO and ACK processing all run there.
+	src.sh.queueStart(f)
 	return f
 }
 
-// initialRTO is a flow's first retransmission timeout: 4*baseRTT clamped
-// into [RTOMin, RTOMax].
+// initialRTO is a flow's first retransmission timeout: 4*baseRTT, which
+// saturates at the end of the clock rather than wrap, clamped into
+// [RTOMin, RTOMax].
 func (n *Network) initialRTO(baseRTT sim.Time) sim.Time {
-	rto := max(4*baseRTT, n.RTOMin)
+	rto := max(4*min(baseRTT, math.MaxInt64/4), n.RTOMin)
 	if n.RTOMax > 0 && rto > n.RTOMax {
 		// On long-delay paths (a 10 ms WAN-edge hop makes 4*baseRTT ~80 ms)
 		// the initial timeout must respect the same ceiling the backoff
@@ -261,8 +264,9 @@ func (n *Network) findHost(id int) *Host {
 // the unloaded RTT (per-link propagation plus MTU-packet serialization
 // forward, propagation plus ACK serialization back); the one-way
 // pipeline-fill delay; and the bottleneck bandwidth. A missing route in
-// either direction is an error. pathInfo allocates nothing once the scratch
-// has grown, and never touches the packet pool.
+// either direction is an error, and so is a round trip too long for the
+// clock. pathInfo allocates nothing once the scratch has grown, and never
+// touches the packet pool.
 func (n *Network) pathInfo(f *Flow, src *Host) (err error) {
 	if src == nil {
 		return fmt.Errorf("no host with id %d", f.Spec.Src)
@@ -274,9 +278,13 @@ func (n *Network) pathInfo(f *Flow, src *Host) (err error) {
 		return err
 	}
 	f.minBw = src.port.bw
-	f.addLink(src.port)
+	if err := f.addLink(src.port); err != nil {
+		return err
+	}
 	for _, port := range n.walk[:f.hops] {
-		f.addLink(port)
+		if err := f.addLink(port); err != nil {
+			return err
+		}
 	}
 	return nil
 }
@@ -321,13 +329,30 @@ func resolvePath(from *Port, dst, flowID int, path []*Port) ([]*Port, error) {
 	}
 }
 
-// addLink folds one forward link into the flow's path constants.
-func (f *Flow) addLink(port *Port) {
+// addLink folds one forward link into the flow's path constants. It fails
+// once the round trip passes the end of the clock, where the sum would wrap
+// negative.
+func (f *Flow) addLink(port *Port) error {
 	f.minBw = min(f.minBw, port.bw)
 	f.propSum += port.delay
 	f.invBwSum += 1 / port.bw
-	fwd := port.delay + sim.TransmitTime(f.net.MTU+f.net.HeaderBytes, port.bw)
-	f.baseRTT += fwd + port.delay + sim.TransmitTime(f.net.AckBytes, port.bw)
+	// Every term is non-negative, so a sum past the end of the clock wraps
+	// negative, and stays so: no later term is added to it.
+	rtt := f.baseRTT + port.delay
+	if rtt >= 0 {
+		rtt += sim.TransmitTime(f.net.MTU+f.net.HeaderBytes, port.bw)
+	}
+	if rtt >= 0 {
+		rtt += port.delay
+	}
+	if rtt >= 0 {
+		rtt += sim.TransmitTime(f.net.AckBytes, port.bw)
+	}
+	if rtt < 0 {
+		return fmt.Errorf("flow %d: base RTT beyond the simulator's clock (at most %v)", f.Spec.ID, sim.Time(math.MaxInt64))
+	}
+	f.baseRTT = rtt
+	return nil
 }
 
 // ProbePath computes path constants (switch hops, unloaded RTT, bottleneck

@@ -25,9 +25,38 @@ func TestPacketLayout(t *testing.T) {
 	}
 
 	// A run slot is whole cache lines too, so its hot fields stay on the
-	// lines flowRun's order puts them on.
-	if s := unsafe.Sizeof(flowRun{}); s%64 != 0 {
+	// lines flowRun's order puts them on: the sender's first, on three; the
+	// cc.Env, which the algorithm reads on every ACK, from the fourth; the
+	// receiver's writes on the last line, away from everything the sender
+	// reads.
+	var r flowRun
+	if s := unsafe.Sizeof(r); s%64 != 0 {
 		t.Errorf("flowRun is %d bytes, want a multiple of 64", s)
+	}
+	for _, f := range []struct {
+		name     string
+		off, max uintptr
+	}{
+		{"size", unsafe.Offsetof(r.size), 64},
+		{"sent", unsafe.Offsetof(r.sent), 64},
+		{"inflight", unsafe.Offsetof(r.inflight), 64},
+		{"nextSend", unsafe.Offsetof(r.nextSend), 64},
+		{"ctl", unsafe.Offsetof(r.ctl), 128},
+		{"acked", unsafe.Offsetof(r.acked), 128},
+		{"algo", unsafe.Offsetof(r.algo), 192},
+		{"pending", unsafe.Offsetof(r.pending), 192},
+		{"rtoDeadline", unsafe.Offsetof(r.rtoDeadline), 192},
+	} {
+		if f.off+8 > f.max {
+			t.Errorf("flowRun.%s at offset %d, want it within the first %d bytes", f.name, f.off, f.max)
+		}
+	}
+	if off := unsafe.Offsetof(r.env); off != 192 {
+		t.Errorf("flowRun.env at offset %d, want 192: the fourth line", off)
+	}
+	if off, last := unsafe.Offsetof(r.delivered), unsafe.Sizeof(r)-64; off < last || unsafe.Offsetof(r.lastCNP) < last {
+		t.Errorf("flowRun's receiver fields at offsets %d and %d, want both on the last line, from %d",
+			off, unsafe.Offsetof(r.lastCNP), last)
 	}
 
 	// Two chunks' worth of fresh packets: every chunk on a page boundary,

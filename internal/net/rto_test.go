@@ -1,6 +1,9 @@
 package net
 
 import (
+	"fmt"
+	"math"
+	"strings"
 	"testing"
 
 	"faircc/internal/cc"
@@ -50,6 +53,49 @@ func TestInitialRTOClamped(t *testing.T) {
 	if 4*f.baseRTT <= nw.RTOMax {
 		t.Fatalf("precondition: 4*baseRTT=%v should exceed RTOMax=%v", 4*f.baseRTT, nw.RTOMax)
 	}
+}
+
+// TestHoursLongPaths: a 1000 h link's round trip fits the clock, but four
+// of them do not; the first timeout then saturates into the RTOMax clamp,
+// where a wrapped 4*baseRTT went negative and clamped to RTOMin. Two such
+// links in a row do not fit at all, and the path is refused: ProbePath
+// returns an error and AddFlow panics naming the flow, instead of summing
+// the base RTT past the end of the clock.
+func TestHoursLongPaths(t *testing.T) {
+	const hour = 3600 * sim.Second
+	nw := New(sim.NewEngine(), 1)
+	h0, h1 := nw.AddHost(), nw.AddHost()
+	nw.Connect(h0, h1, gbps100, 1000*hour)
+	spec := FlowSpec{ID: 7, Src: h0.NodeID(), Dst: h1.NodeID(), Size: 1000}
+	_, rtt, _, err := nw.ProbePath(spec)
+	if err != nil || rtt < 2000*hour {
+		t.Fatalf("1000 h link: ProbePath = (%v, %v), want a base RTT over 2000 h", rtt, err)
+	}
+	if got := nw.initialRTO(rtt); got != nw.RTOMax {
+		t.Errorf("initial RTO on a %v round trip is %v, want RTOMax %v", rtt, got, nw.RTOMax)
+	}
+	nw.RTOMax = 0
+	if got, want := nw.initialRTO(rtt), sim.Time(4*(math.MaxInt64/4)); got != want {
+		t.Errorf("initial RTO without RTOMax on a %v round trip is %v, want it saturated at %v", rtt, got, want)
+	}
+
+	nw = New(sim.NewEngine(), 1)
+	h0, h1 = nw.AddHost(), nw.AddHost()
+	sw := nw.AddSwitch()
+	nw.Connect(h0, sw, gbps100, 1000*hour)
+	nw.Connect(sw, h1, gbps100, 1000*hour)
+	sw.AddRoute(h1.NodeID(), sw.ports[1])
+	sw.AddRoute(h0.NodeID(), sw.ports[0])
+	spec = FlowSpec{ID: 7, Src: h0.NodeID(), Dst: h1.NodeID(), Size: 1000}
+	if _, rtt, _, err := nw.ProbePath(spec); err == nil || !strings.Contains(err.Error(), "flow 7") {
+		t.Fatalf("two 1000 h links: ProbePath = (%v, %v), want an error naming flow 7", rtt, err)
+	}
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "flow 7") {
+			t.Fatalf("AddFlow on two 1000 h links: panic %v, want one naming flow 7", r)
+		}
+	}()
+	nw.AddFlow(spec, &fixedAlgo{})
 }
 
 // TestRTORecoveryOnHighDelayPath drops one mid-flow data packet on a path

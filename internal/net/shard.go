@@ -46,6 +46,12 @@ type shard struct {
 	pathChunk []*Port
 	bpsChunk  []float64
 
+	// starts is the queue of flows whose source host is on this shard and
+	// that were added in start order, linked through Flow.nextStart and
+	// ending at lastStart; the shard's one start event is scheduled for the
+	// head (see queueStart).
+	starts, lastStart *Flow
+
 	// Lifetime counters, summed across shards by Network.Stats.
 	Counters
 }
@@ -63,9 +69,66 @@ func newShard(n *Network, id int, eng *sim.Engine) *shard {
 		net:       n,
 		id:        id,
 		eng:       eng,
-		rand:      rand.New(rand.NewSource(seed)),
-		faultRand: rand.New(rand.NewSource(seed ^ 0x5dee_c0de)),
+		rand:      rand.New(&lazySource{seed: seed}),
+		faultRand: rand.New(&lazySource{seed: seed ^ 0x5dee_c0de}),
 	}
+}
+
+// lazySource is rand.NewSource(seed), seeded at its first draw: a stream
+// holds 4.9 KB of state and seeding it is a loop over all of it, and only
+// RED marking, probabilistic feedback and fault injection draw at all.
+// Draw for draw it is the stream rand.NewSource(seed) gives.
+type lazySource struct {
+	seed int64
+	src  rand.Source64
+}
+
+func (s *lazySource) Int63() int64    { return s.source().Int63() }
+func (s *lazySource) Uint64() uint64  { return s.source().Uint64() }
+func (s *lazySource) Seed(seed int64) { s.seed, s.src = seed, nil }
+
+func (s *lazySource) source() rand.Source64 {
+	if s.src == nil {
+		s.src = rand.NewSource(s.seed).(rand.Source64)
+	}
+	return s.src
+}
+
+// startEvent is a shard as its start event: it starts the flow at the head
+// of the shard's start queue and re-arms for the next one.
+type startEvent shard
+
+// queueStart reserves f's place in the engine's order now and schedules
+// its start under it later. A flow whose start is not before the last
+// queued one joins the queue, and the shard's one start event, armed for
+// the head, starts each in turn; one that would start earlier becomes an
+// event of its own. Either way the start runs at (Spec.Start, the
+// reservation), where an event scheduled at AddFlow would, so the queue
+// changes what is pending — one event per shard instead of one per flow —
+// and not the order.
+func (sh *shard) queueStart(f *Flow) {
+	f.start = sh.eng.Reserve()
+	switch {
+	case sh.lastStart == nil:
+		sh.starts, sh.lastStart = f, f
+		sh.eng.ScheduleReserved(f.Spec.Start, f.start, (*startEvent)(sh))
+	case f.Spec.Start >= sh.lastStart.Spec.Start:
+		sh.lastStart.nextStart, sh.lastStart = f, f
+	default:
+		sh.eng.ScheduleReserved(f.Spec.Start, f.start, f)
+	}
+}
+
+// Fire starts the head of the queue after arming for the flow behind it.
+func (e *startEvent) Fire() {
+	sh := (*shard)(e)
+	f := sh.starts
+	if sh.starts, f.nextStart = f.nextStart, nil; sh.starts != nil {
+		sh.eng.ScheduleReserved(sh.starts.Spec.Start, sh.starts.start, e)
+	} else {
+		sh.lastStart = nil
+	}
+	f.Fire()
 }
 
 // packetSlab is how many packets a pool miss carves at once, packetChunk
@@ -149,7 +212,7 @@ func (sh *shard) takeRun() *flowRun {
 	if len(sh.bpsChunk) < h {
 		sh.bpsChunk = make([]float64, max(pathSlab, h))
 	}
-	r.hopBps = sh.bpsChunk[:0:h]
+	r.env.HopBps = sh.bpsChunk[:0:h]
 	sh.bpsChunk = sh.bpsChunk[h:]
 	return r
 }

@@ -1,6 +1,8 @@
 package net
 
 import (
+	"math"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -193,5 +195,50 @@ func TestShardRebindForgetsSerializationLanes(t *testing.T) {
 	pt.sendPFC(Resume)
 	if old, moved := eng.Pending(), nw.ShardEngines()[1].Pending(); old != 0 || moved != 1 {
 		t.Fatalf("after Shard the port's transmission left %d event(s) pending on its old engine and %d on its new one, want 0 and 1", old, moved)
+	}
+}
+
+// A shard's two PRNG streams are seeded at their first draw, not when the
+// shard is made, and draw for draw they are the streams rand.NewSource
+// seeds at once: the first 1 000 draws of both, through the methods the
+// network and the algorithms call, on shard 0 and on shard 1.
+func TestShardStreamsSeedLazily(t *testing.T) {
+	nw := New(sim.NewEngine(), 42)
+	for id, sh := range []*shard{nw.shards[0], newShard(nw, 1, sim.NewEngine())} {
+		seed := 42 + int64(id)*shardSeedStride
+		for _, c := range []struct {
+			name string
+			got  *rand.Rand
+			seed int64
+		}{
+			{"rand", sh.rand, seed},
+			{"faultRand", sh.faultRand, seed ^ 0x5dee_c0de},
+		} {
+			want := rand.New(rand.NewSource(c.seed))
+			for i := range 1000 {
+				var g, w uint64
+				switch i % 4 {
+				case 0:
+					g, w = math.Float64bits(c.got.Float64()), math.Float64bits(want.Float64())
+				case 1:
+					g, w = uint64(c.got.Int63()), uint64(want.Int63())
+				case 2:
+					g, w = c.got.Uint64(), want.Uint64()
+				case 3:
+					g, w = uint64(c.got.Intn(1000)), uint64(want.Intn(1000))
+				}
+				if g != w {
+					t.Fatalf("shard %d %s: draw %d is %v, want %v", id, c.name, i, g, w)
+				}
+			}
+		}
+	}
+	src := &lazySource{seed: 7}
+	if src.src != nil {
+		t.Fatal("a lazy source was seeded before its first draw")
+	}
+	src.Int63()
+	if src.src == nil {
+		t.Fatal("a lazy source drew without being seeded")
 	}
 }

@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -12,13 +14,14 @@ import (
 // RunUntil operations, including events that schedule children from inside
 // their callbacks. Every schedule may go through a delay lane instead of
 // the heap; to the model a lane event is just an event at now + d that
-// nobody holds a handle to, a posted event (Engine.Post) one at its time
-// that nobody holds a handle to, and an Every chain a run of such events,
-// each scheduling the next while that falls by the chain's end. Even ids are
-// scheduled as an object that is its own Handler, odd ids as a func(): both
-// kinds meet on the heap, on every lane, on the fall-back lanes and on the
-// posted lane. Execution order, the clock, NextEventTime and every Stats
-// counter must match, and the clock must never run backwards.
+// nobody holds a handle to, a reserved event (Engine.Reserve) one that takes
+// its sequence number when reserved and joins the queue some operations
+// later, when ScheduleReserved schedules it, and an Every chain a run of
+// events each scheduling the next while that falls by the chain's end. Even
+// ids are scheduled as an object that is its own Handler, odd ids as a
+// func(): both kinds meet on the heap, on every lane and on the fall-back
+// lanes. Execution order, the clock, NextEventTime and every Stats counter
+// must match, and the clock must never run backwards.
 
 // refModel is the reference scheduler: an unsorted slice scanned for the
 // (at, seq) minimum on every execution. Obviously correct, O(n) per event.
@@ -40,10 +43,18 @@ type refEv struct {
 	id  int
 }
 
-func (m *refModel) schedule(at Time, id int) {
-	m.evs = append(m.evs, refEv{at: at, seq: m.seq, id: id})
+func (m *refModel) schedule(at Time, id int) { m.scheduleReserved(at, m.reserve(), id) }
+
+// reserve takes the next sequence number; it counts as scheduled at once.
+func (m *refModel) reserve() uint64 {
 	m.seq++
 	m.scheduled++
+	return m.seq - 1
+}
+
+// scheduleReserved queues event id at at under the reserved seq.
+func (m *refModel) scheduleReserved(at Time, seq uint64, id int) {
+	m.evs = append(m.evs, refEv{at: at, seq: seq, id: id})
 }
 
 // every starts a chain whose ticks all carry id: the first at start, each
@@ -149,10 +160,10 @@ const childIDStride = 1_000_000_000
 // of them than maxLanes (checkOrder fails if that stops being so), so the
 // later ones exercise the fall-back to After, with the zero delay first (a
 // lane event at the current time), 1000 and 2500 chosen to tie with opNear
-// and opPost events, and 1000, 84, 7 and 5 close enough that RunUntil can
+// and opReserve events, and 1000, 84, 7 and 5 close enough that RunUntil can
 // line their lanes' heads up on one time. The first maxLanes-1 are
-// registered before the first op; the last slot goes to whichever comes
-// first, a lane of one of the other delays or the first post.
+// registered before the first op; the last slot goes to the first lane of
+// one of the other delays.
 var laneDelays = [...]Time{0, 1000, 7, 2500, 40_000, 5, 1_000_000, 84, 12_345, 3, 500}
 
 // spawnChild decides — purely from the parent id — whether an executing
@@ -190,13 +201,17 @@ const (
 	opStepBefore        // StepBefore(now + v%5000)
 	opLane              // schedule 1 + v>>8%4 events on lane v%len(laneDelays)
 	opLaneFlood         // schedule laneRingMin/2 + v>>8 events on lane v%len(laneDelays): the ring grows
-	opPost              // Post at now + v%10000
+	opReserve           // Reserve now; ScheduleReserved 1 + v%8 ops later, at now + v>>3 or the clock then if that is later
 	opEvery             // Every from now + v%4096, period 250 * (1 + v>>12%4), 1 + v>>14 ticks
 	numOps
 )
 
-// viaPost is engSchedule's lane argument for an event that is posted.
-const viaPost = -2
+// reserveOp encodes opReserve's operand: the event is scheduled k ops
+// later, d after the clock at reservation.
+func reserveOp(d, k int) []byte {
+	v := d<<3 | (k - 1)
+	return []byte{opReserve, byte(v), byte(v >> 8)}
+}
 
 // floodMin is the least opFlood schedules: equal times on four heap levels,
 // ordered by seq alone.
@@ -229,26 +244,25 @@ func checkOrder(t *testing.T, data []byte) {
 	if len(lanes) <= maxLanes {
 		t.Fatalf("%d lane delays, %d lane slots: the fall-back to At is no longer fuzzed", len(lanes), maxLanes)
 	}
-	registered := 0 // distinct delays asked for
 	laneFor := func(i int) *Lane {
 		if lanes[i] == nil {
 			lanes[i] = e.Lane(laneDelays[i])
-			registered++
 		}
 		return lanes[i]
 	}
 	for i := range maxLanes - 1 {
 		laneFor(i)
 	}
-	// What the posted lane must do, predicted from Post's contract: whether
-	// the first post found a slot free, the time at the lane's tail, how
-	// many of its events are pending, and how many posts it has taken.
-	var (
-		postTried, postSlot bool
-		postTail            Time
-		postLive            int
-		posted              uint64
-	)
+	// Reservations not yet scheduled: the op that schedules each, the time
+	// it was reserved for, its event id and both sides' sequence numbers.
+	type reservation struct {
+		due  int
+		at   Time
+		id   int
+		r    Reservation
+		mseq uint64
+	}
+	var reserved []reservation
 	// ran records that event id, scheduled for at, is running.
 	ran := func(id int, at Time) {
 		if e.Now() < last {
@@ -260,44 +274,32 @@ func checkOrder(t *testing.T, data []byte) {
 		last = e.Now()
 		engOrder = append(engOrder, id)
 	}
-	// engSchedule schedules event id on the heap (lane -1), on a lane, or
-	// through Post (viaPost).
+	// handler is event id's Handler: it records the run and schedules the
+	// event's child, if it has one.
 	var engSchedule func(at Time, id, lane int) EventID
-	engSchedule = func(at Time, id, lane int) EventID {
-		onPostLane := false
+	handler := func(at Time, id int) Handler {
 		fn := func() {
 			ran(id, at)
-			if onPostLane {
-				postLive--
-			}
 			if d, child, lane, ok := spawnChild(id); ok {
 				engSchedule(satAdd(e.Now(), d), child, lane)
 			}
 		}
-		var h Handler = Func(fn)
 		if id%2 == 0 {
-			h = &objEvent{run: fn}
+			return &objEvent{run: fn}
 		}
-		if lane == viaPost {
-			if !postTried {
-				postTried, postSlot = true, registered < maxLanes
-			}
-			if postSlot && (postLive == 0 || at >= postTail) {
-				onPostLane, postTail = true, at
-				postLive++
-				posted++
-			}
-			e.Post(at, h)
-			return EventID{} // posted events have no handle; cancelling this is a no-op
-		}
+		return Func(fn)
+	}
+	// engSchedule schedules event id on the heap (lane -1) or on a lane.
+	engSchedule = func(at Time, id, lane int) EventID {
+		h := handler(at, id)
 		if lane < 0 || e.Now()+laneDelays[lane] < e.Now() {
 			// No lane, or the lane's delay overflows the clock (it has
 			// reached a never event): the lane would panic, as After
 			// does, so the event goes to the saturated time on the heap.
-			if id%2 == 0 {
-				return e.Schedule(at, h)
+			if f, ok := h.(Func); ok {
+				return e.At(at, f)
 			}
-			return e.At(at, fn)
+			return e.Schedule(at, h)
 		}
 		ln := laneFor(lane)
 		ln.After(h)
@@ -321,10 +323,27 @@ func checkOrder(t *testing.T, data []byte) {
 		}
 	}
 
+	// scheduleReserved schedules the reservations due by op, in the order
+	// they were made, each at its time or at the clock if that has passed it.
+	scheduleReserved := func(op int) {
+		kept := reserved[:0]
+		for _, rv := range reserved {
+			if rv.due > op {
+				kept = append(kept, rv)
+				continue
+			}
+			at := max(rv.at, e.Now())
+			handles[rv.id] = e.ScheduleReserved(at, rv.r, handler(at, rv.id))
+			m.scheduleReserved(at, rv.mseq, rv.id)
+		}
+		reserved = kept
+	}
+
 	if len(data) > 3*maxFuzzOps {
 		data = data[:3*maxFuzzOps]
 	}
 	for op := 0; len(data) >= 3; op, data = op+1, data[3:] {
+		scheduleReserved(op)
 		v := int(data[1]) | int(data[2])<<8
 		switch data[0] % numOps {
 		case opNear:
@@ -363,8 +382,14 @@ func checkOrder(t *testing.T, data []byte) {
 			scheduleLane(v%len(laneDelays), 1+v>>8%4)
 		case opLaneFlood:
 			scheduleLane(v%len(laneDelays), laneRingMin/2+v>>8)
-		case opPost:
-			scheduleOn(satAdd(e.Now(), Time(v%10_000)), viaPost)
+		case opReserve:
+			if len(handles) >= maxFuzzEvents {
+				break
+			}
+			id := len(handles)
+			handles = append(handles, EventID{}) // cancelling it before it is scheduled is a no-op
+			reserved = append(reserved, reservation{due: op + 1 + v%8, at: satAdd(e.Now(), Time(v>>3)),
+				id: id, r: e.Reserve(), mseq: m.reserve()})
 		case opEvery:
 			if len(handles) >= maxFuzzEvents {
 				break
@@ -387,6 +412,7 @@ func checkOrder(t *testing.T, data []byte) {
 			t.Fatalf("op %d: NextEventTime (%v, %v), model (%v, %v)", op, at, ok, mat, mok)
 		}
 	}
+	scheduleReserved(math.MaxInt)
 	e.Run()
 	for m.exec() {
 	}
@@ -410,9 +436,6 @@ func checkOrder(t *testing.T, data []byte) {
 	}
 	if st.Laned != laned {
 		t.Fatalf("Stats reports %d events laned, %d were scheduled on lanes with a ring", st.Laned, laned)
-	}
-	if st.Posted != posted {
-		t.Fatalf("Stats reports %d events posted, Post's contract puts %d on the posted lane", st.Posted, posted)
 	}
 }
 
@@ -471,11 +494,13 @@ func FuzzEngineOrder(f *testing.F) {
 		// one lane takes more than its ring holds, twice over.
 		{opLane, 2, 3, opStep, 0, 0, opStep, 0, 0, opStep, 0, 0, opLaneFlood, 2, 0x40, opStep, 0, 0,
 			opLaneFlood, 2, 0xff, opLaneFlood, 0, 0x80, opCancel, 7, 0, opRunUntil, 7, 0},
-		// Posts among the base's heap and lane events: ties at 1000 with a
-		// heap event and lane 1, then one at 100, behind the tail, and, when
-		// the ops repeat after the base, posts at a clock long past the
-		// lane's tail.
-		{opPost, 0xe8, 0x03, opLane, 1, 0, opNear, 0xe8, 0x03, opPost, 0xe8, 0x03, opPost, 100, 0, opStep, 0, 0},
+		// Reservations among the base's heap and lane events: two for 1000,
+		// which tie a heap event and lane 1, the first scheduled after the
+		// second; one for 100, scheduled once the clock may have passed it;
+		// and, when the ops repeat after the base, reservations at a clock
+		// long past the first ones.
+		slices.Concat(reserveOp(1000, 4), []byte{opLane, 1, 0, opNear, 0xe8, 0x03}, reserveOp(1000, 1),
+			reserveOp(100, 8), []byte{opStep, 0, 0}),
 	} {
 		in := append(append([]byte{}, ops...), base...)
 		f.Add(append(in, ops...))
@@ -519,25 +544,33 @@ func FuzzEngineOrder(f *testing.F) {
 			opNear, 7, 0, opNear, 7, 0, opNear, 7, 0, opNear, 7, 0, opNear, 7, 0, opNear, 7, 0, opNear, 7, 0, opNear, 7, 0,
 			opStep, 0, 0, opStep, 0, 0, opStep, 0, 0, opStep, 0, 0, opNear, 0, 0, opNear, 0, 0, opNear, 0, 0,
 			opStep, 0, 0, opStep, 0, 0, opStep, 0, 0, opStep, 0, 0, opStep, 0, 0, opStep, 0, 0, opStep, 0, 0},
-		// What the posted lane can get wrong. Posts in order, a tie with the
-		// tail included; one at 150, before the tail, which the heap takes;
-		// then, once RunUntil has drained the lane, posts at the clock and
-		// after it, which the lane takes again.
-		{opPost, 100, 0, opPost, 200, 0, opPost, 200, 0, opPost, 150, 0, opPost, 0x2c, 0x01, opStep, 0, 0, opStep, 0, 0,
-			opRunUntil, 0xf4, 0x01, opPost, 0, 0, opPost, 5, 0, opStep, 0, 0, opStep, 0, 0},
-		// Ties at 1000 between posts, heap events and lane 1 (delay 1000),
-		// interleaved so that only seq decides.
-		{opNear, 0xe8, 0x03, opPost, 0xe8, 0x03, opLane, 1, 0, opPost, 0xe8, 0x03, opNear, 0xe8, 0x03, opLane, 1, 0,
-			opPost, 0xe8, 0x03, opStep, 0, 0, opStep, 0, 0, opStep, 0, 0, opStep, 0, 0, opStep, 0, 0, opStep, 0, 0, opStep, 0, 0},
-		// Every lane slot taken before the first post: lane 7 takes the last,
-		// and the posts, in order or not, all go through the heap.
-		{opLane, 7, 0, opPost, 10, 0, opPost, 20, 0, opPost, 5, 0, opStep, 0, 0, opStep, 0, 0, opStep, 0, 0, opStep, 0, 0},
-		// A chain's ticks tie lane 1 (delay 1000), a post and a heap event:
-		// the first tick at 1000 is scheduled by Every itself, the second at
-		// 2000 from inside the first, before the lane event and post that
-		// meet it there. Periodic drops to 0 once the second tick has run.
-		{opLane, 1, 0, opEvery, 0xe8, 0x73, opPost, 0xe8, 0x03, opNear, 0xe8, 0x03, opRunUntil, 0xe8, 0x03,
-			opLane, 1, 0, opPost, 0xe8, 0x03, opStep, 0, 0, opStep, 0, 0, opStep, 0, 0, opStep, 0, 0},
+		// What a reservation can get wrong: its place. Three reserved at 0,
+		// for 100, 200 and 200, are scheduled in the reverse order, among
+		// heap events at 200 and 100 made after them; the one for 100 only
+		// once the event at 100 has run and the clock stands there. Then,
+		// with the clock moved on, reservations at the clock and after it.
+		slices.Concat(reserveOp(100, 6), reserveOp(200, 4), reserveOp(200, 2),
+			[]byte{opNear, 200, 0, opNear, 100, 0, opStep, 0, 0, opStep, 0, 0, opStep, 0, 0, opStep, 0, 0, opStep, 0, 0,
+				opRunUntil, 0xf4, 0x01}, reserveOp(0, 1), reserveOp(5, 2), []byte{opNear, 5, 0, opStep, 0, 0, opStep, 0, 0,
+				opStep, 0, 0}),
+		// Ties at 1000 between reservations, heap events and lane 1 (delay
+		// 1000), interleaved so that only seq decides; the second
+		// reservation is scheduled before the first.
+		slices.Concat([]byte{opNear, 0xe8, 0x03}, reserveOp(1000, 6), []byte{opLane, 1, 0}, reserveOp(1000, 3),
+			[]byte{opNear, 0xe8, 0x03, opLane, 1, 0}, reserveOp(1000, 1), []byte{opStep, 0, 0, opStep, 0, 0, opStep, 0, 0,
+				opStep, 0, 0, opStep, 0, 0, opStep, 0, 0, opStep, 0, 0}),
+		// A reserved event has a handle once scheduled, and only then:
+		// cancelling it after its ScheduleReserved cancels it, before is a
+		// no-op.
+		slices.Concat(reserveOp(50, 1), []byte{opCancel, 0, 0}, reserveOp(60, 3),
+			[]byte{opCancel, 1, 0, opStep, 0, 0, opStep, 0, 0, opStep, 0, 0}),
+		// A chain's ticks tie lane 1 (delay 1000), a reserved event and a
+		// heap event: the first tick at 1000 is scheduled by Every itself,
+		// the second at 2000 from inside the first, before the lane event
+		// and the reservation that meet it there.
+		slices.Concat([]byte{opLane, 1, 0, opEvery, 0xe8, 0x73}, reserveOp(1000, 2),
+			[]byte{opNear, 0xe8, 0x03, opRunUntil, 0xe8, 0x03, opLane, 1, 0}, reserveOp(1000, 1),
+			[]byte{opStep, 0, 0, opStep, 0, 0, opStep, 0, 0, opStep, 0, 0}),
 	} {
 		f.Add(ops)
 	}

@@ -58,8 +58,8 @@ type slot struct {
 // the event does (objects scheduled by address, method values bound once)
 // are stored in recycled slots, and queue entries live in the heap's one
 // backing array. Constant-delay events — nearly all of a packet
-// simulation's — bypass the heap altogether (see Lane), and so do
-// uncancellable events posted in time order (see Post).
+// simulation's — bypass the heap altogether (see Lane). An event can take
+// its place in the order before it is scheduled (see Reserve).
 type Engine struct {
 	now Time
 	seq uint64
@@ -72,9 +72,6 @@ type Engine struct {
 	nLanes   int
 	laneAt   [maxLanes]Time
 	lanes    [maxLanes]Lane
-	// posted is the lane Post appends to, one of lanes once the first Post
-	// registers it; Lane never hands it out.
-	posted *Lane
 
 	slots []slot   // event arena; index = EventID.idx-1
 	free  []uint32 // recycled slot indexes
@@ -101,14 +98,16 @@ func (e *Engine) Now() Time { return e.now }
 func (e *Engine) Steps() uint64 { return e.steps }
 
 // Pending returns the number of scheduled (not yet executed or cancelled)
-// events. It is O(1) — the live count is maintained incrementally — so
+// events; a reservation counts once its event is scheduled. It is O(1) — the live count is maintained incrementally — so
 // samplers may call it per sample point.
 func (e *Engine) Pending() int { return e.live }
 
 // EngineStats is a snapshot of the engine's lifetime counters, the
 // simulation half of a run's observability record.
 type EngineStats struct {
-	Steps     uint64 `json:"events_executed"`
+	Steps uint64 `json:"events_executed"`
+	// Scheduled counts the sequence numbers handed out: every event
+	// scheduled, a reserved one from its reservation on (see Reserve).
 	Scheduled uint64 `json:"events_scheduled"`
 	Cancelled uint64 `json:"events_cancelled"`
 	Pending   int    `json:"events_pending"`
@@ -122,12 +121,9 @@ type EngineStats struct {
 	EventAllocs uint64 `json:"event_slot_allocs"`
 	// Laned counts the executed events that came off a delay lane and so
 	// never entered the heap (see Lane); Lanes splits it by lane, in
-	// registration order. Posted counts those that came off the posted lane
-	// (see Post). Steps includes both, and Steps - Laned - Posted is what
-	// the heap carried.
-	Laned  uint64      `json:"events_laned"`
-	Lanes  []LaneStats `json:"lanes,omitempty"`
-	Posted uint64      `json:"events_posted"`
+	// registration order. Steps - Laned is what the heap carried.
+	Laned uint64      `json:"events_laned"`
+	Lanes []LaneStats `json:"lanes,omitempty"`
 }
 
 // LaneStats is one delay lane's share of EngineStats.Laned.
@@ -139,14 +135,10 @@ type LaneStats struct {
 // Stats snapshots the engine counters. Reading them never perturbs the
 // simulation.
 func (e *Engine) Stats() EngineStats {
-	var laned, posted uint64
+	var laned uint64
 	var lanes []LaneStats
 	for i := range e.lanes[:e.nLanes] {
 		l := &e.lanes[i]
-		if l == e.posted {
-			posted = l.head
-			continue
-		}
 		laned += l.head
 		lanes = append(lanes, LaneStats{Delay: l.d, Events: l.head})
 	}
@@ -159,7 +151,6 @@ func (e *Engine) Stats() EngineStats {
 		EventAllocs: e.slotAllocs,
 		Laned:       laned,
 		Lanes:       lanes,
-		Posted:      posted,
 	}
 }
 
@@ -174,7 +165,30 @@ func (e *Engine) After(d Time, fn func()) EventID { return e.Schedule(e.now+d, F
 // panics: it would silently reorder causality. The hot path does not
 // allocate: the slot comes from the free list and the queue entry goes into
 // the heap's backing array.
-func (e *Engine) Schedule(t Time, h Handler) EventID {
+func (e *Engine) Schedule(t Time, h Handler) EventID { return e.ScheduleReserved(t, e.Reserve(), h) }
+
+// Reservation is an event's place among the events of one time, taken before
+// the event is scheduled: see Reserve.
+type Reservation uint64
+
+// Reserve takes the next sequence number for an event that
+// ScheduleReserved schedules later. Ties at one time run in sequence order,
+// so the reserved event runs exactly where it would had it been scheduled
+// now: a caller that learns an event's time early and its handler's place
+// late — a flow start, queued behind the starts before it — keeps the
+// order without keeping the event pending. Stats counts a reservation as
+// scheduled at once and as pending only once its event is scheduled.
+func (e *Engine) Reserve() Reservation {
+	r := Reservation(e.seq)
+	e.seq++
+	return r
+}
+
+// ScheduleReserved schedules h to fire at absolute time t under r, which
+// Reserve handed out and no event has used: Schedule with the sequence
+// number taken at reservation. Scheduling in the past panics, as for
+// Schedule.
+func (e *Engine) ScheduleReserved(t Time, r Reservation, h Handler) EventID {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
 	}
@@ -189,8 +203,7 @@ func (e *Engine) Schedule(t Time, h Handler) EventID {
 	}
 	s := &e.slots[idx]
 	s.h = h
-	e.q.push(entry{at: t, seq: e.seq, idx: idx, gen: s.gen})
-	e.seq++
+	e.q.push(entry{at: t, seq: uint64(r), idx: idx, gen: s.gen})
 	e.live++
 	if e.live > e.peakLive {
 		e.peakLive = e.live
@@ -215,8 +228,7 @@ type Lane struct {
 	// ring has power-of-two length; entries [head, tail) are pending at
 	// index mod len(ring). Both only count up, so head is also the number
 	// of events the lane has executed. A nil ring is a delay past maxLanes:
-	// After then schedules on the heap. The engine's posted lane (see Post)
-	// is a Lane too, with d unused.
+	// After then schedules on the heap.
 	ring       []laneEntry
 	head, tail uint64
 	i          int // index in e.lanes, e.laneAt and e.laneLive
@@ -254,26 +266,22 @@ func (e *Engine) Lane(d Time) *Lane {
 		panic(fmt.Sprintf("sim: lane with negative delay %v", d))
 	}
 	for i := range e.lanes[:e.nLanes] {
-		if l := &e.lanes[i]; l != e.posted && l.d == d {
+		if l := &e.lanes[i]; l.d == d {
 			return l
 		}
 	}
 	if e.nLanes == maxLanes {
 		return &Lane{e: e, d: d}
 	}
-	return e.addLane(d)
-}
-
-// addLane registers the next lane slot, which must be free.
-func (e *Engine) addLane(d Time) *Lane {
 	l := &e.lanes[e.nLanes]
 	*l = Lane{e: e, d: d, ring: make([]laneEntry, laneRingMin), i: e.nLanes}
 	e.nLanes++
 	return l
 }
 
-// After schedules h to fire the lane's delay after the current time. It
-// panics, as Engine.After does, when that time overflows.
+// After schedules h to fire the lane's delay after the current time,
+// growing the ring when it is full. It panics, as Engine.After does, when
+// that time overflows.
 func (l *Lane) After(h Handler) {
 	e := l.e
 	at := e.now + l.d
@@ -281,34 +289,6 @@ func (l *Lane) After(h Handler) {
 		e.Schedule(at, h)
 		return
 	}
-	l.push(at, h)
-}
-
-// Post schedules h to fire at absolute time t, as Schedule does, but hands
-// back no EventID: the event cannot be cancelled, and so needs no slot.
-// Posts in nondecreasing time — flow starts in arrival order — go on the
-// posted lane, a Lane whose entries carry their own times instead of now+d
-// and which takes one of the maxLanes slots at the first Post. A post before
-// the lane's tail, or one made when every slot is taken, goes through
-// Schedule. Both paths hand out the same seq, so the order is (t, seq)
-// either way.
-func (e *Engine) Post(t Time, h Handler) {
-	p := e.posted
-	if p == nil && e.nLanes < maxLanes {
-		p = e.addLane(0)
-		e.posted = p
-	}
-	if p == nil || t < e.now || p.head != p.tail && t < p.ring[(p.tail-1)&uint64(len(p.ring)-1)].at {
-		e.Schedule(t, h)
-		return
-	}
-	p.push(t, h)
-}
-
-// push appends h at time at, which no pending entry of the lane may follow,
-// growing the ring when it is full.
-func (l *Lane) push(at Time, h Handler) {
-	e := l.e
 	if l.tail-l.head == uint64(len(l.ring)) {
 		old := l.ring
 		l.ring = make([]laneEntry, 2*len(old))

@@ -136,6 +136,52 @@ func TestEngineFIFOTieBreak(t *testing.T) {
 	}
 }
 
+// A reserved event runs where it would have run had it been scheduled at
+// reservation: among the events of its time it takes the reservation's
+// place, whatever was scheduled meanwhile and in whichever order the
+// reservations are scheduled — from inside an event too. It counts as
+// scheduled from the reservation and as pending from its ScheduleReserved,
+// it cancels like any event, and scheduling it in the past panics, as
+// Schedule does.
+func TestReserveKeepsItsPlace(t *testing.T) {
+	e := NewEngine()
+	var got []int
+	note := func(i int) Func { return func() { got = append(got, i) } }
+	e.At(10, note(0))
+	r1 := e.Reserve()
+	e.Lane(10).After(note(2))
+	r3 := e.Reserve()
+	e.At(10, note(4))
+	r5 := e.Reserve()
+	if st := e.Stats(); st.Scheduled != 6 || st.Pending != 3 || st.PeakPending != 3 {
+		t.Fatalf("after reserving: %+v, want 6 scheduled, 3 pending and peak", st)
+	}
+	e.ScheduleReserved(10, r3, note(3))
+	e.At(5, func() { e.ScheduleReserved(10, r5, note(5)) })
+	e.ScheduleReserved(10, r1, note(1))
+	if st := e.Stats(); st.Scheduled != 7 || st.Pending != 6 || st.PeakPending != 6 {
+		t.Fatalf("after scheduling: %+v, want 7 scheduled, 6 pending and peak", st)
+	}
+	e.Run()
+	if want := []int{0, 1, 2, 3, 4, 5}; !slices.Equal(got, want) {
+		t.Fatalf("order %v, want %v", got, want)
+	}
+
+	id := e.ScheduleReserved(20, e.Reserve(), note(6))
+	e.Cancel(id)
+	e.Run()
+	if st := e.Stats(); len(got) != 6 || st.Cancelled != 1 || st.Pending != 0 {
+		t.Fatalf("cancelled reserved event: ran %v, %+v", got, st)
+	}
+	r := e.Reserve()
+	defer func() {
+		if recover() == nil {
+			t.Fatal("ScheduleReserved before now did not panic")
+		}
+	}()
+	e.ScheduleReserved(9, r, note(7))
+}
+
 func TestEngineSchedulingInsideEvent(t *testing.T) {
 	e := NewEngine()
 	var got []Time

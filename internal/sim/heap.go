@@ -2,11 +2,11 @@ package sim
 
 // This file implements the engine's timer core: a 4-ary min-heap of entries.
 // The delay lanes (see Lane) carry the constant-delay events — nearly all of
-// a packet simulation's — and the posted lane (see Engine.Post) the flow
-// starts, so what is queued here is the remainder: pacing gaps,
-// retransmission timers, odd-size serializations, starts posted out of time
-// order. That is a few percent of the events, and a heap's O(log n) on it is
-// not what a run's time goes to.
+// a packet simulation's — so what is queued here is the remainder: pacing
+// gaps, retransmission timers, odd-size serializations, flow starts (one per
+// shard at a time, plus any added out of start order; see Engine.Reserve).
+// That is a few percent of the events, and a heap's O(log n) on it is not
+// what a run's time goes to.
 //
 // Determinism: the execution order is the total order (at, seq) — time,
 // ties broken by scheduling sequence number. seq is unique, so the order is

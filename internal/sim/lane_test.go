@@ -2,7 +2,6 @@ package sim
 
 import (
 	"math"
-	"slices"
 	"testing"
 )
 
@@ -35,68 +34,6 @@ func TestLaneMergesByTimeThenSeq(t *testing.T) {
 	}
 	if st := e.Stats(); st.Steps != 6 || st.Laned != 3 || st.Pending != 0 {
 		t.Fatalf("after Run: %+v, want 6 executed, 3 of them laned", st)
-	}
-}
-
-// Posts in nondecreasing time go on the posted lane; one before the lane's
-// tail falls back to the heap and takes a slot, and so does every post made
-// when no lane slot is free. Either way each runs in (time, seq) order among
-// heap and delay-lane events, and the posted lane is never what Lane(d)
-// returns, though its delay field is zero.
-func TestPostOutOfOrderFallsBack(t *testing.T) {
-	e := NewEngine()
-	var got []int
-	note := func(i int) Func { return func() { got = append(got, i) } }
-	e.Post(10, note(0))
-	e.Post(20, note(1))
-	e.At(20, note(2))
-	e.Post(20, note(3)) // ties the tail: laned
-	e.Post(15, note(4)) // before the tail: the heap
-	e.Lane(5).After(note(5))
-	e.Post(30, note(6))
-	if e.Lane(0) == e.posted {
-		t.Fatal("Lane(0) returned the posted lane")
-	}
-	if st := e.Stats(); st.Scheduled != 7 || st.Pending != 7 || st.EventAllocs != 2 {
-		t.Fatalf("after posting: %+v, want 7 scheduled and pending, 2 slots", st)
-	}
-	e.Run()
-	if want := []int{5, 0, 4, 1, 2, 3, 6}; !slices.Equal(got, want) {
-		t.Fatalf("order %v, want %v", got, want)
-	}
-	st := e.Stats()
-	if want := []LaneStats{{Delay: 5, Events: 1}, {Delay: 0}}; st.Steps != 7 || st.Posted != 4 || st.Laned != 1 || !slices.Equal(st.Lanes, want) {
-		t.Fatalf("after Run: %+v, want 7 executed, 4 posted, 1 laned on %v", st, want)
-	}
-	// The drained lane takes a post at the current time; one in the past
-	// panics, as Schedule does.
-	e.Post(30, note(7))
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Post before now did not panic")
-		}
-	}()
-	e.Post(29, note(8))
-}
-
-// With every slot held by a delay lane, Post is Schedule: in order or not,
-// posts go through the heap, and Posted stays zero.
-func TestPostWithoutALaneSlot(t *testing.T) {
-	e := NewEngine()
-	for d := Time(1); d <= maxLanes; d++ {
-		e.Lane(d)
-	}
-	var got []Time
-	ran := Func(func() { got = append(got, e.Now()) })
-	for _, at := range []Time{10, 20, 5} {
-		e.Post(at, ran)
-	}
-	e.Run()
-	if !slices.Equal(got, []Time{5, 10, 20}) || e.posted != nil {
-		t.Fatalf("ran at %v with posted lane %v, want 5, 10, 20 and none", got, e.posted)
-	}
-	if st := e.Stats(); st.Posted != 0 || st.EventAllocs != 3 {
-		t.Fatalf("%+v, want nothing posted and 3 slots", st)
 	}
 }
 
