@@ -12,11 +12,11 @@
 // re-runs the sharded-engine tests (Parallel|Mailbox|Shard) without
 // -short, since those are the tests that actually spin up shard worker
 // goroutines. The bench-smoke step
-// runs every scheduler benchmark for exactly one iteration, so a
-// benchmark that panics or trips its own invariant checks fails the
-// gate without paying measurement time; with -benchmem every log prints
-// each benchmark's B/op and allocs/op, BenchmarkAddFlows' bytes per flow
-// set among them. The fuzz-smoke steps mutate the scheduler's
+// runs every scheduler, network and topology benchmark for exactly one
+// iteration, so a benchmark that panics or trips its own invariant checks
+// fails the gate without paying measurement time; with -benchmem every log
+// prints each benchmark's B/op and allocs/op, BenchmarkAddFlows' bytes per
+// flow and BenchmarkNewFatTree's allocations per build among them. The fuzz-smoke steps mutate the scheduler's
 // order-contract corpus and distribution files for five seconds each.
 //
 // The cross steps build the tree for GOARCH=arm64 (offline, from GOROOT) and
@@ -150,7 +150,7 @@ func main() {
 		// the race detector.
 		{name: "race-parallel", args: []string{"go", "test", "-race", "-run", "Parallel|Mailbox|Shard",
 			"./internal/sim", "./internal/net", "./internal/topo", "./internal/exp"}},
-		{name: "bench-smoke", args: []string{"go", "test", "-run", "^$", "-bench", ".", "-benchtime", "1x", "-benchmem", "./internal/sim", "./internal/net"}, show: true},
+		{name: "bench-smoke", args: []string{"go", "test", "-run", "^$", "-bench", ".", "-benchtime", "1x", "-benchmem", "./internal/sim", "./internal/net", "./internal/topo"}, show: true},
 		// Minimizing each new 9 KB corpus entry (60 s by default) would eat
 		// the whole budget; a failing input is kept whole instead.
 		{name: "fuzz-smoke", args: []string{"go", "test", "-run", "^$", "-fuzz", "FuzzEngineOrder", "-fuzztime", "5s", "-fuzzminimizetime", "0s", "./internal/sim"}},

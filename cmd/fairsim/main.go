@@ -158,6 +158,12 @@ func run() int {
 			fmt.Fprintf(os.Stderr, "fairsim: %v\n", err)
 			return 1
 		}
+		// A scoped flag the experiment does not read would be silently
+		// ignored: the run would be other than the one asked for.
+		if unread := unreadFlag(e); unread != "" {
+			fmt.Fprintf(os.Stderr, "fairsim: experiment %s does not read -%s\n", *name, unread)
+			return 2
+		}
 		exps = []*exp.Experiment{e}
 	default:
 		fmt.Fprintln(os.Stderr, "fairsim: need -exp NAME, -all, or -list")
@@ -217,6 +223,28 @@ func run() int {
 var zeroIsPreset = map[string]bool{
 	"pods": true, "tors": true, "hosts": true, "ms": true, "load": true,
 	"senders": true, "size": true, "group": true, "every": true,
+}
+
+// scoped names the flags that only some experiments read, by the Config
+// parameters each sets.
+var scoped = map[string]exp.Params{
+	"buffer-bytes": exp.LossyParams, "drop-data": exp.LossyParams, "drop-ack": exp.LossyParams,
+	"rtt-slow-delay": exp.RTTParams, "rtt-senders": exp.RTTParams,
+	"workload": exp.DCParams, "protocol": exp.DCParams, "pods": exp.DCParams, "tors": exp.DCParams,
+	"hosts": exp.DCParams, "oversub": exp.DCParams, "ms": exp.DCParams, "load": exp.DCParams,
+	"algo": exp.IncastParams, "senders": exp.IncastParams, "size": exp.IncastParams,
+	"group": exp.IncastParams, "every": exp.IncastParams,
+}
+
+// unreadFlag returns the first scoped flag set on the command line that e
+// does not read, or "".
+func unreadFlag(e *exp.Experiment) (name string) {
+	flag.Visit(func(f *flag.Flag) {
+		if p, ok := scoped[f.Name]; ok && e.Reads&p == 0 && name == "" {
+			name = f.Name
+		}
+	})
+	return name
 }
 
 // picos returns n units as a sim.Time. A value of flag -name whose

@@ -12,6 +12,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"faircc/internal/exp"
 )
 
 // TestRejectsUnrunnableFlags drives the built binary: configurations that
@@ -98,6 +100,11 @@ func TestRejectsUnrunnableFlags(t *testing.T) {
 		{"removed shards", dc(append([]string{"-shards", "2"}, small...)...), 2, "flag provided but not defined: -shards"},
 		{"removed k16", dc(append([]string{"-k16"}, small...)...), 2, "flag provided but not defined: -k16"},
 		{"removed plot", incast("-plot"), 2, "flag provided but not defined: -plot"},
+
+		// A scoped flag the experiment does not read: the run would have
+		// been the one without it.
+		{"dc ignores drop-data", dc("-scale", "small", "-ms", "1", "-drop-data", "0.1"), 2, "experiment dc does not read -drop-data"},
+		{"fig5a ignores senders", []string{"-exp", "fig5a", "-senders", "300", "-size", "5"}, 2, "experiment fig5a does not read -senders"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -130,7 +137,8 @@ func TestRejectsUnrunnableFlags(t *testing.T) {
 // TestDocumentedCommandsUseDeclaredFlags holds the docs to the CLI: every
 // `go run ./cmd/fairsim` line in README.md, DESIGN.md and EXPERIMENTS.md
 // may use only flags main.go declares, so a removed flag cannot linger in
-// an example.
+// an example, and a line with -exp only the scoped flags its experiment
+// reads, so no example exits 2.
 func TestDocumentedCommandsUseDeclaredFlags(t *testing.T) {
 	declared := declaredFlags(t)
 	const cmd = "go run ./cmd/fairsim"
@@ -149,6 +157,14 @@ func TestDocumentedCommandsUseDeclaredFlags(t *testing.T) {
 			// The command ends at an inline-code backtick or a shell comment.
 			args, _, _ = strings.Cut(args, "`")
 			args, _, _ = strings.Cut(args, " #")
+			var e *exp.Experiment
+			if _, rest, ok := strings.Cut(args, "-exp "); ok && !strings.HasPrefix(strings.TrimSpace(rest), "<") {
+				name, _, _ := strings.Cut(strings.TrimSpace(rest), " ")
+				var err error
+				if e, err = exp.Get(name); err != nil {
+					t.Errorf("%s:%d: %v: %s", doc, i+1, err, strings.TrimSpace(line))
+				}
+			}
 			for _, tok := range strings.Fields(args) {
 				name, isFlag := strings.CutPrefix(tok, "-")
 				name, _, _ = strings.Cut(name, "=")
@@ -157,6 +173,9 @@ func TestDocumentedCommandsUseDeclaredFlags(t *testing.T) {
 				}
 				if !declared[name] {
 					t.Errorf("%s:%d: fairsim declares no flag -%s: %s", doc, i+1, name, strings.TrimSpace(line))
+				}
+				if p, ok := scoped[name]; ok && e != nil && e.Reads&p == 0 {
+					t.Errorf("%s:%d: the experiment does not read -%s: %s", doc, i+1, name, strings.TrimSpace(line))
 				}
 			}
 		}

@@ -334,7 +334,9 @@ func init() {
 			return res, nil
 		}))
 
-	register(single("dc", "One protocol with and without VAI SF on a configurable fat-tree and workload", runDCCustom))
+	dc := single("dc", "One protocol with and without VAI SF on a configurable fat-tree and workload", runDCCustom)
+	dc.Reads = DCParams
+	register(dc)
 	register(fatTreeExperiment("hadoop",
 		Figure{"fig10", "99.9% FCT slowdown vs flow size, Hadoop traffic"},
 		Figure{"fig12", "Median FCT slowdown vs flow size, Hadoop traffic"}))

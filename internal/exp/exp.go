@@ -258,8 +258,21 @@ type Figure struct {
 type Experiment struct {
 	// Figures declares, in order, the Results run returns.
 	Figures []Figure
-	run     func(Config) ([]*Result, error)
+	// Reads is the parameter groups the run reads; it ignores the others.
+	Reads Params
+	run   func(Config) ([]*Result, error)
 }
+
+// Params is a set of Config's parameter groups: the fields beyond Seed,
+// Workers and Scale, which only some experiments read.
+type Params uint8
+
+const (
+	LossyParams  Params = 1 << iota // BufferBytes, DropDataProb, DropAckProb
+	RTTParams                       // RTTSlowDelay, RTTSenders
+	DCParams                        // the DC* fields
+	IncastParams                    // the Incast* fields
+)
 
 // single is the Experiment of a run that only one figure reads.
 func single(name, title string, run func(Config) (*Result, error)) *Experiment {

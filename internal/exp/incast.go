@@ -234,6 +234,7 @@ type starRun struct {
 	variants func(Config, pathParams) []variant
 	fabrics  []fabric
 	figs     []incastFigure
+	reads    Params // the Config parameters shape, variants and fabrics read
 }
 
 // run runs every variant on every fabric, each fabric's variants in
@@ -268,7 +269,7 @@ func (r starRun) run(cfg Config) ([]*incastOut, error) {
 
 // starExperiment registers a star run with the figures read off it.
 func starExperiment(r starRun) *Experiment {
-	e := &Experiment{}
+	e := &Experiment{Reads: r.reads}
 	for _, f := range r.figs {
 		e.Figures = append(e.Figures, Figure{f.name, f.title})
 	}
@@ -418,7 +419,7 @@ func init() {
 			incastFigure{"fig6c", "96-1 incast Jain index, Swift with VAI SF", nil, jainView},
 			incastFigure{"fig6d", "96-1 incast queue depth, Swift with VAI SF", nil, queueView}),
 
-		{shape: customShape, figs: []incastFigure{{"incast",
+		{shape: customShape, reads: IncastParams, figs: []incastFigure{{"incast",
 			"One protocol variant on a configurable n-to-1 staggered incast", nil, customView}},
 			variants: func(cfg Config, p pathParams) []variant {
 				return []variant{variantsByKey(p)[cmp.Or(cfg.IncastAlgo, "hpcc")]}
@@ -442,7 +443,7 @@ func init() {
 			figs: []incastFigure{{"incast-pfc", "16-1 incast with finite buffers and PFC: congestion " +
 				"control must avoid the pause regime", nil, fabricView}}},
 		{shape: paperShape(16), variants: func(_ Config, p pathParams) []variant { return dcVariants(p) },
-			fabrics: []fabric{lossyFabric("")},
+			fabrics: []fabric{lossyFabric("")}, reads: LossyParams,
 			figs: []incastFigure{{"incast-lossy", "16-1 incast on a lossy fabric: finite buffers, random " +
 				"wire loss, RTO/go-back-N recovery", nil, fabricView}}},
 		// The two ways a fabric survives congestion: PFC backpressure, with
@@ -450,7 +451,7 @@ func init() {
 		// tail drop with end-to-end recovery.
 		{shape: paperShape(16), variants: func(_ Config, p pathParams) []variant {
 			return []variant{swiftBaselines(p)[0], swiftVAISF(p)}
-		}, fabrics: []fabric{pfcFabric("PFC", 24_000, 12_000, 1_000_000), lossyFabric("lossy")},
+		}, fabrics: []fabric{pfcFabric("PFC", 24_000, 12_000, 1_000_000), lossyFabric("lossy")}, reads: LossyParams,
 			figs: []incastFigure{{"incast-pfc-vs-lossy", "16-1 incast, lossless (PFC) vs lossy (tail drop + RTO) " +
 				"fabric, Swift variants", nil, fabricView}}},
 

@@ -192,7 +192,7 @@ func meanTail(s *metrics.Series) float64 {
 // scenario builder: per-variant aggregate and per-class Jain curves, with
 // per-class FCT percentiles in the notes.
 func rttFigure(name, title string, scale func(Config) (rttSetup, error)) *Experiment {
-	return single(name, title, func(cfg Config) (*Result, error) {
+	e := single(name, title, func(cfg Config) (*Result, error) {
 		s, err := scale(cfg)
 		if err != nil {
 			return nil, err
@@ -247,6 +247,8 @@ func rttFigure(name, title string, scale func(Config) (rttSetup, error)) *Experi
 		}
 		return res, nil
 	})
+	e.Reads = RTTParams
+	return e
 }
 
 func init() {

@@ -71,14 +71,24 @@ func (p *progress) report(now time.Time, events uint64, simNow sim.Time, done bo
 // rate is a sub-millisecond reporting resolution at negligible cost.
 const progressCheckMask = 1<<14 - 1
 
+// stallWindow is the watchdog's W: max(1 ms, 1000 x the largest base RTT
+// any flow added so far can have, see net.Network.MaxBaseRTT), plus RTOMax
+// under LossRecovery (DESIGN.md, "What ends a run"). It saturates rather
+// than wrap on an hours-long RTT.
+func stallWindow(nw *net.Network) sim.Time {
+	w := max(sim.Millisecond, 1000*min(nw.MaxBaseRTT(), math.MaxInt64/2000))
+	if nw.LossRecovery {
+		w += nw.RTOMax
+	}
+	return w
+}
+
 // runSequential is the sequential drive: step until every flow has
 // finished, nothing is pending, or the run has stalled — some flow was
 // active at the previous check and no byte has been acknowledged in the
 // window W since. It returns what stalled the run (the window and the first
 // active flows) as a suffix for simulate's error, or "". W comes from the
-// network: max(1 ms, 1000 x the largest base RTT), plus RTOMax under
-// LossRecovery (DESIGN.md, "What ends a run"); it saturates rather than
-// wrap on an hours-long RTT. ProgressUpdates go out if Config asks for
+// network (see stallWindow). ProgressUpdates go out if Config asks for
 // them. The stepping sequence is identical with and without them, so
 // observability can never perturb simulation results. Progress is
 // reported from the stepping goroutine itself, which is what makes reading
@@ -102,11 +112,10 @@ func runSequential(cfg Config, label string, nw *net.Network) (stalled string) {
 			continue
 		}
 		if now := eng.Now(); now-checked >= w {
-			sum, rtt := int64(0), sim.Time(0)
+			sum := int64(0)
 			var ids []int // the first few active flows
 			for _, f := range nw.Flows() {
 				sum += f.Acked()
-				rtt = max(rtt, f.BaseRTT())
 				if f.Active() && len(ids) < 5 {
 					ids = append(ids, f.Spec.ID)
 				}
@@ -116,10 +125,7 @@ func runSequential(cfg Config, label string, nw *net.Network) (stalled string) {
 				break
 			}
 			acked, active, checked = sum, len(ids) > 0, now
-			w = max(sim.Millisecond, 1000*min(rtt, math.MaxInt64/2000))
-			if nw.LossRecovery {
-				w += nw.RTOMax
-			}
+			w = stallWindow(nw)
 		}
 		if p != nil && time.Since(p.lastWall) >= p.every {
 			p.report(time.Now(), eng.Steps(), eng.Now(), false)

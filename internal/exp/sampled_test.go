@@ -123,3 +123,46 @@ func TestStuckRunEndsWhateverItsSamplers(t *testing.T) {
 		t.Errorf("the chain ending at 10 us ticked %d times, want 11", n)
 	}
 }
+
+// TestStallWindowFromRecordedMaximum: the watchdog's W reads the largest
+// base RTT any added flow can have, which AddFlow records from the route
+// summaries, where it used to read the handles' BaseRTT. On fig10-small's
+// fat-tree and on the 16-1 star the two agree, so W is the window it was.
+func TestStallWindowFromRecordedMaximum(t *testing.T) {
+	cfg := Config{Seed: 1, Scale: "small"}
+	ftCfg, duration, err := dcScale(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	traffic, err := dcTraffic(cfg, ftCfg, duration, "hadoop", dcLoad)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dcHPCC := dcVariants(dcParams(ftCfg))[0]
+	starHPCC := dcVariants(starParams(16))[0]
+	builds := map[string]func(*net.Network){
+		"fig10-small": func(nw *net.Network) {
+			topo.NewFatTree(nw, ftCfg)
+			src := traffic()
+			for spec, ok := src.Next(); ok; spec, ok = src.Next() {
+				nw.AddFlow(spec, dcHPCC.make())
+			}
+		},
+		"16-1 star": func(nw *net.Network) { buildIncast(nw, starHPCC, paperIncast(16), nil, 16) },
+	}
+	for name, build := range builds {
+		nw, err := simulate(cfg, name, build)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var handles sim.Time // every flow has started, so every BaseRTT is set
+		for _, f := range nw.Flows() {
+			handles = max(handles, f.BaseRTT())
+		}
+		old := max(sim.Millisecond, 1000*handles)
+		if got := nw.MaxBaseRTT(); got != handles || stallWindow(nw) != old {
+			t.Errorf("%s: recorded maximum base RTT %v and W %v, want the handles' %v and %v",
+				name, got, stallWindow(nw), handles, old)
+		}
+	}
+}

@@ -155,13 +155,19 @@ func TestFlatPathMatchesRoute(t *testing.T) {
 			ID: id, Src: src.NodeID(), Dst: dst.NodeID(), Size: 4000,
 		}, algo))
 	}
+	// The paths must also deliver: run the traffic to completion. The
+	// starts derive each flow's hops.
+	eng.Run()
 	for _, f := range flows {
+		if !f.Finished() {
+			t.Fatalf("flow %d did not finish over its flat path", f.Spec.ID)
+		}
 		src, dst := nw.hostByID(f.Spec.Src), nw.hostByID(f.Spec.Dst)
 		wantFwd := walkRoute(t, src, f.Spec.Dst, f.Spec.ID)
 		wantRev := walkRoute(t, dst, f.Spec.Src, f.Spec.ID)
 		path, hops, err := nw.walkPath(src, f.Spec, nil)
 		if err != nil || hops != f.Hops() {
-			t.Fatalf("flow %d: the start's walk found %d hops (%v), AddFlow %d", f.Spec.ID, hops, err, f.Hops())
+			t.Fatalf("flow %d: a walk found %d hops (%v), the start %d", f.Spec.ID, hops, err, f.Hops())
 		}
 		fwd, rev := path[:hops], path[hops:]
 		if len(fwd) != len(wantFwd) {
@@ -181,30 +187,31 @@ func TestFlatPathMatchesRoute(t *testing.T) {
 			}
 		}
 	}
-	// The paths must also deliver: run the traffic to completion.
-	eng.Run()
-	for _, f := range flows {
-		if !f.Finished() {
-			t.Fatalf("flow %d did not finish over its flat path", f.Spec.ID)
-		}
-	}
 	if err := nw.CheckConservation(); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// TestAddRouteAfterAddFlowPanics: routes are fixed at the first flow,
-// because every flow forwards by the path resolved when it was added.
+// TestAddRouteAfterAddFlowPanics: routes are fixed at the first flow or
+// probe, because both check routes against summaries made then, and every
+// flow forwards by the path its start resolves.
 func TestAddRouteAfterAddFlowPanics(t *testing.T) {
-	_, nw, hosts, tors, _ := leafSpine(t, 2, 2, 2)
 	algo := &fixedAlgo{ctl: cc.Control{WindowBytes: 1e9, RateBps: gbps100}}
-	nw.AddFlow(FlowSpec{ID: 1, Src: hosts[0].NodeID(), Dst: hosts[2].NodeID(), Size: 20_000}, algo)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("AddRoute after AddFlow did not panic")
-		}
-	}()
-	tors[0].AddRoute(hosts[0].NodeID(), hosts[0].port.peer)
+	for name, check := range map[string]func(*Network, FlowSpec){
+		"AddFlow":   func(nw *Network, spec FlowSpec) { nw.AddFlow(spec, algo) },
+		"ProbePath": func(nw *Network, spec FlowSpec) { nw.ProbePath(spec) },
+	} {
+		_, nw, hosts, tors, _ := leafSpine(t, 2, 2, 2)
+		check(nw, FlowSpec{ID: 1, Src: hosts[0].NodeID(), Dst: hosts[2].NodeID(), Size: 20_000})
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("AddRoute after %s did not panic", name)
+				}
+			}()
+			tors[0].AddRoute(hosts[0].NodeID(), hosts[0].port.peer)
+		}()
+	}
 }
 
 // TestAddFlowRejectsMissingAckRoute: a flow whose ACKs have no route back
@@ -283,5 +290,120 @@ func TestProbePath(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("ProbePath allocates %v objects per probe, want 0", allocs)
+	}
+}
+
+// TestAddFlowRefusesBrokenRoutes: AddFlow reads the route summaries, which
+// hold a route to every ECMP member below it, so a broken member refuses
+// every flow toward its host — also one whose hash avoids it, as each row
+// but the two missing routes checks — and it does so inside AddFlow, before
+// any event runs, with the error ProbePath returns. The fabric is a
+// diamond, h0 - s1 - {s2, s3} - s4 - h1, with h2 on s3; each row breaks it
+// in one way.
+func TestAddFlowRefusesBrokenRoutes(t *testing.T) {
+	const hour = 3600 * sim.Second
+	type diamond struct {
+		nw         *Network
+		h0, h1, h2 *Host
+		s1, s2     *Switch
+		s3, s4     *Switch
+		up         [2]*Port // s1 toward s2 and s3
+		back       [4]*Port // s2 and s3 toward s1, s4 toward s3 and s2
+		down       [3]*Port // s2 and s3 toward s4, s4 toward h1
+		toH0, toH2 *Port    // s1 toward h0, s3 toward h2
+	}
+	build := func(uplink, viaS3 sim.Time) *diamond {
+		nw := New(sim.NewEngine(), 1)
+		d := &diamond{nw: nw, h0: nw.AddHost(), h1: nw.AddHost(), h2: nw.AddHost()}
+		d.s1, d.s2, d.s3, d.s4 = nw.AddSwitch(), nw.AddSwitch(), nw.AddSwitch(), nw.AddSwitch()
+		d.toH0, _ = nw.Connect(d.s1, d.h0, gbps100, uplink)
+		d.up[0], d.back[0] = nw.Connect(d.s1, d.s2, gbps100, usec)
+		d.up[1], d.back[1] = nw.Connect(d.s1, d.s3, gbps100, usec)
+		d.down[0], d.back[3] = nw.Connect(d.s2, d.s4, gbps100, usec)
+		d.down[1], d.back[2] = nw.Connect(d.s3, d.s4, gbps100, viaS3)
+		d.down[2], _ = nw.Connect(d.s4, d.h1, gbps100, usec)
+		d.toH2, _ = nw.Connect(d.s3, d.h2, gbps100, usec)
+		return d
+	}
+	// routes installs every route toward h1 but noFwd's and every route
+	// back to h0 but noBack's.
+	routes := func(d *diamond, noFwd, noBack *Switch) {
+		for _, r := range []struct {
+			sw    *Switch
+			dst   *Host
+			ports []*Port
+		}{
+			{d.s1, d.h1, d.up[:]}, {d.s2, d.h1, d.down[0:1]}, {d.s3, d.h1, d.down[1:2]}, {d.s4, d.h1, d.down[2:3]},
+			{d.s4, d.h0, d.back[3:4]}, {d.s2, d.h0, d.back[0:1]}, {d.s3, d.h0, d.back[1:2]}, {d.s1, d.h0, []*Port{d.toH0}},
+		} {
+			if r.dst == d.h1 && r.sw != noFwd || r.dst == d.h0 && r.sw != noBack {
+				r.sw.AddRoute(r.dst.NodeID(), r.ports...)
+			}
+		}
+	}
+	rows := []struct {
+		name    string
+		avoided bool // the flow's own hashed path is sound
+		broken  func() (*diamond, string)
+	}{
+		{"missing forward route", false, func() (*diamond, string) {
+			d := build(usec, usec)
+			routes(d, d.s4, nil)
+			return d, fmt.Sprintf("switch %d has no route to host %d", d.s4.NodeID(), d.h1.NodeID())
+		}},
+		{"missing ack route", false, func() (*diamond, string) {
+			d := build(usec, usec)
+			routes(d, nil, d.s4)
+			return d, fmt.Sprintf("ack switch %d has no route to host %d", d.s4.NodeID(), d.h0.NodeID())
+		}},
+		{"loop behind one member", true, func() (*diamond, string) {
+			d := build(usec, usec)
+			routes(d, d.s3, nil)
+			d.s3.AddRoute(d.h1.NodeID(), d.back[1]) // back up to s1
+			return d, fmt.Sprintf("routing loop toward host %d", d.h1.NodeID())
+		}},
+		{"member reaches another host", true, func() (*diamond, string) {
+			d := build(usec, usec)
+			routes(d, d.s3, nil)
+			d.s3.AddRoute(d.h1.NodeID(), d.toH2)
+			return d, fmt.Sprintf("switch %d routes traffic for host %d to host %d", d.s3.NodeID(), d.h1.NodeID(), d.h2.NodeID())
+		}},
+		{"1000 h link behind one member", true, func() (*diamond, string) {
+			d := build(1000*hour, 1000*hour)
+			routes(d, nil, nil)
+			return d, "base RTT beyond the simulator's clock"
+		}},
+	}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			d, want := row.broken()
+			// The first flow id whose hash at s1 picks s2, avoiding s3.
+			id := 1
+			for d.s1.lookupRoute(d.h1.NodeID(), id) != d.up[0] {
+				id++
+			}
+			spec := FlowSpec{ID: id, Src: d.h0.NodeID(), Dst: d.h1.NodeID(), Size: 1000}
+			if row.avoided {
+				// Its own path walks, and its round trip fits the clock.
+				f := &Flow{Spec: spec, net: d.nw}
+				if f.walk(d.h0, nil); f.baseRTT <= 0 {
+					t.Fatalf("flow %d's own path has base RTT %v", id, f.baseRTT)
+				}
+			}
+			if _, _, _, err := d.nw.ProbePath(spec); err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("ProbePath error = %v, want one containing %q", err, want)
+			}
+			func() {
+				defer func() {
+					if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), want) {
+						t.Errorf("AddFlow panic = %v, want one containing %q", r, want)
+					}
+				}()
+				d.nw.AddFlow(spec, &fixedAlgo{ctl: cc.Control{WindowBytes: 1e9, RateBps: gbps100}})
+			}()
+			if n, pending := len(d.nw.Flows()), d.nw.Eng.Pending(); n != 0 || pending != 0 {
+				t.Errorf("refused flow left %d flows and %d pending events", n, pending)
+			}
+		})
 	}
 }

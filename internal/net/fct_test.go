@@ -9,9 +9,10 @@ import (
 )
 
 func TestIdealFCTSinglePacket(t *testing.T) {
-	_, nw, _ := star(t, 2, 1)
+	eng, nw, _ := star(t, 2, 1)
 	f := nw.AddFlow(FlowSpec{ID: 1, Src: 0, Dst: 1, Size: 1000},
 		&fixedAlgo{ctl: cc.Control{WindowBytes: 1e9, RateBps: gbps100}})
+	eng.Step() // the start, which derives the path constants
 	// One packet: ideal = pipeline fill only = 2 links of (prop + ser).
 	want := 2 * (usec + sim.TransmitTime(1048, gbps100))
 	if got := f.IdealFCT(); got != want {
@@ -20,10 +21,11 @@ func TestIdealFCTSinglePacket(t *testing.T) {
 }
 
 func TestIdealFCTLargeFlow(t *testing.T) {
-	_, nw, _ := star(t, 2, 1)
+	eng, nw, _ := star(t, 2, 1)
 	const size = 1_000_000
 	f := nw.AddFlow(FlowSpec{ID: 1, Src: 0, Dst: 1, Size: size},
 		&fixedAlgo{ctl: cc.Control{WindowBytes: 1e9, RateBps: gbps100}})
+	eng.Step() // the start
 	// 1000 packets: fill + 999 packets' wire bytes at the bottleneck.
 	fill := 2 * (usec + sim.TransmitTime(1048, gbps100))
 	rest := sim.Time(float64(999*1048) * 8 * 1e12 / gbps100)
@@ -135,13 +137,14 @@ func TestPacketPoolReuse(t *testing.T) {
 }
 
 func TestProbePathMatchesAddFlow(t *testing.T) {
-	_, nw, _ := star(t, 3, 1)
+	eng, nw, _ := star(t, 3, 1)
 	spec := FlowSpec{ID: 9, Src: 1, Dst: 2, Size: 1000}
 	hops, baseRTT, minBw, err := nw.ProbePath(spec)
 	if err != nil {
 		t.Fatalf("ProbePath: %v", err)
 	}
 	f := nw.AddFlow(spec, &fixedAlgo{ctl: cc.Control{WindowBytes: 1e9, RateBps: gbps100}})
+	eng.Step() // the start
 	if hops != f.Hops() || baseRTT != f.BaseRTT() {
 		t.Fatalf("ProbePath (%d, %v) disagrees with AddFlow (%d, %v)",
 			hops, baseRTT, f.Hops(), f.BaseRTT())

@@ -18,12 +18,12 @@ type FlowSpec struct {
 }
 
 // Flow is the handle of one flow: what AddFlow returns, valid for the
-// network's life. It holds the spec, the path constants, its place in the
-// start order, and the results; everything the flow needs only while it
-// runs — window, pacing, RTO, algorithm and its cc.Env, path, receiver
-// state — lives in a flowRun that the start takes from its shard's free
-// list and that goes back there once nothing can reach it (see
-// flowRun.release). Handles are carved from the network's flow slab.
+// network's life. It holds the spec, the path constants (derived at the
+// start), its place in the start order, and the results; everything the
+// flow needs only while it runs — window, pacing, RTO, algorithm and its
+// cc.Env, path, receiver state — lives in a flowRun that the start takes
+// from its shard's free list and that goes back there once nothing can
+// reach it (see flowRun.release). Handles are carved from the network's flow slab.
 type Flow struct {
 	Spec FlowSpec
 
@@ -93,7 +93,9 @@ func (f *Flow) Acked() int64 {
 }
 
 // BaseRTT returns the flow's unloaded round-trip time (propagation plus
-// MTU serialization on the forward path and ACK serialization back).
+// MTU serialization on the forward path and ACK serialization back). It,
+// Hops, IdealFCT and Slowdown are valid from the flow's start, whose walk
+// derives the path constants.
 func (f *Flow) BaseRTT() sim.Time { return f.baseRTT }
 
 // Hops returns the number of switches on the flow's path.
@@ -134,22 +136,20 @@ func (f *Flow) TakeDeliveredDelta() int64 {
 
 // Fire is the flow's start, run by its shard's start event or, for a flow
 // added out of start order, as an event of its own (see shard.queueStart):
-// it takes a run slot from the source host's shard, re-walks the path into
-// the slot's buffer — routes are fixed at the first flow, so the walk
-// repeats AddFlow's — and the forward ports' rates into the slot's rate
-// buffer, fills in the slot's cc.Env, initializes congestion control and
-// begins sending. A reused slot keeps its buffers and gates, and the run is
-// its own timers (see paceTimer and rtoTimer), so starting a flow allocates
-// nothing once the shard has carved as many slots as flows run at once.
+// it takes a run slot from the source host's shard, walks the path into
+// the slot's buffer — the flow's one walk, over routes AddFlow checked —
+// deriving the path constants, copies the forward ports' rates into the
+// slot's rate buffer, fills in the slot's cc.Env, initializes congestion
+// control and begins sending. A reused slot keeps its buffers and gates,
+// and the run is its own timers (see paceTimer and rtoTimer), so starting
+// a flow allocates nothing once the shard has carved as many slots as
+// flows run at once.
 func (f *Flow) Fire() {
 	n := f.net
 	host := n.hostByNode[f.Spec.Src]
 	sh := host.sh
 	r := sh.takeRun()
-	path, _, err := n.walkPath(host, f.Spec, r.path[:0])
-	if err != nil {
-		panic("net: " + err.Error())
-	}
+	path := f.walk(host, r.path[:0])
 	bps := r.env.HopBps[:0]
 	for _, pt := range path[:f.hops] {
 		bps = append(bps, pt.bw)

@@ -212,9 +212,10 @@ func TestRTTMeasuredAgainstBase(t *testing.T) {
 }
 
 func TestPathInfoStar(t *testing.T) {
-	_, nw, _ := star(t, 2, 1)
+	eng, nw, _ := star(t, 2, 1)
 	algo := &fixedAlgo{ctl: cc.Control{WindowBytes: 1e9, RateBps: gbps100}}
 	f := nw.AddFlow(FlowSpec{ID: 1, Src: 0, Dst: 1, Size: 1000, Start: 0}, algo)
+	eng.Step() // the start, which derives the path constants
 	if f.Hops() != 1 {
 		t.Fatalf("hops = %d, want 1", f.Hops())
 	}

@@ -13,7 +13,7 @@ import (
 // Network assembles hosts, switches, links and flows over a sim.Engine.
 // Construction order: create nodes, Connect them, add switch routes,
 // optionally Shard for parallel execution, then AddFlow; routes are fixed
-// at the first flow (Switch.AddRoute panics after it). The network is
+// at the first flow or probe (Switch.AddRoute panics after it). The network is
 // deterministic for a fixed (seed, shard count): unsharded it is
 // single-threaded; sharded it runs one goroutine per shard under
 // sim.Parallel with all mutable execution state partitioned (see shard).
@@ -90,15 +90,21 @@ type Network struct {
 	// never touches the packet pool.
 	probeFlow Flow
 
-	// walk is the path pathInfo walks into, kept across walks. flowChunk is
-	// allocated, not yet carved (see flowSlab).
+	// walk is the path ProbePath walks into, kept across probes. flowChunk
+	// is allocated, not yet carved (see flowSlab).
 	walk      []*Port
 	flowChunk []Flow
-	// maxHops is the longest forward path of any flow added: the depth of
-	// the INT stack every packet is carved with (see shard.getPacket).
-	// maxPath is the longest forward plus reverse path: the capacity every
-	// run slot's path buffer is carved with (see shard.takeRun).
+	// maxHops is the longest forward path any flow added can take: the
+	// depth of the INT stack every packet is carved with (see
+	// shard.getPacket). maxPath is the longest forward plus reverse path:
+	// the capacity every run slot's path buffer is carved with (see
+	// shard.takeRun). maxRTT is the largest base RTT any flow added can
+	// have. AddFlow records all three from the route summaries.
 	maxHops, maxPath int
+	maxRTT           sim.Time
+	// summarized is set once some switch holds route summaries: routes
+	// are fixed from then on.
+	summarized bool
 	// retireRuns retires every finished flow's run slot instead of reusing
 	// it: the no-reuse reference of the tests.
 	retireRuns bool
@@ -200,25 +206,29 @@ func (n *Network) Connect(a, b Node, bps float64, delay sim.Time) (*Port, *Port)
 // AddFlow registers a flow and reserves its start's place in the engine's
 // order: flows added in start order wait in their source shard's start
 // queue, and only the first of them is pending (see shard.queueStart).
-// AddFlow checks the routes both ways and derives the path constants, but
-// keeps no path: the start walks it again. The algorithm instance must be
-// exclusive to this flow.
+// AddFlow checks the routes both ways and the clock bound from the route
+// summaries and walks no path: the start walks it and derives the path
+// constants, so BaseRTT, Hops, IdealFCT and Slowdown are valid from the
+// start on. A spec with a problem ProbePath reports panics here. The
+// algorithm instance must be exclusive to this flow.
 func (n *Network) AddFlow(spec FlowSpec, algo cc.Algorithm) *Flow {
 	if spec.Size <= 0 {
 		panic("net: flow size must be positive")
 	}
 	src := n.hostByID(spec.Src)
+	hops, path, rtt, err := n.routes(src, spec)
+	if err != nil {
+		panic("net: " + err.Error())
+	}
+	n.maxHops = max(n.maxHops, hops)
+	n.maxPath = max(n.maxPath, path)
+	n.maxRTT = max(n.maxRTT, rtt)
 	if len(n.flowChunk) == 0 {
 		n.flowChunk = make([]Flow, flowSlab)
 	}
 	f := &n.flowChunk[0] // zeroed by make, and never reused
 	n.flowChunk = n.flowChunk[1:]
 	f.Spec, f.net, f.algo = spec, n, algo
-	if err := n.pathInfo(f, src); err != nil {
-		panic("net: " + err.Error())
-	}
-	n.maxHops = max(n.maxHops, f.hops)
-	n.maxPath = max(n.maxPath, len(n.walk))
 	n.flows = append(n.flows, f)
 	n.unfinished.Add(1)
 	// The flow's sender side executes on the source host's shard: its
@@ -226,6 +236,11 @@ func (n *Network) AddFlow(spec FlowSpec, algo cc.Algorithm) *Flow {
 	src.sh.queueStart(f)
 	return f
 }
+
+// MaxBaseRTT returns the largest base RTT any flow added so far can have:
+// the longest round trip over every ECMP choice of its route, which on a
+// symmetric fabric is the largest Flow.BaseRTT.
+func (n *Network) MaxBaseRTT() sim.Time { return n.maxRTT }
 
 // initialRTO is a flow's first retransmission timeout: 4*baseRTT, which
 // saturates at the end of the clock rather than wrap, clamped into
@@ -259,34 +274,74 @@ func (n *Network) findHost(id int) *Host {
 	return n.hostByNode[id]
 }
 
-// pathInfo walks the flow's path from src into the network's walk scratch
-// and fills in the constants of the forward links: the switch hop count;
-// the unloaded RTT (per-link propagation plus MTU-packet serialization
-// forward, propagation plus ACK serialization back); the one-way
-// pipeline-fill delay; and the bottleneck bandwidth. A missing route in
-// either direction is an error, and so is a round trip too long for the
-// clock. pathInfo allocates nothing once the scratch has grown, and never
-// touches the packet pool.
-func (n *Network) pathInfo(f *Flow, src *Host) (err error) {
+// routes checks a flow's routes both ways and the clock bound from the
+// route summaries, walking no path. It returns the longest forward path's
+// switch hops, the longest forward plus ACK path's, and the largest base
+// RTT any ECMP choice gives the flow. A missing route, a loop, a route to
+// another host — on any ECMP member, whichever the flow's hash picks — or
+// a round trip that reaches the end of the clock is an error.
+func (n *Network) routes(src *Host, spec FlowSpec) (hops, path int, rtt sim.Time, err error) {
 	if src == nil {
-		return fmt.Errorf("no host with id %d", f.Spec.Src)
+		return 0, 0, 0, fmt.Errorf("no host with id %d", spec.Src)
 	}
 	if src.port == nil {
-		return fmt.Errorf("host %d is not connected", f.Spec.Src)
+		return 0, 0, 0, fmt.Errorf("host %d is not connected", spec.Src)
 	}
-	if n.walk, f.hops, err = n.walkPath(src, f.Spec, n.walk[:0]); err != nil {
-		return err
+	hops, rtt, err = n.reach(src.port, spec.Dst, spec.ID)
+	if err != nil {
+		return 0, 0, 0, err
 	}
-	f.minBw = src.port.bw
-	if err := f.addLink(src.port); err != nil {
-		return err
+	// The forward route reached the destination host, so it exists and is
+	// connected.
+	back, _, err := n.reach(n.findHost(spec.Dst).port, spec.Src, spec.ID)
+	if err != nil {
+		return 0, 0, 0, fmt.Errorf("ack %w", err)
 	}
-	for _, port := range n.walk[:f.hops] {
-		if err := f.addLink(port); err != nil {
-			return err
+	if rtt = satAdd(n.linkRTT(src.port), rtt); rtt == math.MaxInt64 {
+		return 0, 0, 0, fmt.Errorf("flow %d: base RTT beyond the simulator's clock (at most %v)", spec.ID, sim.Time(math.MaxInt64))
+	}
+	return hops, hops + back, rtt, nil
+}
+
+// reach checks the route from a host's uplink to host dst by one summary
+// lookup: it returns the longest path's switch hops and round trip past
+// the uplink.
+func (n *Network) reach(from *Port, dst, flowID int) (hops int, rtt sim.Time, err error) {
+	if h := from.peer.ownHost; h != nil {
+		if h.id != dst {
+			return 0, 0, fmt.Errorf("route for flow %d reached host %d, want %d", flowID, h.id, dst)
 		}
+		return 0, 0, nil
 	}
-	return nil
+	sw := from.peer.ownSw
+	if n.findHost(dst) == nil {
+		return 0, 0, fmt.Errorf("switch %d has no route to host %d", sw.id, dst)
+	}
+	sum := sw.routeTo(dst)
+	if sum.state != routeOK {
+		return 0, 0, sw.routeFault(dst)
+	}
+	return int(sum.hops), sum.rtt, nil
+}
+
+// walk resolves the flat path of a flow whose routes AddFlow or ProbePath
+// checked, appending it to buf, and derives the path constants from its
+// forward links: the switch hops; the unloaded RTT (per-link propagation
+// plus MTU-packet serialization forward, propagation plus ACK
+// serialization back); the one-way pipeline-fill delay; and the bottleneck
+// bandwidth. The check makes a failure impossible, so one panics. walk
+// allocates nothing once buf has grown, and never touches the packet pool.
+func (f *Flow) walk(src *Host, buf []*Port) []*Port {
+	path, hops, err := f.net.walkPath(src, f.Spec, buf)
+	if err != nil {
+		panic("net: a checked route failed its walk: " + err.Error())
+	}
+	f.hops, f.minBw = hops, src.port.bw
+	f.addLink(src.port)
+	for _, port := range path[:hops] {
+		f.addLink(port)
+	}
+	return path
 }
 
 // walkPath appends a flow's flat path to buf: the egress port each switch
@@ -297,8 +352,6 @@ func (n *Network) walkPath(src *Host, spec FlowSpec, buf []*Port) (path []*Port,
 		return path, 0, err
 	}
 	hops = len(path) - len(buf)
-	// The forward walk ended at the destination host, so it exists and is
-	// connected.
 	if path, err = resolvePath(n.findHost(spec.Dst).port, spec.Src, spec.ID, path); err != nil {
 		return path, hops, fmt.Errorf("ack %w", err)
 	}
@@ -311,7 +364,7 @@ func (n *Network) walkPath(src *Host, spec FlowSpec, buf []*Port) (path []*Port,
 // grown scratch.
 func resolvePath(from *Port, dst, flowID int, path []*Port) ([]*Port, error) {
 	for port, steps := from, 0; ; steps++ {
-		if steps > 64 {
+		if steps > maxRouteHops {
 			return path, fmt.Errorf("routing loop toward host %d", dst)
 		}
 		switch node := port.peer.owner.(type) {
@@ -329,44 +382,31 @@ func resolvePath(from *Port, dst, flowID int, path []*Port) ([]*Port, error) {
 	}
 }
 
-// addLink folds one forward link into the flow's path constants. It fails
-// once the round trip passes the end of the clock, where the sum would wrap
-// negative.
-func (f *Flow) addLink(port *Port) error {
+// addLink folds one forward link into the flow's path constants. The route
+// check bounded the round trip below the end of the clock, so the sum
+// cannot wrap.
+func (f *Flow) addLink(port *Port) {
 	f.minBw = min(f.minBw, port.bw)
 	f.propSum += port.delay
 	f.invBwSum += 1 / port.bw
-	// Every term is non-negative, so a sum past the end of the clock wraps
-	// negative, and stays so: no later term is added to it.
-	rtt := f.baseRTT + port.delay
-	if rtt >= 0 {
-		rtt += sim.TransmitTime(f.net.MTU+f.net.HeaderBytes, port.bw)
-	}
-	if rtt >= 0 {
-		rtt += port.delay
-	}
-	if rtt >= 0 {
-		rtt += sim.TransmitTime(f.net.AckBytes, port.bw)
-	}
-	if rtt < 0 {
-		return fmt.Errorf("flow %d: base RTT beyond the simulator's clock (at most %v)", f.Spec.ID, sim.Time(math.MaxInt64))
-	}
-	f.baseRTT = rtt
-	return nil
+	f.baseRTT += f.net.linkRTT(port)
 }
 
 // ProbePath computes path constants (switch hops, unloaded RTT, bottleneck
 // bandwidth) for a hypothetical flow without adding it — useful for sizing
-// protocol parameters such as VAI's min-BDP token threshold. Unlike
-// AddFlow it reports problems with the spec (unknown or disconnected host,
-// missing route) as an error rather than panicking, and reuses a
-// network-owned probe flow so probing allocates nothing.
+// protocol parameters such as VAI's min-BDP token threshold. It checks the
+// routes as AddFlow does, so it fails exactly on the specs AddFlow refuses,
+// but reports the problem (unknown or disconnected host, missing route) as
+// an error rather than panicking; then it walks the path into a
+// network-owned probe flow, so probing allocates nothing.
 func (n *Network) ProbePath(spec FlowSpec) (hops int, baseRTT sim.Time, minBw float64, err error) {
-	f := &n.probeFlow
-	*f = Flow{Spec: spec, net: n}
-	if err := n.pathInfo(f, n.findHost(spec.Src)); err != nil {
+	src := n.findHost(spec.Src)
+	if _, _, _, err := n.routes(src, spec); err != nil {
 		return 0, 0, 0, fmt.Errorf("net: probe %w", err)
 	}
+	f := &n.probeFlow
+	*f = Flow{Spec: spec, net: n}
+	n.walk = f.walk(src, n.walk[:0])
 	return f.hops, f.baseRTT, f.minBw, nil
 }
 

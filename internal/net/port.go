@@ -81,6 +81,10 @@ type Port struct {
 	// time (startTx sets busy, finishTx clears it), so the port is its own
 	// serialization-end event (see Fire) and the packet rides here.
 	txPkt *Packet
+
+	// rtt memoizes Network.linkRTT, which every route summary through the
+	// port adds; zero until the first.
+	rtt sim.Time
 }
 
 // txMemo is one entry of Port.ser: a wire size and the lane of its

@@ -50,6 +50,7 @@ func TestInitialRTOClamped(t *testing.T) {
 	nw.Connect(h0, h1, gbps100, 10*sim.Millisecond)
 	algo := &fixedAlgo{ctl: cc.Control{WindowBytes: 1e9, RateBps: gbps100}}
 	f := nw.AddFlow(FlowSpec{ID: 1, Src: h0.NodeID(), Dst: h1.NodeID(), Size: 1000}, algo)
+	eng.Step() // the start
 	if 4*f.baseRTT <= nw.RTOMax {
 		t.Fatalf("precondition: 4*baseRTT=%v should exceed RTOMax=%v", 4*f.baseRTT, nw.RTOMax)
 	}

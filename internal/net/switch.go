@@ -2,6 +2,7 @@ package net
 
 import (
 	"fmt"
+	"math"
 	"unsafe"
 
 	"faircc/internal/sim"
@@ -13,9 +14,10 @@ import (
 // telemetry when they depart an egress port.
 //
 // Forwarding state is a dense array indexed by destination host id rather
-// than a map. Packets never look it up: routes are fixed at the first flow,
-// so a flow's start walks its port sequence once (see flowRun.path) and
-// Receive indexes it by hop count.
+// than a map. Packets never look it up: routes are fixed at the first flow
+// or probe, so a flow's start walks its port sequence once (see
+// flowRun.path) and Receive indexes it by hop count. AddFlow never looks it
+// up either: it reads the route summaries (see routeSum).
 type Switch struct {
 	net   *Network
 	sh    *shard // execution shard (shard 0 until Network.Shard rebinds)
@@ -27,6 +29,9 @@ type Switch struct {
 	// candidates) or no route at all.
 	fwd    []*Port
 	groups [][]*Port
+	// sums[dst] summarizes every route toward host dst below this switch;
+	// the row is made the first time a check reaches the switch.
+	sums []routeSum
 }
 
 // NodeID implements Node.
@@ -39,11 +44,12 @@ func (s *Switch) Ports() []*Port { return s.ports }
 // (across one or several calls) form an ECMP group selected by flow hash,
 // so every flow keeps a single path and in-order delivery. Candidate order
 // is the order ports were added. A dstHost that is not a host's id panics,
-// and so does any call once the network has a flow: flows forward by the
-// paths resolved when they were added, so routes are fixed from then on.
+// and so does any call once the network has a flow or a route summary (see
+// routeSum): flows are checked against the summaries and forward by the
+// paths their starts resolve, so routes are fixed from the first check on.
 func (s *Switch) AddRoute(dstHost int, ports ...*Port) {
-	if len(s.net.flows) > 0 {
-		panic("net: AddRoute after AddFlow")
+	if len(s.net.flows) > 0 || s.net.summarized {
+		panic("net: AddRoute after AddFlow or ProbePath")
 	}
 	if len(ports) == 0 {
 		return
@@ -129,6 +135,147 @@ func (s *Switch) lookupRoute(dst, flowID int) *Port {
 		return nil
 	}
 	return g[ecmpHash(flowID, s.id, len(g))]
+}
+
+// members returns every egress port the switch may pick toward dst: the
+// sole port, the ECMP group, or none.
+func (s *Switch) members(dst int) []*Port {
+	if dst >= len(s.fwd) {
+		return nil
+	}
+	if s.fwd[dst] != nil {
+		return s.fwd[dst : dst+1]
+	}
+	return s.groups[dst]
+}
+
+// routeSum summarizes a switch's routes toward one destination host over
+// every ECMP member below it, whichever a flow's hash picks: whether all of
+// them reach the host — no missing route, no loop, no other host, at most
+// maxRouteHops switches — and the longest member path's switch hops (this
+// switch included) and round trip (see linkRTT), which saturates at the end
+// of the clock. Routes are fixed from the first summary on (see AddRoute),
+// so a summary never goes stale.
+type routeSum struct {
+	rtt   sim.Time
+	hops  int32
+	state routeState
+}
+
+type routeState int32
+
+const (
+	routeUnknown routeState = iota
+	routeWalking            // on the summarizing walk's stack: reaching it again is a loop
+	routeOK
+	routeBad
+)
+
+// maxRouteHops bounds a route's switch hops, as the path walk's loop
+// guard does.
+const maxRouteHops = 64
+
+// routeTo returns the switch's summary toward host dst, summarizing the
+// switch's whole row on a miss. dst must be a host's id.
+func (s *Switch) routeTo(dst int) routeSum {
+	if dst >= len(s.sums) || s.sums[dst].state == routeUnknown {
+		// Toward every host, in id order: a walk visits the same switches
+		// for the next host, whose entries share the cache lines of this
+		// one's, where flows in arrival order would miss on every one.
+		for _, h := range s.net.hosts {
+			s.summarize(h.id)
+		}
+	}
+	return s.sums[dst]
+}
+
+// summarize makes the switch's summary toward dst, first those of the
+// switches its members lead to: a memoized walk of the route graph, so a
+// summary is made once per switch and destination.
+func (s *Switch) summarize(dst int) routeSum {
+	if m := len(s.net.hostByNode); len(s.sums) < m {
+		s.sums = append(s.sums, make([]routeSum, m-len(s.sums))...)
+		s.net.summarized = true
+	}
+	if st := s.sums[dst].state; st != routeUnknown {
+		return s.sums[dst]
+	}
+	s.sums[dst].state = routeWalking
+	members := s.members(dst)
+	sum := routeSum{state: routeOK}
+	if len(members) == 0 {
+		sum.state = routeBad
+	}
+	for _, p := range members {
+		below := routeSum{state: routeOK}
+		if h := p.peer.ownHost; h != nil {
+			if h.id != dst {
+				below.state = routeBad
+			}
+		} else {
+			below = p.peer.ownSw.summarize(dst)
+		}
+		if below.state != routeOK || below.hops >= maxRouteHops {
+			sum.state = routeBad
+			break
+		}
+		sum.hops = max(sum.hops, below.hops+1)
+		sum.rtt = max(sum.rtt, satAdd(s.net.linkRTT(p), below.rtt))
+	}
+	s.sums[dst] = sum
+	return sum
+}
+
+// routeFault names what breaks the switch's route toward dst, whose
+// summary is bad, by following bad members down: a missing route, a member
+// that reaches another host, a loop, or a path over maxRouteHops switches.
+func (s *Switch) routeFault(dst int) error {
+	for steps := 0; steps <= len(s.net.switches); steps++ {
+		members := s.members(dst)
+		if len(members) == 0 {
+			return fmt.Errorf("switch %d has no route to host %d", s.id, dst)
+		}
+		// summarize stopped at the first broken member, so later ones may
+		// have no summary: stop at the first broken member here too.
+		var next *Switch
+		for _, p := range members {
+			if h := p.peer.ownHost; h != nil {
+				if h.id != dst {
+					return fmt.Errorf("switch %d routes traffic for host %d to host %d", s.id, dst, h.id)
+				}
+				continue
+			}
+			below := p.peer.ownSw.sums[dst]
+			if below.state == routeOK && below.hops >= maxRouteHops {
+				return fmt.Errorf("switch %d: route to host %d passes more than %d switches", s.id, dst, maxRouteHops)
+			}
+			if below.state != routeOK {
+				next = p.peer.ownSw
+				break
+			}
+		}
+		s = next
+	}
+	return fmt.Errorf("routing loop toward host %d through switch %d", dst, s.id)
+}
+
+// linkRTT is one forward link's share of a base RTT, as Flow.addLink sums
+// it: propagation and MTU-packet serialization forward, propagation and
+// ACK serialization back, saturating at the end of the clock.
+func (n *Network) linkRTT(p *Port) sim.Time {
+	if p.rtt == 0 {
+		rtt := satAdd(p.delay, sim.TransmitTime(n.MTU+n.HeaderBytes, p.bw))
+		p.rtt = satAdd(satAdd(rtt, p.delay), sim.TransmitTime(n.AckBytes, p.bw))
+	}
+	return p.rtt
+}
+
+// satAdd adds two non-negative times, saturating at the end of the clock.
+func satAdd(a, b sim.Time) sim.Time {
+	if a > math.MaxInt64-b {
+		return math.MaxInt64
+	}
+	return a + b
 }
 
 // ecmpHash picks a deterministic per-flow member of an ECMP group. It

@@ -29,10 +29,12 @@ func NewStar(nw *net.Network, hosts int, hostBps float64, delay sim.Time) *Star 
 		s.Hosts = append(s.Hosts, nw.AddHost())
 	}
 	s.Switch = nw.AddSwitch()
-	for _, h := range s.Hosts {
-		sp, _ := nw.Connect(s.Switch, h, hostBps, delay)
-		s.Switch.AddRoute(h.NodeID(), sp)
-		s.HostPorts = append(s.HostPorts, sp)
+	s.HostPorts = make([]*net.Port, hosts)
+	for i, h := range s.Hosts {
+		s.HostPorts[i], _ = nw.Connect(s.Switch, h, hostBps, delay)
+		// A sub-slice of an array already held: AddRoute's variadic
+		// argument escapes, so a lone port would cost an allocation.
+		s.Switch.AddRoute(h.NodeID(), s.HostPorts[i:i+1]...)
 	}
 	return s
 }
@@ -214,7 +216,9 @@ func NewFatTree(nw *net.Network, cfg FatTreeConfig) *FatTree {
 		}
 	}
 
-	// Routing tables.
+	// Routing tables. Single ports go in as sub-slices of the arrays above:
+	// AddRoute's variadic argument escapes, so a lone port would cost an
+	// allocation per route.
 	pod := func(host int) int { return host / (cfg.ToRsPerPod * cfg.HostsPerToR) }
 	torOf := func(host int) int { return host / cfg.HostsPerToR } // global ToR index
 	for i := range ft.Hosts {
@@ -225,7 +229,7 @@ func NewFatTree(nw *net.Network, cfg FatTreeConfig) *FatTree {
 		// only diverge at the Agg layer, so the ToR rule is identical.
 		for tIdx, tor := range ft.ToRs {
 			if tIdx == ht {
-				tor.AddRoute(hostID, ft.HostPorts[i])
+				tor.AddRoute(hostID, ft.HostPorts[i:i+1]...)
 			} else {
 				tor.AddRoute(hostID, torUp[tIdx]...)
 			}
@@ -233,14 +237,15 @@ func NewFatTree(nw *net.Network, cfg FatTreeConfig) *FatTree {
 		// Aggs.
 		for aIdx, agg := range ft.Aggs {
 			if aIdx/cfg.AggsPerPod == hp {
-				agg.AddRoute(hostID, aggDown[aIdx][ht%cfg.ToRsPerPod])
+				t := ht % cfg.ToRsPerPod
+				agg.AddRoute(hostID, aggDown[aIdx][t:t+1]...)
 			} else {
 				agg.AddRoute(hostID, aggUp[aIdx]...) // up to this agg's spines
 			}
 		}
 		// Spines: descend into the host's pod.
 		for s, spine := range ft.Spines {
-			spine.AddRoute(hostID, spineDown[s][hp])
+			spine.AddRoute(hostID, spineDown[s][hp:hp+1]...)
 		}
 	}
 	return ft

@@ -26,10 +26,10 @@ func TestStarShape(t *testing.T) {
 	if len(st.Hosts) != 17 || len(st.HostPorts) != 17 {
 		t.Fatalf("hosts=%d ports=%d, want 17", len(st.Hosts), len(st.HostPorts))
 	}
-	f := nw.AddFlow(net.FlowSpec{ID: 1, Src: st.Hosts[0].NodeID(),
-		Dst: st.Hosts[16].NodeID(), Size: 1000}, lineRateAlgo())
-	if f.Hops() != 1 {
-		t.Fatalf("star path hops = %d, want 1", f.Hops())
+	hops, _, _, err := nw.ProbePath(net.FlowSpec{ID: 1, Src: st.Hosts[0].NodeID(),
+		Dst: st.Hosts[16].NodeID(), Size: 1000})
+	if err != nil || hops != 1 {
+		t.Fatalf("star path hops = %d (%v), want 1", hops, err)
 	}
 }
 
@@ -88,18 +88,18 @@ func TestFatTreeHopCounts(t *testing.T) {
 		{"far cross pod", 5, 319, 5},
 	}
 	for _, c := range cases {
-		f := nw.AddFlow(net.FlowSpec{ID: c.src*1000 + c.dst,
-			Src: ft.Hosts[c.src].NodeID(), Dst: ft.Hosts[c.dst].NodeID(),
-			Size: 1000}, lineRateAlgo())
-		if f.Hops() != c.hops {
-			t.Errorf("%s: hops = %d, want %d (max 5 per the paper)", c.name, f.Hops(), c.hops)
+		hops, _, _, err := nw.ProbePath(net.FlowSpec{ID: c.src*1000 + c.dst,
+			Src: ft.Hosts[c.src].NodeID(), Dst: ft.Hosts[c.dst].NodeID(), Size: 1000})
+		if err != nil || hops != c.hops {
+			t.Errorf("%s: hops = %d (%v), want %d (max 5 per the paper)", c.name, hops, err, c.hops)
 		}
 	}
 }
 
 func TestFatTreeAllPairsRoutable(t *testing.T) {
-	// A scaled-down tree, every ordered pair: pathInfo panics on any
-	// broken route, so AddFlow across all pairs is the connectivity check.
+	// A scaled-down tree, every ordered pair: AddFlow panics on any broken
+	// route, so AddFlow across all pairs is the connectivity check; the
+	// hops are the path a probe walks.
 	eng := sim.NewEngine()
 	nw := net.New(eng, 1)
 	ft := NewFatTree(nw, DefaultFatTree().Scaled(2, 2, 2))
@@ -114,10 +114,10 @@ func TestFatTreeAllPairsRoutable(t *testing.T) {
 				continue
 			}
 			id++
-			f := nw.AddFlow(net.FlowSpec{ID: id, Src: ft.Hosts[i].NodeID(),
-				Dst: ft.Hosts[j].NodeID(), Size: 1000}, lineRateAlgo())
-			if f.Hops() > 5 || f.Hops() < 1 {
-				t.Fatalf("pair (%d,%d): hops = %d", i, j, f.Hops())
+			spec := net.FlowSpec{ID: id, Src: ft.Hosts[i].NodeID(), Dst: ft.Hosts[j].NodeID(), Size: 1000}
+			nw.AddFlow(spec, lineRateAlgo())
+			if hops, _, _, err := nw.ProbePath(spec); err != nil || hops > 5 || hops < 1 {
+				t.Fatalf("pair (%d,%d): hops = %d (%v)", i, j, hops, err)
 			}
 		}
 	}
@@ -289,10 +289,10 @@ func TestFatTreeBaseRTT(t *testing.T) {
 	ft := NewFatTree(nw, DefaultFatTree())
 	// Cross-pod flow: 6 links, 12 us of propagation round trip, plus
 	// serialization on each hop. Base RTT must be a bit above 12 us.
-	f := nw.AddFlow(net.FlowSpec{ID: 1, Src: ft.Hosts[0].NodeID(),
-		Dst: ft.Hosts[319].NodeID(), Size: 1000}, lineRateAlgo())
-	if f.BaseRTT() < 12*sim.Microsecond || f.BaseRTT() > 13*sim.Microsecond {
-		t.Fatalf("cross-pod base RTT = %v, want 12-13us", f.BaseRTT())
+	_, rtt, _, err := nw.ProbePath(net.FlowSpec{ID: 1, Src: ft.Hosts[0].NodeID(),
+		Dst: ft.Hosts[319].NodeID(), Size: 1000})
+	if err != nil || rtt < 12*sim.Microsecond || rtt > 13*sim.Microsecond {
+		t.Fatalf("cross-pod base RTT = %v (%v), want 12-13us", rtt, err)
 	}
 }
 
@@ -320,11 +320,11 @@ func TestScaledConfigurations(t *testing.T) {
 		eng := sim.NewEngine()
 		nw := net.New(eng, 1)
 		ft := NewFatTree(nw, cfg)
-		f := nw.AddFlow(net.FlowSpec{ID: 1, Src: ft.Hosts[0].NodeID(),
-			Dst: ft.Hosts[len(ft.Hosts)-1].NodeID(), Size: 1000}, lineRateAlgo())
-		if f.Hops() != 5 {
-			t.Errorf("Scaled(%d,%d,%d) cross-pod hops = %d, want 5",
-				c.pods, c.tors, c.hosts, f.Hops())
+		hops, _, _, err := nw.ProbePath(net.FlowSpec{ID: 1, Src: ft.Hosts[0].NodeID(),
+			Dst: ft.Hosts[len(ft.Hosts)-1].NodeID(), Size: 1000})
+		if err != nil || hops != 5 {
+			t.Errorf("Scaled(%d,%d,%d) cross-pod hops = %d (%v), want 5",
+				c.pods, c.tors, c.hosts, hops, err)
 		}
 	}
 }
@@ -389,5 +389,28 @@ func TestStarHostPortIdentity(t *testing.T) {
 		if p.Owner().NodeID() != st.Switch.NodeID() {
 			t.Fatalf("HostPorts[%d] not owned by the switch", i)
 		}
+	}
+}
+
+// TestNewFatTreeAllocations pins the cost of building the paper's 320-host
+// tree: nodes, ports, forwarding rows and the builder's own slices, and
+// nothing per single-port route. When each of those routes allocated its
+// one-element variadic slice, a build made 8 659 allocations.
+func TestNewFatTreeAllocations(t *testing.T) {
+	cfg := DefaultFatTree()
+	allocs := testing.AllocsPerRun(3, func() { NewFatTree(net.New(sim.NewEngine(), 1), cfg) })
+	t.Logf("%.0f allocations per 320-host fat-tree", allocs)
+	if allocs > 2200 {
+		t.Errorf("building the 320-host fat-tree made %.0f allocations, want at most 2200", allocs)
+	}
+}
+
+// BenchmarkNewFatTree times building the paper's 320-host fat-tree, routes
+// included, on a fresh network.
+func BenchmarkNewFatTree(b *testing.B) {
+	cfg := DefaultFatTree()
+	b.ReportAllocs()
+	for range b.N {
+		NewFatTree(net.New(sim.NewEngine(), 1), cfg)
 	}
 }
