@@ -108,6 +108,11 @@ func run() int {
 		if zeroIsPreset[f.Name] && f.Value.String() == "0" {
 			err = fmt.Errorf("-%s 0 would select the preset; omit the flag or give a positive value", f.Name)
 		}
+		// Progress lines are printed only under -progress, and a
+		// non-positive interval would run with the default one.
+		if f.Name == "progress-every" && (!*progress || *every <= 0) {
+			err = fmt.Errorf("-progress-every %v needs -progress and a positive interval", *every)
+		}
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "fairsim:", err)

@@ -9,6 +9,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -105,6 +106,11 @@ func TestRejectsUnrunnableFlags(t *testing.T) {
 		// been the one without it.
 		{"dc ignores drop-data", dc("-scale", "small", "-ms", "1", "-drop-data", "0.1"), 2, "experiment dc does not read -drop-data"},
 		{"fig5a ignores senders", []string{"-exp", "fig5a", "-senders", "300", "-size", "5"}, 2, "experiment fig5a does not read -senders"},
+
+		// A progress interval that no progress line would follow, or that
+		// the run would replace with the default.
+		{"progress-every without progress", []string{"-exp", "fig4", "-progress-every", "5s"}, 2, "-progress-every"},
+		{"negative progress-every", incast("-scale", "small", "-senders", "2", "-progress", "-progress-every", "-3s"), 2, "-progress-every"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -137,8 +143,8 @@ func TestRejectsUnrunnableFlags(t *testing.T) {
 // TestDocumentedCommandsUseDeclaredFlags holds the docs to the CLI: every
 // `go run ./cmd/fairsim` line in README.md, DESIGN.md and EXPERIMENTS.md
 // may use only flags main.go declares, so a removed flag cannot linger in
-// an example, and a line with -exp only the scoped flags its experiment
-// reads, so no example exits 2.
+// an example, a line with -exp only the scoped flags its experiment
+// reads, and -progress-every only beside -progress, so no example exits 2.
 func TestDocumentedCommandsUseDeclaredFlags(t *testing.T) {
 	declared := declaredFlags(t)
 	const cmd = "go run ./cmd/fairsim"
@@ -164,6 +170,9 @@ func TestDocumentedCommandsUseDeclaredFlags(t *testing.T) {
 				if e, err = exp.Get(name); err != nil {
 					t.Errorf("%s:%d: %v: %s", doc, i+1, err, strings.TrimSpace(line))
 				}
+			}
+			if strings.Contains(args, "-progress-every") && !slices.Contains(strings.Fields(args), "-progress") {
+				t.Errorf("%s:%d: -progress-every without -progress exits 2: %s", doc, i+1, strings.TrimSpace(line))
 			}
 			for _, tok := range strings.Fields(args) {
 				name, isFlag := strings.CutPrefix(tok, "-")

@@ -51,7 +51,7 @@ func leafSpine(t *testing.T, nTors, hostsPerTor, nSpines int) (*sim.Engine, *Net
 	// Remote-host ECMP groups, installed after every host exists.
 	for ti, tor := range tors {
 		for _, host := range hosts {
-			if hostPorts[host.NodeID()].owner == tor {
+			if hostPorts[host.NodeID()].ownSw == tor {
 				continue
 			}
 			_ = ti
@@ -110,8 +110,9 @@ func TestECMPHashLayerDecorrelation(t *testing.T) {
 	}
 }
 
-// walkRoute replays the per-hop reference lookup from src toward dst and
-// returns the egress port chosen at every switch.
+// walkRoute replays the per-hop reference lookup from src toward dst — the
+// flow hash over each switch's members, picked here rather than by the
+// walk under test — and returns the egress port chosen at every switch.
 func walkRoute(t *testing.T, from *Host, dst, flowID int) []*Port {
 	t.Helper()
 	var path []*Port
@@ -120,17 +121,18 @@ func walkRoute(t *testing.T, from *Host, dst, flowID int) []*Port {
 		if steps > 64 {
 			t.Fatalf("routing loop toward host %d", dst)
 		}
-		switch node := port.peer.owner.(type) {
+		switch node := port.peer.Owner().(type) {
 		case *Host:
 			if node.id != dst {
 				t.Fatalf("walk reached host %d, want %d", node.id, dst)
 			}
 			return path
 		case *Switch:
-			out := node.lookupRoute(dst, flowID)
-			if out == nil {
+			g := node.members(dst)
+			if len(g) == 0 {
 				t.Fatalf("switch %d: no route to host %d", node.id, dst)
 			}
+			out := g[ecmpHash(flowID, node.id, len(g))]
 			path = append(path, out)
 			port = out
 		}
@@ -162,12 +164,13 @@ func TestFlatPathMatchesRoute(t *testing.T) {
 		if !f.Finished() {
 			t.Fatalf("flow %d did not finish over its flat path", f.Spec.ID)
 		}
-		src, dst := nw.hostByID(f.Spec.Src), nw.hostByID(f.Spec.Dst)
+		src, dst := nw.findHost(f.Spec.Src), nw.findHost(f.Spec.Dst)
 		wantFwd := walkRoute(t, src, f.Spec.Dst, f.Spec.ID)
 		wantRev := walkRoute(t, dst, f.Spec.Src, f.Spec.ID)
-		path, hops, err := nw.walkPath(src, f.Spec, nil)
-		if err != nil || hops != f.Hops() {
-			t.Fatalf("flow %d: a walk found %d hops (%v), the start %d", f.Spec.ID, hops, err, f.Hops())
+		probe := &Flow{Spec: f.Spec, net: nw}
+		path, hops := probe.walk(src, nil), probe.Hops()
+		if hops != f.Hops() {
+			t.Fatalf("flow %d: a walk found %d hops, the start %d", f.Spec.ID, hops, f.Hops())
 		}
 		fwd, rev := path[:hops], path[hops:]
 		if len(fwd) != len(wantFwd) {
@@ -237,21 +240,27 @@ func TestAddFlowRejectsMissingAckRoute(t *testing.T) {
 	nw.AddFlow(spec, &fixedAlgo{ctl: cc.Control{WindowBytes: 1e9, RateBps: gbps100}})
 }
 
-func TestHostByID(t *testing.T) {
+// TestFindHost: findHost maps a host's id to it and any other id to nil,
+// and AddFlow from an id that is not a host panics, naming the id.
+func TestFindHost(t *testing.T) {
 	_, nw, hosts, tors, _ := leafSpine(t, 2, 2, 2)
 	for _, h := range hosts {
-		if got := nw.hostByID(h.NodeID()); got != h {
-			t.Fatalf("hostByID(%d) returned wrong host", h.NodeID())
+		if got := nw.findHost(h.NodeID()); got != h {
+			t.Fatalf("findHost(%d) returned wrong host", h.NodeID())
 		}
 	}
 	for _, bad := range []int{-1, tors[0].NodeID(), 1 << 20} {
+		if got := nw.findHost(bad); got != nil {
+			t.Fatalf("findHost(%d) = host %d, want nil", bad, got.id)
+		}
 		func() {
+			want := fmt.Sprintf("net: no host with id %d", bad)
 			defer func() {
-				if recover() == nil {
-					t.Fatalf("hostByID(%d) did not panic", bad)
+				if r := recover(); fmt.Sprint(r) != want {
+					t.Fatalf("AddFlow from %d panicked with %v, want %q", bad, r, want)
 				}
 			}()
-			nw.hostByID(bad)
+			nw.AddFlow(FlowSpec{ID: 1, Src: bad, Dst: hosts[0].NodeID(), Size: 1000}, &fixedAlgo{})
 		}()
 	}
 }
@@ -379,7 +388,7 @@ func TestAddFlowRefusesBrokenRoutes(t *testing.T) {
 			d, want := row.broken()
 			// The first flow id whose hash at s1 picks s2, avoiding s3.
 			id := 1
-			for d.s1.lookupRoute(d.h1.NodeID(), id) != d.up[0] {
+			for g := d.s1.members(d.h1.NodeID()); g[ecmpHash(id, d.s1.id, len(g))] != d.up[0]; {
 				id++
 			}
 			spec := FlowSpec{ID: id, Src: d.h0.NodeID(), Dst: d.h1.NodeID(), Size: 1000}
@@ -405,5 +414,94 @@ func TestAddFlowRefusesBrokenRoutes(t *testing.T) {
 				t.Errorf("refused flow left %d flows and %d pending events", n, pending)
 			}
 		})
+	}
+}
+
+// TestAddRouteGroupsAcrossCalls: ports added toward one host by two calls,
+// one port and then two more, form one three-member ECMP group in call
+// order, and a flow's walk takes the member its hash picks. The fabric is
+// h0 - s0 - {m0, m1, m2} - s1 - h1.
+func TestAddRouteGroupsAcrossCalls(t *testing.T) {
+	nw := New(sim.NewEngine(), 1)
+	h0, h1 := nw.AddHost(), nw.AddHost()
+	s0, s1 := nw.AddSwitch(), nw.AddSwitch()
+	toH0, _ := nw.Connect(s0, h0, gbps100, usec)
+	toH1, _ := nw.Connect(s1, h1, gbps100, usec)
+	var up, back [3]*Port
+	for i := range up {
+		m := nw.AddSwitch()
+		var down, mBack *Port
+		up[i], mBack = nw.Connect(s0, m, gbps100, usec)
+		down, back[i] = nw.Connect(m, s1, gbps100, usec)
+		m.AddRoute(h1.NodeID(), down)
+		m.AddRoute(h0.NodeID(), mBack)
+	}
+	s0.AddRoute(h0.NodeID(), toH0)
+	s0.AddRoute(h1.NodeID(), up[:1]...)
+	s0.AddRoute(h1.NodeID(), up[1:]...)
+	s1.AddRoute(h1.NodeID(), toH1)
+	s1.AddRoute(h0.NodeID(), back[:]...)
+
+	g := s0.members(h1.NodeID())
+	if len(g) != 3 || g[0] != up[0] || g[1] != up[1] || g[2] != up[2] {
+		t.Fatalf("s0's group toward h1 is %v, want the three uplinks in call order", g)
+	}
+	picked := map[*Port]int{}
+	for id := 1; id <= 64; id++ {
+		spec := FlowSpec{ID: id, Src: h0.NodeID(), Dst: h1.NodeID(), Size: 1000}
+		if _, _, _, err := nw.ProbePath(spec); err != nil {
+			t.Fatal(err)
+		}
+		path := (&Flow{Spec: spec, net: nw}).walk(h0, nil)
+		if want := g[ecmpHash(id, s0.id, len(g))]; path[0] != want {
+			t.Fatalf("flow %d left s0 by another port than its hash picks", id)
+		}
+		picked[path[0]]++
+	}
+	if len(picked) != 3 {
+		t.Fatalf("64 flows took %d of the 3 members", len(picked))
+	}
+}
+
+// TestAddRouteKeepsCallerSlice: AddRoute keeps a caller's slice that
+// several destinations share, and extending one destination's group
+// writes neither into that slice's spare capacity nor into any other
+// destination's group.
+func TestAddRouteKeepsCallerSlice(t *testing.T) {
+	nw := New(sim.NewEngine(), 1)
+	h0, h1, h2 := nw.AddHost(), nw.AddHost(), nw.AddHost()
+	sw := nw.AddSwitch()
+	p0, _ := nw.Connect(sw, h0, gbps100, usec)
+	p1, _ := nw.Connect(sw, h1, gbps100, usec)
+	p2, _ := nw.Connect(sw, h2, gbps100, usec)
+	shared := make([]*Port, 2, 4)
+	shared[0], shared[1] = p0, p1
+	sw.AddRoute(h0.NodeID(), shared...)
+	sw.AddRoute(h1.NodeID(), shared...)
+	sw.AddRoute(h0.NodeID(), p2)
+	sw.AddRoute(h1.NodeID(), p0)
+
+	same := func(got []*Port, want ...*Port) bool {
+		if len(got) != len(want) {
+			return false
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				return false
+			}
+		}
+		return true
+	}
+	if !same(shared[:cap(shared)], p0, p1, nil, nil) {
+		t.Errorf("the caller's slice became %v", shared[:cap(shared)])
+	}
+	if g := sw.members(h0.NodeID()); !same(g, p0, p1, p2) {
+		t.Errorf("group toward h0 is %v, want [p0 p1 p2]", g)
+	}
+	if g := sw.members(h1.NodeID()); !same(g, p0, p1, p0) {
+		t.Errorf("group toward h1 is %v, want [p0 p1 p0]", g)
+	}
+	if g := sw.members(h2.NodeID()); g != nil {
+		t.Errorf("h2 has no route, yet its group is %v", g)
 	}
 }

@@ -23,20 +23,13 @@ func (h *Host) Port() *Port { return h.port }
 // Receive implements Node.
 func (h *Host) Receive(p *Packet, in *Port) {
 	switch p.Kind {
-	case Pause:
-		in.pausedBy = true
-		h.sh.putPacket(p)
-		return
-	case Resume:
-		in.pausedBy = false
-		h.sh.putPacket(p)
-		in.kick()
-		return
 	case Data:
 		h.receiveData(p)
 	case Ack:
 		p.run.onAck(p)
 		h.sh.putPacket(p)
+	default:
+		in.receivePFC(p)
 	}
 }
 

@@ -459,7 +459,40 @@ func TestAddRouteRejectsNonHosts(t *testing.T) {
 			sw.AddRoute(id, port)
 		}()
 	}
-	if len(sw.fwd) != 2 {
-		t.Fatalf("route table has %d entries after rejected routes, want 2", len(sw.fwd))
+	if len(sw.routes) != 2 {
+		t.Fatalf("route table has %d entries after rejected routes, want 2", len(sw.routes))
+	}
+}
+
+// foreignNode implements Node without being a host or a switch.
+type foreignNode struct{}
+
+func (foreignNode) Receive(*Packet, *Port) {}
+func (foreignNode) NodeID() int            { return -1 }
+
+// TestConnectOwners: a port's Owner is the switch or the host Connect gave
+// it; connecting a host twice, or a Node that is neither, panics.
+func TestConnectOwners(t *testing.T) {
+	nw := New(sim.NewEngine(), 1)
+	h, sw := nw.AddHost(), nw.AddSwitch()
+	ps, ph := nw.Connect(sw, h, gbps100, usec)
+	if ps.Owner() != Node(sw) || ph.Owner() != Node(h) || sw.Ports()[0] != ps || h.Port() != ph {
+		t.Fatal("Connect did not make the switch and the host its ports' owners")
+	}
+	for name, c := range map[string]struct {
+		b    Node
+		want string
+	}{
+		"host connected twice": {h, fmt.Sprintf("host %d connected twice", h.NodeID())},
+		"foreign node":         {foreignNode{}, "neither a host nor a switch"},
+	} {
+		func() {
+			defer func() {
+				if r := recover(); !strings.Contains(fmt.Sprint(r), c.want) {
+					t.Errorf("%s: Connect panicked with %v, want %q", name, r, c.want)
+				}
+			}()
+			nw.Connect(sw, c.b, gbps100, usec)
+		}()
 	}
 }

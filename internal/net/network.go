@@ -68,7 +68,7 @@ type Network struct {
 	DropFilter func(kind Kind, flowID int, seq int64) bool
 
 	hosts      []*Host
-	hostByNode []*Host // node id -> host (nil for switch ids); O(1) hostByID
+	hostByNode []*Host // node id -> host (nil for switch ids); O(1) findHost
 	switches   []*Switch
 	flows      []*Flow
 	nextID     int
@@ -168,38 +168,17 @@ func (n *Network) Switches() []*Switch { return n.switches }
 func (n *Network) Flows() []*Flow { return n.flows }
 
 // Connect links a and b with a full-duplex link of the given bandwidth and
-// propagation delay, returning (a's port, b's port).
+// propagation delay, returning (a's port, b's port). A host connected twice
+// panics, and so does a Node that is neither a *Host nor a *Switch.
 func (n *Network) Connect(a, b Node, bps float64, delay sim.Time) (*Port, *Port) {
 	// All nodes live on shard 0 at construction time; Shard rebinds.
 	sh := n.shards[0]
 	lane := sh.eng.Lane(delay)
-	pa := &Port{net: n, sh: sh, eng: sh.eng, lane: lane, owner: a, bw: bps, delay: delay}
-	pb := &Port{net: n, sh: sh, eng: sh.eng, lane: lane, owner: b, bw: bps, delay: delay}
+	pa := &Port{net: n, sh: sh, eng: sh.eng, lane: lane, bw: bps, delay: delay}
+	pb := &Port{net: n, sh: sh, eng: sh.eng, lane: lane, bw: bps, delay: delay}
 	pa.peer, pb.peer = pb, pa
-	if sw, ok := a.(*Switch); ok {
-		pa.stampINT = true
-		pa.ownSw = sw
-		sw.ports = append(sw.ports, pa)
-	}
-	if sw, ok := b.(*Switch); ok {
-		pb.stampINT = true
-		pb.ownSw = sw
-		sw.ports = append(sw.ports, pb)
-	}
-	if h, ok := a.(*Host); ok {
-		if h.port != nil {
-			panic(fmt.Sprintf("net: host %d connected twice", h.id))
-		}
-		pa.ownHost = h
-		h.port = pa
-	}
-	if h, ok := b.(*Host); ok {
-		if h.port != nil {
-			panic(fmt.Sprintf("net: host %d connected twice", h.id))
-		}
-		pb.ownHost = h
-		h.port = pb
-	}
+	pa.attach(a)
+	pb.attach(b)
 	return pa, pb
 }
 
@@ -215,7 +194,7 @@ func (n *Network) AddFlow(spec FlowSpec, algo cc.Algorithm) *Flow {
 	if spec.Size <= 0 {
 		panic("net: flow size must be positive")
 	}
-	src := n.hostByID(spec.Src)
+	src := n.findHost(spec.Src)
 	hops, path, rtt, err := n.routes(src, spec)
 	if err != nil {
 		panic("net: " + err.Error())
@@ -257,16 +236,8 @@ func (n *Network) initialRTO(baseRTT sim.Time) sim.Time {
 	return rto
 }
 
-// hostByID returns the host with the given node id in O(1); unknown ids
-// are programming errors and panic (AddFlow's contract).
-func (n *Network) hostByID(id int) *Host {
-	if h := n.findHost(id); h != nil {
-		return h
-	}
-	panic(fmt.Sprintf("net: no host with id %d", id))
-}
-
-// findHost is hostByID without the panic: nil for ids that are not hosts.
+// findHost returns the host with the given node id, nil for ids that are
+// not hosts.
 func (n *Network) findHost(id int) *Host {
 	if id < 0 || id >= len(n.hostByNode) {
 		return nil
@@ -329,57 +300,29 @@ func (n *Network) reach(from *Port, dst, flowID int) (hops int, rtt sim.Time, er
 // forward links: the switch hops; the unloaded RTT (per-link propagation
 // plus MTU-packet serialization forward, propagation plus ACK
 // serialization back); the one-way pipeline-fill delay; and the bottleneck
-// bandwidth. The check makes a failure impossible, so one panics. walk
-// allocates nothing once buf has grown, and never touches the packet pool.
+// bandwidth. walk allocates nothing once buf has grown, and never touches
+// the packet pool.
 func (f *Flow) walk(src *Host, buf []*Port) []*Port {
-	path, hops, err := f.net.walkPath(src, f.Spec, buf)
-	if err != nil {
-		panic("net: a checked route failed its walk: " + err.Error())
-	}
-	f.hops, f.minBw = hops, src.port.bw
+	path := appendPath(buf, src.port, f.Spec.Dst, f.Spec.ID)
+	f.hops, f.minBw = len(path)-len(buf), src.port.bw
 	f.addLink(src.port)
-	for _, port := range path[:hops] {
+	for _, port := range path[len(buf):] {
 		f.addLink(port)
 	}
+	return appendPath(path, f.net.findHost(f.Spec.Dst).port, f.Spec.Src, f.Spec.ID)
+}
+
+// appendPath follows the routes from a host's uplink to host dst, choosing
+// among each switch's members by flowID, and appends the egress port taken
+// at every switch to path. The route summaries checked the route, so the
+// walk reaches dst.
+func appendPath(path []*Port, from *Port, dst, flowID int) []*Port {
+	for sw := from.peer.ownSw; sw != nil; sw = from.peer.ownSw {
+		g := sw.members(dst)
+		from = g[ecmpHash(flowID, sw.id, len(g))]
+		path = append(path, from)
+	}
 	return path
-}
-
-// walkPath appends a flow's flat path to buf: the egress port each switch
-// picks for its data, then for its ACKs. It also returns the length of the
-// forward part, the flow's switch hops, and the grown buf even on error.
-func (n *Network) walkPath(src *Host, spec FlowSpec, buf []*Port) (path []*Port, hops int, err error) {
-	if path, err = resolvePath(src.port, spec.Dst, spec.ID, buf); err != nil {
-		return path, 0, err
-	}
-	hops = len(path) - len(buf)
-	if path, err = resolvePath(n.findHost(spec.Dst).port, spec.Src, spec.ID, path); err != nil {
-		return path, hops, fmt.Errorf("ack %w", err)
-	}
-	return path, hops, nil
-}
-
-// resolvePath follows the routes from a host's uplink to host dst, choosing
-// among ECMP members by flowID, and appends the egress port taken at every
-// switch to path. It returns path even on error, so the caller keeps the
-// grown scratch.
-func resolvePath(from *Port, dst, flowID int, path []*Port) ([]*Port, error) {
-	for port, steps := from, 0; ; steps++ {
-		if steps > maxRouteHops {
-			return path, fmt.Errorf("routing loop toward host %d", dst)
-		}
-		switch node := port.peer.owner.(type) {
-		case *Host:
-			if node.id != dst {
-				return path, fmt.Errorf("route for flow %d reached host %d, want %d", flowID, node.id, dst)
-			}
-			return path, nil
-		case *Switch:
-			if port = node.lookupRoute(dst, flowID); port == nil {
-				return path, fmt.Errorf("switch %d has no route to host %d", node.id, dst)
-			}
-			path = append(path, port)
-		}
-	}
 }
 
 // addLink folds one forward link into the flow's path constants. The route

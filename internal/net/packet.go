@@ -111,10 +111,8 @@ type Packet struct {
 func (p *Packet) Fire() {
 	if d := p.dest; d.ownSw != nil {
 		d.ownSw.Receive(p, d)
-	} else if d.ownHost != nil {
-		d.ownHost.Receive(p, d)
 	} else {
-		d.owner.Receive(p, d)
+		d.ownHost.Receive(p, d)
 	}
 }
 

@@ -1,7 +1,9 @@
 package net
 
 import (
+	"math"
 	"runtime"
+	"runtime/debug"
 	"testing"
 	"unsafe"
 
@@ -106,29 +108,36 @@ func TestBytesPerPacket(t *testing.T) {
 		t.Fatalf("a packet with a %d-hop INT stack is %d bytes, want 184", hops, got)
 	}
 
-	nw := New(sim.NewEngine(), 1)
-	nw.maxHops = hops
-	sh := nw.shards[0]
+	// TotalAlloc is the whole process's: a GC cycle inside the loop adds
+	// bytes of its own, so the collector is off while it counts, and
+	// another goroutine can still allocate a few KB during one count, so
+	// the least of three counts is read.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	const n = 136 * packetSlab
-	held := make([]*Packet, 0, n)
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	base := ms.TotalAlloc
-	for range n {
-		held = append(held, sh.getPacket())
+	per := math.Inf(1)
+	for range 3 {
+		nw := New(sim.NewEngine(), 1)
+		nw.maxHops = hops
+		sh := nw.shards[0]
+		held := make([]*Packet, 0, n)
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		base := ms.TotalAlloc
+		for range n {
+			held = append(held, sh.getPacket())
+		}
+		runtime.ReadMemStats(&ms)
+		per = min(per, float64(ms.TotalAlloc-base)/n)
+		for _, p := range held {
+			if p.intCap != hops {
+				t.Fatalf("packet carved with an INT stack of %d records, want %d", p.intCap, hops)
+			}
+		}
 	}
-	runtime.ReadMemStats(&ms)
-	per := float64(ms.TotalAlloc-base) / n
 	t.Logf("%.1f B per packet carved with a %d-hop INT stack", per, hops)
 	if per > 185 {
 		t.Errorf("%.1f B per packet, want at most 185", per)
 	}
-	for _, p := range held {
-		if p.intCap != hops {
-			t.Fatalf("packet carved with an INT stack of %d records, want %d", p.intCap, hops)
-		}
-	}
-	runtime.KeepAlive(held)
 }
 
 // TestINTStackDepth: a data packet stamps every switch of its flow's path

@@ -21,9 +21,8 @@ type Node interface {
 // arriving packets are reported to its owner. Ports are created by
 // Network.Connect.
 type Port struct {
-	net   *Network
-	owner Node
-	peer  *Port
+	net  *Network
+	peer *Port
 
 	// sh/eng are the execution shard the port's owner lives on and that
 	// shard's engine (always shard 0 until Network.Shard rebinds). Every
@@ -39,8 +38,9 @@ type Port struct {
 	lane  *sim.Lane
 	xmail *sim.Outbox
 
-	// Concrete views of owner, at most one non-nil: Packet.Fire dispatches
-	// arrivals through these instead of the Node interface.
+	// The port's owner, exactly one non-nil: Packet.Fire dispatches
+	// arrivals through these instead of the Node interface, and a switch's
+	// ports stamp telemetry on data packets (see finishTx).
 	ownHost *Host
 	ownSw   *Switch
 	bw      float64  // link bandwidth, bps
@@ -56,7 +56,6 @@ type Port struct {
 	// only when the last open window closes, not when the first one ends.
 	downDepth int
 	txBytes   int64
-	stampINT  bool       // owner is a switch: stamp telemetry on data packets (see finishTx)
 	red       *REDConfig // ECN marking at enqueue when set
 	bufBytes  int64      // egress buffer cap in wire bytes; 0 = unbounded
 
@@ -106,7 +105,30 @@ type REDConfig struct {
 }
 
 // Owner returns the node the port belongs to.
-func (pt *Port) Owner() Node { return pt.owner }
+func (pt *Port) Owner() Node {
+	if pt.ownSw != nil {
+		return pt.ownSw
+	}
+	return pt.ownHost
+}
+
+// attach makes node the port's owner: a switch gains the port, a host
+// takes it as its uplink.
+func (pt *Port) attach(node Node) {
+	switch o := node.(type) {
+	case *Switch:
+		pt.ownSw = o
+		o.ports = append(o.ports, pt)
+	case *Host:
+		if o.port != nil {
+			panic(fmt.Sprintf("net: host %d connected twice", o.id))
+		}
+		pt.ownHost = o
+		o.port = pt
+	default:
+		panic(fmt.Sprintf("net: Connect to a %T, which is neither a host nor a switch", node))
+	}
+}
 
 // Peer returns the port at the other end of the link.
 func (pt *Port) Peer() *Port { return pt.peer }
@@ -289,7 +311,7 @@ func (pt *Port) Fire() { pt.finishTx(pt.txPkt) }
 func (pt *Port) finishTx(p *Packet) {
 	pt.txPkt = nil
 	pt.txBytes += int64(p.Wire)
-	if p.Kind == Data && pt.stampINT {
+	if p.Kind == Data && pt.ownSw != nil {
 		// The packet's hop-th switch is this port's owner; the sender gave
 		// it a stack as deep as its path (see flowRun.trySend).
 		p.stack()[p.hop-1] = cc.Telemetry{
@@ -375,6 +397,16 @@ func (pt *Port) creditIngress(bytes int64) {
 	if pt.pauseSent && pt.ingressBytes <= pt.net.PFCResumeBytes {
 		pt.pauseSent = false
 		pt.sendPFC(Resume)
+	}
+}
+
+// receivePFC takes a PFC frame that arrived on pt: a Pause holds the data
+// pt sends, a Resume lets it go again.
+func (pt *Port) receivePFC(p *Packet) {
+	pt.pausedBy = p.Kind == Pause
+	pt.sh.putPacket(p)
+	if !pt.pausedBy {
+		pt.kick()
 	}
 }
 

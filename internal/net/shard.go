@@ -364,7 +364,7 @@ func (n *Network) bindCrossShard(pt *Port) {
 	}
 	if pt.delay <= 0 {
 		panic(fmt.Sprintf("net: cross-shard link %d->%d has zero propagation delay (no lookahead)",
-			pt.owner.NodeID(), pt.peer.owner.NodeID()))
+			pt.Owner().NodeID(), pt.peer.Owner().NodeID()))
 	}
 	pt.xmail = n.mail.Outbox(src, dst)
 	if n.window == 0 || pt.delay < n.window {

@@ -24,11 +24,10 @@ type Switch struct {
 	id    int
 	ports []*Port
 
-	// fwd[dst] is the sole egress port toward dst (the single-port fast
-	// path); nil when dst has an ECMP group (groups[dst], always >= 2
-	// candidates) or no route at all.
-	fwd    []*Port
-	groups [][]*Port
+	// routes[dst] is every egress port the switch may pick toward host dst,
+	// in the order AddRoute added them: one for a unique route, an ECMP
+	// group for more, none without a route.
+	routes [][]*Port
 	// sums[dst] summarizes every route toward host dst below this switch;
 	// the row is made the first time a check reaches the switch.
 	sums []routeSum
@@ -43,7 +42,10 @@ func (s *Switch) Ports() []*Port { return s.ports }
 // AddRoute registers egress ports for a destination host. Multiple ports
 // (across one or several calls) form an ECMP group selected by flow hash,
 // so every flow keeps a single path and in-order delivery. Candidate order
-// is the order ports were added. A dstHost that is not a host's id panics,
+// is the order ports were added. AddRoute keeps the first call's slice, so
+// the caller must not change it afterwards: topology builders pass one
+// uplink slice for every destination behind it, which keeps the table one
+// slice header per destination. A dstHost that is not a host's id panics,
 // and so does any call once the network has a flow or a route summary (see
 // routeSum): flows are checked against the summaries and forward by the
 // paths their starts resolve, so routes are fixed from the first check on.
@@ -55,50 +57,31 @@ func (s *Switch) AddRoute(dstHost int, ports ...*Port) {
 		return
 	}
 	for _, p := range ports {
-		if p.owner != s {
+		if p.ownSw != s {
 			panic("net: AddRoute with a port not owned by this switch")
 		}
 	}
 	if s.net.findHost(dstHost) == nil {
 		panic(fmt.Sprintf("net: AddRoute to %d, which is not a host", dstHost))
 	}
-	if len(s.fwd) <= dstHost {
+	if len(s.routes) <= dstHost {
 		// Sized to every host there is: once, when the hosts exist before
 		// the routes, as every topology builder adds them.
-		m := len(s.net.hostByNode)
-		s.fwd = append(s.fwd, make([]*Port, m-len(s.fwd))...)
-		s.groups = append(s.groups, make([][]*Port, m-len(s.groups))...)
+		s.routes = append(s.routes, make([][]*Port, len(s.net.hostByNode)-len(s.routes))...)
 	}
-	switch {
-	case s.fwd[dstHost] == nil && s.groups[dstHost] == nil && len(ports) == 1:
-		s.fwd[dstHost] = ports[0]
-	case s.fwd[dstHost] == nil && s.groups[dstHost] == nil:
-		// First install of a multi-port group: alias the caller's slice,
-		// clipped so a later append for this dst cannot scribble on it.
-		// Topology builders reuse one uplink slice for every destination
-		// behind it, so this keeps route installation O(hosts) in memory.
-		s.groups[dstHost] = ports[:len(ports):len(ports)]
-	default:
-		g := s.groups[dstHost]
-		if g == nil {
-			g = append(make([]*Port, 0, 1+len(ports)), s.fwd[dstHost])
-			s.fwd[dstHost] = nil
-		}
-		s.groups[dstHost] = append(g, ports...)
+	if g := s.routes[dstHost]; g != nil {
+		s.routes[dstHost] = append(g, ports...)
+	} else {
+		// Clipped, so a later append for this dst cannot scribble on the
+		// caller's array.
+		s.routes[dstHost] = ports[:len(ports):len(ports)]
 	}
 }
 
 // Receive implements Node.
 func (s *Switch) Receive(p *Packet, in *Port) {
-	switch p.Kind {
-	case Pause:
-		in.pausedBy = true
-		s.sh.putPacket(p)
-		return
-	case Resume:
-		in.pausedBy = false
-		s.sh.putPacket(p)
-		in.kick()
+	if p.Kind >= Pause { // Pause or Resume
+		in.receivePFC(p)
 		return
 	}
 	// The egress port stamps the packet's next INT slot, record hop, one
@@ -120,33 +103,12 @@ func (s *Switch) Receive(p *Packet, in *Port) {
 	out.send(p)
 }
 
-// lookupRoute resolves flow flowID's egress port toward dst from the dense
-// forwarding table, returning nil when the switch has no route to dst:
-// single-port destinations are one load; ECMP groups hash the flow id.
-func (s *Switch) lookupRoute(dst, flowID int) *Port {
-	if dst < 0 || dst >= len(s.fwd) {
-		return nil
-	}
-	if out := s.fwd[dst]; out != nil {
-		return out
-	}
-	g := s.groups[dst]
-	if g == nil {
-		return nil
-	}
-	return g[ecmpHash(flowID, s.id, len(g))]
-}
-
-// members returns every egress port the switch may pick toward dst: the
-// sole port, the ECMP group, or none.
+// members returns every egress port the switch may pick toward dst.
 func (s *Switch) members(dst int) []*Port {
-	if dst >= len(s.fwd) {
+	if dst >= len(s.routes) {
 		return nil
 	}
-	if s.fwd[dst] != nil {
-		return s.fwd[dst : dst+1]
-	}
-	return s.groups[dst]
+	return s.routes[dst]
 }
 
 // routeSum summarizes a switch's routes toward one destination host over
@@ -171,8 +133,7 @@ const (
 	routeBad
 )
 
-// maxRouteHops bounds a route's switch hops, as the path walk's loop
-// guard does.
+// maxRouteHops bounds a route's switch hops.
 const maxRouteHops = 64
 
 // routeTo returns the switch's summary toward host dst, summarizing the

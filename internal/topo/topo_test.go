@@ -2,6 +2,8 @@ package topo
 
 import (
 	"math"
+	"runtime"
+	"runtime/debug"
 	"strings"
 	"testing"
 
@@ -402,6 +404,32 @@ func TestNewFatTreeAllocations(t *testing.T) {
 	t.Logf("%.0f allocations per 320-host fat-tree", allocs)
 	if allocs > 2200 {
 		t.Errorf("building the 320-host fat-tree made %.0f allocations, want at most 2200", allocs)
+	}
+}
+
+// raceEnabled is set when the tests run under the race detector.
+var raceEnabled bool
+
+// TestNewFatTreeBytes pins the bytes of building the paper's 320-host tree,
+// whose switches keep one route slice header per destination: 808 672 B,
+// where a table of single ports beside a table of ECMP groups took
+// 991 712 B. The collector is off while it counts, so a GC cycle cannot add
+// bytes of its own.
+func TestNewFatTreeBytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation changes what a build allocates")
+	}
+	cfg := DefaultFatTree()
+	NewFatTree(net.New(sim.NewEngine(), 1), cfg) // warm-up
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	NewFatTree(net.New(sim.NewEngine(), 1), cfg)
+	runtime.ReadMemStats(&after)
+	bytes := after.TotalAlloc - before.TotalAlloc
+	t.Logf("%d B per 320-host fat-tree", bytes)
+	if bytes > 850_000 {
+		t.Errorf("building the 320-host fat-tree allocated %d B, want at most 850 000", bytes)
 	}
 }
 
