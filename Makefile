@@ -27,8 +27,9 @@ bench-compare:
 	go run ./bench -compare $(A) $(B)
 
 # The tracked size number (ROADMAP aim 2): non-test Go lines and assembly,
-# bench/ excluded, then the same count per directory. cmd/ci holds its one
-# definition and prints the total as the gate's last line.
+# bench/ excluded, then the same count per directory, then the counts of
+# registered experiments, -verify claims and fairsim flags. cmd/ci holds its
+# one definition and prints the total as the gate's last line.
 loc:
 	@go run ./cmd/ci -loc
 

@@ -35,7 +35,8 @@
 // Its last line is the tracked size number (ROADMAP aim 2), the figure a
 // PR's CHANGES.md entry quotes; `go run ./cmd/ci -loc` (`make loc`) prints
 // that number on its first line, then the same count per directory, then
-// the number of flags fairsim declares, the other tracked knob count.
+// the other tracked counts: registered experiments, -verify claims and the
+// flags fairsim declares.
 package main
 
 import (
@@ -51,6 +52,8 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+
+	"faircc/internal/exp"
 )
 
 // loc is the tracked size number: the lines of every non-test Go file and
@@ -107,7 +110,7 @@ func fairsimFlags() (int, error) {
 }
 
 func main() {
-	locOnly := flag.Bool("loc", false, "print the tracked size number, one line per directory and fairsim's flag count, and exit")
+	locOnly := flag.Bool("loc", false, "print the tracked size number, one line per directory, the experiment, claim and fairsim flag counts, and exit")
 	flag.Parse()
 	size, byDir, err := loc()
 	if err != nil {
@@ -129,7 +132,8 @@ func main() {
 			fmt.Fprintln(os.Stderr, "ci: flags:", err)
 			os.Exit(1)
 		}
-		fmt.Printf("%6d fairsim flags\n", flags)
+		fmt.Printf("%6d registered experiments\n%6d -verify claims\n%6d fairsim flags\n",
+			len(exp.Names()), len(exp.Claims()), flags)
 		return
 	}
 

@@ -52,12 +52,12 @@ func run() int {
 		work   = flag.Int("workers", 0, "parallel variant runners (0 = GOMAXPROCS)")
 		verify = flag.Bool("verify", false, "check the paper's claims against fresh runs and exit")
 
-		bufBytes = flag.Int64("buffer-bytes", 0, "lossy experiments: per-egress switch buffer in bytes (0 = experiment default)")
-		dropData = flag.Float64("drop-data", 0, "lossy experiments: random data-packet wire-loss probability (0 = experiment default)")
-		dropAck  = flag.Float64("drop-ack", 0, "lossy experiments: random ACK wire-loss probability (0 = experiment default)")
+		bufBytes = flag.Int64("buffer-bytes", 0, "incast-lossy: per-egress switch buffer in bytes (0 = its default)")
+		dropData = flag.Float64("drop-data", 0, "incast-lossy: random data-packet wire-loss probability (0 = its default)")
+		dropAck  = flag.Float64("drop-ack", 0, "incast-lossy: random ACK wire-loss probability (0 = its default)")
 
-		rttSlowDelay = flag.Duration("rtt-slow-delay", 0, "rtt-unfairness experiments: slow group's access-link propagation delay (0 = scenario preset)")
-		rttSenders   = flag.Int("rtt-senders", 0, "rtt-unfairness experiments: senders per RTT class (0 = scenario preset)")
+		rttSlowDelay = flag.Duration("rtt-slow-delay", 0, "rtt-unfairness: slow group's access-link propagation delay (0 = scenario preset)")
+		rttSenders   = flag.Int("rtt-senders", 0, "rtt-unfairness: senders per RTT class (0 = scenario preset)")
 
 		workload = flag.String("workload", "", "dc: hadoop, websearch, storage, mix, or a flow-size distribution file in the HPCC-artifact format (default hadoop)")
 		protocol = flag.String("protocol", "", "dc: hpcc or swift, run with and without VAI SF (default hpcc)")

@@ -5,7 +5,6 @@ import (
 	"unsafe"
 
 	"faircc/internal/cc/dcqcn"
-	"faircc/internal/cc/dctcp"
 	"faircc/internal/cc/hpcc"
 	"faircc/internal/cc/swift"
 	"faircc/internal/cc/timely"
@@ -26,7 +25,6 @@ func TestAlgorithmSizes(t *testing.T) {
 		{"hpcc", unsafe.Sizeof(hpcc.HPCC{}), 256},
 		{"swift", unsafe.Sizeof(swift.Swift{}), 288},
 		{"dcqcn", unsafe.Sizeof(dcqcn.DCQCN{}), 144},
-		{"dctcp", unsafe.Sizeof(dctcp.DCTCP{}), 80},
 		{"timely", unsafe.Sizeof(timely.Timely{}), 248},
 	} {
 		if c.size > c.max {

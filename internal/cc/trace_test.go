@@ -9,7 +9,6 @@ import (
 
 	"faircc/internal/cc"
 	"faircc/internal/cc/dcqcn"
-	"faircc/internal/cc/dctcp"
 	"faircc/internal/cc/hpcc"
 	"faircc/internal/cc/swift"
 	"faircc/internal/cc/timely"
@@ -82,7 +81,6 @@ func TestControlTraces(t *testing.T) {
 		{"timely-vaisf", tm(timely.VAISFConfig(minBDPDelay), nil), 0x9b32d25e2fb54d94},
 
 		{"dcqcn", dcqcn.New(dcqcn.DefaultConfig()), 0x663e7b2ff506afdf},
-		{"dctcp", dctcp.New(dctcp.DefaultConfig()), 0x34a80889f2649e50},
 	}
 	for i, c := range cases {
 		if got := controlTrace(c.algo, int64(i+1)); got != c.want {

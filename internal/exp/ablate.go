@@ -16,10 +16,10 @@ import (
 // The ablations sweep the design parameters DESIGN.md calls out: AI_Cap
 // (latency versus fairness), the Sampling Frequency s (bandwidth versus
 // fairness), and the dampener constant (feedback-loop protection under
-// heavy incast), each on the 16-1 or 96-1 incast; probe the Sec. V-A corner
-// case of a new flow joining high-dampener incumbents; and try the hyper-AI
-// Swift extension the paper suggests for its Hadoop median-slowdown
-// artifact.
+// heavy incast), each on the 16-1 or 96-1 incast and each read by a claim;
+// probe the Sec. V-A corner case of a new flow joining high-dampener
+// incumbents; and try the hyper-AI Swift extension the paper suggests for
+// its Hadoop median-slowdown artifact.
 
 // sweep is the star row of one ablation: HPCC VAI SF on the paper's incast
 // at the given degree, once per value, with set applying the value to the
@@ -54,6 +54,20 @@ func sweep(name, title string, senders int, values []float64, set func(*hpcc.Con
 	}
 	return starRun{shape: paperShape(senders), variants: variants, figs: []incastFigure{{name, title, nil, view}}}
 }
+
+// The sweeps' values, and the sweeps: star rows of incast.go's table.
+var (
+	aiCaps    = []float64{10, 50, 100, 200, 500}
+	sfEvery   = []float64{5, 15, 30, 60, 120}
+	dampeners = []float64{1, 4, 8, 32, 128}
+
+	aiCapSweep = sweep("ablate-aicap", "AI_Cap sweep on 16-1 incast (HPCC VAI SF): latency vs fairness",
+		16, aiCaps, func(c *hpcc.Config, v float64) { c.VAI.AICap = v })
+	sfSweep = sweep("ablate-sf", "Sampling Frequency sweep on 16-1 incast (HPCC VAI SF): bandwidth vs fairness",
+		16, sfEvery, func(c *hpcc.Config, v float64) { c.SFEvery = int(v) })
+	dampenerSweep = sweep("ablate-dampener", "Dampener constant sweep on 96-1 incast (HPCC VAI SF): feedback protection",
+		96, dampeners, func(c *hpcc.Config, v float64) { c.VAI.DampenerConst = v })
+)
 
 func init() {
 	register(single("ablate-newflow", "New flow joins while incumbents hold a high dampener "+

@@ -1,6 +1,9 @@
 package exp
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Claim is one falsifiable statement from the paper, checked against a
 // fresh simulation run — the artifact-evaluation self-check behind
@@ -19,7 +22,7 @@ func Claims() []Claim {
 			Name: "incast-inversion",
 			Text: "Sec. III-E: under default HPCC, incast flows that begin last finish first",
 			Check: func(cfg Config) (bool, string, error) {
-				outs, err := runPaperIncast(cfg, "hpcc", 16)
+				outs, err := paperRun("hpcc", 16).run(cfg)
 				if err != nil {
 					return false, "", err
 				}
@@ -33,21 +36,21 @@ func Claims() []Claim {
 			Name: "vaisf-convergence-hpcc",
 			Text: "Sec. VI-B: HPCC VAI SF converges to fairness much faster than default",
 			Check: func(cfg Config) (bool, string, error) {
-				return convergenceClaim(cfg, "hpcc", 2)
+				return convergenceClaim(cfg, paperRun("hpcc", 16), defaultVariant, vaisfVariant, 2)
 			},
 		},
 		{
 			Name: "vaisf-convergence-swift",
 			Text: "Sec. VI-B: Swift VAI SF converges to fairness faster than default",
 			Check: func(cfg Config) (bool, string, error) {
-				return convergenceClaim(cfg, "swift", 1.5)
+				return convergenceClaim(cfg, paperRun("swift", 16), defaultVariant, vaisfVariant, 1.5)
 			},
 		},
 		{
 			Name: "near-zero-queues",
 			Text: "Sec. VI-B: HPCC with VAI SF still maintains near-zero steady queues",
 			Check: func(cfg Config) (bool, string, error) {
-				outs, err := runPaperIncast(cfg, "hpcc", 16)
+				outs, err := paperRun("hpcc", 16).run(cfg)
 				if err != nil {
 					return false, "", err
 				}
@@ -124,18 +127,86 @@ func Claims() []Claim {
 				return v < d, fmt.Sprintf("post-join convergence: default %.0f us, VAI SF %.0f us", d, v), nil
 			},
 		},
+		{
+			Name: "vaisf-convergence-timely",
+			Text: "Generality: the mechanisms apply to other sender-side protocols; TIMELY VAI SF converges faster",
+			Check: func(cfg Config) (bool, string, error) {
+				return convergenceClaim(cfg, timelyRun, 0, 1, 1.1)
+			},
+		},
+		{
+			Name: "aicap-latency-fairness",
+			Text: "Sec. V: a larger AI_Cap gives better fairness at the cost of higher latency",
+			Check: func(cfg Config) (bool, string, error) {
+				o, err := sweepAt(cfg, aiCapSweep, aiCaps, 10, 100, 500)
+				if err != nil {
+					return false, "", err
+				}
+				c10, c100 := o[0].convergeUs, o[1].convergeUs
+				ok := c100 > 0 && c10 > 0 && c100*1.2 <= c10 && o[2].maxQueueKB >= o[0].maxQueueKB
+				return ok, fmt.Sprintf("convergence: cap 10 %.0f us, cap 100 %.0f us; max queue: cap 10 %.0f KB, cap 500 %.0f KB",
+					c10, c100, o[0].maxQueueKB, o[2].maxQueueKB), nil
+			},
+		},
+		{
+			Name: "sf-bandwidth-fairness",
+			Text: "Sec. V: frequent sampling trades bandwidth for fairness; rare sampling drifts back to per-RTT speed",
+			Check: func(cfg Config) (bool, string, error) {
+				o, err := sweepAt(cfg, sfSweep, sfEvery, 5, 30, 120)
+				if err != nil {
+					return false, "", err
+				}
+				q5, q30 := o[0].maxQueueKB, o[1].maxQueueKB
+				done5, done30 := slices.Max(o[0].startFinish.Y), slices.Max(o[1].startFinish.Y)
+				c30, c120 := o[1].convergeUs, o[2].convergeUs
+				ok := q5 < q30 && done5 > done30 && c30 > 0 && c120 > 0 && c30*1.15 <= c120
+				return ok, fmt.Sprintf("max queue: s=5 %.0f KB, s=30 %.0f KB; last finish: s=5 %.0f us, s=30 %.0f us; "+
+					"convergence: s=30 %.0f us, s=120 %.0f us", q5, q30, done5, done30, c30, c120), nil
+			},
+		},
+		{
+			Name: "dampener-protection",
+			Text: "Sec. V: the dampener protects the feedback loop: weaker damping deepens the 96-1 queue, no faster",
+			Check: func(cfg Config) (bool, string, error) {
+				o, err := sweepAt(cfg, dampenerSweep, dampeners, 1, 128)
+				if err != nil {
+					return false, "", err
+				}
+				q1, q128 := o[0].maxQueueKB, o[1].maxQueueKB
+				c1, c128 := o[0].convergeUs, o[1].convergeUs
+				// Never converging (-1) is no faster.
+				ok := q128 >= 1.5*q1 && (c128 < 0 || c1 > 0 && c128 >= c1)
+				return ok, fmt.Sprintf("max queue: constant 1 %.0f KB, 128 %.0f KB; convergence: 1 %.0f us, 128 %.0f us",
+					q1, q128, c1, c128), nil
+			},
+		},
 	}
 }
 
-func convergenceClaim(cfg Config, protocol string, factor float64) (bool, string, error) {
-	outs, err := runPaperIncast(cfg, protocol, 16)
+// convergenceClaim runs r and compares the convergence of its variants def
+// and vai: VAI SF must converge factor times faster.
+func convergenceClaim(cfg Config, r starRun, def, vai int, factor float64) (bool, string, error) {
+	outs, err := r.run(cfg)
 	if err != nil {
 		return false, "", err
 	}
-	d, v := outs[defaultVariant].convergeUs, outs[vaisfVariant].convergeUs
+	d, v := outs[def].convergeUs, outs[vai].convergeUs
 	detail := fmt.Sprintf("convergence: default %.0f us, VAI SF %.0f us", d, v)
 	if d <= 0 || v <= 0 {
 		return false, detail, nil
 	}
 	return v*factor <= d, detail, nil
+}
+
+// sweepAt runs a sweep over values and returns its outputs at the values at.
+func sweepAt(cfg Config, r starRun, values []float64, at ...float64) ([]*incastOut, error) {
+	outs, err := r.run(cfg)
+	if err != nil {
+		return nil, err
+	}
+	picked := make([]*incastOut, len(at))
+	for i, v := range at {
+		picked[i] = outs[slices.Index(values, v)]
+	}
+	return picked, nil
 }

@@ -46,16 +46,15 @@ type Config struct {
 	// (default 1s).
 	ProgressEvery time.Duration `json:"-"`
 
-	// Lossy-mode knobs for the incast-lossy / incast-pfc-vs-lossy
-	// experiments (zero = each experiment's defaults; other experiments
-	// ignore them). BufferBytes caps every switch egress queue;
+	// Lossy-mode knobs for the incast-lossy experiment (zero = its
+	// defaults; other experiments ignore them). BufferBytes caps every switch egress queue;
 	// DropDataProb / DropAckProb inject random per-packet wire loss.
 	BufferBytes  int64   `json:"buffer_bytes,omitempty"`
 	DropDataProb float64 `json:"drop_data_prob,omitempty"`
 	DropAckProb  float64 `json:"drop_ack_prob,omitempty"`
 
-	// RTT-heterogeneity knobs for the rtt-unfairness experiments (zero =
-	// each scenario's preset; other experiments ignore them).
+	// RTT-heterogeneity knobs for the rtt-unfairness experiment (zero =
+	// the scenario's preset; other experiments ignore them).
 	// RTTSlowDelay overrides the slow group's access-link propagation
 	// delay; RTTSenders overrides the per-group sender count.
 	RTTSlowDelay sim.Time `json:"rtt_slow_delay_ps,omitempty"`
@@ -164,10 +163,8 @@ func (cfg Config) Validate() error {
 	if _, err := dcTraffic(cfg, ftCfg, duration, cmp.Or(cfg.DCWorkload, "hadoop"), cmp.Or(cfg.DCLoad, dcLoad)); err != nil {
 		return err
 	}
-	for _, rtt := range []func(Config) (rttSetup, error){rttScale, rttScaleWAN} {
-		if _, err := rtt(cfg); err != nil {
-			return err
-		}
+	if _, err := rttScale(cfg); err != nil {
+		return err
 	}
 	if p := cfg.DCProtocol; p != "" && p != "hpcc" && p != "swift" {
 		return fmt.Errorf("exp: unknown protocol %q (hpcc or swift)", p)

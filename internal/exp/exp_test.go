@@ -2,7 +2,10 @@ package exp
 
 import (
 	"math"
+	"os"
+	"path/filepath"
 	"reflect"
+	"regexp"
 	"strconv"
 	"strings"
 	"testing"
@@ -10,26 +13,68 @@ import (
 	"faircc/internal/sim"
 )
 
+// TestRegistryComplete: every registered experiment is read by a figure of
+// the paper, a -verify claim that can fail, or an open item of ROADMAP.md,
+// and every row of the table names a registered experiment. An experiment
+// nothing reads goes, with its CSV, tests and docs; one that gains or loses
+// a reader changes its row here.
 func TestRegistryComplete(t *testing.T) {
-	// Every figure with data series must be registered (Fig. 7 is the
-	// topology diagram).
-	want := []string{
-		"fig1a", "fig1b", "fig1c", "fig1d", "fig2", "fig3", "fig4",
-		"fig5a", "fig5b", "fig5c", "fig5d", "fig6a", "fig6b", "fig6c", "fig6d",
-		"fig8", "fig9", "fig10", "fig11", "fig12", "fig13",
-		"ablate-aicap", "ablate-sf", "ablate-dampener", "ablate-newflow",
-		"incast-dcqcn", "incast-pfc", "incast-lossy", "incast-pfc-vs-lossy",
-		"rtt-unfairness", "rtt-unfairness-wan",
-		"dc", "incast", // what cmd/dcsim and cmd/incast offered
+	readers := map[string]string{
+		"fig1a": "Fig. 1a", "fig1b": "Fig. 1b", "fig1c": "Fig. 1c", "fig1d": "Fig. 1d",
+		"fig2": "Fig. 2", "fig3": "Fig. 3", "fig4": "Fig. 4",
+		"fig5a": "Fig. 5a", "fig5b": "Fig. 5b", "fig5c": "Fig. 5c", "fig5d": "Fig. 5d",
+		"fig6a": "Fig. 6a", "fig6b": "Fig. 6b", "fig6c": "Fig. 6c", "fig6d": "Fig. 6d",
+		"fig8": "Fig. 8", "fig9": "Fig. 9", // Fig. 7 is the topology diagram
+		"fig10": "Fig. 10", "fig11": "Fig. 11", "fig12": "Fig. 12", "fig13": "Fig. 13",
+
+		"ablate-aicap":    "claim aicap-latency-fairness",
+		"ablate-sf":       "claim sf-bandwidth-fairness",
+		"ablate-dampener": "claim dampener-protection",
+		"ablate-newflow":  "claim newflow-corner-case",
+		"incast-timely":   "claim vaisf-convergence-timely",
+
+		"ablate-swift-hai": "ROADMAP item 2: the hyper-AI bullet is rewritten, or the experiment goes",
+		"dc":               "ROADMAP item 2: default Swift's backlog on `dc -scale large -ms 50`",
+		"rtt-unfairness":   "ROADMAP item 6: fair and slow, or fair and underused",
+		"robustness":       "ROADMAP item 10: the seed sweep",
+		"incast-dcqcn":     "ROADMAP item 12: DCQCN is the ECN reference of the watchdog tests",
+		"incast-lossy":     "ROADMAP item 12: the lossy fabric of the watchdog tests",
+		"incast":           "ROADMAP item 12: the configurable incast of fairsim and the library",
 	}
-	names := Names()
-	have := map[string]bool{}
-	for _, n := range names {
-		have[n] = true
+	claims := map[string]bool{}
+	for _, c := range Claims() {
+		claims[c.Name] = true
 	}
-	for _, w := range want {
-		if !have[w] {
-			t.Errorf("experiment %q not registered", w)
+	roadmap, err := os.ReadFile(filepath.Join("..", "..", "ROADMAP.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	registered := map[string]bool{}
+	for _, name := range Names() {
+		registered[name] = true
+		if _, ok := readers[name]; !ok {
+			t.Errorf("experiment %q is registered, but no figure, claim or open item reads it", name)
+		}
+	}
+	for name, reader := range readers {
+		if !registered[name] {
+			t.Errorf("experiment %q has a reader (%s) but is not registered", name, reader)
+		}
+		switch {
+		case strings.HasPrefix(reader, "Fig. "):
+			if reader != "Fig. "+strings.TrimPrefix(name, "fig") {
+				t.Errorf("experiment %q is not %s", name, reader)
+			}
+		case strings.HasPrefix(reader, "claim "):
+			if !claims[strings.TrimPrefix(reader, "claim ")] {
+				t.Errorf("experiment %q: no %s", name, reader)
+			}
+		case strings.HasPrefix(reader, "ROADMAP item "):
+			if !regexp.MustCompile("`" + regexp.QuoteMeta(name) + "[` ]").Match(roadmap) {
+				t.Errorf("experiment %q: ROADMAP.md does not name it in backticks (%s)", name, reader)
+			}
+		default:
+			t.Errorf("experiment %q: %q is not a figure, a claim or a ROADMAP item", name, reader)
 		}
 	}
 	if _, err := Get("nope"); err == nil {

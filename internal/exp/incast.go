@@ -3,7 +3,6 @@ package exp
 import (
 	"cmp"
 
-	"faircc/internal/cc/hpcc"
 	"faircc/internal/metrics"
 	"faircc/internal/net"
 	"faircc/internal/par"
@@ -69,9 +68,9 @@ type incastOut struct {
 
 // runIncast runs one staggered n-to-1 incast under the given variant and
 // collects the figure measurements. The variant's own setup (ECN marking
-// for the DCQCN and DCTCP baselines) and then setup, each when non-nil,
-// configure the network before flows are added (setup: finite buffers,
-// loss or PFC for the experiments on such fabrics).
+// for the DCQCN baseline) and then setup, each when non-nil, configure the
+// network before flows are added (setup: finite buffers, loss or PFC for
+// the runs on such fabrics).
 func runIncast(cfg Config, v variant, in incastShape, setup func(*net.Network, *topo.Star)) (*incastOut, error) {
 	var jain, queue *metrics.Series
 	nw, err := simulate(cfg, v.label, func(nw *net.Network) {
@@ -181,24 +180,8 @@ func smoothedReach(s Series, window int, threshold float64) float64 {
 }
 
 // A fabric is a star switch other than the default lossless, unbounded
-// one: setup configures the network before flows are added, and a non-empty
-// name prefixes the labels of the variants run on it.
-type fabric struct {
-	name  string
-	setup func(Config, *net.Network, *topo.Star)
-}
-
-// pfcFabric enables PFC at the given per-ingress pause and resume
-// thresholds and caps every switch egress at buf bytes (0 = unbounded).
-// simulate rejects any run on it that tail-drops.
-func pfcFabric(name string, pause, resume, buf int64) fabric {
-	return fabric{name, func(_ Config, nw *net.Network, st *topo.Star) {
-		nw.PFCPauseBytes, nw.PFCResumeBytes = pause, resume
-		for _, sp := range st.Switch.Ports() {
-			sp.SetBuffer(buf)
-		}
-	}}
-}
+// one: it configures the network before flows are added.
+type fabric func(Config, *net.Network, *topo.Star)
 
 // lossyFabric is the lossy, PFC-free fabric Swift targets: finite switch
 // buffers with tail drop, random wire loss on data and ACKs, and the
@@ -206,15 +189,13 @@ func pfcFabric(name string, pause, resume, buf int64) fabric {
 // DropDataProb and DropAckProb override its defaults: 150 KB buffers, below
 // the ~240 KB the unbounded 16-1 incast peaks at, so the buffer binds; and
 // a 5e-4 loss probability, a handful of losses per 16 MB incast wave.
-func lossyFabric(name string) fabric {
-	return fabric{name, func(cfg Config, nw *net.Network, st *topo.Star) {
-		nw.LossRecovery = true
-		nw.DropDataProb = cmp.Or(cfg.DropDataProb, 5e-4)
-		nw.DropAckProb = cmp.Or(cfg.DropAckProb, 5e-4)
-		for _, sp := range st.Switch.Ports() {
-			sp.SetBuffer(cmp.Or(cfg.BufferBytes, 150_000))
-		}
-	}}
+func lossyFabric(cfg Config, nw *net.Network, st *topo.Star) {
+	nw.LossRecovery = true
+	nw.DropDataProb = cmp.Or(cfg.DropDataProb, 5e-4)
+	nw.DropAckProb = cmp.Or(cfg.DropAckProb, 5e-4)
+	for _, sp := range st.Switch.Ports() {
+		sp.SetBuffer(cmp.Or(cfg.BufferBytes, 150_000))
+	}
 }
 
 // An incastFigure is one view of a star run: the outputs it shows (nil =
@@ -226,45 +207,32 @@ type incastFigure struct {
 }
 
 // starRun is one star experiment as data: an incast shape, the protocol
-// variants run on it, the fabrics they run on (none: the lossless,
-// unbounded star), and the figures read off the outputs — fabric by fabric,
-// each in variant order.
+// variants run on it, the fabric they run on (nil: the lossless, unbounded
+// star), and the figures read off the outputs, in variant order.
 type starRun struct {
 	shape    func(Config) incastShape
 	variants func(Config, pathParams) []variant
-	fabrics  []fabric
+	fabric   fabric
 	figs     []incastFigure
-	reads    Params // the Config parameters shape, variants and fabrics read
+	reads    Params // the Config parameters shape, variants and fabric read
 }
 
-// run runs every variant on every fabric, each fabric's variants in
-// parallel; the first failing variant cancels the rest of the experiment.
+// run runs every variant in parallel; the first failing variant cancels
+// the rest of the experiment.
 func (r starRun) run(cfg Config) ([]*incastOut, error) {
 	in := r.shape(cfg)
 	vs := r.variants(cfg, starParams(in.senders))
-	fabrics := r.fabrics
-	if len(fabrics) == 0 {
-		fabrics = []fabric{{}}
+	return par.MapErr(len(vs), cfg.Workers, func(i int) (*incastOut, error) {
+		return runIncast(cfg, vs[i], in, r.fabric.on(cfg))
+	})
+}
+
+// on is the fabric's setup for runIncast under cfg (nil for none).
+func (fb fabric) on(cfg Config) func(*net.Network, *topo.Star) {
+	if fb == nil {
+		return nil
 	}
-	var all []*incastOut
-	for _, fb := range fabrics {
-		var setup func(*net.Network, *topo.Star)
-		if fb.setup != nil {
-			setup = func(nw *net.Network, st *topo.Star) { fb.setup(cfg, nw, st) }
-		}
-		outs, err := par.MapErr(len(vs), cfg.Workers, func(i int) (*incastOut, error) {
-			v := vs[i]
-			if fb.name != "" {
-				v.label = fb.name + " " + v.label
-			}
-			return runIncast(cfg, v, in, setup)
-		})
-		if err != nil {
-			return nil, err
-		}
-		all = append(all, outs...)
-	}
-	return all, nil
+	return func(nw *net.Network, st *topo.Star) { fb(cfg, nw, st) }
 }
 
 // starExperiment registers a star run with the figures read off it.
@@ -319,11 +287,6 @@ func paperRun(protocol string, senders int, figs ...incastFigure) starRun {
 			}
 			return append(hpccBaselines(), hpccVAISF(p))
 		}}
-}
-
-// runPaperIncast runs paperRun's simulations for the claims.
-func runPaperIncast(cfg Config, protocol string, senders int) ([]*incastOut, error) {
-	return paperRun(protocol, senders).run(cfg)
 }
 
 // jainView plots the Jain fairness index over time.
@@ -395,6 +358,13 @@ func only(vs ...variant) func(Config, pathParams) []variant {
 	return func(Config, pathParams) []variant { return vs }
 }
 
+// timelyRun is TIMELY with and without VAI SF on the paper's 16-1 incast:
+// the paper claims the mechanisms apply to "a multitude" of sender-side
+// protocols (claim vaisf-convergence-timely).
+var timelyRun = starRun{shape: paperShape(16), variants: func(_ Config, p pathParams) []variant { return timelyVariants(p) },
+	figs: []incastFigure{{"incast-timely", "16-1 incast under TIMELY with and without VAI SF " +
+		"(mechanism generality beyond HPCC/Swift)", nil, jainView}}}
+
 // Every star experiment is a row of this table.
 func init() {
 	for _, r := range []starRun{
@@ -426,41 +396,11 @@ func init() {
 			}},
 		{shape: paperShape(16), variants: only(dcqcnVariant()), figs: []incastFigure{{"incast-dcqcn",
 			"16-1 incast under DCQCN (Sec. II probabilistic-feedback reference)", nil, jainView}}},
-		{shape: paperShape(16), variants: only(dctcpVariant()), figs: []incastFigure{{"incast-dctcp",
-			"16-1 incast under DCTCP (congestion-extent-scaled decreases, Sec. III-A)", nil, jainView}}},
-		// TIMELY with and without VAI SF: the paper claims the mechanisms
-		// apply to "a multitude" of sender-side protocols.
-		{shape: paperShape(16), variants: func(_ Config, p pathParams) []variant { return timelyVariants(p) },
-			figs: []incastFigure{{"incast-timely", "16-1 incast under TIMELY with and without VAI SF " +
-				"(mechanism generality beyond HPCC/Swift)", nil, jainView}}},
-
-		// The lossless-Ethernet setting of the paper's introduction, where
-		// PFC prevents drops but blocks the head of the line once buffers
-		// fill: at a realistic 512 KB per-ingress pause threshold, HPCC- and
-		// Swift-family control should keep the queue out of the pause regime.
 		{shape: paperShape(16), variants: func(_ Config, p pathParams) []variant { return dcVariants(p) },
-			fabrics: []fabric{pfcFabric("", 512_000, 256_000, 0)},
-			figs: []incastFigure{{"incast-pfc", "16-1 incast with finite buffers and PFC: congestion " +
-				"control must avoid the pause regime", nil, fabricView}}},
-		{shape: paperShape(16), variants: func(_ Config, p pathParams) []variant { return dcVariants(p) },
-			fabrics: []fabric{lossyFabric("")}, reads: LossyParams,
+			fabric: lossyFabric, reads: LossyParams,
 			figs: []incastFigure{{"incast-lossy", "16-1 incast on a lossy fabric: finite buffers, random " +
 				"wire loss, RTO/go-back-N recovery", nil, fabricView}}},
-		// The two ways a fabric survives congestion: PFC backpressure, with
-		// pause thresholds low enough that a 1 MB buffer cannot drop, versus
-		// tail drop with end-to-end recovery.
-		{shape: paperShape(16), variants: func(_ Config, p pathParams) []variant {
-			return []variant{swiftBaselines(p)[0], swiftVAISF(p)}
-		}, fabrics: []fabric{pfcFabric("PFC", 24_000, 12_000, 1_000_000), lossyFabric("lossy")}, reads: LossyParams,
-			figs: []incastFigure{{"incast-pfc-vs-lossy", "16-1 incast, lossless (PFC) vs lossy (tail drop + RTO) " +
-				"fabric, Swift variants", nil, fabricView}}},
-
-		sweep("ablate-aicap", "AI_Cap sweep on 16-1 incast (HPCC VAI SF): latency vs fairness",
-			16, []float64{10, 50, 100, 200, 500}, func(c *hpcc.Config, v float64) { c.VAI.AICap = v }),
-		sweep("ablate-sf", "Sampling Frequency sweep on 16-1 incast (HPCC VAI SF): bandwidth vs fairness",
-			16, []float64{5, 15, 30, 60, 120}, func(c *hpcc.Config, v float64) { c.SFEvery = int(v) }),
-		sweep("ablate-dampener", "Dampener constant sweep on 96-1 incast (HPCC VAI SF): feedback protection",
-			96, []float64{1, 4, 8, 32, 128}, func(c *hpcc.Config, v float64) { c.VAI.DampenerConst = v }),
+		timelyRun, aiCapSweep, sfSweep, dampenerSweep,
 	} {
 		register(starExperiment(r))
 	}

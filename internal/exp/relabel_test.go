@@ -6,7 +6,6 @@ import (
 
 	"faircc/internal/metrics"
 	"faircc/internal/net"
-	"faircc/internal/topo"
 )
 
 // TestIncastReceiverRelabel is the cheap case of the metamorphic check:
@@ -22,20 +21,20 @@ func TestIncastReceiverRelabel(t *testing.T) {
 	p := starParams(in.senders)
 	vs := append(paperRun("hpcc", 16).variants(cfg, p), paperRun("swift", 16).variants(cfg, p)...)
 	vs = append(vs, dcqcnVariant())
-	fabrics := []fabric{{}, pfcFabric("PFC", 24_000, 12_000, 1_000_000), lossyFabric("lossy")}
+	type namedFabric struct {
+		name   string
+		fabric fabric
+	}
+	fabrics := []namedFabric{{"lossless", nil}, {"PFC", pfcFabric(24_000, 12_000, 1_000_000)}, {"lossy", lossyFabric}}
 
 	type result struct {
 		records     []metrics.FlowRecord
 		jain, queue []metrics.Point
 	}
-	run := func(v variant, fb fabric, recv int) result {
-		var setup func(*net.Network, *topo.Star)
-		if fb.setup != nil {
-			setup = func(nw *net.Network, st *topo.Star) { fb.setup(cfg, nw, st) }
-		}
+	run := func(v variant, fb namedFabric, recv int) result {
 		var jain, queue *metrics.Series
 		nw, err := simulate(cfg, v.label, func(nw *net.Network) {
-			jain, queue = buildIncast(nw, v, in, setup, recv)
+			jain, queue = buildIncast(nw, v, in, fb.fabric.on(cfg), recv)
 		})
 		if err != nil {
 			t.Fatalf("%s %s, receiver at host %d: %v", fb.name, v.label, recv, err)

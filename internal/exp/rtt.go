@@ -11,7 +11,7 @@ import (
 	"faircc/internal/topo"
 )
 
-// The rtt-unfairness experiment family: fast-group and slow-group senders
+// The rtt-unfairness experiment: fast-group and slow-group senders
 // sharing one dumbbell bottleneck, the scenario the paper never evaluates
 // (its fat-tree has uniform 1 us hops, so every flow sees the same base
 // RTT). FaiRTT (arXiv:2403.19973) and the NS-3 BBR fairness study
@@ -32,7 +32,8 @@ type rttSetup struct {
 	gap      sim.Time // stagger between a sender's consecutive flows
 }
 
-// rttScale maps Config.Scale to a datacenter-heterogeneity scenario.
+// rttScale maps Config.Scale to a datacenter-heterogeneity scenario, with
+// Config's RTT-heterogeneity overrides folded in.
 func rttScale(cfg Config) (rttSetup, error) {
 	s := rttSetup{dc: topo.DefaultDumbbell()}
 	switch cfg.Scale {
@@ -45,33 +46,8 @@ func rttScale(cfg Config) (rttSetup, error) {
 	default:
 		return s, fmt.Errorf("exp: unknown scale %q", cfg.Scale)
 	}
-	return s, applyRTTKnobs(cfg, &s)
-}
-
-// rttScaleWAN maps Config.Scale to the WAN-edge scenario: the slow group
-// reaches the shared 10 Gb/s bottleneck across a 10 ms access link, so
-// its base RTT (~20 ms) puts 4*baseRTT past RTOMax — the regime of the
-// initial-RTO clamp fix.
-func rttScaleWAN(cfg Config) (rttSetup, error) {
-	s := rttSetup{dc: topo.WANEdgeDumbbell()}
-	switch cfg.Scale {
-	case "small":
-		s.flowSize, s.rounds, s.gap = 250_000, 1, 0
-	case "", "medium":
-		s.flowSize, s.rounds, s.gap = 1_000_000, 2, 5*sim.Millisecond
-	case "large", "full":
-		s.flowSize, s.rounds, s.gap = 2_000_000, 4, 5*sim.Millisecond
-	default:
-		return s, fmt.Errorf("exp: unknown scale %q", cfg.Scale)
-	}
-	return s, applyRTTKnobs(cfg, &s)
-}
-
-// applyRTTKnobs folds Config's RTT-heterogeneity overrides into a setup.
-func applyRTTKnobs(cfg Config, s *rttSetup) error {
 	if cfg.RTTSlowDelay > 0 {
-		last := len(s.dc.Groups) - 1
-		s.dc.Groups[last].AccessDelay = cfg.RTTSlowDelay
+		s.dc.Groups[len(s.dc.Groups)-1].AccessDelay = cfg.RTTSlowDelay
 	}
 	if cfg.RTTSenders > 0 {
 		for i := range s.dc.Groups {
@@ -79,20 +55,20 @@ func applyRTTKnobs(cfg Config, s *rttSetup) error {
 		}
 	}
 	if err := s.dc.Validate(); err != nil {
-		return err
+		return s, err
 	}
 	if cfg.RTTSlowDelay > 0 {
 		// The slow group's round trip must fit the clock, or its flows'
 		// base RTT wraps negative.
 		nw := net.New(sim.NewEngine(), 0)
 		d := topo.NewDumbbell(nw, s.dc)
-		last := len(d.Senders) - 1 // a sender of the last group
+		last := len(d.Senders) - 1 // a sender of the slow group
 		if _, _, _, err := nw.ProbePath(net.FlowSpec{ID: -1, Src: d.Senders[last].NodeID(),
 			Dst: d.Receivers[last].NodeID(), Size: 1}); err != nil {
-			return fmt.Errorf("exp: RTTSlowDelay %v puts the slow group's round trip beyond the simulator's clock", cfg.RTTSlowDelay)
+			return s, fmt.Errorf("exp: RTTSlowDelay %v puts the slow group's round trip beyond the simulator's clock", cfg.RTTSlowDelay)
 		}
 	}
-	return nil
+	return s, nil
 }
 
 // rttParams sizes the protocol variants from the fast-class path, the
@@ -188,74 +164,68 @@ func meanTail(s *metrics.Series) float64 {
 	return sum / float64(len(tail))
 }
 
-// rttFigure assembles an RTT-unfairness experiment over the given
-// scenario builder: per-variant aggregate and per-class Jain curves, with
-// per-class FCT percentiles in the notes.
-func rttFigure(name, title string, scale func(Config) (rttSetup, error)) *Experiment {
-	e := single(name, title, func(cfg Config) (*Result, error) {
-		s, err := scale(cfg)
-		if err != nil {
-			return nil, err
-		}
-		p := rttParams(s.dc)
-		vs := dcVariants(p)
+// runRTTUnfairness is the rtt-unfairness experiment: per-variant aggregate
+// and per-class Jain curves, with per-class FCT percentiles in the notes.
+func runRTTUnfairness(cfg Config) (*Result, error) {
+	s, err := rttScale(cfg)
+	if err != nil {
+		return nil, err
+	}
+	p := rttParams(s.dc)
+	vs := dcVariants(p)
 
-		outs, err := par.MapErr(len(vs), cfg.Workers, func(i int) (*rttOut, error) {
-			return runRTT(cfg, vs[i], s)
-		})
-		if err != nil {
-			return nil, err
-		}
-
-		res := &Result{Name: name, Title: title,
-			XLabel: "time (us)", YLabel: "Jain fairness index"}
-		nw := net.New(sim.NewEngine(), 0)
-		rtts := topo.NewDumbbell(nw, s.dc).ClassBaseRTT(nw)
-		for i, g := range s.dc.Groups {
-			res.Notef("class %s: %d senders, access %v, base RTT %v",
-				g.Name, g.Count, g.AccessDelay, rtts[i])
-		}
-		res.Notef("scale=%s flows/sender=%d size=%d bottleneck=%.0fGbps",
-			cfg.Scale, s.rounds, s.flowSize, s.dc.BottleneckBps/1e9)
-
-		for i, out := range outs {
-			v := vs[i]
-			all := Series{Label: v.label}
-			for _, pt := range out.jain.All.Points {
-				all.Add(pt.T.Microseconds(), pt.V)
-			}
-			res.Series = append(res.Series, all)
-			for _, cs := range out.jain.ByClass {
-				sc := Series{Label: v.label + " " + cs.Label}
-				for _, pt := range cs.Points {
-					sc.Add(pt.T.Microseconds(), pt.V)
-				}
-				res.Series = append(res.Series, sc)
-			}
-			res.Notef("%s: steady-state Jain all=%.3f %s=%.3f %s=%.3f",
-				v.label, meanTail(out.jain.All),
-				out.jain.ByClass[0].Label, meanTail(out.jain.ByClass[0]),
-				out.jain.ByClass[1].Label, meanTail(out.jain.ByClass[1]))
-			for c, records := range out.records {
-				if len(records) == 0 {
-					continue
-				}
-				fct50, fct99, slow50, slow99 := fctPercentiles(records)
-				res.Notef("%s %s: %d flows, FCT p50=%.1fus p99=%.1fus, slowdown p50=%.2fx p99=%.2fx",
-					v.label, s.dc.Groups[c].Name, len(records), fct50, fct99, slow50, slow99)
-			}
-		}
-		return res, nil
+	outs, err := par.MapErr(len(vs), cfg.Workers, func(i int) (*rttOut, error) {
+		return runRTT(cfg, vs[i], s)
 	})
-	e.Reads = RTTParams
-	return e
+	if err != nil {
+		return nil, err
+	}
+
+	res := &Result{Name: "rtt-unfairness", Title: rttTitle,
+		XLabel: "time (us)", YLabel: "Jain fairness index"}
+	nw := net.New(sim.NewEngine(), 0)
+	rtts := topo.NewDumbbell(nw, s.dc).ClassBaseRTT(nw)
+	for i, g := range s.dc.Groups {
+		res.Notef("class %s: %d senders, access %v, base RTT %v",
+			g.Name, g.Count, g.AccessDelay, rtts[i])
+	}
+	res.Notef("scale=%s flows/sender=%d size=%d bottleneck=%.0fGbps",
+		cfg.Scale, s.rounds, s.flowSize, s.dc.BottleneckBps/1e9)
+
+	for i, out := range outs {
+		v := vs[i]
+		all := Series{Label: v.label}
+		for _, pt := range out.jain.All.Points {
+			all.Add(pt.T.Microseconds(), pt.V)
+		}
+		res.Series = append(res.Series, all)
+		for _, cs := range out.jain.ByClass {
+			sc := Series{Label: v.label + " " + cs.Label}
+			for _, pt := range cs.Points {
+				sc.Add(pt.T.Microseconds(), pt.V)
+			}
+			res.Series = append(res.Series, sc)
+		}
+		res.Notef("%s: steady-state Jain all=%.3f %s=%.3f %s=%.3f",
+			v.label, meanTail(out.jain.All),
+			out.jain.ByClass[0].Label, meanTail(out.jain.ByClass[0]),
+			out.jain.ByClass[1].Label, meanTail(out.jain.ByClass[1]))
+		for c, records := range out.records {
+			if len(records) == 0 {
+				continue
+			}
+			fct50, fct99, slow50, slow99 := fctPercentiles(records)
+			res.Notef("%s %s: %d flows, FCT p50=%.1fus p99=%.1fus, slowdown p50=%.2fx p99=%.2fx",
+				v.label, s.dc.Groups[c].Name, len(records), fct50, fct99, slow50, slow99)
+		}
+	}
+	return res, nil
 }
 
+const rttTitle = "Fairness across RTT classes: fast vs slow senders on one bottleneck"
+
 func init() {
-	register(rttFigure("rtt-unfairness",
-		"Fairness across RTT classes: fast vs slow senders on one bottleneck",
-		rttScale))
-	register(rttFigure("rtt-unfairness-wan",
-		"Fairness across RTT classes at a WAN edge (10 ms access, 10 Gb/s bottleneck)",
-		rttScaleWAN))
+	e := single("rtt-unfairness", rttTitle, runRTTUnfairness)
+	e.Reads = RTTParams
+	register(e)
 }

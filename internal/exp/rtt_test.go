@@ -7,43 +7,42 @@ import (
 	"faircc/internal/sim"
 )
 
-// TestRTTUnfairnessRuns: both scenarios run end-to-end at small scale and
-// report what the family promises — aggregate plus per-class Jain series
+// TestRTTUnfairnessRuns: the scenario runs end-to-end at small scale and
+// reports what it promises — aggregate plus per-class Jain series
 // per variant and per-class FCT percentile notes.
 func TestRTTUnfairnessRuns(t *testing.T) {
-	for _, name := range []string{"rtt-unfairness", "rtt-unfairness-wan"} {
-		res, err := Run(name, Config{Seed: 1, Scale: "small"})
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		// 4 variants x (all + fast + slow).
-		if len(res.Series) != 12 {
-			t.Fatalf("%s: %d series, want 12", name, len(res.Series))
-		}
-		for _, suffix := range []string{"", " fast", " slow"} {
-			for _, v := range []string{"HPCC", "HPCC VAI SF", "Swift", "Swift VAI SF"} {
-				found := false
-				for _, s := range res.Series {
-					if s.Label == v+suffix {
-						found = true
-					}
-				}
-				if !found {
-					t.Errorf("%s: missing series %q", name, v+suffix)
-				}
-			}
-		}
-		wantNotes := []string{"base RTT", "FCT p50", "slowdown p50", "steady-state Jain"}
-		for _, frag := range wantNotes {
+	const name = "rtt-unfairness"
+	res, err := Run(name, Config{Seed: 1, Scale: "small"})
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	// 4 variants x (all + fast + slow).
+	if len(res.Series) != 12 {
+		t.Fatalf("%s: %d series, want 12", name, len(res.Series))
+	}
+	for _, suffix := range []string{"", " fast", " slow"} {
+		for _, v := range []string{"HPCC", "HPCC VAI SF", "Swift", "Swift VAI SF"} {
 			found := false
-			for _, n := range res.Notes {
-				if strings.Contains(n, frag) {
+			for _, s := range res.Series {
+				if s.Label == v+suffix {
 					found = true
 				}
 			}
 			if !found {
-				t.Errorf("%s: no note mentioning %q", name, frag)
+				t.Errorf("%s: missing series %q", name, v+suffix)
 			}
+		}
+	}
+	wantNotes := []string{"base RTT", "FCT p50", "slowdown p50", "steady-state Jain"}
+	for _, frag := range wantNotes {
+		found := false
+		for _, n := range res.Notes {
+			if strings.Contains(n, frag) {
+				found = true
+			}
+		}
+		if !found {
+			t.Errorf("%s: no note mentioning %q", name, frag)
 		}
 	}
 }

@@ -77,8 +77,8 @@ func TestEveryFigureHasOneExperiment(t *testing.T) {
 		}
 	}
 	names := Names()
-	if len(names) != 37 {
-		t.Errorf("%d figure names registered, want 37", len(names))
+	if len(names) != 33 {
+		t.Errorf("%d figure names registered, want 33", len(names))
 	}
 	for _, n := range names {
 		if owners[n] != 1 {
@@ -131,7 +131,7 @@ func TestClaims(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Scale = "small"
 	claims := Claims()
-	if len(claims) < 8 {
+	if len(claims) < 12 {
 		t.Fatalf("only %d claims registered", len(claims))
 	}
 	seen := map[string]bool{}

@@ -3,7 +3,6 @@ package exp
 import (
 	"faircc/internal/cc"
 	"faircc/internal/cc/dcqcn"
-	"faircc/internal/cc/dctcp"
 	"faircc/internal/cc/hpcc"
 	"faircc/internal/cc/swift"
 	"faircc/internal/cc/timely"
@@ -139,37 +138,20 @@ func variantsByKey(p pathParams) map[string]variant {
 	}
 }
 
-// markEverySwitchPort configures ECN marking on every switch egress port.
-func markEverySwitchPort(nw *net.Network, red net.REDConfig) {
-	for _, sw := range nw.Switches() {
-		for _, p := range sw.Ports() {
-			p.SetRED(red)
-		}
-	}
-}
-
 // dcqcnVariant returns the DCQCN baseline (Sec. II's probabilistic-
-// feedback protocol) with the RED marking and CNP interval it needs.
+// feedback protocol) with the RED marking on every switch egress port and
+// the CNP interval it needs.
 func dcqcnVariant() variant {
 	return variant{
 		label: "DCQCN",
 		make:  func() cc.Algorithm { return dcqcn.New(dcqcn.DefaultConfig()) },
 		setup: func(nw *net.Network) {
-			markEverySwitchPort(nw, net.REDConfig{KMinBytes: 100_000, KMaxBytes: 400_000, PMax: 0.2})
+			for _, sw := range nw.Switches() {
+				for _, p := range sw.Ports() {
+					p.SetRED(net.REDConfig{KMinBytes: 100_000, KMaxBytes: 400_000, PMax: 0.2})
+				}
+			}
 			nw.CNPInterval = 50 * sim.Microsecond
-		},
-	}
-}
-
-// dctcpVariant returns the DCTCP baseline (the origin of congestion-
-// extent-scaled decreases, Sec. III-A) with the step marking it needs, at
-// the threshold DCTCP recommends for a line-rate, ~5 us RTT path.
-func dctcpVariant() variant {
-	return variant{
-		label: "DCTCP",
-		make:  func() cc.Algorithm { return dctcp.New(dctcp.DefaultConfig()) },
-		setup: func(nw *net.Network) {
-			markEverySwitchPort(nw, dctcp.MarkingAt(dctcp.RecommendedK(hostRate, 5*sim.Microsecond)))
 		},
 	}
 }

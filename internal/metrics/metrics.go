@@ -45,10 +45,9 @@ type JainClassSeries struct {
 
 // SampleJainClasses periodically computes Jain fairness of active flows'
 // goodput, both aggregate and within each class, from start until until.
-// It must be the only goodput sampler on the network: the per-interval
-// deltas come from Flow.TakeDeliveredDelta, which consumes the mark, so
-// a second concurrent sampler would see half-intervals. That is why the
-// per-class and aggregate indices come from one tick chain. Aggregate
+// A flow's goodput is its delivered bytes since the previous tick, read
+// from the flow's cumulative count against the sampler's own previous
+// reading, so any number of samplers can watch one network. Aggregate
 // samples are recorded while at least two flows are active, matching how
 // the paper plots fairness during incast; a class's series gains a point
 // only when that class has at least two active flows. With no labels,
@@ -63,19 +62,24 @@ func SampleJainClasses(nw *net.Network, labels []string, classOf func(*net.Flow)
 	rates := make([]float64, 0, 64)
 	classes := make([]int, 0, 64)
 	counts := make([]int, n)
+	var prev []int64 // delivered bytes at the previous tick, by position in nw.Flows()
 	nw.Eng.Every(start, every, until, func() {
 		rates, classes = rates[:0], classes[:0]
 		clear(counts)
-		for _, f := range nw.Flows() {
+		flows := nw.Flows()
+		prev = append(prev, make([]int64, len(flows)-len(prev))...)
+		for i, f := range flows {
 			if f.Active() {
-				rates = append(rates, float64(f.TakeDeliveredDelta()))
+				d := f.Delivered()
+				rates = append(rates, float64(d-prev[i]))
+				prev[i] = d
 				if n > 0 {
 					cl := classOf(f)
 					classes = append(classes, cl)
 					counts[cl]++
 				}
 			} else if f.Started() {
-				f.TakeDeliveredDelta() // keep marks current across finishes
+				prev[i] = f.Delivered() // current across finishes
 			}
 		}
 		if len(rates) < 2 {

@@ -3,6 +3,7 @@ package metrics
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 
@@ -68,6 +69,36 @@ func TestSampleJainUnequalFlows(t *testing.T) {
 	mid := s.Points[len(s.Points)/2]
 	if math.Abs(mid.V-want) > 0.05 {
 		t.Fatalf("Jain = %v, want ~%v for a 4:1 split", mid.V, want)
+	}
+}
+
+// TestSampleJainSamplersAgree: two samplers on one network, started before
+// any flow exists and sampling at the same instants, give identical series,
+// equal to a lone sampler's on the same traffic, including a flow added
+// while they run. Each reads cumulative counts against its own previous
+// reading, so neither takes the other's interval.
+func TestSampleJainSamplersAgree(t *testing.T) {
+	run := func(samplers int) []*Series {
+		eng, nw, _ := buildStar(4)
+		var ss []*Series
+		for range samplers {
+			ss = append(ss, SampleJain(nw, "j", 20*sim.Microsecond, 0, sim.Millisecond))
+		}
+		nw.AddFlow(net.FlowSpec{ID: 1, Src: 0, Dst: 3, Size: 4_000_000}, rateAlgo(40e9))
+		nw.AddFlow(net.FlowSpec{ID: 2, Src: 1, Dst: 3, Size: 1_000_000}, rateAlgo(10e9))
+		eng.RunUntil(100 * sim.Microsecond)
+		nw.AddFlow(net.FlowSpec{ID: 3, Src: 2, Dst: 3, Size: 1_000_000, Start: 150 * sim.Microsecond}, rateAlgo(20e9))
+		eng.Run()
+		return ss
+	}
+	lone, pair := run(1)[0], run(2)
+	if len(lone.Points) < 10 {
+		t.Fatalf("too few samples: %d", len(lone.Points))
+	}
+	for i, s := range pair {
+		if !reflect.DeepEqual(s.Points, lone.Points) {
+			t.Errorf("sampler %d of two: %v, want the lone sampler's %v", i, s.Points, lone.Points)
+		}
 	}
 }
 

@@ -60,8 +60,6 @@ type Flow struct {
 	// delivered and acked are the run's counts, copied at the finish.
 	delivered int64
 	acked     int64
-	// deliveredMark supports goodput sampling (metrics take deltas).
-	deliveredMark int64
 
 	started  bool
 	finished bool
@@ -124,14 +122,6 @@ func (f *Flow) IdealFCT() sim.Time {
 // Slowdown returns achieved FCT divided by IdealFCT, valid once finished.
 func (f *Flow) Slowdown() float64 {
 	return float64(f.FCT()) / float64(f.IdealFCT())
-}
-
-// TakeDeliveredDelta returns payload bytes delivered since the previous
-// call (used by goodput/fairness samplers).
-func (f *Flow) TakeDeliveredDelta() int64 {
-	d := f.Delivered() - f.deliveredMark
-	f.deliveredMark += d
-	return d
 }
 
 // Fire is the flow's start, run by its shard's start event or, for a flow

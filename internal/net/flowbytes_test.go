@@ -38,8 +38,8 @@ func liveHeap() uint64 {
 // 72-byte cc.Env copied into each algorithm (HPCC at 320 bytes), it read
 // 498 B per flow at set-up.
 func TestBytesPerFlow(t *testing.T) {
-	if s := unsafe.Sizeof(net.Flow{}); s > 192 {
-		t.Errorf("net.Flow is %d bytes, want at most 192", s)
+	if s := unsafe.Sizeof(net.Flow{}); s > 184 {
+		t.Errorf("net.Flow is %d bytes, want at most 184", s)
 	}
 	cases := []struct {
 		name                          string

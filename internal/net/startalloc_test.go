@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"faircc/internal/cc"
-	"faircc/internal/cc/dctcp"
 	"faircc/internal/cc/hpcc"
 	"faircc/internal/cc/swift"
 	"faircc/internal/cc/timely"
@@ -32,7 +31,6 @@ func TestFlowStartAllocatesNothing(t *testing.T) {
 		{"swift", func() cc.Algorithm { return swift.New(swift.DefaultConfig(100)) }},
 		{"swift-vaisf", func() cc.Algorithm { return swift.New(swift.VAISFConfig(minBDPDelay)) }},
 		{"timely-vaisf", func() cc.Algorithm { return timely.New(timely.VAISFConfig(minBDPDelay)) }},
-		{"dctcp", func() cc.Algorithm { return dctcp.New(dctcp.DefaultConfig()) }},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -23,8 +23,8 @@ type SenderGroup struct {
 // receiver per sender on a right switch, and a single bottleneck link
 // between the switches that every flow crosses. Per-link delay is fully
 // configurable, so the same builder covers datacenter-scale heterogeneity
-// (1 us vs 25 us access links) and a WAN edge (a multi-millisecond
-// bottleneck), the setups of the FaiRTT / BBR RTT-fairness studies.
+// (1 us vs 25 us access links) and longer-delay edges, the setups of the
+// FaiRTT / BBR RTT-fairness studies.
 type DumbbellConfig struct {
 	Groups []SenderGroup
 
@@ -51,24 +51,6 @@ func DefaultDumbbell() DumbbellConfig {
 		},
 		BottleneckBps:   100e9,
 		BottleneckDelay: 1 * sim.Microsecond,
-		ReceiverBps:     100e9,
-		ReceiverDelay:   1 * sim.Microsecond,
-	}
-}
-
-// WANEdgeDumbbell returns the WAN-edge instance: the slow group reaches
-// the bottleneck over a 10 ms access link (a metro/WAN hop), the fast
-// group over 5 us, with a 10 Gb/s bottleneck. The slow class's unloaded
-// RTT is ~20 ms — the regime where an unclamped 4*baseRTT initial RTO
-// would exceed RTOMax.
-func WANEdgeDumbbell() DumbbellConfig {
-	return DumbbellConfig{
-		Groups: []SenderGroup{
-			{Name: "fast", Count: 4, AccessBps: 100e9, AccessDelay: 5 * sim.Microsecond},
-			{Name: "slow", Count: 4, AccessBps: 100e9, AccessDelay: 10 * sim.Millisecond},
-		},
-		BottleneckBps:   10e9,
-		BottleneckDelay: 5 * sim.Microsecond,
 		ReceiverBps:     100e9,
 		ReceiverDelay:   1 * sim.Microsecond,
 	}

@@ -77,22 +77,6 @@ func TestDumbbellHopsAndClassBaseRTT(t *testing.T) {
 	}
 }
 
-func TestWANEdgeDumbbellRTT(t *testing.T) {
-	eng := sim.NewEngine()
-	nw := net.New(eng, 1)
-	d := NewDumbbell(nw, WANEdgeDumbbell())
-	rtts := d.ClassBaseRTT(nw)
-	// The slow class crosses a 10 ms access link: base RTT just above
-	// 20 ms, i.e. 4*baseRTT ~80 ms — past RTOMax (10 ms), the regime the
-	// initial-RTO clamp exists for.
-	if rtts[1] < 20*sim.Millisecond || rtts[1] > 21*sim.Millisecond {
-		t.Fatalf("WAN slow class base RTT = %v, want ~20 ms", rtts[1])
-	}
-	if rtts[0] > 100*sim.Microsecond {
-		t.Fatalf("WAN fast class base RTT = %v, want well under 100 us", rtts[0])
-	}
-}
-
 func TestDumbbellTrafficDelivers(t *testing.T) {
 	eng := sim.NewEngine()
 	nw := net.New(eng, 3)
@@ -165,9 +149,7 @@ func TestDumbbellValidate(t *testing.T) {
 	if err := bad.Validate(); err == nil {
 		t.Fatal("zero bottleneck rate must not validate")
 	}
-	for _, cfg := range []DumbbellConfig{DefaultDumbbell(), WANEdgeDumbbell()} {
-		if err := cfg.Validate(); err != nil {
-			t.Fatalf("preset invalid: %v", err)
-		}
+	if err := DefaultDumbbell().Validate(); err != nil {
+		t.Fatalf("preset invalid: %v", err)
 	}
 }
