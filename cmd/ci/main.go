@@ -35,8 +35,9 @@
 // Its last line is the tracked size number (ROADMAP aim 2), the figure a
 // PR's CHANGES.md entry quotes; `go run ./cmd/ci -loc` (`make loc`) prints
 // that number on its first line, then the same count per directory, then
-// the other tracked counts: registered experiments, -verify claims and the
-// flags fairsim declares.
+// the other tracked counts: registered experiments, -verify claims, the
+// flags fairsim declares and the exported fields of exp.Config, the
+// parameters a library caller can set.
 package main
 
 import (
@@ -50,6 +51,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"strings"
 
@@ -110,7 +112,7 @@ func fairsimFlags() (int, error) {
 }
 
 func main() {
-	locOnly := flag.Bool("loc", false, "print the tracked size number, one line per directory, the experiment, claim and fairsim flag counts, and exit")
+	locOnly := flag.Bool("loc", false, "print the tracked size number, one line per directory, the experiment, claim, fairsim flag and Config parameter counts, and exit")
 	flag.Parse()
 	size, byDir, err := loc()
 	if err != nil {
@@ -132,8 +134,14 @@ func main() {
 			fmt.Fprintln(os.Stderr, "ci: flags:", err)
 			os.Exit(1)
 		}
-		fmt.Printf("%6d registered experiments\n%6d -verify claims\n%6d fairsim flags\n",
-			len(exp.Names()), len(exp.Claims()), flags)
+		params := 0
+		for _, f := range reflect.VisibleFields(reflect.TypeOf(exp.Config{})) {
+			if f.IsExported() {
+				params++
+			}
+		}
+		fmt.Printf("%6d registered experiments\n%6d -verify claims\n%6d fairsim flags\n%6d exp.Config parameters\n",
+			len(exp.Names()), len(exp.Claims()), flags, params)
 		return
 	}
 

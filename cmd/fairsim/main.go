@@ -7,10 +7,13 @@
 //	fairsim -exp fig1a [-scale small|medium|large|full] [-seed 1] [-out dir]
 //	fairsim -all [-scale medium] [-out results]
 //	fairsim -exp fig10 -progress -manifest [-pprof profiles]
-//	fairsim -exp incast-lossy -buffer-bytes 150000 -drop-data 5e-4 -drop-ack 5e-4
-//	fairsim -exp rtt-unfairness -rtt-slow-delay 100us -rtt-senders 8 -manifest
-//	fairsim -exp dc -workload mix -protocol swift -pods 2 -tors 2 -hosts 8 -ms 2 -oversub 4
+//	fairsim -exp dc -workload mix -protocol swift -pods 2 -tors 2 -hosts 8 -ms 2
 //	fairsim -exp incast -algo hpcc-vaisf -senders 96 -size 1048576 -out series
+//
+// The dc and incast experiments' flags resize or retarget their runs;
+// every other experiment runs its preset, and fairsim exits 2 on a flag
+// the chosen experiment does not read, or on one given at its default
+// value, which would select the preset.
 //
 // Each name is one figure of "Fast Convergence to Fairness for Reduced
 // Long Flow Tail Latency in Datacenter Networks" (Snyder & Lebeck, IPDPS
@@ -52,19 +55,11 @@ func run() int {
 		work   = flag.Int("workers", 0, "parallel variant runners (0 = GOMAXPROCS)")
 		verify = flag.Bool("verify", false, "check the paper's claims against fresh runs and exit")
 
-		bufBytes = flag.Int64("buffer-bytes", 0, "incast-lossy: per-egress switch buffer in bytes (0 = its default)")
-		dropData = flag.Float64("drop-data", 0, "incast-lossy: random data-packet wire-loss probability (0 = its default)")
-		dropAck  = flag.Float64("drop-ack", 0, "incast-lossy: random ACK wire-loss probability (0 = its default)")
-
-		rttSlowDelay = flag.Duration("rtt-slow-delay", 0, "rtt-unfairness: slow group's access-link propagation delay (0 = scenario preset)")
-		rttSenders   = flag.Int("rtt-senders", 0, "rtt-unfairness: senders per RTT class (0 = scenario preset)")
-
 		workload = flag.String("workload", "", "dc: hadoop, websearch, storage, mix, or a flow-size distribution file in the HPCC-artifact format (default hadoop)")
 		protocol = flag.String("protocol", "", "dc: hpcc or swift, run with and without VAI SF (default hpcc)")
 		pods     = flag.Int("pods", 0, "dc: fat-tree pods (default: the -scale preset)")
 		tors     = flag.Int("tors", 0, "dc: ToR (and Agg) switches per pod (default: the -scale preset)")
 		hosts    = flag.Int("hosts", 0, "dc: hosts per ToR (default: the -scale preset)")
-		oversub  = flag.Float64("oversub", 0, "dc: ToR-layer oversubscription ratio, e.g. 4 for 4:1 (0 = the paper's 1:1 fabric)")
 		ms       = flag.Int("ms", 0, "dc: traffic duration in milliseconds (default: the -scale preset)")
 		load     = flag.Float64("load", 0, "dc: offered load as a fraction of host line rate (default: the paper's 0.5)")
 
@@ -83,19 +78,16 @@ func run() int {
 
 	// Exit 2, before anything is built, on a configuration no experiment
 	// can run: a duration beyond the picosecond clock (see picos), or one
-	// Validate rejects. In Config a zero parameter means "the preset", so a
-	// zero given explicitly for one would silently run something other
-	// than what was asked for: that is rejected here, where "given" is
-	// known.
+	// Validate rejects. In Config a zero parameter means "the preset", and
+	// every scoped flag's default is that zero, so a scoped flag given at
+	// its default would silently run something other than what was asked
+	// for: that is rejected here, where "given" is known.
 	var err error
 	cfg := exp.Config{
 		Seed: *seed, Workers: *work, Scale: *scale,
-		BufferBytes: *bufBytes, DropDataProb: *dropData, DropAckProb: *dropAck,
-		RTTSlowDelay: picos("rtt-slow-delay", rttSlowDelay.Nanoseconds(), sim.Nanosecond, &err),
-		RTTSenders:   *rttSenders,
 
 		DCWorkload: *workload, DCProtocol: *protocol,
-		DCPods: *pods, DCToRs: *tors, DCHostsPerToR: *hosts, DCOversub: *oversub,
+		DCPods: *pods, DCToRs: *tors, DCHostsPerToR: *hosts,
 		DCDuration: picos("ms", int64(*ms), sim.Millisecond, &err), DCLoad: *load,
 
 		IncastAlgo: *algo, IncastSenders: *senders, IncastFlowBytes: *size,
@@ -105,8 +97,8 @@ func run() int {
 		err = cfg.Validate()
 	}
 	flag.Visit(func(f *flag.Flag) {
-		if zeroIsPreset[f.Name] && f.Value.String() == "0" {
-			err = fmt.Errorf("-%s 0 would select the preset; omit the flag or give a positive value", f.Name)
+		if _, ok := scoped[f.Name]; ok && f.Value.String() == f.DefValue {
+			err = fmt.Errorf("-%s=%s would select the preset; omit the flag or give another value", f.Name, f.Value)
 		}
 		// Progress lines are printed only under -progress, and a
 		// non-positive interval would run with the default one.
@@ -165,7 +157,7 @@ func run() int {
 		}
 		// A scoped flag the experiment does not read would be silently
 		// ignored: the run would be other than the one asked for.
-		if unread := unreadFlag(e); unread != "" {
+		if unread := unreadFlag(*name); unread != "" {
 			fmt.Fprintf(os.Stderr, "fairsim: experiment %s does not read -%s\n", *name, unread)
 			return 2
 		}
@@ -222,34 +214,23 @@ func run() int {
 	return 0
 }
 
-// zeroIsPreset names the dc and incast flags whose zero value selects the
-// experiment's preset rather than meaning zero (-oversub 0 does mean the
-// 1:1 fabric).
-var zeroIsPreset = map[string]bool{
-	"pods": true, "tors": true, "hosts": true, "ms": true, "load": true,
-	"senders": true, "size": true, "group": true, "every": true,
+// scoped maps each flag that only one experiment reads to that
+// experiment. Each one defaults to the zero that selects the experiment's
+// preset.
+var scoped = map[string]string{
+	"workload": "dc", "protocol": "dc", "pods": "dc", "tors": "dc", "hosts": "dc", "ms": "dc", "load": "dc",
+	"algo": "incast", "senders": "incast", "size": "incast", "group": "incast", "every": "incast",
 }
 
-// scoped names the flags that only some experiments read, by the Config
-// parameters each sets.
-var scoped = map[string]exp.Params{
-	"buffer-bytes": exp.LossyParams, "drop-data": exp.LossyParams, "drop-ack": exp.LossyParams,
-	"rtt-slow-delay": exp.RTTParams, "rtt-senders": exp.RTTParams,
-	"workload": exp.DCParams, "protocol": exp.DCParams, "pods": exp.DCParams, "tors": exp.DCParams,
-	"hosts": exp.DCParams, "oversub": exp.DCParams, "ms": exp.DCParams, "load": exp.DCParams,
-	"algo": exp.IncastParams, "senders": exp.IncastParams, "size": exp.IncastParams,
-	"group": exp.IncastParams, "every": exp.IncastParams,
-}
-
-// unreadFlag returns the first scoped flag set on the command line that e
-// does not read, or "".
-func unreadFlag(e *exp.Experiment) (name string) {
+// unreadFlag returns the first scoped flag set on the command line that
+// experiment name does not read, or "".
+func unreadFlag(name string) (unread string) {
 	flag.Visit(func(f *flag.Flag) {
-		if p, ok := scoped[f.Name]; ok && e.Reads&p == 0 && name == "" {
-			name = f.Name
+		if reader, ok := scoped[f.Name]; ok && reader != name && unread == "" {
+			unread = f.Name
 		}
 	})
-	return name
+	return unread
 }
 
 // picos returns n units as a sim.Time. A value of flag -name whose

@@ -9,6 +9,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
 	"slices"
 	"strings"
 	"testing"
@@ -50,16 +51,16 @@ func TestRejectsUnrunnableFlags(t *testing.T) {
 		{"ok", dc(small...), 0, ""},
 		{"zero load", dc(append([]string{"-load", "0"}, small...)...), 2, "-load"},
 		{"negative load", dc(append([]string{"-load", "-0.5"}, small...)...), 2, "DCLoad"},
+		{"negative zero load", dc(append([]string{"-load", "-0"}, small...)...), 2, "DCLoad"},
 		{"one host", dc("-pods", "1", "-tors", "1", "-hosts", "1"), 2, "2 hosts"},
 		{"zero pods", dc("-pods", "0"), 2, "-pods"},
 		{"negative pods", dc("-pods", "-1"), 2, "DCPods"},
 		{"zero ms", dc("-pods", "1", "-tors", "2", "-hosts", "2", "-ms", "0"), 2, "-ms"},
-		{"negative oversub", dc(append([]string{"-oversub", "-4"}, small...)...), 2, "DCOversub"},
-		{"oversub 1e300", dc("-scale", "small", "-oversub", "1e300"), 2, "ToR uplink"},
-		{"oversub 1e-300", dc("-scale", "small", "-oversub", "1e-300"), 2, "ToR uplink"},
-		{"oversub 4", dc(append([]string{"-oversub", "4"}, small...)...), 0, ""},
 		{"unknown protocol", dc(append([]string{"-protocol", "reno"}, small...)...), 2, "reno"},
 		{"unknown workload", dc(append([]string{"-workload", "no-such-file"}, small...)...), 2, "no-such-file"},
+		// An empty name is the default, which selected the preset.
+		{"empty protocol", dc(append([]string{"-protocol", ""}, small...)...), 2, "-protocol"},
+		{"empty workload", dc(append([]string{"-workload", ""}, small...)...), 2, "-workload"},
 		{"negative sizes", dc(append([]string{"-workload", negative}, small...)...), 2, "not a byte count"},
 		{"zero mean size", dc(append([]string{"-workload", zeroMean}, small...)...), 2, "below 1 B"},
 		// The first arrival falls past the window: the run started no flow
@@ -73,38 +74,28 @@ func TestRejectsUnrunnableFlags(t *testing.T) {
 		{"zero size", incast("-size", "0"), 2, "-size"},
 		{"negative every", incast("-every", "-5"), 2, "IncastEvery"},
 		{"unknown algo", incast("-algo", "reno"), 2, "reno"},
+		{"empty algo", incast("-algo", ""), 2, "-algo"},
 		// Each -every fits the clock, but the last of three start groups
 		// does not: it wrapped into the past and panicked the engine.
 		{"every overflows last start", incast("-senders", "5", "-every", "9000000000000"), 2, "IncastEvery"},
-
-		// A switch buffer no data packet fits tail-drops every one of them
-		// and go-back-N retransmits forever.
-		{"buffer 1", []string{"-exp", "incast-lossy", "-buffer-bytes", "1"}, 2, "BufferBytes"},
-		{"buffer 1000", []string{"-exp", "incast-lossy", "-buffer-bytes", "1000"}, 2, "BufferBytes"},
-		{"buffer 1047", []string{"-exp", "incast-lossy", "-buffer-bytes", "1047"}, 2, "BufferBytes"},
-
-		// Every ACK lost: the flows time out and go back N forever without
-		// a byte acknowledged, and the watchdog ends the run as stalled.
-		{"every ack lost", []string{"-exp", "incast-lossy", "-drop-ack", "0.9999999999"}, 1, "stalled: no byte acknowledged"},
 
 		// Durations whose picosecond value does not fit a sim.Time must not
 		// wrap into a different run (18446744074 ms wraps to 290 us).
 		{"ms overflow", dc("-pods", "1", "-tors", "2", "-hosts", "2", "-ms", "18446744074"), 2, "-ms"},
 		{"every overflow", incast("-every", "18446744073710"), 2, "-every"},
-		{"rtt-slow-delay overflow", []string{"-exp", "rtt-unfairness", "-rtt-slow-delay", "5124h"}, 2, "-rtt-slow-delay"},
-		// A delay that fits the clock, but the slow group's round trip does
-		// not: it wrapped negative and panicked the first serialization.
-		{"rtt slow delay beyond the clock", []string{"-exp", "rtt-unfairness", "-scale", "small", "-rtt-slow-delay", "1290h"}, 2, "RTTSlowDelay"},
 
 		// A removed flag fails loudly, it is not ignored.
 		{"removed ack-coalesce", incast("-ack-coalesce"), 2, "flag provided but not defined: -ack-coalesce"},
 		{"removed shards", dc(append([]string{"-shards", "2"}, small...)...), 2, "flag provided but not defined: -shards"},
 		{"removed k16", dc(append([]string{"-k16"}, small...)...), 2, "flag provided but not defined: -k16"},
 		{"removed plot", incast("-plot"), 2, "flag provided but not defined: -plot"},
+		{"removed drop-data", []string{"-exp", "incast-lossy", "-drop-data", "0.1"}, 2, "flag provided but not defined: -drop-data"},
+		{"removed rtt-senders", []string{"-exp", "rtt-unfairness", "-rtt-senders", "8"}, 2, "flag provided but not defined: -rtt-senders"},
+		{"removed oversub", dc(append([]string{"-oversub", "4"}, small...)...), 2, "flag provided but not defined: -oversub"},
 
 		// A scoped flag the experiment does not read: the run would have
 		// been the one without it.
-		{"dc ignores drop-data", dc("-scale", "small", "-ms", "1", "-drop-data", "0.1"), 2, "experiment dc does not read -drop-data"},
+		{"dc ignores algo", dc("-scale", "small", "-ms", "1", "-algo", "swift"), 2, "experiment dc does not read -algo"},
 		{"fig5a ignores senders", []string{"-exp", "fig5a", "-senders", "300", "-size", "5"}, 2, "experiment fig5a does not read -senders"},
 
 		// A progress interval that no progress line would follow, or that
@@ -140,6 +131,79 @@ func TestRejectsUnrunnableFlags(t *testing.T) {
 	}
 }
 
+// TestEveryFlagIsRead holds ROADMAP item 12's rule over fairsim's flags:
+// every declared flag is read by the run path, by observability (aim 4),
+// or by a kept experiment whose ROADMAP item names it in backticks, and
+// every row here names a declared flag. A scoped flag's row names the
+// experiment scoped gives it. A flag nothing reads goes, with its Config
+// field, validation and docs; one that gains or loses a reader changes its
+// row here.
+func TestEveryFlagIsRead(t *testing.T) {
+	const (
+		run, obs = "run path", "observability"
+		dc       = "dc: ROADMAP item 2"      // default Swift's backlog on `dc -scale large -ms 50`
+		incast   = "incast: ROADMAP item 12" // the configurable incast of fairsim and the library
+	)
+	readers := map[string]string{
+		"list": run, "exp": run, "all": run, "verify": run, "scale": run, "seed": run, "out": run, "workers": run,
+		"progress": obs, "progress-every": obs, "manifest": obs, "pprof": obs,
+		"workload": dc, "protocol": dc, "pods": dc, "tors": dc, "hosts": dc, "ms": dc, "load": dc,
+		"algo": incast, "senders": incast, "size": incast, "group": incast, "every": incast,
+	}
+	roadmap, err := os.ReadFile(filepath.Join("..", "..", "ROADMAP.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	declared := declaredFlags(t)
+	for name := range declared {
+		if _, ok := readers[name]; !ok {
+			t.Errorf("fairsim declares -%s, but nothing reads it", name)
+		}
+	}
+	for name, reader := range readers {
+		if !declared[name] {
+			t.Errorf("-%s has a reader (%s) but fairsim does not declare it", name, reader)
+		}
+		expName, item, isExp := strings.Cut(reader, ": ROADMAP item ")
+		if reader == run || reader == obs {
+			if _, ok := scoped[name]; ok {
+				t.Errorf("-%s is scoped to %s, but its reader is the %s", name, scoped[name], reader)
+			}
+			continue
+		}
+		if !isExp {
+			t.Errorf("-%s: %q is not the run path, observability or an experiment's ROADMAP item", name, reader)
+			continue
+		}
+		if scoped[name] != expName {
+			t.Errorf("-%s is read by experiment %s, but scoped gives it %q", name, expName, scoped[name])
+		}
+		if _, err := exp.Get(expName); err != nil {
+			t.Errorf("-%s: %v", name, err)
+		}
+		if text := roadmapItem(roadmap, item); !regexp.MustCompile("`" + regexp.QuoteMeta(expName) + "[` ]").MatchString(text) {
+			t.Errorf("-%s: ROADMAP item %s does not name experiment %s in backticks", name, item, expName)
+		}
+	}
+}
+
+// roadmapItem returns the text of ROADMAP.md's open item n: its "n. **"
+// line and the indented lines that follow it.
+func roadmapItem(roadmap []byte, n string) string {
+	_, items, _ := strings.Cut(string(roadmap), "\n## Open items\n")
+	_, rest, ok := strings.Cut(items, "\n"+n+". **")
+	if !ok {
+		return ""
+	}
+	lines := strings.Split(rest, "\n")
+	for i, line := range lines[1:] {
+		if line != "" && line[0] != ' ' {
+			return strings.Join(lines[:i+1], "\n")
+		}
+	}
+	return rest
+}
+
 // TestDocumentedCommandsUseDeclaredFlags holds the docs to the CLI: every
 // `go run ./cmd/fairsim` line in README.md, DESIGN.md and EXPERIMENTS.md
 // may use only flags main.go declares, so a removed flag cannot linger in
@@ -163,11 +227,10 @@ func TestDocumentedCommandsUseDeclaredFlags(t *testing.T) {
 			// The command ends at an inline-code backtick or a shell comment.
 			args, _, _ = strings.Cut(args, "`")
 			args, _, _ = strings.Cut(args, " #")
-			var e *exp.Experiment
+			var expName string
 			if _, rest, ok := strings.Cut(args, "-exp "); ok && !strings.HasPrefix(strings.TrimSpace(rest), "<") {
-				name, _, _ := strings.Cut(strings.TrimSpace(rest), " ")
-				var err error
-				if e, err = exp.Get(name); err != nil {
+				expName, _, _ = strings.Cut(strings.TrimSpace(rest), " ")
+				if _, err := exp.Get(expName); err != nil {
 					t.Errorf("%s:%d: %v: %s", doc, i+1, err, strings.TrimSpace(line))
 				}
 			}
@@ -183,7 +246,7 @@ func TestDocumentedCommandsUseDeclaredFlags(t *testing.T) {
 				if !declared[name] {
 					t.Errorf("%s:%d: fairsim declares no flag -%s: %s", doc, i+1, name, strings.TrimSpace(line))
 				}
-				if p, ok := scoped[name]; ok && e != nil && e.Reads&p == 0 {
+				if reader, ok := scoped[name]; ok && expName != "" && reader != expName {
 					t.Errorf("%s:%d: the experiment does not read -%s: %s", doc, i+1, name, strings.TrimSpace(line))
 				}
 			}

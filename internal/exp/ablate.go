@@ -128,8 +128,7 @@ func runNewFlowAblation(cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{Name: "ablate-newflow", Title: "New flow vs high-dampener incumbents",
-		XLabel: "time (us)", YLabel: "Jain fairness index"}
+	res := &Result{XLabel: "time (us)", YLabel: "Jain fairness index"}
 	for _, o := range outs {
 		res.Series = append(res.Series, o.jain)
 		if o.settleUs >= 0 {
@@ -154,8 +153,7 @@ func runSwiftHAI(cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{Name: "ablate-swift-hai", Title: "Swift hyper-AI ablation",
-		XLabel: "flow size (bytes)", YLabel: "median FCT slowdown"}
+	res := &Result{XLabel: "flow size (bytes)", YLabel: "median FCT slowdown"}
 	for i, run := range out.runs {
 		res.Series = append(res.Series, slowdownSeries(out.vs[i].label, run.records, 50, 50))
 		if sd, err := metrics.SlowdownAbove(run.records, 100_000, 50); err == nil {

@@ -36,10 +36,9 @@ func dcScale(cfg Config) (topo.FatTreeConfig, sim.Time, error) {
 
 // dcSetup resolves the dc experiment's fabric and traffic window: the
 // Scale preset with Config's DC* overrides folded in. It is also where a
-// fabric nothing can run on is rejected — a count or, after DCOversub has
-// thinned the ToR uplinks, a link rate FatTreeConfig.Validate refuses, or
-// fewer than two hosts (traffic generation needs a source and a different
-// destination).
+// fabric nothing can run on is rejected — a count FatTreeConfig.Validate
+// refuses, or fewer than two hosts (traffic generation needs a source and
+// a different destination).
 func dcSetup(cfg Config) (topo.FatTreeConfig, sim.Time, error) {
 	ftCfg, duration, err := dcScale(cfg)
 	if err != nil {
@@ -47,9 +46,6 @@ func dcSetup(cfg Config) (topo.FatTreeConfig, sim.Time, error) {
 	}
 	ftCfg = ftCfg.Scaled(cmp.Or(cfg.DCPods, ftCfg.Pods), cmp.Or(cfg.DCToRs, ftCfg.ToRsPerPod),
 		cmp.Or(cfg.DCHostsPerToR, ftCfg.HostsPerToR))
-	if cfg.DCOversub > 0 {
-		ftCfg = ftCfg.Oversubscribed(cfg.DCOversub)
-	}
 	if err := ftCfg.Validate(); err != nil {
 		return ftCfg, 0, err
 	}
@@ -279,10 +275,9 @@ func runDCCustom(cfg Config) (*Result, error) {
 		return nil, err
 	}
 
-	res := &Result{Name: "dc", Title: "FCT slowdown vs flow size on a configurable fat-tree",
-		XLabel: "flow size (bytes)", YLabel: "p99.9 FCT slowdown"}
-	res.Notef("hosts=%d oversubscription=%.3g:1 workload=%s load=%.0f%% duration=%v flows=%d",
-		p.ftCfg.NumHosts(), p.ftCfg.OversubscriptionRatio(), p.workload, p.load*100, p.duration, len(out.runs[0].records))
+	res := &Result{XLabel: "flow size (bytes)", YLabel: "p99.9 FCT slowdown"}
+	res.Notef("hosts=%d workload=%s load=%.0f%% duration=%v flows=%d",
+		p.ftCfg.NumHosts(), p.workload, p.load*100, p.duration, len(out.runs[0].records))
 	classes := []struct {
 		name     string
 		min, max int64
@@ -317,8 +312,7 @@ func init() {
 		func(cfg Config) (*Result, error) {
 			c := fluid.DefaultConfig()
 			pts := fluid.Integrate(c, 500, 3e6)
-			res := &Result{Name: "fig4", Title: "Fluid-model fairness difference",
-				XLabel: "time (ns)", YLabel: "(R1-R0)-(S1-S0) (bytes/ns)"}
+			res := &Result{XLabel: "time (ns)", YLabel: "(R1-R0)-(S1-S0) (bytes/ns)"}
 			s := Series{Label: "fairness gap"}
 			peak := 0.0
 			for _, p := range pts {
@@ -334,9 +328,7 @@ func init() {
 			return res, nil
 		}))
 
-	dc := single("dc", "One protocol with and without VAI SF on a configurable fat-tree and workload", runDCCustom)
-	dc.Reads = DCParams
-	register(dc)
+	register(single("dc", "One protocol with and without VAI SF on a configurable fat-tree and workload", runDCCustom))
 	register(fatTreeExperiment("hadoop",
 		Figure{"fig10", "99.9% FCT slowdown vs flow size, Hadoop traffic"},
 		Figure{"fig12", "Median FCT slowdown vs flow size, Hadoop traffic"}))

@@ -15,7 +15,6 @@ import (
 	"strings"
 	"time"
 
-	"faircc/internal/net"
 	"faircc/internal/sim"
 )
 
@@ -46,35 +45,19 @@ type Config struct {
 	// (default 1s).
 	ProgressEvery time.Duration `json:"-"`
 
-	// Lossy-mode knobs for the incast-lossy experiment (zero = its
-	// defaults; other experiments ignore them). BufferBytes caps every switch egress queue;
-	// DropDataProb / DropAckProb inject random per-packet wire loss.
-	BufferBytes  int64   `json:"buffer_bytes,omitempty"`
-	DropDataProb float64 `json:"drop_data_prob,omitempty"`
-	DropAckProb  float64 `json:"drop_ack_prob,omitempty"`
-
-	// RTT-heterogeneity knobs for the rtt-unfairness experiment (zero =
-	// the scenario's preset; other experiments ignore them).
-	// RTTSlowDelay overrides the slow group's access-link propagation
-	// delay; RTTSenders overrides the per-group sender count.
-	RTTSlowDelay sim.Time `json:"rtt_slow_delay_ps,omitempty"`
-	RTTSenders   int      `json:"rtt_senders,omitempty"`
-
 	// Parameters of the dc experiment (zero = the Scale preset's fabric
 	// and window, Hadoop traffic at 50% load, HPCC; other experiments
 	// ignore them). DCWorkload is hadoop, websearch, storage, mix, or the
 	// path of a distribution file; DCProtocol, hpcc or swift, is compared
 	// with and without VAI SF. DCPods, DCToRs (ToR and Agg switches per
-	// pod) and DCHostsPerToR resize the fat-tree, and DCOversub thins
-	// the ToR uplinks to an N:1 host-to-fabric ratio (zero = the paper's
-	// 1:1). DCDuration is the traffic window, DCLoad the offered load as a
-	// fraction of host line rate.
+	// pod) and DCHostsPerToR resize the paper's 1:1 fat-tree. DCDuration
+	// is the traffic window, DCLoad the offered load as a fraction of host
+	// line rate.
 	DCWorkload    string   `json:"dc_workload,omitempty"`
 	DCProtocol    string   `json:"dc_protocol,omitempty"`
 	DCPods        int      `json:"dc_pods,omitempty"`
 	DCToRs        int      `json:"dc_tors,omitempty"`
 	DCHostsPerToR int      `json:"dc_hosts_per_tor,omitempty"`
-	DCOversub     float64  `json:"dc_oversub,omitempty"`
 	DCDuration    sim.Time `json:"dc_duration_ps,omitempty"`
 	DCLoad        float64  `json:"dc_load,omitempty"`
 
@@ -100,22 +83,16 @@ func DefaultConfig() Config { return Config{Seed: 1, Scale: "medium"} }
 // scale (which star experiments would otherwise ignore), workload,
 // protocol or algorithm; a negative count, size or time; an incast whose
 // last flows would start beyond the clock; a fat-tree nothing can run on;
-// a load or ratio that is negative, NaN or infinite (an infinite arrival
-// rate never reaches the end of the traffic window);
-// a switch buffer smaller than one data packet; a drop probability
-// outside [0,1) — at 1 and above no packet is ever delivered and the run
-// can only stall; a dc traffic window no flow arrives in; or an RTT
-// dumbbell whose slow group's round trip does not fit the clock. Zero always
-// means "the preset", so a negative value must not silently select it either.
+// a load that is negative, NaN or infinite (an infinite arrival rate never
+// reaches the end of the traffic window); or a dc traffic window no flow
+// arrives in. Zero always means "the preset", so a negative value must not
+// silently select it either.
 func (cfg Config) Validate() error {
 	for _, c := range []struct {
 		name string
 		v    int64
 	}{
 		{"Workers", int64(cfg.Workers)},
-		{"BufferBytes", cfg.BufferBytes},
-		{"RTTSenders", int64(cfg.RTTSenders)},
-		{"RTTSlowDelay", int64(cfg.RTTSlowDelay)},
 		{"DCPods", int64(cfg.DCPods)},
 		{"DCToRs", int64(cfg.DCToRs)},
 		{"DCHostsPerToR", int64(cfg.DCHostsPerToR)},
@@ -129,19 +106,9 @@ func (cfg Config) Validate() error {
 			return fmt.Errorf("exp: %s must not be negative, got %d", c.name, c.v)
 		}
 	}
-	for _, c := range []struct {
-		name string
-		v    float64
-		max  float64 // exclusive
-	}{
-		{"DropDataProb", cfg.DropDataProb, 1},
-		{"DropAckProb", cfg.DropAckProb, 1},
-		{"DCLoad", cfg.DCLoad, math.Inf(1)},
-		{"DCOversub", cfg.DCOversub, math.Inf(1)},
-	} {
-		if !(c.v >= 0 && c.v < c.max) { // also rejects NaN
-			return fmt.Errorf("exp: %s must be in [0,%v), got %v", c.name, c.max, c.v)
-		}
+	// -0 too: it equals 0, so it would select the preset.
+	if math.Signbit(cfg.DCLoad) || !(cfg.DCLoad < math.Inf(1)) { // also rejects NaN
+		return fmt.Errorf("exp: DCLoad must be in [0,+Inf), got %v", cfg.DCLoad)
 	}
 	// A last start group beyond the picosecond clock wraps into the past,
 	// where the engine refuses to schedule it.
@@ -149,21 +116,11 @@ func (cfg Config) Validate() error {
 		return fmt.Errorf("exp: IncastEvery %v puts the last of %d start groups beyond the simulator's clock (at most %v)",
 			in.every, (in.senders-1)/in.group+1, sim.Time(math.MaxInt64))
 	}
-	// A switch buffer that cannot hold one data packet tail-drops every one
-	// of them, even into an empty queue, and go-back-N retries until the
-	// run stalls.
-	nw := net.New(sim.NewEngine(), 0)
-	if pkt := int64(nw.MTU + nw.HeaderBytes); cfg.BufferBytes > 0 && cfg.BufferBytes < pkt {
-		return fmt.Errorf("exp: BufferBytes must be 0 or hold one %d-byte data packet, got %d", pkt, cfg.BufferBytes)
-	}
 	ftCfg, duration, err := dcSetup(cfg) // dcScale's is the one list of scale names
 	if err != nil {
 		return err
 	}
 	if _, err := dcTraffic(cfg, ftCfg, duration, cmp.Or(cfg.DCWorkload, "hadoop"), cmp.Or(cfg.DCLoad, dcLoad)); err != nil {
-		return err
-	}
-	if _, err := rttScale(cfg); err != nil {
 		return err
 	}
 	if p := cfg.DCProtocol; p != "" && p != "hpcc" && p != "swift" {
@@ -255,29 +212,22 @@ type Figure struct {
 type Experiment struct {
 	// Figures declares, in order, the Results run returns.
 	Figures []Figure
-	// Reads is the parameter groups the run reads; it ignores the others.
-	Reads Params
-	run   func(Config) ([]*Result, error)
+	run     func(Config) ([]*Result, error)
 }
 
-// Params is a set of Config's parameter groups: the fields beyond Seed,
-// Workers and Scale, which only some experiments read.
-type Params uint8
-
-const (
-	LossyParams  Params = 1 << iota // BufferBytes, DropDataProb, DropAckProb
-	RTTParams                       // RTTSlowDelay, RTTSenders
-	DCParams                        // the DC* fields
-	IncastParams                    // the Incast* fields
-)
-
-// single is the Experiment of a run that only one figure reads.
+// single is the Experiment of a run that only one figure reads. The run
+// leaves Name and Title to the registry: the Result carries the declared
+// figure's.
 func single(name, title string, run func(Config) (*Result, error)) *Experiment {
 	return &Experiment{
 		Figures: []Figure{{name, title}},
 		run: func(cfg Config) ([]*Result, error) {
 			res, err := run(cfg)
-			return []*Result{res}, err
+			if err != nil {
+				return nil, err
+			}
+			res.Name, res.Title = name, title
+			return []*Result{res}, nil
 		},
 	}
 }

@@ -71,7 +71,7 @@ type incastOut struct {
 // for the DCQCN baseline) and then setup, each when non-nil, configure the
 // network before flows are added (setup: finite buffers, loss or PFC for
 // the runs on such fabrics).
-func runIncast(cfg Config, v variant, in incastShape, setup func(*net.Network, *topo.Star)) (*incastOut, error) {
+func runIncast(cfg Config, v variant, in incastShape, setup fabric) (*incastOut, error) {
 	var jain, queue *metrics.Series
 	nw, err := simulate(cfg, v.label, func(nw *net.Network) {
 		jain, queue = buildIncast(nw, v, in, setup, in.senders)
@@ -115,7 +115,7 @@ func runIncast(cfg Config, v variant, in incastShape, setup func(*net.Network, *
 // receiver at host recv (runIncast's is the last) and the senders at the
 // others, in host order. It returns the Jain and the receiver-port queue
 // samplers.
-func buildIncast(nw *net.Network, v variant, in incastShape, setup func(*net.Network, *topo.Star), recv int) (jain, queue *metrics.Series) {
+func buildIncast(nw *net.Network, v variant, in incastShape, setup fabric, recv int) (jain, queue *metrics.Series) {
 	st := topo.NewStar(nw, in.senders+1, hostRate, linkDelay)
 	if v.setup != nil {
 		v.setup(nw)
@@ -181,20 +181,18 @@ func smoothedReach(s Series, window int, threshold float64) float64 {
 
 // A fabric is a star switch other than the default lossless, unbounded
 // one: it configures the network before flows are added.
-type fabric func(Config, *net.Network, *topo.Star)
+type fabric func(*net.Network, *topo.Star)
 
 // lossyFabric is the lossy, PFC-free fabric Swift targets: finite switch
 // buffers with tail drop, random wire loss on data and ACKs, and the
-// sender-side RTO / go-back-N recovery path. Config's BufferBytes,
-// DropDataProb and DropAckProb override its defaults: 150 KB buffers, below
-// the ~240 KB the unbounded 16-1 incast peaks at, so the buffer binds; and
-// a 5e-4 loss probability, a handful of losses per 16 MB incast wave.
-func lossyFabric(cfg Config, nw *net.Network, st *topo.Star) {
+// sender-side RTO / go-back-N recovery path. Its buffers are 150 KB, below
+// the ~240 KB the unbounded 16-1 incast peaks at, so the buffer binds; its
+// 5e-4 loss probability is a handful of losses per 16 MB incast wave.
+func lossyFabric(nw *net.Network, st *topo.Star) {
 	nw.LossRecovery = true
-	nw.DropDataProb = cmp.Or(cfg.DropDataProb, 5e-4)
-	nw.DropAckProb = cmp.Or(cfg.DropAckProb, 5e-4)
+	nw.DropDataProb, nw.DropAckProb = 5e-4, 5e-4
 	for _, sp := range st.Switch.Ports() {
-		sp.SetBuffer(cmp.Or(cfg.BufferBytes, 150_000))
+		sp.SetBuffer(150_000)
 	}
 }
 
@@ -214,7 +212,6 @@ type starRun struct {
 	variants func(Config, pathParams) []variant
 	fabric   fabric
 	figs     []incastFigure
-	reads    Params // the Config parameters shape, variants and fabric read
 }
 
 // run runs every variant in parallel; the first failing variant cancels
@@ -223,21 +220,13 @@ func (r starRun) run(cfg Config) ([]*incastOut, error) {
 	in := r.shape(cfg)
 	vs := r.variants(cfg, starParams(in.senders))
 	return par.MapErr(len(vs), cfg.Workers, func(i int) (*incastOut, error) {
-		return runIncast(cfg, vs[i], in, r.fabric.on(cfg))
+		return runIncast(cfg, vs[i], in, r.fabric)
 	})
-}
-
-// on is the fabric's setup for runIncast under cfg (nil for none).
-func (fb fabric) on(cfg Config) func(*net.Network, *topo.Star) {
-	if fb == nil {
-		return nil
-	}
-	return func(nw *net.Network, st *topo.Star) { fb(cfg, nw, st) }
 }
 
 // starExperiment registers a star run with the figures read off it.
 func starExperiment(r starRun) *Experiment {
-	e := &Experiment{Reads: r.reads}
+	e := &Experiment{}
 	for _, f := range r.figs {
 		e.Figures = append(e.Figures, Figure{f.name, f.title})
 	}
@@ -389,7 +378,7 @@ func init() {
 			incastFigure{"fig6c", "96-1 incast Jain index, Swift with VAI SF", nil, jainView},
 			incastFigure{"fig6d", "96-1 incast queue depth, Swift with VAI SF", nil, queueView}),
 
-		{shape: customShape, reads: IncastParams, figs: []incastFigure{{"incast",
+		{shape: customShape, figs: []incastFigure{{"incast",
 			"One protocol variant on a configurable n-to-1 staggered incast", nil, customView}},
 			variants: func(cfg Config, p pathParams) []variant {
 				return []variant{variantsByKey(p)[cmp.Or(cfg.IncastAlgo, "hpcc")]}
@@ -397,7 +386,7 @@ func init() {
 		{shape: paperShape(16), variants: only(dcqcnVariant()), figs: []incastFigure{{"incast-dcqcn",
 			"16-1 incast under DCQCN (Sec. II probabilistic-feedback reference)", nil, jainView}}},
 		{shape: paperShape(16), variants: func(_ Config, p pathParams) []variant { return dcVariants(p) },
-			fabric: lossyFabric, reads: LossyParams,
+			fabric: lossyFabric,
 			figs: []incastFigure{{"incast-lossy", "16-1 incast on a lossy fabric: finite buffers, random " +
 				"wire loss, RTO/go-back-N recovery", nil, fabricView}}},
 		timelyRun, aiCapSweep, sfSweep, dampenerSweep,

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -70,19 +71,20 @@ func TestManifestRoundTrip(t *testing.T) {
 	}
 	// The result-changing knobs round-trip when set and are absent at
 	// their defaults (so committed default-config manifests are unchanged).
-	knobKeys := []string{"buffer_bytes", "drop_data_prob",
-		"drop_ack_prob", "rtt_slow_delay_ps", "rtt_senders"}
+	knobKeys := []string{"dc_workload", "dc_protocol", "dc_pods", "dc_tors", "dc_hosts_per_tor",
+		"dc_duration_ps", "dc_load", "incast_algo", "incast_senders", "incast_flow_bytes",
+		"incast_group", "incast_every_ps"}
 	for _, k := range knobKeys {
 		if _, ok := keys[k]; ok {
 			t.Errorf("default-config manifest carries key %q", k)
 		}
 	}
 	knobs := cfg
-	knobs.BufferBytes = 150_000
-	knobs.DropDataProb = 5e-4
-	knobs.DropAckProb = 2.5e-4
-	knobs.RTTSlowDelay = 100 * sim.Microsecond
-	knobs.RTTSenders = 8
+	knobs.DCWorkload, knobs.DCProtocol = "mix", "swift"
+	knobs.DCPods, knobs.DCToRs, knobs.DCHostsPerToR = 1, 2, 4
+	knobs.DCDuration, knobs.DCLoad = 2*sim.Millisecond, 0.3
+	knobs.IncastAlgo, knobs.IncastSenders, knobs.IncastFlowBytes = "swift-vaisf", 8, 500_000
+	knobs.IncastGroup, knobs.IncastEvery = 4, 10*sim.Microsecond
 	var buf bytes.Buffer
 	if err := BuildManifest("fig1a", knobs, nil, nil, start, 0).WriteJSON(&buf); err != nil {
 		t.Fatal(err)
@@ -91,10 +93,8 @@ func TestManifestRoundTrip(t *testing.T) {
 	if err := json.Unmarshal(buf.Bytes(), &kb); err != nil {
 		t.Fatal(err)
 	}
-	if kb.BufferBytes != knobs.BufferBytes ||
-		kb.DropDataProb != knobs.DropDataProb || kb.DropAckProb != knobs.DropAckProb ||
-		kb.RTTSlowDelay != knobs.RTTSlowDelay || kb.RTTSenders != knobs.RTTSenders {
-		t.Errorf("knob round trip: got %+v, want the knobs of %+v", kb, knobs)
+	if !reflect.DeepEqual(kb.Config, knobs) {
+		t.Errorf("knob round trip: got %+v, want the knobs of %+v", kb.Config, knobs)
 	}
 	for _, k := range knobKeys {
 		if !bytes.Contains(buf.Bytes(), []byte(`"`+k+`"`)) {

@@ -75,7 +75,7 @@ func RunWithStats(name string, cfg Config) (*Result, *metrics.RunStats, error) {
 		return nil, nil, err
 	}
 	// Get found name among e.Figures, and run returns one Result per
-	// declared figure, in that order (TestRunsReturnDeclaredFigures).
+	// declared figure, in that order (TestEveryExperimentRuns).
 	i := slices.IndexFunc(e.Figures, func(f Figure) bool { return f.Name == name })
 	return results[i], stats, nil
 }

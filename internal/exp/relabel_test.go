@@ -34,7 +34,7 @@ func TestIncastReceiverRelabel(t *testing.T) {
 	run := func(v variant, fb namedFabric, recv int) result {
 		var jain, queue *metrics.Series
 		nw, err := simulate(cfg, v.label, func(nw *net.Network) {
-			jain, queue = buildIncast(nw, v, in, fb.fabric.on(cfg), recv)
+			jain, queue = buildIncast(nw, v, in, fb.fabric, recv)
 		})
 		if err != nil {
 			t.Fatalf("%s %s, receiver at host %d: %v", fb.name, v.label, recv, err)

@@ -23,9 +23,7 @@ func runRobustness(cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{Name: "robustness",
-		Title:  "Long-flow tail improvement across seeds (Hadoop)",
-		XLabel: "seed", YLabel: "p99.9 improvement factor (default / VAI SF)"}
+	res := &Result{XLabel: "seed", YLabel: "p99.9 improvement factor (default / VAI SF)"}
 	res.Notef("scale=%s hosts=%d duration=%v seeds=%d", cfg.Scale,
 		ftCfg.NumHosts(), duration, nSeeds)
 	protos := []Series{{Label: "HPCC"}, {Label: "Swift"}}

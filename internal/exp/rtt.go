@@ -32,8 +32,8 @@ type rttSetup struct {
 	gap      sim.Time // stagger between a sender's consecutive flows
 }
 
-// rttScale maps Config.Scale to a datacenter-heterogeneity scenario, with
-// Config's RTT-heterogeneity overrides folded in.
+// rttScale maps Config.Scale to a datacenter-heterogeneity scenario on the
+// default dumbbell.
 func rttScale(cfg Config) (rttSetup, error) {
 	s := rttSetup{dc: topo.DefaultDumbbell()}
 	switch cfg.Scale {
@@ -45,28 +45,6 @@ func rttScale(cfg Config) (rttSetup, error) {
 		s.flowSize, s.rounds, s.gap = 4_000_000, 8, 500*sim.Microsecond
 	default:
 		return s, fmt.Errorf("exp: unknown scale %q", cfg.Scale)
-	}
-	if cfg.RTTSlowDelay > 0 {
-		s.dc.Groups[len(s.dc.Groups)-1].AccessDelay = cfg.RTTSlowDelay
-	}
-	if cfg.RTTSenders > 0 {
-		for i := range s.dc.Groups {
-			s.dc.Groups[i].Count = cfg.RTTSenders
-		}
-	}
-	if err := s.dc.Validate(); err != nil {
-		return s, err
-	}
-	if cfg.RTTSlowDelay > 0 {
-		// The slow group's round trip must fit the clock, or its flows'
-		// base RTT wraps negative.
-		nw := net.New(sim.NewEngine(), 0)
-		d := topo.NewDumbbell(nw, s.dc)
-		last := len(d.Senders) - 1 // a sender of the slow group
-		if _, _, _, err := nw.ProbePath(net.FlowSpec{ID: -1, Src: d.Senders[last].NodeID(),
-			Dst: d.Receivers[last].NodeID(), Size: 1}); err != nil {
-			return s, fmt.Errorf("exp: RTTSlowDelay %v puts the slow group's round trip beyond the simulator's clock", cfg.RTTSlowDelay)
-		}
 	}
 	return s, nil
 }
@@ -181,8 +159,7 @@ func runRTTUnfairness(cfg Config) (*Result, error) {
 		return nil, err
 	}
 
-	res := &Result{Name: "rtt-unfairness", Title: rttTitle,
-		XLabel: "time (us)", YLabel: "Jain fairness index"}
+	res := &Result{XLabel: "time (us)", YLabel: "Jain fairness index"}
 	nw := net.New(sim.NewEngine(), 0)
 	rtts := topo.NewDumbbell(nw, s.dc).ClassBaseRTT(nw)
 	for i, g := range s.dc.Groups {
@@ -222,10 +199,7 @@ func runRTTUnfairness(cfg Config) (*Result, error) {
 	return res, nil
 }
 
-const rttTitle = "Fairness across RTT classes: fast vs slow senders on one bottleneck"
-
 func init() {
-	e := single("rtt-unfairness", rttTitle, runRTTUnfairness)
-	e.Reads = RTTParams
-	register(e)
+	register(single("rtt-unfairness", "Fairness across RTT classes: fast vs slow senders on one bottleneck",
+		runRTTUnfairness))
 }

@@ -3,8 +3,6 @@ package exp
 import (
 	"strings"
 	"testing"
-
-	"faircc/internal/sim"
 )
 
 // TestRTTUnfairnessRuns: the scenario runs end-to-end at small scale and
@@ -52,27 +50,6 @@ func TestRTTUnfairnessDeterministic(t *testing.T) {
 	cfg := Config{Seed: 3, Scale: "small"}
 	if a, b := runToCSV(t, "rtt-unfairness", cfg), runToCSV(t, "rtt-unfairness", cfg); a != b {
 		t.Fatal("same seed: rtt-unfairness CSVs differ between repetitions")
-	}
-}
-
-// TestRTTKnobsApply: the Config overrides reach the topology.
-func TestRTTKnobsApply(t *testing.T) {
-	s, err := rttScale(Config{Scale: "small",
-		RTTSlowDelay: 100 * sim.Microsecond, RTTSenders: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	last := len(s.dc.Groups) - 1
-	if s.dc.Groups[last].AccessDelay != 100*sim.Microsecond {
-		t.Fatalf("slow delay = %v, want 100us", s.dc.Groups[last].AccessDelay)
-	}
-	for i, g := range s.dc.Groups {
-		if g.Count != 2 {
-			t.Fatalf("group %d count = %d, want 2", i, g.Count)
-		}
-	}
-	if _, err := rttScale(Config{Scale: "nope"}); err == nil {
-		t.Fatal("unknown scale must error")
 	}
 }
 

@@ -8,7 +8,9 @@ import (
 
 // TestEveryExperimentRuns executes the full registry at small scale: every
 // registered experiment must complete, return exactly the figures it
-// declares, each with at least one non-empty series, and pass the network
+// declares, each under its registered name and title (which -list, the
+// terminal summary and the manifest all print), each with at least one
+// non-empty series, and pass the network
 // conservation checks its runner performs. There is one subtest per
 // figure, but figures that share an experiment share its one execution.
 // This is the repository's broadest integration test.
@@ -37,8 +39,8 @@ func TestEveryExperimentRuns(t *testing.T) {
 					t.Fatalf("%d results for %d declared figures", len(o.results), len(e.Figures))
 				}
 				res := o.results[i]
-				if res.Name != name {
-					t.Fatalf("result %d is named %q, declared %q", i, res.Name, name)
+				if res.Name != name || res.Title != f.Title {
+					t.Fatalf("result %d is %q: %q, declared %q: %q", i, res.Name, res.Title, name, f.Title)
 				}
 				if len(res.Series) == 0 {
 					t.Fatalf("%s produced no series", name)

@@ -48,7 +48,6 @@ func TestRouteSummaryAgreesWithWalk(t *testing.T) {
 		{"fat-tree 2x2x2", fatTree(topo.DefaultFatTree().Scaled(2, 2, 2))},
 		{"fat-tree 2x2x8", fatTree(topo.DefaultFatTree().Scaled(2, 2, 8))},
 		{"fat-tree 3x2x4", fatTree(topo.DefaultFatTree().Scaled(3, 2, 4))},
-		{"fat-tree 2x2x8 at 4:1", fatTree(topo.DefaultFatTree().Scaled(2, 2, 8).Oversubscribed(4))},
 		{"star", func(nw *net.Network) []*net.Host { return topo.NewStar(nw, 17, 100e9, sim.Microsecond).Hosts }},
 		{"dumbbell", func(nw *net.Network) []*net.Host {
 			d := topo.NewDumbbell(nw, topo.DefaultDumbbell())

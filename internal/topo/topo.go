@@ -51,12 +51,7 @@ type FatTreeConfig struct {
 	HostsPerToR int
 	HostBps     float64
 	FabricBps   float64
-	// ToRUplinkBps, when positive, overrides FabricBps on the ToR<->Agg
-	// links only — the knob that makes the tree oversubscribed at the ToR
-	// layer (the one place real Clos fabrics economize). Zero keeps the
-	// paper's 1:1 fabric.
-	ToRUplinkBps float64
-	LinkDelay    sim.Time
+	LinkDelay   sim.Time
 }
 
 // DefaultFatTree returns the paper's datacenter topology parameters.
@@ -100,38 +95,12 @@ func (c FatTreeConfig) Validate() error {
 	for _, r := range []struct {
 		name string
 		bps  float64
-	}{{"host link", c.HostBps}, {"fabric link", c.FabricBps}, {"ToR uplink", c.torUplinkBps()}} {
+	}{{"host link", c.HostBps}, {"fabric link", c.FabricBps}} {
 		if !(r.bps >= 1 && r.bps <= math.MaxFloat64) { // also rejects NaN
 			return fmt.Errorf("topo: %s rate must be finite and at least 1 b/s, got %g", r.name, r.bps)
 		}
 	}
 	return nil
-}
-
-// torUplinkBps is the effective ToR<->Agg link rate.
-func (c FatTreeConfig) torUplinkBps() float64 {
-	if c.ToRUplinkBps != 0 {
-		return c.ToRUplinkBps
-	}
-	return c.FabricBps
-}
-
-// Oversubscribed returns the configuration with ToR uplinks sized so that
-// per-ToR host capacity is ratio times its uplink capacity (ratio 1 = the
-// paper's 1:1; ratio 4 = a typical production 4:1 ToR layer).
-func (c FatTreeConfig) Oversubscribed(ratio float64) FatTreeConfig {
-	if ratio <= 0 {
-		panic("topo: oversubscription ratio must be positive")
-	}
-	c.ToRUplinkBps = float64(c.HostsPerToR) * c.HostBps / (float64(c.AggsPerPod) * ratio)
-	return c
-}
-
-// OversubscriptionRatio reports per-ToR host capacity over uplink
-// capacity (1 means non-blocking).
-func (c FatTreeConfig) OversubscriptionRatio() float64 {
-	return float64(c.HostsPerToR) * c.HostBps /
-		(float64(c.AggsPerPod) * c.torUplinkBps())
 }
 
 // FatTree is a built fat-tree: hosts in pod-major order plus the switch
@@ -179,18 +148,15 @@ func NewFatTree(nw *net.Network, cfg FatTreeConfig) *FatTree {
 		ft.HostPorts[i] = tp
 	}
 
-	// ToR <-> Agg links (full bipartite within each pod). These run at
-	// torUplinkBps — FabricBps unless the config oversubscribes the ToR
-	// layer.
+	// ToR <-> Agg links (full bipartite within each pod).
 	torUp := make([][]*net.Port, len(ft.ToRs))   // ToR -> its Agg uplinks
 	aggDown := make([][]*net.Port, len(ft.Aggs)) // Agg -> ToR downlinks, by ToR index in pod
-	uplinkBps := cfg.torUplinkBps()
 	for p := 0; p < cfg.Pods; p++ {
 		for t := 0; t < cfg.ToRsPerPod; t++ {
 			tor := ft.ToRs[p*cfg.ToRsPerPod+t]
 			for a := 0; a < cfg.AggsPerPod; a++ {
 				agg := ft.Aggs[p*cfg.AggsPerPod+a]
-				tp, ap := nw.Connect(tor, agg, uplinkBps, cfg.LinkDelay)
+				tp, ap := nw.Connect(tor, agg, cfg.FabricBps, cfg.LinkDelay)
 				torUp[p*cfg.ToRsPerPod+t] = append(torUp[p*cfg.ToRsPerPod+t], tp)
 				if aggDown[p*cfg.AggsPerPod+a] == nil {
 					aggDown[p*cfg.AggsPerPod+a] = make([]*net.Port, cfg.ToRsPerPod)

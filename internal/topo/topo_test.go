@@ -194,67 +194,17 @@ func TestFatTreeValidate(t *testing.T) {
 	if err := bad.Validate(); err == nil {
 		t.Fatal("expected validation error for zero spines")
 	}
-	bad = DefaultFatTree()
-	bad.ToRUplinkBps = -1
-	if err := bad.Validate(); err == nil {
-		t.Fatal("expected validation error for negative ToR uplink rate")
-	}
-	// A ToR uplink rate nothing can serialize on: below 1 b/s a packet's
+	// A link rate nothing can serialize on: below 1 b/s a packet's
 	// transmit time overflows sim.Time, and at +Inf it is zero.
-	for _, bps := range []float64{1e-289, math.Inf(1)} {
+	for _, bps := range []float64{-1, 1e-289, math.Inf(1)} {
 		bad = DefaultFatTree()
-		bad.ToRUplinkBps = bps
-		if err := bad.Validate(); err == nil || !strings.Contains(err.Error(), "ToR uplink") {
-			t.Fatalf("ToR uplink rate %g: err = %v, want the rate named", bps, err)
+		bad.FabricBps = bps
+		if err := bad.Validate(); err == nil || !strings.Contains(err.Error(), "fabric link") {
+			t.Fatalf("fabric link rate %g: err = %v, want the rate named", bps, err)
 		}
 	}
 	if err := DefaultFatTree().Validate(); err != nil {
 		t.Fatalf("default config invalid: %v", err)
-	}
-}
-
-func TestFatTreeOversubscribed(t *testing.T) {
-	// Ratio math: Oversubscribed(r) must make OversubscriptionRatio
-	// report r, and the default tree is 1:1.
-	if got := DefaultFatTree().OversubscriptionRatio(); got != 1 {
-		t.Fatalf("default ratio = %v, want 1", got)
-	}
-	cfg := DefaultFatTree().Oversubscribed(4)
-	if err := cfg.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if got := cfg.OversubscriptionRatio(); got != 4 {
-		t.Fatalf("ratio = %v, want 4", got)
-	}
-	// 16 hosts x 100G over 4 uplinks at ratio 4 -> 100G per uplink.
-	if cfg.ToRUplinkBps != 100e9 {
-		t.Fatalf("uplink = %v, want 100e9", cfg.ToRUplinkBps)
-	}
-
-	// The uplink rate must reach the wire: a cross-ToR path through a
-	// 2:1-oversubscribed scaled tree bottlenecks at the ToR uplink, not
-	// the host link.
-	eng := sim.NewEngine()
-	nw := net.New(eng, 1)
-	scfg := DefaultFatTree().Scaled(2, 2, 2).Oversubscribed(2)
-	ft := NewFatTree(nw, scfg)
-	_, _, minBw, err := nw.ProbePath(net.FlowSpec{ID: 1,
-		Src: ft.Hosts[0].NodeID(), Dst: ft.Hosts[2].NodeID(), Size: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantUplink := float64(scfg.HostsPerToR) * scfg.HostBps / (float64(scfg.AggsPerPod) * 2)
-	if minBw != wantUplink {
-		t.Fatalf("cross-ToR bottleneck = %v, want ToR uplink %v", minBw, wantUplink)
-	}
-	// Same-ToR paths never cross an uplink and stay at host rate.
-	_, _, minBw, err = nw.ProbePath(net.FlowSpec{ID: 2,
-		Src: ft.Hosts[0].NodeID(), Dst: ft.Hosts[1].NodeID(), Size: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if minBw != scfg.HostBps {
-		t.Fatalf("same-ToR bottleneck = %v, want host rate %v", minBw, scfg.HostBps)
 	}
 }
 
@@ -271,17 +221,6 @@ func TestK16FatTree(t *testing.T) {
 	}
 	if cfg.NumHosts() != 4096 {
 		t.Fatalf("hosts = %d, want 4096", cfg.NumHosts())
-	}
-	if got := cfg.OversubscriptionRatio(); got != 1 {
-		t.Fatalf("base ratio = %v, want 1 (non-blocking)", got)
-	}
-	over := cfg.Oversubscribed(4)
-	if got := over.OversubscriptionRatio(); got != 4 {
-		t.Fatalf("oversubscribed ratio = %v, want 4", got)
-	}
-	// 32 hosts x 100G over 8 uplinks at 4:1 -> 100G uplinks.
-	if over.ToRUplinkBps != 100e9 {
-		t.Fatalf("uplink = %v, want 100e9", over.ToRUplinkBps)
 	}
 }
 
