@@ -1,7 +1,7 @@
 // Command ci is the repository's verification gate, runnable anywhere Go
 // is installed (no make required):
 //
-//	go run ./cmd/ci    # build + vet + 2 cross + gofmt + test + alloc repeat + race + bench smoke + 2 fuzz smokes
+//	go run ./cmd/ci    # 14 steps: build, vet, 4 cross, gofmt, test, alloc-repeat, race, race-parallel, bench-smoke, 2 fuzz-smoke
 //
 // The test step is the repository's tier-1 gate (`go test ./...`), so a
 // PR cannot pass ci with a broken unit or experiment test. The

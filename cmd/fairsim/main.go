@@ -9,17 +9,19 @@
 //	fairsim -exp fig10 -progress -manifest [-pprof profiles]
 //	fairsim -exp dc -workload mix -protocol swift -pods 2 -tors 2 -hosts 8 -ms 2
 //	fairsim -exp incast -algo hpcc-vaisf -senders 96 -size 1048576 -out series
+//	fairsim -verify [-scale small] [-progress]
 //
 // The dc and incast experiments' flags resize or retarget their runs;
 // every other experiment runs its preset, and fairsim exits 2 on a flag
-// the chosen experiment does not read, or on one given at its default
-// value, which would select the preset.
+// the chosen mode (-list, -exp, -all or -verify) does not read, or on one
+// given at its default value, which would select the preset.
 //
 // Each name is one figure of "Fast Convergence to Fairness for Reduced
 // Long Flow Tail Latency in Datacenter Networks" (Snyder & Lebeck, IPDPS
 // 2022). Figures that plot the same simulations are views of one run:
 // -exp with any of them executes the run once and prints and writes all
-// of them (-exp fig10 yields fig10 and fig12). See DESIGN.md for the index.
+// of them (-exp fig10 yields fig10 and fig12); -verify executes each run
+// that carries claims once and checks them all. See DESIGN.md.
 //
 // Observability: -progress prints a periodic sim-time / wall-time /
 // events-per-second line per running variant (essential for paper-scale
@@ -36,6 +38,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"time"
 
 	"faircc/internal/exp"
@@ -53,7 +56,7 @@ func run() int {
 		seed   = flag.Int64("seed", 1, "simulation seed")
 		out    = flag.String("out", "", "directory for CSV output (default: stdout summary only)")
 		work   = flag.Int("workers", 0, "parallel variant runners (0 = GOMAXPROCS)")
-		verify = flag.Bool("verify", false, "check the paper's claims against fresh runs and exit")
+		verify = flag.Bool("verify", false, "check the paper's claims, each run that carries them once, and exit")
 
 		workload = flag.String("workload", "", "dc: hadoop, websearch, storage, mix, or a flow-size distribution file in the HPCC-artifact format (default hadoop)")
 		protocol = flag.String("protocol", "", "dc: hpcc or swift, run with and without VAI SF (default hpcc)")
@@ -115,27 +118,33 @@ func run() int {
 		cfg.ProgressEvery = *every
 	}
 
-	if *verify {
-		failed := 0
-		for _, c := range exp.Claims() {
-			ok, detail, err := c.Check(cfg)
-			status := "PASS"
-			if err != nil {
-				status, detail = "ERROR", err.Error()
-			} else if !ok {
-				status = "FAIL"
-			}
-			if status != "PASS" {
-				failed++
-			}
-			fmt.Printf("%-5s %-24s %s\n      %s\n", status, c.Name, c.Text, detail)
-		}
-		if failed > 0 {
-			fmt.Printf("\n%d claim(s) not reproduced\n", failed)
+	// One mode runs: -exp one experiment, -all every one, -verify each
+	// that carries claims, -list none. A flag it does not read, another
+	// mode's among them, would be silently ignored.
+	var exps []*exp.Experiment
+	mode, what := "list", "-list"
+	switch {
+	case *list:
+	case *name != "":
+		e, err := exp.Get(*name)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "fairsim: %v\n", err)
 			return 1
 		}
-		fmt.Println("\nall claims reproduced")
-		return 0
+		mode, what, exps = "exp", "experiment "+*name, []*exp.Experiment{e}
+	case *all:
+		mode, what, exps = "all", "-all", exp.Experiments()
+	case *verify:
+		mode, what = "verify", "-verify"
+		exps = slices.DeleteFunc(exp.Experiments(), func(e *exp.Experiment) bool { return len(e.Claims) == 0 })
+	default:
+		fmt.Fprintln(os.Stderr, "fairsim: need -exp NAME, -all, -verify or -list")
+		flag.Usage()
+		return 2
+	}
+	if unread := unreadFlag(mode, exps); unread != "" {
+		fmt.Fprintf(os.Stderr, "fairsim: %s does not read -%s\n", what, unread)
+		return 2
 	}
 
 	if *list {
@@ -145,27 +154,32 @@ func run() int {
 		return 0
 	}
 
-	var exps []*exp.Experiment
-	switch {
-	case *all:
-		exps = exp.Experiments()
-	case *name != "":
-		e, err := exp.Get(*name)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "fairsim: %v\n", err)
+	// Each experiment with claims runs once; every claim on it is checked
+	// against that one run.
+	if *verify {
+		failed := 0
+		for _, e := range exps {
+			verdicts, err := e.Verify(cfg)
+			for i, c := range e.Claims {
+				status, detail := "ERROR", fmt.Sprint(err)
+				if err == nil {
+					status, detail = "FAIL", verdicts[i].Detail
+					if verdicts[i].OK {
+						status = "PASS"
+					}
+				}
+				if status != "PASS" {
+					failed++
+				}
+				fmt.Printf("%-5s %-24s %s\n      %s\n", status, c.Name, c.Text, detail)
+			}
+		}
+		if failed > 0 {
+			fmt.Printf("\n%d claim(s) not reproduced\n", failed)
 			return 1
 		}
-		// A scoped flag the experiment does not read would be silently
-		// ignored: the run would be other than the one asked for.
-		if unread := unreadFlag(*name); unread != "" {
-			fmt.Fprintf(os.Stderr, "fairsim: experiment %s does not read -%s\n", *name, unread)
-			return 2
-		}
-		exps = []*exp.Experiment{e}
-	default:
-		fmt.Fprintln(os.Stderr, "fairsim: need -exp NAME, -all, or -list")
-		flag.Usage()
-		return 2
+		fmt.Println("\nall claims reproduced")
+		return 0
 	}
 
 	if *pprofDir != "" {
@@ -222,11 +236,20 @@ var scoped = map[string]string{
 	"algo": "incast", "senders": "incast", "size": "incast", "group": "incast", "every": "incast",
 }
 
-// unreadFlag returns the first scoped flag set on the command line that
-// experiment name does not read, or "".
-func unreadFlag(name string) (unread string) {
+// unreadFlag returns the first flag set on the command line that mode
+// (list, exp, all or verify) does not read, or "": another mode's flag, any
+// flag beside -list, an output flag beside -verify, or a scoped flag whose
+// experiment is not among exps, the experiments the mode runs.
+func unreadFlag(mode string, exps []*exp.Experiment) (unread string) {
 	flag.Visit(func(f *flag.Flag) {
-		if reader, ok := scoped[f.Name]; ok && reader != name && unread == "" {
+		reader, isScoped := scoped[f.Name]
+		e, _ := exp.Get(reader) // nil unless the flag is scoped
+		switch {
+		case unread != "":
+		case f.Name != mode && (f.Name == "list" || f.Name == "exp" || f.Name == "all" || f.Name == "verify"),
+			mode == "list" && f.Name != "list",
+			mode == "verify" && (f.Name == "out" || f.Name == "manifest" || f.Name == "pprof"),
+			isScoped && !slices.Contains(exps, e):
 			unread = f.Name
 		}
 	})

@@ -25,10 +25,7 @@ import (
 // a sane small run must still exit 0. The timeout is what catches a
 // regression to the hang.
 func TestRejectsUnrunnableFlags(t *testing.T) {
-	bin := filepath.Join(t.TempDir(), "fairsim")
-	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
-		t.Fatalf("go build: %v\n%s", err, out)
-	}
+	bin := buildFairsim(t)
 	// Distribution files whose mean is negative or zero: every Poisson gap
 	// was negative or zero, so generation never reached the end of the
 	// traffic window.
@@ -97,6 +94,15 @@ func TestRejectsUnrunnableFlags(t *testing.T) {
 		// been the one without it.
 		{"dc ignores algo", dc("-scale", "small", "-ms", "1", "-algo", "swift"), 2, "experiment dc does not read -algo"},
 		{"fig5a ignores senders", []string{"-exp", "fig5a", "-senders", "300", "-size", "5"}, 2, "experiment fig5a does not read -senders"},
+		// No run that carries a claim reads a scoped flag, -verify writes
+		// no figure, and -list runs nothing.
+		{"verify ignores scoped flags", []string{"-verify", "-scale", "small", "-senders", "4", "-pods", "3"}, 2, "-verify does not read -pods"},
+		{"verify ignores output flags", []string{"-verify", "-manifest", "-out", filepath.Join(t.TempDir(), "vout")}, 2, "-verify does not read -manifest"},
+		{"list ignores scoped flags", []string{"-list", "-pods", "3"}, 2, "-list does not read -pods"},
+
+		// The modes are exclusive: one mode does not read another's flag.
+		{"verify and exp", []string{"-verify", "-exp", "fig1a"}, 2, "experiment fig1a does not read -verify"},
+		{"exp and all", []string{"-exp", "fig4", "-all"}, 2, "experiment fig4 does not read -all"},
 
 		// A progress interval that no progress line would follow, or that
 		// the run would replace with the default.
@@ -129,6 +135,38 @@ func TestRejectsUnrunnableFlags(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestVerifyRunsEachSimulationOnce drives -verify through the built
+// binary: every claim passes at small scale, and each of the 35
+// simulations behind the claims runs once, whichever claims read it.
+func TestVerifyRunsEachSimulationOnce(t *testing.T) {
+	if testing.Short() {
+		t.Skip("claims sweep in -short mode")
+	}
+	cmd := exec.Command(buildFairsim(t), "-verify", "-scale", "small", "-progress")
+	var stderr strings.Builder
+	cmd.Stderr = &stderr
+	out, err := cmd.Output()
+	if err != nil {
+		t.Fatalf("fairsim -verify: %v\n%s%s", err, out, stderr.String())
+	}
+	if n := strings.Count("\n"+string(out), "\nPASS "); n != 12 || !strings.HasSuffix(string(out), "\nall claims reproduced\n") {
+		t.Errorf("fairsim -verify printed %d PASS lines, want 12 and \"all claims reproduced\":\n%s", n, out)
+	}
+	if n := strings.Count(stderr.String(), " (done)\n"); n != 35 {
+		t.Errorf("fairsim -verify ran %d simulations, want 35", n)
+	}
+}
+
+// buildFairsim builds the command into a temporary directory and returns
+// the binary's path.
+func buildFairsim(t *testing.T) string {
+	bin := filepath.Join(t.TempDir(), "fairsim")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	return bin
 }
 
 // TestEveryFlagIsRead holds ROADMAP item 12's rule over fairsim's flags:

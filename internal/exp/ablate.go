@@ -23,8 +23,8 @@ import (
 
 // sweep is the star row of one ablation: HPCC VAI SF on the paper's incast
 // at the given degree, once per value, with set applying the value to the
-// protocol's configuration.
-func sweep(name, title string, senders int, values []float64, set func(*hpcc.Config, float64)) starRun {
+// protocol's configuration, and the claim checked on its outputs.
+func sweep(name, title string, senders int, values []float64, set func(*hpcc.Config, float64), claim starCheck) starRun {
 	variants := func(_ Config, p pathParams) []variant {
 		vs := make([]variant, len(values))
 		for i, x := range values {
@@ -36,8 +36,8 @@ func sweep(name, title string, senders int, values []float64, set func(*hpcc.Con
 		}
 		return vs
 	}
-	view := func(f Figure, _ Config, outs []*incastOut) *Result {
-		res := &Result{Name: f.Name, Title: f.Title, XLabel: "parameter value", YLabel: "metric"}
+	show := func(_ Config, outs []*incastOut) *Result {
+		res := &Result{XLabel: "parameter value", YLabel: "metric"}
 		conv := Series{Label: "convergence to Jain 0.9 (us)"}
 		queue := Series{Label: "max queue (KB)"}
 		finish := Series{Label: "last flow finish (us)"}
@@ -52,28 +52,24 @@ func sweep(name, title string, senders int, values []float64, set func(*hpcc.Con
 		res.Series = append(res.Series, conv, queue, finish)
 		return res
 	}
-	return starRun{shape: paperShape(senders), variants: variants, figs: []incastFigure{{name, title, nil, view}}}
+	return starRun{shape: paperIncast(senders), variants: variants,
+		views: []starView{{Figure{name, title}, show}}, checks: []starCheck{claim}}
 }
 
-// The sweeps' values, and the sweeps: star rows of incast.go's table.
+// The sweeps' values: the sweeps are rows of incast.go's star table.
 var (
 	aiCaps    = []float64{10, 50, 100, 200, 500}
 	sfEvery   = []float64{5, 15, 30, 60, 120}
 	dampeners = []float64{1, 4, 8, 32, 128}
-
-	aiCapSweep = sweep("ablate-aicap", "AI_Cap sweep on 16-1 incast (HPCC VAI SF): latency vs fairness",
-		16, aiCaps, func(c *hpcc.Config, v float64) { c.VAI.AICap = v })
-	sfSweep = sweep("ablate-sf", "Sampling Frequency sweep on 16-1 incast (HPCC VAI SF): bandwidth vs fairness",
-		16, sfEvery, func(c *hpcc.Config, v float64) { c.SFEvery = int(v) })
-	dampenerSweep = sweep("ablate-dampener", "Dampener constant sweep on 96-1 incast (HPCC VAI SF): feedback protection",
-		96, dampeners, func(c *hpcc.Config, v float64) { c.VAI.DampenerConst = v })
 )
 
 func init() {
-	register(single("ablate-newflow", "New flow joins while incumbents hold a high dampener "+
-		"(Sec. V-A corner case): VAI must still improve fairness", runNewFlowAblation))
-	register(single("ablate-swift-hai", "Swift hyper additive increase (Sec. VI-B suggestion): "+
-		"median FCT on Hadoop traffic, small fat-tree", runSwiftHAI))
+	register(experiment(runNewFlow, []view[[]newFlowOut]{{Figure{"ablate-newflow",
+		"New flow joins while incumbents hold a high dampener (Sec. V-A corner case): VAI must still improve fairness"},
+		newFlowView}}, newFlowCornerCase))
+	register(experiment(runSwiftHAI, []view[*dcOut]{{Figure{"ablate-swift-hai",
+		"Swift hyper additive increase (Sec. VI-B suggestion): median FCT on Hadoop traffic, small fat-tree"},
+		swiftHAIView}}))
 }
 
 // newFlowOut is one variant's run of the Sec. V-A scenario.
@@ -120,14 +116,10 @@ func runNewFlow(cfg Config) ([]newFlowOut, error) {
 	})
 }
 
-// runNewFlowAblation plots the scenario's fairness over time. The paper
-// reports VAI still improves fairness; the notes compare convergence
-// after the join against default HPCC.
-func runNewFlowAblation(cfg Config) (*Result, error) {
-	outs, err := runNewFlow(cfg)
-	if err != nil {
-		return nil, err
-	}
+// newFlowView plots the scenario's fairness over time. The paper reports
+// VAI still improves fairness; the notes compare convergence after the
+// join against default HPCC.
+func newFlowView(_ Config, outs []newFlowOut) *Result {
 	res := &Result{XLabel: "time (us)", YLabel: "Jain fairness index"}
 	for _, o := range outs {
 		res.Series = append(res.Series, o.jain)
@@ -137,22 +129,23 @@ func runNewFlowAblation(cfg Config) (*Result, error) {
 			res.Notef("%s: smoothed Jain never reached 0.9 after the join", o.jain.Label)
 		}
 	}
-	return res, nil
+	return res
 }
 
-// runSwiftHAI compares default Swift against Swift with hyper-AI on the
-// small-scale Hadoop datacenter workload, reporting median slowdowns by
-// size class. The paper attributes Swift's poor Hadoop median to its
-// single, constant additive increase recovering bandwidth slowly.
-func runSwiftHAI(cfg Config) (*Result, error) {
+// runSwiftHAI runs default Swift and Swift with hyper-AI on the
+// small-scale Hadoop datacenter workload. The paper attributes Swift's
+// poor Hadoop median to its single, constant additive increase recovering
+// bandwidth slowly.
+func runSwiftHAI(cfg Config) (*dcOut, error) {
 	small := cfg
 	small.Scale = "small"
-	out, err := runFatTree(small, "hadoop", func(p pathParams) []variant {
+	return runFatTree(small, "hadoop", func(p pathParams) []variant {
 		return []variant{swiftBaselines(p)[0], swiftHAIVariant(p)}
 	})
-	if err != nil {
-		return nil, err
-	}
+}
+
+// swiftHAIView reports the two variants' median slowdowns by flow size.
+func swiftHAIView(_ Config, out *dcOut) *Result {
 	res := &Result{XLabel: "flow size (bytes)", YLabel: "median FCT slowdown"}
 	for i, run := range out.runs {
 		res.Series = append(res.Series, slowdownSeries(out.vs[i].label, run.records, 50, 50))
@@ -160,5 +153,5 @@ func runSwiftHAI(cfg Config) (*Result, error) {
 			res.Notef("%s: median slowdown of >100KB flows = %.2fx", out.vs[i].label, sd)
 		}
 	}
-	return res, nil
+	return res
 }

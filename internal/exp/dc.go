@@ -212,39 +212,31 @@ func (o *dcOut) improvement(base int, pct float64) float64 {
 // slowdownView is the slowdown-versus-flow-size figure of a fat-tree run
 // at one percentile: 99.9 for the tail figures (10, 11), 50 for the median
 // figures (12, 13).
-func slowdownView(f Figure, cfg Config, out *dcOut, pct float64) *Result {
-	res := &Result{Name: f.Name, Title: f.Title,
-		XLabel: "flow size (bytes)",
-		YLabel: fmt.Sprintf("p%v FCT slowdown", pct)}
-	res.Notef("scale=%s hosts=%d duration=%v load=%.0f%% flows=%d",
-		cfg.Scale, out.ftCfg.NumHosts(), out.duration, dcLoad*100, len(out.runs[0].records))
-	for i, run := range out.runs {
-		res.Series = append(res.Series, slowdownSeries(out.vs[i].label, run.records, 100, pct))
-		if sd, err := out.longSlowdown(i, pct); err == nil {
-			res.Notef("%s: p%v slowdown of >1MB flows = %.1fx", out.vs[i].label, pct, sd)
+func slowdownView(pct float64) func(Config, *dcOut) *Result {
+	return func(cfg Config, out *dcOut) *Result {
+		res := &Result{XLabel: "flow size (bytes)", YLabel: fmt.Sprintf("p%v FCT slowdown", pct)}
+		res.Notef("scale=%s hosts=%d duration=%v load=%.0f%% flows=%d",
+			cfg.Scale, out.ftCfg.NumHosts(), out.duration, dcLoad*100, len(out.runs[0].records))
+		for i, run := range out.runs {
+			res.Series = append(res.Series, slowdownSeries(out.vs[i].label, run.records, 100, pct))
+			if sd, err := out.longSlowdown(i, pct); err == nil {
+				res.Notef("%s: p%v slowdown of >1MB flows = %.1fx", out.vs[i].label, pct, sd)
+			}
 		}
-	}
-	for _, base := range []int{dcHPCC, dcSwift} {
-		if imp := out.improvement(base, pct); imp > 0 {
-			res.Notef("%s long-flow tail improvement: %.2fx", out.vs[base].label, imp)
+		for _, base := range []int{dcHPCC, dcSwift} {
+			if imp := out.improvement(base, pct); imp > 0 {
+				res.Notef("%s long-flow tail improvement: %.2fx", out.vs[base].label, imp)
+			}
 		}
+		return res
 	}
-	return res
 }
 
-// fatTreeExperiment is the paper's datacenter run on one workload with its
-// tail and median figures.
-func fatTreeExperiment(workloadName string, tail, median Figure) *Experiment {
-	return &Experiment{
-		Figures: []Figure{tail, median},
-		run: func(cfg Config) ([]*Result, error) {
-			out, err := runFatTree(cfg, workloadName, dcVariants)
-			if err != nil {
-				return nil, err
-			}
-			return []*Result{slowdownView(tail, cfg, out, 99.9), slowdownView(median, cfg, out, 50)}, nil
-		},
-	}
+// paperFatTree is the paper's datacenter run on one workload, with its
+// tail and median figures and the claim checked on it.
+func paperFatTree(workloadName string, tail, median Figure, claim check[*dcOut]) *Experiment {
+	return experiment(func(cfg Config) (*dcOut, error) { return runFatTree(cfg, workloadName, dcVariants) },
+		[]view[*dcOut]{{tail, slowdownView(99.9)}, {median, slowdownView(50)}}, claim)
 }
 
 // planDC is what the dc experiment runs, resolved from Config's DC*
@@ -261,23 +253,23 @@ func planDC(cfg Config) (dcPlan, error) {
 		[]variant{byKey[proto], byKey[proto+"-vaisf"]}}, nil
 }
 
-// runDCCustom is the dc experiment: one protocol with and without VAI SF
-// on a fat-tree and a traffic mix of the caller's choosing. Besides the
-// fig10-style tail curve it reports the slowdown percentiles per
-// flow-size class and how hard the fabric was driven.
-func runDCCustom(cfg Config) (*Result, error) {
+// runDCCustom is the dc experiment's run: one protocol with and without
+// VAI SF on a fat-tree and a traffic mix of the caller's choosing.
+func runDCCustom(cfg Config) (*dcOut, error) {
 	p, err := planDC(cfg)
 	if err != nil {
 		return nil, err
 	}
-	out, err := p.run(cfg)
-	if err != nil {
-		return nil, err
-	}
+	return p.run(cfg)
+}
 
+// dcView is the dc experiment's figure: besides the fig10-style tail curve
+// it reports the slowdown percentiles per flow-size class and how hard the
+// fabric was driven.
+func dcView(_ Config, out *dcOut) *Result {
 	res := &Result{XLabel: "flow size (bytes)", YLabel: "p99.9 FCT slowdown"}
 	res.Notef("hosts=%d workload=%s load=%.0f%% duration=%v flows=%d",
-		p.ftCfg.NumHosts(), p.workload, p.load*100, p.duration, len(out.runs[0].records))
+		out.ftCfg.NumHosts(), out.workload, out.load*100, out.duration, len(out.runs[0].records))
 	classes := []struct {
 		name     string
 		min, max int64
@@ -288,7 +280,7 @@ func runDCCustom(cfg Config) (*Result, error) {
 		{">1MB", 1_000_000, math.MaxInt64},
 	}
 	for i, run := range out.runs {
-		res.Series = append(res.Series, slowdownSeries(p.vs[i].label, run.records, 100, 99.9))
+		res.Series = append(res.Series, slowdownSeries(out.vs[i].label, run.records, 100, 99.9))
 		for _, c := range classes {
 			var xs []float64
 			for _, r := range run.records {
@@ -297,42 +289,45 @@ func runDCCustom(cfg Config) (*Result, error) {
 				}
 			}
 			if len(xs) > 0 {
-				res.Notef("%s %s: %d flows, slowdown p50=%.1fx p99=%.1fx p99.9=%.1fx", p.vs[i].label, c.name,
+				res.Notef("%s %s: %d flows, slowdown p50=%.1fx p99=%.1fx p99.9=%.1fx", out.vs[i].label, c.name,
 					len(xs), stats.Percentile(xs, 50), stats.Percentile(xs, 99), stats.Percentile(xs, 99.9))
 			}
 		}
-		res.Notef("%s: %.2f GB switched, deepest queue %d KB", p.vs[i].label,
+		res.Notef("%s: %.2f GB switched, deepest queue %d KB", out.vs[i].label,
 			float64(run.stats.FabricTxBytes)/1e9, run.stats.MaxQueuePeak/1000)
 	}
-	return res, nil
+	return res
+}
+
+// fluidRun integrates the Sec. IV-B fluid model of two flows.
+func fluidRun(Config) ([]fluid.Point, error) {
+	return fluid.Integrate(fluid.DefaultConfig(), 500, 3e6), nil
+}
+
+// fluidView plots the model's fairness gap over time.
+func fluidView(_ Config, pts []fluid.Point) *Result {
+	res := &Result{XLabel: "time (ns)", YLabel: "(R1-R0)-(S1-S0) (bytes/ns)"}
+	s := Series{Label: "fairness gap"}
+	peak := 0.0
+	for _, p := range pts {
+		s.Add(p.T, p.Gap)
+		peak = max(peak, p.Gap)
+	}
+	res.Series = append(res.Series, s)
+	res.Notef("condition 1/r < (C1+C0)/(s*MTU) holds: %v", fluid.DefaultConfig().ConvergesFaster())
+	res.Notef("gap peaks at %.3f bytes/ns and diminishes to %.4f", peak, pts[len(pts)-1].Gap)
+	return res
 }
 
 func init() {
-	register(single("fig4", "Fluid model: fairness gap of per-RTT vs Sampling Frequency decreases",
-		func(cfg Config) (*Result, error) {
-			c := fluid.DefaultConfig()
-			pts := fluid.Integrate(c, 500, 3e6)
-			res := &Result{XLabel: "time (ns)", YLabel: "(R1-R0)-(S1-S0) (bytes/ns)"}
-			s := Series{Label: "fairness gap"}
-			peak := 0.0
-			for _, p := range pts {
-				s.Add(p.T, p.Gap)
-				if p.Gap > peak {
-					peak = p.Gap
-				}
-			}
-			res.Series = append(res.Series, s)
-			res.Notef("condition 1/r < (C1+C0)/(s*MTU) holds: %v", c.ConvergesFaster())
-			res.Notef("gap peaks at %.3f bytes/ns and diminishes to %.4f",
-				peak, pts[len(pts)-1].Gap)
-			return res, nil
-		}))
-
-	register(single("dc", "One protocol with and without VAI SF on a configurable fat-tree and workload", runDCCustom))
-	register(fatTreeExperiment("hadoop",
+	register(experiment(fluidRun, []view[[]fluid.Point]{{Figure{"fig4",
+		"Fluid model: fairness gap of per-RTT vs Sampling Frequency decreases"}, fluidView}}, fluidModel))
+	register(experiment(runDCCustom, []view[*dcOut]{{Figure{"dc",
+		"One protocol with and without VAI SF on a configurable fat-tree and workload"}, dcView}}))
+	register(paperFatTree("hadoop",
 		Figure{"fig10", "99.9% FCT slowdown vs flow size, Hadoop traffic"},
-		Figure{"fig12", "Median FCT slowdown vs flow size, Hadoop traffic"}))
-	register(fatTreeExperiment("mix",
+		Figure{"fig12", "Median FCT slowdown vs flow size, Hadoop traffic"}, medianUnaffected))
+	register(paperFatTree("mix",
 		Figure{"fig11", "99.9% FCT slowdown vs flow size, WebSearch+Storage traffic"},
-		Figure{"fig13", "Median FCT slowdown vs flow size, WebSearch+Storage traffic"}))
+		Figure{"fig13", "Median FCT slowdown vs flow size, WebSearch+Storage traffic"}, tailFCTHalved))
 }

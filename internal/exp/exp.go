@@ -205,31 +205,61 @@ type Figure struct {
 }
 
 // Experiment is the registry's unit: one set of simulations plus the
-// figures read off it. Several of the paper's figures are different plots
-// of the same simulations (Figs. 10 and 12 are the tail and the median of
-// one traffic run), so a figure is a view of a run, and asking for any of
-// a run's figures executes its simulations once.
+// figures read off it and the claims checked on it. Several of the paper's
+// figures are different plots of the same simulations (Figs. 10 and 12 are
+// the tail and the median of one traffic run), so a figure is a view of a
+// run, a claim a check on it, and the run executes once for all of them.
 type Experiment struct {
 	// Figures declares, in order, the Results run returns.
 	Figures []Figure
-	run     func(Config) ([]*Result, error)
+	// Claims declares, in order, the verdicts run returns.
+	Claims []Claim
+	run    func(Config) ([]*Result, []Verdict, error)
 }
 
-// single is the Experiment of a run that only one figure reads. The run
-// leaves Name and Title to the registry: the Result carries the declared
-// figure's.
-func single(name, title string, run func(Config) (*Result, error)) *Experiment {
-	return &Experiment{
-		Figures: []Figure{{name, title}},
-		run: func(cfg Config) ([]*Result, error) {
-			res, err := run(cfg)
-			if err != nil {
-				return nil, err
-			}
-			res.Name, res.Title = name, title
-			return []*Result{res}, nil
-		},
+// A view is one figure of a run, read off the run's typed output;
+// experiment stamps the Result with the Figure's Name and Title.
+type view[T any] struct {
+	Figure
+	show func(Config, T) *Result
+}
+
+// A check is one claim on a run: whether the run's typed output bears it
+// out, and the numbers that say so. It reads no Result, so no rewording of
+// a note can change a verdict.
+type check[T any] struct {
+	Claim
+	holds func(T) (ok bool, detail string)
+}
+
+// experiment is the one way to register a run: run executes the
+// simulations, and every view and check reads the same output.
+func experiment[T any](run func(Config) (T, error), views []view[T], checks ...check[T]) *Experiment {
+	e := &Experiment{}
+	for _, v := range views {
+		e.Figures = append(e.Figures, v.Figure)
 	}
+	for _, c := range checks {
+		e.Claims = append(e.Claims, c.Claim)
+	}
+	e.run = func(cfg Config) ([]*Result, []Verdict, error) {
+		out, err := run(cfg)
+		if err != nil {
+			return nil, nil, err
+		}
+		results := make([]*Result, len(views))
+		for i, v := range views {
+			results[i] = v.show(cfg, out)
+			results[i].Name, results[i].Title = v.Name, v.Title
+		}
+		verdicts := make([]Verdict, len(checks))
+		for i, c := range checks {
+			ok, detail := c.holds(out)
+			verdicts[i] = Verdict{c.Claim, ok, detail}
+		}
+		return results, verdicts, nil
+	}
+	return e
 }
 
 // registry is filled by register at init time and only read afterwards.

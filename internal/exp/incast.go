@@ -3,6 +3,7 @@ package exp
 import (
 	"cmp"
 
+	"faircc/internal/cc/hpcc"
 	"faircc/internal/metrics"
 	"faircc/internal/net"
 	"faircc/internal/par"
@@ -29,12 +30,6 @@ type incastShape struct {
 // 1 MB flows, two starting every 20 us.
 func paperIncast(senders int) incastShape {
 	return incastShape{senders: senders, size: 1_000_000, group: 2, every: 20 * sim.Microsecond}
-}
-
-// paperShape is the shape of a row that runs the paper's pattern at a
-// fixed degree, whatever Config says.
-func paperShape(senders int) func(Config) incastShape {
-	return func(Config) incastShape { return paperIncast(senders) }
 }
 
 // customShape is the incast experiment's shape: the paper's 16-1 pattern
@@ -196,59 +191,50 @@ func lossyFabric(nw *net.Network, st *topo.Star) {
 	}
 }
 
-// An incastFigure is one view of a star run: the outputs it shows (nil =
-// all of them) and the measurement it plots of each.
-type incastFigure struct {
-	name, title string
-	outputs     []int
-	view        func(Figure, Config, []*incastOut) *Result
+// starView and starCheck read a star run's outputs, in variant order.
+type (
+	starView  = view[[]*incastOut]
+	starCheck = check[[]*incastOut]
+)
+
+// starFigure is the view that shows the outputs at the indexes (nil: all
+// of them) with show.
+func starFigure(name, title string, outputs []int, show func(Config, []*incastOut) *Result) starView {
+	return starView{Figure{name, title}, func(cfg Config, outs []*incastOut) *Result {
+		shown := outs
+		if outputs != nil {
+			shown = make([]*incastOut, len(outputs))
+			for j, k := range outputs {
+				shown[j] = outs[k]
+			}
+		}
+		return show(cfg, shown)
+	}}
 }
 
-// starRun is one star experiment as data: an incast shape, the protocol
-// variants run on it, the fabric they run on (nil: the lossless, unbounded
-// star), and the figures read off the outputs, in variant order.
+// starRun is one star experiment as data: an incast shape (zero: the
+// incast experiment's, customShape), the protocol variants run on it, the
+// fabric they run on (nil: the lossless, unbounded star), and the figures
+// and claims read off the outputs.
 type starRun struct {
-	shape    func(Config) incastShape
+	shape    incastShape
 	variants func(Config, pathParams) []variant
 	fabric   fabric
-	figs     []incastFigure
+	views    []starView
+	checks   []starCheck
 }
 
 // run runs every variant in parallel; the first failing variant cancels
 // the rest of the experiment.
 func (r starRun) run(cfg Config) ([]*incastOut, error) {
-	in := r.shape(cfg)
+	in := r.shape
+	if in == (incastShape{}) {
+		in = customShape(cfg)
+	}
 	vs := r.variants(cfg, starParams(in.senders))
 	return par.MapErr(len(vs), cfg.Workers, func(i int) (*incastOut, error) {
 		return runIncast(cfg, vs[i], in, r.fabric)
 	})
-}
-
-// starExperiment registers a star run with the figures read off it.
-func starExperiment(r starRun) *Experiment {
-	e := &Experiment{}
-	for _, f := range r.figs {
-		e.Figures = append(e.Figures, Figure{f.name, f.title})
-	}
-	e.run = func(cfg Config) ([]*Result, error) {
-		outs, err := r.run(cfg)
-		if err != nil {
-			return nil, err
-		}
-		results := make([]*Result, len(r.figs))
-		for i, f := range r.figs {
-			shown := outs
-			if f.outputs != nil {
-				shown = make([]*incastOut, len(f.outputs))
-				for j, k := range f.outputs {
-					shown[j] = outs[k]
-				}
-			}
-			results[i] = f.view(e.Figures[i], cfg, shown)
-		}
-		return results, nil
-	}
-	return e
 }
 
 // The variants of a paper incast run, in paperRun's order. A figure
@@ -267,9 +253,10 @@ var (
 // paperRun is the paper's staggered incast at the given degree under one
 // protocol's four variants: default, 1 Gb/s AI, probabilistic feedback and
 // VAI SF. Every Jain, queue and start-finish figure of that protocol and
-// degree is a view of these four simulations.
-func paperRun(protocol string, senders int, figs ...incastFigure) starRun {
-	return starRun{shape: paperShape(senders), figs: figs,
+// degree is a view of these four simulations, and each claim on them a
+// check.
+func paperRun(protocol string, senders int, views []starView, checks ...starCheck) starRun {
+	return starRun{shape: paperIncast(senders), views: views, checks: checks,
 		variants: func(_ Config, p pathParams) []variant {
 			if protocol == "swift" {
 				return append(swiftBaselines(p), swiftVAISF(p))
@@ -279,8 +266,8 @@ func paperRun(protocol string, senders int, figs ...incastFigure) starRun {
 }
 
 // jainView plots the Jain fairness index over time.
-func jainView(f Figure, _ Config, outs []*incastOut) *Result {
-	res := &Result{Name: f.Name, Title: f.Title, XLabel: "time (us)", YLabel: "Jain fairness index"}
+func jainView(_ Config, outs []*incastOut) *Result {
+	res := &Result{XLabel: "time (us)", YLabel: "Jain fairness index"}
 	for _, o := range outs {
 		res.Series = append(res.Series, o.jain)
 		res.Notef("%s: smoothed Jain reaches 0.9 at %.0f us (-1 = never); max queue %.0f KB",
@@ -290,8 +277,8 @@ func jainView(f Figure, _ Config, outs []*incastOut) *Result {
 }
 
 // queueView plots the bottleneck queue depth over time.
-func queueView(f Figure, _ Config, outs []*incastOut) *Result {
-	res := &Result{Name: f.Name, Title: f.Title, XLabel: "time (us)", YLabel: "queue depth (KB)"}
+func queueView(_ Config, outs []*incastOut) *Result {
+	res := &Result{XLabel: "time (us)", YLabel: "queue depth (KB)"}
 	for _, o := range outs {
 		res.Series = append(res.Series, o.queue)
 		res.Notef("%s: max queue %.0f KB, steady-state mean %.1f KB", o.label, o.maxQueueKB, o.steadyQueueKB)
@@ -300,8 +287,8 @@ func queueView(f Figure, _ Config, outs []*incastOut) *Result {
 }
 
 // startFinishView plots each flow's finish time against its start time.
-func startFinishView(f Figure, _ Config, outs []*incastOut) *Result {
-	res := &Result{Name: f.Name, Title: f.Title, XLabel: "start time (us)", YLabel: "finish time (us)"}
+func startFinishView(_ Config, outs []*incastOut) *Result {
+	res := &Result{XLabel: "start time (us)", YLabel: "finish time (us)"}
 	for _, o := range outs {
 		res.Series = append(res.Series, o.startFinish)
 		first, last := o.startFinish.Y[0], o.startFinish.Y[len(o.startFinish.Y)-1]
@@ -313,9 +300,9 @@ func startFinishView(f Figure, _ Config, outs []*incastOut) *Result {
 // customView is the incast experiment's one figure: all three views the
 // figures take of a run — fairness and bottleneck queue over time, and each
 // flow's finish time against its start time — as the curves of one plot.
-func customView(f Figure, cfg Config, outs []*incastOut) *Result {
+func customView(cfg Config, outs []*incastOut) *Result {
 	in, o := customShape(cfg), outs[0]
-	res := &Result{Name: f.Name, Title: f.Title, XLabel: "time (us)", YLabel: "metric"}
+	res := &Result{XLabel: "time (us)", YLabel: "metric"}
 	jain, queue, sf := o.jain, o.queue, o.startFinish
 	jain.Label, queue.Label, sf.Label = "Jain fairness index", "queue depth (KB)", "finish time (us) by start time"
 	res.Series = append(res.Series, jain, queue, sf)
@@ -329,8 +316,8 @@ func customView(f Figure, cfg Config, outs []*incastOut) *Result {
 
 // fabricView plots the bottleneck queue of runs on finite or lossy
 // fabrics, noting how each fabric coped: drops by cause, recovery, PFC.
-func fabricView(f Figure, _ Config, outs []*incastOut) *Result {
-	res := &Result{Name: f.Name, Title: f.Title, XLabel: "time (us)", YLabel: "bottleneck queue (KB)"}
+func fabricView(_ Config, outs []*incastOut) *Result {
+	res := &Result{XLabel: "time (us)", YLabel: "bottleneck queue (KB)"}
 	for _, o := range outs {
 		res.Series = append(res.Series, o.queue)
 		st := o.stats
@@ -342,55 +329,60 @@ func fabricView(f Figure, _ Config, outs []*incastOut) *Result {
 	return res
 }
 
-// only is the variants of a row that runs the same variants on any shape.
-func only(vs ...variant) func(Config, pathParams) []variant {
-	return func(Config, pathParams) []variant { return vs }
-}
-
-// timelyRun is TIMELY with and without VAI SF on the paper's 16-1 incast:
-// the paper claims the mechanisms apply to "a multitude" of sender-side
-// protocols (claim vaisf-convergence-timely).
-var timelyRun = starRun{shape: paperShape(16), variants: func(_ Config, p pathParams) []variant { return timelyVariants(p) },
-	figs: []incastFigure{{"incast-timely", "16-1 incast under TIMELY with and without VAI SF " +
-		"(mechanism generality beyond HPCC/Swift)", nil, jainView}}}
-
 // Every star experiment is a row of this table.
 func init() {
 	for _, r := range []starRun{
-		paperRun("hpcc", 16,
-			incastFigure{"fig1a", "16-1 incast Jain index, HPCC baselines", baselines, jainView},
-			incastFigure{"fig1b", "16-1 incast queue depth, HPCC baselines", baselines, queueView},
-			incastFigure{"fig2", "16-1 staggered incast start vs finish, HPCC baselines", baselines, startFinishView},
-			incastFigure{"fig5a", "16-1 incast Jain index, HPCC with VAI SF", nil, jainView},
-			incastFigure{"fig5b", "16-1 incast queue depth, HPCC with VAI SF", nil, queueView},
-			incastFigure{"fig8", "16-1 incast start vs finish, HPCC default vs VAI SF", defaultAndVAISF, startFinishView}),
-		paperRun("swift", 16,
-			incastFigure{"fig1c", "16-1 incast Jain index, Swift baselines", baselines, jainView},
-			incastFigure{"fig1d", "16-1 incast queue depth, Swift baselines", baselines, queueView},
-			incastFigure{"fig3", "16-1 staggered incast start vs finish, Swift baselines", baselines, startFinishView},
-			incastFigure{"fig6a", "16-1 incast Jain index, Swift with VAI SF", nil, jainView},
-			incastFigure{"fig6b", "16-1 incast queue depth, Swift with VAI SF", nil, queueView},
-			incastFigure{"fig9", "16-1 incast start vs finish, Swift default vs VAI SF", defaultAndVAISF, startFinishView}),
-		paperRun("hpcc", 96,
-			incastFigure{"fig5c", "96-1 incast Jain index, HPCC with VAI SF", nil, jainView},
-			incastFigure{"fig5d", "96-1 incast queue depth, HPCC with VAI SF", nil, queueView}),
-		paperRun("swift", 96,
-			incastFigure{"fig6c", "96-1 incast Jain index, Swift with VAI SF", nil, jainView},
-			incastFigure{"fig6d", "96-1 incast queue depth, Swift with VAI SF", nil, queueView}),
+		paperRun("hpcc", 16, []starView{
+			starFigure("fig1a", "16-1 incast Jain index, HPCC baselines", baselines, jainView),
+			starFigure("fig1b", "16-1 incast queue depth, HPCC baselines", baselines, queueView),
+			starFigure("fig2", "16-1 staggered incast start vs finish, HPCC baselines", baselines, startFinishView),
+			starFigure("fig5a", "16-1 incast Jain index, HPCC with VAI SF", nil, jainView),
+			starFigure("fig5b", "16-1 incast queue depth, HPCC with VAI SF", nil, queueView),
+			starFigure("fig8", "16-1 incast start vs finish, HPCC default vs VAI SF", defaultAndVAISF, startFinishView),
+		}, incastInversion, hpccConvergence, nearZeroQueues),
+		paperRun("swift", 16, []starView{
+			starFigure("fig1c", "16-1 incast Jain index, Swift baselines", baselines, jainView),
+			starFigure("fig1d", "16-1 incast queue depth, Swift baselines", baselines, queueView),
+			starFigure("fig3", "16-1 staggered incast start vs finish, Swift baselines", baselines, startFinishView),
+			starFigure("fig6a", "16-1 incast Jain index, Swift with VAI SF", nil, jainView),
+			starFigure("fig6b", "16-1 incast queue depth, Swift with VAI SF", nil, queueView),
+			starFigure("fig9", "16-1 incast start vs finish, Swift default vs VAI SF", defaultAndVAISF, startFinishView),
+		}, swiftConvergence),
+		paperRun("hpcc", 96, []starView{
+			starFigure("fig5c", "96-1 incast Jain index, HPCC with VAI SF", nil, jainView),
+			starFigure("fig5d", "96-1 incast queue depth, HPCC with VAI SF", nil, queueView),
+		}),
+		paperRun("swift", 96, []starView{
+			starFigure("fig6c", "96-1 incast Jain index, Swift with VAI SF", nil, jainView),
+			starFigure("fig6d", "96-1 incast queue depth, Swift with VAI SF", nil, queueView),
+		}),
 
-		{shape: customShape, figs: []incastFigure{{"incast",
-			"One protocol variant on a configurable n-to-1 staggered incast", nil, customView}},
+		{views: []starView{starFigure("incast",
+			"One protocol variant on a configurable n-to-1 staggered incast", nil, customView)},
 			variants: func(cfg Config, p pathParams) []variant {
 				return []variant{variantsByKey(p)[cmp.Or(cfg.IncastAlgo, "hpcc")]}
 			}},
-		{shape: paperShape(16), variants: only(dcqcnVariant()), figs: []incastFigure{{"incast-dcqcn",
-			"16-1 incast under DCQCN (Sec. II probabilistic-feedback reference)", nil, jainView}}},
-		{shape: paperShape(16), variants: func(_ Config, p pathParams) []variant { return dcVariants(p) },
+		{shape: paperIncast(16), variants: func(Config, pathParams) []variant { return []variant{dcqcnVariant()} },
+			views: []starView{starFigure("incast-dcqcn",
+				"16-1 incast under DCQCN (Sec. II probabilistic-feedback reference)", nil, jainView)}},
+		{shape: paperIncast(16), variants: func(_ Config, p pathParams) []variant { return dcVariants(p) },
 			fabric: lossyFabric,
-			figs: []incastFigure{{"incast-lossy", "16-1 incast on a lossy fabric: finite buffers, random " +
-				"wire loss, RTO/go-back-N recovery", nil, fabricView}}},
-		timelyRun, aiCapSweep, sfSweep, dampenerSweep,
+			views: []starView{starFigure("incast-lossy", "16-1 incast on a lossy fabric: finite buffers, random "+
+				"wire loss, RTO/go-back-N recovery", nil, fabricView)}},
+		// TIMELY with and without VAI SF on the paper's 16-1 incast: the
+		// paper claims the mechanisms apply to "a multitude" of sender-side
+		// protocols.
+		{shape: paperIncast(16), variants: func(_ Config, p pathParams) []variant { return timelyVariants(p) },
+			views: []starView{starFigure("incast-timely", "16-1 incast under TIMELY with and without VAI SF "+
+				"(mechanism generality beyond HPCC/Swift)", nil, jainView)},
+			checks: []starCheck{timelyConvergence}},
+		sweep("ablate-aicap", "AI_Cap sweep on 16-1 incast (HPCC VAI SF): latency vs fairness",
+			16, aiCaps, func(c *hpcc.Config, v float64) { c.VAI.AICap = v }, aiCapLatencyFairness),
+		sweep("ablate-sf", "Sampling Frequency sweep on 16-1 incast (HPCC VAI SF): bandwidth vs fairness",
+			16, sfEvery, func(c *hpcc.Config, v float64) { c.SFEvery = int(v) }, sfBandwidthFairness),
+		sweep("ablate-dampener", "Dampener constant sweep on 96-1 incast (HPCC VAI SF): feedback protection",
+			96, dampeners, func(c *hpcc.Config, v float64) { c.VAI.DampenerConst = v }, dampenerProtection),
 	} {
-		register(starExperiment(r))
+		register(experiment(r.run, r.views, r.checks...))
 	}
 }

@@ -55,7 +55,7 @@ func (e *Experiment) RunWithStats(cfg Config) ([]*Result, *metrics.RunStats, err
 	obs := &runObserver{}
 	cfg.obs = obs
 	start := time.Now()
-	results, err := e.run(cfg)
+	results, _, err := e.run(cfg)
 	if err != nil {
 		return nil, nil, err
 	}

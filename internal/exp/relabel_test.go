@@ -19,7 +19,7 @@ func TestIncastReceiverRelabel(t *testing.T) {
 	cfg := Config{Seed: 1, Workers: 1}
 	in := paperIncast(16)
 	p := starParams(in.senders)
-	vs := append(paperRun("hpcc", 16).variants(cfg, p), paperRun("swift", 16).variants(cfg, p)...)
+	vs := append(paperRun("hpcc", 16, nil).variants(cfg, p), paperRun("swift", 16, nil).variants(cfg, p)...)
 	vs = append(vs, dcqcnVariant())
 	type namedFabric struct {
 		name   string

@@ -13,38 +13,52 @@ import (
 // single-seed figure.
 
 func init() {
-	register(single("robustness", "Seed sweep of the Fig. 10 headline: long-flow p99.9 "+
-		"improvement across 5 seeds", runRobustness))
+	register(experiment(runRobustness, []view[[][]float64]{{Figure{"robustness",
+		"Seed sweep of the Fig. 10 headline: long-flow p99.9 improvement across 5 seeds"}, robustnessView}}))
 }
 
-func runRobustness(cfg Config) (*Result, error) {
+// runRobustness runs Fig. 10's run at nSeeds seeds from cfg.Seed on and
+// keeps, per seed, each variant's long-flow p99.9 slowdown in dcVariants
+// order: no seed's flow records outlive its run.
+func runRobustness(cfg Config) ([][]float64, error) {
 	const nSeeds = 5
-	ftCfg, duration, err := dcScale(cfg)
-	if err != nil {
-		return nil, err
-	}
-	res := &Result{XLabel: "seed", YLabel: "p99.9 improvement factor (default / VAI SF)"}
-	res.Notef("scale=%s hosts=%d duration=%v seeds=%d", cfg.Scale,
-		ftCfg.NumHosts(), duration, nSeeds)
-	protos := []Series{{Label: "HPCC"}, {Label: "Swift"}}
-	for i := 0; i < nSeeds; i++ {
+	tails := make([][]float64, nSeeds)
+	for i := range tails {
 		seedCfg := cfg
 		seedCfg.Seed = cfg.Seed + int64(i)
 		out, err := runFatTree(seedCfg, "hadoop", dcVariants) // fig10's run at this seed
 		if err != nil {
 			return nil, err
 		}
-		tails := make([]string, len(out.vs))
 		for j, v := range out.vs {
 			sd, err := out.longSlowdown(j, 99.9)
 			if err != nil {
 				return nil, fmt.Errorf("%s seed %d: %w", v.label, seedCfg.Seed, err)
 			}
-			tails[j] = fmt.Sprintf("%s %.1fx", v.label, sd)
+			tails[i] = append(tails[i], sd)
 		}
-		res.Notef("seed %d: p99.9 slowdown of >1MB flows: %s", seedCfg.Seed, strings.Join(tails, ", "))
+	}
+	return tails, nil
+}
+
+// robustnessView plots each protocol's improvement factor (default over
+// VAI SF, as dcOut.improvement) per seed.
+func robustnessView(cfg Config, tails [][]float64) *Result {
+	ftCfg, duration, _ := dcScale(cfg) // the run resolved it
+	vs := dcVariants(pathParams{})     // for the labels
+	res := &Result{XLabel: "seed", YLabel: "p99.9 improvement factor (default / VAI SF)"}
+	res.Notef("scale=%s hosts=%d duration=%v seeds=%d", cfg.Scale,
+		ftCfg.NumHosts(), duration, len(tails))
+	protos := []Series{{Label: "HPCC"}, {Label: "Swift"}}
+	for i, t := range tails {
+		seed := cfg.Seed + int64(i)
+		labelled := make([]string, len(t))
+		for j, sd := range t {
+			labelled[j] = fmt.Sprintf("%s %.1fx", vs[j].label, sd)
+		}
+		res.Notef("seed %d: p99.9 slowdown of >1MB flows: %s", seed, strings.Join(labelled, ", "))
 		for k, base := range []int{dcHPCC, dcSwift} {
-			protos[k].Add(float64(seedCfg.Seed), out.improvement(base, 99.9))
+			protos[k].Add(float64(seed), t[base]/t[base+1])
 		}
 	}
 	for _, s := range protos {
@@ -53,5 +67,5 @@ func runRobustness(cfg Config) (*Result, error) {
 			s.Label, sum.Mean, sum.Min, sum.Max, len(s.Y))
 	}
 	res.Series = protos
-	return res, nil
+	return res
 }

@@ -60,14 +60,17 @@ func rttParams(dc topo.DumbbellConfig) pathParams {
 
 // rttOut is one variant's measurements.
 type rttOut struct {
+	label   string
 	jain    *metrics.JainClassSeries
 	records [][]metrics.FlowRecord // finished flows per RTT class, in Groups order
+	rtts    []sim.Time             // each class's base RTT on the run's network
 }
 
 // runRTT runs one dumbbell scenario under one protocol variant.
 func runRTT(cfg Config, v variant, s rttSetup) (*rttOut, error) {
 	var jain *metrics.JainClassSeries
 	var flowClass []int // flow ID - 1 -> its sender's RTT class
+	var rtts []sim.Time
 	nw, err := simulate(cfg, v.label, func(nw *net.Network) {
 		d := topo.NewDumbbell(nw, s.dc)
 		labels := make([]string, len(s.dc.Groups))
@@ -94,7 +97,7 @@ func runRTT(cfg Config, v variant, s rttSetup) (*rttOut, error) {
 		// ~10 packets per interval (the incast figures' rule), and at least
 		// one slow-class RTT so the long-delay class is not quantized to its
 		// burst arrivals.
-		rtts := d.ClassBaseRTT(nw)
+		rtts = d.ClassBaseRTT(nw)
 		slowRTT := rtts[len(rtts)-1]
 		every := sim.Time(float64(len(d.Senders)) * float64(nw.MTU+nw.HeaderBytes) * 8 * 10 /
 			s.dc.BottleneckBps * 1e12)
@@ -110,7 +113,7 @@ func runRTT(cfg Config, v variant, s rttSetup) (*rttOut, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := &rttOut{jain: jain, records: make([][]metrics.FlowRecord, len(s.dc.Groups))}
+	out := &rttOut{label: v.label, jain: jain, records: make([][]metrics.FlowRecord, len(s.dc.Groups)), rtts: rtts}
 	for _, r := range metrics.CollectFinished(nw) {
 		c := flowClass[r.ID-1]
 		out.records[c] = append(out.records[c], r)
@@ -142,49 +145,46 @@ func meanTail(s *metrics.Series) float64 {
 	return sum / float64(len(tail))
 }
 
-// runRTTUnfairness is the rtt-unfairness experiment: per-variant aggregate
-// and per-class Jain curves, with per-class FCT percentiles in the notes.
-func runRTTUnfairness(cfg Config) (*Result, error) {
+// runRTTUnfairness runs the scenario under the four variants Figs. 10-13
+// compare, results in that order.
+func runRTTUnfairness(cfg Config) ([]*rttOut, error) {
 	s, err := rttScale(cfg)
 	if err != nil {
 		return nil, err
 	}
-	p := rttParams(s.dc)
-	vs := dcVariants(p)
-
-	outs, err := par.MapErr(len(vs), cfg.Workers, func(i int) (*rttOut, error) {
+	vs := dcVariants(rttParams(s.dc))
+	return par.MapErr(len(vs), cfg.Workers, func(i int) (*rttOut, error) {
 		return runRTT(cfg, vs[i], s)
 	})
-	if err != nil {
-		return nil, err
-	}
+}
 
+// rttView plots each variant's aggregate and per-class Jain curves, with
+// per-class FCT percentiles in the notes.
+func rttView(cfg Config, outs []*rttOut) *Result {
+	s, _ := rttScale(cfg) // the run resolved it
 	res := &Result{XLabel: "time (us)", YLabel: "Jain fairness index"}
-	nw := net.New(sim.NewEngine(), 0)
-	rtts := topo.NewDumbbell(nw, s.dc).ClassBaseRTT(nw)
 	for i, g := range s.dc.Groups {
 		res.Notef("class %s: %d senders, access %v, base RTT %v",
-			g.Name, g.Count, g.AccessDelay, rtts[i])
+			g.Name, g.Count, g.AccessDelay, outs[0].rtts[i])
 	}
 	res.Notef("scale=%s flows/sender=%d size=%d bottleneck=%.0fGbps",
 		cfg.Scale, s.rounds, s.flowSize, s.dc.BottleneckBps/1e9)
 
-	for i, out := range outs {
-		v := vs[i]
-		all := Series{Label: v.label}
+	for _, out := range outs {
+		all := Series{Label: out.label}
 		for _, pt := range out.jain.All.Points {
 			all.Add(pt.T.Microseconds(), pt.V)
 		}
 		res.Series = append(res.Series, all)
 		for _, cs := range out.jain.ByClass {
-			sc := Series{Label: v.label + " " + cs.Label}
+			sc := Series{Label: out.label + " " + cs.Label}
 			for _, pt := range cs.Points {
 				sc.Add(pt.T.Microseconds(), pt.V)
 			}
 			res.Series = append(res.Series, sc)
 		}
 		res.Notef("%s: steady-state Jain all=%.3f %s=%.3f %s=%.3f",
-			v.label, meanTail(out.jain.All),
+			out.label, meanTail(out.jain.All),
 			out.jain.ByClass[0].Label, meanTail(out.jain.ByClass[0]),
 			out.jain.ByClass[1].Label, meanTail(out.jain.ByClass[1]))
 		for c, records := range out.records {
@@ -193,13 +193,13 @@ func runRTTUnfairness(cfg Config) (*Result, error) {
 			}
 			fct50, fct99, slow50, slow99 := fctPercentiles(records)
 			res.Notef("%s %s: %d flows, FCT p50=%.1fus p99=%.1fus, slowdown p50=%.2fx p99=%.2fx",
-				v.label, s.dc.Groups[c].Name, len(records), fct50, fct99, slow50, slow99)
+				out.label, s.dc.Groups[c].Name, len(records), fct50, fct99, slow50, slow99)
 		}
 	}
-	return res, nil
+	return res
 }
 
 func init() {
-	register(single("rtt-unfairness", "Fairness across RTT classes: fast vs slow senders on one bottleneck",
-		runRTTUnfairness))
+	register(experiment(runRTTUnfairness, []view[[]*rttOut]{{Figure{"rtt-unfairness",
+		"Fairness across RTT classes: fast vs slow senders on one bottleneck"}, rttView}}))
 }

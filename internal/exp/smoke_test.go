@@ -6,6 +6,31 @@ import (
 	"testing"
 )
 
+// smallRun is one experiment's one execution at small scale, shared by
+// TestEveryExperimentRuns, which reads its figures, and TestClaims, which
+// reads its verdicts.
+type smallRun struct {
+	once     sync.Once
+	results  []*Result
+	verdicts []Verdict
+	err      error
+}
+
+var smallRuns sync.Map // *Experiment -> *smallRun
+
+// runSmall executes e at small scale the first time any test asks for it.
+func runSmall(e *Experiment) *smallRun {
+	v, _ := smallRuns.LoadOrStore(e, &smallRun{})
+	o := v.(*smallRun)
+	o.once.Do(func() {
+		cfg := DefaultConfig()
+		cfg.Scale = "small"
+		cfg.obs = &runObserver{} // collect each simulation's RunStats, as RunWithStats does
+		o.results, o.verdicts, o.err = e.run(cfg)
+	})
+	return o
+}
+
 // TestEveryExperimentRuns executes the full registry at small scale: every
 // registered experiment must complete, return exactly the figures it
 // declares, each under its registered name and title (which -list, the
@@ -18,20 +43,12 @@ func TestEveryExperimentRuns(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full registry sweep in -short mode")
 	}
-	cfg := DefaultConfig()
-	cfg.Scale = "small"
-	type outcome struct {
-		once    sync.Once
-		results []*Result
-		err     error
-	}
 	for _, e := range Experiments() {
-		e, o := e, &outcome{}
 		for i, f := range e.Figures {
-			i, name := i, f.Name
+			name := f.Name
 			t.Run(name, func(t *testing.T) {
 				t.Parallel()
-				o.once.Do(func() { o.results, _, o.err = e.RunWithStats(cfg) })
+				o := runSmall(e)
 				if o.err != nil {
 					t.Fatalf("%s failed: %v", name, o.err)
 				}
@@ -112,46 +129,37 @@ func TestExperimentTitlesUnique(t *testing.T) {
 	}
 }
 
-// TestClaims runs the artifact-evaluation self-check at small scale, with
-// every figure's notes dropped: a claim reads the typed output of the run
-// it calls, so no rewording (or absence) of a note can turn it into a FAIL.
+// TestClaims is the artifact-evaluation self-check at small scale: every
+// claim's verdict, read off the one execution of the experiment that
+// declares it (the execution TestEveryExperimentRuns reads figures off),
+// must PASS. A check reads its run's typed output, never a figure's notes.
 func TestClaims(t *testing.T) {
 	if testing.Short() {
 		t.Skip("claims sweep in -short mode")
 	}
-	for _, e := range registry {
-		e, run := e, e.run
-		e.run = func(cfg Config) ([]*Result, error) {
-			results, err := run(cfg)
-			for _, res := range results {
-				res.Notes = nil
-			}
-			return results, err
-		}
-		t.Cleanup(func() { e.run = run }) // after the parallel subtests
-	}
-	cfg := DefaultConfig()
-	cfg.Scale = "small"
-	claims := Claims()
-	if len(claims) < 12 {
-		t.Fatalf("only %d claims registered", len(claims))
+	if n := len(Claims()); n < 12 {
+		t.Fatalf("only %d claims registered", n)
 	}
 	seen := map[string]bool{}
-	for _, c := range claims {
-		c := c
-		if seen[c.Name] {
-			t.Fatalf("duplicate claim %q", c.Name)
+	for _, e := range Experiments() {
+		for i, c := range e.Claims {
+			if seen[c.Name] {
+				t.Fatalf("duplicate claim %q", c.Name)
+			}
+			seen[c.Name] = true
+			t.Run(c.Name, func(t *testing.T) {
+				t.Parallel()
+				o := runSmall(e)
+				if o.err != nil {
+					t.Fatalf("%s errored: %v", c.Name, o.err)
+				}
+				if len(o.verdicts) != len(e.Claims) {
+					t.Fatalf("%d verdicts for %d declared claims", len(o.verdicts), len(e.Claims))
+				}
+				if v := o.verdicts[i]; v.Claim != c || !v.OK {
+					t.Errorf("%s not reproduced: %s", v.Name, v.Detail)
+				}
+			})
 		}
-		seen[c.Name] = true
-		t.Run(c.Name, func(t *testing.T) {
-			t.Parallel()
-			ok, detail, err := c.Check(cfg)
-			if err != nil {
-				t.Fatalf("%s errored: %v", c.Name, err)
-			}
-			if !ok {
-				t.Errorf("%s not reproduced: %s", c.Name, detail)
-			}
-		})
 	}
 }
