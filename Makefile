@@ -28,8 +28,9 @@ bench-compare:
 
 # The tracked size number (ROADMAP aim 2): non-test Go lines and assembly,
 # bench/ excluded, then the same count per directory, then the counts of
-# registered experiments, -verify claims, fairsim flags and exported
-# exp.Config fields. cmd/ci holds its one definition and prints the total as
+# registered experiments, -verify claims, fairsim flags, exported
+# exp.Config fields and settable net.Network fields. cmd/ci holds its one
+# definition and prints the total as
 # the gate's last line.
 loc:
 	@go run ./cmd/ci -loc

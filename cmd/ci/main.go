@@ -36,8 +36,9 @@
 // PR's CHANGES.md entry quotes; `go run ./cmd/ci -loc` (`make loc`) prints
 // that number on its first line, then the same count per directory, then
 // the other tracked counts: registered experiments, -verify claims, the
-// flags fairsim declares and the exported fields of exp.Config, the
-// parameters a library caller can set.
+// flags fairsim declares, and the exported fields of exp.Config and of
+// net.Network (its constructor argument Eng aside), the parameters and
+// model settings a library caller can set.
 package main
 
 import (
@@ -56,6 +57,7 @@ import (
 	"strings"
 
 	"faircc/internal/exp"
+	"faircc/internal/net"
 )
 
 // loc is the tracked size number: the lines of every non-test Go file and
@@ -111,8 +113,20 @@ func fairsimFlags() (int, error) {
 	return n, nil
 }
 
+// exported counts the exported fields of a struct: the ones a library
+// caller can set.
+func exported(v any) int {
+	n := 0
+	for _, f := range reflect.VisibleFields(reflect.TypeOf(v)) {
+		if f.IsExported() {
+			n++
+		}
+	}
+	return n
+}
+
 func main() {
-	locOnly := flag.Bool("loc", false, "print the tracked size number, one line per directory, the experiment, claim, fairsim flag and Config parameter counts, and exit")
+	locOnly := flag.Bool("loc", false, "print the tracked size number, one line per directory, the experiment, claim, fairsim flag, Config parameter and Network setting counts, and exit")
 	flag.Parse()
 	size, byDir, err := loc()
 	if err != nil {
@@ -134,14 +148,8 @@ func main() {
 			fmt.Fprintln(os.Stderr, "ci: flags:", err)
 			os.Exit(1)
 		}
-		params := 0
-		for _, f := range reflect.VisibleFields(reflect.TypeOf(exp.Config{})) {
-			if f.IsExported() {
-				params++
-			}
-		}
-		fmt.Printf("%6d registered experiments\n%6d -verify claims\n%6d fairsim flags\n%6d exp.Config parameters\n",
-			len(exp.Names()), len(exp.Claims()), flags, params)
+		fmt.Printf("%6d registered experiments\n%6d -verify claims\n%6d fairsim flags\n%6d exp.Config parameters\n%6d net.Network settings\n",
+			len(exp.Names()), len(exp.Claims()), flags, exported(exp.Config{}), exported(net.Network{})-1) // Network.Eng is New's argument
 		return
 	}
 

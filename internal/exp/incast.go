@@ -2,6 +2,7 @@ package exp
 
 import (
 	"cmp"
+	"math/rand"
 
 	"faircc/internal/cc/hpcc"
 	"faircc/internal/metrics"
@@ -185,7 +186,7 @@ type fabric func(*net.Network, *topo.Star)
 // 5e-4 loss probability is a handful of losses per 16 MB incast wave.
 func lossyFabric(nw *net.Network, st *topo.Star) {
 	nw.LossRecovery = true
-	nw.DropDataProb, nw.DropAckProb = 5e-4, 5e-4
+	nw.WireLoss = func(r *rand.Rand, _ net.Kind, _ int, _ int64) bool { return r.Float64() < 5e-4 }
 	for _, sp := range st.Switch.Ports() {
 		sp.SetBuffer(150_000)
 	}

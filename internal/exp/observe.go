@@ -1,6 +1,8 @@
 package exp
 
 import (
+	"runtime"
+	rtmetrics "runtime/metrics"
 	"slices"
 	"sync"
 	"time"
@@ -27,11 +29,28 @@ type ProgressUpdate struct {
 type runObserver struct {
 	mu    sync.Mutex
 	stats metrics.RunStats
+	// heap is where sampleHeap reads the heap's object bytes and its
+	// unused bytes: their sum is MemStats.HeapInuse.
+	heap [2]rtmetrics.Sample
 }
 
+// add merges one finished simulation, sampling the heap while its network
+// is still live.
 func (o *runObserver) add(s metrics.RunStats) {
 	o.mu.Lock()
 	o.stats.Add(s)
+	o.mu.Unlock()
+	o.sampleHeap()
+}
+
+// sampleHeap raises the experiment's PeakHeapBytes to the heap in use now,
+// read without stopping the world. runSequential calls it at its periodic
+// check.
+func (o *runObserver) sampleHeap() {
+	o.mu.Lock()
+	o.heap[0].Name, o.heap[1].Name = "/memory/classes/heap/objects:bytes", "/memory/classes/heap/unused:bytes"
+	rtmetrics.Read(o.heap[:])
+	o.stats.PeakHeapBytes = max(o.stats.PeakHeapBytes, o.heap[0].Value.Uint64()+o.heap[1].Value.Uint64())
 	o.mu.Unlock()
 }
 
@@ -46,12 +65,15 @@ func (o *runObserver) finish(wall time.Duration) metrics.RunStats {
 // RunWithStats runs the experiment's simulations once, after validating
 // cfg, and returns every figure read off them (in Figures order) with the
 // aggregated RunStats of those simulations — events, events/sec, packet
-// and pool counters, wall time, and process memory. Experiments that run
+// and pool counters, wall time, and memory. Experiments that run
 // no packet simulation (the fluid model) return a zero-run snapshot.
 func (e *Experiment) RunWithStats(cfg Config) ([]*Result, *metrics.RunStats, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, nil, err
 	}
+	// Collect what earlier runs in this process left, so the peak heap is
+	// this experiment's own.
+	runtime.GC()
 	obs := &runObserver{}
 	cfg.obs = obs
 	start := time.Now()

@@ -205,3 +205,35 @@ func TestRunWithStatsFluidModel(t *testing.T) {
 		t.Errorf("fluid model reported %d packet runs, want 0", stats.Runs)
 	}
 }
+
+// Each experiment's peak heap is its own: fig1a run after a larger
+// experiment in the same process, as fairsim -all runs them, reads what it
+// read before it, not the larger one's high-water mark.
+func TestPeakHeapIsEachExperiments(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs a 256-host fat-tree")
+	}
+	small := DefaultConfig()
+	small.Scale = "small"
+	large := DefaultConfig()
+	large.DCPods, large.DCToRs, large.DCHostsPerToR = 8, 4, 8
+	large.DCDuration, large.DCProtocol = 200*sim.Microsecond, "hpcc"
+	peak := func(name string, cfg Config) uint64 {
+		t.Helper()
+		_, stats, err := RunWithStats(name, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return stats.PeakHeapBytes
+	}
+	before := peak("fig1a", small)
+	big := peak("dc", large)
+	after := peak("fig1a", small)
+	if after > before*3/2 {
+		t.Errorf("fig1a peaked at %d B after a run that peaked at %d B, and at %d B before it: the peak is not the experiment's own",
+			after, big, before)
+	}
+	if big < 2*before {
+		t.Errorf("the larger experiment peaked at %d B, fig1a at %d B: too close for this test to tell", big, before)
+	}
+}

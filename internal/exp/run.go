@@ -88,7 +88,8 @@ func stallWindow(nw *net.Network) sim.Time {
 // active at the previous check and no byte has been acknowledged in the
 // window W since. It returns what stalled the run (the window and the first
 // active flows) as a suffix for simulate's error, or "". W comes from the
-// network (see stallWindow). ProgressUpdates go out if Config asks for
+// network (see stallWindow). The same check samples the heap for
+// RunWithStats' peak, and ProgressUpdates go out if Config asks for
 // them. The stepping sequence is identical with and without them, so
 // observability can never perturb simulation results. Progress is
 // reported from the stepping goroutine itself, which is what makes reading
@@ -126,6 +127,9 @@ func runSequential(cfg Config, label string, nw *net.Network) (stalled string) {
 			}
 			acked, active, checked = sum, len(ids) > 0, now
 			w = stallWindow(nw)
+		}
+		if cfg.obs != nil {
+			cfg.obs.sampleHeap()
 		}
 		if p != nil && time.Since(p.lastWall) >= p.every {
 			p.report(time.Now(), eng.Steps(), eng.Now(), false)

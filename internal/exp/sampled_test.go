@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"math/rand"
 	"strings"
 	"testing"
 	"time"
@@ -40,6 +41,9 @@ func TestSampledSeriesCoverTheWholeRun(t *testing.T) {
 	}
 }
 
+// loseAcks is a WireLoss rule that loses every ACK.
+func loseAcks(_ *rand.Rand, kind net.Kind, _ int, _ int64) bool { return kind == net.Ack }
+
 // A run that can make no progress — every ACK is lost and nothing
 // retransmits — ends with the unfinished flows as its error: the samplers
 // that tick for as long as a run lasts must not keep a dead run alive. The
@@ -47,7 +51,7 @@ func TestSampledSeriesCoverTheWholeRun(t *testing.T) {
 // byte acknowledged.
 func TestStuckRunEndsWithUnfinishedFlows(t *testing.T) {
 	dropAcks := func(nw *net.Network, _ *topo.Star) {
-		nw.DropFilter = func(kind net.Kind, _ int, _ int64) bool { return kind == net.Ack }
+		nw.WireLoss = loseAcks
 	}
 	_, err := runIncast(Config{Seed: 1}, hpccBaselines()[0], paperIncast(4), dropAcks)
 	if err == nil || !strings.Contains(err.Error(), "4 of 4 flows did not finish") {
@@ -67,7 +71,7 @@ func TestStalledRunEnds(t *testing.T) {
 	for _, v := range []variant{dcqcnVariant(), lossRecovery} {
 		t.Run(v.label, func(t *testing.T) {
 			dropAcks := func(nw *net.Network, _ *topo.Star) {
-				nw.DropFilter = func(kind net.Kind, _ int, _ int64) bool { return kind == net.Ack }
+				nw.WireLoss = loseAcks
 			}
 			start := time.Now()
 			_, err := runIncast(Config{Seed: 1}, v, paperIncast(4), dropAcks)
@@ -107,7 +111,7 @@ func TestStuckRunEndsWhateverItsSamplers(t *testing.T) {
 	var early *metrics.Series
 	_, err := simulate(cfg, "stuck", func(nw *net.Network) {
 		st := topo.NewStar(nw, in.senders+1, hostRate, linkDelay)
-		nw.DropFilter = func(kind net.Kind, _ int, _ int64) bool { return kind == net.Ack }
+		nw.WireLoss = loseAcks
 		srcs := []int{0, 1, 2, 3} // hosts are numbered in creation order; host 4 receives
 		for _, spec := range workload.StaggeredIncast(srcs, in.senders, in.size, in.group, in.every, 0) {
 			nw.AddFlow(spec, hpccBaselines()[0].make())

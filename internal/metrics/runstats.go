@@ -49,9 +49,11 @@ type RunStats struct {
 	WallSeconds  float64 `json:"wall_seconds"`
 	EventsPerSec float64 `json:"events_per_sec"`
 
-	// Process heap at snapshot time (runtime.MemStats), filled in by
-	// Finish. PeakHeapBytes is HeapSys: the high-water footprint the runs
-	// demanded from the OS.
+	// Process heap (runtime.MemStats), filled in by Finish: HeapAlloc at
+	// snapshot time, the process's TotalAlloc and NumGC. PeakHeapBytes is
+	// the largest heap in use (HeapInuse) seen while the runs went: the
+	// caller raises it from samples taken as the runs step, and Finish
+	// from the heap at its own call.
 	HeapAllocBytes  uint64 `json:"heap_alloc_bytes"`
 	PeakHeapBytes   uint64 `json:"peak_heap_bytes"`
 	TotalAllocBytes uint64 `json:"total_alloc_bytes"`
@@ -115,7 +117,7 @@ func (s *RunStats) Finish(wall time.Duration) {
 	var m runtime.MemStats
 	runtime.ReadMemStats(&m)
 	s.HeapAllocBytes = m.HeapAlloc
-	s.PeakHeapBytes = m.HeapSys
+	s.PeakHeapBytes = max(s.PeakHeapBytes, m.HeapInuse)
 	s.TotalAllocBytes = m.TotalAlloc
 	s.NumGC = m.NumGC
 }

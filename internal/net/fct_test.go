@@ -87,18 +87,18 @@ func TestDeliveredAtPrecedesFinishedAt(t *testing.T) {
 func TestPacketPoolReuse(t *testing.T) {
 	for _, tc := range []struct {
 		name string
-		// lossy opens a link-down window on the switch's egress to the
-		// receiver, so data dies at that port's finishTx.
+		// lossy loses every data packet that ends its serialization in
+		// [10, 30) us, so data dies at finishTx.
 		lossy bool
 	}{
 		{name: "clean"},
 		{name: "dropped at finishTx", lossy: true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			eng, nw, sw := star(t, 2, 1)
+			eng, nw, _ := star(t, 2, 1)
 			if tc.lossy {
 				nw.LossRecovery = true
-				sw.Ports()[1].ScheduleFlap(10*usec, 20*usec)
+				nw.WireLoss = outage(nw, 10*usec, 30*usec)
 			}
 			f := nw.AddFlow(FlowSpec{ID: 1, Src: 0, Dst: 1, Size: 1_000_000},
 				&fixedAlgo{ctl: cc.Control{WindowBytes: 1e9, RateBps: gbps100}})

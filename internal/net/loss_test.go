@@ -1,6 +1,7 @@
 package net
 
 import (
+	"math/rand"
 	"testing"
 
 	"faircc/internal/cc"
@@ -229,7 +230,7 @@ func TestRTORecoversDroppedDataAndAck(t *testing.T) {
 	nw.LossRecovery = true
 	const size = 50_000
 	droppedData, droppedAck := false, false
-	nw.DropFilter = func(kind Kind, flowID int, seq int64) bool {
+	nw.WireLoss = func(_ *rand.Rand, kind Kind, _ int, seq int64) bool {
 		if kind == Data && seq == 5000 && !droppedData {
 			droppedData = true
 			return true
@@ -249,7 +250,7 @@ func TestRTORecoversDroppedDataAndAck(t *testing.T) {
 		t.Fatal("flow did not recover from a dropped data packet + dropped ACK")
 	}
 	if !droppedData || !droppedAck {
-		t.Fatalf("fault filter never fired: data=%v ack=%v", droppedData, droppedAck)
+		t.Fatalf("loss rule never fired: data=%v ack=%v", droppedData, droppedAck)
 	}
 	if f.Delivered() != size {
 		t.Fatalf("delivered = %d, want %d", f.Delivered(), size)
@@ -279,8 +280,7 @@ func TestRandomLossCompletes(t *testing.T) {
 	run := func() ([]sim.Time, NetworkStats) {
 		eng, nw, _ := star(t, 3, 7)
 		nw.LossRecovery = true
-		nw.DropDataProb = 0.01
-		nw.DropAckProb = 0.01
+		nw.WireLoss = func(r *rand.Rand, _ Kind, _ int, _ int64) bool { return r.Float64() < 0.01 }
 		for i := 1; i <= 2; i++ {
 			algo := &fixedAlgo{ctl: cc.Control{WindowBytes: 100_000, RateBps: gbps100}}
 			nw.AddFlow(FlowSpec{ID: i, Src: i, Dst: 0, Size: 100_000, Start: 0}, algo)
@@ -313,26 +313,34 @@ func TestRandomLossCompletes(t *testing.T) {
 	}
 }
 
-// TestLinkFlapRecovery: a link-down window in the middle of a flow drops
-// everything serialized during it; the flow times out and completes after
-// the link returns.
-func TestLinkFlapRecovery(t *testing.T) {
+// outage is a WireLoss rule that loses every data packet completing
+// serialization in [from, to) on the network's clock.
+func outage(nw *Network, from, to sim.Time) func(*rand.Rand, Kind, int, int64) bool {
+	return func(_ *rand.Rand, kind Kind, _ int, _ int64) bool {
+		now := nw.Eng.Now()
+		return kind == Data && now >= from && now < to
+	}
+}
+
+// TestOutageRecovery: an outage in the middle of a flow drops every data
+// packet serialized during it; the flow times out and completes after the
+// outage ends.
+func TestOutageRecovery(t *testing.T) {
 	eng, nw, _ := star(t, 2, 1)
 	nw.LossRecovery = true
-	h0 := nw.Hosts()[0]
-	h0.Port().ScheduleFlap(10*usec, 50*usec)
+	nw.WireLoss = outage(nw, 10*usec, 60*usec)
 	algo := &fixedAlgo{ctl: cc.Control{WindowBytes: 100_000, RateBps: gbps100}}
 	f := nw.AddFlow(FlowSpec{ID: 1, Src: 0, Dst: 1, Size: 500_000, Start: 0}, algo)
 	eng.Run()
 	if !f.Finished() {
-		t.Fatal("flow did not survive a 50 us link-down window")
+		t.Fatal("flow did not survive a 50 us outage")
 	}
 	st := nw.Stats()
 	if st.WireDrops == 0 {
-		t.Fatal("link-down window dropped nothing")
+		t.Fatal("the outage dropped nothing")
 	}
 	if f.Timeouts == 0 {
-		t.Fatal("no RTO fired across the down window")
+		t.Fatal("no RTO fired across the outage")
 	}
 	if f.Delivered() != 500_000 {
 		t.Fatalf("delivered = %d, want 500000", f.Delivered())
@@ -340,79 +348,89 @@ func TestLinkFlapRecovery(t *testing.T) {
 	if err := nw.CheckConservation(); err != nil {
 		t.Fatal(err)
 	}
-	// The flow must have lost at least the down window to recovery.
+	// The flow must have lost at least the outage to recovery.
 	if f.FCT() < 60*usec {
 		t.Fatalf("FCT %v implausibly short for a 50 us outage starting at 10 us", f.FCT())
 	}
 }
 
-// TestOverlappingFlapsKeepLinkDown is the regression test for the flap
-// nesting bug: down-ness used to be a bool, so flap A ending at 60 us
-// silently re-enabled the link while flap B's window [40,100) was still
-// open. With the depth counter the link stays down through the full union
-// [10,100) of the windows — probed directly and evidenced by link-down
-// drops after flap A's end.
-func TestOverlappingFlapsKeepLinkDown(t *testing.T) {
-	eng, nw, _ := star(t, 2, 1)
+// TestWireLossContract: on a lossy star with PFC on, WireLoss is asked, with
+// the shard's fault stream, once per data packet and once per ACK each time
+// one completes serialization — at its sender's host port, then, if the
+// wire kept it there, at the switch port — and never about a Pause or
+// Resume frame. The port asked for is the one whose serialization just
+// ended: still busy, with no packet on the wire.
+func TestWireLossContract(t *testing.T) {
+	eng, nw, sw := star(t, 5, 1)
+	nw.PFCPauseBytes, nw.PFCResumeBytes = 20_000, 10_000
 	nw.LossRecovery = true
-	// Pin the RTO at 20 us so go-back-N keeps retransmitting into the
-	// outage: without retries nothing would serialize (and drop) late in
-	// the union, and the after-60us assertions would be vacuous.
-	nw.RTOMin, nw.RTOMax = 20*usec, 20*usec
-	pt := nw.Hosts()[0].Port()
-	pt.ScheduleFlap(10*usec, 50*usec) // flap A: [10, 60)
-	pt.ScheduleFlap(40*usec, 60*usec) // flap B: [40, 100)
-
-	probe := func(at sim.Time, want bool) {
-		eng.At(at, func() {
-			if pt.LinkDown() != want {
-				t.Errorf("LinkDown at %v = %v, want %v", at, !want, want)
+	ports := sw.Ports()
+	for _, h := range nw.Hosts() {
+		ports = append(ports, h.Port())
+	}
+	type tally struct{ asked, lost int64 }
+	var atHost, atSwitch [2]tally // by Kind: Data, Ack
+	nw.WireLoss = func(r *rand.Rand, kind Kind, _ int, _ int64) bool {
+		if kind != Data && kind != Ack {
+			t.Fatalf("WireLoss asked about a %v frame", kind)
+		}
+		if r != nw.shards[0].faultRand {
+			t.Fatal("WireLoss was not handed the shard's fault stream")
+		}
+		var ending []*Port
+		for _, pt := range ports {
+			if pt.busy && pt.txPkt == nil {
+				ending = append(ending, pt)
 			}
-		})
+		}
+		if len(ending) != 1 {
+			t.Fatalf("WireLoss asked while %d ports end a serialization, want 1", len(ending))
+		}
+		at := &atSwitch[kind]
+		if ending[0].ownHost != nil {
+			at = &atHost[kind]
+		}
+		at.asked++
+		lost := r.Float64() < 0.01
+		if lost {
+			at.lost++
+		}
+		return lost
 	}
-	probe(5*usec, false)
-	probe(50*usec, true) // both windows open
-	probe(70*usec, true) // flap A ended: B's window must still hold
-	probe(105*usec, false)
-
-	// No fault injection here, so every wire drop is a link-down drop.
-	var dropsAt60 int64
-	eng.At(60*usec, func() { dropsAt60 = nw.Stats().WireDrops })
-	algo := &fixedAlgo{ctl: cc.Control{WindowBytes: 100_000, RateBps: gbps100}}
-	f := nw.AddFlow(FlowSpec{ID: 1, Src: 0, Dst: 1, Size: 500_000, Start: 0}, algo)
+	for i := 1; i <= 4; i++ { // a 4-1 incast at line rate: the switch pauses its senders
+		algo := &fixedAlgo{ctl: cc.Control{WindowBytes: 1e9, RateBps: gbps100}}
+		nw.AddFlow(FlowSpec{ID: i, Src: i, Dst: 0, Size: 400_000, Start: 0}, algo)
+	}
 	eng.Run()
-	if !f.Finished() {
-		t.Fatal("flow did not survive the overlapping down windows")
-	}
-	if nw.Stats().WireDrops == dropsAt60 {
-		t.Fatal("no link-down drops after flap A's end: flap B's window was clipped")
+	if !nw.AllFinished() {
+		t.Fatal("flows did not finish under random loss with PFC")
 	}
 	if err := nw.CheckConservation(); err != nil {
 		t.Fatal(err)
 	}
-	// Completion cannot predate the union of the windows.
-	if f.FCT() < 100*usec {
-		t.Fatalf("FCT %v implausibly short for an outage spanning [10,100) us", f.FCT())
+	st := nw.Stats()
+	if st.PFCPauses == 0 {
+		t.Fatal("the incast never paused a sender: no PFC frame could have been asked about")
 	}
-}
-
-// TestSurplusLinkUpIsNoop: closing a window that was never opened must not
-// drive the depth negative (a later real window would then never take the
-// link down).
-func TestSurplusLinkUpIsNoop(t *testing.T) {
-	_, nw, _ := star(t, 2, 1)
-	pt := nw.Hosts()[0].Port()
-	pt.SetLinkDown(false)
-	if pt.LinkDown() {
-		t.Fatal("surplus SetLinkDown(false) took the link down")
+	if st.BufferDrops != 0 {
+		t.Fatalf("%d tail drops under PFC", st.BufferDrops)
 	}
-	pt.SetLinkDown(true)
-	if !pt.LinkDown() {
-		t.Fatal("SetLinkDown(true) after a surplus up did not take the link down")
+	if atHost[Data].asked != st.DataSent || atHost[Ack].asked != st.AcksSent {
+		t.Fatalf("asked at host ports for %d data packets and %d ACKs, want one per packet sent: %d and %d",
+			atHost[Data].asked, atHost[Ack].asked, st.DataSent, st.AcksSent)
 	}
-	pt.SetLinkDown(false)
-	if pt.LinkDown() {
-		t.Fatal("matched SetLinkDown(false) left the link down")
+	for kind, h := range atHost {
+		if s := atSwitch[kind]; s.asked != h.asked-h.lost {
+			t.Fatalf("%v: asked %d times at the switch, want once per packet the host port's wire kept: %d",
+				Kind(kind), s.asked, h.asked-h.lost)
+		}
+	}
+	lostData, lostAcks := atHost[Data].lost+atSwitch[Data].lost, atHost[Ack].lost+atSwitch[Ack].lost
+	if lostData == 0 || lostAcks == 0 {
+		t.Fatalf("lost %d data packets and %d ACKs, want some of each", lostData, lostAcks)
+	}
+	if st.DataDrops != lostData || st.AckDrops != lostAcks || st.WireDrops != lostData+lostAcks {
+		t.Fatalf("drop counters %+v, want %d data and %d ACKs lost on the wire", st.Counters, lostData, lostAcks)
 	}
 }
 

@@ -3,6 +3,7 @@ package net
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"sync/atomic"
 	"unsafe"
 
@@ -44,9 +45,9 @@ type Network struct {
 	// LossRecovery arms the sender-side recovery path: per-flow RTO with
 	// exponential backoff and go-back-N resend from the last cumulative
 	// ACK. It must be on for any run that can drop packets (finite
-	// buffers, fault injection, link flaps), and stays off by default so
-	// lossless runs schedule no extra events and remain bit-identical
-	// with earlier versions.
+	// buffers, WireLoss), and stays off by default so lossless runs
+	// schedule no extra events and remain bit-identical with earlier
+	// versions.
 	LossRecovery bool
 	// RTOMin / RTOMax bound the retransmission timeout. A flow's initial
 	// RTO is 4*baseRTT clamped into [RTOMin, RTOMax]; backoff doubles it
@@ -54,18 +55,15 @@ type Network struct {
 	RTOMin sim.Time
 	RTOMax sim.Time
 
-	// DropDataProb / DropAckProb inject random wire loss: each data/ACK
-	// packet completing serialization on any link is dropped with the
-	// given probability. Draws come from faultRand, a PRNG separate from
-	// the main stream, so enabling faults does not perturb ECN or
-	// congestion-control randomness for the same seed.
-	DropDataProb float64
-	DropAckProb  float64
-	// DropFilter, when set, is consulted per packet after the random
-	// draws (data/ACK only; seq is the data offset for data, the
-	// cumulative ACK for ACKs).
-	// Deterministic targeted-loss tests use it to kill exact packets.
-	DropFilter func(kind Kind, flowID int, seq int64) bool
+	// WireLoss, when set, is asked once per data packet and ACK that
+	// completes serialization on any link whether the wire loses it (seq
+	// is the data offset for data, the cumulative ACK for ACKs). PFC
+	// control frames never ask: losing them without a PFC-level watchdog
+	// would only deadlock the fabric. r is the shard's fault stream, a
+	// PRNG separate from the main one, so a random loss rule does not
+	// perturb ECN or congestion-control randomness for the same seed. On a
+	// sharded network shards ask concurrently.
+	WireLoss func(r *rand.Rand, kind Kind, flowID int, seq int64) bool
 
 	hosts      []*Host
 	hostByNode []*Host // node id -> host (nil for switch ids); O(1) findHost

@@ -49,15 +49,9 @@ type Port struct {
 	q        queue
 	busy     bool
 	pausedBy bool // peer sent PFC Pause: hold data (control still flows)
-	// downDepth counts overlapping link-down windows: the transmit
-	// direction is down while it is positive, and packets completing
-	// serialization then are lost. A depth (rather than a bool) makes
-	// overlapping ScheduleFlap windows compose: the link comes back up
-	// only when the last open window closes, not when the first one ends.
-	downDepth int
-	txBytes   int64
-	red       *REDConfig // ECN marking at enqueue when set
-	bufBytes  int64      // egress buffer cap in wire bytes; 0 = unbounded
+	txBytes  int64
+	red      *REDConfig // ECN marking at enqueue when set
+	bufBytes int64      // egress buffer cap in wire bytes; 0 = unbounded
 
 	// PFC ingress-side accounting (switch owners only): bytes currently
 	// buffered in this node that arrived through this port.
@@ -302,8 +296,9 @@ func (pt *Port) Fire() { pt.finishTx(pt.txPkt) }
 
 // finishTx completes serialization: stamps telemetry — at this instant, the
 // end of serialization, with the queue as it stands now that p has left it —
-// releases PFC ingress accounting, schedules arrival at the peer, and starts
-// the next packet.
+// releases PFC ingress accounting, asks Network.WireLoss whether the wire
+// loses a data packet or ACK, schedules arrival at the peer, and starts the
+// next packet.
 // When the peer lives on another shard the arrival goes through the
 // mailbox instead of the local engine: it executes on the peer's shard
 // after the epoch barrier, at the exact same simulated time — propagation
@@ -324,7 +319,8 @@ func (pt *Port) finishTx(p *Packet) {
 		p.ingress.creditIngress(int64(p.Wire))
 		p.ingress = nil
 	}
-	if pt.downDepth > 0 || pt.sh.dropInTransit(p) {
+	if loss := pt.net.WireLoss; loss != nil && (p.Kind == Data || p.Kind == Ack) &&
+		loss(pt.sh.faultRand, p.Kind, p.run.flow.Spec.ID, p.Seq) {
 		pt.sh.drop(p, false)
 		pt.busy = false
 		pt.kick()
@@ -338,44 +334,6 @@ func (pt *Port) finishTx(p *Packet) {
 	}
 	pt.busy = false
 	pt.kick()
-}
-
-// LinkDown reports whether the port's transmit direction is down (at
-// least one down window is open).
-func (pt *Port) LinkDown() bool { return pt.downDepth > 0 }
-
-// SetLinkDown opens (down=true) or closes (down=false) one link-down
-// window on the port's transmit direction; packets that finish
-// serialization while any window is open are lost. Windows nest: each
-// SetLinkDown(true) must be matched by one SetLinkDown(false), and the
-// link is up only when every window has closed — so overlapping
-// ScheduleFlap windows keep the link down through their full union. A
-// surplus SetLinkDown(false) on an up link is a no-op. The transmitter
-// keeps draining either way, so a down window behaves like a span of
-// pure loss rather than a stalled queue; packets already propagating
-// when the link goes down still arrive.
-func (pt *Port) SetLinkDown(down bool) {
-	if down {
-		pt.downDepth++
-		return
-	}
-	if pt.downDepth > 0 {
-		pt.downDepth--
-	}
-	if pt.downDepth == 0 {
-		pt.kick()
-	}
-}
-
-// ScheduleFlap schedules a link-down window [at, at+duration) on the
-// port's transmit direction. Windows nest (see SetLinkDown), so
-// overlapping flaps lose packets through their full union. Flows
-// crossing the window need Network.LossRecovery to survive it.
-// Schedule flaps after Network.Shard: the events must land on the shard
-// engine the port ends up bound to.
-func (pt *Port) ScheduleFlap(at sim.Time, duration sim.Time) {
-	pt.eng.At(at, func() { pt.SetLinkDown(true) })
-	pt.eng.At(at+duration, func() { pt.SetLinkDown(false) })
 }
 
 // chargeIngress attributes wire bytes buffered in the owner to this

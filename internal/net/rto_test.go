@@ -3,6 +3,7 @@ package net
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -109,7 +110,7 @@ func TestRTORecoveryOnHighDelayPath(t *testing.T) {
 	nw := New(eng, 1)
 	nw.LossRecovery = true
 	dropped := false
-	nw.DropFilter = func(kind Kind, flowID int, seq int64) bool {
+	nw.WireLoss = func(_ *rand.Rand, kind Kind, _ int, seq int64) bool {
 		if kind == Data && seq == 5000 && !dropped {
 			dropped = true
 			return true
@@ -129,7 +130,7 @@ func TestRTORecoveryOnHighDelayPath(t *testing.T) {
 		t.Fatalf("flow not finished by %v after one drop (rto=%v)", deadline, f.run.rto)
 	}
 	if !dropped {
-		t.Fatal("drop filter never matched; test exercised nothing")
+		t.Fatal("loss rule never matched; test exercised nothing")
 	}
 	if err := nw.CheckConservation(); err != nil {
 		t.Fatal(err)
@@ -145,9 +146,10 @@ func TestRTORecoveryOnHighDelayPath(t *testing.T) {
 // TestRTOBackoffNoOverflow is the regression test for unbounded backoff
 // with RTOMax unset: f.rto used to double unconditionally, so ~37
 // consecutive timeouts (from a 100 us base, in picoseconds) wrapped it
-// negative and the next deadline was scheduled in the past. A permanently
-// down link forces timeouts indefinitely; the backoff must plateau at
-// rtoBackoffCeiling with deadlines strictly in the future throughout.
+// negative and the next deadline was scheduled in the past. A wire that
+// loses every data packet forces timeouts indefinitely; the backoff must
+// plateau at rtoBackoffCeiling with deadlines strictly in the future
+// throughout.
 func TestRTOBackoffNoOverflow(t *testing.T) {
 	eng := sim.NewEngine()
 	nw := New(eng, 1)
@@ -155,7 +157,7 @@ func TestRTOBackoffNoOverflow(t *testing.T) {
 	nw.RTOMax = 0 // explicitly unset: only the ceiling bounds the doubling
 	h0, h1 := nw.AddHost(), nw.AddHost()
 	nw.Connect(h0, h1, gbps100, usec)
-	h0.Port().SetLinkDown(true) // never comes back: every retransmission is lost
+	nw.WireLoss = func(_ *rand.Rand, kind Kind, _ int, _ int64) bool { return kind == Data } // every retransmission is lost
 	algo := &fixedAlgo{ctl: cc.Control{WindowBytes: 1e9, RateBps: gbps100}}
 	f := nw.AddFlow(FlowSpec{ID: 1, Src: h0.NodeID(), Dst: h1.NodeID(),
 		Size: 10_000}, algo)

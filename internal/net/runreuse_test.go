@@ -1,6 +1,7 @@
 package net_test
 
 import (
+	"math/rand"
 	"testing"
 
 	"faircc/internal/cc"
@@ -55,7 +56,9 @@ func TestShardFlowRunReuse(t *testing.T) {
 		}, false},
 		{"hpcc-lossy", func() cc.Algorithm { return hpcc.New(hpcc.DefaultConfig()) }, func(nw *net.Network) {
 			nw.LossRecovery = true
-			nw.DropAckProb = 0.02
+			nw.WireLoss = func(r *rand.Rand, kind net.Kind, _ int, _ int64) bool {
+				return kind == net.Ack && r.Float64() < 0.02
+			}
 		}, true},
 	}
 	type result struct {

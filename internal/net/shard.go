@@ -22,7 +22,7 @@ import (
 // are per-shard; flow sender state runs on the sender's shard and
 // receiver state on the receiver's; the only cross-shard interaction is
 // packet handoff through sim.Outbox at link-propagation boundaries.
-// Network-level config fields (MTU, PFC thresholds, drop probabilities,
+// Network-level config fields (MTU, PFC thresholds, WireLoss,
 // ...) and the routes are read-only during a run and safely shared.
 type shard struct {
 	net *Network
@@ -30,7 +30,7 @@ type shard struct {
 	eng *sim.Engine
 
 	rand      *rand.Rand
-	faultRand *rand.Rand // fault-injection draws; isolated from rand
+	faultRand *rand.Rand // Network.WireLoss draws; isolated from rand
 
 	pool  []*Packet
 	chunk []Packet // allocated, not yet carved into the pool (see getPacket)
@@ -76,7 +76,7 @@ func newShard(n *Network, id int, eng *sim.Engine) *shard {
 
 // lazySource is rand.NewSource(seed), seeded at its first draw: a stream
 // holds 4.9 KB of state and seeding it is a loop over all of it, and only
-// RED marking, probabilistic feedback and fault injection draw at all.
+// RED marking, probabilistic feedback and WireLoss rules draw at all.
 // Draw for draw it is the stream rand.NewSource(seed) gives.
 type lazySource struct {
 	seed int64
@@ -227,32 +227,8 @@ func (sh *shard) putPacket(p *Packet) {
 	sh.pool = append(sh.pool, p)
 }
 
-// dropInTransit decides whether fault injection loses p on the wire. PFC
-// control frames are never randomly dropped: modeling their loss without
-// a PFC-level watchdog would just deadlock the fabric.
-func (sh *shard) dropInTransit(p *Packet) bool {
-	n := sh.net
-	switch p.Kind {
-	case Data:
-		if n.DropDataProb > 0 && sh.faultRand.Float64() < n.DropDataProb {
-			return true
-		}
-		if n.DropFilter != nil && n.DropFilter(Data, p.run.flow.Spec.ID, p.Seq) {
-			return true
-		}
-	case Ack:
-		if n.DropAckProb > 0 && sh.faultRand.Float64() < n.DropAckProb {
-			return true
-		}
-		if n.DropFilter != nil && n.DropFilter(Ack, p.run.flow.Spec.ID, p.Seq) {
-			return true
-		}
-	}
-	return false
-}
-
 // drop accounts for a lost packet — a tail drop at a full egress buffer, or
-// else a wire drop (fault injection or a downed link) — and recycles it.
+// else a wire drop (Network.WireLoss) — and recycles it.
 // Any PFC ingress bytes the packet still holds are credited back, so a drop
 // can never wedge the pause accounting (the ingress port is always on this
 // shard: a packet only carries ingress attribution while inside one node).

@@ -164,22 +164,3 @@ func (d *Dumbbell) ClassBaseRTT(nw *net.Network) []sim.Time {
 	}
 	return rtts
 }
-
-// ShardMap partitions the dumbbell for parallel execution: the sender
-// side (senders + left switch) on shard 0 and the receiver side
-// (receivers + right switch) on shard 1 when k >= 2. The only cross-shard
-// link is the bottleneck, so the parallel lookahead is BottleneckDelay —
-// the first topology in the repository whose lookahead is not the uniform
-// fabric LinkDelay.
-func (d *Dumbbell) ShardMap(k int) ([]int, int) {
-	nNodes := len(d.Senders) + len(d.Receivers) + 2
-	assign := make([]int, nNodes)
-	if k <= 1 {
-		return assign, 1
-	}
-	for _, r := range d.Receivers {
-		assign[r.NodeID()] = 1
-	}
-	assign[d.Right.NodeID()] = 1
-	return assign, 2
-}

@@ -95,41 +95,6 @@ func TestDumbbellTrafficDelivers(t *testing.T) {
 	}
 }
 
-func TestDumbbellShardMap(t *testing.T) {
-	eng := sim.NewEngine()
-	nw := net.New(eng, 3)
-	d := NewDumbbell(nw, DefaultDumbbell())
-	assign, k := d.ShardMap(2)
-	if k != 2 {
-		t.Fatalf("shards = %d, want 2", k)
-	}
-	for i, s := range d.Senders {
-		if assign[s.NodeID()] != 0 {
-			t.Fatalf("sender %d on shard %d, want 0", i, assign[s.NodeID()])
-		}
-	}
-	for i, r := range d.Receivers {
-		if assign[r.NodeID()] != 1 {
-			t.Fatalf("receiver %d on shard %d, want 1", i, assign[r.NodeID()])
-		}
-	}
-	// Sharded execution across the bottleneck link still delivers.
-	nw.Shard(assign, k)
-	for i, s := range d.Senders {
-		nw.AddFlow(net.FlowSpec{ID: i + 1, Src: s.NodeID(),
-			Dst: d.Receivers[i].NodeID(), Size: 50_000}, lineRateAlgo())
-	}
-	if err := nw.NewParallel().Run(); err != nil {
-		t.Fatal(err)
-	}
-	if !nw.AllFinished() {
-		t.Fatal("sharded dumbbell run did not finish all flows")
-	}
-	if err := nw.CheckConservation(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestDumbbellValidate(t *testing.T) {
 	if err := (DumbbellConfig{}).Validate(); err == nil {
 		t.Fatal("empty config must not validate")
