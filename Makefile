@@ -7,10 +7,11 @@
 # vet, an arm64 cross build and an arm64 vet of internal/sim and
 # internal/net, a 386 cross build and vet of the same two (4-byte
 # pointers), gofmt, tests, 50 runs of each test that reads process-wide
-# allocation counters, race-enabled short tests, race-enabled
-# parallel-engine tests, a 1-iteration smoke run of the sim, net and topo
-# benchmarks, and two 5 s fuzz smokes (FuzzEngineOrder, FuzzArrivals). It
-# verifies; it does not measure.
+# allocation counters (TestBytesPerPacket, TestAddFlowCarvesOnlySlabs,
+# TestNewFatTreeBytes, TestNewFatTreeAllocations), race-enabled short
+# tests, race-enabled parallel-engine tests, a 1-iteration smoke run of the
+# sim, net and topo benchmarks, and two 5 s fuzz smokes (FuzzEngineOrder,
+# FuzzArrivals). It verifies; it does not measure.
 verify:
 	go run ./cmd/ci
 

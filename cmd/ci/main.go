@@ -6,9 +6,9 @@
 // The test step is the repository's tier-1 gate (`go test ./...`), so a
 // PR cannot pass ci with a broken unit or experiment test. The
 // alloc-repeat step runs the tests that read process-wide allocation
-// counters 50 times each, so one that depends on when the collector or
-// another goroutine runs fails the change that makes it so, not a later
-// one by chance. The race step
+// counters 50 times each (TestBytesPerPacket, TestAddFlowCarvesOnlySlabs,
+// TestNewFatTreeBytes, TestNewFatTreeAllocations), so one that depends on
+// the collector or another goroutine fails the change that makes it so. The race step
 // re-runs the whole tree under the race detector in -short mode: -short
 // skips only the long datacenter-scale runs, which are single-variant
 // re-executions of code the concurrency-heavy packages (internal/par,
@@ -168,7 +168,7 @@ func main() {
 		{name: "gofmt", args: []string{"gofmt", "-l", "."}},
 		{name: "test", args: []string{"go", "test", "./..."}},
 		{name: "alloc-repeat", args: []string{"go", "test", "-count", "50", "-run",
-			"^(TestBytesPerPacket|TestNewFatTreeBytes|TestNewFatTreeAllocations)$", "./internal/net", "./internal/topo"}},
+			"^(TestBytesPerPacket|TestAddFlowCarvesOnlySlabs|TestNewFatTreeBytes|TestNewFatTreeAllocations)$", "./internal/net", "./internal/topo"}},
 		{name: "race", args: []string{"go", "test", "-race", "-short", "./..."}},
 		// The parallel-engine tests are the one place -short would hide real
 		// concurrency: cross-shard mailboxes, epoch barriers, and the worker

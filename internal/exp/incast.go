@@ -77,8 +77,8 @@ func runIncast(cfg Config, v variant, in incastShape, setup fabric) (*incastOut,
 	}
 
 	out := &incastOut{label: v.label, stats: nw.Stats(), records: metrics.CollectFinished(nw)}
-	for _, f := range nw.Flows() {
-		out.lastFinish = max(out.lastFinish, f.FinishedAt)
+	for i := range nw.NumFlows() {
+		out.lastFinish = max(out.lastFinish, nw.Flow(i).FinishedAt)
 	}
 	for _, p := range jain.Points {
 		out.jain.Add(p.T.Microseconds(), p.V)

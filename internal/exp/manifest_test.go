@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -130,7 +131,9 @@ func TestRunStatsMetricsInvariants(t *testing.T) {
 	if s.PeakPending != 40 {
 		t.Fatalf("PeakPending = %d, want max 40", s.PeakPending)
 	}
-	s.Finish(3 * time.Second)
+	var begin runtime.MemStats
+	runtime.ReadMemStats(&begin)
+	s.Finish(3*time.Second, &begin)
 	if s.EventsPerSec != 50 {
 		t.Fatalf("EventsPerSec = %v, want 50", s.EventsPerSec)
 	}

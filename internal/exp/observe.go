@@ -31,7 +31,8 @@ type runObserver struct {
 	stats metrics.RunStats
 	// heap is where sampleHeap reads the heap's object bytes and its
 	// unused bytes: their sum is MemStats.HeapInuse.
-	heap [2]rtmetrics.Sample
+	heap  [2]rtmetrics.Sample
+	begin runtime.MemStats // the process's memory when the experiment began
 }
 
 // add merges one finished simulation, sampling the heap while its network
@@ -58,7 +59,7 @@ func (o *runObserver) finish(wall time.Duration) metrics.RunStats {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	s := o.stats
-	s.Finish(wall)
+	s.Finish(wall, &o.begin)
 	return s
 }
 
@@ -72,9 +73,10 @@ func (e *Experiment) RunWithStats(cfg Config) ([]*Result, *metrics.RunStats, err
 		return nil, nil, err
 	}
 	// Collect what earlier runs in this process left, so the peak heap is
-	// this experiment's own.
+	// this experiment's own, and count allocation from here.
 	runtime.GC()
 	obs := &runObserver{}
+	runtime.ReadMemStats(&obs.begin)
 	cfg.obs = obs
 	start := time.Now()
 	results, _, err := e.run(cfg)

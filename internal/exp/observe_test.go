@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"faircc/internal/metrics"
 	"faircc/internal/net"
 	"faircc/internal/sim"
 	"faircc/internal/topo"
@@ -136,8 +137,8 @@ func TestObservabilityDoesNotPerturbResults(t *testing.T) {
 	for spec, ok := src.Next(); ok; spec, ok = src.Next() {
 		dc.AddFlow(spec, plan.vs[0].make())
 	}
-	if got := dc.Eng.Pending(); got != 1 || len(dc.Flows()) < 2 {
-		t.Errorf("mix: %d events pending after adding %d flows, want 1", got, len(dc.Flows()))
+	if got := dc.Eng.Pending(); got != 1 || dc.NumFlows() < 2 {
+		t.Errorf("mix: %d events pending after adding %d flows, want 1", got, dc.NumFlows())
 	}
 }
 
@@ -206,9 +207,10 @@ func TestRunWithStatsFluidModel(t *testing.T) {
 	}
 }
 
-// Each experiment's peak heap is its own: fig1a run after a larger
-// experiment in the same process, as fairsim -all runs them, reads what it
-// read before it, not the larger one's high-water mark.
+// Each experiment's peak heap, allocation and collection count are its own:
+// fig1a run after a larger experiment in the same process, as fairsim -all
+// runs them, reads what it read before it, not the larger one's high-water
+// mark or the process's running totals.
 func TestPeakHeapIsEachExperiments(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs a 256-host fat-tree")
@@ -218,22 +220,34 @@ func TestPeakHeapIsEachExperiments(t *testing.T) {
 	large := DefaultConfig()
 	large.DCPods, large.DCToRs, large.DCHostsPerToR = 8, 4, 8
 	large.DCDuration, large.DCProtocol = 200*sim.Microsecond, "hpcc"
-	peak := func(name string, cfg Config) uint64 {
+	run := func(name string, cfg Config) *metrics.RunStats {
 		t.Helper()
 		_, stats, err := RunWithStats(name, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return stats.PeakHeapBytes
+		return stats
 	}
-	before := peak("fig1a", small)
-	big := peak("dc", large)
-	after := peak("fig1a", small)
-	if after > before*3/2 {
+	before := run("fig1a", small)
+	big := run("dc", large)
+	after := run("fig1a", small)
+	t.Logf("fig1a alone: peak %d B, %d B allocated, %d collections; after dc (peak %d B, %d B, %d): %d B, %d B, %d",
+		before.PeakHeapBytes, before.TotalAllocBytes, before.NumGC, big.PeakHeapBytes, big.TotalAllocBytes, big.NumGC,
+		after.PeakHeapBytes, after.TotalAllocBytes, after.NumGC)
+	if after.PeakHeapBytes > before.PeakHeapBytes*3/2 {
 		t.Errorf("fig1a peaked at %d B after a run that peaked at %d B, and at %d B before it: the peak is not the experiment's own",
-			after, big, before)
+			after.PeakHeapBytes, big.PeakHeapBytes, before.PeakHeapBytes)
 	}
-	if big < 2*before {
-		t.Errorf("the larger experiment peaked at %d B, fig1a at %d B: too close for this test to tell", big, before)
+	if big.PeakHeapBytes < 2*before.PeakHeapBytes {
+		t.Errorf("the larger experiment peaked at %d B, fig1a at %d B: too close for this test to tell",
+			big.PeakHeapBytes, before.PeakHeapBytes)
+	}
+	if after.TotalAllocBytes > before.TotalAllocBytes*3/2 || after.NumGC > before.NumGC*3/2+2 {
+		t.Errorf("fig1a allocated %d B in %d collections after a run that allocated %d B in %d, and %d B in %d before it: the counts are not the experiment's own",
+			after.TotalAllocBytes, after.NumGC, big.TotalAllocBytes, big.NumGC, before.TotalAllocBytes, before.NumGC)
+	}
+	if big.TotalAllocBytes < 2*before.TotalAllocBytes || big.NumGC <= before.NumGC {
+		t.Errorf("the larger experiment allocated %d B in %d collections, fig1a %d B in %d: too close for this test to tell",
+			big.TotalAllocBytes, big.NumGC, before.TotalAllocBytes, before.NumGC)
 	}
 }

@@ -115,7 +115,8 @@ func runSequential(cfg Config, label string, nw *net.Network) (stalled string) {
 		if now := eng.Now(); now-checked >= w {
 			sum := int64(0)
 			var ids []int // the first few active flows
-			for _, f := range nw.Flows() {
+			for i := range nw.NumFlows() {
+				f := nw.Flow(i)
 				sum += f.Acked()
 				if f.Active() && len(ids) < 5 {
 					ids = append(ids, f.Spec.ID)

@@ -160,8 +160,8 @@ func TestStallWindowFromRecordedMaximum(t *testing.T) {
 			t.Fatal(err)
 		}
 		var handles sim.Time // every flow has started, so every BaseRTT is set
-		for _, f := range nw.Flows() {
-			handles = max(handles, f.BaseRTT())
+		for i := range nw.NumFlows() {
+			handles = max(handles, nw.Flow(i).BaseRTT())
 		}
 		old := max(sim.Millisecond, 1000*handles)
 		if got := nw.MaxBaseRTT(); got != handles || stallWindow(nw) != old {

@@ -62,13 +62,13 @@ func SampleJainClasses(nw *net.Network, labels []string, classOf func(*net.Flow)
 	rates := make([]float64, 0, 64)
 	classes := make([]int, 0, 64)
 	counts := make([]int, n)
-	var prev []int64 // delivered bytes at the previous tick, by position in nw.Flows()
+	var prev []int64 // delivered bytes at the previous tick, by AddFlow position
 	nw.Eng.Every(start, every, until, func() {
 		rates, classes = rates[:0], classes[:0]
 		clear(counts)
-		flows := nw.Flows()
-		prev = append(prev, make([]int64, len(flows)-len(prev))...)
-		for i, f := range flows {
+		prev = append(prev, make([]int64, nw.NumFlows()-len(prev))...)
+		for i := range prev {
+			f := nw.Flow(i)
 			if f.Active() {
 				d := f.Delivered()
 				rates = append(rates, float64(d-prev[i]))
@@ -123,8 +123,9 @@ type FlowRecord struct {
 // after the simulation, on the caller's goroutine. Every consumer
 // (BucketBySize, SlowdownAbove, StartFinish) orders the records itself.
 func CollectFinished(nw *net.Network) []FlowRecord {
-	records := make([]FlowRecord, 0, len(nw.Flows()))
-	for _, f := range nw.Flows() {
+	records := make([]FlowRecord, 0, nw.NumFlows())
+	for i := range nw.NumFlows() {
+		f := nw.Flow(i)
 		if !f.Finished() {
 			continue
 		}

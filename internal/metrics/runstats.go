@@ -50,10 +50,10 @@ type RunStats struct {
 	EventsPerSec float64 `json:"events_per_sec"`
 
 	// Process heap (runtime.MemStats), filled in by Finish: HeapAlloc at
-	// snapshot time, the process's TotalAlloc and NumGC. PeakHeapBytes is
-	// the largest heap in use (HeapInuse) seen while the runs went: the
-	// caller raises it from samples taken as the runs step, and Finish
-	// from the heap at its own call.
+	// snapshot time, TotalAlloc and NumGC since the runs began.
+	// PeakHeapBytes is the largest heap in use (HeapInuse) seen while the
+	// runs went: the caller raises it from samples taken as the runs step,
+	// and Finish from the heap at its own call.
 	HeapAllocBytes  uint64 `json:"heap_alloc_bytes"`
 	PeakHeapBytes   uint64 `json:"peak_heap_bytes"`
 	TotalAllocBytes uint64 `json:"total_alloc_bytes"`
@@ -105,8 +105,9 @@ func (s *RunStats) Add(o RunStats) {
 }
 
 // Finish records the wall-clock duration the runs took, derives the rates,
-// and captures process memory. Call it once, after the last Add.
-func (s *RunStats) Finish(wall time.Duration) {
+// and captures process memory against begin, read when the runs began.
+// Call it once, after the last Add.
+func (s *RunStats) Finish(wall time.Duration, begin *runtime.MemStats) {
 	s.WallSeconds = wall.Seconds()
 	if s.WallSeconds > 0 {
 		s.EventsPerSec = float64(s.Events) / s.WallSeconds
@@ -118,8 +119,8 @@ func (s *RunStats) Finish(wall time.Duration) {
 	runtime.ReadMemStats(&m)
 	s.HeapAllocBytes = m.HeapAlloc
 	s.PeakHeapBytes = max(s.PeakHeapBytes, m.HeapInuse)
-	s.TotalAllocBytes = m.TotalAlloc
-	s.NumGC = m.NumGC
+	s.TotalAllocBytes = m.TotalAlloc - begin.TotalAlloc
+	s.NumGC = m.NumGC - begin.NumGC
 }
 
 // String renders the headline numbers for terminal output. Loss-path

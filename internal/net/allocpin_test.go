@@ -62,8 +62,8 @@ func TestFatTreeRunIsAllocationFlat(t *testing.T) {
 	warm, warmCap := eng.Stats(), heapCap(eng)
 	warmStats, warmRings := nw.Stats(), net.QueueRings(nw)
 	unacked := 0
-	for _, f := range nw.Flows() {
-		if f.Acked() == 0 {
+	for i := range nw.NumFlows() {
+		if nw.Flow(i).Acked() == 0 {
 			unacked++
 		}
 	}

@@ -168,7 +168,8 @@ func TestFlatPathMatchesRoute(t *testing.T) {
 		wantFwd := walkRoute(t, src, f.Spec.Dst, f.Spec.ID)
 		wantRev := walkRoute(t, dst, f.Spec.Src, f.Spec.ID)
 		probe := &Flow{Spec: f.Spec, net: nw}
-		path, hops := probe.walk(src, nil), probe.Hops()
+		path, _ := probe.walk(src, nil)
+		hops := probe.Hops()
 		if hops != f.Hops() {
 			t.Fatalf("flow %d: a walk found %d hops, the start %d", f.Spec.ID, hops, f.Hops())
 		}
@@ -410,7 +411,7 @@ func TestAddFlowRefusesBrokenRoutes(t *testing.T) {
 				}()
 				d.nw.AddFlow(spec, &fixedAlgo{ctl: cc.Control{WindowBytes: 1e9, RateBps: gbps100}})
 			}()
-			if n, pending := len(d.nw.Flows()), d.nw.Eng.Pending(); n != 0 || pending != 0 {
+			if n, pending := d.nw.NumFlows(), d.nw.Eng.Pending(); n != 0 || pending != 0 {
 				t.Errorf("refused flow left %d flows and %d pending events", n, pending)
 			}
 		})
@@ -452,7 +453,7 @@ func TestAddRouteGroupsAcrossCalls(t *testing.T) {
 		if _, _, _, err := nw.ProbePath(spec); err != nil {
 			t.Fatal(err)
 		}
-		path := (&Flow{Spec: spec, net: nw}).walk(h0, nil)
+		path, _ := (&Flow{Spec: spec, net: nw}).walk(h0, nil)
 		if want := g[ecmpHash(id, s0.id, len(g))]; path[0] != want {
 			t.Fatalf("flow %d left s0 by another port than its hash picks", id)
 		}

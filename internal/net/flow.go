@@ -23,7 +23,8 @@ type FlowSpec struct {
 // flow needs only while it runs — window, pacing, RTO, algorithm and its
 // cc.Env, path, receiver state — lives in a flowRun that the start takes
 // from its shard's free list and that goes back there once nothing can
-// reach it (see flowRun.release). Handles are carved from the network's flow slab.
+// reach it (see flowRun.release). Handles are carved from the network's
+// flow slabs in AddFlow order (see Network.Flow).
 type Flow struct {
 	Spec FlowSpec
 
@@ -39,11 +40,8 @@ type Flow struct {
 	start     sim.Reservation
 	nextStart *Flow
 
-	hops     int
 	baseRTT  sim.Time
-	propSum  sim.Time // one-way propagation along the path
-	invBwSum float64  // sum over forward links of 1/bandwidth (s/bit)
-	minBw    float64  // bottleneck link bandwidth on the path
+	idealFCT sim.Time
 
 	// Retransmits counts data packets this flow re-sent; Timeouts counts
 	// RTO fires that triggered go-back-N recovery.
@@ -61,6 +59,7 @@ type Flow struct {
 	delivered int64
 	acked     int64
 
+	hops     int32
 	started  bool
 	finished bool
 }
@@ -97,7 +96,7 @@ func (f *Flow) Acked() int64 {
 func (f *Flow) BaseRTT() sim.Time { return f.baseRTT }
 
 // Hops returns the number of switches on the flow's path.
-func (f *Flow) Hops() int { return f.hops }
+func (f *Flow) Hops() int { return int(f.hops) }
 
 // FCT returns the flow completion time measured to last-byte delivery at
 // the receiver, valid once finished.
@@ -105,19 +104,8 @@ func (f *Flow) FCT() sim.Time { return f.DeliveredAt - f.Spec.Start }
 
 // IdealFCT returns the theoretical minimum completion time on an unloaded
 // path (the paper's FCT-slowdown denominator: propagation plus
-// serialization): the pipeline fill for the first packet — at its actual
-// wire size, which matters for sub-MTU flows — plus the remaining wire
-// bytes at the bottleneck bandwidth.
-func (f *Flow) IdealFCT() sim.Time {
-	nPkts := (f.Spec.Size + int64(f.net.MTU) - 1) / int64(f.net.MTU)
-	wire := f.Spec.Size + nPkts*int64(f.net.HeaderBytes)
-	first := int64(f.net.MTU + f.net.HeaderBytes)
-	if wire < first {
-		first = wire
-	}
-	fill := f.propSum + sim.Time(float64(first)*8*1e12*f.invBwSum)
-	return fill + sim.Time(float64(wire-first)*8*1e12/f.minBw)
-}
+// serialization), fixed by the start's walk.
+func (f *Flow) IdealFCT() sim.Time { return f.idealFCT }
 
 // Slowdown returns achieved FCT divided by IdealFCT, valid once finished.
 func (f *Flow) Slowdown() float64 {
@@ -139,13 +127,13 @@ func (f *Flow) Fire() {
 	host := n.hostByNode[f.Spec.Src]
 	sh := host.sh
 	r := sh.takeRun()
-	path := f.walk(host, r.path[:0])
+	path, _ := f.walk(host, r.path[:0])
 	bps := r.env.HopBps[:0]
 	for _, pt := range path[:f.hops] {
 		bps = append(bps, pt.bw)
 	}
 	*r = flowRun{flow: f, net: n, sh: sh, eng: sh.eng, host: host, algo: f.algo,
-		size: f.Spec.Size, dst: f.Spec.Dst, hops: f.hops, rtoBase: n.initialRTO(f.baseRTT),
+		size: f.Spec.Size, dst: f.Spec.Dst, hops: int(f.hops), rtoBase: n.initialRTO(f.baseRTT),
 		path: path, gates: r.gates,
 		env: cc.Env{LineRateBps: host.port.bw, BaseRTT: f.baseRTT, MTU: n.MTU, HopBps: bps, Rand: sh.rand, Timers: r}}
 	r.rto = r.rtoBase

@@ -293,8 +293,8 @@ func TestRandomLossCompletes(t *testing.T) {
 			t.Fatal(err)
 		}
 		var fct []sim.Time
-		for _, f := range nw.Flows() {
-			fct = append(fct, f.FinishedAt)
+		for i := range nw.NumFlows() {
+			fct = append(fct, nw.Flow(i).FinishedAt)
 		}
 		return fct, nw.Stats()
 	}

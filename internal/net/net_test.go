@@ -363,8 +363,8 @@ func TestDeterministicRuns(t *testing.T) {
 		}
 		eng.Run()
 		var fct []sim.Time
-		for _, f := range nw.Flows() {
-			fct = append(fct, f.FinishedAt)
+		for i := range nw.NumFlows() {
+			fct = append(fct, nw.Flow(i).FinishedAt)
 		}
 		return fct
 	}

@@ -68,7 +68,6 @@ type Network struct {
 	hosts      []*Host
 	hostByNode []*Host // node id -> host (nil for switch ids); O(1) findHost
 	switches   []*Switch
-	flows      []*Flow
 	nextID     int
 	// unfinished counts flows added and not yet finished (AllFinished is
 	// O(1)). Atomic because sharded runs decrement it from worker
@@ -84,14 +83,12 @@ type Network struct {
 	mail   *sim.Mailboxes
 	window sim.Time
 
-	// probeFlow is reused by ProbePath so probing allocates nothing and
-	// never touches the packet pool.
-	probeFlow Flow
-
-	// walk is the path ProbePath walks into, kept across probes. flowChunk
-	// is allocated, not yet carved (see flowSlab).
-	walk      []*Port
-	flowChunk []Flow
+	// walk is the path ProbePath walks into, kept across probes.
+	walk []*Port
+	// flowSlabs holds the flow handles in AddFlow order, numFlows of them:
+	// the network's one record of its flows.
+	flowSlabs [][]Flow
+	numFlows  int
 	// maxHops is the longest forward path any flow added can take: the
 	// depth of the INT stack every packet is carved with (see
 	// shard.getPacket). maxPath is the longest forward plus reverse path:
@@ -162,8 +159,16 @@ func (n *Network) Hosts() []*Host { return n.hosts }
 // Switches returns all switches in creation order.
 func (n *Network) Switches() []*Switch { return n.switches }
 
-// Flows returns all flows in AddFlow order.
-func (n *Network) Flows() []*Flow { return n.flows }
+// NumFlows returns how many flows have been added.
+func (n *Network) NumFlows() int { return n.numFlows }
+
+// Flow returns the i-th flow added: slab i/flowSlab, slot i%flowSlab.
+func (n *Network) Flow(i int) *Flow {
+	if uint(i) >= uint(n.numFlows) {
+		panic(fmt.Sprintf("net: flow %d of %d", i, n.numFlows))
+	}
+	return &n.flowSlabs[i/flowSlab][i%flowSlab]
+}
 
 // Connect links a and b with a full-duplex link of the given bandwidth and
 // propagation delay, returning (a's port, b's port). A host connected twice
@@ -200,13 +205,13 @@ func (n *Network) AddFlow(spec FlowSpec, algo cc.Algorithm) *Flow {
 	n.maxHops = max(n.maxHops, hops)
 	n.maxPath = max(n.maxPath, path)
 	n.maxRTT = max(n.maxRTT, rtt)
-	if len(n.flowChunk) == 0 {
-		n.flowChunk = make([]Flow, flowSlab)
+	slot := n.numFlows % flowSlab
+	if slot == 0 {
+		n.flowSlabs = append(n.flowSlabs, make([]Flow, flowSlab))
 	}
-	f := &n.flowChunk[0] // zeroed by make, and never reused
-	n.flowChunk = n.flowChunk[1:]
+	f := &n.flowSlabs[len(n.flowSlabs)-1][slot] // zeroed by make, and never reused
 	f.Spec, f.net, f.algo = spec, n, algo
-	n.flows = append(n.flows, f)
+	n.numFlows++
 	n.unfinished.Add(1)
 	// The flow's sender side executes on the source host's shard: its
 	// start, pacing timers, RTO and ACK processing all run there.
@@ -295,19 +300,33 @@ func (n *Network) reach(from *Port, dst, flowID int) (hops int, rtt sim.Time, er
 
 // walk resolves the flat path of a flow whose routes AddFlow or ProbePath
 // checked, appending it to buf, and derives the path constants from its
-// forward links: the switch hops; the unloaded RTT (per-link propagation
+// forward links: the switch hops, the unloaded RTT (per-link propagation
 // plus MTU-packet serialization forward, propagation plus ACK
-// serialization back); the one-way pipeline-fill delay; and the bottleneck
-// bandwidth. walk allocates nothing once buf has grown, and never touches
-// the packet pool.
-func (f *Flow) walk(src *Host, buf []*Port) []*Port {
+// serialization back) and the ideal FCT. It returns the path and the
+// bottleneck bandwidth. walk allocates nothing once buf has grown, and
+// never touches the packet pool.
+func (f *Flow) walk(src *Host, buf []*Port) ([]*Port, float64) {
+	n := f.net
 	path := appendPath(buf, src.port, f.Spec.Dst, f.Spec.ID)
-	f.hops, f.minBw = len(path)-len(buf), src.port.bw
-	f.addLink(src.port)
-	for _, port := range path[len(buf):] {
-		f.addLink(port)
+	fwd := path[len(buf):]
+	// The route check bounded the round trip below the end of the clock,
+	// so the sums cannot wrap.
+	prop, invBw, minBw, rtt := src.port.delay, 1/src.port.bw, src.port.bw, n.linkRTT(src.port)
+	for _, port := range fwd {
+		prop += port.delay
+		invBw += 1 / port.bw
+		minBw = min(minBw, port.bw)
+		rtt += n.linkRTT(port)
 	}
-	return appendPath(path, f.net.findHost(f.Spec.Dst).port, f.Spec.Src, f.Spec.ID)
+	f.hops, f.baseRTT = int32(len(fwd)), rtt
+	// The ideal FCT: the first packet's pipeline fill, at its own wire size
+	// (sub-MTU flows), plus the remaining wire bytes at the bottleneck.
+	nPkts := (f.Spec.Size + int64(n.MTU) - 1) / int64(n.MTU)
+	wire := f.Spec.Size + nPkts*int64(n.HeaderBytes)
+	first := min(wire, int64(n.MTU+n.HeaderBytes))
+	fill := prop + sim.Time(float64(first)*8*1e12*invBw)
+	f.idealFCT = fill + sim.Time(float64(wire-first)*8*1e12/minBw)
+	return appendPath(path, n.findHost(f.Spec.Dst).port, f.Spec.Src, f.Spec.ID), minBw
 }
 
 // appendPath follows the routes from a host's uplink to host dst, choosing
@@ -323,40 +342,26 @@ func appendPath(path []*Port, from *Port, dst, flowID int) []*Port {
 	return path
 }
 
-// addLink folds one forward link into the flow's path constants. The route
-// check bounded the round trip below the end of the clock, so the sum
-// cannot wrap.
-func (f *Flow) addLink(port *Port) {
-	f.minBw = min(f.minBw, port.bw)
-	f.propSum += port.delay
-	f.invBwSum += 1 / port.bw
-	f.baseRTT += f.net.linkRTT(port)
-}
-
 // ProbePath computes path constants (switch hops, unloaded RTT, bottleneck
 // bandwidth) for a hypothetical flow without adding it — useful for sizing
 // protocol parameters such as VAI's min-BDP token threshold. It checks the
 // routes as AddFlow does, so it fails exactly on the specs AddFlow refuses,
 // but reports the problem (unknown or disconnected host, missing route) as
-// an error rather than panicking; then it walks the path into a
-// network-owned probe flow, so probing allocates nothing.
+// an error rather than panicking; then it walks the path for a probe flow
+// on the stack, into a network-owned buffer, so probing allocates nothing.
 func (n *Network) ProbePath(spec FlowSpec) (hops int, baseRTT sim.Time, minBw float64, err error) {
 	src := n.findHost(spec.Src)
 	if _, _, _, err := n.routes(src, spec); err != nil {
 		return 0, 0, 0, fmt.Errorf("net: probe %w", err)
 	}
-	f := &n.probeFlow
-	*f = Flow{Spec: spec, net: n}
-	n.walk = f.walk(src, n.walk[:0])
-	return f.hops, f.baseRTT, f.minBw, nil
+	f := Flow{Spec: spec, net: n}
+	n.walk, minBw = f.walk(src, n.walk[:0])
+	return int(f.hops), f.baseRTT, minBw, nil
 }
 
-// AllFinished reports whether every flow has completed. It is O(1) — a
-// live counter maintained by AddFlow and Flow.finish — because experiment
-// loops consult it before every engine step: with the previous O(flows)
-// scan it was over half the CPU time of a datacenter-scale run (52% of a
-// fig10-medium profile at ~10k flows). On a sharded run it doubles as the
-// parallel stop condition, evaluated at epoch barriers.
+// AllFinished reports whether every flow has completed. It is O(1), a live
+// counter kept by AddFlow and Flow.finish, because experiment loops consult
+// it before every engine step; a sharded run's epoch barriers stop on it.
 func (n *Network) AllFinished() bool { return n.unfinished.Load() == 0 }
 
 // CheckConservation verifies the end-to-end conservation invariants after
@@ -366,7 +371,8 @@ func (n *Network) AllFinished() bool { return n.unfinished.Load() == 0 }
 // experiment harnesses check this unconditionally. It returns an error
 // describing the first violation.
 func (n *Network) CheckConservation() error {
-	for _, f := range n.flows {
+	for i := range n.numFlows {
+		f := n.Flow(i)
 		if r := f.run; r != nil && r.inflight < 0 {
 			return fmt.Errorf("flow %d: negative inflight %d", f.Spec.ID, r.inflight)
 		}

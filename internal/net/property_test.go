@@ -62,7 +62,8 @@ func TestConservationProperty(t *testing.T) {
 			t.Logf("conservation: %v", err)
 			return false
 		}
-		for _, f := range nw.Flows() {
+		for i := range nw.NumFlows() {
+			f := nw.Flow(i)
 			if f.Delivered() != f.Spec.Size || f.Acked() != f.Spec.Size {
 				return false
 			}

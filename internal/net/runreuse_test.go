@@ -102,7 +102,8 @@ func TestShardFlowRunReuse(t *testing.T) {
 			t.Fatal(err)
 		}
 		var res result
-		for _, f := range nw.Flows() {
+		for i := range nw.NumFlows() {
+			f := nw.Flow(i)
 			res.fct = append(res.fct, f.FCT())
 			res.finishedAt = append(res.finishedAt, f.FinishedAt)
 			if f.Timeouts > 0 {

@@ -272,7 +272,7 @@ func (sh *shard) drop(p *Packet, tail bool) {
 // re-partitions the PRNG streams and the tie order of same-timestamp
 // events at shard boundaries.
 func (n *Network) Shard(assignment []int, k int) {
-	if len(n.flows) > 0 {
+	if n.numFlows > 0 {
 		panic("net: Shard must be called before AddFlow")
 	}
 	if n.Eng.Pending() != 0 {

@@ -50,9 +50,8 @@ func TestFlowStartAllocatesNothing(t *testing.T) {
 					Size: 3_000, Start: start}, c.algo())
 			}
 			eng.RunUntil(second - 1)
-			flows := nw.Flows()
-			for _, f := range flows[:batch] {
-				if !f.Finished() {
+			for i := range batch {
+				if f := nw.Flow(i); !f.Finished() {
 					t.Fatalf("warm-up flow %d did not finish before the second batch", f.Spec.ID)
 				}
 			}
@@ -61,8 +60,8 @@ func TestFlowStartAllocatesNothing(t *testing.T) {
 			}
 
 			allocs := testing.AllocsPerRun(batch-1, func() { eng.Step() })
-			for _, f := range flows[batch:] {
-				if !f.Started() {
+			for i := batch; i < nw.NumFlows(); i++ {
+				if f := nw.Flow(i); !f.Started() {
 					t.Fatalf("flow %d did not start in the measured steps", f.Spec.ID)
 				}
 			}

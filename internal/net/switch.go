@@ -50,7 +50,7 @@ func (s *Switch) Ports() []*Port { return s.ports }
 // routeSum): flows are checked against the summaries and forward by the
 // paths their starts resolve, so routes are fixed from the first check on.
 func (s *Switch) AddRoute(dstHost int, ports ...*Port) {
-	if len(s.net.flows) > 0 || s.net.summarized {
+	if s.net.numFlows > 0 || s.net.summarized {
 		panic("net: AddRoute after AddFlow or ProbePath")
 	}
 	if len(ports) == 0 {
@@ -220,7 +220,7 @@ func (s *Switch) routeFault(dst int) error {
 	return fmt.Errorf("routing loop toward host %d through switch %d", dst, s.id)
 }
 
-// linkRTT is one forward link's share of a base RTT, as Flow.addLink sums
+// linkRTT is one forward link's share of a base RTT, as Flow.walk sums
 // it: propagation and MTU-packet serialization forward, propagation and
 // ACK serialization back, saturating at the end of the clock.
 func (n *Network) linkRTT(p *Port) sim.Time {
