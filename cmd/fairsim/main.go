@@ -66,7 +66,7 @@ func run() int {
 		ms       = flag.Int("ms", 0, "dc: traffic duration in milliseconds (default: the -scale preset)")
 		load     = flag.Float64("load", 0, "dc: offered load as a fraction of host line rate (default: the paper's 0.5)")
 
-		algo    = flag.String("algo", "", "incast: hpcc, hpcc-1g, hpcc-prob, hpcc-vaisf, swift, swift-1g, swift-prob, swift-vaisf, dcqcn, timely or timely-vaisf (default hpcc)")
+		algo    = flag.String("algo", "", "incast: hpcc, hpcc-1g, hpcc-prob, hpcc-vaisf, swift, swift-1g, swift-prob, swift-vaisf, timely or timely-vaisf (default hpcc)")
 		senders = flag.Int("senders", 0, "incast: incast degree (default 16)")
 		size    = flag.Int64("size", 0, "incast: bytes per flow (default 1000000)")
 		group   = flag.Int("group", 0, "incast: flows starting together (default 2)")

@@ -71,6 +71,7 @@ func TestRejectsUnrunnableFlags(t *testing.T) {
 		{"zero size", incast("-size", "0"), 2, "-size"},
 		{"negative every", incast("-every", "-5"), 2, "IncastEvery"},
 		{"unknown algo", incast("-algo", "reno"), 2, "reno"},
+		{"removed algo", incast("-algo", "dcqcn"), 2, "(one of hpcc, hpcc-1g,"},
 		{"empty algo", incast("-algo", ""), 2, "-algo"},
 		// Each -every fits the clock, but the last of three start groups
 		// does not: it wrapped into the past and panicked the engine.
@@ -138,7 +139,7 @@ func TestRejectsUnrunnableFlags(t *testing.T) {
 }
 
 // TestVerifyRunsEachSimulationOnce drives -verify through the built
-// binary: every claim passes at small scale, and each of the 35
+// binary: every claim passes at small scale, and each of the 39
 // simulations behind the claims runs once, whichever claims read it.
 func TestVerifyRunsEachSimulationOnce(t *testing.T) {
 	if testing.Short() {
@@ -151,11 +152,11 @@ func TestVerifyRunsEachSimulationOnce(t *testing.T) {
 	if err != nil {
 		t.Fatalf("fairsim -verify: %v\n%s%s", err, out, stderr.String())
 	}
-	if n := strings.Count("\n"+string(out), "\nPASS "); n != 12 || !strings.HasSuffix(string(out), "\nall claims reproduced\n") {
-		t.Errorf("fairsim -verify printed %d PASS lines, want 12 and \"all claims reproduced\":\n%s", n, out)
+	if n := strings.Count("\n"+string(out), "\nPASS "); n != 13 || !strings.HasSuffix(string(out), "\nall claims reproduced\n") {
+		t.Errorf("fairsim -verify printed %d PASS lines, want 13 and \"all claims reproduced\":\n%s", n, out)
 	}
-	if n := strings.Count(stderr.String(), " (done)\n"); n != 35 {
-		t.Errorf("fairsim -verify ran %d simulations, want 35", n)
+	if n := strings.Count(stderr.String(), " (done)\n"); n != 39 {
+		t.Errorf("fairsim -verify ran %d simulations, want 39", n)
 	}
 }
 

@@ -1,7 +1,7 @@
 // Package faircc reproduces "Fast Convergence to Fairness for Reduced
 // Long Flow Tail Latency in Datacenter Networks" (John Snyder and Alvin R.
 // Lebeck, IPDPS 2022): a deterministic packet-level datacenter network
-// simulator, the HPCC, Swift, DCQCN and TIMELY congestion-control
+// simulator, the HPCC, Swift and TIMELY congestion-control
 // protocols, the paper's Variable Additive Increase and Sampling Frequency
 // mechanisms, and a registry of experiments that regenerate every figure
 // of the paper's evaluation.

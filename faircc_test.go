@@ -100,7 +100,7 @@ func TestFacadeExperiments(t *testing.T) {
 // flow is an error), with the run's own counters to show for it.
 func TestFacadeAlgorithms(t *testing.T) {
 	for _, algo := range []string{"hpcc", "hpcc-1g", "hpcc-prob", "hpcc-vaisf",
-		"swift", "swift-1g", "swift-prob", "swift-vaisf", "dcqcn", "timely", "timely-vaisf"} {
+		"swift", "swift-1g", "swift-prob", "swift-vaisf", "timely", "timely-vaisf"} {
 		t.Run(algo, func(t *testing.T) {
 			cfg := faircc.DefaultExperimentConfig()
 			cfg.IncastAlgo, cfg.IncastSenders, cfg.IncastFlowBytes = algo, 2, 300_000

@@ -1,10 +1,10 @@
 // Package cc defines the interface between the network simulator and
 // sender-side congestion-control algorithms, together with the feedback
-// types (INT telemetry, RTT, ECN echo) those algorithms consume.
+// types (INT telemetry, RTT) those algorithms consume.
 //
 // The package is a deliberate leaf of the import graph: internal/net
 // imports it so data packets can carry telemetry, and the algorithm
-// implementations (hpcc, swift, dcqcn) import it for the driver types,
+// implementations (hpcc, swift, timely) import it for the driver types,
 // without either side depending on the other.
 package cc
 
@@ -17,8 +17,8 @@ import (
 // Telemetry is one hop's In-band Network Telemetry (INT) record, stamped by
 // a switch when a packet's serialization on an egress port ends: 24 bytes.
 // The hop's link rate, INT's fourth field, is a constant of the flow's fixed
-// path and comes once, in Env.HopBps. HPCC consumes the fields; delay- and
-// ECN-based protocols ignore them.
+// path and comes once, in Env.HopBps. HPCC consumes the fields; delay-based
+// protocols ignore them.
 type Telemetry struct {
 	QueueBytes int64    // egress queue occupancy when the packet's serialization ends, the packet excluded
 	TxBytes    int64    // cumulative bytes transmitted on the link, the packet included
@@ -32,7 +32,6 @@ type Feedback struct {
 	AckedBytes int64    // cumulative payload bytes acknowledged
 	SentBytes  int64    // cumulative payload bytes sent so far (snd_nxt)
 	NewlyAcked int      // payload bytes acknowledged by this ACK
-	ECE        bool     // congestion-experienced echo (ECN/CNP)
 	// Hops is the INT stack collected on the forward path, one record per
 	// switch, as long as Env.HopBps; nil if absent. It is valid only during
 	// OnAck: the stack is recycled with the ACK right after, so an algorithm
@@ -49,13 +48,11 @@ type Control struct {
 	RateBps     float64
 }
 
-// Env gives an algorithm access to its environment: flow constants, a
-// deterministic PRNG, and the flow's timer hooks for timer-driven protocols
-// (DCQCN). The simulator keeps a flow's Env in the flow's run state and
-// hands Init a pointer to it, valid from Init until the flow finishes; an
-// algorithm keeps the pointer, not a copy. Env holds one interface value for
-// the hooks rather than a func value per hook: the simulator's flow
-// implements Timers itself, and starting a flow binds nothing.
+// Env gives an algorithm access to its environment: flow constants and a
+// deterministic PRNG. The simulator keeps a flow's Env in the flow's run
+// state and hands Init a pointer to it, valid from Init until the flow
+// finishes; an algorithm keeps the pointer, not a copy. Every algorithm is
+// ACK-clocked: its control changes only in Init and OnAck.
 type Env struct {
 	LineRateBps float64
 	BaseRTT     sim.Time // propagation + serialization RTT of the flow's path
@@ -66,18 +63,6 @@ type Env struct {
 	// length is the path's switch hops. Valid while the flow runs.
 	HopBps []float64
 	Rand   *rand.Rand
-	// Timers schedules timer-driven updates. Pure ACK-clocked algorithms
-	// never use it; it may be nil where no timers run.
-	Timers Timers
-}
-
-// Timers is the flow side of a timer-driven algorithm.
-type Timers interface {
-	// Schedule runs fn after d, unless the flow has finished by then.
-	Schedule(d sim.Time, fn func())
-	// SetControl pushes a control change outside of an OnAck return, for
-	// timer-driven rate updates.
-	SetControl(Control)
 }
 
 // Algorithm is a sender-side congestion-control protocol. Implementations

@@ -155,7 +155,7 @@ func (h *HPCC) measureInflight(fb cc.Feedback) (util, deepest float64) {
 	if tau > T {
 		tau = T
 	}
-	h.u = (1-tau/T)*h.u + (tau/T)*u
+	h.u = float64((1-tau/T)*h.u) + float64((tau/T)*u)
 	h.remember(fb.Hops)
 	return h.u, deepest
 }
@@ -212,7 +212,7 @@ func (h *HPCC) OnAck(fb cc.Feedback) cc.Control {
 	if update {
 		mult = h.att.Spend()
 	}
-	h.w = base + h.wAI*mult
+	h.w = base + float64(h.wAI*mult)
 	if update {
 		if decrease {
 			h.inc = 0

@@ -4,7 +4,6 @@ import (
 	"testing"
 	"unsafe"
 
-	"faircc/internal/cc/dcqcn"
 	"faircc/internal/cc/hpcc"
 	"faircc/internal/cc/swift"
 	"faircc/internal/cc/timely"
@@ -24,7 +23,6 @@ func TestAlgorithmSizes(t *testing.T) {
 	}{
 		{"hpcc", unsafe.Sizeof(hpcc.HPCC{}), 256},
 		{"swift", unsafe.Sizeof(swift.Swift{}), 288},
-		{"dcqcn", unsafe.Sizeof(dcqcn.DCQCN{}), 144},
 		{"timely", unsafe.Sizeof(timely.Timely{}), 248},
 	} {
 		if c.size > c.max {

@@ -197,7 +197,7 @@ func (s *Swift) onAckClassic(fb cc.Feedback) cc.Control {
 		if s.cwnd >= 1 {
 			s.cwnd += ai * ackedPkts / s.cwnd
 		} else {
-			s.cwnd += ai * ackedPkts
+			s.cwnd += float64(ai * ackedPkts)
 		}
 	} else {
 		// At most one decrease per RTT by default; with probabilistic
@@ -228,9 +228,9 @@ func (s *Swift) onAckSF(fb cc.Feedback) cc.Control {
 	target := s.targetDelay(s.ref)
 	ended, sfUpdate := s.att.Ack(fb.AckedBytes, fb.SentBytes, float64(delay), delay > target)
 	s.countClean(ended)
-	ai := s.aiPkts * s.hyperAI() * s.att.Multiplier()
+	ai := float64(s.aiPkts * s.hyperAI() * s.att.Multiplier())
 	m := s.mdf(delay, target)
-	w := s.ref*m + ai // per-ACK window from the unchanged reference
+	w := float64(s.ref*m) + ai // per-ACK window from the unchanged reference
 
 	update := ended
 	if m < 1 {
@@ -247,7 +247,7 @@ func (s *Swift) onAckSF(fb cc.Feedback) cc.Control {
 	if update {
 		if !s.cfg.VAI.IsZero() {
 			// The VAI multiplier replaces the hyper-AI term here.
-			w = s.ref*m + s.aiPkts*s.att.Spend()
+			w = float64(s.ref*m) + float64(s.aiPkts*s.att.Spend())
 		}
 		s.ref = clamp(w, minCwnd, s.maxCwnd)
 	}

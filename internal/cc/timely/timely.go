@@ -114,7 +114,7 @@ func (t *Timely) OnAck(fb cc.Feedback) cc.Control {
 	rtt := fb.RTT
 	newDiff := float64(rtt - t.prevRTT)
 	t.prevRTT = rtt
-	t.rttDiff = (1-t.cfg.Alpha)*t.rttDiff + t.cfg.Alpha*newDiff
+	t.rttDiff = float64((1-t.cfg.Alpha)*t.rttDiff) + float64(t.cfg.Alpha*newDiff)
 	gradient := t.rttDiff / float64(t.env.BaseRTT)
 
 	// Decreases obey the Sampling Frequency cadence when configured;
@@ -122,7 +122,7 @@ func (t *Timely) OnAck(fb cc.Feedback) cc.Control {
 	// would favor large flows). Each rate update spends VAI tokens, which
 	// raise delta from the next ACK on.
 	increase, decrease := t.att.Ack(fb.AckedBytes, fb.SentBytes, float64(rtt), rtt > t.tLow)
-	delta := t.cfg.DeltaBps * t.att.Multiplier()
+	delta := float64(t.cfg.DeltaBps * t.att.Multiplier())
 
 	switch {
 	case rtt < t.tLow:
@@ -135,7 +135,7 @@ func (t *Timely) OnAck(fb cc.Feedback) cc.Control {
 		t.negCount = 0
 		if decrease {
 			t.att.Spend()
-			t.rate *= 1 - t.cfg.Beta*(1-float64(t.tHigh)/float64(rtt))
+			t.rate *= 1 - float64(t.cfg.Beta*(1-float64(t.tHigh)/float64(rtt)))
 		}
 	case gradient <= 0:
 		t.negCount++
@@ -145,13 +145,13 @@ func (t *Timely) OnAck(fb cc.Feedback) cc.Control {
 			if t.negCount >= t.cfg.HAIAfter {
 				n = t.cfg.HAIMult
 			}
-			t.rate += n * delta
+			t.rate += float64(n * delta)
 		}
 	default:
 		t.negCount = 0
 		if decrease {
 			t.att.Spend()
-			t.rate *= 1 - t.cfg.Beta*math.Min(gradient, 1)
+			t.rate *= 1 - float64(t.cfg.Beta*math.Min(gradient, 1))
 		}
 	}
 	return t.control()

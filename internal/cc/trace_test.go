@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"faircc/internal/cc"
-	"faircc/internal/cc/dcqcn"
 	"faircc/internal/cc/hpcc"
 	"faircc/internal/cc/swift"
 	"faircc/internal/cc/timely"
@@ -25,11 +24,10 @@ const (
 
 // TestControlTraces pins every protocol's arithmetic bit for bit: each
 // configuration is driven by traceACKs ACKs of seeded synthetic feedback
-// (INT stacks, RTTs, ECN echoes, acked and sent bytes, through idle, light
-// and heavy phases), and the FNV-64a hash of every Control it returns,
-// from OnAck or a timer's SetControl, must equal the recorded value. The
-// feedback closes the loop through the returned window and rate, so a
-// change anywhere in a protocol's reaction shows here.
+// (INT stacks, RTTs, acked and sent bytes, through idle, light and heavy
+// phases), and the FNV-64a hash of every Control it returns must equal the
+// recorded value. The feedback closes the loop through the returned window
+// and rate, so a change anywhere in a protocol's reaction shows here.
 func TestControlTraces(t *testing.T) {
 	const minBDPBytes = 50_000
 	minBDPDelay := 4 * sim.Microsecond
@@ -79,8 +77,6 @@ func TestControlTraces(t *testing.T) {
 		{"timely-vai", tm(timely.VAISFConfig(minBDPDelay), func(c *timely.Config) { c.SFEvery = 0 }), 0x21c1459866fca0df},
 		{"timely-sf", tm(timely.DefaultConfig(), func(c *timely.Config) { c.SFEvery = 30 }), 0x9631491655d630c},
 		{"timely-vaisf", tm(timely.VAISFConfig(minBDPDelay), nil), 0x9b32d25e2fb54d94},
-
-		{"dcqcn", dcqcn.New(dcqcn.DefaultConfig()), 0x663e7b2ff506afdf},
 	}
 	for i, c := range cases {
 		if got := controlTrace(c.algo, int64(i+1)); got != c.want {
@@ -89,34 +85,14 @@ func TestControlTraces(t *testing.T) {
 	}
 }
 
-// timer is one pending Timers.Schedule callback of controlTrace.
-type timer struct {
-	at  sim.Time
-	seq int
-	fn  func()
-}
-
-// traceTimers is controlTrace's cc.Timers.
-type traceTimers struct {
-	schedule func(d sim.Time, fn func())
-	set      func(cc.Control)
-}
-
-func (t traceTimers) Schedule(d sim.Time, fn func()) { t.schedule(d, fn) }
-func (t traceTimers) SetControl(c cc.Control)        { t.set(c) }
-
 // controlTrace drives algo through traceACKs ACKs of feedback drawn from
-// seed and returns the FNV-64a hash of every Control it produced. Timers
-// an algorithm schedules fire, in time order, before the first ACK at or
-// after their due time.
+// seed and returns the FNV-64a hash of every Control it produced.
 func controlTrace(algo cc.Algorithm, seed int64) uint64 {
 	rng := rand.New(rand.NewSource(seed))
 	var (
-		now    sim.Time
-		timers []timer
-		seq    int
-		ctl    cc.Control
-		buf    [16]byte
+		now sim.Time
+		ctl cc.Control
+		buf [16]byte
 	)
 	hash := fnv.New64a()
 	record := func(c cc.Control) {
@@ -131,13 +107,6 @@ func controlTrace(algo cc.Algorithm, seed int64) uint64 {
 		MTU:         traceMTU,
 		HopBps:      []float64{traceLineRate, traceLineRate, traceLineRate},
 		Rand:        rand.New(rand.NewSource(seed + 1000)),
-		Timers: traceTimers{
-			schedule: func(d sim.Time, fn func()) {
-				seq++
-				timers = append(timers, timer{at: now + d, seq: seq, fn: fn})
-			},
-			set: record,
-		},
 	}
 	record(algo.Init(&env))
 
@@ -157,41 +126,24 @@ func controlTrace(algo cc.Algorithm, seed int64) uint64 {
 			newly *= 2 + rng.Intn(2)
 		}
 		dt := sim.TransmitTime(newly, math.Max(ctl.RateBps, 1e6))
-		next := now + dt
-
-		// Fire due timers in (time, scheduling order).
-		for {
-			best := -1
-			for i, tm := range timers {
-				if tm.at <= next && (best < 0 || tm.at < timers[best].at ||
-					tm.at == timers[best].at && tm.seq < timers[best].seq) {
-					best = i
-				}
-			}
-			if best < 0 {
-				break
-			}
-			tm := timers[best]
-			timers = append(timers[:best], timers[best+1:]...)
-			now = tm.at
-			tm.fn()
-		}
-		now = next
+		now += dt
 
 		var deepest int64
 		var frac float64
-		ece := false
+		// The light and heavy phases each draw one value no protocol reads,
+		// so the recorded hashes keep the feedback stream they were
+		// recorded on.
 		switch phase {
 		case 0: // idle
 			frac = 0.2 + 0.3*rng.Float64()
 		case 1: // light
 			deepest = rng.Int63n(30_000)
 			frac = 0.8 + 0.18*rng.Float64()
-			ece = rng.Intn(20) == 0
+			rng.Intn(20)
 		default: // heavy
 			deepest = 50_000 + rng.Int63n(350_000)
 			frac = 1
-			ece = rng.Intn(2) == 0
+			rng.Intn(2)
 		}
 		deep := rng.Intn(traceHops)
 		var queued int64
@@ -213,8 +165,7 @@ func controlTrace(algo cc.Algorithm, seed int64) uint64 {
 		sent = max(sent, acked+max(inflight, traceMTU))
 		record(algo.OnAck(cc.Feedback{
 			Now: now, RTT: rtt,
-			AckedBytes: acked, SentBytes: sent, NewlyAcked: newly,
-			ECE: ece, Hops: hops,
+			AckedBytes: acked, SentBytes: sent, NewlyAcked: newly, Hops: hops,
 		}))
 	}
 	return hash.Sum64()

@@ -65,6 +65,17 @@ var (
 			return vai < def+5, fmt.Sprintf("steady queue: default %.1f KB, VAI SF %.1f KB", def, vai)
 		}}
 
+	// The lossy run's variants are dcVariants: HPCC, HPCC VAI SF, Swift,
+	// Swift VAI SF.
+	lossyFewerDrops = starCheck{Claim{"lossy-fewer-drops",
+		"Sec. VI-B's small queues on a lossy fabric: Swift VAI SF overflows the buffer less than default Swift, and finishes no later"},
+		func(outs []*incastOut) (bool, string) {
+			def, vai := outs[2], outs[3]
+			ok := float64(vai.stats.BufferDrops) <= 0.6*float64(def.stats.BufferDrops) && vai.lastFinish <= def.lastFinish
+			return ok, fmt.Sprintf("buffer drops: Swift %d, Swift VAI SF %d; last finish: Swift %.0f us, VAI SF %.0f us",
+				def.stats.BufferDrops, vai.stats.BufferDrops, def.lastFinish.Microseconds(), vai.lastFinish.Microseconds())
+		}}
+
 	aiCapLatencyFairness = starCheck{Claim{"aicap-latency-fairness",
 		"Sec. V: a larger AI_Cap gives better fairness at the cost of higher latency"},
 		func(outs []*incastOut) (bool, string) {

@@ -25,7 +25,7 @@ import (
 // a default-config manifest fixed as parameters are added.
 type Config struct {
 	// Seed drives all randomness (traffic generation, probabilistic
-	// feedback, RED). Two runs with equal Seed and scale are identical.
+	// feedback, wire loss). Two runs with equal Seed and scale are identical.
 	Seed int64 `json:"seed"`
 	// Workers bounds the parallelism across protocol variants and sweeps
 	// (0 = GOMAXPROCS). It never changes results.
@@ -126,8 +126,13 @@ func (cfg Config) Validate() error {
 	if p := cfg.DCProtocol; p != "" && p != "hpcc" && p != "swift" {
 		return fmt.Errorf("exp: unknown protocol %q (hpcc or swift)", p)
 	}
-	if _, ok := variantsByKey(pathParams{})[cmp.Or(cfg.IncastAlgo, "hpcc")]; !ok {
-		return fmt.Errorf("exp: unknown algorithm %q", cfg.IncastAlgo)
+	if vs := variantsByKey(pathParams{}); vs[cmp.Or(cfg.IncastAlgo, "hpcc")].make == nil {
+		var names []string
+		for name := range vs {
+			names = append(names, name)
+		}
+		slices.Sort(names)
+		return fmt.Errorf("exp: unknown algorithm %q (one of %s)", cfg.IncastAlgo, strings.Join(names, ", "))
 	}
 	return nil
 }

@@ -34,13 +34,12 @@ func TestRegistryComplete(t *testing.T) {
 		"ablate-dampener": "claim dampener-protection",
 		"ablate-newflow":  "claim newflow-corner-case",
 		"incast-timely":   "claim vaisf-convergence-timely",
+		"incast-lossy":    "claim lossy-fewer-drops",
 
 		"ablate-swift-hai": "ROADMAP item 2: the hyper-AI bullet is rewritten, or the experiment goes",
 		"dc":               "ROADMAP item 2: default Swift's backlog on `dc -scale large -ms 50`",
 		"rtt-unfairness":   "ROADMAP item 6: fair and slow, or fair and underused",
 		"robustness":       "ROADMAP item 10: the seed sweep",
-		"incast-dcqcn":     "ROADMAP item 12: DCQCN is the ECN reference of the watchdog tests",
-		"incast-lossy":     "ROADMAP item 12: the lossy fabric of the watchdog tests",
 		"incast":           "ROADMAP item 12: the configurable incast of fairsim and the library",
 	}
 	roadmap, err := os.ReadFile(filepath.Join("..", "..", "ROADMAP.md"))
@@ -341,6 +340,7 @@ func TestConfigValidation(t *testing.T) {
 		// which wrapped into the past and panicked the engine.
 		{"last start beyond the clock", Config{IncastSenders: 5, IncastEvery: 9_000_000 * sim.Second}},
 		{"unknown algorithm", Config{IncastAlgo: "reno"}},
+		{"deleted algorithm", Config{IncastAlgo: "dcqcn"}},
 	}
 	for _, c := range bad {
 		for _, name := range Names() {
@@ -355,7 +355,7 @@ func TestConfigValidation(t *testing.T) {
 	ok := Config{Seed: 1, Scale: "small", Workers: 1,
 		DCWorkload: "mix", DCProtocol: "swift", DCPods: 1, DCToRs: 2, DCHostsPerToR: 2,
 		DCDuration: sim.Millisecond, DCLoad: 0.3,
-		IncastAlgo: "dcqcn", IncastSenders: 1, IncastFlowBytes: 1, IncastGroup: 1, IncastEvery: 1}
+		IncastAlgo: "timely", IncastSenders: 1, IncastFlowBytes: 1, IncastGroup: 1, IncastEvery: 1}
 	if err := ok.Validate(); err != nil {
 		t.Errorf("valid config rejected: %v", err)
 	}

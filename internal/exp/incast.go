@@ -63,10 +63,9 @@ type incastOut struct {
 }
 
 // runIncast runs one staggered n-to-1 incast under the given variant and
-// collects the figure measurements. The variant's own setup (ECN marking
-// for the DCQCN baseline) and then setup, each when non-nil, configure the
-// network before flows are added (setup: finite buffers, loss or PFC for
-// the runs on such fabrics).
+// collects the figure measurements. setup, when non-nil, configures the
+// network before flows are added (finite buffers, loss or PFC for the runs
+// on such fabrics).
 func runIncast(cfg Config, v variant, in incastShape, setup fabric) (*incastOut, error) {
 	var jain, queue *metrics.Series
 	nw, err := simulate(cfg, v.label, func(nw *net.Network) {
@@ -113,9 +112,6 @@ func runIncast(cfg Config, v variant, in incastShape, setup fabric) (*incastOut,
 // samplers.
 func buildIncast(nw *net.Network, v variant, in incastShape, setup fabric, recv int) (jain, queue *metrics.Series) {
 	st := topo.NewStar(nw, in.senders+1, hostRate, linkDelay)
-	if v.setup != nil {
-		v.setup(nw)
-	}
 	if setup != nil {
 		setup(nw, st)
 	}
@@ -363,13 +359,11 @@ func init() {
 			variants: func(cfg Config, p pathParams) []variant {
 				return []variant{variantsByKey(p)[cmp.Or(cfg.IncastAlgo, "hpcc")]}
 			}},
-		{shape: paperIncast(16), variants: func(Config, pathParams) []variant { return []variant{dcqcnVariant()} },
-			views: []starView{starFigure("incast-dcqcn",
-				"16-1 incast under DCQCN (Sec. II probabilistic-feedback reference)", nil, jainView)}},
 		{shape: paperIncast(16), variants: func(_ Config, p pathParams) []variant { return dcVariants(p) },
 			fabric: lossyFabric,
 			views: []starView{starFigure("incast-lossy", "16-1 incast on a lossy fabric: finite buffers, random "+
-				"wire loss, RTO/go-back-N recovery", nil, fabricView)}},
+				"wire loss, RTO/go-back-N recovery", nil, fabricView)},
+			checks: []starCheck{lossyFewerDrops}},
 		// TIMELY with and without VAI SF on the paper's 16-1 incast: the
 		// paper claims the mechanisms apply to "a multitude" of sender-side
 		// protocols.

@@ -22,7 +22,6 @@ func TestEveryProtocolPackageIsRead(t *testing.T) {
 		"hpcc":   "fig1a",
 		"swift":  "fig1c",
 		"timely": "incast-timely", // claim vaisf-convergence-timely
-		"dcqcn":  "incast-dcqcn",  // ROADMAP item 12: the ECN reference
 	}
 
 	imported := map[string]bool{}

@@ -96,8 +96,8 @@ func TestEveryFigureHasOneExperiment(t *testing.T) {
 		}
 	}
 	names := Names()
-	if len(names) != 33 {
-		t.Errorf("%d figure names registered, want 33", len(names))
+	if len(names) != 32 {
+		t.Errorf("%d figure names registered, want 32", len(names))
 	}
 	for _, n := range names {
 		if owners[n] != 1 {
@@ -137,7 +137,7 @@ func TestClaims(t *testing.T) {
 	if testing.Short() {
 		t.Skip("claims sweep in -short mode")
 	}
-	if n := len(Claims()); n < 12 {
+	if n := len(Claims()); n < 13 {
 		t.Fatalf("only %d claims registered", n)
 	}
 	seen := map[string]bool{}

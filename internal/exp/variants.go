@@ -2,7 +2,6 @@ package exp
 
 import (
 	"faircc/internal/cc"
-	"faircc/internal/cc/dcqcn"
 	"faircc/internal/cc/hpcc"
 	"faircc/internal/cc/swift"
 	"faircc/internal/cc/timely"
@@ -14,13 +13,10 @@ import (
 // algoMaker builds a fresh per-flow congestion-control instance.
 type algoMaker func() cc.Algorithm
 
-// variant pairs a legend label with its maker and, for a protocol that
-// needs something of the fabric (ECN marking, a CNP interval), the setup
-// that provides it: runIncast applies it to the network it builds.
+// variant pairs a legend label with its maker.
 type variant struct {
 	label string
 	make  algoMaker
-	setup func(*net.Network)
 }
 
 // pathParams captures the topology constants protocol variants are sized
@@ -134,25 +130,7 @@ func variantsByKey(p pathParams) map[string]variant {
 	return map[string]variant{
 		"hpcc": hp[0], "hpcc-1g": hp[1], "hpcc-prob": hp[2], "hpcc-vaisf": hpccVAISF(p),
 		"swift": sw[0], "swift-1g": sw[1], "swift-prob": sw[2], "swift-vaisf": swiftVAISF(p),
-		"dcqcn": dcqcnVariant(), "timely": tm[0], "timely-vaisf": tm[1],
-	}
-}
-
-// dcqcnVariant returns the DCQCN baseline (Sec. II's probabilistic-
-// feedback protocol) with the RED marking on every switch egress port and
-// the CNP interval it needs.
-func dcqcnVariant() variant {
-	return variant{
-		label: "DCQCN",
-		make:  func() cc.Algorithm { return dcqcn.New(dcqcn.DefaultConfig()) },
-		setup: func(nw *net.Network) {
-			for _, sw := range nw.Switches() {
-				for _, p := range sw.Ports() {
-					p.SetRED(net.REDConfig{KMinBytes: 100_000, KMaxBytes: 400_000, PMax: 0.2})
-				}
-			}
-			nw.CNPInterval = 50 * sim.Microsecond
-		},
+		"timely": tm[0], "timely-vaisf": tm[1],
 	}
 }
 

@@ -42,7 +42,7 @@ func GbpsToBytesPerNs(gbps float64) float64 { return gbps / 8 }
 // RateRTT returns the closed-form per-RTT-decrease rate at time t (ns)
 // from initial rate c: exponential decay c * exp(-beta*t/r).
 func (cfg Config) RateRTT(c, t float64) float64 {
-	return c * math.Exp(-cfg.Beta*t/cfg.RTT)
+	return float64(c * math.Exp(-cfg.Beta*t/cfg.RTT))
 }
 
 // RateSF returns the closed-form Sampling Frequency rate at time t from
@@ -50,7 +50,7 @@ func (cfg Config) RateRTT(c, t float64) float64 {
 // namely c / (1 + k*c*t).
 func (cfg Config) RateSF(c, t float64) float64 {
 	k := cfg.Beta / (cfg.S * cfg.MTU)
-	return c / (1 + k*c*t)
+	return c / (1 + float64(k*c*t))
 }
 
 // FairnessGap returns (R1(t)-R0(t)) - (S1(t)-S0(t)), the quantity Fig. 4
@@ -106,8 +106,8 @@ func Integrate(cfg Config, dt, tMax float64) []Point {
 
 func rk4(x, dt float64, f func(float64) float64) float64 {
 	k1 := f(x)
-	k2 := f(x + dt/2*k1)
-	k3 := f(x + dt/2*k2)
-	k4 := f(x + dt*k3)
-	return x + dt/6*(k1+2*k2+2*k3+k4)
+	k2 := f(x + float64(dt/2*k1))
+	k3 := f(x + float64(dt/2*k2))
+	k4 := f(x + float64(dt*k3))
+	return x + float64(dt/6*(k1+2*k2+2*k3+k4))
 }

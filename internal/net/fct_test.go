@@ -125,7 +125,7 @@ func TestPacketPoolReuse(t *testing.T) {
 			// Recycled packets must be clean, and every one keeps the INT
 			// stack it was carved with across the recycle.
 			for _, p := range pool {
-				if p.run != nil || p.Wire != 0 || p.Mark || p.hop != 0 || p.path != nil {
+				if p.run != nil || p.Wire != 0 || p.hop != 0 || p.path != nil {
 					t.Fatalf("dirty packet in pool: %+v", p)
 				}
 				if p.ints == nil || p.intCap == 0 {

@@ -118,10 +118,10 @@ func (f *Flow) Slowdown() float64 {
 // the slot's buffer — the flow's one walk, over routes AddFlow checked —
 // deriving the path constants, copies the forward ports' rates into the
 // slot's rate buffer, fills in the slot's cc.Env, initializes congestion
-// control and begins sending. A reused slot keeps its buffers and gates,
-// and the run is its own timers (see paceTimer and rtoTimer), so starting
-// a flow allocates nothing once the shard has carved as many slots as
-// flows run at once.
+// control and begins sending. A reused slot keeps its buffers, and the run
+// is its own timers (see paceTimer and rtoTimer), so starting a flow
+// allocates nothing once the shard has carved as many slots as flows run at
+// once.
 func (f *Flow) Fire() {
 	n := f.net
 	host := n.hostByNode[f.Spec.Src]
@@ -134,8 +134,8 @@ func (f *Flow) Fire() {
 	}
 	*r = flowRun{flow: f, net: n, sh: sh, eng: sh.eng, host: host, algo: f.algo,
 		size: f.Spec.Size, dst: f.Spec.Dst, hops: int(f.hops), rtoBase: n.initialRTO(f.baseRTT),
-		path: path, gates: r.gates,
-		env: cc.Env{LineRateBps: host.port.bw, BaseRTT: f.baseRTT, MTU: n.MTU, HopBps: bps, Rand: sh.rand, Timers: r}}
+		path: path,
+		env:  cc.Env{LineRateBps: host.port.bw, BaseRTT: f.baseRTT, MTU: n.MTU, HopBps: bps, Rand: sh.rand}}
 	r.rto = r.rtoBase
 	f.algo, f.run, f.started = nil, r, true
 	r.ctl = r.algo.Init(&r.env)
@@ -144,8 +144,8 @@ func (f *Flow) Fire() {
 
 // flowRun is a flow's run state: the sender side (pacing, window,
 // congestion control, RTO), the algorithm's cc.Env, and the receiver side
-// (delivery accounting, CNP policy). Packets, timers and gates point at it,
-// never at the handle.
+// (delivery accounting). Packets and timers point at it, never at the
+// handle.
 //
 // The sender side executes on the source host's shard, where the run slot
 // is taken and returned; the receiver-side fields are touched only on the
@@ -177,7 +177,6 @@ type flowRun struct {
 	gapDur   sim.Time
 	finished bool
 	rtoArmed bool  // a timeout event is outstanding
-	gatesOut int32 // gates scheduled and not yet fired
 	acked    int64 // payload bytes acknowledged
 	algo     cc.Algorithm
 	dst      int // Spec.Dst, which the receiver checks
@@ -197,27 +196,23 @@ type flowRun struct {
 	rtoDeadline sim.Time
 
 	// env is the algorithm's cc.Env: filled in at the start, read through
-	// the pointer Init was given until the finish. Env.Timers is the run;
-	// Env.HopBps is the rate of each forward port, a buffer carved with the
-	// slot (see shard.takeRun) and kept across reuse.
-	env cc.Env
-	// gates is the free list of the liveness gates Schedule wraps around
-	// algorithm timers, so periodic timers (DCQCN's alpha/rate) stop
-	// allocating once each chain owns a gate. It is kept across reuse.
-	gates *ccGate
-	next  *flowRun // shard free-list link
-	flow  *Flow    // the handle, which the finish fills in
+	// the pointer Init was given until the finish. Env.HopBps is the rate
+	// of each forward port, a buffer carved with the slot (see
+	// shard.takeRun) and kept across reuse.
+	env  cc.Env
+	next *flowRun // shard free-list link
+	flow *Flow    // the handle, which the finish fills in
 	// path is the flat forwarding path walked at the start: the egress
 	// port each switch picks for this flow's data, path[:hops], then for
 	// its ACKs, path[hops:]. It is carved with the slot and kept across
 	// reuse; hops is len(env.HopBps).
 	hops int
 	path []*Port
+	_    [24]byte // to the sixth line
 
-	// Receiver side.
+	// Receiver side, on a line of its own.
 	delivered int64
-	lastCNP   sim.Time
-	_         [48]byte // to six cache lines
+	_         [56]byte // to six cache lines
 }
 
 // paceTimer and rtoTimer are a run as its pacing wakeup and as its
@@ -237,57 +232,6 @@ func (t *paceTimer) Fire() {
 
 // Fire is the retransmission timeout.
 func (t *rtoTimer) Fire() { (*flowRun)(t).onRTO() }
-
-// SetControl implements cc.Timers: timer-driven rate updates land here.
-func (r *flowRun) SetControl(c cc.Control) {
-	if !r.finished {
-		r.ctl = c
-		r.trySend()
-	}
-}
-
-// ccGate gates one scheduled algorithm timer on flow liveness; it is the
-// timer's event. Gates return to the run's free list the moment they fire
-// — before fn runs, so a timer that immediately re-schedules itself
-// (DCQCN's alpha and rate chains) reuses the same gate forever, and after
-// warm-up a timer tick schedules with zero allocations. A gate that fires
-// after the finish may be the last reference to its run, so it offers the
-// run back to the shard.
-type ccGate struct {
-	r    *flowRun
-	fn   func()
-	next *ccGate // free-list link
-}
-
-func (g *ccGate) Fire() {
-	r, fn := g.r, g.fn
-	g.fn = nil
-	g.next, r.gates = r.gates, g
-	r.gatesOut--
-	if r.finished {
-		r.release()
-		return
-	}
-	fn()
-}
-
-// Schedule implements cc.Timers: it runs fn after d unless the flow has
-// finished by then. Timers scheduled after the flow finished are dropped
-// outright.
-func (r *flowRun) Schedule(d sim.Time, fn func()) {
-	if r.finished {
-		return
-	}
-	g := r.gates
-	if g != nil {
-		r.gates = g.next
-	} else {
-		g = &ccGate{r: r}
-	}
-	g.fn = fn
-	r.gatesOut++
-	r.eng.Schedule(r.eng.Now()+d, g)
-}
 
 // trySend releases as many packets as the window and pacer currently
 // allow, then schedules a wakeup at the pacing horizon if more payload
@@ -471,7 +415,6 @@ func (r *flowRun) onAck(p *Packet) {
 		AckedBytes: r.acked,
 		SentBytes:  r.sent,
 		NewlyAcked: int(newly),
-		ECE:        p.Mark,
 		Hops:       p.stack()[:r.hops],
 	})
 	r.trySend()
@@ -496,15 +439,14 @@ func (r *flowRun) finish(now sim.Time) {
 }
 
 // release returns a finished run to its shard's free list once nothing
-// can reach it any more; finish, the last gate and the last timeout each
-// offer it. A gate still pending (DCQCN's timers) or an armed timeout
-// holds the run until it fires. Packets need no count: a flow that never
+// can reach it any more; finish and the last timeout each offer it. An
+// armed timeout holds the run until it fires. Packets need no count: a flow that never
 // timed out sent every byte once, in order, over one FIFO path, so its
 // final ACK is the last packet that names it. A flow that did time out may
 // have duplicates and their ACKs anywhere in the fabric, so its slot is
 // retired and never reused.
 func (r *flowRun) release() {
-	if r.gatesOut > 0 || r.rtoArmed || r.flow.Timeouts > 0 || r.net.retireRuns {
+	if r.rtoArmed || r.flow.Timeouts > 0 || r.net.retireRuns {
 		return
 	}
 	r.next, r.sh.runs = r.sh.runs, r

@@ -5,8 +5,7 @@ import "unsafe"
 // Host is an end host with a single network uplink. It sources flows
 // (paced and windowed by their congestion-control algorithm) and, as a
 // receiver, acknowledges every arriving data packet, echoing INT telemetry
-// and the sender timestamp, and applying the network's CNP policy to ECN
-// marks.
+// and the sender timestamp.
 type Host struct {
 	net  *Network
 	sh   *shard // execution shard (shard 0 until Network.Shard rebinds)
@@ -69,13 +68,6 @@ func (h *Host) receiveData(p *Packet) {
 	// deep as the path before the packet leaves (see flowRun.trySend).
 	ack.ints, p.ints = p.ints, ack.ints
 	ack.intCap, p.intCap = p.intCap, ack.intCap
-	if p.Mark {
-		now := h.sh.eng.Now()
-		if h.net.CNPInterval == 0 || now-r.lastCNP >= h.net.CNPInterval {
-			ack.Mark = true
-			r.lastCNP = now
-		}
-	}
 	h.sh.putPacket(p)
 	h.sh.AcksSent++
 	h.port.send(ack)

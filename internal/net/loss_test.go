@@ -109,82 +109,6 @@ func TestPFCResumeCannotOvertakePause(t *testing.T) {
 	}
 }
 
-func TestSetREDValidation(t *testing.T) {
-	_, nw, sw := star(t, 2, 1)
-	pt := sw.Ports()[0]
-	mustPanic := func(name string, cfg REDConfig) {
-		t.Helper()
-		defer func() {
-			if recover() == nil {
-				t.Fatalf("%s: SetRED(%+v) did not panic", name, cfg)
-			}
-		}()
-		pt.SetRED(cfg)
-	}
-	mustPanic("negative KMin", REDConfig{KMinBytes: -1, KMaxBytes: 100, PMax: 0.5})
-	mustPanic("KMax below KMin", REDConfig{KMinBytes: 100, KMaxBytes: 50, PMax: 0.5})
-	mustPanic("zero PMax", REDConfig{KMinBytes: 10, KMaxBytes: 100, PMax: 0})
-	mustPanic("PMax above 1", REDConfig{KMinBytes: 10, KMaxBytes: 100, PMax: 1.5})
-	// Step config (KMax == KMin) is valid.
-	pt.SetRED(REDConfig{KMinBytes: 100, KMaxBytes: 100, PMax: 0.3})
-	pt.SetRED(REDConfig{KMinBytes: 10, KMaxBytes: 100, PMax: 1})
-	_ = nw
-}
-
-// TestREDStepConfigMarksWithPMax: KMax == KMin used to divide by zero
-// into a +Inf marking probability (always mark); it must behave as a step
-// function marking with PMax instead.
-func TestREDStepConfigMarksWithPMax(t *testing.T) {
-	eng, nw, sw := star(t, 3, 1)
-	const pmax = 0.3
-	sw.Ports()[0].SetRED(REDConfig{KMinBytes: 1, KMaxBytes: 1, PMax: pmax})
-	a1 := &fixedAlgo{ctl: cc.Control{WindowBytes: 1e9, RateBps: gbps100}}
-	a2 := &fixedAlgo{ctl: cc.Control{WindowBytes: 1e9, RateBps: gbps100}}
-	nw.AddFlow(FlowSpec{ID: 1, Src: 1, Dst: 0, Size: 500_000, Start: 0}, a1)
-	nw.AddFlow(FlowSpec{ID: 2, Src: 2, Dst: 0, Size: 500_000, Start: 0}, a2)
-	eng.Run()
-	sent := nw.Stats().DataSent
-	marks := nw.Stats().ECNMarks
-	if marks == 0 {
-		t.Fatal("step RED config never marked")
-	}
-	// Every packet is above the 1-byte threshold, so the mark rate must
-	// track PMax — not the 100% an +Inf probability produced.
-	rate := float64(marks) / float64(sent)
-	if rate < pmax/2 || rate > pmax*2 {
-		t.Fatalf("mark rate = %.2f with PMax %.2f; step config not honored", rate, pmax)
-	}
-}
-
-// TestMarkECNCountsArrivingPacket: the instantaneous queue RED compares
-// against must include the arriving packet itself, so the first packet
-// into an empty queue can be marked when thresholds say so.
-func TestMarkECNCountsArrivingPacket(t *testing.T) {
-	eng := sim.NewEngine()
-	nw := New(eng, 1)
-	h0, h1 := nw.AddHost(), nw.AddHost()
-	sw := nw.AddSwitch()
-	sp0, _ := nw.Connect(sw, h0, gbps100, usec)
-	sp1, _ := nw.Connect(sw, h1, gbps100, usec)
-	sw.AddRoute(h0.NodeID(), sp0)
-	sw.AddRoute(h1.NodeID(), sp1)
-	// One MTU packet is 1048 wire bytes: above KMin even alone, and PMax 1
-	// makes marking deterministic.
-	sp1.SetRED(REDConfig{KMinBytes: 500, KMaxBytes: 501, PMax: 1})
-
-	algo := &fixedAlgo{ctl: cc.Control{WindowBytes: 1000, RateBps: gbps100}}
-	f := nw.AddFlow(FlowSpec{ID: 1, Src: h0.NodeID(), Dst: h1.NodeID(), Size: 1000, Start: 0}, algo)
-	eng.Run()
-	if !f.Finished() {
-		t.Fatal("flow did not finish")
-	}
-	// The single packet always finds an empty queue; before the fix its
-	// own bytes were invisible and it could never be marked.
-	if nw.Stats().ECNMarks != 1 {
-		t.Fatalf("ECN marks = %d, want 1 (arriving packet's bytes must count)", nw.Stats().ECNMarks)
-	}
-}
-
 // TestTailDropAtFiniteBuffer: a 2:1 overload into a small finite buffer
 // must drop, keep the queue capped, and still complete every flow via
 // loss recovery.

@@ -3,6 +3,7 @@ package net
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -13,11 +14,10 @@ import (
 // fixedAlgo is a congestion-control stub holding rate and window constant.
 // It keeps a copy of its last Env's hop rates and the last ACK's feedback.
 type fixedAlgo struct {
-	ctl      cc.Control
-	acks     int
-	eceCount int
-	hopBps   []float64
-	last     cc.Feedback
+	ctl    cc.Control
+	acks   int
+	hopBps []float64
+	last   cc.Feedback
 }
 
 func (a *fixedAlgo) Init(env *cc.Env) cc.Control {
@@ -27,9 +27,6 @@ func (a *fixedAlgo) Init(env *cc.Env) cc.Control {
 
 func (a *fixedAlgo) OnAck(fb cc.Feedback) cc.Control {
 	a.acks++
-	if fb.ECE {
-		a.eceCount++
-	}
 	a.last = fb
 	return a.ctl
 }
@@ -225,60 +222,6 @@ func TestPathInfoStar(t *testing.T) {
 	}
 }
 
-func TestECNMarking(t *testing.T) {
-	eng, nw, sw := star(t, 3, 1)
-	sw.Ports()[0].SetRED(REDConfig{KMinBytes: 10_000, KMaxBytes: 40_000, PMax: 0.2})
-	a1 := &fixedAlgo{ctl: cc.Control{WindowBytes: 1e9, RateBps: gbps100}}
-	a2 := &fixedAlgo{ctl: cc.Control{WindowBytes: 1e9, RateBps: gbps100}}
-	nw.AddFlow(FlowSpec{ID: 1, Src: 1, Dst: 0, Size: 500_000, Start: 0}, a1)
-	nw.AddFlow(FlowSpec{ID: 2, Src: 2, Dst: 0, Size: 500_000, Start: 0}, a2)
-	eng.Run()
-	ece := a1.eceCount + a2.eceCount
-	if ece == 0 {
-		t.Fatal("RED never marked despite a 2x overload past KMax")
-	}
-	// The queue spends most of the run far above KMax, where marking is
-	// certain, so the majority of ACKs must carry ECE; but the ramp-up
-	// below KMin must leave some unmarked.
-	total := a1.acks + a2.acks
-	if ece < total/3 || ece >= total {
-		t.Fatalf("ece=%d of %d acks; want a majority but not all", ece, total)
-	}
-}
-
-func TestCNPIntervalRateLimitsECE(t *testing.T) {
-	run := func(interval sim.Time) int {
-		eng := sim.NewEngine()
-		nw := New(eng, 1)
-		nw.CNPInterval = interval
-		hosts := make([]*Host, 3)
-		for i := range hosts {
-			hosts[i] = nw.AddHost()
-		}
-		sw := nw.AddSwitch()
-		for _, h := range hosts {
-			swPort, _ := nw.Connect(sw, h, gbps100, 1*usec)
-			sw.AddRoute(h.NodeID(), swPort)
-		}
-		// Mark every packet above a tiny threshold.
-		sw.Ports()[0].SetRED(REDConfig{KMinBytes: 1, KMaxBytes: 2, PMax: 1})
-		a1 := &fixedAlgo{ctl: cc.Control{WindowBytes: 1e9, RateBps: gbps100}}
-		a2 := &fixedAlgo{ctl: cc.Control{WindowBytes: 1e9, RateBps: gbps100}}
-		nw.AddFlow(FlowSpec{ID: 1, Src: 1, Dst: 0, Size: 300_000, Start: 0}, a1)
-		nw.AddFlow(FlowSpec{ID: 2, Src: 2, Dst: 0, Size: 300_000, Start: 0}, a2)
-		eng.Run()
-		return a1.eceCount + a2.eceCount
-	}
-	every := run(0)
-	limited := run(20 * usec)
-	if limited >= every {
-		t.Fatalf("CNP interval did not reduce ECE count: %d vs %d", limited, every)
-	}
-	if limited == 0 {
-		t.Fatal("no CNPs at all with interval set")
-	}
-}
-
 func TestPFCPausesUpstream(t *testing.T) {
 	eng := sim.NewEngine()
 	nw := New(eng, 1)
@@ -354,8 +297,13 @@ func TestECMPSpreadsFlows(t *testing.T) {
 
 func TestDeterministicRuns(t *testing.T) {
 	run := func() []sim.Time {
-		eng, nw, sw := star(t, 4, 99)
-		sw.Ports()[0].SetRED(REDConfig{KMinBytes: 10_000, KMaxBytes: 100_000, PMax: 0.2})
+		eng, nw, _ := star(t, 4, 99)
+		// Random wire loss makes the finish times depend on the seeded
+		// fault stream.
+		nw.LossRecovery = true
+		nw.WireLoss = func(r *rand.Rand, kind Kind, _ int, _ int64) bool {
+			return kind == Data && r.Float64() < 0.01
+		}
 		for i := 1; i <= 3; i++ {
 			algo := &fixedAlgo{ctl: cc.Control{WindowBytes: 100_000, RateBps: gbps100}}
 			nw.AddFlow(FlowSpec{ID: i, Src: i, Dst: 0, Size: 300_000,

@@ -38,10 +38,6 @@ type Network struct {
 	// PFCResumeBytes is the occupancy at which a paused upstream resumes.
 	PFCResumeBytes int64
 
-	// CNPInterval rate-limits congestion echoes per flow at the receiver
-	// (DCQCN's CNP timer). Zero echoes every ECN-marked packet.
-	CNPInterval sim.Time
-
 	// LossRecovery arms the sender-side recovery path: per-flow RTO with
 	// exponential backoff and go-back-N resend from the last cumulative
 	// ACK. It must be on for any run that can drop packets (finite
@@ -61,7 +57,7 @@ type Network struct {
 	// control frames never ask: losing them without a PFC-level watchdog
 	// would only deadlock the fabric. r is the shard's fault stream, a
 	// PRNG separate from the main one, so a random loss rule does not
-	// perturb ECN or congestion-control randomness for the same seed. On a
+	// perturb congestion-control randomness for the same seed. On a
 	// sharded network shards ask concurrently.
 	WireLoss func(r *rand.Rand, kind Kind, flowID int, seq int64) bool
 

@@ -1,13 +1,13 @@
 // Package net implements the packet-level network model of the simulator:
 // links with serialization and propagation delay, output-queued switches
-// with FIFO egress queues, In-band Network Telemetry stamping, RED/ECN
-// marking, optional PFC (priority flow control) for losslessness under
-// finite buffers, and hosts running paced, windowed, per-packet-ACKed
-// RDMA-style flows driven by a cc.Algorithm.
+// with FIFO egress queues, In-band Network Telemetry stamping, optional
+// PFC (priority flow control) for losslessness under finite buffers, and
+// hosts running paced, windowed, per-packet-ACKed RDMA-style flows driven
+// by a cc.Algorithm.
 //
 // The model corresponds to the ns-3 + HPCC-artifact setup the paper uses:
 // every mechanism the evaluated protocols observe (queue growth,
-// serialization, INT, ECN, per-packet ACKs) is modeled explicitly; packet
+// serialization, INT, per-packet ACKs) is modeled explicitly; packet
 // payloads are not.
 package net
 
@@ -24,8 +24,8 @@ type Kind uint8
 const (
 	// Data carries flow payload and collects INT telemetry hop by hop.
 	Data Kind = iota
-	// Ack acknowledges one data packet, echoing its telemetry, send
-	// timestamp, and (when the receiver's CNP policy fires) its mark.
+	// Ack acknowledges one data packet, echoing its telemetry and send
+	// timestamp.
 	Ack
 	// Pause and Resume are PFC control frames; they preempt data and are
 	// never queued behind it.
@@ -64,11 +64,6 @@ type Packet struct {
 	// hop counts the switches this packet has traversed; it is the cursor
 	// into path. Pool-reset to zero before every send.
 	hop uint8
-	// Mark is the congestion mark: on data, set by RED at an egress queue
-	// (congestion experienced); on an ACK, the echo (ECE) the receiver's
-	// CNP policy answers a marked packet with. Only data is marked and only
-	// an ACK echoes, so the one bit serves both.
-	Mark bool
 	// intCap is the depth of the INT stack at ints.
 	intCap uint8
 	// Wire is the total on-wire bytes (payload + header). int32: wire

@@ -56,9 +56,8 @@ func TestPacketLayout(t *testing.T) {
 	if off := unsafe.Offsetof(r.env); off != 192 {
 		t.Errorf("flowRun.env at offset %d, want 192: the fourth line", off)
 	}
-	if off, last := unsafe.Offsetof(r.delivered), unsafe.Sizeof(r)-64; off < last || unsafe.Offsetof(r.lastCNP) < last {
-		t.Errorf("flowRun's receiver fields at offsets %d and %d, want both on the last line, from %d",
-			off, unsafe.Offsetof(r.lastCNP), last)
+	if off, last := unsafe.Offsetof(r.delivered), unsafe.Sizeof(r)-64; off < last {
+		t.Errorf("flowRun's receiver field at offset %d, want it on the last line, from %d", off, last)
 	}
 
 	// Two chunks' worth of fresh packets: every chunk on a page boundary,

@@ -50,8 +50,7 @@ type Port struct {
 	busy     bool
 	pausedBy bool // peer sent PFC Pause: hold data (control still flows)
 	txBytes  int64
-	red      *REDConfig // ECN marking at enqueue when set
-	bufBytes int64      // egress buffer cap in wire bytes; 0 = unbounded
+	bufBytes int64 // egress buffer cap in wire bytes; 0 = unbounded
 
 	// PFC ingress-side accounting (switch owners only): bytes currently
 	// buffered in this node that arrived through this port.
@@ -85,17 +84,6 @@ type Port struct {
 type txMemo struct {
 	wire int32
 	lane *sim.Lane
-}
-
-// REDConfig is instantaneous-queue RED/ECN marking: packets are marked
-// with probability PMax * (q-KMin)/(KMax-KMin) between the thresholds
-// (reaching exactly PMax at KMax) and always above KMax, as DCQCN
-// configures switches. The occupancy q includes the arriving packet.
-// KMax == KMin is a step function: mark with PMax above the threshold.
-type REDConfig struct {
-	KMinBytes int64
-	KMaxBytes int64
-	PMax      float64
 }
 
 // Owner returns the node the port belongs to.
@@ -142,20 +130,6 @@ func (pt *Port) QueuePeak() int64 { return pt.q.Peak() }
 // TxBytes returns cumulative bytes transmitted on the port.
 func (pt *Port) TxBytes() int64 { return pt.txBytes }
 
-// SetRED enables ECN marking on the egress queue. It panics on a config
-// that cannot express a marking probability: negative KMin, KMax below
-// KMin, or PMax outside (0, 1]. KMax == KMin is a valid step function
-// (mark with PMax at and above the threshold).
-func (pt *Port) SetRED(cfg REDConfig) {
-	if cfg.KMinBytes < 0 || cfg.KMaxBytes < cfg.KMinBytes {
-		panic(fmt.Sprintf("net: invalid RED thresholds KMin=%d KMax=%d", cfg.KMinBytes, cfg.KMaxBytes))
-	}
-	if cfg.PMax <= 0 || cfg.PMax > 1 {
-		panic(fmt.Sprintf("net: invalid RED PMax=%g (want 0 < PMax <= 1)", cfg.PMax))
-	}
-	pt.red = &cfg
-}
-
 // SetBuffer caps this egress queue at the given wire bytes: a packet that
 // would push the queue past the cap is tail-dropped (PFC control frames are
 // exempt). Zero, the default, leaves the queue unbounded.
@@ -170,9 +144,6 @@ func (pt *Port) send(p *Packet) {
 		pt.q.Bytes()+int64(p.Wire) > pt.bufBytes {
 		pt.sh.drop(p, true)
 		return
-	}
-	if pt.red != nil && p.Kind == Data {
-		pt.markECN(p)
 	}
 	// Cut-through: with an idle transmitter and an empty queue the packet
 	// starts serializing immediately, skipping the FIFO. This is exactly
@@ -219,31 +190,6 @@ func (pt *Port) sendControl(p *Packet) {
 	}
 	pt.q.PushFront(p)
 	pt.kick()
-}
-
-func (pt *Port) markECN(p *Packet) {
-	// Instantaneous queue including the arriving packet itself, as a real
-	// switch (and the DCQCN model) sees it at enqueue time. Sampling
-	// before Push meant the first packet into an empty queue could never
-	// be marked regardless of thresholds.
-	q := pt.q.Bytes() + int64(p.Wire)
-	r := pt.red
-	if q <= r.KMinBytes {
-		return
-	}
-	prob := 1.0
-	switch {
-	case r.KMaxBytes == r.KMinBytes:
-		// Step config: a single threshold marks with PMax, not the +Inf
-		// the ramp formula used to divide its way into.
-		prob = r.PMax
-	case q <= r.KMaxBytes:
-		prob = r.PMax * float64(q-r.KMinBytes) / float64(r.KMaxBytes-r.KMinBytes)
-	}
-	if pt.sh.rand.Float64() < prob {
-		p.Mark = true
-		pt.sh.ECNMarks++
-	}
 }
 
 // kick starts the transmitter if it is idle and transmission is allowed.

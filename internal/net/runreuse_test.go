@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"faircc/internal/cc"
-	"faircc/internal/cc/dcqcn"
 	"faircc/internal/cc/hpcc"
 	"faircc/internal/net"
 	"faircc/internal/sim"
@@ -14,13 +13,13 @@ import (
 
 // TestShardFlowRunReuse runs 2 400 short flows on a 32-host fat-tree twice,
 // once reusing run slots and once retiring every slot at its finish, and
-// requires the same result, flow by flow. Two protocols stress the reuse
-// rule where a slot can still be reached after its flow finished: DCQCN,
-// whose alpha and rate timers are still pending at every finish, and HPCC
-// under LossRecovery with ACKs dropped, where a flow that lost its final
-// ACK times out and leaves duplicate data and stale ACKs in the fabric.
-// Each runs sequentially and on two shards, where a flow's receiver side
-// may live on the other shard than the free list its slot returns to.
+// requires the same result, flow by flow. HPCC under LossRecovery with ACKs
+// dropped stresses the reuse rule where a slot can still be reached after
+// its flow finished: a flow that lost its final ACK times out and leaves
+// duplicate data and stale ACKs in the fabric, and a flow's pending RTO
+// outlives its finish. It runs sequentially and on two shards, where a
+// flow's receiver side may live on the other shard than the free list its
+// slot returns to.
 func TestShardFlowRunReuse(t *testing.T) {
 	const flows = 2400
 	ftCfg := topo.DefaultFatTree().Scaled(2, 2, 8)
@@ -28,7 +27,7 @@ func TestShardFlowRunReuse(t *testing.T) {
 	specs := make([]net.FlowSpec, flows)
 	for i := range specs {
 		// Three of every four flows go to one of four hot receivers, so
-		// queues build, RED marks and DCQCN rates move.
+		// queues build and HPCC's windows move.
 		src, dst := i%hosts, (i*7+3)%hosts
 		if i%4 != 0 {
 			dst = (i / 4 % 4) * 8
@@ -43,23 +42,14 @@ func TestShardFlowRunReuse(t *testing.T) {
 		name  string
 		algo  func() cc.Algorithm
 		setup func(nw *net.Network)
-		lossy bool
 	}
 	variants := []variant{
-		{"dcqcn", func() cc.Algorithm { return dcqcn.New(dcqcn.DefaultConfig()) }, func(nw *net.Network) {
-			for _, sw := range nw.Switches() {
-				for _, p := range sw.Ports() {
-					p.SetRED(net.REDConfig{KMinBytes: 5_000, KMaxBytes: 50_000, PMax: 0.2})
-				}
-			}
-			nw.CNPInterval = 4 * sim.Microsecond
-		}, false},
 		{"hpcc-lossy", func() cc.Algorithm { return hpcc.New(hpcc.DefaultConfig()) }, func(nw *net.Network) {
 			nw.LossRecovery = true
 			nw.WireLoss = func(r *rand.Rand, kind net.Kind, _ int, _ int64) bool {
 				return kind == net.Ack && r.Float64() < 0.02
 			}
-		}, true},
+		}},
 	}
 	type result struct {
 		fct, finishedAt []sim.Time
@@ -135,12 +125,12 @@ func TestShardFlowRunReuse(t *testing.T) {
 				if got.stats != ref.stats {
 					t.Fatalf("network stats differ:\nreusing  %+v\nretiring %+v", got.stats, ref.stats)
 				}
-				if v.lossy && (got.timeouts == 0 || got.stats.DupAcks == 0) {
+				if got.timeouts == 0 || got.stats.DupAcks == 0 {
 					t.Fatalf("%d flows timed out and %d duplicate ACKs arrived: the retire rule went untested",
 						got.timeouts, got.stats.DupAcks)
 				}
 				// A flow that timed out keeps its slot; every other slot may be
-				// reused once its timers have fired.
+				// reused once its timeout has fired.
 				if runs >= flows/2 || runs < int64(got.timeouts) {
 					t.Fatalf("%d run slots carved for %d flows, %d of which timed out", runs, flows, got.timeouts)
 				}

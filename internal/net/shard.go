@@ -76,7 +76,7 @@ func newShard(n *Network, id int, eng *sim.Engine) *shard {
 
 // lazySource is rand.NewSource(seed), seeded at its first draw: a stream
 // holds 4.9 KB of state and seeding it is a loop over all of it, and only
-// RED marking, probabilistic feedback and WireLoss rules draw at all.
+// probabilistic feedback and WireLoss rules draw at all.
 // Draw for draw it is the stream rand.NewSource(seed) gives.
 type lazySource struct {
 	seed int64

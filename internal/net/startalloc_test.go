@@ -13,9 +13,9 @@ import (
 )
 
 // TestFlowStartAllocatesNothing: starting a flow — initializing its
-// algorithm, binding its timers and congestion-control hooks, sending its
-// first packet and arming its pacing wakeup — allocates nothing, for every
-// protocol whose variants the experiments run. Two batches of 64 flows start
+// algorithm, filling in its cc.Env, sending its first packet and arming its
+// pacing wakeup — allocates nothing, for every protocol whose variants the
+// experiments run. Two batches of 64 flows start
 // on an 8-host fat-tree, each batch at one instant: the first warms the
 // packet pools, port queues and event slots, and drains; every engine step
 // at the second batch's instant is then one flow's start.

@@ -18,7 +18,7 @@ func Jain(xs []float64) float64 {
 	var sum, sumSq float64
 	for _, x := range xs {
 		sum += x
-		sumSq += x * x
+		sumSq += float64(x * x)
 	}
 	if sumSq == 0 {
 		return 1
@@ -48,7 +48,7 @@ func JainByClass(xs []float64, class []int, nClasses int) []float64 {
 			panic(fmt.Sprintf("stats: JainByClass class %d out of [0,%d)", c, nClasses))
 		}
 		sum[c] += x
-		sumSq[c] += x * x
+		sumSq[c] += float64(x * x)
 		n[c]++
 	}
 	out := make([]float64, nClasses)
@@ -95,14 +95,14 @@ func percentileSorted(sorted []float64, p float64) float64 {
 	if len(sorted) == 1 {
 		return sorted[0]
 	}
-	rank := p / 100 * float64(len(sorted)-1)
+	rank := float64(p / 100 * float64(len(sorted)-1))
 	lo := int(math.Floor(rank))
 	hi := int(math.Ceil(rank))
 	if lo == hi {
 		return sorted[lo]
 	}
 	frac := rank - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
+	return float64(sorted[lo]*(1-frac)) + float64(sorted[hi]*frac)
 }
 
 // Summary holds order statistics of a sample.
@@ -210,7 +210,7 @@ func (c *CDF) Quantile(u float64) float64 {
 				return hi.Value
 			}
 			frac := (u - lo.Frac) / (hi.Frac - lo.Frac)
-			return lo.Value + frac*(hi.Value-lo.Value)
+			return lo.Value + float64(frac*(hi.Value-lo.Value))
 		}
 	}
 	return pts[len(pts)-1].Value
@@ -222,11 +222,11 @@ func (c *CDF) Mean() float64 {
 	var mean float64
 	pts := c.pts
 	if pts[0].Frac > 0 {
-		mean += pts[0].Frac * pts[0].Value
+		mean += float64(pts[0].Frac * pts[0].Value)
 	}
 	for i := 1; i < len(pts); i++ {
 		w := pts[i].Frac - pts[i-1].Frac
-		mean += w * (pts[i].Value + pts[i-1].Value) / 2
+		mean += float64(w * (pts[i].Value + pts[i-1].Value) / 2)
 	}
 	return mean
 }
@@ -241,7 +241,7 @@ func (c *CDF) FracAbove(x float64) float64 {
 		if x < pts[i].Value {
 			lo, hi := pts[i-1], pts[i]
 			frac := (x - lo.Value) / (hi.Value - lo.Value)
-			return 1 - (lo.Frac + frac*(hi.Frac-lo.Frac))
+			return 1 - (lo.Frac + float64(frac*(hi.Frac-lo.Frac)))
 		}
 	}
 	return 0
