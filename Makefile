@@ -3,11 +3,12 @@
 
 .PHONY: verify test bench bench-compare loc profile
 
-# The verification gate every PR must keep green, in cmd/ci's order: build,
-# vet, an arm64 cross build (failing on any fused multiply-add in
-# internal/..., so arm64 computes what amd64 does) and an arm64 vet of
-# internal/sim and internal/net, a 386 cross build and vet of the same two
-# (4-byte pointers), gofmt, tests, 50 runs of each test that reads process-wide
+# The verification gate every PR must keep green, 17 steps in cmd/ci's
+# order: build, vet, an arm64 cross build (failing on any fused
+# multiply-add in internal/..., so arm64 computes what amd64 does) and an
+# arm64 vet of internal/sim and internal/net, the same failing cross build
+# for riscv64, ppc64le and s390x, a 386 cross build and vet of the same two
+# packages (4-byte pointers), gofmt, tests, 50 runs of each test that reads process-wide
 # allocation counters (TestBytesPerPacket, TestAddFlowCarvesOnlySlabs,
 # TestNewFatTreeBytes, TestNewFatTreeAllocations), race-enabled short
 # tests, race-enabled parallel-engine tests, a 1-iteration smoke run of the

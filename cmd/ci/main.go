@@ -1,7 +1,7 @@
 // Command ci is the repository's verification gate, runnable anywhere Go
 // is installed (no make required):
 //
-//	go run ./cmd/ci    # 14 steps: build, vet, 4 cross, gofmt, test, alloc-repeat, race, race-parallel, bench-smoke, 2 fuzz-smoke
+//	go run ./cmd/ci    # 17 steps: build, vet, 7 cross, gofmt, test, alloc-repeat, race, race-parallel, bench-smoke, 2 fuzz-smoke
 //
 // The test step is the repository's tier-1 gate (`go test ./...`), so a
 // PR cannot pass ci with a broken unit or experiment test. The
@@ -29,9 +29,11 @@
 // arm64 build also fails on any fused multiply-add in internal/...: arm64
 // fuses x*y + z into one instruction that rounds once where amd64 rounds
 // twice, and an explicit float64(...) conversion, which rounds, is what
-// keeps the two computing the same numbers. Then the cross steps
-// build and vet the same two packages for GOARCH=386, so the packed packet
-// and its unsafe indexing also compile where a pointer is 4 bytes.
+// keeps the two computing the same numbers. The same build for riscv64,
+// ppc64le and s390x, which fuse too under mnemonics of their own, fails the
+// same way. Then the cross steps build and vet the same two packages for
+// GOARCH=386, so the packed packet and its unsafe indexing also compile
+// where a pointer is 4 bytes.
 //
 // ci verifies; it does not measure. Performance is measured in one place,
 // `go run ./bench` (BENCHMARK.json), which reports run-to-run spread.
@@ -172,6 +174,12 @@ func main() {
 		{name: "cross", args: []string{"go", "build", "-gcflags=faircc/internal/...=-S", "./..."}, env: []string{"GOARCH=arm64"},
 			forbid: regexp.MustCompile(`\b(FMADDD|FMSUBD|FNMADDD|FNMSUBD)\b`)},
 		{name: "cross-vet", args: []string{"go", "vet", "./internal/sim", "./internal/net"}, env: []string{"GOARCH=arm64"}},
+		{name: "cross-riscv64", args: []string{"go", "build", "-gcflags=faircc/internal/...=-S", "./..."}, env: []string{"GOARCH=riscv64"},
+			forbid: regexp.MustCompile(`\b(FMADDD|FMSUBD|FNMADDD|FNMSUBD)\b`)},
+		{name: "cross-ppc64le", args: []string{"go", "build", "-gcflags=faircc/internal/...=-S", "./..."}, env: []string{"GOARCH=ppc64le"},
+			forbid: regexp.MustCompile(`\b(FMADD|FMSUB|FNMADD|FNMSUB)\b`)},
+		{name: "cross-s390x", args: []string{"go", "build", "-gcflags=faircc/internal/...=-S", "./..."}, env: []string{"GOARCH=s390x"},
+			forbid: regexp.MustCompile(`\b(FMADD|FMSUB|FNMADD|FNMSUB)\b`)},
 		{name: "cross-386", args: []string{"go", "build", "./internal/sim", "./internal/net"}, env: []string{"GOARCH=386"}},
 		{name: "cross-386-vet", args: []string{"go", "vet", "./internal/sim", "./internal/net"}, env: []string{"GOARCH=386"}},
 		// gofmt -l exits 0 even when files need formatting.

@@ -30,10 +30,10 @@ func TestGoldenManyRatesSeed1(t *testing.T) {
 		dataSent, acksSent int64
 		finishedAtHash     uint64
 	}{
-		{"HPCC", 1, 108984, 108996, 8442, 8442, 0xafe51baf26e6277e},
-		{"HPCC", 2, 108984, 108996, 8442, 8442, 0xafe51baf26e6277e},
-		{"Swift VAI SF", 1, 106083, 106140, 8442, 8442, 0xd2466ffb286065b8},
-		{"Swift VAI SF", 2, 106083, 106140, 8442, 8442, 0xd2466ffb286065b8},
+		{"HPCC", 1, 108996, 108996, 8442, 8442, 0xafe51baf26e6277e},
+		{"HPCC", 2, 108996, 108996, 8442, 8442, 0xafe51baf26e6277e},
+		{"Swift VAI SF", 1, 106140, 106140, 8442, 8442, 0xd2466ffb286065b8},
+		{"Swift VAI SF", 2, 106140, 106140, 8442, 8442, 0xd2466ffb286065b8},
 	}
 	dc := topo.DumbbellConfig{
 		BottleneckBps: 100e9, BottleneckDelay: 2 * sim.Microsecond,
@@ -70,6 +70,10 @@ func TestGoldenManyRatesSeed1(t *testing.T) {
 	for _, w := range want {
 		v := variants[w.label]
 		nw, st := runAtShards(t, v.label, w.shards, func(nw *net.Network) { build(nw, w.shards, v) })
+		if st.Events != st.EventsScheduled {
+			t.Errorf("%s shards=%d: %d of %d scheduled events ran; every scheduled event runs",
+				w.label, w.shards, st.Events, st.EventsScheduled)
+		}
 		// Sequentially all three arrivals per packet are laned (two
 		// propagation delays), cut in two one of them crosses shards; of
 		// the three serialization ends some found a ring and some did not.

@@ -25,8 +25,8 @@ func TestGoldenFatTreeShardsSeed1(t *testing.T) {
 		dataSent, acksSent int64
 		finishedAtHash     uint64
 	}{
-		{2, 4279278, 4279315, 2474, 188486, 188486, 0x7a79283e00982f9b},
-		{4, 4279279, 4279316, 2476, 188486, 188486, 0x5db74aa406334056},
+		{2, 4279315, 4279315, 2474, 188486, 188486, 0x7a79283e00982f9b},
+		{4, 4279316, 4279316, 2476, 188486, 188486, 0x5db74aa406334056},
 	}
 	ftCfg := topo.DefaultFatTree().Scaled(4, 4, 2)
 	cfg := Config{Seed: 1}
@@ -37,6 +37,9 @@ func TestGoldenFatTreeShardsSeed1(t *testing.T) {
 	v := hpccVAISF(dcParams(ftCfg))
 	for _, w := range want {
 		nw, st, epochs := runParallel(t, cfg.Seed, w.shards, shardedFatTree(ftCfg, w.shards, traffic, v))
+		if st.Events != st.EventsScheduled {
+			t.Errorf("shards=%d: %d of %d scheduled events ran; every scheduled event runs", w.shards, st.Events, st.EventsScheduled)
+		}
 		h := finishedAtHash(metrics.CollectFinished(nw))
 		if st.Events != w.events || st.EventsScheduled != w.scheduled || epochs != w.epochs ||
 			st.DataSent != w.dataSent || st.AcksSent != w.acksSent || h != w.finishedAtHash {

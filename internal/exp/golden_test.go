@@ -101,10 +101,10 @@ func TestGoldenFatTreeSeed1(t *testing.T) {
 		dataSent, acksSent int64
 		finishedAtHash     uint64
 	}{
-		{"HPCC", 1334850, 1334873, 63980, 63980, 0xf929698bf3caaf76},
-		{"HPCC VAI SF", 1335749, 1335755, 63980, 63980, 0x27b40a049c9cbc5d},
-		{"Swift", 1300649, 1300756, 63980, 63980, 0x8740b9afe83d21c3},
-		{"Swift VAI SF", 1303541, 1304077, 63980, 63980, 0x7b5ce3ba3be42ae9},
+		{"HPCC", 1334873, 1334873, 63980, 63980, 0xf929698bf3caaf76},
+		{"HPCC VAI SF", 1335755, 1335755, 63980, 63980, 0x27b40a049c9cbc5d},
+		{"Swift", 1300756, 1300756, 63980, 63980, 0x8740b9afe83d21c3},
+		{"Swift VAI SF", 1304077, 1304077, 63980, 63980, 0x7b5ce3ba3be42ae9},
 	}
 	cfg := Config{Seed: 1, Scale: "small"}
 	ftCfg, duration, err := dcScale(cfg)
@@ -132,6 +132,9 @@ func TestGoldenFatTreeSeed1(t *testing.T) {
 			t.Fatalf("%s: %v", v.label, err)
 		}
 		st := run.obs.finish(0)
+		if st.Events != st.EventsScheduled {
+			t.Errorf("%s: %d of %d scheduled events ran; every scheduled event runs", v.label, st.Events, st.EventsScheduled)
+		}
 		h := finishedAtHash(records)
 		if st.Events != w.events || st.EventsScheduled != w.scheduled ||
 			st.DataSent != w.dataSent || st.AcksSent != w.acksSent || h != w.finishedAtHash {

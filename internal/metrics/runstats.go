@@ -22,13 +22,7 @@ type RunStats struct {
 	// Engine counters (summed across runs).
 	Events          uint64 `json:"events"` // events executed
 	EventsScheduled uint64 `json:"events_scheduled"`
-	EventsCancelled uint64 `json:"events_cancelled"`
 	PeakPending     int    `json:"peak_events_pending"` // max over runs
-	// EventSlotAllocs is the engine's event-arena growth (fresh slot
-	// allocations, as opposed to free-list reuse), summed across runs. On
-	// a steady workload it should track peak pending, not event count —
-	// a higher value means the scheduling hot path is allocating.
-	EventSlotAllocs uint64 `json:"event_slot_allocs"`
 	// EventsLaned is how many of Events came off the engines' delay lanes
 	// (sim.Lane: link arrivals and standard-size serialization ends) and
 	// never entered the engines' heaps, summed across runs. Lanes splits it
@@ -67,8 +61,8 @@ type RunStats struct {
 func CollectRun(nw *net.Network) RunStats {
 	es := nw.Eng.Stats()
 	var s RunStats
-	s.Add(RunStats{Runs: 1, Events: es.Steps, EventsScheduled: es.Scheduled, EventsCancelled: es.Cancelled,
-		PeakPending: es.PeakPending, EventSlotAllocs: es.EventAllocs, EventsLaned: es.Laned, Lanes: es.Lanes,
+	s.Add(RunStats{Runs: 1, Events: es.Steps, EventsScheduled: es.Scheduled,
+		PeakPending: es.PeakPending, EventsLaned: es.Laned, Lanes: es.Lanes,
 		SimSeconds: nw.Eng.Now().Seconds(), Counters: nw.Stats().Counters})
 	return s
 }
@@ -93,11 +87,9 @@ func (s *RunStats) Add(o RunStats) {
 	s.Runs += o.Runs
 	s.Events += o.Events
 	s.EventsScheduled += o.EventsScheduled
-	s.EventsCancelled += o.EventsCancelled
 	if o.PeakPending > s.PeakPending {
 		s.PeakPending = o.PeakPending
 	}
-	s.EventSlotAllocs += o.EventSlotAllocs
 	s.EventsLaned += o.EventsLaned
 	s.addLanes(o.Lanes)
 	s.SimSeconds += o.SimSeconds
@@ -129,12 +121,11 @@ func (s *RunStats) Finish(wall time.Duration, begin *runtime.MemStats) {
 func (s RunStats) String() string {
 	out := fmt.Sprintf(
 		"%d run(s): %d events (%d laned, %d queued) in %.2fs (%.2fM ev/s), %d data pkts, %d acks, "+
-			"%d PFC pauses, pool reuse %.1f%%, "+
-			"%d event slot allocs, peak heap %.1f MB",
+			"%d PFC pauses, pool reuse %.1f%%, peak heap %.1f MB",
 		s.Runs, s.Events, s.EventsLaned, s.Events-s.EventsLaned,
 		s.WallSeconds, s.EventsPerSec/1e6,
 		s.DataSent, s.AcksSent, s.PFCPauses,
-		100*s.PoolReuseRate, s.EventSlotAllocs, float64(s.PeakHeapBytes)/1e6)
+		100*s.PoolReuseRate, float64(s.PeakHeapBytes)/1e6)
 	if drops := s.Drops(); drops > 0 || s.Retransmits > 0 {
 		out += fmt.Sprintf(", %d drops (%d buffer, %d wire), %d retransmits, %d RTOs",
 			drops, s.BufferDrops, s.WireDrops, s.Retransmits, s.RTOFires)

@@ -15,8 +15,8 @@ import (
 
 // TestAddFlowAllocatesInChunks: a flow costs a slot in one of the network's
 // flow slabs and no path — the start walks it — and its start waits in its
-// shard's start queue, linked through the handle, not in an event slot or a
-// queue entry of its own. Adding 4096 flows, in start order, to a built
+// shard's start queue, linked through the handle, not in a queue entry of
+// its own. Adding 4096 flows, in start order, to a built
 // 32-host fat-tree may make at most one allocation per 16 flows — carving
 // flow slabs and growing their list.
 func TestAddFlowAllocatesInChunks(t *testing.T) {

@@ -181,11 +181,10 @@ type flowRun struct {
 	algo     cc.Algorithm
 	dst      int // Spec.Dst, which the receiver checks
 
-	// pending/pendingAt track the outstanding pacing wakeup (see
-	// paceTimer). The handle is generation-stamped, so cancelling it after
-	// it fired is harmless.
-	pending   sim.EventID
-	pendingAt sim.Time
+	// wakeAt is the time of the pacing wakeup trySend last scheduled, and
+	// waking is set until that wakeup fires (see schedule).
+	wakeAt sim.Time
+	waking bool
 
 	// Loss recovery (armed only when Network.LossRecovery is set). The
 	// timer (see rtoTimer) is lazy: progress just pushes rtoDeadline
@@ -223,10 +222,13 @@ type (
 	rtoTimer  flowRun
 )
 
-// Fire is the pacing wakeup.
+// Fire is the pacing wakeup. A wakeup that schedule has since superseded
+// fires too, and its trySend changes nothing.
 func (t *paceTimer) Fire() {
 	r := (*flowRun)(t)
-	r.pending = sim.EventID{}
+	if r.eng.Now() == r.wakeAt {
+		r.waking = false
+	}
 	r.trySend()
 }
 
@@ -363,15 +365,24 @@ func (r *flowRun) onRTO() {
 // leaves ~17 more doublings before sim.Time (picoseconds, int64) overflows.
 const rtoBackoffCeiling = 60 * sim.Second
 
+// schedule makes sure a pacing wakeup is pending at at, the pacing horizon
+// nextSend. The wakeup is lazy, like the retransmission timer: a superseded
+// one is left to fire, never cancelled. That is exact because nextSend only
+// grows by a send, a send at now needs now >= nextSend, and so the wakeup a
+// send supersedes is due at now and fires straight after the event that
+// sent; the run is then at rest, and its trySend finds the new wakeup
+// already pending at nextSend and takes no sequence number. For the same
+// reason a flow cannot finish with a wakeup pending: until it fires, the
+// bytes it is to send are unsent. Only a timeout can move nextSend back
+// (onRTO) and leave a superseded wakeup in the future, and a flow that
+// timed out retires its run (see release), so no wakeup reaches a reused
+// run.
 func (r *flowRun) schedule(at sim.Time) {
-	if r.pending.Valid() {
-		if r.pendingAt == at {
-			return
-		}
-		r.eng.Cancel(r.pending)
+	if r.waking && r.wakeAt == at {
+		return
 	}
-	r.pending = r.eng.Schedule(at, (*paceTimer)(r))
-	r.pendingAt = at
+	r.eng.Schedule(at, (*paceTimer)(r))
+	r.wakeAt, r.waking = at, true
 }
 
 // onAck processes a cumulative acknowledgement at the sender. Under loss
@@ -431,20 +442,18 @@ func (r *flowRun) finish(now sim.Time) {
 	f.run = nil
 	r.algo = nil
 	r.net.unfinished.Add(-1)
-	if r.pending.Valid() {
-		r.eng.Cancel(r.pending)
-		r.pending = sim.EventID{}
-	}
 	r.release()
 }
 
 // release returns a finished run to its shard's free list once nothing
 // can reach it any more; finish and the last timeout each offer it. An
-// armed timeout holds the run until it fires. Packets need no count: a flow that never
-// timed out sent every byte once, in order, over one FIFO path, so its
-// final ACK is the last packet that names it. A flow that did time out may
-// have duplicates and their ACKs anywhere in the fabric, so its slot is
-// retired and never reused.
+// armed timeout holds the run until it fires. Pacing wakeups and packets
+// need no count: a flow that never timed out has no wakeup pending at its
+// finish (see schedule), and it sent every byte once, in order, over one
+// FIFO path, so its final ACK is the last packet that names it. A flow that
+// did time out may have a superseded wakeup pending, and duplicates and
+// their ACKs anywhere in the fabric, so its slot is retired and never
+// reused.
 func (r *flowRun) release() {
 	if r.rtoArmed || r.flow.Timeouts > 0 || r.net.retireRuns {
 		return

@@ -40,7 +40,7 @@ func TestAddFlowCarvesOnlySlabs(t *testing.T) {
 		nw = New(eng, 1)
 		a, b := nw.AddHost(), nw.AddHost()
 		nw.Connect(a, b, gbps100, usec)
-		// The engine grows its event slots and heap at its first event:
+		// The engine grows its heap at its first event:
 		// warm them, so the count is AddFlow's alone.
 		eng.Schedule(0, nopEvent{})
 		eng.Step()

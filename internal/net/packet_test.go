@@ -46,7 +46,7 @@ func TestPacketLayout(t *testing.T) {
 		{"ctl", unsafe.Offsetof(r.ctl), 128},
 		{"acked", unsafe.Offsetof(r.acked), 128},
 		{"algo", unsafe.Offsetof(r.algo), 192},
-		{"pending", unsafe.Offsetof(r.pending), 192},
+		{"wakeAt", unsafe.Offsetof(r.wakeAt), 192},
 		{"rtoDeadline", unsafe.Offsetof(r.rtoDeadline), 192},
 	} {
 		if f.off+8 > f.max {

@@ -216,8 +216,7 @@ func (pt *Port) kick() {
 // theirs in Network.Connect, before any packet moved). Any other size is a
 // flow's odd-sized tail, one per flow and hundreds of sizes per run: it
 // goes to the heap and leaves the memo alone, so it can neither claim a
-// ring nor evict a standard size. The event is never cancelled, so it needs
-// no EventID.
+// ring nor evict a standard size.
 func (pt *Port) startTx(p *Packet) {
 	pt.busy = true
 	pt.txPkt = p

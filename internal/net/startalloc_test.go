@@ -15,10 +15,10 @@ import (
 // TestFlowStartAllocatesNothing: starting a flow — initializing its
 // algorithm, filling in its cc.Env, sending its first packet and arming its
 // pacing wakeup — allocates nothing, for every protocol whose variants the
-// experiments run. Two batches of 64 flows start
-// on an 8-host fat-tree, each batch at one instant: the first warms the
-// packet pools, port queues and event slots, and drains; every engine step
-// at the second batch's instant is then one flow's start.
+// experiments run. Two batches of 64 flows start on an 8-host fat-tree,
+// each batch at one instant: the first warms the packet pools, port queues
+// and the scheduler's heap, and drains; every engine step at the second
+// batch's instant is then one flow's start.
 func TestFlowStartAllocatesNothing(t *testing.T) {
 	const batch = 64
 	minBDPDelay := 4 * sim.Microsecond

@@ -9,12 +9,12 @@ import (
 
 // Differential fuzz test: the engine is exercised against a
 // naive reference model with the exact same semantics — total order by
-// (time, scheduling sequence), lazy-cancel-is-no-op-after-execution —
-// through a byte-encoded stream of schedule / cancel / Step / StepBefore /
-// RunUntil operations, including events that schedule children from inside
-// their callbacks. Every schedule may go through a delay lane instead of
-// the heap; to the model a lane event is just an event at now + d that
-// nobody holds a handle to, a reserved event (Engine.Reserve) one that takes
+// (time, scheduling sequence), each event run exactly once — through a
+// byte-encoded stream of schedule / Step / StepBefore / RunUntil
+// operations, including events that schedule children from inside their
+// callbacks. Every schedule may go through a delay lane instead of the
+// heap; to the model a lane event is just an event at now + d, a reserved
+// event (Engine.Reserve) one that takes
 // its sequence number when reserved and joins the queue some operations
 // later, when ScheduleReserved schedules it, and an Every chain a run of
 // events each scheduling the next while that falls by the chain's end. Even
@@ -26,12 +26,12 @@ import (
 // refModel is the reference scheduler: an unsorted slice scanned for the
 // (at, seq) minimum on every execution. Obviously correct, O(n) per event.
 type refModel struct {
-	now                            Time
-	seq                            uint64
-	evs                            []refEv
-	scheduled, executed, cancelled uint64
-	order                          []int
-	chains                         map[int]refChain // by the id every tick of the chain carries
+	now                 Time
+	seq                 uint64
+	evs                 []refEv
+	scheduled, executed uint64
+	order               []int
+	chains              map[int]refChain // by the id every tick of the chain carries
 }
 
 // refChain is an Every chain: its ticks are period apart and end at until.
@@ -66,18 +66,6 @@ func (m *refModel) every(start, period, until Time, id int) {
 	}
 	m.chains[id] = refChain{period, until}
 	m.schedule(start, id)
-}
-
-func (m *refModel) cancel(id int) {
-	for i, ev := range m.evs {
-		if ev.id == id {
-			m.evs = append(m.evs[:i], m.evs[i+1:]...)
-			m.cancelled++
-			return
-		}
-	}
-	// Already executed, already cancelled, or never scheduled: no-op,
-	// matching Engine.Cancel on a stale handle.
 }
 
 func (m *refModel) minIdx() int {
@@ -195,7 +183,6 @@ const (
 	opFar               // schedule at now + v<<(v%47): up to 2^62 ps ahead
 	opNever             // schedule at maxTime, the "never" sentinel
 	opFlood             // schedule floodMin+v%64 events at the one time now + v>>6
-	opCancel            // cancel event v%len(all): live, executed or already cancelled
 	opStep              // Step
 	opRunUntil          // RunUntil(now + v%5000)
 	opStepBefore        // StepBefore(now + v%5000)
@@ -236,7 +223,7 @@ func checkOrder(t *testing.T, data []byte) {
 	m := &refModel{}
 
 	var engOrder []int
-	var handles []EventID // indexed by id; only directly scheduled events
+	ids := 0 // directly scheduled events, reservations and chains so far
 	last := Time(0)
 
 	var laned uint64 // events scheduled on a lane that has a ring
@@ -276,7 +263,7 @@ func checkOrder(t *testing.T, data []byte) {
 	}
 	// handler is event id's Handler: it records the run and schedules the
 	// event's child, if it has one.
-	var engSchedule func(at Time, id, lane int) EventID
+	var engSchedule func(at Time, id, lane int)
 	handler := func(at Time, id int) Handler {
 		fn := func() {
 			ran(id, at)
@@ -290,30 +277,32 @@ func checkOrder(t *testing.T, data []byte) {
 		return Func(fn)
 	}
 	// engSchedule schedules event id on the heap (lane -1) or on a lane.
-	engSchedule = func(at Time, id, lane int) EventID {
+	engSchedule = func(at Time, id, lane int) {
 		h := handler(at, id)
 		if lane < 0 || e.Now()+laneDelays[lane] < e.Now() {
 			// No lane, or the lane's delay overflows the clock (it has
 			// reached a never event): the lane would panic, as After
 			// does, so the event goes to the saturated time on the heap.
 			if f, ok := h.(Func); ok {
-				return e.At(at, f)
+				e.At(at, f)
+			} else {
+				e.Schedule(at, h)
 			}
-			return e.Schedule(at, h)
+			return
 		}
 		ln := laneFor(lane)
 		ln.After(h)
 		if ln.ring != nil {
-			laned++ // cannot be cancelled, so it will run from its ring
+			laned++ // it will run from its ring
 		}
-		return EventID{} // lane events have no handle; cancelling this is a no-op
 	}
 	scheduleOn := func(at Time, lane int) {
-		if len(handles) >= maxFuzzEvents {
+		if ids >= maxFuzzEvents {
 			return
 		}
-		id := len(handles)
-		handles = append(handles, engSchedule(at, id, lane))
+		id := ids
+		ids++
+		engSchedule(at, id, lane)
 		m.schedule(at, id)
 	}
 	schedule := func(at Time) { scheduleOn(at, -1) }
@@ -333,7 +322,7 @@ func checkOrder(t *testing.T, data []byte) {
 				continue
 			}
 			at := max(rv.at, e.Now())
-			handles[rv.id] = e.ScheduleReserved(at, rv.r, handler(at, rv.id))
+			e.ScheduleReserved(at, rv.r, handler(at, rv.id))
 			m.scheduleReserved(at, rv.mseq, rv.id)
 		}
 		reserved = kept
@@ -357,14 +346,6 @@ func checkOrder(t *testing.T, data []byte) {
 			for i := floodMin + v%64; i > 0; i-- {
 				schedule(at)
 			}
-		case opCancel:
-			if len(handles) > 0 {
-				id := v % len(handles)
-				e.Cancel(handles[id])
-				if handles[id].Valid() {
-					m.cancel(id)
-				}
-			}
 		case opStep:
 			if e.Step() != m.exec() {
 				t.Fatalf("op %d: Step disagrees with the model on whether an event ran", op)
@@ -383,21 +364,21 @@ func checkOrder(t *testing.T, data []byte) {
 		case opLaneFlood:
 			scheduleLane(v%len(laneDelays), laneRingMin/2+v>>8)
 		case opReserve:
-			if len(handles) >= maxFuzzEvents {
+			if ids >= maxFuzzEvents {
 				break
 			}
-			id := len(handles)
-			handles = append(handles, EventID{}) // cancelling it before it is scheduled is a no-op
+			id := ids
+			ids++
 			reserved = append(reserved, reservation{due: op + 1 + v%8, at: satAdd(e.Now(), Time(v>>3)),
 				id: id, r: e.Reserve(), mseq: m.reserve()})
 		case opEvery:
-			if len(handles) >= maxFuzzEvents {
+			if ids >= maxFuzzEvents {
 				break
 			}
 			start, period := satAdd(e.Now(), Time(v%4096)), Time(250*(1+v>>12%4))
 			until := satAdd(start, Time(v>>14)*period)
-			id, at := len(handles), start
-			handles = append(handles, EventID{}) // a chain has no handle; cancelling it is a no-op
+			id, at := ids, start
+			ids++
 			e.Every(start, period, until, func() {
 				ran(id, at)
 				at += period
@@ -427,9 +408,9 @@ func checkOrder(t *testing.T, data []byte) {
 		}
 	}
 	st := e.Stats()
-	if st.Scheduled != m.scheduled || st.Steps != m.executed || st.Cancelled != m.cancelled {
-		t.Fatalf("counters diverge: engine {sched %d exec %d cancel %d}, model {%d %d %d}",
-			st.Scheduled, st.Steps, st.Cancelled, m.scheduled, m.executed, m.cancelled)
+	if st.Scheduled != m.scheduled || st.Steps != m.executed {
+		t.Fatalf("counters diverge: engine {sched %d exec %d}, model {%d %d}",
+			st.Scheduled, st.Steps, m.scheduled, m.executed)
 	}
 	if st.Pending != len(m.evs) || st.Pending != 0 {
 		t.Fatalf("pending %d, model %d, want both 0 after Run", st.Pending, len(m.evs))
@@ -439,9 +420,9 @@ func checkOrder(t *testing.T, data []byte) {
 	}
 }
 
-// legacyTrial encodes one trial of the table test this fuzz target
-// replaced: 50 near schedules, then 3000 operations drawn 4:2:2:2 from
-// near schedule / cancel / Step / RunUntil.
+// legacyTrial encodes one trial in the shape of the table test this fuzz
+// target replaced: 50 near schedules, then 3000 operations drawn 4:2:2
+// from near schedule / Step / RunUntil.
 func legacyTrial(seed int64) []byte {
 	r := rand.New(rand.NewSource(seed))
 	var data []byte
@@ -450,14 +431,12 @@ func legacyTrial(seed int64) []byte {
 		emit(opNear, r.Intn(10_000))
 	}
 	for i := 0; i < 3000; i++ {
-		switch r.Intn(10) {
+		switch r.Intn(8) {
 		case 0, 1, 2, 3:
 			emit(opNear, r.Intn(10_000))
 		case 4, 5:
-			emit(opCancel, r.Intn(1<<16))
-		case 6, 7:
 			emit(opStep, 0)
-		case 8, 9:
+		case 6, 7:
 			emit(opRunUntil, r.Intn(5_000))
 		}
 	}
@@ -487,13 +466,13 @@ func FuzzEngineOrder(f *testing.F) {
 			opLane, 8, 0, opLane, 9, 0, opLane, 10, 0, opStep, 0, 0, opStep, 0, 0},
 		// A lane head exactly at the boundary: StepBefore(now+1000) must
 		// leave it, RunUntil(now+1000) must run it; then the same for the
-		// fall-back lane 9 at now+3 behind a cancelled heap root.
+		// fall-back lane 9 at now+3, once a heap event at now+1 has run.
 		{opLane, 1, 0, opStepBefore, 0xe8, 0x03, opRunUntil, 0xe8, 0x03,
-			opNear, 1, 0, opLane, 9, 0, opCancel, 0, 0, opStepBefore, 3, 0, opRunUntil, 3, 0},
+			opNear, 1, 0, opLane, 9, 0, opStep, 0, 0, opStepBefore, 2, 0, opRunUntil, 2, 0},
 		// Ring growth across a wrap: the head is moved off zero first, then
 		// one lane takes more than its ring holds, twice over.
 		{opLane, 2, 3, opStep, 0, 0, opStep, 0, 0, opStep, 0, 0, opLaneFlood, 2, 0x40, opStep, 0, 0,
-			opLaneFlood, 2, 0xff, opLaneFlood, 0, 0x80, opCancel, 7, 0, opRunUntil, 7, 0},
+			opLaneFlood, 2, 0xff, opLaneFlood, 0, 0x80, opRunUntil, 7, 0},
 		// Reservations among the base's heap and lane events: two for 1000,
 		// which tie a heap event and lane 1, the first scheduled after the
 		// second; one for 100, scheduled once the clock may have passed it;
@@ -528,11 +507,11 @@ func FuzzEngineOrder(f *testing.F) {
 			opRunUntil, 2, 0, opLane, 5, 0, opNear, 5, 0, opLane, 5, 0, opLane, 1, 0,
 			opStep, 0, 0, opStep, 0, 0, opStep, 0, 0, opStep, 0, 0, opStep, 0, 0, opStep, 0, 0},
 		// What the heap's two sifts can get wrong; these too run as written.
-		// The root is cancelled, the peek after the cancel pops the corpse
-		// (the last leaf, 300, goes down from the root), and a smaller key
-		// than anything pending is pushed and must come up past all of it.
+		// The root runs (the last leaf, 300, goes down from the root), and a
+		// smaller key than anything pending is pushed and must come up past
+		// all of it.
 		{opNear, 100, 0, opNear, 200, 0, opNear, 0x2c, 0x01, opNear, 250, 0, opNear, 150, 0, opNear, 120, 0,
-			opCancel, 0, 0, opNear, 50, 0, opStep, 0, 0, opCancel, 5, 0, opNear, 60, 0, opStep, 0, 0, opStep, 0, 0},
+			opStep, 0, 0, opNear, 50, 0, opStep, 0, 0, opStep, 0, 0, opNear, 60, 0, opStep, 0, 0, opStep, 0, 0},
 		// The heap drained to empty between two peeks, then refilled in
 		// descending time, twice: every push replaces the root.
 		{opNear, 10, 0, opStep, 0, 0, opNear, 5, 0, opNear, 3, 0, opNear, 1, 0, opStep, 0, 0, opStep, 0, 0,
@@ -559,11 +538,10 @@ func FuzzEngineOrder(f *testing.F) {
 		slices.Concat([]byte{opNear, 0xe8, 0x03}, reserveOp(1000, 6), []byte{opLane, 1, 0}, reserveOp(1000, 3),
 			[]byte{opNear, 0xe8, 0x03, opLane, 1, 0}, reserveOp(1000, 1), []byte{opStep, 0, 0, opStep, 0, 0, opStep, 0, 0,
 				opStep, 0, 0, opStep, 0, 0, opStep, 0, 0, opStep, 0, 0}),
-		// A reserved event has a handle once scheduled, and only then:
-		// cancelling it after its ScheduleReserved cancels it, before is a
-		// no-op.
-		slices.Concat(reserveOp(50, 1), []byte{opCancel, 0, 0}, reserveOp(60, 3),
-			[]byte{opCancel, 1, 0, opStep, 0, 0, opStep, 0, 0, opStep, 0, 0}),
+		// A reservation for the clock it was made at, scheduled after a
+		// zero-delay lane event and a heap event at that time: it still
+		// runs first.
+		slices.Concat(reserveOp(0, 3), []byte{opLane, 0, 0, opNear, 0, 0, opStep, 0, 0, opStep, 0, 0, opStep, 0, 0}),
 		// A chain's ticks tie lane 1 (delay 1000), a reserved event and a
 		// heap event: the first tick at 1000 is scheduled by Every itself,
 		// the second at 2000 from inside the first, before the lane event
@@ -592,7 +570,7 @@ func TestEngineFarFutureKeepsOrder(t *testing.T) {
 		last = e.Now()
 		ran++
 	}
-	never := e.At(maxTime, func() { t.Fatal("the never event ran") })
+	e.At(maxTime, func() { t.Fatal("the never event ran") })
 	for i := 0; i < 200; i++ {
 		e.At(Time(1000*i), observe)
 	}
@@ -611,9 +589,7 @@ func TestEngineFarFutureKeepsOrder(t *testing.T) {
 	if e.Pending() != 1 {
 		t.Fatalf("pending = %d, want only the never event", e.Pending())
 	}
-	e.Cancel(never)
-	e.Run()
 	if e.Now() != 300_000 {
-		t.Fatalf("clock = %v after draining a cancelled never event, want 300us", e.Now())
+		t.Fatalf("clock = %v, want 300us", e.Now())
 	}
 }

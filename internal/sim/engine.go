@@ -6,25 +6,6 @@ import (
 	"unsafe"
 )
 
-// EventID is a generation-stamped handle to a scheduled event. The zero
-// EventID is invalid (Valid reports false) and is safe to Cancel.
-//
-// Handles are stamped with the generation of the event slot they reference.
-// A slot's generation advances every time its event executes or is
-// cancelled, so a handle retained past its event's lifetime goes stale
-// rather than aliasing whatever event later reuses the slot: Cancel on a
-// stale handle is a guaranteed no-op. (The previous *Event API had exactly
-// that aliasing hazard — a pointer held across the event's execution could
-// cancel an unrelated recycled event.)
-type EventID struct {
-	idx uint32 // slot index + 1; 0 means "no event"
-	gen uint32 // slot generation at scheduling time
-}
-
-// Valid reports whether the handle refers to an event at all (it may still
-// be stale; Cancel checks that).
-func (id EventID) Valid() bool { return id.idx != 0 }
-
 // Handler is a scheduled event: the engine calls Fire once, at the event's
 // time. It is the one representation the engine stores. An object that is
 // its own event — a packet arriving, a port finishing a transmission — is
@@ -40,26 +21,21 @@ type Func func()
 // Fire calls f.
 func (f Func) Fire() { f() }
 
-// slot holds a scheduled event's handler. Slots are recycled through a
-// free list; gen counts recycles so stale EventIDs and stale queue entries
-// are detectable.
-type slot struct {
-	h   Handler
-	gen uint32
-}
-
-// Engine is a discrete-event simulation scheduler. The zero value is not
-// ready to use; create one with NewEngine.
+// Engine is a discrete-event simulation scheduler. The zero value is an
+// engine with the clock at time zero, as NewEngine returns.
 //
 // The timer core is a 4-ary heap (see heap.go) and execution order is
 // exactly (time, scheduling order): a strict total order, so fixed-seed
 // runs are bit-for-bit reproducible across scheduler implementations.
-// Steady-state scheduling is allocation-free: handlers that exist before
-// the event does (objects scheduled by address, method values bound once)
-// are stored in recycled slots, and queue entries live in the heap's one
-// backing array. Constant-delay events — nearly all of a packet
-// simulation's — bypass the heap altogether (see Lane). An event can take
-// its place in the order before it is scheduled (see Reserve).
+// An event is scheduled once and runs once: there is no cancelling, so a
+// client whose plans change lets the superseded event fire and ignores it,
+// as the flow timers in internal/net do. Steady-state scheduling is
+// allocation-free: handlers that exist before the event does (objects
+// scheduled by address, method values bound once) are stored in the queue
+// entry itself, and queue entries live in the heap's one backing array.
+// Constant-delay events — nearly all of a packet simulation's — bypass the
+// heap altogether (see Lane). An event can take its place in the order
+// before it is scheduled (see Reserve).
 type Engine struct {
 	now Time
 	seq uint64
@@ -73,23 +49,13 @@ type Engine struct {
 	laneAt   [maxLanes]Time
 	lanes    [maxLanes]Lane
 
-	slots []slot   // event arena; index = EventID.idx-1
-	free  []uint32 // recycled slot indexes
-
-	steps      uint64
-	live       int    // scheduled, not yet executed or cancelled
-	cancelled  uint64 // events cancelled over the engine's lifetime
-	peakLive   int    // high-water mark of live
-	slotAllocs uint64 // fresh slot allocations (arena growth)
+	steps    uint64
+	live     int // scheduled, not yet executed
+	peakLive int // high-water mark of live
 }
 
 // NewEngine returns an engine with the clock at time zero.
-func NewEngine() *Engine {
-	return &Engine{
-		slots: make([]slot, 0, 1024),
-		free:  make([]uint32, 0, 1024),
-	}
-}
+func NewEngine() *Engine { return &Engine{} }
 
 // Now returns the current simulated time.
 func (e *Engine) Now() Time { return e.now }
@@ -97,9 +63,10 @@ func (e *Engine) Now() Time { return e.now }
 // Steps returns the number of events executed so far.
 func (e *Engine) Steps() uint64 { return e.steps }
 
-// Pending returns the number of scheduled (not yet executed or cancelled)
-// events; a reservation counts once its event is scheduled. It is O(1) — the live count is maintained incrementally — so
-// samplers may call it per sample point.
+// Pending returns the number of scheduled, not yet executed events; a
+// reservation counts once its event is scheduled. It is O(1) — the live
+// count is maintained incrementally — so samplers may call it per sample
+// point.
 func (e *Engine) Pending() int { return e.live }
 
 // EngineStats is a snapshot of the engine's lifetime counters, the
@@ -109,15 +76,15 @@ type EngineStats struct {
 	// Scheduled counts the sequence numbers handed out: every event
 	// scheduled, a reserved one from its reservation on (see Reserve).
 	Scheduled uint64 `json:"events_scheduled"`
+	// Cancelled is always zero: the engine cancels nothing. It stays for
+	// readers that still report it.
 	Cancelled uint64 `json:"events_cancelled"`
 	Pending   int    `json:"events_pending"`
 	// PeakPending is the high-water mark of simultaneously scheduled
 	// events, on the heap and on the lanes together.
 	PeakPending int `json:"peak_events_pending"`
-	// EventAllocs counts fresh event-slot allocations: arena growth, as
-	// opposed to free-list reuse. In steady state it plateaus at the peak
-	// concurrent event count — a rising value on a stable workload means
-	// the scheduling hot path is allocating.
+	// EventAllocs is always zero: an event has no slot of its own to
+	// allocate. It stays for readers that still report it.
 	EventAllocs uint64 `json:"event_slot_allocs"`
 	// Laned counts the executed events that came off a delay lane and so
 	// never entered the heap (see Lane); Lanes splits it by lane, in
@@ -145,10 +112,8 @@ func (e *Engine) Stats() EngineStats {
 	return EngineStats{
 		Steps:       e.steps,
 		Scheduled:   e.seq,
-		Cancelled:   e.cancelled,
 		Pending:     e.live,
 		PeakPending: e.peakLive,
-		EventAllocs: e.slotAllocs,
 		Laned:       laned,
 		Lanes:       lanes,
 	}
@@ -156,16 +121,15 @@ func (e *Engine) Stats() EngineStats {
 
 // At schedules fn to run at absolute time t: Schedule for a func(). It is
 // allocation-free when fn is pre-bound (a method value or reused closure).
-func (e *Engine) At(t Time, fn func()) EventID { return e.Schedule(t, Func(fn)) }
+func (e *Engine) At(t Time, fn func()) { e.Schedule(t, Func(fn)) }
 
 // After schedules fn to run d after the current time.
-func (e *Engine) After(d Time, fn func()) EventID { return e.Schedule(e.now+d, Func(fn)) }
+func (e *Engine) After(d Time, fn func()) { e.Schedule(e.now+d, Func(fn)) }
 
 // Schedule schedules h to fire at absolute time t. Scheduling in the past
 // panics: it would silently reorder causality. The hot path does not
-// allocate: the slot comes from the free list and the queue entry goes into
-// the heap's backing array.
-func (e *Engine) Schedule(t Time, h Handler) EventID { return e.ScheduleReserved(t, e.Reserve(), h) }
+// allocate: the queue entry goes into the heap's backing array.
+func (e *Engine) Schedule(t Time, h Handler) { e.ScheduleReserved(t, e.Reserve(), h) }
 
 // Reservation is an event's place among the events of one time, taken before
 // the event is scheduled: see Reserve.
@@ -188,27 +152,15 @@ func (e *Engine) Reserve() Reservation {
 // Reserve handed out and no event has used: Schedule with the sequence
 // number taken at reservation. Scheduling in the past panics, as for
 // Schedule.
-func (e *Engine) ScheduleReserved(t Time, r Reservation, h Handler) EventID {
+func (e *Engine) ScheduleReserved(t Time, r Reservation, h Handler) {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
 	}
-	var idx uint32
-	if n := len(e.free); n > 0 {
-		idx = e.free[n-1]
-		e.free = e.free[:n-1]
-	} else {
-		e.slots = append(e.slots, slot{})
-		idx = uint32(len(e.slots) - 1)
-		e.slotAllocs++
-	}
-	s := &e.slots[idx]
-	s.h = h
-	e.q.push(entry{at: t, seq: uint64(r), idx: idx, gen: s.gen})
+	e.q.push(entry{at: t, seq: uint64(r), h: h})
 	e.live++
 	if e.live > e.peakLive {
 		e.peakLive = e.live
 	}
-	return EventID{idx: idx + 1, gen: s.gen}
 }
 
 // Lane is the engine's FIFO of pending events that were all scheduled a
@@ -220,28 +172,18 @@ func (e *Engine) ScheduleReserved(t Time, r Reservation, h Handler) EventID {
 // appended at the tail and consumed at the head, and the engine merges the
 // lane heads with the heap root by (at, seq) wherever it dequeues (see
 // next). The total order is exactly what After(d, fn) gives; only the two
-// sifts and the slot recycle are gone. Lane events cannot be cancelled, so
-// they need no slot, generation or EventID.
+// sifts are gone.
 type Lane struct {
 	e *Engine
 	d Time
 	// ring has power-of-two length; entries [head, tail) are pending at
 	// index mod len(ring). Both only count up, so head is also the number
-	// of events the lane has executed. A nil ring is a delay past maxLanes:
-	// After then schedules on the heap.
-	ring       []laneEntry
+	// of events the lane has executed. An entry is the heap's, written once
+	// and read once, in address order, and never moved or sorted. A nil ring
+	// is a delay past maxLanes: After then schedules on the heap.
+	ring       []entry
 	head, tail uint64
 	i          int // index in e.lanes, e.laneAt and e.laneLive
-}
-
-// laneEntry is one pending lane event. Unlike a heap entry it carries its
-// handler, two words the collector scans; that is affordable here because
-// a lane entry is written once and read once, in address order, and never
-// moved or sorted, and there is one ring per distinct delay, not per link.
-type laneEntry struct {
-	at  Time
-	seq uint64
-	h   Handler
 }
 
 // maxLanes bounds the lanes of one engine, because every dequeue compares
@@ -274,7 +216,7 @@ func (e *Engine) Lane(d Time) *Lane {
 		return &Lane{e: e, d: d}
 	}
 	l := &e.lanes[e.nLanes]
-	*l = Lane{e: e, d: d, ring: make([]laneEntry, laneRingMin), i: e.nLanes}
+	*l = Lane{e: e, d: d, ring: make([]entry, laneRingMin), i: e.nLanes}
 	e.nLanes++
 	return l
 }
@@ -291,7 +233,7 @@ func (l *Lane) After(h Handler) {
 	}
 	if l.tail-l.head == uint64(len(l.ring)) {
 		old := l.ring
-		l.ring = make([]laneEntry, 2*len(old))
+		l.ring = make([]entry, 2*len(old))
 		for i := l.head; i != l.tail; i++ {
 			l.ring[i&uint64(len(l.ring)-1)] = old[i&uint64(len(old)-1)]
 		}
@@ -300,7 +242,7 @@ func (l *Lane) After(h Handler) {
 		e.laneAt[l.i] = at
 		e.laneLive |= 1 << l.i
 	}
-	l.ring[l.tail&uint64(len(l.ring)-1)] = laneEntry{at: at, seq: e.seq, h: h}
+	l.ring[l.tail&uint64(len(l.ring)-1)] = entry{at: at, seq: e.seq, h: h}
 	l.tail++
 	e.seq++
 	e.live++
@@ -310,50 +252,23 @@ func (l *Lane) After(h Handler) {
 }
 
 // front is the lane's head entry; the lane must hold one.
-func (l *Lane) front() *laneEntry { return &l.ring[l.head&uint64(len(l.ring)-1)] }
+func (l *Lane) front() *entry { return &l.ring[l.head&uint64(len(l.ring)-1)] }
 
 // handlerData returns h's data word, loading nothing behind it: the object's
 // address for a pointer handler, the func value for a Func.
 func handlerData(h Handler) unsafe.Pointer { return (*[2]unsafe.Pointer)(unsafe.Pointer(&h))[1] }
 
-// Cancel prevents a scheduled event from running. The slot (and its
-// handler reference) is released immediately; the 24-byte queue entry is
-// discarded lazily when it surfaces at the heap root. Cancelling an
-// already-executed, already-cancelled, stale, or zero handle is a no-op —
-// the generation stamp guarantees a retained handle can never cancel an
-// unrelated event that reused the slot.
-func (e *Engine) Cancel(id EventID) {
-	if id.idx == 0 {
-		return
-	}
-	idx := id.idx - 1
-	if int(idx) >= len(e.slots) {
-		return
-	}
-	s := &e.slots[idx]
-	if s.gen != id.gen || s.h == nil {
-		return
-	}
-	s.h = nil
-	s.gen++
-	e.free = append(e.free, idx)
-	e.live--
-	e.cancelled++
-}
-
 // next is the one place events are dequeued. The next event is the smaller
-// (at, seq) of the heap root — cancelled corpses are popped as they
-// surface — and the lane heads; if there is one and its time is at most
-// limit, next reports that time and, when run is set, consumes the event
-// and fires its handler. Otherwise it reports false and leaves the clock
-// alone.
+// (at, seq) of the heap root and the lane heads; if there is one and its
+// time is at most limit, next reports that time and, when run is set,
+// consumes the event and fires its handler. Otherwise it reports false and
+// leaves the clock alone.
 //
 // Step, StepBefore, RunUntil and NextEventTime are all this function: a
 // dequeue site with its own copy of the merge that forgot the lanes would
 // reorder events, or stall the sharded epoch loop, silently. The body is
 // fused rather than layered (peek, then pop) because at tens of millions
-// of events per run a second call and a second load of the slot are
-// measurable.
+// of events per run a second call is measurable.
 //
 // The lane scan compares head times out of laneAt, one cache line, and goes
 // to a ring — a line of its own per lane — only for seq on an exact time tie
@@ -369,21 +284,12 @@ func (e *Engine) next(limit Time, run bool) (Time, bool) {
 		}
 	}
 	q := &e.q
-	var s *slot
-	var idx uint32
-	for len(q.h) > 0 {
-		en := q.h[0]
-		sl := &e.slots[en.idx]
-		if sl.gen != en.gen {
-			q.pop() // cancelled corpse
-			continue
+	if len(q.h) > 0 {
+		if en := &q.h[0]; ln == nil || en.at < at || en.at == at && en.seq < ln.front().seq {
+			at, ln = en.at, nil // the heap root goes first
 		}
-		if ln == nil || en.at < at || en.at == at && en.seq < ln.front().seq {
-			at, ln, s, idx = en.at, nil, sl, en.idx
-		}
-		break
 	}
-	if ln == nil && s == nil || at > limit {
+	if ln == nil && len(q.h) == 0 || at > limit {
 		return 0, false
 	}
 	if !run {
@@ -408,10 +314,8 @@ func (e *Engine) next(limit Time, run bool) (Time, bool) {
 			}
 		}
 	} else {
+		h = q.h[0].h
 		q.pop()
-		h, s.h = s.h, nil
-		s.gen++
-		e.free = append(e.free, idx)
 	}
 	h.Fire()
 	return at, true
@@ -437,9 +341,8 @@ func (e *Engine) StepBefore(end Time) bool {
 	return ok
 }
 
-// NextEventTime returns the time of the next live event, or false when
-// none is pending. It does not advance the clock (cancelled corpses at the
-// heap root are discarded as a side effect).
+// NextEventTime returns the time of the next event, or false when none is
+// pending. It does not advance the clock.
 func (e *Engine) NextEventTime() (Time, bool) {
 	return e.next(maxTime, false)
 }

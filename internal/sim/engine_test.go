@@ -141,8 +141,7 @@ func TestEngineFIFOTieBreak(t *testing.T) {
 // place, whatever was scheduled meanwhile and in whichever order the
 // reservations are scheduled — from inside an event too. It counts as
 // scheduled from the reservation and as pending from its ScheduleReserved,
-// it cancels like any event, and scheduling it in the past panics, as
-// Schedule does.
+// and scheduling it in the past panics, as Schedule does.
 func TestReserveKeepsItsPlace(t *testing.T) {
 	e := NewEngine()
 	var got []int
@@ -167,12 +166,6 @@ func TestReserveKeepsItsPlace(t *testing.T) {
 		t.Fatalf("order %v, want %v", got, want)
 	}
 
-	id := e.ScheduleReserved(20, e.Reserve(), note(6))
-	e.Cancel(id)
-	e.Run()
-	if st := e.Stats(); len(got) != 6 || st.Cancelled != 1 || st.Pending != 0 {
-		t.Fatalf("cancelled reserved event: ran %v, %+v", got, st)
-	}
 	r := e.Reserve()
 	defer func() {
 		if recover() == nil {
@@ -210,32 +203,6 @@ func TestEnginePastSchedulingPanics(t *testing.T) {
 	e.Run()
 }
 
-func TestEngineCancel(t *testing.T) {
-	e := NewEngine()
-	ran := false
-	ev := e.At(10, func() { ran = true })
-	e.Cancel(ev)
-	e.Cancel(ev) // double-cancel is a no-op
-	e.Run()
-	if ran {
-		t.Fatal("cancelled event ran")
-	}
-	if e.Steps() != 0 {
-		t.Fatalf("steps = %d, want 0", e.Steps())
-	}
-}
-
-func TestEngineCancelFromEvent(t *testing.T) {
-	e := NewEngine()
-	ran := false
-	ev := e.At(20, func() { ran = true })
-	e.At(10, func() { e.Cancel(ev) })
-	e.Run()
-	if ran {
-		t.Fatal("event cancelled mid-run still ran")
-	}
-}
-
 func TestEngineRunUntil(t *testing.T) {
 	e := NewEngine()
 	var ran []Time
@@ -262,14 +229,14 @@ func TestEngineRunUntil(t *testing.T) {
 
 func TestEnginePending(t *testing.T) {
 	e := NewEngine()
-	a := e.At(1, func() {})
+	e.At(1, func() {})
 	e.At(2, func() {})
 	if e.Pending() != 2 {
 		t.Fatalf("pending = %d, want 2", e.Pending())
 	}
-	e.Cancel(a)
+	e.Step()
 	if e.Pending() != 1 {
-		t.Fatalf("pending after cancel = %d, want 1", e.Pending())
+		t.Fatalf("pending after a step = %d, want 1", e.Pending())
 	}
 }
 
@@ -313,7 +280,7 @@ func TestEngineEveryZeroPeriodPanics(t *testing.T) {
 }
 
 func TestEngineEventRecycling(t *testing.T) {
-	// Heavy scheduling should reuse Event structs without corrupting order.
+	// Heavy scheduling, with events that nothing waits on, keeps the order.
 	e := NewEngine()
 	r := rand.New(rand.NewSource(1))
 	var last Time = -1
@@ -330,8 +297,7 @@ func TestEngineEventRecycling(t *testing.T) {
 		last = e.Now()
 		e.After(Time(r.Intn(100)+1), schedule)
 		if r.Intn(4) == 0 {
-			ev := e.After(Time(r.Intn(50)+1), func() {})
-			e.Cancel(ev)
+			e.After(Time(r.Intn(50)+1), func() {})
 		}
 	}
 	e.At(0, schedule)
@@ -342,7 +308,7 @@ func TestEngineEventRecycling(t *testing.T) {
 }
 
 // Property: executing any set of events yields nondecreasing time, and every
-// non-cancelled event runs exactly once.
+// event runs exactly once.
 func TestEngineMonotonicProperty(t *testing.T) {
 	prop := func(delays []uint16) bool {
 		e := NewEngine()

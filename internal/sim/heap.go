@@ -12,34 +12,27 @@ package sim
 // ties broken by scheduling sequence number. seq is unique, so the order is
 // strict and any correct priority queue yields the same one, wherever equal
 // times sit in the array. The golden experiment tests pin this.
-//
-// The heap never inspects cancellation state: the engine cancels events by
-// invalidating their slot generation and pops stale entries as they surface
-// at the root (see Engine.next).
 type eventHeap struct {
 	// h[0] is the minimum; the children of h[i] are h[heapArity*i+1 ...
 	// heapArity*i+heapArity], none smaller than h[i]. The backing array is
-	// the queue's only memory: it grows to the peak number of entries
-	// (cancelled corpses included) and is never released.
+	// the queue's only memory: it grows to the peak number of entries and is
+	// never released.
 	h []entry
 }
 
-// heapArity trades depth against compares per level. Four 24-byte children
-// are 96 contiguous bytes, two or three cache lines, and a sift-down visits
+// heapArity trades depth against compares per level. Four 32-byte children
+// are 128 contiguous bytes, two or three cache lines, and a sift-down visits
 // half the levels a binary heap's does; pushes, which only compare with
 // parents, get the shallower tree for free.
 const heapArity = 4
 
-// entry is one scheduled occurrence: the ordering key (at, seq) plus a
-// generation-stamped reference to the engine's event slot. Entries are
-// deliberately pointer-free (24 bytes): a paper-scale run keeps tens of
-// thousands of them pending, and keeping them scalar-only means the GC
-// never scans queue memory and sifts move minimal data.
+// entry is one scheduled event, on the heap and on a lane alike: the
+// ordering key (at, seq) and the handler the engine fires, 32 bytes, of
+// which the handler's two words are what the collector scans.
 type entry struct {
 	at  Time
 	seq uint64
-	idx uint32 // slot index in Engine.slots
-	gen uint32 // slot generation at scheduling time
+	h   Handler
 }
 
 func entryLess(a, b entry) bool {
@@ -67,10 +60,12 @@ func (q *eventHeap) push(en entry) {
 }
 
 // pop removes the minimum, h[0]; the heap must not be empty. The last leaf
-// takes the hole at the root and moves down past every smaller child.
+// takes the hole at the root and moves down past every smaller child. The
+// vacated cell drops its handler, so a fired event holds nothing alive.
 func (q *eventHeap) pop() {
 	n := len(q.h) - 1
 	en := q.h[n]
+	q.h[n].h = nil
 	h := q.h[:n]
 	q.h = h
 	if n == 0 {

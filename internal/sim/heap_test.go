@@ -9,14 +9,14 @@ import (
 // The heap alone, against a sorted slice: random entries, most of them
 // sharing a handful of times so that seq decides, pushed and popped in
 // interleaved bursts, drained to empty and used again. Every pop must
-// remove the (at, seq) minimum of what is stored.
+// remove the (at, seq) minimum of what is stored, with its own handler.
 func TestEventHeapPopsInOrder(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
 	var q eventHeap
 	var want []entry // sorted ascending, the model
 	seq := uint64(0)
 	push := func() {
-		en := entry{at: Time(r.Intn(8)), seq: seq, idx: uint32(seq)}
+		en := entry{at: Time(r.Intn(8)), seq: seq, h: &objEvent{}}
 		if r.Intn(4) == 0 {
 			en.at = Time(r.Int63())
 		}

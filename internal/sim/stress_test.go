@@ -5,41 +5,31 @@ import (
 	"testing"
 )
 
-// TestEngineStressMixedOps hammers the engine with interleaved schedules,
-// cancellations, and RunUntil boundaries, checking global ordering and
-// exactly-once execution.
+// TestEngineStressMixedOps hammers the engine with interleaved schedules
+// and RunUntil boundaries, checking global ordering and exactly-once
+// execution.
 func TestEngineStressMixedOps(t *testing.T) {
 	e := NewEngine()
 	r := rand.New(rand.NewSource(7))
 
 	executed := map[int]int{}
-	cancelled := map[int]bool{}
-	events := map[int]EventID{}
 	var last Time = -1
 	id := 0
 
-	schedule := func(d Time) int {
+	schedule := func(d Time) {
 		id++
 		myID := id
-		events[myID] = e.After(d, func() {
+		e.After(d, func() {
 			executed[myID]++
 			if e.Now() < last {
 				t.Fatalf("time regressed at event %d", myID)
 			}
 			last = e.Now()
 		})
-		return myID
 	}
 
 	for i := 0; i < 5000; i++ {
 		schedule(Time(r.Intn(100_000)))
-	}
-	// Cancel a random third before running.
-	for myID, ev := range events {
-		if r.Intn(3) == 0 {
-			e.Cancel(ev)
-			cancelled[myID] = true
-		}
 	}
 	// Run in randomly sized chunks, scheduling more events between
 	// chunks.
@@ -51,67 +41,14 @@ func TestEngineStressMixedOps(t *testing.T) {
 			t.Fatalf("clock %v after RunUntil(%v)", e.Now(), horizon)
 		}
 		if r.Intn(2) == 0 {
-			nid := schedule(Time(r.Intn(30_000)))
-			if r.Intn(4) == 0 {
-				e.Cancel(events[nid])
-				cancelled[nid] = true
-			}
+			schedule(Time(r.Intn(30_000)))
 		}
 	}
 	e.Run()
 
-	for myID := range events {
-		n := executed[myID]
-		if cancelled[myID] && n != 0 {
-			t.Fatalf("cancelled event %d ran %d times", myID, n)
-		}
-		if !cancelled[myID] && n != 1 {
+	for myID := 1; myID <= id; myID++ {
+		if n := executed[myID]; n != 1 {
 			t.Fatalf("event %d ran %d times, want exactly once", myID, n)
 		}
 	}
-}
-
-// TestEngineCancelAfterExecutionIsNoop: cancelling an event that already
-// ran must not corrupt the queue or panic.
-func TestEngineCancelAfterExecutionIsNoop(t *testing.T) {
-	e := NewEngine()
-	ran := 0
-	ev := e.At(5, func() { ran++ })
-	e.At(10, func() {})
-	e.Run()
-	e.Cancel(ev) // already executed and recycled
-	e.At(20, func() { ran++ })
-	e.Run()
-	if ran != 2 {
-		t.Fatalf("ran = %d, want 2", ran)
-	}
-}
-
-// TestRunUntilWithOnlyCancelledEvents advances the clock past a queue of
-// corpses.
-func TestRunUntilWithOnlyCancelledEvents(t *testing.T) {
-	e := NewEngine()
-	for i := 1; i <= 10; i++ {
-		e.Cancel(e.At(Time(i), func() { t.Fatal("cancelled event ran") }))
-	}
-	e.RunUntil(100)
-	if e.Now() != 100 {
-		t.Fatalf("clock = %v, want 100", e.Now())
-	}
-	if e.Steps() != 0 {
-		t.Fatalf("steps = %d, want 0", e.Steps())
-	}
-}
-
-func BenchmarkEngineScheduleCancel(b *testing.B) {
-	e := NewEngine()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		ev := e.At(Time(i+1), func() {})
-		e.Cancel(ev)
-		if i%1024 == 1023 {
-			e.RunUntil(Time(i))
-		}
-	}
-	e.Run()
 }
