@@ -32,9 +32,10 @@ bench-compare:
 # The tracked size number (ROADMAP aim 2): non-test Go lines and assembly,
 # bench/ excluded, then the same count per directory, then the counts of
 # registered experiments, -verify claims, fairsim flags, exported
-# exp.Config fields and settable net.Network fields. cmd/ci holds its one
-# definition and prints the total as
-# the gate's last line.
+# exp.Config fields, settable net.Network fields and the exported fields
+# of the protocol and fabric configs (hpcc.Config, swift.Config,
+# timely.Config, core.VAIConfig, topo.FatTreeConfig). cmd/ci holds its one
+# definition and prints the total as the gate's last line.
 loc:
 	@go run ./cmd/ci -loc
 

@@ -42,9 +42,11 @@
 // PR's CHANGES.md entry quotes; `go run ./cmd/ci -loc` (`make loc`) prints
 // that number on its first line, then the same count per directory, then
 // the other tracked counts: registered experiments, -verify claims, the
-// flags fairsim declares, and the exported fields of exp.Config and of
-// net.Network (its constructor argument Eng aside), the parameters and
-// model settings a library caller can set.
+// flags fairsim declares, and the exported fields of exp.Config, of
+// net.Network (its constructor argument Eng aside) and of the protocol and
+// fabric configs (hpcc.Config, swift.Config, timely.Config, core.VAIConfig
+// and topo.FatTreeConfig), the parameters and model settings a library
+// caller can set.
 package main
 
 import (
@@ -63,8 +65,13 @@ import (
 	"sort"
 	"strings"
 
+	"faircc/internal/cc/hpcc"
+	"faircc/internal/cc/swift"
+	"faircc/internal/cc/timely"
+	"faircc/internal/core"
 	"faircc/internal/exp"
 	"faircc/internal/net"
+	"faircc/internal/topo"
 )
 
 // loc is the tracked size number: the lines of every non-test Go file and
@@ -133,7 +140,7 @@ func exported(v any) int {
 }
 
 func main() {
-	locOnly := flag.Bool("loc", false, "print the tracked size number, one line per directory, the experiment, claim, fairsim flag, Config parameter and Network setting counts, and exit")
+	locOnly := flag.Bool("loc", false, "print the tracked size number, one line per directory, the experiment, claim, fairsim flag, Config parameter, Network setting and protocol and fabric parameter counts, and exit")
 	flag.Parse()
 	size, byDir, err := loc()
 	if err != nil {
@@ -155,8 +162,9 @@ func main() {
 			fmt.Fprintln(os.Stderr, "ci: flags:", err)
 			os.Exit(1)
 		}
-		fmt.Printf("%6d registered experiments\n%6d -verify claims\n%6d fairsim flags\n%6d exp.Config parameters\n%6d net.Network settings\n",
-			len(exp.Names()), len(exp.Claims()), flags, exported(exp.Config{}), exported(net.Network{})-1) // Network.Eng is New's argument
+		fmt.Printf("%6d registered experiments\n%6d -verify claims\n%6d fairsim flags\n%6d exp.Config parameters\n%6d net.Network settings\n%6d protocol and fabric parameters\n",
+			len(exp.Names()), len(exp.Claims()), flags, exported(exp.Config{}), exported(net.Network{})-1, // Network.Eng is New's argument
+			exported(hpcc.Config{})+exported(swift.Config{})+exported(timely.Config{})+exported(core.VAIConfig{})+exported(topo.FatTreeConfig{}))
 		return
 	}
 

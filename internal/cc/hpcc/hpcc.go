@@ -27,16 +27,20 @@ import (
 	"faircc/internal/core"
 )
 
-// Config parameterizes HPCC. The zero value is not usable; start from
-// DefaultConfig.
+// The paper's HPCC constants (Sec. VI-A): the target utilization eta and
+// the additive-probe stages per MI round, maxStage.
+const (
+	eta      float64 = 0.95
+	maxStage         = 5
+)
+
+// Config parameterizes HPCC. Start from DefaultConfig.
 type Config struct {
-	Eta      float64 // target utilization, 0.95 in the paper
-	MaxStage int     // additive-probe stages per MI round, 5 in the paper
-	AIBps    float64 // base additive increase, 50 Mb/s in the paper
+	AIBps float64 // base additive increase, 50 Mb/s in the paper
 
 	// Mechanisms attaches VAI and SF; measured congestion is the deepest
 	// INT queue of a round trip, in bytes, and an ACK is congested when
-	// U >= Eta.
+	// U >= eta.
 	core.Mechanisms
 	// Probabilistic ignores a would-be reference-updating multiplicative
 	// decrease with probability 1 - Wc/maxW (Sec. III-D: feedback is
@@ -46,7 +50,7 @@ type Config struct {
 
 // DefaultConfig returns the paper's "default HPCC" parameters.
 func DefaultConfig() Config {
-	return Config{Eta: 0.95, MaxStage: 5, AIBps: 50e6}
+	return Config{AIBps: 50e6}
 }
 
 // VAISFConfig returns the paper's "HPCC VAI SF" parameters (Sec. VI-A):
@@ -181,9 +185,9 @@ func (h *HPCC) remember(hops []cc.Telemetry) {
 // the paper's VAI, SF and probabilistic-feedback hooks).
 func (h *HPCC) OnAck(fb cc.Feedback) cc.Control {
 	util, deepest := h.measureInflight(fb)
-	ended, update := h.att.Ack(fb.AckedBytes, fb.SentBytes, deepest, util >= h.cfg.Eta)
+	ended, update := h.att.Ack(fb.AckedBytes, fb.SentBytes, deepest, util >= eta)
 
-	decrease := util >= h.cfg.Eta || h.inc >= h.cfg.MaxStage
+	decrease := util >= eta || h.inc >= maxStage
 	base := h.wc // additive probe: W = Wc + W_AI, Wc moving once per RTT
 	if decrease {
 		// The reference updates once per RTT by default; with SF, every
@@ -191,7 +195,7 @@ func (h *HPCC) OnAck(fb cc.Feedback) cc.Control {
 		// fewer than SFEvery packets therefore reacts *less* often than
 		// once per RTT — that asymmetry against flows with more ACKs is
 		// the fairness mechanism (Sec. III-B), not an accident.
-		base = h.wc / (util / h.cfg.Eta)
+		base = h.wc / (util / eta)
 		if h.cfg.Probabilistic {
 			// With probabilistic feedback the first accepted ACK per
 			// window of data triggers the reaction. Acceptance is linear

@@ -278,8 +278,7 @@ func TestMeasureInflightMatchesFormula(t *testing.T) {
 func TestVAISFConfigMatchesPaper(t *testing.T) {
 	c := VAISFConfig(50_000)
 	v := c.VAI
-	if v.TokenThresh != 50_000 || v.AIDiv != 1000 || v.BankCap != 1000 ||
-		v.AICap != 100 || v.DampenerConst != 8 {
+	if v.TokenThresh != 50_000 || v.AIDiv != 1000 || v.AICap != 100 || v.DampenerConst != 8 {
 		t.Fatalf("VAI params %+v do not match Sec. VI-A", v)
 	}
 	if c.SFEvery != 30 {

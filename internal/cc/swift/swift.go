@@ -23,27 +23,30 @@ import (
 	"faircc/internal/sim"
 )
 
-// FBSConfig parameterizes flow-based scaling of the target delay:
-// target += clamp(alpha/sqrt(cwnd_pkts) + beta_fs, 0, Range) where alpha
-// and beta_fs derive from the min/max scaling windows as in Kumar et al.
-// The zero FBSConfig is no FBS.
-type FBSConfig struct {
-	Range       sim.Time // fs_range: maximum extra target delay
-	MinCwndPkts float64  // below this window the full Range applies (0.1)
-	MaxCwndPkts float64  // above this window no scaling applies (100, or 50 on the small topology)
-}
+// The paper's Swift constants: the base target delay and its per-hop
+// topology scaling, beta and max_mdf of Eq. (1) (the largest decrease is a
+// halving), and flow-based scaling's fs_range and minimum scaling window
+// (below it the full range applies), as in Kumar et al.
+const (
+	baseTarget         = 5 * sim.Microsecond
+	perHop             = 2 * sim.Microsecond
+	beta       float64 = 0.8
+	maxMdf     float64 = 0.5
+	fbsRange           = 4 * sim.Microsecond
+	fbsMinCwnd float64 = 0.1
+)
 
 // Config parameterizes Swift. Start from DefaultConfig.
 type Config struct {
-	BaseTarget sim.Time // base target delay, 5us in the paper
-	PerHop     sim.Time // topology-based scaling, 2us per hop
-	Beta       float64  // 0.8
-	MaxMdf     float64  // 0.5 (the largest decrease is a halving)
-	AIBps      float64  // base additive increase, 50 Mb/s
+	AIBps float64 // base additive increase, 50 Mb/s
 
-	// FBS enables flow-based scaling unless it is the zero FBSConfig. The
-	// paper's VAI SF variant runs without FBS (Sec. VI-B).
-	FBS FBSConfig
+	// FBSMaxCwnd enables flow-based scaling of the target delay,
+	// target += clamp(alpha/sqrt(cwnd_pkts) + beta_fs, 0, fs_range), when
+	// positive: it is the max scaling window in packets, above which no
+	// scaling applies, and alpha and beta_fs derive from it and the minimum
+	// window as in Kumar et al. Zero is no FBS; the paper's VAI SF variant
+	// runs without FBS (Sec. VI-B).
+	FBSMaxCwnd float64
 	// Mechanisms attaches VAI and SF; measured congestion is a round
 	// trip's maximum delay and an ACK is congested above the target. SF
 	// (decreases every SFEvery ACKs) brings with it the HPCC-style
@@ -64,23 +67,11 @@ type Config struct {
 	HAIMult  float64
 }
 
-// DefaultConfig returns the paper's Swift parameters for the given hop
-// count, with FBS enabled at a max scaling window of maxScalePkts
-// (100 in Kumar et al.; the paper lowers it to 50 on the single-switch
-// topology because windows are smaller there).
+// DefaultConfig returns the paper's Swift parameters with FBS at a max
+// scaling window of maxScalePkts (100 in Kumar et al.; the paper lowers it
+// to 50 on the single-switch topology because windows are smaller there).
 func DefaultConfig(maxScalePkts float64) Config {
-	return Config{
-		BaseTarget: 5 * sim.Microsecond,
-		PerHop:     2 * sim.Microsecond,
-		Beta:       0.8,
-		MaxMdf:     0.5,
-		AIBps:      50e6,
-		FBS: FBSConfig{
-			Range:       4 * sim.Microsecond,
-			MinCwndPkts: 0.1,
-			MaxCwndPkts: maxScalePkts,
-		},
-	}
+	return Config{AIBps: 50e6, FBSMaxCwnd: maxScalePkts}
 }
 
 // VAISFConfig returns the paper's "Swift VAI SF" parameters (Sec. VI-A):
@@ -91,7 +82,6 @@ func DefaultConfig(maxScalePkts float64) Config {
 // the threshold; pass the min-BDP delay here.
 func VAISFConfig(minBDPDelay sim.Time) Config {
 	c := DefaultConfig(0)
-	c.FBS = FBSConfig{}
 	c.Mechanisms = core.PaperVAISF(float64(minBDPDelay), float64(30*sim.Nanosecond))
 	return c
 }
@@ -142,15 +132,15 @@ func (s *Swift) Init(env *cc.Env) cc.Control {
 // targetDelay computes the flow's target delay with topology-based scaling
 // and, when enabled, flow-based scaling for the given window.
 func (s *Swift) targetDelay(cwndPkts float64) sim.Time {
-	t := s.cfg.BaseTarget + sim.Time(len(s.env.HopBps))*s.cfg.PerHop
-	if fs := &s.cfg.FBS; *fs != (FBSConfig{}) {
+	t := baseTarget + sim.Time(len(s.env.HopBps))*perHop
+	if maxCwnd := s.cfg.FBSMaxCwnd; maxCwnd > 0 {
 		if s.fsAlpha == 0 {
-			den := 1/math.Sqrt(fs.MinCwndPkts) - 1/math.Sqrt(fs.MaxCwndPkts)
-			s.fsAlpha = float64(fs.Range) / den
-			s.fsBeta = -s.fsAlpha / math.Sqrt(fs.MaxCwndPkts)
+			den := 1/math.Sqrt(fbsMinCwnd) - 1/math.Sqrt(maxCwnd)
+			s.fsAlpha = float64(fbsRange) / den
+			s.fsBeta = -s.fsAlpha / math.Sqrt(maxCwnd)
 		}
 		extra := s.fsAlpha/math.Sqrt(cwndPkts) + s.fsBeta
-		t += sim.Time(clamp(extra, 0, float64(fs.Range)))
+		t += sim.Time(clamp(extra, 0, float64(fbsRange)))
 	}
 	return t
 }
@@ -171,8 +161,8 @@ func (s *Swift) mdf(delay, target sim.Time) float64 {
 	if delay <= target || delay <= 0 {
 		return 1
 	}
-	m := 1 - s.cfg.Beta*float64(delay-target)/float64(delay)
-	return math.Max(m, s.cfg.MaxMdf)
+	m := 1 - beta*float64(delay-target)/float64(delay)
+	return math.Max(m, maxMdf)
 }
 
 // OnAck implements cc.Algorithm.

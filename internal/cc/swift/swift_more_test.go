@@ -9,25 +9,25 @@ import (
 )
 
 // TestFBSCoefficients checks the closed-form alpha/beta derivation: the
-// scaling term must be exactly Range at MinCwndPkts and exactly 0 at
-// MaxCwndPkts.
+// scaling term must be exactly fbsRange at fbsMinCwnd and exactly 0 at
+// the max scaling window.
 func TestFBSCoefficients(t *testing.T) {
-	s := New(DefaultConfig(50))
+	const maxCwnd = 50
+	s := New(DefaultConfig(maxCwnd))
 	s.Init(env())
-	fs := s.cfg.FBS
-	base := s.cfg.BaseTarget + sim.Time(len(s.env.HopBps))*s.cfg.PerHop
-	atMin := s.targetDelay(fs.MinCwndPkts)
-	atMax := s.targetDelay(fs.MaxCwndPkts)
-	if atMin-base != fs.Range {
-		t.Fatalf("FBS at min cwnd adds %v, want full range %v", atMin-base, fs.Range)
+	base := baseTarget + sim.Time(len(s.env.HopBps))*perHop
+	atMin := s.targetDelay(fbsMinCwnd)
+	atMax := s.targetDelay(maxCwnd)
+	if atMin-base != fbsRange {
+		t.Fatalf("FBS at min cwnd adds %v, want full range %v", atMin-base, fbsRange)
 	}
 	if atMax != base {
 		t.Fatalf("FBS at max cwnd adds %v, want 0", atMax-base)
 	}
 	// Analytical midpoint: extra = alpha/sqrt(w) + beta.
 	w := 10.0
-	alpha := float64(fs.Range) / (1/math.Sqrt(fs.MinCwndPkts) - 1/math.Sqrt(fs.MaxCwndPkts))
-	beta := -alpha / math.Sqrt(fs.MaxCwndPkts)
+	alpha := float64(fbsRange) / (1/math.Sqrt(fbsMinCwnd) - 1/math.Sqrt(maxCwnd))
+	beta := -alpha / math.Sqrt(maxCwnd)
 	want := base + sim.Time(alpha/math.Sqrt(w)+beta)
 	if got := s.targetDelay(w); got != want {
 		t.Fatalf("FBS at cwnd 10 = %v, want %v", got, want)
@@ -114,7 +114,7 @@ func TestVAISpendsOnIncreaseRTTs(t *testing.T) {
 // the reference window, not the transient per-ACK window.
 func TestTargetUsesReferenceInSFMode(t *testing.T) {
 	cfg := VAISFConfig(4 * sim.Microsecond)
-	cfg.FBS = FBSConfig{Range: 4 * sim.Microsecond, MinCwndPkts: 0.1, MaxCwndPkts: 50}
+	cfg.FBSMaxCwnd = 50
 	s := New(cfg)
 	s.Init(env())
 	s.ref = 25

@@ -62,9 +62,7 @@ func TestMdfEquation(t *testing.T) {
 }
 
 func TestTargetDelayTopologyScaling(t *testing.T) {
-	cfg := DefaultConfig(50)
-	cfg.FBS = FBSConfig{}
-	s := New(cfg)
+	s := New(DefaultConfig(0)) // no FBS
 	e := env()
 	e.HopBps = make([]float64, 5) // max fat-tree path
 	s.Init(e)
@@ -74,16 +72,16 @@ func TestTargetDelayTopologyScaling(t *testing.T) {
 	}
 }
 
-// TestZeroFBSIsOff: a zero FBSConfig is no FBS, so the target is the
+// TestZeroFBSIsOff: a zero FBSMaxCwnd is no FBS, so the target is the
 // topology-scaled base whatever the window; VAISFConfig runs that way.
 func TestZeroFBSIsOff(t *testing.T) {
 	cfg := VAISFConfig(4 * sim.Microsecond)
-	if cfg.FBS != (FBSConfig{}) {
-		t.Fatalf("VAISFConfig FBS = %+v, want the zero FBSConfig", cfg.FBS)
+	if cfg.FBSMaxCwnd != 0 {
+		t.Fatalf("VAISFConfig FBSMaxCwnd = %v, want 0", cfg.FBSMaxCwnd)
 	}
 	s := New(cfg)
 	s.Init(env())
-	want := cfg.BaseTarget + cfg.PerHop
+	want := baseTarget + perHop
 	for _, w := range []float64{0.1, 4, 50} {
 		if got := s.targetDelay(w); got != want {
 			t.Fatalf("target at window %v = %v, want %v with FBS off", w, got, want)
@@ -314,9 +312,7 @@ func TestVAISFConvergesFasterFromUnfairStart(t *testing.T) {
 	// equalizer (both flows see identical delays, so the per-window
 	// target asymmetry dominates); the packet-level integration tests
 	// compare against full default Swift.
-	baseCfg := DefaultConfig(50)
-	baseCfg.FBS = FBSConfig{}
-	base := run(baseCfg)
+	base := run(DefaultConfig(0))
 	vaisf := run(VAISFConfig(4 * sim.Microsecond))
 	if vaisf >= base {
 		t.Fatalf("VAI SF converged in %d rounds, no-FBS default in %d; want faster", vaisf, base)
@@ -370,8 +366,7 @@ func TestDeterminism(t *testing.T) {
 }
 
 func TestHyperAIEngagesAfterCleanRTTs(t *testing.T) {
-	cfg := DefaultConfig(50)
-	cfg.FBS = FBSConfig{}
+	cfg := DefaultConfig(0)
 	cfg.HAIAfter = 3
 	cfg.HAIMult = 10
 	s := New(cfg)

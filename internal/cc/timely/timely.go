@@ -15,8 +15,7 @@
 //
 // where norm_gradient is the EWMA of RTT differences divided by the
 // minimum RTT, and HAI mode engages after five consecutive non-positive
-// gradients. Parameters default to the TIMELY paper's values rescaled to
-// a 100 Gb/s, microsecond-RTT fabric.
+// gradients.
 package timely
 
 import (
@@ -27,43 +26,37 @@ import (
 	"faircc/internal/sim"
 )
 
-// Config parameterizes TIMELY.
+// TIMELY's parameters, the TIMELY paper's values rescaled to a 100 Gb/s,
+// microsecond-RTT fabric: the EWMA weight of the RTT-difference filter, the
+// multiplicative decrease factor, the additive increase step (the paper's
+// 50 Mb/s AI), the offsets above the flow's base RTT below which it always
+// increases and above which it always decreases, the consecutive
+// non-positive gradients that enter HAI mode and the step's multiplier
+// there, and the rate floor.
+const (
+	alpha       float64 = 0.46
+	beta        float64 = 0.8
+	deltaBps    float64 = 50e6
+	tLowOffset          = 1 * sim.Microsecond
+	tHighOffset         = 20 * sim.Microsecond
+	haiAfter            = 5
+	haiMult     float64 = 5
+	minRate     float64 = 10e6
+)
+
+// Config selects TIMELY's mechanisms: its zero value is stock TIMELY.
+// Mechanisms attaches VAI and SF as for Swift: measured congestion is the
+// flow's maximum RTT over a round trip, and an ACK is congested above
+// base RTT + tLowOffset.
 type Config struct {
-	Alpha    float64  // EWMA weight for the RTT-difference filter (0.46)
-	Beta     float64  // multiplicative decrease factor (0.8)
-	DeltaBps float64  // additive increase step (50 Mb/s, matching the paper's AI)
-	TLow     sim.Time // below this RTT, always increase (base + 1 us)
-	THigh    sim.Time // above this RTT, always decrease (base + 20 us)
-	HAIAfter int      // consecutive non-positive gradients to enter HAI (5)
-	HAIMult  float64  // delta multiplier in HAI mode (5)
-
-	// Mechanisms attaches VAI and SF as for Swift: measured congestion is
-	// the flow's maximum RTT over a round trip, and an ACK is congested
-	// above TLow.
 	core.Mechanisms
-}
-
-// DefaultConfig returns TIMELY parameters for a 100 Gb/s fabric. TLow and
-// THigh are offsets added to the flow's base RTT at Init.
-func DefaultConfig() Config {
-	return Config{
-		Alpha:    0.46,
-		Beta:     0.8,
-		DeltaBps: 50e6,
-		TLow:     1 * sim.Microsecond,
-		THigh:    20 * sim.Microsecond,
-		HAIAfter: 5,
-		HAIMult:  5,
-	}
 }
 
 // VAISFConfig returns TIMELY with VAI and Sampling Frequency attached,
 // sized like Swift's: one token per 30 ns of delay above the threshold,
-// which is TLow plus the min-BDP delay.
+// which is base RTT + tLowOffset plus the min-BDP delay.
 func VAISFConfig(minBDPDelay sim.Time) Config {
-	c := DefaultConfig()
-	c.Mechanisms = core.PaperVAISF(float64(minBDPDelay), float64(30*sim.Nanosecond))
-	return c
+	return Config{Mechanisms: core.PaperVAISF(float64(minBDPDelay), float64(30*sim.Nanosecond))}
 }
 
 // Timely is the per-flow sender state.
@@ -73,7 +66,6 @@ type Timely struct {
 	att core.Attachment
 
 	rate     float64 // pacing rate, bps
-	minRate  float64
 	tLow     sim.Time
 	tHigh    sim.Time
 	prevRTT  sim.Time
@@ -91,16 +83,15 @@ func (t *Timely) Rate() float64 { return t.rate }
 func (t *Timely) Init(env *cc.Env) cc.Control {
 	t.env = env
 	t.rate = env.LineRateBps
-	t.minRate = 10e6
-	t.tLow = env.BaseRTT + t.cfg.TLow
-	t.tHigh = env.BaseRTT + t.cfg.THigh
+	t.tLow = env.BaseRTT + tLowOffset
+	t.tHigh = env.BaseRTT + tHighOffset
 	t.prevRTT = env.BaseRTT
 	t.att = t.cfg.Attach(float64(t.tLow))
 	return t.control()
 }
 
 func (t *Timely) control() cc.Control {
-	t.rate = math.Min(math.Max(t.rate, t.minRate), t.env.LineRateBps)
+	t.rate = math.Min(math.Max(t.rate, minRate), t.env.LineRateBps)
 	return cc.Control{
 		// TIMELY is rate-based; the window is a line-rate BDP cap so
 		// pacing governs.
@@ -114,7 +105,7 @@ func (t *Timely) OnAck(fb cc.Feedback) cc.Control {
 	rtt := fb.RTT
 	newDiff := float64(rtt - t.prevRTT)
 	t.prevRTT = rtt
-	t.rttDiff = float64((1-t.cfg.Alpha)*t.rttDiff) + float64(t.cfg.Alpha*newDiff)
+	t.rttDiff = float64((1-alpha)*t.rttDiff) + float64(alpha*newDiff)
 	gradient := t.rttDiff / float64(t.env.BaseRTT)
 
 	// Decreases obey the Sampling Frequency cadence when configured;
@@ -122,7 +113,7 @@ func (t *Timely) OnAck(fb cc.Feedback) cc.Control {
 	// would favor large flows). Each rate update spends VAI tokens, which
 	// raise delta from the next ACK on.
 	increase, decrease := t.att.Ack(fb.AckedBytes, fb.SentBytes, float64(rtt), rtt > t.tLow)
-	delta := float64(t.cfg.DeltaBps * t.att.Multiplier())
+	delta := float64(deltaBps * t.att.Multiplier())
 
 	switch {
 	case rtt < t.tLow:
@@ -135,15 +126,15 @@ func (t *Timely) OnAck(fb cc.Feedback) cc.Control {
 		t.negCount = 0
 		if decrease {
 			t.att.Spend()
-			t.rate *= 1 - float64(t.cfg.Beta*(1-float64(t.tHigh)/float64(rtt)))
+			t.rate *= 1 - float64(beta*(1-float64(t.tHigh)/float64(rtt)))
 		}
 	case gradient <= 0:
 		t.negCount++
 		if increase {
 			t.att.Spend()
 			n := 1.0
-			if t.negCount >= t.cfg.HAIAfter {
-				n = t.cfg.HAIMult
+			if t.negCount >= haiAfter {
+				n = haiMult
 			}
 			t.rate += float64(n * delta)
 		}
@@ -151,7 +142,7 @@ func (t *Timely) OnAck(fb cc.Feedback) cc.Control {
 		t.negCount = 0
 		if decrease {
 			t.att.Spend()
-			t.rate *= 1 - float64(t.cfg.Beta*math.Min(gradient, 1))
+			t.rate *= 1 - float64(beta*math.Min(gradient, 1))
 		}
 	}
 	return t.control()

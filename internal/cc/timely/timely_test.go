@@ -53,7 +53,7 @@ func ackRTT(tl *Timely, acked *int64, rtt sim.Time) cc.Control {
 }
 
 func TestInitLineRate(t *testing.T) {
-	tl := New(DefaultConfig())
+	tl := New(Config{})
 	ctl := tl.Init(env())
 	if ctl.RateBps != lineRate {
 		t.Fatalf("initial rate = %v, want line rate", ctl.RateBps)
@@ -61,7 +61,7 @@ func TestInitLineRate(t *testing.T) {
 }
 
 func TestAdditiveIncreaseBelowTLow(t *testing.T) {
-	tl := New(DefaultConfig())
+	tl := New(Config{})
 	tl.Init(env())
 	tl.rate = 50e9
 	var acked int64
@@ -72,7 +72,7 @@ func TestAdditiveIncreaseBelowTLow(t *testing.T) {
 }
 
 func TestMultiplicativeDecreaseAboveTHigh(t *testing.T) {
-	tl := New(DefaultConfig())
+	tl := New(Config{})
 	tl.Init(env())
 	var acked int64
 	rtt := baseRTT + 100*sim.Microsecond // way above tHigh
@@ -86,7 +86,7 @@ func TestMultiplicativeDecreaseAboveTHigh(t *testing.T) {
 }
 
 func TestGradientDecrease(t *testing.T) {
-	tl := New(DefaultConfig())
+	tl := New(Config{})
 	tl.Init(env())
 	var acked int64
 	// Rising RTTs between tLow and tHigh: positive gradient, decrease.
@@ -100,12 +100,12 @@ func TestGradientDecrease(t *testing.T) {
 }
 
 func TestHyperactiveIncreaseAfterNegativeGradients(t *testing.T) {
-	tl := New(DefaultConfig())
+	tl := New(Config{})
 	tl.Init(env())
 	tl.rate = 10e9
 	var acked int64
 	// Falling RTTs in the gradient band: negative gradient; after
-	// HAIAfter RTTs the step must be HAIMult * delta.
+	// haiAfter RTTs the step must be haiMult * delta.
 	rtts := []int{12, 11, 10, 9, 8, 7}
 	var before float64
 	for i, us := range rtts {
@@ -121,12 +121,12 @@ func TestHyperactiveIncreaseAfterNegativeGradients(t *testing.T) {
 }
 
 func TestRateBounds(t *testing.T) {
-	tl := New(DefaultConfig())
+	tl := New(Config{})
 	tl.Init(env())
 	var acked int64
 	for i := 0; i < 100; i++ {
 		ackRTT(tl, &acked, baseRTT+500*sim.Microsecond)
-		if tl.Rate() < tl.minRate {
+		if tl.Rate() < minRate {
 			t.Fatalf("rate %v below floor", tl.Rate())
 		}
 	}

@@ -73,9 +73,9 @@ func TestControlTraces(t *testing.T) {
 		{"swift-hai", s(swift.DefaultConfig(100), hai), 0x1f832564c696936a},
 		{"swift-vaisf-hai", s(swift.VAISFConfig(minBDPDelay), hai), 0xb7b7855105ff5cc5},
 
-		{"timely", tm(timely.DefaultConfig(), nil), 0xa025343843452072},
+		{"timely", tm(timely.Config{}, nil), 0xa025343843452072},
 		{"timely-vai", tm(timely.VAISFConfig(minBDPDelay), func(c *timely.Config) { c.SFEvery = 0 }), 0x21c1459866fca0df},
-		{"timely-sf", tm(timely.DefaultConfig(), func(c *timely.Config) { c.SFEvery = 30 }), 0x9631491655d630c},
+		{"timely-sf", tm(timely.Config{}, func(c *timely.Config) { c.SFEvery = 30 }), 0x9631491655d630c},
 		{"timely-vaisf", tm(timely.VAISFConfig(minBDPDelay), nil), 0x9b32d25e2fb54d94},
 	}
 	for i, c := range cases {

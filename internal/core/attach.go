@@ -15,15 +15,14 @@ type Mechanisms struct {
 	SFEvery int
 }
 
-// PaperVAISF returns both mechanisms with the constants of Sec. VI-A: bank
-// cap 1000, spend cap 100, dampener constant 8, decreases every 30 ACKs.
-// tokenThresh and aiDiv are in the protocol's congestion unit.
+// PaperVAISF returns both mechanisms with the constants of Sec. VI-A: spend
+// cap 100, dampener constant 8, decreases every 30 ACKs (and the bank cap,
+// bankCap). tokenThresh and aiDiv are in the protocol's congestion unit.
 func PaperVAISF(tokenThresh, aiDiv float64) Mechanisms {
 	return Mechanisms{
 		VAI: VAIConfig{
 			TokenThresh:   tokenThresh,
 			AIDiv:         aiDiv,
-			BankCap:       1000,
 			AICap:         100,
 			DampenerConst: 8,
 		},

@@ -4,7 +4,7 @@ import "testing"
 
 func TestPaperVAISF(t *testing.T) {
 	m := PaperVAISF(50_000, 1000)
-	want := VAIConfig{TokenThresh: 50_000, AIDiv: 1000, BankCap: 1000, AICap: 100, DampenerConst: 8}
+	want := VAIConfig{TokenThresh: 50_000, AIDiv: 1000, AICap: 100, DampenerConst: 8}
 	if m.VAI != want || m.SFEvery != 30 {
 		t.Fatalf("PaperVAISF = %+v SFEvery %d, want Sec. VI-A's %+v and 30", m.VAI, m.SFEvery, want)
 	}

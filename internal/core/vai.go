@@ -24,6 +24,9 @@ package core
 
 import "math"
 
+// bankCap bounds the token bank (1000 in the paper, Sec. VI-A).
+const bankCap float64 = 1000
+
 // VAIConfig parameterizes Variable Additive Increase. "Congestion units"
 // are protocol-specific: bytes of switch queue for HPCC, picoseconds of
 // packet delay for Swift and TIMELY. TokenThresh and AIDiv must use the
@@ -38,8 +41,6 @@ type VAIConfig struct {
 	// per AIDiv congestion units (1 KB of queue for HPCC, 30 ns of delay
 	// for Swift in the paper's evaluation).
 	AIDiv float64
-	// BankCap bounds the token bank (1000 in the paper).
-	BankCap float64
 	// AICap bounds the tokens spendable per rate-update period (100 in the
 	// paper). Larger values trade latency for faster convergence.
 	AICap float64
@@ -50,8 +51,7 @@ type VAIConfig struct {
 
 // Valid reports whether the configuration is usable.
 func (c VAIConfig) Valid() bool {
-	return c.TokenThresh > 0 && c.AIDiv > 0 && c.BankCap > 0 &&
-		c.AICap > 0 && c.DampenerConst > 0
+	return c.TokenThresh > 0 && c.AIDiv > 0 && c.AICap > 0 && c.DampenerConst > 0
 }
 
 // IsZero reports whether c is the zero VAIConfig, which Mechanisms reads as
@@ -116,7 +116,7 @@ func (v *VAI) Multiplier() float64 { return v.multiplier }
 func (v *VAI) OnRTTEnd(measured float64, noCongestion bool) {
 	switch {
 	case measured > v.thresh:
-		v.bank = math.Min((measured-v.thresh)/v.cfg.AIDiv+v.bank, v.cfg.BankCap)
+		v.bank = math.Min((measured-v.thresh)/v.cfg.AIDiv+v.bank, bankCap)
 		v.dampener += measured / v.thresh
 	case v.bank == 0:
 		if noCongestion {

@@ -10,7 +10,6 @@ func testCfg() VAIConfig {
 	return VAIConfig{
 		TokenThresh:   50_000, // 50 KB, the paper's min-BDP threshold
 		AIDiv:         1_000,  // 1 token per KB of queue
-		BankCap:       1000,
 		AICap:         100,
 		DampenerConst: 8,
 	}
@@ -194,7 +193,7 @@ func TestVAIInvariantsProperty(t *testing.T) {
 			} else {
 				v.OnRTTEnd(float64(op.Measured), op.NoCong)
 			}
-			if v.Bank() < 0 || v.Bank() > cfg.BankCap || v.Dampener() < 0 {
+			if v.Bank() < 0 || v.Bank() > bankCap || v.Dampener() < 0 {
 				return false
 			}
 		}

@@ -78,7 +78,7 @@ const progressCheckMask = 1<<14 - 1
 func stallWindow(nw *net.Network) sim.Time {
 	w := max(sim.Millisecond, 1000*min(nw.MaxBaseRTT(), math.MaxInt64/2000))
 	if nw.LossRecovery {
-		w += nw.RTOMax
+		w += net.RTOMax
 	}
 	return w
 }

@@ -138,7 +138,7 @@ func variantsByKey(p pathParams) map[string]variant {
 // demonstrating their applicability beyond HPCC and Swift.
 func timelyVariants(p pathParams) []variant {
 	return []variant{
-		{label: "Timely", make: func() cc.Algorithm { return timely.New(timely.DefaultConfig()) }},
+		{label: "Timely", make: func() cc.Algorithm { return timely.New(timely.Config{}) }},
 		{label: "Timely VAI SF", make: func() cc.Algorithm {
 			return timely.New(timely.VAISFConfig(p.minBDPDelay))
 		}},

@@ -133,7 +133,7 @@ func (f *Flow) Fire() {
 		bps = append(bps, pt.bw)
 	}
 	*r = flowRun{flow: f, net: n, sh: sh, eng: sh.eng, host: host, algo: f.algo,
-		size: f.Spec.Size, dst: f.Spec.Dst, hops: int(f.hops), rtoBase: n.initialRTO(f.baseRTT),
+		size: f.Spec.Size, dst: f.Spec.Dst, hops: int(f.hops), rtoBase: initialRTO(f.baseRTT),
 		path: path,
 		env:  cc.Env{LineRateBps: host.port.bw, BaseRTT: f.baseRTT, MTU: n.MTU, HopBps: bps, Rand: sh.rand}}
 	r.rto = r.rtoBase
@@ -190,8 +190,8 @@ type flowRun struct {
 	// timer (see rtoTimer) is lazy: progress just pushes rtoDeadline
 	// forward, and the scheduled event re-arms itself when it fires early,
 	// so ACK processing never cancels engine events.
-	rtoBase     sim.Time // initial timeout: see Network.initialRTO
-	rto         sim.Time // current timeout (doubles on fire; capped at RTOMax when set, always at rtoBackoffCeiling)
+	rtoBase     sim.Time // initial timeout: see initialRTO
+	rto         sim.Time // current timeout (doubles on fire, up to RTOMax)
 	rtoDeadline sim.Time
 
 	// env is the algorithm's cc.Env: filled in at the start, read through
@@ -337,19 +337,9 @@ func (r *flowRun) onRTO() {
 	}
 	r.flow.Timeouts++
 	r.sh.RTOFires++
-	// Exponential backoff with a hard ceiling. The ceiling applies even
-	// with RTOMax unset: unbounded doubling overflows sim.Time after ~50
-	// consecutive timeouts (picoseconds in an int64), turning the next
-	// deadline negative — an event scheduled in the past. Check the
-	// overflow wrap (<= 0) before comparing against the ceiling: a
-	// wrapped-negative rto would pass a plain "> ceiling" test.
-	r.rto *= 2
-	if r.rto <= 0 || r.rto > rtoBackoffCeiling {
-		r.rto = rtoBackoffCeiling
-	}
-	if max := r.net.RTOMax; max > 0 && r.rto > max {
-		r.rto = max
-	}
+	// Exponential backoff up to RTOMax. rto never exceeds RTOMax, so the
+	// doubling cannot wrap sim.Time.
+	r.rto = min(2*r.rto, RTOMax)
 	// Everything past the last cumulative ACK is presumed lost: rewind
 	// the send cursor and clear the pacing backlog so recovery starts
 	// immediately rather than at the stale pacing horizon.
@@ -359,11 +349,6 @@ func (r *flowRun) onRTO() {
 	r.rtoDeadline = now + r.rto
 	r.trySend()
 }
-
-// rtoBackoffCeiling bounds exponential RTO backoff when Network.RTOMax is
-// unset. One minute of simulated time is far beyond any useful timeout and
-// leaves ~17 more doublings before sim.Time (picoseconds, int64) overflows.
-const rtoBackoffCeiling = 60 * sim.Second
 
 // schedule makes sure a pacing wakeup is pending at at, the pacing horizon
 // nextSend. The wakeup is lazy, like the retransmission timer: a superseded

@@ -56,7 +56,7 @@ func (h *Host) receiveData(p *Packet) {
 	ack := h.sh.getPacket()
 	ack.Kind = Ack
 	ack.run = r
-	ack.Wire = int32(h.net.AckBytes)
+	ack.Wire = ackBytes
 	ack.Seq = r.delivered
 	ack.SentAt = p.SentAt
 	// Stamp the reverse flat path while the run is hot in cache; switch

@@ -27,8 +27,6 @@ type Network struct {
 	MTU int
 	// HeaderBytes is added to every data packet on the wire.
 	HeaderBytes int
-	// AckBytes is the wire size of an acknowledgement.
-	AckBytes int
 
 	// PFCPauseBytes enables priority flow control when positive: an
 	// ingress port that has at least this many bytes buffered in the node
@@ -45,11 +43,6 @@ type Network struct {
 	// schedule no extra events and remain bit-identical with earlier
 	// versions.
 	LossRecovery bool
-	// RTOMin / RTOMax bound the retransmission timeout. A flow's initial
-	// RTO is 4*baseRTT clamped into [RTOMin, RTOMax]; backoff doubles it
-	// up to RTOMax. New fills in defaults (100µs / 10ms).
-	RTOMin sim.Time
-	RTOMax sim.Time
 
 	// WireLoss, when set, is asked once per data packet and ACK that
 	// completes serialization on any link whether the wire loses it (seq
@@ -101,6 +94,15 @@ type Network struct {
 	retireRuns bool
 }
 
+// ackBytes is the wire size of an acknowledgement. RTOMin and RTOMax bound
+// the retransmission timeout under LossRecovery: a flow's first timeout is
+// 4*baseRTT clamped into them, and each timeout doubles it up to RTOMax.
+const (
+	ackBytes = 64
+	RTOMin   = 100 * sim.Microsecond
+	RTOMax   = 10 * sim.Millisecond
+)
+
 // flowSlab is how many flow handles one allocation holds, runSlab how many
 // run slots, and pathSlab how many path ports the run slots' path buffers
 // are carved from: a flow costs a slot, not an allocation of its own. Flow
@@ -120,9 +122,6 @@ func New(eng *sim.Engine, seed int64) *Network {
 		seed:        seed,
 		MTU:         1000,
 		HeaderBytes: 48,
-		AckBytes:    64,
-		RTOMin:      100 * sim.Microsecond,
-		RTOMax:      10 * sim.Millisecond,
 	}
 	n.shards = []*shard{newShard(n, 0, eng)}
 	return n
@@ -220,19 +219,11 @@ func (n *Network) AddFlow(spec FlowSpec, algo cc.Algorithm) *Flow {
 // symmetric fabric is the largest Flow.BaseRTT.
 func (n *Network) MaxBaseRTT() sim.Time { return n.maxRTT }
 
-// initialRTO is a flow's first retransmission timeout: 4*baseRTT, which
-// saturates at the end of the clock rather than wrap, clamped into
-// [RTOMin, RTOMax].
-func (n *Network) initialRTO(baseRTT sim.Time) sim.Time {
-	rto := max(4*min(baseRTT, math.MaxInt64/4), n.RTOMin)
-	if n.RTOMax > 0 && rto > n.RTOMax {
-		// On long-delay paths (a 10 ms WAN-edge hop makes 4*baseRTT ~80 ms)
-		// the initial timeout must respect the same ceiling the backoff
-		// doubling does, or first-loss recovery waits 8x longer than any
-		// later one.
-		rto = n.RTOMax
-	}
-	return rto
+// initialRTO is a flow's first retransmission timeout: 4*baseRTT clamped
+// into [RTOMin, RTOMax], the ceiling the backoff doubling has too. baseRTT
+// is capped first, so an hours-long round trip cannot wrap the product.
+func initialRTO(baseRTT sim.Time) sim.Time {
+	return max(RTOMin, min(4*min(baseRTT, RTOMax), RTOMax))
 }
 
 // findHost returns the host with the given node id, nil for ids that are

@@ -226,7 +226,7 @@ func (pt *Port) startTx(p *Packet) {
 	}
 	if p.Wire != m.wire {
 		d := sim.TransmitTime(int(p.Wire), pt.bw)
-		if w := int(p.Wire); w != pt.net.MTU+pt.net.HeaderBytes && w != pt.net.AckBytes {
+		if w := int(p.Wire); w != pt.net.MTU+pt.net.HeaderBytes && w != ackBytes {
 			pt.eng.Schedule(pt.eng.Now()+d, pt)
 			return
 		}

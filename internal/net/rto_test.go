@@ -2,7 +2,6 @@ package net
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -20,11 +19,11 @@ func TestInitialRTOClamped(t *testing.T) {
 	cases := []struct {
 		name  string
 		delay sim.Time
-		want  func(nw *Network, f *Flow) sim.Time
+		want  func(f *Flow) sim.Time
 	}{
-		{"below-min", 1 * usec, func(nw *Network, f *Flow) sim.Time { return nw.RTOMin }},
-		{"in-range", 100 * usec, func(nw *Network, f *Flow) sim.Time { return 4 * f.baseRTT }},
-		{"above-max", 10 * sim.Millisecond, func(nw *Network, f *Flow) sim.Time { return nw.RTOMax }},
+		{"below-min", 1 * usec, func(f *Flow) sim.Time { return RTOMin }},
+		{"in-range", 100 * usec, func(f *Flow) sim.Time { return 4 * f.baseRTT }},
+		{"above-max", 10 * sim.Millisecond, func(f *Flow) sim.Time { return RTOMax }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -36,9 +35,9 @@ func TestInitialRTOClamped(t *testing.T) {
 			f := nw.AddFlow(FlowSpec{ID: 1, Src: h0.NodeID(), Dst: h1.NodeID(),
 				Size: 1000}, algo)
 			eng.Step() // the start
-			if want := tc.want(nw, f); f.run.rtoBase != want || f.run.rto != want {
+			if want := tc.want(f); f.run.rtoBase != want || f.run.rto != want {
 				t.Fatalf("delay %v: rtoBase=%v rto=%v, want %v (baseRTT=%v RTOMin=%v RTOMax=%v)",
-					tc.delay, f.run.rtoBase, f.run.rto, want, f.baseRTT, nw.RTOMin, nw.RTOMax)
+					tc.delay, f.run.rtoBase, f.run.rto, want, f.baseRTT, RTOMin, RTOMax)
 			}
 		})
 	}
@@ -52,14 +51,14 @@ func TestInitialRTOClamped(t *testing.T) {
 	algo := &fixedAlgo{ctl: cc.Control{WindowBytes: 1e9, RateBps: gbps100}}
 	f := nw.AddFlow(FlowSpec{ID: 1, Src: h0.NodeID(), Dst: h1.NodeID(), Size: 1000}, algo)
 	eng.Step() // the start
-	if 4*f.baseRTT <= nw.RTOMax {
-		t.Fatalf("precondition: 4*baseRTT=%v should exceed RTOMax=%v", 4*f.baseRTT, nw.RTOMax)
+	if 4*f.baseRTT <= RTOMax {
+		t.Fatalf("precondition: 4*baseRTT=%v should exceed RTOMax=%v", 4*f.baseRTT, RTOMax)
 	}
 }
 
 // TestHoursLongPaths: a 1000 h link's round trip fits the clock, but four
-// of them do not; the first timeout then saturates into the RTOMax clamp,
-// where a wrapped 4*baseRTT went negative and clamped to RTOMin. Two such
+// of them do not; the first timeout is then the RTOMax clamp, where a
+// wrapped 4*baseRTT went negative and clamped to RTOMin. Two such
 // links in a row do not fit at all, and the path is refused: ProbePath
 // returns an error and AddFlow panics naming the flow, instead of summing
 // the base RTT past the end of the clock.
@@ -73,12 +72,8 @@ func TestHoursLongPaths(t *testing.T) {
 	if err != nil || rtt < 2000*hour {
 		t.Fatalf("1000 h link: ProbePath = (%v, %v), want a base RTT over 2000 h", rtt, err)
 	}
-	if got := nw.initialRTO(rtt); got != nw.RTOMax {
-		t.Errorf("initial RTO on a %v round trip is %v, want RTOMax %v", rtt, got, nw.RTOMax)
-	}
-	nw.RTOMax = 0
-	if got, want := nw.initialRTO(rtt), sim.Time(4*(math.MaxInt64/4)); got != want {
-		t.Errorf("initial RTO without RTOMax on a %v round trip is %v, want it saturated at %v", rtt, got, want)
+	if got := initialRTO(rtt); got != RTOMax {
+		t.Errorf("initial RTO on a %v round trip is %v, want RTOMax %v", rtt, got, RTOMax)
 	}
 
 	nw = New(sim.NewEngine(), 1)
@@ -143,18 +138,16 @@ func TestRTORecoveryOnHighDelayPath(t *testing.T) {
 	}
 }
 
-// TestRTOBackoffNoOverflow is the regression test for unbounded backoff
-// with RTOMax unset: f.rto used to double unconditionally, so ~37
-// consecutive timeouts (from a 100 us base, in picoseconds) wrapped it
-// negative and the next deadline was scheduled in the past. A wire that
-// loses every data packet forces timeouts indefinitely; the backoff must
-// plateau at rtoBackoffCeiling with deadlines strictly in the future
-// throughout.
+// TestRTOBackoffNoOverflow is the regression test for unbounded backoff:
+// f.rto used to double unconditionally, so ~37 consecutive timeouts (from
+// a 100 us base, in picoseconds) wrapped it negative and the next deadline
+// was scheduled in the past. A wire that loses every data packet forces
+// timeouts indefinitely; the backoff must plateau at RTOMax with deadlines
+// monotone and never in the past throughout.
 func TestRTOBackoffNoOverflow(t *testing.T) {
 	eng := sim.NewEngine()
 	nw := New(eng, 1)
 	nw.LossRecovery = true
-	nw.RTOMax = 0 // explicitly unset: only the ceiling bounds the doubling
 	h0, h1 := nw.AddHost(), nw.AddHost()
 	nw.Connect(h0, h1, gbps100, usec)
 	nw.WireLoss = func(_ *rand.Rand, kind Kind, _ int, _ int64) bool { return kind == Data } // every retransmission is lost
@@ -168,8 +161,8 @@ func TestRTOBackoffNoOverflow(t *testing.T) {
 		if f.run.rto <= 0 {
 			t.Fatalf("rto wrapped to %v after %d timeouts", f.run.rto, f.Timeouts)
 		}
-		if f.run.rto > rtoBackoffCeiling {
-			t.Fatalf("rto %v exceeds ceiling %v", f.run.rto, sim.Time(rtoBackoffCeiling))
+		if f.run.rto > RTOMax {
+			t.Fatalf("rto %v exceeds RTOMax %v", f.run.rto, RTOMax)
 		}
 		if f.run.rtoDeadline < prevDeadline {
 			t.Fatalf("rto deadline moved backwards: %v -> %v after %d timeouts",
@@ -185,8 +178,8 @@ func TestRTOBackoffNoOverflow(t *testing.T) {
 		t.Fatalf("engine drained after %d timeouts, want %d (RTO chain broke)",
 			f.Timeouts, wantTimeouts)
 	}
-	if f.run.rto != rtoBackoffCeiling {
-		t.Fatalf("rto = %v after %d timeouts, want plateau at ceiling %v",
-			f.run.rto, f.Timeouts, sim.Time(rtoBackoffCeiling))
+	if f.run.rto != RTOMax {
+		t.Fatalf("rto = %v after %d timeouts, want plateau at RTOMax %v",
+			f.run.rto, f.Timeouts, RTOMax)
 	}
 }

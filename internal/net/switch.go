@@ -226,7 +226,7 @@ func (s *Switch) routeFault(dst int) error {
 func (n *Network) linkRTT(p *Port) sim.Time {
 	if p.rtt == 0 {
 		rtt := satAdd(p.delay, sim.TransmitTime(n.MTU+n.HeaderBytes, p.bw))
-		p.rtt = satAdd(satAdd(rtt, p.delay), sim.TransmitTime(n.AckBytes, p.bw))
+		p.rtt = satAdd(satAdd(rtt, p.delay), sim.TransmitTime(ackBytes, p.bw))
 	}
 	return p.rtt
 }

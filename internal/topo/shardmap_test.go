@@ -35,8 +35,8 @@ func checkPodLocal(t *testing.T, ft *FatTree, assign []int, k int) {
 				}
 			}
 		}
-		for i := 0; i < cfg.AggsPerPod; i++ {
-			agg := ft.Aggs[p*cfg.AggsPerPod+i]
+		for i := 0; i < cfg.ToRsPerPod; i++ { // as many Aggs as ToRs
+			agg := ft.Aggs[p*cfg.ToRsPerPod+i]
 			if assign[agg.NodeID()] != want {
 				t.Fatalf("k=%d pod %d: Agg %d off-pod shard", k, p, i)
 			}
@@ -65,11 +65,12 @@ func shardMaps(t *testing.T, f func(name string, nw *net.Network, ft *FatTree, k
 }
 
 // TestShardMapFatTreeClamps checks the shard count is
-// min(max(k,1), Pods, AggsPerPod), that k <= 1 is the identity partition,
-// and that every assignment lies in [0, count).
+// min(max(k,1), Pods, ToRsPerPod) (as many Aggs per pod as ToRs), that
+// k <= 1 is the identity partition, and that every assignment lies in
+// [0, count).
 func TestShardMapFatTreeClamps(t *testing.T) {
 	shardMaps(t, func(name string, _ *net.Network, ft *FatTree, k int, assign []int, got int) {
-		if want := min(max(k, 1), ft.Config.Pods, ft.Config.AggsPerPod); got != want {
+		if want := min(max(k, 1), ft.Config.Pods, ft.Config.ToRsPerPod); got != want {
 			t.Fatalf("%s k=%d: ShardMap used %d shards, want %d", name, k, got, want)
 		}
 		for _, s := range assign {
@@ -95,7 +96,7 @@ func TestShardMapFatTreePods(t *testing.T) {
 			}
 			hasPod[s] = true
 		}
-		perGroup := cfg.Spines / cfg.AggsPerPod
+		perGroup := cfg.ToRsPerPod // spines per Agg index
 		for i, sp := range ft.Spines {
 			g := i / perGroup
 			if s := assign[sp.NodeID()]; s != g%got {
@@ -115,8 +116,8 @@ func TestShardMapFatTreePods(t *testing.T) {
 func TestShardMapFatTreeBalance(t *testing.T) {
 	shardMaps(t, func(name string, _ *net.Network, ft *FatTree, k int, assign []int, got int) {
 		cfg := ft.Config
-		podNodes := cfg.ToRsPerPod*cfg.HostsPerToR + cfg.ToRsPerPod + cfg.AggsPerPod
-		groupNodes := cfg.Spines / cfg.AggsPerPod
+		podNodes := cfg.ToRsPerPod*cfg.HostsPerToR + 2*cfg.ToRsPerPod // hosts, ToRs, Aggs
+		groupNodes := cfg.ToRsPerPod
 		load := make([]int, got)
 		for _, s := range assign {
 			load[s]++
@@ -149,9 +150,9 @@ func TestShardMapFatTreeFine(t *testing.T) {
 				if assign[a] == assign[b] {
 					continue
 				}
-				if !(aggs[a] && spines[b] || spines[a] && aggs[b]) || pt.Delay() != ft.Config.LinkDelay {
+				if !(aggs[a] && spines[b] || spines[a] && aggs[b]) || pt.Delay() != linkDelay {
 					t.Fatalf("%s k=%d: link %d-%d (delay %v) crosses shards; only Agg-Spine links of delay %v may",
-						name, k, a, b, pt.Delay(), ft.Config.LinkDelay)
+						name, k, a, b, pt.Delay(), linkDelay)
 				}
 				joined[assign[a]*got+assign[b]] = true
 			}

@@ -42,63 +42,43 @@ func NewStar(nw *net.Network, hosts int, hostBps float64, delay sim.Time) *Star 
 // FatTreeConfig sizes a three-layer fat-tree. The paper's instance
 // (Fig. 7) is the zero-argument DefaultFatTree: 5 pods, each with 4 ToR
 // and 4 Agg switches, 16 hosts per ToR (320 total), 16 spines, 100 Gb/s
-// host links and 400 Gb/s fabric links, 1 us propagation per link.
+// host links and 400 Gb/s fabric links, 1 us propagation per link. A pod
+// has as many Aggs as ToRs, and each Agg as many spine uplinks, so there
+// are ToRsPerPod² spines.
 type FatTreeConfig struct {
 	Pods        int
 	ToRsPerPod  int
-	AggsPerPod  int
-	Spines      int // must be a multiple of AggsPerPod
 	HostsPerToR int
 	HostBps     float64
-	FabricBps   float64
-	LinkDelay   sim.Time
 }
+
+// The fabric's link constants (Fig. 7): every ToR-Agg and Agg-Spine link
+// runs at fabricBps, and every link propagates in linkDelay.
+const (
+	fabricBps float64 = 400e9
+	linkDelay         = 1 * sim.Microsecond
+)
 
 // DefaultFatTree returns the paper's datacenter topology parameters.
 func DefaultFatTree() FatTreeConfig {
-	return FatTreeConfig{
-		Pods:        5,
-		ToRsPerPod:  4,
-		AggsPerPod:  4,
-		Spines:      16,
-		HostsPerToR: 16,
-		HostBps:     100e9,
-		FabricBps:   400e9,
-		LinkDelay:   1 * sim.Microsecond,
-	}
+	return FatTreeConfig{Pods: 5, ToRsPerPod: 4, HostsPerToR: 16, HostBps: 100e9}
 }
 
 // Scaled returns the configuration shrunk by dividing pods/hosts counts,
 // for fast tests and benchmarks, keeping link speeds and layering.
 func (c FatTreeConfig) Scaled(pods, torsPerPod, hostsPerToR int) FatTreeConfig {
-	c.Pods = pods
-	c.ToRsPerPod = torsPerPod
-	c.AggsPerPod = torsPerPod
-	c.Spines = torsPerPod * torsPerPod
-	c.HostsPerToR = hostsPerToR
+	c.Pods, c.ToRsPerPod, c.HostsPerToR = pods, torsPerPod, hostsPerToR
 	return c
 }
 
 // Validate reports configuration errors.
 func (c FatTreeConfig) Validate() error {
-	switch {
-	case c.Pods < 1 || c.ToRsPerPod < 1 || c.AggsPerPod < 1 || c.HostsPerToR < 1 || c.Spines < 1:
-		// Spines must be checked here explicitly: 0 % AggsPerPod == 0, so
-		// the multiple-of check below would wave a spineless tree through
-		// and cross-pod routes would silently come out empty.
+	if c.Pods < 1 || c.ToRsPerPod < 1 || c.HostsPerToR < 1 {
 		return fmt.Errorf("topo: all counts must be positive: %+v", c)
-	case c.Spines%c.AggsPerPod != 0:
-		return fmt.Errorf("topo: spines (%d) must be a multiple of aggs per pod (%d)",
-			c.Spines, c.AggsPerPod)
 	}
 	// At 1 b/s and above, every packet's serialization time fits a sim.Time.
-	for _, r := range []struct {
-		name string
-		bps  float64
-	}{{"host link", c.HostBps}, {"fabric link", c.FabricBps}} {
-		if !(r.bps >= 1 && r.bps <= math.MaxFloat64) { // also rejects NaN
-			return fmt.Errorf("topo: %s rate must be finite and at least 1 b/s, got %g", r.name, r.bps)
-		}
+	if !(c.HostBps >= 1 && c.HostBps <= math.MaxFloat64) { // also rejects NaN
+		return fmt.Errorf("topo: host link rate must be finite and at least 1 b/s, got %g", c.HostBps)
 	}
 	return nil
 }
@@ -126,6 +106,7 @@ func NewFatTree(nw *net.Network, cfg FatTreeConfig) *FatTree {
 		panic(err)
 	}
 	ft := &FatTree{Config: cfg}
+	aggs := cfg.ToRsPerPod // per pod, and spine uplinks per Agg
 	nHosts := cfg.Pods * cfg.ToRsPerPod * cfg.HostsPerToR
 	for i := 0; i < nHosts; i++ {
 		ft.Hosts = append(ft.Hosts, nw.AddHost())
@@ -133,10 +114,10 @@ func NewFatTree(nw *net.Network, cfg FatTreeConfig) *FatTree {
 	for i := 0; i < cfg.Pods*cfg.ToRsPerPod; i++ {
 		ft.ToRs = append(ft.ToRs, nw.AddSwitch())
 	}
-	for i := 0; i < cfg.Pods*cfg.AggsPerPod; i++ {
+	for i := 0; i < cfg.Pods*aggs; i++ {
 		ft.Aggs = append(ft.Aggs, nw.AddSwitch())
 	}
-	for i := 0; i < cfg.Spines; i++ {
+	for i := 0; i < aggs*aggs; i++ {
 		ft.Spines = append(ft.Spines, nw.AddSwitch())
 	}
 
@@ -144,7 +125,7 @@ func NewFatTree(nw *net.Network, cfg FatTreeConfig) *FatTree {
 	ft.HostPorts = make([]*net.Port, nHosts)
 	for i, h := range ft.Hosts {
 		tor := ft.ToRs[i/cfg.HostsPerToR]
-		tp, _ := nw.Connect(tor, h, cfg.HostBps, cfg.LinkDelay)
+		tp, _ := nw.Connect(tor, h, cfg.HostBps, linkDelay)
 		ft.HostPorts[i] = tp
 	}
 
@@ -154,30 +135,29 @@ func NewFatTree(nw *net.Network, cfg FatTreeConfig) *FatTree {
 	for p := 0; p < cfg.Pods; p++ {
 		for t := 0; t < cfg.ToRsPerPod; t++ {
 			tor := ft.ToRs[p*cfg.ToRsPerPod+t]
-			for a := 0; a < cfg.AggsPerPod; a++ {
-				agg := ft.Aggs[p*cfg.AggsPerPod+a]
-				tp, ap := nw.Connect(tor, agg, cfg.FabricBps, cfg.LinkDelay)
+			for a := 0; a < aggs; a++ {
+				agg := ft.Aggs[p*aggs+a]
+				tp, ap := nw.Connect(tor, agg, fabricBps, linkDelay)
 				torUp[p*cfg.ToRsPerPod+t] = append(torUp[p*cfg.ToRsPerPod+t], tp)
-				if aggDown[p*cfg.AggsPerPod+a] == nil {
-					aggDown[p*cfg.AggsPerPod+a] = make([]*net.Port, cfg.ToRsPerPod)
+				if aggDown[p*aggs+a] == nil {
+					aggDown[p*aggs+a] = make([]*net.Port, cfg.ToRsPerPod)
 				}
-				aggDown[p*cfg.AggsPerPod+a][t] = ap
+				aggDown[p*aggs+a][t] = ap
 			}
 		}
 	}
 
-	// Agg <-> Spine links: spine s attaches to agg index s/(Spines/AggsPerPod)
-	// in every pod, giving each agg Spines/AggsPerPod uplinks.
-	group := cfg.Spines / cfg.AggsPerPod
+	// Agg <-> Spine links: spine s attaches to agg index s/aggs in every
+	// pod, giving each agg aggs uplinks.
 	aggUp := make([][]*net.Port, len(ft.Aggs))
-	spineDown := make([][]*net.Port, cfg.Spines) // spine -> per-pod downlink
-	for s := 0; s < cfg.Spines; s++ {
-		aggIdx := s / group
+	spineDown := make([][]*net.Port, len(ft.Spines)) // spine -> per-pod downlink
+	for s := range ft.Spines {
+		aggIdx := s / aggs
 		spineDown[s] = make([]*net.Port, cfg.Pods)
 		for p := 0; p < cfg.Pods; p++ {
-			agg := ft.Aggs[p*cfg.AggsPerPod+aggIdx]
-			ap, sp := nw.Connect(agg, ft.Spines[s], cfg.FabricBps, cfg.LinkDelay)
-			aggUp[p*cfg.AggsPerPod+aggIdx] = append(aggUp[p*cfg.AggsPerPod+aggIdx], ap)
+			agg := ft.Aggs[p*aggs+aggIdx]
+			ap, sp := nw.Connect(agg, ft.Spines[s], fabricBps, linkDelay)
+			aggUp[p*aggs+aggIdx] = append(aggUp[p*aggs+aggIdx], ap)
 			spineDown[s][p] = sp
 		}
 	}
@@ -202,7 +182,7 @@ func NewFatTree(nw *net.Network, cfg FatTreeConfig) *FatTree {
 		}
 		// Aggs.
 		for aIdx, agg := range ft.Aggs {
-			if aIdx/cfg.AggsPerPod == hp {
+			if aIdx/aggs == hp {
 				t := ht % cfg.ToRsPerPod
 				agg.AddRoute(hostID, aggDown[aIdx][t:t+1]...)
 			} else {

@@ -55,7 +55,7 @@ func TestDefaultFatTreeMatchesPaper(t *testing.T) {
 	if len(ft.Hosts) != 320 {
 		t.Fatalf("hosts = %d, want 320", len(ft.Hosts))
 	}
-	// Each agg has ToRsPerPod downlinks + Spines/AggsPerPod uplinks = 8.
+	// Each agg has ToRsPerPod downlinks + ToRsPerPod spine uplinks = 8.
 	for i, agg := range ft.Aggs {
 		if got := len(agg.Ports()); got != 8 {
 			t.Fatalf("agg %d has %d ports, want 8", i, got)
@@ -176,31 +176,17 @@ func TestFatTreeECMPUsesMultiplePaths(t *testing.T) {
 
 func TestFatTreeValidate(t *testing.T) {
 	bad := DefaultFatTree()
-	bad.Spines = 15 // not a multiple of AggsPerPod
-	if err := bad.Validate(); err == nil {
-		t.Fatal("expected validation error for spines not multiple of aggs")
-	}
-	bad = DefaultFatTree()
 	bad.Pods = 0
 	if err := bad.Validate(); err == nil {
 		t.Fatal("expected validation error for zero pods")
-	}
-	// Regression: Spines: 0 used to slip through — it was absent from the
-	// positive-count check and 0 % AggsPerPod == 0 satisfied the
-	// multiple-of check, so NewFatTree built a spineless tree whose
-	// cross-pod routes were empty and AddFlow failed with "no route".
-	bad = DefaultFatTree()
-	bad.Spines = 0
-	if err := bad.Validate(); err == nil {
-		t.Fatal("expected validation error for zero spines")
 	}
 	// A link rate nothing can serialize on: below 1 b/s a packet's
 	// transmit time overflows sim.Time, and at +Inf it is zero.
 	for _, bps := range []float64{-1, 1e-289, math.Inf(1)} {
 		bad = DefaultFatTree()
-		bad.FabricBps = bps
-		if err := bad.Validate(); err == nil || !strings.Contains(err.Error(), "fabric link") {
-			t.Fatalf("fabric link rate %g: err = %v, want the rate named", bps, err)
+		bad.HostBps = bps
+		if err := bad.Validate(); err == nil || !strings.Contains(err.Error(), "host link") {
+			t.Fatalf("host link rate %g: err = %v, want the rate named", bps, err)
 		}
 	}
 	if err := DefaultFatTree().Validate(); err != nil {
@@ -210,17 +196,19 @@ func TestFatTreeValidate(t *testing.T) {
 
 // TestK16FatTree checks the k=16-style two-tier-pod Clos that -pods 16
 // -tors 8 -hosts 32 scales the paper's fabric to: 16 pods of 8 ToRs and 8
-// Aggs, 64 spines, 4096 hosts.
+// Aggs, 64 spines, 4096 hosts. The switch counts are read off a build with
+// one host per ToR, which has the same switches.
 func TestK16FatTree(t *testing.T) {
 	cfg := DefaultFatTree().Scaled(16, 8, 32)
-	if cfg.Spines != 64 {
-		t.Fatalf("spines = %d, want 64", cfg.Spines)
-	}
 	if err := cfg.Validate(); err != nil {
 		t.Fatal(err)
 	}
 	if cfg.NumHosts() != 4096 {
 		t.Fatalf("hosts = %d, want 4096", cfg.NumHosts())
+	}
+	ft := NewFatTree(net.New(sim.NewEngine(), 1), cfg.Scaled(16, 8, 1))
+	if len(ft.ToRs) != 128 || len(ft.Aggs) != 128 || len(ft.Spines) != 64 {
+		t.Fatalf("ToRs, Aggs, spines = %d, %d, %d, want 128, 128, 64", len(ft.ToRs), len(ft.Aggs), len(ft.Spines))
 	}
 }
 
@@ -276,12 +264,14 @@ func TestFatTreeNonOversubscribed(t *testing.T) {
 	// downlink capacity equals its spine uplinks.
 	cfg := DefaultFatTree()
 	hostCap := float64(cfg.HostsPerToR) * cfg.HostBps
-	torUp := float64(cfg.AggsPerPod) * cfg.FabricBps
+	ft := NewFatTree(net.New(sim.NewEngine(), 1), cfg)
+	tor, agg := ft.ToRs[0], ft.Aggs[0]
+	torUp := float64(len(tor.Ports())-cfg.HostsPerToR) * fabricBps
 	if hostCap != torUp {
 		t.Fatalf("ToR oversubscribed: hosts %v vs uplinks %v", hostCap, torUp)
 	}
-	aggDown := float64(cfg.ToRsPerPod) * cfg.FabricBps
-	aggUp := float64(cfg.Spines/cfg.AggsPerPod) * cfg.FabricBps
+	aggDown := float64(cfg.ToRsPerPod) * fabricBps
+	aggUp := float64(len(agg.Ports())-cfg.ToRsPerPod) * fabricBps
 	if aggDown != aggUp {
 		t.Fatalf("Agg oversubscribed: down %v vs up %v", aggDown, aggUp)
 	}

@@ -16,7 +16,6 @@
 package workload
 
 import (
-	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
@@ -117,7 +116,6 @@ type PoissonConfig struct {
 	LinkBps  float64    // host line rate
 	Duration sim.Time   // arrival window
 	Seed     int64
-	FirstID  int // first flow id to assign (default 1)
 }
 
 // Poisson is NewArrivals(cfg, cfg.Sizes) drained into a slice.
@@ -159,7 +157,7 @@ type stream struct {
 // and destinations uniform among the other hosts (the HPCC artifact's
 // model). Distribution i of sizes (cfg.Sizes is ignored) is a stream with an
 // equal share of the load, seed cfg.Seed+i, and ids after the earlier
-// streams', from cfg.FirstID (default 1): a counting pass over each earlier
+// streams', from 1: a counting pass over each earlier
 // stream's RNG, O(n) draws and no memory, finds where they end. It panics on
 // a load, rate or host count nothing can run, or on sizes CheckSizes rejects.
 func NewArrivals(cfg PoissonConfig, sizes ...*stats.CDF) *Arrivals {
@@ -167,7 +165,7 @@ func NewArrivals(cfg PoissonConfig, sizes ...*stats.CDF) *Arrivals {
 		panic("workload: arrivals require positive load, rate, >= 2 hosts and a size distribution")
 	}
 	a := &Arrivals{streams: make([]stream, len(sizes))}
-	id := cmp.Or(cfg.FirstID, 1)
+	id := 1
 	for i, c := range sizes {
 		if err := CheckSizes(c); err != nil {
 			panic(err)

@@ -259,15 +259,19 @@ func TestMixedInStartOrder(t *testing.T) {
 
 // sortedStreams is how two distributions sharing a cluster used to be
 // generated, kept as the reference NewArrivals must reproduce: each
-// stream's flows at half the load, the second seeded Seed+1 with ids after
-// the first's, concatenated and stably sorted by start.
+// stream's flows at half the load, the second seeded Seed+1 and renumbered
+// after the first's, concatenated and stably sorted by start.
 func sortedStreams(cfg PoissonConfig, a, b *stats.CDF) []net.FlowSpec {
 	half := cfg
 	half.Load = cfg.Load / 2
 	half.Sizes, half.Seed = a, cfg.Seed
 	specsA := Poisson(half)
-	half.Sizes, half.Seed, half.FirstID = b, cfg.Seed+1, len(specsA)+1
-	specs := append(specsA, Poisson(half)...)
+	half.Sizes, half.Seed = b, cfg.Seed+1
+	specsB := Poisson(half)
+	for i := range specsB {
+		specsB[i].ID += len(specsA)
+	}
+	specs := append(specsA, specsB...)
 	slices.SortStableFunc(specs, func(x, y net.FlowSpec) int { return cmp.Compare(x.Start, y.Start) })
 	return specs
 }
@@ -290,25 +294,6 @@ func TestArrivalsMatchSortedStreams(t *testing.T) {
 				t.Fatalf("%s: flow %d is %+v, reference %+v", name, i, got[i], want[i])
 			}
 		}
-	}
-}
-
-// Every stream numbers its flows from FirstID on, after the streams before
-// it: the ids are exactly FirstID..FirstID+n-1, each once.
-func TestArrivalsFirstID(t *testing.T) {
-	cfg := PoissonConfig{Hosts: hostRange(32), Load: 0.5, LinkBps: 100e9, Duration: 2 * sim.Millisecond, Seed: 7, FirstID: 100}
-	var ids []int
-	for _, s := range NewArrivals(cfg, WebSearch(), Storage()).drain() {
-		ids = append(ids, s.ID)
-	}
-	slices.Sort(ids)
-	for i, id := range ids {
-		if id != 100+i {
-			t.Fatalf("sorted id %d of %d is %d, want %d", i, len(ids), id, 100+i)
-		}
-	}
-	if len(ids) == 0 {
-		t.Fatal("no flows generated")
 	}
 }
 
