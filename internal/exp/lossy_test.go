@@ -14,7 +14,6 @@ import (
 func TestPFCRunThatDropsIsAnError(t *testing.T) {
 	shallow := func(nw *net.Network, st *topo.Star) {
 		nw.PFCPauseBytes = 512_000
-		nw.PFCResumeBytes = 256_000
 		nw.LossRecovery = true
 		for _, sp := range st.Switch.Ports() {
 			sp.SetBuffer(20_000)

@@ -8,12 +8,12 @@ import (
 	"faircc/internal/topo"
 )
 
-// pfcFabric enables PFC at the given per-ingress pause and resume
-// thresholds and caps every switch egress at buf bytes (0 = unbounded).
-// simulate rejects any run on it that tail-drops.
-func pfcFabric(pause, resume, buf int64) fabric {
+// pfcFabric enables PFC at the given per-ingress pause threshold (resume
+// at half of it) and caps every switch egress at buf bytes (0 =
+// unbounded). simulate rejects any run on it that tail-drops.
+func pfcFabric(pause, buf int64) fabric {
 	return func(nw *net.Network, st *topo.Star) {
-		nw.PFCPauseBytes, nw.PFCResumeBytes = pause, resume
+		nw.PFCPauseBytes = pause
 		for _, sp := range st.Switch.Ports() {
 			sp.SetBuffer(buf)
 		}
@@ -29,7 +29,7 @@ func pfcFabric(pause, resume, buf int64) fabric {
 func TestPFCIdleOnPaperIncast(t *testing.T) {
 	cfg := Config{Seed: 1, Workers: 1}
 	in := paperIncast(16)
-	setup := pfcFabric(512_000, 256_000, 0)
+	setup := pfcFabric(512_000, 0)
 	for _, v := range dcVariants(starParams(in.senders)) {
 		lossless, err := runIncast(cfg, v, in, nil)
 		if err != nil {

@@ -24,7 +24,7 @@ func TestIncastReceiverRelabel(t *testing.T) {
 		name   string
 		fabric fabric
 	}
-	fabrics := []namedFabric{{"lossless", nil}, {"PFC", pfcFabric(24_000, 12_000, 1_000_000)}, {"lossy", lossyFabric}}
+	fabrics := []namedFabric{{"lossless", nil}, {"PFC", pfcFabric(24_000, 1_000_000)}, {"lossy", lossyFabric}}
 
 	type result struct {
 		records     []metrics.FlowRecord

@@ -2,9 +2,8 @@ package exp
 
 import (
 	"fmt"
+	"slices"
 	"strings"
-
-	"faircc/internal/stats"
 )
 
 // The robustness experiment repeats Fig. 10's run across several seeds,
@@ -62,9 +61,14 @@ func robustnessView(cfg Config, tails [][]float64) *Result {
 		}
 	}
 	for _, s := range protos {
-		sum := stats.Summarize(s.Y)
+		ys := slices.Clone(s.Y)
+		slices.Sort(ys) // summed in ascending order
+		var sum float64
+		for _, y := range ys {
+			sum += y
+		}
 		res.Notef("%s: improvement mean %.2fx, min %.2fx, max %.2fx over %d seeds",
-			s.Label, sum.Mean, sum.Min, sum.Max, len(s.Y))
+			s.Label, sum/float64(len(ys)), ys[0], ys[len(ys)-1], len(ys))
 	}
 	res.Series = protos
 	return res

@@ -3,6 +3,8 @@ package exp
 import (
 	"slices"
 	"testing"
+
+	"faircc/internal/fluid"
 )
 
 // The 16-1 HPCC incast's three claims can each fail: each holds on the
@@ -36,6 +38,70 @@ func TestHPCCIncastClaimsWitnesses(t *testing.T) {
 		if ok, detail := w.check.holds(swapped); ok {
 			t.Errorf("%s: %s in %s's place passes the claim: %s",
 				w.check.Name, outs[w.from].label, outs[w.slot].label, detail)
+		}
+	}
+}
+
+// The fluid-model claim holds on Fig. 4's parameters and fails on any that
+// break Sec. IV-B's condition 1/r < (C1+C0)/(s*MTU): with SF decreases 100
+// times rarer, or an RTT 30 times shorter, the per-RTT decrease is the
+// faster one and no fairness gap opens.
+func TestFluidModelClaimWitnesses(t *testing.T) {
+	pts, err := fluidRun(DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ok, detail := fluidModel.holds(pts); !ok {
+		t.Errorf("Fig. 4's parameters fail the claim: %s", detail)
+	}
+	for _, w := range []struct {
+		name string
+		set  func(*fluid.Config)
+	}{
+		{"S=3000", func(c *fluid.Config) { c.S = 3000 }},
+		{"RTT=1000", func(c *fluid.Config) { c.RTT = 1000 }},
+	} {
+		fc := fluid.DefaultConfig()
+		w.set(&fc)
+		if fc.ConvergesFaster() {
+			t.Errorf("%s: the condition still holds", w.name)
+		}
+		if ok, detail := fluidModel.holds(fluid.Integrate(fc, 500, 3e6)); ok {
+			t.Errorf("%s passes the claim: %s", w.name, detail)
+		}
+	}
+}
+
+// Each fat-tree run's claim can fail: it holds on the run's own outputs at
+// small scale, seed 1, and is rejected when one variant's output takes the
+// place of the variant it reads.
+func TestFatTreeClaimsWitnesses(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Seed, cfg.Workers, cfg.Scale = 1, 1, "small"
+	for _, w := range []struct {
+		workload   string
+		check      check[*dcOut]
+		slot, from int // the witness: runs[from] in runs[slot]'s place
+	}{
+		// Swift's median long-flow slowdown is more than 1.5x HPCC's.
+		{"hadoop", medianUnaffected, dcHPCC + 1, dcSwift},
+		// Default Swift against itself improves nothing, and HPCC's
+		// improvement alone is under 1.5x.
+		{"mix", tailFCTHalved, dcSwift + 1, dcSwift},
+	} {
+		out, err := runFatTree(cfg, w.workload, dcVariants)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ok, detail := w.check.holds(out); !ok {
+			t.Errorf("%s: the run fails the claim: %s", w.check.Name, detail)
+		}
+		swapped := *out
+		swapped.runs = slices.Clone(out.runs)
+		swapped.runs[w.slot] = out.runs[w.from]
+		if ok, detail := w.check.holds(&swapped); ok {
+			t.Errorf("%s: %s in %s's place passes the claim: %s",
+				w.check.Name, out.vs[w.from].label, out.vs[w.slot].label, detail)
 		}
 	}
 }

@@ -65,7 +65,6 @@ func TestPFCResumeCannotOvertakePause(t *testing.T) {
 	eng := sim.NewEngine()
 	nw := New(eng, 1)
 	nw.PFCPauseBytes = 2000
-	nw.PFCResumeBytes = 1000
 	h0, h1 := nw.AddHost(), nw.AddHost()
 	sw := nw.AddSwitch()
 	sp0, _ := nw.Connect(sw, h0, gbps100, usec)
@@ -286,7 +285,7 @@ func TestOutageRecovery(t *testing.T) {
 // ended: still busy, with no packet on the wire.
 func TestWireLossContract(t *testing.T) {
 	eng, nw, sw := star(t, 5, 1)
-	nw.PFCPauseBytes, nw.PFCResumeBytes = 20_000, 10_000
+	nw.PFCPauseBytes = 20_000
 	nw.LossRecovery = true
 	ports := sw.Ports()
 	for _, h := range nw.Hosts() {
@@ -365,7 +364,6 @@ func TestDropCreditsPFCIngress(t *testing.T) {
 	eng := sim.NewEngine()
 	nw := New(eng, 1)
 	nw.PFCPauseBytes = 50_000
-	nw.PFCResumeBytes = 25_000
 	nw.LossRecovery = true
 	// Dumbbell with a 10G bottleneck and a tiny bottleneck buffer: the
 	// fast first hop charges ingress for packets the slow egress then

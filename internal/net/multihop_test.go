@@ -107,7 +107,6 @@ func TestPFCCascadesUpstream(t *testing.T) {
 	eng := sim.NewEngine()
 	nw := New(eng, 1)
 	nw.PFCPauseBytes = 40_000
-	nw.PFCResumeBytes = 20_000
 	h0, h1 := nw.AddHost(), nw.AddHost()
 	sw0, sw1, sw2 := nw.AddSwitch(), nw.AddSwitch(), nw.AddSwitch()
 	p0, _ := nw.Connect(sw0, h0, gbps100, usec)

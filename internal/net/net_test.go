@@ -226,7 +226,6 @@ func TestPFCPausesUpstream(t *testing.T) {
 	eng := sim.NewEngine()
 	nw := New(eng, 1)
 	nw.PFCPauseBytes = 50_000
-	nw.PFCResumeBytes = 25_000
 	// Dumbbell: h0 -- sw1 -- sw2 -- h1 with a 10G bottleneck between the
 	// switches so sw2's ingress from sw1... actually the queue builds at
 	// sw1's egress toward sw2; PFC should pause h0's uplink.

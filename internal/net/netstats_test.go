@@ -73,7 +73,6 @@ func TestPacketCounters(t *testing.T) {
 func TestPFCPauseCounter(t *testing.T) {
 	eng, nw, _ := star(t, 3, 1)
 	nw.PFCPauseBytes = 20_000
-	nw.PFCResumeBytes = 10_000
 	a1 := &fixedAlgo{ctl: cc.Control{WindowBytes: 1e9, RateBps: gbps100}}
 	a2 := &fixedAlgo{ctl: cc.Control{WindowBytes: 1e9, RateBps: gbps100}}
 	nw.AddFlow(FlowSpec{ID: 1, Src: 1, Dst: 0, Size: 500_000}, a1)

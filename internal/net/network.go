@@ -30,11 +30,10 @@ type Network struct {
 
 	// PFCPauseBytes enables priority flow control when positive: an
 	// ingress port that has at least this many bytes buffered in the node
-	// pauses its upstream sender. Zero (the default) disables PFC;
-	// queues are unbounded and the network is lossless by construction.
+	// pauses its upstream sender, and resumes it once at most half as many
+	// are. Zero (the default) disables PFC; queues are unbounded and the
+	// network is lossless by construction.
 	PFCPauseBytes int64
-	// PFCResumeBytes is the occupancy at which a paused upstream resumes.
-	PFCResumeBytes int64
 
 	// LossRecovery arms the sender-side recovery path: per-flow RTO with
 	// exponential backoff and go-back-N resend from the last cumulative
@@ -142,7 +141,7 @@ func (n *Network) AddHost() *Host {
 
 // AddSwitch creates a switch.
 func (n *Network) AddSwitch() *Switch {
-	s := &Switch{net: n, sh: n.shards[0], id: n.nextID}
+	s := &Switch{net: n, id: n.nextID}
 	n.nextID++
 	n.switches = append(n.switches, s)
 	return s

@@ -294,10 +294,10 @@ func (pt *Port) chargeIngress(bytes int64) {
 }
 
 // creditIngress releases buffered bytes and sends Resume when occupancy
-// falls below the resume threshold.
+// falls to half the pause threshold.
 func (pt *Port) creditIngress(bytes int64) {
 	pt.ingressBytes -= bytes
-	if pt.pauseSent && pt.ingressBytes <= pt.net.PFCResumeBytes {
+	if pt.pauseSent && pt.ingressBytes <= pt.net.PFCPauseBytes/2 {
 		pt.pauseSent = false
 		pt.sendPFC(Resume)
 	}

@@ -97,7 +97,6 @@ func TestConservationPropertyWithPFC(t *testing.T) {
 		eng := sim.NewEngine()
 		nw := New(eng, seed)
 		nw.PFCPauseBytes = 10_000 // aggressive: constant pausing
-		nw.PFCResumeBytes = 5_000
 		hs := make([]*Host, len(sizes)+1)
 		for i := range hs {
 			hs[i] = nw.AddHost()
@@ -143,7 +142,6 @@ func TestLosslessnessPropertyWithPFC(t *testing.T) {
 		eng := sim.NewEngine()
 		nw := New(eng, seed)
 		nw.PFCPauseBytes = 10_000 // aggressive: constant pause/resume cycling
-		nw.PFCResumeBytes = 5_000
 
 		// Two switches, three hosts each; cross-switch flows exercise the
 		// cascaded pause path.

@@ -315,7 +315,6 @@ func (n *Network) Shard(assignment []int, k int) {
 		}
 	}
 	for _, s := range n.switches {
-		s.sh = n.shards[assignment[s.id]]
 		rebind(s, s.ports)
 	}
 	// Wire the cross-shard handoffs and derive the lookahead window.

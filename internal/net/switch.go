@@ -20,7 +20,6 @@ import (
 // up either: it reads the route summaries (see routeSum).
 type Switch struct {
 	net   *Network
-	sh    *shard // execution shard (shard 0 until Network.Shard rebinds)
 	id    int
 	ports []*Port
 

@@ -12,8 +12,7 @@ import (
 // A worker panic must surface as exactly one *PanicError returned to the
 // caller — annotated with the failing index and stack — after every
 // in-flight run has drained (no deadlock, no leaked goroutines, no bare
-// goroutine traceback killing the process), on the serial path as on the
-// worker pool.
+// goroutine traceback killing the process), with one worker as with four.
 func TestForEachPanicSurfaces(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		workers := workers
@@ -101,21 +100,19 @@ func TestForEachErrCancelsDispatch(t *testing.T) {
 		t.Fatalf("serial: ran %d runs (err=%v), want exactly 1", serial, err)
 	}
 
-	// Parallel case: every run fails, so the first failure exists as soon as
-	// any run returns, however the workers are scheduled. Until then each
-	// worker holds at most one index; after it, dispatch only loses its
-	// select against the closed done channel half the time. Reaching n/1000
-	// runs takes a dispatch that ignores the failure, not a descheduled worker.
-	const n = 1_000_000
+	// Parallel case: every run fails, and a worker checks for a failure
+	// before it claims an index, so each worker's first run is its last:
+	// at most workers runs, however the workers are scheduled.
+	const n, workers = 1_000_000, 4
 	var parallel int64
-	err = forEachErr(n, 4, func(i int) error {
+	err = forEachErr(n, workers, func(i int) error {
 		atomic.AddInt64(&parallel, 1)
 		return errors.New("stop")
 	})
 	if err == nil {
 		t.Fatal("parallel: error was swallowed")
 	}
-	if got := atomic.LoadInt64(&parallel); got > n/1000 {
+	if got := atomic.LoadInt64(&parallel); got > workers {
 		t.Errorf("parallel: %d of %d runs executed after the first failure; cancellation is not working", got, n)
 	}
 }

@@ -5,6 +5,12 @@ import (
 	"testing"
 )
 
+// forEachErr runs fn through MapErr for the tests that need no results.
+func forEachErr(n, workers int, fn func(i int) error) error {
+	_, err := MapErr(n, workers, func(i int) (struct{}, error) { return struct{}{}, fn(i) })
+	return err
+}
+
 func TestForEachRunsAll(t *testing.T) {
 	for _, workers := range []int{0, 1, 3, 64} {
 		var count int64

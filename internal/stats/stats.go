@@ -67,31 +67,21 @@ func JainByClass(xs []float64, class []int, nClasses int) []float64 {
 // panics on an empty slice or out-of-range p, which are programming
 // errors.
 func Percentile(xs []float64, p float64) float64 {
-	if len(xs) == 0 {
-		panic("stats: Percentile of empty slice")
-	}
-	if p < 0 || p > 100 {
-		panic(fmt.Sprintf("stats: percentile %v out of [0,100]", p))
-	}
 	sorted := make([]float64, len(xs))
 	copy(sorted, xs)
 	sort.Float64s(sorted)
-	return percentileSorted(sorted, p)
+	return PercentileSorted(sorted, p)
 }
 
 // PercentileSorted is Percentile for data already in ascending order,
 // avoiding the copy and sort.
 func PercentileSorted(sorted []float64, p float64) float64 {
 	if len(sorted) == 0 {
-		panic("stats: PercentileSorted of empty slice")
+		panic("stats: percentile of empty slice")
 	}
 	if p < 0 || p > 100 {
 		panic(fmt.Sprintf("stats: percentile %v out of [0,100]", p))
 	}
-	return percentileSorted(sorted, p)
-}
-
-func percentileSorted(sorted []float64, p float64) float64 {
 	if len(sorted) == 1 {
 		return sorted[0]
 	}
@@ -103,37 +93,6 @@ func percentileSorted(sorted []float64, p float64) float64 {
 	}
 	frac := rank - float64(lo)
 	return float64(sorted[lo]*(1-frac)) + float64(sorted[hi]*frac)
-}
-
-// Summary holds order statistics of a sample.
-type Summary struct {
-	N                   int
-	Min, Max, Mean      float64
-	P50, P90, P99, P999 float64
-}
-
-// Summarize computes a Summary of xs (which it does not modify).
-func Summarize(xs []float64) Summary {
-	if len(xs) == 0 {
-		return Summary{}
-	}
-	sorted := make([]float64, len(xs))
-	copy(sorted, xs)
-	sort.Float64s(sorted)
-	var sum float64
-	for _, x := range sorted {
-		sum += x
-	}
-	return Summary{
-		N:    len(sorted),
-		Min:  sorted[0],
-		Max:  sorted[len(sorted)-1],
-		Mean: sum / float64(len(sorted)),
-		P50:  percentileSorted(sorted, 50),
-		P90:  percentileSorted(sorted, 90),
-		P99:  percentileSorted(sorted, 99),
-		P999: percentileSorted(sorted, 99.9),
-	}
 }
 
 // CDFPoint is one knot of a piecewise-linear CDF: P(X <= Value) = Frac.

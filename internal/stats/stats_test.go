@@ -68,6 +68,16 @@ func TestPercentile(t *testing.T) {
 	if xs[0] != 5 {
 		t.Fatal("Percentile mutated its input")
 	}
+	thousand := make([]float64, 1000)
+	for i := range thousand {
+		thousand[i] = float64(i + 1) // 1..1000
+	}
+	if p50 := Percentile(thousand, 50); math.Abs(p50-500.5) > 1e-9 {
+		t.Fatalf("p50 = %v, want 500.5", p50)
+	}
+	if p999 := Percentile(thousand, 99.9); p999 < 999 || p999 > 1000 {
+		t.Fatalf("p99.9 = %v, want ~999", p999)
+	}
 }
 
 func TestPercentileSingle(t *testing.T) {
@@ -90,29 +100,6 @@ func TestPercentilePanics(t *testing.T) {
 			}()
 			f()
 		}()
-	}
-}
-
-func TestSummarize(t *testing.T) {
-	xs := make([]float64, 1000)
-	for i := range xs {
-		xs[i] = float64(i + 1) // 1..1000
-	}
-	s := Summarize(xs)
-	if s.N != 1000 || s.Min != 1 || s.Max != 1000 {
-		t.Fatalf("bad summary: %+v", s)
-	}
-	if math.Abs(s.Mean-500.5) > 1e-9 {
-		t.Fatalf("mean = %v, want 500.5", s.Mean)
-	}
-	if math.Abs(s.P50-500.5) > 1e-9 {
-		t.Fatalf("p50 = %v, want 500.5", s.P50)
-	}
-	if s.P999 < 999 || s.P999 > 1000 {
-		t.Fatalf("p99.9 = %v, want ~999", s.P999)
-	}
-	if Summarize(nil).N != 0 {
-		t.Fatal("empty summary should be zero")
 	}
 }
 
