@@ -1,7 +1,7 @@
 # Convenience wrappers around the Go-native CI gate (cmd/ci), so the same
 # checks run with or without make installed.
 
-.PHONY: verify test bench bench-compare loc profile
+.PHONY: verify test bench bench-compare loc
 
 # The verification gate every PR must keep green, 17 steps in cmd/ci's
 # order: build, vet, an arm64 cross build (failing on any fused
@@ -38,17 +38,3 @@ bench-compare:
 # definition and prints the total as the gate's last line.
 loc:
 	@go run ./cmd/ci -loc
-
-# Profile the reference workload (fig10-medium) and install the result: the
-# CPU profile as cmd/fairsim/default.pgo — its one committed copy, which
-# `go build ./cmd/fairsim` optimizes from, so the PGO input follows the hot
-# path — and the heap profile as results/profiles/heap.pprof; commit both or
-# neither. Builds and runs in a temporary directory it removes. (`go run
-# ./bench` is its own main package and builds without PGO.) Inspect with
-# `go tool pprof cmd/fairsim/default.pgo`.
-profile:
-	set -e; dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; \
-	go build -o "$$dir/fairsim" ./cmd/fairsim; \
-	"$$dir/fairsim" -exp fig10 -scale medium -seed 1 -pprof "$$dir" -out "$$dir/out"; \
-	cp "$$dir/cpu.pprof" cmd/fairsim/default.pgo; \
-	cp "$$dir/heap.pprof" results/profiles/heap.pprof

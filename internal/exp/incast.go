@@ -327,57 +327,59 @@ func fabricView(_ Config, outs []*incastOut) *Result {
 }
 
 // Every star experiment is a row of this table.
-func init() {
-	for _, r := range []starRun{
-		paperRun("hpcc", 16, []starView{
-			starFigure("fig1a", "16-1 incast Jain index, HPCC baselines", baselines, jainView),
-			starFigure("fig1b", "16-1 incast queue depth, HPCC baselines", baselines, queueView),
-			starFigure("fig2", "16-1 staggered incast start vs finish, HPCC baselines", baselines, startFinishView),
-			starFigure("fig5a", "16-1 incast Jain index, HPCC with VAI SF", nil, jainView),
-			starFigure("fig5b", "16-1 incast queue depth, HPCC with VAI SF", nil, queueView),
-			starFigure("fig8", "16-1 incast start vs finish, HPCC default vs VAI SF", defaultAndVAISF, startFinishView),
-		}, incastInversion, hpccConvergence, nearZeroQueues),
-		paperRun("swift", 16, []starView{
-			starFigure("fig1c", "16-1 incast Jain index, Swift baselines", baselines, jainView),
-			starFigure("fig1d", "16-1 incast queue depth, Swift baselines", baselines, queueView),
-			starFigure("fig3", "16-1 staggered incast start vs finish, Swift baselines", baselines, startFinishView),
-			starFigure("fig6a", "16-1 incast Jain index, Swift with VAI SF", nil, jainView),
-			starFigure("fig6b", "16-1 incast queue depth, Swift with VAI SF", nil, queueView),
-			starFigure("fig9", "16-1 incast start vs finish, Swift default vs VAI SF", defaultAndVAISF, startFinishView),
-		}, swiftConvergence),
-		paperRun("hpcc", 96, []starView{
-			starFigure("fig5c", "96-1 incast Jain index, HPCC with VAI SF", nil, jainView),
-			starFigure("fig5d", "96-1 incast queue depth, HPCC with VAI SF", nil, queueView),
-		}),
-		paperRun("swift", 96, []starView{
-			starFigure("fig6c", "96-1 incast Jain index, Swift with VAI SF", nil, jainView),
-			starFigure("fig6d", "96-1 incast queue depth, Swift with VAI SF", nil, queueView),
-		}),
+var starRuns = []starRun{
+	paperRun("hpcc", 16, []starView{
+		starFigure("fig1a", "16-1 incast Jain index, HPCC baselines", baselines, jainView),
+		starFigure("fig1b", "16-1 incast queue depth, HPCC baselines", baselines, queueView),
+		starFigure("fig2", "16-1 staggered incast start vs finish, HPCC baselines", baselines, startFinishView),
+		starFigure("fig5a", "16-1 incast Jain index, HPCC with VAI SF", nil, jainView),
+		starFigure("fig5b", "16-1 incast queue depth, HPCC with VAI SF", nil, queueView),
+		starFigure("fig8", "16-1 incast start vs finish, HPCC default vs VAI SF", defaultAndVAISF, startFinishView),
+	}, incastInversion, hpccConvergence, nearZeroQueues),
+	paperRun("swift", 16, []starView{
+		starFigure("fig1c", "16-1 incast Jain index, Swift baselines", baselines, jainView),
+		starFigure("fig1d", "16-1 incast queue depth, Swift baselines", baselines, queueView),
+		starFigure("fig3", "16-1 staggered incast start vs finish, Swift baselines", baselines, startFinishView),
+		starFigure("fig6a", "16-1 incast Jain index, Swift with VAI SF", nil, jainView),
+		starFigure("fig6b", "16-1 incast queue depth, Swift with VAI SF", nil, queueView),
+		starFigure("fig9", "16-1 incast start vs finish, Swift default vs VAI SF", defaultAndVAISF, startFinishView),
+	}, swiftConvergence),
+	paperRun("hpcc", 96, []starView{
+		starFigure("fig5c", "96-1 incast Jain index, HPCC with VAI SF", nil, jainView),
+		starFigure("fig5d", "96-1 incast queue depth, HPCC with VAI SF", nil, queueView),
+	}),
+	paperRun("swift", 96, []starView{
+		starFigure("fig6c", "96-1 incast Jain index, Swift with VAI SF", nil, jainView),
+		starFigure("fig6d", "96-1 incast queue depth, Swift with VAI SF", nil, queueView),
+	}),
 
-		{views: []starView{starFigure("incast",
-			"One protocol variant on a configurable n-to-1 staggered incast", nil, customView)},
-			variants: func(cfg Config, p pathParams) []variant {
-				return []variant{variantsByKey(p)[cmp.Or(cfg.IncastAlgo, "hpcc")]}
-			}},
-		{shape: paperIncast(16), variants: func(_ Config, p pathParams) []variant { return dcVariants(p) },
-			fabric: lossyFabric,
-			views: []starView{starFigure("incast-lossy", "16-1 incast on a lossy fabric: finite buffers, random "+
-				"wire loss, RTO/go-back-N recovery", nil, fabricView)},
-			checks: []starCheck{lossyFewerDrops}},
-		// TIMELY with and without VAI SF on the paper's 16-1 incast: the
-		// paper claims the mechanisms apply to "a multitude" of sender-side
-		// protocols.
-		{shape: paperIncast(16), variants: func(_ Config, p pathParams) []variant { return timelyVariants(p) },
-			views: []starView{starFigure("incast-timely", "16-1 incast under TIMELY with and without VAI SF "+
-				"(mechanism generality beyond HPCC/Swift)", nil, jainView)},
-			checks: []starCheck{timelyConvergence}},
-		sweep("ablate-aicap", "AI_Cap sweep on 16-1 incast (HPCC VAI SF): latency vs fairness",
-			16, aiCaps, func(c *hpcc.Config, v float64) { c.VAI.AICap = v }, aiCapLatencyFairness),
-		sweep("ablate-sf", "Sampling Frequency sweep on 16-1 incast (HPCC VAI SF): bandwidth vs fairness",
-			16, sfEvery, func(c *hpcc.Config, v float64) { c.SFEvery = int(v) }, sfBandwidthFairness),
-		sweep("ablate-dampener", "Dampener constant sweep on 96-1 incast (HPCC VAI SF): feedback protection",
-			96, dampeners, func(c *hpcc.Config, v float64) { c.VAI.DampenerConst = v }, dampenerProtection),
-	} {
+	{views: []starView{starFigure("incast",
+		"One protocol variant on a configurable n-to-1 staggered incast", nil, customView)},
+		variants: func(cfg Config, p pathParams) []variant {
+			return []variant{variantsByKey(p)[cmp.Or(cfg.IncastAlgo, "hpcc")]}
+		}},
+	{shape: paperIncast(16), variants: func(_ Config, p pathParams) []variant { return dcVariants(p) },
+		fabric: lossyFabric,
+		views: []starView{starFigure("incast-lossy", "16-1 incast on a lossy fabric: finite buffers, random "+
+			"wire loss, RTO/go-back-N recovery", nil, fabricView)},
+		checks: []starCheck{lossyFewerDrops}},
+	// TIMELY with and without VAI SF on the paper's 16-1 incast: the
+	// paper claims the mechanisms apply to "a multitude" of sender-side
+	// protocols.
+	{shape: paperIncast(16), variants: func(_ Config, p pathParams) []variant { return timelyVariants(p) },
+		views: []starView{starFigure("incast-timely", "16-1 incast under TIMELY with and without VAI SF "+
+			"(mechanism generality beyond HPCC/Swift)", nil, jainView)},
+		checks: []starCheck{timelyConvergence}},
+	sweep("ablate-aicap", "AI_Cap sweep on 16-1 incast (HPCC VAI SF): latency vs fairness",
+		16, aiCaps, func(c *hpcc.Config, v float64) { c.VAI.AICap = v }, aiCapLatencyFairness),
+	sweep("ablate-sf", "Sampling Frequency sweep on 16-1 incast (HPCC VAI SF): bandwidth vs fairness",
+		16, sfEvery, func(c *hpcc.Config, v float64) { c.SFEvery = int(v) }, sfBandwidthFairness),
+	sweep("ablate-dampener", "Dampener constant sweep on 96-1 incast (HPCC VAI SF): feedback protection",
+		96, dampeners, func(c *hpcc.Config, v float64) { c.VAI.DampenerConst = v }, dampenerProtection),
+}
+
+func init() {
+	for _, r := range starRuns {
 		register(experiment(r.run, r.views, r.checks...))
 	}
 }

@@ -69,20 +69,6 @@ func TestLossyIncastRecoveryCounters(t *testing.T) {
 // Swift VAI SF's place, drops are not cut and the last finish is no
 // earlier, so the check must reject it.
 func TestLossyFewerDropsWitness(t *testing.T) {
-	cfg := Config{Seed: 1, Workers: 1}
-	var outs []*incastOut
-	for _, v := range dcVariants(starParams(16)) {
-		out, err := runIncast(cfg, v, paperIncast(16), lossyFabric)
-		if err != nil {
-			t.Fatal(err)
-		}
-		outs = append(outs, out)
-	}
-	if ok, detail := lossyFewerDrops.holds(outs); !ok {
-		t.Fatalf("the recorded run fails the claim: %s", detail)
-	}
-	outs[3] = outs[2]
-	if ok, detail := lossyFewerDrops.holds(outs); ok {
-		t.Errorf("default Swift in VAI SF's place passes the claim: %s", detail)
-	}
+	witness(t, lossyFewerDrops, runStar(t, lossyFewerDrops), inSlot[*incastOut](3, 2),
+		"default Swift in VAI SF's place")
 }

@@ -7,17 +7,51 @@ import (
 	"faircc/internal/fluid"
 )
 
+// witness requires c to hold on outs and to fail once swap has rearranged a
+// copy of them; how names the rearrangement.
+func witness[E any](t *testing.T, c check[[]E], outs []E, swap func([]E), how string) {
+	t.Helper()
+	if ok, detail := c.holds(outs); !ok {
+		t.Errorf("%s: the run fails the claim: %s", c.Name, detail)
+	}
+	swapped := slices.Clone(outs)
+	swap(swapped)
+	if ok, detail := c.holds(swapped); ok {
+		t.Errorf("%s: %s passes the claim: %s", c.Name, how, detail)
+	}
+}
+
+// inSlot is the swap that puts outs[from] in outs[slot]'s place.
+func inSlot[E any](slot, from int) func([]E) {
+	return func(outs []E) { outs[slot] = outs[from] }
+}
+
+// runStar runs, at seed 1, the registered star experiment that declares c.
+func runStar(t *testing.T, c starCheck) []*incastOut {
+	t.Helper()
+	cfg := DefaultConfig()
+	cfg.Seed, cfg.Workers = 1, 1
+	for _, r := range starRuns {
+		for _, k := range r.checks {
+			if k.Name == c.Name {
+				outs, err := r.run(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return outs
+			}
+		}
+	}
+	t.Fatalf("no star experiment declares %s", c.Name)
+	return nil
+}
+
 // The 16-1 HPCC incast's three claims can each fail: each holds on the
 // run's own outputs and is rejected when one baseline's output takes the
 // place of the variant it reads. The four simulations run once, at seed 1
 // (star runs ignore Scale).
 func TestHPCCIncastClaimsWitnesses(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Seed, cfg.Workers = 1, 1
-	outs, err := paperRun("hpcc", 16, nil).run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	outs := runStar(t, incastInversion)
 	const hpcc1G, hpccProb = 1, 2 // hpccBaselines' order
 	for _, w := range []struct {
 		check      starCheck
@@ -30,16 +64,47 @@ func TestHPCCIncastClaimsWitnesses(t *testing.T) {
 		// HPCC Probabilistic converges faster than the default, not 2x.
 		{hpccConvergence, vaisfVariant, hpccProb},
 	} {
-		if ok, detail := w.check.holds(outs); !ok {
-			t.Errorf("%s: the run fails the claim: %s", w.check.Name, detail)
-		}
-		swapped := slices.Clone(outs)
-		swapped[w.slot] = outs[w.from]
-		if ok, detail := w.check.holds(swapped); ok {
-			t.Errorf("%s: %s in %s's place passes the claim: %s",
-				w.check.Name, outs[w.from].label, outs[w.slot].label, detail)
-		}
+		witness(t, w.check, outs, inSlot[*incastOut](w.slot, w.from),
+			outs[w.from].label+" in "+outs[w.slot].label+"'s place")
 	}
+}
+
+// The other star claims can fail too: each holds on its run's own outputs
+// and is rejected when a default's output takes VAI SF's place, or when a
+// sweep's outputs come in reversed value order.
+func TestStarClaimsWitnesses(t *testing.T) {
+	reversed := slices.Reverse[[]*incastOut]
+	for _, w := range []struct {
+		check starCheck
+		swap  func([]*incastOut)
+		how   string
+	}{
+		// Each convergence reads the same time twice: 832 us for Swift,
+		// 738 us for TIMELY.
+		{swiftConvergence, inSlot[*incastOut](vaisfVariant, defaultVariant), "default Swift in VAI SF's place"},
+		{timelyConvergence, inSlot[*incastOut](1, 0), "default TIMELY in VAI SF's place"},
+		// Reversed, cap 10's slot converges as fast as cap 100's (228 us
+		// both), s=5's queues deeper than s=30's (206 against 149 KB),
+		// and constant 128's queue is half constant 1's (193 against 387
+		// KB).
+		{aiCapLatencyFairness, reversed, "the sweep in reversed value order"},
+		{sfBandwidthFairness, reversed, "the sweep in reversed value order"},
+		{dampenerProtection, reversed, "the sweep in reversed value order"},
+	} {
+		witness(t, w.check, runStar(t, w.check), w.swap, w.how)
+	}
+}
+
+// The new-flow corner case can fail: with default HPCC's output in VAI SF's
+// place, both settle at 1120 us after the join, and VAI SF is no faster.
+func TestNewFlowClaimWitness(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Seed, cfg.Workers = 1, 1
+	outs, err := runNewFlow(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	witness(t, newFlowCornerCase, outs, inSlot[newFlowOut](1, 0), "default HPCC in VAI SF's place")
 }
 
 // The fluid-model claim holds on Fig. 4's parameters and fails on any that

@@ -82,10 +82,9 @@ func TestFatTreeRunIsAllocationFlat(t *testing.T) {
 		t.Fatalf("run too small to pin anything: %d events after warmup, %d pending at most, %d flows yet to be acked",
 			events, warm.PeakPending, unacked)
 	}
-	// Rings double from queueMinCap (16) and halve back toward it: a ring
-	// that ends longer than it started grew at least that many times, and
-	// every halving is one resize that a regrowth may follow.
-	resizes := 2 * (endStats.QueueShrinks - warmStats.QueueShrinks)
+	// Rings double from queueMinCap (16) and never shrink: a ring that
+	// ends longer than it started grew exactly that many times.
+	var resizes int64
 	for i, r := range net.QueueRings(nw) {
 		for w := max(warmRings[i], 8); w < r; w *= 2 {
 			resizes++

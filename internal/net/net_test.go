@@ -353,6 +353,29 @@ func TestQueueRing(t *testing.T) {
 	if q.Pop() != nil {
 		t.Fatal("Pop on empty returned a packet")
 	}
+
+	// A ring grown to 1024 and drained keeps its length through thousands
+	// of single push/pop cycles, which walk the head around it, and stays
+	// FIFO across the wrap.
+	for i := range 1024 {
+		q.Push(&Packet{Wire: int32(i + 1)})
+	}
+	for q.Len() > 0 {
+		q.Pop()
+	}
+	if len(q.buf) != 1024 {
+		t.Fatalf("ring length %d after growing to 1024 packets, want 1024", len(q.buf))
+	}
+	q.Push(ps[0])
+	for i := 1; i < 5000; i++ {
+		q.Push(ps[i%len(ps)])
+		if got := q.Pop(); got != ps[(i-1)%len(ps)] {
+			t.Fatalf("FIFO violated at cycle %d", i)
+		}
+		if len(q.buf) != 1024 {
+			t.Fatalf("ring length %d after %d push/pop cycles, want 1024", len(q.buf), i)
+		}
+	}
 }
 
 func TestQueuePushFront(t *testing.T) {

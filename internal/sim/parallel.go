@@ -315,7 +315,7 @@ type ParallelConfig struct {
 	Window Time
 	// Done, when non-nil, is evaluated at every epoch barrier (by exactly
 	// one goroutine, with all shard work quiesced); returning true stops
-	// the run. Experiments pass Network.AllFinished here.
+	// the run. Network.NewParallel passes Network.AllFinished here.
 	Done func() bool
 	// Workers bounds the worker-goroutine pool. Zero (the default) means
 	// min(shards, GOMAXPROCS): shards are claimed from a counter each
