@@ -1,5 +1,5 @@
 // Command fairsim runs the paper-reproduction experiments by name and
-// writes their data series as CSV.
+// writes their data series as CSV and their notes beside them.
 //
 // Usage:
 //
@@ -33,6 +33,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -54,7 +55,7 @@ func run() int {
 		all    = flag.Bool("all", false, "run every registered experiment")
 		scale  = flag.String("scale", "medium", "datacenter experiment scale: small, medium, large, or full")
 		seed   = flag.Int64("seed", 1, "simulation seed")
-		out    = flag.String("out", "", "directory for CSV output (default: stdout summary only)")
+		out    = flag.String("out", "", "directory for CSV and notes output (default: stdout summary only)")
 		work   = flag.Int("workers", 0, "parallel variant runners (0 = GOMAXPROCS)")
 		verify = flag.Bool("verify", false, "check the paper's claims, each run that carries them once, and exit")
 
@@ -205,7 +206,7 @@ func run() int {
 		for _, res := range results {
 			fmt.Print(res.Summary())
 			if *out != "" {
-				if err := writeCSV(*out, res); err != nil {
+				if err := writeResult(*out, res); err != nil {
 					fmt.Fprintf(os.Stderr, "fairsim: %v\n", err)
 					return 1
 				}
@@ -312,17 +313,26 @@ func startProfiles(dir string) (func(), error) {
 	}, nil
 }
 
-func writeCSV(dir string, res *exp.Result) error {
+// writeResult writes dir/<name>.csv, the result's series, and beside it
+// dir/<name>.notes, its notes.
+func writeResult(dir string, res *exp.Result) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	path := filepath.Join(dir, res.Name+".csv")
+	if err := writeFile(filepath.Join(dir, res.Name+".csv"), res.WriteCSV); err != nil {
+		return err
+	}
+	return writeFile(filepath.Join(dir, res.Name+".notes"), res.WriteNotes)
+}
+
+// writeFile creates path, fills it with write and reports it.
+func writeFile(path string, write func(io.Writer) error) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
 	defer f.Close()
-	if err := res.WriteCSV(f); err != nil {
+	if err := write(f); err != nil {
 		return err
 	}
 	fmt.Printf("  wrote %s\n", path)

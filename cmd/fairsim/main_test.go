@@ -160,6 +160,30 @@ func TestVerifyRunsEachSimulationOnce(t *testing.T) {
 	}
 }
 
+// TestOutWritesNotes: -out writes <name>.notes beside <name>.csv, holding
+// exactly the result's notes, one per line. fig4 is the fluid model, so it
+// runs no packet simulation.
+func TestOutWritesNotes(t *testing.T) {
+	dir := t.TempDir()
+	if out, err := exec.Command(buildFairsim(t), "-exp", "fig4", "-out", dir).CombinedOutput(); err != nil {
+		t.Fatalf("fairsim -exp fig4 -out: %v\n%s", err, out)
+	}
+	res, err := exp.Run("fig4", exp.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "fig4.csv")); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(filepath.Join(dir, "fig4.notes"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := strings.Join(res.Notes, "\n") + "\n"; len(res.Notes) == 0 || string(got) != want {
+		t.Errorf("fig4.notes holds %q, want the result's %d notes, one per line: %q", got, len(res.Notes), want)
+	}
+}
+
 // buildFairsim builds the command into a temporary directory and returns
 // the binary's path.
 func buildFairsim(t *testing.T) string {

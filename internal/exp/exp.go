@@ -181,6 +181,17 @@ func (r *Result) WriteCSV(w io.Writer) error {
 	return nil
 }
 
+// WriteNotes emits the notes, one per line: the headline numbers the
+// CSV's curves do not carry.
+func (r *Result) WriteNotes(w io.Writer) error {
+	for _, n := range r.Notes {
+		if _, err := fmt.Fprintln(w, n); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // Summary renders the notes and per-series sample counts for terminal
 // output.
 func (r *Result) Summary() string {

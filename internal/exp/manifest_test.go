@@ -3,6 +3,7 @@ package exp
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -145,14 +146,14 @@ func TestRunStatsMetricsInvariants(t *testing.T) {
 	}
 }
 
-// TestResultsNameRegisteredExperiments: every recorded <name>.csv and
-// <name>.manifest.json under results/ and results/full/ belongs to a
-// registered experiment, so an experiment cannot leave the registry while
-// its recorded output stays.
+// TestResultsNameRegisteredExperiments: every recorded <name>.csv,
+// <name>.notes and <name>.manifest.json under results/ and results/full/
+// belongs to a registered experiment, so an experiment cannot leave the
+// registry while its recorded output stays.
 func TestResultsNameRegisteredExperiments(t *testing.T) {
 	for _, dir := range []string{"results", filepath.Join("results", "full")} {
 		var files []string
-		for _, pat := range []string{"*.csv", "*.manifest.json"} {
+		for _, pat := range []string{"*.csv", "*.notes", "*.manifest.json"} {
 			m, err := filepath.Glob(filepath.Join("..", "..", dir, pat))
 			if err != nil {
 				t.Fatal(err)
@@ -171,61 +172,101 @@ func TestResultsNameRegisteredExperiments(t *testing.T) {
 	}
 }
 
+// TestRecordedManifestsDecode decodes every results/*.manifest.json into
+// Manifest and fails on a key it does not define, so a recorded manifest
+// cannot keep a counter that no run writes any more.
+func TestRecordedManifestsDecode(t *testing.T) {
+	files, err := filepath.Glob(filepath.Join("..", "..", "results", "*.manifest.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(files) == 0 {
+		t.Fatal("no recorded manifest found in results/")
+	}
+	for _, f := range files {
+		raw, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dec := json.NewDecoder(bytes.NewReader(raw))
+		dec.DisallowUnknownFields()
+		var m Manifest
+		if err := dec.Decode(&m); err != nil {
+			t.Errorf("%s: %v", f, err)
+		}
+	}
+}
+
 // TestRecordedResultsReproduce regenerates, at the recorded -scale medium
-// -seed 1, every results/<name>.csv except robustness (a five-seed sweep of
-// the medium fat-tree, regenerated by hand when a change could move it) and
-// compares bytes, so a recorded result cannot go stale behind a behaviour
-// change. Every such CSV on disk must be compared: one that no registered
-// figure writes fails here.
+// -seed 1, every results/<name>.csv and results/<name>.notes except
+// robustness's (a five-seed sweep of the medium fat-tree, regenerated by
+// hand when a change could move it) and compares bytes, so neither a
+// recorded curve nor a recorded headline number can go stale behind a
+// behaviour change. Every such file on disk must be compared: one that no
+// registered figure writes fails here.
 func TestRecordedResultsReproduce(t *testing.T) {
 	if testing.Short() {
 		t.Skip("regenerates the recorded results in -short mode")
 	}
-	recorded := func(name string) ([]byte, bool) {
-		if name == "robustness" {
+	const regen = "go run ./cmd/fairsim -all -scale medium -seed 1 -out results"
+	kinds := []struct {
+		ext   string
+		write func(*Result, io.Writer) error
+	}{{".csv", (*Result).WriteCSV}, {".notes", (*Result).WriteNotes}}
+	recorded := func(file string) ([]byte, bool) {
+		if strings.HasPrefix(file, "robustness.") {
 			return nil, false
 		}
-		want, err := os.ReadFile(filepath.Join("..", "..", "results", name+".csv"))
+		want, err := os.ReadFile(filepath.Join("..", "..", "results", file))
 		if err != nil && !os.IsNotExist(err) {
 			t.Fatal(err)
 		}
 		return want, err == nil
 	}
-	checked := 0
+	checked := map[string]int{}
 	for _, e := range Experiments() {
 		var results []*Result // of e's one execution, on its first recorded figure
 		for i, f := range e.Figures {
-			want, ok := recorded(f.Name)
-			if !ok {
-				continue
-			}
-			if results == nil {
-				var err error
-				if results, _, err = e.RunWithStats(DefaultConfig()); err != nil {
+			for _, k := range kinds {
+				want, ok := recorded(f.Name + k.ext)
+				if !ok {
+					continue
+				}
+				if results == nil {
+					var err error
+					if results, _, err = e.RunWithStats(DefaultConfig()); err != nil {
+						t.Fatal(err)
+					}
+				}
+				var got bytes.Buffer
+				if err := k.write(results[i], &got); err != nil {
 					t.Fatal(err)
 				}
+				if !bytes.Equal(got.Bytes(), want) {
+					t.Errorf("results/%s%s is not what `fairsim -exp %s -scale medium -seed 1` writes; if the change is meant, regenerate with `%s`",
+						f.Name, k.ext, f.Name, regen)
+				}
+				checked[k.ext]++
 			}
-			var got bytes.Buffer
-			if err := results[i].WriteCSV(&got); err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(got.Bytes(), want) {
-				t.Errorf("results/%s.csv is not what `fairsim -exp %s -scale medium -seed 1` writes", f.Name, f.Name)
-			}
-			checked++
 		}
 	}
-	onDisk, err := filepath.Glob(filepath.Join("..", "..", "results", "*.csv"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := 0
-	for _, f := range onDisk {
-		if _, ok := recorded(strings.TrimSuffix(filepath.Base(f), ".csv")); ok {
-			want++
+	for _, k := range kinds {
+		onDisk, err := filepath.Glob(filepath.Join("..", "..", "results", "*"+k.ext))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := 0
+		for _, f := range onDisk {
+			if _, ok := recorded(filepath.Base(f)); ok {
+				want++
+			}
+		}
+		if checked[k.ext] != want || want == 0 {
+			t.Errorf("compared %d recorded %s files, want the %d in results/ but robustness's", checked[k.ext], k.ext, want)
 		}
 	}
-	if checked != want {
-		t.Errorf("compared %d recorded CSVs, want the %d in results/ but robustness.csv", checked, want)
+	if checked[".notes"] != checked[".csv"] {
+		t.Errorf("compared %d recorded CSVs but %d notes files; every results/<name>.csv has its <name>.notes beside it",
+			checked[".csv"], checked[".notes"])
 	}
 }
