@@ -223,9 +223,13 @@ func slowdownView(pct float64) func(Config, *dcOut) *Result {
 				res.Notef("%s: p%v slowdown of >1MB flows = %.1fx", out.vs[i].label, pct, sd)
 			}
 		}
+		stat := "tail"
+		if pct == 50 {
+			stat = "median"
+		}
 		for _, base := range []int{dcHPCC, dcSwift} {
 			if imp := out.improvement(base, pct); imp > 0 {
-				res.Notef("%s long-flow tail improvement: %.2fx", out.vs[base].label, imp)
+				res.Notef("%s long-flow %s improvement: %.2fx", out.vs[base].label, stat, imp)
 			}
 		}
 		return res

@@ -11,7 +11,9 @@ import (
 	"strings"
 	"testing"
 
+	"faircc/internal/net"
 	"faircc/internal/sim"
+	"faircc/internal/topo"
 )
 
 // TestRegistryComplete: every registered experiment is read by a figure of
@@ -77,6 +79,62 @@ func TestRegistryComplete(t *testing.T) {
 	}
 	if _, err := Get("nope"); err == nil {
 		t.Error("Get should fail for unknown experiments")
+	}
+}
+
+// TestEveryNetworkSettingIsRead holds net.Network to the reader rule:
+// every exported field but Eng, New's argument, is set by the fabric of an
+// experiment's run, or by the bench until ROADMAP item 16 makes it run
+// exp's runs, and every row of the table names a field that exists. A
+// setting nothing sets goes; one that gains or loses a reader changes its
+// row here.
+func TestEveryNetworkSettingIsRead(t *testing.T) {
+	const bench = "bench: ROADMAP item 16"
+	readers := map[string]string{
+		"MTU": bench, "HeaderBytes": bench,
+		"LossRecovery": "incast-lossy", "WireLoss": "incast-lossy",
+	}
+	roadmap, err := os.ReadFile(filepath.Join("..", "..", "ROADMAP.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, item16, _ := strings.Cut(string(roadmap), "\n16. **")
+	item16, _, _ = strings.Cut(item16, "\n**")
+	settable := map[string]bool{}
+	for _, f := range reflect.VisibleFields(reflect.TypeOf(net.Network{})) {
+		if f.IsExported() && f.Name != "Eng" {
+			settable[f.Name] = true
+			if _, ok := readers[f.Name]; !ok {
+				t.Errorf("net.Network.%s is settable, but no experiment or bench sets it", f.Name)
+			}
+		}
+	}
+	for name, reader := range readers {
+		if !settable[name] {
+			t.Errorf("net.Network.%s has a reader (%s) but is not a settable field", name, reader)
+			continue
+		}
+		if reader == bench {
+			if !regexp.MustCompile("`(Network\\.)?" + name + "`").MatchString(item16) {
+				t.Errorf("net.Network.%s: ROADMAP item 16 does not name it in backticks", name)
+			}
+			continue
+		}
+		if _, err := Get(reader); err != nil {
+			t.Errorf("net.Network.%s: %v", name, err)
+			continue
+		}
+		set := false
+		for _, r := range starRuns {
+			if r.fabric != nil && slices.ContainsFunc(r.views, func(v starView) bool { return v.Name == reader }) {
+				nw := net.New(sim.NewEngine(), 1)
+				r.fabric(nw, topo.NewStar(nw, 2, hostRate, linkDelay))
+				set = set || !reflect.ValueOf(nw).Elem().FieldByName(name).IsZero()
+			}
+		}
+		if !set {
+			t.Errorf("net.Network.%s: no fabric of experiment %s sets it", name, reader)
+		}
 	}
 }
 
@@ -198,7 +256,7 @@ func TestFig10SmallScale(t *testing.T) {
 	if len(res.Series) != 4 {
 		t.Fatalf("series = %d, want 4 protocols", len(res.Series))
 	}
-	imp := improvementsFromNotes(res)
+	imp := improvementsFromNotes(res, "tail")
 	// The paper's headline: VAI SF halves the 99.9% tail FCT of long
 	// flows. At test scale we require a clear improvement (> 1.2x) for
 	// both protocols.
@@ -415,9 +473,10 @@ func convergenceFromNotes(t *testing.T, res *Result) map[string]float64 {
 	return out
 }
 
-// improvementsFromNotes parses "PROTO long-flow tail improvement: N.NNx".
-func improvementsFromNotes(res *Result) map[string]float64 {
-	const marker = " long-flow tail improvement: "
+// improvementsFromNotes parses "PROTO long-flow STAT improvement: N.NNx",
+// where stat is "tail" (the p99.9 figures) or "median" (the p50 ones).
+func improvementsFromNotes(res *Result, stat string) map[string]float64 {
+	marker := " long-flow " + stat + " improvement: "
 	out := map[string]float64{}
 	for _, n := range res.Notes {
 		idx := strings.Index(n, marker)

@@ -2,7 +2,9 @@ package exp
 
 import (
 	"cmp"
+	"math"
 	"math/rand"
+	"sort"
 
 	"faircc/internal/cc/hpcc"
 	"faircc/internal/metrics"
@@ -54,18 +56,20 @@ type incastOut struct {
 	startFinish Series
 	convergeUs  float64 // time for smoothed Jain to reach 0.9 (-1 if never)
 	maxQueueKB  float64
-	// steadyQueueKB is the mean queue from 100 us after the last flow joined
-	// (past the unavoidable line-rate join transients) to the end.
-	steadyQueueKB float64
-	lastFinish    sim.Time
-	stats         net.NetworkStats
-	records       []metrics.FlowRecord // per-flow completions (AddFlow order)
+	// steadyQueueKB and steadyQueueSDKB are the mean queue and its standard
+	// deviation, the paper's oscillation, from 100 us after the last flow
+	// joined (past the unavoidable line-rate join transients) to the end.
+	steadyQueueKB, steadyQueueSDKB float64
+
+	lastFinish sim.Time
+	stats      net.NetworkStats
+	records    []metrics.FlowRecord // per-flow completions (AddFlow order)
 }
 
 // runIncast runs one staggered n-to-1 incast under the given variant and
 // collects the figure measurements. setup, when non-nil, configures the
-// network before flows are added (finite buffers, loss or PFC for the runs
-// on such fabrics).
+// network before flows are added (finite buffers and loss for the runs on
+// such fabrics).
 func runIncast(cfg Config, v variant, in incastShape, setup fabric) (*incastOut, error) {
 	var jain, queue *metrics.Series
 	nw, err := simulate(cfg, v.label, func(nw *net.Network) {
@@ -88,7 +92,7 @@ func runIncast(cfg Config, v variant, in incastShape, setup fabric) (*incastOut,
 		out.maxQueueKB = max(out.maxQueueKB, p.V/1000)
 	}
 	out.queue.Label = v.label
-	out.steadyQueueKB = meanFrom(out.queue, (in.lastStart() + 100*sim.Microsecond).Microseconds())
+	out.steadyQueueKB, out.steadyQueueSDKB = meanSDFrom(out.queue, (in.lastStart() + 100*sim.Microsecond).Microseconds())
 	out.startFinish.Label = v.label
 	for _, p := range metrics.StartFinish(out.records) {
 		out.startFinish.Add(p.T.Microseconds(), p.V)
@@ -134,19 +138,24 @@ func buildIncast(nw *net.Network, v variant, in incastShape, setup fabric, recv 
 	return jain, queue
 }
 
-// meanFrom averages the samples of s at X >= from (0 if there are none).
-func meanFrom(s Series, from float64) float64 {
-	sum, n := 0.0, 0
-	for i, x := range s.X {
-		if x >= from {
-			sum += s.Y[i]
-			n++
-		}
+// meanSDFrom returns the mean and the (population) standard deviation of
+// the samples of s at X >= from, both 0 if there are none.
+func meanSDFrom(s Series, from float64) (mean, sd float64) {
+	i := sort.SearchFloat64s(s.X, from)
+	ys := s.Y[i:]
+	if len(ys) == 0 {
+		return 0, 0
 	}
-	if n == 0 {
-		return 0
+	var sum, sumSq float64
+	for _, y := range ys {
+		sum += y
 	}
-	return sum / float64(n)
+	mean = sum / float64(len(ys))
+	for _, y := range ys {
+		d := y - mean
+		sumSq += float64(d * d)
+	}
+	return mean, math.Sqrt(sumSq / float64(len(ys)))
 }
 
 // smoothedReach returns the first X at which the window-sample moving
@@ -175,11 +184,11 @@ func smoothedReach(s Series, window int, threshold float64) float64 {
 // one: it configures the network before flows are added.
 type fabric func(*net.Network, *topo.Star)
 
-// lossyFabric is the lossy, PFC-free fabric Swift targets: finite switch
-// buffers with tail drop, random wire loss on data and ACKs, and the
-// sender-side RTO / go-back-N recovery path. Its buffers are 150 KB, below
-// the ~240 KB the unbounded 16-1 incast peaks at, so the buffer binds; its
-// 5e-4 loss probability is a handful of losses per 16 MB incast wave.
+// lossyFabric is the lossy fabric Swift targets: finite switch buffers
+// with tail drop, random wire loss on data and ACKs, and the sender-side
+// RTO / go-back-N recovery path. Its buffers are 150 KB, below the ~240 KB
+// the unbounded 16-1 incast peaks at, so the buffer binds; its 5e-4 loss
+// probability is a handful of losses per 16 MB incast wave.
 func lossyFabric(nw *net.Network, st *topo.Star) {
 	nw.LossRecovery = true
 	nw.WireLoss = func(r *rand.Rand, _ net.Kind, _ int, _ int64) bool { return r.Float64() < 5e-4 }
@@ -278,7 +287,8 @@ func queueView(_ Config, outs []*incastOut) *Result {
 	res := &Result{XLabel: "time (us)", YLabel: "queue depth (KB)"}
 	for _, o := range outs {
 		res.Series = append(res.Series, o.queue)
-		res.Notef("%s: max queue %.0f KB, steady-state mean %.1f KB", o.label, o.maxQueueKB, o.steadyQueueKB)
+		res.Notef("%s: max queue %.0f KB, steady-state mean %.1f KB, std dev %.1f KB",
+			o.label, o.maxQueueKB, o.steadyQueueKB, o.steadyQueueSDKB)
 	}
 	return res
 }
@@ -312,16 +322,16 @@ func customView(cfg Config, outs []*incastOut) *Result {
 }
 
 // fabricView plots the bottleneck queue of runs on finite or lossy
-// fabrics, noting how each fabric coped: drops by cause, recovery, PFC.
+// fabrics, noting how each fabric coped: drops by cause and recovery.
 func fabricView(_ Config, outs []*incastOut) *Result {
 	res := &Result{XLabel: "time (us)", YLabel: "bottleneck queue (KB)"}
 	for _, o := range outs {
 		res.Series = append(res.Series, o.queue)
 		st := o.stats
-		res.Notef("%s: %d drops (%d buffer, %d wire), %d retransmits, %d RTOs, %d dup ACKs, %d PFC pauses; "+
+		res.Notef("%s: %d drops (%d buffer, %d wire), %d retransmits, %d RTOs, %d dup ACKs; "+
 			"max queue %.0f KB, converge %.0f us, last finish %.0f us",
 			o.label, st.Drops(), st.BufferDrops, st.WireDrops, st.Retransmits, st.RTOFires, st.DupAcks,
-			st.PFCPauses, o.maxQueueKB, o.convergeUs, o.lastFinish.Microseconds())
+			o.maxQueueKB, o.convergeUs, o.lastFinish.Microseconds())
 	}
 	return res
 }

@@ -1,29 +1,6 @@
 package exp
 
-import (
-	"strings"
-	"testing"
-
-	"faircc/internal/net"
-	"faircc/internal/topo"
-)
-
-// A run with PFC engaged is lossless or it is an error: switch buffers too
-// small for the pause threshold tail-drop before PFC can pause anyone, and
-// although loss recovery finishes every flow, the run must not report numbers.
-func TestPFCRunThatDropsIsAnError(t *testing.T) {
-	shallow := func(nw *net.Network, st *topo.Star) {
-		nw.PFCPauseBytes = 512_000
-		nw.LossRecovery = true
-		for _, sp := range st.Switch.Ports() {
-			sp.SetBuffer(20_000)
-		}
-	}
-	_, err := runIncast(Config{Seed: 1}, hpccBaselines()[0], paperIncast(4), shallow)
-	if err == nil || !strings.Contains(err.Error(), "losslessness violated") {
-		t.Fatalf("err = %v, want the losslessness violation", err)
-	}
-}
+import "testing"
 
 // TestLossyIncastRecoveryCounters pins the acceptance criterion for the
 // lossy-network mode: a fixed-seed lossy incast (nonzero drop probability,

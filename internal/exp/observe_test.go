@@ -96,10 +96,9 @@ func TestObservabilityDoesNotPerturbResults(t *testing.T) {
 	}
 	// Every packet crosses the star's two links, and each crossing is one
 	// laned serialization end and one laned arrival (every packet here is a
-	// standard size, and PFC is off): the lane count is exactly that, not
-	// an estimate, and so is its split over the star's three constant
-	// delays — an ACK's and a full data packet's time on a 100 Gb/s link,
-	// and the link delay.
+	// standard size): the lane count is exactly that, not an estimate, and
+	// so is its split over the star's three constant delays — an ACK's and
+	// a full data packet's time on a 100 Gb/s link, and the link delay.
 	data, acks := uint64(stats.DataSent), uint64(stats.AcksSent)
 	if want := 4 * (data + acks); stats.EventsLaned != want {
 		t.Errorf("events_laned = %d, want %d (two serialization ends and two link arrivals per packet)", stats.EventsLaned, want)

@@ -121,10 +121,10 @@ func (s *RunStats) Finish(wall time.Duration, begin *runtime.MemStats) {
 func (s RunStats) String() string {
 	out := fmt.Sprintf(
 		"%d run(s): %d events (%d laned, %d queued) in %.2fs (%.2fM ev/s), %d data pkts, %d acks, "+
-			"%d PFC pauses, pool reuse %.1f%%, peak heap %.1f MB",
+			"pool reuse %.1f%%, peak heap %.1f MB",
 		s.Runs, s.Events, s.EventsLaned, s.Events-s.EventsLaned,
 		s.WallSeconds, s.EventsPerSec/1e6,
-		s.DataSent, s.AcksSent, s.PFCPauses,
+		s.DataSent, s.AcksSent,
 		100*s.PoolReuseRate, float64(s.PeakHeapBytes)/1e6)
 	if drops := s.Drops(); drops > 0 || s.Retransmits > 0 {
 		out += fmt.Sprintf(", %d drops (%d buffer, %d wire), %d retransmits, %d RTOs",

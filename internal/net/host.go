@@ -20,16 +20,13 @@ func (h *Host) NodeID() int { return h.id }
 func (h *Host) Port() *Port { return h.port }
 
 // Receive implements Node.
-func (h *Host) Receive(p *Packet, in *Port) {
-	switch p.Kind {
-	case Data:
+func (h *Host) Receive(p *Packet, _ *Port) {
+	if p.Kind == Data {
 		h.receiveData(p)
-	case Ack:
-		p.run.onAck(p)
-		h.sh.putPacket(p)
-	default:
-		in.receivePFC(p)
+		return
 	}
+	p.run.onAck(p)
+	h.sh.putPacket(p)
 }
 
 func (h *Host) receiveData(p *Packet) {

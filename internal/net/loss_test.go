@@ -8,106 +8,6 @@ import (
 	"faircc/internal/sim"
 )
 
-// TestSendControlCoalesces checks the PFC wire-order fix at the queue
-// level: a control frame enqueued while the opposite kind is still queued
-// annihilates with it instead of overtaking it via PushFront.
-func TestSendControlCoalesces(t *testing.T) {
-	eng := sim.NewEngine()
-	nw := New(eng, 1)
-	h0, h1 := nw.AddHost(), nw.AddHost()
-	p01, _ := nw.Connect(h0, h1, gbps100, usec)
-	_ = h1
-
-	p01.busy = true // queued control frames cannot start transmitting
-
-	// Pause then Resume while both are stuck behind the busy transmitter:
-	// the peer never saw the Pause, so delivering neither is correct.
-	p01.sendPFC(Pause)
-	if p01.q.Len() != 1 {
-		t.Fatalf("queue len = %d after Pause, want 1", p01.q.Len())
-	}
-	p01.sendPFC(Resume)
-	if p01.q.Len() != 0 {
-		t.Fatalf("queue len = %d after Resume, want 0 (coalesced)", p01.q.Len())
-	}
-
-	// Duplicate same-kind frames collapse to one (defensive; pauseSent
-	// alternation should make this unreachable).
-	p01.sendPFC(Pause)
-	p01.sendPFC(Pause)
-	if p01.q.Len() != 1 {
-		t.Fatalf("queue len = %d after duplicate Pause, want 1", p01.q.Len())
-	}
-	p01.sendPFC(Resume)
-	if p01.q.Len() != 0 {
-		t.Fatalf("queue len = %d, want 0", p01.q.Len())
-	}
-
-	// Control coalescing must not disturb queued data.
-	data := nw.shards[0].getPacket()
-	data.Kind = Data
-	data.Wire = 1000
-	p01.q.Push(data)
-	p01.sendPFC(Pause)
-	p01.sendPFC(Resume)
-	if p01.q.Len() != 1 || p01.q.buf[p01.q.head] != data {
-		t.Fatalf("data packet disturbed: len=%d", p01.q.Len())
-	}
-}
-
-// TestPFCResumeCannotOvertakePause is the end-to-end regression test for
-// the Pause/Resume reordering bug: both control frames are generated
-// while the reverse-direction transmitter is busy, which used to make the
-// PushFronted Resume overtake the queued Pause on the wire — the peer
-// processed Pause last and stayed paused forever (with pauseSent already
-// false, so no Resume would ever follow).
-func TestPFCResumeCannotOvertakePause(t *testing.T) {
-	eng := sim.NewEngine()
-	nw := New(eng, 1)
-	nw.PFCPauseBytes = 2000
-	h0, h1 := nw.AddHost(), nw.AddHost()
-	sw := nw.AddSwitch()
-	sp0, _ := nw.Connect(sw, h0, gbps100, usec)
-	sp1, _ := nw.Connect(sw, h1, gbps100, usec)
-	sw.AddRoute(h0.NodeID(), sp0)
-	sw.AddRoute(h1.NodeID(), sp1)
-
-	algo := &fixedAlgo{ctl: cc.Control{WindowBytes: 1e9, RateBps: gbps100}}
-	f := nw.AddFlow(FlowSpec{ID: 1, Src: h0.NodeID(), Dst: h1.NodeID(),
-		Size: 100_000, Start: 20 * usec}, algo)
-
-	// Occupy sp0 — the direction PFC frames to h0 travel — with a filler
-	// packet that serializes for 8 us, then cross the pause threshold and
-	// fall back below the resume threshold while it is still going.
-	eng.At(0, func() {
-		filler := nw.shards[0].getPacket()
-		filler.Kind = Ack
-		filler.run = &flowRun{flow: f, sh: nw.shards[0]}
-		filler.Wire = 100_000
-		sp0.send(filler)
-	})
-	eng.At(usec, func() {
-		sp0.chargeIngress(2500)
-		if !sp0.pauseSent {
-			t.Fatal("pause threshold crossing did not emit Pause")
-		}
-		sp0.creditIngress(2500)
-		if sp0.pauseSent {
-			t.Fatal("resume threshold crossing did not clear pauseSent")
-		}
-	})
-	eng.Run()
-	if h0.port.pausedBy {
-		t.Fatal("upstream port left paused forever: Resume overtook Pause on the wire")
-	}
-	if !f.Finished() {
-		t.Fatal("flow stalled behind a reordered PFC pause")
-	}
-	if err := nw.CheckConservation(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestTailDropAtFiniteBuffer: a 2:1 overload into a small finite buffer
 // must drop, keep the queue capped, and still complete every flow via
 // loss recovery.
@@ -277,15 +177,13 @@ func TestOutageRecovery(t *testing.T) {
 	}
 }
 
-// TestWireLossContract: on a lossy star with PFC on, WireLoss is asked, with
-// the shard's fault stream, once per data packet and once per ACK each time
-// one completes serialization — at its sender's host port, then, if the
-// wire kept it there, at the switch port — and never about a Pause or
-// Resume frame. The port asked for is the one whose serialization just
-// ended: still busy, with no packet on the wire.
+// TestWireLossContract: on a lossy star, WireLoss is asked, with the shard's
+// fault stream, once per data packet and once per ACK each time one
+// completes serialization — at its sender's host port, then, if the wire
+// kept it there, at the switch port. The port asked for is the one whose
+// serialization just ended: still busy, with no packet on the wire.
 func TestWireLossContract(t *testing.T) {
 	eng, nw, sw := star(t, 5, 1)
-	nw.PFCPauseBytes = 20_000
 	nw.LossRecovery = true
 	ports := sw.Ports()
 	for _, h := range nw.Hosts() {
@@ -294,9 +192,6 @@ func TestWireLossContract(t *testing.T) {
 	type tally struct{ asked, lost int64 }
 	var atHost, atSwitch [2]tally // by Kind: Data, Ack
 	nw.WireLoss = func(r *rand.Rand, kind Kind, _ int, _ int64) bool {
-		if kind != Data && kind != Ack {
-			t.Fatalf("WireLoss asked about a %v frame", kind)
-		}
 		if r != nw.shards[0].faultRand {
 			t.Fatal("WireLoss was not handed the shard's fault stream")
 		}
@@ -320,24 +215,18 @@ func TestWireLossContract(t *testing.T) {
 		}
 		return lost
 	}
-	for i := 1; i <= 4; i++ { // a 4-1 incast at line rate: the switch pauses its senders
+	for i := 1; i <= 4; i++ { // a 4-1 incast at line rate
 		algo := &fixedAlgo{ctl: cc.Control{WindowBytes: 1e9, RateBps: gbps100}}
 		nw.AddFlow(FlowSpec{ID: i, Src: i, Dst: 0, Size: 400_000, Start: 0}, algo)
 	}
 	eng.Run()
 	if !nw.AllFinished() {
-		t.Fatal("flows did not finish under random loss with PFC")
+		t.Fatal("flows did not finish under random loss")
 	}
 	if err := nw.CheckConservation(); err != nil {
 		t.Fatal(err)
 	}
 	st := nw.Stats()
-	if st.PFCPauses == 0 {
-		t.Fatal("the incast never paused a sender: no PFC frame could have been asked about")
-	}
-	if st.BufferDrops != 0 {
-		t.Fatalf("%d tail drops under PFC", st.BufferDrops)
-	}
 	if atHost[Data].asked != st.DataSent || atHost[Ack].asked != st.AcksSent {
 		t.Fatalf("asked at host ports for %d data packets and %d ACKs, want one per packet sent: %d and %d",
 			atHost[Data].asked, atHost[Ack].asked, st.DataSent, st.AcksSent)
@@ -354,47 +243,5 @@ func TestWireLossContract(t *testing.T) {
 	}
 	if st.DataDrops != lostData || st.AckDrops != lostAcks || st.WireDrops != lostData+lostAcks {
 		t.Fatalf("drop counters %+v, want %d data and %d ACKs lost on the wire", st.Counters, lostData, lostAcks)
-	}
-}
-
-// TestDropCreditsPFCIngress: a tail drop of a packet that already charged
-// PFC ingress accounting must credit it back, or the upstream stays
-// paused forever on bytes that no longer exist.
-func TestDropCreditsPFCIngress(t *testing.T) {
-	eng := sim.NewEngine()
-	nw := New(eng, 1)
-	nw.PFCPauseBytes = 50_000
-	nw.LossRecovery = true
-	// Dumbbell with a 10G bottleneck and a tiny bottleneck buffer: the
-	// fast first hop charges ingress for packets the slow egress then
-	// tail-drops.
-	h0, h1 := nw.AddHost(), nw.AddHost()
-	sw1, sw2 := nw.AddSwitch(), nw.AddSwitch()
-	s1h, _ := nw.Connect(sw1, h0, gbps100, usec)
-	s1s2, s2s1 := nw.Connect(sw1, sw2, 10e9, usec)
-	s2h, _ := nw.Connect(sw2, h1, gbps100, usec)
-	sw1.AddRoute(h0.NodeID(), s1h)
-	sw1.AddRoute(h1.NodeID(), s1s2)
-	sw2.AddRoute(h0.NodeID(), s2s1)
-	sw2.AddRoute(h1.NodeID(), s2h)
-	s1s2.SetBuffer(10_000)
-
-	algo := &fixedAlgo{ctl: cc.Control{WindowBytes: 1e9, RateBps: gbps100}}
-	f := nw.AddFlow(FlowSpec{ID: 1, Src: h0.NodeID(), Dst: h1.NodeID(),
-		Size: 500_000, Start: 0}, algo)
-	eng.Run()
-	if !f.Finished() {
-		t.Fatal("flow wedged: dropped packets left PFC ingress bytes charged")
-	}
-	st := nw.Stats()
-	if st.BufferDrops == 0 {
-		t.Fatal("10 KB bottleneck buffer at a 10:1 speed mismatch never dropped")
-	}
-	if s1s2.ingressBytes != 0 || s1h.ingressBytes != 0 {
-		t.Fatalf("residual ingress accounting after drain: s1s2=%d s1h=%d",
-			s1s2.ingressBytes, s1h.ingressBytes)
-	}
-	if err := nw.CheckConservation(); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -100,65 +100,6 @@ func TestBottleneckMidPath(t *testing.T) {
 	}
 }
 
-func TestPFCCascadesUpstream(t *testing.T) {
-	// Three-switch chain with a slow final link: PFC pressure must
-	// propagate hop by hop back to the sender, keeping every switch
-	// queue bounded near the pause threshold.
-	eng := sim.NewEngine()
-	nw := New(eng, 1)
-	nw.PFCPauseBytes = 40_000
-	h0, h1 := nw.AddHost(), nw.AddHost()
-	sw0, sw1, sw2 := nw.AddSwitch(), nw.AddSwitch(), nw.AddSwitch()
-	p0, _ := nw.Connect(sw0, h0, gbps100, usec)
-	up01, down10 := nw.Connect(sw0, sw1, gbps100, usec)
-	up12, down21 := nw.Connect(sw1, sw2, gbps100, usec)
-	p2, _ := nw.Connect(sw2, h1, 5e9, usec) // slow egress
-	sw0.AddRoute(h0.NodeID(), p0)
-	sw0.AddRoute(h1.NodeID(), up01)
-	sw1.AddRoute(h0.NodeID(), down10)
-	sw1.AddRoute(h1.NodeID(), up12)
-	sw2.AddRoute(h0.NodeID(), down21)
-	sw2.AddRoute(h1.NodeID(), p2)
-
-	algo := &fixedAlgo{ctl: cc.Control{WindowBytes: 1e9, RateBps: gbps100}}
-	f := nw.AddFlow(FlowSpec{ID: 1, Src: h0.NodeID(), Dst: h1.NodeID(), Size: 1_000_000}, algo)
-
-	peak := map[string]int64{}
-	track := func(name string, p *Port) {
-		if q := p.QueueBytes(); q > peak[name] {
-			peak[name] = q
-		}
-	}
-	var watch func()
-	watch = func() {
-		track("sw2->h1", p2)
-		track("sw1->sw2", up12)
-		track("sw0->sw1", up01)
-		if !nw.AllFinished() {
-			eng.After(usec, watch)
-		}
-	}
-	eng.At(0, watch)
-	eng.Run()
-	if !f.Finished() {
-		t.Fatal("flow did not finish under cascading PFC")
-	}
-	// Without PFC the slow egress would absorb nearly the whole 1MB.
-	// With it, every switch holds roughly pause-threshold + one
-	// in-flight BDP.
-	for name, q := range peak {
-		if q > 150_000 {
-			t.Fatalf("%s queue peaked at %d despite PFC cascade", name, q)
-		}
-	}
-	if peak["sw1->sw2"] < 20_000 || peak["sw0->sw1"] < 20_000 {
-		t.Fatalf("backpressure did not propagate upstream: %v", peak)
-	}
-	if err := nw.CheckConservation(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestBidirectionalFlows(t *testing.T) {
 	// Flows in both directions between the same pair share links with
 	// their reverse-path ACK traffic; both must finish and conserve.

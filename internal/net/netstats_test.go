@@ -69,28 +69,3 @@ func TestPacketCounters(t *testing.T) {
 		t.Fatalf("pool allocs %d of %d gets, want some gets served by reuse", st.PoolAllocs, st.PoolGets)
 	}
 }
-
-func TestPFCPauseCounter(t *testing.T) {
-	eng, nw, _ := star(t, 3, 1)
-	nw.PFCPauseBytes = 20_000
-	a1 := &fixedAlgo{ctl: cc.Control{WindowBytes: 1e9, RateBps: gbps100}}
-	a2 := &fixedAlgo{ctl: cc.Control{WindowBytes: 1e9, RateBps: gbps100}}
-	nw.AddFlow(FlowSpec{ID: 1, Src: 1, Dst: 0, Size: 500_000}, a1)
-	nw.AddFlow(FlowSpec{ID: 2, Src: 2, Dst: 0, Size: 500_000}, a2)
-	eng.Run()
-	st := nw.Stats()
-	if st.PFCPauses == 0 {
-		t.Fatal("2x overload past a 20KB threshold must emit pauses")
-	}
-	if err := nw.CheckConservation(); err != nil {
-		t.Fatal(err)
-	}
-	// Without PFC the counter stays zero.
-	eng2, nw2, _ := star(t, 3, 1)
-	nw2.AddFlow(FlowSpec{ID: 1, Src: 1, Dst: 0, Size: 100_000},
-		&fixedAlgo{ctl: cc.Control{WindowBytes: 1e9, RateBps: gbps100}})
-	eng2.Run()
-	if nw2.Stats().PFCPauses != 0 {
-		t.Fatal("pauses counted with PFC disabled")
-	}
-}

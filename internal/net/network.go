@@ -28,13 +28,6 @@ type Network struct {
 	// HeaderBytes is added to every data packet on the wire.
 	HeaderBytes int
 
-	// PFCPauseBytes enables priority flow control when positive: an
-	// ingress port that has at least this many bytes buffered in the node
-	// pauses its upstream sender, and resumes it once at most half as many
-	// are. Zero (the default) disables PFC; queues are unbounded and the
-	// network is lossless by construction.
-	PFCPauseBytes int64
-
 	// LossRecovery arms the sender-side recovery path: per-flow RTO with
 	// exponential backoff and go-back-N resend from the last cumulative
 	// ACK. It must be on for any run that can drop packets (finite
@@ -45,12 +38,10 @@ type Network struct {
 
 	// WireLoss, when set, is asked once per data packet and ACK that
 	// completes serialization on any link whether the wire loses it (seq
-	// is the data offset for data, the cumulative ACK for ACKs). PFC
-	// control frames never ask: losing them without a PFC-level watchdog
-	// would only deadlock the fabric. r is the shard's fault stream, a
-	// PRNG separate from the main one, so a random loss rule does not
-	// perturb congestion-control randomness for the same seed. On a
-	// sharded network shards ask concurrently.
+	// is the data offset for data, the cumulative ACK for ACKs). r is the
+	// shard's fault stream, a PRNG separate from the main one, so a random
+	// loss rule does not perturb congestion-control randomness for the
+	// same seed. On a sharded network shards ask concurrently.
 	WireLoss func(r *rand.Rand, kind Kind, flowID int, seq int64) bool
 
 	hosts      []*Host

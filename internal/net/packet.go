@@ -1,8 +1,7 @@
 // Package net implements the packet-level network model of the simulator:
 // links with serialization and propagation delay, output-queued switches
-// with FIFO egress queues, In-band Network Telemetry stamping, optional
-// PFC (priority flow control) for losslessness under finite buffers, and
-// hosts running paced, windowed, per-packet-ACKed RDMA-style flows driven
+// with FIFO egress queues, In-band Network Telemetry stamping, and hosts
+// running paced, windowed, per-packet-ACKed RDMA-style flows driven
 // by a cc.Algorithm.
 //
 // The model corresponds to the ns-3 + HPCC-artifact setup the paper uses:
@@ -27,10 +26,6 @@ const (
 	// Ack acknowledges one data packet, echoing its telemetry and send
 	// timestamp.
 	Ack
-	// Pause and Resume are PFC control frames; they preempt data and are
-	// never queued behind it.
-	Pause
-	Resume
 )
 
 func (k Kind) String() string {
@@ -39,10 +34,6 @@ func (k Kind) String() string {
 		return "data"
 	case Ack:
 		return "ack"
-	case Pause:
-		return "pause"
-	case Resume:
-		return "resume"
 	}
 	return "unknown"
 }
@@ -82,8 +73,8 @@ type Packet struct {
 	// run (see Switch.Receive). The hop cursor indexes it.
 	path **Port
 
-	ingress *Port    // switch-internal: arrival port for PFC accounting
-	run     *flowRun // the run of the flow the packet belongs to
+	_   uint64   // pads the packet to one cache line
+	run *flowRun // the run of the flow the packet belongs to
 
 	// ints is the INT stack, intCap records deep: carved with the packet,
 	// as deep as the longest flow path, and kept across recycling. A data

@@ -48,14 +48,8 @@ type Port struct {
 
 	q        queue
 	busy     bool
-	pausedBy bool // peer sent PFC Pause: hold data (control still flows)
 	txBytes  int64
 	bufBytes int64 // egress buffer cap in wire bytes; 0 = unbounded
-
-	// PFC ingress-side accounting (switch owners only): bytes currently
-	// buffered in this node that arrived through this port.
-	ingressBytes int64
-	pauseSent    bool
 
 	// ser memoizes how the port transmits the two standard wire sizes, a
 	// full data packet in ser[0] and an ACK-sized frame in ser[1]: the
@@ -131,27 +125,22 @@ func (pt *Port) QueuePeak() int64 { return pt.q.Peak() }
 func (pt *Port) TxBytes() int64 { return pt.txBytes }
 
 // SetBuffer caps this egress queue at the given wire bytes: a packet that
-// would push the queue past the cap is tail-dropped (PFC control frames are
-// exempt). Zero, the default, leaves the queue unbounded.
+// would push the queue past the cap is tail-dropped. Zero, the default,
+// leaves the queue unbounded.
 func (pt *Port) SetBuffer(bytes int64) { pt.bufBytes = bytes }
 
 // send enqueues a packet for transmission toward the peer, tail-dropping
-// it when a finite egress buffer is full. PFC control frames are exempt
-// from the cap: they are 64 bytes, jump the queue anyway, and dropping
-// one would wedge the pause protocol.
+// it when a finite egress buffer is full.
 func (pt *Port) send(p *Packet) {
-	if pt.bufBytes > 0 && p.Kind != Pause && p.Kind != Resume &&
-		pt.q.Bytes()+int64(p.Wire) > pt.bufBytes {
+	if pt.bufBytes > 0 && pt.q.Bytes()+int64(p.Wire) > pt.bufBytes {
 		pt.sh.drop(p, true)
 		return
 	}
 	// Cut-through: with an idle transmitter and an empty queue the packet
 	// starts serializing immediately, skipping the FIFO. This is exactly
 	// what Push+kick would do (pop the sole entry and transmit it), minus
-	// the two ring operations per uncongested hop. send only carries data
-	// and ACKs (control frames go through sendControl), so a PFC-paused
-	// port always takes the queueing path.
-	if !pt.busy && !pt.pausedBy && pt.q.Len() == 0 {
+	// the two ring operations per uncongested hop.
+	if !pt.busy && pt.q.Len() == 0 {
 		pt.startTx(p)
 		return
 	}
@@ -159,50 +148,10 @@ func (pt *Port) send(p *Packet) {
 	pt.kick()
 }
 
-// sendControl enqueues a PFC control frame ahead of any queued data,
-// coalescing against a control frame that is still queued so Pause and
-// Resume can never reorder on the wire.
-//
-// A queued-but-not-yet-transmitting control frame is always at the queue
-// head: control frames are the only PushFront users and kick pops them
-// even while paused, so nothing can get in front of one. Pause and
-// Resume strictly alternate per port (pauseSent gates both directions),
-// so a queued frame of the opposite kind annihilates with the new one —
-// the peer never saw the first frame, and delivering neither leaves it in
-// the correct current state. Without this, a Resume PushFronted while a
-// Pause was queued behind a busy transmitter overtook it on the wire and
-// the peer processed Pause last: paused forever, with pauseSent already
-// false so no Resume would ever follow.
-func (pt *Port) sendControl(p *Packet) {
-	if pt.q.Len() > 0 {
-		if head := pt.q.buf[pt.q.head]; head.Kind == Pause || head.Kind == Resume {
-			if head.Kind == p.Kind {
-				// Duplicate (defensive: alternation should prevent it);
-				// the queued frame already says this.
-				pt.sh.putPacket(p)
-				return
-			}
-			pt.q.Pop()
-			pt.sh.putPacket(head)
-			pt.sh.putPacket(p)
-			return
-		}
-	}
-	pt.q.PushFront(p)
-	pt.kick()
-}
-
-// kick starts the transmitter if it is idle and transmission is allowed.
+// kick starts the transmitter if it is idle and has a packet queued.
 func (pt *Port) kick() {
 	if pt.busy || pt.q.Len() == 0 {
 		return
-	}
-	if pt.pausedBy {
-		// PFC pause stops data; control frames (always at the front)
-		// still flow.
-		if k := pt.q.buf[pt.q.head].Kind; k != Pause && k != Resume {
-			return
-		}
 	}
 	pt.startTx(pt.q.Pop())
 }
@@ -241,9 +190,8 @@ func (pt *Port) Fire() { pt.finishTx(pt.txPkt) }
 
 // finishTx completes serialization: stamps telemetry — at this instant, the
 // end of serialization, with the queue as it stands now that p has left it —
-// releases PFC ingress accounting, asks Network.WireLoss whether the wire
-// loses a data packet or ACK, schedules arrival at the peer, and starts the
-// next packet.
+// asks Network.WireLoss whether the wire loses a data packet or ACK,
+// schedules arrival at the peer, and starts the next packet.
 // When the peer lives on another shard the arrival goes through the
 // mailbox instead of the local engine: it executes on the peer's shard
 // after the epoch barrier, at the exact same simulated time — propagation
@@ -260,11 +208,7 @@ func (pt *Port) finishTx(p *Packet) {
 			TS:         pt.eng.Now(),
 		}
 	}
-	if p.ingress != nil {
-		p.ingress.creditIngress(int64(p.Wire))
-		p.ingress = nil
-	}
-	if loss := pt.net.WireLoss; loss != nil && (p.Kind == Data || p.Kind == Ack) &&
+	if loss := pt.net.WireLoss; loss != nil &&
 		loss(pt.sh.faultRand, p.Kind, p.run.flow.Spec.ID, p.Seq) {
 		pt.sh.drop(p, false)
 		pt.busy = false
@@ -280,44 +224,3 @@ func (pt *Port) finishTx(p *Packet) {
 	pt.busy = false
 	pt.kick()
 }
-
-// chargeIngress attributes wire bytes buffered in the owner to this
-// ingress port and sends a PFC Pause upstream when the threshold is
-// crossed.
-func (pt *Port) chargeIngress(bytes int64) {
-	pt.ingressBytes += bytes
-	if th := pt.net.PFCPauseBytes; th > 0 && !pt.pauseSent && pt.ingressBytes >= th {
-		pt.pauseSent = true
-		pt.sh.PFCPauses++
-		pt.sendPFC(Pause)
-	}
-}
-
-// creditIngress releases buffered bytes and sends Resume when occupancy
-// falls to half the pause threshold.
-func (pt *Port) creditIngress(bytes int64) {
-	pt.ingressBytes -= bytes
-	if pt.pauseSent && pt.ingressBytes <= pt.net.PFCPauseBytes/2 {
-		pt.pauseSent = false
-		pt.sendPFC(Resume)
-	}
-}
-
-// receivePFC takes a PFC frame that arrived on pt: a Pause holds the data
-// pt sends, a Resume lets it go again.
-func (pt *Port) receivePFC(p *Packet) {
-	pt.pausedBy = p.Kind == Pause
-	pt.sh.putPacket(p)
-	if !pt.pausedBy {
-		pt.kick()
-	}
-}
-
-func (pt *Port) sendPFC(kind Kind) {
-	p := pt.sh.getPacket()
-	p.Kind = kind
-	p.Wire = pfcFrameBytes
-	pt.sendControl(p)
-}
-
-const pfcFrameBytes = 64

@@ -40,21 +40,6 @@ func (q *queue) Push(p *Packet) {
 	}
 }
 
-// PushFront prepends a packet (used for PFC control frames, which preempt
-// queued data).
-func (q *queue) PushFront(p *Packet) {
-	if q.n == len(q.buf) {
-		q.grow()
-	}
-	q.head = (q.head - 1) & (len(q.buf) - 1)
-	q.buf[q.head] = p
-	q.n++
-	q.bytes += int64(p.Wire)
-	if q.bytes > q.peak {
-		q.peak = q.bytes
-	}
-}
-
 // Pop removes and returns the head packet, or nil if empty.
 func (q *queue) Pop() *Packet {
 	if q.n == 0 {

@@ -22,8 +22,7 @@ import (
 // are per-shard; flow sender state runs on the sender's shard and
 // receiver state on the receiver's; the only cross-shard interaction is
 // packet handoff through sim.Outbox at link-propagation boundaries.
-// Network-level config fields (MTU, PFC thresholds, WireLoss,
-// ...) and the routes are read-only during a run and safely shared.
+// Network-level config fields (MTU, WireLoss, ...) and the routes are read-only during a run and safely shared.
 type shard struct {
 	net *Network
 	id  int
@@ -229,14 +228,7 @@ func (sh *shard) putPacket(p *Packet) {
 
 // drop accounts for a lost packet — a tail drop at a full egress buffer, or
 // else a wire drop (Network.WireLoss) — and recycles it.
-// Any PFC ingress bytes the packet still holds are credited back, so a drop
-// can never wedge the pause accounting (the ingress port is always on this
-// shard: a packet only carries ingress attribution while inside one node).
 func (sh *shard) drop(p *Packet, tail bool) {
-	if p.ingress != nil {
-		p.ingress.creditIngress(int64(p.Wire))
-		p.ingress = nil
-	}
 	switch p.Kind {
 	case Data:
 		sh.DataDrops++

@@ -186,13 +186,21 @@ func TestShardValidation(t *testing.T) {
 func TestShardRebindForgetsSerializationLanes(t *testing.T) {
 	eng, nw, _ := chain(t, []float64{gbps100, gbps100}) // h0=0, h1=1, one switch=2
 	pt := nw.Hosts()[1].Port()
-	pt.sendPFC(Resume) // a standard-size frame: binds a lane of eng
+	// ack sends an ACK-sized frame of no flow from pt; the wire loses it
+	// where its serialization ends, so it never needs a path.
+	nw.WireLoss = func(*rand.Rand, Kind, int, int64) bool { return true }
+	ack := func() {
+		p := pt.sh.getPacket()
+		p.Kind, p.Wire, p.run = Ack, ackBytes, &flowRun{flow: &Flow{}}
+		pt.send(p)
+	}
+	ack() // a standard-size frame: binds a lane of eng
 	eng.Run()
 	if pt.ser[1].lane == nil {
 		t.Fatal("a standard-size transmission bound no serialization lane")
 	}
 	nw.Shard([]int{0, 1, 0}, 2)
-	pt.sendPFC(Resume)
+	ack()
 	if old, moved := eng.Pending(), nw.ShardEngines()[1].Pending(); old != 0 || moved != 1 {
 		t.Fatalf("after Shard the port's transmission left %d event(s) pending on its old engine and %d on its new one, want 0 and 1", old, moved)
 	}

@@ -78,11 +78,7 @@ func (s *Switch) AddRoute(dstHost int, ports ...*Port) {
 }
 
 // Receive implements Node.
-func (s *Switch) Receive(p *Packet, in *Port) {
-	if p.Kind >= Pause { // Pause or Resume
-		in.receivePFC(p)
-		return
-	}
+func (s *Switch) Receive(p *Packet, _ *Port) {
 	// The egress port stamps the packet's next INT slot, record hop, one
 	// serialization time — thousands of events at fabric scale — from now,
 	// in an array last written a hop ago: start that line on its way (no
@@ -95,10 +91,6 @@ func (s *Switch) Receive(p *Packet, in *Port) {
 	// touches nothing but the packet's line and the path.
 	out := p.next()
 	p.hop++
-	if s.net.PFCPauseBytes > 0 {
-		p.ingress = in
-		in.chargeIngress(int64(p.Wire))
-	}
 	out.send(p)
 }
 
