@@ -92,7 +92,7 @@ func TestEveryNetworkSettingIsRead(t *testing.T) {
 	const bench = "bench: ROADMAP item 16"
 	readers := map[string]string{
 		"MTU": bench, "HeaderBytes": bench,
-		"LossRecovery": "incast-lossy", "WireLoss": "incast-lossy",
+		"WireLoss": "incast-lossy",
 	}
 	roadmap, err := os.ReadFile(filepath.Join("..", "..", "ROADMAP.md"))
 	if err != nil {

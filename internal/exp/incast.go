@@ -185,12 +185,11 @@ func smoothedReach(s Series, window int, threshold float64) float64 {
 type fabric func(*net.Network, *topo.Star)
 
 // lossyFabric is the lossy fabric Swift targets: finite switch buffers
-// with tail drop, random wire loss on data and ACKs, and the sender-side
-// RTO / go-back-N recovery path. Its buffers are 150 KB, below the ~240 KB
+// with tail drop and random wire loss on data and ACKs, which the senders
+// recover by RTO and go-back-N. Its buffers are 150 KB, below the ~240 KB
 // the unbounded 16-1 incast peaks at, so the buffer binds; its 5e-4 loss
 // probability is a handful of losses per 16 MB incast wave.
 func lossyFabric(nw *net.Network, st *topo.Star) {
-	nw.LossRecovery = true
 	nw.WireLoss = func(r *rand.Rand, _ net.Kind, _ int, _ int64) bool { return r.Float64() < 5e-4 }
 	for _, sp := range st.Switch.Ports() {
 		sp.SetBuffer(150_000)

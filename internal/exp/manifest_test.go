@@ -172,21 +172,38 @@ func TestResultsNameRegisteredExperiments(t *testing.T) {
 	}
 }
 
-// TestRecordedManifestsDecode decodes every results/*.manifest.json into
-// Manifest and fails on a key it does not define, so a recorded manifest
-// cannot keep a counter that no run writes any more.
+// TestRecordedManifestsDecode decodes every results/*.manifest.json and
+// results/full/*.manifest.json into Manifest and fails on a key it does not
+// define, so a recorded manifest cannot keep a counter that no run writes
+// any more. The paper-scale manifests in results/full predate the removal of
+// the run_stats keys in stale; they are re-recorded only at paper scale
+// (ROADMAP item 10), and until then those keys, and only those, are allowed
+// there. Each must still be present, so the re-record empties the list.
 func TestRecordedManifestsDecode(t *testing.T) {
-	files, err := filepath.Glob(filepath.Join("..", "..", "results", "*.manifest.json"))
-	if err != nil {
-		t.Fatal(err)
+	gone := []string{"ecn_marks", "event_slot_allocs", "events_cancelled", "pfc_pauses", "queue_shrinks"}
+	withFCT := slices.Concat(gone, []string{"peak_fct_records"})
+	stale := map[string][]string{
+		"fig10.manifest.json": withFCT, "fig11.manifest.json": gone,
+		"fig12.manifest.json": withFCT, "fig13.manifest.json": gone,
 	}
-	if len(files) == 0 {
-		t.Fatal("no recorded manifest found in results/")
+	var files []string
+	for _, dir := range []string{"results", filepath.Join("results", "full")} {
+		found, err := filepath.Glob(filepath.Join("..", "..", dir, "*.manifest.json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(found) == 0 {
+			t.Fatalf("no recorded manifest found in %s/", dir)
+		}
+		files = append(files, found...)
 	}
 	for _, f := range files {
 		raw, err := os.ReadFile(f)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if filepath.Base(filepath.Dir(f)) == "full" {
+			raw = dropStaleKeys(t, f, raw, stale[filepath.Base(f)])
 		}
 		dec := json.NewDecoder(bytes.NewReader(raw))
 		dec.DisallowUnknownFields()
@@ -195,6 +212,34 @@ func TestRecordedManifestsDecode(t *testing.T) {
 			t.Errorf("%s: %v", f, err)
 		}
 	}
+}
+
+// dropStaleKeys returns the manifest raw without the run_stats keys in
+// keys, failing if one of them is not there.
+func dropStaleKeys(t *testing.T, file string, raw []byte, keys []string) []byte {
+	t.Helper()
+	var m map[string]json.RawMessage
+	var stats map[string]json.RawMessage
+	if err := json.Unmarshal(raw, &m); err != nil {
+		t.Fatalf("%s: %v", file, err)
+	}
+	if err := json.Unmarshal(m["run_stats"], &stats); err != nil {
+		t.Fatalf("%s: run_stats: %v", file, err)
+	}
+	for _, k := range keys {
+		if _, ok := stats[k]; !ok {
+			t.Errorf("%s: stale key %q is gone: take it off the list", file, k)
+		}
+		delete(stats, k)
+	}
+	var err error
+	if m["run_stats"], err = json.Marshal(stats); err != nil {
+		t.Fatal(err)
+	}
+	if raw, err = json.Marshal(m); err != nil {
+		t.Fatal(err)
+	}
+	return raw
 }
 
 // TestRecordedResultsReproduce regenerates, at the recorded -scale medium

@@ -2,7 +2,6 @@ package exp
 
 import (
 	"fmt"
-	"math"
 	"time"
 
 	"faircc/internal/metrics"
@@ -66,24 +65,12 @@ func (p *progress) report(now time.Time, events uint64, simNow sim.Time, done bo
 // rate is a sub-millisecond reporting resolution at negligible cost.
 const progressCheckMask = 1<<14 - 1
 
-// stallWindow is the watchdog's W: max(1 ms, 1000 x the largest base RTT
-// any flow added so far can have, see net.Network.MaxBaseRTT), plus RTOMax
-// under LossRecovery (DESIGN.md, "What ends a run"). It saturates rather
-// than wrap on an hours-long RTT.
-func stallWindow(nw *net.Network) sim.Time {
-	w := max(sim.Millisecond, 1000*min(nw.MaxBaseRTT(), math.MaxInt64/2000))
-	if nw.LossRecovery {
-		w += net.RTOMax
-	}
-	return w
-}
-
 // runSequential is the sequential drive: step until every flow has
 // finished, nothing is pending, or the run has stalled — some flow was
 // active at the previous check and no byte has been acknowledged in the
 // window W since. It returns what stalled the run (the window and the first
 // active flows) as a suffix for simulate's error, or "". W comes from the
-// network (see stallWindow). The same check samples the heap for
+// network (see net.Network.StallWindow). The same check samples the heap for
 // RunWithStats' peak, and ProgressUpdates go out if Config asks for
 // them. The stepping sequence is identical with and without them, so
 // observability can never perturb simulation results. Progress is
@@ -122,7 +109,7 @@ func runSequential(cfg Config, label string, nw *net.Network) (stalled string) {
 				break
 			}
 			acked, active, checked = sum, len(ids) > 0, now
-			w = stallWindow(nw)
+			w = nw.StallWindow()
 		}
 		if cfg.obs != nil {
 			cfg.obs.sampleHeap()

@@ -26,11 +26,12 @@ func inSlot[E any](slot, from int) func([]E) {
 	return func(outs []E) { outs[slot] = outs[from] }
 }
 
-// runStar runs, at seed 1, the registered star experiment that declares c.
-func runStar(t *testing.T, c starCheck) []*incastOut {
+// runStar runs, at the given seed, the registered star experiment that
+// declares c.
+func runStar(t *testing.T, c starCheck, seed int64) []*incastOut {
 	t.Helper()
 	cfg := DefaultConfig()
-	cfg.Seed, cfg.Workers = 1, 1
+	cfg.Seed, cfg.Workers = seed, 1
 	for _, r := range starRuns {
 		for _, k := range r.checks {
 			if k.Name == c.Name {
@@ -51,7 +52,7 @@ func runStar(t *testing.T, c starCheck) []*incastOut {
 // place of the variant it reads. The four simulations run once, at seed 1
 // (star runs ignore Scale).
 func TestHPCCIncastClaimsWitnesses(t *testing.T) {
-	outs := runStar(t, incastInversion)
+	outs := runStar(t, incastInversion, 1)
 	const hpcc1G, hpccProb = 1, 2 // hpccBaselines' order
 	for _, w := range []struct {
 		check      starCheck
@@ -91,7 +92,7 @@ func TestStarClaimsWitnesses(t *testing.T) {
 		{sfBandwidthFairness, reversed, "the sweep in reversed value order"},
 		{dampenerProtection, reversed, "the sweep in reversed value order"},
 	} {
-		witness(t, w.check, runStar(t, w.check), w.swap, w.how)
+		witness(t, w.check, runStar(t, w.check, 1), w.swap, w.how)
 	}
 }
 

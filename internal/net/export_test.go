@@ -1,5 +1,7 @@
 package net
 
+import "faircc/internal/sim"
+
 // PooledStackCaps returns the INT stack capacity of every packet in the
 // network's packet pools, shard by shard.
 func PooledStackCaps(n *Network) []int {
@@ -32,3 +34,7 @@ func QueueRings(n *Network) []int {
 // RetireRuns makes n retire every finished flow's run slot instead of
 // reusing it: the no-reuse reference a reusing run must reproduce.
 func RetireRuns(n *Network) { n.retireRuns = true }
+
+// MaxBaseRTT returns the largest base RTT any flow added so far can have,
+// as AddFlow recorded it from the route summaries.
+func MaxBaseRTT(n *Network) sim.Time { return n.maxRTT }

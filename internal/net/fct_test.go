@@ -97,7 +97,6 @@ func TestPacketPoolReuse(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			eng, nw, _ := star(t, 2, 1)
 			if tc.lossy {
-				nw.LossRecovery = true
 				nw.WireLoss = outage(nw, 10*usec, 30*usec)
 			}
 			f := nw.AddFlow(FlowSpec{ID: 1, Src: 0, Dst: 1, Size: 1_000_000},

@@ -134,8 +134,8 @@ func (f *Flow) Fire() {
 	}
 	*r = flowRun{flow: f, net: n, sh: sh, eng: sh.eng, host: host, algo: f.algo,
 		size: f.Spec.Size, dst: f.Spec.Dst, hops: int(f.hops), rtoBase: initialRTO(f.baseRTT),
-		path: path,
-		env:  cc.Env{LineRateBps: host.port.bw, BaseRTT: f.baseRTT, MTU: n.MTU, HopBps: bps, Rand: sh.rand}}
+		lossy: n.lossy(), path: path,
+		env: cc.Env{LineRateBps: host.port.bw, BaseRTT: f.baseRTT, MTU: n.MTU, HopBps: bps, Rand: sh.rand}}
 	r.rto = r.rtoBase
 	f.algo, f.run, f.started = nil, r, true
 	r.ctl = r.algo.Init(&r.env)
@@ -176,6 +176,7 @@ type flowRun struct {
 	gapRate  float64
 	gapDur   sim.Time
 	finished bool
+	lossy    bool  // the network was lossy at the start: recovery is armed
 	rtoArmed bool  // a timeout event is outstanding
 	acked    int64 // payload bytes acknowledged
 	algo     cc.Algorithm
@@ -186,12 +187,12 @@ type flowRun struct {
 	wakeAt sim.Time
 	waking bool
 
-	// Loss recovery (armed only when Network.LossRecovery is set). The
+	// Loss recovery (armed only on a lossy network, see Network.lossy). The
 	// timer (see rtoTimer) is lazy: progress just pushes rtoDeadline
 	// forward, and the scheduled event re-arms itself when it fires early,
 	// so ACK processing never cancels engine events.
 	rtoBase     sim.Time // initial timeout: see initialRTO
-	rto         sim.Time // current timeout (doubles on fire, up to RTOMax)
+	rto         sim.Time // current timeout (doubles on fire, up to rtoMax)
 	rtoDeadline sim.Time
 
 	// env is the algorithm's cc.Env: filled in at the start, read through
@@ -286,7 +287,7 @@ func (r *flowRun) trySend() {
 			r.nextSend = now
 		}
 		r.nextSend += gap
-		if r.net.LossRecovery {
+		if r.lossy {
 			r.rtoDeadline = now + r.rto
 			r.armRTO()
 		}
@@ -337,9 +338,9 @@ func (r *flowRun) onRTO() {
 	}
 	r.flow.Timeouts++
 	r.sh.RTOFires++
-	// Exponential backoff up to RTOMax. rto never exceeds RTOMax, so the
+	// Exponential backoff up to rtoMax. rto never exceeds rtoMax, so the
 	// doubling cannot wrap sim.Time.
-	r.rto = min(2*r.rto, RTOMax)
+	r.rto = min(2*r.rto, rtoMax)
 	// Everything past the last cumulative ACK is presumed lost: rewind
 	// the send cursor and clear the pacing backlog so recovery starts
 	// immediately rather than at the stale pacing horizon.
@@ -399,7 +400,7 @@ func (r *flowRun) onAck(p *Packet) {
 		r.finish(now)
 		return
 	}
-	if r.net.LossRecovery {
+	if r.lossy {
 		// Forward progress: reset backoff and push the timeout out.
 		r.rto = r.rtoBase
 		r.rtoDeadline = now + r.rto

@@ -10,14 +10,13 @@ import (
 
 // TestTailDropAtFiniteBuffer: a 2:1 overload into a small finite buffer
 // must drop, keep the queue capped, and still complete every flow via
-// loss recovery.
+// loss recovery, which the buffer alone arms.
 func TestTailDropAtFiniteBuffer(t *testing.T) {
 	eng, nw, sw := star(t, 3, 1)
 	const buf = 20_000
 	for _, p := range sw.Ports() {
 		p.SetBuffer(buf)
 	}
-	nw.LossRecovery = true
 	a1 := &fixedAlgo{ctl: cc.Control{WindowBytes: 1e9, RateBps: gbps100}}
 	a2 := &fixedAlgo{ctl: cc.Control{WindowBytes: 1e9, RateBps: gbps100}}
 	nw.AddFlow(FlowSpec{ID: 1, Src: 1, Dst: 0, Size: 200_000, Start: 0}, a1)
@@ -45,12 +44,38 @@ func TestTailDropAtFiniteBuffer(t *testing.T) {
 	}
 }
 
+// SetBuffer refuses, at the call, a cap that cannot pass one full data
+// packet: a negative one, which used to mean unbounded, and one below
+// MTU+HeaderBytes, which would drop every data packet. A cap it accepts
+// makes the network lossy, and the stall window grows by rtoMax.
+func TestSetBufferRefusesCapsBelowAPacket(t *testing.T) {
+	const full = 1000 + 48 // MTU+HeaderBytes
+	for _, tc := range []struct {
+		cap    int64
+		refuse bool
+	}{{-1, true}, {0, true}, {full - 1, true}, {full, false}, {150_000, false}} {
+		_, nw, sw := star(t, 2, 1)
+		lossless := nw.StallWindow()
+		refused := func() (refused bool) {
+			defer func() { refused = recover() != nil }()
+			sw.Ports()[0].SetBuffer(tc.cap)
+			return false
+		}()
+		if refused != tc.refuse || nw.lossy() == refused {
+			t.Errorf("SetBuffer(%d): refused %v, network lossy %v; want refused %v",
+				tc.cap, refused, nw.lossy(), tc.refuse)
+		}
+		if w := nw.StallWindow(); !refused && w != lossless+rtoMax {
+			t.Errorf("SetBuffer(%d): stall window %v, want %v", tc.cap, w, lossless+rtoMax)
+		}
+	}
+}
+
 // TestRTORecoversDroppedDataAndAck: one dropped data packet mid-flow and
 // the dropped final ACK both force RTO-driven go-back-N; the flow still
 // completes with exact delivery.
 func TestRTORecoversDroppedDataAndAck(t *testing.T) {
 	eng, nw, _ := star(t, 2, 1)
-	nw.LossRecovery = true
 	const size = 50_000
 	droppedData, droppedAck := false, false
 	nw.WireLoss = func(_ *rand.Rand, kind Kind, _ int, seq int64) bool {
@@ -102,7 +127,6 @@ func TestRTORecoversDroppedDataAndAck(t *testing.T) {
 func TestRandomLossCompletes(t *testing.T) {
 	run := func() ([]sim.Time, NetworkStats) {
 		eng, nw, _ := star(t, 3, 7)
-		nw.LossRecovery = true
 		nw.WireLoss = func(r *rand.Rand, _ Kind, _ int, _ int64) bool { return r.Float64() < 0.01 }
 		for i := 1; i <= 2; i++ {
 			algo := &fixedAlgo{ctl: cc.Control{WindowBytes: 100_000, RateBps: gbps100}}
@@ -150,7 +174,6 @@ func outage(nw *Network, from, to sim.Time) func(*rand.Rand, Kind, int, int64) b
 // outage ends.
 func TestOutageRecovery(t *testing.T) {
 	eng, nw, _ := star(t, 2, 1)
-	nw.LossRecovery = true
 	nw.WireLoss = outage(nw, 10*usec, 60*usec)
 	algo := &fixedAlgo{ctl: cc.Control{WindowBytes: 100_000, RateBps: gbps100}}
 	f := nw.AddFlow(FlowSpec{ID: 1, Src: 0, Dst: 1, Size: 500_000, Start: 0}, algo)
@@ -184,7 +207,6 @@ func TestOutageRecovery(t *testing.T) {
 // serialization just ended: still busy, with no packet on the wire.
 func TestWireLossContract(t *testing.T) {
 	eng, nw, sw := star(t, 5, 1)
-	nw.LossRecovery = true
 	ports := sw.Ports()
 	for _, h := range nw.Hosts() {
 		ports = append(ports, h.Port())

@@ -244,7 +244,6 @@ func TestDeterministicRuns(t *testing.T) {
 		eng, nw, _ := star(t, 4, 99)
 		// Random wire loss makes the finish times depend on the seeded
 		// fault stream.
-		nw.LossRecovery = true
 		nw.WireLoss = func(r *rand.Rand, kind Kind, _ int, _ int64) bool {
 			return kind == Data && r.Float64() < 0.01
 		}

@@ -28,21 +28,14 @@ type Network struct {
 	// HeaderBytes is added to every data packet on the wire.
 	HeaderBytes int
 
-	// LossRecovery arms the sender-side recovery path: per-flow RTO with
-	// exponential backoff and go-back-N resend from the last cumulative
-	// ACK. It must be on for any run that can drop packets (finite
-	// buffers, WireLoss), and stays off by default so lossless runs
-	// schedule no extra events and remain bit-identical with earlier
-	// versions.
-	LossRecovery bool
-
 	// WireLoss, when set, is asked once per data packet and ACK that
 	// completes serialization on any link whether the wire loses it (seq
 	// is the data offset for data, the cumulative ACK for ACKs). r is the
 	// shard's fault stream, a PRNG separate from the main one, so a random
 	// loss rule does not perturb congestion-control randomness for the
 	// same seed. On a sharded network shards ask concurrently.
-	WireLoss func(r *rand.Rand, kind Kind, flowID int, seq int64) bool
+	WireLoss      func(r *rand.Rand, kind Kind, flowID int, seq int64) bool
+	finiteBuffers bool // some port's SetBuffer capped its queue
 
 	hosts      []*Host
 	hostByNode []*Host // node id -> host (nil for switch ids); O(1) findHost
@@ -84,13 +77,13 @@ type Network struct {
 	retireRuns bool
 }
 
-// ackBytes is the wire size of an acknowledgement. RTOMin and RTOMax bound
-// the retransmission timeout under LossRecovery: a flow's first timeout is
-// 4*baseRTT clamped into them, and each timeout doubles it up to RTOMax.
+// ackBytes is the wire size of an acknowledgement. rtoMin and rtoMax bound
+// the retransmission timeout of a lossy network: a flow's first timeout is
+// 4*baseRTT clamped into them, and each timeout doubles it up to rtoMax.
 const (
 	ackBytes = 64
-	RTOMin   = 100 * sim.Microsecond
-	RTOMax   = 10 * sim.Millisecond
+	rtoMin   = 100 * sim.Microsecond
+	rtoMax   = 10 * sim.Millisecond
 )
 
 // flowSlab is how many flow handles one allocation holds, runSlab how many
@@ -204,16 +197,27 @@ func (n *Network) AddFlow(spec FlowSpec, algo cc.Algorithm) *Flow {
 	return f
 }
 
-// MaxBaseRTT returns the largest base RTT any flow added so far can have:
-// the longest round trip over every ECMP choice of its route, which on a
-// symmetric fabric is the largest Flow.BaseRTT.
-func (n *Network) MaxBaseRTT() sim.Time { return n.maxRTT }
+// lossy reports whether the network can lose a packet: some port has a
+// finite buffer or WireLoss is set. Only a flow started on it arms an RTO.
+func (n *Network) lossy() bool { return n.finiteBuffers || n.WireLoss != nil }
+
+// StallWindow is how long a run may go with a flow active and no byte
+// acknowledged before it counts as stalled: max(1 ms, 1000 x the largest
+// base RTT any added flow can have over its route's ECMP choices), plus
+// rtoMax on a lossy network. It saturates rather than wrap.
+func (n *Network) StallWindow() sim.Time {
+	w := max(sim.Millisecond, 1000*min(n.maxRTT, math.MaxInt64/2000))
+	if n.lossy() {
+		w += rtoMax
+	}
+	return w
+}
 
 // initialRTO is a flow's first retransmission timeout: 4*baseRTT clamped
-// into [RTOMin, RTOMax], the ceiling the backoff doubling has too. baseRTT
+// into [rtoMin, rtoMax], the ceiling the backoff doubling has too. baseRTT
 // is capped first, so an hours-long round trip cannot wrap the product.
 func initialRTO(baseRTT sim.Time) sim.Time {
-	return max(RTOMin, min(4*min(baseRTT, RTOMax), RTOMax))
+	return max(rtoMin, min(4*min(baseRTT, rtoMax), rtoMax))
 }
 
 // findHost returns the host with the given node id, nil for ids that are

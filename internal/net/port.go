@@ -124,10 +124,16 @@ func (pt *Port) QueuePeak() int64 { return pt.q.Peak() }
 // TxBytes returns cumulative bytes transmitted on the port.
 func (pt *Port) TxBytes() int64 { return pt.txBytes }
 
-// SetBuffer caps this egress queue at the given wire bytes: a packet that
-// would push the queue past the cap is tail-dropped. Zero, the default,
-// leaves the queue unbounded.
-func (pt *Port) SetBuffer(bytes int64) { pt.bufBytes = bytes }
+// SetBuffer caps this egress queue at the given wire bytes, tail-dropping
+// a packet that would push it past the cap, and makes the network lossy.
+// A cap below one full data packet, MTU+HeaderBytes, panics.
+func (pt *Port) SetBuffer(bytes int64) {
+	if full := pt.net.MTU + pt.net.HeaderBytes; bytes < int64(full) {
+		panic(fmt.Sprintf("net: SetBuffer(%d) below one %d B data packet", bytes, full))
+	}
+	pt.bufBytes = bytes
+	pt.net.finiteBuffers = true
+}
 
 // send enqueues a packet for transmission toward the peer, tail-dropping
 // it when a finite egress buffer is full.

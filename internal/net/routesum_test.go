@@ -92,7 +92,7 @@ func TestRouteSummaryAgreesWithWalk(t *testing.T) {
 					largest = max(largest, p.f.BaseRTT())
 				}
 			}
-			if got := nw.MaxBaseRTT(); got != largest {
+			if got := net.MaxBaseRTT(nw); got != largest {
 				t.Errorf("recorded maximum base RTT %v, want the largest started %v", got, largest)
 			}
 		})

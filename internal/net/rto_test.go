@@ -11,8 +11,8 @@ import (
 )
 
 // TestInitialRTOClamped pins the initial-RTO derivation across the three
-// regimes of 4*baseRTT relative to [RTOMin, RTOMax]. The high-delay case
-// is the regression for the missing RTOMax clamp: on a 10 ms WAN-edge
+// regimes of 4*baseRTT relative to [rtoMin, rtoMax]. The high-delay case
+// is the regression for the missing rtoMax clamp: on a 10 ms WAN-edge
 // link 4*baseRTT is ~80 ms, and only post-backoff doubling was capped, so
 // a first loss waited 8x longer than any later one.
 func TestInitialRTOClamped(t *testing.T) {
@@ -21,9 +21,9 @@ func TestInitialRTOClamped(t *testing.T) {
 		delay sim.Time
 		want  func(f *Flow) sim.Time
 	}{
-		{"below-min", 1 * usec, func(f *Flow) sim.Time { return RTOMin }},
+		{"below-min", 1 * usec, func(f *Flow) sim.Time { return rtoMin }},
 		{"in-range", 100 * usec, func(f *Flow) sim.Time { return 4 * f.baseRTT }},
-		{"above-max", 10 * sim.Millisecond, func(f *Flow) sim.Time { return RTOMax }},
+		{"above-max", 10 * sim.Millisecond, func(f *Flow) sim.Time { return rtoMax }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -36,8 +36,8 @@ func TestInitialRTOClamped(t *testing.T) {
 				Size: 1000}, algo)
 			eng.Step() // the start
 			if want := tc.want(f); f.run.rtoBase != want || f.run.rto != want {
-				t.Fatalf("delay %v: rtoBase=%v rto=%v, want %v (baseRTT=%v RTOMin=%v RTOMax=%v)",
-					tc.delay, f.run.rtoBase, f.run.rto, want, f.baseRTT, RTOMin, RTOMax)
+				t.Fatalf("delay %v: rtoBase=%v rto=%v, want %v (baseRTT=%v rtoMin=%v rtoMax=%v)",
+					tc.delay, f.run.rtoBase, f.run.rto, want, f.baseRTT, rtoMin, rtoMax)
 			}
 		})
 	}
@@ -51,14 +51,14 @@ func TestInitialRTOClamped(t *testing.T) {
 	algo := &fixedAlgo{ctl: cc.Control{WindowBytes: 1e9, RateBps: gbps100}}
 	f := nw.AddFlow(FlowSpec{ID: 1, Src: h0.NodeID(), Dst: h1.NodeID(), Size: 1000}, algo)
 	eng.Step() // the start
-	if 4*f.baseRTT <= RTOMax {
-		t.Fatalf("precondition: 4*baseRTT=%v should exceed RTOMax=%v", 4*f.baseRTT, RTOMax)
+	if 4*f.baseRTT <= rtoMax {
+		t.Fatalf("precondition: 4*baseRTT=%v should exceed rtoMax=%v", 4*f.baseRTT, rtoMax)
 	}
 }
 
 // TestHoursLongPaths: a 1000 h link's round trip fits the clock, but four
-// of them do not; the first timeout is then the RTOMax clamp, where a
-// wrapped 4*baseRTT went negative and clamped to RTOMin. Two such
+// of them do not; the first timeout is then the rtoMax clamp, where a
+// wrapped 4*baseRTT went negative and clamped to rtoMin. Two such
 // links in a row do not fit at all, and the path is refused: ProbePath
 // returns an error and AddFlow panics naming the flow, instead of summing
 // the base RTT past the end of the clock.
@@ -72,8 +72,8 @@ func TestHoursLongPaths(t *testing.T) {
 	if err != nil || rtt < 2000*hour {
 		t.Fatalf("1000 h link: ProbePath = (%v, %v), want a base RTT over 2000 h", rtt, err)
 	}
-	if got := initialRTO(rtt); got != RTOMax {
-		t.Errorf("initial RTO on a %v round trip is %v, want RTOMax %v", rtt, got, RTOMax)
+	if got := initialRTO(rtt); got != rtoMax {
+		t.Errorf("initial RTO on a %v round trip is %v, want rtoMax %v", rtt, got, rtoMax)
 	}
 
 	nw = New(sim.NewEngine(), 1)
@@ -96,14 +96,13 @@ func TestHoursLongPaths(t *testing.T) {
 }
 
 // TestRTORecoveryOnHighDelayPath drops one mid-flow data packet on a path
-// whose 4*baseRTT exceeds RTOMax and checks the flow still completes —
+// whose 4*baseRTT exceeds rtoMax and checks the flow still completes —
 // i.e. the clamped timeout actually fires and go-back-N refills the gap
 // within a horizon that the unclamped ~80 ms timeout would bust less
 // comfortably.
 func TestRTORecoveryOnHighDelayPath(t *testing.T) {
 	eng := sim.NewEngine()
 	nw := New(eng, 1)
-	nw.LossRecovery = true
 	dropped := false
 	nw.WireLoss = func(_ *rand.Rand, kind Kind, _ int, seq int64) bool {
 		if kind == Data && seq == 5000 && !dropped {
@@ -142,12 +141,11 @@ func TestRTORecoveryOnHighDelayPath(t *testing.T) {
 // f.rto used to double unconditionally, so ~37 consecutive timeouts (from
 // a 100 us base, in picoseconds) wrapped it negative and the next deadline
 // was scheduled in the past. A wire that loses every data packet forces
-// timeouts indefinitely; the backoff must plateau at RTOMax with deadlines
+// timeouts indefinitely; the backoff must plateau at rtoMax with deadlines
 // monotone and never in the past throughout.
 func TestRTOBackoffNoOverflow(t *testing.T) {
 	eng := sim.NewEngine()
 	nw := New(eng, 1)
-	nw.LossRecovery = true
 	h0, h1 := nw.AddHost(), nw.AddHost()
 	nw.Connect(h0, h1, gbps100, usec)
 	nw.WireLoss = func(_ *rand.Rand, kind Kind, _ int, _ int64) bool { return kind == Data } // every retransmission is lost
@@ -161,8 +159,8 @@ func TestRTOBackoffNoOverflow(t *testing.T) {
 		if f.run.rto <= 0 {
 			t.Fatalf("rto wrapped to %v after %d timeouts", f.run.rto, f.Timeouts)
 		}
-		if f.run.rto > RTOMax {
-			t.Fatalf("rto %v exceeds RTOMax %v", f.run.rto, RTOMax)
+		if f.run.rto > rtoMax {
+			t.Fatalf("rto %v exceeds rtoMax %v", f.run.rto, rtoMax)
 		}
 		if f.run.rtoDeadline < prevDeadline {
 			t.Fatalf("rto deadline moved backwards: %v -> %v after %d timeouts",
@@ -178,8 +176,8 @@ func TestRTOBackoffNoOverflow(t *testing.T) {
 		t.Fatalf("engine drained after %d timeouts, want %d (RTO chain broke)",
 			f.Timeouts, wantTimeouts)
 	}
-	if f.run.rto != RTOMax {
-		t.Fatalf("rto = %v after %d timeouts, want plateau at RTOMax %v",
-			f.run.rto, f.Timeouts, RTOMax)
+	if f.run.rto != rtoMax {
+		t.Fatalf("rto = %v after %d timeouts, want plateau at rtoMax %v",
+			f.run.rto, f.Timeouts, rtoMax)
 	}
 }

@@ -13,8 +13,8 @@ import (
 
 // TestShardFlowRunReuse runs 2 400 short flows on a 32-host fat-tree twice,
 // once reusing run slots and once retiring every slot at its finish, and
-// requires the same result, flow by flow. HPCC under LossRecovery with ACKs
-// dropped stresses the reuse rule where a slot can still be reached after
+// requires the same result, flow by flow. HPCC on a wire that drops ACKs
+// stresses the reuse rule where a slot can still be reached after
 // its flow finished: a flow that lost its final ACK times out and leaves
 // duplicate data and stale ACKs in the fabric, and a flow's pending RTO
 // outlives its finish. It runs sequentially and on two shards, where a
@@ -45,7 +45,6 @@ func TestShardFlowRunReuse(t *testing.T) {
 	}
 	variants := []variant{
 		{"hpcc-lossy", func() cc.Algorithm { return hpcc.New(hpcc.DefaultConfig()) }, func(nw *net.Network) {
-			nw.LossRecovery = true
 			nw.WireLoss = func(r *rand.Rand, kind net.Kind, _ int, _ int64) bool {
 				return kind == net.Ack && r.Float64() < 0.02
 			}
