@@ -5,7 +5,7 @@
 //
 //	fairsim -list
 //	fairsim -exp fig1a [-scale small|medium|large|full] [-seed 1] [-out dir]
-//	fairsim -all [-scale medium] [-out results]
+//	fairsim -all [-scale medium] [-out results]     # all but dc, whose preset fig10 runs
 //	fairsim -exp fig10 -progress -manifest [-pprof profiles]
 //	fairsim -exp dc -workload mix -protocol swift -pods 2 -tors 2 -hosts 8 -ms 2
 //	fairsim -exp incast -algo hpcc-vaisf -senders 96 -size 1048576 -out series
@@ -52,7 +52,7 @@ func run() int {
 	var (
 		list   = flag.Bool("list", false, "list experiment names and exit")
 		name   = flag.String("exp", "", "experiment to run (e.g. fig1a)")
-		all    = flag.Bool("all", false, "run every registered experiment")
+		all    = flag.Bool("all", false, "run every registered experiment but dc, whose preset fig10 runs")
 		scale  = flag.String("scale", "medium", "datacenter experiment scale: small, medium, large, or full")
 		seed   = flag.Int64("seed", 1, "simulation seed")
 		out    = flag.String("out", "", "directory for CSV and notes output (default: stdout summary only)")
@@ -119,8 +119,8 @@ func run() int {
 		cfg.ProgressEvery = *every
 	}
 
-	// One mode runs: -exp one experiment, -all every one, -verify each
-	// that carries claims, -list none. A flag it does not read, another
+	// One mode runs: -exp one experiment, -all every one but dc, -verify
+	// each that carries claims, -list none. A flag it does not read, another
 	// mode's among them, would be silently ignored.
 	var exps []*exp.Experiment
 	mode, what := "list", "-list"
@@ -133,8 +133,9 @@ func run() int {
 			return 1
 		}
 		mode, what, exps = "exp", "experiment "+*name, []*exp.Experiment{e}
-	case *all:
-		mode, what, exps = "all", "-all", exp.Experiments()
+	case *all: // all but dc, whose preset is fig10's HPCC pair: fig10 runs it
+		dc, _ := exp.Get("dc")
+		mode, what, exps = "all", "-all", slices.DeleteFunc(exp.Experiments(), func(e *exp.Experiment) bool { return e == dc })
 	case *verify:
 		mode, what = "verify", "-verify"
 		exps = slices.DeleteFunc(exp.Experiments(), func(e *exp.Experiment) bool { return len(e.Claims) == 0 })

@@ -100,6 +100,8 @@ func TestRejectsUnrunnableFlags(t *testing.T) {
 		{"verify ignores scoped flags", []string{"-verify", "-scale", "small", "-senders", "4", "-pods", "3"}, 2, "-verify does not read -pods"},
 		{"verify ignores output flags", []string{"-verify", "-manifest", "-out", filepath.Join(t.TempDir(), "vout")}, 2, "-verify does not read -manifest"},
 		{"list ignores scoped flags", []string{"-list", "-pods", "3"}, 2, "-list does not read -pods"},
+		// -all runs no dc: fig10 runs and records its preset.
+		{"all ignores dc flags", []string{"-all", "-scale", "small", "-pods", "2"}, 2, "-all does not read -pods"},
 
 		// The modes are exclusive: one mode does not read another's flag.
 		{"verify and exp", []string{"-verify", "-exp", "fig1a"}, 2, "experiment fig1a does not read -verify"},
@@ -157,6 +159,28 @@ func TestVerifyRunsEachSimulationOnce(t *testing.T) {
 	}
 	if n := strings.Count(stderr.String(), " (done)\n"); n != 39 {
 		t.Errorf("fairsim -verify ran %d simulations, want 39", n)
+	}
+}
+
+// TestAllRunsEachSimulationOnce drives -all through the built binary:
+// dc's preset, fig10's HPCC pair, does not run, and robustness sweeps only
+// the seeds after fig10's, so each of the 70 simulations runs once.
+func TestAllRunsEachSimulationOnce(t *testing.T) {
+	if testing.Short() {
+		t.Skip("every experiment in -short mode")
+	}
+	cmd := exec.Command(buildFairsim(t), "-all", "-scale", "small", "-progress")
+	var stderr strings.Builder
+	cmd.Stderr = &stderr
+	out, err := cmd.Output()
+	if err != nil {
+		t.Fatalf("fairsim -all: %v\n%s%s", err, out, stderr.String())
+	}
+	if strings.Contains("\n"+string(out), "\ndc: ") {
+		t.Error("fairsim -all ran dc, whose preset is fig10's HPCC pair")
+	}
+	if n := strings.Count(stderr.String(), " (done)\n"); n != 70 {
+		t.Errorf("fairsim -all ran %d simulations, want 70", n)
 	}
 }
 
@@ -271,7 +295,8 @@ func roadmapItem(roadmap []byte, n string) string {
 // `go run ./cmd/fairsim` line in README.md, DESIGN.md and EXPERIMENTS.md
 // may use only flags main.go declares, so a removed flag cannot linger in
 // an example, a line with -exp only the scoped flags its experiment
-// reads, and -progress-every only beside -progress, so no example exits 2.
+// reads, a line with -all no dc flag, and -progress-every only beside
+// -progress, so no example exits 2.
 func TestDocumentedCommandsUseDeclaredFlags(t *testing.T) {
 	declared := declaredFlags(t)
 	const cmd = "go run ./cmd/fairsim"
@@ -297,6 +322,7 @@ func TestDocumentedCommandsUseDeclaredFlags(t *testing.T) {
 					t.Errorf("%s:%d: %v: %s", doc, i+1, err, strings.TrimSpace(line))
 				}
 			}
+			all := slices.Contains(strings.Fields(args), "-all")
 			if strings.Contains(args, "-progress-every") && !slices.Contains(strings.Fields(args), "-progress") {
 				t.Errorf("%s:%d: -progress-every without -progress exits 2: %s", doc, i+1, strings.TrimSpace(line))
 			}
@@ -311,6 +337,9 @@ func TestDocumentedCommandsUseDeclaredFlags(t *testing.T) {
 				}
 				if reader, ok := scoped[name]; ok && expName != "" && reader != expName {
 					t.Errorf("%s:%d: the experiment does not read -%s: %s", doc, i+1, name, strings.TrimSpace(line))
+				}
+				if all && scoped[name] == "dc" {
+					t.Errorf("%s:%d: -all runs no dc, so it does not read -%s: %s", doc, i+1, name, strings.TrimSpace(line))
 				}
 			}
 		}

@@ -26,7 +26,8 @@ import (
 // The paper's Swift constants: the base target delay and its per-hop
 // topology scaling, beta and max_mdf of Eq. (1) (the largest decrease is a
 // halving), and flow-based scaling's fs_range and minimum scaling window
-// (below it the full range applies), as in Kumar et al.
+// (below it the full range applies), as in Kumar et al.; and hyper AI's
+// clean RTTs and multiplier, as in Timely.
 const (
 	baseTarget         = 5 * sim.Microsecond
 	perHop             = 2 * sim.Microsecond
@@ -34,6 +35,8 @@ const (
 	maxMdf     float64 = 0.5
 	fbsRange           = 4 * sim.Microsecond
 	fbsMinCwnd float64 = 0.1
+	haiAfter           = 5
+	haiMult    float64 = 10
 )
 
 // Config parameterizes Swift. Start from DefaultConfig.
@@ -57,14 +60,11 @@ type Config struct {
 	// probability 1 - cwnd/maxCwnd (Sec. III-D).
 	Probabilistic bool
 
-	// HAIAfter enables Timely-style hyper additive increase, the
-	// extension the paper suggests for Swift's slow bandwidth recovery
-	// ("Swift may benefit from a hyper additive increase setting like in
-	// Timely", Sec. VI-B): after HAIAfter consecutive congestion-free
-	// RTTs the additive increase is multiplied by HAIMult until
-	// congestion reappears. Zero disables it.
-	HAIAfter int
-	HAIMult  float64
+	// HyperAI enables the Timely-style hyper additive increase the paper
+	// suggests for Swift's slow bandwidth recovery (Sec. VI-B): after
+	// haiAfter consecutive congestion-free RTTs the additive increase is
+	// multiplied by haiMult until congestion reappears.
+	HyperAI bool
 }
 
 // DefaultConfig returns the paper's Swift parameters with FBS at a max
@@ -259,8 +259,8 @@ func (s *Swift) countClean(ended bool) {
 // hyperAI returns the hyper-AI multiplier for the current run of
 // congestion-free RTTs.
 func (s *Swift) hyperAI() float64 {
-	if s.cfg.HAIAfter > 0 && s.cleanRTTs >= s.cfg.HAIAfter {
-		return s.cfg.HAIMult
+	if s.cfg.HyperAI && s.cleanRTTs >= haiAfter {
+		return haiMult
 	}
 	return 1
 }

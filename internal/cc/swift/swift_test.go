@@ -367,8 +367,7 @@ func TestDeterminism(t *testing.T) {
 
 func TestHyperAIEngagesAfterCleanRTTs(t *testing.T) {
 	cfg := DefaultConfig(0)
-	cfg.HAIAfter = 3
-	cfg.HAIMult = 10
+	cfg.HyperAI = true
 	s := New(cfg)
 	s.Init(env())
 	s.cwnd = 5
@@ -382,14 +381,17 @@ func TestHyperAIEngagesAfterCleanRTTs(t *testing.T) {
 			SentBytes: acked + 5*mtu, NewlyAcked: mtu})
 		return s.Cwnd() - before
 	}
-	// Before HAIAfter clean RTTs: plain AI steps.
+	// Before haiAfter clean RTTs: plain AI steps.
 	base := ack(1 * sim.Microsecond)
 	// Burn through enough clean RTTs (marker passes every ~6 acks).
 	for i := 0; i < 40; i++ {
 		ack(1 * sim.Microsecond)
 	}
+	if s.cleanRTTs < haiAfter || s.hyperAI() != haiMult {
+		t.Fatalf("after %d clean RTTs hyper AI is x%v, want x%v from %d on", s.cleanRTTs, s.hyperAI(), haiMult, haiAfter)
+	}
 	boosted := ack(1 * sim.Microsecond)
-	// The boosted per-ACK gain is ~HAIMult times the base gain, modulo
+	// The boosted per-ACK gain is ~haiMult times the base gain, modulo
 	// the 1/cwnd factor shifting as cwnd grows; require a clear jump.
 	if boosted < 4*base {
 		t.Fatalf("hyper AI step %v not well above base %v", boosted, base)
@@ -409,6 +411,6 @@ func TestHyperAIDisabledByDefault(t *testing.T) {
 	s.Init(env())
 	s.cleanRTTs = 1000
 	if s.hyperAI() != 1 {
-		t.Fatal("hyper AI must be off when HAIAfter == 0")
+		t.Fatal("hyper AI must be off unless HyperAI is set")
 	}
 }

@@ -49,7 +49,7 @@ func TestControlTraces(t *testing.T) {
 		}
 		return timely.New(c)
 	}
-	hai := func(c *swift.Config) { c.HAIAfter, c.HAIMult = 5, 10 }
+	hai := func(c *swift.Config) { c.HyperAI = true }
 	cases := []struct {
 		name string
 		algo cc.Algorithm

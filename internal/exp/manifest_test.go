@@ -244,8 +244,8 @@ func dropStaleKeys(t *testing.T, file string, raw []byte, keys []string) []byte 
 
 // TestRecordedResultsReproduce regenerates, at the recorded -scale medium
 // -seed 1, every results/<name>.csv and results/<name>.notes except
-// robustness's (a five-seed sweep of the medium fat-tree, regenerated by
-// hand when a change could move it) and compares bytes, so neither a
+// robustness's (the medium fat-tree on four held-out seeds, regenerated
+// by hand when a change could move it) and compares bytes, so neither a
 // recorded curve nor a recorded headline number can go stale behind a
 // behaviour change. Every such file on disk must be compared: one that no
 // registered figure writes fails here.

@@ -150,8 +150,7 @@ func timelyVariants(p pathParams) []variant {
 func swiftHAIVariant(p pathParams) variant {
 	return variant{label: "Swift HAI", make: func() cc.Algorithm {
 		c := swift.DefaultConfig(p.maxScalePkts)
-		c.HAIAfter = 5
-		c.HAIMult = 10
+		c.HyperAI = true
 		return swift.New(c)
 	}}
 }
